@@ -14,39 +14,32 @@ module Umesh = Am_mesh.Umesh
 let run n iters backend ranks renumber verify check analyze trace obs_json faults
     recover perf =
   Check_common.guard @@ fun () ->
+  Op2_common.check_flags ~app:"aero" ~backend ~ranks ~overlap:false ~check;
   Am_obs.Obs.reset ();
   if trace <> None then Am_obs.Obs.set_tracing true;
   let mesh = App.generate_mesh ~n in
   Printf.printf "aero: %dx%d cells, %d nodes\n%!" n n mesh.Umesh.n_nodes;
   Fault_common.with_faults ~app:"aero" ~faults ~recover @@ fun fc ~recovering ->
-  let pool = ref None in
   let t = App.create mesh in
   Perf_common.enable perf (Op2.trace t.App.ctx);
   if analyze then Am_core.Trace.set_enabled (Op2.trace t.App.ctx) true;
-  if check then begin
-    Op2.set_backend t.App.ctx Op2.Check;
-    Am_core.Trace.set_enabled (Op2.trace t.App.ctx) true
-  end
-  else (match backend with
-  | "seq" -> ()
-  | "shared" ->
-    let p = Am_taskpool.Pool.create () in
-    pool := Some p;
-    Op2.set_backend t.App.ctx (Op2.Shared { pool = p; block_size = 256 })
-  | "cuda" -> Op2.set_backend t.App.ctx (Op2.Cuda_sim Am_op2.Exec_cuda.default_config)
-  | "vec" -> Op2.set_backend t.App.ctx (Op2.Vec Am_op2.Exec_vec.default_config)
-  | "mpi" ->
-    Op2.partition t.App.ctx ~n_ranks:ranks ~strategy:(Op2.Rcb_on t.App.x)
-  | "hybrid" ->
-    Op2.partition t.App.ctx ~n_ranks:ranks ~strategy:(Op2.Rcb_on t.App.x);
-    let p = Am_taskpool.Pool.create () in
-    pool := Some p;
-    Op2.set_rank_execution t.App.ctx (Op2.Rank_shared { pool = p; block_size = 256 })
-  | other -> failwith (Printf.sprintf "unknown backend %s" other));
-  if renumber then begin
-    let before, after = Op2.renumber t.App.ctx ~through:t.App.cell_nodes in
-    Printf.printf "renumbered: mean bandwidth %.1f -> %.1f\n%!" before after
-  end;
+  let original_order =
+    if renumber then
+      Op2_common.renumber t.App.ctx ~through:t.App.cell_nodes ~set:t.App.nodes
+        ~size:mesh.Umesh.n_nodes ~dim:1
+    else Fun.id
+  in
+  let pool =
+    if check then begin
+      Op2.set_backend t.App.ctx Op2.Check;
+      Am_core.Trace.set_enabled (Op2.trace t.App.ctx) true;
+      None
+    end
+    else
+      Op2_common.select_backend t.App.ctx ~backend ~ranks ~overlap:false
+        ~partition:(fun n_ranks ->
+          Op2.partition t.App.ctx ~n_ranks ~strategy:(Op2.Rcb_on t.App.x))
+  in
   (match Fault_common.injector fc with
   | Some f -> Op2.set_fault_injector t.App.ctx f
   | None -> ());
@@ -76,10 +69,12 @@ let run n iters backend ranks renumber verify check analyze trace obs_json fault
     Check_common.report
       (if analyze then Am_analysis.Analysis.static_op2 t.App.ctx
        else Am_analysis.Analysis.check_op2 t.App.ctx);
-  if verify && not renumber then begin
+  if verify then begin
     let h = Am_aero.Hand.create mesh in
     ignore (Am_aero.Hand.run h ~iters);
-    let d = Am_util.Fa.rel_discrepancy (App.solution t) (Am_aero.Hand.solution h) in
+    let d =
+      Am_util.Fa.rel_discrepancy (original_order (App.solution t)) (Am_aero.Hand.solution h)
+    in
     Printf.printf "\nverification vs hand-coded baseline: max discrepancy %.3e %s\n" d
       (if d < 1e-8 then "(PASS)" else "(FAIL)");
     if d >= 1e-8 then exit 1
@@ -89,7 +84,7 @@ let run n iters backend ranks renumber verify check analyze trace obs_json fault
     ~roofline_gbs:Am_perfmodel.Machines.(xeon_e5_2697v2.stream_bw)
     ~loops:(Am_core.Profile.obs_rows (Op2.profile t.App.ctx))
     ();
-  match !pool with Some p -> Am_taskpool.Pool.shutdown p | None -> ()
+  Option.iter Am_taskpool.Pool.shutdown pool
 
 open Cmdliner
 

@@ -13,6 +13,7 @@ module Umesh = Am_mesh.Umesh
 let run nx ny iters backend ranks overlap renumber verify check analyze save_to
     mesh_file trace obs_json faults recover perf =
   Check_common.guard @@ fun () ->
+  Op2_common.check_flags ~app:"airfoil" ~backend ~ranks ~overlap ~check;
   Am_obs.Obs.reset ();
   if trace <> None then Am_obs.Obs.set_tracing true;
   (* Meshes load from snapshot files (the HDF5-style input path) or are
@@ -34,42 +35,25 @@ let run nx ny iters backend ranks overlap renumber verify check analyze save_to
   Printf.printf "airfoil: %d cells, %d edges, %d nodes\n%!" mesh.Umesh.n_cells
     mesh.Umesh.n_edges mesh.Umesh.n_nodes;
   Fault_common.with_faults ~app:"airfoil" ~faults ~recover @@ fun fc ~recovering ->
-  let pool = ref None in
   let t = App.create mesh in
   Perf_common.enable perf (Op2.trace t.App.ctx);
   if analyze then Am_core.Trace.set_enabled (Op2.trace t.App.ctx) true;
-  if check then begin
-    Op2.set_backend t.App.ctx Op2.Check;
-    Am_core.Trace.set_enabled (Op2.trace t.App.ctx) true
-  end
-  else (match backend with
-  | "seq" -> ()
-  | "shared" ->
-    let p = Am_taskpool.Pool.create () in
-    pool := Some p;
-    Op2.set_backend t.App.ctx (Op2.Shared { pool = p; block_size = 256 })
-  | "cuda" ->
-    Op2.set_backend t.App.ctx (Op2.Cuda_sim Am_op2.Exec_cuda.default_config)
-  | "vec" -> Op2.set_backend t.App.ctx (Op2.Vec Am_op2.Exec_vec.default_config)
-  | "mpi" ->
-    Op2.partition t.App.ctx ~n_ranks:ranks
-      ~strategy:(Op2.Kway_through t.App.edge_cells)
-  | "hybrid" ->
-    Op2.partition t.App.ctx ~n_ranks:ranks
-      ~strategy:(Op2.Kway_through t.App.edge_cells);
-    let p = Am_taskpool.Pool.create () in
-    pool := Some p;
-    Op2.set_rank_execution t.App.ctx (Op2.Rank_shared { pool = p; block_size = 256 })
-  | other -> failwith (Printf.sprintf "unknown backend %s" other));
-  if overlap then begin
-    if not (backend = "mpi" || backend = "hybrid") then
-      failwith "--overlap requires --backend mpi or hybrid";
-    Op2.set_comm_mode t.App.ctx Op2.Overlap
-  end;
-  if renumber then begin
-    let before, after = Op2.renumber t.App.ctx ~through:t.App.edge_cells in
-    Printf.printf "renumbered: dual-graph mean bandwidth %.1f -> %.1f\n%!" before after
-  end;
+  let original_order =
+    if renumber then
+      Op2_common.renumber t.App.ctx ~through:t.App.edge_cells ~set:t.App.cells
+        ~size:mesh.Umesh.n_cells ~dim:4
+    else Fun.id
+  in
+  let pool =
+    if check then begin
+      Op2.set_backend t.App.ctx Op2.Check;
+      Am_core.Trace.set_enabled (Op2.trace t.App.ctx) true;
+      None
+    end
+    else
+      Op2_common.select_backend t.App.ctx ~backend ~ranks ~overlap ~partition:(fun n_ranks ->
+          Op2.partition t.App.ctx ~n_ranks ~strategy:(Op2.Kway_through t.App.edge_cells))
+  in
   (match Fault_common.injector fc with
   | Some f -> Op2.set_fault_injector t.App.ctx f
   | None -> ());
@@ -98,11 +82,11 @@ let run nx ny iters backend ranks overlap renumber verify check analyze save_to
     Check_common.report
       (if analyze then Am_analysis.Analysis.static_op2 t.App.ctx
        else Am_analysis.Analysis.check_op2 t.App.ctx);
-  if verify && not renumber then begin
+  if verify then begin
     let h = Am_airfoil.Hand.create mesh in
     ignore (Am_airfoil.Hand.run h ~iters);
     let d =
-      Am_util.Fa.rel_discrepancy (App.solution t) (Am_airfoil.Hand.solution h)
+      Am_util.Fa.rel_discrepancy (original_order (App.solution t)) (Am_airfoil.Hand.solution h)
     in
     Printf.printf "\nverification vs hand-coded baseline: max discrepancy %.3e %s\n" d
       (if d < 1e-10 then "(PASS)" else "(FAIL)");
@@ -118,7 +102,7 @@ let run nx ny iters backend ranks overlap renumber verify check analyze save_to
     ~roofline_gbs:Am_perfmodel.Machines.(xeon_e5_2697v2.stream_bw)
     ~loops:(Am_core.Profile.obs_rows (Op2.profile t.App.ctx))
     ();
-  match !pool with Some p -> Am_taskpool.Pool.shutdown p | None -> ()
+  Option.iter Am_taskpool.Pool.shutdown pool
 
 open Cmdliner
 

@@ -1,0 +1,65 @@
+#!/bin/sh
+# Flag matrix of the OP2 drivers.
+#
+#   flag_matrix.sh AIRFOIL_EXE AERO_EXE HYDRA_EXE
+#
+# Runs each driver at a small size on every backend, and on an unknown
+# one, with no flag, with each of --renumber, --overlap, --verify and
+# --check that the driver defines (aero has no --overlap, hydra neither
+# --overlap nor --verify), and with --renumber --verify together.  A run
+# on the unknown backend, or with --overlap off mpi and hybrid, is a
+# usage error and must exit 2; every other run must exit 0.  No output may
+# report an uncaught exception.  Prints only the runs that fail.
+set -u
+# A bare file name is a path in the current directory, not a command.
+path() { case $1 in */*) echo "$1" ;; *) echo "./$1" ;; esac; }
+airfoil=$(path "$1")
+aero=$(path "$2")
+hydra=$(path "$3")
+failed=0
+
+# The exit code of a run on backend $1 with flags $2.
+expected() {
+  case $1:$2 in
+  bogus:*) echo 2 ;;
+  mpi:* | hybrid:*) echo 0 ;;
+  *:*--overlap*) echo 2 ;;
+  *) echo 0 ;;
+  esac
+}
+
+# run WANT COMMAND...
+run() {
+  want=$1
+  shift
+  out=$("$@" 2>&1)
+  code=$?
+  if [ "$code" != "$want" ]; then
+    echo "flag matrix: exit $code, expected $want: $*"
+    echo "$out" | tail -3
+    failed=1
+  fi
+  case $out in
+  *"uncaught exception"* | *"Fatal error: exception"*)
+    echo "flag matrix: uncaught exception: $*"
+    echo "$out" | tail -3
+    failed=1
+    ;;
+  esac
+}
+
+for backend in seq vec shared cuda mpi hybrid bogus; do
+  for flags in "" --renumber --overlap --verify --check "--renumber --verify"; do
+    run "$(expected $backend "$flags")" "$airfoil" --nx 16 --ny 12 --iters 2 --ranks 3 \
+      --backend "$backend" $flags
+  done
+  for flags in "" --renumber --verify --check "--renumber --verify"; do
+    run "$(expected $backend "$flags")" "$aero" --size 8 --iters 1 --ranks 3 \
+      --backend "$backend" $flags
+  done
+  for flags in "" --renumber --check; do
+    run "$(expected $backend "$flags")" "$hydra" --nx 8 --ny 6 --iters 1 --ranks 3 \
+      --backend "$backend" $flags
+  done
+done
+exit $failed

@@ -8,33 +8,12 @@ module App = Am_hydra.App
 let run nx ny iters backend ranks renumber no_multigrid check analyze trace
     obs_json faults recover tile perf =
   Check_common.guard @@ fun () ->
+  Op2_common.check_flags ~app:"hydra" ~backend ~ranks ~overlap:false ~check;
   Am_obs.Obs.reset ();
   if trace <> None then Am_obs.Obs.set_tracing true;
   let features = { App.all_features with App.multigrid = not no_multigrid } in
   Fault_common.with_faults ~app:"hydra" ~faults ~recover @@ fun fc ~recovering ->
-  let pool = ref None in
-  let t =
-    match (if check then "check" else backend) with
-    | "check" ->
-      let t = App.create ~features ~nx ~ny () in
-      Op2.set_backend t.App.ctx Op2.Check;
-      Am_core.Trace.set_enabled (Op2.trace t.App.ctx) true;
-      t
-    | "seq" -> App.create ~features ~nx ~ny ()
-    | "shared" ->
-      let p = Am_taskpool.Pool.create () in
-      pool := Some p;
-      App.create ~backend:(Op2.Shared { pool = p; block_size = 256 }) ~features ~nx ~ny ()
-    | "cuda" ->
-      App.create ~backend:(Op2.Cuda_sim Am_op2.Exec_cuda.default_config) ~features ~nx
-        ~ny ()
-    | "mpi" ->
-      let t = App.create ~features ~nx ~ny () in
-      Op2.partition t.App.ctx ~n_ranks:ranks
-        ~strategy:(Op2.Kway_through t.App.edge_cells);
-      t
-    | other -> failwith (Printf.sprintf "unknown backend %s" other)
-  in
+  let t = App.create ~features ~nx ~ny () in
   if analyze then Am_core.Trace.set_enabled (Op2.trace t.App.ctx) true;
   Perf_common.enable perf (Op2.trace t.App.ctx);
   Printf.printf "hydra-sim: %d fine cells (+%d coarse), %d loops/iteration\n%!"
@@ -42,10 +21,22 @@ let run nx ny iters backend ranks renumber no_multigrid check analyze trace
     App.loops_per_iteration;
   if tile <> None then
     Printf.printf "--tile: loop-chain tiling is unsupported on OP2 (unstructured mesh), ignored\n%!";
+  (* Renumbering must precede partitioning. *)
   if renumber then begin
     let before, after = Op2.renumber t.App.ctx ~through:t.App.edge_cells in
     Printf.printf "renumbered: dual-graph mean bandwidth %.1f -> %.1f\n%!" before after
   end;
+  let pool =
+    if check then begin
+      Op2.set_backend t.App.ctx Op2.Check;
+      Am_core.Trace.set_enabled (Op2.trace t.App.ctx) true;
+      None
+    end
+    else
+      Op2_common.select_backend t.App.ctx ~backend ~ranks ~overlap:false
+        ~partition:(fun n_ranks ->
+          Op2.partition t.App.ctx ~n_ranks ~strategy:(Op2.Kway_through t.App.edge_cells))
+  in
   (match Fault_common.injector fc with
   | Some f -> Op2.set_fault_injector t.App.ctx f
   | None -> ());
@@ -72,7 +63,7 @@ let run nx ny iters backend ranks renumber no_multigrid check analyze trace
     ~roofline_gbs:Am_perfmodel.Machines.(xeon_e5_2697v2.stream_bw)
     ~loops:(Am_core.Profile.obs_rows (Op2.profile t.App.ctx))
     ();
-  (match !pool with Some p -> Am_taskpool.Pool.shutdown p | None -> ())
+  Option.iter Am_taskpool.Pool.shutdown pool
 
 open Cmdliner
 
@@ -81,7 +72,10 @@ let ny = Arg.(value & opt int 64 & info [ "ny" ] ~doc:"Fine cells in y (even).")
 let iters = Arg.(value & opt int 50 & info [ "iters" ] ~doc:"Outer iterations.")
 
 let backend =
-  Arg.(value & opt string "seq" & info [ "backend" ] ~doc:"seq, shared, cuda or mpi.")
+  Arg.(
+    value
+    & opt string "seq"
+    & info [ "backend" ] ~doc:"Backend: seq, vec, shared, cuda, mpi or hybrid.")
 
 let ranks = Arg.(value & opt int 4 & info [ "ranks" ] ~doc:"Simulated MPI ranks.")
 let renumber = Arg.(value & flag & info [ "renumber" ] ~doc:"Apply RCM renumbering.")

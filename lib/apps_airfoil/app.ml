@@ -103,14 +103,14 @@ let create ?backend (mesh : Umesh.t) =
 (* One outer iteration: save the state, then two inner explicit cycles.
    Returns the RMS residual of the final inner cycle. *)
 let iteration t =
-  Op2.par_loop t.ctx ~name:"save_soln" ~info:Kernels.save_soln_info
+  Op2.par_loop_acc t.ctx ~name:"save_soln" ~info:Kernels.save_soln_info
     ~handle:t.h_save_soln t.cells
     [ Op2.arg_dat t.q Access.Read; Op2.arg_dat t.qold Access.Write ]
-    Kernels.save_soln;
+    Kernels.save_soln_acc;
   let rms = t.rms_buf in
   rms.(0) <- 0.0;
   for _inner = 1 to 2 do
-    Op2.par_loop t.ctx ~name:"adt_calc" ~info:Kernels.adt_calc_info
+    Op2.par_loop_acc t.ctx ~name:"adt_calc" ~info:Kernels.adt_calc_info
       ~handle:t.h_adt_calc t.cells
       [
         Op2.arg_dat_indirect t.x t.cell_nodes 0 Access.Read;
@@ -120,8 +120,8 @@ let iteration t =
         Op2.arg_dat t.q Access.Read;
         Op2.arg_dat t.adt Access.Write;
       ]
-      Kernels.adt_calc;
-    Op2.par_loop t.ctx ~name:"res_calc" ~info:Kernels.res_calc_info
+      Kernels.adt_calc_acc;
+    Op2.par_loop_acc t.ctx ~name:"res_calc" ~info:Kernels.res_calc_info
       ~handle:t.h_res_calc t.edges
       [
         Op2.arg_dat_indirect t.x t.edge_nodes 0 Access.Read;
@@ -133,8 +133,8 @@ let iteration t =
         Op2.arg_dat_indirect t.res t.edge_cells 0 Access.Inc;
         Op2.arg_dat_indirect t.res t.edge_cells 1 Access.Inc;
       ]
-      Kernels.res_calc;
-    Op2.par_loop t.ctx ~name:"bres_calc" ~info:Kernels.bres_calc_info
+      Kernels.res_calc_acc;
+    Op2.par_loop_acc t.ctx ~name:"bres_calc" ~info:Kernels.bres_calc_info
       ~handle:t.h_bres_calc t.bedges
       [
         Op2.arg_dat_indirect t.x t.bedge_nodes 0 Access.Read;
@@ -144,9 +144,9 @@ let iteration t =
         Op2.arg_dat_indirect t.res t.bedge_cell 0 Access.Inc;
         Op2.arg_dat t.bound Access.Read;
       ]
-      Kernels.bres_calc;
+      Kernels.bres_calc_acc;
     Array.fill rms 0 1 0.0;
-    Op2.par_loop t.ctx ~name:"update" ~info:Kernels.update_info
+    Op2.par_loop_acc t.ctx ~name:"update" ~info:Kernels.update_info
       ~handle:t.h_update t.cells
       [
         Op2.arg_dat t.qold Access.Read;
@@ -155,7 +155,7 @@ let iteration t =
         Op2.arg_dat t.adt Access.Read;
         Op2.arg_gbl ~name:"rms" rms Access.Inc;
       ]
-      Kernels.update
+      Kernels.update_acc
   done;
   sqrt (rms.(0) /. Float.of_int t.mesh.Umesh.n_cells)
 

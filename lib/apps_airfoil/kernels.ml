@@ -3,10 +3,22 @@
    quad mesh, cell-centred state q = (rho, rho*u, rho*v, rho*E), explicit
    time stepping with local timesteps (adt) and artificial dissipation.
 
-   The kernels are plain functions over the staging buffers the active
-   library passes them; the same functions are reused verbatim by the
-   hand-coded baseline so that "Original" and "OP2" runs execute identical
-   arithmetic — the comparisons isolate the framework, not the maths. *)
+   Each kernel is written once, over argument accessors ([Op2.Acc]: the
+   zero-copy ABI, run with [Op2.par_loop_acc]); the staged form that
+   [Op2.par_loop] takes is a one-line adapter over it.  The hand-coded
+   baseline ([Hand]) re-implements the same arithmetic over flat arrays,
+   in the same operation order, so "Original" and "OP2" runs agree to
+   rounding and the comparisons isolate the framework, not the maths.
+
+   The kernels are hot and the library is compiled with [-opaque] and
+   without flambda, so a float that crosses a call boundary is boxed.
+   Hence the module-local [@inline] accessors, and no local closures
+   capturing floats: helpers are top-level [@inline] functions. *)
+
+module Acc = Am_op2.Op2.Acc
+
+let[@inline] get (a : Acc.t) i = a.Acc.data.(a.Acc.base + i)
+let[@inline] set (a : Acc.t) i v = a.Acc.data.(a.Acc.base + i) <- v
 
 let gam = 1.4
 let gm1 = gam -. 1.0
@@ -22,131 +34,148 @@ let qinf =
   [| r; r *. u; 0.0; r *. e |]
 
 (* save_soln: qold <- q (direct over cells). *)
-let save_soln args =
-  let q = args.(0) and qold = args.(1) in
+let save_soln_acc (a : Acc.t array) =
+  let q = a.(0) and qold = a.(1) in
   for n = 0 to 3 do
-    qold.(n) <- q.(n)
+    set qold n (get q n)
   done
 
+let save_soln = Acc.staged save_soln_acc
 let save_soln_info = { Am_core.Descr.flops = 0.0; transcendentals = 0.0 }
+
+(* Wave-speed bound of the face from node [xb] to node [xa]. *)
+let[@inline] face u v c xa xb =
+  let dx = get xa 0 -. get xb 0 and dy = get xa 1 -. get xb 1 in
+  Float.abs ((u *. dy) -. (v *. dx)) +. (c *. sqrt ((dx *. dx) +. (dy *. dy)))
 
 (* adt_calc: local timestep of a cell from its four corner nodes.
    args: x1 x2 x3 x4 (R, via cell->node), q (R, direct), adt (W, direct). *)
-let adt_calc args =
-  let x1 = args.(0) and x2 = args.(1) and x3 = args.(2) and x4 = args.(3) in
-  let q = args.(4) and adt = args.(5) in
-  let ri = 1.0 /. q.(0) in
-  let u = ri *. q.(1) and v = ri *. q.(2) in
-  let c = sqrt (gam *. gm1 *. ((ri *. q.(3)) -. (0.5 *. ((u *. u) +. (v *. v))))) in
-  let face xa ya xb yb =
-    let dx = xa -. xb and dy = ya -. yb in
-    Float.abs ((u *. dy) -. (v *. dx)) +. (c *. sqrt ((dx *. dx) +. (dy *. dy)))
-  in
+let adt_calc_acc (a : Acc.t array) =
+  let x1 = a.(0) and x2 = a.(1) and x3 = a.(2) and x4 = a.(3) in
+  let q = a.(4) and adt = a.(5) in
+  let ri = 1.0 /. get q 0 in
+  let u = ri *. get q 1 and v = ri *. get q 2 in
+  let c = sqrt (gam *. gm1 *. ((ri *. get q 3) -. (0.5 *. ((u *. u) +. (v *. v))))) in
   let acc =
-    face x2.(0) x2.(1) x1.(0) x1.(1)
-    +. face x3.(0) x3.(1) x2.(0) x2.(1)
-    +. face x4.(0) x4.(1) x3.(0) x3.(1)
-    +. face x1.(0) x1.(1) x4.(0) x4.(1)
+    face u v c x2 x1 +. face u v c x3 x2 +. face u v c x4 x3 +. face u v c x1 x4
   in
-  adt.(0) <- acc /. cfl
+  set adt 0 (acc /. cfl)
 
+let adt_calc = Acc.staged adt_calc_acc
 let adt_calc_info = { Am_core.Descr.flops = 40.0; transcendentals = 5.0 }
 
 (* res_calc: flux through an interior edge.
    args: x1 x2 (R, edge->node), q1 q2 (R, edge->cell), adt1 adt2 (R,
    edge->cell), res1 res2 (Inc, edge->cell). *)
-let res_calc args =
-  let x1 = args.(0) and x2 = args.(1) in
-  let q1 = args.(2) and q2 = args.(3) in
-  let adt1 = args.(4) and adt2 = args.(5) in
-  let res1 = args.(6) and res2 = args.(7) in
-  let dx = x1.(0) -. x2.(0) and dy = x1.(1) -. x2.(1) in
-  let ri1 = 1.0 /. q1.(0) in
-  let p1 = gm1 *. (q1.(3) -. (0.5 *. ri1 *. ((q1.(1) *. q1.(1)) +. (q1.(2) *. q1.(2))))) in
-  let vol1 = ri1 *. ((q1.(1) *. dy) -. (q1.(2) *. dx)) in
-  let ri2 = 1.0 /. q2.(0) in
-  let p2 = gm1 *. (q2.(3) -. (0.5 *. ri2 *. ((q2.(1) *. q2.(1)) +. (q2.(2) *. q2.(2))))) in
-  let vol2 = ri2 *. ((q2.(1) *. dy) -. (q2.(2) *. dx)) in
-  let mu = 0.5 *. (adt1.(0) +. adt2.(0)) *. eps in
-  let flux i extra1 extra2 =
-    (0.5 *. ((vol1 *. (q1.(i) +. extra1)) +. (vol2 *. (q2.(i) +. extra2))))
-    +. (mu *. (q1.(i) -. q2.(i)))
+let res_calc_acc (a : Acc.t array) =
+  let x1 = a.(0) and x2 = a.(1) in
+  let q1 = a.(2) and q2 = a.(3) in
+  let adt1 = a.(4) and adt2 = a.(5) in
+  let res1 = a.(6) and res2 = a.(7) in
+  let dx = get x1 0 -. get x2 0 and dy = get x1 1 -. get x2 1 in
+  let ri1 = 1.0 /. get q1 0 in
+  let p1 =
+    gm1 *. (get q1 3 -. (0.5 *. ri1 *. ((get q1 1 *. get q1 1) +. (get q1 2 *. get q1 2))))
   in
-  let f0 = (0.5 *. ((vol1 *. q1.(0)) +. (vol2 *. q2.(0)))) +. (mu *. (q1.(0) -. q2.(0))) in
-  let f1 = flux 1 0.0 0.0 +. (0.5 *. ((p1 +. p2) *. dy)) in
-  let f2 = flux 2 0.0 0.0 -. (0.5 *. ((p1 +. p2) *. dx)) in
-  let f3 = (0.5 *. ((vol1 *. (q1.(3) +. p1)) +. (vol2 *. (q2.(3) +. p2))))
-           +. (mu *. (q1.(3) -. q2.(3))) in
-  res1.(0) <- res1.(0) +. f0;
-  res2.(0) <- res2.(0) -. f0;
-  res1.(1) <- res1.(1) +. f1;
-  res2.(1) <- res2.(1) -. f1;
-  res1.(2) <- res1.(2) +. f2;
-  res2.(2) <- res2.(2) -. f2;
-  res1.(3) <- res1.(3) +. f3;
-  res2.(3) <- res2.(3) -. f3
+  let vol1 = ri1 *. ((get q1 1 *. dy) -. (get q1 2 *. dx)) in
+  let ri2 = 1.0 /. get q2 0 in
+  let p2 =
+    gm1 *. (get q2 3 -. (0.5 *. ri2 *. ((get q2 1 *. get q2 1) +. (get q2 2 *. get q2 2))))
+  in
+  let vol2 = ri2 *. ((get q2 1 *. dy) -. (get q2 2 *. dx)) in
+  let mu = 0.5 *. (get adt1 0 +. get adt2 0) *. eps in
+  let f0 =
+    (0.5 *. ((vol1 *. get q1 0) +. (vol2 *. get q2 0))) +. (mu *. (get q1 0 -. get q2 0))
+  in
+  let f1 =
+    (0.5 *. ((vol1 *. get q1 1) +. (vol2 *. get q2 1)))
+    +. (mu *. (get q1 1 -. get q2 1))
+    +. (0.5 *. ((p1 +. p2) *. dy))
+  in
+  let f2 =
+    (0.5 *. ((vol1 *. get q1 2) +. (vol2 *. get q2 2)))
+    +. (mu *. (get q1 2 -. get q2 2))
+    -. (0.5 *. ((p1 +. p2) *. dx))
+  in
+  let f3 =
+    (0.5 *. ((vol1 *. (get q1 3 +. p1)) +. (vol2 *. (get q2 3 +. p2))))
+    +. (mu *. (get q1 3 -. get q2 3))
+  in
+  set res1 0 (get res1 0 +. f0);
+  set res2 0 (get res2 0 -. f0);
+  set res1 1 (get res1 1 +. f1);
+  set res2 1 (get res2 1 -. f1);
+  set res1 2 (get res1 2 +. f2);
+  set res2 2 (get res2 2 -. f2);
+  set res1 3 (get res1 3 +. f3);
+  set res2 3 (get res2 3 -. f3)
 
+let res_calc = Acc.staged res_calc_acc
 let res_calc_info = { Am_core.Descr.flops = 78.0; transcendentals = 0.0 }
 
 (* bres_calc: flux through a boundary edge.
    args: x1 x2 (R, bedge->node), q1 adt1 (R, bedge->cell), res1 (Inc,
    bedge->cell), bound (R, direct). Wall boundaries contribute only the
    pressure term; far-field boundaries flux against the free stream. *)
-let bres_calc args =
-  let x1 = args.(0) and x2 = args.(1) in
-  let q1 = args.(2) and adt1 = args.(3) and res1 = args.(4) in
-  let bound = args.(5) in
-  let dx = x1.(0) -. x2.(0) and dy = x1.(1) -. x2.(1) in
-  let ri1 = 1.0 /. q1.(0) in
-  let p1 = gm1 *. (q1.(3) -. (0.5 *. ri1 *. ((q1.(1) *. q1.(1)) +. (q1.(2) *. q1.(2))))) in
-  if Float.to_int bound.(0) = Am_mesh.Umesh.boundary_wall then begin
-    res1.(1) <- res1.(1) +. (p1 *. dy);
-    res1.(2) <- res1.(2) -. (p1 *. dx)
+let bres_calc_acc (a : Acc.t array) =
+  let x1 = a.(0) and x2 = a.(1) in
+  let q1 = a.(2) and adt1 = a.(3) and res1 = a.(4) in
+  let bound = a.(5) in
+  let dx = get x1 0 -. get x2 0 and dy = get x1 1 -. get x2 1 in
+  let ri1 = 1.0 /. get q1 0 in
+  let p1 =
+    gm1 *. (get q1 3 -. (0.5 *. ri1 *. ((get q1 1 *. get q1 1) +. (get q1 2 *. get q1 2))))
+  in
+  if Float.to_int (get bound 0) = Am_mesh.Umesh.boundary_wall then begin
+    set res1 1 (get res1 1 +. (p1 *. dy));
+    set res1 2 (get res1 2 -. (p1 *. dx))
   end
   else begin
-    let vol1 = ri1 *. ((q1.(1) *. dy) -. (q1.(2) *. dx)) in
+    let vol1 = ri1 *. ((get q1 1 *. dy) -. (get q1 2 *. dx)) in
     let ri2 = 1.0 /. qinf.(0) in
     let p2 =
       gm1 *. (qinf.(3) -. (0.5 *. ri2 *. ((qinf.(1) *. qinf.(1)) +. (qinf.(2) *. qinf.(2)))))
     in
     let vol2 = ri2 *. ((qinf.(1) *. dy) -. (qinf.(2) *. dx)) in
-    let mu = adt1.(0) *. eps in
+    let mu = get adt1 0 *. eps in
     let f0 =
-      (0.5 *. ((vol1 *. q1.(0)) +. (vol2 *. qinf.(0)))) +. (mu *. (q1.(0) -. qinf.(0)))
+      (0.5 *. ((vol1 *. get q1 0) +. (vol2 *. qinf.(0)))) +. (mu *. (get q1 0 -. qinf.(0)))
     in
     let f1 =
-      (0.5 *. ((vol1 *. q1.(1)) +. (vol2 *. qinf.(1))))
+      (0.5 *. ((vol1 *. get q1 1) +. (vol2 *. qinf.(1))))
       +. (0.5 *. ((p1 +. p2) *. dy))
-      +. (mu *. (q1.(1) -. qinf.(1)))
+      +. (mu *. (get q1 1 -. qinf.(1)))
     in
     let f2 =
-      (0.5 *. ((vol1 *. q1.(2)) +. (vol2 *. qinf.(2))))
+      (0.5 *. ((vol1 *. get q1 2) +. (vol2 *. qinf.(2))))
       -. (0.5 *. ((p1 +. p2) *. dx))
-      +. (mu *. (q1.(2) -. qinf.(2)))
+      +. (mu *. (get q1 2 -. qinf.(2)))
     in
     let f3 =
-      (0.5 *. ((vol1 *. (q1.(3) +. p1)) +. (vol2 *. (qinf.(3) +. p2))))
-      +. (mu *. (q1.(3) -. qinf.(3)))
+      (0.5 *. ((vol1 *. (get q1 3 +. p1)) +. (vol2 *. (qinf.(3) +. p2))))
+      +. (mu *. (get q1 3 -. qinf.(3)))
     in
-    res1.(0) <- res1.(0) +. f0;
-    res1.(1) <- res1.(1) +. f1;
-    res1.(2) <- res1.(2) +. f2;
-    res1.(3) <- res1.(3) +. f3
+    set res1 0 (get res1 0 +. f0);
+    set res1 1 (get res1 1 +. f1);
+    set res1 2 (get res1 2 +. f2);
+    set res1 3 (get res1 3 +. f3)
   end
 
+let bres_calc = Acc.staged bres_calc_acc
 let bres_calc_info = { Am_core.Descr.flops = 60.0; transcendentals = 0.0 }
 
 (* update: explicit step with the local timestep, residual reset and RMS
    accumulation. args: qold (R), q (W), res (Rw), adt (R), rms (Inc gbl). *)
-let update args =
-  let qold = args.(0) and q = args.(1) and res = args.(2) in
-  let adt = args.(3) and rms = args.(4) in
-  let adti = 1.0 /. adt.(0) in
+let update_acc (a : Acc.t array) =
+  let qold = a.(0) and q = a.(1) and res = a.(2) in
+  let adt = a.(3) and rms = a.(4) in
+  let adti = 1.0 /. get adt 0 in
   for n = 0 to 3 do
-    let del = adti *. res.(n) in
-    q.(n) <- qold.(n) -. del;
-    res.(n) <- 0.0;
-    rms.(0) <- rms.(0) +. (del *. del)
+    let del = adti *. get res n in
+    set q n (get qold n -. del);
+    set res n 0.0;
+    set rms 0 (get rms 0 +. (del *. del))
   done
 
+let update = Acc.staged update_acc
 let update_info = { Am_core.Descr.flops = 16.0; transcendentals = 0.0 }

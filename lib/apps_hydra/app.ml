@@ -143,10 +143,10 @@ let create ?backend ?(features = all_features) ~nx ~ny () =
   }
 
 let gradients t =
-  Op2.par_loop t.ctx ~name:"grad_zero" ~info:Kernels.grad_zero_info t.cells
+  Op2.par_loop_acc t.ctx ~name:"grad_zero" ~info:Kernels.grad_zero_info t.cells
     [ Op2.arg_dat t.grad Access.Write ]
     Kernels.grad_zero;
-  Op2.par_loop t.ctx ~name:"grad_accum" ~info:Kernels.grad_accum_info t.edges
+  Op2.par_loop_acc t.ctx ~name:"grad_accum" ~info:Kernels.grad_accum_info t.edges
     [
       Op2.arg_dat_indirect t.x t.edge_nodes 0 Access.Read;
       Op2.arg_dat_indirect t.x t.edge_nodes 1 Access.Read;
@@ -156,12 +156,12 @@ let gradients t =
       Op2.arg_dat_indirect t.grad t.edge_cells 1 Access.Inc;
     ]
     Kernels.grad_accum;
-  Op2.par_loop t.ctx ~name:"grad_scale" ~info:Kernels.grad_scale_info t.cells
+  Op2.par_loop_acc t.ctx ~name:"grad_scale" ~info:Kernels.grad_scale_info t.cells
     [ Op2.arg_dat t.adt Access.Read; Op2.arg_dat t.grad Access.Rw ]
     Kernels.grad_scale
 
 let fluxes t =
-  Op2.par_loop t.ctx ~name:"flux_inviscid" ~info:Kernels.flux_inviscid_info t.edges
+  Op2.par_loop_acc t.ctx ~name:"flux_inviscid" ~info:Kernels.flux_inviscid_info t.edges
     [
       Op2.arg_dat_indirect t.x t.edge_nodes 0 Access.Read;
       Op2.arg_dat_indirect t.x t.edge_nodes 1 Access.Read;
@@ -174,7 +174,7 @@ let fluxes t =
     ]
     Kernels.flux_inviscid;
   if t.features.viscous then
-  Op2.par_loop t.ctx ~name:"flux_viscous" ~info:Kernels.flux_viscous_info t.edges
+  Op2.par_loop_acc t.ctx ~name:"flux_viscous" ~info:Kernels.flux_viscous_info t.edges
     [
       Op2.arg_dat_indirect t.q t.edge_cells 0 Access.Read;
       Op2.arg_dat_indirect t.q t.edge_cells 1 Access.Read;
@@ -184,7 +184,7 @@ let fluxes t =
       Op2.arg_dat_indirect t.res t.edge_cells 1 Access.Inc;
     ]
     Kernels.flux_viscous;
-  Op2.par_loop t.ctx ~name:"flux_boundary" ~info:Kernels.flux_boundary_info t.bedges
+  Op2.par_loop_acc t.ctx ~name:"flux_boundary" ~info:Kernels.flux_boundary_info t.bedges
     [
       Op2.arg_dat_indirect t.x t.bedge_nodes 0 Access.Read;
       Op2.arg_dat_indirect t.x t.bedge_nodes 1 Access.Read;
@@ -194,7 +194,7 @@ let fluxes t =
     ]
     Kernels.flux_boundary;
   if t.features.source_terms then
-  Op2.par_loop t.ctx ~name:"source" ~info:Kernels.source_info t.cells
+  Op2.par_loop_acc t.ctx ~name:"source" ~info:Kernels.source_info t.cells
     [
       Op2.arg_dat t.q Access.Read;
       Op2.arg_dat t.grad Access.Read;
@@ -203,16 +203,16 @@ let fluxes t =
     Kernels.source
 
 let multigrid t =
-  Op2.par_loop t.ctx ~name:"mg_zero_r" ~info:Kernels.zero6_info t.coarse_cells
+  Op2.par_loop_acc t.ctx ~name:"mg_zero_r" ~info:Kernels.zero6_info t.coarse_cells
     [ Op2.arg_dat t.coarse_r Access.Write ]
     Kernels.zero6;
-  Op2.par_loop t.ctx ~name:"mg_zero_corr" ~info:Kernels.zero6_info t.coarse_cells
+  Op2.par_loop_acc t.ctx ~name:"mg_zero_corr" ~info:Kernels.zero6_info t.coarse_cells
     [ Op2.arg_dat t.coarse_corr Access.Write ]
     Kernels.zero6;
-  Op2.par_loop t.ctx ~name:"mg_zero_acc" ~info:Kernels.zero6_info t.coarse_cells
+  Op2.par_loop_acc t.ctx ~name:"mg_zero_acc" ~info:Kernels.zero6_info t.coarse_cells
     [ Op2.arg_dat t.coarse_acc Access.Write ]
     Kernels.zero6;
-  Op2.par_loop t.ctx ~name:"mg_restrict" ~info:Kernels.mg_restrict_info t.cells
+  Op2.par_loop_acc t.ctx ~name:"mg_restrict" ~info:Kernels.mg_restrict_info t.cells
     [
       Op2.arg_dat t.q Access.Read;
       Op2.arg_dat t.qold Access.Read;
@@ -220,7 +220,7 @@ let multigrid t =
     ]
     Kernels.mg_restrict;
   for _smooth = 1 to 2 do
-    Op2.par_loop t.ctx ~name:"mg_smooth_edge" ~info:Kernels.mg_smooth_edge_info
+    Op2.par_loop_acc t.ctx ~name:"mg_smooth_edge" ~info:Kernels.mg_smooth_edge_info
       t.coarse_edges
       [
         Op2.arg_dat_indirect t.coarse_corr t.coarse_edge_cells 0 Access.Read;
@@ -229,7 +229,7 @@ let multigrid t =
         Op2.arg_dat_indirect t.coarse_acc t.coarse_edge_cells 1 Access.Inc;
       ]
       Kernels.mg_smooth_edge;
-    Op2.par_loop t.ctx ~name:"mg_smooth_cell" ~info:Kernels.mg_smooth_cell_info
+    Op2.par_loop_acc t.ctx ~name:"mg_smooth_cell" ~info:Kernels.mg_smooth_cell_info
       t.coarse_cells
       [
         Op2.arg_dat t.coarse_r Access.Read;
@@ -238,7 +238,7 @@ let multigrid t =
       ]
       Kernels.mg_smooth_cell
   done;
-  Op2.par_loop t.ctx ~name:"mg_prolong" ~info:Kernels.mg_prolong_info t.cells
+  Op2.par_loop_acc t.ctx ~name:"mg_prolong" ~info:Kernels.mg_prolong_info t.cells
     [
       Op2.arg_dat_indirect t.coarse_corr t.fine_to_coarse 0 Access.Read;
       Op2.arg_dat t.q Access.Rw;
@@ -247,10 +247,10 @@ let multigrid t =
 
 (* One outer iteration: returns the RMS update of the final RK stage. *)
 let iteration t =
-  Op2.par_loop t.ctx ~name:"save_state" ~info:Kernels.save_state_info t.cells
+  Op2.par_loop_acc t.ctx ~name:"save_state" ~info:Kernels.save_state_info t.cells
     [ Op2.arg_dat t.q Access.Read; Op2.arg_dat t.qold Access.Write ]
     Kernels.save_state;
-  Op2.par_loop t.ctx ~name:"calc_dt" ~info:Kernels.calc_dt_info t.cells
+  Op2.par_loop_acc t.ctx ~name:"calc_dt" ~info:Kernels.calc_dt_info t.cells
     [
       Op2.arg_dat_indirect t.x t.cell_nodes 0 Access.Read;
       Op2.arg_dat_indirect t.x t.cell_nodes 1 Access.Read;
@@ -266,7 +266,7 @@ let iteration t =
       gradients t;
       fluxes t;
       Array.fill rms 0 1 0.0;
-      Op2.par_loop t.ctx ~name:"rk_stage" ~info:Kernels.rk_stage_info t.cells
+      Op2.par_loop_acc t.ctx ~name:"rk_stage" ~info:Kernels.rk_stage_info t.cells
         [
           Op2.arg_dat t.qold Access.Read;
           Op2.arg_dat t.q Access.Write;

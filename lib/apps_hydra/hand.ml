@@ -9,6 +9,7 @@
    comparison does (Fig 3). *)
 
 module Umesh = Am_mesh.Umesh
+module Acc = Am_op2.Op2.Acc
 
 type mode = R | W | I | Rw
 
@@ -18,55 +19,43 @@ type arg =
     (* data, dim, map, arity, index, mode *)
   | Gbl of float array * mode
 
-(* Direct gather/scatter runner: the structure a hand writer inlines. *)
+let add_back data base (scratch : float array) =
+  for d = 0 to Array.length scratch - 1 do
+    data.(base + d) <- data.(base + d) +. scratch.(d)
+  done
+
+(* Direct runner over the kernels' accessors: the structure a hand writer
+   inlines.  Read/Write/Rw arguments are addressed in place; increments go
+   through a zeroed per-element scratch that is added back after the
+   kernel, which is what the library does too, so the results agree to
+   the bit. *)
 let run_loop ~n args kernel =
   let args = Array.of_list args in
-  let buffers =
+  let accs =
     Array.map
       (function
-        | Direct (_, dim, _) -> Array.make dim 0.0
-        | Indirect (_, dim, _, _, _, _) -> Array.make dim 0.0
-        | Gbl (buf, _) -> buf)
+        | Direct (_, dim, I) | Indirect (_, dim, _, _, _, I) -> Acc.of_array (Array.make dim 0.0)
+        | Direct (data, _, _) | Indirect (data, _, _, _, _, _) | Gbl (data, _) -> Acc.of_array data)
       args
   in
   for e = 0 to n - 1 do
-    Array.iteri
-      (fun i a ->
-        match a with
-        | Gbl _ -> ()
-        | Direct (data, dim, mode) -> (
-          match mode with
-          | I -> Array.fill buffers.(i) 0 dim 0.0
-          | R | W | Rw -> Array.blit data (e * dim) buffers.(i) 0 dim)
-        | Indirect (data, dim, map, arity, idx, mode) -> (
-          match mode with
-          | I -> Array.fill buffers.(i) 0 dim 0.0
-          | R | W | Rw ->
-            Array.blit data (map.((e * arity) + idx) * dim) buffers.(i) 0 dim))
-      args;
-    kernel buffers;
-    Array.iteri
-      (fun i a ->
-        match a with
-        | Gbl _ -> ()
-        | Direct (data, dim, mode) -> (
-          match mode with
-          | R -> ()
-          | W | Rw -> Array.blit buffers.(i) 0 data (e * dim) dim
-          | I ->
-            for d = 0 to dim - 1 do
-              data.((e * dim) + d) <- data.((e * dim) + d) +. buffers.(i).(d)
-            done)
-        | Indirect (data, dim, map, arity, idx, mode) -> (
-          let base = map.((e * arity) + idx) * dim in
-          match mode with
-          | R -> ()
-          | W | Rw -> Array.blit buffers.(i) 0 data base dim
-          | I ->
-            for d = 0 to dim - 1 do
-              data.(base + d) <- data.(base + d) +. buffers.(i).(d)
-            done))
-      args
+    for i = 0 to Array.length args - 1 do
+      let a = accs.(i) in
+      match args.(i) with
+      | Gbl _ -> ()
+      | Direct (_, dim, I) | Indirect (_, dim, _, _, _, I) -> Array.fill a.Acc.data 0 dim 0.0
+      | Direct (_, dim, _) -> a.Acc.base <- e * dim
+      | Indirect (_, dim, map, arity, idx, _) -> a.Acc.base <- map.((e * arity) + idx) * dim
+    done;
+    kernel accs;
+    for i = 0 to Array.length args - 1 do
+      let s = accs.(i).Acc.data in
+      match args.(i) with
+      | Direct (data, dim, I) -> add_back data (e * dim) s
+      | Indirect (data, dim, map, arity, idx, I) ->
+        add_back data (map.((e * arity) + idx) * dim) s
+      | Direct _ | Indirect _ | Gbl _ -> ()
+    done
   done
 
 type t = {

@@ -16,156 +16,181 @@
 
    The arithmetic is deliberately dissipative (fluxes and sources relax the
    state towards the free stream), giving stable, deterministic dynamics
-   whose exactness across backends the tests assert. *)
+   whose exactness across backends the tests assert.
+
+   Kernels take argument accessors ([Op2.Acc], run with
+   [Op2.par_loop_acc]; [Hand.run_loop] drives the same functions).  They
+   follow the hot-kernel rule of [Am_airfoil.Kernels]: module-local
+   [@inline] accessors and no local closures over floats, so no
+   per-element allocation under [-opaque] without flambda. *)
+
+module Acc = Am_op2.Op2.Acc
+
+let[@inline] get (a : Acc.t) i = a.Acc.data.(a.Acc.base + i)
+let[@inline] set (a : Acc.t) i v = a.Acc.data.(a.Acc.base + i) <- v
 
 let n_state = 6
 
 (* Free-stream state the dynamics relax towards. *)
 let qinf = [| 1.0; 0.5; 0.0; 2.0; 0.05; 0.4 |]
 
-let save_state args =
-  let q = args.(0) and qold = args.(1) in
-  Array.blit q 0 qold 0 n_state
+let save_state (a : Acc.t array) =
+  let q = a.(0) and qold = a.(1) in
+  for n = 0 to n_state - 1 do
+    set qold n (get q n)
+  done
 
 let save_state_info = { Am_core.Descr.flops = 0.0; transcendentals = 0.0 }
 
 (* Local timestep from cell geometry and state (sqrt-heavy, like adt_calc).
    args: x1 x2 x3 x4 (R via cell->node), q (R), adt (W). *)
-let calc_dt args =
-  let q = args.(4) and adt = args.(5) in
-  let ri = 1.0 /. Float.max 1e-6 q.(0) in
-  let u = ri *. q.(1) and v = ri *. q.(2) in
-  let c = sqrt (Float.max 1e-12 (0.56 *. ((ri *. q.(3)) -. (0.5 *. ((u *. u) +. (v *. v)))))) in
+let calc_dt (a : Acc.t array) =
+  let q = a.(4) and adt = a.(5) in
+  let ri = 1.0 /. Float.max 1e-6 (get q 0) in
+  let u = ri *. get q 1 and v = ri *. get q 2 in
+  let c =
+    sqrt (Float.max 1e-12 (0.56 *. ((ri *. get q 3) -. (0.5 *. ((u *. u) +. (v *. v))))))
+  in
   let acc = ref 0.0 in
   for k = 0 to 3 do
-    let xa = args.(k) and xb = args.((k + 1) mod 4) in
-    let dx = xa.(0) -. xb.(0) and dy = xa.(1) -. xb.(1) in
+    let xa = a.(k) and xb = a.((k + 1) mod 4) in
+    let dx = get xa 0 -. get xb 0 and dy = get xa 1 -. get xb 1 in
     acc := !acc +. Float.abs ((u *. dy) -. (v *. dx)) +. (c *. sqrt ((dx *. dx) +. (dy *. dy)))
   done;
-  adt.(0) <- !acc /. 0.9
+  set adt 0 (!acc /. 0.9)
 
 let calc_dt_info = { Am_core.Descr.flops = 45.0; transcendentals = 6.0 }
 
 (* Zero the gradient accumulator. args: grad (W, dim 12). *)
-let grad_zero args = Array.fill args.(0) 0 (2 * n_state) 0.0
+let grad_zero (a : Acc.t array) =
+  for i = 0 to (2 * n_state) - 1 do
+    set a.(0) i 0.0
+  done
 
 let grad_zero_info = { Am_core.Descr.flops = 0.0; transcendentals = 0.0 }
 
 (* Edge-based gradient accumulation (Green-Gauss).
    args: x1 x2 (R via edge->node), q1 q2 (R via edge->cell),
          grad1 grad2 (Inc via edge->cell, dim 12). *)
-let grad_accum args =
-  let x1 = args.(0) and x2 = args.(1) in
-  let q1 = args.(2) and q2 = args.(3) in
-  let g1 = args.(4) and g2 = args.(5) in
-  let dx = x1.(0) -. x2.(0) and dy = x1.(1) -. x2.(1) in
+let grad_accum (a : Acc.t array) =
+  let x1 = a.(0) and x2 = a.(1) in
+  let q1 = a.(2) and q2 = a.(3) in
+  let g1 = a.(4) and g2 = a.(5) in
+  let dx = get x1 0 -. get x2 0 and dy = get x1 1 -. get x2 1 in
   for n = 0 to n_state - 1 do
-    let avg = 0.5 *. (q1.(n) +. q2.(n)) in
-    g1.(2 * n) <- g1.(2 * n) +. (avg *. dy);
-    g1.((2 * n) + 1) <- g1.((2 * n) + 1) -. (avg *. dx);
-    g2.(2 * n) <- g2.(2 * n) -. (avg *. dy);
-    g2.((2 * n) + 1) <- g2.((2 * n) + 1) +. (avg *. dx)
+    let avg = 0.5 *. (get q1 n +. get q2 n) in
+    set g1 (2 * n) (get g1 (2 * n) +. (avg *. dy));
+    set g1 ((2 * n) + 1) (get g1 ((2 * n) + 1) -. (avg *. dx));
+    set g2 (2 * n) (get g2 (2 * n) -. (avg *. dy));
+    set g2 ((2 * n) + 1) (get g2 ((2 * n) + 1) +. (avg *. dx))
   done
 
 let grad_accum_info = { Am_core.Descr.flops = 48.0; transcendentals = 0.0 }
 
 (* Normalise gradients by (approximate) cell volume. args: adt (R), grad (Rw). *)
-let grad_scale args =
-  let adt = args.(0) and grad = args.(1) in
-  let scale = 1.0 /. (1.0 +. adt.(0)) in
+let grad_scale (a : Acc.t array) =
+  let adt = a.(0) and grad = a.(1) in
+  let scale = 1.0 /. (1.0 +. get adt 0) in
   for i = 0 to (2 * n_state) - 1 do
-    grad.(i) <- grad.(i) *. scale
+    set grad i (get grad i *. scale)
   done
 
 let grad_scale_info = { Am_core.Descr.flops = 14.0; transcendentals = 0.0 }
 
 (* Inviscid (central + dissipation) edge flux.
    args: x1 x2 (R), q1 q2 (R), adt1 adt2 (R), res1 res2 (Inc). *)
-let flux_inviscid args =
-  let x1 = args.(0) and x2 = args.(1) in
-  let q1 = args.(2) and q2 = args.(3) in
-  let adt1 = args.(4) and adt2 = args.(5) in
-  let r1 = args.(6) and r2 = args.(7) in
-  let dx = x1.(0) -. x2.(0) and dy = x1.(1) -. x2.(1) in
-  let ri1 = 1.0 /. Float.max 1e-6 q1.(0) and ri2 = 1.0 /. Float.max 1e-6 q2.(0) in
-  let vol1 = ri1 *. ((q1.(1) *. dy) -. (q1.(2) *. dx)) in
-  let vol2 = ri2 *. ((q2.(1) *. dy) -. (q2.(2) *. dx)) in
-  let mu = 0.05 *. (adt1.(0) +. adt2.(0)) in
+let flux_inviscid (a : Acc.t array) =
+  let x1 = a.(0) and x2 = a.(1) in
+  let q1 = a.(2) and q2 = a.(3) in
+  let adt1 = a.(4) and adt2 = a.(5) in
+  let r1 = a.(6) and r2 = a.(7) in
+  let dx = get x1 0 -. get x2 0 and dy = get x1 1 -. get x2 1 in
+  let ri1 = 1.0 /. Float.max 1e-6 (get q1 0) and ri2 = 1.0 /. Float.max 1e-6 (get q2 0) in
+  let vol1 = ri1 *. ((get q1 1 *. dy) -. (get q1 2 *. dx)) in
+  let vol2 = ri2 *. ((get q2 1 *. dy) -. (get q2 2 *. dx)) in
+  let mu = 0.05 *. (get adt1 0 +. get adt2 0) in
   for n = 0 to n_state - 1 do
-    let f = (0.5 *. ((vol1 *. q1.(n)) +. (vol2 *. q2.(n)))) +. (mu *. (q1.(n) -. q2.(n))) in
-    r1.(n) <- r1.(n) +. f;
-    r2.(n) <- r2.(n) -. f
+    let f =
+      (0.5 *. ((vol1 *. get q1 n) +. (vol2 *. get q2 n))) +. (mu *. (get q1 n -. get q2 n))
+    in
+    set r1 n (get r1 n +. f);
+    set r2 n (get r2 n -. f)
   done
 
 let flux_inviscid_info = { Am_core.Descr.flops = 90.0; transcendentals = 0.0 }
 
 (* Viscous edge flux from state and gradient jumps.
    args: q1 q2 (R), grad1 grad2 (R, dim 12), res1 res2 (Inc). *)
-let flux_viscous args =
-  let q1 = args.(0) and q2 = args.(1) in
-  let g1 = args.(2) and g2 = args.(3) in
-  let r1 = args.(4) and r2 = args.(5) in
+let flux_viscous (a : Acc.t array) =
+  let q1 = a.(0) and q2 = a.(1) in
+  let g1 = a.(2) and g2 = a.(3) in
+  let r1 = a.(4) and r2 = a.(5) in
   (* Effective viscosity grows with the turbulence variables. *)
-  let mu = 0.02 +. (0.1 *. 0.5 *. (q1.(4) +. q2.(4) +. q1.(5) +. q2.(5))) in
+  let mu = 0.02 +. (0.1 *. 0.5 *. (get q1 4 +. get q2 4 +. get q1 5 +. get q2 5)) in
   (* Sign convention: residuals are *subtracted* in the RK update
      (q = qold - fac*res), so a diffusive flux contributes (q1 - q2) to r1:
      the high cell loses, the low cell gains. *)
   for n = 0 to n_state - 1 do
-    let gjump = 0.5 *. ((g1.(2 * n) -. g2.(2 * n)) +. (g1.((2 * n) + 1) -. g2.((2 * n) + 1))) in
-    let f = mu *. ((q1.(n) -. q2.(n)) +. (0.1 *. gjump)) in
-    r1.(n) <- r1.(n) +. f;
-    r2.(n) <- r2.(n) -. f
+    let gjump =
+      0.5
+      *. ((get g1 (2 * n) -. get g2 (2 * n)) +. (get g1 ((2 * n) + 1) -. get g2 ((2 * n) + 1)))
+    in
+    let f = mu *. ((get q1 n -. get q2 n) +. (0.1 *. gjump)) in
+    set r1 n (get r1 n +. f);
+    set r2 n (get r2 n -. f)
   done
 
 let flux_viscous_info = { Am_core.Descr.flops = 72.0; transcendentals = 0.0 }
 
 (* Boundary relaxation towards the free stream.
    args: x1 x2 (R via bedge->node), q1 (R), res1 (Inc), bound (R direct). *)
-let flux_boundary args =
-  let x1 = args.(0) and x2 = args.(1) in
-  let q1 = args.(2) and r1 = args.(3) in
-  let bound = args.(4) in
-  let dx = x1.(0) -. x2.(0) and dy = x1.(1) -. x2.(1) in
+let flux_boundary (a : Acc.t array) =
+  let x1 = a.(0) and x2 = a.(1) in
+  let q1 = a.(2) and r1 = a.(3) in
+  let bound = a.(4) in
+  let dx = get x1 0 -. get x2 0 and dy = get x1 1 -. get x2 1 in
   let len = sqrt ((dx *. dx) +. (dy *. dy)) in
-  let strength = if Float.to_int bound.(0) = Am_mesh.Umesh.boundary_wall then 0.1 else 0.5 in
+  let strength =
+    if Float.to_int (get bound 0) = Am_mesh.Umesh.boundary_wall then 0.1 else 0.5
+  in
   (* Residuals are subtracted in the update, so relaxation *towards* the
      free stream contributes (q - qinf). *)
   for n = 0 to n_state - 1 do
-    r1.(n) <- r1.(n) +. (strength *. len *. (q1.(n) -. qinf.(n)))
+    set r1 n (get r1 n +. (strength *. len *. (get q1 n -. qinf.(n))))
   done
 
 let flux_boundary_info = { Am_core.Descr.flops = 30.0; transcendentals = 1.0 }
 
 (* Turbulence-like source terms (transcendental-heavy cell loop).
    args: q (R), grad (R), res (Inc). *)
-let source args =
-  let q = args.(0) and grad = args.(1) and res = args.(2) in
-  let k = Float.max 1e-9 q.(4) and om = Float.max 1e-9 q.(5) in
+let source (a : Acc.t array) =
+  let q = a.(0) and grad = a.(1) and res = a.(2) in
+  let k = Float.max 1e-9 (get q 4) and om = Float.max 1e-9 (get q 5) in
   let production =
     0.01 *. sqrt (k *. om)
-    *. ((grad.(2) *. grad.(2)) +. (grad.(4) *. grad.(4)) +. (grad.(3) *. grad.(5)))
+    *. ((get grad 2 *. get grad 2) +. (get grad 4 *. get grad 4) +. (get grad 3 *. get grad 5))
   in
   let dissipation_k = 0.09 *. k *. om in
   let dissipation_om = 0.075 *. om *. om in
   (* Residuals are subtracted in the update: dissipation terms enter with a
      positive sign (they decay k and omega), production with a negative. *)
-  res.(4) <- res.(4) +. dissipation_k -. production;
-  res.(5) <- res.(5) +. dissipation_om -. (0.5 *. production /. Float.max 1e-6 k *. om)
+  set res 4 (get res 4 +. dissipation_k -. production);
+  set res 5 (get res 5 +. dissipation_om -. (0.5 *. production /. Float.max 1e-6 k *. om))
 
 let source_info = { Am_core.Descr.flops = 28.0; transcendentals = 2.0 }
 
 (* One Runge-Kutta stage: q = qold - (alpha/adt) * res, residual reset;
    the final stage also accumulates the RMS update.
    args: qold (R), q (W), res (Rw), adt (R), alpha (R gbl), rms (Inc gbl). *)
-let rk_stage args =
-  let qold = args.(0) and q = args.(1) and res = args.(2) in
-  let adt = args.(3) and alpha = args.(4) and rms = args.(5) in
-  let fac = alpha.(0) /. adt.(0) in
+let rk_stage (a : Acc.t array) =
+  let qold = a.(0) and q = a.(1) and res = a.(2) in
+  let adt = a.(3) and alpha = a.(4) and rms = a.(5) in
+  let fac = get alpha 0 /. get adt 0 in
   for n = 0 to n_state - 1 do
-    let del = fac *. res.(n) in
-    q.(n) <- qold.(n) -. del;
-    res.(n) <- 0.0;
-    rms.(0) <- rms.(0) +. (del *. del)
+    let del = fac *. get res n in
+    set q n (get qold n -. del);
+    set res n 0.0;
+    set rms 0 (get rms 0 +. (del *. del))
   done
 
 let rk_stage_info = { Am_core.Descr.flops = 30.0; transcendentals = 0.0 }
@@ -174,49 +199,52 @@ let rk_stage_info = { Am_core.Descr.flops = 30.0; transcendentals = 0.0 }
 
 (* Restrict the fine update onto the coarse level.
    args: q (R), qold (R), coarse_r (Inc via fine->coarse map, dim 6). *)
-let mg_restrict args =
-  let q = args.(0) and qold = args.(1) and cr = args.(2) in
+let mg_restrict (a : Acc.t array) =
+  let q = a.(0) and qold = a.(1) and cr = a.(2) in
   for n = 0 to n_state - 1 do
-    cr.(n) <- cr.(n) +. (0.25 *. (q.(n) -. qold.(n)))
+    set cr n (get cr n +. (0.25 *. (get q n -. get qold n)))
   done
 
 let mg_restrict_info = { Am_core.Descr.flops = 18.0; transcendentals = 0.0 }
 
 (* Jacobi smoothing, edge accumulation: acc += neighbour correction.
    args: corr1 corr2 (R via coarse edge->cell), acc1 acc2 (Inc). *)
-let mg_smooth_edge args =
-  let c1 = args.(0) and c2 = args.(1) in
-  let a1 = args.(2) and a2 = args.(3) in
+let mg_smooth_edge (a : Acc.t array) =
+  let c1 = a.(0) and c2 = a.(1) in
+  let a1 = a.(2) and a2 = a.(3) in
   for n = 0 to n_state - 1 do
-    a1.(n) <- a1.(n) +. c2.(n);
-    a2.(n) <- a2.(n) +. c1.(n)
+    set a1 n (get a1 n +. get c2 n);
+    set a2 n (get a2 n +. get c1 n)
   done
 
 let mg_smooth_edge_info = { Am_core.Descr.flops = 12.0; transcendentals = 0.0 }
 
 (* Jacobi smoothing, cell update: corr = 0.5*(r + acc/4); acc reset.
    args: coarse_r (R), acc (Rw), corr (W). *)
-let mg_smooth_cell args =
-  let r = args.(0) and acc = args.(1) and corr = args.(2) in
+let mg_smooth_cell (a : Acc.t array) =
+  let r = a.(0) and acc = a.(1) and corr = a.(2) in
   for n = 0 to n_state - 1 do
-    corr.(n) <- 0.5 *. (r.(n) +. (0.25 *. acc.(n)));
-    acc.(n) <- 0.0
+    set corr n (0.5 *. (get r n +. (0.25 *. get acc n)));
+    set acc n 0.0
   done
 
 let mg_smooth_cell_info = { Am_core.Descr.flops = 18.0; transcendentals = 0.0 }
 
 (* Prolong the smoothed coarse correction back to the fine level.
    args: corr (R via fine->coarse), q (Rw). *)
-let mg_prolong args =
-  let corr = args.(0) and q = args.(1) in
+let mg_prolong (a : Acc.t array) =
+  let corr = a.(0) and q = a.(1) in
   for n = 0 to n_state - 1 do
-    q.(n) <- q.(n) +. (0.2 *. corr.(n))
+    set q n (get q n +. (0.2 *. get corr n))
   done
 
 let mg_prolong_info = { Am_core.Descr.flops = 12.0; transcendentals = 0.0 }
 
 (* Zero a coarse accumulator. args: dat (W, dim 6). *)
-let zero6 args = Array.fill args.(0) 0 n_state 0.0
+let zero6 (a : Acc.t array) =
+  for n = 0 to n_state - 1 do
+    set a.(0) n 0.0
+  done
 
 let zero6_info = { Am_core.Descr.flops = 0.0; transcendentals = 0.0 }
 

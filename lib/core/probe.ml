@@ -4,9 +4,10 @@
 
    The facades hand every kernel the same shape of argument: one staging
    buffer per declared argument ([dim] values per stencil point for OPS,
-   [dim] values for OP2 dats and globals).  That convention makes the
-   kernel a pure function of its staging buffers, so its memory footprint
-   can be *observed* instead of trusted:
+   [dim] values for OP2 dats and globals; OP2 accessor kernels see each
+   buffer through a base-0 accessor).  That convention makes the kernel a
+   pure function of its staging buffers, so its memory footprint can be
+   *observed* instead of trusted:
 
    - writes are caught by a write-shadow: every slot starts from a
      distinguishable sentinel payload and a changed bit pattern after the

@@ -601,11 +601,8 @@ let par_loop ?unread ?(halo_seconds = ref 0.0) ?(overlap_seconds = ref 0.0) t
     in
     List.iter (timed (zero_halo t)) inc_dats;
     let execs = Array.init t.n_ranks (fun r -> rank_compiled t ~key r args) in
-    let buffers = Array.map Exec_common.make_buffers execs in
-    let run_subset r elems =
-      let compiled = execs.(r) and bufs = buffers.(r) in
-      Array.iter (fun e -> Exec_common.run_element compiled bufs kernel e) elems
-    in
+    let frames = Array.map (fun c -> Exec_common.make_frame c kernel) execs in
+    let run_subset r elems = Array.iter (Exec_common.run_element frames.(r)) elems in
     (* Core phase: every element whose reads stay on owned slots. *)
     let traced = Obs.tracing () in
     let t_core = Unix.gettimeofday () in
@@ -642,7 +639,7 @@ let par_loop ?unread ?(halo_seconds = ref 0.0) ?(overlap_seconds = ref 0.0) t
     for r = 0 to t.n_ranks - 1 do
       if Exec_common.has_globals execs.(r) then begin
         if traced then Obs.begin_span ~lane:r ~cat:Cat.Reduce "merge_globals";
-        Exec_common.merge_globals execs.(r) buffers.(r);
+        Exec_common.merge_globals execs.(r) frames.(r).Exec_common.bufs;
         if traced then Obs.end_span ~lane:r ()
       end
     done

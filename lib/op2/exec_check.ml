@@ -16,8 +16,11 @@
      pattern and must survive the kernel untouched (an out-of-bounds write
      into the staging pad would be silent data corruption elsewhere).
 
-   Violations raise with the loop, argument index, dataset name and element
-   coordinates.  Results of a clean run are identical to [Exec_seq]. *)
+   Every argument is staged whatever the kernel form: an accessor kernel
+   gets base-0 accessors over the guarded buffers, so the canary pad sits
+   right past each argument's declared components.  Violations raise with
+   the loop, argument index, dataset name and element coordinates.
+   Results of a clean run are identical to [Exec_seq]. *)
 
 module Access = Am_core.Access
 module Counters = Am_obs.Counters
@@ -236,6 +239,7 @@ let run ?(light = false) ~name ~set_size ~args ~kernel () =
   let buffers =
     Array.map (function G_dat { buf; _ } -> buf | G_gbl { buf; _ } -> buf) guarded
   in
+  let kernel = Exec_common.staged_view kernel in
   for e = 0 to set_size - 1 do
     Array.iteri (fun i g -> gather_dat ~name ~arg_i:i g e) guarded;
     (try kernel buffers

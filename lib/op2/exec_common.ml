@@ -1,17 +1,36 @@
-(* Shared gather/scatter machinery of the OP2 backends.
+(* Shared argument machinery of the OP2 backends: the two addressing modes.
 
-   Every backend presents the user kernel with the same calling convention:
-   one staging buffer per argument, gathered before the kernel runs and
-   scattered back according to the access descriptor.  This mirrors the
-   paper's generated wrappers (Fig 7), where user functions receive pointers
-   prepared by the wrapper, and keeps kernels oblivious to layout (AoS/SoA),
-   indirection and distribution.
+   A kernel comes in one of two forms ([kernel]).  A staged kernel
+   receives one staging buffer per argument ([float array array]); an
+   accessor kernel receives one [Acc.t] per argument — the paper's Fig 7
+   OP_ACC — and reads component [i] as [data.(base + i)].  Each argument
+   is addressed in one of two modes:
 
-   Arguments are "compiled" once per (loop, signature) pair into a flat
-   executor: the dataset array, map table and layout strides are resolved
-   up front and baked into one gather and one scatter closure per argument,
-   so the per-element hot path is a straight indexed copy with no ADT
-   dispatch.  The inner loops use unsafe indexing; bounds are guaranteed by
+   - in place: the accessor points into the dataset array itself and the
+     executor only moves its [base], to [e * dim] (direct) or
+     [map value * dim] (indirect), before each element.  No copy and no
+     per-argument closure call.  Accessor kernels take this mode for AoS
+     Read/Write/Rw dats whose dataset no other argument of the loop writes
+     ([in_place_flags]: a kernel writing in place must not see its own
+     write through a second argument, which staging would have hidden);
+   - staged: a gather closure fills a per-worker staging buffer before the
+     kernel and a scatter closure writes it back according to the access
+     descriptor.  Every argument of a staged kernel takes this mode, and so
+     do an accessor kernel's SoA dats (its accessor then points at the
+     buffer with [base = 0]) and Inc dats: an increment starts from a
+     zeroed per-element scratch and is added to memory after the kernel,
+     exactly as a staged kernel sees it, so Inc rounding — and with it
+     every bitwise cross-backend guarantee — does not depend on the kernel
+     form.  Check, footprint probing and the Cuda_sim [Staged] strategy
+     stage every argument whatever the kernel form.
+
+   Arguments are "compiled" once per (loop, signature) pair: the dataset
+   array, map table and layout strides are resolved up front and baked
+   into one gather and one scatter closure per argument.  The per-worker
+   state — accessors, staging buffers, global accumulators — is a [frame]
+   built from the compiled arguments at each loop call; both kernel forms
+   share one compiled executor, so a loop handle serves both entry
+   points.  The inner copies use unsafe indexing; bounds are guaranteed by
    declaration-time validation ([decl_map] range-checks every target,
    [decl_dat] fixes the array length) plus [validate_args] on the loop.
    The distributed backend passes resolvers that substitute rank-local
@@ -19,6 +38,8 @@
 
 module Access = Am_core.Access
 open Types
+
+type kernel = Staged of (float array array -> unit) | Accessor of (Acc.t array -> unit)
 
 type compiled_arg =
   | C_dat of {
@@ -31,6 +52,7 @@ type compiled_arg =
       arity : int;
       idx : int;
       indirect : bool;
+      in_place : bool; (* an accessor kernel addresses it in place *)
       gather : float array -> int -> unit; (* staging buffer, element *)
       scatter : float array -> int -> unit;
     }
@@ -47,8 +69,6 @@ let global_resolvers =
     resolve_map = (fun m -> m.values);
   }
 
-(* Flat index of the element a compiled dat argument touches at iteration
-   point [e] (the map lookup for indirect args). *)
 let ignore2 _ _ = ()
 
 (* Specialised gather: copies the [dim] components of the target element
@@ -138,29 +158,54 @@ let build_scatter ~data ~dim ~layout ~n ~access ~map_values ~arity ~idx ~indirec
         done)
   | Access.Min | Access.Max -> invalid_arg "op2: Min/Max access on a dat argument"
 
-let compile_dat ~data ~dim ~layout ~n ~access ~map_values ~arity ~idx ~indirect =
-  C_dat
-    {
-      data; dim; layout; n; access; map_values; arity; idx; indirect;
-      gather =
-        build_gather ~data ~dim ~layout ~n ~access ~map_values ~arity ~idx ~indirect;
-      scatter =
-        build_scatter ~data ~dim ~layout ~n ~access ~map_values ~arity ~idx ~indirect;
-    }
+(* Which arguments an accessor kernel may address in place: AoS Read of a
+   dataset no argument writes, AoS Write/Rw of a dataset no other argument
+   touches.  Anything else would let the kernel observe a write that
+   staging hides until after it returns. *)
+let in_place_flags args =
+  let refs id =
+    List.length
+      (List.filter (function Arg_dat { dat; _ } -> dat.dat_id = id | Arg_gbl _ -> false) args)
+  in
+  let written id =
+    List.exists
+      (function
+        | Arg_dat { dat; access = Access.Write | Access.Rw; _ } -> dat.dat_id = id
+        | Arg_dat _ | Arg_gbl _ -> false)
+      args
+  in
+  List.map
+    (function
+      | Arg_dat { dat; access; _ } when dat.layout = Aos -> (
+        match access with
+        | Access.Read -> not (written dat.dat_id)
+        | Access.Write | Access.Rw -> refs dat.dat_id = 1
+        | Access.Inc | Access.Min | Access.Max -> false)
+      | Arg_dat _ | Arg_gbl _ -> false)
+    args
 
 let compile ?(resolvers = global_resolvers) args =
-  let compile_one = function
-    | Arg_dat { dat; map = None; access } ->
+  let compile_one arg in_place =
+    match arg with
+    | Arg_dat { dat; map; access } ->
       let data, n = resolvers.resolve_dat dat in
-      compile_dat ~data ~dim:dat.dim ~layout:dat.layout ~n ~access ~map_values:[||]
-        ~arity:0 ~idx:0 ~indirect:false
-    | Arg_dat { dat; map = Some (m, k); access } ->
-      let data, n = resolvers.resolve_dat dat in
-      compile_dat ~data ~dim:dat.dim ~layout:dat.layout ~n ~access
-        ~map_values:(resolvers.resolve_map m) ~arity:m.arity ~idx:k ~indirect:true
+      let map_values, arity, idx, indirect =
+        match map with
+        | None -> ([||], 0, 0, false)
+        | Some (m, k) -> (resolvers.resolve_map m, m.arity, k, true)
+      in
+      let dim = dat.dim and layout = dat.layout in
+      C_dat
+        {
+          data; dim; layout; n; access; map_values; arity; idx; indirect; in_place;
+          gather =
+            build_gather ~data ~dim ~layout ~n ~access ~map_values ~arity ~idx ~indirect;
+          scatter =
+            build_scatter ~data ~dim ~layout ~n ~access ~map_values ~arity ~idx ~indirect;
+        }
     | Arg_gbl { buf; access; _ } -> C_gbl { user_buf = buf; access }
   in
-  Array.of_list (List.map compile_one args)
+  Array.of_list (List.map2 compile_one args (in_place_flags args))
 
 (* A cached executor is only valid while the argument list still resolves to
    the same backing stores: [Op2.update], [convert_layout] and the SoA
@@ -185,19 +230,113 @@ let compiled_matches compiled args =
 let has_globals compiled =
   Array.exists (function C_gbl _ -> true | C_dat _ -> false) compiled
 
-(* Worker-local staging buffers: dat args get a [dim]-sized scratch, global
-   args an accumulator initialised for their reduction. *)
-let make_buffers compiled =
-  Array.map
-    (function
-      | C_dat { dim; _ } -> Array.make dim 0.0
-      | C_gbl { user_buf; access } -> (
-        match access with
-        | Access.Read | Access.Min | Access.Max -> Array.copy user_buf
-        | Access.Inc -> Array.make (Array.length user_buf) 0.0
-        | Access.Write | Access.Rw ->
-          invalid_arg "op2: Write/Rw access on a global argument"))
-    compiled
+(* ---- Frames: one worker's state for one loop call ---------------------- *)
+
+(* The per-element work of one dat argument: move an in-place accessor's
+   base, or gather and scatter a staged argument's buffer. *)
+type slot =
+  | In_direct of { acc : Acc.t; dim : int }
+  | In_indirect of { acc : Acc.t; dim : int; map_values : int array; arity : int; idx : int }
+  | Staged_arg of {
+      buf : float array;
+      gather : float array -> int -> unit;
+      scatter : float array -> int -> unit;
+    }
+
+(* [bufs] holds the staging buffers ([||] for in-place arguments) and the
+   global accumulators; [accs] the accessor of every argument; [before]
+   the base moves and gathers run before the kernel, in argument order;
+   [after] the scatters of the staged arguments that write. *)
+type frame = {
+  kernel : kernel;
+  bufs : float array array;
+  accs : Acc.t array;
+  before : slot array;
+  after : slot array;
+}
+
+(* [staged] forces staged addressing for every argument (the Cuda_sim
+   scratchpad strategy fills the buffers itself). *)
+let make_frame ?(staged = false) compiled kernel =
+  let accessor = match kernel with Accessor _ -> not staged | Staged _ -> false in
+  let in_place = function C_dat c -> accessor && c.in_place | C_gbl _ -> false in
+  let bufs =
+    Array.map
+      (function
+        | C_dat { dim; _ } as c -> if in_place c then [||] else Array.make dim 0.0
+        | C_gbl { user_buf; access } -> (
+          match access with
+          | Access.Read | Access.Min | Access.Max -> Array.copy user_buf
+          | Access.Inc -> Array.make (Array.length user_buf) 0.0
+          | Access.Write | Access.Rw ->
+            invalid_arg "op2: Write/Rw access on a global argument"))
+      compiled
+  in
+  let accs =
+    Array.mapi
+      (fun i c ->
+        match c with
+        | C_dat { data; _ } when in_place c -> Acc.of_array data
+        | C_dat _ | C_gbl _ -> Acc.of_array bufs.(i))
+      compiled
+  in
+  let before = ref [] and after = ref [] in
+  Array.iteri
+    (fun i c ->
+      match c with
+      | C_gbl _ -> ()
+      | C_dat { dim; indirect; map_values; arity; idx; _ } when in_place c ->
+        let acc = accs.(i) in
+        before :=
+          (if indirect then In_indirect { acc; dim; map_values; arity; idx }
+           else In_direct { acc; dim })
+          :: !before
+      | C_dat { access; gather; scatter; _ } ->
+        let s = Staged_arg { buf = bufs.(i); gather; scatter } in
+        before := s :: !before;
+        if Access.writes access then after := s :: !after)
+    compiled;
+  {
+    kernel;
+    bufs;
+    accs;
+    before = Array.of_list (List.rev !before);
+    after = Array.of_list (List.rev !after);
+  }
+
+(* Point every argument at element [e]: move in-place bases, gather staged
+   buffers (an Inc buffer is zeroed). *)
+let enter f e =
+  let before = f.before in
+  for i = 0 to Array.length before - 1 do
+    match Array.unsafe_get before i with
+    | In_direct { acc; dim } -> acc.Acc.base <- e * dim
+    | In_indirect { acc; dim; map_values; arity; idx } ->
+      acc.Acc.base <- Array.unsafe_get map_values ((e * arity) + idx) * dim
+    | Staged_arg { buf; gather; _ } -> gather buf e
+  done
+
+let call f = match f.kernel with Staged k -> k f.bufs | Accessor k -> k f.accs
+
+(* Write element [e]'s staged results back (an Inc buffer is added). *)
+let leave f e =
+  let after = f.after in
+  for i = 0 to Array.length after - 1 do
+    match Array.unsafe_get after i with
+    | Staged_arg { buf; scatter; _ } -> scatter buf e
+    | In_direct _ | In_indirect _ -> ()
+  done
+
+let run_element f e =
+  enter f e;
+  call f;
+  leave f e
+
+(* The kernel as a function of staging buffers, for the executors that
+   stage every argument themselves (Check, footprint probing). *)
+let staged_view = function Staged k -> k | Accessor k -> Acc.staged k
+
+(* ---- Global reductions -------------------------------------------------- *)
 
 (* Fold one worker's global accumulators into the user buffers.  Callers
    serialise calls (sequential phase or post-join merge). *)
@@ -251,15 +390,15 @@ let combine_globals compiled dst src =
         | Access.Write | Access.Rw -> assert false))
     compiled
 
-(* Pairwise tree reduction of per-worker accumulator sets into the user
+(* Pairwise tree reduction of per-worker frames' accumulators into the user
    buffers (the pooled replacement for the per-chunk mutex merge). *)
-let merge_worker_globals compiled states =
-  match states with
+let merge_worker_globals compiled frames =
+  match frames with
   | [] -> ()
-  | states ->
+  | frames ->
     let traced = Am_obs.Obs.tracing () in
     if traced then Am_obs.Obs.begin_span ~cat:Am_obs.Tracer.Reduce "merge_globals";
-    let arr = Array.of_list states in
+    let arr = Array.of_list (List.map (fun f -> f.bufs) frames) in
     let n = ref (Array.length arr) in
     while !n > 1 do
       let half = (!n + 1) / 2 in
@@ -270,30 +409,3 @@ let merge_worker_globals compiled states =
     done;
     merge_globals compiled arr.(0);
     if traced then Am_obs.Obs.end_span ()
-
-let target_elem c e =
-  match c with
-  | C_dat { indirect = true; map_values; arity; idx; _ } ->
-    map_values.((e * arity) + idx)
-  | C_dat { indirect = false; _ } -> e
-  | C_gbl _ -> -1
-
-let gather compiled buffers e =
-  for i = 0 to Array.length compiled - 1 do
-    match Array.unsafe_get compiled i with
-    | C_dat { gather; _ } -> gather (Array.unsafe_get buffers i) e
-    | C_gbl _ -> ()
-  done
-
-let scatter compiled buffers e =
-  for i = 0 to Array.length compiled - 1 do
-    match Array.unsafe_get compiled i with
-    | C_dat { scatter; _ } -> scatter (Array.unsafe_get buffers i) e
-    | C_gbl _ -> ()
-  done
-
-(* Run one element through gather -> kernel -> scatter. *)
-let run_element compiled buffers kernel e =
-  gather compiled buffers e;
-  kernel buffers;
-  scatter compiled buffers e

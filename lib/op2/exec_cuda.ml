@@ -9,8 +9,10 @@
 
    The three memory strategies of Fig 7 are faithful code paths:
 
-   - [Global_aos]  (NOSOA):       gather/scatter straight from global memory
-                                  in array-of-structures layout;
+   - [Global_aos]  (NOSOA):       kernels address global memory directly
+                                  in array-of-structures layout (accessor
+                                  kernels in place, staged ones through
+                                  per-element copies);
    - [Global_soa]  (SOA):         datasets are auto-converted to structure-
                                   of-arrays on first touch, and accessed with
                                   the [coord_stride] indexing of the paper;
@@ -83,8 +85,7 @@ type stage = {
 
 (* Group the indirect dat arguments of a loop by dataset: one scratchpad per
    dataset per block, shared by all maps reaching it. *)
-let build_stages compiled args ~lo ~hi =
-  ignore compiled;
+let build_stages args ~lo ~hi =
   let by_dat = Hashtbl.create 4 in
   List.iter
     (function
@@ -172,9 +173,16 @@ let write_back_stages stages =
       end)
     stages
 
-(* Per-element staged runner: direct args hit global memory, indirect args
-   hit the scratchpad through the translation table. *)
-let run_element_staged args compiled buffers stages kernel e =
+(* Per-element staged runner: direct args hit global memory through their
+   compiled gather/scatter, indirect args hit the scratchpad through the
+   translation table. *)
+let run_element_staged args compiled frame stages e =
+  let buffers = frame.Exec_common.bufs in
+  let direct i f =
+    match compiled.(i) with
+    | Exec_common.C_dat { gather; scatter; _ } -> f gather scatter
+    | Exec_common.C_gbl _ -> ()
+  in
   (* gather *)
   List.iteri
     (fun i arg ->
@@ -182,7 +190,7 @@ let run_element_staged args compiled buffers stages kernel e =
       | Arg_gbl _ -> ()
       | Arg_dat { map = None; _ } ->
         (* [gather] zero-fills Inc buffers and copies otherwise. *)
-        Exec_common.gather [| compiled.(i) |] [| buffers.(i) |] e
+        direct i (fun gather _ -> gather buffers.(i) e)
       | Arg_dat { dat; map = Some (m, k); access } -> (
         let stage, slot_of, _ = Hashtbl.find stages dat.dat_id in
         let slot = Hashtbl.find slot_of m.values.((e * m.arity) + k) in
@@ -192,14 +200,13 @@ let run_element_staged args compiled buffers stages kernel e =
           Array.blit stage.scratch (slot * dat.dim) buffers.(i) 0 dat.dim
         | Access.Min | Access.Max -> assert false))
     args;
-  kernel buffers;
+  Exec_common.call frame;
   (* scatter *)
   List.iteri
     (fun i arg ->
       match arg with
       | Arg_gbl _ -> ()
-      | Arg_dat { map = None; _ } ->
-        Exec_common.scatter [| compiled.(i) |] [| buffers.(i) |] e
+      | Arg_dat { map = None; _ } -> direct i (fun _ scatter -> scatter buffers.(i) e)
       | Arg_dat { dat; map = Some (m, k); access } -> (
         let stage, slot_of, _ = Hashtbl.find stages dat.dat_id in
         let slot = Hashtbl.find slot_of m.values.((e * m.arity) + k) in
@@ -241,17 +248,19 @@ let run ?compiled config plan ~set_size ~args ~kernel =
       Array.iter
         (fun block ->
           let lo, hi = Coloring.block_range blocks block in
-          let buffers = Exec_common.make_buffers compiled in
+          (* The scratchpad strategy stages every argument; the global
+             strategies address AoS dats of accessor kernels in place. *)
+          let frame =
+            Exec_common.make_frame ~staged:(config.strategy = Staged) compiled kernel
+          in
           (match config.strategy with
           | Global_aos | Global_soa ->
-            iter_block_by_color plan ~lo ~hi (fun e ->
-                Exec_common.run_element compiled buffers kernel e)
+            iter_block_by_color plan ~lo ~hi (Exec_common.run_element frame)
           | Staged ->
-            let stages = build_stages compiled args ~lo ~hi in
-            iter_block_by_color plan ~lo ~hi (fun e ->
-                run_element_staged args compiled buffers stages kernel e);
+            let stages = build_stages args ~lo ~hi in
+            iter_block_by_color plan ~lo ~hi (run_element_staged args compiled frame stages);
             write_back_stages stages);
-          if has_globals then Exec_common.merge_globals compiled buffers)
+          if has_globals then Exec_common.merge_globals compiled frame.Exec_common.bufs)
         same_color_blocks;
       if traced then Am_obs.Obs.end_span ())
     plan.Plan.block_coloring.Coloring.by_color

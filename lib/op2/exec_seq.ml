@@ -1,8 +1,9 @@
 (* Sequential reference backend.
 
    This is the "generic implementation" of the paper: a plain loop over the
-   iteration set, gathering and scattering per element.  It is the
-   correctness oracle every other backend is tested against, and the
+   iteration set, moving each argument to the element (in place or through
+   its staging buffer, see [Exec_common]) before the kernel runs.  It is
+   the correctness oracle every other backend is tested against, and the
    human-readable debugging target the source-to-source generator also
    emits. *)
 
@@ -14,9 +15,9 @@ let run ?resolvers ?compiled ~set_size ~args ~kernel () =
     | Some c -> c
     | None -> Exec_common.compile ?resolvers args
   in
-  let buffers = Exec_common.make_buffers compiled in
+  let frame = Exec_common.make_frame compiled kernel in
   for e = 0 to set_size - 1 do
-    Exec_common.run_element compiled buffers kernel e
+    Exec_common.run_element frame e
   done;
   if Exec_common.has_globals compiled then
-    Exec_common.merge_globals compiled buffers
+    Exec_common.merge_globals compiled frame.Exec_common.bufs

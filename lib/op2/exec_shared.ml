@@ -5,12 +5,12 @@
    another (a barrier between colours), blocks of the same colour run
    concurrently — exactly the OpenMP execution strategy of the paper.
 
-   Staging buffers (and global-reduction accumulators) are worker-local and
-   pooled: each worker allocates one buffer set on its first chunk and keeps
-   it for the whole loop, including across colour rounds.  Global reductions
-   are therefore lock-free during execution and combined once at the end by
-   a tree merge — there is no per-chunk mutex, and loops without global
-   arguments skip the reduction machinery entirely. *)
+   Frames (accessors, staging buffers and global-reduction accumulators)
+   are worker-local and pooled: each worker builds one frame on its first
+   chunk and keeps it for the whole loop, including across colour rounds.
+   Global reductions are therefore lock-free during execution and combined
+   once at the end by a tree merge — there is no per-chunk mutex, and loops
+   without global arguments skip the reduction machinery entirely. *)
 
 module Coloring = Am_mesh.Coloring
 
@@ -24,25 +24,25 @@ let run ?resolvers ?compiled pool plan ~set_size ~args ~kernel =
   if not (Plan.has_conflicts plan) then begin
     let states =
       Am_taskpool.Pool.parallel_for_local pool ~lo:0 ~hi:set_size
-        ~local:(fun () -> Exec_common.make_buffers compiled)
-        ~body:(fun buffers lo hi ->
+        ~local:(fun () -> Exec_common.make_frame compiled kernel)
+        ~body:(fun frame lo hi ->
           for e = lo to hi - 1 do
-            Exec_common.run_element compiled buffers kernel e
+            Exec_common.run_element frame e
           done)
     in
     if has_globals then Exec_common.merge_worker_globals compiled states
   end
   else begin
     let blocks = plan.Plan.blocks in
-    (* Free-list of buffer sets handed back between colour rounds, so a
-       worker joining a later round reuses a set allocated earlier instead
-       of growing the pool.  Accumulators carry over safely: they only ever
-       accumulate, and each distinct set is merged exactly once at the end. *)
+    (* Free-list of frames handed back between colour rounds, so a worker
+       joining a later round reuses a frame built earlier instead of growing
+       the pool.  Accumulators carry over safely: they only ever accumulate,
+       and each distinct frame is merged exactly once at the end. *)
     let free = Atomic.make [] in
     let take () =
       let rec pop () =
         match Atomic.get free with
-        | [] -> Exec_common.make_buffers compiled
+        | [] -> Exec_common.make_frame compiled kernel
         | b :: rest as old ->
           if Atomic.compare_and_set free old rest then b else pop ()
       in
@@ -68,10 +68,10 @@ let run ?resolvers ?compiled pool plan ~set_size ~args ~kernel =
         let states =
           Am_taskpool.Pool.parallel_iter_indices_local pool same_color_blocks
             ~local:take
-            ~body:(fun buffers block ->
+            ~body:(fun frame block ->
               let lo, hi = Coloring.block_range blocks block in
               for e = lo to hi - 1 do
-                Exec_common.run_element compiled buffers kernel e
+                Exec_common.run_element frame e
               done)
         in
         if has_globals then

@@ -17,7 +17,10 @@
    of one pack must not touch the same indirect element.  Exactly as in the
    generated code, loops with indirect writes therefore iterate colour by
    colour, packing only same-colour elements (which share no target by
-   construction of the plan's element colouring). *)
+   construction of the plan's element colouring).  The same colouring
+   keeps in-place writes of accessor kernels (see [Exec_common]) apart:
+   they land during phase 2, on targets no other lane of the pack
+   touches. *)
 
 module Access = Am_core.Access
 module Coloring = Am_mesh.Coloring
@@ -33,21 +36,21 @@ let run ?resolvers ?compiled config plan ~set_size ~args ~kernel =
     | Some c -> c
     | None -> Exec_common.compile ?resolvers args
   in
-  (* Per-lane staging buffers (and per-lane global accumulators). *)
-  let lanes = Array.init width (fun _ -> Exec_common.make_buffers compiled) in
+  (* Per-lane frames: accessors, staging buffers, global accumulators. *)
+  let lanes = Array.init width (fun _ -> Exec_common.make_frame compiled kernel) in
   let run_pack elems lo hi =
     let n = hi - lo in
-    (* 1. packed gather *)
+    (* 1. packed gather (in-place arguments only move their base) *)
     for lane = 0 to n - 1 do
-      Exec_common.gather compiled lanes.(lane) elems.(lo + lane)
+      Exec_common.enter lanes.(lane) elems.(lo + lane)
     done;
     (* 2. compute ("simd" body) *)
     for lane = 0 to n - 1 do
-      kernel lanes.(lane)
+      Exec_common.call lanes.(lane)
     done;
     (* 3. packed scatter *)
     for lane = 0 to n - 1 do
-      Exec_common.scatter compiled lanes.(lane) elems.(lo + lane)
+      Exec_common.leave lanes.(lane) elems.(lo + lane)
     done
   in
   let run_packed elems =

@@ -34,6 +34,8 @@ type dat = Types.dat
 type arg = Types.arg
 type layout = Types.layout = Aos | Soa
 
+module Acc = Acc
+
 type backend =
   | Seq
   | Vec of Exec_vec.config
@@ -352,8 +354,8 @@ let comm_stats ctx =
 let now () = Unix.gettimeofday ()
 
 (* A per-call-site loop handle (see [Plan]): resolves the execution plan and
-   the compiled gather/scatter executor without rebuilding the signature
-   string per invocation. *)
+   the compiled executor without rebuilding the signature string per
+   invocation.  Both kernel forms share the executor. *)
 type handle = Plan.handle
 
 let make_handle = Plan.make_handle
@@ -387,7 +389,7 @@ let footprint ctx ?handle (descr : Descr.loop) iter_set args kernel =
           fi
         | None ->
           Am_obs.Counters.incr Am_obs.Obs.infer_misses;
-          let fp = Probe.infer ~loop:descr ~kernel () in
+          let fp = Probe.infer ~loop:descr ~kernel:(Exec_common.staged_view kernel) () in
           (* Unstructured arguments carry no stencil radius to tighten; the
              extent column is the no-information marker throughout. *)
           let fi =
@@ -509,7 +511,9 @@ let execute_loop ctx ~name ~foot ?handle iter_set args kernel =
         Exec_cuda.run ~compiled config (Lazy.force entry.Plan.entry_plan) ~set_size
           ~args ~kernel))
 
-let par_loop ctx ~name ?(info = Descr.default_kernel_info) ?handle iter_set args kernel =
+(* The loop pipeline both entry points share: validate, describe, trace,
+   fault counter, footprint, checkpoint, execute, profile. *)
+let run_loop ctx ~name ~info ?handle iter_set args kernel =
   Types.validate_args ~iter_set args;
   let descr = Types.describe ~name ~iter_set ~info args in
   Trace.record ctx.trace descr;
@@ -550,6 +554,12 @@ let par_loop ctx ~name ?(info = Descr.default_kernel_info) ?handle iter_set args
   | None -> ());
   Profile.record ctx.profile ~name ~seconds ~bytes:(Descr.total_bytes descr)
     ~elements:iter_set.Types.set_size
+
+let par_loop ctx ~name ?(info = Descr.default_kernel_info) ?handle iter_set args kernel =
+  run_loop ctx ~name ~info ?handle iter_set args (Exec_common.Staged kernel)
+
+let par_loop_acc ctx ~name ?(info = Descr.default_kernel_info) ?handle iter_set args kernel =
+  run_loop ctx ~name ~info ?handle iter_set args (Exec_common.Accessor kernel)
 
 (* ---- Diagnostics (op_diagnostic / op_print_dat_to_txtfile) -------------- *)
 

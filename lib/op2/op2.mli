@@ -24,10 +24,24 @@
         (fun args -> ...)
     ]}
 
-    Kernels receive one staging buffer per argument ([float array array]),
+    {2 Kernel ABI}
+
+    A kernel takes one argument view per loop argument, in two forms.  The
+    accessor form ({!par_loop_acc}, [Acc.t array -> unit]) is the zero-copy
+    one of the paper's Fig 7 [OP_ACC]: component [i] of argument [a] is
+    [a.data.(a.base + i)], and for AoS datasets that no other argument of
+    the loop writes the executor points [data] at the dataset itself and
+    only moves [base] per element.  The staged form ({!par_loop},
+    [float array array -> unit]) receives one staging buffer per argument,
     gathered before the call and scattered back according to the access
-    mode; [Inc] buffers arrive zeroed and are added to memory afterwards.
-    Kernels must touch only their buffers. *)
+    mode.  Either way [Inc] arguments arrive as a zeroed scratch that is
+    added to memory afterwards, so increments round identically under both
+    forms; SoA datasets, the [Check] backend, footprint probing and the
+    [Staged] GPU strategy stage every argument, handing accessor kernels a
+    base-0 accessor over the buffer.  Kernels must touch only their
+    arguments' [dim] components: under in-place addressing a write to a
+    [Read] argument or past [dim] reaches memory, which probing and [Check]
+    report by loop, argument and slot. *)
 
 module Access = Am_core.Access
 module Descr = Am_core.Descr
@@ -38,6 +52,20 @@ type set = Types.set
 type map_t = Types.map_t
 type dat = Types.dat
 type arg = Types.arg
+
+(** Kernel argument accessors (see the kernel ABI above).  Kernel modules
+    define their own [[@inline]] component accessors,
+    [let[@inline] get (a : Acc.t) i = a.Acc.data.(a.Acc.base + i)]: a call
+    into another module is not inlined under [-opaque] and boxes floats. *)
+module Acc : sig
+  type t = Acc.t = { data : float array; mutable base : int }
+
+  (** A base-0 accessor over a buffer. *)
+  val of_array : float array -> t
+
+  (** The staged form of an accessor kernel. *)
+  val staged : (t array -> unit) -> float array array -> unit
+end
 
 (** Dataset memory layout: array-of-structures or structure-of-arrays. *)
 type layout = Types.layout = Aos | Soa
@@ -228,7 +256,7 @@ val fault_injector : ctx -> Am_simmpi.Fault.t option
 (** {1 The parallel loop} *)
 
 (** Per-call-site loop handle: caches the resolved execution plan and the
-    compiled gather/scatter executor for a [par_loop] site, so repeated
+    compiled executor for a [par_loop] site, so repeated
     invocations skip the signature-string cache lookup entirely (validity is
     re-checked with pointer compares every call, and the handle re-resolves
     itself after renumbering, layout conversion or dataset updates).
@@ -239,10 +267,11 @@ type handle = Plan.handle
 val make_handle : unit -> handle
 
 (** [par_loop ctx ~name ?info ?handle iter_set args kernel] validates
-    [args], records trace/profile entries, and executes [kernel] over every
-    element of [iter_set] on the context's backend. [info] declares the
-    kernel's per-element flop/transcendental counts for the performance
-    model; [handle] memoises plan + executor resolution for the call site. *)
+    [args], records trace/profile entries, and executes the staged
+    [kernel] over every element of [iter_set] on the context's backend.
+    [info] declares the kernel's per-element flop/transcendental counts for
+    the performance model; [handle] memoises plan + executor resolution for
+    the call site. *)
 val par_loop :
   ctx ->
   name:string ->
@@ -251,6 +280,23 @@ val par_loop :
   set ->
   arg list ->
   (float array array -> unit) ->
+  unit
+
+(** [par_loop_acc] is {!par_loop} for an accessor kernel: the same
+    pipeline (validation, trace, fault counter, footprint probing,
+    checkpointing, profile) and the same backends, with AoS [Read], [Write]
+    and [Rw] datasets addressed in place instead of copied (see the kernel
+    ABI above).  Results are bitwise those of the staged form of the same
+    kernel ({!Acc.staged}) on every backend.  A handle may serve both entry
+    points: they share one compiled executor. *)
+val par_loop_acc :
+  ctx ->
+  name:string ->
+  ?info:Descr.kernel_info ->
+  ?handle:handle ->
+  set ->
+  arg list ->
+  (Acc.t array -> unit) ->
   unit
 
 (** {1 Kernel footprint inference}

@@ -245,6 +245,19 @@ let test_checkpoint_requires_enable () =
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "expected Invalid_argument"
 
+(* ---- Allocation ---- *)
+
+(* One Seq iteration of the benchmark mesh (120x80) through the accessor
+   entry point: in-place addressing leaves only per-call bookkeeping (about
+   5k words), so any per-element boxing — a cross-module accessor helper,
+   a local closure over floats — overshoots the 20k budget at once. *)
+let test_alloc_budget () =
+  let t = App.create (Umesh.generate_airfoil ~nx:120 ~ny:80 ()) in
+  ignore (App.iteration t);
+  let words = Gc_util.minor_words (fun () -> ignore (App.iteration t)) in
+  if words > 20_000.0 then
+    Alcotest.failf "one Seq iteration allocated %.0f minor words (budget 20000)" words
+
 let () =
   Alcotest.run "airfoil"
     [
@@ -270,7 +283,11 @@ let () =
           Alcotest.test_case "renumbered rms" `Quick test_renumbered_matches_rms;
           Alcotest.test_case "scrambled rms" `Quick test_scrambled_mesh_same_rms;
         ] );
-      ("structure", [ Alcotest.test_case "trace shape" `Quick test_trace_shape ]);
+      ( "structure",
+        [
+          Alcotest.test_case "trace shape" `Quick test_trace_shape;
+          Alcotest.test_case "seq iteration allocation budget" `Quick test_alloc_budget;
+        ] );
       ( "checkpointing",
         [
           Alcotest.test_case "automatic checkpoint + recovery" `Quick

@@ -8,6 +8,9 @@
    bitwise: the parallel backends reassociate [Inc] reductions, so the
    last few ulps may legitimately differ.
 
+   The accessor-kernel group holds both kernel forms to the same bits on
+   every backend, Airfoil and Hydra, single-process and distributed.
+
    Also unit tests of the plan-handle executor cache: two call sites with
    the same loop signature share one plan entry and one compiled executor;
    a different block size or access descriptor resolves a distinct entry;
@@ -114,6 +117,248 @@ let test_clover_cuda () =
         (Ops.Cuda_sim { Am_ops.Exec.tile_x = 8; tile_y = 4; strategy }))
     [ Am_ops.Exec.Cuda_global; Am_ops.Exec.Cuda_tiled ]
 
+(* ---- Accessor kernels against staged kernels ----------------------------- *)
+
+(* The same kernel arithmetic through the two entry points must agree to
+   the bit on every backend: in-place addressing changes where a kernel
+   reads and writes, never the order of operations, and Inc arguments keep
+   their zeroed scratch under both.  Each configuration runs two seeded
+   iterations with accessor kernels ([Op2.par_loop_acc], as the apps do)
+   and with staged kernels, and compares the two bitwise ([check_forms]
+   has the one exception); the accessor state must also match staged Seq
+   within the reassociation tolerance. *)
+
+module K = Am_airfoil.Kernels
+module HApp = Am_hydra.App
+
+type config =
+  | On of Op2.backend
+  | Soa_then_seq  (* a Cuda_sim Global_soa iteration, then Seq on the SoA dats *)
+  | Dist of { ranks : int; overlap : bool }
+
+let config_name = function
+  | On Op2.Seq -> "seq"
+  | On (Op2.Vec _) -> "vec"
+  | On (Op2.Shared _) -> "shared"
+  | On (Op2.Cuda_sim c) -> "cuda " ^ Am_op2.Exec_cuda.strategy_to_string c.Am_op2.Exec_cuda.strategy
+  | On Op2.Check -> "check"
+  | Soa_then_seq -> "cuda SOA then seq"
+  | Dist { ranks; overlap } ->
+    Printf.sprintf "dist %d ranks%s" ranks (if overlap then " overlap" else "")
+
+let configs pool =
+  let cuda strategy = On (Op2.Cuda_sim { Am_op2.Exec_cuda.block_size = 48; strategy }) in
+  [
+    On Op2.Seq;
+    On (Op2.Vec { Am_op2.Exec_vec.width = 4 });
+    On (Op2.Shared { pool; block_size = 48 });
+    cuda Am_op2.Exec_cuda.Global_aos;
+    cuda Am_op2.Exec_cuda.Global_soa;
+    cuda Am_op2.Exec_cuda.Staged;
+    Soa_then_seq;
+    On Op2.Check;
+  ]
+  @ List.concat_map
+      (fun ranks -> [ Dist { ranks; overlap = false }; Dist { ranks; overlap = true } ])
+      [ 1; 2; 3; 7 ]
+
+(* Put [ctx] on [cfg] before iteration [i] (1-based). *)
+let enter_config ctx ~partition cfg i =
+  match (cfg, i) with
+  | On b, 1 -> Op2.set_backend ctx b
+  | Soa_then_seq, 1 ->
+    Op2.set_backend ctx
+      (Op2.Cuda_sim { Am_op2.Exec_cuda.block_size = 48; strategy = Am_op2.Exec_cuda.Global_soa })
+  | Soa_then_seq, 2 -> Op2.set_backend ctx Op2.Seq
+  | Dist { ranks; overlap }, 1 ->
+    partition ranks;
+    if overlap then Op2.set_comm_mode ctx Op2.Overlap
+  | (On _ | Soa_then_seq | Dist _), _ -> ()
+
+let bitwise a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+let close a b = Float.abs (a -. b) <= eps *. (1.0 +. Float.abs b)
+
+(* Datasets must agree to the bit.  So must a global Inc reduction, except
+   on Shared: there each worker's partial sum covers whichever chunks it
+   took, so the merge reassociates from run to run under either form. *)
+let check_forms ?(against = "staged kernels") ~app ~reference cfg ~acc ~staged =
+  let name = Printf.sprintf "%s %s" app (config_name cfg) in
+  let (state, rms), (state', rms') = (acc, staged) in
+  let same_rms =
+    match cfg with
+    | On (Op2.Shared _) -> close rms rms'
+    | On _ | Soa_then_seq | Dist _ -> bitwise [| rms |] [| rms' |]
+  in
+  if not (bitwise state state' && same_rms) then
+    Alcotest.failf "%s: accessor kernels differ from %s (%g, rms %.17g vs %.17g)" name
+      against (Fa.rel_discrepancy state' state) rms rms';
+  let ref_state, ref_rms = reference in
+  if not (Fa.approx_equal ~tol:eps ref_state state && close rms ref_rms) then
+    Alcotest.failf "%s: diverges from staged seq (%g)" name
+      (Fa.rel_discrepancy ref_state state)
+
+(* Airfoil's iteration restated through the staged entry point with the
+   kernels' staged adapters, on the app's own handles: one handle serves
+   both entry points. *)
+let airfoil_staged_iteration (t : App.t) =
+  let loop name info handle set args kernel =
+    Op2.par_loop t.App.ctx ~name ~info ~handle set args kernel
+  in
+  loop "save_soln" K.save_soln_info t.App.h_save_soln t.App.cells
+    [ Op2.arg_dat t.App.q Access.Read; Op2.arg_dat t.App.qold Access.Write ]
+    K.save_soln;
+  for _ = 1 to 2 do
+    loop "adt_calc" K.adt_calc_info t.App.h_adt_calc t.App.cells
+      [
+        Op2.arg_dat_indirect t.App.x t.App.cell_nodes 0 Access.Read;
+        Op2.arg_dat_indirect t.App.x t.App.cell_nodes 1 Access.Read;
+        Op2.arg_dat_indirect t.App.x t.App.cell_nodes 2 Access.Read;
+        Op2.arg_dat_indirect t.App.x t.App.cell_nodes 3 Access.Read;
+        Op2.arg_dat t.App.q Access.Read;
+        Op2.arg_dat t.App.adt Access.Write;
+      ]
+      K.adt_calc;
+    loop "res_calc" K.res_calc_info t.App.h_res_calc t.App.edges
+      [
+        Op2.arg_dat_indirect t.App.x t.App.edge_nodes 0 Access.Read;
+        Op2.arg_dat_indirect t.App.x t.App.edge_nodes 1 Access.Read;
+        Op2.arg_dat_indirect t.App.q t.App.edge_cells 0 Access.Read;
+        Op2.arg_dat_indirect t.App.q t.App.edge_cells 1 Access.Read;
+        Op2.arg_dat_indirect t.App.adt t.App.edge_cells 0 Access.Read;
+        Op2.arg_dat_indirect t.App.adt t.App.edge_cells 1 Access.Read;
+        Op2.arg_dat_indirect t.App.res t.App.edge_cells 0 Access.Inc;
+        Op2.arg_dat_indirect t.App.res t.App.edge_cells 1 Access.Inc;
+      ]
+      K.res_calc;
+    loop "bres_calc" K.bres_calc_info t.App.h_bres_calc t.App.bedges
+      [
+        Op2.arg_dat_indirect t.App.x t.App.bedge_nodes 0 Access.Read;
+        Op2.arg_dat_indirect t.App.x t.App.bedge_nodes 1 Access.Read;
+        Op2.arg_dat_indirect t.App.q t.App.bedge_cell 0 Access.Read;
+        Op2.arg_dat_indirect t.App.adt t.App.bedge_cell 0 Access.Read;
+        Op2.arg_dat_indirect t.App.res t.App.bedge_cell 0 Access.Inc;
+        Op2.arg_dat t.App.bound Access.Read;
+      ]
+      K.bres_calc;
+    t.App.rms_buf.(0) <- 0.0;
+    loop "update" K.update_info t.App.h_update t.App.cells
+      [
+        Op2.arg_dat t.App.qold Access.Read;
+        Op2.arg_dat t.App.q Access.Write;
+        Op2.arg_dat t.App.res Access.Rw;
+        Op2.arg_dat t.App.adt Access.Read;
+        Op2.arg_gbl ~name:"rms" t.App.rms_buf Access.Inc;
+      ]
+      K.update
+  done
+
+(* Final q and rms of [iters] seeded Airfoil iterations on [cfg]. *)
+let airfoil_forms ?(mesh = airfoil_mesh) ?(iters = 2) ~staged cfg =
+  let t = App.create (Lazy.force mesh) in
+  let q = Op2.fetch t.App.ctx t.App.q in
+  lcg_fill 42 q ~scale:1e-3;
+  Op2.update t.App.ctx t.App.q q;
+  let partition n_ranks =
+    Op2.partition t.App.ctx ~n_ranks ~strategy:(Op2.Kway_through t.App.edge_cells)
+  in
+  for i = 1 to iters do
+    enter_config t.App.ctx ~partition cfg i;
+    if staged then airfoil_staged_iteration t else ignore (App.iteration t)
+  done;
+  (App.solution t, t.App.rms_buf.(0))
+
+let test_airfoil_forms () =
+  Pool.with_pool ~size:2 (fun pool ->
+      let reference = airfoil_forms ~staged:true (On Op2.Seq) in
+      List.iter
+        (fun cfg ->
+          check_forms ~app:"airfoil" ~reference cfg
+            ~acc:(airfoil_forms ~staged:false cfg)
+            ~staged:(airfoil_forms ~staged:true cfg))
+        (configs pool))
+
+(* Final q and rms of two seeded Hydra iterations on [cfg].  Hydra has no staged
+   twin of its loop list; its staged form is the same kernels with every
+   argument staged, which SoA datasets force (each dat gathered into a
+   buffer, the kernel run over base-0 accessors, results scattered back —
+   exactly what [Op2.Acc.staged] does).  The distributed runtime takes
+   only AoS datasets, so its staged run is the in-place one and the check
+   reduces to agreement with staged Seq, plus blocking = overlap. *)
+let hydra_forms ~staged cfg =
+  let t = HApp.create ~nx:16 ~ny:12 () in
+  if staged then List.iter (fun d -> Op2.convert_layout t.HApp.ctx d Op2.Soa) (Op2.dats t.HApp.ctx);
+  let partition n_ranks =
+    Op2.partition t.HApp.ctx ~n_ranks ~strategy:(Op2.Kway_through t.HApp.edge_cells)
+  in
+  let rms = ref 0.0 in
+  for i = 1 to 2 do
+    enter_config t.HApp.ctx ~partition cfg i;
+    rms := HApp.iteration t
+  done;
+  (HApp.solution t, !rms)
+
+let test_hydra_forms () =
+  Pool.with_pool ~size:2 (fun pool ->
+      let reference = hydra_forms ~staged:true (On Op2.Seq) in
+      List.iter
+        (fun cfg ->
+          let acc = hydra_forms ~staged:false cfg in
+          match cfg with
+          | Dist d ->
+            check_forms ~against:"the other comm mode" ~app:"hydra" ~reference cfg ~acc
+              ~staged:(hydra_forms ~staged:false (Dist { d with overlap = not d.overlap }))
+          | On _ | Soa_then_seq ->
+            check_forms ~app:"hydra" ~reference cfg ~acc ~staged:(hydra_forms ~staged:true cfg))
+        (configs pool))
+
+(* Seq with accessor kernels against the Check sanitizer, to the bit:
+   Airfoil on the benchmark mesh for 20 iterations, Hydra for two. *)
+let test_seq_equals_check () =
+  let mesh = lazy (Umesh.generate_airfoil ~nx:120 ~ny:80 ()) in
+  List.iter
+    (fun (app, run) ->
+      let state, rms = run (On Op2.Seq) and state', rms' = run (On Op2.Check) in
+      if not (bitwise (Array.append state [| rms |]) (Array.append state' [| rms' |])) then
+        Alcotest.failf "%s: seq accessor kernels differ from check" app)
+    [
+      ("airfoil", airfoil_forms ~mesh ~iters:20 ~staged:false);
+      ("hydra", hydra_forms ~staged:false);
+    ]
+
+(* A dataset both read (through an identity map) and written (directly) by
+   one loop: in place, the kernel's first write would show through the Read
+   accessor, so both arguments must stay staged and the accessor form must
+   still compute old + 1. *)
+let test_aliased_args_staged () =
+  let run acc =
+    let ctx = Op2.create () in
+    let cells = Op2.decl_set ctx ~name:"cells" ~size:6 in
+    let id =
+      Op2.decl_map ctx ~name:"id" ~from_set:cells ~to_set:cells ~arity:1
+        ~values:(Array.init 6 Fun.id)
+    in
+    let d = Op2.decl_dat ctx ~name:"d" ~set:cells ~dim:1 ~data:(Array.init 6 Float.of_int) in
+    let args = [ Op2.arg_dat_indirect d id 0 Access.Read; Op2.arg_dat d Access.Write ] in
+    (if acc then
+       Op2.par_loop_acc ctx ~name:"bump" cells args (fun a ->
+           let r = a.(0) and w = a.(1) in
+           w.Op2.Acc.data.(w.Op2.Acc.base) <- 0.0;
+           w.Op2.Acc.data.(w.Op2.Acc.base) <- r.Op2.Acc.data.(r.Op2.Acc.base) +. 1.0)
+     else
+       Op2.par_loop ctx ~name:"bump" cells args (fun a ->
+           a.(1).(0) <- 0.0;
+           a.(1).(0) <- a.(0).(0) +. 1.0));
+    Op2.fetch ctx d
+  in
+  Alcotest.(check (array (float 0.0))) "staged semantics" (run false) (run true);
+  Alcotest.(check (array (float 0.0)))
+    "old + 1" (Array.init 6 (fun i -> Float.of_int i +. 1.0)) (run true)
+
 (* ---- Plan-handle executor cache ------------------------------------------ *)
 
 let small_loop () =
@@ -183,6 +428,16 @@ let () =
           Alcotest.test_case "shared = seq" `Quick test_clover_shared;
           Alcotest.test_case "cuda-sim (both strategies) = seq" `Quick
             test_clover_cuda;
+        ] );
+      ( "accessor kernels",
+        [
+          Alcotest.test_case "airfoil: accessor = staged on every backend" `Quick
+            test_airfoil_forms;
+          Alcotest.test_case "hydra: accessor = staged on every backend" `Quick
+            test_hydra_forms;
+          Alcotest.test_case "seq accessor kernels = check, bitwise" `Quick
+            test_seq_equals_check;
+          Alcotest.test_case "aliased arguments stay staged" `Quick test_aliased_args_staged;
         ] );
       ( "plan handles",
         [

@@ -151,6 +151,20 @@ let test_more_data_than_airfoil () =
   Alcotest.(check bool) "hydra moves >3x airfoil's bytes" true
     (hydra_bytes > 3 * airfoil_bytes)
 
+(* ---- Allocation ---- *)
+
+(* One Seq iteration at the driver's default size (6144 cells, 51 loop
+   calls) through the accessor entry point.  The pin (measured: 56.5k
+   words) is per-call bookkeeping — Hydra's loops carry no handles, so
+   every call compiles its executor — and sits far below the ~300k words
+   that one boxed float per element would add. *)
+let test_alloc_budget () =
+  let t = App.create ~nx:96 ~ny:64 () in
+  ignore (App.iteration t);
+  let words = Gc_util.minor_words (fun () -> ignore (App.iteration t)) in
+  if words > 64_000.0 then
+    Alcotest.failf "one Seq iteration allocated %.0f minor words (budget 64000)" words
+
 let () =
   Alcotest.run "hydra"
     [
@@ -177,5 +191,6 @@ let () =
         [
           Alcotest.test_case "loop count" `Quick test_loop_count_per_iteration;
           Alcotest.test_case "more data than airfoil" `Quick test_more_data_than_airfoil;
+          Alcotest.test_case "seq iteration allocation budget" `Quick test_alloc_budget;
         ] );
     ]

@@ -12,7 +12,9 @@
    loop) runs one seeded descriptor lie — an undeclared write to a Read
    argument, an over-declared stencil point, an Inc that overwrites — and
    [Analysis.static_*] must report exactly that defect, naming the loop,
-   the argument and the slot. *)
+   the argument and the slot.  The OP2 lies are told again through the
+   accessor ABI, where they reach memory in place, plus a write past
+   [dim] that the Check backend must stop as well. *)
 
 module Probe = Am_core.Probe
 module Descr = Am_core.Descr
@@ -204,6 +206,78 @@ let test_inc_overwrite () =
     "error names loop flux_clobber, arg 1, overwriting Inc" true
     (find_verify ~severity:Finding.Error ~loop:"flux_clobber" ~arg:1
        ~needle:"Inc argument observed overwriting" r.Analysis.findings)
+
+(* ---- the same lies through the accessor ABI ---------------------------- *)
+
+(* An accessor kernel writes Read arguments in place, so these lies reach
+   memory on Seq; probing runs the kernel over sentinel staging buffers
+   first and must still name the loop, the argument and the slot. *)
+
+module Acc = Op2.Acc
+
+let get (a : Acc.t) i = a.Acc.data.(a.Acc.base + i)
+let set (a : Acc.t) i v = a.Acc.data.(a.Acc.base + i) <- v
+
+let test_acc_undeclared_write () =
+  let m = build_mini () in
+  Op2.par_loop_acc m.ctx ~name:"flux_bad_acc" m.edges
+    [
+      Op2.arg_dat_indirect m.u m.edge_cells 0 Access.Read;
+      Op2.arg_dat_indirect m.u m.edge_cells 1 Access.Read;
+      Op2.arg_dat_indirect m.du m.edge_cells 0 Access.Inc;
+      Op2.arg_dat_indirect m.du m.edge_cells 1 Access.Inc;
+    ]
+    (fun a ->
+      let f = get a.(1) 0 -. get a.(0) 0 in
+      set a.(2) 0 (get a.(2) 0 +. f);
+      set a.(3) 0 (get a.(3) 0 -. f);
+      set a.(0) 0 0.0);
+  Alcotest.(check bool)
+    "error names loop flux_bad_acc, arg 0, slot 0" true
+    (find_verify ~severity:Finding.Error ~loop:"flux_bad_acc" ~arg:0
+       ~needle:"observed write to slot(s) 0 of a Read argument"
+       (Analysis.static_op2 m.ctx).Analysis.findings)
+
+let test_acc_inc_overwrite () =
+  let m = build_mini () in
+  Op2.par_loop_acc m.ctx ~name:"flux_clobber_acc" m.edges
+    [
+      Op2.arg_dat_indirect m.u m.edge_cells 0 Access.Read;
+      Op2.arg_dat_indirect m.du m.edge_cells 0 Access.Inc;
+    ]
+    (fun a -> set a.(1) 0 (get a.(0) 0));
+  Alcotest.(check bool)
+    "error names loop flux_clobber_acc, arg 1, overwriting Inc" true
+    (find_verify ~severity:Finding.Error ~loop:"flux_clobber_acc" ~arg:1
+       ~needle:"Inc argument observed overwriting"
+       (Analysis.static_op2 m.ctx).Analysis.findings)
+
+(* Component 1 of a dim-1 argument: in place it would land on the next
+   element's value, so the Check backend's canary and probing's pad must
+   both catch it. *)
+let test_acc_component_past_dim () =
+  let m = build_mini () in
+  Op2.set_backend m.ctx Op2.Check;
+  (match
+     Op2.par_loop_acc m.ctx ~name:"flux_wide_acc" m.edges
+       [
+         Op2.arg_dat_indirect m.u m.edge_cells 0 Access.Read;
+         Op2.arg_dat_indirect m.du m.edge_cells 0 Access.Inc;
+       ]
+       (fun a -> set a.(1) 1 (get a.(0) 0))
+   with
+  | () -> Alcotest.fail "check let a write past dim through"
+  | exception Am_op2.Exec_check.Violation msg ->
+    Alcotest.(check bool)
+      (Printf.sprintf "check names loop, arg and element: %s" msg)
+      true
+      (contains msg "loop flux_wide_acc" && contains msg "arg 1" && contains msg "element 0"
+      && contains msg "wrote past"));
+  Alcotest.(check bool)
+    "verify names loop flux_wide_acc, arg 1, the pad" true
+    (find_verify ~severity:Finding.Error ~loop:"flux_wide_acc" ~arg:1
+       ~needle:"observed write past the 1 declared staging slot(s)"
+       (Analysis.static_op2 m.ctx).Analysis.findings)
 
 (* ---- mutation: over-declared stencil point (CloverLeaf shape) ---------- *)
 
@@ -445,6 +519,12 @@ let () =
             test_undeclared_write;
           Alcotest.test_case "inc overwrite (airfoil shape)" `Quick
             test_inc_overwrite;
+          Alcotest.test_case "undeclared write through accessors" `Quick
+            test_acc_undeclared_write;
+          Alcotest.test_case "inc overwrite through accessors" `Quick
+            test_acc_inc_overwrite;
+          Alcotest.test_case "component past dim through accessors" `Quick
+            test_acc_component_past_dim;
           Alcotest.test_case "over-declared stencil (cloverleaf shape)" `Quick
             test_overdeclared_stencil;
         ] );
