@@ -12,6 +12,9 @@ module App = Am_cloverleaf.App
 let run nx ny steps backend ranks overlap summary_every verify van_leer check
     analyze trace obs_json faults recover tile tile_par perf =
   Check_common.guard @@ fun () ->
+  Flag_common.check_flags ~app:"cloverleaf"
+    ~backends:[ "seq"; "shared"; "cuda"; "mpi"; "mpi2d"; "hybrid" ]
+    ~overlap_backends:[ "mpi"; "mpi2d"; "hybrid" ] ~backend ~ranks ~overlap ~check;
   Am_obs.Obs.reset ();
   if trace <> None then Am_obs.Obs.set_tracing true;
   let advection =
@@ -54,15 +57,11 @@ let run nx ny steps backend ranks overlap summary_every verify van_leer check
       Ops.partition t.App.ctx ~n_ranks:ranks ~ref_ysize:ny;
       Ops.set_rank_execution t.App.ctx (Ops.Rank_shared p);
       t
-    | other -> failwith (Printf.sprintf "unknown backend %s" other)
+    | _ -> assert false (* rejected by check_flags *)
   in
   if analyze then Am_core.Trace.set_enabled (Ops.trace t.App.ctx) true;
   Perf_common.enable perf (Ops.trace t.App.ctx);
-  if overlap then begin
-    if not (backend = "mpi" || backend = "mpi2d" || backend = "hybrid") then
-      failwith "--overlap requires --backend mpi, mpi2d or hybrid";
-    Ops.set_comm_mode t.App.ctx Ops.Overlap
-  end;
+  if overlap then Ops.set_comm_mode t.App.ctx Ops.Overlap;
   (match tile with
   | Some tile_size ->
     Ops.set_lazy t.App.ctx ~tile_size true;

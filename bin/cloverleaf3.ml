@@ -8,6 +8,9 @@ module Ops3 = Am_ops.Ops3
 let run n steps backend ranks check analyze trace obs_json faults recover tile
     tile_par perf =
   Check_common.guard @@ fun () ->
+  Flag_common.check_flags ~app:"cloverleaf3"
+    ~backends:[ "seq"; "shared"; "cuda"; "mpi"; "pencil"; "hybrid" ]
+    ~overlap_backends:[] ~backend ~ranks ~overlap:false ~check;
   Am_obs.Obs.reset ();
   if trace <> None then Am_obs.Obs.set_tracing true;
   Fault_common.with_faults ~app:"cloverleaf3" ~faults ~recover @@ fun fc ~recovering ->
@@ -41,7 +44,7 @@ let run n steps backend ranks check analyze trace obs_json faults recover tile
       Ops3.partition t.App.ctx ~n_ranks:ranks ~ref_zsize:n;
       Ops3.set_rank_execution t.App.ctx (Ops3.Rank_shared p);
       t
-    | other -> failwith (Printf.sprintf "unknown backend %s" other)
+    | _ -> assert false (* rejected by check_flags *)
   in
   if analyze then Am_core.Trace.set_enabled (Ops3.trace t.App.ctx) true;
   Perf_common.enable perf (Ops3.trace t.App.ctx);

@@ -1,0 +1,30 @@
+(* Flag validation shared by every driver, OP2 and OPS alike.
+
+   A bad flag combination is a usage error: the message goes to stderr and
+   the driver exits 2 before doing any work. *)
+
+let usage_error ~app msg =
+  Printf.eprintf "%s: %s\n%!" app msg;
+  exit 2
+
+(* "a", "a or b", "a, b or c". *)
+let one_of = function
+  | [] -> "nothing"
+  | [ x ] -> x
+  | xs ->
+    let rev = List.rev xs in
+    String.concat ", " (List.rev (List.tl rev)) ^ " or " ^ List.hd rev
+
+(* [backends] are the driver's documented backends; [overlap_backends] the
+   partitioned ones that --overlap applies to (none when the driver has no
+   --overlap). *)
+let check_flags ~backends ~overlap_backends ~app ~backend ~ranks ~overlap ~check =
+  if not (List.mem backend backends) then
+    usage_error ~app
+      (Printf.sprintf "unknown backend %s (expected one of %s)" backend
+         (String.concat ", " backends));
+  if ranks < 1 then usage_error ~app "--ranks must be at least 1";
+  if overlap && (check || not (List.mem backend overlap_backends)) then
+    usage_error ~app
+      (Printf.sprintf "--overlap requires --backend %s (and no --check)"
+         (one_of overlap_backends))

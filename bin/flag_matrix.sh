@@ -1,28 +1,37 @@
 #!/bin/sh
-# Flag matrix of the OP2 drivers.
+# Flag matrix of the OP2 and OPS drivers.
 #
-#   flag_matrix.sh AIRFOIL_EXE AERO_EXE HYDRA_EXE
+#   flag_matrix.sh AIRFOIL_EXE AERO_EXE HYDRA_EXE CLOVERLEAF_EXE \
+#     CLOVERLEAF3_EXE TEALEAF_EXE
 #
-# Runs each driver at a small size on every backend, and on an unknown
-# one, with no flag, with each of --renumber, --overlap, --verify and
-# --check that the driver defines (aero has no --overlap, hydra neither
-# --overlap nor --verify), and with --renumber --verify together.  A run
-# on the unknown backend, or with --overlap off mpi and hybrid, is a
-# usage error and must exit 2; every other run must exit 0.  No output may
-# report an uncaught exception.  Prints only the runs that fail.
+# Runs each driver at a small size on each of its documented backends,
+# and on an unknown one.  The OP2 drivers run with no flag, with each of
+# --renumber, --overlap, --verify and --check that the driver defines
+# (aero has no --overlap, hydra neither --overlap nor --verify), and with
+# --renumber --verify together; the OPS drivers with no flag, --check,
+# --tile and --tile-par, and cloverleaf also with --overlap, --verify and
+# --overlap --check.  A run on the unknown backend, with --overlap off the
+# partitioned backends (mpi, mpi2d, hybrid), with --overlap --check, or on
+# mpi with --ranks 0 (every driver) is a usage error and must exit 2;
+# every other run must exit 0.  No output may report an uncaught
+# exception.  Prints only the runs that fail.
 set -u
 # A bare file name is a path in the current directory, not a command.
 path() { case $1 in */*) echo "$1" ;; *) echo "./$1" ;; esac; }
 airfoil=$(path "$1")
 aero=$(path "$2")
 hydra=$(path "$3")
+cloverleaf=$(path "$4")
+cloverleaf3=$(path "$5")
+tealeaf=$(path "$6")
 failed=0
 
 # The exit code of a run on backend $1 with flags $2.
 expected() {
   case $1:$2 in
   bogus:*) echo 2 ;;
-  mpi:* | hybrid:*) echo 0 ;;
+  *:*--overlap*--check*) echo 2 ;;
+  mpi:* | mpi2d:* | hybrid:*) echo 0 ;;
   *:*--overlap*) echo 2 ;;
   *) echo 0 ;;
   esac
@@ -62,4 +71,28 @@ for backend in seq vec shared cuda mpi hybrid bogus; do
       --backend "$backend" $flags
   done
 done
+for backend in seq shared cuda mpi mpi2d hybrid bogus; do
+  for flags in "" --check --tile --tile-par --overlap --verify "--overlap --check"; do
+    run "$(expected $backend "$flags")" "$cloverleaf" --nx 12 --ny 12 --steps 2 \
+      --ranks 3 --backend "$backend" $flags
+  done
+done
+for backend in seq shared cuda mpi pencil hybrid bogus; do
+  for flags in "" --check --tile --tile-par; do
+    run "$(expected $backend "$flags")" "$cloverleaf3" --size 6 --steps 1 --ranks 3 \
+      --backend "$backend" $flags
+  done
+done
+for backend in seq shared cuda mpi hybrid bogus; do
+  for flags in "" --check --tile --tile-par; do
+    run "$(expected $backend "$flags")" "$tealeaf" --size 6 --steps 1 --ranks 3 \
+      --backend "$backend" $flags
+  done
+done
+run 2 "$airfoil" --nx 16 --ny 12 --iters 2 --ranks 0 --backend mpi
+run 2 "$aero" --size 8 --iters 1 --ranks 0 --backend mpi
+run 2 "$hydra" --nx 8 --ny 6 --iters 1 --ranks 0 --backend mpi
+run 2 "$cloverleaf" --nx 12 --ny 12 --steps 2 --ranks 0 --backend mpi
+run 2 "$cloverleaf3" --size 6 --steps 1 --ranks 0 --backend mpi
+run 2 "$tealeaf" --size 6 --steps 1 --ranks 0 --backend mpi
 exit $failed

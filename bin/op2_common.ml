@@ -1,25 +1,13 @@
 (* Shared plumbing of the OP2 drivers (airfoil, aero, hydra): the backend
-   flags (--backend, --ranks, --overlap) and --renumber.
-
-   A bad flag combination is a usage error: the message goes to stderr and
-   the driver exits 2 before doing any work. *)
+   flags (--backend, --ranks, --overlap) and --renumber.  A bad flag
+   combination is a usage error ([Flag_common]). *)
 
 module Op2 = Am_op2.Op2
 
-let backends = [ "seq"; "vec"; "shared"; "cuda"; "mpi"; "hybrid" ]
-
-let usage_error ~app msg =
-  Printf.eprintf "%s: %s\n%!" app msg;
-  exit 2
-
-let check_flags ~app ~backend ~ranks ~overlap ~check =
-  if not (List.mem backend backends) then
-    usage_error ~app
-      (Printf.sprintf "unknown backend %s (expected one of %s)" backend
-         (String.concat ", " backends));
-  if ranks < 1 then usage_error ~app "--ranks must be at least 1";
-  if overlap && (check || not (backend = "mpi" || backend = "hybrid")) then
-    usage_error ~app "--overlap requires --backend mpi or hybrid (and no --check)"
+let check_flags =
+  Flag_common.check_flags
+    ~backends:[ "seq"; "vec"; "shared"; "cuda"; "mpi"; "hybrid" ]
+    ~overlap_backends:[ "mpi"; "hybrid" ]
 
 (* Put [ctx] on [backend]; [partition n] splits it over [n] ranks for mpi
    and hybrid.  Returns the domain pool the backend runs on, if it made

@@ -8,6 +8,9 @@ module Ops3 = Am_ops.Ops3
 let run n steps dt backend ranks check analyze trace obs_json faults recover tile
     tile_par perf =
   Check_common.guard @@ fun () ->
+  Flag_common.check_flags ~app:"tealeaf"
+    ~backends:[ "seq"; "shared"; "cuda"; "mpi"; "hybrid" ]
+    ~overlap_backends:[] ~backend ~ranks ~overlap:false ~check;
   Am_obs.Obs.reset ();
   if trace <> None then Am_obs.Obs.set_tracing true;
   Fault_common.with_faults ~app:"tealeaf" ~faults ~recover @@ fun fc ~recovering ->
@@ -36,7 +39,7 @@ let run n steps dt backend ranks check analyze trace obs_json faults recover til
       Ops3.partition t.Tea.ctx ~n_ranks:ranks ~ref_zsize:n;
       Ops3.set_rank_execution t.Tea.ctx (Ops3.Rank_shared p);
       t
-    | other -> failwith (Printf.sprintf "unknown backend %s" other)
+    | _ -> assert false (* rejected by check_flags *)
   in
   if analyze then Am_core.Trace.set_enabled (Ops3.trace t.Tea.ctx) true;
   Perf_common.enable perf (Ops3.trace t.Tea.ctx);

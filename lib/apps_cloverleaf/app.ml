@@ -183,14 +183,12 @@ let mirror_thermo t =
 (* Free-slip walls: the velocity component normal to each wall is zero on
    the boundary node line itself (the mirror alone leaves it free, and
    momentum advection would otherwise push mass through the wall). *)
-let zero_kernel args = args.(0).(0) <- 0.0
-
 let wall_velocities t =
   let zero name dat range =
-    Ops.par_loop t.ctx ~name ~info:Kernels.reset_field_info ~handle:(handle t name)
+    Ops.par_loop_acc t.ctx ~name ~info:Kernels.reset_field_info ~handle:(handle t name)
       t.grid range
       [ Ops.arg_dat dat s_pt Access.Write ]
-      zero_kernel
+      Kernels.zero_acc
   in
   zero "wall_xvel_w" t.xvel1 { xlo = 0; xhi = 1; ylo = 0; yhi = t.ny + 1 };
   zero "wall_xvel_e" t.xvel1 { xlo = t.nx; xhi = t.nx + 1; ylo = 0; yhi = t.ny + 1 };
@@ -205,7 +203,7 @@ let mirror_velocities t =
 let ideal_gas t ~predict =
   let density = if predict then t.density1 else t.density0 in
   let energy = if predict then t.energy1 else t.energy0 in
-  Ops.par_loop t.ctx ~name:"ideal_gas" ~info:Kernels.ideal_gas_info
+  Ops.par_loop_acc t.ctx ~name:"ideal_gas" ~info:Kernels.ideal_gas_info
     ~handle:(handle t (if predict then "ideal_gas_predict" else "ideal_gas"))
     t.grid (cells t)
     [
@@ -214,13 +212,13 @@ let ideal_gas t ~predict =
       Ops.arg_dat t.pressure s_pt Access.Write;
       Ops.arg_dat t.soundspeed s_pt Access.Write;
     ]
-    Kernels.ideal_gas;
+    Kernels.ideal_gas_acc;
   Ops.mirror_halo t.ctx t.pressure;
   Ops.mirror_halo t.ctx t.soundspeed
 
 let viscosity_step t =
   let dims = t.dims_buf in
-  Ops.par_loop t.ctx ~name:"viscosity" ~info:Kernels.viscosity_info
+  Ops.par_loop_acc t.ctx ~name:"viscosity" ~info:Kernels.viscosity_info
     ~handle:(handle t "viscosity") t.grid (cells t)
     [
       Ops.arg_dat t.xvel0 s_quad_up Access.Read;
@@ -229,14 +227,14 @@ let viscosity_step t =
       Ops.arg_dat t.viscosity s_pt Access.Write;
       Ops.arg_gbl ~name:"celldims" dims Access.Read;
     ]
-    Kernels.viscosity;
+    Kernels.viscosity_acc;
   Ops.mirror_halo t.ctx t.viscosity
 
 let timestep t =
   let dims = t.dims_buf in
   let dt_min = t.dt_min_buf in
   dt_min.(0) <- 0.04 (* g_big clamp: the initial/maximum dt *);
-  Ops.par_loop t.ctx ~name:"calc_dt" ~info:Kernels.calc_dt_info
+  Ops.par_loop_acc t.ctx ~name:"calc_dt" ~info:Kernels.calc_dt_info
     ~handle:(handle t "calc_dt") t.grid (cells t)
     [
       Ops.arg_dat t.soundspeed s_pt Access.Read;
@@ -247,7 +245,7 @@ let timestep t =
       Ops.arg_gbl ~name:"celldims" dims Access.Read;
       Ops.arg_gbl ~name:"dt" dt_min Access.Min;
     ]
-    Kernels.calc_dt;
+    Kernels.calc_dt_acc;
   t.dt <- dt_min.(0)
 
 (* Refill the shared consts buffer in place (loops are synchronous, so the
@@ -266,7 +264,7 @@ let pdv t ~predict =
   let yv1 = if predict then t.yvel0 else t.yvel1 in
   let dt_eff = if predict then 0.5 *. t.dt else t.dt in
   let name = if predict then "PdV_predict" else "PdV" in
-  Ops.par_loop t.ctx ~name ~info:Kernels.pdv_info ~handle:(handle t name) t.grid
+  Ops.par_loop_acc t.ctx ~name ~info:Kernels.pdv_info ~handle:(handle t name) t.grid
     (cells t)
     [
       Ops.arg_dat t.xvel0 s_quad_up Access.Read;
@@ -281,11 +279,11 @@ let pdv t ~predict =
       Ops.arg_dat t.energy1 s_pt Access.Write;
       Ops.arg_gbl ~name:"consts" (consts t ~dt:dt_eff) Access.Read;
     ]
-    Kernels.pdv;
+    Kernels.pdv_acc;
   mirror_thermo t
 
 let accelerate t =
-  Ops.par_loop t.ctx ~name:"accelerate" ~info:Kernels.accelerate_info
+  Ops.par_loop_acc t.ctx ~name:"accelerate" ~info:Kernels.accelerate_info
     ~handle:(handle t "accelerate") t.grid (nodes t)
     [
       Ops.arg_dat t.density0 s_quad_down Access.Read;
@@ -297,12 +295,12 @@ let accelerate t =
       Ops.arg_dat t.yvel1 s_pt Access.Write;
       Ops.arg_gbl ~name:"consts" (consts t ~dt:t.dt) Access.Read;
     ]
-    Kernels.accelerate;
+    Kernels.accelerate_acc;
   mirror_velocities t
 
 let flux_calc t =
   let c = consts t ~dt:t.dt in
-  Ops.par_loop t.ctx ~name:"flux_calc_x" ~info:Kernels.flux_calc_info
+  Ops.par_loop_acc t.ctx ~name:"flux_calc_x" ~info:Kernels.flux_calc_info
     ~handle:(handle t "flux_calc_x") t.grid (xfaces t)
     [
       Ops.arg_dat t.xvel0 s_p1y Access.Read;
@@ -310,8 +308,8 @@ let flux_calc t =
       Ops.arg_dat t.vol_flux_x s_pt Access.Write;
       Ops.arg_gbl ~name:"consts" c Access.Read;
     ]
-    Kernels.flux_calc_x;
-  Ops.par_loop t.ctx ~name:"flux_calc_y" ~info:Kernels.flux_calc_info
+    Kernels.flux_calc_x_acc;
+  Ops.par_loop_acc t.ctx ~name:"flux_calc_y" ~info:Kernels.flux_calc_info
     ~handle:(handle t "flux_calc_y") t.grid (yfaces t)
     [
       Ops.arg_dat t.yvel0 s_p1x Access.Read;
@@ -319,20 +317,20 @@ let flux_calc t =
       Ops.arg_dat t.vol_flux_y s_pt Access.Write;
       Ops.arg_gbl ~name:"consts" c Access.Read;
     ]
-    Kernels.flux_calc_y
+    Kernels.flux_calc_y_acc
 
 let advec_cell_sweep t ~dir =
   let vols = t.vols_buf in
   let vol_kernel, vol_name =
     match dir with
-    | `X -> (Kernels.advec_vol_x, "advec_vol_x")
-    | `Y -> (Kernels.advec_vol_y, "advec_vol_y")
+    | `X -> (Kernels.advec_vol_x_acc, "advec_vol_x")
+    | `Y -> (Kernels.advec_vol_y_acc, "advec_vol_y")
   in
   (* Extended range: the van Leer fluxes read donor pre-volumes from ghost
      cells (ghost volume fluxes are zero, so ghost pre_vol = volume).
      Both sweep directions pass the same argument list to the volume loop,
      so they share one executor handle. *)
-  Ops.par_loop t.ctx ~name:vol_name ~info:Kernels.advec_vol_info
+  Ops.par_loop_acc t.ctx ~name:vol_name ~info:Kernels.advec_vol_info
     ~handle:(handle t "advec_vol") t.grid (cells_ext t)
     [
       Ops.arg_dat t.vol_flux_x s_p1x Access.Read;
@@ -346,7 +344,7 @@ let advec_cell_sweep t ~dir =
   | `X ->
     (match t.advection with
     | First_order ->
-      Ops.par_loop t.ctx ~name:"advec_flux_x" ~info:Kernels.advec_flux_info
+      Ops.par_loop_acc t.ctx ~name:"advec_flux_x" ~info:Kernels.advec_flux_info
         ~handle:(handle t "advec_flux_x") t.grid (xfaces t)
         [
           Ops.arg_dat t.vol_flux_x s_pt Access.Read;
@@ -355,9 +353,9 @@ let advec_cell_sweep t ~dir =
           Ops.arg_dat t.mass_flux_x s_pt Access.Write;
           Ops.arg_dat t.ener_flux_x s_pt Access.Write;
         ]
-        Kernels.advec_flux_x
+        Kernels.advec_flux_acc
     | Van_leer ->
-      Ops.par_loop t.ctx ~name:"advec_flux_x_vl" ~info:Kernels.advec_flux_vanleer_info
+      Ops.par_loop_acc t.ctx ~name:"advec_flux_x_vl" ~info:Kernels.advec_flux_vanleer_info
         ~handle:(handle t "advec_flux_x_vl") t.grid (xfaces t)
         [
           Ops.arg_dat t.vol_flux_x s_pt Access.Read;
@@ -367,8 +365,8 @@ let advec_cell_sweep t ~dir =
           Ops.arg_dat t.mass_flux_x s_pt Access.Write;
           Ops.arg_dat t.ener_flux_x s_pt Access.Write;
         ]
-        Kernels.advec_flux_vanleer);
-    Ops.par_loop t.ctx ~name:"advec_cell_x" ~info:Kernels.advec_cell_info
+        Kernels.advec_flux_vanleer_acc);
+    Ops.par_loop_acc t.ctx ~name:"advec_cell_x" ~info:Kernels.advec_cell_info
       ~handle:(handle t "advec_cell_x") t.grid (cells t)
       [
         Ops.arg_dat t.mass_flux_x s_p1x Access.Read;
@@ -378,11 +376,11 @@ let advec_cell_sweep t ~dir =
         Ops.arg_dat t.density1 s_pt Access.Rw;
         Ops.arg_dat t.energy1 s_pt Access.Rw;
       ]
-      Kernels.advec_cell
+      Kernels.advec_cell_acc
   | `Y ->
     (match t.advection with
     | First_order ->
-      Ops.par_loop t.ctx ~name:"advec_flux_y" ~info:Kernels.advec_flux_info
+      Ops.par_loop_acc t.ctx ~name:"advec_flux_y" ~info:Kernels.advec_flux_info
         ~handle:(handle t "advec_flux_y") t.grid (yfaces t)
         [
           Ops.arg_dat t.vol_flux_y s_pt Access.Read;
@@ -391,9 +389,9 @@ let advec_cell_sweep t ~dir =
           Ops.arg_dat t.mass_flux_y s_pt Access.Write;
           Ops.arg_dat t.ener_flux_y s_pt Access.Write;
         ]
-        Kernels.advec_flux_y
+        Kernels.advec_flux_acc
     | Van_leer ->
-      Ops.par_loop t.ctx ~name:"advec_flux_y_vl" ~info:Kernels.advec_flux_vanleer_info
+      Ops.par_loop_acc t.ctx ~name:"advec_flux_y_vl" ~info:Kernels.advec_flux_vanleer_info
         ~handle:(handle t "advec_flux_y_vl") t.grid (yfaces t)
         [
           Ops.arg_dat t.vol_flux_y s_pt Access.Read;
@@ -403,8 +401,8 @@ let advec_cell_sweep t ~dir =
           Ops.arg_dat t.mass_flux_y s_pt Access.Write;
           Ops.arg_dat t.ener_flux_y s_pt Access.Write;
         ]
-        Kernels.advec_flux_vanleer);
-    Ops.par_loop t.ctx ~name:"advec_cell_y" ~info:Kernels.advec_cell_info
+        Kernels.advec_flux_vanleer_acc);
+    Ops.par_loop_acc t.ctx ~name:"advec_cell_y" ~info:Kernels.advec_cell_info
       ~handle:(handle t "advec_cell_y") t.grid (cells t)
       [
         Ops.arg_dat t.mass_flux_y s_p1y Access.Read;
@@ -414,7 +412,7 @@ let advec_cell_sweep t ~dir =
         Ops.arg_dat t.density1 s_pt Access.Rw;
         Ops.arg_dat t.energy1 s_pt Access.Rw;
       ]
-      Kernels.advec_cell);
+      Kernels.advec_cell_acc);
   mirror_thermo t
 
 let advec_mom_sweep t ~dir =
@@ -423,30 +421,30 @@ let advec_mom_sweep t ~dir =
   (* Stage 1: plane mass fluxes at nodes. *)
   (match dir with
   | `X ->
-    Ops.par_loop t.ctx ~name:"mom_node_flux_x" ~info:Kernels.advec_mom_info
+    Ops.par_loop_acc t.ctx ~name:"mom_node_flux_x" ~info:Kernels.advec_mom_info
       ~handle:(handle t "mom_node_flux_x") t.grid (nodes t)
       [
         Ops.arg_dat t.mass_flux_x s_m1y Access.Read;
         Ops.arg_dat t.node_flux s_pt Access.Write;
       ]
-      Kernels.mom_node_flux
+      Kernels.mom_node_flux_acc
   | `Y ->
-    Ops.par_loop t.ctx ~name:"mom_node_flux_y" ~info:Kernels.advec_mom_info
+    Ops.par_loop_acc t.ctx ~name:"mom_node_flux_y" ~info:Kernels.advec_mom_info
       ~handle:(handle t "mom_node_flux_y") t.grid (nodes t)
       [
         Ops.arg_dat t.mass_flux_y s_m1x Access.Read;
         Ops.arg_dat t.node_flux s_pt Access.Write;
       ]
-      Kernels.mom_node_flux);
+      Kernels.mom_node_flux_acc);
   (* Stage 2: post-advection nodal mass. *)
-  Ops.par_loop t.ctx ~name:"mom_node_mass" ~info:Kernels.advec_mom_info
+  Ops.par_loop_acc t.ctx ~name:"mom_node_mass" ~info:Kernels.advec_mom_info
     ~handle:(handle t "mom_node_mass") t.grid (nodes t)
     [
       Ops.arg_dat t.density1 s_quad_down Access.Read;
       Ops.arg_dat t.node_mass_post s_pt Access.Write;
       Ops.arg_gbl ~name:"volume" vols Access.Read;
     ]
-    Kernels.mom_node_mass;
+    Kernels.mom_node_mass_acc;
   (* Stages 3-4 for each velocity component; each (direction, component)
      pair is its own argument signature, hence its own handle. *)
   let vel_stencil, flux_stencil =
@@ -455,15 +453,15 @@ let advec_mom_sweep t ~dir =
   List.iter
     (fun (vel_tag, vel) ->
       let site suffix = Printf.sprintf "%s_%s_%s" suffix dir_tag vel_tag in
-      Ops.par_loop t.ctx ~name:"mom_flux" ~info:Kernels.advec_mom_info
+      Ops.par_loop_acc t.ctx ~name:"mom_flux" ~info:Kernels.advec_mom_info
         ~handle:(handle t (site "mom_flux")) t.grid (nodes t)
         [
           Ops.arg_dat t.node_flux s_pt Access.Read;
           Ops.arg_dat vel vel_stencil Access.Read;
           Ops.arg_dat t.mom_flux s_pt Access.Write;
         ]
-        Kernels.mom_flux;
-      Ops.par_loop t.ctx ~name:"mom_vel" ~info:Kernels.advec_mom_info
+        Kernels.mom_flux_acc;
+      Ops.par_loop_acc t.ctx ~name:"mom_vel" ~info:Kernels.advec_mom_info
         ~handle:(handle t (site "mom_vel")) t.grid (nodes t)
         [
           Ops.arg_dat t.node_flux flux_stencil Access.Read;
@@ -471,16 +469,16 @@ let advec_mom_sweep t ~dir =
           Ops.arg_dat t.node_mass_post s_pt Access.Read;
           Ops.arg_dat vel s_pt Access.Rw;
         ]
-        Kernels.mom_vel)
+        Kernels.mom_vel_acc)
     [ ("xv", t.xvel1); ("yv", t.yvel1) ];
   mirror_velocities t
 
 let reset_field t =
   let copy name src dst range =
-    Ops.par_loop t.ctx ~name ~info:Kernels.reset_field_info ~handle:(handle t name)
+    Ops.par_loop_acc t.ctx ~name ~info:Kernels.reset_field_info ~handle:(handle t name)
       t.grid range
       [ Ops.arg_dat src s_pt Access.Read; Ops.arg_dat dst s_pt Access.Write ]
-      Kernels.reset_field
+      Kernels.reset_field_acc
   in
   copy "reset_density" t.density1 t.density0 (cells_ext t);
   copy "reset_energy" t.energy1 t.energy0 (cells_ext t);
@@ -511,7 +509,7 @@ let field_summary t =
   let vols = t.vols_buf in
   let sums = t.sums_buf in
   Array.fill sums 0 5 0.0;
-  Ops.par_loop t.ctx ~name:"field_summary" ~info:Kernels.field_summary_info
+  Ops.par_loop_acc t.ctx ~name:"field_summary" ~info:Kernels.field_summary_info
     ~handle:(handle t "field_summary") t.grid (cells t)
     [
       Ops.arg_dat t.density0 s_pt Access.Read;
@@ -522,7 +520,7 @@ let field_summary t =
       Ops.arg_gbl ~name:"volume" vols Access.Read;
       Ops.arg_gbl ~name:"sums" sums Access.Inc;
     ]
-    Kernels.field_summary;
+    Kernels.field_summary_acc;
   { vol = sums.(0); mass = sums.(1); ie = sums.(2); ke = sums.(3); press = sums.(4) }
 
 let run t ~steps =

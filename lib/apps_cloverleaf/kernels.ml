@@ -8,20 +8,38 @@
    upwind donor cell), which keeps the scheme robust and preserves the
    loop/stencil structure the paper's evaluation depends on.
 
-   Kernels receive staging buffers gathered through their declared stencils
-   (point-major: buf.(p*dim + c)); the stencil orders are documented with
-   each kernel and fixed in [App].  The same functions are reused by the
-   hand-coded baseline. *)
+   Each kernel is written once, over argument accessors ([Ops.Acc]: the
+   zero-copy ABI, run with [Ops.par_loop_acc]); the stencil orders are
+   documented with each kernel and fixed in [App].  Every dataset has
+   dim 1, so [get a p] is stencil point [p] of argument [a].  The staged
+   [pdv] that [Ops.par_loop] takes is a one-line adapter over [pdv_acc].
+   The hand-coded baseline ([Hand]) re-implements the same arithmetic over
+   flat arrays, in the same operation order, and shares only [gamma] and
+   [van_leer_limited] with this module.
+
+   The kernels are hot and the library is compiled with [-opaque] and
+   without flambda, so a float that crosses a call boundary is boxed.
+   Hence the module-local [@inline] accessors, and no local closures
+   capturing floats: helpers are top-level [@inline] functions. *)
+
+module Acc = Am_core.Acc
+
+(* Stencil point [p] of a dataset argument; the (centre) point of a
+   written one; component [c] of a global. *)
+let[@inline] get (a : Acc.t) p = a.Acc.data.(a.Acc.base + a.Acc.off.(p))
+let[@inline] set (a : Acc.t) v = a.Acc.data.(a.Acc.base + a.Acc.off.(0)) <- v
+let[@inline] gbl (a : Acc.t) c = a.Acc.data.(a.Acc.base + a.Acc.off.(0) + c)
+let[@inline] set_gbl (a : Acc.t) c v = a.Acc.data.(a.Acc.base + a.Acc.off.(0) + c) <- v
 
 let gamma = 1.4
 
 (* EoS: p = (gamma-1) * rho * e, soundspeed^2 = gamma * p / rho.
    args: density(R), energy(R), pressure(W), soundspeed(W) — all centre. *)
-let ideal_gas args =
-  let density = args.(0).(0) and energy = args.(1).(0) in
+let ideal_gas_acc (a : Acc.t array) =
+  let density = get a.(0) 0 and energy = get a.(1) 0 in
   let p = (gamma -. 1.0) *. density *. energy in
-  args.(2).(0) <- p;
-  args.(3).(0) <- sqrt (gamma *. p /. density)
+  set a.(2) p;
+  set a.(3) (sqrt (gamma *. p /. density))
 
 let ideal_gas_info = { Am_core.Descr.flops = 5.0; transcendentals = 1.0 }
 
@@ -32,19 +50,19 @@ let ideal_gas_info = { Am_core.Descr.flops = 5.0; transcendentals = 1.0 }
      2 density (R, centre)
      3 viscosity (W, centre)
      4 celldims (R gbl: [dx; dy]) *)
-let viscosity args =
-  let xv = args.(0) and yv = args.(1) in
-  let density = args.(2).(0) in
-  let dx = args.(4).(0) and dy = args.(4).(1) in
+let viscosity_acc (a : Acc.t array) =
+  let xv = a.(0) and yv = a.(1) in
+  let density = get a.(2) 0 in
+  let dx = gbl a.(4) 0 and dy = gbl a.(4) 1 in
   (* Velocity divergence from the four corner nodes. *)
-  let ugrad = 0.5 *. ((xv.(1) +. xv.(3)) -. (xv.(0) +. xv.(2))) /. dx in
-  let vgrad = 0.5 *. ((yv.(2) +. yv.(3)) -. (yv.(0) +. yv.(1))) /. dy in
+  let ugrad = 0.5 *. ((get xv 1 +. get xv 3) -. (get xv 0 +. get xv 2)) /. dx in
+  let vgrad = 0.5 *. ((get yv 2 +. get yv 3) -. (get yv 0 +. get yv 1)) /. dy in
   let div = ugrad +. vgrad in
   if div < 0.0 then begin
     let length = Float.min dx dy in
-    args.(3).(0) <- 2.0 *. density *. (div *. length) *. (div *. length)
+    set a.(3) (2.0 *. density *. (div *. length) *. (div *. length))
   end
-  else args.(3).(0) <- 0.0
+  else set a.(3) 0.0
 
 let viscosity_info = { Am_core.Descr.flops = 14.0; transcendentals = 0.0 }
 
@@ -56,18 +74,18 @@ let viscosity_info = { Am_core.Descr.flops = 14.0; transcendentals = 0.0 }
      3 xvel0 quad, 4 yvel0 quad
      5 celldims (R gbl)
      6 dt_min (Min gbl) *)
-let calc_dt args =
-  let ss = args.(0).(0) and visc = args.(1).(0) and density = args.(2).(0) in
-  let xv = args.(3) and yv = args.(4) in
-  let dx = args.(5).(0) and dy = args.(5).(1) in
-  let u = 0.25 *. (xv.(0) +. xv.(1) +. xv.(2) +. xv.(3)) in
-  let v = 0.25 *. (yv.(0) +. yv.(1) +. yv.(2) +. yv.(3)) in
+let calc_dt_acc (a : Acc.t array) =
+  let ss = get a.(0) 0 and visc = get a.(1) 0 and density = get a.(2) 0 in
+  let xv = a.(3) and yv = a.(4) in
+  let dx = gbl a.(5) 0 and dy = gbl a.(5) 1 in
+  let u = 0.25 *. (get xv 0 +. get xv 1 +. get xv 2 +. get xv 3) in
+  let v = 0.25 *. (get yv 0 +. get yv 1 +. get yv 2 +. get yv 3) in
   (* Effective signal speed includes the viscous pressure. *)
   let ss_eff = sqrt ((ss *. ss) +. (2.0 *. visc /. density)) in
   let dtx = dx /. (ss_eff +. Float.abs u) in
   let dty = dy /. (ss_eff +. Float.abs v) in
   let dt = 0.5 *. Float.min dtx dty in
-  args.(6).(0) <- Float.min args.(6).(0) dt
+  set_gbl a.(6) 0 (Float.min (gbl a.(6) 0) dt)
 
 let calc_dt_info = { Am_core.Descr.flops = 18.0; transcendentals = 1.0 }
 
@@ -83,25 +101,37 @@ let calc_dt_info = { Am_core.Descr.flops = 18.0; transcendentals = 1.0 }
      4 density0 (R), 5 energy0 (R), 6 pressure (R), 7 viscosity (R)
      8 density1 (W), 9 energy1 (W)
      10 consts (R gbl: [dx; dy; dt_effective; volume]) *)
-let pdv args =
-  let xv0 = args.(0) and yv0 = args.(1) and xv1 = args.(2) and yv1 = args.(3) in
-  let density0 = args.(4).(0) and energy0 = args.(5).(0) in
-  let pressure = args.(6).(0) and visc = args.(7).(0) in
-  let dx = args.(10).(0) and dy = args.(10).(1) in
-  let dt = args.(10).(2) and volume = args.(10).(3) in
+let pdv_acc (a : Acc.t array) =
+  let xv0 = a.(0) and yv0 = a.(1) and xv1 = a.(2) and yv1 = a.(3) in
+  let density0 = get a.(4) 0 and energy0 = get a.(5) 0 in
+  let pressure = get a.(6) 0 and visc = get a.(7) 0 in
+  let consts = a.(10) in
+  let dx = gbl consts 0 and dy = gbl consts 1 in
+  let dt = gbl consts 2 and volume = gbl consts 3 in
   (* Face fluxes from time-averaged nodal velocities; xarea = dy, yarea = dx
      on a uniform grid. *)
-  let left = dy *. (0.25 *. (xv0.(0) +. xv0.(2) +. xv1.(0) +. xv1.(2))) *. dt in
-  let right = dy *. (0.25 *. (xv0.(1) +. xv0.(3) +. xv1.(1) +. xv1.(3))) *. dt in
-  let bottom = dx *. (0.25 *. (yv0.(0) +. yv0.(1) +. yv1.(0) +. yv1.(1))) *. dt in
-  let top = dx *. (0.25 *. (yv0.(2) +. yv0.(3) +. yv1.(2) +. yv1.(3))) *. dt in
+  let left = dy *. (0.25 *. (get xv0 0 +. get xv0 2 +. get xv1 0 +. get xv1 2)) *. dt in
+  let right = dy *. (0.25 *. (get xv0 1 +. get xv0 3 +. get xv1 1 +. get xv1 3)) *. dt in
+  let bottom = dx *. (0.25 *. (get yv0 0 +. get yv0 1 +. get yv1 0 +. get yv1 1)) *. dt in
+  let top = dx *. (0.25 *. (get yv0 2 +. get yv0 3 +. get yv1 2 +. get yv1 3)) *. dt in
   let total_flux = right -. left +. top -. bottom in
   let volume_change = volume /. (volume +. total_flux) in
   let energy_change = (pressure +. visc) /. density0 *. total_flux /. volume in
-  args.(9).(0) <- energy0 -. energy_change;
-  args.(8).(0) <- density0 *. volume_change
+  set a.(9) (energy0 -. energy_change);
+  set a.(8) (density0 *. volume_change)
+
+(* The staged form, for callers of [Ops.par_loop]. *)
+let pdv bufs = pdv_acc (Array.map (Acc.of_buffer ~dim:1) bufs)
 
 let pdv_info = { Am_core.Descr.flops = 30.0; transcendentals = 0.0 }
+
+(* Pressure difference across a node in x (right cells minus left) and in
+   y (upper cells minus lower), over the cell quad around the node. *)
+let[@inline] diff_x (pr : Acc.t) dy =
+  ((get pr 1 +. get pr 3) -. (get pr 0 +. get pr 2)) *. 0.5 *. dy
+
+let[@inline] diff_y (pr : Acc.t) dx =
+  ((get pr 2 +. get pr 3) -. (get pr 0 +. get pr 1)) *. 0.5 *. dx
 
 (* Nodal acceleration from pressure and viscosity gradients.
    args:
@@ -111,17 +141,15 @@ let pdv_info = { Am_core.Descr.flops = 30.0; transcendentals = 0.0 }
      3 xvel0 (R, centre), 4 yvel0 (R, centre)
      5 xvel1 (W, centre), 6 yvel1 (W, centre)
      7 consts (R gbl: [dx; dy; dt; volume]) *)
-let accelerate args =
-  let d = args.(0) and p = args.(1) and q = args.(2) in
-  let dx = args.(7).(0) and dy = args.(7).(1) in
-  let dt = args.(7).(2) and volume = args.(7).(3) in
-  let nodal_mass = 0.25 *. (d.(0) +. d.(1) +. d.(2) +. d.(3)) *. volume in
+let accelerate_acc (a : Acc.t array) =
+  let d = a.(0) and p = a.(1) and q = a.(2) in
+  let consts = a.(7) in
+  let dx = gbl consts 0 and dy = gbl consts 1 in
+  let dt = gbl consts 2 and volume = gbl consts 3 in
+  let nodal_mass = 0.25 *. (get d 0 +. get d 1 +. get d 2 +. get d 3) *. volume in
   let stepbymass = 0.5 *. dt /. nodal_mass in
-  (* Pressure difference across the node in x: right cells minus left. *)
-  let fx pr = ((pr.(1) +. pr.(3)) -. (pr.(0) +. pr.(2))) *. 0.5 *. dy in
-  let fy pr = ((pr.(2) +. pr.(3)) -. (pr.(0) +. pr.(1))) *. 0.5 *. dx in
-  args.(5).(0) <- args.(3).(0) -. (stepbymass *. (fx p +. fx q));
-  args.(6).(0) <- args.(4).(0) -. (stepbymass *. (fy p +. fy q))
+  set a.(5) (get a.(3) 0 -. (stepbymass *. (diff_x p dy +. diff_x q dy)));
+  set a.(6) (get a.(4) 0 -. (stepbymass *. (diff_y p dx +. diff_y q dx)))
 
 let accelerate_info = { Am_core.Descr.flops = 24.0; transcendentals = 0.0 }
 
@@ -131,16 +159,16 @@ let accelerate_info = { Am_core.Descr.flops = 24.0; transcendentals = 0.0 }
      1 xvel1 same
      2 vol_flux_x (W, centre)
      3 consts (R gbl: [dx; dy; dt]) *)
-let flux_calc_x args =
-  let xv0 = args.(0) and xv1 = args.(1) in
-  let dy = args.(3).(1) and dt = args.(3).(2) in
-  args.(2).(0) <- 0.25 *. dt *. dy *. (xv0.(0) +. xv0.(1) +. xv1.(0) +. xv1.(1))
+let flux_calc_x_acc (a : Acc.t array) =
+  let xv0 = a.(0) and xv1 = a.(1) in
+  let dy = gbl a.(3) 1 and dt = gbl a.(3) 2 in
+  set a.(2) (0.25 *. dt *. dy *. (get xv0 0 +. get xv0 1 +. get xv1 0 +. get xv1 1))
 
 (* args mirror flux_calc_x with yvel and [(0,0);(1,0)]. *)
-let flux_calc_y args =
-  let yv0 = args.(0) and yv1 = args.(1) in
-  let dx = args.(3).(0) and dt = args.(3).(2) in
-  args.(2).(0) <- 0.25 *. dt *. dx *. (yv0.(0) +. yv0.(1) +. yv1.(0) +. yv1.(1))
+let flux_calc_y_acc (a : Acc.t array) =
+  let yv0 = a.(0) and yv1 = a.(1) in
+  let dx = gbl a.(3) 0 and dt = gbl a.(3) 2 in
+  set a.(2) (0.25 *. dt *. dx *. (get yv0 0 +. get yv0 1 +. get yv1 0 +. get yv1 1))
 
 let flux_calc_info = { Am_core.Descr.flops = 6.0; transcendentals = 0.0 }
 
@@ -152,22 +180,22 @@ let flux_calc_info = { Am_core.Descr.flops = 6.0; transcendentals = 0.0 }
      1 vol_flux_y [(0,0);(0,1)]
      2 pre_vol (W, centre), 3 post_vol (W, centre)
      4 consts (R gbl: [volume]) *)
-let advec_vol_x args =
-  let vfx = args.(0) and vfy = args.(1) in
-  let volume = args.(4).(0) in
-  let net_x = vfx.(1) -. vfx.(0) in
-  let net_y = vfy.(1) -. vfy.(0) in
+let advec_vol_x_acc (a : Acc.t array) =
+  let vfx = a.(0) and vfy = a.(1) in
+  let volume = gbl a.(4) 0 in
+  let net_x = get vfx 1 -. get vfx 0 in
+  let net_y = get vfy 1 -. get vfy 0 in
   let pre = volume +. net_x +. net_y in
-  args.(2).(0) <- pre;
-  args.(3).(0) <- pre -. net_x
+  set a.(2) pre;
+  set a.(3) (pre -. net_x)
 
 (* y-sweep (second): only the y flux remains. *)
-let advec_vol_y args =
-  let vfy = args.(1) in
-  let volume = args.(4).(0) in
-  let net_y = vfy.(1) -. vfy.(0) in
-  args.(2).(0) <- volume +. net_y;
-  args.(3).(0) <- volume
+let advec_vol_y_acc (a : Acc.t array) =
+  let vfy = a.(1) in
+  let volume = gbl a.(4) 0 in
+  let net_y = get vfy 1 -. get vfy 0 in
+  set a.(2) (volume +. net_y);
+  set a.(3) volume
 
 let advec_vol_info = { Am_core.Descr.flops = 6.0; transcendentals = 0.0 }
 
@@ -177,17 +205,15 @@ let advec_vol_info = { Am_core.Descr.flops = 6.0; transcendentals = 0.0 }
      1 density1 [(-1,0);(0,0)] (left and right cells of the face)
      2 energy1  same
      3 mass_flux_x (W, centre)
-     4 ener_flux_x (W, centre) *)
-let advec_flux_x args =
-  let vf = args.(0).(0) in
-  let d = args.(1) and e = args.(2) in
+     4 ener_flux_x (W, centre)
+   The same kernel serves y-faces with the stencil [(0,-1);(0,0)]. *)
+let advec_flux_acc (a : Acc.t array) =
+  let vf = get a.(0) 0 in
+  let d = a.(1) and e = a.(2) in
   let donor = if vf > 0.0 then 0 else 1 in
-  let mf = vf *. d.(donor) in
-  args.(3).(0) <- mf;
-  args.(4).(0) <- mf *. e.(donor)
-
-(* Same through y-faces; density/energy stencil [(0,-1);(0,0)]. *)
-let advec_flux_y = advec_flux_x
+  let mf = vf *. get d donor in
+  set a.(3) mf;
+  set a.(4) (mf *. get e donor)
 
 let advec_flux_info = { Am_core.Descr.flops = 4.0; transcendentals = 0.0 }
 
@@ -197,15 +223,15 @@ let advec_flux_info = { Am_core.Descr.flops = 4.0; transcendentals = 0.0 }
      1 ener_flux same
      2 pre_vol (R, centre), 3 post_vol (R, centre)
      4 density1 (Rw, centre), 5 energy1 (Rw, centre) *)
-let advec_cell args =
-  let mf = args.(0) and ef = args.(1) in
-  let pre_vol = args.(2).(0) and post_vol = args.(3).(0) in
-  let density = args.(4) and energy = args.(5) in
-  let pre_mass = density.(0) *. pre_vol in
-  let post_mass = pre_mass +. mf.(0) -. mf.(1) in
-  let post_ener = ((energy.(0) *. pre_mass) +. ef.(0) -. ef.(1)) /. post_mass in
-  density.(0) <- post_mass /. post_vol;
-  energy.(0) <- post_ener
+let advec_cell_acc (a : Acc.t array) =
+  let mf = a.(0) and ef = a.(1) in
+  let pre_vol = get a.(2) 0 and post_vol = get a.(3) 0 in
+  let density = a.(4) and energy = a.(5) in
+  let pre_mass = get density 0 *. pre_vol in
+  let post_mass = pre_mass +. get mf 0 -. get mf 1 in
+  let post_ener = ((get energy 0 *. pre_mass) +. get ef 0 -. get ef 1) /. post_mass in
+  set density (post_mass /. post_vol);
+  set energy post_ener
 
 let advec_cell_info = { Am_core.Descr.flops = 10.0; transcendentals = 0.0 }
 
@@ -214,28 +240,26 @@ let advec_cell_info = { Am_core.Descr.flops = 10.0; transcendentals = 0.0 }
    args:
      0 mass_flux_x [(0,-1);(0,0)] (the two face fluxes beside the node)
      1 node_flux (W, centre on nodes) *)
-let mom_node_flux args =
-  args.(1).(0) <- 0.5 *. (args.(0).(0) +. args.(0).(1))
+let mom_node_flux_acc (a : Acc.t array) = set a.(1) (0.5 *. (get a.(0) 0 +. get a.(0) 1))
 
 (* Stage 2: post-advection nodal mass.
    args:
      0 density1 cell quad around node [(-1,-1);(0,-1);(-1,0);(0,0)]
      1 node_mass_post (W, centre)
      2 consts (R gbl: [volume]) *)
-let mom_node_mass args =
-  let d = args.(0) in
-  args.(1).(0) <- 0.25 *. (d.(0) +. d.(1) +. d.(2) +. d.(3)) *. args.(2).(0)
+let mom_node_mass_acc (a : Acc.t array) =
+  let d = a.(0) in
+  set a.(1) (0.25 *. (get d 0 +. get d 1 +. get d 2 +. get d 3) *. gbl a.(2) 0)
 
 (* Stage 3: upwinded momentum flux through the node CV's left face.
    args:
      0 node_flux (R, centre)
      1 vel [(-1,0);(0,0)] (x) or [(0,-1);(0,0)] (y)
      2 mom_flux (W, centre) *)
-let mom_flux args =
-  let f = args.(0).(0) in
-  let v = args.(1) in
+let mom_flux_acc (a : Acc.t array) =
+  let f = get a.(0) 0 in
   let upwind = if f > 0.0 then 0 else 1 in
-  args.(2).(0) <- f *. v.(upwind)
+  set a.(2) (f *. get a.(1) upwind)
 
 (* Stage 4: velocity update.
    args:
@@ -243,20 +267,23 @@ let mom_flux args =
      1 mom_flux same
      2 node_mass_post (R, centre)
      3 vel (Rw, centre) *)
-let mom_vel args =
-  let nf = args.(0) and mf = args.(1) in
-  let mass_post = args.(2).(0) in
-  let vel = args.(3) in
+let mom_vel_acc (a : Acc.t array) =
+  let nf = a.(0) and mf = a.(1) in
+  let mass_post = get a.(2) 0 in
+  let vel = a.(3) in
   (* Mass before this sweep's advection: post + net outflow. *)
-  let mass_pre = mass_post +. nf.(1) -. nf.(0) in
-  vel.(0) <- ((vel.(0) *. mass_pre) +. mf.(0) -. mf.(1)) /. mass_post
+  let mass_pre = mass_post +. get nf 1 -. get nf 0 in
+  set vel (((get vel 0 *. mass_pre) +. get mf 0 -. get mf 1) /. mass_post)
 
 let advec_mom_info = { Am_core.Descr.flops = 8.0; transcendentals = 0.0 }
 
 (* reset_field: copy the time levels back. args: src (R), dst (W). *)
-let reset_field args = args.(1).(0) <- args.(0).(0)
+let reset_field_acc (a : Acc.t array) = set a.(1) (get a.(0) 0)
 
 let reset_field_info = { Am_core.Descr.flops = 0.0; transcendentals = 0.0 }
+
+(* Wall zeroing of a velocity component. args: vel (W). *)
+let zero_acc (a : Acc.t array) = set a.(0) 0.0
 
 (* field_summary reductions.
    args:
@@ -264,24 +291,24 @@ let reset_field_info = { Am_core.Descr.flops = 0.0; transcendentals = 0.0 }
      3 xvel0 quad (nodes around cell), 4 yvel0 quad
      5 consts (R gbl: [volume])
      6 sums (Inc gbl: [vol; mass; internal energy; kinetic energy; pressure]) *)
-let field_summary args =
-  let density = args.(0).(0) and energy = args.(1).(0) and pressure = args.(2).(0) in
-  let xv = args.(3) and yv = args.(4) in
-  let volume = args.(5).(0) in
-  let sums = args.(6) in
+let field_summary_acc (a : Acc.t array) =
+  let density = get a.(0) 0 and energy = get a.(1) 0 and pressure = get a.(2) 0 in
+  let xv = a.(3) and yv = a.(4) in
+  let volume = gbl a.(5) 0 in
+  let sums = a.(6) in
   let vsqrd =
     0.25
-    *. (((xv.(0) *. xv.(0)) +. (xv.(1) *. xv.(1)) +. (xv.(2) *. xv.(2))
-         +. (xv.(3) *. xv.(3)))
-        +. ((yv.(0) *. yv.(0)) +. (yv.(1) *. yv.(1)) +. (yv.(2) *. yv.(2))
-            +. (yv.(3) *. yv.(3))))
+    *. (((get xv 0 *. get xv 0) +. (get xv 1 *. get xv 1) +. (get xv 2 *. get xv 2)
+         +. (get xv 3 *. get xv 3))
+        +. ((get yv 0 *. get yv 0) +. (get yv 1 *. get yv 1) +. (get yv 2 *. get yv 2)
+            +. (get yv 3 *. get yv 3)))
   in
   let cell_mass = density *. volume in
-  sums.(0) <- sums.(0) +. volume;
-  sums.(1) <- sums.(1) +. cell_mass;
-  sums.(2) <- sums.(2) +. (cell_mass *. energy);
-  sums.(3) <- sums.(3) +. (0.5 *. cell_mass *. vsqrd);
-  sums.(4) <- sums.(4) +. (volume *. pressure)
+  set_gbl sums 0 (gbl sums 0 +. volume);
+  set_gbl sums 1 (gbl sums 1 +. cell_mass);
+  set_gbl sums 2 (gbl sums 2 +. (cell_mass *. energy));
+  set_gbl sums 3 (gbl sums 3 +. (0.5 *. cell_mass *. vsqrd));
+  set_gbl sums 4 (gbl sums 4 +. (volume *. pressure))
 
 let field_summary_info = { Am_core.Descr.flops = 26.0; transcendentals = 0.0 }
 
@@ -292,7 +319,7 @@ let field_summary_info = { Am_core.Descr.flops = 26.0; transcendentals = 0.0 }
    the limiter dropped.  Both are selectable in [App] (the ablation harness
    compares them). Uniform grid: the vertex-spacing ratios of the original
    reduce to 1. *)
-let van_leer_limited ~sigma ~upwind ~donor ~downwind =
+let[@inline] van_leer_limited ~sigma ~upwind ~donor ~downwind =
   let diffuw = donor -. upwind in
   let diffdw = downwind -. donor in
   if diffuw *. diffdw > 0.0 then begin
@@ -315,23 +342,27 @@ let van_leer_limited ~sigma ~upwind ~donor ~downwind =
      3 pre_vol  [(-1,0);(0,0)] (donor candidates)
      4 mass_flux_x (W), 5 ener_flux_x (W)
    The same function serves the y direction with the stencils rotated. *)
-let advec_flux_vanleer args =
-  let vf = args.(0).(0) in
-  let d = args.(1) and e = args.(2) and pv = args.(3) in
-  (* Buffer points: 0 = -2, 1 = -1, 2 = 0, 3 = +1 (in the sweep axis). *)
-  let upw, don, dnw, pre_don =
-    if vf > 0.0 then (0, 1, 2, pv.(0)) else (3, 2, 1, pv.(1))
-  in
+let advec_flux_vanleer_acc (a : Acc.t array) =
+  let vf = get a.(0) 0 in
+  let d = a.(1) and e = a.(2) in
+  (* Stencil points: 0 = -2, 1 = -1, 2 = 0, 3 = +1 (in the sweep axis). *)
+  let positive = vf > 0.0 in
+  let upw = if positive then 0 else 3 in
+  let don = if positive then 1 else 2 in
+  let dnw = if positive then 2 else 1 in
+  let pre_don = get a.(3) (if positive then 0 else 1) in
   let sigmat = Float.abs vf /. pre_don in
   let lim_d =
-    van_leer_limited ~sigma:sigmat ~upwind:d.(upw) ~donor:d.(don) ~downwind:d.(dnw)
+    van_leer_limited ~sigma:sigmat ~upwind:(get d upw) ~donor:(get d don)
+      ~downwind:(get d dnw)
   in
-  let mf = vf *. (d.(don) +. lim_d) in
-  args.(4).(0) <- mf;
-  let sigmam = Float.abs mf /. (d.(don) *. pre_don) in
+  let mf = vf *. (get d don +. lim_d) in
+  set a.(4) mf;
+  let sigmam = Float.abs mf /. (get d don *. pre_don) in
   let lim_e =
-    van_leer_limited ~sigma:sigmam ~upwind:e.(upw) ~donor:e.(don) ~downwind:e.(dnw)
+    van_leer_limited ~sigma:sigmam ~upwind:(get e upw) ~donor:(get e don)
+      ~downwind:(get e dnw)
   in
-  args.(5).(0) <- mf *. (e.(don) +. lim_e)
+  set a.(5) (mf *. (get e don +. lim_e))
 
 let advec_flux_vanleer_info = { Am_core.Descr.flops = 34.0; transcendentals = 0.0 }

@@ -1,0 +1,43 @@
+(* Argument accessors: the zero-copy kernel ABI of both libraries (the
+   paper's Fig 7 OP_ACC).
+
+   An accessor is one kernel argument seen as a window into a float array:
+   component [c] of stencil point [p] is [data.(base + off.(p) + c)].  The
+   executors bind an accessor once per loop and then only move [base] per
+   iteration — for OP2 to [e * dim] (direct) or [map value * dim]
+   (indirect), for OPS to the iteration point's flat index in the padded
+   dataset — so the kernel reads and writes the dataset in place.  [off]
+   holds one flat delta per declared stencil point: OP2 arguments are the
+   single-point case [off = [|0|]], an OPS argument's deltas are its
+   stencil offsets scaled by the dataset's row and column strides.
+
+   Staged addressing is the same ABI over a staging buffer with [base = 0]
+   and point-major deltas [off.(p) = p * dim].  For a canary-padded buffer
+   (the Check backend, footprint probing) the table covers every whole
+   point the buffer holds, so a read of an undeclared stencil point or of
+   a component past [dim] lands in the pad, where it is observed, instead
+   of raising an index error on the table.
+
+   Indexing is the ordinary bounds-checked array access.  There are
+   deliberately no [get]/[set] functions here: libraries are compiled with
+   [-opaque] in the dev profile and flambda is off, so a call into this
+   module would never be inlined and would box every float it passes or
+   returns.  Kernel modules define their own [@inline] accessors, as
+   [Am_airfoil.Kernels] and [Am_cloverleaf.Kernels] do. *)
+
+type t = { data : float array; mutable base : int; off : int array }
+
+(* Shared by every single-point accessor; never written. *)
+let single = [| 0 |]
+
+(* A base-0 single-point accessor over a buffer. *)
+let of_array data = { data; base = 0; off = single }
+
+(* A base-0 accessor over a point-major buffer of [dim]-component points:
+   one delta per whole point the buffer holds. *)
+let of_buffer ~dim data =
+  { data; base = 0; off = Array.init (Array.length data / dim) (fun p -> p * dim) }
+
+(* The staged form of a single-point accessor kernel (OP2): it runs over
+   base-0 accessors on the staging buffers it is handed. *)
+let staged kernel bufs = kernel (Array.map of_array bufs)

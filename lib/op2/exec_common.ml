@@ -37,6 +37,7 @@
    arrays and map tables. *)
 
 module Access = Am_core.Access
+module Acc = Am_core.Acc
 open Types
 
 type kernel = Staged of (float array array -> unit) | Accessor of (Acc.t array -> unit)

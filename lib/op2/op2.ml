@@ -34,7 +34,7 @@ type dat = Types.dat
 type arg = Types.arg
 type layout = Types.layout = Aos | Soa
 
-module Acc = Acc
+module Acc = Am_core.Acc
 
 type backend =
   | Seq

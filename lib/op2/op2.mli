@@ -53,14 +53,17 @@ type map_t = Types.map_t
 type dat = Types.dat
 type arg = Types.arg
 
-(** Kernel argument accessors (see the kernel ABI above).  Kernel modules
-    define their own [[@inline]] component accessors,
+(** Kernel argument accessors (see the kernel ABI above), the accessor type
+    OP2 shares with OPS ({!Am_core.Acc}).  An OP2 argument is a single
+    point: [off] is [[|0|]], and component [i] is
+    [a.data.(a.base + i)].  Kernel modules define their own [[@inline]]
+    component accessors,
     [let[@inline] get (a : Acc.t) i = a.Acc.data.(a.Acc.base + i)]: a call
     into another module is not inlined under [-opaque] and boxes floats. *)
 module Acc : sig
-  type t = Acc.t = { data : float array; mutable base : int }
+  type t = Am_core.Acc.t = { data : float array; mutable base : int; off : int array }
 
-  (** A base-0 accessor over a buffer. *)
+  (** A base-0 single-point accessor over a buffer. *)
   val of_array : float array -> t
 
   (** The staged form of an accessor kernel. *)

@@ -20,44 +20,55 @@ let mirror_low centering k = match centering with Cell -> k - 1 | Node -> k
 let mirror_high centering size k =
   match centering with Cell -> size - k | Node -> size - 1 - k
 
-(* Apply on a raw accessor so the distributed backend can reuse the logic on
-   rank-local windows. [rows] restricts the y range handled (global row
-   numbering, half-open). *)
-let apply_via ~get ~set ~(dat : dat) ~depth ~sign_x ~sign_y ~center_x ~center_y
+(* Mirror the ghost ring of [dat] as stored behind the affine view [v] —
+   the dataset's own padded array, or a distributed rank's row window —
+   over the owned rows [row_lo, row_hi) (global numbering, half-open).
+   Plain index arithmetic on the view's array: no closure and no boxed
+   float per ghost value. *)
+let apply (v : Exec.view) ~(dat : dat) ~depth ~sign_x ~sign_y ~center_x ~center_y
     ~row_lo ~row_hi =
   if depth > dat.halo then invalid_arg "Boundary.mirror: depth exceeds ghost ring";
+  let { Exec.vdata; vbase; vrow; vcol } = v in
+  let dim = dat.dim in
   (* Vertical (y) mirrors: global ghost rows, owned by edge ranks. *)
   for k = 1 to depth do
-    let pairs =
-      [ (-k, mirror_low center_y k); (dat.ysize - 1 + k, mirror_high center_y dat.ysize k) ]
-    in
-    List.iter
-      (fun (ghost_y, src_y) ->
-        if ghost_y >= row_lo && ghost_y < row_hi then
-          for x = 0 to dat.xsize - 1 do
-            for c = 0 to dat.dim - 1 do
-              set x ghost_y c (sign_y *. get x src_y c)
-            done
-          done)
-      pairs
+    let ghost = -k and src = mirror_low center_y k in
+    if ghost >= row_lo && ghost < row_hi then begin
+      let g = vbase + (ghost * vrow) and s = vbase + (src * vrow) in
+      for x = 0 to dat.xsize - 1 do
+        for c = 0 to dim - 1 do
+          vdata.(g + (x * vcol) + c) <- sign_y *. vdata.(s + (x * vcol) + c)
+        done
+      done
+    end;
+    let ghost = dat.ysize - 1 + k and src = mirror_high center_y dat.ysize k in
+    if ghost >= row_lo && ghost < row_hi then begin
+      let g = vbase + (ghost * vrow) and s = vbase + (src * vrow) in
+      for x = 0 to dat.xsize - 1 do
+        for c = 0 to dim - 1 do
+          vdata.(g + (x * vcol) + c) <- sign_y *. vdata.(s + (x * vcol) + c)
+        done
+      done
+    end
   done;
   (* Horizontal (x) mirrors on every locally stored row, ghost rows included
      so corners are consistent without communication. *)
   let y_lo = max (-dat.halo) (row_lo - dat.halo) in
   let y_hi = min (dat.ysize + dat.halo) (row_hi + dat.halo) in
   for y = y_lo to y_hi - 1 do
+    let row = vbase + (y * vrow) in
     for k = 1 to depth do
-      for c = 0 to dat.dim - 1 do
-        set (-k) y c (sign_x *. get (mirror_low center_x k) y c);
-        set (dat.xsize - 1 + k) y c (sign_x *. get (mirror_high center_x dat.xsize k) y c)
+      let lo_g = row - (k * vcol) and lo_s = row + (mirror_low center_x k * vcol) in
+      let hi_g = row + ((dat.xsize - 1 + k) * vcol)
+      and hi_s = row + (mirror_high center_x dat.xsize k * vcol) in
+      for c = 0 to dim - 1 do
+        vdata.(lo_g + c) <- sign_x *. vdata.(lo_s + c);
+        vdata.(hi_g + c) <- sign_x *. vdata.(hi_s + c)
       done
     done
   done
 
 let mirror ?(depth = 2) ?(sign_x = 1.0) ?(sign_y = 1.0) ?(center_x = Cell)
     ?(center_y = Cell) dat =
-  apply_via
-    ~get:(fun x y c -> get dat ~x ~y ~c)
-    ~set:(fun x y c v -> set dat ~x ~y ~c v)
-    ~dat ~depth ~sign_x ~sign_y ~center_x ~center_y ~row_lo:(-dat.halo)
-    ~row_hi:(dat.ysize + dat.halo)
+  apply (Exec.dat_view dat) ~dat ~depth ~sign_x ~sign_y ~center_x ~center_y
+    ~row_lo:(-dat.halo) ~row_hi:(dat.ysize + dat.halo)

@@ -461,10 +461,7 @@ let mirror t dat ~depth ~sign_x ~sign_y ~center_x ~center_y =
   let dd = dat_dist t dat in
   for r = 0 to t.n_ranks - 1 do
     let w = dd.windows.(r) in
-    Boundary.apply_via
-      ~get:(fun x y c -> w.data.(window_index dat w ~x ~y ~c))
-      ~set:(fun x y c v -> w.data.(window_index dat w ~x ~y ~c) <- v)
-      ~dat ~depth ~sign_x ~sign_y ~center_x ~center_y ~row_lo:w.row_lo
-      ~row_hi:w.row_hi
+    Boundary.apply (window_view dat w) ~dat ~depth ~sign_x ~sign_y ~center_x ~center_y
+      ~row_lo:w.row_lo ~row_hi:w.row_hi
   done;
   dd.fresh_depth <- 0

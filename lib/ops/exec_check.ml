@@ -1,16 +1,18 @@
 (* 2D sanitizer executor: sequential traversal with access-descriptor guards.
 
-   Structured-mesh kernels receive one staging buffer per argument with
-   [dim] values per declared stencil point.  Under this executor every
-   buffer carries a tail of canary slots holding a distinguished NaN bit
-   pattern, [Read] buffers are snapshot and compared bitwise after the
-   kernel, [Write] buffers are poisoned with NaN instead of gathered, and
-   written buffers are rejected if any component comes back NaN.  Together
-   these catch the three descriptor lies the library's planning depends on
-   not happening: writing a [Read] argument, reading a [Write] argument's
-   previous value, and indexing a stencil point that was never declared
-   (the read lands in the canary tail and the NaN propagates into whatever
-   the kernel writes).  Violations raise {!Violation} naming the loop,
+   Every argument is staged whatever the kernel form: one staging buffer
+   per argument with [dim] values per declared stencil point, which an
+   accessor kernel sees through a base-0 accessor whose offset table also
+   covers the pad.  Under this executor every buffer carries a tail of
+   canary slots holding a distinguished NaN bit pattern, [Read] buffers
+   are snapshot and compared bitwise after the kernel, [Write] buffers are
+   poisoned with NaN instead of gathered, and written buffers are rejected
+   if any component comes back NaN.  Together these catch the three
+   descriptor lies the library's planning depends on not happening:
+   writing a [Read] argument, reading a [Write] argument's previous value,
+   and indexing a stencil point that was never declared (the read lands in
+   the canary tail and the NaN propagates into whatever the kernel
+   writes).  Violations raise {!Violation} naming the loop,
    argument, dataset and (x, y) iteration point.
 
    Clean runs produce results identical to [Exec.run_seq]. *)
@@ -227,10 +229,17 @@ let run ?(light = false) ~name ~range ~args ~kernel () =
       (function G_dat { buf; _ } -> buf | G_gbl { buf; _ } -> buf | G_idx { buf } -> buf)
       guarded
   in
+  let call =
+    match kernel with
+    | Exec.Staged k -> fun () -> k buffers
+    | Exec.Accessor k ->
+      let accs = Exec.staged_accessors args buffers in
+      fun () -> k accs
+  in
   for y = range.ylo to range.yhi - 1 do
     for x = range.xlo to range.xhi - 1 do
       Array.iteri (fun i g -> gather ~name ~arg_i:i g ~x ~y) guarded;
-      (try kernel buffers
+      (try call ()
        with Invalid_argument msg ->
          Counters.incr Obs.check_violations;
          violation

@@ -20,6 +20,7 @@
    the row-decomposed distributed runtime. *)
 
 module Access = Am_core.Access
+module Acc = Am_core.Acc
 module Descr = Am_core.Descr
 module Probe = Am_core.Probe
 module Profile = Am_core.Profile
@@ -72,7 +73,7 @@ type queued_loop = {
   q_descr : Descr.loop;
   q_range : range;
   q_args : arg list;
-  q_kernel : float array array -> unit;
+  q_kernel : Exec.kernel;
   q_handle : handle option;
   q_snapshots : (float array * float array) list; (* user buffer, copy *)
   q_foot : Probe.info option; (* observed footprint, if inference is on *)
@@ -207,7 +208,10 @@ let footprint ctx (descr : Descr.loop) args kernel =
       Some fi
     | None ->
       Am_obs.Counters.incr Am_obs.Obs.infer_misses;
-      let fp = Probe.infer ~idx:(idx_flags args) ~loop:descr ~kernel () in
+      let fp =
+        Probe.infer ~idx:(idx_flags args) ~loop:descr
+          ~kernel:(Exec.staged_view args kernel) ()
+      in
       let fi =
         { Probe.in_loop = descr; in_foot = fp; in_read_ext = observed_exts args fp }
       in
@@ -386,11 +390,11 @@ let run_queued_eager ctx q =
 
 (* Tiled execution of a maximal run of tileable loops on Seq.  Bitwise
    equality with the eager backend comes from three invariants: each
-   entry's arguments are compiled and its staging buffers made ONCE before
-   any slab runs (global accumulators persist across slabs); a loop's slabs
-   execute in ascending row order, so their concatenation is exactly the
-   eager traversal; and globals merge once per entry after the last slab,
-   in chain order. *)
+   entry's arguments are compiled and its frame made ONCE before any slab
+   runs (global accumulators persist across slabs); a loop's slabs execute
+   in ascending row order, so their concatenation is exactly the eager
+   traversal; and globals merge once per entry after the last slab, in
+   chain order. *)
 let run_segment_seq ctx entries =
   let infos = Array.map (entry_info ~tighten:ctx.tighten) entries in
   let sched = Tiling.find ~tile_size:ctx.tile_size infos in
@@ -404,7 +408,7 @@ let run_segment_seq ctx entries =
           | Some h -> resolve_compiled h q.q_args
           | None -> Exec.compile q.q_args
         in
-        (compiled, Exec.make_buffers compiled, ref 0.0))
+        (Exec.make_frame compiled q.q_kernel, ref 0.0))
       entries
   in
   let traced = Am_obs.Obs.tracing () in
@@ -418,11 +422,9 @@ let run_segment_seq ctx entries =
       Array.iter
         (fun { Tiling.s_loop; s_lo; s_hi } ->
           let q = entries.(s_loop) in
-          let compiled, buffers, secs = prepped.(s_loop) in
+          let frame, secs = prepped.(s_loop) in
           let t0 = now () in
-          Exec.run_range compiled buffers
-            ~range:{ q.q_range with ylo = s_lo; yhi = s_hi }
-            ~kernel:q.q_kernel;
+          Exec.run_range frame ~range:{ q.q_range with ylo = s_lo; yhi = s_hi };
           secs := !secs +. (now () -. t0))
         slabs;
       if traced then Am_obs.Obs.end_span ();
@@ -430,8 +432,8 @@ let run_segment_seq ctx entries =
     sched.Tiling.sched_tiles;
   Array.iteri
     (fun k q ->
-      let compiled, buffers, secs = prepped.(k) in
-      if Exec.has_globals compiled then Exec.merge_globals compiled buffers;
+      let frame, secs = prepped.(k) in
+      Exec.merge_frame frame;
       record_entry_profile ctx q ~seconds:!secs)
     entries
 
@@ -480,9 +482,9 @@ let reduces_globals compiled =
    ascending tile id — a fixed reassociation of the eager sum, identical
    across pool sizes and repeated runs, yet not bitwise the eager total.
    Min/Max globals stay exact (order-free).  Kernels run on pool domains,
-   so per-entry compilation, Read-global snapshots and staging templates
-   are captured sequentially up front; workers only deep-copy templates
-   and write datasets in rectangles the planner proved disjoint. *)
+   so per-entry compilation, Read-global snapshots and template frames
+   are captured sequentially up front; workers only copy templates and
+   write datasets in rectangles the planner proved disjoint. *)
 let run_segment_par ctx pool entries =
   let n = Array.length entries in
   let outer = Array.map (entry_info ~tighten:ctx.tighten) entries in
@@ -499,7 +501,7 @@ let run_segment_par ctx pool entries =
           | Some h -> resolve_compiled h q.q_args
           | None -> Exec.compile q.q_args
         in
-        (compiled, Exec.make_buffers compiled, reduces_globals compiled))
+        (Exec.make_frame compiled q.q_kernel, reduces_globals compiled))
       entries
   in
   (* Per-tile accumulator slots for reducing entries, indexed by tile id:
@@ -507,34 +509,30 @@ let run_segment_par ctx pool entries =
      pool joins. *)
   let acc =
     Array.map
-      (fun (_, _, reduces) -> if reduces then Array.make ntiles None else [||])
+      (fun (_, reduces) -> if reduces then Array.make ntiles None else [||])
       prepped
   in
-  let copy_buffers template = Array.map Array.copy template in
   let local () = (Array.make n None, Array.make n 0.0) in
-  let tile (wbufs, wsecs) (pt : Tiling_par.ptile) =
+  let tile (wframes, wsecs) (pt : Tiling_par.ptile) =
     Array.iter
       (fun { Tiling_par.ps_loop; ps_olo; ps_ohi; ps_ilo; ps_ihi } ->
-        let q = entries.(ps_loop) in
-        let compiled, template, reduces = prepped.(ps_loop) in
-        let buffers =
+        let template, reduces = prepped.(ps_loop) in
+        let frame =
           if reduces then begin
-            let b = copy_buffers template in
-            acc.(ps_loop).(pt.Tiling_par.pt_id) <- Some b;
-            b
+            let f = Exec.copy_frame template in
+            acc.(ps_loop).(pt.Tiling_par.pt_id) <- Some f;
+            f
           end
           else
-            match wbufs.(ps_loop) with
-            | Some b -> b
+            match wframes.(ps_loop) with
+            | Some f -> f
             | None ->
-              let b = copy_buffers template in
-              wbufs.(ps_loop) <- Some b;
-              b
+              let f = Exec.copy_frame template in
+              wframes.(ps_loop) <- Some f;
+              f
         in
         let t0 = now () in
-        Exec.run_range compiled buffers
-          ~range:{ xlo = ps_ilo; xhi = ps_ihi; ylo = ps_olo; yhi = ps_ohi }
-          ~kernel:q.q_kernel;
+        Exec.run_range frame ~range:{ xlo = ps_ilo; xhi = ps_ihi; ylo = ps_olo; yhi = ps_ohi };
         wsecs.(ps_loop) <- wsecs.(ps_loop) +. (now () -. t0))
       pt.Tiling_par.pt_slabs
   in
@@ -545,13 +543,8 @@ let run_segment_par ctx pool entries =
     states;
   Array.iteri
     (fun k q ->
-      let compiled, _, reduces = prepped.(k) in
-      if reduces then
-        Array.iter
-          (function
-            | Some buffers -> Exec.merge_globals compiled buffers
-            | None -> ())
-          acc.(k);
+      let _, reduces = prepped.(k) in
+      if reduces then Array.iter (Option.iter Exec.merge_frame) acc.(k);
       record_entry_profile ctx q ~seconds:secs.(k))
     entries
 
@@ -926,8 +919,9 @@ let halo_transfer ctx halos =
 
 (* ---- The parallel loop ----------------------------------------------------- *)
 
-let par_loop ctx ~name ?(info = Descr.default_kernel_info) ?handle block range args
-    kernel =
+(* The loop pipeline both entry points share: validate, describe, trace,
+   fault counter, footprint, lazy enqueue or checkpoint, execute, profile. *)
+let run_loop ctx ~name ~info ?handle block range args kernel =
   Types.validate_args ~block ~range args;
   let descr = Types.describe ~name ~block ~range ~info args in
   Trace.record ctx.trace descr;
@@ -1026,6 +1020,14 @@ let par_loop ctx ~name ?(info = Descr.default_kernel_info) ?handle block range a
     Profile.record_halo ctx.profile ~name ~overlapped:!overlap_seconds
       ~seconds:!halo_seconds ()
   end
+
+let par_loop ctx ~name ?(info = Descr.default_kernel_info) ?handle block range args kernel
+    =
+  run_loop ctx ~name ~info ?handle block range args (Exec.Staged kernel)
+
+let par_loop_acc ctx ~name ?(info = Descr.default_kernel_info) ?handle block range args
+    kernel =
+  run_loop ctx ~name ~info ?handle block range args (Exec.Accessor kernel)
 
 (* ---- Physical boundary conditions (update_halo) --------------------------- *)
 

@@ -12,14 +12,35 @@
       let ctx = Ops.create () in
       let grid = Ops.decl_block ctx ~name:"grid" in
       let u = Ops.decl_dat ctx ~name:"u" ~block:grid ~xsize:nx ~ysize:ny () in
-      Ops.par_loop ctx ~name:"diffuse" grid (Ops.interior u)
+      Ops.par_loop_acc ctx ~name:"diffuse" grid (Ops.interior u)
         [ Ops.arg_dat u Ops.stencil_2d_5pt Access.Read;
           Ops.arg_dat w Ops.stencil_point Access.Write ]
-        (fun a -> a.(1).(0) <- ...)
+        (fun a -> set a.(1) (0.25 *. (get a.(0) 1 +. get a.(0) 2 ...)))
     ]}
 
-    Kernel buffers are point-major: for an argument with stencil point [p]
-    and component [c], the value sits at [buf.(p*dim + c)]. *)
+    {2 Kernel ABI}
+
+    A kernel takes one argument view per loop argument, in two forms.  The
+    accessor form ({!par_loop_acc}, [Acc.t array -> unit]) is the zero-copy
+    one of the paper's Fig 7 [OP_ACC]: component [c] of stencil point [p]
+    of argument [a] is [a.data.(a.base + a.off.(p) + c)], with [p] indexing
+    the argument's stencil in declaration order.  For unit-stride [Read],
+    [Write] and [Rw] datasets that no other argument of the loop writes, the
+    executor points [data] at the dataset's padded array, [off] at the
+    stencil's flat offsets, and only moves [base] per point.  The staged
+    form ({!par_loop}, [float array array -> unit]) receives one
+    point-major staging buffer per argument — component [c] of point [p]
+    at [buf.(p*dim + c)] — gathered before the call and written back
+    according to the access mode.  Either way [Inc] datasets arrive as a
+    zeroed scratch that is added to memory afterwards, so increments round
+    identically under both forms; aliased datasets, strided
+    ({!arg_dat_restrict}/{!arg_dat_prolong}) reads, globals, {!arg_idx},
+    the [Check] backend and footprint probing stage their arguments,
+    handing accessor kernels a base-0 accessor with [off.(p) = p*dim].
+    Kernels must touch only their declared points and [dim] components:
+    under in-place addressing a write to a [Read] argument, or a read past
+    the declared points or components, reaches memory, which probing and
+    [Check] report by loop, argument and point. *)
 
 module Access = Am_core.Access
 module Descr = Am_core.Descr
@@ -29,6 +50,16 @@ module Trace = Am_core.Trace
 type block = Types.block
 type dat = Types.dat
 type arg = Types.arg
+
+(** Kernel argument accessors (see the kernel ABI above): the accessor type
+    OPS shares with OP2 ({!Am_core.Acc}).  Kernel modules define their own
+    [[@inline]] accessors,
+    [let[@inline] get (a : Acc.t) p = a.Acc.data.(a.Acc.base + a.Acc.off.(p))]:
+    a call into another module is not inlined under [-opaque] and boxes
+    floats. *)
+module Acc : sig
+  type t = Am_core.Acc.t = { data : float array; mutable base : int; off : int array }
+end
 
 (** Half-open iteration rectangle; negative indices reach the ghost ring. *)
 type range = Types.range = { xlo : int; xhi : int; ylo : int; yhi : int }
@@ -228,16 +259,18 @@ val mirror_halo :
     [par_loop] call site, so repeated invocations with the same arguments
     skip argument compilation. Freshness is re-checked on every call with
     a few pointer compares; a changed dataset array, stencil, access or
-    stride recompiles transparently. Handles are inert on partitioned
-    contexts (the distributed backends resolve per-rank windows). *)
+    stride recompiles transparently. Both kernel forms share the executor,
+    so one handle may serve {!par_loop} and {!par_loop_acc}. Handles are
+    inert on partitioned contexts (the distributed backends resolve
+    per-rank windows). *)
 type handle
 
 val make_handle : unit -> handle
 
 (** [par_loop ctx ~name ?info ?handle block range args kernel] validates
     stencils against the range and ghost depth, records trace/profile
-    entries, and executes [kernel] at every point of [range] on the
-    context's backend. *)
+    entries, and executes the staged [kernel] at every point of [range] on
+    the context's backend. *)
 val par_loop :
   ctx ->
   name:string ->
@@ -247,6 +280,24 @@ val par_loop :
   range ->
   arg list ->
   (float array array -> unit) ->
+  unit
+
+(** [par_loop_acc] is {!par_loop} for an accessor kernel: the same
+    pipeline (validation, trace, fault counter, footprint probing, lazy
+    recording, checkpointing, profile) on the same backends, with
+    unit-stride [Read], [Write] and [Rw] datasets addressed in place
+    instead of copied (see the kernel ABI above) — on every backend,
+    including rank windows, Cuda_sim scratch tiles and lazy tiled chains.
+    Results are bitwise those of the staged form of the same kernel. *)
+val par_loop_acc :
+  ctx ->
+  name:string ->
+  ?info:Descr.kernel_info ->
+  ?handle:handle ->
+  block ->
+  range ->
+  arg list ->
+  (Acc.t array -> unit) ->
   unit
 
 (** {1 Lazy loop chains (cross-loop cache tiling)}

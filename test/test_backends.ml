@@ -9,7 +9,10 @@
    last few ulps may legitimately differ.
 
    The accessor-kernel group holds both kernel forms to the same bits on
-   every backend, Airfoil and Hydra, single-process and distributed.
+   every backend, Airfoil and Hydra, single-process and distributed; the
+   OPS group does the same for CloverLeaf (Seq = Check, and every 2D
+   backend, lazy tiling and partitioning included) and for a synthetic
+   loop set covering what CloverLeaf does not.
 
    Also unit tests of the plan-handle executor cache: two call sites with
    the same loop signature share one plan entry and one compiled executor;
@@ -359,6 +362,200 @@ let test_aliased_args_staged () =
   Alcotest.(check (array (float 0.0)))
     "old + 1" (Array.init 6 (fun i -> Float.of_int i +. 1.0)) (run true)
 
+(* ---- OPS accessor kernels ------------------------------------------------- *)
+
+(* CloverLeaf runs its kernels through [Ops.par_loop_acc]: in place on
+   every backend that addresses datasets directly, staged on Check (which
+   stages every argument), so Seq = Check is the accessor-vs-staged
+   comparison.  Every other backend must match Seq to the bit on every
+   dataset; only field_summary's Inc reduction may reassociate (per-worker,
+   per-rank or per-tile partial sums), within [eps]. *)
+
+type ops_config =
+  | Ops_on of Ops.backend
+  | Ops_tiled
+  | Ops_tiled_par of int (* pool size *)
+  | Ops_rows of { ranks : int; overlap : bool }
+  | Ops_grid of { overlap : bool } (* 2x2 *)
+
+let ops_config_name = function
+  | Ops_on Ops.Seq -> "seq"
+  | Ops_on Ops.Check -> "check"
+  | Ops_on (Ops.Shared _) -> "shared"
+  | Ops_on (Ops.Cuda_sim { strategy = Am_ops.Exec.Cuda_global; _ }) -> "cuda global"
+  | Ops_on (Ops.Cuda_sim { strategy = Am_ops.Exec.Cuda_tiled; _ }) -> "cuda tiled"
+  | Ops_tiled -> "tiled"
+  | Ops_tiled_par n -> Printf.sprintf "tiled-par pool %d" n
+  | Ops_rows { ranks; overlap } ->
+    Printf.sprintf "dist rows %d%s" ranks (if overlap then " overlap" else "")
+  | Ops_grid { overlap } -> Printf.sprintf "dist grid 2x2%s" (if overlap then " overlap" else "")
+
+let ops_configs pool =
+  let cuda strategy = Ops_on (Ops.Cuda_sim { Am_ops.Exec.tile_x = 8; tile_y = 4; strategy }) in
+  [
+    Ops_on Ops.Check;
+    Ops_on (Ops.Shared { pool });
+    cuda Am_ops.Exec.Cuda_global;
+    cuda Am_ops.Exec.Cuda_tiled;
+    Ops_tiled;
+    Ops_tiled_par 1;
+    Ops_tiled_par 2;
+  ]
+  @ List.concat_map
+      (fun ranks -> [ Ops_rows { ranks; overlap = false }; Ops_rows { ranks; overlap = true } ])
+      [ 1; 2; 3; 7 ]
+  @ [ Ops_grid { overlap = false }; Ops_grid { overlap = true } ]
+
+let clover_n = 20
+
+(* Every dataset a step writes (interior values) plus the final dt, and
+   the field summary, after 20 seeded steps on [cfg]. *)
+let clover_forms ~advection cfg =
+  let run ?backend setup =
+    let t = CApp.create ?backend ~advection ~nx:clover_n ~ny:clover_n () in
+    seed_clover t;
+    setup t.CApp.ctx;
+    for _ = 1 to 20 do
+      ignore (CApp.hydro_step t)
+    done;
+    let fields =
+      Array.concat
+        (List.map (Ops.fetch_interior t.CApp.ctx)
+           [
+             t.CApp.density0; t.CApp.energy0; t.CApp.pressure; t.CApp.viscosity;
+             t.CApp.soundspeed; t.CApp.xvel0; t.CApp.yvel0; t.CApp.vol_flux_x;
+             t.CApp.mass_flux_y; t.CApp.node_mass_post;
+           ])
+    in
+    let s = CApp.field_summary t in
+    ( Array.append fields [| t.CApp.dt |],
+      [| s.CApp.vol; s.CApp.mass; s.CApp.ie; s.CApp.ke; s.CApp.press |] )
+  in
+  match cfg with
+  | Ops_on backend -> run ~backend ignore
+  | Ops_tiled -> run (fun ctx -> Ops.set_tile_exec ctx (Ops.Tiled { tile = 4 }))
+  | Ops_tiled_par size ->
+    Pool.with_pool ~size (fun pool ->
+        run (fun ctx -> Ops.set_tile_exec ctx (Ops.Tiled_par { pool; tile = 4 })))
+  | Ops_rows { ranks; overlap } ->
+    run (fun ctx ->
+        Ops.partition ctx ~n_ranks:ranks ~ref_ysize:clover_n;
+        if overlap then Ops.set_comm_mode ctx Ops.Overlap)
+  | Ops_grid { overlap } ->
+    run (fun ctx ->
+        Ops.partition_grid ctx ~px:2 ~py:2 ~ref_xsize:clover_n ~ref_ysize:clover_n;
+        if overlap then Ops.set_comm_mode ctx Ops.Overlap)
+
+let test_clover_forms () =
+  Pool.with_pool ~size:2 (fun pool ->
+      List.iter
+        (fun (advection, scheme) ->
+          let fields, sums = clover_forms ~advection (Ops_on Ops.Seq) in
+          List.iter
+            (fun cfg ->
+              let name = Printf.sprintf "cloverleaf %s %s" scheme (ops_config_name cfg) in
+              let fields', sums' = clover_forms ~advection cfg in
+              if not (bitwise fields fields') then
+                Alcotest.failf "%s: datasets differ from seq accessor kernels (%g)" name
+                  (Fa.rel_discrepancy fields fields');
+              (* Check accumulates field_summary in seq order: bitwise too. *)
+              let same_sums =
+                match cfg with
+                | Ops_on Ops.Check -> bitwise sums sums'
+                | _ -> Array.for_all2 close sums' sums
+              in
+              if not same_sums then
+                Alcotest.failf "%s: field summary diverges (ke %.17g vs %.17g)" name
+                  sums'.(3) sums.(3))
+            (ops_configs pool))
+        [ (CApp.First_order, "first-order"); (CApp.Van_leer, "van Leer") ])
+
+(* Loops CloverLeaf does not cover, each in both forms over the same
+   arithmetic: a dim-3 stencil read and dim-3 write (component [c] of point
+   [p] at [off.(p) + c]), a dataset both read and written by one loop
+   (which must stay staged: in place, the kernel's first write would show
+   through the Read accessor), an Inc dataset, the iteration index, and
+   restrict/prolong strides.  Seq results must agree to the bit. *)
+module OAcc = Ops.Acc
+
+let oget (a : OAcc.t) p c = a.OAcc.data.(a.OAcc.base + a.OAcc.off.(p) + c)
+let oset (a : OAcc.t) p c v = a.OAcc.data.(a.OAcc.base + a.OAcc.off.(p) + c) <- v
+
+let synthetic_forms ~acc =
+  let ctx = Ops.create () in
+  let grid = Ops.decl_block ctx ~name:"grid" in
+  let dat ?(dim = 1) name xsize ysize =
+    Ops.decl_dat ctx ~name ~block:grid ~xsize ~ysize ~dim ()
+  in
+  let u = dat ~dim:3 "u" 10 8 and w = dat ~dim:3 "w" 10 8 in
+  let v = dat "v" 10 8 and total = dat "total" 10 8 in
+  let fine = dat "fine" 10 8 and coarse = dat "coarse" 5 4 and back = dat "back" 10 8 in
+  List.iteri
+    (fun k d ->
+      Ops.init ctx d (fun x y c ->
+          Float.of_int ((((x + 3) * 31) + ((y + 3) * 17) + (c * 7) + k) land 63) /. 8.0))
+    [ u; v; total; fine ];
+  let loop name range args staged accessor =
+    if acc then Ops.par_loop_acc ctx ~name grid range args accessor
+    else Ops.par_loop ctx ~name grid range args staged
+  in
+  loop "smooth3" (Ops.interior u)
+    [ Ops.arg_dat u Ops.stencil_2d_5pt Access.Read; Ops.arg_dat w Ops.stencil_point Access.Write ]
+    (fun b ->
+      for c = 0 to 2 do
+        b.(1).(c) <-
+          b.(0).(c) +. (0.25 *. (b.(0).(3 + c) +. b.(0).(6 + c) +. b.(0).(9 + c) +. b.(0).(12 + c)))
+      done)
+    (fun a ->
+      for c = 0 to 2 do
+        oset a.(1) 0 c
+          (oget a.(0) 0 c
+          +. (0.25 *. (oget a.(0) 1 c +. oget a.(0) 2 c +. oget a.(0) 3 c +. oget a.(0) 4 c)))
+      done);
+  loop "bump" (Ops.interior v)
+    [ Ops.arg_dat v Ops.stencil_point Access.Read; Ops.arg_dat v Ops.stencil_point Access.Write ]
+    (fun b ->
+      b.(1).(0) <- 0.0;
+      b.(1).(0) <- b.(0).(0) +. 1.0)
+    (fun a ->
+      oset a.(1) 0 0 0.0;
+      oset a.(1) 0 0 (oget a.(0) 0 0 +. 1.0));
+  loop "accumulate" (Ops.interior w)
+    [ Ops.arg_dat w Ops.stencil_point Access.Read; Ops.arg_dat total Ops.stencil_point Access.Inc ]
+    (fun b ->
+      b.(1).(0) <- b.(1).(0) +. b.(0).(0);
+      b.(1).(0) <- b.(1).(0) +. (b.(0).(1) *. b.(0).(2)))
+    (fun a ->
+      oset a.(1) 0 0 (oget a.(1) 0 0 +. oget a.(0) 0 0);
+      oset a.(1) 0 0 (oget a.(1) 0 0 +. (oget a.(0) 0 1 *. oget a.(0) 0 2)));
+  loop "index" (Ops.interior v)
+    [ Ops.arg_idx; Ops.arg_dat v Ops.stencil_point Access.Rw ]
+    (fun b -> b.(1).(0) <- b.(1).(0) +. (b.(0).(0) *. 10.0) +. b.(0).(1))
+    (fun a -> oset a.(1) 0 0 (oget a.(1) 0 0 +. (oget a.(0) 0 0 *. 10.0) +. oget a.(0) 0 1));
+  loop "restrict" (Ops.interior coarse)
+    [
+      Ops.arg_dat_restrict fine Ops.stencil_2d_quad ~factor:2 Access.Read;
+      Ops.arg_dat coarse Ops.stencil_point Access.Write;
+    ]
+    (fun b -> b.(1).(0) <- 0.25 *. (b.(0).(0) +. b.(0).(1) +. b.(0).(2) +. b.(0).(3)))
+    (fun a ->
+      oset a.(1) 0 0
+        (0.25 *. (oget a.(0) 0 0 +. oget a.(0) 1 0 +. oget a.(0) 2 0 +. oget a.(0) 3 0)));
+  loop "prolong" (Ops.interior back)
+    [
+      Ops.arg_dat_prolong coarse Ops.stencil_point ~factor:2 Access.Read;
+      Ops.arg_dat back Ops.stencil_point Access.Write;
+    ]
+    (fun b -> b.(1).(0) <- b.(0).(0))
+    (fun a -> oset a.(1) 0 0 (oget a.(0) 0 0));
+  Array.concat (List.map (Ops.fetch_interior ctx) [ u; w; v; total; fine; coarse; back ])
+
+let test_synthetic_forms () =
+  let staged = synthetic_forms ~acc:false and acc = synthetic_forms ~acc:true in
+  if not (bitwise staged acc) then
+    Alcotest.failf "accessor loops differ from staged loops (%g)"
+      (Fa.rel_discrepancy staged acc)
+
 (* ---- Plan-handle executor cache ------------------------------------------ *)
 
 let small_loop () =
@@ -438,6 +635,13 @@ let () =
           Alcotest.test_case "seq accessor kernels = check, bitwise" `Quick
             test_seq_equals_check;
           Alcotest.test_case "aliased arguments stay staged" `Quick test_aliased_args_staged;
+        ] );
+      ( "OPS accessor kernels",
+        [
+          Alcotest.test_case "cloverleaf: seq = check and every backend, bitwise" `Quick
+            test_clover_forms;
+          Alcotest.test_case "dim 3, aliasing, Inc, index, strides: accessor = staged"
+            `Quick test_synthetic_forms;
         ] );
       ( "plan handles",
         [

@@ -261,6 +261,33 @@ let test_automatic_checkpoint_recovery () =
   Alcotest.(check (float 1e-14)) "final summary ke" truth_summary.App.ke
     rec_summary.App.ke
 
+(* ---- Allocation ---- *)
+
+(* One warm Seq hydro step through the accessor entry point allocates only
+   per-call bookkeeping, the same amount at every grid size (about 56k
+   words).  A count that grows with the grid means per-point or per-ghost
+   boxing — a kernel accessor the compiler did not inline, a local closure
+   over floats, a boundary mirror through float closures — so the 32x32
+   and 96x96 steps must agree within 1k words and stay under 64k. *)
+let step_words n =
+  let t = App.create ~nx:n ~ny:n () in
+  ignore (App.hydro_step t);
+  Gc_util.minor_words (fun () -> ignore (App.hydro_step t))
+
+let test_alloc_budget () =
+  let small = step_words 32 and large = step_words 96 in
+  List.iter
+    (fun (n, words) ->
+      if words > 64_000.0 then
+        Alcotest.failf "one Seq step at %dx%d allocated %.0f minor words (budget 64000)"
+          n n words)
+    [ (32, small); (96, large) ];
+  if Float.abs (large -. small) > 1_000.0 then
+    Alcotest.failf
+      "one Seq step allocated %.0f minor words at 32x32 but %.0f at 96x96: \
+       allocation grows with the grid"
+      small large
+
 let () =
   Alcotest.run "cloverleaf"
     [
@@ -295,6 +322,8 @@ let () =
           Alcotest.test_case "dist traffic" `Quick test_dist_traffic_flows;
           Alcotest.test_case "eager halo policy" `Quick test_eager_halo_policy;
         ] );
+      ( "structure",
+        [ Alcotest.test_case "seq step allocation budget" `Quick test_alloc_budget ] );
       ( "checkpointing",
         [
           Alcotest.test_case "automatic checkpoint + recovery" `Quick

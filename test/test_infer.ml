@@ -14,7 +14,9 @@
    [Analysis.static_*] must report exactly that defect, naming the loop,
    the argument and the slot.  The OP2 lies are told again through the
    accessor ABI, where they reach memory in place, plus a write past
-   [dim] that the Check backend must stop as well. *)
+   [dim] that the Check backend must stop as well; the OPS accessor lies
+   (a written Read argument, an undeclared stencil point, a component
+   past [dim]) must be caught by both without an index error. *)
 
 module Probe = Am_core.Probe
 module Descr = Am_core.Descr
@@ -279,6 +281,87 @@ let test_acc_component_past_dim () =
        ~needle:"observed write past the 1 declared staging slot(s)"
        (Analysis.static_op2 m.ctx).Analysis.findings)
 
+(* ---- the OPS lies through accessors ------------------------------------ *)
+
+(* An OPS accessor kernel reads and writes datasets in place on Seq, so a
+   lie reaches memory there.  Probing and Check stage every argument over
+   canary-padded buffers whose offset tables reach into the pad: a write
+   to a Read argument, a read of an undeclared stencil point and a read of
+   a component past [dim] must each be reported — by the probe against the
+   lying argument, by Check at the first point it executes — and never
+   surface as an index error. *)
+
+module OAcc = Ops.Acc
+
+let oget (a : OAcc.t) p c = a.OAcc.data.(a.OAcc.base + a.OAcc.off.(p) + c)
+let oset (a : OAcc.t) p c v = a.OAcc.data.(a.OAcc.base + a.OAcc.off.(p) + c) <- v
+
+(* Run the lie [kernel] over u (read through [stencil]) into w on the Check
+   backend; return Check's violation and the static findings. *)
+let ops_lie ~name ~stencil kernel =
+  let ctx = Ops.create ~backend:Ops.Check () in
+  let grid = Ops.decl_block ctx ~name:"grid" in
+  let u = Ops.decl_dat ctx ~name:"u" ~block:grid ~xsize:8 ~ysize:6 () in
+  let w = Ops.decl_dat ctx ~name:"w" ~block:grid ~xsize:8 ~ysize:6 () in
+  Ops.init ctx u (fun x y _ -> 1.0 +. Float.of_int ((x * 3) + y));
+  Trace.set_enabled (Ops.trace ctx) true;
+  let violation =
+    match
+      Ops.par_loop_acc ctx ~name grid (Ops.interior u)
+        [ Ops.arg_dat u stencil Access.Read; Ops.arg_dat w Ops.stencil_point Access.Write ]
+        kernel
+    with
+    | () -> Alcotest.failf "check let the %s lie through" name
+    | exception Am_ops.Exec_check.Violation msg -> msg
+  in
+  (violation, (Analysis.static_ops ctx).Analysis.findings)
+
+let check_names_point ~name ~arg msg =
+  Alcotest.(check bool)
+    (Printf.sprintf "check names loop %s, arg %d, point (0,0): %s" name arg msg)
+    true
+    (contains msg ("loop " ^ name)
+    && contains msg (Printf.sprintf "arg %d" arg)
+    && contains msg "point (0,0)")
+
+let test_ops_acc_read_written () =
+  let msg, fs =
+    ops_lie ~name:"scribble_acc" ~stencil:Ops.stencil_point (fun a ->
+        oset a.(1) 0 0 (oget a.(0) 0 0);
+        oset a.(0) 0 0 0.0)
+  in
+  check_names_point ~name:"scribble_acc" ~arg:0 msg;
+  Alcotest.(check bool) "check: Read argument written" true
+    (contains msg "of a Read argument");
+  Alcotest.(check bool)
+    "verify names loop scribble_acc, arg 0, slot 0" true
+    (find_verify ~severity:Finding.Error ~loop:"scribble_acc" ~arg:0
+       ~needle:"observed write to slot(s) 0 of a Read argument" fs)
+
+(* Point 2 of a 2-point stencil: the staged offset table's third entry
+   lands in the pad, whose canary NaN poisons the written value. *)
+let test_ops_acc_undeclared_point () =
+  let msg, fs =
+    ops_lie ~name:"wide_acc" ~stencil:Ops.stencil_2d_plus1x (fun a ->
+        oset a.(1) 0 0 (oget a.(0) 0 0 +. oget a.(0) 2 0))
+  in
+  check_names_point ~name:"wide_acc" ~arg:1 msg;
+  Alcotest.(check bool)
+    "verify names loop wide_acc, arg 0, the pad" true
+    (find_verify ~severity:Finding.Error ~loop:"wide_acc" ~arg:0
+       ~needle:"observed read past the 2 declared staging slot(s)" fs)
+
+let test_ops_acc_component_past_dim () =
+  let msg, fs =
+    ops_lie ~name:"deep_acc" ~stencil:Ops.stencil_point (fun a ->
+        oset a.(1) 0 0 (oget a.(0) 0 1))
+  in
+  check_names_point ~name:"deep_acc" ~arg:1 msg;
+  Alcotest.(check bool)
+    "verify names loop deep_acc, arg 0, the pad" true
+    (find_verify ~severity:Finding.Error ~loop:"deep_acc" ~arg:0
+       ~needle:"observed read past the 1 declared staging slot(s)" fs)
+
 (* ---- mutation: over-declared stencil point (CloverLeaf shape) ---------- *)
 
 let test_overdeclared_stencil () =
@@ -525,6 +608,12 @@ let () =
             test_acc_inc_overwrite;
           Alcotest.test_case "component past dim through accessors" `Quick
             test_acc_component_past_dim;
+          Alcotest.test_case "ops: Read written through accessors" `Quick
+            test_ops_acc_read_written;
+          Alcotest.test_case "ops: undeclared point through accessors" `Quick
+            test_ops_acc_undeclared_point;
+          Alcotest.test_case "ops: component past dim through accessors" `Quick
+            test_ops_acc_component_past_dim;
           Alcotest.test_case "over-declared stencil (cloverleaf shape)" `Quick
             test_overdeclared_stencil;
         ] );
