@@ -14,7 +14,8 @@ let run nx ny steps backend ranks overlap summary_every verify van_leer check
   Check_common.guard @@ fun () ->
   Flag_common.check_flags ~app:"cloverleaf"
     ~backends:[ "seq"; "shared"; "cuda"; "mpi"; "mpi2d"; "hybrid" ]
-    ~overlap_backends:[ "mpi"; "mpi2d"; "hybrid" ] ~backend ~ranks ~overlap ~check;
+    ~overlap_backends:[ "mpi"; "mpi2d"; "hybrid" ]
+    ~sizes:[ ("--nx", nx); ("--ny", ny) ] ~backend ~ranks ~overlap ~check;
   Am_obs.Obs.reset ();
   if trace <> None then Am_obs.Obs.set_tracing true;
   let advection =
@@ -23,6 +24,7 @@ let run nx ny steps backend ranks overlap summary_every verify van_leer check
   Printf.printf "cloverleaf: %dx%d cells, %d steps, backend %s\n%!" nx ny steps backend;
   Fault_common.with_faults ~app:"cloverleaf" ~faults ~recover @@ fun fc ~recovering ->
   let pool = ref None in
+  let partition f = Flag_common.partition ~app:"cloverleaf" f in
   let t =
     match (if check then "check" else backend) with
     | "check" ->
@@ -40,7 +42,7 @@ let run nx ny steps backend ranks overlap summary_every verify van_leer check
         ~ny ()
     | "mpi" ->
       let t = App.create ~advection ~nx ~ny () in
-      Ops.partition t.App.ctx ~n_ranks:ranks ~ref_ysize:ny;
+      partition (fun () -> Ops.partition t.App.ctx ~n_ranks:ranks ~ref_ysize:ny);
       t
     | "mpi2d" ->
       let t = App.create ~advection ~nx ~ny () in
@@ -48,13 +50,14 @@ let run nx ny steps backend ranks overlap summary_every verify van_leer check
       let px = if px * (ranks / px) = ranks then px else 1 in
       let py = ranks / max 1 px in
       Printf.printf "grid decomposition: %dx%d ranks\n%!" px py;
-      Ops.partition_grid t.App.ctx ~px ~py ~ref_xsize:nx ~ref_ysize:ny;
+      partition (fun () ->
+          Ops.partition_grid t.App.ctx ~px ~py ~ref_xsize:nx ~ref_ysize:ny);
       t
     | "hybrid" ->
       let p = Am_taskpool.Pool.create () in
       pool := Some p;
       let t = App.create ~advection ~nx ~ny () in
-      Ops.partition t.App.ctx ~n_ranks:ranks ~ref_ysize:ny;
+      partition (fun () -> Ops.partition t.App.ctx ~n_ranks:ranks ~ref_ysize:ny);
       Ops.set_rank_execution t.App.ctx (Ops.Rank_shared p);
       t
     | _ -> assert false (* rejected by check_flags *)

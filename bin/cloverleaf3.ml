@@ -10,11 +10,13 @@ let run n steps backend ranks check analyze trace obs_json faults recover tile
   Check_common.guard @@ fun () ->
   Flag_common.check_flags ~app:"cloverleaf3"
     ~backends:[ "seq"; "shared"; "cuda"; "mpi"; "pencil"; "hybrid" ]
-    ~overlap_backends:[] ~backend ~ranks ~overlap:false ~check;
+    ~overlap_backends:[] ~sizes:[ ("--size", n) ] ~backend ~ranks ~overlap:false
+    ~check;
   Am_obs.Obs.reset ();
   if trace <> None then Am_obs.Obs.set_tracing true;
   Fault_common.with_faults ~app:"cloverleaf3" ~faults ~recover @@ fun fc ~recovering ->
   let pool = ref None in
+  let partition f = Flag_common.partition ~app:"cloverleaf3" f in
   let t =
     match (if check then "check" else backend) with
     | "check" ->
@@ -27,21 +29,22 @@ let run n steps backend ranks check analyze trace obs_json faults recover tile
       let p = Am_taskpool.Pool.create () in
       pool := Some p;
       App.create ~backend:(Ops3.Shared { pool = p }) ~n ()
-    | "cuda" -> App.create ~backend:(Ops3.Cuda_sim Am_ops.Exec3.default_cuda_config) ~n ()
+    | "cuda" -> App.create ~backend:(Ops3.Cuda_sim Am_ops.Exec.default_cuda_config3) ~n ()
     | "mpi" ->
       let t = App.create ~n () in
-      Ops3.partition t.App.ctx ~n_ranks:ranks ~ref_zsize:n;
+      partition (fun () -> Ops3.partition t.App.ctx ~n_ranks:ranks ~ref_zsize:n);
       t
     | "pencil" ->
       let t = App.create ~n () in
-      Ops3.partition_pencil t.App.ctx ~py:2 ~pz:(max 1 (ranks / 2)) ~ref_ysize:n
-        ~ref_zsize:n;
+      partition (fun () ->
+          Ops3.partition_pencil t.App.ctx ~py:2 ~pz:(max 1 (ranks / 2)) ~ref_ysize:n
+            ~ref_zsize:n);
       t
     | "hybrid" ->
       let p = Am_taskpool.Pool.create () in
       pool := Some p;
       let t = App.create ~n () in
-      Ops3.partition t.App.ctx ~n_ranks:ranks ~ref_zsize:n;
+      partition (fun () -> Ops3.partition t.App.ctx ~n_ranks:ranks ~ref_zsize:n);
       Ops3.set_rank_execution t.App.ctx (Ops3.Rank_shared p);
       t
     | _ -> assert false (* rejected by check_flags *)

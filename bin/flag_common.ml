@@ -17,8 +17,13 @@ let one_of = function
 
 (* [backends] are the driver's documented backends; [overlap_backends] the
    partitioned ones that --overlap applies to (none when the driver has no
-   --overlap). *)
-let check_flags ~backends ~overlap_backends ~app ~backend ~ranks ~overlap ~check =
+   --overlap); [sizes] the driver's problem-size flags with their values,
+   each of which must be at least 1. *)
+let check_flags ~backends ~overlap_backends ~app ~sizes ~backend ~ranks ~overlap ~check =
+  List.iter
+    (fun (flag, v) ->
+      if v < 1 then usage_error ~app (Printf.sprintf "%s must be at least 1" flag))
+    sizes;
   if not (List.mem backend backends) then
     usage_error ~app
       (Printf.sprintf "unknown backend %s (expected one of %s)" backend
@@ -28,3 +33,9 @@ let check_flags ~backends ~overlap_backends ~app ~backend ~ranks ~overlap ~check
     usage_error ~app
       (Printf.sprintf "--overlap requires --backend %s (and no --check)"
          (one_of overlap_backends))
+
+(* A decomposition the runtime refuses — fewer rows, planes or cells than
+   ranks, or a rank thinner than the ghost depth — is a usage error
+   carrying the library's message.  Only [partition]'s own refusal is
+   caught: anything else raised later still escapes. *)
+let partition ~app f = try f () with Invalid_argument msg -> usage_error ~app msg

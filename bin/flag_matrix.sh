@@ -11,10 +11,12 @@
 # --renumber --verify together; the OPS drivers with no flag, --check,
 # --tile and --tile-par, and cloverleaf also with --overlap, --verify and
 # --overlap --check.  A run on the unknown backend, with --overlap off the
-# partitioned backends (mpi, mpi2d, hybrid), with --overlap --check, or on
-# mpi with --ranks 0 (every driver) is a usage error and must exit 2;
-# every other run must exit 0.  No output may report an uncaught
-# exception.  Prints only the runs that fail.
+# partitioned backends (mpi, mpi2d, hybrid), with --overlap --check, on
+# mpi with --ranks 0 or at size 0 (every driver), or on a decomposition
+# the OPS runtime refuses (more ranks than rows or planes, a rank thinner
+# than the ghost depth) is a usage error and must exit 2; every other run
+# must exit 0.  No output may report an uncaught exception.  Prints only
+# the runs that fail.
 set -u
 # A bare file name is a path in the current directory, not a command.
 path() { case $1 in */*) echo "$1" ;; *) echo "./$1" ;; esac; }
@@ -95,4 +97,15 @@ run 2 "$hydra" --nx 8 --ny 6 --iters 1 --ranks 0 --backend mpi
 run 2 "$cloverleaf" --nx 12 --ny 12 --steps 2 --ranks 0 --backend mpi
 run 2 "$cloverleaf3" --size 6 --steps 1 --ranks 0 --backend mpi
 run 2 "$tealeaf" --size 6 --steps 1 --ranks 0 --backend mpi
+run 2 "$airfoil" --nx 0 --ny 12 --iters 2
+run 2 "$aero" --size 0 --iters 1
+run 2 "$hydra" --nx 0 --ny 6 --iters 1
+run 2 "$cloverleaf" --nx 0 --ny 12 --steps 2
+run 2 "$cloverleaf3" --size 0 --steps 1
+run 2 "$tealeaf" --size 0 --steps 1
+run 2 "$cloverleaf" --nx 8 --ny 2 --steps 1 --ranks 8 --backend mpi
+run 2 "$cloverleaf" --nx 8 --ny 8 --steps 1 --ranks 64 --backend mpi2d
+run 2 "$cloverleaf3" --size 2 --steps 1 --ranks 4 --backend mpi
+run 2 "$cloverleaf3" --size 3 --steps 1 --ranks 4 --backend pencil
+run 2 "$tealeaf" --size 4 --steps 1 --ranks 3 --backend mpi
 exit $failed

@@ -8,7 +8,8 @@ module App = Am_hydra.App
 let run nx ny iters backend ranks renumber no_multigrid check analyze trace
     obs_json faults recover tile perf =
   Check_common.guard @@ fun () ->
-  Op2_common.check_flags ~app:"hydra" ~backend ~ranks ~overlap:false ~check;
+  Op2_common.check_flags ~app:"hydra" ~sizes:[ ("--nx", nx); ("--ny", ny) ]
+    ~backend ~ranks ~overlap:false ~check;
   Am_obs.Obs.reset ();
   if trace <> None then Am_obs.Obs.set_tracing true;
   let features = { App.all_features with App.multigrid = not no_multigrid } in

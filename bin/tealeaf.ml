@@ -10,11 +10,13 @@ let run n steps dt backend ranks check analyze trace obs_json faults recover til
   Check_common.guard @@ fun () ->
   Flag_common.check_flags ~app:"tealeaf"
     ~backends:[ "seq"; "shared"; "cuda"; "mpi"; "hybrid" ]
-    ~overlap_backends:[] ~backend ~ranks ~overlap:false ~check;
+    ~overlap_backends:[] ~sizes:[ ("--size", n) ] ~backend ~ranks ~overlap:false
+    ~check;
   Am_obs.Obs.reset ();
   if trace <> None then Am_obs.Obs.set_tracing true;
   Fault_common.with_faults ~app:"tealeaf" ~faults ~recover @@ fun fc ~recovering ->
   let pool = ref None in
+  let partition f = Flag_common.partition ~app:"tealeaf" f in
   let t =
     match (if check then "check" else backend) with
     | "check" ->
@@ -27,16 +29,17 @@ let run n steps dt backend ranks check analyze trace obs_json faults recover til
       let p = Am_taskpool.Pool.create () in
       pool := Some p;
       Tea.create ~backend:(Ops3.Shared { pool = p }) ~n ~dt ()
-    | "cuda" -> Tea.create ~backend:(Ops3.Cuda_sim Am_ops.Exec3.default_cuda_config) ~n ~dt ()
+    | "cuda" ->
+      Tea.create ~backend:(Ops3.Cuda_sim Am_ops.Exec.default_cuda_config3) ~n ~dt ()
     | "mpi" ->
       let t = Tea.create ~n ~dt () in
-      Ops3.partition t.Tea.ctx ~n_ranks:ranks ~ref_zsize:n;
+      partition (fun () -> Ops3.partition t.Tea.ctx ~n_ranks:ranks ~ref_zsize:n);
       t
     | "hybrid" ->
       let p = Am_taskpool.Pool.create () in
       pool := Some p;
       let t = Tea.create ~n ~dt () in
-      Ops3.partition t.Tea.ctx ~n_ranks:ranks ~ref_zsize:n;
+      partition (fun () -> Ops3.partition t.Tea.ctx ~n_ranks:ranks ~ref_zsize:n);
       Ops3.set_rank_execution t.Tea.ctx (Ops3.Rank_shared p);
       t
     | _ -> assert false (* rejected by check_flags *)

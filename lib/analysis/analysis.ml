@@ -116,7 +116,7 @@ let ops1_analyze ?footprints ctx =
   let ghost_depth =
     match Am_ops.Ops1.dats ctx with
     | [] -> None
-    | dats -> Some (min_halo (List.map (fun d -> d.Am_ops.Types1.halo) dats))
+    | dats -> Some (min_halo (List.map (fun d -> d.Am_ops.Types.halo) dats))
   in
   analyze ~direct_covers:false ?ghost_depth ?footprints
     (Trace.events (Am_ops.Ops1.trace ctx))
@@ -127,7 +127,7 @@ let ops3_analyze ?footprints ctx =
   let ghost_depth =
     match Am_ops.Ops3.dats ctx with
     | [] -> None
-    | dats -> Some (min_halo (List.map (fun d -> d.Am_ops.Types3.halo) dats))
+    | dats -> Some (min_halo (List.map (fun d -> d.Am_ops.Types.halo) dats))
   in
   analyze ~direct_covers:false ?ghost_depth ?footprints
     (Trace.events (Am_ops.Ops3.trace ctx))

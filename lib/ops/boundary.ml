@@ -28,7 +28,7 @@ let mirror_high centering size k =
 let apply (v : Exec.view) ~(dat : dat) ~depth ~sign_x ~sign_y ~center_x ~center_y
     ~row_lo ~row_hi =
   if depth > dat.halo then invalid_arg "Boundary.mirror: depth exceeds ghost ring";
-  let { Exec.vdata; vbase; vrow; vcol } = v in
+  let { Exec.vdata; vbase; vrow; vcol; _ } = v in
   let dim = dat.dim in
   (* Vertical (y) mirrors: global ghost rows, owned by edge ranks. *)
   for k = 1 to depth do

@@ -33,11 +33,6 @@ type window = {
    one — OPS's per-stencil update_halo depths. *)
 type dat_dist = { windows : window array; mutable fresh_depth : int }
 
-(* Intra-rank execution: hybrid MPI+OpenMP runs each rank's rows through
-   the shared-memory engine (centre-only writes make this race-free with
-   no per-rank planning needed). *)
-type rank_exec = Rank_seq | Rank_shared of Am_taskpool.Pool.t
-
 type t = {
   comm : Comm.t;
   n_ranks : int;
@@ -45,7 +40,7 @@ type t = {
   chunk : int array; (* chunk.(r) = first reference row of rank r; chunk.(P) = ref *)
   dat_dists : (int, dat_dist) Hashtbl.t;
   env : env;
-  mutable rank_exec : rank_exec;
+  mutable rank_exec : Exec.rank_exec;
   mutable eager_halo : bool;
   mutable overlap : bool; (* post exchange, run interior, wait, run boundary *)
 }
@@ -77,6 +72,7 @@ let window_view dat w : Exec.view =
   {
     Exec.vdata = w.data;
     vbase = (((dat.halo - w.row_lo) * padded_width) + dat.halo) * dat.dim;
+    vplane = Array.length w.data;
     vrow = padded_width * dat.dim;
     vcol = dat.dim;
   }
@@ -110,7 +106,7 @@ let build env ~n_ranks ~ref_ysize =
       chunk;
       dat_dists = Hashtbl.create 16;
       env;
-      rank_exec = Rank_seq;
+      rank_exec = Exec.Rank_seq;
       eager_halo = false;
       overlap = false;
     }
@@ -128,7 +124,7 @@ let build env ~n_ranks ~ref_ysize =
                 to min (y_max dat - 1) (row_hi + dat.halo - 1) do
               for x = -dat.halo to dat.xsize + dat.halo - 1 do
                 for c = 0 to dat.dim - 1 do
-                  w.data.(window_index dat w ~x ~y ~c) <- get dat ~x ~y ~c
+                  w.data.(window_index dat w ~x ~y ~c) <- get dat ~x ~y ~z:0 ~c
                 done
               done
             done;
@@ -233,7 +229,7 @@ let par_loop ?ext ?(halo_seconds = ref 0.0) ?(overlap_seconds = ref 0.0) t ~rang
       | Arg_dat { stride; _ } when not (is_unit_stride stride) ->
         invalid_arg "ops-mpi: strided (grid-transfer) stencils are unsupported on \
                      partitioned contexts"
-      | Arg_dat _ | Arg_gbl _ | Arg_idx -> ())
+      | Arg_dat _ | Arg_gbl _ | Arg_idx _ -> ())
     args;
   (* Ghost exchanges for stencil-read datasets (deduplicated per dataset).
      When footprint inference proved the kernel's read extent shallower
@@ -259,7 +255,7 @@ let par_loop ?ext ?(halo_seconds = ref 0.0) ?(overlap_seconds = ref 0.0) t ~rang
           let prev = try Hashtbl.find seen dat.dat_id with Not_found -> 0 in
           if need > prev then Hashtbl.replace seen dat.dat_id need
         end
-      | Arg_dat _ | Arg_gbl _ | Arg_idx -> ())
+      | Arg_dat _ | Arg_gbl _ | Arg_idx _ -> ())
     args;
   let needs =
     Hashtbl.fold
@@ -285,14 +281,8 @@ let par_loop ?ext ?(halo_seconds = ref 0.0) ?(overlap_seconds = ref 0.0) t ~rang
       let resolvers =
         { Exec.resolve_dat = (fun d -> window_view d (dat_dist t d).windows.(r)) }
       in
-      match t.rank_exec with
-      | Rank_seq ->
-        Exec.run_seq ~resolvers ~range:{ range with ylo = lo; yhi = hi } ~args
-          ~kernel ()
-      | Rank_shared pool ->
-        Exec.run_shared ~resolvers pool
-          ~range:{ range with ylo = lo; yhi = hi }
-          ~args ~kernel
+      Exec.run_rank t.rank_exec ~resolvers ~axis:Y
+        ~range:{ range with ylo = lo; yhi = hi } ~args ~kernel
     end
   in
   (* A global Inc reduction is summed in row order: splitting the range
@@ -304,7 +294,7 @@ let par_loop ?ext ?(halo_seconds = ref 0.0) ?(overlap_seconds = ref 0.0) t ~rang
       (List.exists
          (function
            | Arg_gbl { access = Access.Inc; _ } -> true
-           | Arg_gbl _ | Arg_dat _ | Arg_idx -> false)
+           | Arg_gbl _ | Arg_dat _ | Arg_idx _ -> false)
          args)
   in
   let tokens =
@@ -401,7 +391,7 @@ let par_loop ?ext ?(halo_seconds = ref 0.0) ?(overlap_seconds = ref 0.0) t ~rang
         (dat_dist t dat).fresh_depth <- 0
       | Arg_gbl { access; _ } when access <> Access.Read ->
         Comm.count_reduction t.comm
-      | Arg_dat _ | Arg_gbl _ | Arg_idx -> ())
+      | Arg_dat _ | Arg_gbl _ | Arg_idx _ -> ())
     args
 
 (* Assemble the interior of a dataset from its owners. *)
@@ -431,7 +421,7 @@ let pull t dat =
     let w = dd.windows.(rank_of_row t y) in
     for x = -dat.halo to dat.xsize + dat.halo - 1 do
       for c = 0 to dat.dim - 1 do
-        set dat ~x ~y ~c w.data.(window_index dat w ~x ~y ~c)
+        set dat ~x ~y ~z:0 ~c w.data.(window_index dat w ~x ~y ~c)
       done
     done
   done
@@ -445,7 +435,7 @@ let push t dat =
         to min (y_max dat - 1) (w.row_hi + dat.halo - 1) do
       for x = -dat.halo to dat.xsize + dat.halo - 1 do
         for c = 0 to dat.dim - 1 do
-          w.data.(window_index dat w ~x ~y ~c) <- get dat ~x ~y ~c
+          w.data.(window_index dat w ~x ~y ~c) <- get dat ~x ~y ~z:0 ~c
         done
       done
     done

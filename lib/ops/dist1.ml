@@ -8,7 +8,7 @@ module Obs_counters = Am_obs.Counters
 module Cat = Am_obs.Tracer
 module Access = Am_core.Access
 module Comm = Am_simmpi.Comm
-open Types1
+open Types
 
 type window = {
   chunk_lo : int; (* first owned cell (global numbering) *)
@@ -18,8 +18,6 @@ type window = {
 
 type dat_dist = { windows : window array; mutable fresh : bool }
 
-type rank_exec = Rank_seq | Rank_shared of Am_taskpool.Pool.t
-
 type t = {
   comm : Comm.t;
   n_ranks : int;
@@ -27,7 +25,7 @@ type t = {
   chunk : int array;
   dat_dists : (int, dat_dist) Hashtbl.t;
   env : env;
-  mutable rank_exec : rank_exec;
+  mutable rank_exec : Exec.rank_exec;
   mutable eager_halo : bool;
   mutable overlap : bool;
 }
@@ -50,12 +48,10 @@ let rank_of_cell t x =
 
 let window_index dat w ~x ~c = ((x - (w.chunk_lo - dat.halo)) * dat.dim) + c
 
-let window_view dat w : Exec1.view =
-  {
-    Exec1.vdata = w.data;
-    vbase = (dat.halo - w.chunk_lo) * dat.dim;
-    vcol = dat.dim;
-  }
+let window_view dat w : Exec.view =
+  let len = Array.length w.data in
+  { Exec.vdata = w.data; vbase = (dat.halo - w.chunk_lo) * dat.dim; vplane = len;
+    vrow = len; vcol = dat.dim }
 
 let build env ~n_ranks ~ref_xsize =
   if n_ranks <= 0 then invalid_arg "Ops1 dist: n_ranks must be positive";
@@ -77,7 +73,7 @@ let build env ~n_ranks ~ref_xsize =
     (dats env);
   let t =
     { comm = Comm.create ~n_ranks; n_ranks; ref_xsize; chunk;
-      dat_dists = Hashtbl.create 16; env; rank_exec = Rank_seq; eager_halo = false;
+      dat_dists = Hashtbl.create 16; env; rank_exec = Exec.Rank_seq; eager_halo = false;
       overlap = false }
   in
   List.iter
@@ -90,7 +86,7 @@ let build env ~n_ranks ~ref_xsize =
             for x = max (x_min dat) (chunk_lo - dat.halo)
                 to min (x_max dat - 1) (chunk_hi + dat.halo - 1) do
               for c = 0 to dat.dim - 1 do
-                w.data.(window_index dat w ~x ~c) <- get dat ~x ~c
+                w.data.(window_index dat w ~x ~c) <- get dat ~x ~y:0 ~z:0 ~c
               done
             done;
             w)
@@ -181,7 +177,7 @@ let par_loop ?ext ?(halo_seconds = ref 0.0) ?(overlap_seconds = ref 0.0) t ~rang
   List.iteri
     (fun i arg ->
       match arg with
-      | Arg_dat { dat; stencil; access }
+      | Arg_dat { dat; stencil; access; _ }
         when Access.reads access && stencil_extent stencil > 0 ->
         let declared = stencil_extent stencil in
         let need =
@@ -195,7 +191,7 @@ let par_loop ?ext ?(halo_seconds = ref 0.0) ?(overlap_seconds = ref 0.0) t ~rang
           let prev = try Hashtbl.find seen dat.dat_id with Not_found -> 0 in
           if need > prev then Hashtbl.replace seen dat.dat_id need
         end
-      | Arg_dat _ | Arg_gbl _ | Arg_idx -> ())
+      | Arg_dat _ | Arg_gbl _ | Arg_idx _ -> ())
     args;
   let needs =
     Hashtbl.fold
@@ -218,12 +214,10 @@ let par_loop ?ext ?(halo_seconds = ref 0.0) ?(overlap_seconds = ref 0.0) t ~rang
   let run_cells r ~lo ~hi =
     if hi > lo then begin
       let resolvers =
-        { Exec1.resolve_dat = (fun d -> window_view d (dat_dist t d).windows.(r)) }
+        { Exec.resolve_dat = (fun d -> window_view d (dat_dist t d).windows.(r)) }
       in
-      match t.rank_exec with
-      | Rank_seq -> Exec1.run_seq ~resolvers ~range:{ xlo = lo; xhi = hi } ~args ~kernel ()
-      | Rank_shared pool ->
-        Exec1.run_shared ~resolvers pool ~range:{ xlo = lo; xhi = hi } ~args ~kernel
+      Exec.run_rank t.rank_exec ~resolvers ~axis:X ~range:{ range with xlo = lo; xhi = hi }
+        ~args ~kernel
     end
   in
   (* A global Inc reduction is summed in cell order: splitting the range
@@ -234,7 +228,7 @@ let par_loop ?ext ?(halo_seconds = ref 0.0) ?(overlap_seconds = ref 0.0) t ~rang
       (List.exists
          (function
            | Arg_gbl { access = Access.Inc; _ } -> true
-           | Arg_gbl _ | Arg_dat _ | Arg_idx -> false)
+           | Arg_gbl _ | Arg_dat _ | Arg_idx _ -> false)
          args)
   in
   let tokens =
@@ -324,7 +318,7 @@ let par_loop ?ext ?(halo_seconds = ref 0.0) ?(overlap_seconds = ref 0.0) t ~rang
         (dat_dist t dat).fresh <- false
       | Arg_gbl { access; _ } when access <> Access.Read ->
         Comm.count_reduction t.comm
-      | Arg_dat _ | Arg_gbl _ | Arg_idx -> ())
+      | Arg_dat _ | Arg_gbl _ | Arg_idx _ -> ())
     args
 
 let fetch_interior t dat =
@@ -346,7 +340,7 @@ let pull t dat =
   for x = x_min dat to x_max dat - 1 do
     let w = dd.windows.(rank_of_cell t x) in
     for c = 0 to dat.dim - 1 do
-      set dat ~x ~c w.data.(window_index dat w ~x ~c)
+      set dat ~x ~y:0 ~z:0 ~c w.data.(window_index dat w ~x ~c)
     done
   done
 
@@ -357,7 +351,7 @@ let push t dat =
     for x = max (x_min dat) (w.chunk_lo - dat.halo)
         to min (x_max dat - 1) (w.chunk_hi + dat.halo - 1) do
       for c = 0 to dat.dim - 1 do
-        w.data.(window_index dat w ~x ~c) <- get dat ~x ~c
+        w.data.(window_index dat w ~x ~c) <- get dat ~x ~y:0 ~z:0 ~c
       done
     done
   done;
@@ -369,9 +363,7 @@ let mirror t dat ~depth ~sign ~center =
   let dd = dat_dist t dat in
   for r = 0 to t.n_ranks - 1 do
     let w = dd.windows.(r) in
-    Boundary1.apply_via
-      ~get:(fun x c -> w.data.(window_index dat w ~x ~c))
-      ~set:(fun x c v -> w.data.(window_index dat w ~x ~c) <- v)
-      ~dat ~depth ~sign ~center ~lo:w.chunk_lo ~hi:w.chunk_hi
+    Boundary1.apply (window_view dat w) ~dat ~depth ~sign ~center ~lo:w.chunk_lo
+      ~hi:w.chunk_hi
   done;
   dd.fresh <- false

@@ -35,8 +35,6 @@ type window = {
 
 type dat_dist = { windows : window array; mutable fresh : bool }
 
-type rank_exec = Rank_seq | Rank_shared of Am_taskpool.Pool.t
-
 type t = {
   comm : Comm.t;
   px : int;
@@ -47,7 +45,7 @@ type t = {
   chunk_y : int array;
   dat_dists : (int, dat_dist) Hashtbl.t;
   env : env;
-  mutable rank_exec : rank_exec;
+  mutable rank_exec : Exec.rank_exec;
   mutable eager_halo : bool;
   mutable overlap : bool;
 }
@@ -86,6 +84,7 @@ let window_view dat w : Exec.view =
   {
     Exec.vdata = w.data;
     vbase = (((dat.halo - w.row_lo) * w.stride) + (dat.halo - w.col_lo)) * dat.dim;
+    vplane = Array.length w.data;
     vrow = w.stride * dat.dim;
     vcol = dat.dim;
   }
@@ -126,7 +125,7 @@ let build env ~px ~py ~ref_xsize ~ref_ysize =
       chunk_y;
       dat_dists = Hashtbl.create 16;
       env;
-      rank_exec = Rank_seq;
+      rank_exec = Exec.Rank_seq;
       eager_halo = false;
       overlap = false;
     }
@@ -148,7 +147,7 @@ let build env ~px ~py ~ref_xsize ~ref_ysize =
               for x = max (x_min dat) (col_lo - dat.halo)
                   to min (x_max dat - 1) (col_hi + dat.halo - 1) do
                 for c = 0 to dat.dim - 1 do
-                  w.data.(window_index dat w ~x ~y ~c) <- get dat ~x ~y ~c
+                  w.data.(window_index dat w ~x ~y ~c) <- get dat ~x ~y ~z:0 ~c
                 done
               done
             done;
@@ -281,7 +280,7 @@ let par_loop ?ext ?(halo_seconds = ref 0.0) ?(overlap_seconds = ref 0.0) t ~rang
       | Arg_dat { stride; _ } when not (is_unit_stride stride) ->
         invalid_arg "ops-mpi: strided (grid-transfer) stencils are unsupported on \
                      partitioned contexts"
-      | Arg_dat _ | Arg_gbl _ | Arg_idx -> ())
+      | Arg_dat _ | Arg_gbl _ | Arg_idx _ -> ())
     args;
   (* Stencil-read datasets needing a ghost exchange (deduplicated).  The
      two-phase exchange is all-or-nothing at the full ghost depth, so the
@@ -305,7 +304,7 @@ let par_loop ?ext ?(halo_seconds = ref 0.0) ?(overlap_seconds = ref 0.0) t ~rang
         if not (Hashtbl.mem seen dat.dat_id) then order := dat :: !order;
         let prev = try Hashtbl.find seen dat.dat_id with Not_found -> -1 in
         if need > prev then Hashtbl.replace seen dat.dat_id need
-      | Arg_dat _ | Arg_gbl _ | Arg_idx -> ())
+      | Arg_dat _ | Arg_gbl _ | Arg_idx _ -> ())
     args;
   let needs =
     List.filter
@@ -336,10 +335,8 @@ let par_loop ?ext ?(halo_seconds = ref 0.0) ?(overlap_seconds = ref 0.0) t ~rang
       let resolvers =
         { Exec.resolve_dat = (fun d -> window_view d (dat_dist t d).windows.(r)) }
       in
-      match t.rank_exec with
-      | Rank_seq -> Exec.run_seq ~resolvers ~range:{ xlo; xhi; ylo; yhi } ~args ~kernel ()
-      | Rank_shared pool ->
-        Exec.run_shared ~resolvers pool ~range:{ xlo; xhi; ylo; yhi } ~args ~kernel
+      Exec.run_rank t.rank_exec ~resolvers ~axis:Y ~range:{ range with xlo; xhi; ylo; yhi }
+        ~args ~kernel
     end
   in
   (* As in [Dist]: a global Inc reduction is summed in iteration order, so
@@ -349,7 +346,7 @@ let par_loop ?ext ?(halo_seconds = ref 0.0) ?(overlap_seconds = ref 0.0) t ~rang
       (List.exists
          (function
            | Arg_gbl { access = Access.Inc; _ } -> true
-           | Arg_gbl _ | Arg_dat _ | Arg_idx -> false)
+           | Arg_gbl _ | Arg_dat _ | Arg_idx _ -> false)
          args)
   in
   let tokens =
@@ -464,7 +461,7 @@ let par_loop ?ext ?(halo_seconds = ref 0.0) ?(overlap_seconds = ref 0.0) t ~rang
         (dat_dist t dat).fresh <- false
       | Arg_gbl { access; _ } when access <> Access.Read ->
         Comm.count_reduction t.comm
-      | Arg_dat _ | Arg_gbl _ | Arg_idx -> ())
+      | Arg_dat _ | Arg_gbl _ | Arg_idx _ -> ())
     args
 
 let fetch_interior t dat =
@@ -491,7 +488,7 @@ let pull t dat =
     for x = x_min dat to x_max dat - 1 do
       let w = dd.windows.(rank_of_point t ~x ~y) in
       for c = 0 to dat.dim - 1 do
-        set dat ~x ~y ~c w.data.(window_index dat w ~x ~y ~c)
+        set dat ~x ~y ~z:0 ~c w.data.(window_index dat w ~x ~y ~c)
       done
     done
   done
@@ -505,7 +502,7 @@ let push t dat =
       for x = max (x_min dat) (w.col_lo - dat.halo)
           to min (x_max dat - 1) (w.col_hi + dat.halo - 1) do
         for c = 0 to dat.dim - 1 do
-          w.data.(window_index dat w ~x ~y ~c) <- get dat ~x ~y ~c
+          w.data.(window_index dat w ~x ~y ~c) <- get dat ~x ~y ~z:0 ~c
         done
       done
     done

@@ -9,7 +9,7 @@ module Obs_counters = Am_obs.Counters
 module Cat = Am_obs.Tracer
 module Access = Am_core.Access
 module Comm = Am_simmpi.Comm
-open Types3
+open Types
 
 type window = {
   slab_lo : int; (* first owned z-plane (global numbering) *)
@@ -19,8 +19,6 @@ type window = {
 
 type dat_dist = { windows : window array; mutable fresh : bool }
 
-type rank_exec = Rank_seq | Rank_shared of Am_taskpool.Pool.t
-
 type t = {
   comm : Comm.t;
   n_ranks : int;
@@ -28,7 +26,7 @@ type t = {
   chunk : int array;
   dat_dists : (int, dat_dist) Hashtbl.t;
   env : env;
-  mutable rank_exec : rank_exec;
+  mutable rank_exec : Exec.rank_exec;
   mutable overlap : bool;
 }
 
@@ -57,10 +55,10 @@ let window_index dat w ~x ~y ~z ~c =
   * dat.dim
   + c
 
-let window_view dat w : Exec3.view =
+let window_view dat w : Exec.view =
   let px = padded_x dat and py = padded_y dat in
   {
-    Exec3.vdata = w.data;
+    Exec.vdata = w.data;
     vbase = (((((dat.halo - w.slab_lo) * py) + dat.halo) * px) + dat.halo) * dat.dim;
     vplane = py * px * dat.dim;
     vrow = px * dat.dim;
@@ -87,7 +85,7 @@ let build env ~n_ranks ~ref_zsize =
     (dats env);
   let t =
     { comm = Comm.create ~n_ranks; n_ranks; ref_zsize; chunk;
-      dat_dists = Hashtbl.create 16; env; rank_exec = Rank_seq; overlap = false }
+      dat_dists = Hashtbl.create 16; env; rank_exec = Exec.Rank_seq; overlap = false }
   in
   List.iter
     (fun dat ->
@@ -195,7 +193,7 @@ let par_loop ?ext ?(halo_seconds = ref 0.0) ?(overlap_seconds = ref 0.0) t ~rang
       | Arg_dat { stride; _ } when not (is_unit_stride stride) ->
         invalid_arg "ops3-mpi: strided (grid-transfer) stencils are unsupported on \
                      partitioned contexts"
-      | Arg_dat _ | Arg_gbl _ | Arg_idx -> ())
+      | Arg_dat _ | Arg_gbl _ | Arg_idx _ -> ())
     args;
   (* Stencil-read datasets needing an exchange, with the deepest stencil of
      the loop on each (that decides the interior margin).  Footprint
@@ -219,7 +217,7 @@ let par_loop ?ext ?(halo_seconds = ref 0.0) ?(overlap_seconds = ref 0.0) t ~rang
           let prev = try Hashtbl.find seen dat.dat_id with Not_found -> 0 in
           if need > prev then Hashtbl.replace seen dat.dat_id need
         end
-      | Arg_dat _ | Arg_gbl _ | Arg_idx -> ())
+      | Arg_dat _ | Arg_gbl _ | Arg_idx _ -> ())
     args;
   let needs =
     Hashtbl.fold
@@ -242,16 +240,10 @@ let par_loop ?ext ?(halo_seconds = ref 0.0) ?(overlap_seconds = ref 0.0) t ~rang
   let run_planes r ~lo ~hi =
     if hi > lo then begin
       let resolvers =
-        { Exec3.resolve_dat = (fun d -> window_view d (dat_dist t d).windows.(r)) }
+        { Exec.resolve_dat = (fun d -> window_view d (dat_dist t d).windows.(r)) }
       in
-      match t.rank_exec with
-      | Rank_seq ->
-        Exec3.run_seq ~resolvers ~range:{ range with zlo = lo; zhi = hi } ~args
-          ~kernel ()
-      | Rank_shared pool ->
-        Exec3.run_shared ~resolvers pool
-          ~range:{ range with zlo = lo; zhi = hi }
-          ~args ~kernel
+      Exec.run_rank t.rank_exec ~resolvers ~axis:Z
+        ~range:{ range with zlo = lo; zhi = hi } ~args ~kernel
     end
   in
   (* A global Inc reduction is summed in plane order: splitting the range
@@ -262,7 +254,7 @@ let par_loop ?ext ?(halo_seconds = ref 0.0) ?(overlap_seconds = ref 0.0) t ~rang
       (List.exists
          (function
            | Arg_gbl { access = Access.Inc; _ } -> true
-           | Arg_gbl _ | Arg_dat _ | Arg_idx -> false)
+           | Arg_gbl _ | Arg_dat _ | Arg_idx _ -> false)
          args)
   in
   let tokens =
@@ -354,7 +346,7 @@ let par_loop ?ext ?(halo_seconds = ref 0.0) ?(overlap_seconds = ref 0.0) t ~rang
         (dat_dist t dat).fresh <- false
       | Arg_gbl { access; _ } when access <> Access.Read ->
         Comm.count_reduction t.comm
-      | Arg_dat _ | Arg_gbl _ | Arg_idx -> ())
+      | Arg_dat _ | Arg_gbl _ | Arg_idx _ -> ())
     args
 
 let fetch_interior t dat =
@@ -414,10 +406,7 @@ let mirror t dat ~depth ~sign_x ~sign_y ~sign_z ~center_x ~center_y ~center_z =
   let dd = dat_dist t dat in
   for r = 0 to t.n_ranks - 1 do
     let w = dd.windows.(r) in
-    Boundary3.apply_via
-      ~get:(fun x y z c -> w.data.(window_index dat w ~x ~y ~z ~c))
-      ~set:(fun x y z c v -> w.data.(window_index dat w ~x ~y ~z ~c) <- v)
-      ~dat ~depth ~sign_x ~sign_y ~sign_z ~center_x ~center_y ~center_z
-      ~slab_lo:w.slab_lo ~slab_hi:w.slab_hi
+    Boundary3.apply (window_view dat w) ~dat ~depth ~sign_x ~sign_y ~sign_z ~center_x
+      ~center_y ~center_z ~slab_lo:w.slab_lo ~slab_hi:w.slab_hi
   done;
   dd.fresh <- false

@@ -14,7 +14,7 @@ module Obs_counters = Am_obs.Counters
 module Cat = Am_obs.Tracer
 module Access = Am_core.Access
 module Comm = Am_simmpi.Comm
-open Types3
+open Types
 
 type window = {
   row_lo : int; (* first owned y-row (global numbering) *)
@@ -27,8 +27,6 @@ type window = {
 
 type dat_dist = { windows : window array; mutable fresh : bool }
 
-type rank_exec = Rank_seq | Rank_shared of Am_taskpool.Pool.t
-
 type t = {
   comm : Comm.t;
   py : int;
@@ -39,7 +37,7 @@ type t = {
   chunk_z : int array;
   dat_dists : (int, dat_dist) Hashtbl.t;
   env : env;
-  mutable rank_exec : rank_exec;
+  mutable rank_exec : Exec.rank_exec;
   mutable overlap : bool;
 }
 
@@ -74,10 +72,10 @@ let window_index dat w ~x ~y ~z ~c =
    * dat.dim)
   + c
 
-let window_view dat w : Exec3.view =
+let window_view dat w : Exec.view =
   let px = padded_x dat in
   {
-    Exec3.vdata = w.data;
+    Exec.vdata = w.data;
     vbase =
       (((((dat.halo - w.slab_lo) * w.y_stride) + (dat.halo - w.row_lo)) * px)
        + dat.halo)
@@ -114,7 +112,7 @@ let build env ~py ~pz ~ref_ysize ~ref_zsize =
     (dats env);
   let t =
     { comm = Comm.create ~n_ranks:(py * pz); py; pz; ref_ysize; ref_zsize; chunk_y;
-      chunk_z; dat_dists = Hashtbl.create 16; env; rank_exec = Rank_seq;
+      chunk_z; dat_dists = Hashtbl.create 16; env; rank_exec = Exec.Rank_seq;
       overlap = false }
   in
   List.iter
@@ -270,7 +268,7 @@ let par_loop ?ext ?(halo_seconds = ref 0.0) ?(overlap_seconds = ref 0.0) t ~rang
       | Arg_dat { stride; _ } when not (is_unit_stride stride) ->
         invalid_arg "ops3-mpi: strided (grid-transfer) stencils are unsupported on \
                      partitioned contexts"
-      | Arg_dat _ | Arg_gbl _ | Arg_idx -> ())
+      | Arg_dat _ | Arg_gbl _ | Arg_idx _ -> ())
     args;
   (* Stencil-read datasets needing a ghost exchange (deduplicated).  The
      two-phase pencil exchange is all-or-nothing at the full ghost depth,
@@ -294,7 +292,7 @@ let par_loop ?ext ?(halo_seconds = ref 0.0) ?(overlap_seconds = ref 0.0) t ~rang
         if not (Hashtbl.mem seen dat.dat_id) then order := dat :: !order;
         let prev = try Hashtbl.find seen dat.dat_id with Not_found -> -1 in
         if need > prev then Hashtbl.replace seen dat.dat_id need
-      | Arg_dat _ | Arg_gbl _ | Arg_idx -> ())
+      | Arg_dat _ | Arg_gbl _ | Arg_idx _ -> ())
     args;
   let needs =
     List.filter
@@ -321,16 +319,10 @@ let par_loop ?ext ?(halo_seconds = ref 0.0) ?(overlap_seconds = ref 0.0) t ~rang
   let run_box r ~ylo ~yhi ~zlo ~zhi =
     if ylo < yhi && zlo < zhi then begin
       let resolvers =
-        { Exec3.resolve_dat = (fun d -> window_view d (dat_dist t d).windows.(r)) }
+        { Exec.resolve_dat = (fun d -> window_view d (dat_dist t d).windows.(r)) }
       in
-      match t.rank_exec with
-      | Rank_seq ->
-        Exec3.run_seq ~resolvers ~range:{ range with ylo; yhi; zlo; zhi } ~args
-          ~kernel ()
-      | Rank_shared pool ->
-        Exec3.run_shared ~resolvers pool
-          ~range:{ range with ylo; yhi; zlo; zhi }
-          ~args ~kernel
+      Exec.run_rank t.rank_exec ~resolvers ~axis:Z
+        ~range:{ range with ylo; yhi; zlo; zhi } ~args ~kernel
     end
   in
   (* A global Inc reduction is summed in iteration order: splitting the box
@@ -341,7 +333,7 @@ let par_loop ?ext ?(halo_seconds = ref 0.0) ?(overlap_seconds = ref 0.0) t ~rang
       (List.exists
          (function
            | Arg_gbl { access = Access.Inc; _ } -> true
-           | Arg_gbl _ | Arg_dat _ | Arg_idx -> false)
+           | Arg_gbl _ | Arg_dat _ | Arg_idx _ -> false)
          args)
   in
   let tokens =
@@ -455,7 +447,7 @@ let par_loop ?ext ?(halo_seconds = ref 0.0) ?(overlap_seconds = ref 0.0) t ~rang
         (dat_dist t dat).fresh <- false
       | Arg_gbl { access; _ } when access <> Access.Read ->
         Comm.count_reduction t.comm
-      | Arg_dat _ | Arg_gbl _ | Arg_idx -> ())
+      | Arg_dat _ | Arg_gbl _ | Arg_idx _ -> ())
     args
 
 let fetch_interior t dat =

@@ -1,4 +1,5 @@
-(* 2D sanitizer executor: sequential traversal with access-descriptor guards.
+(* Sanitizer executor: sequential traversal with access-descriptor guards,
+   for blocks of every rank.
 
    Every argument is staged whatever the kernel form: one staging buffer
    per argument with [dim] values per declared stencil point, which an
@@ -12,8 +13,9 @@
    writing a [Read] argument, reading a [Write] argument's previous value,
    and indexing a stencil point that was never declared (the read lands in
    the canary tail and the NaN propagates into whatever the kernel
-   writes).  Violations raise {!Violation} naming the loop,
-   argument, dataset and (x, y) iteration point.
+   writes).  Violations raise {!Violation} naming the loop, argument,
+   dataset and iteration point, printed in the block's own rank: (x),
+   (x,y) or (x,y,z).
 
    Clean runs produce results identical to [Exec.run_seq]. *)
 
@@ -45,15 +47,16 @@ type guarded =
       buf : float array; (* persists across points, like the seq backend *)
       snapshot : float array;
     }
-  | G_idx of { buf : float array }
+  | G_idx of { buf : float array (* the indices, then two canaries *) }
 
 let violation fmt = Printf.ksprintf (fun s -> raise (Violation s)) fmt
 
-let fail ~name ~arg_i ~what ~x ~y fmt =
+let fail ~rank ~name ~arg_i ~what ~x ~y ~z fmt =
   Printf.ksprintf
     (fun s ->
       Counters.incr Obs.check_violations;
-      violation "check: loop %s, arg %d (%s), point (%d,%d): %s" name arg_i what x y s)
+      violation "check: loop %s, arg %d (%s), point %s: %s" name arg_i what
+        (point_to_string ~rank x y z) s)
     fmt
 
 let pad_of dim = max 2 dim
@@ -62,7 +65,7 @@ let guard_args args =
   List.map
     (function
       | Arg_dat { dat; stencil; access; stride } ->
-        let n = dat.dim * Array.length stencil in
+        let n = dat.dim * npoints stencil in
         G_dat
           {
             dat;
@@ -81,31 +84,34 @@ let guard_args args =
         | Access.Write | Access.Rw ->
           invalid_arg "ops: Write/Rw access on a global argument");
         G_gbl { gname = name; user_buf = buf; access; buf = b; snapshot = Array.copy buf }
-      | Arg_idx -> G_idx { buf = Array.make 4 canary })
+      | Arg_idx n -> G_idx { buf = Array.make (n + 2) canary })
     args
 
-let gather ~name ~arg_i g ~x ~y =
+let gather ~rank ~name ~arg_i g ~x ~y ~z =
   match g with
   | G_gbl _ -> ()
   | G_idx { buf } ->
+    let n = Array.length buf - 2 in
     buf.(0) <- Float.of_int x;
-    buf.(1) <- Float.of_int y
+    if n > 1 then buf.(1) <- Float.of_int y;
+    if n > 2 then buf.(2) <- Float.of_int z
   | G_dat { dat; stencil; access; stride; buf; snapshot } -> (
     match access with
     | Access.Read | Access.Rw ->
-      let bx, by = apply_stride stride ~x ~y in
-      Array.iteri
-        (fun p (dx, dy) ->
-          for c = 0 to dat.dim - 1 do
-            let v = get dat ~x:(bx + dx) ~y:(by + dy) ~c in
-            buf.((p * dat.dim) + c) <- v;
-            snapshot.((p * dat.dim) + c) <- v
-          done)
-        stencil
-    | Access.Write -> Array.fill buf 0 (dat.dim * Array.length stencil) canary
-    | Access.Inc -> Array.fill buf 0 (dat.dim * Array.length stencil) 0.0
+      let bx = stride_x stride x and by = stride_y stride y and bz = stride_z stride z in
+      for p = 0 to npoints stencil - 1 do
+        for c = 0 to dat.dim - 1 do
+          let v =
+            get dat ~x:(bx + ox stencil p) ~y:(by + oy stencil p) ~z:(bz + oz stencil p) ~c
+          in
+          buf.((p * dat.dim) + c) <- v;
+          snapshot.((p * dat.dim) + c) <- v
+        done
+      done
+    | Access.Write -> Array.fill buf 0 (dat.dim * npoints stencil) canary
+    | Access.Inc -> Array.fill buf 0 (dat.dim * npoints stencil) 0.0
     | Access.Min | Access.Max ->
-      fail ~name ~arg_i ~what:dat.dat_name ~x ~y "Min/Max access on a dataset")
+      fail ~rank ~name ~arg_i ~what:dat.dat_name ~x ~y ~z "Min/Max access on a dataset")
 
 (* [light] is the inference-backed fast path: when the static probe proved
    the loop's footprint exact, the bitwise snapshot compares of Read
@@ -117,44 +123,44 @@ let gather ~name ~arg_i g ~x ~y =
    Read write-back guard inherits the probe's sampling blind spot.  Loops
    whose footprint was caught lying never run light, so every violation
    the full guards would raise still is. *)
-let check_and_scatter ~light ~name ~arg_i g ~x ~y =
+let check_and_scatter ~light ~rank ~name ~arg_i g ~x ~y ~z =
+  let fail ~what fmt = fail ~rank ~name ~arg_i ~what ~x ~y ~z fmt in
   match g with
   | G_idx { buf } ->
-    for d = 2 to 3 do
+    let n = Array.length buf - 2 in
+    for d = n to n + 1 do
       if not (is_canary buf.(d)) then
-        fail ~name ~arg_i ~what:"idx" ~x ~y
-          "kernel wrote past the 2 iteration-index slots"
+        fail ~what:"idx" "kernel wrote past the %d iteration-index slot(s)" n
     done;
     if
       (not (same_bits buf.(0) (Float.of_int x)))
-      || not (same_bits buf.(1) (Float.of_int y))
-    then
-      fail ~name ~arg_i ~what:"idx" ~x ~y "kernel wrote the (read-only) index buffer"
+      || (n > 1 && not (same_bits buf.(1) (Float.of_int y)))
+      || (n > 2 && not (same_bits buf.(2) (Float.of_int z)))
+    then fail ~what:"idx" "kernel wrote the (read-only) index buffer"
   | G_gbl { gname; user_buf; access; buf; snapshot } -> (
     let dim = Array.length user_buf in
     for d = dim to Array.length buf - 1 do
       if not (is_canary buf.(d)) then
-        fail ~name ~arg_i ~what:gname ~x ~y
-          "kernel wrote past the %d declared component(s) of the global" dim
+        fail ~what:gname "kernel wrote past the %d declared component(s) of the global" dim
     done;
     match access with
     | Access.Read ->
       if not light then
         for d = 0 to dim - 1 do
           if not (same_bits buf.(d) snapshot.(d)) then
-            fail ~name ~arg_i ~what:gname ~x ~y
-              "kernel wrote component %d of a Read global (%.17g -> %.17g)" d
+            fail ~what:gname "kernel wrote component %d of a Read global (%.17g -> %.17g)" d
               snapshot.(d) buf.(d)
         done
     | Access.Inc | Access.Min | Access.Max -> ()
     | Access.Write | Access.Rw -> assert false)
   | G_dat { dat; stencil; access; buf; snapshot; _ } -> (
-    let n = dat.dim * Array.length stencil in
+    let what = dat.dat_name in
+    let n = dat.dim * npoints stencil in
     for d = n to Array.length buf - 1 do
       if not (is_canary buf.(d)) then
-        fail ~name ~arg_i ~what:dat.dat_name ~x ~y
-          "kernel wrote past the %d declared stencil value(s): undeclared \
-           stencil point or out-of-range component index"
+        fail ~what
+          "kernel wrote past the %d declared stencil value(s): undeclared stencil point \
+           or out-of-range component index"
           n
     done;
     match access with
@@ -162,37 +168,36 @@ let check_and_scatter ~light ~name ~arg_i g ~x ~y =
       if not light then
         for d = 0 to n - 1 do
           if not (same_bits buf.(d) snapshot.(d)) then
-            fail ~name ~arg_i ~what:dat.dat_name ~x ~y
-              "kernel wrote slot %d of a Read argument (%.17g -> %.17g)" d
+            fail ~what "kernel wrote slot %d of a Read argument (%.17g -> %.17g)" d
               snapshot.(d) buf.(d)
         done
     | Access.Write ->
       (* Center-only by validation: scatter slot p = 0. *)
       for c = 0 to dat.dim - 1 do
         if Float.is_nan buf.(c) then
-          fail ~name ~arg_i ~what:dat.dat_name ~x ~y
-            "component %d of a Write argument is NaN after the kernel: the \
-             kernel read the (poisoned) previous value or never wrote the slot"
+          fail ~what
+            "component %d of a Write argument is NaN after the kernel: the kernel read \
+             the (poisoned) previous value or never wrote the slot"
             c;
-        set dat ~x ~y ~c buf.(c)
+        set dat ~x ~y ~z ~c buf.(c)
       done
     | Access.Rw ->
       for c = 0 to dat.dim - 1 do
         if Float.is_nan buf.(c) && not (Float.is_nan snapshot.(c)) then
-          fail ~name ~arg_i ~what:dat.dat_name ~x ~y
-            "component %d of an Rw argument became NaN inside the kernel \
-             (derived from another argument's poisoned Write buffer)"
+          fail ~what
+            "component %d of an Rw argument became NaN inside the kernel (derived from \
+             another argument's poisoned Write buffer)"
             c;
-        set dat ~x ~y ~c buf.(c)
+        set dat ~x ~y ~z ~c buf.(c)
       done
     | Access.Inc ->
       for c = 0 to dat.dim - 1 do
         if Float.is_nan buf.(c) then
-          fail ~name ~arg_i ~what:dat.dat_name ~x ~y
-            "increment component %d is NaN (derived from another argument's \
-             poisoned Write buffer)"
+          fail ~what
+            "increment component %d is NaN (derived from another argument's poisoned \
+             Write buffer)"
             c;
-        set dat ~x ~y ~c (get dat ~x ~y ~c +. buf.(c))
+        set dat ~x ~y ~z ~c (get dat ~x ~y ~z ~c +. buf.(c))
       done
     | Access.Min | Access.Max -> assert false)
 
@@ -216,7 +221,7 @@ let merge_gbl g =
       done
     | Access.Write | Access.Rw -> assert false)
 
-let run ?(light = false) ~name ~range ~args ~kernel () =
+let run ?(light = false) ~rank ~name ~range ~args ~kernel () =
   Counters.incr Obs.check_loops;
   Counters.add Obs.check_elements (range_size range);
   if light then begin
@@ -236,17 +241,21 @@ let run ?(light = false) ~name ~range ~args ~kernel () =
       let accs = Exec.staged_accessors args buffers in
       fun () -> k accs
   in
-  for y = range.ylo to range.yhi - 1 do
-    for x = range.xlo to range.xhi - 1 do
-      Array.iteri (fun i g -> gather ~name ~arg_i:i g ~x ~y) guarded;
-      (try call ()
-       with Invalid_argument msg ->
-         Counters.incr Obs.check_violations;
-         violation
-           "check: loop %s, point (%d,%d): kernel raised Invalid_argument (%s) \
-            — out-of-range staging-buffer index"
-           name x y msg);
-      Array.iteri (fun i g -> check_and_scatter ~light ~name ~arg_i:i g ~x ~y) guarded
+  for z = range.zlo to range.zhi - 1 do
+    for y = range.ylo to range.yhi - 1 do
+      for x = range.xlo to range.xhi - 1 do
+        Array.iteri (fun i g -> gather ~rank ~name ~arg_i:i g ~x ~y ~z) guarded;
+        (try call ()
+         with Invalid_argument msg ->
+           Counters.incr Obs.check_violations;
+           violation
+             "check: loop %s, point %s: kernel raised Invalid_argument (%s) — \
+              out-of-range staging-buffer index"
+             name (point_to_string ~rank x y z) msg);
+        Array.iteri
+          (fun i g -> check_and_scatter ~light ~rank ~name ~arg_i:i g ~x ~y ~z)
+          guarded
+      done
     done
   done;
   Array.iter merge_gbl guarded

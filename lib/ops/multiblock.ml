@@ -25,7 +25,7 @@ type halo = {
   halo_name : string;
   src : dat;
   dst : dat;
-  src_range : range; (* face on the source, ghost rows allowed *)
+  src_range : range; (* face on the source (z in [0, 1)), ghost rows allowed *)
   dst_range : range; (* matching face on the destination *)
   orientation : orientation;
 }
@@ -46,7 +46,7 @@ let decl_halo ~name ~src ~dst ~src_range ~dst_range ?(orientation = identity_ori
   let check_bounds d r =
     if r.xlo < x_min d || r.xhi > x_max d || r.ylo < y_min d || r.yhi > y_max d then
       invalid_arg (Printf.sprintf "decl_halo %s: range %s outside dat %s" name
-                     (range_to_string r) d.dat_name)
+                     (range_to_string ~rank:2 r) d.dat_name)
   in
   check_bounds src src_range;
   check_bounds dst dst_range;
@@ -68,8 +68,8 @@ let transfer h =
       let dx = h.dst_range.xlo + (tx i j - min_tx) in
       let dy = h.dst_range.ylo + (ty i j - min_ty) in
       for c = 0 to h.src.dim - 1 do
-        set h.dst ~x:dx ~y:dy ~c
-          (get h.src ~x:(h.src_range.xlo + i) ~y:(h.src_range.ylo + j) ~c)
+        set h.dst ~x:dx ~y:dy ~z:0 ~c
+          (get h.src ~x:(h.src_range.xlo + i) ~y:(h.src_range.ylo + j) ~z:0 ~c)
       done
     done
   done

@@ -5,7 +5,7 @@
    describing how indices map across the interface.  Transfers are
    triggered explicitly by the application, as the paper describes. *)
 
-open Types3
+open Types
 
 (* Destination point = dst_origin + M * (p - src_origin), with the
    transformed box shifted so its minimum corner lands on dst_origin. *)
@@ -50,7 +50,7 @@ let decl_halo ~name ~src ~dst ~src_range ~dst_range
        || r.zlo < z_min d || r.zhi > z_max d
     then
       invalid_arg (Printf.sprintf "decl_halo3 %s: range %s outside dat %s" name
-                     (range_to_string r) d.dat_name)
+                     (range_to_string ~rank:3 r) d.dat_name)
   in
   check_bounds src src_range;
   check_bounds dst dst_range;

@@ -62,10 +62,10 @@ module Acc : sig
 end
 
 (** Half-open iteration rectangle; negative indices reach the ghost ring. *)
-type range = Types.range = { xlo : int; xhi : int; ylo : int; yhi : int }
+type range = { xlo : int; xhi : int; ylo : int; yhi : int }
 
 (** Relative (dx, dy) offsets; index 0 of the kernel buffer is offset 0. *)
-type stencil = Types.stencil
+type stencil = (int * int) array
 
 val stencil_point : stencil
 
@@ -179,7 +179,7 @@ val partition_grid :
 
 (** Hybrid MPI+OpenMP: each rank's rows run on a shared pool (centre-only
     writes make this race-free without planning). *)
-type rank_execution = Dist.rank_exec = Rank_seq | Rank_shared of Am_taskpool.Pool.t
+type rank_execution = Exec.rank_exec = Rank_seq | Rank_shared of Am_taskpool.Pool.t
 
 (** Select intra-rank execution; the context must be partitioned. *)
 val set_rank_execution : ctx -> rank_execution -> unit

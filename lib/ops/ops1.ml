@@ -1,848 +1,124 @@
 (* Public facade of the 1D structured-mesh library: the same abstraction as
    {!Ops}/{!Ops3} instantiated for one-dimensional blocks (the paper:
-   blocks have "a number of dimensions (1D, 2D, 3D, etc.)"). *)
+   blocks have "a number of dimensions (1D, 2D, 3D, etc.)").  Everything
+   below the 1D types is the rank-3 core ({!Pipeline}) with y and z of
+   extent 1. *)
 
 module Access = Am_core.Access
 module Descr = Am_core.Descr
-module Probe = Am_core.Probe
 module Profile = Am_core.Profile
 module Trace = Am_core.Trace
 
-type block = Types1.block
-type dat = Types1.dat
-type arg = Types1.arg
-type range = Types1.range = { xlo : int; xhi : int }
-type stencil = Types1.stencil
+type block = Types.block
+type dat = Types.dat
+type arg = Types.arg
+type range = { xlo : int; xhi : int }
+type stencil = int array
 
-let stencil_point = Types1.stencil_point
-let stencil_3pt = Types1.stencil_3pt
+let stencil_point : stencil = [| 0 |]
+
+(* 3-point Laplacian stencil: centre, -x, +x. *)
+let stencil_3pt : stencil = [| 0; -1; 1 |]
 
 type backend =
   | Seq
   | Shared of { pool : Am_taskpool.Pool.t }
-  | Cuda_sim of Exec1.cuda_config
+  | Cuda_sim of Exec.cuda_config1
   | Check (* sanitizer: seq semantics + access-descriptor guards *)
 
-(* Per-call-site executor handle (see [Ops.make_handle]). *)
-type handle = { mutable h_exec : Exec1.compiled_arg array option }
+let exec_of = function
+  | Seq -> Pipeline.Seq
+  | Shared { pool } -> Pipeline.Shared pool
+  | Cuda_sim { Exec.tile_x; staged } ->
+    Pipeline.Cuda { Exec.tile_x; tile_y = 1; tile_z = 1; staged }
+  | Check -> Pipeline.Check
 
-let make_handle () = { h_exec = None }
+type ctx = backend Pipeline.ctx
+type handle = Pipeline.handle
 
-(* One recorded [par_loop] invocation (see [Ops.queued_loop]; in 1D every
-   dataset argument is unit-stride, so every recorded loop tiles). *)
-type queued_loop = {
-  q_name : string;
-  q_descr : Descr.loop;
-  q_range : range;
-  q_args : arg list;
-  q_kernel : float array array -> unit;
-  q_handle : handle option;
-  q_snapshots : (float array * float array) list; (* user buffer, copy *)
-  q_foot : Probe.info option; (* observed footprint, if inference is on *)
-}
-
-type chain_item = Q_loop of queued_loop | Q_op of (unit -> unit) * string
-
-type ctx = {
-  env : Types1.env;
-  mutable backend : backend;
-  profile : Profile.t;
-  trace : Trace.t;
-  mutable dist : Dist1.t option;
-  mutable checkpoint : Am_checkpoint.Runtime.session option;
-  mutable fault : Am_simmpi.Fault.t option;
-  (* Lazy loop chains (cross-loop cache tiling).  [tile_pool] switches the
-     tiled flush from the sequential slab walk to the wavefront executor. *)
-  mutable lazy_mode : bool;
-  mutable tile_size : int;
-  mutable tile_pool : Am_taskpool.Pool.t option;
-  mutable chain_rev : chain_item list;
-  mutable chain_len : int;
-  mutable obs_hooked : bool;
-  (* Kernel footprint inference (once per loop signature). *)
-  mutable infer : bool;
-  (* Runtime tightening from sampled never-observed-read facts: explicit
-     opt-in, off by default (see [Ops] and DESIGN.md 5j). *)
-  mutable tighten : bool;
-  foot_tbl : (string, Probe.info) Hashtbl.t;
-}
-
-(* x is the only (and therefore the tiled) axis; a tile is a contiguous
-   chunk of cells, so the default is sized in cells rather than rows. *)
-let default_tile = 256
-
-let max_chain = 64
-
-let create ?(backend = Seq) () =
-  {
-    env = Types1.make_env ();
-    backend;
-    profile = Profile.create ();
-    trace = Trace.create ();
-    dist = None;
-    checkpoint = None;
-    fault = None;
-    lazy_mode = false;
-    tile_size = default_tile;
-    tile_pool = None;
-    chain_rev = [];
-    chain_len = 0;
-    obs_hooked = false;
-    infer = true;
-    tighten = false;
-    foot_tbl = Hashtbl.create 32;
-  }
-
-(* ---- Kernel footprint inference (see [Ops] for the full commentary) ------ *)
-
-let observed_exts args (fp : Probe.t) =
-  let usable = Probe.clean fp in
-  Array.of_list
-    (List.mapi
-       (fun i arg ->
-         match arg with
-         | Types1.Arg_dat { dat; stencil; access }
-           when usable && Access.reads access && i < Array.length fp.Probe.fp_args
-           ->
-           let pr = Probe.points_read fp.Probe.fp_args.(i) ~dim:dat.Types1.dim in
-           let ext = ref 0 in
-           Array.iteri
-             (fun p dx ->
-               if p < Array.length pr && pr.(p) then ext := max !ext (abs dx))
-             stencil;
-           !ext
-         | Types1.Arg_dat _ | Types1.Arg_gbl _ | Types1.Arg_idx -> -1)
-       args)
-
-(* Concrete stencil offsets, which [Descr] abstracts to a point count and
-   radius: part of the cache key (see [Ops.stencil_salt]). *)
-let stencil_salt args =
-  String.concat ";"
-    (List.map
-       (function
-         | Types1.Arg_dat { stencil; _ } ->
-           String.concat ""
-             (Array.to_list (Array.map (Printf.sprintf "(%d)") stencil))
-         | Types1.Arg_gbl _ -> "g"
-         | Types1.Arg_idx -> "i")
-       args)
-
-let idx_flags args =
-  Array.of_list
-    (List.map
-       (function
-         | Types1.Arg_idx -> true
-         | Types1.Arg_dat _ | Types1.Arg_gbl _ -> false)
-       args)
-
-let footprint ctx (descr : Descr.loop) args kernel =
-  if not ctx.infer then None
-  else begin
-    let key = Probe.signature ~salt:(stencil_salt args) descr in
-    match Hashtbl.find_opt ctx.foot_tbl key with
-    | Some fi ->
-      Am_obs.Counters.incr Am_obs.Obs.infer_hits;
-      Some fi
-    | None ->
-      Am_obs.Counters.incr Am_obs.Obs.infer_misses;
-      let fp = Probe.infer ~idx:(idx_flags args) ~loop:descr ~kernel () in
-      let fi =
-        { Probe.in_loop = descr; in_foot = fp; in_read_ext = observed_exts args fp }
-      in
-      Hashtbl.add ctx.foot_tbl key fi;
-      Some fi
-  end
-
-let light_of = function
-  | Some fi -> Probe.clean fi.Probe.in_foot
-  | None -> false
-
-let set_infer ctx enabled = ctx.infer <- enabled
-let infer_enabled ctx = ctx.infer
-let set_tighten ctx enabled = ctx.tighten <- enabled
-let tighten_enabled ctx = ctx.tighten
-
-let footprints ctx =
-  Hashtbl.fold (fun _ fi acc -> fi :: acc) ctx.foot_tbl []
-  |> List.sort (fun a b ->
-         compare a.Probe.in_loop.Descr.loop_name b.Probe.in_loop.Descr.loop_name)
-
-(* ---- Lazy loop chains (see [Ops] for the full commentary) ---------------- *)
-
-let now () = Unix.gettimeofday ()
-
-let resolve_compiled handle args =
-  match handle.h_exec with
-  | Some c when Exec1.compiled_matches c args ->
-    Am_obs.Counters.incr Am_obs.Obs.exec_hits;
-    c
-  | Some _ | None ->
-    Am_obs.Counters.incr Am_obs.Obs.exec_misses;
-    let c =
-      Am_obs.Obs.span ~cat:Am_obs.Tracer.Plan "compile" (fun () -> Exec1.compile args)
-    in
-    handle.h_exec <- Some c;
-    c
-
-let lazy_active ctx =
-  ctx.lazy_mode && ctx.dist = None && ctx.checkpoint = None
-  && (match ctx.backend with Seq | Check -> true | Shared _ | Cuda_sim _ -> false)
-
-let enqueue ctx item =
-  ctx.chain_rev <- item :: ctx.chain_rev;
-  ctx.chain_len <- ctx.chain_len + 1
-
-let blit_snapshots q =
-  List.iter
-    (fun (buf, snap) -> Array.blit snap 0 buf 0 (Array.length snap))
-    q.q_snapshots
-
-let save_gbl_live items =
-  let saved = ref [] in
-  List.iter
-    (function
-      | Q_loop q ->
-        List.iter
-          (fun (buf, _) ->
-            if not (List.exists (fun (b, _) -> b == buf) !saved) then
-              saved := (buf, Array.copy buf) :: !saved)
-          q.q_snapshots
-      | Q_op _ -> ())
-    items;
-  !saved
-
-let restore_gbl_live saved =
-  List.iter (fun (buf, live) -> Array.blit live 0 buf 0 (Array.length live)) saved
-
-(* Project a recorded loop onto the (only) x axis, skewing by observed
-   dependence distances when inference proved the declaration and the
-   caller opted into tightening. *)
-let entry_info ~tighten q =
-  let foot =
-    match q.q_foot with
-    | Some fi when tighten && Probe.clean fi.Probe.in_foot -> Some fi.Probe.in_foot
-    | Some _ | None -> None
-  in
-  let reads = ref [] and writes = ref [] in
-  List.iteri
-    (fun i arg ->
-      match arg with
-      | Types1.Arg_dat { dat; stencil; access } ->
-        let id = dat.Types1.dat_id in
-        if Access.writes access then writes := id :: !writes;
-        let below = ref 0 and above = ref 0 in
-        if Access.reads access then begin
-          let keep =
-            match foot with
-            | Some fp when i < Array.length fp.Probe.fp_args ->
-              let pr = Probe.points_read fp.Probe.fp_args.(i) ~dim:dat.Types1.dim in
-              fun p -> p < Array.length pr && pr.(p)
-            | Some _ | None -> fun _ -> true
-          in
-          Array.iteri
-            (fun p dx ->
-              if keep p then begin
-                if -dx > !below then below := -dx;
-                if dx > !above then above := dx
-              end)
-            stencil
-        end;
-        reads := (id, !below, !above) :: !reads
-      | Types1.Arg_gbl _ | Types1.Arg_idx -> ())
-    q.q_args;
-  {
-    Tiling.li_lo = q.q_range.xlo;
-    li_hi = q.q_range.xhi;
-    li_reads = List.rev !reads;
-    li_writes = List.rev !writes;
-  }
-
-let record_entry_profile ctx q ~seconds =
-  Profile.record ctx.profile ~name:q.q_name ~seconds
-    ~bytes:(Descr.total_bytes q.q_descr) ~elements:(Types1.range_size q.q_range)
-
-let run_queued_eager ctx q =
-  blit_snapshots q;
-  let traced = Am_obs.Obs.tracing () in
-  if traced then Am_obs.Obs.begin_span ~cat:Am_obs.Tracer.Loop q.q_name;
-  let t0 = now () in
-  (match ctx.backend with
-  | Seq ->
-    let compiled = Option.map (fun h -> resolve_compiled h q.q_args) q.q_handle in
-    Exec1.run_seq ?compiled ~range:q.q_range ~args:q.q_args ~kernel:q.q_kernel ()
-  | Check ->
-    Exec_check1.run ~light:(light_of q.q_foot) ~name:q.q_name ~range:q.q_range
-      ~args:q.q_args ~kernel:q.q_kernel ()
-  | Shared _ | Cuda_sim _ -> assert false (* lazy_active excludes these *));
-  if traced then Am_obs.Obs.end_span ();
-  record_entry_profile ctx q ~seconds:(now () -. t0)
-
-(* Tiled Seq segment: compile + make buffers once per entry, slabs in
-   ascending order, globals merged once per entry — bitwise equal to eager
-   execution (see [Ops.run_segment_seq]). *)
-let run_segment_seq ctx entries =
-  let infos = Array.map (entry_info ~tighten:ctx.tighten) entries in
-  let sched = Tiling.find ~tile_size:ctx.tile_size infos in
-  Am_obs.Counters.add Am_obs.Obs.chain_tiles (Array.length sched.Tiling.sched_tiles);
-  let prepped =
-    Array.map
-      (fun q ->
-        blit_snapshots q;
-        let compiled =
-          match q.q_handle with
-          | Some h -> resolve_compiled h q.q_args
-          | None -> Exec1.compile q.q_args
-        in
-        (compiled, Exec1.make_buffers compiled, ref 0.0))
-      entries
-  in
-  let traced = Am_obs.Obs.tracing () in
-  Array.iteri
-    (fun t slabs ->
-      let tile_t0 = now () in
-      if traced then
-        Am_obs.Obs.begin_span ~cat:Am_obs.Tracer.Loop
-          ~args:[ ("tile", float_of_int t) ]
-          "tile";
-      Array.iter
-        (fun { Tiling.s_loop; s_lo; s_hi } ->
-          let q = entries.(s_loop) in
-          let compiled, buffers, secs = prepped.(s_loop) in
-          let t0 = now () in
-          Exec1.run_range compiled buffers
-            ~range:{ xlo = s_lo; xhi = s_hi }
-            ~kernel:q.q_kernel;
-          secs := !secs +. (now () -. t0))
-        slabs;
-      if traced then Am_obs.Obs.end_span ();
-      Am_obs.Counters.observe Am_obs.Obs.tile_seconds (now () -. tile_t0))
-    sched.Tiling.sched_tiles;
-  Array.iteri
-    (fun k q ->
-      let compiled, buffers, secs = prepped.(k) in
-      if Exec1.has_globals compiled then Exec1.merge_globals compiled buffers;
-      record_entry_profile ctx q ~seconds:!secs)
-    entries
-
-(* The wavefront executor needs two tiled axes; a 1D chain has one.  The
-   degenerate inner projection — every loop over the single "column"
-   [0, 1) with zero-extent reads — makes the inner axis dependence-free,
-   so it collapses out of the wavefront index: a 1D chain with real
-   dependences runs its (inherently pipelined) tiles one wave each, and a
-   dependence-free chain fans every tile into one wave. *)
-let degenerate_inner info =
-  {
-    Tiling.li_lo = 0;
-    li_hi = 1;
-    li_reads = List.map (fun (d, _, _) -> (d, 0, 0)) info.Tiling.li_reads;
-    li_writes = info.Tiling.li_writes;
-  }
-
-let reduces_globals compiled =
-  Array.exists
-    (function
-      | Exec1.C_gbl { access = Access.Inc | Access.Min | Access.Max; _ } -> true
-      | Exec1.C_gbl _ | Exec1.C_dat _ | Exec1.C_idx -> false)
-    compiled
-
-(* Wavefront-parallel Seq segment; see [Ops.run_segment_par] for the
-   determinism and reduction-reassociation contract. *)
-let run_segment_par ctx pool entries =
-  let n = Array.length entries in
-  let outer = Array.map (entry_info ~tighten:ctx.tighten) entries in
-  let inner = Array.map degenerate_inner outer in
-  let sched = Tiling_par.find ~tile_size:ctx.tile_size ~outer ~inner in
-  let ntiles = Tiling_par.n_tiles sched in
-  Am_obs.Counters.add Am_obs.Obs.chain_tiles ntiles;
-  let prepped =
-    Array.map
-      (fun q ->
-        blit_snapshots q;
-        let compiled =
-          match q.q_handle with
-          | Some h -> resolve_compiled h q.q_args
-          | None -> Exec1.compile q.q_args
-        in
-        (compiled, Exec1.make_buffers compiled, reduces_globals compiled))
-      entries
-  in
-  let acc =
-    Array.map
-      (fun (_, _, reduces) -> if reduces then Array.make ntiles None else [||])
-      prepped
-  in
-  let copy_buffers template = Array.map Array.copy template in
-  let local () = (Array.make n None, Array.make n 0.0) in
-  let tile (wbufs, wsecs) (pt : Tiling_par.ptile) =
-    Array.iter
-      (fun { Tiling_par.ps_loop; ps_olo; ps_ohi; _ } ->
-        let q = entries.(ps_loop) in
-        let compiled, template, reduces = prepped.(ps_loop) in
-        let buffers =
-          if reduces then begin
-            let b = copy_buffers template in
-            acc.(ps_loop).(pt.Tiling_par.pt_id) <- Some b;
-            b
-          end
-          else
-            match wbufs.(ps_loop) with
-            | Some b -> b
-            | None ->
-              let b = copy_buffers template in
-              wbufs.(ps_loop) <- Some b;
-              b
-        in
-        let t0 = now () in
-        Exec1.run_range compiled buffers
-          ~range:{ xlo = ps_olo; xhi = ps_ohi }
-          ~kernel:q.q_kernel;
-        wsecs.(ps_loop) <- wsecs.(ps_loop) +. (now () -. t0))
-      pt.Tiling_par.pt_slabs
-  in
-  let states = Tiling_par.run pool sched ~local ~tile in
-  let secs = Array.make n 0.0 in
-  List.iter
-    (fun (_, wsecs) -> Array.iteri (fun k s -> secs.(k) <- secs.(k) +. s) wsecs)
-    states;
-  Array.iteri
-    (fun k q ->
-      let compiled, _, reduces = prepped.(k) in
-      if reduces then
-        Array.iter
-          (function
-            | Some buffers -> Exec1.merge_globals compiled buffers
-            | None -> ())
-          acc.(k);
-      record_entry_profile ctx q ~seconds:secs.(k))
-    entries
-
-(* Sanitized wavefront walk with the cross-tile claim tracker (see
-   [Ops.run_segment_check_wave]); intervals here are 1D cell ranges. *)
-let run_segment_check_wave ctx entries =
-  let outer = Array.map (entry_info ~tighten:ctx.tighten) entries in
-  let inner = Array.map degenerate_inner outer in
-  let sched = Tiling_par.find ~tile_size:ctx.tile_size ~outer ~inner in
-  Am_obs.Counters.add Am_obs.Obs.chain_tiles (Tiling_par.n_tiles sched);
-  Am_obs.Counters.add Am_obs.Obs.tile_wavefronts (Tiling_par.n_waves sched);
-  let secs = Array.map (fun _ -> ref 0.0) entries in
-  let overlap alo ahi blo bhi = min ahi bhi > max alo blo in
-  Array.iteri
-    (fun w wave ->
-      let claims : (int, (int * int * int * bool) list) Hashtbl.t =
-        Hashtbl.create 16
-      in
-      let claim d tile (lo, hi) ~writing =
-        let prev = Option.value ~default:[] (Hashtbl.find_opt claims d) in
-        List.iter
-          (fun (tile', lo', hi', wrote') ->
-            if tile' <> tile && (writing || wrote') && overlap lo hi lo' hi'
-            then begin
-              Am_obs.Counters.incr Am_obs.Obs.check_violations;
-              Exec_check1.violation
-                "check: wave %d, dataset %d: tile %d %s cells [%d,%d) while \
-                 tile %d %s cells [%d,%d) — cross-tile race inside one \
-                 wavefront"
-                w d tile
-                (if writing then "writes" else "reads")
-                lo hi tile'
-                (if wrote' then "writes" else "reads")
-                lo' hi'
-            end)
-          prev;
-        Hashtbl.replace claims d ((tile, lo, hi, writing) :: prev)
-      in
-      Array.iter
-        (fun pt ->
-          let tile = pt.Tiling_par.pt_id in
-          Array.iter
-            (fun { Tiling_par.ps_loop; ps_olo; ps_ohi; _ } ->
-              let q = entries.(ps_loop) in
-              List.iter
-                (fun d -> claim d tile (ps_olo, ps_ohi) ~writing:true)
-                outer.(ps_loop).Tiling.li_writes;
-              List.iter
-                (fun (d, below, above) ->
-                  claim d tile (ps_olo - below, ps_ohi + above) ~writing:false)
-                outer.(ps_loop).Tiling.li_reads;
-              blit_snapshots q;
-              let t0 = now () in
-              Exec_check1.run ~light:(light_of q.q_foot) ~name:q.q_name
-                ~range:{ xlo = ps_olo; xhi = ps_ohi }
-                ~args:q.q_args ~kernel:q.q_kernel ();
-              secs.(ps_loop) := !(secs.(ps_loop)) +. (now () -. t0))
-            pt.Tiling_par.pt_slabs)
-        wave)
-    sched.Tiling_par.par_waves;
-  Array.iteri (fun k q -> record_entry_profile ctx q ~seconds:!(secs.(k))) entries
-
-let run_segment_check ctx entries =
-  let infos = Array.map (entry_info ~tighten:ctx.tighten) entries in
-  let sched = Tiling.find ~tile_size:ctx.tile_size infos in
-  Am_obs.Counters.add Am_obs.Obs.chain_tiles (Array.length sched.Tiling.sched_tiles);
-  let secs = Array.map (fun _ -> ref 0.0) entries in
-  Array.iter
-    (fun slabs ->
-      Array.iter
-        (fun { Tiling.s_loop; s_lo; s_hi } ->
-          let q = entries.(s_loop) in
-          blit_snapshots q;
-          let t0 = now () in
-          Exec_check1.run ~light:(light_of q.q_foot) ~name:q.q_name
-            ~range:{ xlo = s_lo; xhi = s_hi }
-            ~args:q.q_args ~kernel:q.q_kernel ();
-          secs.(s_loop) := !(secs.(s_loop)) +. (now () -. t0))
-        slabs)
-    sched.Tiling.sched_tiles;
-  Array.iteri (fun k q -> record_entry_profile ctx q ~seconds:!(secs.(k))) entries
-
-let flush ctx =
-  if ctx.chain_len > 0 then begin
-    let items = List.rev ctx.chain_rev in
-    ctx.chain_rev <- [];
-    ctx.chain_len <- 0;
-    Am_obs.Counters.incr Am_obs.Obs.chain_flushes;
-    let flush_t0 = now () in
-    Am_obs.Obs.span ~cat:Am_obs.Tracer.Loop "chain_flush" (fun () ->
-        let saved = save_gbl_live items in
-        let seg = ref [] in
-        let run_segment () =
-          match List.rev !seg with
-          | [] -> ()
-          | [ q ] ->
-            seg := [];
-            run_queued_eager ctx q
-          | entries -> (
-            seg := [];
-            let entries = Array.of_list entries in
-            match (ctx.backend, ctx.tile_pool) with
-            | Seq, None -> run_segment_seq ctx entries
-            | Seq, Some pool -> run_segment_par ctx pool entries
-            | Check, None -> run_segment_check ctx entries
-            | Check, Some _ -> run_segment_check_wave ctx entries
-            | (Shared _ | Cuda_sim _), _ -> assert false)
-        in
-        List.iter
-          (function
-            | Q_loop q -> seg := q :: !seg
-            | Q_op (f, _name) ->
-              run_segment ();
-              f ())
-          items;
-        run_segment ();
-        restore_gbl_live saved);
-    Am_obs.Counters.observe Am_obs.Obs.chain_flush_seconds (now () -. flush_t0)
-  end
-
-let set_lazy ctx ?tile_size enabled =
-  flush ctx;
-  (match tile_size with
-  | Some t when t > 0 -> ctx.tile_size <- t
-  | Some _ | None -> ());
-  ctx.lazy_mode <- enabled;
-  ctx.tile_pool <- None;
-  if enabled && not ctx.obs_hooked then begin
-    ctx.obs_hooked <- true;
-    Am_obs.Obs.add_flush_hook (fun () -> flush ctx)
-  end
-
-type tile_exec =
-  | Tiled of { tile : int }
-  | Tiled_par of { pool : Am_taskpool.Pool.t; tile : int }
-
-let set_tile_exec ctx mode =
-  match mode with
-  | Tiled { tile } -> set_lazy ctx ~tile_size:tile true
-  | Tiled_par { pool; tile } ->
-    set_lazy ctx ~tile_size:tile true;
-    ctx.tile_pool <- Some pool
-
-let tile_exec ctx =
-  if not ctx.lazy_mode then None
-  else
-    match ctx.tile_pool with
-    | Some pool -> Some (Tiled_par { pool; tile = ctx.tile_size })
-    | None -> Some (Tiled { tile = ctx.tile_size })
-
-let lazy_mode ctx = ctx.lazy_mode
-let tile_size ctx = ctx.tile_size
-let pending ctx = ctx.chain_len
-
-let set_backend ctx backend =
-  flush ctx;
-  (match (backend, ctx.dist) with
-  | (Shared _ | Cuda_sim _ | Check), Some _ ->
-    invalid_arg "Ops1.set_backend: context is partitioned"
-  | (Seq | Shared _ | Cuda_sim _ | Check), _ -> ());
-  ctx.backend <- backend
-
-let backend ctx = ctx.backend
-
-let profile ctx =
-  flush ctx;
-  ctx.profile
-
-let trace ctx = ctx.trace
-let blocks ctx = Types1.blocks ctx.env
-let dats ctx = Types1.dats ctx.env
-
-let decl_block ctx ~name = Types1.decl_block ctx.env ~name
+let make_handle = Pipeline.make_handle
+let create ?(backend = Seq) () = Pipeline.create ~rank:1 ~backend ~exec:(exec_of backend)
+let set_backend ctx backend = Pipeline.set_backend ctx backend (exec_of backend)
+let backend = Pipeline.backend
+let profile = Pipeline.profile
+let trace = Pipeline.trace
+let blocks = Pipeline.blocks
+let dats = Pipeline.dats
+let decl_block = Pipeline.decl_block
 
 let decl_dat ctx ~name ~block ~xsize ?halo ?dim () =
-  Types1.decl_dat ctx.env ~name ~block ~xsize ?halo ?dim ()
+  Pipeline.decl_dat ctx ~name ~block ~xsize ~ysize:1 ~zsize:1 ?halo ?dim ()
 
-let arg_dat dat stencil access : arg =
-  if not (Access.valid_on_dat access) then
-    invalid_arg
-      (Printf.sprintf
-         "Ops1.arg_dat: access %s is not valid on dataset %s (datasets accept \
-          Read/Write/Inc/Rw; Min/Max are global reductions — use arg_gbl)"
-         (Access.to_string access) dat.Types1.dat_name);
-  Types1.Arg_dat { dat; stencil; access }
+let arg_dat dat stencil access =
+  Types.arg_dat ~ctor:"arg_dat" dat (Types.S1 stencil) ~stride:Types.unit_stride access
 
-let arg_gbl ~name buf access : arg =
-  if not (Access.valid_on_gbl access) then
-    invalid_arg
-      (Printf.sprintf
-         "Ops1.arg_gbl: access %s is not valid on global %s (globals accept \
-          Read/Inc/Min/Max)"
-         (Access.to_string access) name);
-  Types1.Arg_gbl { name; buf; access }
-let arg_idx : arg = Types1.Arg_idx
-
-let interior = Types1.interior
-let get = Types1.get
-let set = Types1.set
-
-let fetch_interior ctx dat =
-  flush ctx;
-  match ctx.dist with
-  | Some d -> Dist1.fetch_interior d dat
-  | None -> Types1.fetch_interior dat
-
-let init ctx dat f =
-  flush ctx;
-  for x = Types1.x_min dat to Types1.x_max dat - 1 do
-    for c = 0 to dat.Types1.dim - 1 do
-      Types1.set dat ~x ~c (f x c)
-    done
-  done;
-  match ctx.dist with Some d -> Dist1.push d dat | None -> ()
-
-(* Route the distributed runtime's messages through the fault injector's
-   reliable transport; a loop-counter crash trigger fires on any backend. *)
-let set_fault_injector ctx f =
-  ctx.fault <- Some f;
-  match ctx.dist with
-  | Some d -> Am_simmpi.Comm.attach_fault d.Dist1.comm f
-  | None -> ()
-
-let fault_injector ctx = ctx.fault
-
-let attach_pending_fault ctx =
-  match (ctx.fault, ctx.dist) with
-  | Some f, Some d -> Am_simmpi.Comm.attach_fault d.Dist1.comm f
-  | _ -> ()
+let arg_gbl ~name buf access = Types.arg_gbl ~rank:1 ~name buf access
+let arg_idx : arg = Types.Arg_idx 1
+let to_range r = { Types.xlo = r.xlo; xhi = r.xhi; ylo = 0; yhi = 1; zlo = 0; zhi = 1 }
+let interior (dat : dat) = { xlo = 0; xhi = dat.Types.xsize }
+let get dat ~x ~c = Types.get dat ~x ~y:0 ~z:0 ~c
+let set dat ~x ~c v = Types.set dat ~x ~y:0 ~z:0 ~c v
+let fetch_interior = Pipeline.fetch_interior
+let init ctx dat f = Pipeline.init ctx dat (fun x _ _ c -> f x c)
+let set_fault_injector = Pipeline.set_fault_injector
+let fault_injector = Pipeline.fault_injector
 
 let partition ctx ~n_ranks ~ref_xsize =
-  flush ctx;
-  if ctx.dist <> None then invalid_arg "Ops1.partition: already partitioned";
-  (match ctx.backend with
-  | Seq -> ()
-  | Shared _ | Cuda_sim _ | Check ->
-    invalid_arg "Ops1.partition: switch the backend to Seq before partitioning");
-  ctx.dist <- Some (Dist1.build ctx.env ~n_ranks ~ref_xsize);
-  attach_pending_fault ctx
+  Pipeline.partition ctx (fun env -> Pipeline.Cells (Dist1.build env ~n_ranks ~ref_xsize))
 
-type rank_execution = Dist1.rank_exec = Rank_seq | Rank_shared of Am_taskpool.Pool.t
+type rank_execution = Exec.rank_exec = Rank_seq | Rank_shared of Am_taskpool.Pool.t
 
-let set_rank_execution ctx exec =
-  match ctx.dist with
-  | None -> invalid_arg "Ops1.set_rank_execution: partition first"
-  | Some d -> d.Dist1.rank_exec <- exec
+let set_rank_execution = Pipeline.set_rank_execution
 
 (* Halo-exchange policy, as for the other facades. *)
 type halo_policy = On_demand | Eager
 
-let set_halo_policy ctx policy =
-  match ctx.dist with
-  | None -> invalid_arg "Ops1.set_halo_policy: partition first"
-  | Some d -> d.Dist1.eager_halo <- (policy = Eager)
+let set_halo_policy ctx policy = Pipeline.set_eager_halo ctx (policy = Eager)
 
 (* Communication mode, as for the other facades (see [Ops.set_comm_mode]). *)
 type comm_mode = Blocking | Overlap
 
-let set_comm_mode ctx mode =
-  match ctx.dist with
-  | None -> invalid_arg "Ops1.set_comm_mode: partition first"
-  | Some d -> d.Dist1.overlap <- (mode = Overlap)
-
-let comm_mode ctx =
-  match ctx.dist with
-  | Some d when d.Dist1.overlap -> Overlap
-  | Some _ | None -> Blocking
-
-let comm_stats ctx =
-  match ctx.dist with
-  | None -> None
-  | Some d -> Some (Am_simmpi.Comm.stats d.Dist1.comm)
+let set_comm_mode ctx mode = Pipeline.set_overlap ctx (mode = Overlap)
+let comm_mode ctx = if Pipeline.overlap ctx then Overlap else Blocking
+let comm_stats = Pipeline.comm_stats
 
 let par_loop ctx ~name ?(info = Descr.default_kernel_info) ?handle block range args
     kernel =
-  Types1.validate_args ~block ~range args;
-  let descr = Types1.describe ~name ~block ~range ~info args in
-  Trace.record ctx.trace descr;
-  (* The injected rank crash counts parallel loops on the injector itself,
-     so the trigger position survives a recovery restart's fresh context. *)
-  (match ctx.fault with
-  | Some f -> Am_simmpi.Fault.note_loop f
-  | None -> ());
-  let foot = footprint ctx descr args kernel in
-  if lazy_active ctx then begin
-    let snapshots =
-      List.filter_map
-        (function
-          | Types1.Arg_gbl { buf; access = Access.Read; _ } ->
-            Some (buf, Array.copy buf)
-          | Types1.Arg_gbl _ | Types1.Arg_dat _ | Types1.Arg_idx -> None)
-        args
-    in
-    let demands_result =
-      List.exists
-        (function
-          | Types1.Arg_gbl { access; _ } -> access <> Access.Read
-          | Types1.Arg_dat _ | Types1.Arg_idx -> false)
-        args
-    in
-    enqueue ctx
-      (Q_loop
-         {
-           q_name = name;
-           q_descr = descr;
-           q_range = range;
-           q_args = args;
-           q_kernel = kernel;
-           q_handle = handle;
-           q_snapshots = snapshots;
-           q_foot = foot;
-         });
-    Am_obs.Counters.incr Am_obs.Obs.chain_loops;
-    if demands_result || ctx.chain_len >= max_chain then flush ctx
-  end
-  else begin
-  let t0 = now () in
-  let traced = Am_obs.Obs.tracing () in
-  let gc0 = if traced then Some (Gc.quick_stat ()) else None in
-  if traced then Am_obs.Obs.begin_span ~cat:Am_obs.Tracer.Loop name;
-  let halo_seconds = ref 0.0 and overlap_seconds = ref 0.0 in
-  let execute () =
-    let ext =
-      if ctx.tighten then Option.map (fun fi -> fi.Probe.in_read_ext) foot
-      else None
-    in
-    match ctx.dist with
-    | Some d ->
-      Dist1.par_loop ?ext ~halo_seconds ~overlap_seconds d ~range ~args ~kernel
-    | None -> (
-      let compiled = Option.map (fun h -> resolve_compiled h args) handle in
-      match ctx.backend with
-      | Seq -> Exec1.run_seq ?compiled ~range ~args ~kernel ()
-      | Shared { pool } -> Exec1.run_shared ?compiled pool ~range ~args ~kernel
-      | Cuda_sim config -> Exec1.run_cuda ?compiled config ~range ~args ~kernel
-      | Check -> Exec_check1.run ~light:(light_of foot) ~name ~range ~args ~kernel ())
-  in
-  (match ctx.checkpoint with
-  | None -> execute ()
-  | Some session ->
-    let gbl_out =
-      List.filter_map
-        (function
-          | Types1.Arg_gbl { buf; access; _ } when access <> Access.Read -> Some buf
-          | Types1.Arg_gbl _ | Types1.Arg_dat _ | Types1.Arg_idx -> None)
-        args
-    in
-    Am_checkpoint.Runtime.step ~gbl_out session ~descr ~run:execute);
-  if traced then Am_obs.Obs.end_span ();
-  (match gc0 with
-  | Some g0 ->
-    let g1 = Gc.quick_stat () in
-    Profile.record_gc ctx.profile ~name
-      ~minor:(g1.Gc.minor_collections - g0.Gc.minor_collections)
-      ~major:(g1.Gc.major_collections - g0.Gc.major_collections)
-      ~promoted_words:(g1.Gc.promoted_words -. g0.Gc.promoted_words)
-  | None -> ());
-  Profile.record ctx.profile ~name ~seconds:(now () -. t0)
-    ~bytes:(Descr.total_bytes descr)
-    ~elements:(Types1.range_size range);
-  if ctx.dist <> None then
-    Profile.record_halo ctx.profile ~name ~overlapped:!overlap_seconds
-      ~seconds:!halo_seconds ()
-  end
+  Pipeline.run_loop ctx ~name ~info ?handle block (to_range range) args (Exec.Staged kernel)
+
+type tile_exec = Pipeline.tile_exec =
+  | Tiled of { tile : int }
+  | Tiled_par of { pool : Am_taskpool.Pool.t; tile : int }
+
+let set_lazy = Pipeline.set_lazy
+let lazy_mode = Pipeline.lazy_mode
+let tile_size = Pipeline.tile_size
+let pending = Pipeline.pending
+let flush = Pipeline.flush
+let set_tile_exec = Pipeline.set_tile_exec
+let tile_exec = Pipeline.tile_exec
+let set_infer = Pipeline.set_infer
+let infer_enabled = Pipeline.infer_enabled
+let set_tighten = Pipeline.set_tighten
+let tighten_enabled = Pipeline.tighten_enabled
+let footprints = Pipeline.footprints
 
 (* ---- Physical boundary conditions (update_halo, 1D) ----------------------- *)
 
 type centering = Boundary1.centering = Cell | Node
 
-let mirror_halo ctx ?(depth = 2) ?(sign = 1.0) ?(center = Cell) dat =
-  match ctx.dist with
+let mirror_halo (ctx : ctx) ?(depth = 2) ?(sign = 1.0) ?(center = Cell) dat =
+  match ctx.Pipeline.dist with
   | None ->
-    if lazy_active ctx then begin
-      enqueue ctx
-        (Q_op ((fun () -> Boundary1.mirror ~depth ~sign ~center dat), "mirror_halo"));
-      if ctx.chain_len >= max_chain then flush ctx
-    end
-    else Boundary1.mirror ~depth ~sign ~center dat
-  | Some d -> Dist1.mirror d dat ~depth ~sign ~center
+    Pipeline.data_op ctx "mirror_halo" (fun () -> Boundary1.mirror ~depth ~sign ~center dat)
+  | Some (Pipeline.Cells d) -> Dist1.mirror d dat ~depth ~sign ~center
+  | Some (Pipeline.Rows _ | Pipeline.Grid _ | Pipeline.Slabs _ | Pipeline.Pencil _) ->
+    assert false
 
 (* ---- Automatic checkpointing (paper Section VI) -------------------------- *)
 
-(* On partitioned contexts [fetch] first pulls every point back from its
-   owning rank's window and [restore] re-scatters, keeping snapshots
-   canonical (see [Ops.checkpoint_fns]). *)
-let checkpoint_fns ctx =
-  let find name =
-    match List.find_opt (fun d -> d.Types1.dat_name = name) (dats ctx) with
-    | Some d -> d
-    | None -> invalid_arg (Printf.sprintf "Ops1 checkpoint: unknown dataset %s" name)
-  in
-  let pull d = match ctx.dist with None -> () | Some t -> Dist1.pull t d in
-  let push d = match ctx.dist with None -> () | Some t -> Dist1.push t d in
-  {
-    Am_checkpoint.Runtime.fetch =
-      (fun name ->
-        let d = find name in
-        pull d;
-        Array.copy d.Types1.data);
-    restore =
-      (fun name data ->
-        let d = find name in
-        if Array.length data <> Array.length d.Types1.data then
-          invalid_arg "Ops1 checkpoint: snapshot size mismatch";
-        Array.blit data 0 d.Types1.data 0 (Array.length data);
-        push d);
-  }
-
-(* Checkpoint entry points flush queued loops first and [lazy_active]
-   keeps recording off while a session is live (see [Ops]). *)
-let enable_checkpointing ctx =
-  flush ctx;
-  if ctx.checkpoint = None then
-    ctx.checkpoint <- Some (Am_checkpoint.Runtime.create ~fns:(checkpoint_fns ctx))
-
-let request_checkpoint ctx =
-  flush ctx;
-  match ctx.checkpoint with
-  | None -> invalid_arg "Ops1.request_checkpoint: call enable_checkpointing first"
-  | Some session -> Am_checkpoint.Runtime.request_checkpoint session
-
-let checkpoint_session ctx = ctx.checkpoint
-
-let checkpoint_to_file ctx ~path =
-  flush ctx;
-  match ctx.checkpoint with
-  | None -> invalid_arg "Ops1.checkpoint_to_file: checkpointing not enabled"
-  | Some session -> Am_checkpoint.Runtime.save_to_file session ~path
-
-let recover_from_file ctx ~path =
-  flush ctx;
-  ctx.checkpoint <-
-    Some (Am_checkpoint.Runtime.recover_from_file ~path ~fns:(checkpoint_fns ctx))
+let enable_checkpointing = Pipeline.enable_checkpointing
+let request_checkpoint = Pipeline.request_checkpoint
+let checkpoint_session = Pipeline.checkpoint_session
+let checkpoint_to_file = Pipeline.checkpoint_to_file
+let recover_from_file = Pipeline.recover_from_file

@@ -15,15 +15,15 @@ module Descr = Am_core.Descr
 module Profile = Am_core.Profile
 module Trace = Am_core.Trace
 
-type block = Types1.block
-type dat = Types1.dat
-type arg = Types1.arg
+type block = Types.block
+type dat = Types.dat
+type arg = Types.arg
 
 (** Half-open iteration interval; negative indices reach the ghost cells. *)
-type range = Types1.range = { xlo : int; xhi : int }
+type range = { xlo : int; xhi : int }
 
 (** Relative dx offsets; index 0 of the kernel buffer is offset 0. *)
-type stencil = Types1.stencil
+type stencil = int array
 
 val stencil_point : stencil
 
@@ -36,7 +36,7 @@ val stencil_3pt : stencil
 type backend =
   | Seq
   | Shared of { pool : Am_taskpool.Pool.t }
-  | Cuda_sim of Exec1.cuda_config
+  | Cuda_sim of Exec.cuda_config1
   | Check
       (** sanitizer: sequential semantics with canary-padded, access-guarded
           staging buffers — violations raise {!Exec_check.Violation} *)
@@ -98,7 +98,7 @@ val init : ctx -> dat -> (int -> int -> float) -> unit
 val partition : ctx -> n_ranks:int -> ref_xsize:int -> unit
 
 (** Hybrid MPI+OpenMP: each rank's chunk runs on a shared pool. *)
-type rank_execution = Dist1.rank_exec =
+type rank_execution = Exec.rank_exec =
   | Rank_seq
   | Rank_shared of Am_taskpool.Pool.t
 

@@ -26,12 +26,12 @@ module Descr = Am_core.Descr
 module Profile = Am_core.Profile
 module Trace = Am_core.Trace
 
-type block = Types3.block
-type dat = Types3.dat
-type arg = Types3.arg
+type block = Types.block
+type dat = Types.dat
+type arg = Types.arg
 
 (** Half-open iteration box; negative indices reach the ghost shell. *)
-type range = Types3.range = {
+type range = Types.range = {
   xlo : int;
   xhi : int;
   ylo : int;
@@ -42,7 +42,7 @@ type range = Types3.range = {
 
 (** Relative (dx, dy, dz) offsets; index 0 of the kernel buffer is
     offset 0 of the stencil. *)
-type stencil = Types3.stencil
+type stencil = (int * int * int) array
 
 val stencil_point : stencil
 
@@ -56,7 +56,7 @@ val stencil_7pt : stencil
 type backend =
   | Seq
   | Shared of { pool : Am_taskpool.Pool.t }
-  | Cuda_sim of Exec3.cuda_config
+  | Cuda_sim of Exec.cuda_config3
   | Check
       (** sanitizer: sequential semantics with canary-padded, access-guarded
           staging buffers — violations raise {!Exec_check.Violation} *)
@@ -141,7 +141,7 @@ val partition_pencil :
 
 (** Hybrid MPI+OpenMP: each rank's slab runs on a shared pool
     (centre-only writes make this race-free without planning). *)
-type rank_execution = Dist3.rank_exec =
+type rank_execution = Exec.rank_exec =
   | Rank_seq
   | Rank_shared of Am_taskpool.Pool.t
 

@@ -10,9 +10,9 @@
    writes must stay *behind* its producer (and ahead of a later
    overwriter) by the stencil extent.
 
-   The planner is dimension-agnostic: the facades project each recorded
-   loop onto the outermost (slowest-varying) axis — y in 2D, z in 3D, x in
-   1D — as a half-open interval plus per-dataset read extents, and get
+   The planner is dimension-agnostic: the loop pipeline projects each
+   recorded loop onto its block's outermost (slowest-varying) axis — y in
+   2D, z in 3D, x in 1D — as a half-open interval plus per-dataset read extents, and get
    back per-loop skew offsets and a tile-by-tile slab schedule.  Tiling
    only the outer axis is the natural choice here: writes are centre-only
    (validated), so any outer-axis partition of a single loop is race-free,

@@ -3,9 +3,9 @@
    concurrently on the domain pool).
 
    A 1D skewed schedule is a pipeline — tile t+1 of a chain reads rows
-   tile t wrote — so parallelism needs a second tiled axis.  Each facade
-   projects every recorded loop onto TWO axes (outer and inner, e.g. y and
-   x in 2D) and both projections are skewed independently with the same
+   tile t wrote — so parallelism needs a second tiled axis.  The loop
+   pipeline projects every recorded loop onto TWO axes (outer and inner,
+   e.g. y and x in 2D) and both projections are skewed independently with the same
    [Tiling.skew] rule.  A parallelogram tile (t, u) of loop k is the cross
    product of k's outer band in outer-tile t and its inner band in
    inner-tile u; within a tile, loops run in chain order.
@@ -27,8 +27,8 @@
    which also forces all its skews to zero, so every loop's bands align),
    the axis contributes nothing to the wavefront index: tiles differing
    only along a dependence-free axis land in the same wave.  A pure map
-   chain collapses both axes into one all-parallel wave; a 1D facade
-   passes a degenerate (dependence-free) inner axis and still gets
+   chain collapses both axes into one all-parallel wave; a 1D block
+   passes its degenerate (dependence-free) y as the inner axis and still gets
    parallelism whenever its one real axis is dependence-free.
 
    [verify] re-proves all of this from the schedule alone (see below) and
@@ -219,7 +219,7 @@ let verify ~outer ~inner sched =
             pt.pt_slabs)
         wave)
     sched.par_waves;
-  (* Inner extents are looked up per (loop, dataset): the facades build
+  (* Inner extents are looked up per (loop, dataset): the pipeline builds
      both projections from the same argument list, so pairing by dataset
      id (taking the widest if a dataset appears twice) is exact. *)
   let inner_ext k d =

@@ -610,6 +610,229 @@ let test_handle_distinct_on_signature_change () =
   let e6, _ = Plan.resolve cache h ~name:"k" ~iter_set:edges ~block_size:4 args' in
   Alcotest.(check bool) "after invalidate: fresh entry" true (not (e5 == e6))
 
+(* ---- One 1D program through the three facades ---------------------------- *)
+
+(* Ops1 on n cells, Ops on an n x 1 block and Ops3 on an n x 1 x 1 block
+   share one rank-3 core, so the same 1D program must give the same bits
+   through each of them on every backend: datasets always, the Inc
+   reduction too except on Shared, which splits a different axis per
+   facade and so reassociates the sum. *)
+
+module Ops1 = Am_ops.Ops1
+module Ops3 = Am_ops.Ops3
+
+let rn = 23
+
+(* Every facade seeds its datasets, ghost cells included, with the same
+   function of x (absent axes' ghost cells too; no stencil reaches them). *)
+let seed x = (Float.of_int (((x + 5) * 37) mod 17) /. 7.0) +. 0.25
+
+let k_diffuse (a : float array array) =
+  a.(1).(0) <- a.(0).(0) +. (0.25 *. (a.(0).(1) -. (2.0 *. a.(0).(0)) +. a.(0).(2)))
+
+let k_sumsq (a : float array array) = a.(1).(0) <- a.(1).(0) +. (a.(0).(0) *. a.(0).(0))
+let k_index (a : float array array) = a.(2).(0) <- a.(0).(0) +. (1e-3 *. a.(1).(0))
+
+let k_deep (a : float array array) =
+  a.(1).(0) <-
+    (0.5 *. a.(0).(0)) +. (0.125 *. (a.(0).(1) +. a.(0).(2) +. a.(0).(3) +. a.(0).(4)))
+
+let k_copy (a : float array array) = a.(1).(0) <- a.(0).(0)
+
+(* The program's arguments, stencils as x offsets. *)
+type 'd rarg = D of 'd * int array * Access.t | Sum of float array | Idx
+
+type 'd rank_facade = {
+  decl : string -> 'd;
+  loop : string -> int * int -> 'd rarg list -> (float array array -> unit) -> unit;
+  fetch : 'd -> float array;
+}
+
+(* Per step: a 3-point diffusion, an Inc reduction, an [arg_idx] loop, a
+   stencil reaching the whole ghost depth, and (with [empty]) a loop over
+   an empty range whose stencil reaches -halo. *)
+let run_program f ~empty ~steps =
+  let u = f.decl "u" and w = f.decl "w" in
+  let sums = Array.make steps 0.0 in
+  for s = 0 to steps - 1 do
+    f.loop "diffuse" (0, rn)
+      [ D (u, [| 0; -1; 1 |], Access.Read); D (w, [| 0 |], Access.Write) ]
+      k_diffuse;
+    let acc = [| 0.0 |] in
+    f.loop "sumsq" (0, rn) [ D (w, [| 0 |], Access.Read); Sum acc ] k_sumsq;
+    sums.(s) <- acc.(0);
+    f.loop "index" (0, rn)
+      [ D (w, [| 0 |], Access.Read); Idx; D (u, [| 0 |], Access.Write) ]
+      k_index;
+    f.loop "deep" (0, rn)
+      [ D (u, [| 0; -2; -1; 1; 2 |], Access.Read); D (w, [| 0 |], Access.Write) ]
+      k_deep;
+    if empty then
+      f.loop "empty" (0, 0) [ D (u, [| -2 |], Access.Read); D (w, [| 0 |], Access.Write) ]
+        k_copy
+  done;
+  (f.fetch u, f.fetch w, sums)
+
+let ops1_facade ?(tiled = false) backend =
+  let ctx = Ops1.create ~backend () in
+  if tiled then Ops1.set_tile_exec ctx (Ops1.Tiled { tile = 4 });
+  let b = Ops1.decl_block ctx ~name:"line" in
+  let arg = function
+    | D (d, s, a) -> Ops1.arg_dat d s a
+    | Sum buf -> Ops1.arg_gbl ~name:"sum" buf Access.Inc
+    | Idx -> Ops1.arg_idx
+  in
+  {
+    decl =
+      (fun name ->
+        let d = Ops1.decl_dat ctx ~name ~block:b ~xsize:rn () in
+        Ops1.init ctx d (fun x _ -> seed x);
+        d);
+    loop =
+      (fun name (xlo, xhi) args k ->
+        Ops1.par_loop ctx ~name b { xlo; xhi } (List.map arg args) k);
+    fetch = Ops1.fetch_interior ctx;
+  }
+
+let ops_facade ?(tiled = false) backend =
+  let ctx = Ops.create ~backend () in
+  if tiled then Ops.set_tile_exec ctx (Ops.Tiled { tile = 4 });
+  let b = Ops.decl_block ctx ~name:"strip" in
+  let arg = function
+    | D (d, s, a) -> Ops.arg_dat d (Array.map (fun dx -> (dx, 0)) s) a
+    | Sum buf -> Ops.arg_gbl ~name:"sum" buf Access.Inc
+    | Idx -> Ops.arg_idx
+  in
+  {
+    decl =
+      (fun name ->
+        let d = Ops.decl_dat ctx ~name ~block:b ~xsize:rn ~ysize:1 () in
+        Ops.init ctx d (fun x _ _ -> seed x);
+        d);
+    loop =
+      (fun name (xlo, xhi) args k ->
+        Ops.par_loop ctx ~name b { xlo; xhi; ylo = 0; yhi = 1 } (List.map arg args) k);
+    fetch = Ops.fetch_interior ctx;
+  }
+
+let ops3_facade ?(tiled = false) backend =
+  let ctx = Ops3.create ~backend () in
+  if tiled then Ops3.set_tile_exec ctx (Ops3.Tiled { tile = 4 });
+  let b = Ops3.decl_block ctx ~name:"pencil" in
+  let arg = function
+    | D (d, s, a) -> Ops3.arg_dat d (Array.map (fun dx -> (dx, 0, 0)) s) a
+    | Sum buf -> Ops3.arg_gbl ~name:"sum" buf Access.Inc
+    | Idx -> Ops3.arg_idx
+  in
+  {
+    decl =
+      (fun name ->
+        let d = Ops3.decl_dat ctx ~name ~block:b ~xsize:rn ~ysize:1 ~zsize:1 () in
+        Ops3.init ctx d (fun x _ _ _ -> seed x);
+        d);
+    loop =
+      (fun name (xlo, xhi) args k ->
+        Ops3.par_loop ctx ~name b
+          { xlo; xhi; ylo = 0; yhi = 1; zlo = 0; zhi = 1 }
+          (List.map arg args) k);
+    fetch = Ops3.fetch_interior ctx;
+  }
+
+type rank_backend = R_seq | R_shared | R_cuda of bool (* staged *) | R_check | R_tiled
+
+let rank_backend_name = function
+  | R_seq -> "seq"
+  | R_shared -> "shared"
+  | R_cuda staged -> if staged then "cuda staged" else "cuda global"
+  | R_check -> "check"
+  | R_tiled -> "tiled"
+
+let run_ranks pool rb =
+  let steps = 3 in
+  let run f = run_program f ~empty:true ~steps in
+  let tiled = rb = R_tiled in
+  let b1, b2, b3 =
+    match rb with
+    | R_seq | R_tiled -> (Ops1.Seq, Ops.Seq, Ops3.Seq)
+    | R_shared -> (Ops1.Shared { pool }, Ops.Shared { pool }, Ops3.Shared { pool })
+    | R_check -> (Ops1.Check, Ops.Check, Ops3.Check)
+    | R_cuda staged ->
+      ( Ops1.Cuda_sim { Am_ops.Exec.tile_x = 5; staged },
+        Ops.Cuda_sim
+          {
+            Am_ops.Exec.tile_x = 5;
+            tile_y = 2;
+            strategy = (if staged then Am_ops.Exec.Cuda_tiled else Am_ops.Exec.Cuda_global);
+          },
+        Ops3.Cuda_sim { Am_ops.Exec.tile_x = 5; tile_y = 2; tile_z = 2; staged } )
+  in
+  [
+    ("ops1", run (ops1_facade ~tiled b1));
+    ("ops", run (ops_facade ~tiled b2));
+    ("ops3", run (ops3_facade ~tiled b3));
+  ]
+
+let test_one_core_three_ranks () =
+  Pool.with_pool ~size:3 (fun pool ->
+      let ru, rw, rsums = run_program (ops1_facade Ops1.Seq) ~empty:true ~steps:3 in
+      List.iter
+        (fun rb ->
+          List.iter
+            (fun (facade, (u, w, sums)) ->
+              let name = Printf.sprintf "%s on %s" facade (rank_backend_name rb) in
+              if not (bitwise u ru && bitwise w rw) then
+                Alcotest.failf "%s: datasets differ from ops1 seq" name;
+              let same_sums =
+                match rb with
+                | R_shared -> Array.for_all2 close sums rsums
+                | R_seq | R_cuda _ | R_check | R_tiled -> bitwise sums rsums
+              in
+              if not same_sums then
+                Alcotest.failf "%s: reduction differs from ops1 seq" name)
+            (run_ranks pool rb))
+        [ R_seq; R_shared; R_cuda false; R_cuda true; R_check; R_tiled ])
+
+(* ---- Seq bits pinned across the rank-3 core ------------------------------ *)
+
+(* Digests of the [%h] rendering of every interior value of every dataset
+   after short Seq runs, recorded from the code before the 1D, 2D and 3D
+   executors were merged.  The 3D apps have no hand-coded baseline to
+   --verify against, so this is what holds their Seq path to the bit. *)
+let digest arrays =
+  Digest.to_hex
+    (Digest.string
+       (String.concat ";"
+          (List.concat_map
+             (fun a -> Array.to_list (Array.map (Printf.sprintf "%h") a))
+             arrays)))
+
+let check_digest name want arrays = Alcotest.(check string) name want (digest arrays)
+
+let test_digest_tealeaf () =
+  let t = Am_tealeaf.App.create ~n:10 () in
+  Am_tealeaf.App.run t ~steps:2;
+  let c = t.Am_tealeaf.App.ctx in
+  check_digest "tealeaf n=10, 2 steps" "2a5e274f7f274b8a0f6719f80852f806"
+    (List.map (Ops3.fetch_interior c) (Ops3.dats c))
+
+let test_digest_cloverleaf3 () =
+  let t = Am_cloverleaf3.App.create ~n:8 () in
+  ignore (Am_cloverleaf3.App.run t ~steps:2);
+  let c = t.Am_cloverleaf3.App.ctx in
+  check_digest "cloverleaf3 n=8, 2 steps" "e18f4c55a5eedbd565997b39ad122b93"
+    (List.map (Ops3.fetch_interior c) (Ops3.dats c))
+
+let test_digest_cloverleaf () =
+  let t = CApp.create ~advection:CApp.Van_leer ~nx:24 ~ny:24 () in
+  ignore (CApp.run t ~steps:3);
+  let c = t.CApp.ctx in
+  check_digest "cloverleaf van Leer 24x24, 3 steps" "ed657cd02159819a4cc3ef52d9a4e364"
+    (List.map (Ops.fetch_interior c) (Ops.dats c))
+
+let test_digest_ops1 () =
+  let u, w, sums = run_program (ops1_facade Ops1.Seq) ~empty:false ~steps:3 in
+  check_digest "ops1 program, 3 steps" "5957e030674011b18442fdc77adf24e1" [ u; w; sums ]
+
 let () =
   Alcotest.run "backends"
     [
@@ -642,6 +865,18 @@ let () =
             test_clover_forms;
           Alcotest.test_case "dim 3, aliasing, Inc, index, strides: accessor = staged"
             `Quick test_synthetic_forms;
+        ] );
+      ( "one core, three ranks",
+        [
+          Alcotest.test_case "ops1 = ops (n x 1) = ops3 (n x 1 x 1), every backend" `Quick
+            test_one_core_three_ranks;
+        ] );
+      ( "seq bits",
+        [
+          Alcotest.test_case "tealeaf digest" `Quick test_digest_tealeaf;
+          Alcotest.test_case "cloverleaf3 digest" `Quick test_digest_cloverleaf3;
+          Alcotest.test_case "cloverleaf van Leer digest" `Quick test_digest_cloverleaf;
+          Alcotest.test_case "ops1 program digest" `Quick test_digest_ops1;
         ] );
       ( "plan handles",
         [

@@ -53,7 +53,7 @@ let test_cuda_backend () =
   let t =
     App.create
       ~backend:
-        (Ops3.Cuda_sim { Am_ops.Exec3.tile_x = 4; tile_y = 4; tile_z = 2; staged = true })
+        (Ops3.Cuda_sim { Am_ops.Exec.tile_x = 4; tile_y = 4; tile_z = 2; staged = true })
       ~n ()
   in
   ignore (App.run t ~steps:4);

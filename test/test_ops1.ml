@@ -61,12 +61,12 @@ let test_shared () =
 
 let test_cuda_global () =
   let m = build () in
-  Ops1.set_backend m.ctx (Ops1.Cuda_sim { Am_ops.Exec1.tile_x = 7; staged = false });
+  Ops1.set_backend m.ctx (Ops1.Cuda_sim { Am_ops.Exec.tile_x = 7; staged = false });
   check "cuda global" (run m 5)
 
 let test_cuda_staged () =
   let m = build () in
-  Ops1.set_backend m.ctx (Ops1.Cuda_sim { Am_ops.Exec1.tile_x = 7; staged = true });
+  Ops1.set_backend m.ctx (Ops1.Cuda_sim { Am_ops.Exec.tile_x = 7; staged = true });
   check "cuda staged" (run m 5)
 
 let dist_test n_ranks () =
@@ -233,10 +233,10 @@ let prop_random_stencil_backend_equivalence =
             | 0 -> Ops1.partition ctx ~n_ranks:3 ~ref_xsize:n
             | 1 ->
               Ops1.set_backend ctx
-                (Ops1.Cuda_sim { Am_ops.Exec1.tile_x = 5; staged = true })
+                (Ops1.Cuda_sim { Am_ops.Exec.tile_x = 5; staged = true })
             | _ ->
               Ops1.set_backend ctx
-                (Ops1.Cuda_sim { Am_ops.Exec1.tile_x = 9; staged = false }))
+                (Ops1.Cuda_sim { Am_ops.Exec.tile_x = 9; staged = false }))
       in
       Fa.approx_equal ~tol:0.0 reference result)
 

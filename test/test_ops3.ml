@@ -74,13 +74,13 @@ let test_shared () =
 let test_cuda_global () =
   let m = build () in
   Ops3.set_backend m.ctx
-    (Ops3.Cuda_sim { Am_ops.Exec3.tile_x = 4; tile_y = 3; tile_z = 2; staged = false });
+    (Ops3.Cuda_sim { Am_ops.Exec.tile_x = 4; tile_y = 3; tile_z = 2; staged = false });
   check "cuda global" (run m 5)
 
 let test_cuda_staged () =
   let m = build () in
   Ops3.set_backend m.ctx
-    (Ops3.Cuda_sim { Am_ops.Exec3.tile_x = 4; tile_y = 3; tile_z = 2; staged = true });
+    (Ops3.Cuda_sim { Am_ops.Exec.tile_x = 4; tile_y = 3; tile_z = 2; staged = true });
   check "cuda staged" (run m 5)
 
 let dist_test n_ranks () =
@@ -534,11 +534,11 @@ let prop_random_stencil_backend_equivalence =
             | 1 ->
               Ops3.set_backend ctx
                 (Ops3.Cuda_sim
-                   { Am_ops.Exec3.tile_x = 4; tile_y = 3; tile_z = 2; staged = true })
+                   { Am_ops.Exec.tile_x = 4; tile_y = 3; tile_z = 2; staged = true })
             | 2 ->
               Ops3.set_backend ctx
                 (Ops3.Cuda_sim
-                   { Am_ops.Exec3.tile_x = 8; tile_y = 2; tile_z = 3; staged = false })
+                   { Am_ops.Exec.tile_x = 8; tile_y = 2; tile_z = 3; staged = false })
             | _ -> Ops3.partition_pencil ctx ~py:2 ~pz:2 ~ref_ysize:nxy ~ref_zsize:nzr)
       in
       Fa.approx_equal ~tol:0.0 reference result)

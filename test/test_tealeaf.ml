@@ -58,7 +58,7 @@ let test_cuda_backend () =
   let t =
     Tea.create
       ~backend:
-        (Ops3.Cuda_sim { Am_ops.Exec3.tile_x = 4; tile_y = 4; tile_z = 2; staged = true })
+        (Ops3.Cuda_sim { Am_ops.Exec.tile_x = 4; tile_y = 4; tile_z = 2; staged = true })
       ~n ()
   in
   Tea.run t ~steps:3;
@@ -98,6 +98,22 @@ let test_reduction_heavy_profile () =
   Alcotest.(check bool) "dots >= matvecs" true (count "cg_dot" >= count "cg_matvec");
   Alcotest.(check bool) "ran iterations" true (count "cg_matvec" > 2)
 
+(* The tier-1 twin of the [tealeaf_dist] benchmark's allocation bound: one
+   warm step on 4 z-slab ranks at 20 CG iterations.  Its 123 loops are
+   handle-less, so every call compiles its arguments and builds its buffers
+   on every rank; 228,434 minor words per step is what that cost before the
+   three executors became one, at n = 12 and n = 24 alike. *)
+let test_dist_step_allocation () =
+  let n = 12 in
+  let t = Tea.create ~n () in
+  Ops3.partition t.Tea.ctx ~n_ranks:4 ~ref_zsize:n;
+  let step () = ignore (Tea.step ~tol:0.0 ~max_iters:20 t) in
+  step ();
+  let words = Gc_util.minor_words step in
+  let budget = 1.05 *. 228_434.0 in
+  if words > budget then
+    Alcotest.failf "one 4-rank step allocated %.0f minor words, budget %.0f" words budget
+
 let () =
   Alcotest.run "tealeaf"
     [
@@ -116,5 +132,10 @@ let () =
           Alcotest.test_case "dist(3)" `Quick test_dist_backend;
           Alcotest.test_case "pencil 2x2" `Quick test_pencil_backend;
           Alcotest.test_case "hybrid" `Quick test_hybrid_backend;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "4-rank step within budget" `Quick
+            test_dist_step_allocation;
         ] );
     ]
