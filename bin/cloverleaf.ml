@@ -46,9 +46,7 @@ let run nx ny steps backend ranks overlap summary_every verify van_leer check
       t
     | "mpi2d" ->
       let t = App.create ~advection ~nx ~ny () in
-      let px = int_of_float (sqrt (float_of_int ranks)) in
-      let px = if px * (ranks / px) = ranks then px else 1 in
-      let py = ranks / max 1 px in
+      let px, py = Flag_common.grid_shape ranks in
       Printf.printf "grid decomposition: %dx%d ranks\n%!" px py;
       partition (fun () ->
           Ops.partition_grid t.App.ctx ~px ~py ~ref_xsize:nx ~ref_ysize:ny);

@@ -36,9 +36,10 @@ let run n steps backend ranks check analyze trace obs_json faults recover tile
       t
     | "pencil" ->
       let t = App.create ~n () in
+      let py, pz = Flag_common.grid_shape ranks in
+      Printf.printf "pencil decomposition: %dx%d ranks\n%!" py pz;
       partition (fun () ->
-          Ops3.partition_pencil t.App.ctx ~py:2 ~pz:(max 1 (ranks / 2)) ~ref_ysize:n
-            ~ref_zsize:n);
+          Ops3.partition_pencil t.App.ctx ~py ~pz ~ref_ysize:n ~ref_zsize:n);
       t
     | "hybrid" ->
       let p = Am_taskpool.Pool.create () in

@@ -34,6 +34,17 @@ let check_flags ~backends ~overlap_backends ~app ~sizes ~backend ~ranks ~overlap
       (Printf.sprintf "--overlap requires --backend %s (and no --check)"
          (one_of overlap_backends))
 
+(* The a x b process grid of a two-axis decomposition over [ranks] ranks
+   (mpi2d's px x py, pencil's py x pz): [a] is the largest divisor of
+   [ranks] not above its square root, so the grid is as square as [ranks]
+   allows — 4 -> 2x2, 18 -> 3x6, a prime p -> 1xp. *)
+let grid_shape ranks =
+  let rec widest d best =
+    if d * d > ranks then best else widest (d + 1) (if ranks mod d = 0 then d else best)
+  in
+  let a = widest 1 1 in
+  (a, ranks / a)
+
 (* A decomposition the runtime refuses — fewer rows, planes or cells than
    ranks, or a rank thinner than the ghost depth — is a usage error
    carrying the library's message.  Only [partition]'s own refusal is

@@ -15,8 +15,10 @@
 # mpi with --ranks 0 or at size 0 (every driver), or on a decomposition
 # the OPS runtime refuses (more ranks than rows or planes, a rank thinner
 # than the ghost depth) is a usage error and must exit 2; every other run
-# must exit 0.  No output may report an uncaught exception.  Prints only
-# the runs that fail.
+# must exit 0.  No output may report an uncaught exception, and
+# cloverleaf3's pencil backend must print the rank grid it runs on (the
+# most square split of --ranks: 3 ranks are 1x3).  Prints only the runs
+# that fail.
 set -u
 # A bare file name is a path in the current directory, not a command.
 path() { case $1 in */*) echo "$1" ;; *) echo "./$1" ;; esac; }
@@ -27,6 +29,20 @@ cloverleaf=$(path "$4")
 cloverleaf3=$(path "$5")
 tealeaf=$(path "$6")
 failed=0
+
+# run_prints TEXT COMMAND...: as run 0, and the output must contain TEXT.
+run_prints() {
+  text=$1
+  shift
+  run 0 "$@"
+  case $out in
+  *"$text"*) ;;
+  *)
+    echo "flag matrix: output lacks \"$text\": $*"
+    failed=1
+    ;;
+  esac
+}
 
 # The exit code of a run on backend $1 with flags $2.
 expected() {
@@ -91,6 +107,8 @@ for backend in seq shared cuda mpi hybrid bogus; do
       --backend "$backend" $flags
   done
 done
+run_prints "pencil decomposition: 1x3" "$cloverleaf3" --size 6 --steps 1 --ranks 3 \
+  --backend pencil
 run 2 "$airfoil" --nx 16 --ny 12 --iters 2 --ranks 0 --backend mpi
 run 2 "$aero" --size 8 --iters 1 --ranks 0 --backend mpi
 run 2 "$hydra" --nx 8 --ny 6 --iters 1 --ranks 0 --backend mpi

@@ -1,4 +1,5 @@
-(* Physical boundary conditions on the ghost ring (OPS's update_halo).
+(* Physical boundary conditions on the ghost ring (OPS's update_halo), for
+   blocks of every rank.
 
    CloverLeaf-style codes refresh their ghost cells after every phase with
    reflective boundaries: ghost values mirror interior values, with an
@@ -9,7 +10,11 @@
 
    Mirroring is centre-aware: cell-centred fields reflect about the cell
    interface (ghost -k <-> interior k-1), node-centred fields about the
-   boundary node (ghost -k <-> interior k). *)
+   boundary node (ghost -k <-> interior k).  The block's axes are mirrored
+   outermost (z) to innermost (x), each over the stored extent of the axes
+   outside it and the interior of the axes inside it, so an inner axis
+   reflects the ghost layers the outer ones just filled and edges and
+   corners come out consistent without communication. *)
 
 open Types
 
@@ -20,55 +25,68 @@ let mirror_low centering k = match centering with Cell -> k - 1 | Node -> k
 let mirror_high centering size k =
   match centering with Cell -> size - k | Node -> size - 1 - k
 
-(* Mirror the ghost ring of [dat] as stored behind the affine view [v] —
-   the dataset's own padded array, or a distributed rank's row window —
-   over the owned rows [row_lo, row_hi) (global numbering, half-open).
-   Plain index arithmetic on the view's array: no closure and no boxed
-   float per ghost value. *)
-let apply (v : Exec.view) ~(dat : dat) ~depth ~sign_x ~sign_y ~center_x ~center_y
-    ~row_lo ~row_hi =
-  if depth > dat.halo then invalid_arg "Boundary.mirror: depth exceeds ghost ring";
-  let { Exec.vdata; vbase; vrow; vcol; _ } = v in
-  let dim = dat.dim in
-  (* Vertical (y) mirrors: global ghost rows, owned by edge ranks. *)
+let stride axis (v : Exec.view) =
+  match axis with X -> v.vcol | Y -> v.vrow | Z -> v.vplane
+
+(* Along an axis outside the mirrored one: the stored extent, clamped to
+   the addressable box; inside it: the interior part of the stored extent.
+   [own] is the box the view's owner holds, and its ghost ring is stored
+   around it. *)
+let outer_lo axis dat own = max (-ghost axis dat) (lo axis own - ghost axis dat)
+let outer_hi axis dat own =
+  min (extent axis dat + ghost axis dat) (hi axis own + ghost axis dat)
+
+let inner_lo axis dat own = max 0 (lo axis own - ghost axis dat)
+let inner_hi axis dat own = min (extent axis dat) (hi axis own + ghost axis dat)
+
+(* The ghost layers of [axis] that [own] holds, copied from their mirror
+   sources over the [lo1, hi1) x [lo2, hi2) rectangle of the other two axes
+   ([axis1] the slower).  Plain index arithmetic on the view's array: no
+   closure and no boxed float per ghost value. *)
+let mirror_axis (v : Exec.view) ~dat ~own ~axis ~depth ~sign ~center ~axis1 ~lo1 ~hi1
+    ~axis2 ~lo2 ~hi2 =
+  let size = extent axis dat and dim = dat.dim and vdata = v.vdata in
+  let sa = stride axis v and s1 = stride axis1 v and s2 = stride axis2 v in
   for k = 1 to depth do
-    let ghost = -k and src = mirror_low center_y k in
-    if ghost >= row_lo && ghost < row_hi then begin
-      let g = vbase + (ghost * vrow) and s = vbase + (src * vrow) in
-      for x = 0 to dat.xsize - 1 do
-        for c = 0 to dim - 1 do
-          vdata.(g + (x * vcol) + c) <- sign_y *. vdata.(s + (x * vcol) + c)
+    for side = 0 to 1 do
+      let ghost = if side = 0 then -k else size - 1 + k in
+      if ghost >= lo axis own && ghost < hi axis own then begin
+        let src = if side = 0 then mirror_low center k else mirror_high center size k in
+        for i1 = lo1 to hi1 - 1 do
+          for i2 = lo2 to hi2 - 1 do
+            let line = v.vbase + (i1 * s1) + (i2 * s2) in
+            let g = line + (ghost * sa) and s = line + (src * sa) in
+            for c = 0 to dim - 1 do
+              vdata.(g + c) <- sign *. vdata.(s + c)
+            done
+          done
         done
-      done
-    end;
-    let ghost = dat.ysize - 1 + k and src = mirror_high center_y dat.ysize k in
-    if ghost >= row_lo && ghost < row_hi then begin
-      let g = vbase + (ghost * vrow) and s = vbase + (src * vrow) in
-      for x = 0 to dat.xsize - 1 do
-        for c = 0 to dim - 1 do
-          vdata.(g + (x * vcol) + c) <- sign_y *. vdata.(s + (x * vcol) + c)
-        done
-      done
-    end
-  done;
-  (* Horizontal (x) mirrors on every locally stored row, ghost rows included
-     so corners are consistent without communication. *)
-  let y_lo = max (-dat.halo) (row_lo - dat.halo) in
-  let y_hi = min (dat.ysize + dat.halo) (row_hi + dat.halo) in
-  for y = y_lo to y_hi - 1 do
-    let row = vbase + (y * vrow) in
-    for k = 1 to depth do
-      let lo_g = row - (k * vcol) and lo_s = row + (mirror_low center_x k * vcol) in
-      let hi_g = row + ((dat.xsize - 1 + k) * vcol)
-      and hi_s = row + (mirror_high center_x dat.xsize k * vcol) in
-      for c = 0 to dim - 1 do
-        vdata.(lo_g + c) <- sign_x *. vdata.(lo_s + c);
-        vdata.(hi_g + c) <- sign_x *. vdata.(hi_s + c)
-      done
+      end
     done
   done
 
-let mirror ?(depth = 2) ?(sign_x = 1.0) ?(sign_y = 1.0) ?(center_x = Cell)
-    ?(center_y = Cell) dat =
-  apply (Exec.dat_view dat) ~dat ~depth ~sign_x ~sign_y ~center_x ~center_y
-    ~row_lo:(-dat.halo) ~row_hi:(dat.ysize + dat.halo)
+(* Mirror the ghost ring of [dat] stored behind the view [v] — the
+   dataset's own padded array, or a distributed rank's window — where it
+   falls in the owned box [own] (global numbering, half-open). *)
+let apply (v : Exec.view) ~(dat : dat) ~(own : range) ~depth ~sign_x ~sign_y ~sign_z
+    ~center_x ~center_y ~center_z =
+  if depth > dat.halo then
+    invalid_arg
+      (Printf.sprintf "mirror_halo: depth %d exceeds the %d-deep ghost ring of %s" depth
+         dat.halo dat.dat_name);
+  let rank = dat.dat_block.rank in
+  if rank >= 3 then
+    mirror_axis v ~dat ~own ~axis:Z ~depth ~sign:sign_z ~center:center_z ~axis1:Y
+      ~lo1:(inner_lo Y dat own) ~hi1:(inner_hi Y dat own) ~axis2:X
+      ~lo2:(inner_lo X dat own) ~hi2:(inner_hi X dat own);
+  if rank >= 2 then
+    mirror_axis v ~dat ~own ~axis:Y ~depth ~sign:sign_y ~center:center_y ~axis1:Z
+      ~lo1:(outer_lo Z dat own) ~hi1:(outer_hi Z dat own) ~axis2:X
+      ~lo2:(inner_lo X dat own) ~hi2:(inner_hi X dat own);
+  mirror_axis v ~dat ~own ~axis:X ~depth ~sign:sign_x ~center:center_x ~axis1:Z
+    ~lo1:(outer_lo Z dat own) ~hi1:(outer_hi Z dat own) ~axis2:Y
+    ~lo2:(outer_lo Y dat own) ~hi2:(outer_hi Y dat own)
+
+let mirror ~depth ~sign_x ~sign_y ~sign_z ~center_x ~center_y ~center_z dat =
+  apply (Exec.dat_view dat) ~dat ~own:(addressable dat) ~depth ~sign_x ~sign_y ~sign_z
+    ~center_x ~center_y ~center_z

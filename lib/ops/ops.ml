@@ -117,14 +117,13 @@ let init ctx dat f = Pipeline.init ctx dat (fun x y _ c -> f x y c)
 (* ---- Partitioning -------------------------------------------------------- *)
 
 let partition ctx ~n_ranks ~ref_ysize =
-  Pipeline.partition ctx (fun env -> Pipeline.Rows (Dist.build env ~n_ranks ~ref_ysize))
+  Pipeline.partition ctx ~ranks:(1, n_ranks, 1) ~reference:(1, ref_ysize, 1)
 
 (* 2D grid decomposition (px x py ranks), as the production OPS uses for
    CloverLeaf at scale: both dimensions split, two-phase ghost exchange
    carrying the corners. *)
 let partition_grid ctx ~px ~py ~ref_xsize ~ref_ysize =
-  Pipeline.partition ctx (fun env ->
-      Pipeline.Grid (Dist2.build env ~px ~py ~ref_xsize ~ref_ysize))
+  Pipeline.partition ctx ~ranks:(px, py, 1) ~reference:(ref_xsize, ref_ysize, 1)
 
 type rank_execution = Exec.rank_exec = Rank_seq | Rank_shared of Am_taskpool.Pool.t
 
@@ -206,13 +205,8 @@ type centering = Boundary.centering = Cell | Node
    rows depend on the whole interior). *)
 let mirror_halo (ctx : ctx) ?(depth = 2) ?(sign_x = 1.0) ?(sign_y = 1.0)
     ?(center_x = Cell) ?(center_y = Cell) dat =
-  match ctx.Pipeline.dist with
-  | None ->
-    Pipeline.data_op ctx "mirror_halo" (fun () ->
-        Boundary.mirror ~depth ~sign_x ~sign_y ~center_x ~center_y dat)
-  | Some (Pipeline.Rows d) -> Dist.mirror d dat ~depth ~sign_x ~sign_y ~center_x ~center_y
-  | Some (Pipeline.Grid d) -> Dist2.mirror d dat ~depth ~sign_x ~sign_y ~center_x ~center_y
-  | Some (Pipeline.Cells _ | Pipeline.Slabs _ | Pipeline.Pencil _) -> assert false
+  Pipeline.mirror_halo ctx ~depth ~sign_x ~sign_y ~sign_z:1.0 ~center_x ~center_y
+    ~center_z:Cell dat
 
 (* ---- Automatic checkpointing (paper Section VI) -------------------------- *)
 

@@ -64,7 +64,7 @@ let set_fault_injector = Pipeline.set_fault_injector
 let fault_injector = Pipeline.fault_injector
 
 let partition ctx ~n_ranks ~ref_xsize =
-  Pipeline.partition ctx (fun env -> Pipeline.Cells (Dist1.build env ~n_ranks ~ref_xsize))
+  Pipeline.partition ctx ~ranks:(n_ranks, 1, 1) ~reference:(ref_xsize, 1, 1)
 
 type rank_execution = Exec.rank_exec = Rank_seq | Rank_shared of Am_taskpool.Pool.t
 
@@ -105,15 +105,11 @@ let footprints = Pipeline.footprints
 
 (* ---- Physical boundary conditions (update_halo, 1D) ----------------------- *)
 
-type centering = Boundary1.centering = Cell | Node
+type centering = Boundary.centering = Cell | Node
 
 let mirror_halo (ctx : ctx) ?(depth = 2) ?(sign = 1.0) ?(center = Cell) dat =
-  match ctx.Pipeline.dist with
-  | None ->
-    Pipeline.data_op ctx "mirror_halo" (fun () -> Boundary1.mirror ~depth ~sign ~center dat)
-  | Some (Pipeline.Cells d) -> Dist1.mirror d dat ~depth ~sign ~center
-  | Some (Pipeline.Rows _ | Pipeline.Grid _ | Pipeline.Slabs _ | Pipeline.Pencil _) ->
-    assert false
+  Pipeline.mirror_halo ctx ~depth ~sign_x:sign ~sign_y:1.0 ~sign_z:1.0 ~center_x:center
+    ~center_y:Cell ~center_z:Cell dat
 
 (* ---- Automatic checkpointing (paper Section VI) -------------------------- *)
 

@@ -132,7 +132,7 @@ val fault_injector : ctx -> Am_simmpi.Fault.t option
 
 (** {1 Boundary conditions} *)
 
-type centering = Boundary1.centering = Cell | Node
+type centering = Boundary.centering = Cell | Node
 
 (** Reflective ghost-cell update at both ends, with an optional sign flip
     for wall-normal components and centre-aware reflection for staggered

@@ -83,12 +83,11 @@ let fetch_interior = Pipeline.fetch_interior
 let init = Pipeline.init
 
 let partition ctx ~n_ranks ~ref_zsize =
-  Pipeline.partition ctx (fun env -> Pipeline.Slabs (Dist3.build env ~n_ranks ~ref_zsize))
+  Pipeline.partition ctx ~ranks:(1, 1, n_ranks) ~reference:(1, 1, ref_zsize)
 
 (* Pencil (y x z) decomposition over py * pz ranks; x stays whole. *)
 let partition_pencil ctx ~py ~pz ~ref_ysize ~ref_zsize =
-  Pipeline.partition ctx (fun env ->
-      Pipeline.Pencil (Dist3p.build env ~py ~pz ~ref_ysize ~ref_zsize))
+  Pipeline.partition ctx ~ranks:(1, py, pz) ~reference:(1, ref_ysize, ref_zsize)
 
 type rank_execution = Exec.rank_exec = Rank_seq | Rank_shared of Am_taskpool.Pool.t
 
@@ -126,37 +125,30 @@ let footprints = Pipeline.footprints
 
 (* ---- Multi-block halos ----------------------------------------------------- *)
 
-type halo = Multiblock3.halo
-type orientation = Multiblock3.orientation
+type halo = Multiblock.halo
+type orientation = Multiblock.orientation
 
-let identity_orientation = Multiblock3.identity_orientation
+let identity_orientation = Multiblock.identity_orientation
 
 let decl_halo ctx ~name ~src ~dst ~src_range ~dst_range ?orientation () =
   Pipeline.unpartitioned ctx "decl_halo";
-  Multiblock3.decl_halo ~name ~src ~dst ~src_range ~dst_range ?orientation ()
+  Multiblock.decl_halo ~name ~src ~dst ~src_range ~dst_range ?orientation ()
 
 let halo_transfer ctx halos =
   Pipeline.flush ctx;
   Pipeline.unpartitioned ctx "halo_transfer";
-  Multiblock3.transfer_all halos
+  Multiblock.transfer_all halos
 
 (* ---- Physical boundary conditions (update_halo, 3D) ----------------------- *)
 
-type centering = Boundary3.centering = Cell | Node
+type centering = Boundary.centering = Cell | Node
 
 (* Reflective ghost-shell update with per-axis sign flips and centre-aware
    mirroring for staggered fields. *)
 let mirror_halo (ctx : ctx) ?(depth = 2) ?(sign_x = 1.0) ?(sign_y = 1.0) ?(sign_z = 1.0)
     ?(center_x = Cell) ?(center_y = Cell) ?(center_z = Cell) dat =
-  match ctx.Pipeline.dist with
-  | None ->
-    Pipeline.data_op ctx "mirror_halo" (fun () ->
-        Boundary3.mirror ~depth ~sign_x ~sign_y ~sign_z ~center_x ~center_y ~center_z dat)
-  | Some (Pipeline.Slabs d) ->
-    Dist3.mirror d dat ~depth ~sign_x ~sign_y ~sign_z ~center_x ~center_y ~center_z
-  | Some (Pipeline.Pencil d) ->
-    Dist3p.mirror d dat ~depth ~sign_x ~sign_y ~sign_z ~center_x ~center_y ~center_z
-  | Some (Pipeline.Cells _ | Pipeline.Rows _ | Pipeline.Grid _) -> assert false
+  Pipeline.mirror_halo ctx ~depth ~sign_x ~sign_y ~sign_z ~center_x ~center_y ~center_z
+    dat
 
 (* ---- Automatic checkpointing (paper Section VI) -------------------------- *)
 

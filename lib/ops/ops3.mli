@@ -170,8 +170,8 @@ val fault_injector : ctx -> Am_simmpi.Fault.t option
 
 (** {1 Multi-block halos} *)
 
-type halo = Multiblock3.halo
-type orientation = Multiblock3.orientation
+type halo = Multiblock.halo
+type orientation = Multiblock.orientation
 
 val identity_orientation : orientation
 
@@ -189,7 +189,7 @@ val halo_transfer : ctx -> halo list -> unit
 
 (** {1 Boundary conditions} *)
 
-type centering = Boundary3.centering = Cell | Node
+type centering = Boundary.centering = Cell | Node
 
 (** Reflective ghost-shell update (update_halo in 3D): ghost values
     mirror the interior, with optional per-axis sign flips for

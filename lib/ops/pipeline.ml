@@ -20,14 +20,6 @@ module Trace = Am_core.Trace
 (* The engine a facade backend selects. *)
 type exec = Seq | Shared of Am_taskpool.Pool.t | Cuda of Exec.cuda_config3 | Check
 
-(* Distributed state: a facade's decomposition of its blocks. *)
-type dist =
-  | Cells of Dist1.t (* 1D intervals *)
-  | Rows of Dist.t (* 2D row slabs *)
-  | Grid of Dist2.t (* 2D process grid *)
-  | Slabs of Dist3.t (* 3D z-slabs *)
-  | Pencil of Dist3p.t (* 3D y x z pencils *)
-
 (* Per-call-site loop handle: caches the compiled gather/scatter executor
    (offset tables and specialised closures) so repeated invocations skip
    argument compilation.  Freshness is a handful of pointer compares per
@@ -64,7 +56,7 @@ type 'backend ctx = {
   mutable exec : exec;
   profile : Profile.t;
   trace : Trace.t;
-  mutable dist : dist option;
+  mutable dist : Dist.t option; (* the decomposition, once partitioned *)
   mutable checkpoint : Am_checkpoint.Runtime.session option;
   mutable fault : Am_simmpi.Fault.t option;
   (* Lazy loop chains (cross-loop cache tiling).  [tile_pool] switches the
@@ -738,32 +730,13 @@ let dats ctx = Types.dats ctx.env
 let fetch_interior ctx dat =
   flush ctx;
   match ctx.dist with
-  | Some (Cells d) -> Dist1.fetch_interior d dat
-  | Some (Rows d) -> Dist.fetch_interior d dat
-  | Some (Grid d) -> Dist2.fetch_interior d dat
-  | Some (Slabs d) -> Dist3.fetch_interior d dat
-  | Some (Pencil d) -> Dist3p.fetch_interior d dat
+  | Some d -> Dist.fetch_interior d dat
   | None -> Types.fetch_interior dat
 
 (* The global padded array of a dataset, pulled back from its owning ranks'
    windows, and the inverse scatter into every window. *)
-let pull ctx dat =
-  match ctx.dist with
-  | None -> ()
-  | Some (Cells d) -> Dist1.pull d dat
-  | Some (Rows d) -> Dist.pull d dat
-  | Some (Grid d) -> Dist2.pull d dat
-  | Some (Slabs d) -> Dist3.pull d dat
-  | Some (Pencil d) -> Dist3p.pull d dat
-
-let push ctx dat =
-  match ctx.dist with
-  | None -> ()
-  | Some (Cells d) -> Dist1.push d dat
-  | Some (Rows d) -> Dist.push d dat
-  | Some (Grid d) -> Dist2.push d dat
-  | Some (Slabs d) -> Dist3.push d dat
-  | Some (Pencil d) -> Dist3p.push d dat
+let pull ctx dat = Option.iter (fun d -> Dist.pull d dat) ctx.dist
+let push ctx dat = Option.iter (fun d -> Dist.push d dat) ctx.dist
 
 (* Direct initialisation of every addressable point (ghosts included): the
    function receives logical (x, y, z) and the component index. Pushes to
@@ -783,14 +756,7 @@ let init ctx dat f =
 
 (* ---- Partitioning -------------------------------------------------------- *)
 
-let dist_comm ctx =
-  match ctx.dist with
-  | None -> None
-  | Some (Cells d) -> Some d.Dist1.comm
-  | Some (Rows d) -> Some d.Dist.comm
-  | Some (Grid d) -> Some d.Dist2.comm
-  | Some (Slabs d) -> Some d.Dist3.comm
-  | Some (Pencil d) -> Some d.Dist3p.comm
+let dist_comm ctx = Option.map (fun d -> d.Dist.comm) ctx.dist
 
 (* Route the distributed runtime's messages through the fault injector's
    reliable transport; a loop-counter crash trigger fires on any backend. *)
@@ -802,16 +768,16 @@ let set_fault_injector ctx f =
 
 let fault_injector ctx = ctx.fault
 
-(* Decompose every dataset with [build]: the facade's own decomposition of
-   the context's declarations. *)
-let partition ctx build =
+(* Decompose every dataset over [ranks] = (px, py, pz) ranks, splitting a
+   [reference] index space of (rx, ry, rz) cells (see [Dist.build]). *)
+let partition ctx ~ranks ~reference =
   flush ctx;
   if ctx.dist <> None then invalid_arg (facade ctx ^ ".partition: already partitioned");
   (match ctx.exec with
   | Seq -> ()
   | Shared _ | Cuda _ | Check ->
     invalid_arg (facade ctx ^ ".partition: switch the backend to Seq before partitioning"));
-  ctx.dist <- Some (build ctx.env);
+  ctx.dist <- Some (Dist.build ctx.env ~rank:ctx.rank ~ranks ~reference);
   match (ctx.fault, dist_comm ctx) with
   | Some f, Some comm -> Am_simmpi.Comm.attach_fault comm f
   | _ -> ()
@@ -822,38 +788,15 @@ let partitioned ctx what =
   | Some d -> d
 
 let set_rank_execution ctx exec =
-  match partitioned ctx "set_rank_execution" with
-  | Cells d -> d.Dist1.rank_exec <- exec
-  | Rows d -> d.Dist.rank_exec <- exec
-  | Grid d -> d.Dist2.rank_exec <- exec
-  | Slabs d -> d.Dist3.rank_exec <- exec
-  | Pencil d -> d.Dist3p.rank_exec <- exec
+  (partitioned ctx "set_rank_execution").Dist.rank_exec <- exec
 
 (* [Eager] exchanges before every stencil read; only the 1D and 2D
    facades offer the policy. *)
 let set_eager_halo ctx eager =
-  match partitioned ctx "set_halo_policy" with
-  | Cells d -> d.Dist1.eager_halo <- eager
-  | Rows d -> d.Dist.eager_halo <- eager
-  | Grid d -> d.Dist2.eager_halo <- eager
-  | Slabs _ | Pencil _ -> assert false
+  (partitioned ctx "set_halo_policy").Dist.eager_halo <- eager
 
-let set_overlap ctx overlap =
-  match partitioned ctx "set_comm_mode" with
-  | Cells d -> d.Dist1.overlap <- overlap
-  | Rows d -> d.Dist.overlap <- overlap
-  | Grid d -> d.Dist2.overlap <- overlap
-  | Slabs d -> d.Dist3.overlap <- overlap
-  | Pencil d -> d.Dist3p.overlap <- overlap
-
-let overlap ctx =
-  match ctx.dist with
-  | None -> false
-  | Some (Cells d) -> d.Dist1.overlap
-  | Some (Rows d) -> d.Dist.overlap
-  | Some (Grid d) -> d.Dist2.overlap
-  | Some (Slabs d) -> d.Dist3.overlap
-  | Some (Pencil d) -> d.Dist3p.overlap
+let set_overlap ctx overlap = (partitioned ctx "set_comm_mode").Dist.overlap <- overlap
+let overlap ctx = match ctx.dist with Some d -> d.Dist.overlap | None -> false
 
 let comm_stats ctx = Option.map Am_simmpi.Comm.stats (dist_comm ctx)
 
@@ -864,6 +807,17 @@ let unpartitioned ctx what =
       (Printf.sprintf "%s.%s: inter-block halos unsupported on a partitioned context \
                        (declare and transfer them before partitioning)"
          (facade ctx) what)
+
+(* Reflective ghost update (OPS's update_halo; see [Boundary]): on the
+   padded array, deferred as a chain barrier while loops are being
+   recorded, or on every rank's window. *)
+let mirror_halo ctx ~depth ~sign_x ~sign_y ~sign_z ~center_x ~center_y ~center_z dat =
+  match ctx.dist with
+  | None ->
+    data_op ctx "mirror_halo" (fun () ->
+        Boundary.mirror ~depth ~sign_x ~sign_y ~sign_z ~center_x ~center_y ~center_z dat)
+  | Some d ->
+    Dist.mirror d dat ~depth ~sign_x ~sign_y ~sign_z ~center_x ~center_y ~center_z
 
 (* ---- The parallel loop ----------------------------------------------------- *)
 
@@ -928,16 +882,7 @@ let run_loop ctx ~name ~info ?handle block range args kernel =
         if ctx.tighten then Option.map (fun fi -> fi.Probe.in_read_ext) foot else None
       in
       match ctx.dist with
-      | Some (Cells d) ->
-        Dist1.par_loop ?ext ~halo_seconds ~overlap_seconds d ~range ~args ~kernel
-      | Some (Rows d) ->
-        Dist.par_loop ?ext ~halo_seconds ~overlap_seconds d ~range ~args ~kernel
-      | Some (Grid d) ->
-        Dist2.par_loop ?ext ~halo_seconds ~overlap_seconds d ~range ~args ~kernel
-      | Some (Slabs d) ->
-        Dist3.par_loop ?ext ~halo_seconds ~overlap_seconds d ~range ~args ~kernel
-      | Some (Pencil d) ->
-        Dist3p.par_loop ?ext ~halo_seconds ~overlap_seconds d ~range ~args ~kernel
+      | Some d -> Dist.par_loop ?ext ~halo_seconds ~overlap_seconds d ~range ~args ~kernel
       | None -> (
         let compiled = Option.map (fun h -> resolve_compiled h args) handle in
         match ctx.exec with

@@ -173,6 +173,8 @@ let ghost_z dat = if dat.dat_block.rank >= 3 then dat.halo else 0
 let padded_x dat = dat.xsize + (2 * dat.halo)
 let padded_y dat = dat.ysize + (2 * ghost_y dat)
 let padded_z dat = dat.zsize + (2 * ghost_z dat)
+let ghost axis dat = match axis with X -> dat.halo | Y -> ghost_y dat | Z -> ghost_z dat
+let extent axis dat = match axis with X -> dat.xsize | Y -> dat.ysize | Z -> dat.zsize
 
 let decl_dat env ~name ~block ~xsize ~ysize ~zsize ?(halo = default_halo) ?(dim = 1) () =
   if xsize <= 0 || ysize <= 0 || zsize <= 0 then
@@ -211,6 +213,10 @@ let z_max dat = dat.zsize + ghost_z dat
 
 let interior dat =
   { xlo = 0; xhi = dat.xsize; ylo = 0; yhi = dat.ysize; zlo = 0; zhi = dat.zsize }
+
+let addressable dat =
+  { xlo = x_min dat; xhi = x_max dat; ylo = y_min dat; yhi = y_max dat; zlo = z_min dat;
+    zhi = z_max dat }
 
 (* Fill every value (ghost cells included). *)
 let fill dat v = Array.fill dat.data 0 (Array.length dat.data) v

@@ -1,6 +1,8 @@
 (* Backend-equivalence and unit tests for the OPS structured-mesh library. *)
 
 module Ops = Am_ops.Ops
+module Ops1 = Am_ops.Ops1
+module Ops3 = Am_ops.Ops3
 module Access = Am_core.Access
 module Fa = Am_util.Fa
 module Pool = Am_taskpool.Pool
@@ -117,36 +119,299 @@ let test_dist_center_only_no_traffic () =
   | None -> Alcotest.fail "expected comm stats"
   | Some s -> Alcotest.(check int) "no messages" 0 s.Am_simmpi.Comm.messages
 
-let test_depth_aware_exchange () =
-  (* A loop whose widest stencil reaches 1 row exchanges 1 ghost row, not
-     the full 2-deep ring (OPS's per-stencil update_halo depths) — and the
-     results stay exact either way. *)
-  let traffic stencil =
-    let nx = 16 and ny = 12 in
-    let ctx = Ops.create () in
-    let grid = Ops.decl_block ctx ~name:"grid" in
-    let u = Ops.decl_dat ctx ~name:"u" ~block:grid ~xsize:nx ~ysize:ny ~halo:2 () in
-    let w = Ops.decl_dat ctx ~name:"w" ~block:grid ~xsize:nx ~ysize:ny ~halo:2 () in
-    Ops.init ctx u (fun x y _ -> Float.of_int ((x * 7) + y));
-    Ops.partition ctx ~n_ranks:3 ~ref_ysize:ny;
-    (* Dirty u's ghosts so the read loop must exchange. *)
-    Ops.par_loop ctx ~name:"touch" grid (Ops.interior u)
-      [ Ops.arg_dat u Ops.stencil_point Access.Rw ]
-      (fun a -> a.(0).(0) <- a.(0).(0) +. 1.0);
-    let stats = Option.get (Ops.comm_stats ctx) in
-    stats.Am_simmpi.Comm.bytes <- 0;
-    Ops.par_loop ctx ~name:"read" grid (Ops.interior u)
-      [ Ops.arg_dat u stencil Access.Read; Ops.arg_dat w Ops.stencil_point Access.Write ]
-      (fun a -> a.(1).(0) <- a.(0).(Array.length stencil - 1));
-    (stats.Am_simmpi.Comm.bytes, Ops.fetch_interior ctx w)
+(* ---- Every decomposition ---- *)
+
+(* The kernel of the probe loops below: a weighted sum of every stencil
+   point read (distinct weights, so one wrong point changes the result),
+   written to each component of the output. *)
+let weighted_sum (a : float array array) =
+  let s = ref 0.0 in
+  Array.iteri (fun i v -> s := !s +. (Float.of_int (i + 1) *. v)) a.(0);
+  Array.iteri (fun c _ -> a.(1).(c) <- !s +. Float.of_int c) a.(1)
+
+(* The messages and bytes [f] sends on a partitioned context. *)
+let traffic stats f =
+  match stats with
+  | None ->
+    f ();
+    (0, 0)
+  | Some s ->
+    let m0 = s.Am_simmpi.Comm.messages and b0 = s.Am_simmpi.Comm.bytes in
+    f ();
+    (s.Am_simmpi.Comm.messages - m0, s.Am_simmpi.Comm.bytes - b0)
+
+(* A star of the given reach along each axis, centre first. *)
+let star1 reach = [| 0; -reach; reach |]
+
+let star2 reach = [| (0, 0); (-reach, 0); (reach, 0); (0, -reach); (0, reach) |]
+
+let star3 reach =
+  [| (0, 0, 0); (-reach, 0, 0); (reach, 0, 0); (0, -reach, 0); (0, reach, 0);
+     (0, 0, -reach); (0, 0, reach) |]
+
+(* Depth-aware exchange cases: u and w (halo 2) on one decomposition, u's
+   ghosts dirtied, then u read through a stencil reaching [reach] cells
+   along every axis into w.  Each returns the read's traffic and w's
+   interior; [part = false] runs unpartitioned. *)
+let depth_case_2d partition ~reach ~part =
+  let nx = 16 and ny = 12 in
+  let ctx = Ops.create () in
+  let grid = Ops.decl_block ctx ~name:"grid" in
+  let u = Ops.decl_dat ctx ~name:"u" ~block:grid ~xsize:nx ~ysize:ny ~halo:2 () in
+  let w = Ops.decl_dat ctx ~name:"w" ~block:grid ~xsize:nx ~ysize:ny ~halo:2 () in
+  Ops.init ctx u (fun x y _ -> Float.of_int ((x * 7) + y));
+  if part then partition ctx ~nx ~ny;
+  Ops.par_loop ctx ~name:"touch" grid (Ops.interior u)
+    [ Ops.arg_dat u Ops.stencil_point Access.Rw ]
+    (fun a -> a.(0).(0) <- a.(0).(0) +. 1.0);
+  let moved =
+    traffic (Ops.comm_stats ctx) (fun () ->
+        Ops.par_loop ctx ~name:"read" grid (Ops.interior u)
+          [
+            Ops.arg_dat u (star2 reach) Access.Read;
+            Ops.arg_dat w Ops.stencil_point Access.Write;
+          ]
+          weighted_sum)
   in
-  let shallow_bytes, _ = traffic [| (0, 0); (0, 1) |] in
-  let deep_bytes, _ = traffic [| (0, 0); (0, 2) |] in
-  Alcotest.(check bool)
-    (Printf.sprintf "1-deep stencil moves less (%d vs %d)" shallow_bytes deep_bytes)
-    true
-    (shallow_bytes < deep_bytes);
-  Alcotest.(check int) "exactly half" deep_bytes (2 * shallow_bytes)
+  (moved, Ops.fetch_interior ctx w)
+
+let depth_case_1d partition ~reach ~part =
+  let nx = 16 in
+  let ctx = Ops1.create () in
+  let line = Ops1.decl_block ctx ~name:"line" in
+  let u = Ops1.decl_dat ctx ~name:"u" ~block:line ~xsize:nx ~halo:2 () in
+  let w = Ops1.decl_dat ctx ~name:"w" ~block:line ~xsize:nx ~halo:2 () in
+  Ops1.init ctx u (fun x _ -> Float.of_int ((x * 7) + 3));
+  if part then partition ctx ~nx;
+  Ops1.par_loop ctx ~name:"touch" line (Ops1.interior u)
+    [ Ops1.arg_dat u Ops1.stencil_point Access.Rw ]
+    (fun a -> a.(0).(0) <- a.(0).(0) +. 1.0);
+  let moved =
+    traffic (Ops1.comm_stats ctx) (fun () ->
+        Ops1.par_loop ctx ~name:"read" line (Ops1.interior u)
+          [
+            Ops1.arg_dat u (star1 reach) Access.Read;
+            Ops1.arg_dat w Ops1.stencil_point Access.Write;
+          ]
+          weighted_sum)
+  in
+  (moved, Ops1.fetch_interior ctx w)
+
+let depth_case_3d partition ~reach ~part =
+  let n = 8 in
+  let ctx = Ops3.create () in
+  let cube = Ops3.decl_block ctx ~name:"cube" in
+  let u = Ops3.decl_dat ctx ~name:"u" ~block:cube ~xsize:n ~ysize:n ~zsize:n ~halo:2 () in
+  let w = Ops3.decl_dat ctx ~name:"w" ~block:cube ~xsize:n ~ysize:n ~zsize:n ~halo:2 () in
+  Ops3.init ctx u (fun x y z _ -> Float.of_int ((x * 7) + (y * 3) + z));
+  if part then partition ctx ~n;
+  Ops3.par_loop ctx ~name:"touch" cube (Ops3.interior u)
+    [ Ops3.arg_dat u Ops3.stencil_point Access.Rw ]
+    (fun a -> a.(0).(0) <- a.(0).(0) +. 1.0);
+  let moved =
+    traffic (Ops3.comm_stats ctx) (fun () ->
+        Ops3.par_loop ctx ~name:"read" cube (Ops3.interior u)
+          [
+            Ops3.arg_dat u (star3 reach) Access.Read;
+            Ops3.arg_dat w Ops3.stencil_point Access.Write;
+          ]
+          weighted_sum)
+  in
+  (moved, Ops3.fetch_interior ctx w)
+
+let depth_cases =
+  [
+    ( "rows(3)",
+      depth_case_2d (fun ctx ~nx:_ ~ny -> Ops.partition ctx ~n_ranks:3 ~ref_ysize:ny) );
+    ( "grid(2x2)",
+      depth_case_2d (fun ctx ~nx ~ny ->
+          Ops.partition_grid ctx ~px:2 ~py:2 ~ref_xsize:nx ~ref_ysize:ny) );
+    ( "cells(3)",
+      depth_case_1d (fun ctx ~nx -> Ops1.partition ctx ~n_ranks:3 ~ref_xsize:nx) );
+    ( "slabs(3)",
+      depth_case_3d (fun ctx ~n -> Ops3.partition ctx ~n_ranks:3 ~ref_zsize:n) );
+    ( "pencil(2x2)",
+      depth_case_3d (fun ctx ~n ->
+          Ops3.partition_pencil ctx ~py:2 ~pz:2 ~ref_ysize:n ~ref_zsize:n) );
+  ]
+
+(* A loop whose widest stencil reaches 1 cell exchanges 1 ghost layer, not
+   the full 2-deep ring (OPS's per-stencil update_halo depths), on every
+   decomposition: half the bytes in as many messages — and the results stay
+   exact either way. *)
+let test_depth_aware_exchange () =
+  List.iter
+    (fun (name, run) ->
+      let (shallow_msgs, shallow_bytes), shallow = run ~reach:1 ~part:true in
+      let (deep_msgs, deep_bytes), deep = run ~reach:2 ~part:true in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: 1-deep stencil moves less (%d vs %d)" name shallow_bytes
+           deep_bytes)
+        true
+        (shallow_bytes < deep_bytes);
+      Alcotest.(check int) (name ^ ": exactly half") deep_bytes (2 * shallow_bytes);
+      Alcotest.(check int) (name ^ ": as many messages") deep_msgs shallow_msgs;
+      List.iter
+        (fun (reach, got) ->
+          let _, seq = run ~reach ~part:false in
+          if not (Fa.approx_equal ~tol:0.0 seq got) then
+            Alcotest.failf "%s: reach %d diverges from seq" name reach)
+        [ (1, shallow); (2, deep) ])
+    depth_cases
+
+(* Ghost-level mirror cases: a cell-sized u and a staggered two-component
+   v (one more cell along every axis), each mirrored at depth 2 with mixed
+   centering and sign flips after an interior update has left every ghost
+   copy stale; then a probe loop per dataset whose extent-2 box stencil
+   carries every ghost cell, edge and corner into some interior point.
+   Each returns the probes' outputs.  Every edge rank owns at least three
+   cells along each split axis, so a node-centred mirror's deepest source
+   (interior layer 2) is its own. *)
+let box2 = List.init 5 (fun i -> i - 2)
+
+let mirror_case_2d partition ~part =
+  let nx = 12 and ny = 9 in
+  let ctx = Ops.create () in
+  let grid = Ops.decl_block ctx ~name:"grid" in
+  let decl name ~extra ~dim =
+    Ops.decl_dat ctx ~name ~block:grid ~xsize:(nx + extra) ~ysize:(ny + extra) ~halo:2
+      ~dim ()
+  in
+  let u = decl "u" ~extra:0 ~dim:1 and v = decl "v" ~extra:1 ~dim:2 in
+  let wu = decl "wu" ~extra:0 ~dim:1 and wv = decl "wv" ~extra:1 ~dim:2 in
+  List.iter
+    (fun d ->
+      Ops.init ctx d (fun x y c ->
+          sin ((1.3 *. Float.of_int x) +. (0.7 *. Float.of_int y) +. Float.of_int c)))
+    [ u; v ];
+  if part then partition ctx ~nx ~ny;
+  List.iter
+    (fun d ->
+      Ops.par_loop ctx ~name:"update" grid (Ops.interior d)
+        [ Ops.arg_dat d Ops.stencil_point Access.Rw ]
+        (fun a -> Array.iteri (fun c x -> a.(0).(c) <- (0.5 *. x) +. 0.25) a.(0)))
+    [ u; v ];
+  Ops.mirror_halo ctx ~depth:2 ~sign_x:(-1.0) ~center_x:Ops.Node ~center_y:Ops.Cell u;
+  Ops.mirror_halo ctx ~depth:2 ~sign_y:(-1.0) ~center_x:Ops.Cell ~center_y:Ops.Node v;
+  let box =
+    Array.of_list (List.concat_map (fun dy -> List.map (fun dx -> (dx, dy)) box2) box2)
+  in
+  List.map
+    (fun (d, w) ->
+      Ops.par_loop ctx ~name:"probe" grid (Ops.interior d)
+        [ Ops.arg_dat d box Access.Read; Ops.arg_dat w Ops.stencil_point Access.Write ]
+        weighted_sum;
+      Ops.fetch_interior ctx w)
+    [ (u, wu); (v, wv) ]
+
+let mirror_case_1d partition ~part =
+  let nx = 9 in
+  let ctx = Ops1.create () in
+  let line = Ops1.decl_block ctx ~name:"line" in
+  let decl name ~extra ~dim =
+    Ops1.decl_dat ctx ~name ~block:line ~xsize:(nx + extra) ~halo:2 ~dim ()
+  in
+  let u = decl "u" ~extra:0 ~dim:1 and v = decl "v" ~extra:1 ~dim:2 in
+  let wu = decl "wu" ~extra:0 ~dim:1 and wv = decl "wv" ~extra:1 ~dim:2 in
+  List.iter
+    (fun d ->
+      Ops1.init ctx d (fun x c -> sin ((1.3 *. Float.of_int x) +. Float.of_int c)))
+    [ u; v ];
+  if part then partition ctx ~nx;
+  List.iter
+    (fun d ->
+      Ops1.par_loop ctx ~name:"update" line (Ops1.interior d)
+        [ Ops1.arg_dat d Ops1.stencil_point Access.Rw ]
+        (fun a -> Array.iteri (fun c x -> a.(0).(c) <- (0.5 *. x) +. 0.25) a.(0)))
+    [ u; v ];
+  Ops1.mirror_halo ctx ~depth:2 ~sign:(-1.0) ~center:Ops1.Node u;
+  Ops1.mirror_halo ctx ~depth:2 ~center:Ops1.Cell v;
+  List.map
+    (fun (d, w) ->
+      Ops1.par_loop ctx ~name:"probe" line (Ops1.interior d)
+        [
+          Ops1.arg_dat d (Array.of_list box2) Access.Read;
+          Ops1.arg_dat w Ops1.stencil_point Access.Write;
+        ]
+        weighted_sum;
+      Ops1.fetch_interior ctx w)
+    [ (u, wu); (v, wv) ]
+
+let mirror_case_3d partition ~part =
+  let nx = 5 and ny = 6 and nz = 9 in
+  let ctx = Ops3.create () in
+  let cube = Ops3.decl_block ctx ~name:"cube" in
+  let decl name ~extra ~dim =
+    Ops3.decl_dat ctx ~name ~block:cube ~xsize:(nx + extra) ~ysize:(ny + extra)
+      ~zsize:(nz + extra) ~halo:2 ~dim ()
+  in
+  let u = decl "u" ~extra:0 ~dim:1 and v = decl "v" ~extra:1 ~dim:2 in
+  let wu = decl "wu" ~extra:0 ~dim:1 and wv = decl "wv" ~extra:1 ~dim:2 in
+  List.iter
+    (fun d ->
+      Ops3.init ctx d (fun x y z c ->
+          sin
+            ((1.3 *. Float.of_int x) +. (0.7 *. Float.of_int y) +. (0.3 *. Float.of_int z)
+            +. Float.of_int c)))
+    [ u; v ];
+  if part then partition ctx ~ny ~nz;
+  List.iter
+    (fun d ->
+      Ops3.par_loop ctx ~name:"update" cube (Ops3.interior d)
+        [ Ops3.arg_dat d Ops3.stencil_point Access.Rw ]
+        (fun a -> Array.iteri (fun c x -> a.(0).(c) <- (0.5 *. x) +. 0.25) a.(0)))
+    [ u; v ];
+  Ops3.mirror_halo ctx ~depth:2 ~sign_x:(-1.0) ~sign_z:(-1.0) ~center_x:Ops3.Node
+    ~center_y:Ops3.Cell ~center_z:Ops3.Node u;
+  Ops3.mirror_halo ctx ~depth:2 ~sign_y:(-1.0) ~center_x:Ops3.Cell ~center_y:Ops3.Node
+    ~center_z:Ops3.Cell v;
+  let box =
+    Array.of_list
+      (List.concat_map
+         (fun dz ->
+           List.concat_map (fun dy -> List.map (fun dx -> (dx, dy, dz)) box2) box2)
+         box2)
+  in
+  List.map
+    (fun (d, w) ->
+      Ops3.par_loop ctx ~name:"probe" cube (Ops3.interior d)
+        [ Ops3.arg_dat d box Access.Read; Ops3.arg_dat w Ops3.stencil_point Access.Write ]
+        weighted_sum;
+      Ops3.fetch_interior ctx w)
+    [ (u, wu); (v, wv) ]
+
+let mirror_cases =
+  [
+    ( "rows(3)",
+      mirror_case_2d (fun ctx ~nx:_ ~ny -> Ops.partition ctx ~n_ranks:3 ~ref_ysize:ny) );
+    ( "grid(2x2)",
+      mirror_case_2d (fun ctx ~nx ~ny ->
+          Ops.partition_grid ctx ~px:2 ~py:2 ~ref_xsize:nx ~ref_ysize:ny) );
+    ( "grid(3x2)",
+      mirror_case_2d (fun ctx ~nx ~ny ->
+          Ops.partition_grid ctx ~px:3 ~py:2 ~ref_xsize:nx ~ref_ysize:ny) );
+    ( "cells(3)",
+      mirror_case_1d (fun ctx ~nx -> Ops1.partition ctx ~n_ranks:3 ~ref_xsize:nx) );
+    ( "slabs(3)",
+      mirror_case_3d (fun ctx ~ny:_ ~nz -> Ops3.partition ctx ~n_ranks:3 ~ref_zsize:nz) );
+    ( "pencil(2x2)",
+      mirror_case_3d (fun ctx ~ny ~nz ->
+          Ops3.partition_pencil ctx ~py:2 ~pz:2 ~ref_ysize:ny ~ref_zsize:nz) );
+  ]
+
+(* Every mirrored ghost cell, edge and corner must match the unpartitioned
+   mirror bitwise — not just the interiors a later app stencil happens to
+   read. *)
+let test_mirror_ghost_cells () =
+  List.iter
+    (fun (name, run) ->
+      List.iter2
+        (fun seq got ->
+          if not (Fa.approx_equal ~tol:0.0 seq got) then
+            Alcotest.failf "%s: mirrored ghosts diverge from seq (%g)" name
+              (Fa.rel_discrepancy seq got))
+        (run ~part:false) (run ~part:true))
+    mirror_cases
 
 (* Staggered dataset (ny + 1 rows, like a y-face velocity): the extra row
    belongs to the last rank and the loop range covers it. *)
@@ -504,6 +769,7 @@ let () =
           Alcotest.test_case "dist(4) = seq" `Quick (dist_test 4);
           Alcotest.test_case "dist traffic" `Quick test_dist_traffic;
           Alcotest.test_case "depth-aware exchange" `Quick test_depth_aware_exchange;
+          Alcotest.test_case "ghost-level mirror" `Quick test_mirror_ghost_cells;
           Alcotest.test_case "center-only: no traffic" `Quick
             test_dist_center_only_no_traffic;
           Alcotest.test_case "staggered dat" `Quick test_dist_staggered_dat;

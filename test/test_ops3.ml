@@ -442,7 +442,7 @@ let test_multiblock_oriented_halo () =
   Ops3.init ctx b (fun _ _ _ _ -> 0.0);
   let swap_yz =
     { Ops3.identity_orientation with
-      Am_ops.Multiblock3.yy = 0; yz = 1; zy = 1; zz = 0 }
+      Am_ops.Multiblock.yy = 0; yz = 1; zy = 1; zz = 0 }
   in
   let h =
     Ops3.decl_halo ctx ~name:"a->b" ~src:a ~dst:b

@@ -25,6 +25,8 @@
 
 module Op2 = Am_op2.Op2
 module Ops = Am_ops.Ops
+module Ops1 = Am_ops.Ops1
+module Ops3 = Am_ops.Ops3
 module Access = Am_core.Access
 module Profile = Am_core.Profile
 module Umesh = Am_mesh.Umesh
@@ -373,6 +375,197 @@ let test_cloverleaf_overlap_differential () =
       if bs.Clover.ke <> os.Clover.ke || bs.Clover.ie <> os.Clover.ie then
         Alcotest.failf "%s: overlap summary differs from blocking" what)
     (clover_partitions 12)
+
+(* ---- Every decomposition: 1D cells, 3D slabs and pencils ---- *)
+
+(* One chain, per facade: dirty u (centre Rw), spread it through a reach-2
+   stencil with corners into w, then two reducing loops — "count" reads w
+   and relaxes v under an Inc global whose increments are integers (so the
+   sum is exact in any order), "lowest" reads v under a Min global.  Both
+   read freshly written data, so both exchange.  Under [Overlap] the Inc
+   loop must stay blocking and the Min loop split, which the core element
+   counter tells apart; each run returns its fingerprint and the core
+   elements the two reducing loops ran. *)
+let k_dirty (a : float array array) = a.(0).(0) <- (0.7 *. a.(0).(0)) +. 0.3
+
+let k_spread (a : float array array) =
+  let s = ref 0.0 in
+  Array.iteri (fun i x -> s := !s +. (0.1 *. Float.of_int (i + 1) *. x)) a.(0);
+  a.(1).(0) <- !s
+
+let k_count (a : float array array) =
+  let w = a.(0) in
+  a.(1).(0) <- (0.5 *. a.(1).(0)) +. (0.25 *. (w.(0) +. w.(Array.length w - 1)));
+  a.(2).(0) <- a.(2).(0) +. Float.round (4.0 *. a.(1).(0))
+
+let k_lowest (a : float array array) =
+  let v = a.(0) in
+  a.(1).(0) <- Float.min a.(1).(0) (v.(0) -. v.(1) +. v.(Array.length v - 1))
+
+let core_during f =
+  let c0 = Am_obs.Counters.value Am_obs.Obs.core_elements in
+  f ();
+  Am_obs.Counters.value Am_obs.Obs.core_elements - c0
+
+type chain_loops = {
+  dirty : unit -> unit;
+  spread : unit -> unit;
+  count : float array -> unit;
+  lowest : float array -> unit;
+  fields : unit -> (string * float array) list;
+}
+
+let run_chain loops =
+  let gbls = ref [] and inc_core = ref 0 and min_core = ref 0 in
+  for rep = 1 to 2 do
+    loops.dirty ();
+    loops.spread ();
+    let res = [| 0.0 |] and lo = [| Float.infinity |] in
+    inc_core := !inc_core + core_during (fun () -> loops.count res);
+    min_core := !min_core + core_during (fun () -> loops.lowest lo);
+    gbls :=
+      (Printf.sprintf "lowest%d" rep, lo.(0))
+      :: (Printf.sprintf "count%d" rep, res.(0))
+      :: !gbls
+  done;
+  ({ dats = loops.fields (); gbls = List.rev !gbls }, !inc_core, !min_core)
+
+let chain_init x y z =
+  sin ((0.3 *. Float.of_int x) +. (0.5 *. Float.of_int y) +. (0.7 *. Float.of_int z))
+
+let chain1 configure =
+  let ctx = Ops1.create () in
+  let line = Ops1.decl_block ctx ~name:"line" in
+  let decl name = Ops1.decl_dat ctx ~name ~block:line ~xsize:12 ~halo:2 () in
+  let u = decl "u" and v = decl "v" and w = decl "w" in
+  Ops1.init ctx u (fun x _ -> chain_init x 0 0);
+  Ops1.init ctx v (fun x _ -> chain_init 0 x 1);
+  configure ctx;
+  let all = Ops1.interior u and loop = Ops1.par_loop ctx line in
+  let point = Ops1.stencil_point and star = Ops1.stencil_3pt in
+  run_chain
+    {
+      dirty =
+        (fun () -> loop ~name:"dirty" all [ Ops1.arg_dat u point Access.Rw ] k_dirty);
+      spread =
+        (fun () ->
+          loop ~name:"spread" all
+            [
+              Ops1.arg_dat u [| 0; -2; 1 |] Access.Read;
+              Ops1.arg_dat w point Access.Write;
+            ]
+            k_spread);
+      count =
+        (fun res ->
+          loop ~name:"count" all
+            [
+              Ops1.arg_dat w star Access.Read;
+              Ops1.arg_dat v point Access.Rw;
+              Ops1.arg_gbl ~name:"res" res Access.Inc;
+            ]
+            k_count);
+      lowest =
+        (fun lo ->
+          loop ~name:"lowest" all
+            [ Ops1.arg_dat v star Access.Read; Ops1.arg_gbl ~name:"lo" lo Access.Min ]
+            k_lowest);
+      fields =
+        (fun () ->
+          List.map
+            (fun (n, d) -> (n, Ops1.fetch_interior ctx d))
+            [ ("u", u); ("v", v); ("w", w) ]);
+    }
+
+let chain3 configure =
+  let ctx = Ops3.create () in
+  let cube = Ops3.decl_block ctx ~name:"cube" in
+  let decl name =
+    Ops3.decl_dat ctx ~name ~block:cube ~xsize:5 ~ysize:6 ~zsize:6 ~halo:2 ()
+  in
+  let u = decl "u" and v = decl "v" and w = decl "w" in
+  Ops3.init ctx u (fun x y z _ -> chain_init x y z);
+  Ops3.init ctx v (fun x y z _ -> chain_init z x y);
+  configure ctx;
+  let all = Ops3.interior u and loop = Ops3.par_loop ctx cube in
+  let point = Ops3.stencil_point and star = Ops3.stencil_7pt in
+  let spread =
+    [| (0, 0, 0); (-2, 0, 0); (0, 2, 0); (0, 0, -2); (1, 1, 1); (-1, -1, 1); (0, -2, 2) |]
+  in
+  run_chain
+    {
+      dirty =
+        (fun () -> loop ~name:"dirty" all [ Ops3.arg_dat u point Access.Rw ] k_dirty);
+      spread =
+        (fun () ->
+          loop ~name:"spread" all
+            [ Ops3.arg_dat u spread Access.Read; Ops3.arg_dat w point Access.Write ]
+            k_spread);
+      count =
+        (fun res ->
+          loop ~name:"count" all
+            [
+              Ops3.arg_dat w star Access.Read;
+              Ops3.arg_dat v point Access.Rw;
+              Ops3.arg_gbl ~name:"res" res Access.Inc;
+            ]
+            k_count);
+      lowest =
+        (fun lo ->
+          loop ~name:"lowest" all
+            [ Ops3.arg_dat v star Access.Read; Ops3.arg_gbl ~name:"lo" lo Access.Min ]
+            k_lowest);
+      fields =
+        (fun () ->
+          List.map
+            (fun (n, d) -> (n, Ops3.fetch_interior ctx d))
+            [ ("u", u); ("v", v); ("w", w) ]);
+    }
+
+(* Each shape runs unpartitioned ([None]) or partitioned in the given
+   mode ([Some overlap]). *)
+let chain_shapes =
+  let ops1 part = function
+    | None -> chain1 ignore
+    | Some overlap ->
+      chain1 (fun ctx ->
+          part ctx;
+          Ops1.set_comm_mode ctx (if overlap then Ops1.Overlap else Ops1.Blocking))
+  and ops3 part = function
+    | None -> chain3 ignore
+    | Some overlap ->
+      chain3 (fun ctx ->
+          part ctx;
+          Ops3.set_comm_mode ctx (if overlap then Ops3.Overlap else Ops3.Blocking))
+  in
+  [
+    ("cells(2)", ops1 (fun ctx -> Ops1.partition ctx ~n_ranks:2 ~ref_xsize:12));
+    ("cells(3)", ops1 (fun ctx -> Ops1.partition ctx ~n_ranks:3 ~ref_xsize:12));
+    ("slabs(2)", ops3 (fun ctx -> Ops3.partition ctx ~n_ranks:2 ~ref_zsize:6));
+    ("slabs(3)", ops3 (fun ctx -> Ops3.partition ctx ~n_ranks:3 ~ref_zsize:6));
+    ( "pencil(2x2)",
+      ops3 (fun ctx -> Ops3.partition_pencil ctx ~py:2 ~pz:2 ~ref_ysize:6 ~ref_zsize:6) );
+    ( "pencil(1x3)",
+      ops3 (fun ctx -> Ops3.partition_pencil ctx ~py:1 ~pz:3 ~ref_ysize:6 ~ref_zsize:6) );
+  ]
+
+let test_ops_shapes_overlap_differential () =
+  List.iter
+    (fun (pname, run) ->
+      let reference, _, _ = run None in
+      List.iter
+        (fun overlap ->
+          let what =
+            Printf.sprintf "%s %s" pname (if overlap then "overlap" else "blocking")
+          in
+          let fp, inc_core, min_core = run (Some overlap) in
+          check_fingerprint ~seed:base_seed ~tol:0.0 ~what:(what ^ " vs seq") reference
+            fp;
+          if inc_core <> 0 then Alcotest.failf "%s: the Inc loop split" what;
+          if overlap <> (min_core > 0) then
+            Alcotest.failf "%s: the Min loop %s" what
+              (if overlap then "did not split" else "split"))
+        [ false; true ])
+    chain_shapes
 
 (* ---- Schedule exploration (bounded DPOR) ---- *)
 
@@ -725,6 +918,8 @@ let () =
             test_airfoil_overlap_differential;
           Alcotest.test_case "cloverleaf: rows + grid decompositions" `Quick
             test_cloverleaf_overlap_differential;
+          Alcotest.test_case "cells, slabs, pencils: overlap == blocking == seq" `Quick
+            test_ops_shapes_overlap_differential;
         ] );
       ( "dpor",
         [
