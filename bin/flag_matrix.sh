@@ -9,8 +9,10 @@
 # --renumber, --overlap, --verify and --check that the driver defines
 # (aero has no --overlap, hydra neither --overlap nor --verify), and with
 # --renumber --verify together; the OPS drivers with no flag, --check,
-# --tile and --tile-par, and cloverleaf also with --overlap, --verify and
-# --overlap --check.  A run on the unknown backend, with --overlap off the
+# --tile and --tile-par, and cloverleaf also with --overlap, --verify,
+# --overlap --check, and --verify together with each of --van-leer, --tile
+# and --tile-par, so the hand-coded cross-check covers van Leer's computed
+# stencil points and the tiled executors' row segments on every backend.  A run on the unknown backend, with --overlap off the
 # partitioned backends (mpi, mpi2d, hybrid), with --overlap --check, on
 # mpi with --ranks 0 or at size 0 (every driver), or on a decomposition
 # the OPS runtime refuses (more ranks than rows or planes, a rank thinner
@@ -90,7 +92,8 @@ for backend in seq vec shared cuda mpi hybrid bogus; do
   done
 done
 for backend in seq shared cuda mpi mpi2d hybrid bogus; do
-  for flags in "" --check --tile --tile-par --overlap --verify "--overlap --check"; do
+  for flags in "" --check --tile --tile-par --overlap --verify "--overlap --check" \
+    "--van-leer --verify" "--tile --verify" "--tile-par --verify"; do
     run "$(expected $backend "$flags")" "$cloverleaf" --nx 12 --ny 12 --steps 2 \
       --ranks 3 --backend "$backend" $flags
   done

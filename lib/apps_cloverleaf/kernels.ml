@@ -11,8 +11,15 @@
    Each kernel is written once, over argument accessors ([Ops.Acc]: the
    zero-copy ABI, run with [Ops.par_loop_acc]); the stencil orders are
    documented with each kernel and fixed in [App].  Every dataset has
-   dim 1, so [get a p] is stencil point [p] of argument [a].  The staged
-   [pdv] that [Ops.par_loop] takes is a one-line adapter over [pdv_acc].
+   dim 1, so [get a p] is stencil point [p] of argument [a].  Each kernel
+   is a [let%kernel] (lib/ppx_kernel): its value carries the body as
+   written, which Check and footprint probing run per point, and a
+   generated row form with the body inlined into a loop over a row
+   segment, which the executors run wherever every dataset is addressed
+   in place.  Accessors therefore appear only as [a.(k)] or a [let]-bound
+   name of one, and only under [get], [set], [gbl] and [set_gbl]; helpers
+   take floats.  The staged [pdv] that [Ops.par_loop] takes is a one-line
+   adapter over [pdv_acc]'s point form.
    The hand-coded baseline ([Hand]) re-implements the same arithmetic over
    flat arrays, in the same operation order, and shares only [gamma] and
    [van_leer_limited] with this module.
@@ -35,7 +42,7 @@ let gamma = 1.4
 
 (* EoS: p = (gamma-1) * rho * e, soundspeed^2 = gamma * p / rho.
    args: density(R), energy(R), pressure(W), soundspeed(W) — all centre. *)
-let ideal_gas_acc (a : Acc.t array) =
+let%kernel ideal_gas_acc (a : Acc.t array) =
   let density = get a.(0) 0 and energy = get a.(1) 0 in
   let p = (gamma -. 1.0) *. density *. energy in
   set a.(2) p;
@@ -50,7 +57,7 @@ let ideal_gas_info = { Am_core.Descr.flops = 5.0; transcendentals = 1.0 }
      2 density (R, centre)
      3 viscosity (W, centre)
      4 celldims (R gbl: [dx; dy]) *)
-let viscosity_acc (a : Acc.t array) =
+let%kernel viscosity_acc (a : Acc.t array) =
   let xv = a.(0) and yv = a.(1) in
   let density = get a.(2) 0 in
   let dx = gbl a.(4) 0 and dy = gbl a.(4) 1 in
@@ -74,7 +81,7 @@ let viscosity_info = { Am_core.Descr.flops = 14.0; transcendentals = 0.0 }
      3 xvel0 quad, 4 yvel0 quad
      5 celldims (R gbl)
      6 dt_min (Min gbl) *)
-let calc_dt_acc (a : Acc.t array) =
+let%kernel calc_dt_acc (a : Acc.t array) =
   let ss = get a.(0) 0 and visc = get a.(1) 0 and density = get a.(2) 0 in
   let xv = a.(3) and yv = a.(4) in
   let dx = gbl a.(5) 0 and dy = gbl a.(5) 1 in
@@ -101,7 +108,7 @@ let calc_dt_info = { Am_core.Descr.flops = 18.0; transcendentals = 1.0 }
      4 density0 (R), 5 energy0 (R), 6 pressure (R), 7 viscosity (R)
      8 density1 (W), 9 energy1 (W)
      10 consts (R gbl: [dx; dy; dt_effective; volume]) *)
-let pdv_acc (a : Acc.t array) =
+let%kernel pdv_acc (a : Acc.t array) =
   let xv0 = a.(0) and yv0 = a.(1) and xv1 = a.(2) and yv1 = a.(3) in
   let density0 = get a.(4) 0 and energy0 = get a.(5) 0 in
   let pressure = get a.(6) 0 and visc = get a.(7) 0 in
@@ -121,17 +128,15 @@ let pdv_acc (a : Acc.t array) =
   set a.(8) (density0 *. volume_change)
 
 (* The staged form, for callers of [Ops.par_loop]. *)
-let pdv bufs = pdv_acc (Array.map (Acc.of_buffer ~dim:1) bufs)
+let pdv bufs = pdv_acc.Acc.point (Array.map (Acc.of_buffer ~dim:1) bufs)
 
 let pdv_info = { Am_core.Descr.flops = 30.0; transcendentals = 0.0 }
 
 (* Pressure difference across a node in x (right cells minus left) and in
-   y (upper cells minus lower), over the cell quad around the node. *)
-let[@inline] diff_x (pr : Acc.t) dy =
-  ((get pr 1 +. get pr 3) -. (get pr 0 +. get pr 2)) *. 0.5 *. dy
-
-let[@inline] diff_y (pr : Acc.t) dx =
-  ((get pr 2 +. get pr 3) -. (get pr 0 +. get pr 1)) *. 0.5 *. dx
+   y (upper cells minus lower), over the values [p0..p3] of the cell quad
+   around the node. *)
+let[@inline] diff_x p0 p1 p2 p3 dy = ((p1 +. p3) -. (p0 +. p2)) *. 0.5 *. dy
+let[@inline] diff_y p0 p1 p2 p3 dx = ((p2 +. p3) -. (p0 +. p1)) *. 0.5 *. dx
 
 (* Nodal acceleration from pressure and viscosity gradients.
    args:
@@ -141,15 +146,23 @@ let[@inline] diff_y (pr : Acc.t) dx =
      3 xvel0 (R, centre), 4 yvel0 (R, centre)
      5 xvel1 (W, centre), 6 yvel1 (W, centre)
      7 consts (R gbl: [dx; dy; dt; volume]) *)
-let accelerate_acc (a : Acc.t array) =
+let%kernel accelerate_acc (a : Acc.t array) =
   let d = a.(0) and p = a.(1) and q = a.(2) in
   let consts = a.(7) in
   let dx = gbl consts 0 and dy = gbl consts 1 in
   let dt = gbl consts 2 and volume = gbl consts 3 in
   let nodal_mass = 0.25 *. (get d 0 +. get d 1 +. get d 2 +. get d 3) *. volume in
   let stepbymass = 0.5 *. dt /. nodal_mass in
-  set a.(5) (get a.(3) 0 -. (stepbymass *. (diff_x p dy +. diff_x q dy)));
-  set a.(6) (get a.(4) 0 -. (stepbymass *. (diff_y p dx +. diff_y q dx)))
+  set a.(5)
+    (get a.(3) 0
+    -. stepbymass
+       *. (diff_x (get p 0) (get p 1) (get p 2) (get p 3) dy
+          +. diff_x (get q 0) (get q 1) (get q 2) (get q 3) dy));
+  set a.(6)
+    (get a.(4) 0
+    -. stepbymass
+       *. (diff_y (get p 0) (get p 1) (get p 2) (get p 3) dx
+          +. diff_y (get q 0) (get q 1) (get q 2) (get q 3) dx))
 
 let accelerate_info = { Am_core.Descr.flops = 24.0; transcendentals = 0.0 }
 
@@ -159,13 +172,13 @@ let accelerate_info = { Am_core.Descr.flops = 24.0; transcendentals = 0.0 }
      1 xvel1 same
      2 vol_flux_x (W, centre)
      3 consts (R gbl: [dx; dy; dt]) *)
-let flux_calc_x_acc (a : Acc.t array) =
+let%kernel flux_calc_x_acc (a : Acc.t array) =
   let xv0 = a.(0) and xv1 = a.(1) in
   let dy = gbl a.(3) 1 and dt = gbl a.(3) 2 in
   set a.(2) (0.25 *. dt *. dy *. (get xv0 0 +. get xv0 1 +. get xv1 0 +. get xv1 1))
 
 (* args mirror flux_calc_x with yvel and [(0,0);(1,0)]. *)
-let flux_calc_y_acc (a : Acc.t array) =
+let%kernel flux_calc_y_acc (a : Acc.t array) =
   let yv0 = a.(0) and yv1 = a.(1) in
   let dx = gbl a.(3) 0 and dt = gbl a.(3) 2 in
   set a.(2) (0.25 *. dt *. dx *. (get yv0 0 +. get yv0 1 +. get yv1 0 +. get yv1 1))
@@ -180,7 +193,7 @@ let flux_calc_info = { Am_core.Descr.flops = 6.0; transcendentals = 0.0 }
      1 vol_flux_y [(0,0);(0,1)]
      2 pre_vol (W, centre), 3 post_vol (W, centre)
      4 consts (R gbl: [volume]) *)
-let advec_vol_x_acc (a : Acc.t array) =
+let%kernel advec_vol_x_acc (a : Acc.t array) =
   let vfx = a.(0) and vfy = a.(1) in
   let volume = gbl a.(4) 0 in
   let net_x = get vfx 1 -. get vfx 0 in
@@ -190,7 +203,7 @@ let advec_vol_x_acc (a : Acc.t array) =
   set a.(3) (pre -. net_x)
 
 (* y-sweep (second): only the y flux remains. *)
-let advec_vol_y_acc (a : Acc.t array) =
+let%kernel advec_vol_y_acc (a : Acc.t array) =
   let vfy = a.(1) in
   let volume = gbl a.(4) 0 in
   let net_y = get vfy 1 -. get vfy 0 in
@@ -207,7 +220,7 @@ let advec_vol_info = { Am_core.Descr.flops = 6.0; transcendentals = 0.0 }
      3 mass_flux_x (W, centre)
      4 ener_flux_x (W, centre)
    The same kernel serves y-faces with the stencil [(0,-1);(0,0)]. *)
-let advec_flux_acc (a : Acc.t array) =
+let%kernel advec_flux_acc (a : Acc.t array) =
   let vf = get a.(0) 0 in
   let d = a.(1) and e = a.(2) in
   let donor = if vf > 0.0 then 0 else 1 in
@@ -223,7 +236,7 @@ let advec_flux_info = { Am_core.Descr.flops = 4.0; transcendentals = 0.0 }
      1 ener_flux same
      2 pre_vol (R, centre), 3 post_vol (R, centre)
      4 density1 (Rw, centre), 5 energy1 (Rw, centre) *)
-let advec_cell_acc (a : Acc.t array) =
+let%kernel advec_cell_acc (a : Acc.t array) =
   let mf = a.(0) and ef = a.(1) in
   let pre_vol = get a.(2) 0 and post_vol = get a.(3) 0 in
   let density = a.(4) and energy = a.(5) in
@@ -240,14 +253,14 @@ let advec_cell_info = { Am_core.Descr.flops = 10.0; transcendentals = 0.0 }
    args:
      0 mass_flux_x [(0,-1);(0,0)] (the two face fluxes beside the node)
      1 node_flux (W, centre on nodes) *)
-let mom_node_flux_acc (a : Acc.t array) = set a.(1) (0.5 *. (get a.(0) 0 +. get a.(0) 1))
+let%kernel mom_node_flux_acc (a : Acc.t array) = set a.(1) (0.5 *. (get a.(0) 0 +. get a.(0) 1))
 
 (* Stage 2: post-advection nodal mass.
    args:
      0 density1 cell quad around node [(-1,-1);(0,-1);(-1,0);(0,0)]
      1 node_mass_post (W, centre)
      2 consts (R gbl: [volume]) *)
-let mom_node_mass_acc (a : Acc.t array) =
+let%kernel mom_node_mass_acc (a : Acc.t array) =
   let d = a.(0) in
   set a.(1) (0.25 *. (get d 0 +. get d 1 +. get d 2 +. get d 3) *. gbl a.(2) 0)
 
@@ -256,7 +269,7 @@ let mom_node_mass_acc (a : Acc.t array) =
      0 node_flux (R, centre)
      1 vel [(-1,0);(0,0)] (x) or [(0,-1);(0,0)] (y)
      2 mom_flux (W, centre) *)
-let mom_flux_acc (a : Acc.t array) =
+let%kernel mom_flux_acc (a : Acc.t array) =
   let f = get a.(0) 0 in
   let upwind = if f > 0.0 then 0 else 1 in
   set a.(2) (f *. get a.(1) upwind)
@@ -267,7 +280,7 @@ let mom_flux_acc (a : Acc.t array) =
      1 mom_flux same
      2 node_mass_post (R, centre)
      3 vel (Rw, centre) *)
-let mom_vel_acc (a : Acc.t array) =
+let%kernel mom_vel_acc (a : Acc.t array) =
   let nf = a.(0) and mf = a.(1) in
   let mass_post = get a.(2) 0 in
   let vel = a.(3) in
@@ -278,12 +291,12 @@ let mom_vel_acc (a : Acc.t array) =
 let advec_mom_info = { Am_core.Descr.flops = 8.0; transcendentals = 0.0 }
 
 (* reset_field: copy the time levels back. args: src (R), dst (W). *)
-let reset_field_acc (a : Acc.t array) = set a.(1) (get a.(0) 0)
+let%kernel reset_field_acc (a : Acc.t array) = set a.(1) (get a.(0) 0)
 
 let reset_field_info = { Am_core.Descr.flops = 0.0; transcendentals = 0.0 }
 
 (* Wall zeroing of a velocity component. args: vel (W). *)
-let zero_acc (a : Acc.t array) = set a.(0) 0.0
+let%kernel zero_acc (a : Acc.t array) = set a.(0) 0.0
 
 (* field_summary reductions.
    args:
@@ -291,7 +304,7 @@ let zero_acc (a : Acc.t array) = set a.(0) 0.0
      3 xvel0 quad (nodes around cell), 4 yvel0 quad
      5 consts (R gbl: [volume])
      6 sums (Inc gbl: [vol; mass; internal energy; kinetic energy; pressure]) *)
-let field_summary_acc (a : Acc.t array) =
+let%kernel field_summary_acc (a : Acc.t array) =
   let density = get a.(0) 0 and energy = get a.(1) 0 and pressure = get a.(2) 0 in
   let xv = a.(3) and yv = a.(4) in
   let volume = gbl a.(5) 0 in
@@ -342,7 +355,7 @@ let[@inline] van_leer_limited ~sigma ~upwind ~donor ~downwind =
      3 pre_vol  [(-1,0);(0,0)] (donor candidates)
      4 mass_flux_x (W), 5 ener_flux_x (W)
    The same function serves the y direction with the stencils rotated. *)
-let advec_flux_vanleer_acc (a : Acc.t array) =
+let%kernel advec_flux_vanleer_acc (a : Acc.t array) =
   let vf = get a.(0) 0 in
   let d = a.(1) and e = a.(2) in
   (* Stencil points: 0 = -2, 1 = -1, 2 = 0, 3 = +1 (in the sweep axis). *)

@@ -41,3 +41,27 @@ let of_buffer ~dim data =
 (* The staged form of a single-point accessor kernel (OP2): it runs over
    base-0 accessors on the staging buffers it is handed. *)
 let staged kernel bufs = kernel (Array.map of_array bufs)
+
+(* A structured-mesh kernel value, in two forms of one kernel.  [point]
+   runs the kernel once, at the points the accessors' bases name.  [row
+   accs steps n] runs it at [n] consecutive points, starting from the
+   bases the accessors hold and advancing argument [k]'s base by
+   [steps.(k)] after each point; it may leave the bases moved, so callers
+   set them before every call.  [let%kernel] (lib/ppx_kernel) generates
+   [row] from the body of [point]. *)
+type kernel = { point : t array -> unit; row : t array -> int array -> int -> unit }
+
+(* The kernel value of a plain point function: its row form calls it once
+   per point. *)
+let lift point =
+  {
+    point;
+    row =
+      (fun a steps n ->
+        for _ = 1 to n do
+          point a;
+          for k = 0 to Array.length a - 1 do
+            a.(k).base <- a.(k).base + steps.(k)
+          done
+        done);
+  }

@@ -65,28 +65,51 @@ let mirror_axis (v : Exec.view) ~dat ~own ~axis ~depth ~sign ~center ~axis1 ~lo1
     done
   done
 
-(* Mirror the ghost ring of [dat] stored behind the view [v] — the
-   dataset's own padded array, or a distributed rank's window — where it
-   falls in the owned box [own] (global numbering, half-open). *)
-let apply (v : Exec.view) ~(dat : dat) ~(own : range) ~depth ~sign_x ~sign_y ~sign_z
-    ~center_x ~center_y ~center_z =
+(* Is every mirror source of the ghost layers [own] holds along [axis]
+   inside [own]?  Not when an edge rank owns no more cells along [axis]
+   than a node-centred mirror is deep: its deepest source then lies in its
+   ghost ring, a copy of a neighbour's cell. *)
+let sources_owned ~dat ~(own : range) ~axis ~depth ~center =
+  let size = extent axis dat in
+  let owned i = i >= lo axis own && i < hi axis own in
+  let ok = ref true in
+  for k = 1 to depth do
+    if owned (-k) && not (owned (mirror_low center k)) then ok := false;
+    if owned (size - 1 + k) && not (owned (mirror_high center size k)) then ok := false
+  done;
+  !ok
+
+let check_depth dat ~depth =
   if depth > dat.halo then
     invalid_arg
       (Printf.sprintf "mirror_halo: depth %d exceeds the %d-deep ghost ring of %s" depth
-         dat.halo dat.dat_name);
-  let rank = dat.dat_block.rank in
-  if rank >= 3 then
-    mirror_axis v ~dat ~own ~axis:Z ~depth ~sign:sign_z ~center:center_z ~axis1:Y
-      ~lo1:(inner_lo Y dat own) ~hi1:(inner_hi Y dat own) ~axis2:X
-      ~lo2:(inner_lo X dat own) ~hi2:(inner_hi X dat own);
-  if rank >= 2 then
-    mirror_axis v ~dat ~own ~axis:Y ~depth ~sign:sign_y ~center:center_y ~axis1:Z
-      ~lo1:(outer_lo Z dat own) ~hi1:(outer_hi Z dat own) ~axis2:X
-      ~lo2:(inner_lo X dat own) ~hi2:(inner_hi X dat own);
-  mirror_axis v ~dat ~own ~axis:X ~depth ~sign:sign_x ~center:center_x ~axis1:Z
-    ~lo1:(outer_lo Z dat own) ~hi1:(outer_hi Z dat own) ~axis2:Y
-    ~lo2:(outer_lo Y dat own) ~hi2:(outer_hi Y dat own)
+         dat.halo dat.dat_name)
 
+(* One axis's pass of the mirror of [dat]'s ghost ring stored behind the
+   view [v] — the dataset's own padded array, or a distributed rank's
+   window — where it falls in the owned box [own] (global numbering,
+   half-open).  The passes run z, y, x: each covers the stored extent of
+   the axes mirrored before it and the interior of the others. *)
+let apply_axis (v : Exec.view) ~(dat : dat) ~(own : range) ~axis ~depth ~sign ~center =
+  match axis with
+  | Z ->
+    mirror_axis v ~dat ~own ~axis:Z ~depth ~sign ~center ~axis1:Y
+      ~lo1:(inner_lo Y dat own) ~hi1:(inner_hi Y dat own) ~axis2:X
+      ~lo2:(inner_lo X dat own) ~hi2:(inner_hi X dat own)
+  | Y ->
+    mirror_axis v ~dat ~own ~axis:Y ~depth ~sign ~center ~axis1:Z
+      ~lo1:(outer_lo Z dat own) ~hi1:(outer_hi Z dat own) ~axis2:X
+      ~lo2:(inner_lo X dat own) ~hi2:(inner_hi X dat own)
+  | X ->
+    mirror_axis v ~dat ~own ~axis:X ~depth ~sign ~center ~axis1:Z
+      ~lo1:(outer_lo Z dat own) ~hi1:(outer_hi Z dat own) ~axis2:Y
+      ~lo2:(outer_lo Y dat own) ~hi2:(outer_hi Y dat own)
+
+(* The whole mirror of an unpartitioned dataset, over its padded array. *)
 let mirror ~depth ~sign_x ~sign_y ~sign_z ~center_x ~center_y ~center_z dat =
-  apply (Exec.dat_view dat) ~dat ~own:(addressable dat) ~depth ~sign_x ~sign_y ~sign_z
-    ~center_x ~center_y ~center_z
+  check_depth dat ~depth;
+  let v = Exec.dat_view dat and own = addressable dat in
+  let rank = dat.dat_block.rank in
+  if rank >= 3 then apply_axis v ~dat ~own ~axis:Z ~depth ~sign:sign_z ~center:center_z;
+  if rank >= 2 then apply_axis v ~dat ~own ~axis:Y ~depth ~sign:sign_y ~center:center_y;
+  apply_axis v ~dat ~own ~axis:X ~depth ~sign:sign_x ~center:center_x

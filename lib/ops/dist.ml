@@ -489,14 +489,34 @@ let pull t dat =
   Array.iter (fun w -> copy_box ~dim:dat.dim w.view global w.own) (dat_dist t dat).windows
 
 (* Reflective boundary mirror on every rank's window (see [Boundary]): each
-   window mirrors the global ghost cells it owns over its stored box.
-   Ghost copies of neighbours' cells may now be stale, so the dataset is
-   marked for re-exchange. *)
+   window mirrors the global ghost cells it owns over its stored box, one
+   axis's pass at a time on every window.  An edge rank that owns no more
+   cells along a split axis than a node-centred mirror is deep finds its
+   deepest source in its ghost ring; that pass first refreshes the ring
+   from the owners, one exchange phase along the axis, after the earlier
+   passes ran everywhere so the copies carry their results.  Ghost copies
+   of neighbours' cells may now be stale, so the dataset is marked for
+   re-exchange. *)
 let mirror t dat ~depth ~sign_x ~sign_y ~sign_z ~center_x ~center_y ~center_z =
+  Boundary.check_depth dat ~depth;
   let dd = dat_dist t dat in
-  for r = 0 to Array.length dd.windows - 1 do
-    let w = dd.windows.(r) in
-    Boundary.apply w.view ~dat ~own:w.own ~depth ~sign_x ~sign_y ~sign_z ~center_x
-      ~center_y ~center_z
-  done;
+  let pass axis ~sign ~center =
+    if
+      List.mem axis t.split
+      && not
+           (Array.for_all
+              (fun w -> Boundary.sources_owned ~dat ~own:w.own ~axis ~depth ~center)
+              dd.windows)
+    then begin
+      Comm.count_exchange t.comm;
+      complete t dat dd axis depth (post t dat dd axis depth)
+    end;
+    Array.iter
+      (fun w -> Boundary.apply_axis w.view ~dat ~own:w.own ~axis ~depth ~sign ~center)
+      dd.windows
+  in
+  let rank = dat.dat_block.rank in
+  if rank >= 3 then pass Z ~sign:sign_z ~center:center_z;
+  if rank >= 2 then pass Y ~sign:sign_y ~center:center_y;
+  pass X ~sign:sign_x ~center:center_x;
   dd.fresh_depth <- 0

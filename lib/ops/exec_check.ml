@@ -239,7 +239,7 @@ let run ?(light = false) ~rank ~name ~range ~args ~kernel () =
     | Exec.Staged k -> fun () -> k buffers
     | Exec.Accessor k ->
       let accs = Exec.staged_accessors args buffers in
-      fun () -> k accs
+      fun () -> k.Am_core.Acc.point accs
   in
   for z = range.zlo to range.zhi - 1 do
     for y = range.ylo to range.yhi - 1 do

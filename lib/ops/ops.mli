@@ -12,17 +12,21 @@
       let ctx = Ops.create () in
       let grid = Ops.decl_block ctx ~name:"grid" in
       let u = Ops.decl_dat ctx ~name:"u" ~block:grid ~xsize:nx ~ysize:ny () in
+      let%kernel diffuse (a : Acc.t array) =
+        set a.(1) (0.25 *. (get a.(0) 1 +. get a.(0) 2 ...))
+      ...
       Ops.par_loop_acc ctx ~name:"diffuse" grid (Ops.interior u)
         [ Ops.arg_dat u Ops.stencil_2d_5pt Access.Read;
           Ops.arg_dat w Ops.stencil_point Access.Write ]
-        (fun a -> set a.(1) (0.25 *. (get a.(0) 1 +. get a.(0) 2 ...)))
+        diffuse
     ]}
 
     {2 Kernel ABI}
 
     A kernel takes one argument view per loop argument, in two forms.  The
-    accessor form ({!par_loop_acc}, [Acc.t array -> unit]) is the zero-copy
-    one of the paper's Fig 7 [OP_ACC]: component [c] of stencil point [p]
+    accessor form ({!par_loop_acc}, whose point form is
+    [Acc.t array -> unit]; see the row forms below) is the zero-copy one of
+    the paper's Fig 7 [OP_ACC]: component [c] of stencil point [p]
     of argument [a] is [a.data.(a.base + a.off.(p) + c)], with [p] indexing
     the argument's stencil in declaration order.  For unit-stride [Read],
     [Write] and [Rw] datasets that no other argument of the loop writes, the
@@ -40,7 +44,43 @@
     Kernels must touch only their declared points and [dim] components:
     under in-place addressing a write to a [Read] argument, or a read past
     the declared points or components, reaches memory, which probing and
-    [Check] report by loop, argument and point. *)
+    [Check] report by loop, argument and point.
+
+    {2 Row forms}
+
+    {!par_loop_acc} takes a kernel value ({!Acc.kernel}) holding two forms
+    of one kernel: the point form above, and a row form
+    [row accs steps n] that runs the kernel at [n] consecutive x points,
+    starting from the bases the accessors hold and advancing argument
+    [k]'s base by [steps.(k)] after each point.  The executor calls the
+    row form once per row segment — bases set at the segment's first
+    point, [steps.(k)] the column stride of an in-place dataset and 0 for
+    a global (Read, Inc, Min and Max globals stay per-frame buffers) —
+    whenever every dataset argument is addressed in place and there is no
+    {!arg_idx}.  That one rule serves Seq, Shared workers, both Cuda_sim
+    strategies, tiled slabs, wavefront tiles and rank windows, with or
+    without overlap.  Otherwise (a staged argument or {!arg_idx}), and
+    always on [Check] and under footprint probing, the point form runs
+    at every point, so the sanitizer and inference see the kernel as
+    written.
+
+    [let%kernel name (a : Acc.t array) = body] (the [ppx_kernel]
+    rewriter) binds [name] to the kernel value whose point form is
+    [fun a -> body], exactly as written, and whose row form is generated:
+    it loads each accessor's [data], offset table and base into locals
+    once per call and runs [body] inlined over the [n] points, reading
+    and writing [data.(b_k + o)] with ordinary bounds-checked indexing and
+    the same floating-point operations in the same order.  The body names
+    accessors as [a.(k)] with a literal [k], or as a variable [let]-bound
+    to one, and uses them only through four module-local functions:
+    [get x p] (stencil point [p]; a literal [p] is hoisted, a computed one
+    reads the offset table), [set x v] (the centre point), [gbl x c] and
+    [set_gbl x c v] (component [c] of a global).  Any other use of an
+    accessor — passed to a function, returned or stored, indexed by a
+    non-literal argument index — and a parameter that is not
+    [(a : Acc.t array)] are compile-time errors at their location.  A
+    plain point function becomes a kernel value through {!Acc.lift},
+    whose row form calls it once per point. *)
 
 module Access = Am_core.Access
 module Descr = Am_core.Descr
@@ -59,6 +99,17 @@ type arg = Types.arg
     floats. *)
 module Acc : sig
   type t = Am_core.Acc.t = { data : float array; mutable base : int; off : int array }
+
+  (** A kernel value: the point form, and the row form that runs the kernel
+      at [n] consecutive x points (see the row forms above). *)
+  type kernel = Am_core.Acc.kernel = {
+    point : t array -> unit;
+    row : t array -> int array -> int -> unit;
+  }
+
+  (** [lift f] is the kernel value of the point function [f]; its row form
+      calls [f] once per point. *)
+  val lift : (t array -> unit) -> kernel
 end
 
 (** Half-open iteration rectangle; negative indices reach the ghost ring. *)
@@ -282,13 +333,15 @@ val par_loop :
   (float array array -> unit) ->
   unit
 
-(** [par_loop_acc] is {!par_loop} for an accessor kernel: the same
+(** [par_loop_acc] is {!par_loop} for an accessor kernel value: the same
     pipeline (validation, trace, fault counter, footprint probing, lazy
     recording, checkpointing, profile) on the same backends, with
     unit-stride [Read], [Write] and [Rw] datasets addressed in place
     instead of copied (see the kernel ABI above) — on every backend,
-    including rank windows, Cuda_sim scratch tiles and lazy tiled chains.
-    Results are bitwise those of the staged form of the same kernel. *)
+    including rank windows, Cuda_sim scratch tiles and lazy tiled chains —
+    and the row form run per row segment where the dispatch rule above
+    allows it.  Results are bitwise those of the staged form of the same
+    kernel. *)
 val par_loop_acc :
   ctx ->
   name:string ->
@@ -297,7 +350,7 @@ val par_loop_acc :
   block ->
   range ->
   arg list ->
-  (Acc.t array -> unit) ->
+  Acc.kernel ->
   unit
 
 (** {1 Lazy loop chains (cross-loop cache tiling)}

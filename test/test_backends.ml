@@ -496,7 +496,7 @@ let synthetic_forms ~acc =
           Float.of_int ((((x + 3) * 31) + ((y + 3) * 17) + (c * 7) + k) land 63) /. 8.0))
     [ u; v; total; fine ];
   let loop name range args staged accessor =
-    if acc then Ops.par_loop_acc ctx ~name grid range args accessor
+    if acc then Ops.par_loop_acc ctx ~name grid range args (Ops.Acc.lift accessor)
     else Ops.par_loop ctx ~name grid range args staged
   in
   loop "smooth3" (Ops.interior u)
@@ -555,6 +555,136 @@ let test_synthetic_forms () =
   if not (bitwise staged acc) then
     Alcotest.failf "accessor loops differ from staged loops (%g)"
       (Fa.rel_discrepancy staged acc)
+
+(* ---- The row-form dispatch rule ------------------------------------------- *)
+
+(* A hand-built kernel value whose row form counts its calls, its points
+   and the calls spanning a whole 7-point row, then runs the point form at
+   each point, so which form runs, and over which segments, is
+   observable.  The counters are atomic: Shared runs rows on two domains. *)
+type row_probe = { calls : int Atomic.t; points : int Atomic.t; full_rows : int Atomic.t }
+
+let rx = 7 and ry = 5
+
+let probe_kernel point =
+  let p = { calls = Atomic.make 0; points = Atomic.make 0; full_rows = Atomic.make 0 } in
+  let lifted = Ops.Acc.lift point in
+  let row a steps n =
+    Atomic.incr p.calls;
+    ignore (Atomic.fetch_and_add p.points n);
+    if n = rx then Atomic.incr p.full_rows;
+    lifted.Ops.Acc.row a steps n
+  in
+  (p, { lifted with Ops.Acc.row })
+
+(* Add one at the centre of argument 1. *)
+let bump1 (a : OAcc.t array) = oset a.(1) 0 0 (oget a.(1) 0 0 +. 1.0)
+
+(* On a 7x5 block (ghost depth 1): refresh u, then count every point of
+   the interior through the probe kernel, reading u through a 5-point
+   stencil so partitioned runs exchange (and, with overlap, split each
+   rank's box) first.  Returns the probe and the counts. *)
+let dispatch_run ?backend setup =
+  let ctx = Ops.create ?backend () in
+  let grid = Ops.decl_block ctx ~name:"grid" in
+  let dat name = Ops.decl_dat ctx ~name ~block:grid ~xsize:rx ~ysize:ry ~halo:1 () in
+  let u = dat "u" and count = dat "count" in
+  Ops.init ctx u (fun x y _ -> Float.of_int (x + (10 * y)));
+  setup ctx;
+  Ops.par_loop_acc ctx ~name:"refresh" grid (Ops.interior u)
+    [ Ops.arg_dat u Ops.stencil_point Access.Rw ]
+    (Ops.Acc.lift (fun a -> oset a.(0) 0 0 (oget a.(0) 0 0 +. 1.0)));
+  let p, k = probe_kernel bump1 in
+  Ops.par_loop_acc ctx ~name:"count" grid (Ops.interior count)
+    [ Ops.arg_dat u Ops.stencil_2d_5pt Access.Read; Ops.arg_dat count Ops.stencil_point Access.Rw ]
+    k;
+  (p, Ops.fetch_interior ctx count)
+
+let once counts = Array.for_all (fun c -> c = 1.0) counts
+
+let test_row_dispatch () =
+  let p, counts = dispatch_run ignore in
+  Alcotest.(check int) "seq: one row-form call per row" ry (Atomic.get p.calls);
+  Alcotest.(check int) "seq: every call spans the row" ry (Atomic.get p.full_rows);
+  Alcotest.(check bool) "seq: every point once" true (once counts);
+  Pool.with_pool ~size:2 (fun pool ->
+      let partitioned ~grid ~overlap ctx =
+        if grid then Ops.partition_grid ctx ~px:2 ~py:2 ~ref_xsize:rx ~ref_ysize:ry
+        else Ops.partition ctx ~n_ranks:3 ~ref_ysize:ry;
+        if overlap then Ops.set_comm_mode ctx Ops.Overlap
+      in
+      List.iter
+        (fun (name, backend, setup) ->
+          let p, counts = dispatch_run ?backend setup in
+          Alcotest.(check bool) (name ^ ": row form runs") true (Atomic.get p.calls > 0);
+          Alcotest.(check int) (name ^ ": segments cover 35 points") (rx * ry)
+            (Atomic.get p.points);
+          Alcotest.(check bool) (name ^ ": every point once") true (once counts))
+        [
+          ("shared 2", Some (Ops.Shared { pool }), ignore);
+          ( "cuda global, tile_x 4",
+            Some
+              (Ops.Cuda_sim { Am_ops.Exec.tile_x = 4; tile_y = 2; strategy = Am_ops.Exec.Cuda_global }),
+            ignore );
+          ("tiled", None, fun ctx -> Ops.set_tile_exec ctx (Ops.Tiled { tile = 2 }));
+          ( "tiled-par 2",
+            None,
+            fun ctx -> Ops.set_tile_exec ctx (Ops.Tiled_par { pool; tile = 2 }) );
+          ("rows(3)", None, partitioned ~grid:false ~overlap:false);
+          ("rows(3) overlap", None, partitioned ~grid:false ~overlap:true);
+          ("grid(2x2)", None, partitioned ~grid:true ~overlap:false);
+          ("grid(2x2) overlap", None, partitioned ~grid:true ~overlap:true);
+        ]);
+  (* The point form instead, at every point: Check stages every argument. *)
+  let p, counts = dispatch_run ~backend:Ops.Check ignore in
+  Alcotest.(check int) "check: no row-form call" 0 (Atomic.get p.calls);
+  Alcotest.(check bool) "check: every point once" true (once counts)
+
+(* A staged argument or the iteration index keeps the point walker: an Inc
+   dataset, a dataset read and written by one loop, [arg_idx], and
+   restrict/prolong strides. *)
+let test_row_dispatch_staged () =
+  let ctx = Ops.create () in
+  let grid = Ops.decl_block ctx ~name:"grid" in
+  let dat name xsize ysize = Ops.decl_dat ctx ~name ~block:grid ~xsize ~ysize ~halo:1 () in
+  let fine = dat "fine" rx ry and coarse = dat "coarse" 3 2 and back = dat "back" 6 4 in
+  Ops.init ctx fine (fun x y _ -> Float.of_int (x + (10 * y)));
+  List.iter
+    (fun (name, range, args, want) ->
+      let target = dat (name ^ "_out") rx ry in
+      let range = match range with Some r -> r | None -> Ops.interior target in
+      let p, k = probe_kernel bump1 in
+      Ops.par_loop_acc ctx ~name grid range (args target) k;
+      Alcotest.(check int) (name ^ ": no row-form call") 0 (Atomic.get p.calls);
+      let got = Ops.fetch_interior ctx (Option.value want ~default:target) in
+      Alcotest.(check bool) (name ^ ": point form at every point") true (once got))
+    [
+      ( "inc",
+        None,
+        (fun t -> [ Ops.arg_dat fine Ops.stencil_point Access.Read; Ops.arg_dat t Ops.stencil_point Access.Inc ]),
+        None );
+      ( "aliased",
+        None,
+        (fun t -> [ Ops.arg_dat t Ops.stencil_point Access.Read; Ops.arg_dat t Ops.stencil_point Access.Rw ]),
+        None );
+      ("index", None, (fun t -> [ Ops.arg_idx; Ops.arg_dat t Ops.stencil_point Access.Rw ]), None);
+      ( "restrict",
+        Some (Ops.interior coarse),
+        (fun _ ->
+          [
+            Ops.arg_dat_restrict fine Ops.stencil_point ~factor:2 Access.Read;
+            Ops.arg_dat coarse Ops.stencil_point Access.Rw;
+          ]),
+        Some coarse );
+      ( "prolong",
+        Some (Ops.interior back),
+        (fun _ ->
+          [
+            Ops.arg_dat_prolong coarse Ops.stencil_point ~factor:2 Access.Read;
+            Ops.arg_dat back Ops.stencil_point Access.Rw;
+          ]),
+        Some back );
+    ]
 
 (* ---- Plan-handle executor cache ------------------------------------------ *)
 
@@ -865,6 +995,10 @@ let () =
             test_clover_forms;
           Alcotest.test_case "dim 3, aliasing, Inc, index, strides: accessor = staged"
             `Quick test_synthetic_forms;
+          Alcotest.test_case "row form per row segment on every in-place backend" `Quick
+            test_row_dispatch;
+          Alcotest.test_case "point form for staged arguments and the index" `Quick
+            test_row_dispatch_staged;
         ] );
       ( "one core, three ranks",
         [

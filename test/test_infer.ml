@@ -309,7 +309,7 @@ let ops_lie ~name ~stencil kernel =
     match
       Ops.par_loop_acc ctx ~name grid (Ops.interior u)
         [ Ops.arg_dat u stencil Access.Read; Ops.arg_dat w Ops.stencil_point Access.Write ]
-        kernel
+        (Ops.Acc.lift kernel)
     with
     | () -> Alcotest.failf "check let the %s lie through" name
     | exception Am_ops.Exec_check.Violation msg -> msg

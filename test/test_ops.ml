@@ -264,9 +264,10 @@ let test_depth_aware_exchange () =
    centering and sign flips after an interior update has left every ghost
    copy stale; then a probe loop per dataset whose extent-2 box stencil
    carries every ghost cell, edge and corner into some interior point.
-   Each returns the probes' outputs.  Every edge rank owns at least three
-   cells along each split axis, so a node-centred mirror's deepest source
-   (interior layer 2) is its own. *)
+   Each returns the probes' outputs.  Edge ranks of rows(4) and grid(6x2)
+   own only two cells along a split axis, so a node-centred mirror's
+   deepest source (interior layer 2) is a ghost copy of a neighbour's
+   cell, which the mirror must refresh first. *)
 let box2 = List.init 5 (fun i -> i - 2)
 
 let mirror_case_2d partition ~part =
@@ -390,6 +391,11 @@ let mirror_cases =
     ( "grid(3x2)",
       mirror_case_2d (fun ctx ~nx ~ny ->
           Ops.partition_grid ctx ~px:3 ~py:2 ~ref_xsize:nx ~ref_ysize:ny) );
+    ( "rows(4)",
+      mirror_case_2d (fun ctx ~nx:_ ~ny -> Ops.partition ctx ~n_ranks:4 ~ref_ysize:ny) );
+    ( "grid(6x2)",
+      mirror_case_2d (fun ctx ~nx ~ny ->
+          Ops.partition_grid ctx ~px:6 ~py:2 ~ref_xsize:nx ~ref_ysize:ny) );
     ( "cells(3)",
       mirror_case_1d (fun ctx ~nx -> Ops1.partition ctx ~n_ranks:3 ~ref_xsize:nx) );
     ( "slabs(3)",
