@@ -16,8 +16,8 @@
 
    --json additionally drops <stem>.trace.json and <stem>.counters.json
    (the traced halo-accounting runs) next to the JSON.  BENCH.json is
-   committed so the perf trajectory (notably the tiling section) travels
-   with the code; the trace/counters artifacts are gitignored. *)
+   committed so the perf trajectory travels with the code; the
+   trace/counters artifacts are gitignored. *)
 
 module Registry = Am_experiments.Registry
 
@@ -291,219 +291,19 @@ let print_recovery rows =
   Am_util.Table.print table;
   print_newline ()
 
-(* Cross-loop cache tiling: eager vs lazy-tiled wall-clock of the two
-   chain-heavy structured proxies, plus a tile-size sweep.  Problem sizes
-   are picked so one chain's working set overflows the private caches —
-   that is the regime the skewed schedule exists for (the micro sizes
-   above fit in L2 and would show nothing). *)
-type tiling_row = {
-  til_name : string;
-  til_eager : Am_util.Regress.summary;
-  til_sweep : (int * Am_util.Regress.summary) list; (* tile size -> per-step summary *)
-}
-
-let til_best r =
-  List.fold_left
-    (fun ((_, bs) as best) ((_, s) as cand) ->
-      if s.Am_util.Regress.median < bs.Am_util.Regress.median then cand else best)
-    (List.hd r.til_sweep) (List.tl r.til_sweep)
-
-let tiling_accounting () =
-  (* Median over [iters] runs with the IQR alongside, not a bare minimum:
-     both configurations execute the identical step sequence (bitwise
-     equality), and the spread says how much the headline number is worth
-     on a shared machine. *)
-  let time ~warmup ~iters step =
-    for _ = 1 to warmup do step () done;
-    Am_util.Regress.summarize
-      (Array.init iters (fun _ ->
-           let t0 = Unix.gettimeofday () in
-           step ();
-           Unix.gettimeofday () -. t0))
-  in
-  (* [make] builds a fresh app, [set_lazy] switches it to recording with a
-     given tile size, [step] advances it; fresh state per configuration so
-     no run warms another's caches, and the heap is compacted first so a
-     configuration measured late does not pay for garbage created by the
-     sections before it. *)
-  let measure til_name ~tiles ~make ~set_lazy ~step =
-    let til_eager =
-      Gc.compact ();
-      let t = make () in
-      time ~warmup:1 ~iters:5 (fun () -> step t)
-    in
-    let til_sweep =
-      List.map
-        (fun tile ->
-          Gc.compact ();
-          let t = make () in
-          set_lazy t tile;
-          (tile, time ~warmup:1 ~iters:5 (fun () -> step t)))
-        tiles
-    in
-    { til_name; til_eager; til_sweep }
-  in
-  [
-    measure "fig5/cloverleaf_step_ops" ~tiles:[ 4; 8; 16; 32 ]
-      ~make:(fun () -> Am_cloverleaf.App.create ~nx:192 ~ny:192 ())
-      ~set_lazy:(fun t tile ->
-        Am_ops.Ops.set_lazy t.Am_cloverleaf.App.ctx ~tile_size:tile true)
-      ~step:(fun t -> ignore (Am_cloverleaf.App.hydro_step t));
-    measure "apps/tealeaf_cg_step" ~tiles:[ 2; 4; 8 ]
-      ~make:(fun () -> Am_tealeaf.App.create ~n:24 ())
-      ~set_lazy:(fun t tile ->
-        Am_ops.Ops3.set_lazy t.Am_tealeaf.App.ctx ~tile_size:tile true)
-      ~step:(fun t -> ignore (Am_tealeaf.App.step ~max_iters:30 t));
-  ]
-
-let print_tiling rows =
-  let table =
-    Am_util.Table.create
-      ~title:"cross-loop cache tiling (lazy chains, median wall-clock per step)"
-      ~header:[ "run"; "mode"; "per step"; "n"; "IQR"; "vs eager" ]
-      ~aligns:[ Am_util.Table.Left; Left; Right; Right; Right; Right ]
-      ()
-  in
-  let open Am_util.Regress in
-  let row name mode s eager_median =
-    Am_util.Table.add_row table
-      [
-        name;
-        mode;
-        Am_util.Units.seconds s.median;
-        string_of_int s.n;
-        Am_util.Units.seconds (iqr s);
-        Printf.sprintf "%.2fx" (if s.median > 0.0 then eager_median /. s.median else 0.0);
-      ]
-  in
-  List.iter
-    (fun r ->
-      row r.til_name "eager" r.til_eager r.til_eager.median;
-      List.iter
-        (fun (tile, s) ->
-          row r.til_name (Printf.sprintf "tile %d" tile) s r.til_eager.median)
-        r.til_sweep)
-    rows;
-  Am_util.Table.print table;
-  print_newline ()
-
-(* Parallel tiled wavefront execution: eager vs sequential-tiled vs
-   tiled-par on the domain pool for the two chain-heavy proxies.  Pool
-   size 1 isolates the wavefront dispatch overhead (same schedule, inline
-   execution); pool 4 shows what the diagonal concurrency buys. *)
-type tiling_par_row = {
-  tp_name : string;
-  tp_eager : Am_util.Regress.summary;
-  tp_tiled : Am_util.Regress.summary;
-  tp_pools : (int * Am_util.Regress.summary) list; (* pool size -> summary *)
-}
-
-let tp_best r =
-  List.fold_left
-    (fun ((_, bs) as best) ((_, s) as cand) ->
-      if s.Am_util.Regress.median < bs.Am_util.Regress.median then cand else best)
-    (List.hd r.tp_pools) (List.tl r.tp_pools)
-
-let tiling_par_accounting () =
-  let time ~warmup ~iters step =
-    for _ = 1 to warmup do step () done;
-    Am_util.Regress.summarize
-      (Array.init iters (fun _ ->
-           let t0 = Unix.gettimeofday () in
-           step ();
-           Unix.gettimeofday () -. t0))
-  in
-  (* fresh app per configuration, as in [tiling_accounting]; the setup
-     returns a finalizer so pools are shut down after timing *)
-  let measure tp_name ~tile ~pools ~make ~set_tiled ~set_par ~step =
-    let run setup =
-      Gc.compact ();
-      let t = make () in
-      let fin = setup t in
-      let s = time ~warmup:1 ~iters:5 (fun () -> step t) in
-      fin ();
-      s
-    in
-    let tp_eager = run (fun _ () -> ()) in
-    let tp_tiled =
-      run (fun t ->
-          set_tiled t tile;
-          fun () -> ())
-    in
-    let tp_pools =
-      List.map
-        (fun size ->
-          ( size,
-            run (fun t ->
-                let pool = Am_taskpool.Pool.create ~size () in
-                set_par t pool tile;
-                fun () -> Am_taskpool.Pool.shutdown pool) ))
-        pools
-    in
-    { tp_name; tp_eager; tp_tiled; tp_pools }
-  in
-  [
-    measure "fig5/cloverleaf_step_ops" ~tile:16 ~pools:[ 1; 4 ]
-      ~make:(fun () -> Am_cloverleaf.App.create ~nx:192 ~ny:192 ())
-      ~set_tiled:(fun t tile ->
-        Am_ops.Ops.set_lazy t.Am_cloverleaf.App.ctx ~tile_size:tile true)
-      ~set_par:(fun t pool tile ->
-        Am_ops.Ops.set_tile_exec t.Am_cloverleaf.App.ctx
-          (Am_ops.Ops.Tiled_par { pool; tile }))
-      ~step:(fun t -> ignore (Am_cloverleaf.App.hydro_step t));
-    measure "apps/tealeaf_cg_step" ~tile:4 ~pools:[ 1; 4 ]
-      ~make:(fun () -> Am_tealeaf.App.create ~n:24 ())
-      ~set_tiled:(fun t tile ->
-        Am_ops.Ops3.set_lazy t.Am_tealeaf.App.ctx ~tile_size:tile true)
-      ~set_par:(fun t pool tile ->
-        Am_ops.Ops3.set_tile_exec t.Am_tealeaf.App.ctx
-          (Am_ops.Ops3.Tiled_par { pool; tile }))
-      ~step:(fun t -> ignore (Am_tealeaf.App.step ~max_iters:30 t));
-  ]
-
-let print_tiling_par rows =
-  let table =
-    Am_util.Table.create
-      ~title:"parallel tiled wavefronts (median wall-clock per step)"
-      ~header:[ "run"; "mode"; "per step"; "n"; "IQR"; "vs eager" ]
-      ~aligns:[ Am_util.Table.Left; Left; Right; Right; Right; Right ]
-      ()
-  in
-  let open Am_util.Regress in
-  let row name mode s eager_median =
-    Am_util.Table.add_row table
-      [
-        name;
-        mode;
-        Am_util.Units.seconds s.median;
-        string_of_int s.n;
-        Am_util.Units.seconds (iqr s);
-        Printf.sprintf "%.2fx" (if s.median > 0.0 then eager_median /. s.median else 0.0);
-      ]
-  in
-  List.iter
-    (fun r ->
-      row r.tp_name "eager" r.tp_eager r.tp_eager.median;
-      row r.tp_name "tiled" r.tp_tiled r.tp_eager.median;
-      List.iter
-        (fun (size, s) ->
-          row r.tp_name (Printf.sprintf "tiled-par %d" size) s r.tp_eager.median)
-        r.tp_pools)
-    rows;
-  Am_util.Table.print table;
-  print_newline ()
+(* Wall-clock per Airfoil iteration on [app]: one warm-up iteration, then
+   the median of [iters] timed ones with the IQR alongside. *)
+let time app iters =
+  ignore (Am_airfoil.App.iteration app);
+  Am_util.Regress.summarize
+    (Array.init iters (fun _ ->
+         let t0 = Unix.gettimeofday () in
+         ignore (Am_airfoil.App.iteration app);
+         Unix.gettimeofday () -. t0))
 
 (* Sanitizer overhead: the same Airfoil iteration on the reference backend
    and on the access-guarded Check backend, wall-clock per iteration. *)
 let sanitizer_overhead () =
-  let time app iters =
-    ignore (Am_airfoil.App.iteration app);
-    Am_util.Regress.summarize
-      (Array.init iters (fun _ ->
-           let t0 = Unix.gettimeofday () in
-           ignore (Am_airfoil.App.iteration app);
-           Unix.gettimeofday () -. t0))
-  in
   let mesh = Am_mesh.Umesh.generate_airfoil ~nx:48 ~ny:32 () in
   let seq = Am_airfoil.App.create mesh in
   let check = Am_airfoil.App.create mesh in
@@ -531,14 +331,6 @@ type analysis_row = {
 }
 
 let analysis_accounting () =
-  let time app iters =
-    ignore (Am_airfoil.App.iteration app);
-    Am_util.Regress.summarize
-      (Array.init iters (fun _ ->
-           let t0 = Unix.gettimeofday () in
-           ignore (Am_airfoil.App.iteration app);
-           Unix.gettimeofday () -. t0))
-  in
   let mesh = Am_mesh.Umesh.generate_airfoil ~nx:48 ~ny:32 () in
   let iters = 10 in
   (* Check with inference off: every loop pays the full per-element guard. *)
@@ -660,8 +452,7 @@ let fprint_doctor oc rows =
    nanoseconds per run, plus the exposed/overlapped halo-seconds split of
    the distributed proxies.  Hand-rolled JSON — names contain only
    [a-z0-9_/]. *)
-let write_json path estimates halo sanitizer analysis tiling tiling_par recovery
-    doctor =
+let write_json path estimates halo sanitizer analysis recovery doctor =
   let oc = open_out path in
   output_string oc "{\n  \"unit\": \"ns_per_run\",\n  \"results\": {\n";
   let n = List.length estimates in
@@ -711,51 +502,7 @@ let write_json path estimates halo sanitizer analysis tiling tiling_par recovery
     -. analysis.an_check_light.Am_util.Regress.median)
     analysis.an_light_loops analysis.an_light_elements
     analysis.an_halo_depth_saved analysis.an_halo_exchanges_saved;
-  output_string oc "  \"tiling\": {\n";
-  let n_til = List.length tiling in
-  List.iteri
-    (fun i r ->
-      let best_tile, best_s = til_best r in
-      Printf.fprintf oc
-        "    %S: { \"eager_seconds\": %.9f, \"n\": %d, \"tiles\": { "
-        r.til_name r.til_eager.Am_util.Regress.median r.til_eager.Am_util.Regress.n;
-      let n_sweep = List.length r.til_sweep in
-      List.iteri
-        (fun j (tile, s) ->
-          Printf.fprintf oc "\"%d\": %.9f%s" tile s.Am_util.Regress.median
-            (if j = n_sweep - 1 then "" else ", "))
-        r.til_sweep;
-      Printf.fprintf oc " }, \"best_tile\": %d, \"speedup_x\": %.3f }%s\n"
-        best_tile
-        (if best_s.Am_util.Regress.median > 0.0 then
-           r.til_eager.Am_util.Regress.median /. best_s.Am_util.Regress.median
-         else 0.0)
-        (if i = n_til - 1 then "" else ","))
-    tiling;
-  output_string oc "  },\n  \"tiling_par\": {\n";
-  let n_tp = List.length tiling_par in
-  List.iteri
-    (fun i r ->
-      let best_pool, best_s = tp_best r in
-      Printf.fprintf oc
-        "    %S: { \"eager_seconds\": %.9f, \"tiled_seconds\": %.9f, \"n\": %d, \
-         \"pools\": { "
-        r.tp_name r.tp_eager.Am_util.Regress.median
-        r.tp_tiled.Am_util.Regress.median r.tp_eager.Am_util.Regress.n;
-      let n_pools = List.length r.tp_pools in
-      List.iteri
-        (fun j (size, s) ->
-          Printf.fprintf oc "\"%d\": %.9f%s" size s.Am_util.Regress.median
-            (if j = n_pools - 1 then "" else ", "))
-        r.tp_pools;
-      Printf.fprintf oc " }, \"best_pool\": %d, \"speedup_x\": %.3f }%s\n"
-        best_pool
-        (if best_s.Am_util.Regress.median > 0.0 then
-           r.tp_eager.Am_util.Regress.median /. best_s.Am_util.Regress.median
-         else 0.0)
-        (if i = n_tp - 1 then "" else ","))
-    tiling_par;
-  output_string oc "  },\n  \"obs\": {\n";
+  output_string oc "  \"obs\": {\n";
   Printf.fprintf oc
     "    \"plan_cache\": { \"hits\": %d, \"misses\": %d, \"hit_rate\": %.4f },\n"
     plan_hits plan_misses (rate plan_hits plan_misses);
@@ -780,7 +527,7 @@ let write_json path estimates halo sanitizer analysis tiling tiling_par recovery
         (if i = n_rec - 1 then "" else ","))
     recovery;
   (* Latency distributions accumulated by the registry over every run
-     above (per-loop seconds, halo latency, chain flush/tile times). *)
+     above (per-loop seconds, halo latency). *)
   output_string oc "  },\n  \"histograms\": {\n";
   let hists =
     List.filter
@@ -849,10 +596,6 @@ let run_micro ?json () =
     (Am_util.Units.seconds (Am_util.Regress.iqr check_s));
   let analysis = analysis_accounting () in
   print_analysis analysis;
-  let tiling = tiling_accounting () in
-  print_tiling tiling;
-  let tiling_par = tiling_par_accounting () in
-  print_tiling_par tiling_par;
   let recovery = recovery_accounting () in
   print_recovery recovery;
   match json with
@@ -860,7 +603,7 @@ let run_micro ?json () =
   | Some path ->
     write_json path
       (List.sort (fun (a, _) (b, _) -> compare a b) !estimates)
-      halo sanitizer analysis tiling tiling_par recovery (doctor_rows ());
+      halo sanitizer analysis recovery (doctor_rows ());
     let stem = Filename.remove_extension path in
     let trace_path = stem ^ ".trace.json" in
     let counters_path = stem ^ ".counters.json" in

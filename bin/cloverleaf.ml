@@ -10,12 +10,13 @@ module Ops = Am_ops.Ops
 module App = Am_cloverleaf.App
 
 let run nx ny steps backend ranks overlap summary_every verify van_leer check
-    analyze trace obs_json faults recover tile tile_par perf =
+    analyze trace obs_json faults recover perf =
   Check_common.guard @@ fun () ->
   Flag_common.check_flags ~app:"cloverleaf"
     ~backends:[ "seq"; "shared"; "cuda"; "mpi"; "mpi2d"; "hybrid" ]
     ~overlap_backends:[ "mpi"; "mpi2d"; "hybrid" ]
-    ~sizes:[ ("--nx", nx); ("--ny", ny) ] ~backend ~ranks ~overlap ~check;
+    ~sizes:[ ("--nx", nx); ("--ny", ny); ("--summary-every", summary_every) ]
+    ~backend ~ranks ~overlap ~check;
   Am_obs.Obs.reset ();
   if trace <> None then Am_obs.Obs.set_tracing true;
   let advection =
@@ -24,7 +25,7 @@ let run nx ny steps backend ranks overlap summary_every verify van_leer check
   Printf.printf "cloverleaf: %dx%d cells, %d steps, backend %s\n%!" nx ny steps backend;
   Fault_common.with_faults ~app:"cloverleaf" ~faults ~recover @@ fun fc ~recovering ->
   let pool = ref None in
-  let partition f = Flag_common.partition ~app:"cloverleaf" f in
+  let partition f = Flag_common.usage_on_refusal ~app:"cloverleaf" f in
   let t =
     match (if check then "check" else backend) with
     | "check" ->
@@ -63,30 +64,6 @@ let run nx ny steps backend ranks overlap summary_every verify van_leer check
   if analyze then Am_core.Trace.set_enabled (Ops.trace t.App.ctx) true;
   Perf_common.enable perf (Ops.trace t.App.ctx);
   if overlap then Ops.set_comm_mode t.App.ctx Ops.Overlap;
-  (match tile with
-  | Some tile_size ->
-    Ops.set_lazy t.App.ctx ~tile_size true;
-    Printf.printf "lazy loop chains: %s, tile %d rows\n%!"
-      (match (if check then "check" else backend) with
-      | "seq" | "check" -> "on"
-      | _ -> "recording bypassed on this backend")
-      (Ops.tile_size t.App.ctx)
-  | None -> ());
-  let wf_pool = ref None in
-  (match tile_par with
-  | Some workers ->
-    let p =
-      Am_taskpool.Pool.create ?size:(if workers > 0 then Some workers else None) ()
-    in
-    wf_pool := Some p;
-    Ops.set_tile_exec t.App.ctx
-      (Ops.Tiled_par { pool = p; tile = Ops.tile_size t.App.ctx });
-    Printf.printf "parallel tiling: %s, wavefronts on %d workers, tile %d rows\n%!"
-      (match (if check then "check" else backend) with
-      | "seq" | "check" -> "on"
-      | _ -> "recording bypassed on this backend")
-      (Am_taskpool.Pool.size p) (Ops.tile_size t.App.ctx)
-  | None -> ());
   (match Fault_common.injector fc with
   | Some f -> Ops.set_fault_injector t.App.ctx f
   | None -> ());
@@ -136,7 +113,6 @@ let run nx ny steps backend ranks overlap summary_every verify van_leer check
     ~roofline_gbs:Am_perfmodel.Machines.(xeon_e5_2697v2.stream_bw)
     ~loops:(Am_core.Profile.obs_rows (Ops.profile t.App.ctx))
     ();
-  (match !wf_pool with Some p -> Am_taskpool.Pool.shutdown p | None -> ());
   match !pool with Some p -> Am_taskpool.Pool.shutdown p | None -> ()
 
 open Cmdliner
@@ -185,29 +161,6 @@ let obs_json_arg =
         ~doc:"Write the runtime counter registry as JSON to $(docv)."
         ~docv:"FILE")
 
-let tile_arg =
-  Arg.(
-    value
-    & opt ~vopt:(Some 0) (some int) None
-    & info [ "tile" ]
-        ~doc:
-          "Lazy loop chains with skewed cache tiling: par_loops are queued and \
-           executed tile-by-tile at flush points.  Optional $(docv) is the tile \
-           height in rows (bare --tile keeps the default)."
-        ~docv:"ROWS")
-
-let tile_par_arg =
-  Arg.(
-    value
-    & opt ~vopt:(Some 0) (some int) None
-    & info [ "tile-par" ]
-        ~doc:
-          "Parallel tiled execution: skew rows and columns independently and \
-           dispatch each wavefront's tiles onto a domain pool.  Optional $(docv) \
-           is the worker count (bare --tile-par uses the machine default).  \
-           Implies --tile; combine with --tile N to pick the tile height."
-        ~docv:"WORKERS")
-
 let cmd =
   Cmd.v
     (Cmd.info "cloverleaf" ~doc:"CloverLeaf 2D hydrodynamics proxy application (OPS)")
@@ -215,7 +168,6 @@ let cmd =
       const run $ nx $ ny $ steps $ backend $ ranks $ overlap $ summary_every
       $ verify $ van_leer $ Check_common.arg $ Check_common.analyze_arg
       $ trace_arg $ obs_json_arg
-      $ Fault_common.faults_arg $ Fault_common.recover_arg $ tile_arg
-      $ tile_par_arg $ Perf_common.arg)
+      $ Fault_common.faults_arg $ Fault_common.recover_arg $ Perf_common.arg)
 
 let () = exit (Cmd.eval cmd)

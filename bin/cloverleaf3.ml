@@ -5,8 +5,7 @@
 module App = Am_cloverleaf3.App
 module Ops3 = Am_ops.Ops3
 
-let run n steps backend ranks check analyze trace obs_json faults recover tile
-    tile_par perf =
+let run n steps backend ranks check analyze trace obs_json faults recover perf =
   Check_common.guard @@ fun () ->
   Flag_common.check_flags ~app:"cloverleaf3"
     ~backends:[ "seq"; "shared"; "cuda"; "mpi"; "pencil"; "hybrid" ]
@@ -16,7 +15,7 @@ let run n steps backend ranks check analyze trace obs_json faults recover tile
   if trace <> None then Am_obs.Obs.set_tracing true;
   Fault_common.with_faults ~app:"cloverleaf3" ~faults ~recover @@ fun fc ~recovering ->
   let pool = ref None in
-  let partition f = Flag_common.partition ~app:"cloverleaf3" f in
+  let partition f = Flag_common.usage_on_refusal ~app:"cloverleaf3" f in
   let t =
     match (if check then "check" else backend) with
     | "check" ->
@@ -53,30 +52,6 @@ let run n steps backend ranks check analyze trace obs_json faults recover tile
   if analyze then Am_core.Trace.set_enabled (Ops3.trace t.App.ctx) true;
   Perf_common.enable perf (Ops3.trace t.App.ctx);
   Printf.printf "cloverleaf3: %d^3 cells, %d steps, backend %s\n%!" n steps backend;
-  (match tile with
-  | Some tile_size ->
-    Ops3.set_lazy t.App.ctx ~tile_size true;
-    Printf.printf "lazy loop chains: %s, tile %d z-planes\n%!"
-      (match (if check then "check" else backend) with
-      | "seq" | "check" -> "on"
-      | _ -> "recording bypassed on this backend")
-      (Ops3.tile_size t.App.ctx)
-  | None -> ());
-  let wf_pool = ref None in
-  (match tile_par with
-  | Some workers ->
-    let p =
-      Am_taskpool.Pool.create ?size:(if workers > 0 then Some workers else None) ()
-    in
-    wf_pool := Some p;
-    Ops3.set_tile_exec t.App.ctx
-      (Ops3.Tiled_par { pool = p; tile = Ops3.tile_size t.App.ctx });
-    Printf.printf "parallel tiling: %s, wavefronts on %d workers, tile %d z-planes\n%!"
-      (match (if check then "check" else backend) with
-      | "seq" | "check" -> "on"
-      | _ -> "recording bypassed on this backend")
-      (Am_taskpool.Pool.size p) (Ops3.tile_size t.App.ctx)
-  | None -> ());
   (match Fault_common.injector fc with
   | Some f -> Ops3.set_fault_injector t.App.ctx f
   | None -> ());
@@ -107,7 +82,6 @@ let run n steps backend ranks check analyze trace obs_json faults recover tile
     ~roofline_gbs:Am_perfmodel.Machines.(xeon_e5_2697v2.stream_bw)
     ~loops:(Am_core.Profile.obs_rows (Ops3.profile t.App.ctx))
     ();
-  (match !wf_pool with Some p -> Am_taskpool.Pool.shutdown p | None -> ());
   match !pool with Some p -> Am_taskpool.Pool.shutdown p | None -> ()
 
 open Cmdliner
@@ -135,36 +109,12 @@ let obs_json_arg =
         ~doc:"Write the runtime counter registry as JSON to $(docv)."
         ~docv:"FILE")
 
-let tile_arg =
-  Arg.(
-    value
-    & opt ~vopt:(Some 0) (some int) None
-    & info [ "tile" ]
-        ~doc:
-          "Lazy loop chains with skewed cache tiling: par_loops are queued and \
-           executed tile-by-tile at flush points.  Optional $(docv) is the tile \
-           depth in z-planes (bare --tile keeps the default)."
-        ~docv:"PLANES")
-
-let tile_par_arg =
-  Arg.(
-    value
-    & opt ~vopt:(Some 0) (some int) None
-    & info [ "tile-par" ]
-        ~doc:
-          "Parallel tiled execution: skew z and y independently and dispatch \
-           each wavefront's tiles onto a domain pool.  Optional $(docv) is the \
-           worker count (bare --tile-par uses the machine default).  Implies \
-           --tile; combine with --tile N to pick the tile depth."
-        ~docv:"WORKERS")
-
 let cmd =
   Cmd.v
     (Cmd.info "cloverleaf3" ~doc:"CloverLeaf 3D hydrodynamics proxy application (Ops3)")
     Term.(
       const run $ n $ steps $ backend $ ranks $ Check_common.arg
       $ Check_common.analyze_arg $ trace_arg $ obs_json_arg
-      $ Fault_common.faults_arg $ Fault_common.recover_arg
-      $ tile_arg $ tile_par_arg $ Perf_common.arg)
+      $ Fault_common.faults_arg $ Fault_common.recover_arg $ Perf_common.arg)
 
 let () = exit (Cmd.eval cmd)

@@ -17,8 +17,9 @@ let one_of = function
 
 (* [backends] are the driver's documented backends; [overlap_backends] the
    partitioned ones that --overlap applies to (none when the driver has no
-   --overlap); [sizes] the driver's problem-size flags with their values,
-   each of which must be at least 1. *)
+   --overlap); [sizes] the driver's counted flags (problem sizes,
+   cloverleaf's --summary-every) with their values, each of which must be
+   at least 1. *)
 let check_flags ~backends ~overlap_backends ~app ~sizes ~backend ~ranks ~overlap ~check =
   List.iter
     (fun (flag, v) ->
@@ -45,8 +46,9 @@ let grid_shape ranks =
   let a = widest 1 1 in
   (a, ranks / a)
 
-(* A decomposition the runtime refuses — fewer rows, planes or cells than
-   ranks, or a rank thinner than the ghost depth — is a usage error
-   carrying the library's message.  Only [partition]'s own refusal is
-   caught: anything else raised later still escapes. *)
-let partition ~app f = try f () with Invalid_argument msg -> usage_error ~app msg
+(* A call the library refuses with [Invalid_argument] is a usage error
+   carrying the library's message: a decomposition with fewer rows, planes
+   or cells than ranks, or a rank thinner than the ghost depth; a Hydra
+   mesh of odd size.  Only [f]'s own refusal is caught: anything else
+   raised later still escapes. *)
+let usage_on_refusal ~app f = try f () with Invalid_argument msg -> usage_error ~app msg

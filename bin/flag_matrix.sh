@@ -8,16 +8,16 @@
 # and on an unknown one.  The OP2 drivers run with no flag, with each of
 # --renumber, --overlap, --verify and --check that the driver defines
 # (aero has no --overlap, hydra neither --overlap nor --verify), and with
-# --renumber --verify together; the OPS drivers with no flag, --check,
-# --tile and --tile-par, and cloverleaf also with --overlap, --verify,
-# --overlap --check, and --verify together with each of --van-leer, --tile
-# and --tile-par, so the hand-coded cross-check covers van Leer's computed
-# stencil points and the tiled executors' row segments on every backend.  A run on the unknown backend, with --overlap off the
-# partitioned backends (mpi, mpi2d, hybrid), with --overlap --check, on
-# mpi with --ranks 0 or at size 0 (every driver), or on a decomposition
-# the OPS runtime refuses (more ranks than rows or planes, a rank thinner
-# than the ghost depth) is a usage error and must exit 2; every other run
-# must exit 0.  No output may report an uncaught exception, and
+# --renumber --verify together; the OPS drivers with no flag and --check,
+# and cloverleaf also with --overlap, --verify, --overlap --check and
+# --van-leer --verify, so the hand-coded cross-check covers van Leer's
+# computed stencil points on every backend.  A run on the unknown backend,
+# with --overlap off the partitioned backends (mpi, mpi2d, hybrid), with
+# --overlap --check, on mpi with --ranks 0 or at size 0 (every driver), on
+# a decomposition the OPS runtime refuses (more ranks than rows or planes,
+# a rank thinner than the ghost depth), on a Hydra mesh of odd size, or
+# with cloverleaf's --summary-every 0 is a usage error and must exit 2;
+# every other run must exit 0.  No output may report an uncaught exception, and
 # cloverleaf3's pencil backend must print the rank grid it runs on (the
 # most square split of --ranks: 3 ranks are 1x3).  Prints only the runs
 # that fail.
@@ -92,20 +92,19 @@ for backend in seq vec shared cuda mpi hybrid bogus; do
   done
 done
 for backend in seq shared cuda mpi mpi2d hybrid bogus; do
-  for flags in "" --check --tile --tile-par --overlap --verify "--overlap --check" \
-    "--van-leer --verify" "--tile --verify" "--tile-par --verify"; do
+  for flags in "" --check --overlap --verify "--overlap --check" "--van-leer --verify"; do
     run "$(expected $backend "$flags")" "$cloverleaf" --nx 12 --ny 12 --steps 2 \
       --ranks 3 --backend "$backend" $flags
   done
 done
 for backend in seq shared cuda mpi pencil hybrid bogus; do
-  for flags in "" --check --tile --tile-par; do
+  for flags in "" --check; do
     run "$(expected $backend "$flags")" "$cloverleaf3" --size 6 --steps 1 --ranks 3 \
       --backend "$backend" $flags
   done
 done
 for backend in seq shared cuda mpi hybrid bogus; do
-  for flags in "" --check --tile --tile-par; do
+  for flags in "" --check; do
     run "$(expected $backend "$flags")" "$tealeaf" --size 6 --steps 1 --ranks 3 \
       --backend "$backend" $flags
   done
@@ -129,4 +128,6 @@ run 2 "$cloverleaf" --nx 8 --ny 8 --steps 1 --ranks 64 --backend mpi2d
 run 2 "$cloverleaf3" --size 2 --steps 1 --ranks 4 --backend mpi
 run 2 "$cloverleaf3" --size 3 --steps 1 --ranks 4 --backend pencil
 run 2 "$tealeaf" --size 4 --steps 1 --ranks 3 --backend mpi
+run 2 "$hydra" --nx 7 --ny 6 --iters 1
+run 2 "$cloverleaf" --nx 12 --ny 12 --steps 2 --summary-every 0
 exit $failed

@@ -6,7 +6,7 @@ module Op2 = Am_op2.Op2
 module App = Am_hydra.App
 
 let run nx ny iters backend ranks renumber no_multigrid check analyze trace
-    obs_json faults recover tile perf =
+    obs_json faults recover perf =
   Check_common.guard @@ fun () ->
   Op2_common.check_flags ~app:"hydra" ~sizes:[ ("--nx", nx); ("--ny", ny) ]
     ~backend ~ranks ~overlap:false ~check;
@@ -14,14 +14,14 @@ let run nx ny iters backend ranks renumber no_multigrid check analyze trace
   if trace <> None then Am_obs.Obs.set_tracing true;
   let features = { App.all_features with App.multigrid = not no_multigrid } in
   Fault_common.with_faults ~app:"hydra" ~faults ~recover @@ fun fc ~recovering ->
-  let t = App.create ~features ~nx ~ny () in
+  let t =
+    Flag_common.usage_on_refusal ~app:"hydra" (fun () -> App.create ~features ~nx ~ny ())
+  in
   if analyze then Am_core.Trace.set_enabled (Op2.trace t.App.ctx) true;
   Perf_common.enable perf (Op2.trace t.App.ctx);
   Printf.printf "hydra-sim: %d fine cells (+%d coarse), %d loops/iteration\n%!"
     t.App.mesh.Am_mesh.Umesh.n_cells t.App.coarse_mesh.Am_mesh.Umesh.n_cells
     App.loops_per_iteration;
-  if tile <> None then
-    Printf.printf "--tile: loop-chain tiling is unsupported on OP2 (unstructured mesh), ignored\n%!";
   (* Renumbering must precede partitioning. *)
   if renumber then begin
     let before, after = Op2.renumber t.App.ctx ~through:t.App.edge_cells in
@@ -102,23 +102,12 @@ let obs_json_arg =
         ~doc:"Write the runtime counter registry as JSON to $(docv)."
         ~docv:"FILE")
 
-let tile_arg =
-  Arg.(
-    value
-    & opt ~vopt:(Some 0) (some int) None
-    & info [ "tile" ]
-        ~doc:
-          "Accepted for driver-flag parity with the OPS proxies; loop-chain \
-           tiling needs the structured-mesh dependence model and is \
-           unsupported on OP2, so the flag is ignored."
-        ~docv:"N")
-
 let cmd =
   Cmd.v
     (Cmd.info "hydra" ~doc:"Production-scale synthetic RANS pipeline (OP2)")
     Term.(
       const run $ nx $ ny $ iters $ backend $ ranks $ renumber $ no_multigrid
       $ Check_common.arg $ Check_common.analyze_arg $ trace_arg $ obs_json_arg
-      $ Fault_common.faults_arg $ Fault_common.recover_arg $ tile_arg $ Perf_common.arg)
+      $ Fault_common.faults_arg $ Fault_common.recover_arg $ Perf_common.arg)
 
 let () = exit (Cmd.eval cmd)

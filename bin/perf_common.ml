@@ -16,7 +16,6 @@ let enable perf trace =
 
 let print perf ~profile ~trace =
   if perf then begin
-    Am_obs.Obs.run_flush_hooks ();
     let rows =
       Am_perfmodel.Doctor.diagnose ~device ~profile ~loops:(Am_core.Trace.events trace) ()
     in

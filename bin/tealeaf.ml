@@ -5,8 +5,7 @@
 module Tea = Am_tealeaf.App
 module Ops3 = Am_ops.Ops3
 
-let run n steps dt backend ranks check analyze trace obs_json faults recover tile
-    tile_par perf =
+let run n steps dt backend ranks check analyze trace obs_json faults recover perf =
   Check_common.guard @@ fun () ->
   Flag_common.check_flags ~app:"tealeaf"
     ~backends:[ "seq"; "shared"; "cuda"; "mpi"; "hybrid" ]
@@ -16,7 +15,7 @@ let run n steps dt backend ranks check analyze trace obs_json faults recover til
   if trace <> None then Am_obs.Obs.set_tracing true;
   Fault_common.with_faults ~app:"tealeaf" ~faults ~recover @@ fun fc ~recovering ->
   let pool = ref None in
-  let partition f = Flag_common.partition ~app:"tealeaf" f in
+  let partition f = Flag_common.usage_on_refusal ~app:"tealeaf" f in
   let t =
     match (if check then "check" else backend) with
     | "check" ->
@@ -47,30 +46,6 @@ let run n steps dt backend ranks check analyze trace obs_json faults recover til
   if analyze then Am_core.Trace.set_enabled (Ops3.trace t.Tea.ctx) true;
   Perf_common.enable perf (Ops3.trace t.Tea.ctx);
   Printf.printf "tealeaf-sim: %d^3 cells, dt %.3f, backend %s\n%!" n dt backend;
-  (match tile with
-  | Some tile_size ->
-    Ops3.set_lazy t.Tea.ctx ~tile_size true;
-    Printf.printf "lazy loop chains: %s, tile %d z-planes\n%!"
-      (match (if check then "check" else backend) with
-      | "seq" | "check" -> "on"
-      | _ -> "recording bypassed on this backend")
-      (Ops3.tile_size t.Tea.ctx)
-  | None -> ());
-  let wf_pool = ref None in
-  (match tile_par with
-  | Some workers ->
-    let p =
-      Am_taskpool.Pool.create ?size:(if workers > 0 then Some workers else None) ()
-    in
-    wf_pool := Some p;
-    Ops3.set_tile_exec t.Tea.ctx
-      (Ops3.Tiled_par { pool = p; tile = Ops3.tile_size t.Tea.ctx });
-    Printf.printf "parallel tiling: %s, wavefronts on %d workers, tile %d z-planes\n%!"
-      (match (if check then "check" else backend) with
-      | "seq" | "check" -> "on"
-      | _ -> "recording bypassed on this backend")
-      (Am_taskpool.Pool.size p) (Ops3.tile_size t.Tea.ctx)
-  | None -> ());
   (match Fault_common.injector fc with
   | Some f -> Ops3.set_fault_injector t.Tea.ctx f
   | None -> ());
@@ -100,7 +75,6 @@ let run n steps dt backend ranks check analyze trace obs_json faults recover til
     ~roofline_gbs:Am_perfmodel.Machines.(xeon_e5_2697v2.stream_bw)
     ~loops:(Am_core.Profile.obs_rows (Ops3.profile t.Tea.ctx))
     ();
-  (match !wf_pool with Some p -> Am_taskpool.Pool.shutdown p | None -> ());
   match !pool with Some p -> Am_taskpool.Pool.shutdown p | None -> ()
 
 open Cmdliner
@@ -129,36 +103,12 @@ let obs_json_arg =
         ~doc:"Write the runtime counter registry as JSON to $(docv)."
         ~docv:"FILE")
 
-let tile_arg =
-  Arg.(
-    value
-    & opt ~vopt:(Some 0) (some int) None
-    & info [ "tile" ]
-        ~doc:
-          "Lazy loop chains with skewed cache tiling: par_loops are queued and \
-           executed tile-by-tile at flush points.  Optional $(docv) is the tile \
-           depth in z-planes (bare --tile keeps the default)."
-        ~docv:"PLANES")
-
-let tile_par_arg =
-  Arg.(
-    value
-    & opt ~vopt:(Some 0) (some int) None
-    & info [ "tile-par" ]
-        ~doc:
-          "Parallel tiled execution: skew z and y independently and dispatch \
-           each wavefront's tiles onto a domain pool.  Optional $(docv) is the \
-           worker count (bare --tile-par uses the machine default).  Implies \
-           --tile; combine with --tile N to pick the tile depth."
-        ~docv:"WORKERS")
-
 let cmd =
   Cmd.v
     (Cmd.info "tealeaf" ~doc:"Implicit 3D heat conduction proxy app (Ops3 + CG)")
     Term.(
       const run $ n $ steps $ dt $ backend $ ranks $ Check_common.arg
       $ Check_common.analyze_arg $ trace_arg $ obs_json_arg
-      $ Fault_common.faults_arg $ Fault_common.recover_arg
-      $ tile_arg $ tile_par_arg $ Perf_common.arg)
+      $ Fault_common.faults_arg $ Fault_common.recover_arg $ Perf_common.arg)
 
 let () = exit (Cmd.eval cmd)

@@ -116,8 +116,8 @@ let diff (loop : Descr.loop) (fp : Probe.t) =
                 (Printf.sprintf
                    "stencil point(s) %s never observed read (%d of %d \
                     declared points used): declared radius %d is wider \
-                    than the kernel's footprint — halo exchanges and tile \
-                    skew pay for the difference"
+                    than the kernel's footprint — halo exchanges pay for \
+                    the difference"
                    (slot_list pr ~keep:false) (points - unread) points extent)
             else if unread = points then
               add ~arg ~severity:Finding.Warning ~subject:af.Probe.af_name

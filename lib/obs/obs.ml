@@ -67,14 +67,6 @@ let dpor_executions = Counters.counter counters "dpor.executions"
 let dpor_backtracks = Counters.counter counters "dpor.backtracks"
 let dpor_sleep_hits = Counters.counter counters "dpor.sleep_hits"
 let dpor_bound_skips = Counters.counter counters "dpor.bound_skips"
-let tile_skew_rows = Counters.counter counters ~unit_:"rows" "tiling.skew_rows"
-let chain_loops = Counters.counter counters "chain.queued_loops"
-let chain_flushes = Counters.counter counters "chain.flushes"
-let chain_tiles = Counters.counter counters "chain.tiles"
-let tile_hits = Counters.counter counters "tile_cache.hits"
-let tile_misses = Counters.counter counters "tile_cache.misses"
-let tile_wavefronts = Counters.counter counters "tile.wavefronts"
-let tile_par_slabs = Counters.counter counters ~unit_:"slabs" "tile.par_slabs"
 let gc_minor = Counters.counter counters "gc.minor_collections"
 let gc_major = Counters.counter counters "gc.major_collections"
 let gc_promoted = Counters.gauge counters ~unit_:"words" "gc.promoted_words"
@@ -82,23 +74,10 @@ let pool_busy_seconds = Counters.gauge counters ~unit_:"s" "pool.busy_seconds"
 let pool_wall_seconds = Counters.gauge counters ~unit_:"s" "pool.wall_seconds"
 let pool_occupancy = Counters.gauge counters "pool.occupancy"
 
-(* Latency-distribution cells: per-call loop wall time (all facades), one
-   sample per halo exchange, and one per chain flush / skewed tile in the
-   lazy OPS evaluation mode. *)
+(* Latency-distribution cells: per-call loop wall time (all facades) and
+   one sample per halo exchange. *)
 let loop_seconds = Counters.histogram counters ~unit_:"s" "loop.seconds"
 let halo_seconds = Counters.histogram counters ~unit_:"s" "halo.exchange_seconds"
-let chain_flush_seconds = Counters.histogram counters ~unit_:"s" "chain.flush_seconds"
-let tile_seconds = Counters.histogram counters ~unit_:"s" "chain.tile_seconds"
-
-(* Pre-export flush hooks.  Lazy-chain contexts (the OPS facades' delayed
-   evaluation mode) register a chain flush here so any queued loops run
-   before a trace or counter artifact is written — an export must never
-   observe (or silently drop) half-recorded work.  Hooks are idempotent
-   closures; contexts register once and live for the process. *)
-let flush_hooks : (unit -> unit) list ref = ref []
-
-let add_flush_hook f = flush_hooks := f :: !flush_hooks
-let run_flush_hooks () = List.iter (fun f -> f ()) !flush_hooks
 
 let reset () =
   Counters.reset counters;
@@ -157,12 +136,9 @@ let loops_table ?roofline_gbs loops =
     (List.sort (fun a b -> Float.compare b.lr_seconds a.lr_seconds) loops);
   Am_util.Table.render table
 
-(* Counter families rendered in their own sections below rather than in
-   the generic table. *)
-let sectioned_families = [ "chain."; "tile_cache."; "tile."; "dpor." ]
-
-let in_sectioned_family name =
-  List.exists (fun fam -> String.starts_with ~prefix:fam name) sectioned_families
+(* The dpor.* counters are rendered in their own section below rather
+   than in the generic table. *)
+let in_dpor_section name = String.starts_with ~prefix:"dpor." name
 
 let counters_table () =
   let table =
@@ -174,7 +150,7 @@ let counters_table () =
   row "exec cache hit rate" (rate exec_hits exec_misses);
   List.iter
     (fun (name, v) ->
-      if not (in_sectioned_family name) then
+      if not (in_dpor_section name) then
         match v with
         | Counters.Int 0 | Counters.Float 0.0 -> ()
         | Counters.Int n ->
@@ -185,28 +161,6 @@ let counters_table () =
         | Counters.Hist _ -> () (* rendered in the latency-distribution table *))
     (Counters.snapshot counters);
   Am_util.Table.render table
-
-let chain_table () =
-  if
-    Counters.value chain_loops = 0 && Counters.value chain_flushes = 0
-    && Counters.value tile_hits + Counters.value tile_misses = 0
-  then None
-  else begin
-    let table =
-      Am_util.Table.create ~title:"lazy loop chains" ~header:[ "counter"; "value" ]
-        ~aligns:[ Am_util.Table.Left; Right ] ()
-    in
-    let row name value = Am_util.Table.add_row table [ name; value ] in
-    row "chain.queued_loops" (string_of_int (Counters.value chain_loops));
-    row "chain.flushes" (string_of_int (Counters.value chain_flushes));
-    row "chain.tiles" (string_of_int (Counters.value chain_tiles));
-    if Counters.value tile_wavefronts > 0 then begin
-      row "tile.wavefronts" (string_of_int (Counters.value tile_wavefronts));
-      row "tile.par_slabs" (string_of_int (Counters.value tile_par_slabs))
-    end;
-    row "tile cache hit rate" (rate tile_hits tile_misses);
-    Some (Am_util.Table.render table)
-  end
 
 let dpor_table () =
   if Counters.value dpor_executions = 0 then None
@@ -250,7 +204,6 @@ let histograms_table () =
   end
 
 let report ?roofline_gbs ?(loops = []) () =
-  run_flush_hooks ();
   let b = Buffer.create 1024 in
   if loops <> [] then begin
     Buffer.add_string b (loops_table ?roofline_gbs loops);
@@ -269,23 +222,19 @@ let report ?roofline_gbs ?(loops = []) () =
         Buffer.add_char b '\n';
         Buffer.add_string b text
       | None -> ())
-    [ chain_table (); dpor_table (); histograms_table () ];
+    [ dpor_table (); histograms_table () ];
   Buffer.contents b
 
 let counters_json () = Counters.to_json counters
 
 let write_counters ~path =
-  run_flush_hooks ();
   let oc = open_out path in
   output_string oc (counters_json ());
   close_out oc
 
-let write_trace ~path =
-  run_flush_hooks ();
-  Tracer.write_chrome tracer ~path
+let write_trace ~path = Tracer.write_chrome tracer ~path
 
 let finish ?trace ?obs_json ?roofline_gbs ?loops () =
-  run_flush_hooks ();
   match (trace, obs_json) with
   | None, None -> ()
   | _ ->

@@ -100,11 +100,6 @@ val check_light_elements : Counters.counter
 val halo_depth_saved : Counters.counter
 val halo_exchanges_saved : Counters.counter
 
-(** Sum of the per-loop outer-axis skew offsets of every planned tile
-    schedule: tighter (inference-proven) dependence distances show up
-    directly as fewer skew rows per flushed chain. *)
-val tile_skew_rows : Counters.counter
-
 (** Schedule-exploration (bounded DPOR) activity: program executions run by
     the explorer, backtrack points taken, redundant schedules pruned by
     sleep sets, and backtrack points skipped by the delay bound. *)
@@ -113,22 +108,6 @@ val dpor_executions : Counters.counter
 val dpor_backtracks : Counters.counter
 val dpor_sleep_hits : Counters.counter
 val dpor_bound_skips : Counters.counter
-
-(** Lazy loop-chain activity: loops recorded into a chain instead of run,
-    chain flushes, skewed tiles executed, and tile-schedule cache lookups
-    served from cache vs. planned (and validated) fresh. *)
-
-val chain_loops : Counters.counter
-val chain_flushes : Counters.counter
-val chain_tiles : Counters.counter
-val tile_hits : Counters.counter
-val tile_misses : Counters.counter
-
-(** Parallel (wavefront) tiled execution: wavefronts dispatched onto the
-    domain pool and slabs executed under the parallel runner. *)
-
-val tile_wavefronts : Counters.counter
-val tile_par_slabs : Counters.counter
 
 (** Runtime-environment telemetry.  GC cells accumulate per-loop
     [Gc.quick_stat] deltas (sampled only while tracing is enabled, so the
@@ -144,20 +123,11 @@ val pool_wall_seconds : Counters.gauge
 val pool_occupancy : Counters.gauge
 
 (** Pre-registered latency histograms (always-on, like the counters):
-    per-call loop wall time across all facades, per-exchange halo latency,
-    and chain-flush / skewed-tile durations from the lazy OPS modes. *)
+    per-call loop wall time across all facades and per-exchange halo
+    latency. *)
 
 val loop_seconds : Counters.histogram
 val halo_seconds : Counters.histogram
-val chain_flush_seconds : Counters.histogram
-val tile_seconds : Counters.histogram
-
-val add_flush_hook : (unit -> unit) -> unit
-(** Register an idempotent hook run before every trace/counter export and
-    {!report}: lazy-chain contexts flush queued loops here so exports never
-    observe (or drop) deferred work.  Hooks live for the process. *)
-
-val run_flush_hooks : unit -> unit
 
 val reset : unit -> unit
 (** Zero all counters, drop all trace events, disable tracing. *)
@@ -177,10 +147,9 @@ val report : ?roofline_gbs:float -> ?loops:loop_row list -> unit -> string
 (** Rendered tables: per-loop time and achieved GB/s (against the perfmodel
     roofline ceiling when [roofline_gbs] is given) with exposed-vs-hidden
     halo columns, followed by cache hit-rates and communication totals,
-    then one section per active counter family — lazy loop chains
-    ([chain.*]/[tile_cache.*]), schedule exploration ([dpor.*]) — and a
-    latency-distribution table (count/p50/p90/p99/max) for every non-empty
-    histogram cell. *)
+    then a schedule-exploration section ([dpor.*]) when the explorer ran,
+    and a latency-distribution table (count/p50/p90/p99/max) for every
+    non-empty histogram cell. *)
 
 val counters_json : unit -> string
 val write_counters : path:string -> unit

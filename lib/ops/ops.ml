@@ -160,7 +160,6 @@ let decl_halo ctx ~name ~src ~dst ~src_range ~dst_range ?orientation () =
     ~dst_range:(to_range dst_range) ?orientation ()
 
 let halo_transfer ctx halos =
-  Pipeline.flush ctx;
   Pipeline.unpartitioned ctx "halo_transfer";
   Multiblock.transfer_all halos
 
@@ -175,19 +174,8 @@ let par_loop_acc ctx ~name ?(info = Descr.default_kernel_info) ?handle block ran
   Pipeline.run_loop ctx ~name ~info ?handle block (to_range range) args
     (Exec.Accessor kernel)
 
-(* ---- Lazy loop chains and footprint inference ---------------------------- *)
+(* ---- Footprint inference -------------------------------------------------- *)
 
-type tile_exec = Pipeline.tile_exec =
-  | Tiled of { tile : int }
-  | Tiled_par of { pool : Am_taskpool.Pool.t; tile : int }
-
-let set_lazy = Pipeline.set_lazy
-let lazy_mode = Pipeline.lazy_mode
-let tile_size = Pipeline.tile_size
-let set_tile_exec = Pipeline.set_tile_exec
-let tile_exec = Pipeline.tile_exec
-let pending = Pipeline.pending
-let flush = Pipeline.flush
 let set_infer = Pipeline.set_infer
 let infer_enabled = Pipeline.infer_enabled
 let set_tighten = Pipeline.set_tighten
@@ -200,9 +188,7 @@ type centering = Boundary.centering = Cell | Node
 
 (* Reflective ghost-ring update with optional sign flips (velocity normal
    components) and centre-aware mirroring for staggered fields. This is the
-   library-provided equivalent of CloverLeaf's update_halo; while loops are
-   being recorded it is an order-preserving barrier in the chain (ghost
-   rows depend on the whole interior). *)
+   library-provided equivalent of CloverLeaf's update_halo. *)
 let mirror_halo (ctx : ctx) ?(depth = 2) ?(sign_x = 1.0) ?(sign_y = 1.0)
     ?(center_x = Cell) ?(center_y = Cell) dat =
   Pipeline.mirror_halo ctx ~depth ~sign_x ~sign_y ~sign_z:1.0 ~center_x ~center_y

@@ -58,11 +58,10 @@
     a global (Read, Inc, Min and Max globals stay per-frame buffers) —
     whenever every dataset argument is addressed in place and there is no
     {!arg_idx}.  That one rule serves Seq, Shared workers, both Cuda_sim
-    strategies, tiled slabs, wavefront tiles and rank windows, with or
-    without overlap.  Otherwise (a staged argument or {!arg_idx}), and
-    always on [Check] and under footprint probing, the point form runs
-    at every point, so the sanitizer and inference see the kernel as
-    written.
+    strategies and rank windows, with or without overlap.  Otherwise (a
+    staged argument or {!arg_idx}), and always on [Check] and under
+    footprint probing, the point form runs at every point, so the
+    sanitizer and inference see the kernel as written.
 
     [let%kernel name (a : Acc.t array) = body] (the [ppx_kernel]
     rewriter) binds [name] to the kernel value whose point form is
@@ -334,14 +333,13 @@ val par_loop :
   unit
 
 (** [par_loop_acc] is {!par_loop} for an accessor kernel value: the same
-    pipeline (validation, trace, fault counter, footprint probing, lazy
-    recording, checkpointing, profile) on the same backends, with
-    unit-stride [Read], [Write] and [Rw] datasets addressed in place
-    instead of copied (see the kernel ABI above) — on every backend,
-    including rank windows, Cuda_sim scratch tiles and lazy tiled chains —
-    and the row form run per row segment where the dispatch rule above
-    allows it.  Results are bitwise those of the staged form of the same
-    kernel. *)
+    pipeline (validation, trace, fault counter, footprint probing,
+    checkpointing, profile) on the same backends, with unit-stride [Read],
+    [Write] and [Rw] datasets addressed in place instead of copied (see the
+    kernel ABI above) — on every backend, including rank windows and
+    Cuda_sim scratch tiles — and the row form run per row segment where the
+    dispatch rule above allows it.  Results are bitwise those of the staged
+    form of the same kernel. *)
 val par_loop_acc :
   ctx ->
   name:string ->
@@ -352,66 +350,6 @@ val par_loop_acc :
   arg list ->
   Acc.kernel ->
   unit
-
-(** {1 Lazy loop chains (cross-loop cache tiling)}
-
-    With lazy execution enabled, {!par_loop} records the invocation —
-    descriptor, argument list, kernel closure, range — into a loop chain
-    instead of running it, and Read-global buffers are snapshotted so
-    in-place refills between loops stay safe.  The chain flushes when a
-    result is demanded: a global reduction (the caller reads the buffer on
-    return), {!fetch_interior}, {!init}, {!profile}, backend or partition
-    changes, any checkpoint entry point, {!halo_transfer}, trace/counter
-    exports via [Obs], an explicit {!flush}, or the chain-length bound.
-
-    A flush splits the chain at {!mirror_halo} barriers and non-unit-stride
-    (multigrid) loops, and executes each remaining multi-loop run of
-    unit-stride loops tile-by-tile under a skewed schedule (see {!Tiling}):
-    a row slab of loop 0, then a dependence-lagged slab of loop 1, and so
-    on — keeping the slab's working set in cache across the whole chain.
-    On the [Seq] backend the tiled execution is bitwise identical to eager
-    execution; on [Check] the sanitizer guards the tiled traversal itself.
-    Recording is bypassed (loops run eagerly) on the other backends, on
-    partitioned contexts, and while a checkpoint session is live.
-
-    Direct storage access ({!get}/{!set}/{!fill}) does not see the context
-    and therefore does not flush — use {!fetch_interior} or call {!flush}
-    first when loops may be queued. *)
-
-(** [set_lazy ctx ?tile_size enabled] flushes any queued loops, then turns
-    recording on or off.  [tile_size] (rows per tile on the outer axis)
-    replaces the current size when positive; pass [0] to keep the
-    default. *)
-val set_lazy : ctx -> ?tile_size:int -> bool -> unit
-
-val lazy_mode : ctx -> bool
-val tile_size : ctx -> int
-
-(** How a flushed tileable segment executes: [Tiled] walks the skewed
-    slab schedule sequentially (bitwise identical to eager on [Seq]);
-    [Tiled_par] skews both axes and dispatches each wavefront's
-    parallelogram tiles onto [pool] (see {!Tiling_par}).  Under
-    [Tiled_par], dataset results stay bitwise identical to eager and
-    deterministic across pool sizes, but Inc global reductions
-    reassociate (per-tile partials merged in tile order) — compare them
-    under an ulp-scaled tolerance. *)
-type tile_exec =
-  | Tiled of { tile : int }
-  | Tiled_par of { pool : Am_taskpool.Pool.t; tile : int }
-
-(** [set_tile_exec ctx mode] flushes any queued loops, then enables lazy
-    recording with the given tiled execution mode (a [set_lazy]-compatible
-    superset: [Tiled] is exactly [set_lazy ~tile_size true]). *)
-val set_tile_exec : ctx -> tile_exec -> unit
-
-(** The active tiled execution mode, or [None] when recording is off. *)
-val tile_exec : ctx -> tile_exec option
-
-(** Queued chain entries (recorded loops plus deferred mirrors). *)
-val pending : ctx -> int
-
-(** Run every queued entry now.  Idempotent; safe on any context. *)
-val flush : ctx -> unit
 
 (** {1 Kernel footprint inference}
 
@@ -425,21 +363,20 @@ val flush : ctx -> unit
     Sampled negatives — reads merely never observed across the probe
     vectors — are evidence, not proof: a data-dependent branch the probes
     never triggered could still read further.  Acting on them at runtime
-    (shrinking distributed ghost exchanges to the observed read extent,
-    skewing the lazy tiler by observed rather than declared dependence
-    distances) is therefore an explicit opt-in via [set_tighten], off by
-    default.  With tightening off those facts remain report-only:
-    {!Am_analysis.Dataflow} still prints the exchanges and skew rows the
-    observations say the declared stencils waste, so the fix is to tighten
-    the descriptor, not the runtime. *)
+    (shrinking distributed ghost exchanges to the observed read extent) is
+    therefore an explicit opt-in via [set_tighten], off by default.  With
+    tightening off those facts remain report-only:
+    {!Am_analysis.Dataflow} still prints the exchanges the observations say
+    the declared stencils waste, so the fix is to tighten the descriptor,
+    not the runtime. *)
 
 val set_infer : ctx -> bool -> unit
 val infer_enabled : ctx -> bool
 
 (** Opt in to runtime tightening from sampled never-observed-read facts:
-    shrunken halo depths, dropped exchanges, narrowed tile skew.  Off by
-    default — enable only when the kernels' footprints are known to be
-    data-independent (no limiter-style branches that widen reads). *)
+    shrunken halo depths and dropped exchanges.  Off by default — enable
+    only when the kernels' footprints are known to be data-independent (no
+    limiter-style branches that widen reads). *)
 val set_tighten : ctx -> bool -> unit
 
 val tighten_enabled : ctx -> bool

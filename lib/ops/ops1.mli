@@ -157,40 +157,16 @@ val par_loop :
   (float array array -> unit) ->
   unit
 
-(** {1 Lazy loop chains (cross-loop cache tiling)}
-
-    As in {!Ops.set_lazy}, instantiated for the x axis (the only axis, so
-    a tile is a contiguous chunk of cells).  Every 1D dataset argument is
-    unit-stride, so every recorded loop is tileable; {!mirror_halo}
-    barriers still split segments. *)
-
-val set_lazy : ctx -> ?tile_size:int -> bool -> unit
-val lazy_mode : ctx -> bool
-val tile_size : ctx -> int
-val pending : ctx -> int
-val flush : ctx -> unit
-
-(** Tiled execution mode, as in {!Ops.tile_exec}.  A 1D chain gives the
-    wavefront executor a degenerate (dependence-free) inner axis: chains
-    whose x axis carries dependences stay a pipeline (one tile per wave);
-    dependence-free chains fan every tile into a single wave. *)
-type tile_exec =
-  | Tiled of { tile : int }
-  | Tiled_par of { pool : Am_taskpool.Pool.t; tile : int }
-
-val set_tile_exec : ctx -> tile_exec -> unit
-val tile_exec : ctx -> tile_exec option
-
 (** Kernel footprint inference (see {!Ops}): on by default, once per loop
     signature; observed facts lighten the Check backend and feed
-    {!Am_analysis.Verify} via [footprints].  Runtime halo/skew tightening
+    {!Am_analysis.Verify} via [footprints].  Runtime halo tightening
     from sampled negatives is opt-in ([set_tighten]). *)
 
 val set_infer : ctx -> bool -> unit
 val infer_enabled : ctx -> bool
 
 (** Opt in to runtime tightening from sampled never-observed-read facts
-    (shrunken halo depths, narrowed tile skew).  Off by default; see
+    (shrunken halo depths, dropped exchanges).  Off by default; see
     {!Ops.set_tighten} for the soundness caveat. *)
 val set_tighten : ctx -> bool -> unit
 

@@ -106,17 +106,6 @@ let par_loop ctx ~name ?(info = Descr.default_kernel_info) ?handle block range a
     kernel =
   Pipeline.run_loop ctx ~name ~info ?handle block range args (Exec.Staged kernel)
 
-type tile_exec = Pipeline.tile_exec =
-  | Tiled of { tile : int }
-  | Tiled_par of { pool : Am_taskpool.Pool.t; tile : int }
-
-let set_lazy = Pipeline.set_lazy
-let lazy_mode = Pipeline.lazy_mode
-let tile_size = Pipeline.tile_size
-let pending = Pipeline.pending
-let flush = Pipeline.flush
-let set_tile_exec = Pipeline.set_tile_exec
-let tile_exec = Pipeline.tile_exec
 let set_infer = Pipeline.set_infer
 let infer_enabled = Pipeline.infer_enabled
 let set_tighten = Pipeline.set_tighten
@@ -135,7 +124,6 @@ let decl_halo ctx ~name ~src ~dst ~src_range ~dst_range ?orientation () =
   Multiblock.decl_halo ~name ~src ~dst ~src_range ~dst_range ?orientation ()
 
 let halo_transfer ctx halos =
-  Pipeline.flush ctx;
   Pipeline.unpartitioned ctx "halo_transfer";
   Multiblock.transfer_all halos
 

@@ -222,44 +222,16 @@ val par_loop :
   (float array array -> unit) ->
   unit
 
-(** {1 Lazy loop chains (cross-loop cache tiling)}
-
-    As in {!Ops.set_lazy}, instantiated for the z axis: recorded loops
-    flush tile-by-tile under a skewed schedule of z-plane slabs, bitwise
-    identical to eager [Seq] execution.  {!mirror_halo} barriers and
-    non-unit-stride (multigrid) loops split tileable segments; recording
-    is bypassed on partitioned contexts, under a live checkpoint session,
-    and on the [Shared]/[Cuda_sim] backends. *)
-
-val set_lazy : ctx -> ?tile_size:int -> bool -> unit
-val lazy_mode : ctx -> bool
-val tile_size : ctx -> int
-val pending : ctx -> int
-val flush : ctx -> unit
-
-(** Tiled execution mode, as in {!Ops.tile_exec}: [Tiled_par] skews z and
-    y independently and dispatches each wavefront's (z, y) parallelogram
-    tiles onto the pool (x stays untiled — it is the contiguous axis).
-    Dataset results remain bitwise identical to eager execution; Inc
-    global reductions reassociate deterministically (per-tile partials
-    merged in tile order). *)
-type tile_exec =
-  | Tiled of { tile : int }
-  | Tiled_par of { pool : Am_taskpool.Pool.t; tile : int }
-
-val set_tile_exec : ctx -> tile_exec -> unit
-val tile_exec : ctx -> tile_exec option
-
 (** Kernel footprint inference (see {!Ops}): on by default, once per loop
     signature; observed facts lighten the Check backend and feed
-    {!Am_analysis.Verify} via [footprints].  Runtime halo/skew tightening
+    {!Am_analysis.Verify} via [footprints].  Runtime halo tightening
     from sampled negatives is opt-in ([set_tighten]). *)
 
 val set_infer : ctx -> bool -> unit
 val infer_enabled : ctx -> bool
 
 (** Opt in to runtime tightening from sampled never-observed-read facts
-    (shrunken halo depths, narrowed tile skew).  Off by default; see
+    (shrunken halo depths, dropped exchanges).  Off by default; see
     {!Ops.set_tighten} for the soundness caveat. *)
 val set_tighten : ctx -> bool -> unit
 

@@ -127,14 +127,11 @@ let range_to_string ~rank r =
 (* The facade a rank belongs to, for error messages. *)
 let facade rank = match rank with 1 -> "Ops1" | 2 -> "Ops" | _ -> "Ops3"
 
-(* The axes of the rank-3 box.  A loop chain tiles its block's outermost
-   (slowest-varying) axis, and the wavefront executor adds the next one
-   inwards — a 1D block's degenerate y, over which every loop iterates
-   [0, 1) with no dependence. *)
+(* The axes of the rank-3 box.  The Shared backend and rank windows split
+   a block's outermost (slowest-varying) axis. *)
 type axis = X | Y | Z
 
 let outer_axis rank = match rank with 1 -> X | 2 -> Y | _ -> Z
-let inner_axis rank = match rank with 2 -> X | _ -> Y
 let axis_name = function X -> "x" | Y -> "y" | Z -> "z"
 let lo axis r = match axis with X -> r.xlo | Y -> r.ylo | Z -> r.zlo
 let hi axis r = match axis with X -> r.xhi | Y -> r.yhi | Z -> r.zhi
@@ -144,8 +141,6 @@ let with_axis axis r ~lo ~hi =
   | X -> { r with xlo = lo; xhi = hi }
   | Y -> { r with ylo = lo; yhi = hi }
   | Z -> { r with zlo = lo; zhi = hi }
-
-let delta axis s p = match axis with X -> ox s p | Y -> oy s p | Z -> oz s p
 
 type env = {
   mutable blocks : block list;

@@ -132,8 +132,7 @@ let run_on_all t body =
            Mutex.unlock t.mutex;
            dead)
   then
-    (* A job submitted after [shutdown] — e.g. an Obs flush hook forcing a
-       straggler lazy chain at process exit — runs caller-only: the worker
+    (* A job submitted after [shutdown] runs caller-only: the worker
        domains are gone, so queueing it would wait on [work_done] forever. *)
     body ()
   else begin

@@ -22,9 +22,8 @@ val worker_lane_base : int
 (** Number of workers including the caller. *)
 val size : t -> int
 
-(** Join all worker domains. Jobs submitted afterwards (e.g. an Obs flush
-    hook forcing a straggler lazy chain at exit) run caller-only instead of
-    deadlocking on the departed workers. *)
+(** Join all worker domains. Jobs submitted afterwards run caller-only
+    instead of deadlocking on the departed workers. *)
 val shutdown : t -> unit
 
 (** [parallel_for ?chunk t ~lo ~hi f] calls [f sub_lo sub_hi] over disjoint

@@ -11,8 +11,9 @@
    The accessor-kernel group holds both kernel forms to the same bits on
    every backend, Airfoil and Hydra, single-process and distributed; the
    OPS group does the same for CloverLeaf (Seq = Check, and every 2D
-   backend, lazy tiling and partitioning included) and for a synthetic
-   loop set covering what CloverLeaf does not.
+   backend, partitioning included) and for a synthetic loop set covering
+   what CloverLeaf does not.  Seeded random OPS loop programs must match
+   Seq on every 2D configuration.
 
    Also unit tests of the plan-handle executor cache: two call sites with
    the same loop signature share one plan entry and one compiled executor;
@@ -368,13 +369,11 @@ let test_aliased_args_staged () =
    every backend that addresses datasets directly, staged on Check (which
    stages every argument), so Seq = Check is the accessor-vs-staged
    comparison.  Every other backend must match Seq to the bit on every
-   dataset; only field_summary's Inc reduction may reassociate (per-worker,
-   per-rank or per-tile partial sums), within [eps]. *)
+   dataset; only field_summary's Inc reduction may reassociate (per-worker
+   or per-rank partial sums), within [eps]. *)
 
 type ops_config =
   | Ops_on of Ops.backend
-  | Ops_tiled
-  | Ops_tiled_par of int (* pool size *)
   | Ops_rows of { ranks : int; overlap : bool }
   | Ops_grid of { overlap : bool } (* 2x2 *)
 
@@ -384,8 +383,6 @@ let ops_config_name = function
   | Ops_on (Ops.Shared _) -> "shared"
   | Ops_on (Ops.Cuda_sim { strategy = Am_ops.Exec.Cuda_global; _ }) -> "cuda global"
   | Ops_on (Ops.Cuda_sim { strategy = Am_ops.Exec.Cuda_tiled; _ }) -> "cuda tiled"
-  | Ops_tiled -> "tiled"
-  | Ops_tiled_par n -> Printf.sprintf "tiled-par pool %d" n
   | Ops_rows { ranks; overlap } ->
     Printf.sprintf "dist rows %d%s" ranks (if overlap then " overlap" else "")
   | Ops_grid { overlap } -> Printf.sprintf "dist grid 2x2%s" (if overlap then " overlap" else "")
@@ -397,9 +394,6 @@ let ops_configs pool =
     Ops_on (Ops.Shared { pool });
     cuda Am_ops.Exec.Cuda_global;
     cuda Am_ops.Exec.Cuda_tiled;
-    Ops_tiled;
-    Ops_tiled_par 1;
-    Ops_tiled_par 2;
   ]
   @ List.concat_map
       (fun ranks -> [ Ops_rows { ranks; overlap = false }; Ops_rows { ranks; overlap = true } ])
@@ -433,10 +427,6 @@ let clover_forms ~advection cfg =
   in
   match cfg with
   | Ops_on backend -> run ~backend ignore
-  | Ops_tiled -> run (fun ctx -> Ops.set_tile_exec ctx (Ops.Tiled { tile = 4 }))
-  | Ops_tiled_par size ->
-    Pool.with_pool ~size (fun pool ->
-        run (fun ctx -> Ops.set_tile_exec ctx (Ops.Tiled_par { pool; tile = 4 })))
   | Ops_rows { ranks; overlap } ->
     run (fun ctx ->
         Ops.partition ctx ~n_ranks:ranks ~ref_ysize:clover_n;
@@ -626,10 +616,6 @@ let test_row_dispatch () =
             Some
               (Ops.Cuda_sim { Am_ops.Exec.tile_x = 4; tile_y = 2; strategy = Am_ops.Exec.Cuda_global }),
             ignore );
-          ("tiled", None, fun ctx -> Ops.set_tile_exec ctx (Ops.Tiled { tile = 2 }));
-          ( "tiled-par 2",
-            None,
-            fun ctx -> Ops.set_tile_exec ctx (Ops.Tiled_par { pool; tile = 2 }) );
           ("rows(3)", None, partitioned ~grid:false ~overlap:false);
           ("rows(3) overlap", None, partitioned ~grid:false ~overlap:true);
           ("grid(2x2)", None, partitioned ~grid:true ~overlap:false);
@@ -685,6 +671,172 @@ let test_row_dispatch_staged () =
           ]),
         Some back );
     ]
+
+(* ---- OPS loop programs, every call at its program point ------------------ *)
+
+(* Seeded random programs over three datasets: 5-point and one-row-offset
+   stencils, Write and Rw, arg_idx, a Read global refilled in place before
+   each loop that reads it, mirror_halo and Inc sums.  Every par_loop and
+   mirror_halo takes effect where it is called, so each configuration must
+   match Seq: datasets to the bit, sums within [eps]. *)
+
+type step =
+  | Smooth of int * int * float (* src, dst, value of the Read global *)
+  | Shift of int * int
+  | Relax of int * int
+  | Scale of int * float (* dst, value of the Read global *)
+  | Mirror of int
+  | Reduce of int
+
+let gen_step =
+  QCheck.Gen.(
+    let pair = int_range 0 2 >>= fun s -> int_range 1 2 >|= fun d -> (s, (s + d) mod 3) in
+    frequency
+      [
+        (3, map2 (fun (s, d) c -> Smooth (s, d, 0.19 +. (0.01 *. Float.of_int c))) pair (int_range 0 6));
+        (2, map (fun (s, d) -> Shift (s, d)) pair);
+        (2, map (fun (s, d) -> Relax (s, d)) pair);
+        (1, map2 (fun i c -> Scale (i, 0.5 +. Float.of_int c)) (int_range 0 2) (int_range 0 2));
+        (2, map (fun i -> Mirror i) (int_range 0 2));
+        (1, map (fun i -> Reduce i) (int_range 0 2));
+      ])
+
+let prog_x = 17 and prog_y = 20
+let consts = [| 0.0 |]
+
+let run_steps setup steps =
+  let ctx = Ops.create () in
+  let b = Ops.decl_block ctx ~name:"b" in
+  let d =
+    Array.init 3 (fun i ->
+        Ops.decl_dat ctx ~name:(Printf.sprintf "d%d" i) ~block:b ~xsize:prog_x ~ysize:prog_y ())
+  in
+  Array.iteri
+    (fun i dat ->
+      Ops.init ctx dat (fun x y _ -> Float.of_int (((x * 31) + (y * 57) + (i * 11)) mod 23) *. 0.125))
+    d;
+  setup ctx;
+  let loop name s stencil t access extra kernel =
+    Ops.par_loop ctx ~name b (Ops.interior d.(t))
+      ([ Ops.arg_dat d.(s) stencil Access.Read; Ops.arg_dat d.(t) Ops.stencil_point access ] @ extra)
+      kernel
+  in
+  let sums = ref [] in
+  List.iter
+    (function
+      | Smooth (s, t, c) ->
+        consts.(0) <- c;
+        loop "smooth" s Ops.stencil_2d_5pt t Access.Write
+          [ Ops.arg_gbl ~name:"consts" consts Access.Read ]
+          (fun a ->
+            a.(1).(0) <- a.(2).(0) *. (a.(0).(0) +. a.(0).(1) +. a.(0).(2) +. a.(0).(3) +. a.(0).(4)))
+      | Shift (s, t) ->
+        loop "shift" s Ops.stencil_2d_plus1y t Access.Write [ Ops.arg_idx ] (fun a ->
+            a.(1).(0) <- a.(0).(1) +. (1e-3 *. (a.(2).(0) +. a.(2).(1))))
+      | Relax (s, t) ->
+        loop "relax" s Ops.stencil_2d_minus1y t Access.Rw [] (fun a ->
+            a.(1).(0) <- (0.6 *. a.(1).(0)) +. (0.4 *. a.(0).(1)))
+      | Scale (t, c) ->
+        consts.(0) <- c;
+        Ops.par_loop ctx ~name:"scale" b (Ops.interior d.(t))
+          [ Ops.arg_dat d.(t) Ops.stencil_point Access.Rw; Ops.arg_gbl ~name:"consts" consts Access.Read ]
+          (fun a -> a.(0).(0) <- a.(0).(0) *. a.(1).(0))
+      | Mirror i -> Ops.mirror_halo ctx d.(i)
+      | Reduce i ->
+        let acc = [| 0.0 |] in
+        Ops.par_loop ctx ~name:"sum" b (Ops.interior d.(i))
+          [ Ops.arg_dat d.(i) Ops.stencil_point Access.Read; Ops.arg_gbl ~name:"sum" acc Access.Inc ]
+          (fun a -> a.(1).(0) <- a.(1).(0) +. a.(0).(0));
+        sums := acc.(0) :: !sums)
+    steps;
+  (Array.concat (List.map (Ops.fetch_interior ctx) (Array.to_list d)), Array.of_list (List.rev !sums))
+
+(* Twelve programs of 3 to 24 steps (AM_SEED picks others), with their Seq results. *)
+let programs =
+  lazy
+    (List.map
+       (fun steps -> (steps, run_steps ignore steps))
+       (QCheck.Gen.generate ~rand:(Random.State.make [| Qcheck_util.base_seed |]) ~n:12
+          QCheck.Gen.(list_size (int_range 3 24) gen_step)))
+
+(* Configurations: name, pool size, and what to do to the fresh context. *)
+let on backend _ ctx = Ops.set_backend ctx backend
+let shared pool ctx = Ops.set_backend ctx (Ops.Shared { pool })
+let also f g pool ctx = f pool ctx; g pool ctx
+let traced _ _ = Am_obs.Obs.set_tracing true
+let shared_ranks pool ctx = Ops.set_rank_execution ctx (Ops.Rank_shared pool)
+let tightened _ ctx = Ops.set_tighten ctx true
+
+let cuda ?(tile_x = 8) ?(tile_y = 4) strategy =
+  on (Ops.Cuda_sim { Am_ops.Exec.tile_x; tile_y; strategy })
+
+let rows ?(overlap = false) n _ ctx =
+  Ops.partition ctx ~n_ranks:n ~ref_ysize:prog_y;
+  if overlap then Ops.set_comm_mode ctx Ops.Overlap
+
+let grid ?(overlap = false) px _ ctx =
+  Ops.partition_grid ctx ~px ~py:2 ~ref_xsize:prog_x ~ref_ysize:prog_y;
+  if overlap then Ops.set_comm_mode ctx Ops.Overlap
+
+let program_configs =
+  let open Am_ops.Exec in
+  [
+    ("check", 1, on Ops.Check);
+    ("check, inference off", 1, also (on Ops.Check) (fun _ ctx -> Ops.set_infer ctx false));
+    ("seq, inference off", 1, fun _ ctx -> Ops.set_infer ctx false);
+    ("seq, checkpointing", 1, fun _ ctx -> Ops.enable_checkpointing ctx);
+    ("seq, span tracing", 1, traced);
+    ("shared pool 1", 1, shared);
+    ("shared pool 2", 2, shared);
+    ("shared pool 4", 4, shared);
+    ("shared pool 2, span tracing", 2, also shared traced);
+    ("shared on a shut-down pool", 2, fun pool ctx -> Pool.shutdown pool; shared pool ctx);
+    ("cuda global", 1, cuda Cuda_global);
+    ("cuda tiled", 1, cuda Cuda_tiled);
+    ("cuda global 3x5 tiles", 1, cuda ~tile_x:3 ~tile_y:5 Cuda_global);
+    ("cuda tiled 3x5 tiles", 1, cuda ~tile_x:3 ~tile_y:5 Cuda_tiled);
+    ("dist rows 1", 1, rows 1);
+    ("dist rows 2", 1, rows 2);
+    ("dist rows 3", 1, rows 3);
+    ("dist rows 7", 1, rows 7);
+    ("dist rows 2 overlap", 1, rows ~overlap:true 2);
+    ("dist rows 3 overlap", 1, rows ~overlap:true 3);
+    ("dist rows 7 overlap", 1, rows ~overlap:true 7);
+    ("dist grid 2x2", 1, grid 2);
+    ("dist grid 2x2 overlap", 1, grid ~overlap:true 2);
+    ("dist grid 3x2", 1, grid 3);
+    ("dist rows 3, shared ranks", 2, also (rows 3) shared_ranks);
+    ("dist grid 2x2, shared ranks", 2, also (grid 2) shared_ranks);
+    ("dist rows 3, eager halos", 1, also (rows 3) (fun _ ctx -> Ops.set_halo_policy ctx Ops.Eager));
+    ("dist rows 3, tightened", 1, also (rows 3) tightened);
+    ("dist grid 2x2, tightened", 1, also (grid 2) tightened);
+    ("dist rows 3, checkpointing", 1, also (rows 3) (fun _ ctx -> Ops.enable_checkpointing ctx));
+    ("dist rows 3 overlap, span tracing", 1, also (rows ~overlap:true 3) traced);
+  ]
+
+let test_programs (_, size, setup) () =
+  Pool.with_pool ~size (fun pool ->
+      Fun.protect ~finally:(fun () -> Am_obs.Obs.set_tracing false) (fun () ->
+          List.iteri
+            (fun case (steps, (fields, sums)) ->
+              let fields', sums' = run_steps (setup pool) steps in
+              if not (bitwise fields fields' && Array.for_all2 close sums' sums) then
+                Qcheck_util.failf_seed Qcheck_util.base_seed "program %d differs from seq (%g)"
+                  case (Fa.rel_discrepancy fields fields'))
+            (Lazy.force programs)))
+
+(* Each loop reads the global's value at its own call: 1 * 2 * 3 = 6. *)
+let test_refilled_global () =
+  let start, _ = run_steps ignore [] in
+  let want = Array.mapi (fun i v -> if i < prog_x * prog_y then 6.0 *. v else v) start in
+  List.iter
+    (fun (name, size, setup) ->
+      Pool.with_pool ~size (fun pool ->
+          let got, _ = run_steps (setup pool) [ Scale (0, 1.0); Scale (0, 2.0); Scale (0, 3.0) ] in
+          Am_obs.Obs.set_tracing false;
+          if not (bitwise want got) then
+            Alcotest.failf "%s: a loop did not read the global at its call" name))
+    program_configs
 
 (* ---- Plan-handle executor cache ------------------------------------------ *)
 
@@ -803,9 +955,8 @@ let run_program f ~empty ~steps =
   done;
   (f.fetch u, f.fetch w, sums)
 
-let ops1_facade ?(tiled = false) backend =
+let ops1_facade backend =
   let ctx = Ops1.create ~backend () in
-  if tiled then Ops1.set_tile_exec ctx (Ops1.Tiled { tile = 4 });
   let b = Ops1.decl_block ctx ~name:"line" in
   let arg = function
     | D (d, s, a) -> Ops1.arg_dat d s a
@@ -824,9 +975,8 @@ let ops1_facade ?(tiled = false) backend =
     fetch = Ops1.fetch_interior ctx;
   }
 
-let ops_facade ?(tiled = false) backend =
+let ops_facade backend =
   let ctx = Ops.create ~backend () in
-  if tiled then Ops.set_tile_exec ctx (Ops.Tiled { tile = 4 });
   let b = Ops.decl_block ctx ~name:"strip" in
   let arg = function
     | D (d, s, a) -> Ops.arg_dat d (Array.map (fun dx -> (dx, 0)) s) a
@@ -845,9 +995,8 @@ let ops_facade ?(tiled = false) backend =
     fetch = Ops.fetch_interior ctx;
   }
 
-let ops3_facade ?(tiled = false) backend =
+let ops3_facade backend =
   let ctx = Ops3.create ~backend () in
-  if tiled then Ops3.set_tile_exec ctx (Ops3.Tiled { tile = 4 });
   let b = Ops3.decl_block ctx ~name:"pencil" in
   let arg = function
     | D (d, s, a) -> Ops3.arg_dat d (Array.map (fun dx -> (dx, 0, 0)) s) a
@@ -868,22 +1017,20 @@ let ops3_facade ?(tiled = false) backend =
     fetch = Ops3.fetch_interior ctx;
   }
 
-type rank_backend = R_seq | R_shared | R_cuda of bool (* staged *) | R_check | R_tiled
+type rank_backend = R_seq | R_shared | R_cuda of bool (* staged *) | R_check
 
 let rank_backend_name = function
   | R_seq -> "seq"
   | R_shared -> "shared"
   | R_cuda staged -> if staged then "cuda staged" else "cuda global"
   | R_check -> "check"
-  | R_tiled -> "tiled"
 
 let run_ranks pool rb =
   let steps = 3 in
   let run f = run_program f ~empty:true ~steps in
-  let tiled = rb = R_tiled in
   let b1, b2, b3 =
     match rb with
-    | R_seq | R_tiled -> (Ops1.Seq, Ops.Seq, Ops3.Seq)
+    | R_seq -> (Ops1.Seq, Ops.Seq, Ops3.Seq)
     | R_shared -> (Ops1.Shared { pool }, Ops.Shared { pool }, Ops3.Shared { pool })
     | R_check -> (Ops1.Check, Ops.Check, Ops3.Check)
     | R_cuda staged ->
@@ -897,9 +1044,9 @@ let run_ranks pool rb =
         Ops3.Cuda_sim { Am_ops.Exec.tile_x = 5; tile_y = 2; tile_z = 2; staged } )
   in
   [
-    ("ops1", run (ops1_facade ~tiled b1));
-    ("ops", run (ops_facade ~tiled b2));
-    ("ops3", run (ops3_facade ~tiled b3));
+    ("ops1", run (ops1_facade b1));
+    ("ops", run (ops_facade b2));
+    ("ops3", run (ops3_facade b3));
   ]
 
 let test_one_core_three_ranks () =
@@ -915,12 +1062,12 @@ let test_one_core_three_ranks () =
               let same_sums =
                 match rb with
                 | R_shared -> Array.for_all2 close sums rsums
-                | R_seq | R_cuda _ | R_check | R_tiled -> bitwise sums rsums
+                | R_seq | R_cuda _ | R_check -> bitwise sums rsums
               in
               if not same_sums then
                 Alcotest.failf "%s: reduction differs from ops1 seq" name)
             (run_ranks pool rb))
-        [ R_seq; R_shared; R_cuda false; R_cuda true; R_check; R_tiled ])
+        [ R_seq; R_shared; R_cuda false; R_cuda true; R_check ])
 
 (* ---- Seq bits pinned across the rank-3 core ------------------------------ *)
 
@@ -1000,6 +1147,13 @@ let () =
           Alcotest.test_case "point form for staged arguments and the index" `Quick
             test_row_dispatch_staged;
         ] );
+      ( "OPS loop programs",
+        Alcotest.test_case "a Read global refilled in place is read at each call" `Quick
+          test_refilled_global
+        :: List.map
+             (fun ((name, _, _) as cfg) ->
+               Alcotest.test_case (name ^ " = seq") `Quick (test_programs cfg))
+             program_configs );
       ( "one core, three ranks",
         [
           Alcotest.test_case "ops1 = ops (n x 1) = ops3 (n x 1 x 1), every backend" `Quick

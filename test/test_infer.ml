@@ -520,7 +520,6 @@ let tighten_run ~tighten =
       ]
       (fun a -> a.(1).(0) <- a.(0).(0))
   done;
-  Ops.flush ctx;
   Am_obs.Counters.value Am_obs.Obs.halo_depth_saved - d0
 
 let test_tighten_opt_in () =
