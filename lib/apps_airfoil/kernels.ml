@@ -4,16 +4,23 @@
    time stepping with local timesteps (adt) and artificial dissipation.
 
    Each kernel is written once, over argument accessors ([Op2.Acc]: the
-   zero-copy ABI, run with [Op2.par_loop_acc]); the staged form that
-   [Op2.par_loop] takes is a one-line adapter over it.  The hand-coded
-   baseline ([Hand]) re-implements the same arithmetic over flat arrays,
-   in the same operation order, so "Original" and "OP2" runs agree to
-   rounding and the comparisons isolate the framework, not the maths.
+   zero-copy ABI), as a [let%elem_kernel]: the rewriter (lib/ppx_kernel)
+   binds it to a kernel value whose point form is the function as written
+   and whose element walker runs the body inlined over an element range,
+   computing each argument's base from the map ([Op2.par_loop_acc] takes
+   the value; [dune describe pp lib/apps_airfoil/kernels.ml] shows the
+   expansion).  The staged form that [Op2.par_loop] takes is a one-line
+   adapter over the point form.  The hand-coded baseline ([Hand])
+   re-implements the same arithmetic over flat arrays, in the same
+   operation order, so "Original" and "OP2" runs agree to rounding and the
+   comparisons isolate the framework, not the maths.
 
    The kernels are hot and the library is compiled with [-opaque] and
    without flambda, so a float that crosses a call boundary is boxed.
    Hence the module-local [@inline] accessors, and no local closures
-   capturing floats: helpers are top-level [@inline] functions. *)
+   capturing floats: helpers are top-level [@inline] functions, and they
+   take floats, since the rewriter refuses an accessor passed to a
+   function. *)
 
 module Acc = Am_op2.Op2.Acc
 
@@ -34,40 +41,43 @@ let qinf =
   [| r; r *. u; 0.0; r *. e |]
 
 (* save_soln: qold <- q (direct over cells). *)
-let save_soln_acc (a : Acc.t array) =
+let%elem_kernel save_soln_acc (a : Acc.t array) =
   let q = a.(0) and qold = a.(1) in
   for n = 0 to 3 do
     set qold n (get q n)
   done
 
-let save_soln = Acc.staged save_soln_acc
+let save_soln = Acc.staged save_soln_acc.Acc.elem
 let save_soln_info = { Am_core.Descr.flops = 0.0; transcendentals = 0.0 }
 
-(* Wave-speed bound of the face from node [xb] to node [xa]. *)
-let[@inline] face u v c xa xb =
-  let dx = get xa 0 -. get xb 0 and dy = get xa 1 -. get xb 1 in
+(* Wave-speed bound of the face from node b to node a, given
+   dx = xa - xb and dy = ya - yb. *)
+let[@inline] face u v c dx dy =
   Float.abs ((u *. dy) -. (v *. dx)) +. (c *. sqrt ((dx *. dx) +. (dy *. dy)))
 
 (* adt_calc: local timestep of a cell from its four corner nodes.
    args: x1 x2 x3 x4 (R, via cell->node), q (R, direct), adt (W, direct). *)
-let adt_calc_acc (a : Acc.t array) =
+let%elem_kernel adt_calc_acc (a : Acc.t array) =
   let x1 = a.(0) and x2 = a.(1) and x3 = a.(2) and x4 = a.(3) in
   let q = a.(4) and adt = a.(5) in
   let ri = 1.0 /. get q 0 in
   let u = ri *. get q 1 and v = ri *. get q 2 in
   let c = sqrt (gam *. gm1 *. ((ri *. get q 3) -. (0.5 *. ((u *. u) +. (v *. v))))) in
   let acc =
-    face u v c x2 x1 +. face u v c x3 x2 +. face u v c x4 x3 +. face u v c x1 x4
+    face u v c (get x2 0 -. get x1 0) (get x2 1 -. get x1 1)
+    +. face u v c (get x3 0 -. get x2 0) (get x3 1 -. get x2 1)
+    +. face u v c (get x4 0 -. get x3 0) (get x4 1 -. get x3 1)
+    +. face u v c (get x1 0 -. get x4 0) (get x1 1 -. get x4 1)
   in
   set adt 0 (acc /. cfl)
 
-let adt_calc = Acc.staged adt_calc_acc
+let adt_calc = Acc.staged adt_calc_acc.Acc.elem
 let adt_calc_info = { Am_core.Descr.flops = 40.0; transcendentals = 5.0 }
 
 (* res_calc: flux through an interior edge.
    args: x1 x2 (R, edge->node), q1 q2 (R, edge->cell), adt1 adt2 (R,
    edge->cell), res1 res2 (Inc, edge->cell). *)
-let res_calc_acc (a : Acc.t array) =
+let%elem_kernel res_calc_acc (a : Acc.t array) =
   let x1 = a.(0) and x2 = a.(1) in
   let q1 = a.(2) and q2 = a.(3) in
   let adt1 = a.(4) and adt2 = a.(5) in
@@ -110,14 +120,14 @@ let res_calc_acc (a : Acc.t array) =
   set res1 3 (get res1 3 +. f3);
   set res2 3 (get res2 3 -. f3)
 
-let res_calc = Acc.staged res_calc_acc
+let res_calc = Acc.staged res_calc_acc.Acc.elem
 let res_calc_info = { Am_core.Descr.flops = 78.0; transcendentals = 0.0 }
 
 (* bres_calc: flux through a boundary edge.
    args: x1 x2 (R, bedge->node), q1 adt1 (R, bedge->cell), res1 (Inc,
    bedge->cell), bound (R, direct). Wall boundaries contribute only the
    pressure term; far-field boundaries flux against the free stream. *)
-let bres_calc_acc (a : Acc.t array) =
+let%elem_kernel bres_calc_acc (a : Acc.t array) =
   let x1 = a.(0) and x2 = a.(1) in
   let q1 = a.(2) and adt1 = a.(3) and res1 = a.(4) in
   let bound = a.(5) in
@@ -161,12 +171,12 @@ let bres_calc_acc (a : Acc.t array) =
     set res1 3 (get res1 3 +. f3)
   end
 
-let bres_calc = Acc.staged bres_calc_acc
+let bres_calc = Acc.staged bres_calc_acc.Acc.elem
 let bres_calc_info = { Am_core.Descr.flops = 60.0; transcendentals = 0.0 }
 
 (* update: explicit step with the local timestep, residual reset and RMS
    accumulation. args: qold (R), q (W), res (Rw), adt (R), rms (Inc gbl). *)
-let update_acc (a : Acc.t array) =
+let%elem_kernel update_acc (a : Acc.t array) =
   let qold = a.(0) and q = a.(1) and res = a.(2) in
   let adt = a.(3) and rms = a.(4) in
   let adti = 1.0 /. get adt 0 in
@@ -177,5 +187,5 @@ let update_acc (a : Acc.t array) =
     set rms 0 (get rms 0 +. (del *. del))
   done
 
-let update = Acc.staged update_acc
+let update = Acc.staged update_acc.Acc.elem
 let update_info = { Am_core.Descr.flops = 16.0; transcendentals = 0.0 }

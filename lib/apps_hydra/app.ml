@@ -145,7 +145,7 @@ let create ?backend ?(features = all_features) ~nx ~ny () =
 let gradients t =
   Op2.par_loop_acc t.ctx ~name:"grad_zero" ~info:Kernels.grad_zero_info t.cells
     [ Op2.arg_dat t.grad Access.Write ]
-    Kernels.grad_zero;
+    Kernels.grad_zero_acc;
   Op2.par_loop_acc t.ctx ~name:"grad_accum" ~info:Kernels.grad_accum_info t.edges
     [
       Op2.arg_dat_indirect t.x t.edge_nodes 0 Access.Read;
@@ -155,10 +155,10 @@ let gradients t =
       Op2.arg_dat_indirect t.grad t.edge_cells 0 Access.Inc;
       Op2.arg_dat_indirect t.grad t.edge_cells 1 Access.Inc;
     ]
-    Kernels.grad_accum;
+    Kernels.grad_accum_acc;
   Op2.par_loop_acc t.ctx ~name:"grad_scale" ~info:Kernels.grad_scale_info t.cells
     [ Op2.arg_dat t.adt Access.Read; Op2.arg_dat t.grad Access.Rw ]
-    Kernels.grad_scale
+    Kernels.grad_scale_acc
 
 let fluxes t =
   Op2.par_loop_acc t.ctx ~name:"flux_inviscid" ~info:Kernels.flux_inviscid_info t.edges
@@ -172,7 +172,7 @@ let fluxes t =
       Op2.arg_dat_indirect t.res t.edge_cells 0 Access.Inc;
       Op2.arg_dat_indirect t.res t.edge_cells 1 Access.Inc;
     ]
-    Kernels.flux_inviscid;
+    Kernels.flux_inviscid_acc;
   if t.features.viscous then
   Op2.par_loop_acc t.ctx ~name:"flux_viscous" ~info:Kernels.flux_viscous_info t.edges
     [
@@ -183,7 +183,7 @@ let fluxes t =
       Op2.arg_dat_indirect t.res t.edge_cells 0 Access.Inc;
       Op2.arg_dat_indirect t.res t.edge_cells 1 Access.Inc;
     ]
-    Kernels.flux_viscous;
+    Kernels.flux_viscous_acc;
   Op2.par_loop_acc t.ctx ~name:"flux_boundary" ~info:Kernels.flux_boundary_info t.bedges
     [
       Op2.arg_dat_indirect t.x t.bedge_nodes 0 Access.Read;
@@ -192,7 +192,7 @@ let fluxes t =
       Op2.arg_dat_indirect t.res t.bedge_cell 0 Access.Inc;
       Op2.arg_dat t.bound Access.Read;
     ]
-    Kernels.flux_boundary;
+    Kernels.flux_boundary_acc;
   if t.features.source_terms then
   Op2.par_loop_acc t.ctx ~name:"source" ~info:Kernels.source_info t.cells
     [
@@ -200,25 +200,25 @@ let fluxes t =
       Op2.arg_dat t.grad Access.Read;
       Op2.arg_dat t.res Access.Inc;
     ]
-    Kernels.source
+    Kernels.source_acc
 
 let multigrid t =
   Op2.par_loop_acc t.ctx ~name:"mg_zero_r" ~info:Kernels.zero6_info t.coarse_cells
     [ Op2.arg_dat t.coarse_r Access.Write ]
-    Kernels.zero6;
+    Kernels.zero6_acc;
   Op2.par_loop_acc t.ctx ~name:"mg_zero_corr" ~info:Kernels.zero6_info t.coarse_cells
     [ Op2.arg_dat t.coarse_corr Access.Write ]
-    Kernels.zero6;
+    Kernels.zero6_acc;
   Op2.par_loop_acc t.ctx ~name:"mg_zero_acc" ~info:Kernels.zero6_info t.coarse_cells
     [ Op2.arg_dat t.coarse_acc Access.Write ]
-    Kernels.zero6;
+    Kernels.zero6_acc;
   Op2.par_loop_acc t.ctx ~name:"mg_restrict" ~info:Kernels.mg_restrict_info t.cells
     [
       Op2.arg_dat t.q Access.Read;
       Op2.arg_dat t.qold Access.Read;
       Op2.arg_dat_indirect t.coarse_r t.fine_to_coarse 0 Access.Inc;
     ]
-    Kernels.mg_restrict;
+    Kernels.mg_restrict_acc;
   for _smooth = 1 to 2 do
     Op2.par_loop_acc t.ctx ~name:"mg_smooth_edge" ~info:Kernels.mg_smooth_edge_info
       t.coarse_edges
@@ -228,7 +228,7 @@ let multigrid t =
         Op2.arg_dat_indirect t.coarse_acc t.coarse_edge_cells 0 Access.Inc;
         Op2.arg_dat_indirect t.coarse_acc t.coarse_edge_cells 1 Access.Inc;
       ]
-      Kernels.mg_smooth_edge;
+      Kernels.mg_smooth_edge_acc;
     Op2.par_loop_acc t.ctx ~name:"mg_smooth_cell" ~info:Kernels.mg_smooth_cell_info
       t.coarse_cells
       [
@@ -236,20 +236,20 @@ let multigrid t =
         Op2.arg_dat t.coarse_acc Access.Rw;
         Op2.arg_dat t.coarse_corr Access.Write;
       ]
-      Kernels.mg_smooth_cell
+      Kernels.mg_smooth_cell_acc
   done;
   Op2.par_loop_acc t.ctx ~name:"mg_prolong" ~info:Kernels.mg_prolong_info t.cells
     [
       Op2.arg_dat_indirect t.coarse_corr t.fine_to_coarse 0 Access.Read;
       Op2.arg_dat t.q Access.Rw;
     ]
-    Kernels.mg_prolong
+    Kernels.mg_prolong_acc
 
 (* One outer iteration: returns the RMS update of the final RK stage. *)
 let iteration t =
   Op2.par_loop_acc t.ctx ~name:"save_state" ~info:Kernels.save_state_info t.cells
     [ Op2.arg_dat t.q Access.Read; Op2.arg_dat t.qold Access.Write ]
-    Kernels.save_state;
+    Kernels.save_state_acc;
   Op2.par_loop_acc t.ctx ~name:"calc_dt" ~info:Kernels.calc_dt_info t.cells
     [
       Op2.arg_dat_indirect t.x t.cell_nodes 0 Access.Read;
@@ -259,7 +259,7 @@ let iteration t =
       Op2.arg_dat t.q Access.Read;
       Op2.arg_dat t.adt Access.Write;
     ]
-    Kernels.calc_dt;
+    Kernels.calc_dt_acc;
   let rms = [| 0.0 |] in
   Array.iter
     (fun alpha ->
@@ -275,7 +275,7 @@ let iteration t =
           Op2.arg_gbl ~name:"alpha" [| alpha |] Access.Read;
           Op2.arg_gbl ~name:"rms" rms Access.Inc;
         ]
-        Kernels.rk_stage)
+        Kernels.rk_stage_acc)
     Kernels.rk_alphas;
   if t.features.multigrid then multigrid t;
   sqrt (rms.(0) /. Float.of_int t.mesh.Umesh.n_cells)

@@ -18,8 +18,8 @@
    state towards the free stream), giving stable, deterministic dynamics
    whose exactness across backends the tests assert.
 
-   Kernels take argument accessors ([Op2.Acc], run with
-   [Op2.par_loop_acc]; [Hand.run_loop] drives the same functions).  They
+   Kernels take argument accessors ([Op2.Acc]; [Op2.par_loop_acc] runs
+   their lifted [_acc] values, [Hand.run_loop] the functions).  They
    follow the hot-kernel rule of [Am_airfoil.Kernels]: module-local
    [@inline] accessors and no local closures over floats, so no
    per-element allocation under [-opaque] without flambda. *)
@@ -250,3 +250,21 @@ let zero6_info = { Am_core.Descr.flops = 0.0; transcendentals = 0.0 }
 
 (* Runge-Kutta stage coefficients (5-stage, as Hydra's default scheme). *)
 let rk_alphas = [| 0.0533; 0.1263; 0.2375; 0.4414; 1.0 |]
+
+(* The kernel values of [App]'s loops, each point function lifted once
+   ([Acc.lift]); [Hand] calls the functions themselves. *)
+let save_state_acc = Acc.lift save_state
+let calc_dt_acc = Acc.lift calc_dt
+let grad_zero_acc = Acc.lift grad_zero
+let grad_accum_acc = Acc.lift grad_accum
+let grad_scale_acc = Acc.lift grad_scale
+let flux_inviscid_acc = Acc.lift flux_inviscid
+let flux_viscous_acc = Acc.lift flux_viscous
+let flux_boundary_acc = Acc.lift flux_boundary
+let source_acc = Acc.lift source
+let rk_stage_acc = Acc.lift rk_stage
+let mg_restrict_acc = Acc.lift mg_restrict
+let mg_smooth_edge_acc = Acc.lift mg_smooth_edge
+let mg_smooth_cell_acc = Acc.lift mg_smooth_cell
+let mg_prolong_acc = Acc.lift mg_prolong
+let zero6_acc = Acc.lift zero6

@@ -65,3 +65,57 @@ let lift point =
           done
         done);
   }
+
+(* ---- Element walkers: the unstructured (OP2) kernel value ---------------- *)
+
+(* How an element walker addresses one OP2 argument: the dataset array
+   ([||] for a global), the map table ([||] for a direct argument or a
+   global), the map's arity and the argument's slot in it, and the
+   dataset's dim.  Built once per compiled executor.  Element [e] of an
+   argument is at [map.(e * arity + idx) * dim] when indirect and at
+   [e * dim] when direct. *)
+type addr = { adata : float array; amap : int array; arity : int; idx : int; adim : int }
+
+(* One worker's view of a loop for an element walker.  [addrs] and [incs]
+   (the staged Inc arguments, in argument order) belong to the compiled
+   executor; [bufs] to the worker's frame.  [bufs.(k)] is [||] when
+   argument [k] is addressed in place, and otherwise the buffer the kernel
+   sees at base 0: a global's accumulator, or a staged Inc's per-element
+   scratch. *)
+type walk = { addrs : addr array; incs : int array; bufs : float array array }
+
+(* An unstructured-mesh kernel value: one kernel, with an element walker
+   when it was generated.  [elem] runs the kernel once, at the bases the
+   accessors hold.  [elems w lo hi] runs it at every element of [lo, hi),
+   in order; per element it computes each in-place base from [w.addrs],
+   zeroes every staged Inc scratch, runs the kernel, then adds every
+   scratch component back to memory, in argument order.  It is only called
+   when every dataset argument is in place or a staged Inc.
+   [let%elem_kernel] (lib/ppx_kernel) generates [elems] from the body of
+   [elem]; a plain point function has none, and runs on the executors'
+   point walker. *)
+type elem_kernel = { elem : t array -> unit; elems : (walk -> int -> int -> unit) option }
+
+(* A generated walker stages through these two when its loop stages an
+   Inc its body never writes.  Zero every staged Inc scratch of [w]. *)
+let zero_incs w =
+  for s = 0 to Array.length w.incs - 1 do
+    let z = w.bufs.(w.incs.(s)) in
+    Array.fill z 0 (Array.length z) 0.0
+  done
+
+(* Add every staged Inc scratch of [w] to memory at element [e], in
+   argument order. *)
+let add_incs w e =
+  for s = 0 to Array.length w.incs - 1 do
+    let k = w.incs.(s) in
+    let a = w.addrs.(k) and z = w.bufs.(k) in
+    let d = a.adata in
+    let t = (if Array.length a.amap = 0 then e else a.amap.((e * a.arity) + a.idx)) * a.adim in
+    for c = 0 to Array.length z - 1 do
+      d.(t + c) <- d.(t + c) +. z.(c)
+    done
+  done
+
+(* The kernel value of a plain OP2 point function. *)
+let lift_elem elem = { elem; elems = None }

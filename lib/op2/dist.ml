@@ -70,7 +70,7 @@ type t = {
      the same loop-signature key as the plan cache.  Both depend only on
      the rank-local map tables, which are fixed at [build] time. *)
   rank_splits : (string, rank_split array) Hashtbl.t;
-  rank_execs : (string * int, Exec_common.compiled_arg array) Hashtbl.t;
+  rank_execs : (string * int, Exec_common.compiled) Hashtbl.t;
 }
 
 type strategy =

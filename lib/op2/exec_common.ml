@@ -26,11 +26,26 @@
 
    Arguments are "compiled" once per (loop, signature) pair: the dataset
    array, map table and layout strides are resolved up front and baked
-   into one gather and one scatter closure per argument.  The per-worker
+   into one gather and one scatter closure per argument, beside the
+   addressing an element walker reads ([Acc.addr]).  The per-worker
    state — accessors, staging buffers, global accumulators — is a [frame]
    built from the compiled arguments at each loop call; both kernel forms
    share one compiled executor, so a loop handle serves both entry
-   points.  The inner copies use unsafe indexing; bounds are guaranteed by
+   points.
+
+   Two walkers run a frame over elements.  The point walker moves every
+   argument to the element ([enter]), calls the kernel's point form and
+   writes staged results back ([leave]).  The element walker is a
+   generated kernel's [elems] form ([Acc.elem_kernel]), which runs the
+   body inlined over a range [lo, hi) and computes each base from the map
+   itself.  [run_range] takes the element walker exactly when the kernel
+   has one and every dataset argument is in place or a staged AoS Inc
+   ([elementwise]); Seq and Shared run their ranges through it, every
+   other executor (Check, Vec, Cuda_sim, the partitioned core/boundary
+   subsets, footprint probing), and every lifted point function
+   ([Acc.lift]), runs the point walker per element.
+
+   The inner copies use unsafe indexing; bounds are guaranteed by
    declaration-time validation ([decl_map] range-checks every target,
    [decl_dat] fixes the array length) plus [validate_args] on the loop.
    The distributed backend passes resolvers that substitute rank-local
@@ -40,7 +55,7 @@ module Access = Am_core.Access
 module Acc = Am_core.Acc
 open Types
 
-type kernel = Staged of (float array array -> unit) | Accessor of (Acc.t array -> unit)
+type kernel = Staged of (float array array -> unit) | Accessor of Acc.elem_kernel
 
 type compiled_arg =
   | C_dat of {
@@ -58,6 +73,18 @@ type compiled_arg =
       scatter : float array -> int -> unit;
     }
   | C_gbl of { user_buf : float array; access : Access.t }
+
+(* A compiled executor: the arguments, and the addressing of an element
+   walker — per argument, then the staged Inc arguments in argument
+   order.  [elementwise] holds when every dataset argument is addressed in
+   place by an accessor kernel or is an AoS Inc, the arguments an element
+   walker can run. *)
+type compiled = {
+  args : compiled_arg array;
+  addrs : Acc.addr array;
+  incs : int array;
+  elementwise : bool;
+}
 
 type resolvers = {
   resolve_dat : dat -> float array * int; (* backing array and element count *)
@@ -206,30 +233,57 @@ let compile ?(resolvers = global_resolvers) args =
         }
     | Arg_gbl { buf; access; _ } -> C_gbl { user_buf = buf; access }
   in
-  Array.of_list (List.map2 compile_one args (in_place_flags args))
+  let args = Array.of_list (List.map2 compile_one args (in_place_flags args)) in
+  let addrs =
+    Array.map
+      (function
+        | C_dat { data; dim; map_values; arity; idx; indirect; _ } ->
+          let amap = if indirect then map_values else [||] in
+          { Acc.adata = data; amap; arity; idx; adim = dim }
+        | C_gbl _ -> { Acc.adata = [||]; amap = [||]; arity = 0; idx = 0; adim = 0 })
+      args
+  in
+  let staged_inc = function
+    | C_dat { access = Access.Inc; layout = Aos; _ } -> true
+    | C_dat _ | C_gbl _ -> false
+  in
+  {
+    args;
+    addrs;
+    incs =
+      Array.of_list
+        (List.filter (fun i -> staged_inc args.(i)) (List.init (Array.length args) Fun.id));
+    elementwise =
+      Array.for_all
+        (function C_dat { in_place; _ } as c -> in_place || staged_inc c | C_gbl _ -> true)
+        args;
+  }
 
 (* A cached executor is only valid while the argument list still resolves to
    the same backing stores: [Op2.update], [convert_layout] and the SoA
    conversion replace [dat.data] wholesale, and renumbering rewrites map
    tables.  Physical equality makes the check one pointer compare per
    argument. *)
-let compiled_matches compiled args =
-  Array.length compiled = List.length args
-  && List.for_all2
-       (fun c arg ->
-         match (c, arg) with
-         | C_dat cd, Arg_dat { dat; map; access } ->
-           cd.access = access && cd.data == dat.data && cd.layout = dat.layout
-           && (match map with
-              | None -> not cd.indirect
-              | Some (m, k) -> cd.indirect && cd.map_values == m.values && cd.idx = k)
-         | C_gbl cg, Arg_gbl { buf; access; _ } ->
-           cg.user_buf == buf && cg.access = access
-         | (C_dat _ | C_gbl _), _ -> false)
-       (Array.to_list compiled) args
+let arg_matches c arg =
+  match (c, arg) with
+  | C_dat cd, Arg_dat { dat; map; access } ->
+    cd.access = access && cd.data == dat.data && cd.layout = dat.layout
+    && (match map with
+       | None -> not cd.indirect
+       | Some (m, k) -> cd.indirect && cd.map_values == m.values && cd.idx = k)
+  | C_gbl cg, Arg_gbl { buf; access; _ } -> cg.user_buf == buf && cg.access = access
+  | (C_dat _ | C_gbl _), _ -> false
+
+(* The array and the list walked together: a warm call allocates nothing. *)
+let rec matches_from compiled i = function
+  | [] -> i = Array.length compiled
+  | arg :: rest ->
+    i < Array.length compiled && arg_matches compiled.(i) arg && matches_from compiled (i + 1) rest
+
+let compiled_matches compiled args = matches_from compiled.args 0 args
 
 let has_globals compiled =
-  Array.exists (function C_gbl _ -> true | C_dat _ -> false) compiled
+  Array.exists (function C_gbl _ -> true | C_dat _ -> false) compiled.args
 
 (* ---- Frames: one worker's state for one loop call ---------------------- *)
 
@@ -247,39 +301,44 @@ type slot =
 (* [bufs] holds the staging buffers ([||] for in-place arguments) and the
    global accumulators; [accs] the accessor of every argument; [before]
    the base moves and gathers run before the kernel, in argument order;
-   [after] the scatters of the staged arguments that write. *)
+   [after] the scatters of the staged arguments that write.  [walk] is the
+   element walker's view of the same buffers, [Some] exactly when
+   [run_range] runs the kernel's element form; [accs], [before] and
+   [after] are then empty. *)
 type frame = {
   kernel : kernel;
   bufs : float array array;
   accs : Acc.t array;
   before : slot array;
   after : slot array;
+  walk : Acc.walk option;
 }
 
-(* [staged] forces staged addressing for every argument (the Cuda_sim
-   scratchpad strategy fills the buffers itself). *)
+(* [in_place c] says whether the frame addresses [c] in place. *)
+let make_bufs ~in_place compiled =
+  Array.map
+    (function
+      | C_dat { dim; _ } as c -> if in_place c then [||] else Array.make dim 0.0
+      | C_gbl { user_buf; access } -> (
+        match access with
+        | Access.Read | Access.Min | Access.Max -> Array.copy user_buf
+        | Access.Inc -> Array.make (Array.length user_buf) 0.0
+        | Access.Write | Access.Rw -> invalid_arg "op2: Write/Rw access on a global argument"))
+    compiled
+
+(* A point walker's frame.  [staged] forces staged addressing for every
+   argument (the Cuda_sim scratchpad strategy fills the buffers itself). *)
 let make_frame ?(staged = false) compiled kernel =
   let accessor = match kernel with Accessor _ -> not staged | Staged _ -> false in
   let in_place = function C_dat c -> accessor && c.in_place | C_gbl _ -> false in
-  let bufs =
-    Array.map
-      (function
-        | C_dat { dim; _ } as c -> if in_place c then [||] else Array.make dim 0.0
-        | C_gbl { user_buf; access } -> (
-          match access with
-          | Access.Read | Access.Min | Access.Max -> Array.copy user_buf
-          | Access.Inc -> Array.make (Array.length user_buf) 0.0
-          | Access.Write | Access.Rw ->
-            invalid_arg "op2: Write/Rw access on a global argument"))
-      compiled
-  in
+  let bufs = make_bufs ~in_place compiled.args in
   let accs =
     Array.mapi
       (fun i c ->
         match c with
         | C_dat { data; _ } when in_place c -> Acc.of_array data
         | C_dat _ | C_gbl _ -> Acc.of_array bufs.(i))
-      compiled
+      compiled.args
   in
   let before = ref [] and after = ref [] in
   Array.iteri
@@ -296,14 +355,33 @@ let make_frame ?(staged = false) compiled kernel =
         let s = Staged_arg { buf = bufs.(i); gather; scatter } in
         before := s :: !before;
         if Access.writes access then after := s :: !after)
-    compiled;
+    compiled.args;
   {
     kernel;
     bufs;
     accs;
     before = Array.of_list (List.rev !before);
     after = Array.of_list (List.rev !after);
+    walk = None;
   }
+
+(* A frame for [run_range]: the element walker's when the kernel has one
+   (a generated kernel) and [compiled] is [elementwise], the point
+   walker's otherwise. *)
+let range_frame compiled kernel =
+  match kernel with
+  | Accessor { Acc.elems = Some _; _ } when compiled.elementwise ->
+    let in_place = function C_dat c -> c.in_place | C_gbl _ -> false in
+    let bufs = make_bufs ~in_place compiled.args in
+    {
+      kernel;
+      bufs;
+      accs = [||];
+      before = [||];
+      after = [||];
+      walk = Some { Acc.addrs = compiled.addrs; incs = compiled.incs; bufs };
+    }
+  | Accessor _ | Staged _ -> make_frame compiled kernel
 
 (* Point every argument at element [e]: move in-place bases, gather staged
    buffers (an Inc buffer is zeroed). *)
@@ -317,7 +395,7 @@ let enter f e =
     | Staged_arg { buf; gather; _ } -> gather buf e
   done
 
-let call f = match f.kernel with Staged k -> k f.bufs | Accessor k -> k f.accs
+let call f = match f.kernel with Staged k -> k f.bufs | Accessor k -> k.Acc.elem f.accs
 
 (* Write element [e]'s staged results back (an Inc buffer is added). *)
 let leave f e =
@@ -333,9 +411,19 @@ let run_element f e =
   call f;
   leave f e
 
+(* Every element of [lo, hi), in order: through the element walker when
+   the frame has one, the point walker otherwise. *)
+let run_range f lo hi =
+  match (f.walk, f.kernel) with
+  | Some w, Accessor { Acc.elems = Some elems; _ } -> elems w lo hi
+  | _ ->
+    for e = lo to hi - 1 do
+      run_element f e
+    done
+
 (* The kernel as a function of staging buffers, for the executors that
    stage every argument themselves (Check, footprint probing). *)
-let staged_view = function Staged k -> k | Accessor k -> Acc.staged k
+let staged_view = function Staged k -> k | Accessor k -> Acc.staged k.Acc.elem
 
 (* ---- Global reductions -------------------------------------------------- *)
 
@@ -363,7 +451,7 @@ let merge_globals compiled buffers =
             user_buf.(d) <- Float.max user_buf.(d) acc.(d)
           done
         | Access.Write | Access.Rw -> assert false))
-    compiled
+    compiled.args
 
 (* Accumulate worker [src]'s global partials into worker [dst]'s (one level
    of the reduction tree); Inc/Min/Max are associative and commutative. *)
@@ -389,7 +477,7 @@ let combine_globals compiled dst src =
             a.(d) <- Float.max a.(d) b.(d)
           done
         | Access.Write | Access.Rw -> assert false))
-    compiled
+    compiled.args
 
 (* Pairwise tree reduction of per-worker frames' accumulators into the user
    buffers (the pooled replacement for the per-chunk mutex merge). *)

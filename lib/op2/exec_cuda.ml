@@ -179,7 +179,7 @@ let write_back_stages stages =
 let run_element_staged args compiled frame stages e =
   let buffers = frame.Exec_common.bufs in
   let direct i f =
-    match compiled.(i) with
+    match compiled.Exec_common.args.(i) with
     | Exec_common.C_dat { gather; scatter; _ } -> f gather scatter
     | Exec_common.C_gbl _ -> ()
   in

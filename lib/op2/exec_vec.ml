@@ -38,11 +38,11 @@ let run ?resolvers ?compiled config plan ~set_size ~args ~kernel =
   in
   (* Per-lane frames: accessors, staging buffers, global accumulators. *)
   let lanes = Array.init width (fun _ -> Exec_common.make_frame compiled kernel) in
-  let run_pack elems lo hi =
-    let n = hi - lo in
+  (* The pack of lanes [0, n): lane [l] runs element [elem (lo + l)]. *)
+  let run_pack elem lo n =
     (* 1. packed gather (in-place arguments only move their base) *)
     for lane = 0 to n - 1 do
-      Exec_common.enter lanes.(lane) elems.(lo + lane)
+      Exec_common.enter lanes.(lane) (elem (lo + lane))
     done;
     (* 2. compute ("simd" body) *)
     for lane = 0 to n - 1 do
@@ -50,22 +50,22 @@ let run ?resolvers ?compiled config plan ~set_size ~args ~kernel =
     done;
     (* 3. packed scatter *)
     for lane = 0 to n - 1 do
-      Exec_common.leave lanes.(lane) elems.(lo + lane)
+      Exec_common.leave lanes.(lane) (elem (lo + lane))
     done
   in
-  let run_packed elems =
-    let n = Array.length elems in
+  (* Elements [elem 0] .. [elem (n - 1)] in packs of [width]. *)
+  let run_packed elem n =
     let full = n / width * width in
     let i = ref 0 in
     while !i < full do
-      run_pack elems !i (!i + width);
+      run_pack elem !i width;
       i := !i + width
     done;
     (* remainder pack *)
-    if full < n then run_pack elems full n
+    if full < n then run_pack elem full (n - full)
   in
   (match plan.Plan.elem_coloring with
-  | None -> run_packed (Array.init set_size Fun.id)
+  | None -> run_packed Fun.id set_size
   | Some ec ->
     (* Colour-by-colour packing: same-colour elements share no indirect
        target, so packed gathers/scatters cannot conflict. *)
@@ -75,7 +75,7 @@ let run ?resolvers ?compiled config plan ~set_size ~args ~kernel =
         if traced then
           Am_obs.Obs.begin_span ~cat:Am_obs.Tracer.Colour_round
             (Am_obs.Obs.colour_name colour);
-        run_packed elems;
+        run_packed (Array.get elems) (Array.length elems);
         if traced then Am_obs.Obs.end_span ())
       ec.Coloring.by_color);
   if Exec_common.has_globals compiled then

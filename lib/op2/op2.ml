@@ -10,13 +10,16 @@
                         ~to_set:cells ~arity:2 ~values in
      let q = Op2.decl_dat ctx ~name:"q" ~set:cells ~dim:4 ~data in
      ...
-     Op2.par_loop ctx ~name:"res_calc" edges
+     Op2.par_loop_acc ctx ~name:"res_calc" edges
        [ Op2.arg_dat_indirect q edge_cells 0 Read;
          Op2.arg_dat_indirect q edge_cells 1 Read;
          Op2.arg_dat_indirect res edge_cells 0 Inc;
          Op2.arg_dat_indirect res edge_cells 1 Inc ]
-       (fun a -> ...)
+       res_calc
    ]}
+
+   with [res_calc] an accessor kernel value, a [let%elem_kernel] or a plain
+   function through [Acc.lift].
 
    The backend (sequential, shared-memory, GPU simulator, distributed) is a
    property of the context and can be switched between loops; applications
@@ -34,7 +37,32 @@ type dat = Types.dat
 type arg = Types.arg
 type layout = Types.layout = Aos | Soa
 
-module Acc = Am_core.Acc
+module Acc = struct
+  type t = Am_core.Acc.t = { data : float array; mutable base : int; off : int array }
+
+  type addr = Am_core.Acc.addr = {
+    adata : float array;
+    amap : int array;
+    arity : int;
+    idx : int;
+    adim : int;
+  }
+
+  type walk = Am_core.Acc.walk = {
+    addrs : addr array;
+    incs : int array;
+    bufs : float array array;
+  }
+
+  type kernel = Am_core.Acc.elem_kernel = {
+    elem : t array -> unit;
+    elems : (walk -> int -> int -> unit) option;
+  }
+
+  let of_array = Am_core.Acc.of_array
+  let staged = Am_core.Acc.staged
+  let lift = Am_core.Acc.lift_elem
+end
 
 type backend =
   | Seq

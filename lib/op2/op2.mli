@@ -27,7 +27,8 @@
     {2 Kernel ABI}
 
     A kernel takes one argument view per loop argument, in two forms.  The
-    accessor form ({!par_loop_acc}, [Acc.t array -> unit]) is the zero-copy
+    accessor form ({!par_loop_acc}, whose point form is
+    [Acc.t array -> unit]; see the element walkers below) is the zero-copy
     one of the paper's Fig 7 [OP_ACC]: component [i] of argument [a] is
     [a.data.(a.base + i)], and for AoS datasets that no other argument of
     the loop writes the executor points [data] at the dataset itself and
@@ -41,7 +42,42 @@
     base-0 accessor over the buffer.  Kernels must touch only their
     arguments' [dim] components: under in-place addressing a write to a
     [Read] argument or past [dim] reaches memory, which probing and [Check]
-    report by loop, argument and slot. *)
+    report by loop, argument and slot.
+
+    {2 Element walkers}
+
+    {!par_loop_acc} takes a kernel value ({!Acc.kernel}) holding the point
+    form above and, for a generated kernel, an element walker
+    [elems w lo hi] that runs the kernel at every element of [[lo, hi)].
+    Per element it computes each in-place base from the argument's
+    addressing ({!Acc.addr}: [map.(e * arity + idx) * dim] for an indirect
+    argument, [e * dim] for a direct one), zeroes every staged [Inc]
+    scratch, runs the kernel, and adds every scratch component back to
+    memory in argument order before the next element — what the point
+    walker does, so the results are the same bits.  The executor calls
+    the element walker, when the kernel has one, whenever every dataset
+    argument is in place or a staged AoS [Inc]: once over the whole set
+    on [Seq], once per conflict-free chunk or coloured block on [Shared],
+    and on blocking partitioned ranks run by either.  Otherwise (no
+    element walker, an aliased or SoA argument), on [Check], [Vec] and
+    [Cuda_sim], on the partitioned core/boundary subsets and under
+    footprint probing, the point form runs at every element.
+
+    [let%elem_kernel name (a : Acc.t array) = body] (the [ppx_kernel]
+    rewriter) binds [name] to the kernel value whose point form is
+    [fun a -> body], exactly as written, and whose element walker is
+    generated: it loads each argument's arrays once per call, computes its
+    base per element, and runs [body] inlined, reading and writing
+    [data.(b_k + c)] with ordinary bounds-checked indexing and the same
+    floating-point operations in the same order.  The body names accessors
+    as [a.(k)] with a literal [k], or as a variable [let]-bound to one, and
+    uses them only through two module-local functions, [get x c] and
+    [set x c v] (component [c], literal or computed).  Any other use of an
+    accessor — passed to a function, returned or stored, indexed by a
+    non-literal argument number — is a compile-time error at its location,
+    so helpers take floats.  A plain point function becomes a kernel value
+    through {!Acc.lift}, with no element walker: it runs on the point
+    walker everywhere. *)
 
 module Access = Am_core.Access
 module Descr = Am_core.Descr
@@ -53,21 +89,55 @@ type map_t = Types.map_t
 type dat = Types.dat
 type arg = Types.arg
 
-(** Kernel argument accessors (see the kernel ABI above), the accessor type
-    OP2 shares with OPS ({!Am_core.Acc}).  An OP2 argument is a single
-    point: [off] is [[|0|]], and component [i] is
-    [a.data.(a.base + i)].  Kernel modules define their own [[@inline]]
-    component accessors,
+(** Kernel argument accessors and kernel values (see the kernel ABI and the
+    element walkers above), the accessor type OP2 shares with OPS
+    ({!Am_core.Acc}).  An OP2 argument is a single point: [off] is
+    [[|0|]], and component [i] is [a.data.(a.base + i)].  Kernel modules
+    define their own [[@inline]] component accessors,
     [let[@inline] get (a : Acc.t) i = a.Acc.data.(a.Acc.base + i)]: a call
     into another module is not inlined under [-opaque] and boxes floats. *)
 module Acc : sig
   type t = Am_core.Acc.t = { data : float array; mutable base : int; off : int array }
 
+  (** How an element walker addresses one argument: the dataset array
+      ([[||]] for a global), the map table ([[||]] for a direct argument
+      or a global), the map's arity, the argument's slot in it and the
+      dataset's dim.  Built once per compiled executor. *)
+  type addr = Am_core.Acc.addr = {
+    adata : float array;
+    amap : int array;
+    arity : int;
+    idx : int;
+    adim : int;
+  }
+
+  (** One worker's view of a loop: the executor's [addrs] and [incs] (the
+      staged [Inc] arguments, in argument order), and the worker's
+      [bufs] — [[||]] for an argument addressed in place, a global's
+      accumulator or an [Inc]'s scratch otherwise, seen at base 0. *)
+  type walk = Am_core.Acc.walk = {
+    addrs : addr array;
+    incs : int array;
+    bufs : float array array;
+  }
+
+  (** A kernel value: the point form, and for a generated kernel the
+      element walker that runs it over an element range (see the element
+      walkers above). *)
+  type kernel = Am_core.Acc.elem_kernel = {
+    elem : t array -> unit;
+    elems : (walk -> int -> int -> unit) option;
+  }
+
   (** A base-0 single-point accessor over a buffer. *)
   val of_array : float array -> t
 
-  (** The staged form of an accessor kernel. *)
+  (** The staged form of a point function. *)
   val staged : (t array -> unit) -> float array array -> unit
+
+  (** [lift f] is the kernel value of the point function [f], with no
+      element walker. *)
+  val lift : (t array -> unit) -> kernel
 end
 
 (** Dataset memory layout: array-of-structures or structure-of-arrays. *)
@@ -285,13 +355,15 @@ val par_loop :
   (float array array -> unit) ->
   unit
 
-(** [par_loop_acc] is {!par_loop} for an accessor kernel: the same
+(** [par_loop_acc] is {!par_loop} for an accessor kernel value: the same
     pipeline (validation, trace, fault counter, footprint probing,
     checkpointing, profile) and the same backends, with AoS [Read], [Write]
     and [Rw] datasets addressed in place instead of copied (see the kernel
-    ABI above).  Results are bitwise those of the staged form of the same
-    kernel ({!Acc.staged}) on every backend.  A handle may serve both entry
-    points: they share one compiled executor. *)
+    ABI above), and the element walker run over element ranges where the
+    rule above allows it.  Results are bitwise those of the staged form of
+    the same kernel ({!Acc.staged} of its point form) on every backend.  A
+    handle may serve both entry points: they share one compiled
+    executor. *)
 val par_loop_acc :
   ctx ->
   name:string ->
@@ -299,7 +371,7 @@ val par_loop_acc :
   ?handle:handle ->
   set ->
   arg list ->
-  (Acc.t array -> unit) ->
+  Acc.kernel ->
   unit
 
 (** {1 Kernel footprint inference}

@@ -238,7 +238,7 @@ let validate ?resolvers ~set_size args (plan : t) =
 type entry = {
   entry_name : string; (* loop name, for plan/compile trace spans *)
   entry_plan : t Lazy.t;
-  mutable entry_exec : Exec_common.compiled_arg array option;
+  mutable entry_exec : Exec_common.compiled option;
   mutable entry_foot : Am_core.Probe.info option;
       (* inferred kernel footprint, cached per signature alongside the plan
          so handle-resolved call sites skip the footprint-table lookup *)

@@ -1,4 +1,5 @@
-(* [let%kernel]: generated row walkers for structured-mesh accessor kernels.
+(* Generated walkers for accessor kernels: [let%kernel] for structured
+   meshes (OPS) and [let%elem_kernel] for unstructured ones (OP2).
 
      let%kernel pdv_acc (a : Acc.t array) = body
 
@@ -23,37 +24,70 @@
      gbl x c        component c of a global: data.(b + o_0 + c)
      set_gbl x c v  data.(b + o_0 + c) <- v
 
-   Indexing stays [Array.get]/[Array.set], bounds-checked, and each point
-   evaluates the same floating-point operations in the same order as the
-   point form.  Any other use of an accessor — passed to a function,
-   returned or stored, indexed by a non-literal argument number — and a
-   parameter other than [(a : Acc.t array)] are errors located at the
-   offending expression; the row form never falls back to per-point calls
-   inside itself. *)
+     let%elem_kernel res_calc (a : Acc.t array) = body
+
+   binds [res_calc] to an [Am_core.Acc.elem_kernel] value: the point form
+   as written, and ([Some]) an element walker [elems w lo hi] that runs
+   [body] at every element of [lo, hi), as the OP2 translator's generated
+   loops do.
+   It loads each used argument's addressing ([Acc.addr]) and arrays once
+   per call: the dataset itself when the argument is in place, the
+   frame's buffer (a global's accumulator, a staged Inc's scratch) at base
+   0 otherwise.  Per element it computes each in-place base inline —
+   [map.(e * arity + idx) * dim] when indirect, [e * dim] when direct —
+   zeroes every staged Inc scratch, runs the body, and adds every scratch
+   component back to memory in argument order.  Its vocabulary is two
+   functions, with a literal or computed component [c]:
+
+     get x c        data.(b + c)
+     set x c v      data.(b + c) <- v
+
+   In both forms indexing stays [Array.get]/[Array.set], bounds-checked,
+   and each point or element evaluates the same floating-point operations
+   in the same order as the point form.  Any other use of an accessor —
+   passed to a function, returned or stored, indexed by a non-literal
+   argument number — and a parameter other than [(a : Acc.t array)] are
+   errors located at the offending expression; a generated walker never
+   falls back to per-point calls inside itself. *)
 
 open Ppxlib
 
-let vocabulary = [ ("get", 2); ("set", 2); ("gbl", 2); ("set_gbl", 3) ]
+(* Which walker a kernel gets: a row form ([let%kernel]) or an element
+   walker ([let%elem_kernel]). *)
+type form = Rows | Elements
+
+let extension_name = function Rows -> "kernel" | Elements -> "elem_kernel"
+
+let vocabulary = function
+  | Rows -> [ ("get", 2); ("set", 2); ("gbl", 2); ("set_gbl", 3) ]
+  | Elements -> [ ("get", 2); ("set", 3) ]
+
+let vocabulary_names = function
+  | Rows -> "get, set, gbl and set_gbl"
+  | Elements -> "get and set"
 
 (* The accessors one kernel uses: per argument number, the literal stencil
    points it reads or writes at (the centre, 0, for [set]/[gbl]/[set_gbl])
-   and whether a computed point reads its offset table. *)
-type use = { mutable points : int list; mutable table : bool }
+   and whether a computed point reads its offset table (row forms), and
+   whether the body writes it (element walkers). *)
+type use = { mutable points : int list; mutable table : bool; mutable written : bool }
 
 type env = {
+  form : form;
   kname : string;
   param : string option; (* [None] once a binder shadows it *)
   aliases : (string * int) list;
   uses : (int, use) Hashtbl.t;
 }
 
-let fail env ~loc fmt = Location.raise_errorf ~loc ("%%kernel %s: " ^^ fmt) env.kname
+let fail env ~loc fmt =
+  Location.raise_errorf ~loc ("%%%s %s: " ^^ fmt) (extension_name env.form) env.kname
 
 let use env k =
   match Hashtbl.find_opt env.uses k with
   | Some u -> u
   | None ->
-    let u = { points = []; table = false } in
+    let u = { points = []; table = false; written = false } in
     Hashtbl.add env.uses k u;
     u
 
@@ -86,8 +120,8 @@ let is_param env e =
 
 let escapes env e =
   fail env ~loc:e.pexp_loc
-    "an accessor is returned or stored; accessors may only be read and written through \
-     get, set, gbl and set_gbl"
+    "an accessor is returned or stored; accessors may only be read and written through %s"
+    (vocabulary_names env.form)
 
 (* Generated names; the [__kernel_] prefix keeps them apart from the
    body's own. *)
@@ -125,8 +159,8 @@ let shadow env names =
 
 let shadow_pat env p = shadow env (bound_vars#pattern p [])
 
-(* The body of the row form: every accessor use rewritten to indexing on
-   the hoisted locals, binders respecting scope. *)
+(* The body of a generated walker: every accessor use rewritten to
+   indexing on the hoisted locals, binders respecting scope. *)
 let rewrite =
   object (self)
     inherit [env] Ast_traverse.map_with_context as super
@@ -140,7 +174,7 @@ let rewrite =
         match e.pexp_desc with
         | Pexp_apply
             ({ pexp_desc = Pexp_ident { txt = Lident f; _ }; _ }, ((Nolabel, x) :: rest as args))
-          when List.assoc_opt f vocabulary = Some (List.length args)
+          when List.assoc_opt f (vocabulary env.form) = Some (List.length args)
                && List.for_all (fun (l, _) -> l = Nolabel) rest
                && accessor env x <> None -> (
           let k = Option.get (accessor env x) in
@@ -150,8 +184,10 @@ let rewrite =
             evar ~loc (point k 0)
           in
           let d = evar ~loc (data k) in
-          match (f, List.map (fun (_, a) -> self#expression env a) rest) with
-          | "get", [ p ] -> (
+          (* [b_k + c], element component [c]. *)
+          let comp c = [%expr Stdlib.( + ) [%e evar ~loc (base k)] [%e c]] in
+          match (env.form, f, List.map (fun (_, a) -> self#expression env a) rest) with
+          | Rows, "get", [ p ] -> (
             match literal_int p with
             | Some p when p >= 0 ->
               if not (List.mem p u.points) then u.points <- p :: u.points;
@@ -161,21 +197,25 @@ let rewrite =
               [%expr
                 Stdlib.Array.get [%e d]
                   [%e at ~loc k [%expr Stdlib.Array.get [%e evar ~loc (offs k)] [%e p]]]])
-          | "set", [ v ] -> [%expr Stdlib.Array.set [%e d] [%e at ~loc k (centre ())] [%e v]]
-          | "gbl", [ c ] ->
+          | Rows, "set", [ v ] -> [%expr Stdlib.Array.set [%e d] [%e at ~loc k (centre ())] [%e v]]
+          | Rows, "gbl", [ c ] ->
             [%expr
               Stdlib.Array.get [%e d] (Stdlib.( + ) [%e at ~loc k (centre ())] [%e c])]
-          | "set_gbl", [ c; v ] ->
+          | Rows, "set_gbl", [ c; v ] ->
             [%expr
               Stdlib.Array.set [%e d] (Stdlib.( + ) [%e at ~loc k (centre ())] [%e c]) [%e v]]
+          | Elements, "get", [ c ] -> [%expr Stdlib.Array.get [%e d] [%e comp c]]
+          | Elements, "set", [ c; v ] ->
+            u.written <- true;
+            [%expr Stdlib.Array.set [%e d] [%e comp c] [%e v]]
           | _ -> assert false)
         | Pexp_apply (_, args) ->
           List.iter
             (fun (_, a) ->
               if accessor env a <> None || is_param env a then
                 fail env ~loc:a.pexp_loc
-                  "an accessor is passed to a function; only get, set, gbl and set_gbl \
-                   may take one")
+                  "an accessor is passed to a function; only %s may take one"
+                  (vocabulary_names env.form))
             args;
           super#expression env e
         | Pexp_let (Nonrecursive, vbs, body) ->
@@ -271,6 +311,136 @@ let row_form ~loc env body =
       fun (__kernel_a : Am_core.Acc.t array) (__kernel_steps : int array) (__kernel_n : int) ->
         [%e hoisted]]
 
+(* Per-argument locals of the element walker. *)
+let dataset k = Printf.sprintf "__kernel_g%d" k
+let map k = Printf.sprintf "__kernel_m%d" k
+let indirect k = Printf.sprintf "__kernel_i%d" k
+let arity k = Printf.sprintf "__kernel_r%d" k
+let slot k = Printf.sprintf "__kernel_x%d" k
+let dim k = Printf.sprintf "__kernel_w%d" k
+let stride k = Printf.sprintf "__kernel_v%d" k
+let inc k = Printf.sprintf "__kernel_n%d" k
+let target k = Printf.sprintf "__kernel_u%d" k
+
+(* The element walker around the rewritten [body].  Per call it loads each
+   used argument's addressing: the array the body sees ([data k]: the
+   dataset in place, else the frame's buffer), the dataset, the map, and
+   whether the argument is a staged Inc.  Per element it computes each
+   used argument's target element ([target k]) and base — [stride k] is 0
+   for a buffer — and, when the loop stages an Inc, zeroes the scratches
+   before the body and adds them back after it, in argument order.  Those
+   two steps are inlined for the arguments the body writes; when the loop
+   stages an Inc the body never writes (its scratch stays zero, but adding
+   it still turns a -0.0 into +0.0), [Acc.zero_incs] and [Acc.add_incs]
+   take both steps for every staged Inc instead, so the order stays the
+   argument order. *)
+let elems_form ~loc env body =
+  let ks = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) env.uses []) in
+  let written = List.filter (fun k -> (Hashtbl.find env.uses k).written) ks in
+  let pvar name = Ast_builder.Default.pvar ~loc name in
+  let ev k f = evar ~loc (f k) in
+  let seq = List.fold_right (fun x acc -> [%expr [%e x]; [%e acc]]) in
+  let zero k =
+    [%expr
+      if [%e ev k inc] then
+        for __kernel_c = 0 to Stdlib.( - ) [%e ev k dim] 1 do
+          Stdlib.Array.set [%e ev k data] __kernel_c 0.0
+        done]
+  in
+  let add_back k =
+    [%expr
+      if [%e ev k inc] then begin
+        let __kernel_b = Stdlib.( * ) [%e ev k target] [%e ev k dim] in
+        for __kernel_c = 0 to Stdlib.( - ) [%e ev k dim] 1 do
+          let __kernel_j = Stdlib.( + ) __kernel_b __kernel_c in
+          Stdlib.Array.set [%e ev k dataset] __kernel_j
+            (Stdlib.( +. )
+               (Stdlib.Array.get [%e ev k dataset] __kernel_j)
+               (Stdlib.Array.get [%e ev k data] __kernel_c))
+        done
+      end]
+  in
+  let staged step ~all ~each =
+    [%expr
+      if __kernel_staging then
+        if __kernel_generic then [%e all] else [%e seq (List.map step each) [%expr ()]]]
+  in
+  let element =
+    List.fold_right
+      (fun k acc ->
+        [%expr
+          let [%p pvar (target k)] =
+            if [%e ev k indirect] then
+              Stdlib.Array.get [%e ev k map]
+                (Stdlib.( + ) (Stdlib.( * ) __kernel_e [%e ev k arity]) [%e ev k slot])
+            else __kernel_e
+          in
+          let [%p pvar (base k)] = Stdlib.( * ) [%e ev k target] [%e ev k stride] in
+          [%e acc]])
+      ks
+      (seq
+         [ staged zero ~all:[%expr Am_core.Acc.zero_incs __kernel_walk] ~each:written; body ]
+         (staged add_back ~all:[%expr Am_core.Acc.add_incs __kernel_walk __kernel_e] ~each:written))
+  in
+  let loop =
+    [%expr for __kernel_e = __kernel_lo to Stdlib.( - ) __kernel_hi 1 do [%e element] done]
+  in
+  let hoisted =
+    List.fold_right
+      (fun k acc ->
+        let ek = Ast_builder.Default.eint ~loc k in
+        let acc =
+          if not (List.mem k written) then acc
+          else
+            [%expr
+              let [%p pvar (inc k)] =
+                Stdlib.( && ) (Stdlib.not __kernel_p)
+                  (Stdlib.( > ) (Stdlib.Array.length [%e ev k dataset]) 0)
+              in
+              [%e acc]]
+        in
+        [%expr
+          let __kernel_t = Stdlib.Array.get __kernel_addrs [%e ek] in
+          let __kernel_z = Stdlib.Array.get __kernel_bufs [%e ek] in
+          let __kernel_p = Stdlib.( = ) (Stdlib.Array.length __kernel_z) 0 in
+          let [%p pvar (dataset k)] = __kernel_t.Am_core.Acc.adata in
+          let [%p pvar (data k)] = if __kernel_p then [%e ev k dataset] else __kernel_z in
+          let [%p pvar (map k)] = __kernel_t.Am_core.Acc.amap in
+          let [%p pvar (indirect k)] = Stdlib.( > ) (Stdlib.Array.length [%e ev k map]) 0 in
+          let [%p pvar (arity k)] = __kernel_t.Am_core.Acc.arity in
+          let [%p pvar (slot k)] = __kernel_t.Am_core.Acc.idx in
+          let [%p pvar (dim k)] = __kernel_t.Am_core.Acc.adim in
+          let [%p pvar (stride k)] = if __kernel_p then [%e ev k dim] else 0 in
+          [%e acc]])
+      ks loop
+  in
+  (* Is some staged Inc not one the body writes? *)
+  let others =
+    Ast_builder.Default.pexp_match ~loc [%expr Stdlib.Array.get __kernel_incs __kernel_s]
+      (List.map
+         (fun k ->
+           Ast_builder.Default.case ~lhs:(Ast_builder.Default.pint ~loc k) ~guard:None
+             ~rhs:[%expr ()])
+         written
+      @ [ Ast_builder.Default.case ~lhs:[%pat? _] ~guard:None ~rhs:[%expr __kernel_g := true] ])
+  in
+  [%expr
+    fun (__kernel_walk : Am_core.Acc.walk) (__kernel_lo : int) (__kernel_hi : int) ->
+      if Stdlib.( < ) __kernel_lo __kernel_hi then begin
+        let __kernel_addrs = __kernel_walk.Am_core.Acc.addrs in
+        let __kernel_bufs = __kernel_walk.Am_core.Acc.bufs in
+        let __kernel_incs = __kernel_walk.Am_core.Acc.incs in
+        let __kernel_staging = Stdlib.( > ) (Stdlib.Array.length __kernel_incs) 0 in
+        let __kernel_generic =
+          let __kernel_g = Stdlib.ref false in
+          for __kernel_s = 0 to Stdlib.( - ) (Stdlib.Array.length __kernel_incs) 1 do
+            [%e others]
+          done;
+          Stdlib.( ! ) __kernel_g
+        in
+        [%e hoisted]
+      end]
+
 let is_acc_array ty =
   match ty.ptyp_desc with
   | Ptyp_constr
@@ -279,16 +449,18 @@ let is_acc_array ty =
     match path with Lident "Acc" | Ldot (_, "Acc") -> true | _ -> false)
   | _ -> false
 
-(* [let%kernel name (a : Acc.t array) = body] as one value binding. *)
-let expand_binding ~loc vb =
+(* [let%kernel name (a : Acc.t array) = body] (or [let%elem_kernel]) as one
+   value binding. *)
+let expand_binding form ~loc vb =
+  let ext = extension_name form in
   let kname =
     match vb.pvb_pat.ppat_desc with
     | Ppat_var { txt; _ } -> txt
-    | _ -> Location.raise_errorf ~loc:vb.pvb_pat.ppat_loc "%%kernel: bind a plain name"
+    | _ -> Location.raise_errorf ~loc:vb.pvb_pat.ppat_loc "%%%s: bind a plain name" ext
   in
   let bad () =
     Location.raise_errorf ~loc:vb.pvb_expr.pexp_loc
-      "%%kernel %s: the kernel must take one parameter (a : Acc.t array)" kname
+      "%%%s %s: the kernel must take one parameter (a : Acc.t array)" ext kname
   in
   let param, body =
     match vb.pvb_expr.pexp_desc with
@@ -310,26 +482,32 @@ let expand_binding ~loc vb =
       (txt, body)
     | _ -> bad ()
   in
-  let env = { kname; param = Some param; aliases = []; uses = Hashtbl.create 8 } in
-  let row = row_form ~loc env (rewrite#expression env body) in
+  let env = { form; kname; param = Some param; aliases = []; uses = Hashtbl.create 8 } in
+  let body = rewrite#expression env body in
   let point = vb.pvb_expr in
-  let value = [%expr { Am_core.Acc.point = [%e point]; row = [%e row] }] in
+  let value =
+    match form with
+    | Rows -> [%expr { Am_core.Acc.point = [%e point]; row = [%e row_form ~loc env body] }]
+    | Elements ->
+      [%expr { Am_core.Acc.elem = [%e point]; elems = Some [%e elems_form ~loc env body] }]
+  in
   Ast_builder.Default.pstr_value ~loc Nonrecursive [ { vb with pvb_expr = value } ]
 
-let expand_item item =
+let expand_item form item =
   match item.pstr_desc with
-  | Pstr_value (Nonrecursive, [ vb ]) -> expand_binding ~loc:item.pstr_loc vb
+  | Pstr_value (Nonrecursive, [ vb ]) -> expand_binding form ~loc:item.pstr_loc vb
   | _ ->
+    let ext = extension_name form in
     Location.raise_errorf ~loc:item.pstr_loc
-      "%%kernel: expected let%%kernel name (a : Acc.t array) = body"
+      "%%%s: expected let%%%s name (a : Acc.t array) = body" ext ext
 
-let extension =
-  Extension.V3.declare "kernel" Extension.Context.structure_item
+let extension form =
+  Extension.V3.declare (extension_name form) Extension.Context.structure_item
     Ast_pattern.(pstr (__ ^:: nil))
-    (fun ~ctxt:_ item -> expand_item item)
+    (fun ~ctxt:_ item -> expand_item form item)
 
-(* Expand every [let%kernel] of a structure: the rewriter as a function,
-   for tests. *)
+(* Expand every [let%kernel] and [let%elem_kernel] of a structure: the
+   rewriter as a function, for tests. *)
 let rewrite_structure =
   let mapper =
     object
@@ -337,11 +515,18 @@ let rewrite_structure =
 
       method! structure_item item =
         match item.pstr_desc with
-        | Pstr_extension (({ txt = "kernel"; _ }, PStr [ inner ]), _) -> expand_item inner
+        | Pstr_extension (({ txt = "kernel"; _ }, PStr [ inner ]), _) -> expand_item Rows inner
+        | Pstr_extension (({ txt = "elem_kernel"; _ }, PStr [ inner ]), _) ->
+          expand_item Elements inner
         | _ -> super#structure_item item
     end
   in
   mapper#structure
 
 let () =
-  Driver.register_transformation "kernel" ~rules:[ Context_free.Rule.extension extension ]
+  Driver.register_transformation "kernel"
+    ~rules:
+      [
+        Context_free.Rule.extension (extension Rows);
+        Context_free.Rule.extension (extension Elements);
+      ]

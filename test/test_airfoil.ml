@@ -258,6 +258,63 @@ let test_alloc_budget () =
   if words > 20_000.0 then
     Alcotest.failf "one Seq iteration allocated %.0f minor words (budget 20000)" words
 
+(* A warm executor freshness check walks the compiled arguments and the
+   argument list together: on res_calc's eight arguments it allocates
+   nothing, where converting the array to a list took 29 words a call. *)
+let test_compiled_matches_alloc () =
+  let t = App.create (Lazy.force mesh) in
+  ignore (App.iteration t);
+  let args =
+    [
+      Op2.arg_dat_indirect t.App.x t.App.edge_nodes 0 Am_core.Access.Read;
+      Op2.arg_dat_indirect t.App.x t.App.edge_nodes 1 Am_core.Access.Read;
+      Op2.arg_dat_indirect t.App.q t.App.edge_cells 0 Am_core.Access.Read;
+      Op2.arg_dat_indirect t.App.q t.App.edge_cells 1 Am_core.Access.Read;
+      Op2.arg_dat_indirect t.App.adt t.App.edge_cells 0 Am_core.Access.Read;
+      Op2.arg_dat_indirect t.App.adt t.App.edge_cells 1 Am_core.Access.Read;
+      Op2.arg_dat_indirect t.App.res t.App.edge_cells 0 Am_core.Access.Inc;
+      Op2.arg_dat_indirect t.App.res t.App.edge_cells 1 Am_core.Access.Inc;
+    ]
+  in
+  let compiled = Am_op2.Exec_common.compile args in
+  let matches = ref true in
+  let check () =
+    for _ = 1 to 100 do
+      matches := !matches && Am_op2.Exec_common.compiled_matches compiled args
+    done
+  in
+  let words = Gc_util.minor_words check -. Gc_util.minor_words (fun () -> ()) in
+  Alcotest.(check bool) "the executor matches its arguments" true !matches;
+  Alcotest.(check (float 0.0)) "100 warm checks allocate no minor words" 0.0 words
+
+(* The Vec backend packs a conflict-free loop's lanes straight over
+   [0, set_size): a warm save_soln call at 120x80 allocates under 100 words
+   directly in the major heap (major minus promoted words, counters
+   flushed by a minor collection on both sides), where the identity
+   permutation it used to build took about 9,600. *)
+let test_vec_direct_major () =
+  let t =
+    App.create ~backend:(Op2.Vec Am_op2.Exec_vec.default_config)
+      (Umesh.generate_airfoil ~nx:120 ~ny:80 ())
+  in
+  let save_soln () =
+    Op2.par_loop_acc t.App.ctx ~name:"save_soln" ~info:Kernels.save_soln_info
+      ~handle:t.App.h_save_soln t.App.cells
+      [ Op2.arg_dat t.App.q Am_core.Access.Read; Op2.arg_dat t.App.qold Am_core.Access.Write ]
+      Kernels.save_soln_acc
+  in
+  save_soln ();
+  Gc.minor ();
+  let s0 = Gc.quick_stat () in
+  save_soln ();
+  Gc.minor ();
+  let s1 = Gc.quick_stat () in
+  let direct =
+    s1.Gc.major_words -. s0.Gc.major_words -. (s1.Gc.promoted_words -. s0.Gc.promoted_words)
+  in
+  if direct >= 100.0 then
+    Alcotest.failf "a warm vec save_soln allocated %.0f words directly in the major heap" direct
+
 let () =
   Alcotest.run "airfoil"
     [
@@ -287,6 +344,10 @@ let () =
         [
           Alcotest.test_case "trace shape" `Quick test_trace_shape;
           Alcotest.test_case "seq iteration allocation budget" `Quick test_alloc_budget;
+          Alcotest.test_case "warm executor check allocates nothing" `Quick
+            test_compiled_matches_alloc;
+          Alcotest.test_case "warm vec call allocates nothing major directly" `Quick
+            test_vec_direct_major;
         ] );
       ( "checkpointing",
         [

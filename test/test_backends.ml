@@ -349,10 +349,11 @@ let test_aliased_args_staged () =
     let d = Op2.decl_dat ctx ~name:"d" ~set:cells ~dim:1 ~data:(Array.init 6 Float.of_int) in
     let args = [ Op2.arg_dat_indirect d id 0 Access.Read; Op2.arg_dat d Access.Write ] in
     (if acc then
-       Op2.par_loop_acc ctx ~name:"bump" cells args (fun a ->
-           let r = a.(0) and w = a.(1) in
-           w.Op2.Acc.data.(w.Op2.Acc.base) <- 0.0;
-           w.Op2.Acc.data.(w.Op2.Acc.base) <- r.Op2.Acc.data.(r.Op2.Acc.base) +. 1.0)
+       Op2.par_loop_acc ctx ~name:"bump" cells args
+         (Op2.Acc.lift (fun a ->
+              let r = a.(0) and w = a.(1) in
+              w.Op2.Acc.data.(w.Op2.Acc.base) <- 0.0;
+              w.Op2.Acc.data.(w.Op2.Acc.base) <- r.Op2.Acc.data.(r.Op2.Acc.base) +. 1.0))
      else
        Op2.par_loop ctx ~name:"bump" cells args (fun a ->
            a.(1).(0) <- 0.0;
@@ -362,6 +363,168 @@ let test_aliased_args_staged () =
   Alcotest.(check (array (float 0.0))) "staged semantics" (run false) (run true);
   Alcotest.(check (array (float 0.0)))
     "old + 1" (Array.init 6 (fun i -> Float.of_int i +. 1.0)) (run true)
+
+(* ---- The element-walker dispatch rule (OP2) ------------------------------- *)
+
+(* A hand-built OP2 kernel value: generated kernel [k] with an element
+   walker that counts its calls and the elements they cover before running
+   [k]'s, so which walker runs, and over which ranges, is observable.  The
+   counters are atomic: Shared runs ranges on two domains. *)
+type elem_probe = { ecalls : int Atomic.t; covered : int Atomic.t }
+
+let elem_probe_kernel (k : Op2.Acc.kernel) =
+  let p = { ecalls = Atomic.make 0; covered = Atomic.make 0 } in
+  let walk = Option.get k.Op2.Acc.elems in
+  let elems w lo hi =
+    Atomic.incr p.ecalls;
+    ignore (Atomic.fetch_and_add p.covered (hi - lo));
+    walk w lo hi
+  in
+  (p, { k with Op2.Acc.elems = Some elems })
+
+(* The probed kernels: add one to component 0 of argument 0 ([bump0]), of
+   arguments 0 to 2 ([bump012]) or of argument 1 ([bump1]). *)
+module Probed = struct
+  let[@inline] get (a : Op2.Acc.t) c = a.Op2.Acc.data.(a.Op2.Acc.base + c)
+  let[@inline] set (a : Op2.Acc.t) c v = a.Op2.Acc.data.(a.Op2.Acc.base + c) <- v
+  let%elem_kernel bump0 (a : Op2.Acc.t array) = set a.(0) 0 (get a.(0) 0 +. 1.0)
+
+  let%elem_kernel bump012 (a : Op2.Acc.t array) =
+    set a.(0) 0 (get a.(0) 0 +. 1.0);
+    set a.(1) 0 (get a.(1) 0 +. 1.0);
+    set a.(2) 0 (get a.(2) 0 +. 1.0)
+
+  let%elem_kernel bump1 (a : Op2.Acc.t array) = set a.(1) 0 (get a.(1) 0 +. 1.0)
+end
+
+(* A ring of [ring] cells and as many edges, edge [e] joining cells [e] and
+   [e + 1]: [hits] is per edge, [ends] per cell (dim 2), [seen] per cell. *)
+let ring = 600
+
+type ring_t = {
+  rctx : Op2.ctx;
+  edges : Op2.set;
+  e2c : Op2.map_t;
+  hits : Op2.dat;
+  ends : Op2.dat;
+  seen : Op2.dat;
+}
+
+let make_ring ?backend () =
+  let ctx = Op2.create ?backend () in
+  let cells = Op2.decl_set ctx ~name:"cells" ~size:ring in
+  let edges = Op2.decl_set ctx ~name:"edges" ~size:ring in
+  let e2c =
+    Op2.decl_map ctx ~name:"e2c" ~from_set:edges ~to_set:cells ~arity:2
+      ~values:(Array.init (2 * ring) (fun i -> ((i / 2) + (i mod 2)) mod ring))
+  in
+  {
+    rctx = ctx;
+    edges;
+    e2c;
+    hits = Op2.decl_dat_zero ctx ~name:"hits" ~set:edges ~dim:1;
+    ends = Op2.decl_dat_zero ctx ~name:"ends" ~set:cells ~dim:2;
+    seen = Op2.decl_dat ctx ~name:"seen" ~set:cells ~dim:1 ~data:(Array.init ring Float.of_int);
+  }
+
+(* The probed loops over the edges: [Direct] bumps [hits] (conflict-free),
+   [Coloured] also increments both ends' [ends] (coloured blocks on
+   Shared), [Reading] bumps [hits] after reading [seen] through the map
+   (so an overlapped partition splits it into core and boundary). *)
+type ring_loop = Direct | Coloured | Reading
+
+let ring_args r = function
+  | Direct -> [ Op2.arg_dat r.hits Access.Rw ]
+  | Coloured ->
+    [
+      Op2.arg_dat r.hits Access.Rw;
+      Op2.arg_dat_indirect r.ends r.e2c 0 Access.Inc;
+      Op2.arg_dat_indirect r.ends r.e2c 1 Access.Inc;
+    ]
+  | Reading -> [ Op2.arg_dat_indirect r.seen r.e2c 0 Access.Read; Op2.arg_dat r.hits Access.Rw ]
+
+(* One probed loop on a fresh ring prepared by [setup]: the probe, and
+   whether every edge was visited once (and, for [Coloured], every cell
+   incremented from both its edges). *)
+let ring_run ?backend ?(setup = fun _ -> ()) ?(args = ring_args) loop =
+  let r = make_ring ?backend () in
+  setup r;
+  let p, k =
+    elem_probe_kernel
+      (match loop with
+      | Direct -> Probed.bump0
+      | Coloured -> Probed.bump012
+      | Reading -> Probed.bump1)
+  in
+  Op2.par_loop_acc r.rctx ~name:"probe" r.edges (args r loop) k;
+  let hits = Op2.fetch r.rctx r.hits and ends = Op2.fetch r.rctx r.ends in
+  let once =
+    Array.for_all (fun h -> h = 1.0) hits
+    && (loop <> Coloured || Array.for_all Fun.id (Array.init ring (fun c -> ends.(2 * c) = 2.0)))
+  in
+  (p, once)
+
+let test_elem_dispatch () =
+  List.iter
+    (fun loop ->
+      let p, once = ring_run loop in
+      Alcotest.(check int) "seq: one element-walker call" 1 (Atomic.get p.ecalls);
+      Alcotest.(check int) "seq: covering [0, n)" ring (Atomic.get p.covered);
+      Alcotest.(check bool) "seq: every element once" true once)
+    [ Direct; Coloured; Reading ];
+  Pool.with_pool ~size:2 (fun pool ->
+      let partitioned ?(overlap = false) exec r =
+        Op2.partition r.rctx ~n_ranks:3 ~strategy:(Op2.Kway_through r.e2c);
+        Op2.set_rank_execution r.rctx exec;
+        if overlap then Op2.set_comm_mode r.rctx Op2.Overlap
+      in
+      let shared = Op2.Shared { pool; block_size = 48 } in
+      let rank_shared = Op2.Rank_shared { pool; block_size = 48 } in
+      List.iter
+        (fun (name, backend, setup, loops) ->
+          List.iter
+            (fun loop ->
+              let p, once = ring_run ?backend ~setup loop in
+              Alcotest.(check bool) (name ^ ": element walker runs") true (Atomic.get p.ecalls > 0);
+              Alcotest.(check int) (name ^ ": ranges cover every element") ring
+                (Atomic.get p.covered);
+              Alcotest.(check bool) (name ^ ": every element once") true once)
+            loops)
+        [
+          ("shared 2", Some shared, ignore, [ Direct; Coloured; Reading ]);
+          ("rank_seq, 3 ranks", None, partitioned Op2.Rank_seq, [ Direct; Coloured ]);
+          ("rank_shared, 3 ranks", None, partitioned rank_shared, [ Direct; Coloured; Reading ]);
+        ];
+      (* A coloured loop runs one block range per call on Shared. *)
+      let p, _ = ring_run ~backend:shared Coloured in
+      Alcotest.(check int) "shared 2: one call per coloured block" ((ring + 47) / 48)
+        (Atomic.get p.ecalls);
+      (* The point walker instead, at every element. *)
+      let cuda strategy = Some (Op2.Cuda_sim { Am_op2.Exec_cuda.block_size = 48; strategy }) in
+      let soa dat r = Op2.convert_layout r.rctx (dat r) Op2.Soa in
+      let aliased r _ =
+        [ Op2.arg_dat r.hits Access.Rw; Op2.arg_dat_indirect r.seen r.e2c 0 Access.Read;
+          Op2.arg_dat r.hits Access.Read ]
+      in
+      List.iter
+        (fun (name, backend, setup, args, loops) ->
+          List.iter
+            (fun loop ->
+              let p, once = ring_run ?backend ~setup ?args loop in
+              Alcotest.(check int) (name ^ ": no element-walker call") 0 (Atomic.get p.ecalls);
+              Alcotest.(check bool) (name ^ ": every element once") true once)
+            loops)
+        [
+          ("check", Some Op2.Check, ignore, None, [ Direct; Coloured; Reading ]);
+          ("vec", Some (Op2.Vec { Am_op2.Exec_vec.width = 4 }), ignore, None, [ Direct; Coloured ]);
+          ("cuda NOSOA", cuda Am_op2.Exec_cuda.Global_aos, ignore, None, [ Direct; Coloured ]);
+          ("cuda SOA", cuda Am_op2.Exec_cuda.Global_soa, ignore, None, [ Direct; Coloured ]);
+          ("cuda STAGE", cuda Am_op2.Exec_cuda.Staged, ignore, None, [ Direct; Coloured ]);
+          ("overlap, 3 ranks", None, partitioned ~overlap:true Op2.Rank_seq, None, [ Reading ]);
+          ("soa dat", None, soa (fun r -> r.hits), None, [ Direct ]);
+          ("inc on a soa dat", None, soa (fun r -> r.ends), None, [ Coloured ]);
+          ("aliased rw", None, ignore, Some aliased, [ Direct ]);
+        ])
 
 (* ---- OPS accessor kernels ------------------------------------------------- *)
 
@@ -1135,6 +1298,8 @@ let () =
           Alcotest.test_case "seq accessor kernels = check, bitwise" `Quick
             test_seq_equals_check;
           Alcotest.test_case "aliased arguments stay staged" `Quick test_aliased_args_staged;
+          Alcotest.test_case "element walker over every in-place range, point walker elsewhere"
+            `Quick test_elem_dispatch;
         ] );
       ( "OPS accessor kernels",
         [

@@ -229,11 +229,11 @@ let test_acc_undeclared_write () =
       Op2.arg_dat_indirect m.du m.edge_cells 0 Access.Inc;
       Op2.arg_dat_indirect m.du m.edge_cells 1 Access.Inc;
     ]
-    (fun a ->
-      let f = get a.(1) 0 -. get a.(0) 0 in
-      set a.(2) 0 (get a.(2) 0 +. f);
-      set a.(3) 0 (get a.(3) 0 -. f);
-      set a.(0) 0 0.0);
+    (Op2.Acc.lift (fun a ->
+         let f = get a.(1) 0 -. get a.(0) 0 in
+         set a.(2) 0 (get a.(2) 0 +. f);
+         set a.(3) 0 (get a.(3) 0 -. f);
+         set a.(0) 0 0.0));
   Alcotest.(check bool)
     "error names loop flux_bad_acc, arg 0, slot 0" true
     (find_verify ~severity:Finding.Error ~loop:"flux_bad_acc" ~arg:0
@@ -247,7 +247,7 @@ let test_acc_inc_overwrite () =
       Op2.arg_dat_indirect m.u m.edge_cells 0 Access.Read;
       Op2.arg_dat_indirect m.du m.edge_cells 0 Access.Inc;
     ]
-    (fun a -> set a.(1) 0 (get a.(0) 0));
+    (Op2.Acc.lift (fun a -> set a.(1) 0 (get a.(0) 0)));
   Alcotest.(check bool)
     "error names loop flux_clobber_acc, arg 1, overwriting Inc" true
     (find_verify ~severity:Finding.Error ~loop:"flux_clobber_acc" ~arg:1
@@ -266,7 +266,7 @@ let test_acc_component_past_dim () =
          Op2.arg_dat_indirect m.u m.edge_cells 0 Access.Read;
          Op2.arg_dat_indirect m.du m.edge_cells 0 Access.Inc;
        ]
-       (fun a -> set a.(1) 1 (get a.(0) 0))
+       (Op2.Acc.lift (fun a -> set a.(1) 1 (get a.(0) 0)))
    with
   | () -> Alcotest.fail "check let a write past dim through"
   | exception Am_op2.Exec_check.Violation msg ->

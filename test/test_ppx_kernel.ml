@@ -1,6 +1,6 @@
-(* The [let%kernel] rewriter (lib/ppx_kernel) run on source strings: what
-   it expands, and what it refuses with an error located at the offending
-   expression and naming the kernel. *)
+(* The [let%kernel] and [let%elem_kernel] rewriter (lib/ppx_kernel) run on
+   source strings: what it expands, and what it refuses with an error
+   located at the offending expression and naming the kernel. *)
 
 open Ppxlib
 
@@ -79,9 +79,34 @@ let test_expands () =
   set a.(1) (f (get x 0))|}
     ~row_has:[ "let f x = x +. 1.0" ] ~row_lacks:[ "a.(" ]
 
+(* The element walker of an OP2 kernel: components literal or computed,
+   read and written at [d_k.(b_k + c)], with [b_k] computed per element
+   from the argument's map ([m_k]) or element number; the arguments the
+   body writes get inline Inc staging ([n_k]), the others only the shared
+   [Acc.zero_incs]/[Acc.add_incs]. *)
+let test_elem_expands () =
+  expands ~name:"flux"
+    {|let%elem_kernel flux (a : Acc.t array) =
+  let q = a.(0) and r = a.(1) in
+  for n = 0 to 3 do
+    set r n (get q n)
+  done;
+  set r 0 (get q 2 +. get a.(2) 0)|}
+    ~row_has:
+      [
+        "Stdlib.Array.get __kernel_d0 (Stdlib.(+) __kernel_b0 n)";
+        "Stdlib.Array.set __kernel_d1 (Stdlib.(+) __kernel_b1 n)";
+        "Stdlib.Array.get __kernel_d0 (Stdlib.(+) __kernel_b0 2)";
+        "Stdlib.Array.set __kernel_d1 (Stdlib.(+) __kernel_b1 0)";
+        "Stdlib.Array.get __kernel_m2";
+        "let __kernel_n1";
+        "Am_core.Acc.add_incs __kernel_walk __kernel_e";
+      ]
+    ~row_lacks:[ "a.("; "get q"; "set r"; "let q"; "__kernel_n0"; "__kernel_n2" ]
+
 (* [src] must fail to expand with an error on [line] naming the kernel
    and saying [what]. *)
-let refuses ~name ~line ~what src =
+let refuses ?(ext = "kernel") ~name ~line ~what src =
   match expand src with
   | _ -> Alcotest.failf "%s: expanded" name
   | exception exn -> (
@@ -91,7 +116,7 @@ let refuses ~name ~line ~what src =
       let msg = Location.Error.message err in
       let loc = Location.Error.get_location err in
       Alcotest.(check bool) (Printf.sprintf "%s: names the kernel (%s)" name msg) true
-        (contains msg ("%kernel " ^ name ^ ":"));
+        (contains msg ("%" ^ ext ^ " " ^ name ^ ":"));
       Alcotest.(check bool) (Printf.sprintf "%s: says %S (%s)" name what msg) true
         (contains msg what);
       Alcotest.(check int) (name ^ ": located") line loc.loc_start.pos_lnum)
@@ -129,6 +154,29 @@ let test_refuses () =
       ("two", {|let%kernel two (a : Acc.t array) (b : int) = set a.(b) 1.0|});
     ]
 
+let test_elem_refuses () =
+  let refuses = refuses ~ext:"elem_kernel" in
+  refuses ~name:"escape" ~line:3 ~what:"returned or stored"
+    {|let%elem_kernel escape (a : Acc.t array) =
+  let q = a.(0) in
+  q|};
+  (* Airfoil's face took its nodes' accessors; a helper must take floats. *)
+  refuses ~name:"adt" ~line:3 ~what:"passed to a function; only get and set"
+    {|let%elem_kernel adt (a : Acc.t array) =
+  let x1 = a.(0) and x2 = a.(1) in
+  set a.(2) 0 (face 1.0 2.0 0.5 x2 x1)|};
+  refuses ~name:"loop" ~line:3 ~what:"literal argument number"
+    {|let%elem_kernel loop (a : Acc.t array) =
+  for k = 0 to 3 do
+    set a.(k) 0 0.0
+  done|};
+  (* The structured vocabulary is not the element walker's. *)
+  refuses ~name:"centre" ~line:2 ~what:"only get and set"
+    {|let%elem_kernel centre (a : Acc.t array) =
+  set a.(0) (gbl a.(1) 0)|};
+  refuses ~name:"floats" ~line:1 ~what:"one parameter (a : Acc.t array)"
+    {|let%elem_kernel floats (a : float array array) = set a.(0) 0 1.0|}
+
 let () =
   Alcotest.run "ppx_kernel"
     [
@@ -136,5 +184,11 @@ let () =
         [
           Alcotest.test_case "expands computed points, aliases and globals" `Quick test_expands;
           Alcotest.test_case "refuses escaping accessors and bad parameters" `Quick test_refuses;
+        ] );
+      ( "let%elem_kernel",
+        [
+          Alcotest.test_case "expands literal and computed components" `Quick test_elem_expands;
+          Alcotest.test_case "refuses escaping, passed and computed accessors" `Quick
+            test_elem_refuses;
         ] );
     ]
