@@ -14,8 +14,8 @@ module Umesh = Am_mesh.Umesh
 let run n iters backend ranks renumber verify check analyze trace obs_json faults
     recover perf =
   Check_common.guard @@ fun () ->
-  Op2_common.check_flags ~app:"aero" ~sizes:[ ("--size", n) ] ~backend ~ranks
-    ~overlap:false ~check;
+  Op2_common.check_flags ~app:"aero" ~sizes:[ ("--size", n) ] ~counts:[ ("--iters", iters) ]
+    ~backend ~ranks ~overlap:false ~check;
   Am_obs.Obs.reset ();
   if trace <> None then Am_obs.Obs.set_tracing true;
   let mesh = App.generate_mesh ~n in

@@ -19,12 +19,17 @@ let one_of = function
    partitioned ones that --overlap applies to (none when the driver has no
    --overlap); [sizes] the driver's counted flags (problem sizes,
    cloverleaf's --summary-every) with their values, each of which must be
-   at least 1. *)
-let check_flags ~backends ~overlap_backends ~app ~sizes ~backend ~ranks ~overlap ~check =
+   at least 1; [counts] its iteration or step count, which may be 0 (run
+   nothing) but not negative. *)
+let check_flags ~backends ~overlap_backends ~app ~sizes ~counts ~backend ~ranks ~overlap ~check =
   List.iter
     (fun (flag, v) ->
       if v < 1 then usage_error ~app (Printf.sprintf "%s must be at least 1" flag))
     sizes;
+  List.iter
+    (fun (flag, v) ->
+      if v < 0 then usage_error ~app (Printf.sprintf "%s must be at least 0" flag))
+    counts;
   if not (List.mem backend backends) then
     usage_error ~app
       (Printf.sprintf "unknown backend %s (expected one of %s)" backend

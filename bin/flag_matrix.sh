@@ -15,8 +15,10 @@
 # with --overlap off the partitioned backends (mpi, mpi2d, hybrid), with
 # --overlap --check, on mpi with --ranks 0 or at size 0 (every driver), on
 # a decomposition the OPS runtime refuses (more ranks than rows or planes,
-# a rank thinner than the ghost depth), on a Hydra mesh of odd size, or
-# with cloverleaf's --summary-every 0 is a usage error and must exit 2;
+# a rank thinner than the ghost depth), on a Hydra mesh of odd size, with
+# cloverleaf's --summary-every 0, or with a negative --iters or --steps
+# (every driver; 0 is valid and runs nothing) is a usage error and must
+# exit 2;
 # every other run must exit 0.  No output may report an uncaught exception, and
 # cloverleaf3's pencil backend must print the rank grid it runs on (the
 # most square split of --ranks: 3 ranks are 1x3).  Prints only the runs
@@ -130,4 +132,10 @@ run 2 "$cloverleaf3" --size 3 --steps 1 --ranks 4 --backend pencil
 run 2 "$tealeaf" --size 4 --steps 1 --ranks 3 --backend mpi
 run 2 "$hydra" --nx 7 --ny 6 --iters 1
 run 2 "$cloverleaf" --nx 12 --ny 12 --steps 2 --summary-every 0
+run 2 "$airfoil" --nx 16 --ny 12 --iters=-1
+run 2 "$aero" --size 8 --iters=-1
+run 2 "$hydra" --nx 8 --ny 6 --iters=-1
+run 2 "$cloverleaf" --nx 12 --ny 12 --steps=-2
+run 2 "$cloverleaf3" --size 6 --steps=-1
+run 2 "$tealeaf" --size 6 --steps=-1
 exit $failed

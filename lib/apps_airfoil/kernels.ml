@@ -4,16 +4,21 @@
    time stepping with local timesteps (adt) and artificial dissipation.
 
    Each kernel is written once, over argument accessors ([Op2.Acc]: the
-   zero-copy ABI), as a [let%elem_kernel]: the rewriter (lib/ppx_kernel)
-   binds it to a kernel value whose point form is the function as written
-   and whose element walker runs the body inlined over an element range,
-   computing each argument's base from the map ([Op2.par_loop_acc] takes
-   the value; [dune describe pp lib/apps_airfoil/kernels.ml] shows the
-   expansion).  The staged form that [Op2.par_loop] takes is a one-line
-   adapter over the point form.  The hand-coded baseline ([Hand])
-   re-implements the same arithmetic over flat arrays, in the same
-   operation order, so "Original" and "OP2" runs agree to rounding and the
-   comparisons isolate the framework, not the maths.
+   zero-copy ABI), as a [let%elem_kernel] with its argument signature
+   ([@@args]: per argument a dataset label, its map, arity and slot when
+   indirect, its dim and access mode, as App's arguments state them).
+   The rewriter (lib/ppx_kernel) binds it to a kernel value whose point
+   form is the function as written and whose element walker runs the body
+   inlined over an element range with those dims, arities and slots as
+   constants: one map load per (map, slot) per element, the Incs and
+   [rms] in float locals.  [Op2.par_loop_acc] takes the value and checks
+   each call's arguments against the signature; [dune describe pp
+   lib/apps_airfoil/kernels.ml] shows the expansion.  The staged form
+   that [Op2.par_loop] takes is a one-line adapter over the point form.
+   The hand-coded baseline ([Hand]) re-implements the same arithmetic
+   over flat arrays, in the same operation order, so "Original" and "OP2"
+   runs agree to rounding and the comparisons isolate the framework, not
+   the maths.
 
    The kernels are hot and the library is compiled with [-opaque] and
    without flambda, so a float that crosses a call boundary is boxed.
@@ -46,6 +51,7 @@ let%elem_kernel save_soln_acc (a : Acc.t array) =
   for n = 0 to 3 do
     set qold n (get q n)
   done
+[@@args q 4 Read, qold 4 Write]
 
 let save_soln = Acc.staged save_soln_acc.Acc.elem
 let save_soln_info = { Am_core.Descr.flops = 0.0; transcendentals = 0.0 }
@@ -70,6 +76,9 @@ let%elem_kernel adt_calc_acc (a : Acc.t array) =
     +. face u v c (get x1 0 -. get x4 0) (get x1 1 -. get x4 1)
   in
   set adt 0 (acc /. cfl)
+[@@args
+  x (cell_nodes 4 0) 2 Read, x (cell_nodes 4 1) 2 Read, x (cell_nodes 4 2) 2 Read,
+  x (cell_nodes 4 3) 2 Read, q 4 Read, adt 1 Write]
 
 let adt_calc = Acc.staged adt_calc_acc.Acc.elem
 let adt_calc_info = { Am_core.Descr.flops = 40.0; transcendentals = 5.0 }
@@ -119,6 +128,10 @@ let%elem_kernel res_calc_acc (a : Acc.t array) =
   set res2 2 (get res2 2 -. f2);
   set res1 3 (get res1 3 +. f3);
   set res2 3 (get res2 3 -. f3)
+[@@args
+  x (edge_nodes 2 0) 2 Read, x (edge_nodes 2 1) 2 Read, q (edge_cells 2 0) 4 Read,
+  q (edge_cells 2 1) 4 Read, adt (edge_cells 2 0) 1 Read, adt (edge_cells 2 1) 1 Read,
+  res (edge_cells 2 0) 4 Inc, res (edge_cells 2 1) 4 Inc]
 
 let res_calc = Acc.staged res_calc_acc.Acc.elem
 let res_calc_info = { Am_core.Descr.flops = 78.0; transcendentals = 0.0 }
@@ -170,6 +183,9 @@ let%elem_kernel bres_calc_acc (a : Acc.t array) =
     set res1 2 (get res1 2 +. f2);
     set res1 3 (get res1 3 +. f3)
   end
+[@@args
+  x (bedge_nodes 2 0) 2 Read, x (bedge_nodes 2 1) 2 Read, q (bedge_cell 1 0) 4 Read,
+  adt (bedge_cell 1 0) 1 Read, res (bedge_cell 1 0) 4 Inc, bound 1 Read]
 
 let bres_calc = Acc.staged bres_calc_acc.Acc.elem
 let bres_calc_info = { Am_core.Descr.flops = 60.0; transcendentals = 0.0 }
@@ -186,6 +202,7 @@ let%elem_kernel update_acc (a : Acc.t array) =
     set res n 0.0;
     set rms 0 (get rms 0 +. (del *. del))
   done
+[@@args qold 4 Read, q 4 Write, res 4 Rw, adt 1 Read, gbl 1 Inc]
 
 let update = Acc.staged update_acc.Acc.elem
 let update_info = { Am_core.Descr.flops = 16.0; transcendentals = 0.0 }

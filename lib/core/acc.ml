@@ -68,54 +68,47 @@ let lift point =
 
 (* ---- Element walkers: the unstructured (OP2) kernel value ---------------- *)
 
-(* How an element walker addresses one OP2 argument: the dataset array
-   ([||] for a global), the map table ([||] for a direct argument or a
-   global), the map's arity and the argument's slot in it, and the
-   dataset's dim.  Built once per compiled executor.  Element [e] of an
-   argument is at [map.(e * arity + idx) * dim] when indirect and at
-   [e * dim] when direct. *)
-type addr = { adata : float array; amap : int array; arity : int; idx : int; adim : int }
+(* An indirect argument's map, as a kernel declares it: a label local to
+   the signature (two arguments with one map label pass one map), the
+   map's arity and the argument's slot in it. *)
+type via = { map : string; arity : int; slot : int }
 
-(* One worker's view of a loop for an element walker.  [addrs] and [incs]
-   (the staged Inc arguments, in argument order) belong to the compiled
-   executor; [bufs] to the worker's frame.  [bufs.(k)] is [||] when
-   argument [k] is addressed in place, and otherwise the buffer the kernel
-   sees at base 0: a global's accumulator, or a staged Inc's per-element
-   scratch. *)
-type walk = { addrs : addr array; incs : int array; bufs : float array array }
+(* One argument of a kernel's declared signature: the facts OP2's
+   [op_arg_dat] and [op_arg_gbl] state.  A dataset argument has a label
+   local to the signature (two arguments with one label pass one dataset),
+   a dim, an access mode and, when indirect, its map; a global has a
+   length and an access mode. *)
+type arg_sig =
+  | Dat of { label : string; dim : int; access : Access.t; via : via option }
+  | Gbl of { len : int; access : Access.t }
+
+(* Where an element walker finds one argument's arrays: the dataset array
+   ([||] for a global) and the map table ([||] for a direct argument or a
+   global).  Built once per compiled executor. *)
+type addr = { adata : float array; amap : int array }
+
+(* One worker's view of a loop for an element walker: the executor's
+   [addrs], and the worker's [bufs] — [bufs.(k)] is a global's
+   accumulator (a copy of a [Read] global), or an [Inc] argument's
+   per-element scratch. *)
+type walk = { addrs : addr array; bufs : float array array }
+
+(* A generated element walker and the signature it was generated for.
+   [elems w lo hi] runs the kernel at every element of [lo, hi), in order,
+   with the signature's dims, arities and slots as constants: per element
+   it loads each distinct (map, slot) once, runs the body inlined over the
+   datasets in place, and adds every [Inc] argument's components back to
+   memory, in argument order and then component order.  It is only called
+   on arguments that match [signature] (the loop checks them first) and
+   when every dataset argument is in place or an AoS [Inc]. *)
+type walker = { kname : string; signature : arg_sig array; elems : walk -> int -> int -> unit }
 
 (* An unstructured-mesh kernel value: one kernel, with an element walker
    when it was generated.  [elem] runs the kernel once, at the bases the
-   accessors hold.  [elems w lo hi] runs it at every element of [lo, hi),
-   in order; per element it computes each in-place base from [w.addrs],
-   zeroes every staged Inc scratch, runs the kernel, then adds every
-   scratch component back to memory, in argument order.  It is only called
-   when every dataset argument is in place or a staged Inc.
-   [let%elem_kernel] (lib/ppx_kernel) generates [elems] from the body of
-   [elem]; a plain point function has none, and runs on the executors'
-   point walker. *)
-type elem_kernel = { elem : t array -> unit; elems : (walk -> int -> int -> unit) option }
-
-(* A generated walker stages through these two when its loop stages an
-   Inc its body never writes.  Zero every staged Inc scratch of [w]. *)
-let zero_incs w =
-  for s = 0 to Array.length w.incs - 1 do
-    let z = w.bufs.(w.incs.(s)) in
-    Array.fill z 0 (Array.length z) 0.0
-  done
-
-(* Add every staged Inc scratch of [w] to memory at element [e], in
-   argument order. *)
-let add_incs w e =
-  for s = 0 to Array.length w.incs - 1 do
-    let k = w.incs.(s) in
-    let a = w.addrs.(k) and z = w.bufs.(k) in
-    let d = a.adata in
-    let t = (if Array.length a.amap = 0 then e else a.amap.((e * a.arity) + a.idx)) * a.adim in
-    for c = 0 to Array.length z - 1 do
-      d.(t + c) <- d.(t + c) +. z.(c)
-    done
-  done
+   accessors hold.  [let%elem_kernel] (lib/ppx_kernel) generates [walker]
+   from the body of [elem] and its declared signature; a plain point
+   function has none, and runs on the executors' point walker. *)
+type elem_kernel = { elem : t array -> unit; walker : walker option }
 
 (* The kernel value of a plain OP2 point function. *)
-let lift_elem elem = { elem; elems = None }
+let lift_elem elem = { elem; walker = None }

@@ -27,7 +27,7 @@
    Arguments are "compiled" once per (loop, signature) pair: the dataset
    array, map table and layout strides are resolved up front and baked
    into one gather and one scatter closure per argument, beside the
-   addressing an element walker reads ([Acc.addr]).  The per-worker
+   arrays an element walker reads ([Acc.addr]).  The per-worker
    state — accessors, staging buffers, global accumulators — is a [frame]
    built from the compiled arguments at each loop call; both kernel forms
    share one compiled executor, so a loop handle serves both entry
@@ -36,14 +36,17 @@
    Two walkers run a frame over elements.  The point walker moves every
    argument to the element ([enter]), calls the kernel's point form and
    writes staged results back ([leave]).  The element walker is a
-   generated kernel's [elems] form ([Acc.elem_kernel]), which runs the
-   body inlined over a range [lo, hi) and computes each base from the map
-   itself.  [run_range] takes the element walker exactly when the kernel
-   has one and every dataset argument is in place or a staged AoS Inc
-   ([elementwise]); Seq and Shared run their ranges through it, every
-   other executor (Check, Vec, Cuda_sim, the partitioned core/boundary
-   subsets, footprint probing), and every lifted point function
-   ([Acc.lift]), runs the point walker per element.
+   generated kernel's walker ([Acc.walker]), generated for the kernel's
+   declared signature: it runs the body inlined over a range [lo, hi),
+   with the signature's dims, arities and slots as constants, and reads
+   only the arrays in [addrs] and the worker's buffers.  [check_signature]
+   holds every call's arguments to that signature.  [run_range] takes the
+   element walker exactly when the kernel has one and every dataset
+   argument is in place or a staged AoS Inc ([elementwise]); Seq and
+   Shared run their ranges through it, every other executor (Check, Vec,
+   Cuda_sim, the partitioned core/boundary subsets, footprint probing),
+   and every lifted point function ([Acc.lift]), runs the point walker
+   per element.
 
    The inner copies use unsafe indexing; bounds are guaranteed by
    declaration-time validation ([decl_map] range-checks every target,
@@ -74,17 +77,11 @@ type compiled_arg =
     }
   | C_gbl of { user_buf : float array; access : Access.t }
 
-(* A compiled executor: the arguments, and the addressing of an element
-   walker — per argument, then the staged Inc arguments in argument
-   order.  [elementwise] holds when every dataset argument is addressed in
-   place by an accessor kernel or is an AoS Inc, the arguments an element
-   walker can run. *)
-type compiled = {
-  args : compiled_arg array;
-  addrs : Acc.addr array;
-  incs : int array;
-  elementwise : bool;
-}
+(* A compiled executor: the arguments, and where an element walker finds
+   each one's arrays.  [elementwise] holds when every dataset argument is
+   addressed in place by an accessor kernel or is an AoS Inc, the
+   arguments an element walker can run. *)
+type compiled = { args : compiled_arg array; addrs : Acc.addr array; elementwise : bool }
 
 type resolvers = {
   resolve_dat : dat -> float array * int; (* backing array and element count *)
@@ -237,10 +234,8 @@ let compile ?(resolvers = global_resolvers) args =
   let addrs =
     Array.map
       (function
-        | C_dat { data; dim; map_values; arity; idx; indirect; _ } ->
-          let amap = if indirect then map_values else [||] in
-          { Acc.adata = data; amap; arity; idx; adim = dim }
-        | C_gbl _ -> { Acc.adata = [||]; amap = [||]; arity = 0; idx = 0; adim = 0 })
+        | C_dat { data; map_values; _ } -> { Acc.adata = data; amap = map_values }
+        | C_gbl _ -> { Acc.adata = [||]; amap = [||] })
       args
   in
   let staged_inc = function
@@ -250,9 +245,6 @@ let compile ?(resolvers = global_resolvers) args =
   {
     args;
     addrs;
-    incs =
-      Array.of_list
-        (List.filter (fun i -> staged_inc args.(i)) (List.init (Array.length args) Fun.id));
     elementwise =
       Array.for_all
         (function C_dat { in_place; _ } as c -> in_place || staged_inc c | C_gbl _ -> true)
@@ -284,6 +276,106 @@ let compiled_matches compiled args = matches_from compiled.args 0 args
 
 let has_globals compiled =
   Array.exists (function C_gbl _ -> true | C_dat _ -> false) compiled.args
+
+(* ---- Declared signatures ------------------------------------------------ *)
+
+(* A generated kernel's element walker has its signature's dims, arities,
+   slots and access modes built in, so every call must pass exactly those
+   facts.  [check_signature ~name w args] raises [Invalid_argument] naming
+   the loop, the kernel, the argument and the fact that differs.  Dataset
+   and map labels are compared by [dat_id] and [map_id], so the check
+   holds on rank-local arrays and after renumbering.  It allocates nothing
+   unless it raises. *)
+
+let sig_error ~name (w : Acc.walker) k fact =
+  invalid_arg
+    (Printf.sprintf "Op2.par_loop_acc %s: kernel %s, argument %d: %s" name w.Acc.kname k fact)
+
+(* The first argument of [sg] from [j] on whose dataset label (or, with
+   [~map], map label) is [label]. *)
+let rec first_label ~map sg label j =
+  let found =
+    match sg.(j) with
+    | Acc.Dat { label = l; _ } when not map -> String.equal l label
+    | Acc.Dat { via = Some { map = m; _ }; _ } when map -> String.equal m label
+    | Acc.Dat _ | Acc.Gbl _ -> false
+  in
+  if found then j else first_label ~map sg label (j + 1)
+
+let check_arg ~name (w : Acc.walker) args k arg =
+  let sg = w.Acc.signature in
+  match (sg.(k), arg) with
+  | Acc.Gbl { len; access }, Arg_gbl { name = g; buf; access = a } ->
+    if a <> access then
+      sig_error ~name w k
+        (Printf.sprintf "declared access %s, the call passes global %s with access %s"
+           (Access.to_string access) g (Access.to_string a))
+    else if Array.length buf <> len then
+      sig_error ~name w k
+        (Printf.sprintf "declared a global of length %d, the call passes global %s of length %d"
+           len g (Array.length buf))
+  | Acc.Gbl _, Arg_dat { dat; _ } ->
+    sig_error ~name w k
+      (Printf.sprintf "declared a global, the call passes dat %s" dat.dat_name)
+  | Acc.Dat { label; _ }, Arg_gbl { name = g; _ } ->
+    sig_error ~name w k
+      (Printf.sprintf "declared dataset label %s, the call passes global %s" label g)
+  | Acc.Dat { label; dim; access; via }, Arg_dat { dat; map; access = a } -> (
+    if dat.dim <> dim then
+      sig_error ~name w k
+        (Printf.sprintf "declared dim %d, the call passes dat %s of dim %d" dim dat.dat_name
+           dat.dim);
+    if a <> access then
+      sig_error ~name w k
+        (Printf.sprintf "declared access %s, the call passes dat %s with access %s"
+           (Access.to_string access) dat.dat_name (Access.to_string a));
+    (match (via, map) with
+    | None, None -> ()
+    | None, Some (m, _) ->
+      sig_error ~name w k
+        (Printf.sprintf "declared direct, the call passes dat %s indirectly through map %s"
+           dat.dat_name m.map_name)
+    | Some v, None ->
+      sig_error ~name w k
+        (Printf.sprintf "declared indirect through map label %s, the call passes dat %s directly"
+           v.Acc.map dat.dat_name)
+    | Some v, Some (m, slot) -> (
+      if m.arity <> v.Acc.arity then
+        sig_error ~name w k
+          (Printf.sprintf "declared map label %s of arity %d, the call passes map %s of arity %d"
+             v.Acc.map v.Acc.arity m.map_name m.arity);
+      if slot <> v.Acc.slot then
+        sig_error ~name w k
+          (Printf.sprintf "declared slot %d of map label %s, the call passes slot %d of map %s"
+             v.Acc.slot v.Acc.map slot m.map_name);
+      let j = first_label ~map:true sg v.Acc.map 0 in
+      match List.nth args j with
+      | Arg_dat { map = Some (m', _); _ } when m'.map_id <> m.map_id ->
+        sig_error ~name w k
+          (Printf.sprintf "map label %s names map %s at argument %d and map %s here" v.Acc.map
+             m'.map_name j m.map_name)
+      | Arg_dat _ | Arg_gbl _ -> ()));
+    let j = first_label ~map:false sg label 0 in
+    match List.nth args j with
+    | Arg_dat { dat = d; _ } when d.dat_id <> dat.dat_id ->
+      sig_error ~name w k
+        (Printf.sprintf "dataset label %s names dat %s at argument %d and dat %s here" label
+           d.dat_name j dat.dat_name)
+    | Arg_dat _ | Arg_gbl _ -> ())
+
+let rec check_from ~name w args k = function
+  | [] -> ()
+  | arg :: rest ->
+    check_arg ~name w args k arg;
+    check_from ~name w args (k + 1) rest
+
+let check_signature ~name (w : Acc.walker) args =
+  let n = List.length args and declared = Array.length w.Acc.signature in
+  if n <> declared then
+    invalid_arg
+      (Printf.sprintf "Op2.par_loop_acc %s: kernel %s declares %d arguments, the call passes %d"
+         name w.Acc.kname declared n);
+  check_from ~name w args 0 args
 
 (* ---- Frames: one worker's state for one loop call ---------------------- *)
 
@@ -370,7 +462,7 @@ let make_frame ?(staged = false) compiled kernel =
    walker's otherwise. *)
 let range_frame compiled kernel =
   match kernel with
-  | Accessor { Acc.elems = Some _; _ } when compiled.elementwise ->
+  | Accessor { Acc.walker = Some _; _ } when compiled.elementwise ->
     let in_place = function C_dat c -> c.in_place | C_gbl _ -> false in
     let bufs = make_bufs ~in_place compiled.args in
     {
@@ -379,7 +471,7 @@ let range_frame compiled kernel =
       accs = [||];
       before = [||];
       after = [||];
-      walk = Some { Acc.addrs = compiled.addrs; incs = compiled.incs; bufs };
+      walk = Some { Acc.addrs = compiled.addrs; bufs };
     }
   | Accessor _ | Staged _ -> make_frame compiled kernel
 
@@ -415,7 +507,7 @@ let run_element f e =
    the frame has one, the point walker otherwise. *)
 let run_range f lo hi =
   match (f.walk, f.kernel) with
-  | Some w, Accessor { Acc.elems = Some elems; _ } -> elems w lo hi
+  | Some w, Accessor { Acc.walker = Some g; _ } -> g.Acc.elems w lo hi
   | _ ->
     for e = lo to hi - 1 do
       run_element f e

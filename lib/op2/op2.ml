@@ -40,24 +40,22 @@ type layout = Types.layout = Aos | Soa
 module Acc = struct
   type t = Am_core.Acc.t = { data : float array; mutable base : int; off : int array }
 
-  type addr = Am_core.Acc.addr = {
-    adata : float array;
-    amap : int array;
-    arity : int;
-    idx : int;
-    adim : int;
+  type via = Am_core.Acc.via = { map : string; arity : int; slot : int }
+
+  type arg_sig = Am_core.Acc.arg_sig =
+    | Dat of { label : string; dim : int; access : Access.t; via : via option }
+    | Gbl of { len : int; access : Access.t }
+
+  type addr = Am_core.Acc.addr = { adata : float array; amap : int array }
+  type walk = Am_core.Acc.walk = { addrs : addr array; bufs : float array array }
+
+  type walker = Am_core.Acc.walker = {
+    kname : string;
+    signature : arg_sig array;
+    elems : walk -> int -> int -> unit;
   }
 
-  type walk = Am_core.Acc.walk = {
-    addrs : addr array;
-    incs : int array;
-    bufs : float array array;
-  }
-
-  type kernel = Am_core.Acc.elem_kernel = {
-    elem : t array -> unit;
-    elems : (walk -> int -> int -> unit) option;
-  }
+  type kernel = Am_core.Acc.elem_kernel = { elem : t array -> unit; walker : walker option }
 
   let of_array = Am_core.Acc.of_array
   let staged = Am_core.Acc.staged
@@ -539,10 +537,14 @@ let execute_loop ctx ~name ~foot ?handle iter_set args kernel =
         Exec_cuda.run ~compiled config (Lazy.force entry.Plan.entry_plan) ~set_size
           ~args ~kernel))
 
-(* The loop pipeline both entry points share: validate, describe, trace,
-   fault counter, footprint, checkpoint, execute, profile. *)
+(* The loop pipeline both entry points share: validate (a generated
+   kernel's arguments against its declared signature too), describe,
+   trace, fault counter, footprint, checkpoint, execute, profile. *)
 let run_loop ctx ~name ~info ?handle iter_set args kernel =
   Types.validate_args ~iter_set args;
+  (match kernel with
+  | Exec_common.Accessor { Acc.walker = Some w; _ } -> Exec_common.check_signature ~name w args
+  | Exec_common.Accessor { Acc.walker = None; _ } | Exec_common.Staged _ -> ());
   let descr = Types.describe ~name ~iter_set ~info args in
   Trace.record ctx.trace descr;
   (* The injected rank crash counts parallel loops on the injector itself,

@@ -48,36 +48,52 @@
 
     {!par_loop_acc} takes a kernel value ({!Acc.kernel}) holding the point
     form above and, for a generated kernel, an element walker
-    [elems w lo hi] that runs the kernel at every element of [[lo, hi)].
-    Per element it computes each in-place base from the argument's
-    addressing ({!Acc.addr}: [map.(e * arity + idx) * dim] for an indirect
-    argument, [e * dim] for a direct one), zeroes every staged [Inc]
-    scratch, runs the kernel, and adds every scratch component back to
-    memory in argument order before the next element — what the point
-    walker does, so the results are the same bits.  The executor calls
-    the element walker, when the kernel has one, whenever every dataset
-    argument is in place or a staged AoS [Inc]: once over the whole set
-    on [Seq], once per conflict-free chunk or coloured block on [Shared],
-    and on blocking partitioned ranks run by either.  Otherwise (no
-    element walker, an aliased or SoA argument), on [Check], [Vec] and
-    [Cuda_sim], on the partitioned core/boundary subsets and under
-    footprint probing, the point form runs at every element.
+    [elems w lo hi] ({!Acc.walker}) that runs the kernel at every element
+    of [[lo, hi)] — what the point walker does, so the results are the
+    same bits.  The executor calls the element walker, when the kernel has
+    one, whenever every dataset argument is in place or a staged AoS
+    [Inc]: once over the whole set on [Seq], once per conflict-free chunk
+    or coloured block on [Shared], and on blocking partitioned ranks run
+    by either.  Otherwise (no element walker, an aliased or SoA argument),
+    on [Check], [Vec] and [Cuda_sim], on the partitioned core/boundary
+    subsets and under footprint probing, the point form runs at every
+    element.
 
-    [let%elem_kernel name (a : Acc.t array) = body] (the [ppx_kernel]
-    rewriter) binds [name] to the kernel value whose point form is
-    [fun a -> body], exactly as written, and whose element walker is
-    generated: it loads each argument's arrays once per call, computes its
-    base per element, and runs [body] inlined, reading and writing
-    [data.(b_k + c)] with ordinary bounds-checked indexing and the same
-    floating-point operations in the same order.  The body names accessors
-    as [a.(k)] with a literal [k], or as a variable [let]-bound to one, and
-    uses them only through two module-local functions, [get x c] and
-    [set x c v] (component [c], literal or computed).  Any other use of an
-    accessor — passed to a function, returned or stored, indexed by a
-    non-literal argument number — is a compile-time error at its location,
-    so helpers take floats.  A plain point function becomes a kernel value
-    through {!Acc.lift}, with no element walker: it runs on the point
-    walker everywhere. *)
+    [let%elem_kernel name (a : Acc.t array) = body], followed by its
+    [args] attribute (the [ppx_kernel] rewriter), binds [name] to the
+    kernel value whose point form is [fun a -> body], exactly as written,
+    and whose element walker is generated for the declared argument
+    signature ({!Acc.arg_sig}) that the attribute lists, one entry per
+    argument: [label dim Access] for a direct dataset,
+    [label (map arity slot) dim Access] for an indirect one,
+    [gbl length Access] for a global; Airfoil's [res_calc] declares
+    [x (edge_nodes 2 0) 2 Read, ..., res (edge_cells 2 1) 4 Inc].
+    Labels are names local to the signature.  The walker has every dim,
+    arity and slot as a constant, loads one dataset array per dataset
+    label and one map table per map label per call, each (map label,
+    slot) once per element, and runs [body] inlined with ordinary
+    bounds-checked indexing and the same floating-point operations in the
+    same order.  An [Inc] dataset, or an [Inc]/[Min]/[Max] global, that
+    every use names by a literal component lives in float locals; with a
+    computed component, in the worker's scratch or accumulator.  Every
+    [Inc] adds all its components back to memory after the body, in
+    argument order and then component order, so a [-0.0] target becomes
+    [+0.0] as under the point walker.  The body names accessors as [a.(k)]
+    with a literal [k], or as a variable [let]-bound to one, and uses them
+    only through two module-local functions, [get x c] and [set x c v].
+    Any other use of an accessor — passed to a function, returned or
+    stored, indexed by a non-literal argument number — is a compile-time
+    error at its location, so helpers take floats; so are a literal
+    component outside [[0, dim)], a [set] on a [Read] argument, an
+    argument number outside the signature, and a missing or inconsistent
+    signature.  Every call of a generated kernel is checked against its
+    signature before any element runs, on every backend: a dim, access
+    mode, direct/indirect, arity, slot, global length, or a label naming
+    two datasets or two maps that differs raises [Invalid_argument]
+    naming the loop, the kernel, the argument and the fact.  A plain
+    point function becomes a kernel value through {!Acc.lift}, with no
+    element walker and no signature: it runs on the point walker
+    everywhere. *)
 
 module Access = Am_core.Access
 module Descr = Am_core.Descr
@@ -99,35 +115,40 @@ type arg = Types.arg
 module Acc : sig
   type t = Am_core.Acc.t = { data : float array; mutable base : int; off : int array }
 
-  (** How an element walker addresses one argument: the dataset array
-      ([[||]] for a global), the map table ([[||]] for a direct argument
-      or a global), the map's arity, the argument's slot in it and the
-      dataset's dim.  Built once per compiled executor. *)
-  type addr = Am_core.Acc.addr = {
-    adata : float array;
-    amap : int array;
-    arity : int;
-    idx : int;
-    adim : int;
+  (** An indirect argument's map as a kernel declares it: a label local to
+      the signature, the map's arity and the argument's slot. *)
+  type via = Am_core.Acc.via = { map : string; arity : int; slot : int }
+
+  (** One argument of a kernel's declared signature, the facts
+      {!arg_dat}, {!arg_dat_indirect} and {!arg_gbl} state: a dataset's
+      label (local to the signature: two arguments with one label pass one
+      dataset), dim, access mode and map, or a global's length and access
+      mode. *)
+  type arg_sig = Am_core.Acc.arg_sig =
+    | Dat of { label : string; dim : int; access : Access.t; via : via option }
+    | Gbl of { len : int; access : Access.t }
+
+  (** Where an element walker finds one argument's arrays: the dataset
+      array ([[||]] for a global) and the map table ([[||]] for a direct
+      argument or a global).  Built once per compiled executor. *)
+  type addr = Am_core.Acc.addr = { adata : float array; amap : int array }
+
+  (** One worker's view of a loop: the executor's [addrs] and the worker's
+      [bufs], where [bufs.(k)] is a global's accumulator or an [Inc]
+      argument's per-element scratch. *)
+  type walk = Am_core.Acc.walk = { addrs : addr array; bufs : float array array }
+
+  (** A generated element walker, [elems w lo hi], and the kernel name and
+      signature it was generated for. *)
+  type walker = Am_core.Acc.walker = {
+    kname : string;
+    signature : arg_sig array;
+    elems : walk -> int -> int -> unit;
   }
 
-  (** One worker's view of a loop: the executor's [addrs] and [incs] (the
-      staged [Inc] arguments, in argument order), and the worker's
-      [bufs] — [[||]] for an argument addressed in place, a global's
-      accumulator or an [Inc]'s scratch otherwise, seen at base 0. *)
-  type walk = Am_core.Acc.walk = {
-    addrs : addr array;
-    incs : int array;
-    bufs : float array array;
-  }
-
-  (** A kernel value: the point form, and for a generated kernel the
-      element walker that runs it over an element range (see the element
-      walkers above). *)
-  type kernel = Am_core.Acc.elem_kernel = {
-    elem : t array -> unit;
-    elems : (walk -> int -> int -> unit) option;
-  }
+  (** A kernel value: the point form, and for a generated kernel its
+      element walker (see the element walkers above). *)
+  type kernel = Am_core.Acc.elem_kernel = { elem : t array -> unit; walker : walker option }
 
   (** A base-0 single-point accessor over a buffer. *)
   val of_array : float array -> t
@@ -356,8 +377,10 @@ val par_loop :
   unit
 
 (** [par_loop_acc] is {!par_loop} for an accessor kernel value: the same
-    pipeline (validation, trace, fault counter, footprint probing,
-    checkpointing, profile) and the same backends, with AoS [Read], [Write]
+    pipeline (validation — a generated kernel's arguments against its
+    declared signature too, raising [Invalid_argument] on a mismatch —
+    trace, fault counter, footprint probing, checkpointing, profile) and
+    the same backends, with AoS [Read], [Write]
     and [Rw] datasets addressed in place instead of copied (see the kernel
     ABI above), and the element walker run over element ranges where the
     rule above allows it.  Results are bitwise those of the staged form of

@@ -25,22 +25,37 @@
      set_gbl x c v  data.(b + o_0 + c) <- v
 
      let%elem_kernel res_calc (a : Acc.t array) = body
+     [@@args x (edge_nodes 2 0) 2 Read, ..., res (edge_cells 2 1) 4 Inc]
 
    binds [res_calc] to an [Am_core.Acc.elem_kernel] value: the point form
-   as written, and ([Some]) an element walker [elems w lo hi] that runs
-   [body] at every element of [lo, hi), as the OP2 translator's generated
-   loops do.
-   It loads each used argument's addressing ([Acc.addr]) and arrays once
-   per call: the dataset itself when the argument is in place, the
-   frame's buffer (a global's accumulator, a staged Inc's scratch) at base
-   0 otherwise.  Per element it computes each in-place base inline —
-   [map.(e * arity + idx) * dim] when indirect, [e * dim] when direct —
-   zeroes every staged Inc scratch, runs the body, and adds every scratch
-   component back to memory in argument order.  Its vocabulary is two
+   as written, and ([Some]) an element walker generated for the declared
+   argument signature.  The signature states per argument what OP2's
+   [op_arg_dat]/[op_arg_gbl] state: [label dim Access] for a direct
+   dataset, [label (map arity slot) dim Access] for an indirect one, [gbl
+   length Access] for a global.  Labels are names local to the signature:
+   arguments with one dataset label pass one dataset, with one map label
+   one map, which [Op2.par_loop_acc] checks on every call.  The walker
+   [elems w lo hi] runs [body] at every element of [lo, hi), as the OP2
+   translator's generated loops do, with every dim, arity and slot a
+   constant.  Per call it loads one dataset array per dataset label and
+   one map table per map label; per element it loads each (map label,
+   slot) once and computes each base, [t * dim] or [e * dim].  [Read],
+   [Write] and [Rw] datasets are addressed in place.  An [Inc] dataset, or
+   an [Inc]/[Min]/[Max] global, that every use names by a literal
+   component lives in float locals: per element for a dataset, per range
+   for a global, which is then stored into the worker's accumulator.  With
+   a computed component it lives in the worker's buffer, a dataset's
+   zeroed before the body.  After the body every [Inc] dataset adds all
+   its [dim] components back to memory, in argument order and then
+   component order, as the point walker does.  The vocabulary is two
    functions, with a literal or computed component [c]:
 
      get x c        data.(b + c)
      set x c v      data.(b + c) <- v
+
+   The signature also rules out, at compile time, a literal component
+   outside [0, dim), a [set] on a [Read] argument, an argument number
+   outside the signature, and a missing or inconsistent signature.
 
    In both forms indexing stays [Array.get]/[Array.set], bounds-checked,
    and each point or element evaluates the same floating-point operations
@@ -68,9 +83,25 @@ let vocabulary_names = function
 
 (* The accessors one kernel uses: per argument number, the literal stencil
    points it reads or writes at (the centre, 0, for [set]/[gbl]/[set_gbl])
-   and whether a computed point reads its offset table (row forms), and
-   whether the body writes it (element walkers). *)
-type use = { mutable points : int list; mutable table : bool; mutable written : bool }
+   and whether a computed point reads its offset table.  For an element
+   walker, [points] are the literal components and [table] says whether
+   some use names a computed one. *)
+type use = { mutable points : int list; mutable table : bool }
+
+(* One argument of an element kernel's declared signature ([@@args]): a
+   dataset with its label, dim, access mode and, when indirect, its map
+   label, arity and slot; or a global with its length and access mode.
+   Access modes are constructor names ("Read", "Inc", ...). *)
+type sarg =
+  | Sdat of { label : string; dim : int; access : string; via : (string * int * int) option }
+  | Sgbl of { len : int; access : string }
+
+(* How an element walker reaches an argument: the dataset in place at a
+   base computed per element; float locals, one per literal component (an
+   [Inc] dataset's per element, an [Inc]/[Min]/[Max] global's per range);
+   or the worker's buffer at base 0 (an [Inc] dataset's scratch, a
+   global's accumulator). *)
+type route = In_place | Locals | Buffer
 
 type env = {
   form : form;
@@ -78,6 +109,8 @@ type env = {
   param : string option; (* [None] once a binder shadows it *)
   aliases : (string * int) list;
   uses : (int, use) Hashtbl.t;
+  sg : sarg array; (* the declared signature; [||] for row forms *)
+  routes : route array; (* per argument, for the element walker *)
 }
 
 let fail env ~loc fmt =
@@ -87,7 +120,7 @@ let use env k =
   match Hashtbl.find_opt env.uses k with
   | Some u -> u
   | None ->
-    let u = { points = []; table = false; written = false } in
+    let u = { points = []; table = false } in
     Hashtbl.add env.uses k u;
     u
 
@@ -106,6 +139,9 @@ let accessor env e =
         [ (Nolabel, { pexp_desc = Pexp_ident { txt = Lident v; _ }; _ }); (Nolabel, i) ] )
     when Some v = env.param -> (
     match literal_int i with
+    | Some k when env.form = Elements && k >= Array.length env.sg ->
+      fail env ~loc:i.pexp_loc "argument %d is outside the signature, which declares %d" k
+        (Array.length env.sg)
     | Some k when k >= 0 -> Some k
     | Some _ | None ->
       fail env ~loc:i.pexp_loc "%s.(i) needs a literal argument number i" v)
@@ -159,6 +195,65 @@ let shadow env names =
 
 let shadow_pat env p = shadow env (bound_vars#pattern p [])
 
+(* ---- Element walkers ------------------------------------------------------ *)
+
+(* The first argument of [sg] that [same] pairs with argument [k]: the one
+   whose local the element walker shares among the arguments with one
+   dataset label, one map label, or one map label and slot. *)
+let first sg same k =
+  let rec from j = if same sg.(j) sg.(k) then j else from (j + 1) in
+  from 0
+
+let same_dataset a b =
+  match (a, b) with Sdat a, Sdat b -> String.equal a.label b.label | _ -> false
+
+let same_map a b =
+  match (a, b) with
+  | Sdat { via = Some (m, _, _); _ }, Sdat { via = Some (m', _, _); _ } -> String.equal m m'
+  | _ -> false
+
+let same_target a b =
+  match (a, b) with
+  | Sdat { via = Some (m, _, s); _ }, Sdat { via = Some (m', _, s'); _ } ->
+    String.equal m m' && s = s'
+  | _ -> false
+
+let map_local j = Printf.sprintf "__kernel_m%d" j
+let target j = Printf.sprintf "__kernel_t%d" j
+let local k c = Printf.sprintf "__kernel_u%d_%d" k c
+let buffer k = Printf.sprintf "__kernel_z%d" k
+
+(* [get x c] ([v = None]) or [set x c v] on argument [k] of an element
+   walker, once the declaration allows it: a literal component within the
+   declared dim (a global's length), and no [set] on a [Read] argument. *)
+let elem_use env ~loc k u c v =
+  let dim, access, what =
+    match env.sg.(k) with
+    | Sdat { dim; access; _ } -> (dim, access, "dim")
+    | Sgbl { len; access } -> (len, access, "length")
+  in
+  let lit = literal_int c in
+  (match lit with
+  | Some ci when ci < 0 || ci >= dim ->
+    fail env ~loc:c.pexp_loc "component %d is outside [0, %d), argument %d's declared %s" ci dim
+      k what
+  | Some ci -> if not (List.mem ci u.points) then u.points <- ci :: u.points
+  | None -> u.table <- true);
+  if Option.is_some v && access = "Read" then
+    fail env ~loc "set on argument %d, which the signature declares Read" k;
+  let ev = evar ~loc in
+  match (env.routes.(k), lit, v) with
+  | In_place, _, _ -> (
+    let d = ev (data (first env.sg same_dataset k)) in
+    let i = [%expr Stdlib.( + ) [%e ev (base k)] [%e c]] in
+    match v with
+    | None -> [%expr Stdlib.Array.get [%e d] [%e i]]
+    | Some v -> [%expr Stdlib.Array.set [%e d] [%e i] [%e v]])
+  | Locals, Some ci, None -> [%expr Stdlib.( ! ) [%e ev (local k ci)]]
+  | Locals, Some ci, Some v -> [%expr Stdlib.( := ) [%e ev (local k ci)] [%e v]]
+  | (Buffer | Locals), _, None -> [%expr Stdlib.Array.get [%e ev (buffer k)] [%e c]]
+  | (Buffer | Locals), _, Some v -> [%expr Stdlib.Array.set [%e ev (buffer k)] [%e c] [%e v]]
+
 (* The body of a generated walker: every accessor use rewritten to
    indexing on the hoisted locals, binders respecting scope. *)
 let rewrite =
@@ -184,8 +279,6 @@ let rewrite =
             evar ~loc (point k 0)
           in
           let d = evar ~loc (data k) in
-          (* [b_k + c], element component [c]. *)
-          let comp c = [%expr Stdlib.( + ) [%e evar ~loc (base k)] [%e c]] in
           match (env.form, f, List.map (fun (_, a) -> self#expression env a) rest) with
           | Rows, "get", [ p ] -> (
             match literal_int p with
@@ -204,10 +297,8 @@ let rewrite =
           | Rows, "set_gbl", [ c; v ] ->
             [%expr
               Stdlib.Array.set [%e d] (Stdlib.( + ) [%e at ~loc k (centre ())] [%e c]) [%e v]]
-          | Elements, "get", [ c ] -> [%expr Stdlib.Array.get [%e d] [%e comp c]]
-          | Elements, "set", [ c; v ] ->
-            u.written <- true;
-            [%expr Stdlib.Array.set [%e d] [%e comp c] [%e v]]
+          | Elements, "get", [ c ] -> elem_use env ~loc k u c None
+          | Elements, "set", [ c; v ] -> elem_use env ~loc k u c (Some v)
           | _ -> assert false)
         | Pexp_apply (_, args) ->
           List.iter
@@ -311,135 +402,290 @@ let row_form ~loc env body =
       fun (__kernel_a : Am_core.Acc.t array) (__kernel_steps : int array) (__kernel_n : int) ->
         [%e hoisted]]
 
-(* Per-argument locals of the element walker. *)
-let dataset k = Printf.sprintf "__kernel_g%d" k
-let map k = Printf.sprintf "__kernel_m%d" k
-let indirect k = Printf.sprintf "__kernel_i%d" k
-let arity k = Printf.sprintf "__kernel_r%d" k
-let slot k = Printf.sprintf "__kernel_x%d" k
-let dim k = Printf.sprintf "__kernel_w%d" k
-let stride k = Printf.sprintf "__kernel_v%d" k
-let inc k = Printf.sprintf "__kernel_n%d" k
-let target k = Printf.sprintf "__kernel_u%d" k
+(* The route of each argument, from the uses the body makes of it: an
+   [Inc] dataset or an [Inc]/[Min]/[Max] global takes float locals when
+   every use names a literal component, the worker's buffer otherwise; a
+   [Read] global the buffer; any other dataset is addressed in place. *)
+let routes_of sg uses =
+  Array.mapi
+    (fun k a ->
+      let computed = match Hashtbl.find_opt uses k with Some u -> u.table | None -> false in
+      match a with
+      | Sdat { access = "Inc"; _ } | Sgbl { access = "Inc" | "Min" | "Max"; _ } ->
+        if computed then Buffer else Locals
+      | Sdat _ -> In_place
+      | Sgbl _ -> Buffer)
+    sg
 
-(* The element walker around the rewritten [body].  Per call it loads each
-   used argument's addressing: the array the body sees ([data k]: the
-   dataset in place, else the frame's buffer), the dataset, the map, and
-   whether the argument is a staged Inc.  Per element it computes each
-   used argument's target element ([target k]) and base — [stride k] is 0
-   for a buffer — and, when the loop stages an Inc, zeroes the scratches
-   before the body and adds them back after it, in argument order.  Those
-   two steps are inlined for the arguments the body writes; when the loop
-   stages an Inc the body never writes (its scratch stays zero, but adding
-   it still turns a -0.0 into +0.0), [Acc.zero_incs] and [Acc.add_incs]
-   take both steps for every staged Inc instead, so the order stays the
-   argument order. *)
+let rec sequence ~loc = function
+  | [] -> [%expr ()]
+  | [ x ] -> x
+  | x :: rest -> [%expr [%e x]; [%e sequence ~loc rest]]
+
+(* The element walker around the rewritten [body], with the signature's
+   dims, arities and slots as constants.  Per call it loads one dataset
+   array per dataset label and one map table per map label the walker
+   needs, from the first argument with that label, the worker's buffers,
+   and an [Inc]/[Min]/[Max] global's literal components into float locals,
+   stored back after the range.  Per element it loads each (map label,
+   slot) once, computes the base of every argument addressed in place and
+   of every [Inc], starts each [Inc] at zero (float locals, or its zeroed
+   scratch), runs the body, and adds every [Inc]'s [dim] components back
+   to memory, in argument order and then component order — a component
+   the body never names adds 0.0, turning a -0.0 target into +0.0 as the
+   point walker does. *)
 let elems_form ~loc env body =
-  let ks = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) env.uses []) in
-  let written = List.filter (fun k -> (Hashtbl.find env.uses k).written) ks in
-  let pvar name = Ast_builder.Default.pvar ~loc name in
-  let ev k f = evar ~loc (f k) in
-  let seq = List.fold_right (fun x acc -> [%expr [%e x]; [%e acc]]) in
-  let zero k =
-    [%expr
-      if [%e ev k inc] then
-        for __kernel_c = 0 to Stdlib.( - ) [%e ev k dim] 1 do
-          Stdlib.Array.set [%e ev k data] __kernel_c 0.0
-        done]
+  let sg = env.sg in
+  let ks = List.init (Array.length sg) Fun.id in
+  let ev = evar ~loc and eint = Ast_builder.Default.eint ~loc in
+  let lets bindings body =
+    List.fold_right
+      (fun (name, e) acc ->
+        [%expr let [%p Ast_builder.Default.pvar ~loc name] = [%e e] in [%e acc]])
+      bindings body
   in
-  let add_back k =
-    [%expr
-      if [%e ev k inc] then begin
-        let __kernel_b = Stdlib.( * ) [%e ev k target] [%e ev k dim] in
-        for __kernel_c = 0 to Stdlib.( - ) [%e ev k dim] 1 do
-          let __kernel_j = Stdlib.( + ) __kernel_b __kernel_c in
-          Stdlib.Array.set [%e ev k dataset] __kernel_j
-            (Stdlib.( +. )
-               (Stdlib.Array.get [%e ev k dataset] __kernel_j)
-               (Stdlib.Array.get [%e ev k data] __kernel_c))
-        done
-      end]
+  let used k = Hashtbl.mem env.uses k in
+  let points k =
+    match Hashtbl.find_opt env.uses k with Some u -> List.sort compare u.points | None -> []
   in
-  let staged step ~all ~each =
-    [%expr
-      if __kernel_staging then
-        if __kernel_generic then [%e all] else [%e seq (List.map step each) [%expr ()]]]
+  let via k = match sg.(k) with Sdat { via; _ } -> via | Sgbl _ -> None in
+  let dim k = match sg.(k) with Sdat { dim; _ } -> dim | Sgbl { len; _ } -> len in
+  let is_dat k = match sg.(k) with Sdat _ -> true | Sgbl _ -> false in
+  let incs =
+    List.filter (fun k -> match sg.(k) with Sdat { access = "Inc"; _ } -> true | _ -> false) ks
+  in
+  let based =
+    List.filter (fun k -> List.mem k incs || (is_dat k && env.routes.(k) = In_place && used k)) ks
+  in
+  let indirect = List.filter (fun k -> via k <> None) based in
+  let firsts same l = List.sort_uniq compare (List.map (first sg same) l) in
+  let buffered k =
+    env.routes.(k) = Buffer || ((not (is_dat k)) && env.routes.(k) = Locals)
+  in
+  let buffers = List.filter (fun k -> used k && buffered k) ks in
+  let locals pred =
+    List.concat_map (fun k -> if pred k then List.map (fun c -> (k, c)) (points k) else []) ks
+  in
+  let gbl_locals = locals (fun k -> (not (is_dat k)) && env.routes.(k) = Locals) in
+  let inc_locals = locals (fun k -> is_dat k && env.routes.(k) = Locals) in
+  let targets =
+    List.map
+      (fun j ->
+        let _, arity, slot = Option.get (via j) in
+        let row =
+          if arity = 1 then [%expr __kernel_e] else [%expr Stdlib.( * ) __kernel_e [%e eint arity]]
+        in
+        let i = if slot = 0 then row else [%expr Stdlib.( + ) [%e row] [%e eint slot]] in
+        (target j, [%expr Stdlib.Array.get [%e ev (map_local (first sg same_map j))] [%e i]]))
+      (firsts same_target indirect)
+  in
+  let bases =
+    List.map
+      (fun k ->
+        let at =
+          if via k = None then [%expr __kernel_e] else ev (target (first sg same_target k))
+        in
+        (base k, [%expr Stdlib.( * ) [%e at] [%e eint (dim k)]]))
+      based
+  in
+  let zeroed =
+    List.concat_map
+      (fun k ->
+        if env.routes.(k) <> Buffer then []
+        else
+          List.init (dim k) (fun c ->
+              [%expr Stdlib.Array.set [%e ev (buffer k)] [%e eint c] 0.0]))
+      incs
+  in
+  let add_back =
+    List.concat_map
+      (fun k ->
+        let d = ev (data (first sg same_dataset k)) in
+        List.init (dim k) (fun c ->
+            let v =
+              if env.routes.(k) = Buffer then
+                [%expr Stdlib.Array.get [%e ev (buffer k)] [%e eint c]]
+              else if List.mem c (points k) then [%expr Stdlib.( ! ) [%e ev (local k c)]]
+              else [%expr 0.0]
+            in
+            [%expr
+              let __kernel_j = Stdlib.( + ) [%e ev (base k)] [%e eint c] in
+              Stdlib.Array.set [%e d] __kernel_j
+                (Stdlib.( +. ) (Stdlib.Array.get [%e d] __kernel_j) [%e v])]))
+      incs
   in
   let element =
-    List.fold_right
-      (fun k acc ->
-        [%expr
-          let [%p pvar (target k)] =
-            if [%e ev k indirect] then
-              Stdlib.Array.get [%e ev k map]
-                (Stdlib.( + ) (Stdlib.( * ) __kernel_e [%e ev k arity]) [%e ev k slot])
-            else __kernel_e
-          in
-          let [%p pvar (base k)] = Stdlib.( * ) [%e ev k target] [%e ev k stride] in
-          [%e acc]])
-      ks
-      (seq
-         [ staged zero ~all:[%expr Am_core.Acc.zero_incs __kernel_walk] ~each:written; body ]
-         (staged add_back ~all:[%expr Am_core.Acc.add_incs __kernel_walk __kernel_e] ~each:written))
+    lets
+      (targets @ bases @ List.map (fun (k, c) -> (local k c, [%expr Stdlib.ref 0.0])) inc_locals)
+      (sequence ~loc (zeroed @ (body :: add_back)))
   in
   let loop =
     [%expr for __kernel_e = __kernel_lo to Stdlib.( - ) __kernel_hi 1 do [%e element] done]
   in
-  let hoisted =
-    List.fold_right
-      (fun k acc ->
-        let ek = Ast_builder.Default.eint ~loc k in
-        let acc =
-          if not (List.mem k written) then acc
-          else
-            [%expr
-              let [%p pvar (inc k)] =
-                Stdlib.( && ) (Stdlib.not __kernel_p)
-                  (Stdlib.( > ) (Stdlib.Array.length [%e ev k dataset]) 0)
-              in
-              [%e acc]]
-        in
-        [%expr
-          let __kernel_t = Stdlib.Array.get __kernel_addrs [%e ek] in
-          let __kernel_z = Stdlib.Array.get __kernel_bufs [%e ek] in
-          let __kernel_p = Stdlib.( = ) (Stdlib.Array.length __kernel_z) 0 in
-          let [%p pvar (dataset k)] = __kernel_t.Am_core.Acc.adata in
-          let [%p pvar (data k)] = if __kernel_p then [%e ev k dataset] else __kernel_z in
-          let [%p pvar (map k)] = __kernel_t.Am_core.Acc.amap in
-          let [%p pvar (indirect k)] = Stdlib.( > ) (Stdlib.Array.length [%e ev k map]) 0 in
-          let [%p pvar (arity k)] = __kernel_t.Am_core.Acc.arity in
-          let [%p pvar (slot k)] = __kernel_t.Am_core.Acc.idx in
-          let [%p pvar (dim k)] = __kernel_t.Am_core.Acc.adim in
-          let [%p pvar (stride k)] = if __kernel_p then [%e ev k dim] else 0 in
-          [%e acc]])
-      ks loop
+  let datasets = firsts same_dataset based and maps = firsts same_map indirect in
+  let per_call =
+    (if datasets = [] && maps = [] then []
+     else [ ("__kernel_addrs", [%expr __kernel_walk.Am_core.Acc.addrs]) ])
+    @ (if buffers = [] then [] else [ ("__kernel_bufs", [%expr __kernel_walk.Am_core.Acc.bufs]) ])
+    @ List.map
+        (fun j -> (data j, [%expr (Stdlib.Array.get __kernel_addrs [%e eint j]).Am_core.Acc.adata]))
+        datasets
+    @ List.map
+        (fun j ->
+          (map_local j, [%expr (Stdlib.Array.get __kernel_addrs [%e eint j]).Am_core.Acc.amap]))
+        maps
+    @ List.map (fun k -> (buffer k, [%expr Stdlib.Array.get __kernel_bufs [%e eint k]])) buffers
+    @ List.map
+        (fun (k, c) ->
+          (local k c, [%expr Stdlib.ref (Stdlib.Array.get [%e ev (buffer k)] [%e eint c])]))
+        gbl_locals
   in
-  (* Is some staged Inc not one the body writes? *)
-  let others =
-    Ast_builder.Default.pexp_match ~loc [%expr Stdlib.Array.get __kernel_incs __kernel_s]
-      (List.map
-         (fun k ->
-           Ast_builder.Default.case ~lhs:(Ast_builder.Default.pint ~loc k) ~guard:None
-             ~rhs:[%expr ()])
-         written
-      @ [ Ast_builder.Default.case ~lhs:[%pat? _] ~guard:None ~rhs:[%expr __kernel_g := true] ])
+  let store =
+    List.map
+      (fun (k, c) ->
+        [%expr Stdlib.Array.set [%e ev (buffer k)] [%e eint c] (Stdlib.( ! ) [%e ev (local k c)])])
+      gbl_locals
   in
   [%expr
     fun (__kernel_walk : Am_core.Acc.walk) (__kernel_lo : int) (__kernel_hi : int) ->
-      if Stdlib.( < ) __kernel_lo __kernel_hi then begin
-        let __kernel_addrs = __kernel_walk.Am_core.Acc.addrs in
-        let __kernel_bufs = __kernel_walk.Am_core.Acc.bufs in
-        let __kernel_incs = __kernel_walk.Am_core.Acc.incs in
-        let __kernel_staging = Stdlib.( > ) (Stdlib.Array.length __kernel_incs) 0 in
-        let __kernel_generic =
-          let __kernel_g = Stdlib.ref false in
-          for __kernel_s = 0 to Stdlib.( - ) (Stdlib.Array.length __kernel_incs) 1 do
-            [%e others]
-          done;
-          Stdlib.( ! ) __kernel_g
-        in
-        [%e hoisted]
-      end]
+      if Stdlib.( < ) __kernel_lo __kernel_hi then
+        [%e lets per_call (sequence ~loc (loop :: store))]]
+
+(* The signature as a value, [Am_core.Acc.arg_sig array]. *)
+let signature_expr ~loc sg =
+  let eint = Ast_builder.Default.eint ~loc and estring = Ast_builder.Default.estring ~loc in
+  let access a =
+    Ast_builder.Default.pexp_construct ~loc
+      { txt = Ldot (Ldot (Lident "Am_core", "Access"), a); loc }
+      None
+  in
+  Ast_builder.Default.pexp_array ~loc
+    (Array.to_list
+       (Array.map
+          (function
+            | Sdat { label; dim; access = a; via } ->
+              let via =
+                match via with
+                | None -> [%expr None]
+                | Some (m, arity, slot) ->
+                  [%expr
+                    Some
+                      {
+                        Am_core.Acc.map = [%e estring m];
+                        arity = [%e eint arity];
+                        slot = [%e eint slot];
+                      }]
+              in
+              [%expr
+                Am_core.Acc.Dat
+                  {
+                    label = [%e estring label];
+                    dim = [%e eint dim];
+                    access = [%e access a];
+                    via = [%e via];
+                  }]
+            | Sgbl { len; access = a } ->
+              [%expr Am_core.Acc.Gbl { len = [%e eint len]; access = [%e access a] }])
+          sg))
+
+(* The [[@@args ...]] signature of element kernel [kname]: a comma-separated
+   list with one entry per argument, in argument order —
+
+     label dim Access                    a direct dataset argument
+     label (map arity slot) dim Access   an indirect one
+     gbl length Access                   a global
+
+   where the labels are names local to the signature.  Refused, located at
+   the entry: a malformed entry, an access mode the argument kind does not
+   take, a dim, length or arity below 1, a slot outside the arity, and one
+   dataset label declared with two dims or one map label with two
+   arities. *)
+let parse_signature ~kname vb =
+  let fail ~loc fmt = Location.raise_errorf ~loc ("%%elem_kernel %s: " ^^ fmt) kname in
+  let attr =
+    match List.find_opt (fun a -> String.equal a.attr_name.txt "args") vb.pvb_attributes with
+    | Some a -> a
+    | None ->
+      fail ~loc:vb.pvb_loc
+        "missing its argument signature [@@@@args ...], one entry per argument (label dim Access, \
+         label (map arity slot) dim Access or gbl length Access)"
+  in
+  let entries =
+    match attr.attr_payload with
+    | PStr [ { pstr_desc = Pstr_eval ({ pexp_desc = Pexp_tuple es; _ }, _); _ } ] -> es
+    | PStr [ { pstr_desc = Pstr_eval (e, _); _ } ] -> [ e ]
+    | _ -> fail ~loc:attr.attr_loc "[@@@@args] takes a comma-separated list of arguments"
+  in
+  let int ~at what e =
+    match literal_int e with
+    | Some i when i >= at -> i
+    | Some _ | None -> fail ~loc:e.pexp_loc "%s must be an integer literal of at least %d" what at
+  in
+  let access ~modes e =
+    match e.pexp_desc with
+    | Pexp_construct ({ txt = Lident a; _ }, None) when List.mem a modes -> a
+    | _ -> fail ~loc:e.pexp_loc "the access mode must be one of %s" (String.concat ", " modes)
+  in
+  let dat_modes = [ "Read"; "Write"; "Rw"; "Inc" ] in
+  let gbl_modes = [ "Read"; "Inc"; "Min"; "Max" ] in
+  let entry e =
+    match e.pexp_desc with
+    | Pexp_apply
+        ( { pexp_desc = Pexp_ident { txt = Lident "gbl"; _ }; _ },
+          [ (Nolabel, len); (Nolabel, a) ] ) ->
+      Sgbl { len = int ~at:1 "a global's length" len; access = access ~modes:gbl_modes a }
+    | Pexp_apply
+        ( { pexp_desc = Pexp_ident { txt = Lident label; _ }; _ },
+          [ (Nolabel, dim); (Nolabel, a) ] ) ->
+      Sdat { label; dim = int ~at:1 "a dim" dim; access = access ~modes:dat_modes a; via = None }
+    | Pexp_apply
+        ( { pexp_desc = Pexp_ident { txt = Lident label; _ }; _ },
+          [
+            ( Nolabel,
+              {
+                pexp_desc =
+                  Pexp_apply
+                    ( { pexp_desc = Pexp_ident { txt = Lident m; _ }; _ },
+                      [ (Nolabel, arity); (Nolabel, slot) ] );
+                _;
+              } );
+            (Nolabel, dim);
+            (Nolabel, a);
+          ] ) ->
+      let arity = int ~at:1 "an arity" arity in
+      let s = int ~at:0 "a slot" slot in
+      if s >= arity then fail ~loc:slot.pexp_loc "slot %d is outside map %s's arity %d" s m arity;
+      Sdat
+        {
+          label;
+          dim = int ~at:1 "a dim" dim;
+          access = access ~modes:dat_modes a;
+          via = Some (m, arity, s);
+        }
+    | _ ->
+      fail ~loc:e.pexp_loc
+        "a signature entry is label dim Access, label (map arity slot) dim Access or gbl length \
+         Access"
+  in
+  let sg = Array.of_list (List.map entry entries) in
+  List.iteri
+    (fun k e ->
+      match sg.(k) with
+      | Sdat { label; dim; via; _ } -> (
+        (match sg.(first sg same_dataset k) with
+        | Sdat { dim = d; _ } when d <> dim ->
+          fail ~loc:e.pexp_loc "dataset label %s is declared with dims %d and %d" label d dim
+        | _ -> ());
+        match via with
+        | Some (m, arity, _) -> (
+          match sg.(first sg same_map k) with
+          | Sdat { via = Some (_, r, _); _ } when r <> arity ->
+            fail ~loc:e.pexp_loc "map label %s is declared with arities %d and %d" m r arity
+          | _ -> ())
+        | None -> ())
+      | Sgbl _ -> ())
+    entries;
+  sg
 
 let is_acc_array ty =
   match ty.ptyp_desc with
@@ -482,16 +728,42 @@ let expand_binding form ~loc vb =
       (txt, body)
     | _ -> bad ()
   in
-  let env = { form; kname; param = Some param; aliases = []; uses = Hashtbl.create 8 } in
-  let body = rewrite#expression env body in
   let point = vb.pvb_expr in
-  let value =
-    match form with
-    | Rows -> [%expr { Am_core.Acc.point = [%e point]; row = [%e row_form ~loc env body] }]
-    | Elements ->
-      [%expr { Am_core.Acc.elem = [%e point]; elems = Some [%e elems_form ~loc env body] }]
+  let make_env sg =
+    let uses = Hashtbl.create 8 in
+    { form; kname; param = Some param; aliases = []; uses; sg; routes = routes_of sg uses }
   in
-  Ast_builder.Default.pstr_value ~loc Nonrecursive [ { vb with pvb_expr = value } ]
+  match form with
+  | Rows ->
+    let env = make_env [||] in
+    let body = rewrite#expression env body in
+    let value = [%expr { Am_core.Acc.point = [%e point]; row = [%e row_form ~loc env body] }] in
+    Ast_builder.Default.pstr_value ~loc Nonrecursive [ { vb with pvb_expr = value } ]
+  | Elements ->
+    (* Two passes: the first checks the body against the signature and
+       collects its uses, which fix each argument's route; the second
+       rewrites the body along those routes. *)
+    let sg = parse_signature ~kname vb in
+    let pass1 = make_env sg in
+    ignore (rewrite#expression pass1 body);
+    let env = { pass1 with uses = Hashtbl.create 8; routes = routes_of sg pass1.uses } in
+    let body = rewrite#expression env body in
+    let value =
+      [%expr
+        {
+          Am_core.Acc.elem = [%e point];
+          walker =
+            Some
+              {
+                Am_core.Acc.kname = [%e Ast_builder.Default.estring ~loc kname];
+                signature = [%e signature_expr ~loc sg];
+                elems = [%e elems_form ~loc env body];
+              };
+        }]
+    in
+    let attributes = List.filter (fun a -> a.attr_name.txt <> "args") vb.pvb_attributes in
+    Ast_builder.Default.pstr_value ~loc Nonrecursive
+      [ { vb with pvb_expr = value; pvb_attributes = attributes } ]
 
 let expand_item form item =
   match item.pstr_desc with

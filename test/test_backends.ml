@@ -374,27 +374,35 @@ type elem_probe = { ecalls : int Atomic.t; covered : int Atomic.t }
 
 let elem_probe_kernel (k : Op2.Acc.kernel) =
   let p = { ecalls = Atomic.make 0; covered = Atomic.make 0 } in
-  let walk = Option.get k.Op2.Acc.elems in
+  let g = Option.get k.Op2.Acc.walker in
   let elems w lo hi =
     Atomic.incr p.ecalls;
     ignore (Atomic.fetch_and_add p.covered (hi - lo));
-    walk w lo hi
+    g.Op2.Acc.elems w lo hi
   in
-  (p, { k with Op2.Acc.elems = Some elems })
+  (p, { k with Op2.Acc.walker = Some { g with Op2.Acc.elems } })
 
-(* The probed kernels: add one to component 0 of argument 0 ([bump0]), of
-   arguments 0 to 2 ([bump012]) or of argument 1 ([bump1]). *)
+(* The probed kernels, one per declared shape: add one to component 0 of
+   argument 0 ([bump_direct], and [bump_aliased] beside two reads), of
+   arguments 0 to 2 ([bump_coloured]) or of argument 1 ([bump_reading]). *)
 module Probed = struct
   let[@inline] get (a : Op2.Acc.t) c = a.Op2.Acc.data.(a.Op2.Acc.base + c)
   let[@inline] set (a : Op2.Acc.t) c v = a.Op2.Acc.data.(a.Op2.Acc.base + c) <- v
-  let%elem_kernel bump0 (a : Op2.Acc.t array) = set a.(0) 0 (get a.(0) 0 +. 1.0)
 
-  let%elem_kernel bump012 (a : Op2.Acc.t array) =
+  let%elem_kernel bump_direct (a : Op2.Acc.t array) = set a.(0) 0 (get a.(0) 0 +. 1.0)
+  [@@args hits 1 Rw]
+
+  let%elem_kernel bump_coloured (a : Op2.Acc.t array) =
     set a.(0) 0 (get a.(0) 0 +. 1.0);
     set a.(1) 0 (get a.(1) 0 +. 1.0);
     set a.(2) 0 (get a.(2) 0 +. 1.0)
+  [@@args hits 1 Rw, ends (e2c 2 0) 2 Inc, ends (e2c 2 1) 2 Inc]
 
-  let%elem_kernel bump1 (a : Op2.Acc.t array) = set a.(1) 0 (get a.(1) 0 +. 1.0)
+  let%elem_kernel bump_reading (a : Op2.Acc.t array) = set a.(1) 0 (get a.(1) 0 +. 1.0)
+  [@@args seen (e2c 2 0) 1 Read, hits 1 Rw]
+
+  let%elem_kernel bump_aliased (a : Op2.Acc.t array) = set a.(0) 0 (get a.(0) 0 +. 1.0)
+  [@@args hits 1 Rw, seen (e2c 2 0) 1 Read, hits 1 Read]
 end
 
 (* A ring of [ring] cells and as many edges, edge [e] joining cells [e] and
@@ -443,19 +451,20 @@ let ring_args r = function
     ]
   | Reading -> [ Op2.arg_dat_indirect r.seen r.e2c 0 Access.Read; Op2.arg_dat r.hits Access.Rw ]
 
-(* One probed loop on a fresh ring prepared by [setup]: the probe, and
+let ring_kernel = function
+  | Direct -> Probed.bump_direct
+  | Coloured -> Probed.bump_coloured
+  | Reading -> Probed.bump_reading
+
+(* One probed loop on a fresh ring prepared by [setup], with [shape]'s
+   arguments and kernel (the loop's own by default): the probe, and
    whether every edge was visited once (and, for [Coloured], every cell
    incremented from both its edges). *)
-let ring_run ?backend ?(setup = fun _ -> ()) ?(args = ring_args) loop =
+let ring_run ?backend ?(setup = fun _ -> ()) ?(shape = (ring_args, ring_kernel)) loop =
   let r = make_ring ?backend () in
   setup r;
-  let p, k =
-    elem_probe_kernel
-      (match loop with
-      | Direct -> Probed.bump0
-      | Coloured -> Probed.bump012
-      | Reading -> Probed.bump1)
-  in
+  let args, kernel = shape in
+  let p, k = elem_probe_kernel (kernel loop) in
   Op2.par_loop_acc r.rctx ~name:"probe" r.edges (args r loop) k;
   let hits = Op2.fetch r.rctx r.hits and ends = Op2.fetch r.rctx r.ends in
   let once =
@@ -507,10 +516,10 @@ let test_elem_dispatch () =
           Op2.arg_dat r.hits Access.Read ]
       in
       List.iter
-        (fun (name, backend, setup, args, loops) ->
+        (fun (name, backend, setup, shape, loops) ->
           List.iter
             (fun loop ->
-              let p, once = ring_run ?backend ~setup ?args loop in
+              let p, once = ring_run ?backend ~setup ?shape loop in
               Alcotest.(check int) (name ^ ": no element-walker call") 0 (Atomic.get p.ecalls);
               Alcotest.(check bool) (name ^ ": every element once") true once)
             loops)
@@ -523,7 +532,7 @@ let test_elem_dispatch () =
           ("overlap, 3 ranks", None, partitioned ~overlap:true Op2.Rank_seq, None, [ Reading ]);
           ("soa dat", None, soa (fun r -> r.hits), None, [ Direct ]);
           ("inc on a soa dat", None, soa (fun r -> r.ends), None, [ Coloured ]);
-          ("aliased rw", None, ignore, Some aliased, [ Direct ]);
+          ("aliased rw", None, ignore, Some (aliased, fun _ -> Probed.bump_aliased), [ Direct ]);
         ])
 
 (* ---- OPS accessor kernels ------------------------------------------------- *)
