@@ -15,6 +15,7 @@ let run n iters backend ranks renumber verify check analyze trace obs_json fault
     recover perf =
   Check_common.guard @@ fun () ->
   Op2_common.check_flags ~app:"aero" ~sizes:[ ("--size", n) ] ~counts:[ ("--iters", iters) ]
+    ~outputs:[ ("--trace", trace); ("--obs-json", obs_json) ]
     ~backend ~ranks ~overlap:false ~check;
   Am_obs.Obs.reset ();
   if trace <> None then Am_obs.Obs.set_tracing true;

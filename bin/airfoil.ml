@@ -14,8 +14,10 @@ let run nx ny iters backend ranks overlap renumber verify check analyze save_to
     mesh_file trace obs_json faults recover perf =
   Check_common.guard @@ fun () ->
   Op2_common.check_flags ~app:"airfoil"
-    ~sizes:[ ("--nx", nx); ("--ny", ny) ] ~counts:[ ("--iters", iters) ] ~backend ~ranks ~overlap
-    ~check;
+    ~sizes:[ ("--nx", nx); ("--ny", ny) ] ~counts:[ ("--iters", iters) ]
+    ~outputs:
+      [ ("--trace", trace); ("--obs-json", obs_json); ("--save", save_to); ("--mesh", mesh_file) ]
+    ~backend ~ranks ~overlap ~check;
   Am_obs.Obs.reset ();
   if trace <> None then Am_obs.Obs.set_tracing true;
   (* Meshes load from snapshot files (the HDF5-style input path) or are

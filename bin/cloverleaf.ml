@@ -16,7 +16,9 @@ let run nx ny steps backend ranks overlap summary_every verify van_leer check
     ~backends:[ "seq"; "shared"; "cuda"; "mpi"; "mpi2d"; "hybrid" ]
     ~overlap_backends:[ "mpi"; "mpi2d"; "hybrid" ]
     ~sizes:[ ("--nx", nx); ("--ny", ny); ("--summary-every", summary_every) ]
-    ~counts:[ ("--steps", steps) ] ~backend ~ranks ~overlap ~check;
+    ~counts:[ ("--steps", steps) ]
+    ~outputs:[ ("--trace", trace); ("--obs-json", obs_json) ]
+    ~backend ~ranks ~overlap ~check;
   Am_obs.Obs.reset ();
   if trace <> None then Am_obs.Obs.set_tracing true;
   let advection =

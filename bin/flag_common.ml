@@ -20,8 +20,12 @@ let one_of = function
    --overlap); [sizes] the driver's counted flags (problem sizes,
    cloverleaf's --summary-every) with their values, each of which must be
    at least 1; [counts] its iteration or step count, which may be 0 (run
-   nothing) but not negative. *)
-let check_flags ~backends ~overlap_backends ~app ~sizes ~counts ~backend ~ranks ~overlap ~check =
+   nothing) but not negative; [outputs] the files the run writes (--trace,
+   --obs-json, airfoil's --save and --mesh) with their flags, each of
+   which must lie in an existing directory, so a mistyped path fails now
+   rather than after the whole run. *)
+let check_flags ~backends ~overlap_backends ~app ~sizes ~counts ~outputs ~backend ~ranks
+    ~overlap ~check =
   List.iter
     (fun (flag, v) ->
       if v < 1 then usage_error ~app (Printf.sprintf "%s must be at least 1" flag))
@@ -38,7 +42,16 @@ let check_flags ~backends ~overlap_backends ~app ~sizes ~counts ~backend ~ranks 
   if overlap && (check || not (List.mem backend overlap_backends)) then
     usage_error ~app
       (Printf.sprintf "--overlap requires --backend %s (and no --check)"
-         (one_of overlap_backends))
+         (one_of overlap_backends));
+  List.iter
+    (fun (flag, path) ->
+      match path with
+      | Some path ->
+        let dir = Filename.dirname path in
+        if not (Sys.file_exists dir && Sys.is_directory dir) then
+          usage_error ~app (Printf.sprintf "%s %s: no directory %s" flag path dir)
+      | None -> ())
+    outputs
 
 (* The a x b process grid of a two-axis decomposition over [ranks] ranks
    (mpi2d's px x py, pencil's py x pz): [a] is the largest divisor of

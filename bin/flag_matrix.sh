@@ -16,10 +16,12 @@
 # --overlap --check, on mpi with --ranks 0 or at size 0 (every driver), on
 # a decomposition the OPS runtime refuses (more ranks than rows or planes,
 # a rank thinner than the ghost depth), on a Hydra mesh of odd size, with
-# cloverleaf's --summary-every 0, or with a negative --iters or --steps
-# (every driver; 0 is valid and runs nothing) is a usage error and must
-# exit 2;
-# every other run must exit 0.  No output may report an uncaught exception, and
+# cloverleaf's --summary-every 0, with a negative --iters or --steps
+# (every driver; 0 is valid and runs nothing), with an output file in a
+# directory that does not exist (--trace on every driver, airfoil's
+# --obs-json, --save and --mesh) or with a tealeaf --dt that is not a
+# finite number above 0 (-1, 0, nan, inf) is a usage error and must exit
+# 2; every other run must exit 0.  No output may report an uncaught exception, and
 # cloverleaf3's pencil backend must print the rank grid it runs on (the
 # most square split of --ranks: 3 ranks are 1x3).  Prints only the runs
 # that fail.
@@ -138,4 +140,17 @@ run 2 "$hydra" --nx 8 --ny 6 --iters=-1
 run 2 "$cloverleaf" --nx 12 --ny 12 --steps=-2
 run 2 "$cloverleaf3" --size 6 --steps=-1
 run 2 "$tealeaf" --size 6 --steps=-1
+missing=no-such-directory/out
+run 2 "$airfoil" --nx 16 --ny 12 --iters 2 --trace "$missing"
+run 2 "$aero" --size 8 --iters 1 --trace "$missing"
+run 2 "$hydra" --nx 8 --ny 6 --iters 1 --trace "$missing"
+run 2 "$cloverleaf" --nx 12 --ny 12 --steps 2 --trace "$missing"
+run 2 "$cloverleaf3" --size 6 --steps 1 --trace "$missing"
+run 2 "$tealeaf" --size 6 --steps 1 --trace "$missing"
+run 2 "$airfoil" --nx 16 --ny 12 --iters 2 --obs-json "$missing"
+run 2 "$airfoil" --nx 16 --ny 12 --iters 2 --save "$missing"
+run 2 "$airfoil" --nx 16 --ny 12 --iters 2 --mesh "$missing"
+for dt in -1 0 nan inf; do
+  run 2 "$tealeaf" --size 6 --steps 1 --dt="$dt"
+done
 exit $failed

@@ -9,7 +9,9 @@ let run nx ny iters backend ranks renumber no_multigrid check analyze trace
     obs_json faults recover perf =
   Check_common.guard @@ fun () ->
   Op2_common.check_flags ~app:"hydra" ~sizes:[ ("--nx", nx); ("--ny", ny) ]
-    ~counts:[ ("--iters", iters) ] ~backend ~ranks ~overlap:false ~check;
+    ~counts:[ ("--iters", iters) ]
+    ~outputs:[ ("--trace", trace); ("--obs-json", obs_json) ]
+    ~backend ~ranks ~overlap:false ~check;
   Am_obs.Obs.reset ();
   if trace <> None then Am_obs.Obs.set_tracing true;
   let features = { App.all_features with App.multigrid = not no_multigrid } in

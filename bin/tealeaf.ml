@@ -9,8 +9,11 @@ let run n steps dt backend ranks check analyze trace obs_json faults recover per
   Check_common.guard @@ fun () ->
   Flag_common.check_flags ~app:"tealeaf"
     ~backends:[ "seq"; "shared"; "cuda"; "mpi"; "hybrid" ]
-    ~overlap_backends:[] ~sizes:[ ("--size", n) ] ~counts:[ ("--steps", steps) ] ~backend
-    ~ranks ~overlap:false ~check;
+    ~overlap_backends:[] ~sizes:[ ("--size", n) ] ~counts:[ ("--steps", steps) ]
+    ~outputs:[ ("--trace", trace); ("--obs-json", obs_json) ]
+    ~backend ~ranks ~overlap:false ~check;
+  if not (Float.is_finite dt && dt > 0.0) then
+    Flag_common.usage_error ~app:"tealeaf" "--dt must be a finite number above 0";
   Am_obs.Obs.reset ();
   if trace <> None then Am_obs.Obs.set_tracing true;
   Fault_common.with_faults ~app:"tealeaf" ~faults ~recover @@ fun fc ~recovering ->

@@ -68,7 +68,7 @@ type t = {
    the same loop name would share one cached footprint, and the
    offset-indexed masks of the first call would be applied to the other
    call's offsets. *)
-let signature ?(salt = "") (loop : Descr.loop) =
+let signature ~salt (loop : Descr.loop) =
   loop.Descr.loop_name ^ "|"
   ^ String.concat "," (List.map Descr.arg_to_string loop.Descr.args)
   ^ salt
@@ -155,7 +155,7 @@ let infer ?(idx = [||]) ~(loop : Descr.loop) ~(kernel : float array array -> uni
   let is_idx i = i < Array.length idx && idx.(i) in
   Counters.incr Obs.infer_signatures;
   let t0 = Sys.time () in
-  let seed = hash_string (signature loop) in
+  let seed = hash_string (signature ~salt:"" loop) in
   let args = Array.of_list loop.Descr.args in
   let n = Array.length args in
   let nslots = Array.map slots_of args in

@@ -523,70 +523,20 @@ let staged_view = function Staged k -> k | Accessor k -> Acc.staged k.Acc.elem
    serialise calls (sequential phase or post-join merge). *)
 let merge_globals compiled buffers =
   Array.iteri
-    (fun i c ->
-      match c with
-      | C_dat _ -> ()
-      | C_gbl { user_buf; access } -> (
-        let acc = buffers.(i) in
-        match access with
-        | Access.Read -> ()
-        | Access.Inc ->
-          for d = 0 to Array.length user_buf - 1 do
-            user_buf.(d) <- user_buf.(d) +. acc.(d)
-          done
-        | Access.Min ->
-          for d = 0 to Array.length user_buf - 1 do
-            user_buf.(d) <- Float.min user_buf.(d) acc.(d)
-          done
-        | Access.Max ->
-          for d = 0 to Array.length user_buf - 1 do
-            user_buf.(d) <- Float.max user_buf.(d) acc.(d)
-          done
-        | Access.Write | Access.Rw -> assert false))
-    compiled.args
-
-(* Accumulate worker [src]'s global partials into worker [dst]'s (one level
-   of the reduction tree); Inc/Min/Max are associative and commutative. *)
-let combine_globals compiled dst src =
-  Array.iteri
-    (fun i c ->
-      match c with
-      | C_dat _ -> ()
-      | C_gbl { access; _ } -> (
-        let a = dst.(i) and b = src.(i) in
-        match access with
-        | Access.Read -> ()
-        | Access.Inc ->
-          for d = 0 to Array.length a - 1 do
-            a.(d) <- a.(d) +. b.(d)
-          done
-        | Access.Min ->
-          for d = 0 to Array.length a - 1 do
-            a.(d) <- Float.min a.(d) b.(d)
-          done
-        | Access.Max ->
-          for d = 0 to Array.length a - 1 do
-            a.(d) <- Float.max a.(d) b.(d)
-          done
-        | Access.Write | Access.Rw -> assert false))
+    (fun i -> function
+      | C_gbl { user_buf; access } -> Am_loop.Loop.fold access user_buf buffers.(i)
+      | C_dat _ -> ())
     compiled.args
 
 (* Pairwise tree reduction of per-worker frames' accumulators into the user
    buffers (the pooled replacement for the per-chunk mutex merge). *)
 let merge_worker_globals compiled frames =
-  match frames with
-  | [] -> ()
-  | frames ->
-    let traced = Am_obs.Obs.tracing () in
-    if traced then Am_obs.Obs.begin_span ~cat:Am_obs.Tracer.Reduce "merge_globals";
-    let arr = Array.of_list (List.map (fun f -> f.bufs) frames) in
-    let n = ref (Array.length arr) in
-    while !n > 1 do
-      let half = (!n + 1) / 2 in
-      for i = 0 to !n - half - 1 do
-        combine_globals compiled arr.(i) arr.(half + i)
-      done;
-      n := half
-    done;
-    merge_globals compiled arr.(0);
-    if traced then Am_obs.Obs.end_span ()
+  Am_loop.Loop.tree_merge
+    (List.map (fun f -> f.bufs) frames)
+    ~finish:(merge_globals compiled)
+    ~combine:(fun dst src ->
+      Array.iteri
+        (fun i -> function
+          | C_gbl { access; _ } -> Am_loop.Loop.fold access dst.(i) src.(i)
+          | C_dat _ -> ())
+        compiled.args)

@@ -27,6 +27,7 @@
 
 module Access = Am_core.Access
 module Descr = Am_core.Descr
+module Loop = Am_loop.Loop
 module Probe = Am_core.Probe
 module Profile = Am_core.Profile
 module Trace = Am_core.Trace
@@ -73,17 +74,8 @@ type ctx = {
   env : Types.env;
   mutable backend : backend;
   plan_cache : Plan.cache;
-  profile : Profile.t;
-  trace : Trace.t;
+  loop : Loop.t;
   mutable dist : Dist.t option;
-  mutable checkpoint : Am_checkpoint.Runtime.session option;
-  mutable fault : Am_simmpi.Fault.t option;
-  mutable infer : bool; (* kernel footprint inference (on by default) *)
-  (* Spend sampled never-observed-read facts on dropping halo exchanges:
-     explicit opt-in, off by default (see DESIGN.md 5j) — a read the
-     probes never triggered must not leave a rank consuming stale ghosts. *)
-  mutable tighten : bool;
-  foot_tbl : (string, Probe.info) Hashtbl.t; (* keyed by Probe.signature *)
 }
 
 let create ?(backend = Seq) () =
@@ -91,14 +83,8 @@ let create ?(backend = Seq) () =
     env = Types.make_env ();
     backend;
     plan_cache = Plan.make_cache ();
-    profile = Profile.create ();
-    trace = Trace.create ();
+    loop = Loop.create ~facade:"Op2";
     dist = None;
-    checkpoint = None;
-    fault = None;
-    infer = true;
-    tighten = false;
-    foot_tbl = Hashtbl.create 32;
   }
 
 let set_backend ctx backend =
@@ -111,8 +97,6 @@ let set_backend ctx backend =
   ctx.backend <- backend
 
 let backend ctx = ctx.backend
-let profile ctx = ctx.profile
-let trace ctx = ctx.trace
 
 (* ---- Declarations ---------------------------------------------------- *)
 
@@ -312,22 +296,10 @@ let partition ctx ~n_ranks ~strategy =
   | Shared _ | Cuda_sim _ | Vec _ | Check ->
     invalid_arg "Op2.partition: switch the backend to Seq before partitioning");
   let d = Dist.build ctx.env ~n_ranks ~strategy in
-  (match ctx.fault with
-  | Some f -> Am_simmpi.Comm.attach_fault d.Dist.comm f
-  | None -> ());
+  Loop.partitioned ctx.loop d.Dist.comm;
   ctx.dist <- Some d
 
 let dist ctx = ctx.dist
-
-(* Route the distributed runtime's messages through the fault injector's
-   reliable transport; a loop-counter crash trigger fires on any backend. *)
-let set_fault_injector ctx f =
-  ctx.fault <- Some f;
-  match ctx.dist with
-  | Some d -> Am_simmpi.Comm.attach_fault d.Dist.comm f
-  | None -> ()
-
-let fault_injector ctx = ctx.fault
 
 (* Intra-rank execution of the distributed backend: the hybrid MPI+OpenMP
    and MPI+vectorised modes of the paper. *)
@@ -377,62 +349,13 @@ let comm_stats ctx =
 
 (* ---- The parallel loop ------------------------------------------------- *)
 
-let now () = Unix.gettimeofday ()
-
 (* A per-call-site loop handle (see [Plan]): resolves the execution plan and
    the compiled executor without rebuilding the signature string per
-   invocation.  Both kernel forms share the executor. *)
+   invocation, and memoises the footprint.  Both kernel forms share the
+   executor. *)
 type handle = Plan.handle
 
 let make_handle = Plan.make_handle
-
-(* ---- Kernel footprint inference --------------------------------------- *)
-
-(* Probe the kernel once per loop signature (see [Am_core.Probe]): the
-   observed footprint feeds the Verify findings ([footprints] below), lets
-   the Check backend skip the per-element guards the probes already proved,
-   and drops halo exchanges for indirectly-read datasets the kernel was
-   observed never to read.  Cached in [foot_tbl] by descriptor signature and,
-   for handle-bearing call sites, on the plan entry itself. *)
-let footprint ctx ?handle (descr : Descr.loop) iter_set args kernel =
-  if not ctx.infer then None
-  else begin
-    let from_handle =
-      match handle with
-      | Some h -> Plan.handle_foot ctx.plan_cache h ~iter_set args
-      | None -> None
-    in
-    match from_handle with
-    | Some fi ->
-      Am_obs.Counters.incr Am_obs.Obs.infer_hits;
-      Some fi
-    | None ->
-      let key = Probe.signature descr in
-      let fi =
-        match Hashtbl.find_opt ctx.foot_tbl key with
-        | Some fi ->
-          Am_obs.Counters.incr Am_obs.Obs.infer_hits;
-          fi
-        | None ->
-          Am_obs.Counters.incr Am_obs.Obs.infer_misses;
-          let fp = Probe.infer ~loop:descr ~kernel:(Exec_common.staged_view kernel) () in
-          (* Unstructured arguments carry no stencil radius to tighten; the
-             extent column is the no-information marker throughout. *)
-          let fi =
-            {
-              Probe.in_loop = descr;
-              in_foot = fp;
-              in_read_ext = Array.make (List.length args) (-1);
-            }
-          in
-          Hashtbl.add ctx.foot_tbl key fi;
-          fi
-      in
-      (match handle with Some h -> Plan.set_handle_foot h fi | None -> ());
-      Some fi
-  end
-
-let light_of = function Some fi -> Probe.clean fi.Probe.in_foot | None -> false
 
 (* Per-argument "declared indirectly-read but observed wholly unread" flags
    for the distributed backend — only offered on clean footprints. *)
@@ -451,56 +374,43 @@ let unread_of args = function
             args))
   | Some _ | None -> None
 
-let set_infer ctx enabled = ctx.infer <- enabled
-let infer_enabled ctx = ctx.infer
-let set_tighten ctx enabled = ctx.tighten <- enabled
-let tighten_enabled ctx = ctx.tighten
+(* The plan over [block_size]-element blocks and, through a handle, the
+   executor cached beside it. *)
+let planned ctx handle ~name ~iter_set ~block_size args =
+  match handle with
+  | None -> (Plan.find_or_build ctx.plan_cache ~name ~iter_set ~block_size args, None)
+  | Some h ->
+    let entry, compiled = Plan.resolve ctx.plan_cache h ~name ~iter_set ~block_size args in
+    (Lazy.force entry.Plan.entry_plan, Some compiled)
 
-let footprints ctx =
-  Hashtbl.fold (fun _ fi acc -> fi :: acc) ctx.foot_tbl []
-  |> List.sort (fun a b ->
-         compare a.Probe.in_loop.Descr.loop_name b.Probe.in_loop.Descr.loop_name)
-
-let execute_loop ctx ~name ~foot ?handle iter_set args kernel =
+let execute_loop ctx ~name ~foot handle iter_set args kernel =
   match ctx.dist with
   | Some d ->
-    (* Rank-local plans have their own cache; handles do not apply. *)
-    let halo_seconds = ref 0.0 and overlap_seconds = ref 0.0 in
-    let unread = if ctx.tighten then unread_of args foot else None in
-    Dist.par_loop ?unread ~halo_seconds ~overlap_seconds d
-      ~name ~iter_set ~args ~kernel;
-    Profile.record_halo ctx.profile ~name ~overlapped:!overlap_seconds
-      ~seconds:!halo_seconds ()
+    (* Rank-local plans have their own cache; handles do not apply.
+       Dropping exchanges a kernel was never observed to need is the
+       explicit opt-in: a read the probes never triggered must not leave a
+       rank consuming stale ghosts. *)
+    let unread = if ctx.loop.Loop.tighten then unread_of args foot else None in
+    Dist.par_loop ?unread ~halo_seconds:ctx.loop.Loop.halo_seconds
+      ~overlap_seconds:ctx.loop.Loop.overlap_seconds d ~name ~iter_set ~args ~kernel
   | None -> (
-    let resolve ~block_size =
-      match handle with
-      | None -> None
-      | Some h -> Some (Plan.resolve ctx.plan_cache h ~name ~iter_set ~block_size args)
-    in
     let set_size = iter_set.Types.set_size in
     match ctx.backend with
-    | Seq -> (
+    | Seq ->
       (* No plan needed: the entry's lazy colouring is never forced. *)
-      match resolve ~block_size:0 with
-      | None -> Exec_seq.run ~set_size ~args ~kernel ()
-      | Some (_, compiled) -> Exec_seq.run ~compiled ~set_size ~args ~kernel ())
-    | Vec config -> (
+      let compiled =
+        match handle with
+        | None -> None
+        | Some h -> Some (snd (Plan.resolve ctx.plan_cache h ~name ~iter_set ~block_size:0 args))
+      in
+      Exec_seq.run ?compiled ~set_size ~args ~kernel ()
+    | Vec config ->
       (* The vector plan only needs element colours; block size is moot. *)
-      match resolve ~block_size:256 with
-      | None ->
-        let plan = Plan.find_or_build ctx.plan_cache ~name ~iter_set ~block_size:256 args in
-        Exec_vec.run config plan ~set_size ~args ~kernel
-      | Some (entry, compiled) ->
-        Exec_vec.run ~compiled config (Lazy.force entry.Plan.entry_plan) ~set_size
-          ~args ~kernel)
-    | Shared { pool; block_size } -> (
-      match resolve ~block_size with
-      | None ->
-        let plan = Plan.find_or_build ctx.plan_cache ~name ~iter_set ~block_size args in
-        Exec_shared.run pool plan ~set_size ~args ~kernel
-      | Some (entry, compiled) ->
-        Exec_shared.run ~compiled pool (Lazy.force entry.Plan.entry_plan) ~set_size
-          ~args ~kernel)
+      let plan, compiled = planned ctx handle ~name ~iter_set ~block_size:256 args in
+      Exec_vec.run ?compiled config plan ~set_size ~args ~kernel
+    | Shared { pool; block_size } ->
+      let plan, compiled = planned ctx handle ~name ~iter_set ~block_size args in
+      Exec_shared.run ?compiled pool plan ~set_size ~args ~kernel
     | Check ->
       (* Sanitizer: prove the colouring the parallel backends would use is
          race-free, then execute under access guards.  The plan validation
@@ -520,70 +430,70 @@ let execute_loop ctx ~name ~foot ?handle iter_set args kernel =
           Am_obs.Counters.add Am_obs.Obs.analysis_plan_violations (List.length vs);
           raise (Exec_check.Violation (Plan.violation_to_string ~name v))
       end;
-      Exec_check.run ~light:(light_of foot) ~name ~set_size ~args ~kernel ()
-    | Cuda_sim config -> (
+      Exec_check.run ~light:(Loop.light foot) ~name ~set_size ~args ~kernel ()
+    | Cuda_sim config ->
       (* The SoA strategy replaces dataset arrays on first touch; convert
          before resolving so the cached executor is compiled against the
          final arrays. *)
       if config.Exec_cuda.strategy = Exec_cuda.Global_soa then Exec_cuda.ensure_soa args;
-      match resolve ~block_size:config.Exec_cuda.block_size with
-      | None ->
-        let plan =
-          Plan.find_or_build ctx.plan_cache ~name ~iter_set
-            ~block_size:config.Exec_cuda.block_size args
-        in
-        Exec_cuda.run config plan ~set_size ~args ~kernel
-      | Some (entry, compiled) ->
-        Exec_cuda.run ~compiled config (Lazy.force entry.Plan.entry_plan) ~set_size
-          ~args ~kernel))
+      let plan, compiled =
+        planned ctx handle ~name ~iter_set ~block_size:config.Exec_cuda.block_size args
+      in
+      Exec_cuda.run ?compiled config plan ~set_size ~args ~kernel)
 
-(* The loop pipeline both entry points share: validate (a generated
-   kernel's arguments against its declared signature too), describe,
-   trace, fault counter, footprint, checkpoint, execute, profile. *)
+(* Snapshot accessors over the context's own dataset registry: the "all data
+   is handed to the library" property is what makes checkpointing fully
+   automatic. *)
+let checkpoint_fns ctx =
+  let find name =
+    match List.find_opt (fun d -> d.Types.dat_name = name) (dats ctx) with
+    | Some d -> d
+    | None -> invalid_arg (Printf.sprintf "Op2 checkpoint: unknown dataset %s" name)
+  in
+  {
+    Am_checkpoint.Runtime.fetch = (fun name -> fetch ctx (find name));
+    restore = (fun name data -> update ctx (find name) data);
+  }
+
+(* The shared loop pipeline and its checkpoint, fault and inference entry
+   points (see [Am_loop.Loop]). *)
+include Loop.Make (struct
+  type nonrec _ ctx = ctx
+  type nonrec handle = handle
+  type space = Types.set
+  type arg = Types.arg
+  type kernel = Exec_common.kernel
+
+  let state ctx = ctx.loop
+  let memo h = h.Plan.h_memo
+  let same_args = Plan.args_match
+  let salt _ = ""
+
+  (* Unstructured arguments carry no stencil radius to tighten; the extent
+     column is the no-information marker throughout. *)
+  let probe descr args kernel =
+    let fp = Probe.infer ~loop:descr ~kernel:(Exec_common.staged_view kernel) () in
+    { Probe.in_loop = descr; in_foot = fp; in_read_ext = Array.make (List.length args) (-1) }
+
+  let gbl_out args =
+    List.filter_map
+      (function
+        | Types.Arg_gbl { buf; access; _ } when access <> Access.Read -> Some buf
+        | Types.Arg_gbl _ | Types.Arg_dat _ -> None)
+      args
+
+  let snapshot_fns = checkpoint_fns
+  let execute = execute_loop
+end)
+
+(* Validate (a generated kernel's arguments against its declared signature
+   too) and describe the call; the shared pipeline does the rest. *)
 let run_loop ctx ~name ~info ?handle iter_set args kernel =
   Types.validate_args ~iter_set args;
   (match kernel with
   | Exec_common.Accessor { Acc.walker = Some w; _ } -> Exec_common.check_signature ~name w args
   | Exec_common.Accessor { Acc.walker = None; _ } | Exec_common.Staged _ -> ());
-  let descr = Types.describe ~name ~iter_set ~info args in
-  Trace.record ctx.trace descr;
-  (* The injected rank crash counts parallel loops on the injector itself,
-     so the trigger position survives a recovery restart's fresh context. *)
-  (match ctx.fault with
-  | Some f -> Am_simmpi.Fault.note_loop f
-  | None -> ());
-  let foot = footprint ctx ?handle descr iter_set args kernel in
-  let t0 = now () in
-  let traced = Am_obs.Obs.tracing () in
-  let gc0 = if traced then Some (Gc.quick_stat ()) else None in
-  if traced then Am_obs.Obs.begin_span ~cat:Am_obs.Tracer.Loop name;
-  (match ctx.checkpoint with
-  | None -> execute_loop ctx ~name ~foot ?handle iter_set args kernel
-  | Some session ->
-    (* Checkpointing mode: the session decides whether to run the body
-       (skipped while fast-forwarding, with logged global outputs replayed),
-       snapshot datasets before it, or defer. *)
-    let gbl_out =
-      List.filter_map
-        (function
-          | Types.Arg_gbl { buf; access; _ } when access <> Access.Read -> Some buf
-          | Types.Arg_gbl _ | Types.Arg_dat _ -> None)
-        args
-    in
-    Am_checkpoint.Runtime.step ~gbl_out session ~descr ~run:(fun () ->
-        execute_loop ctx ~name ~foot ?handle iter_set args kernel));
-  if traced then Am_obs.Obs.end_span ();
-  let seconds = now () -. t0 in
-  (match gc0 with
-  | Some g0 ->
-    let g1 = Gc.quick_stat () in
-    Profile.record_gc ctx.profile ~name
-      ~minor:(g1.Gc.minor_collections - g0.Gc.minor_collections)
-      ~major:(g1.Gc.major_collections - g0.Gc.major_collections)
-      ~promoted_words:(g1.Gc.promoted_words -. g0.Gc.promoted_words)
-  | None -> ());
-  Profile.record ctx.profile ~name ~seconds ~bytes:(Descr.total_bytes descr)
-    ~elements:iter_set.Types.set_size
+  run ctx ~name ~descr:(Types.describe ~name ~iter_set ~info args) handle iter_set args kernel
 
 let par_loop ctx ~name ?(info = Descr.default_kernel_info) ?handle iter_set args kernel =
   run_loop ctx ~name ~info ?handle iter_set args (Exec_common.Staged kernel)
@@ -649,46 +559,3 @@ let partition_report ctx =
   match ctx.dist with
   | None -> "not partitioned\n"
   | Some d -> Dist.report d ctx.env
-
-(* ---- Automatic checkpointing (paper Section VI) -------------------------- *)
-
-(* Snapshot accessors over the context's own dataset registry: the "all data
-   is handed to the library" property is what makes checkpointing fully
-   automatic. *)
-let checkpoint_fns ctx =
-  let find name =
-    match List.find_opt (fun d -> d.Types.dat_name = name) (dats ctx) with
-    | Some d -> d
-    | None -> invalid_arg (Printf.sprintf "Op2 checkpoint: unknown dataset %s" name)
-  in
-  {
-    Am_checkpoint.Runtime.fetch = (fun name -> fetch ctx (find name));
-    restore = (fun name data -> update ctx (find name) data);
-  }
-
-(* Route subsequent loops through a checkpointing session. *)
-let enable_checkpointing ctx =
-  if ctx.checkpoint = None then
-    ctx.checkpoint <- Some (Am_checkpoint.Runtime.create ~fns:(checkpoint_fns ctx))
-
-(* Ask for a checkpoint at the next opportunity; with periodicity evidence
-   the library defers within one loop period to the cheapest trigger. *)
-let request_checkpoint ctx =
-  match ctx.checkpoint with
-  | None -> invalid_arg "Op2.request_checkpoint: call enable_checkpointing first"
-  | Some session -> Am_checkpoint.Runtime.request_checkpoint session
-
-let checkpoint_session ctx = ctx.checkpoint
-
-(* Persist the made checkpoint. *)
-let checkpoint_to_file ctx ~path =
-  match ctx.checkpoint with
-  | None -> invalid_arg "Op2.checkpoint_to_file: checkpointing not enabled"
-  | Some session -> Am_checkpoint.Runtime.save_to_file session ~path
-
-(* Restart: route subsequent loops through a fast-forwarding session that
-   skips every loop body until the checkpoint position, restores the saved
-   datasets there, and resumes normal execution. *)
-let recover_from_file ctx ~path =
-  ctx.checkpoint <-
-    Some (Am_checkpoint.Runtime.recover_from_file ~path ~fns:(checkpoint_fns ctx))

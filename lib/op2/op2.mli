@@ -350,12 +350,15 @@ val fault_injector : ctx -> Am_simmpi.Fault.t option
 (** {1 The parallel loop} *)
 
 (** Per-call-site loop handle: caches the resolved execution plan and the
-    compiled executor for a [par_loop] site, so repeated
-    invocations skip the signature-string cache lookup entirely (validity is
-    re-checked with pointer compares every call, and the handle re-resolves
-    itself after renumbering, layout conversion or dataset updates).
-    Same-signature sites share one plan and one executor even through
-    distinct handles. Handles are inert on partitioned contexts. *)
+    compiled executor for a [par_loop] site, and the kernel's footprint, so
+    repeated invocations skip the signature-string cache lookups entirely
+    (validity is re-checked with pointer compares every call, and the handle
+    re-resolves itself after renumbering, layout conversion or dataset
+    updates).  Same-signature sites share one plan and one executor even
+    through distinct handles.  Loops that take one argument list may share
+    a handle: they share its plan and executor, while the footprint is
+    remembered per loop name.  Plans and executors are per rank on
+    partitioned contexts, so there a handle only remembers the footprint. *)
 type handle = Plan.handle
 
 val make_handle : unit -> handle

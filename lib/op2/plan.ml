@@ -239,9 +239,6 @@ type entry = {
   entry_name : string; (* loop name, for plan/compile trace spans *)
   entry_plan : t Lazy.t;
   mutable entry_exec : Exec_common.compiled option;
-  mutable entry_foot : Am_core.Probe.info option;
-      (* inferred kernel footprint, cached per signature alongside the plan
-         so handle-resolved call sites skip the footprint-table lookup *)
 }
 
 type cache = {
@@ -277,7 +274,6 @@ let find_entry cache ~name ~iter_set ~block_size args =
             (Obs.span ~cat:Cat.Plan name (fun () ->
                  count_build (build ~set_size:iter_set.set_size ~block_size args)));
         entry_exec = None;
-        entry_foot = None;
       }
     in
     Hashtbl.add cache.table key e;
@@ -302,17 +298,27 @@ let find_or_build cache ~name ~iter_set ~block_size args =
 (* A handle is per-call-site memoisation of the cache lookup: once resolved,
    re-invoking the same loop with structurally identical arguments skips the
    [Printf.sprintf] signature entirely — validity is a generation check plus
-   pointer compares on the argument list. *)
+   pointer compares on the argument list.  Resolution ignores the loop
+   name, so a handle two loops share serves both from one entry; its
+   footprint memo ([Am_loop.Loop.memo]) checks the name. *)
 type handle = {
   mutable h_entry : entry option;
   mutable h_block_size : int;
   mutable h_set_id : int;
   mutable h_args : arg list;
   mutable h_generation : int;
+  h_memo : arg Am_loop.Loop.memo;
 }
 
 let make_handle () =
-  { h_entry = None; h_block_size = -1; h_set_id = -1; h_args = []; h_generation = -1 }
+  {
+    h_entry = None;
+    h_block_size = -1;
+    h_set_id = -1;
+    h_args = [];
+    h_generation = -1;
+    h_memo = Am_loop.Loop.memo ();
+  }
 
 (* Structural identity of argument lists: same dats, maps, slots, global
    buffers (physically) with the same access descriptors. *)
@@ -354,31 +360,3 @@ let resolve cache handle ~name ~iter_set ~block_size args =
       e
   in
   (entry, entry_exec entry args)
-
-(* Footprint side-channel: a handle whose last resolution is still valid for
-   these arguments exposes the entry's cached footprint; [set_handle_foot]
-   stores one there after the first (Hashtbl-keyed) inference.  Validity
-   mirrors [resolve] minus the block size — a footprint depends only on the
-   kernel and the descriptor, never on the block decomposition. *)
-let handle_foot cache handle ~iter_set args =
-  match handle.h_entry with
-  | Some e
-    when handle.h_generation = cache.generation
-         && handle.h_set_id = iter_set.set_id
-         && args_match handle.h_args args ->
-    e.entry_foot
-  | Some _ | None -> None
-
-let set_handle_foot handle fi =
-  match handle.h_entry with
-  | Some e when e.entry_foot = None -> e.entry_foot <- Some fi
-  | Some _ | None -> ()
-
-(* Diagnostics / test hooks: what the handle last resolved to. *)
-let handle_plan handle =
-  match handle.h_entry with
-  | Some e when Lazy.is_val e.entry_plan -> Some (Lazy.force e.entry_plan)
-  | Some _ | None -> None
-
-let handle_exec handle =
-  match handle.h_entry with Some e -> e.entry_exec | None -> None

@@ -201,25 +201,9 @@ let check_and_scatter ~light ~rank ~name ~arg_i g ~x ~y ~z =
       done
     | Access.Min | Access.Max -> assert false)
 
-let merge_gbl g =
-  match g with
+let merge_gbl = function
   | G_dat _ | G_idx _ -> ()
-  | G_gbl { user_buf; access; buf; _ } -> (
-    match access with
-    | Access.Read -> ()
-    | Access.Inc ->
-      for d = 0 to Array.length user_buf - 1 do
-        user_buf.(d) <- user_buf.(d) +. buf.(d)
-      done
-    | Access.Min ->
-      for d = 0 to Array.length user_buf - 1 do
-        user_buf.(d) <- Float.min user_buf.(d) buf.(d)
-      done
-    | Access.Max ->
-      for d = 0 to Array.length user_buf - 1 do
-        user_buf.(d) <- Float.max user_buf.(d) buf.(d)
-      done
-    | Access.Write | Access.Rw -> assert false)
+  | G_gbl { user_buf; access; buf; _ } -> Am_loop.Loop.fold access user_buf buf
 
 let run ?(light = false) ~rank ~name ~range ~args ~kernel () =
   Counters.incr Obs.check_loops;

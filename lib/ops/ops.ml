@@ -67,8 +67,9 @@ let make_handle = Pipeline.make_handle
 let create ?(backend = Seq) () = Pipeline.create ~rank:2 ~backend ~exec:(exec_of backend)
 let set_backend ctx backend = Pipeline.set_backend ctx backend (exec_of backend)
 let backend = Pipeline.backend
-let profile = Pipeline.profile
-let trace = Pipeline.trace
+(* Profile, trace, fault injection, footprint inference and automatic
+   checkpointing, as every facade has them ([Am_loop.Loop.Make]). *)
+include Pipeline.Facade
 
 (* ---- Declarations ------------------------------------------------------ *)
 
@@ -144,8 +145,6 @@ type comm_mode = Blocking | Overlap
 let set_comm_mode ctx mode = Pipeline.set_overlap ctx (mode = Overlap)
 let comm_mode ctx = if Pipeline.overlap ctx then Overlap else Blocking
 let comm_stats = Pipeline.comm_stats
-let set_fault_injector = Pipeline.set_fault_injector
-let fault_injector = Pipeline.fault_injector
 
 (* ---- Multi-block halos ---------------------------------------------------- *)
 
@@ -174,14 +173,6 @@ let par_loop_acc ctx ~name ?(info = Descr.default_kernel_info) ?handle block ran
   Pipeline.run_loop ctx ~name ~info ?handle block (to_range range) args
     (Exec.Accessor kernel)
 
-(* ---- Footprint inference -------------------------------------------------- *)
-
-let set_infer = Pipeline.set_infer
-let infer_enabled = Pipeline.infer_enabled
-let set_tighten = Pipeline.set_tighten
-let tighten_enabled = Pipeline.tighten_enabled
-let footprints = Pipeline.footprints
-
 (* ---- Physical boundary conditions (update_halo) --------------------------- *)
 
 type centering = Boundary.centering = Cell | Node
@@ -193,11 +184,3 @@ let mirror_halo (ctx : ctx) ?(depth = 2) ?(sign_x = 1.0) ?(sign_y = 1.0)
     ?(center_x = Cell) ?(center_y = Cell) dat =
   Pipeline.mirror_halo ctx ~depth ~sign_x ~sign_y ~sign_z:1.0 ~center_x ~center_y
     ~center_z:Cell dat
-
-(* ---- Automatic checkpointing (paper Section VI) -------------------------- *)
-
-let enable_checkpointing = Pipeline.enable_checkpointing
-let request_checkpoint = Pipeline.request_checkpoint
-let checkpoint_session = Pipeline.checkpoint_session
-let checkpoint_to_file = Pipeline.checkpoint_to_file
-let recover_from_file = Pipeline.recover_from_file

@@ -305,14 +305,16 @@ val mirror_halo :
 (** {1 The parallel loop} *)
 
 (** Per-call-site loop handle. A handle caches the compiled executor
-    (per-argument offset tables and gather/scatter closures) for one
-    [par_loop] call site, so repeated invocations with the same arguments
-    skip argument compilation. Freshness is re-checked on every call with
-    a few pointer compares; a changed dataset array, stencil, access or
-    stride recompiles transparently. Both kernel forms share the executor,
-    so one handle may serve {!par_loop} and {!par_loop_acc}. Handles are
-    inert on partitioned contexts (the distributed backends resolve
-    per-rank windows). *)
+    (per-argument offset tables and gather/scatter closures) and the
+    kernel's footprint for one [par_loop] call site, so repeated
+    invocations with the same arguments skip argument compilation and the
+    footprint key. Freshness is re-checked on every call with a few pointer
+    compares; a changed dataset array, stencil, access or stride recompiles
+    transparently. Both kernel forms share the executor, so one handle may
+    serve {!par_loop} and {!par_loop_acc}; loops that take one argument
+    list may share a handle too, with the footprint remembered per loop
+    name. On partitioned contexts the distributed backends resolve per-rank
+    windows, so there a handle only remembers the footprint. *)
 type handle
 
 val make_handle : unit -> handle

@@ -40,8 +40,9 @@ let make_handle = Pipeline.make_handle
 let create ?(backend = Seq) () = Pipeline.create ~rank:1 ~backend ~exec:(exec_of backend)
 let set_backend ctx backend = Pipeline.set_backend ctx backend (exec_of backend)
 let backend = Pipeline.backend
-let profile = Pipeline.profile
-let trace = Pipeline.trace
+(* Profile, trace, fault injection, footprint inference and automatic
+   checkpointing, as every facade has them ([Am_loop.Loop.Make]). *)
+include Pipeline.Facade
 let blocks = Pipeline.blocks
 let dats = Pipeline.dats
 let decl_block = Pipeline.decl_block
@@ -60,8 +61,6 @@ let get dat ~x ~c = Types.get dat ~x ~y:0 ~z:0 ~c
 let set dat ~x ~c v = Types.set dat ~x ~y:0 ~z:0 ~c v
 let fetch_interior = Pipeline.fetch_interior
 let init ctx dat f = Pipeline.init ctx dat (fun x _ _ c -> f x c)
-let set_fault_injector = Pipeline.set_fault_injector
-let fault_injector = Pipeline.fault_injector
 
 let partition ctx ~n_ranks ~ref_xsize =
   Pipeline.partition ctx ~ranks:(n_ranks, 1, 1) ~reference:(ref_xsize, 1, 1)
@@ -86,12 +85,6 @@ let par_loop ctx ~name ?(info = Descr.default_kernel_info) ?handle block range a
     kernel =
   Pipeline.run_loop ctx ~name ~info ?handle block (to_range range) args (Exec.Staged kernel)
 
-let set_infer = Pipeline.set_infer
-let infer_enabled = Pipeline.infer_enabled
-let set_tighten = Pipeline.set_tighten
-let tighten_enabled = Pipeline.tighten_enabled
-let footprints = Pipeline.footprints
-
 (* ---- Physical boundary conditions (update_halo, 1D) ----------------------- *)
 
 type centering = Boundary.centering = Cell | Node
@@ -99,11 +92,3 @@ type centering = Boundary.centering = Cell | Node
 let mirror_halo (ctx : ctx) ?(depth = 2) ?(sign = 1.0) ?(center = Cell) dat =
   Pipeline.mirror_halo ctx ~depth ~sign_x:sign ~sign_y:1.0 ~sign_z:1.0 ~center_x:center
     ~center_y:Cell ~center_z:Cell dat
-
-(* ---- Automatic checkpointing (paper Section VI) -------------------------- *)
-
-let enable_checkpointing = Pipeline.enable_checkpointing
-let request_checkpoint = Pipeline.request_checkpoint
-let checkpoint_session = Pipeline.checkpoint_session
-let checkpoint_to_file = Pipeline.checkpoint_to_file
-let recover_from_file = Pipeline.recover_from_file

@@ -1,50 +1,41 @@
-(* The loop pipeline behind the [Ops1], [Ops] and [Ops3] facades: one
-   context, one [par_loop] pipeline (validate, describe, trace, fault
-   counter, footprint, checkpoint, execute, profile), and the checkpoint
-   and fault glue — written once against the rank-3 core of [Types],
-   [Exec] and [Exec_check].  A context knows its block rank, which picks
-   the axis the Shared backend splits (x in 1D, y in 2D, z in 3D);
-   everything else is rank-blind.
+(* The context behind the [Ops1], [Ops] and [Ops3] facades, and what their
+   [par_loop] adds to the shared loop pipeline ([Am_loop.Loop]): argument
+   validation, the descriptor, the footprint key salt and probe view, and
+   execution on the rank-3 core of [Types], [Exec] and [Exec_check].  A
+   context knows its block rank, which picks the axis the Shared backend
+   splits (x in 1D, y in 2D, z in 3D); everything else is rank-blind.
 
    The facades keep their own public types (ranges, stencils, backend
    constructors) and translate them here: a facade's [backend] value is
    stored as given, next to the [exec] engine it selects. *)
 
 module Access = Am_core.Access
-module Descr = Am_core.Descr
+module Loop = Am_loop.Loop
 module Probe = Am_core.Probe
-module Profile = Am_core.Profile
-module Trace = Am_core.Trace
 
 (* The engine a facade backend selects. *)
 type exec = Seq | Shared of Am_taskpool.Pool.t | Cuda of Exec.cuda_config3 | Check
 
 (* Per-call-site loop handle: caches the compiled gather/scatter executor
    (offset tables and specialised closures) so repeated invocations skip
-   argument compilation.  Freshness is a handful of pointer compares per
-   call; a changed dataset array, stencil or access recompiles. *)
-type handle = { mutable h_exec : Exec.compiled_arg array option }
+   argument compilation, and memoises the footprint.  Freshness is a
+   handful of pointer compares per call; a changed dataset array, stencil
+   or access recompiles.  The executor ignores the loop name, so a handle
+   two loops share serves both; the footprint memo checks it. *)
+type handle = {
+  mutable h_exec : Exec.compiled_arg array option;
+  h_memo : Types.arg Loop.memo;
+}
 
-let make_handle () = { h_exec = None }
+let make_handle () = { h_exec = None; h_memo = Loop.memo () }
 
 type 'backend ctx = {
   rank : int;
   env : Types.env;
   mutable backend : 'backend;
   mutable exec : exec;
-  profile : Profile.t;
-  trace : Trace.t;
+  loop : Loop.t;
   mutable dist : Dist.t option; (* the decomposition, once partitioned *)
-  mutable checkpoint : Am_checkpoint.Runtime.session option;
-  mutable fault : Am_simmpi.Fault.t option;
-  (* Kernel footprint inference (once per loop signature). *)
-  mutable infer : bool;
-  (* Spend sampled never-observed-read facts on runtime tightening (halo
-     depth, exchange drops).  Off by default: absence under sampling is
-     evidence, not proof, so acting on it is an explicit opt-in (see
-     DESIGN.md 5j). *)
-  mutable tighten : bool;
-  foot_tbl : (string, Probe.info) Hashtbl.t;
 }
 
 let create ~rank ~backend ~exec =
@@ -53,14 +44,8 @@ let create ~rank ~backend ~exec =
     env = Types.make_env ();
     backend;
     exec;
-    profile = Profile.create ();
-    trace = Trace.create ();
+    loop = Loop.create ~facade:(Types.facade rank);
     dist = None;
-    checkpoint = None;
-    fault = None;
-    infer = true;
-    tighten = false;
-    foot_tbl = Hashtbl.create 32;
   }
 
 let facade ctx = Types.facade ctx.rank
@@ -127,52 +112,6 @@ let idx_flags args =
          | Types.Arg_dat _ | Types.Arg_gbl _ -> false)
        args)
 
-(* Probe on first sight of a loop signature, then serve the cached
-   observation: the kernel is a pure function of its staging buffers, so
-   one inference per (name, argument structure) covers every later call. *)
-let footprint ctx (descr : Descr.loop) args kernel =
-  if not ctx.infer then None
-  else begin
-    let key = Probe.signature ~salt:(stencil_salt args) descr in
-    match Hashtbl.find_opt ctx.foot_tbl key with
-    | Some fi ->
-      Am_obs.Counters.incr Am_obs.Obs.infer_hits;
-      Some fi
-    | None ->
-      Am_obs.Counters.incr Am_obs.Obs.infer_misses;
-      let fp =
-        Probe.infer ~idx:(idx_flags args) ~loop:descr
-          ~kernel:(Exec.staged_view args kernel) ()
-      in
-      let fi =
-        { Probe.in_loop = descr; in_foot = fp; in_read_ext = observed_exts args fp }
-      in
-      Hashtbl.add ctx.foot_tbl key fi;
-      Some fi
-  end
-
-(* The sanitizer drops to light mode (NaN checks only) exactly when the
-   static pass proved the declaration: a loop whose footprint was caught
-   violating keeps the full per-element guards, so the pinned dynamic
-   violation is still raised. *)
-let light_of = function
-  | Some fi -> Probe.clean fi.Probe.in_foot
-  | None -> false
-
-let set_infer ctx enabled = ctx.infer <- enabled
-let infer_enabled ctx = ctx.infer
-let set_tighten ctx enabled = ctx.tighten <- enabled
-let tighten_enabled ctx = ctx.tighten
-
-(* Every footprint this context has inferred, for the analysis layer
-   ([Verify.check], halo-schedule tightening). *)
-let footprints ctx =
-  Hashtbl.fold (fun _ fi acc -> fi :: acc) ctx.foot_tbl []
-  |> List.sort (fun a b ->
-         compare a.Probe.in_loop.Descr.loop_name b.Probe.in_loop.Descr.loop_name)
-
-let now () = Unix.gettimeofday ()
-
 let resolve_compiled handle args =
   match handle.h_exec with
   | Some c when Exec.compiled_matches c args ->
@@ -196,8 +135,6 @@ let set_backend ctx backend exec =
   ctx.exec <- exec
 
 let backend ctx = ctx.backend
-let profile ctx = ctx.profile
-let trace ctx = ctx.trace
 
 (* ---- Declarations and data access --------------------------------------- *)
 
@@ -236,18 +173,6 @@ let init ctx dat f =
 
 (* ---- Partitioning -------------------------------------------------------- *)
 
-let dist_comm ctx = Option.map (fun d -> d.Dist.comm) ctx.dist
-
-(* Route the distributed runtime's messages through the fault injector's
-   reliable transport; a loop-counter crash trigger fires on any backend. *)
-let set_fault_injector ctx f =
-  ctx.fault <- Some f;
-  match dist_comm ctx with
-  | Some comm -> Am_simmpi.Comm.attach_fault comm f
-  | None -> ()
-
-let fault_injector ctx = ctx.fault
-
 (* Decompose every dataset over [ranks] = (px, py, pz) ranks, splitting a
    [reference] index space of (rx, ry, rz) cells (see [Dist.build]). *)
 let partition ctx ~ranks ~reference =
@@ -256,10 +181,9 @@ let partition ctx ~ranks ~reference =
   | Seq -> ()
   | Shared _ | Cuda _ | Check ->
     invalid_arg (facade ctx ^ ".partition: switch the backend to Seq before partitioning"));
-  ctx.dist <- Some (Dist.build ctx.env ~rank:ctx.rank ~ranks ~reference);
-  match (ctx.fault, dist_comm ctx) with
-  | Some f, Some comm -> Am_simmpi.Comm.attach_fault comm f
-  | _ -> ()
+  let d = Dist.build ctx.env ~rank:ctx.rank ~ranks ~reference in
+  Loop.partitioned ctx.loop d.Dist.comm;
+  ctx.dist <- Some d
 
 let partitioned ctx what =
   match ctx.dist with
@@ -277,7 +201,7 @@ let set_eager_halo ctx eager =
 let set_overlap ctx overlap = (partitioned ctx "set_comm_mode").Dist.overlap <- overlap
 let overlap ctx = match ctx.dist with Some d -> d.Dist.overlap | None -> false
 
-let comm_stats ctx = Option.map Am_simmpi.Comm.stats (dist_comm ctx)
+let comm_stats ctx = Option.map (fun d -> Am_simmpi.Comm.stats d.Dist.comm) ctx.dist
 
 (* Inter-block halos copy between canonical arrays, before partitioning. *)
 let unpartitioned ctx what =
@@ -298,70 +222,27 @@ let mirror_halo ctx ~depth ~sign_x ~sign_y ~sign_z ~center_x ~center_y ~center_z
 
 (* ---- The parallel loop ----------------------------------------------------- *)
 
-(* The loop pipeline every facade's [par_loop] shares: validate, describe,
-   trace, fault counter, footprint, checkpoint, execute, profile. *)
-let run_loop ctx ~name ~info ?handle block range args kernel =
-  Types.validate_args ~block ~range args;
-  let descr = Types.describe ~name ~block ~range ~info args in
-  Trace.record ctx.trace descr;
-  (* The injected rank crash counts parallel loops on the injector itself,
-     so the trigger position survives a recovery restart's fresh context. *)
-  (match ctx.fault with
-  | Some f -> Am_simmpi.Fault.note_loop f
-  | None -> ());
-  let foot = footprint ctx descr args kernel in
-  let t0 = now () in
-  let traced = Am_obs.Obs.tracing () in
-  let gc0 = if traced then Some (Gc.quick_stat ()) else None in
-  if traced then Am_obs.Obs.begin_span ~cat:Am_obs.Tracer.Loop name;
-  let halo_seconds = ref 0.0 and overlap_seconds = ref 0.0 in
-  let execute () =
+let execute ctx ~name ~foot handle range args kernel =
+  match ctx.dist with
+  | Some d ->
     (* Halo tightening from sampled negatives is the explicit opt-in: a
        read the probes never triggered would otherwise silently consume
        stale ghost cells. *)
     let ext =
-      if ctx.tighten then Option.map (fun fi -> fi.Probe.in_read_ext) foot else None
+      if ctx.loop.Loop.tighten then Option.map (fun fi -> fi.Probe.in_read_ext) foot
+      else None
     in
-    match ctx.dist with
-    | Some d -> Dist.par_loop ?ext ~halo_seconds ~overlap_seconds d ~range ~args ~kernel
-    | None -> (
-      let compiled = Option.map (fun h -> resolve_compiled h args) handle in
-      match ctx.exec with
-      | Seq -> Exec.run_seq ?compiled ~range ~args ~kernel ()
-      | Shared pool ->
-        Exec.run_shared ?compiled pool ~axis:(Types.outer_axis ctx.rank) ~range ~args
-          ~kernel
-      | Cuda config -> Exec.run_cuda ?compiled config ~range ~args ~kernel
-      | Check ->
-        Exec_check.run ~light:(light_of foot) ~rank:ctx.rank ~name ~range ~args ~kernel
-          ())
-  in
-  (match ctx.checkpoint with
-  | None -> execute ()
-  | Some session ->
-    let gbl_out =
-      List.filter_map
-        (function
-          | Types.Arg_gbl { buf; access; _ } when access <> Access.Read -> Some buf
-          | Types.Arg_gbl _ | Types.Arg_dat _ | Types.Arg_idx _ -> None)
-        args
-    in
-    Am_checkpoint.Runtime.step ~gbl_out session ~descr ~run:execute);
-  if traced then Am_obs.Obs.end_span ();
-  let seconds = now () -. t0 in
-  (match gc0 with
-  | Some g0 ->
-    let g1 = Gc.quick_stat () in
-    Profile.record_gc ctx.profile ~name
-      ~minor:(g1.Gc.minor_collections - g0.Gc.minor_collections)
-      ~major:(g1.Gc.major_collections - g0.Gc.major_collections)
-      ~promoted_words:(g1.Gc.promoted_words -. g0.Gc.promoted_words)
-  | None -> ());
-  Profile.record ctx.profile ~name ~seconds ~bytes:(Descr.total_bytes descr)
-    ~elements:(Types.range_size range);
-  if ctx.dist <> None then
-    Profile.record_halo ctx.profile ~name ~overlapped:!overlap_seconds
-      ~seconds:!halo_seconds ()
+    Dist.par_loop ?ext ~halo_seconds:ctx.loop.Loop.halo_seconds
+      ~overlap_seconds:ctx.loop.Loop.overlap_seconds d ~range ~args ~kernel
+  | None -> (
+    let compiled = Option.map (fun h -> resolve_compiled h args) handle in
+    match ctx.exec with
+    | Seq -> Exec.run_seq ?compiled ~range ~args ~kernel ()
+    | Shared pool ->
+      Exec.run_shared ?compiled pool ~axis:(Types.outer_axis ctx.rank) ~range ~args ~kernel
+    | Cuda config -> Exec.run_cuda ?compiled config ~range ~args ~kernel
+    | Check ->
+      Exec_check.run ~light:(Loop.light foot) ~rank:ctx.rank ~name ~range ~args ~kernel ())
 
 (* ---- Automatic checkpointing (paper Section VI) -------------------------- *)
 
@@ -394,23 +275,39 @@ let checkpoint_fns ctx =
         push ctx d);
   }
 
-let enable_checkpointing ctx =
-  if ctx.checkpoint = None then
-    ctx.checkpoint <- Some (Am_checkpoint.Runtime.create ~fns:(checkpoint_fns ctx))
+(* The shared loop pipeline and its checkpoint, fault and inference entry
+   points (see [Am_loop.Loop]). *)
+include Loop.Make (struct
+  type nonrec 'backend ctx = 'backend ctx
+  type nonrec handle = handle
+  type space = Types.range
+  type arg = Types.arg
+  type kernel = Exec.kernel
 
-let request_checkpoint ctx =
-  match ctx.checkpoint with
-  | None ->
-    invalid_arg (facade ctx ^ ".request_checkpoint: call enable_checkpointing first")
-  | Some session -> Am_checkpoint.Runtime.request_checkpoint session
+  let state ctx = ctx.loop
+  let memo h = h.h_memo
+  let same_args = Types.args_match
+  let salt = stencil_salt
 
-let checkpoint_session ctx = ctx.checkpoint
+  let probe descr args kernel =
+    let fp =
+      Probe.infer ~idx:(idx_flags args) ~loop:descr ~kernel:(Exec.staged_view args kernel) ()
+    in
+    { Probe.in_loop = descr; in_foot = fp; in_read_ext = observed_exts args fp }
 
-let checkpoint_to_file ctx ~path =
-  match ctx.checkpoint with
-  | None -> invalid_arg (facade ctx ^ ".checkpoint_to_file: checkpointing not enabled")
-  | Some session -> Am_checkpoint.Runtime.save_to_file session ~path
+  let gbl_out args =
+    List.filter_map
+      (function
+        | Types.Arg_gbl { buf; access; _ } when access <> Access.Read -> Some buf
+        | Types.Arg_gbl _ | Types.Arg_dat _ | Types.Arg_idx _ -> None)
+      args
 
-let recover_from_file ctx ~path =
-  ctx.checkpoint <-
-    Some (Am_checkpoint.Runtime.recover_from_file ~path ~fns:(checkpoint_fns ctx))
+  let snapshot_fns = checkpoint_fns
+  let execute = execute
+end)
+
+(* Validate and describe the call; the shared pipeline does the rest. *)
+let run_loop ctx ~name ~info ?handle block range args kernel =
+  Types.validate_args ~block ~range args;
+  run ctx ~name ~descr:(Types.describe ~name ~block ~range ~info args) handle range args
+    kernel

@@ -105,6 +105,25 @@ type arg =
   | Arg_gbl of { name : string; buf : float array; access : Access.t }
   | Arg_idx of int (* the kernel receives the block's [rank] iteration indices *)
 
+(* Whether two argument lists name the same datasets, stencils, strides,
+   global buffers and access modes: the compares [Exec.compiled_matches]
+   makes, list against list, allocating nothing. *)
+let rec args_match a b =
+  match (a, b) with
+  | [], [] -> true
+  | x :: a, y :: b -> arg_match x y && args_match a b
+  | [], _ :: _ | _ :: _, [] -> false
+
+and arg_match x y =
+  match (x, y) with
+  | Arg_dat d1, Arg_dat d2 ->
+    d1.dat == d2.dat && d1.access = d2.access
+    && (d1.stencil == d2.stencil || d1.stencil = d2.stencil)
+    && d1.stride = d2.stride
+  | Arg_gbl g1, Arg_gbl g2 -> g1.buf == g2.buf && g1.access = g2.access
+  | Arg_idx r1, Arg_idx r2 -> r1 = r2
+  | (Arg_dat _ | Arg_gbl _ | Arg_idx _), _ -> false
+
 (* Half-open iteration box; an absent axis iterates over [0, 1). *)
 type range = { xlo : int; xhi : int; ylo : int; yhi : int; zlo : int; zhi : int }
 

@@ -530,6 +530,70 @@ let test_tighten_opt_in () =
   Alcotest.(check bool) "opted-in context drops ghost rows" true
     (tighten_run ~tighten:true > 0)
 
+(* ---- a handle two loops share ------------------------------------------ *)
+
+(* One handle serves [clobber], which writes its Read argument, and [copy],
+   which does not, over one argument list.  After both ran on Seq, Check
+   must still run [clobber] with the full per-element guards and stop it:
+   the handle's footprint memo answers only the loop name it was filled
+   for.  The footprint table keeps one entry per name. *)
+let loop_names feet = List.map (fun fi -> fi.Probe.in_loop.Descr.loop_name) feet
+
+let test_shared_handle_op2 () =
+  let m = build_mini () in
+  let handle = Op2.make_handle () in
+  let run name kernel =
+    Op2.par_loop_acc m.ctx ~name ~handle m.edges
+      [
+        Op2.arg_dat_indirect m.u m.edge_cells 0 Access.Read;
+        Op2.arg_dat_indirect m.du m.edge_cells 0 Access.Inc;
+      ]
+      (Op2.Acc.lift kernel)
+  in
+  let copy a = set a.(1) 0 (get a.(1) 0 +. get a.(0) 0) in
+  let clobber a =
+    copy a;
+    set a.(0) 0 (get a.(0) 0 +. 1.0)
+  in
+  run "clobber" clobber;
+  run "copy" copy;
+  Op2.set_backend m.ctx Op2.Check;
+  (match run "clobber" clobber with
+  | () -> Alcotest.fail "check ran clobber under copy's clean footprint"
+  | exception Am_op2.Exec_check.Violation msg ->
+    Alcotest.(check bool) ("check names loop clobber: " ^ msg) true
+      (contains msg "loop clobber"));
+  Alcotest.(check (list string)) "one footprint per loop name" [ "clobber"; "copy" ]
+    (loop_names (Op2.footprints m.ctx))
+
+let test_shared_handle_ops () =
+  let ctx = Ops.create () in
+  let grid = Ops.decl_block ctx ~name:"grid" in
+  let u = Ops.decl_dat ctx ~name:"u" ~block:grid ~xsize:8 ~ysize:6 () in
+  let w = Ops.decl_dat ctx ~name:"w" ~block:grid ~xsize:8 ~ysize:6 () in
+  Ops.init ctx u (fun x y _ -> 1.0 +. Float.of_int ((x * 3) + y));
+  let handle = Ops.make_handle () in
+  let run name kernel =
+    Ops.par_loop_acc ctx ~name ~handle grid (Ops.interior u)
+      [ Ops.arg_dat u Ops.stencil_point Access.Read; Ops.arg_dat w Ops.stencil_point Access.Write ]
+      (Ops.Acc.lift kernel)
+  in
+  let copy a = oset a.(1) 0 0 (oget a.(0) 0 0) in
+  let clobber a =
+    copy a;
+    oset a.(0) 0 0 (oget a.(0) 0 0 +. 1.0)
+  in
+  run "clobber" clobber;
+  run "copy" copy;
+  Ops.set_backend ctx Ops.Check;
+  (match run "clobber" clobber with
+  | () -> Alcotest.fail "check ran clobber under copy's clean footprint"
+  | exception Am_ops.Exec_check.Violation msg ->
+    Alcotest.(check bool) ("check names loop clobber: " ^ msg) true
+      (contains msg "loop clobber"));
+  Alcotest.(check (list string)) "one footprint per loop name" [ "clobber"; "copy" ]
+    (loop_names (Ops.footprints ctx))
+
 (* ---- halo replay: the no-information sentinel is absorbing ------------- *)
 
 module Dataflow = Am_analysis.Dataflow
@@ -628,6 +692,10 @@ let () =
             test_idx_marker;
           Alcotest.test_case "runtime tightening is opt-in" `Quick
             test_tighten_opt_in;
+          Alcotest.test_case "shared handle: one footprint per name (op2)" `Quick
+            test_shared_handle_op2;
+          Alcotest.test_case "shared handle: one footprint per name (ops)" `Quick
+            test_shared_handle_ops;
           Alcotest.test_case "halo merge: -1 absorbs" `Quick
             test_halo_merge_absorbing;
         ] );

@@ -243,6 +243,54 @@ let test_clover_doctor () =
       in
       sane_rows "cloverleaf" rows ~loops:distinct)
 
+(* ---- A loop that raises ------------------------------------------------ *)
+
+(* A Check violation propagates out of [par_loop]; the failing loop's span
+   must still be closed and recorded, and a later loop's span with it. *)
+let loop_spans name =
+  List.length
+    (List.filter
+       (fun e -> e.Tracer.ev_cat = Tracer.Loop && e.Tracer.ev_name = name)
+       (Tracer.events Obs.tracer))
+
+let check_raising_span ~run_scribble ~run_after =
+  with_tracing (fun () ->
+      (match run_scribble () with
+      | () -> Alcotest.fail "check let a write to a Read argument through"
+      | exception (Am_op2.Exec_check.Violation _ | Am_ops.Exec_check.Violation _) -> ());
+      run_after ();
+      Alcotest.(check int) "the raising loop's span is recorded" 1 (loop_spans "scribble");
+      Alcotest.(check int) "the next loop's span is recorded" 1 (loop_spans "after"))
+
+let scribble a =
+  a.(1).(0) <- a.(0).(0);
+  a.(0).(0) <- 0.0
+
+let copy a = a.(1).(0) <- a.(0).(0)
+
+let test_raising_span_op2 () =
+  let ctx = Op2.create ~backend:Op2.Check () in
+  let s = Op2.decl_set ctx ~name:"cells" ~size:16 in
+  let x = Op2.decl_dat ctx ~name:"x" ~set:s ~dim:1 ~data:(Array.make 16 1.0) in
+  let y = Op2.decl_dat_zero ctx ~name:"y" ~set:s ~dim:1 in
+  let loop name kernel () =
+    Op2.par_loop ctx ~name s [ Op2.arg_dat x Access.Read; Op2.arg_dat y Access.Write ] kernel
+  in
+  check_raising_span ~run_scribble:(loop "scribble" scribble) ~run_after:(loop "after" copy)
+
+let test_raising_span_ops () =
+  let ctx = Ops.create ~backend:Ops.Check () in
+  let grid = Ops.decl_block ctx ~name:"grid" in
+  let x = Ops.decl_dat ctx ~name:"x" ~block:grid ~xsize:4 ~ysize:4 () in
+  let y = Ops.decl_dat ctx ~name:"y" ~block:grid ~xsize:4 ~ysize:4 () in
+  Ops.init ctx x (fun _ _ _ -> 1.0);
+  let loop name kernel () =
+    Ops.par_loop ctx ~name grid (Ops.interior x)
+      [ Ops.arg_dat x Ops.stencil_point Access.Read; Ops.arg_dat y Ops.stencil_point Access.Write ]
+      kernel
+  in
+  check_raising_span ~run_scribble:(loop "scribble" scribble) ~run_after:(loop "after" copy)
+
 (* Disabled runs leave no trace behind. *)
 let test_disabled_records_nothing () =
   Obs.reset ();
@@ -273,6 +321,11 @@ let () =
             test_airfoil_doctor;
           Alcotest.test_case "cloverleaf attribution rows" `Quick
             test_clover_doctor;
+        ] );
+      ( "raising loop",
+        [
+          Alcotest.test_case "op2 span closed" `Quick test_raising_span_op2;
+          Alcotest.test_case "ops span closed" `Quick test_raising_span_ops;
         ] );
       ( "disabled",
         [
