@@ -12,14 +12,22 @@
    zero-copy ABI, run with [Ops.par_loop_acc]); the stencil orders are
    documented with each kernel and fixed in [App].  Every dataset has
    dim 1, so [get a p] is stencil point [p] of argument [a].  Each kernel
-   is a [let%kernel] (lib/ppx_kernel): its value carries the body as
-   written, which Check and footprint probing run per point, and a
-   generated row form with the body inlined into a loop over a row
-   segment, which the executors run wherever every dataset is addressed
-   in place.  Accessors therefore appear only as [a.(k)] or a [let]-bound
-   name of one, and only under [get], [set], [gbl] and [set_gbl]; helpers
-   take floats.  The staged [pdv] that [Ops.par_loop] takes is a one-line
-   adapter over [pdv_acc]'s point form.
+   is a [let%kernel] (lib/ppx_kernel) with its argument signature after
+   the body, [[@@args ...]], one entry per argument in [App]'s call order:
+   [label [offsets] dim Access] for a dataset, [gbl length Access] for a
+   global.  The labels name layouts: [cell], [node], and [face] or
+   [xface]/[yface] for the face fields, so each label's datasets share
+   one shape.  The six kernels [App] runs with an x and a y stencil
+   ([advec_flux], [advec_flux_vanleer], [advec_cell], [mom_node_flux],
+   [mom_flux], [mom_vel]) declare one [[@@args]] per sweep.  The kernel
+   value carries the body as written, which Check and footprint probing
+   run per point, and one generated range walker per signature with the
+   body inlined into a loop nest over a whole box, which the executors run
+   wherever every dataset is addressed in place.  Accessors therefore
+   appear only as [a.(k)] or a [let]-bound name of one, and only under
+   [get], [set], [gbl] and [set_gbl]; helpers take floats.  The staged
+   [pdv] that [Ops.par_loop] takes is a one-line adapter over [pdv_acc]'s
+   point form.
    The hand-coded baseline ([Hand]) re-implements the same arithmetic over
    flat arrays, in the same operation order, and shares only [gamma] and
    [van_leer_limited] with this module.
@@ -47,6 +55,7 @@ let%kernel ideal_gas_acc (a : Acc.t array) =
   let p = (gamma -. 1.0) *. density *. energy in
   set a.(2) p;
   set a.(3) (sqrt (gamma *. p /. density))
+[@@args cell [(0,0)] 1 Read, cell [(0,0)] 1 Read, cell [(0,0)] 1 Write, cell [(0,0)] 1 Write]
 
 let ideal_gas_info = { Am_core.Descr.flops = 5.0; transcendentals = 1.0 }
 
@@ -70,6 +79,7 @@ let%kernel viscosity_acc (a : Acc.t array) =
     set a.(3) (2.0 *. density *. (div *. length) *. (div *. length))
   end
   else set a.(3) 0.0
+[@@args node [(0,0); (1,0); (0,1); (1,1)] 1 Read, node [(0,0); (1,0); (0,1); (1,1)] 1 Read, cell [(0,0)] 1 Read, cell [(0,0)] 1 Write, gbl 2 Read]
 
 let viscosity_info = { Am_core.Descr.flops = 14.0; transcendentals = 0.0 }
 
@@ -93,6 +103,9 @@ let%kernel calc_dt_acc (a : Acc.t array) =
   let dty = dy /. (ss_eff +. Float.abs v) in
   let dt = 0.5 *. Float.min dtx dty in
   set_gbl a.(6) 0 (Float.min (gbl a.(6) 0) dt)
+[@@args
+  cell [(0,0)] 1 Read, cell [(0,0)] 1 Read, cell [(0,0)] 1 Read, node [(0,0); (1,0); (0,1); (1,1)] 1 Read,
+  node [(0,0); (1,0); (0,1); (1,1)] 1 Read, gbl 2 Read, gbl 1 Min]
 
 let calc_dt_info = { Am_core.Descr.flops = 18.0; transcendentals = 1.0 }
 
@@ -126,6 +139,11 @@ let%kernel pdv_acc (a : Acc.t array) =
   let energy_change = (pressure +. visc) /. density0 *. total_flux /. volume in
   set a.(9) (energy0 -. energy_change);
   set a.(8) (density0 *. volume_change)
+[@@args
+  node [(0,0); (1,0); (0,1); (1,1)] 1 Read, node [(0,0); (1,0); (0,1); (1,1)] 1 Read,
+  node [(0,0); (1,0); (0,1); (1,1)] 1 Read, node [(0,0); (1,0); (0,1); (1,1)] 1 Read,
+  cell [(0,0)] 1 Read, cell [(0,0)] 1 Read, cell [(0,0)] 1 Read, cell [(0,0)] 1 Read,
+  cell [(0,0)] 1 Write, cell [(0,0)] 1 Write, gbl 4 Read]
 
 (* The staged form, for callers of [Ops.par_loop]. *)
 let pdv bufs = pdv_acc.Acc.point (Array.map (Acc.of_buffer ~dim:1) bufs)
@@ -163,6 +181,10 @@ let%kernel accelerate_acc (a : Acc.t array) =
     -. stepbymass
        *. (diff_y (get p 0) (get p 1) (get p 2) (get p 3) dx
           +. diff_y (get q 0) (get q 1) (get q 2) (get q 3) dx))
+[@@args
+  cell [(-1,-1); (0,-1); (-1,0); (0,0)] 1 Read, cell [(-1,-1); (0,-1); (-1,0); (0,0)] 1 Read,
+  cell [(-1,-1); (0,-1); (-1,0); (0,0)] 1 Read, node [(0,0)] 1 Read, node [(0,0)] 1 Read,
+  node [(0,0)] 1 Write, node [(0,0)] 1 Write, gbl 4 Read]
 
 let accelerate_info = { Am_core.Descr.flops = 24.0; transcendentals = 0.0 }
 
@@ -176,12 +198,14 @@ let%kernel flux_calc_x_acc (a : Acc.t array) =
   let xv0 = a.(0) and xv1 = a.(1) in
   let dy = gbl a.(3) 1 and dt = gbl a.(3) 2 in
   set a.(2) (0.25 *. dt *. dy *. (get xv0 0 +. get xv0 1 +. get xv1 0 +. get xv1 1))
+[@@args node [(0,0); (0,1)] 1 Read, node [(0,0); (0,1)] 1 Read, face [(0,0)] 1 Write, gbl 4 Read]
 
 (* args mirror flux_calc_x with yvel and [(0,0);(1,0)]. *)
 let%kernel flux_calc_y_acc (a : Acc.t array) =
   let yv0 = a.(0) and yv1 = a.(1) in
   let dx = gbl a.(3) 0 and dt = gbl a.(3) 2 in
   set a.(2) (0.25 *. dt *. dx *. (get yv0 0 +. get yv0 1 +. get yv1 0 +. get yv1 1))
+[@@args node [(0,0); (1,0)] 1 Read, node [(0,0); (1,0)] 1 Read, face [(0,0)] 1 Write, gbl 4 Read]
 
 let flux_calc_info = { Am_core.Descr.flops = 6.0; transcendentals = 0.0 }
 
@@ -201,6 +225,9 @@ let%kernel advec_vol_x_acc (a : Acc.t array) =
   let pre = volume +. net_x +. net_y in
   set a.(2) pre;
   set a.(3) (pre -. net_x)
+[@@args
+  xface [(0,0); (1,0)] 1 Read, yface [(0,0); (0,1)] 1 Read, cell [(0,0)] 1 Write,
+  cell [(0,0)] 1 Write, gbl 1 Read]
 
 (* y-sweep (second): only the y flux remains. *)
 let%kernel advec_vol_y_acc (a : Acc.t array) =
@@ -209,6 +236,9 @@ let%kernel advec_vol_y_acc (a : Acc.t array) =
   let net_y = get vfy 1 -. get vfy 0 in
   set a.(2) (volume +. net_y);
   set a.(3) volume
+[@@args
+  xface [(0,0); (1,0)] 1 Read, yface [(0,0); (0,1)] 1 Read, cell [(0,0)] 1 Write,
+  cell [(0,0)] 1 Write, gbl 1 Read]
 
 let advec_vol_info = { Am_core.Descr.flops = 6.0; transcendentals = 0.0 }
 
@@ -227,6 +257,12 @@ let%kernel advec_flux_acc (a : Acc.t array) =
   let mf = vf *. get d donor in
   set a.(3) mf;
   set a.(4) (mf *. get e donor)
+[@@args
+  face [(0,0)] 1 Read, cell [(-1,0); (0,0)] 1 Read, cell [(-1,0); (0,0)] 1 Read,
+  face [(0,0)] 1 Write, face [(0,0)] 1 Write]
+[@@args
+  face [(0,0)] 1 Read, cell [(0,-1); (0,0)] 1 Read, cell [(0,-1); (0,0)] 1 Read,
+  face [(0,0)] 1 Write, face [(0,0)] 1 Write]
 
 let advec_flux_info = { Am_core.Descr.flops = 4.0; transcendentals = 0.0 }
 
@@ -245,6 +281,12 @@ let%kernel advec_cell_acc (a : Acc.t array) =
   let post_ener = ((get energy 0 *. pre_mass) +. get ef 0 -. get ef 1) /. post_mass in
   set density (post_mass /. post_vol);
   set energy post_ener
+[@@args
+  face [(0,0); (1,0)] 1 Read, face [(0,0); (1,0)] 1 Read, cell [(0,0)] 1 Read,
+  cell [(0,0)] 1 Read, cell [(0,0)] 1 Rw, cell [(0,0)] 1 Rw]
+[@@args
+  face [(0,0); (0,1)] 1 Read, face [(0,0); (0,1)] 1 Read, cell [(0,0)] 1 Read,
+  cell [(0,0)] 1 Read, cell [(0,0)] 1 Rw, cell [(0,0)] 1 Rw]
 
 let advec_cell_info = { Am_core.Descr.flops = 10.0; transcendentals = 0.0 }
 
@@ -254,6 +296,8 @@ let advec_cell_info = { Am_core.Descr.flops = 10.0; transcendentals = 0.0 }
      0 mass_flux_x [(0,-1);(0,0)] (the two face fluxes beside the node)
      1 node_flux (W, centre on nodes) *)
 let%kernel mom_node_flux_acc (a : Acc.t array) = set a.(1) (0.5 *. (get a.(0) 0 +. get a.(0) 1))
+[@@args face [(0,-1); (0,0)] 1 Read, node [(0,0)] 1 Write]
+[@@args face [(-1,0); (0,0)] 1 Read, node [(0,0)] 1 Write]
 
 (* Stage 2: post-advection nodal mass.
    args:
@@ -263,6 +307,7 @@ let%kernel mom_node_flux_acc (a : Acc.t array) = set a.(1) (0.5 *. (get a.(0) 0 
 let%kernel mom_node_mass_acc (a : Acc.t array) =
   let d = a.(0) in
   set a.(1) (0.25 *. (get d 0 +. get d 1 +. get d 2 +. get d 3) *. gbl a.(2) 0)
+[@@args cell [(-1,-1); (0,-1); (-1,0); (0,0)] 1 Read, node [(0,0)] 1 Write, gbl 1 Read]
 
 (* Stage 3: upwinded momentum flux through the node CV's left face.
    args:
@@ -273,6 +318,8 @@ let%kernel mom_flux_acc (a : Acc.t array) =
   let f = get a.(0) 0 in
   let upwind = if f > 0.0 then 0 else 1 in
   set a.(2) (f *. get a.(1) upwind)
+[@@args node [(0,0)] 1 Read, node [(-1,0); (0,0)] 1 Read, node [(0,0)] 1 Write]
+[@@args node [(0,0)] 1 Read, node [(0,-1); (0,0)] 1 Read, node [(0,0)] 1 Write]
 
 (* Stage 4: velocity update.
    args:
@@ -287,16 +334,20 @@ let%kernel mom_vel_acc (a : Acc.t array) =
   (* Mass before this sweep's advection: post + net outflow. *)
   let mass_pre = mass_post +. get nf 1 -. get nf 0 in
   set vel (((get vel 0 *. mass_pre) +. get mf 0 -. get mf 1) /. mass_post)
+[@@args node [(0,0); (1,0)] 1 Read, node [(0,0); (1,0)] 1 Read, node [(0,0)] 1 Read, node [(0,0)] 1 Rw]
+[@@args node [(0,0); (0,1)] 1 Read, node [(0,0); (0,1)] 1 Read, node [(0,0)] 1 Read, node [(0,0)] 1 Rw]
 
 let advec_mom_info = { Am_core.Descr.flops = 8.0; transcendentals = 0.0 }
 
 (* reset_field: copy the time levels back. args: src (R), dst (W). *)
 let%kernel reset_field_acc (a : Acc.t array) = set a.(1) (get a.(0) 0)
+[@@args f [(0,0)] 1 Read, f [(0,0)] 1 Write]
 
 let reset_field_info = { Am_core.Descr.flops = 0.0; transcendentals = 0.0 }
 
 (* Wall zeroing of a velocity component. args: vel (W). *)
 let%kernel zero_acc (a : Acc.t array) = set a.(0) 0.0
+[@@args v [(0,0)] 1 Write]
 
 (* field_summary reductions.
    args:
@@ -322,6 +373,9 @@ let%kernel field_summary_acc (a : Acc.t array) =
   set_gbl sums 2 (gbl sums 2 +. (cell_mass *. energy));
   set_gbl sums 3 (gbl sums 3 +. (0.5 *. cell_mass *. vsqrd));
   set_gbl sums 4 (gbl sums 4 +. (volume *. pressure))
+[@@args
+  cell [(0,0)] 1 Read, cell [(0,0)] 1 Read, cell [(0,0)] 1 Read, node [(0,0); (1,0); (0,1); (1,1)] 1 Read,
+  node [(0,0); (1,0); (0,1); (1,1)] 1 Read, gbl 1 Read, gbl 5 Inc]
 
 let field_summary_info = { Am_core.Descr.flops = 26.0; transcendentals = 0.0 }
 
@@ -377,5 +431,13 @@ let%kernel advec_flux_vanleer_acc (a : Acc.t array) =
       ~downwind:(get e dnw)
   in
   set a.(5) (mf *. (get e don +. lim_e))
+[@@args
+  face [(0,0)] 1 Read, cell [(-2,0); (-1,0); (0,0); (1,0)] 1 Read,
+  cell [(-2,0); (-1,0); (0,0); (1,0)] 1 Read, cell [(-1,0); (0,0)] 1 Read,
+  face [(0,0)] 1 Write, face [(0,0)] 1 Write]
+[@@args
+  face [(0,0)] 1 Read, cell [(0,-2); (0,-1); (0,0); (0,1)] 1 Read,
+  cell [(0,-2); (0,-1); (0,0); (0,1)] 1 Read, cell [(0,-1); (0,0)] 1 Read,
+  face [(0,0)] 1 Write, face [(0,0)] 1 Write]
 
 let advec_flux_vanleer_info = { Am_core.Descr.flops = 34.0; transcendentals = 0.0 }

@@ -42,29 +42,53 @@ let of_buffer ~dim data =
    base-0 accessors on the staging buffers it is handed. *)
 let staged kernel bufs = kernel (Array.map of_array bufs)
 
-(* A structured-mesh kernel value, in two forms of one kernel.  [point]
-   runs the kernel once, at the points the accessors' bases name.  [row
-   accs steps n] runs it at [n] consecutive points, starting from the
-   bases the accessors hold and advancing argument [k]'s base by
-   [steps.(k)] after each point; it may leave the bases moved, so callers
-   set them before every call.  [let%kernel] (lib/ppx_kernel) generates
-   [row] from the body of [point]. *)
-type kernel = { point : t array -> unit; row : t array -> int array -> int -> unit }
+(* ---- Range walkers: the structured (OPS) kernel value -------------------- *)
 
-(* The kernel value of a plain point function: its row form calls it once
-   per point. *)
-let lift point =
-  {
-    point;
-    row =
-      (fun a steps n ->
-        for _ = 1 to n do
-          point a;
-          for k = 0 to Array.length a - 1 do
-            a.(k).base <- a.(k).base + steps.(k)
-          done
-        done);
-  }
+(* One argument of a structured kernel's declared signature: a dataset
+   with its layout label (local to the signature: arguments with one label
+   pass datasets of one shape, so they share one index), its stencil as
+   literal (x, y, z) offsets in declaration order, its dim and its access
+   mode; or a global with its length and access mode. *)
+type grid_sig =
+  | Grid_dat of {
+      label : string;
+      stencil : (int * int * int) array;
+      dim : int;
+      access : Access.t;
+    }
+  | Grid_gbl of { len : int; access : Access.t }
+
+(* Where a range walker finds one argument.  A dataset's place is its view:
+   the array, the flat index of point (0, 0, 0), the plane and row strides,
+   and the argument's table of flat stencil deltas.  A global's is the
+   worker's buffer in [pdata], the other fields unused. *)
+type place = { pdata : float array; pbase : int; pplane : int; prow : int; poff : int array }
+
+(* A generated range walker and the signature it was generated for.
+   [range places xlo xhi ylo yhi zlo zhi] runs the kernel at every point of
+   the box, z outermost, x innermost: the body inlined, one index per
+   layout label, each literal stencil offset and each [Read] global
+   component loaded once per call, and an [Inc]/[Min]/[Max] global named
+   by literal components kept in float locals and stored into its buffer
+   after the box.  It is only called on arguments that match [signature]
+   (the loop checks them first) when every dataset argument is in place
+   and the views of each label agree. *)
+type range_walker = {
+  kname : string;
+  signature : grid_sig array;
+  range : place array -> int -> int -> int -> int -> int -> int -> unit;
+}
+
+(* A structured-mesh kernel value: one kernel, with a range walker per
+   declared signature.  [point] runs the kernel once, at the points the
+   accessors' bases name.  [let%kernel] (lib/ppx_kernel) generates one
+   walker per [[@@args]] signature from the body of [point]; a call runs
+   the walker whose stencils equal its arguments'.  A plain point function
+   has none, and runs on the executors' point walker. *)
+type kernel = { point : t array -> unit; walkers : range_walker array }
+
+(* The kernel value of a plain point function. *)
+let lift point = { point; walkers = [||] }
 
 (* ---- Element walkers: the unstructured (OP2) kernel value ---------------- *)
 

@@ -30,8 +30,10 @@ val colour_name : int -> string
     count plan-cache lookups served from cache vs. creating an entry;
     [plan_builds]/[plan_colours] count plans actually constructed and their
     block colours; [exec_hits]/[exec_misses] count compiled-executor reuses
-    vs. (re)compilations; [core_elements]/[boundary_elements] count elements
-    run while halos were in flight vs. deferred until arrival. *)
+    vs. (re)compilations; [ops_walker_frames]/[ops_point_frames] count OPS
+    accessor-kernel frames that run a generated range walker vs. the point
+    walker; [core_elements]/[boundary_elements] count elements run while
+    halos were in flight vs. deferred until arrival. *)
 
 val loop_calls : Counters.counter
 val loop_bytes : Counters.counter
@@ -42,6 +44,8 @@ val plan_builds : Counters.counter
 val plan_colours : Counters.counter
 val exec_hits : Counters.counter
 val exec_misses : Counters.counter
+val ops_walker_frames : Counters.counter
+val ops_point_frames : Counters.counter
 val comm_messages : Counters.counter
 val comm_bytes : Counters.counter
 val comm_exchanges : Counters.counter

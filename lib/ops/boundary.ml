@@ -80,6 +80,10 @@ let sources_owned ~dat ~(own : range) ~axis ~depth ~center =
   !ok
 
 let check_depth dat ~depth =
+  if depth < 0 then
+    invalid_arg
+      (Printf.sprintf "%s.mirror_halo: depth %d of %s is negative" (facade dat.dat_block.rank)
+         depth dat.dat_name);
   if depth > dat.halo then
     invalid_arg
       (Printf.sprintf "mirror_halo: depth %d exceeds the %d-deep ghost ring of %s" depth

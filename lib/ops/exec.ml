@@ -33,19 +33,21 @@
      guarantee — does not depend on the kernel form.
 
    An accessor kernel is a kernel value ([Acc.kernel]) with a point form
-   and a row form, the latter generated by [let%kernel] with the body
-   inlined into a loop over a row segment.  When every dataset argument is
-   in place and there is no iteration index, the walker calls the row form
-   once per x-row segment of whatever range it is handed (a worker's
-   chunk, a Cuda_sim tile, a rank window's core or boundary strip), with
-   the bases set at the segment's first point and each argument's step its
-   view's column stride (0 for a global).  Otherwise it calls the point
-   form at every point, and so do the engines that stage every argument
-   themselves (Check, footprint probing), which therefore see the kernel
-   as written.
+   and, when [let%kernel] generated it, one range walker per declared
+   signature, with the body inlined into a loop nest over a whole box.  A
+   frame runs the walker whose signature the arguments match when every
+   dataset argument is in place and the views of each layout label agree
+   ([range_walker]): once per range it is handed (Seq's range, a worker's
+   chunk, a Cuda_sim tile, a rank window's core or boundary box), over
+   each argument's place (its view and offset table, or a global's
+   buffer).  Otherwise — a staged argument, a lifted point function, a
+   staged Cuda_sim tile whose scratch views of one label differ — the
+   frame's point walker calls the point form at every point, and so do
+   the engines that stage every argument themselves (Check, footprint
+   probing), which therefore see the kernel as written.
 
    A staged kernel walks its compiled arguments directly; only an accessor
-   kernel's frame builds accessors, per-point slots and row steps, so a
+   kernel's frame builds accessors and per-point slots, or places, so a
    handle-less staged loop — compiled afresh on every call and every rank
    — costs no more than its buffers.
 
@@ -304,13 +306,16 @@ type slot =
     }
   | Idx_arg of float array
 
+(* A range walker and what it runs over: one place per argument. *)
+type walk = { walker : Acc.range_walker; places : Acc.place array }
+
 (* [bufs] holds the staging buffers, the global accumulators and the index
-   buffer.  An accessor kernel's frame adds [accs], the accessor of every
-   argument, [before], the per-point work run before the kernel in
-   argument order, [after], the scatters of the staged arguments that
-   write, and [steps], the base step per x point of every argument when
-   the row form runs ([||] when the point walker does); a staged kernel's
-   frame leaves them empty and walks [compiled]. *)
+   buffer.  An accessor kernel's frame adds either [walk], when it runs the
+   kernel's range walker, or the point walker's [accs], the accessor of
+   every argument, [before], the per-point work run before the kernel in
+   argument order, and [after], the scatters of the staged arguments that
+   write; a staged kernel's frame leaves them empty and walks
+   [compiled]. *)
 type frame = {
   compiled : compiled_arg array;
   kernel : kernel;
@@ -318,65 +323,120 @@ type frame = {
   accs : Acc.t array;
   before : slot array;
   after : slot array;
-  steps : int array;
+  walk : walk option;
 }
 
-(* The row form runs exactly when every dataset argument is addressed in
-   place and there is no iteration index: its accessors then only move by
-   their view's column stride along a row, and a global's stays put. *)
-let rec rows_from compiled bufs i =
-  i >= Array.length compiled
-  || (match compiled.(i) with
-     | C_dat _ -> Array.length bufs.(i) = 0
-     | C_gbl _ -> true
-     | C_idx _ -> false)
-     && rows_from compiled bufs (i + 1)
+(* ---- Range walkers ------------------------------------------------------ *)
 
-let row_steps compiled bufs =
-  if rows_from compiled bufs 0 then
-    Array.map (function C_dat { view; _ } -> view.vcol | C_gbl _ | C_idx _ -> 0) compiled
-  else [||]
+(* Whether stencil [s] is exactly the declared offsets.  Closure-free, as
+   the per-call check calls it on every dataset argument. *)
+let rec points_from (declared : (int * int * int) array) s p =
+  p >= Array.length declared
+  ||
+  let x, y, z = declared.(p) in
+  ox s p = x && oy s p = y && oz s p = z && points_from declared s (p + 1)
+
+let stencil_is declared s = Array.length declared = npoints s && points_from declared s 0
+
+(* The first argument of [sg] from [j] on whose layout label is [label]. *)
+let rec first_label (sg : Acc.grid_sig array) label j =
+  match sg.(j) with
+  | Acc.Grid_dat { label = l; _ } when String.equal l label -> j
+  | Acc.Grid_dat _ | Acc.Grid_gbl _ -> first_label sg label (j + 1)
+
+(* Whether a walker for [sg] may run over [compiled] with the buffers
+   [bufs]: every dataset argument has the declared stencil, is addressed
+   in place ([bufs.(i)] empty) and is seen through the same view as its
+   label's first argument.  The loop has already held the call to one of
+   the kernel's signatures (dims, access modes, lengths, unit strides), so
+   the stencils pick the walker.  Allocates nothing. *)
+let rec walkable (sg : Acc.grid_sig array) compiled bufs i =
+  i >= Array.length compiled
+  || (match (sg.(i), compiled.(i)) with
+     | Acc.Grid_dat { label; stencil; _ }, C_dat c -> (
+       stencil_is stencil c.stencil
+       && Array.length bufs.(i) = 0
+       &&
+       match compiled.(first_label sg label 0) with
+       | C_dat f ->
+         f.view.vbase = c.view.vbase && f.view.vplane = c.view.vplane
+         && f.view.vrow = c.view.vrow && f.view.vcol = c.view.vcol
+       | C_gbl _ | C_idx _ -> false)
+     | Acc.Grid_gbl _, C_gbl _ -> true
+     | (Acc.Grid_dat _ | Acc.Grid_gbl _), _ -> false)
+     && walkable sg compiled bufs (i + 1)
+
+(* The walker of [k] from the [w]th on that a frame over [compiled] and
+   [bufs] runs, if any. *)
+let rec range_walker (k : Acc.kernel) compiled bufs w =
+  if w >= Array.length k.Acc.walkers then None
+  else
+    let walker = k.Acc.walkers.(w) in
+    if
+      Array.length walker.Acc.signature = Array.length compiled
+      && walkable walker.Acc.signature compiled bufs 0
+    then Some walker
+    else range_walker k compiled bufs (w + 1)
+
+(* Each argument's place: a dataset's view and offset table, a global's
+   buffer. *)
+let places compiled bufs =
+  Array.mapi
+    (fun i c ->
+      match c with
+      | C_dat { view; offsets; _ } ->
+        { Acc.pdata = view.vdata; pbase = view.vbase; pplane = view.vplane; prow = view.vrow;
+          poff = offsets }
+      | C_gbl _ | C_idx _ ->
+        { Acc.pdata = bufs.(i); pbase = 0; pplane = 0; prow = 0; poff = Acc.single })
+    compiled
 
 (* The frame of [compiled] over the given buffers (shared, not copied). *)
 let frame_of compiled kernel bufs =
   match kernel with
-  | Staged _ ->
-    { compiled; kernel; bufs; accs = [||]; before = [||]; after = [||]; steps = [||] }
-  | Accessor _ ->
-    let placed i = Array.length bufs.(i) = 0 in
-    let accs =
-      Array.mapi
+  | Staged _ -> { compiled; kernel; bufs; accs = [||]; before = [||]; after = [||]; walk = None }
+  | Accessor k -> (
+    match range_walker k compiled bufs 0 with
+    | Some walker ->
+      Am_obs.Counters.incr Am_obs.Obs.ops_walker_frames;
+      let walk = Some { walker; places = places compiled bufs } in
+      { compiled; kernel; bufs; accs = [||]; before = [||]; after = [||]; walk }
+    | None ->
+      Am_obs.Counters.incr Am_obs.Obs.ops_point_frames;
+      let placed i = Array.length bufs.(i) = 0 in
+      let accs =
+        Array.mapi
+          (fun i c ->
+            match c with
+            | C_dat { view; offsets; _ } when placed i ->
+              { Acc.data = view.vdata; base = 0; off = offsets }
+            | C_dat { dim; _ } -> Acc.of_buffer ~dim bufs.(i)
+            | C_gbl _ | C_idx _ -> Acc.of_array bufs.(i))
+          compiled
+      in
+      let before = ref [] and after = ref [] in
+      Array.iteri
         (fun i c ->
           match c with
-          | C_dat { view; offsets; _ } when placed i ->
-            { Acc.data = view.vdata; base = 0; off = offsets }
-          | C_dat { dim; _ } -> Acc.of_buffer ~dim bufs.(i)
-          | C_gbl _ | C_idx _ -> Acc.of_array bufs.(i))
-        compiled
-    in
-    let before = ref [] and after = ref [] in
-    Array.iteri
-      (fun i c ->
-        match c with
-        | C_gbl _ -> ()
-        | C_idx _ -> before := Idx_arg bufs.(i) :: !before
-        | C_dat { view = { vbase; vplane; vrow; vcol; _ }; _ } when placed i ->
-          before :=
-            In_place { acc = accs.(i); vbase; vplane; vrow; vcol; row = 0 } :: !before
-        | C_dat { access; gather; scatter; _ } ->
-          let s = Staged_arg { buf = bufs.(i); gather; scatter } in
-          before := s :: !before;
-          if Access.writes access then after := s :: !after)
-      compiled;
-    {
-      compiled;
-      kernel;
-      bufs;
-      accs;
-      before = Array.of_list (List.rev !before);
-      after = Array.of_list (List.rev !after);
-      steps = row_steps compiled bufs;
-    }
+          | C_gbl _ -> ()
+          | C_idx _ -> before := Idx_arg bufs.(i) :: !before
+          | C_dat { view = { vbase; vplane; vrow; vcol; _ }; _ } when placed i ->
+            before :=
+              In_place { acc = accs.(i); vbase; vplane; vrow; vcol; row = 0 } :: !before
+          | C_dat { access; gather; scatter; _ } ->
+            let s = Staged_arg { buf = bufs.(i); gather; scatter } in
+            before := s :: !before;
+            if Access.writes access then after := s :: !after)
+        compiled;
+      {
+        compiled;
+        kernel;
+        bufs;
+        accs;
+        before = Array.of_list (List.rev !before);
+        after = Array.of_list (List.rev !after);
+        walk = None;
+      })
 
 let make_frame compiled kernel = frame_of compiled kernel (make_buffers compiled kernel)
 
@@ -448,30 +508,16 @@ let traverse_acc f k ~range =
     done
   done
 
-(* Every x-row segment of [range] through the kernel's row form, which
-   inlines the kernel body into its loop: the in-place bases are set at
-   the segment's first point and the row form steps them along. *)
-let traverse_rows f row ~range =
-  let before = f.before and accs = f.accs and steps = f.steps in
-  let n = range.xhi - range.xlo in
-  if n > 0 then
-    for z = range.zlo to range.zhi - 1 do
-      for y = range.ylo to range.yhi - 1 do
-        enter_row before y z;
-        enter before range.xlo y z;
-        row accs steps n
-      done
-    done
-
 (* Every point of [range], z outermost, with the kernel form matched once
-   here rather than per point: an accessor kernel's row form when the
-   frame has row steps, its point form otherwise. *)
+   here rather than per point: an accessor kernel's range walker, called
+   once, when the frame has one, its point form at every point
+   otherwise. *)
 let run_range f ~range =
-  match f.kernel with
-  | Staged k -> traverse_staged f.compiled f.bufs k ~range
-  | Accessor k ->
-    if Array.length f.steps > 0 then traverse_rows f k.Acc.row ~range
-    else traverse_acc f k.Acc.point ~range
+  match (f.kernel, f.walk) with
+  | Staged k, _ -> traverse_staged f.compiled f.bufs k ~range
+  | Accessor _, Some { walker; places } ->
+    walker.Acc.range places range.xlo range.xhi range.ylo range.yhi range.zlo range.zhi
+  | Accessor k, None -> traverse_acc f k.Acc.point ~range
 
 let arg_dim = function
   | Arg_dat { dat; _ } -> dat.dim

@@ -53,10 +53,12 @@ type backend =
   | Cuda_sim of Exec.cuda_config
   | Check (* sanitizer: seq semantics + access-descriptor guards *)
 
-let exec_of = function
+let exec_of ~fn = function
   | Seq -> Pipeline.Seq
   | Shared { pool } -> Pipeline.Shared pool
   | Cuda_sim { Exec.tile_x; tile_y; strategy } ->
+    Pipeline.check_tile ~fn ~field:"tile_x" tile_x;
+    Pipeline.check_tile ~fn ~field:"tile_y" tile_y;
     Pipeline.Cuda { Exec.tile_x; tile_y; tile_z = 1; staged = strategy = Exec.Cuda_tiled }
   | Check -> Pipeline.Check
 
@@ -64,8 +66,11 @@ type ctx = backend Pipeline.ctx
 type handle = Pipeline.handle
 
 let make_handle = Pipeline.make_handle
-let create ?(backend = Seq) () = Pipeline.create ~rank:2 ~backend ~exec:(exec_of backend)
-let set_backend ctx backend = Pipeline.set_backend ctx backend (exec_of backend)
+let create ?(backend = Seq) () =
+  Pipeline.create ~rank:2 ~backend ~exec:(exec_of ~fn:"Ops.create" backend)
+
+let set_backend ctx backend =
+  Pipeline.set_backend ctx backend (exec_of ~fn:"Ops.set_backend" backend)
 let backend = Pipeline.backend
 (* Profile, trace, fault injection, footprint inference and automatic
    checkpointing, as every facade has them ([Am_loop.Loop.Make]). *)

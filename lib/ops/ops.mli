@@ -14,6 +14,7 @@
       let u = Ops.decl_dat ctx ~name:"u" ~block:grid ~xsize:nx ~ysize:ny () in
       let%kernel diffuse (a : Acc.t array) =
         set a.(1) (0.25 *. (get a.(0) 1 +. get a.(0) 2 ...))
+      [@@args u [(0,0); (-1,0); (1,0); (0,-1); (0,1)] 1 Read, u [(0,0)] 1 Write]
       ...
       Ops.par_loop_acc ctx ~name:"diffuse" grid (Ops.interior u)
         [ Ops.arg_dat u Ops.stencil_2d_5pt Access.Read;
@@ -25,7 +26,7 @@
 
     A kernel takes one argument view per loop argument, in two forms.  The
     accessor form ({!par_loop_acc}, whose point form is
-    [Acc.t array -> unit]; see the row forms below) is the zero-copy one of
+    [Acc.t array -> unit]; see the range walkers below) is the zero-copy one of
     the paper's Fig 7 [OP_ACC]: component [c] of stencil point [p]
     of argument [a] is [a.data.(a.base + a.off.(p) + c)], with [p] indexing
     the argument's stencil in declaration order.  For unit-stride [Read],
@@ -46,40 +47,54 @@
     the declared points or components, reaches memory, which probing and
     [Check] report by loop, argument and point.
 
-    {2 Row forms}
+    {2 Range walkers}
 
-    {!par_loop_acc} takes a kernel value ({!Acc.kernel}) holding two forms
-    of one kernel: the point form above, and a row form
-    [row accs steps n] that runs the kernel at [n] consecutive x points,
-    starting from the bases the accessors hold and advancing argument
-    [k]'s base by [steps.(k)] after each point.  The executor calls the
-    row form once per row segment — bases set at the segment's first
-    point, [steps.(k)] the column stride of an in-place dataset and 0 for
-    a global (Read, Inc, Min and Max globals stay per-frame buffers) —
-    whenever every dataset argument is addressed in place and there is no
-    {!arg_idx}.  That one rule serves Seq, Shared workers, both Cuda_sim
-    strategies and rank windows, with or without overlap.  Otherwise (a
-    staged argument or {!arg_idx}), and always on [Check] and under
-    footprint probing, the point form runs at every point, so the
-    sanitizer and inference see the kernel as written.
+    {!par_loop_acc} takes a kernel value ({!Acc.kernel}): the point form
+    above, and one generated range walker per declared signature, which
+    runs the kernel at every point of a box.  [let%kernel name (a : Acc.t
+    array) = body [@@args ...]] (the [ppx_kernel] rewriter) binds [name]
+    to it.  The signature states per argument, in call order, what the
+    call passes: [label [offsets] dim Access] for a dataset ([Read],
+    [Write] or [Rw]), its stencil as literal offsets in declaration order,
+    and [gbl length Access] for a global ([Read], [Inc], [Min] or [Max]).
+    Labels are layout names local to the signature: arguments with one
+    label pass datasets of one shape (sizes, halo and dim), so they share
+    one index.  A kernel run with an x and a y stencil takes one
+    [[@@args]] per variant on its one body.
 
-    [let%kernel name (a : Acc.t array) = body] (the [ppx_kernel]
-    rewriter) binds [name] to the kernel value whose point form is
-    [fun a -> body], exactly as written, and whose row form is generated:
-    it loads each accessor's [data], offset table and base into locals
-    once per call and runs [body] inlined over the [n] points, reading
-    and writing [data.(b_k + o)] with ordinary bounds-checked indexing and
-    the same floating-point operations in the same order.  The body names
-    accessors as [a.(k)] with a literal [k], or as a variable [let]-bound
-    to one, and uses them only through four module-local functions:
-    [get x p] (stencil point [p]; a literal [p] is hoisted, a computed one
-    reads the offset table), [set x v] (the centre point), [gbl x c] and
-    [set_gbl x c v] (component [c] of a global).  Any other use of an
-    accessor — passed to a function, returned or stored, indexed by a
-    non-literal argument index — and a parameter that is not
-    [(a : Acc.t array)] are compile-time errors at their location.  A
-    plain point function becomes a kernel value through {!Acc.lift},
-    whose row form calls it once per point. *)
+    The walker is the body inlined into a z, y, x loop nest.  Per call it
+    loads each label's base and strides (the column stride is the
+    declared dim, a constant), one offset local per distinct (label,
+    literal stencil point), each dataset's array, each [Read] global
+    component and, in float locals stored back after the box, each
+    [Inc]/[Min]/[Max] global component named by a literal; per point it
+    computes one index per label.  Indexing stays bounds-checked, and each
+    point does the same floating-point operations in the same order as the
+    point form.  The body names accessors as [a.(k)] with a literal [k],
+    or as a variable [let]-bound to one, and uses them only through four
+    module-local functions: [get x p] (stencil point [p]; a literal one
+    through its offset local, a computed one through the argument's
+    offset table), [set x v] (the centre point), and [gbl x c] and
+    [set_gbl x c v] (component [c] of a global, or of a dataset's point
+    0).  Any other use of an accessor, a literal point or component
+    outside the declaration, a [set] on a [Read] argument, an [Inc]
+    dataset, and a missing or inconsistent signature are compile-time
+    errors at their location, naming the kernel.
+
+    Every call of a generated kernel is checked, on every backend and
+    before any point runs, against the signature whose stencils equal its
+    arguments': a count, kind, dim, length, access mode, stencil, stride,
+    {!arg_idx}, or a label naming two shapes that differs raises
+    [Invalid_argument] naming the loop, the kernel, the argument and the
+    fact.  An executor frame calls the walker once per range it is handed
+    — Seq's range, a Shared worker's chunk, a Cuda_sim tile, a rank
+    window's core or boundary box — when every dataset argument is
+    addressed in place and each label's views agree.  Otherwise (an
+    aliased argument, a staged Cuda_sim tile whose scratch views of one
+    label differ), and always on [Check] and under footprint probing, the
+    point form runs at every point, so the sanitizer and inference see the
+    kernel as written.  A plain point function becomes a kernel value
+    through {!Acc.lift}, with no walker and no signature. *)
 
 module Access = Am_core.Access
 module Descr = Am_core.Descr
@@ -99,15 +114,45 @@ type arg = Types.arg
 module Acc : sig
   type t = Am_core.Acc.t = { data : float array; mutable base : int; off : int array }
 
-  (** A kernel value: the point form, and the row form that runs the kernel
-      at [n] consecutive x points (see the row forms above). *)
-  type kernel = Am_core.Acc.kernel = {
-    point : t array -> unit;
-    row : t array -> int array -> int -> unit;
+  (** One argument of a kernel's declared signature: a dataset's layout
+      label (local to the signature), stencil as (x, y, z) offsets in
+      declaration order, dim and access mode, or a global's length and
+      access mode. *)
+  type grid_sig = Am_core.Acc.grid_sig =
+    | Grid_dat of {
+        label : string;
+        stencil : (int * int * int) array;
+        dim : int;
+        access : Access.t;
+      }
+    | Grid_gbl of { len : int; access : Access.t }
+
+  (** Where a range walker finds one argument: a dataset's array, flat
+      index of point (0, 0, 0), plane and row strides and stencil offset
+      table; a global's buffer in [pdata]. *)
+  type place = Am_core.Acc.place = {
+    pdata : float array;
+    pbase : int;
+    pplane : int;
+    prow : int;
+    poff : int array;
   }
 
-  (** [lift f] is the kernel value of the point function [f]; its row form
-      calls [f] once per point. *)
+  (** A generated range walker: [range places xlo xhi ylo yhi zlo zhi] runs
+      the kernel at every point of the box (see the range walkers above),
+      on arguments that match [signature]. *)
+  type range_walker = Am_core.Acc.range_walker = {
+    kname : string;
+    signature : grid_sig array;
+    range : place array -> int -> int -> int -> int -> int -> int -> unit;
+  }
+
+  (** A kernel value: the point form, and one range walker per declared
+      signature ([[||]] for a lifted point function). *)
+  type kernel = Am_core.Acc.kernel = { point : t array -> unit; walkers : range_walker array }
+
+  (** [lift f] is the kernel value of the point function [f]: no walker and
+      no signature, so the point walker runs it everywhere. *)
   val lift : (t array -> unit) -> kernel
 end
 
@@ -339,7 +384,8 @@ val par_loop :
     checkpointing, profile) on the same backends, with unit-stride [Read],
     [Write] and [Rw] datasets addressed in place instead of copied (see the
     kernel ABI above) — on every backend, including rank windows and
-    Cuda_sim scratch tiles — and the row form run per row segment where the
+    Cuda_sim scratch tiles — a generated kernel's call checked against its
+    declared signature, and its range walker run once per range where the
     dispatch rule above allows it.  Results are bitwise those of the staged
     form of the same kernel. *)
 val par_loop_acc :

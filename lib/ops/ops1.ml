@@ -5,6 +5,7 @@
    extent 1. *)
 
 module Access = Am_core.Access
+module Acc = Ops.Acc
 module Descr = Am_core.Descr
 module Profile = Am_core.Profile
 module Trace = Am_core.Trace
@@ -26,10 +27,11 @@ type backend =
   | Cuda_sim of Exec.cuda_config1
   | Check (* sanitizer: seq semantics + access-descriptor guards *)
 
-let exec_of = function
+let exec_of ~fn = function
   | Seq -> Pipeline.Seq
   | Shared { pool } -> Pipeline.Shared pool
   | Cuda_sim { Exec.tile_x; staged } ->
+    Pipeline.check_tile ~fn ~field:"tile_x" tile_x;
     Pipeline.Cuda { Exec.tile_x; tile_y = 1; tile_z = 1; staged }
   | Check -> Pipeline.Check
 
@@ -37,8 +39,11 @@ type ctx = backend Pipeline.ctx
 type handle = Pipeline.handle
 
 let make_handle = Pipeline.make_handle
-let create ?(backend = Seq) () = Pipeline.create ~rank:1 ~backend ~exec:(exec_of backend)
-let set_backend ctx backend = Pipeline.set_backend ctx backend (exec_of backend)
+let create ?(backend = Seq) () =
+  Pipeline.create ~rank:1 ~backend ~exec:(exec_of ~fn:"Ops1.create" backend)
+
+let set_backend ctx backend =
+  Pipeline.set_backend ctx backend (exec_of ~fn:"Ops1.set_backend" backend)
 let backend = Pipeline.backend
 (* Profile, trace, fault injection, footprint inference and automatic
    checkpointing, as every facade has them ([Am_loop.Loop.Make]). *)
@@ -84,6 +89,11 @@ let comm_stats = Pipeline.comm_stats
 let par_loop ctx ~name ?(info = Descr.default_kernel_info) ?handle block range args
     kernel =
   Pipeline.run_loop ctx ~name ~info ?handle block (to_range range) args (Exec.Staged kernel)
+
+let par_loop_acc ctx ~name ?(info = Descr.default_kernel_info) ?handle block range args
+    kernel =
+  Pipeline.run_loop ctx ~name ~info ?handle block (to_range range) args
+    (Exec.Accessor kernel)
 
 (* ---- Physical boundary conditions (update_halo, 1D) ----------------------- *)
 

@@ -5,6 +5,7 @@
    {!Pipeline}. *)
 
 module Access = Am_core.Access
+module Acc = Ops.Acc
 module Descr = Am_core.Descr
 module Profile = Am_core.Profile
 module Trace = Am_core.Trace
@@ -36,18 +37,25 @@ type backend =
   | Cuda_sim of Exec.cuda_config3
   | Check (* sanitizer: seq semantics + access-descriptor guards *)
 
-let exec_of = function
+let exec_of ~fn = function
   | Seq -> Pipeline.Seq
   | Shared { pool } -> Pipeline.Shared pool
-  | Cuda_sim config -> Pipeline.Cuda config
+  | Cuda_sim ({ Exec.tile_x; tile_y; tile_z; _ } as config) ->
+    Pipeline.check_tile ~fn ~field:"tile_x" tile_x;
+    Pipeline.check_tile ~fn ~field:"tile_y" tile_y;
+    Pipeline.check_tile ~fn ~field:"tile_z" tile_z;
+    Pipeline.Cuda config
   | Check -> Pipeline.Check
 
 type ctx = backend Pipeline.ctx
 type handle = Pipeline.handle
 
 let make_handle = Pipeline.make_handle
-let create ?(backend = Seq) () = Pipeline.create ~rank:3 ~backend ~exec:(exec_of backend)
-let set_backend ctx backend = Pipeline.set_backend ctx backend (exec_of backend)
+let create ?(backend = Seq) () =
+  Pipeline.create ~rank:3 ~backend ~exec:(exec_of ~fn:"Ops3.create" backend)
+
+let set_backend ctx backend =
+  Pipeline.set_backend ctx backend (exec_of ~fn:"Ops3.set_backend" backend)
 let backend = Pipeline.backend
 (* Profile, trace, fault injection, footprint inference and automatic
    checkpointing, as every facade has them ([Am_loop.Loop.Make]). *)
@@ -104,6 +112,10 @@ let comm_stats = Pipeline.comm_stats
 let par_loop ctx ~name ?(info = Descr.default_kernel_info) ?handle block range args
     kernel =
   Pipeline.run_loop ctx ~name ~info ?handle block range args (Exec.Staged kernel)
+
+let par_loop_acc ctx ~name ?(info = Descr.default_kernel_info) ?handle block range args
+    kernel =
+  Pipeline.run_loop ctx ~name ~info ?handle block range args (Exec.Accessor kernel)
 
 (* ---- Multi-block halos ----------------------------------------------------- *)
 

@@ -26,6 +26,10 @@ module Descr = Am_core.Descr
 module Profile = Am_core.Profile
 module Trace = Am_core.Trace
 
+(** Kernel argument accessors and kernel values, as in {!Ops.Acc}: a
+    [let%kernel] declares 3D stencils as [[(0,0,0); (1,0,0)]]. *)
+module Acc = Ops.Acc
+
 type block = Types.block
 type dat = Types.dat
 type arg = Types.arg
@@ -220,6 +224,21 @@ val par_loop :
   range ->
   arg list ->
   (float array array -> unit) ->
+  unit
+
+(** [par_loop_acc] is {!par_loop} for an accessor kernel value, as
+    {!Ops.par_loop_acc}: datasets addressed in place, a generated kernel's
+    call checked against its declared signature, and its range walker run
+    once per range where every dataset argument is in place. *)
+val par_loop_acc :
+  ctx ->
+  name:string ->
+  ?info:Descr.kernel_info ->
+  ?handle:handle ->
+  block ->
+  range ->
+  arg list ->
+  Acc.kernel ->
   unit
 
 (** Kernel footprint inference (see {!Ops}): on by default, once per loop

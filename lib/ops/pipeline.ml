@@ -10,11 +10,17 @@
    stored as given, next to the [exec] engine it selects. *)
 
 module Access = Am_core.Access
+module Acc = Am_core.Acc
 module Loop = Am_loop.Loop
 module Probe = Am_core.Probe
 
 (* The engine a facade backend selects. *)
 type exec = Seq | Shared of Am_taskpool.Pool.t | Cuda of Exec.cuda_config3 | Check
+
+(* A Cuda_sim tile size below 1 would tile nothing or divide by zero. *)
+let check_tile ~fn ~field size =
+  if size < 1 then
+    invalid_arg (Printf.sprintf "%s: Cuda_sim %s must be at least 1, got %d" fn field size)
 
 (* Per-call-site loop handle: caches the compiled gather/scatter executor
    (offset tables and specialised closures) so repeated invocations skip
@@ -306,8 +312,139 @@ include Loop.Make (struct
   let execute = execute
 end)
 
-(* Validate and describe the call; the shared pipeline does the rest. *)
+(* ---- Declared signatures ------------------------------------------------ *)
+
+(* A generated kernel's range walker has its signature's stencils, dims
+   and layout strides built in, so every call must pass exactly those
+   facts.  [check_signature] holds the call to the walker whose stencils
+   equal its arguments' (the last walker when none does) and raises
+   [Invalid_argument] naming the loop, the kernel, the argument and the
+   fact that differs: the argument count, a dataset or a global, dim or
+   length, access mode, stencil, unit stride, and, for arguments with one
+   layout label, datasets of one shape (sizes, halo and dim).  It
+   allocates nothing unless it raises. *)
+
+let sig_error ~rank ~name (w : Acc.range_walker) k fact =
+  invalid_arg
+    (Printf.sprintf "%s.par_loop_acc %s: kernel %s, argument %d: %s" (Types.facade rank) name
+       w.Acc.kname k fact)
+
+let stencil_string ~rank points =
+  "["
+  ^ String.concat "; " (List.map (fun (x, y, z) -> Types.point_to_string ~rank x y z) points)
+  ^ "]"
+
+let declared_stencil ~rank (k : Acc.kernel) i =
+  String.concat " or "
+    (List.filter_map
+       (fun (w : Acc.range_walker) ->
+         match w.Acc.signature.(i) with
+         | Acc.Grid_dat { stencil; _ } -> Some (stencil_string ~rank (Array.to_list stencil))
+         | Acc.Grid_gbl _ -> None)
+       (Array.to_list k.Acc.walkers))
+
+let call_stencil ~rank s =
+  stencil_string ~rank
+    (List.init (Types.npoints s) (fun p -> (Types.ox s p, Types.oy s p, Types.oz s p)))
+
+let same_shape (a : Types.dat) (b : Types.dat) =
+  a.xsize = b.xsize && a.ysize = b.ysize && a.zsize = b.zsize && a.halo = b.halo
+  && a.dim = b.dim
+
+let shape (d : Types.dat) =
+  Printf.sprintf "%s (%dx%dx%d, halo %d, dim %d)" d.dat_name d.xsize d.ysize d.zsize d.halo d.dim
+
+let check_arg ~rank ~name k (w : Acc.range_walker) args i arg =
+  match (w.Acc.signature.(i), arg) with
+  | Acc.Grid_gbl { len; access }, Types.Arg_gbl { name = g; buf; access = a } ->
+    if a <> access then
+      sig_error ~rank ~name w i
+        (Printf.sprintf "declared access %s, the call passes global %s with access %s"
+           (Access.to_string access) g (Access.to_string a))
+    else if Array.length buf <> len then
+      sig_error ~rank ~name w i
+        (Printf.sprintf "declared a global of length %d, the call passes global %s of length %d"
+           len g (Array.length buf))
+  | Acc.Grid_gbl _, Types.Arg_dat { dat; _ } ->
+    sig_error ~rank ~name w i
+      (Printf.sprintf "declared a global, the call passes dat %s" dat.dat_name)
+  | Acc.Grid_gbl _, Types.Arg_idx _ ->
+    sig_error ~rank ~name w i "declared a global, the call passes the iteration index (arg_idx)"
+  | Acc.Grid_dat { label; _ }, Types.Arg_gbl { name = g; _ } ->
+    sig_error ~rank ~name w i
+      (Printf.sprintf "declared layout label %s, the call passes global %s" label g)
+  | Acc.Grid_dat { label; _ }, Types.Arg_idx _ ->
+    sig_error ~rank ~name w i
+      (Printf.sprintf "declared layout label %s, the call passes the iteration index (arg_idx)"
+         label)
+  | ( Acc.Grid_dat { label; stencil; dim; access },
+      Types.Arg_dat { dat; stencil = s; access = a; stride } ) -> (
+    if dat.dim <> dim then
+      sig_error ~rank ~name w i
+        (Printf.sprintf "declared dim %d, the call passes dat %s of dim %d" dim dat.dat_name
+           dat.dim);
+    if a <> access then
+      sig_error ~rank ~name w i
+        (Printf.sprintf "declared access %s, the call passes dat %s with access %s"
+           (Access.to_string access) dat.dat_name (Access.to_string a));
+    if not (Types.is_unit_stride stride) then
+      sig_error ~rank ~name w i
+        (Printf.sprintf
+           "declared unit stride, the call passes dat %s through a strided (restrict/prolong) \
+            stencil"
+           dat.dat_name);
+    if not (Exec.stencil_is stencil s) then
+      sig_error ~rank ~name w i
+        (Printf.sprintf "declared stencil %s, the call passes stencil %s on dat %s"
+           (declared_stencil ~rank k i) (call_stencil ~rank s) dat.dat_name);
+    let j = Exec.first_label w.Acc.signature label 0 in
+    match List.nth args j with
+    | Types.Arg_dat { dat = d; _ } when not (same_shape d dat) ->
+      sig_error ~rank ~name w i
+        (Printf.sprintf "layout label %s names dat %s at argument %d and dat %s here" label
+           (shape d) j (shape dat))
+    | Types.Arg_dat _ | Types.Arg_gbl _ | Types.Arg_idx _ -> ())
+
+let rec check_from ~rank ~name k w args i = function
+  | [] -> ()
+  | arg :: rest ->
+    check_arg ~rank ~name k w args i arg;
+    check_from ~rank ~name k w args (i + 1) rest
+
+(* Whether the datasets of [args] have the stencils [sg] declares. *)
+let rec stencils_from (sg : Acc.grid_sig array) i = function
+  | [] -> true
+  | arg :: rest ->
+    i < Array.length sg
+    && (match (sg.(i), arg) with
+       | Acc.Grid_dat { stencil; _ }, Types.Arg_dat { stencil = s; _ } -> Exec.stencil_is stencil s
+       | _ -> true)
+    && stencils_from sg (i + 1) rest
+
+(* The walker the call is held to: the first whose stencils equal the
+   arguments', else the last. *)
+let rec pick_walker (k : Acc.kernel) args w =
+  if w = Array.length k.Acc.walkers - 1 || stencils_from k.Acc.walkers.(w).Acc.signature 0 args
+  then k.Acc.walkers.(w)
+  else pick_walker k args (w + 1)
+
+let check_signature ~rank ~name (k : Acc.kernel) args =
+  let w = pick_walker k args 0 in
+  let n = List.length args and declared = Array.length w.Acc.signature in
+  if n <> declared then
+    invalid_arg
+      (Printf.sprintf "%s.par_loop_acc %s: kernel %s declares %d arguments, the call passes %d"
+         (Types.facade rank) name w.Acc.kname declared n);
+  check_from ~rank ~name k w args 0 args
+
+(* Validate (a generated kernel's arguments against its declared
+   signatures too) and describe the call; the shared pipeline does the
+   rest. *)
 let run_loop ctx ~name ~info ?handle block range args kernel =
   Types.validate_args ~block ~range args;
+  (match kernel with
+  | Exec.Accessor k when Array.length k.Acc.walkers > 0 ->
+    check_signature ~rank:ctx.rank ~name k args
+  | Exec.Accessor _ | Exec.Staged _ -> ());
   run ctx ~name ~descr:(Types.describe ~name ~block ~range ~info args) handle range args
     kernel

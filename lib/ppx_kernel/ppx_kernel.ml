@@ -2,27 +2,52 @@
    meshes (OPS) and [let%elem_kernel] for unstructured ones (OP2).
 
      let%kernel pdv_acc (a : Acc.t array) = body
+     [@@args node [(0,0); (1,0); (0,1); (1,1)] 1 Read, ..., gbl 4 Read]
 
-   binds [pdv_acc] to an [Am_core.Acc.kernel] value with two forms of one
-   kernel.  The point form is [fun (a : Acc.t array) -> body], exactly as
-   written.  The row form [row accs steps n] runs [body] at [n] consecutive
-   points: it loads each used accessor's [data], offset table and [base]
-   into locals once, hoists every literal stencil offset, and after each
-   point advances every base by its [steps] entry.  This is the OCaml
-   counterpart of the OPS translator inlining a user kernel into its
-   generated loop nest (the paper's Fig 7): with flambda off and libraries
-   built [-opaque], nothing else would inline the kernel into the
-   executor's loop.
+   binds [pdv_acc] to an [Am_core.Acc.kernel] value: the point form [fun
+   (a : Acc.t array) -> body], exactly as written, and one range walker
+   per declared signature.  The signature states per argument what OPS's
+   [ops_arg_dat]/[ops_arg_gbl] state: [label [offsets] dim Access] for a
+   dataset, with its stencil as literal offsets ([x], [(x, y)] or [(x, y,
+   z)]) in declaration order, and [gbl length Access] for a global.
+   Labels are layout names local to the signature: arguments with one
+   label pass datasets of one shape, which [Ops.par_loop_acc] checks on
+   every call.  A kernel that runs with more than one set of stencils (an
+   x and a y sweep) takes one [[@@args]] per variant on its one body; a
+   call runs the walker whose stencils equal its arguments'.  The walker
+   [range places xlo xhi ylo yhi zlo zhi] runs [body] at every point of the
+   box, z, then y, then x, as the OPS translator's generated loop nests do
+   (the paper's Fig 7).  Per call it loads one base, plane and row stride
+   per layout label, from the first argument with that label (the column
+   stride is the declared dim, a constant), one offset local per distinct
+   (label, literal stencil point), each dataset's array, each [Read]
+   global component the body names by a literal, and one float local per
+   component of an [Inc]/[Min]/[Max] global that every use names by a
+   literal, stored into the worker's buffer after the box.  Per point it
+   computes one index per label.  With flambda off and libraries built
+   [-opaque], nothing else would inline the kernel into the executor's
+   loop.
 
    The body names accessors as [a.(k)] with a literal [k], or as variables
    [let]-bound to one, and uses them only through the kernel module's four
-   accessor functions, which the row form replaces by direct indexing:
+   accessor functions, which the walker replaces by direct indexing:
 
-     get x p        stencil point p: data.(b + o_p) for a literal p,
-                    data.(b + off.(p)) for a computed one
-     set x v        the centre point: data.(b + o_0) <- v
-     gbl x c        component c of a global: data.(b + o_0 + c)
-     set_gbl x c v  data.(b + o_0 + c) <- v
+     get x p        stencil point p: data.(i + o_p) for a literal p (the
+                    label's index i and its offset local), data.(i +
+                    off.(p)) for a computed one (the argument's table)
+     set x v        the centre point: data.(i) <- v
+     gbl x c        component c of a global (a local or its buffer), or of
+                    a dataset's point 0
+     set_gbl x c v  the same, written
+
+   The signature rules out, at compile time: a literal stencil point
+   outside the declared stencil, a literal component outside the declared
+   dim or length, a [set] or [set_gbl] on a [Read] argument, [get]/[set] on
+   a global, an argument number outside the signature, a missing or
+   inconsistent signature (one label with two dims, variants of different
+   lengths or with the same stencils, a written dataset with a stencil
+   other than the centre), and an [Inc] dataset: the executors stage [Inc]
+   datasets, so such a kernel is a plain point function ([Acc.lift]).
 
      let%elem_kernel res_calc (a : Acc.t array) = body
      [@@args x (edge_nodes 2 0) 2 Read, ..., res (edge_cells 2 1) 4 Inc]
@@ -67,40 +92,44 @@
 
 open Ppxlib
 
-(* Which walker a kernel gets: a row form ([let%kernel]) or an element
+(* Which walker a kernel gets: range walkers ([let%kernel]) or an element
    walker ([let%elem_kernel]). *)
-type form = Rows | Elements
+type form = Ranges | Elements
 
-let extension_name = function Rows -> "kernel" | Elements -> "elem_kernel"
+let extension_name = function Ranges -> "kernel" | Elements -> "elem_kernel"
 
 let vocabulary = function
-  | Rows -> [ ("get", 2); ("set", 2); ("gbl", 2); ("set_gbl", 3) ]
+  | Ranges -> [ ("get", 2); ("set", 2); ("gbl", 2); ("set_gbl", 3) ]
   | Elements -> [ ("get", 2); ("set", 3) ]
 
 let vocabulary_names = function
-  | Rows -> "get, set, gbl and set_gbl"
+  | Ranges -> "get, set, gbl and set_gbl"
   | Elements -> "get and set"
 
 (* The accessors one kernel uses: per argument number, the literal stencil
-   points it reads or writes at (the centre, 0, for [set]/[gbl]/[set_gbl])
-   and whether a computed point reads its offset table.  For an element
-   walker, [points] are the literal components and [table] says whether
-   some use names a computed one. *)
+   points a dataset is read or written at (point 0 for [set], [gbl] and
+   [set_gbl]) and whether a computed point reads its offset table; for a
+   global, and for an element walker's arguments, the literal components
+   and whether some use names a computed one. *)
 type use = { mutable points : int list; mutable table : bool }
 
-(* One argument of an element kernel's declared signature ([@@args]): a
-   dataset with its label, dim, access mode and, when indirect, its map
-   label, arity and slot; or a global with its length and access mode.
+(* One argument of a declared signature ([@@args]).  An element kernel's
+   dataset has its label, dim, access mode and, when indirect, its map
+   label, arity and slot; a structured kernel's dataset its layout label,
+   stencil (literal (x, y, z) offsets), dim and access mode; a global of
+   either its length and access mode.
    Access modes are constructor names ("Read", "Inc", ...). *)
 type sarg =
   | Sdat of { label : string; dim : int; access : string; via : (string * int * int) option }
+  | Sgrid of { label : string; stencil : (int * int * int) array; dim : int; access : string }
   | Sgbl of { len : int; access : string }
 
-(* How an element walker reaches an argument: the dataset in place at a
-   base computed per element; float locals, one per literal component (an
-   [Inc] dataset's per element, an [Inc]/[Min]/[Max] global's per range);
-   or the worker's buffer at base 0 (an [Inc] dataset's scratch, a
-   global's accumulator). *)
+(* How a walker reaches an argument: the dataset in place (at a base
+   computed per element, or the label's index per point); float locals,
+   one per literal component (an [Inc] dataset's per element, a global's
+   per range: immutable for a [Read] global, stored back for
+   [Inc]/[Min]/[Max]); or the worker's buffer at base 0 (an [Inc]
+   dataset's scratch, a global's accumulator). *)
 type route = In_place | Locals | Buffer
 
 type env = {
@@ -109,8 +138,8 @@ type env = {
   param : string option; (* [None] once a binder shadows it *)
   aliases : (string * int) list;
   uses : (int, use) Hashtbl.t;
-  sg : sarg array; (* the declared signature; [||] for row forms *)
-  routes : route array; (* per argument, for the element walker *)
+  sg : sarg array; (* the declared signature *)
+  routes : route array; (* per argument *)
 }
 
 let fail env ~loc fmt =
@@ -139,7 +168,7 @@ let accessor env e =
         [ (Nolabel, { pexp_desc = Pexp_ident { txt = Lident v; _ }; _ }); (Nolabel, i) ] )
     when Some v = env.param -> (
     match literal_int i with
-    | Some k when env.form = Elements && k >= Array.length env.sg ->
+    | Some k when k >= Array.length env.sg ->
       fail env ~loc:i.pexp_loc "argument %d is outside the signature, which declares %d" k
         (Array.length env.sg)
     | Some k when k >= 0 -> Some k
@@ -164,13 +193,8 @@ let escapes env e =
 let data k = Printf.sprintf "__kernel_d%d" k
 let offs k = Printf.sprintf "__kernel_o%d" k
 let base k = Printf.sprintf "__kernel_b%d" k
-let step k = Printf.sprintf "__kernel_s%d" k
-let point k p = Printf.sprintf "__kernel_o%d_%d" k p
 
 let evar ~loc name = Ast_builder.Default.evar ~loc name
-
-(* [!b_k + o], the flat index of offset expression [o] at the current point. *)
-let at ~loc k o = [%expr Stdlib.( + ) (Stdlib.( ! ) [%e evar ~loc (base k)]) [%e o]]
 
 (* Variables a pattern binds. *)
 let bound_vars =
@@ -224,12 +248,14 @@ let local k c = Printf.sprintf "__kernel_u%d_%d" k c
 let buffer k = Printf.sprintf "__kernel_z%d" k
 
 (* [get x c] ([v = None]) or [set x c v] on argument [k] of an element
-   walker, once the declaration allows it: a literal component within the
-   declared dim (a global's length), and no [set] on a [Read] argument. *)
+   walker, or [gbl x c]/[set_gbl x c v] on a global of a range walker, once
+   the declaration allows it: a literal component within the declared dim
+   (a global's length), and no [set] on a [Read] argument.  A [Read]
+   global's literal components are immutable locals. *)
 let elem_use env ~loc k u c v =
   let dim, access, what =
     match env.sg.(k) with
-    | Sdat { dim; access; _ } -> (dim, access, "dim")
+    | Sdat { dim; access; _ } | Sgrid { dim; access; _ } -> (dim, access, "dim")
     | Sgbl { len; access } -> (len, access, "length")
   in
   let lit = literal_int c in
@@ -249,13 +275,98 @@ let elem_use env ~loc k u c v =
     match v with
     | None -> [%expr Stdlib.Array.get [%e d] [%e i]]
     | Some v -> [%expr Stdlib.Array.set [%e d] [%e i] [%e v]])
+  | Locals, Some ci, None when access = "Read" -> ev (local k ci)
   | Locals, Some ci, None -> [%expr Stdlib.( ! ) [%e ev (local k ci)]]
   | Locals, Some ci, Some v -> [%expr Stdlib.( := ) [%e ev (local k ci)] [%e v]]
   | (Buffer | Locals), _, None -> [%expr Stdlib.Array.get [%e ev (buffer k)] [%e c]]
   | (Buffer | Locals), _, Some v -> [%expr Stdlib.Array.set [%e ev (buffer k)] [%e c] [%e v]]
 
-(* The body of a generated walker: every accessor use rewritten to
-   indexing on the hoisted locals, binders respecting scope. *)
+(* ---- Range walkers -------------------------------------------------------- *)
+
+let same_layout a b =
+  match (a, b) with Sgrid a, Sgrid b -> String.equal a.label b.label | _ -> false
+
+(* A range walker's per-label names: the index of the current point, the
+   index of the current plane's and row's x = 0, the base and strides, and
+   the offset local of one literal stencil point, named by its offsets
+   without trailing zeros ([__kernel_o_node_1_1] for (1, 1)). *)
+let index l = "__kernel_i_" ^ l
+let plane_start l = "__kernel_q_" ^ l
+let row_start l = "__kernel_r_" ^ l
+let lbase l = "__kernel_base_" ^ l
+let lplane l = "__kernel_plane_" ^ l
+let lrow l = "__kernel_row_" ^ l
+
+let offset_local l (x, y, z) =
+  let coord v = if v < 0 then Printf.sprintf "m%d" (-v) else string_of_int v in
+  let coords = match (y, z) with 0, 0 -> [ x ] | _, 0 -> [ x; y ] | _ -> [ x; y; z ] in
+  String.concat "_" ("__kernel_o" :: l :: List.map coord coords)
+
+(* [f x ...] ([get], [set], [gbl] or [set_gbl], its operands rewritten) on
+   argument [k] of a range walker, once the declaration allows it.  A
+   dataset is indexed from its label's index: a literal stencil point within
+   the declared stencil through its offset local (none for the centre), a
+   computed one through the argument's offset table, [gbl]/[set_gbl]'s
+   component within the declared dim at point 0; a global goes through
+   [elem_use].  [set] and [set_gbl] on a [Read] argument, and [get]/[set]
+   on a global, are refused. *)
+let grid_use env ~loc k u f rest =
+  let ev = evar ~loc in
+  match env.sg.(k) with
+  | Sgbl _ -> (
+    match (f, rest) with
+    | "gbl", [ c ] -> elem_use env ~loc k u c None
+    | "set_gbl", [ c; v ] -> elem_use env ~loc k u c (Some v)
+    | _ ->
+      fail env ~loc
+        "%s on argument %d, which the signature declares a global: a global is read with gbl and \
+         written with set_gbl"
+        f k)
+  | Sdat _ -> assert false
+  | Sgrid { label; stencil; dim; access } -> (
+    let note p = if not (List.mem p u.points) then u.points <- p :: u.points in
+    (* The flat index of literal stencil point [p] at the current point. *)
+    let at p =
+      note p;
+      if stencil.(p) = (0, 0, 0) then ev (index label)
+      else [%expr Stdlib.( + ) [%e ev (index label)] [%e ev (offset_local label stencil.(p))]]
+    in
+    let component c =
+      match literal_int c with
+      | Some ci when ci < 0 || ci >= dim ->
+        fail env ~loc:c.pexp_loc "component %d is outside [0, %d), argument %d's declared dim" ci
+          dim k
+      | Some 0 -> at 0
+      | Some _ | None -> [%expr Stdlib.( + ) [%e at 0] [%e c]]
+    in
+    let written () =
+      if access = "Read" then
+        fail env ~loc "%s on argument %d, which the signature declares Read" f k
+    in
+    let d = ev (data k) in
+    match (f, rest) with
+    | "get", [ p ] -> (
+      match literal_int p with
+      | Some pi when pi < 0 || pi >= Array.length stencil ->
+        fail env ~loc:p.pexp_loc
+          "stencil point %d is outside argument %d's declared stencil of %d point%s" pi k
+          (Array.length stencil)
+          (if Array.length stencil = 1 then "" else "s")
+      | Some pi -> [%expr Stdlib.Array.get [%e d] [%e at pi]]
+      | None ->
+        u.table <- true;
+        [%expr
+          Stdlib.Array.get [%e d]
+            (Stdlib.( + ) [%e ev (index label)] (Stdlib.Array.get [%e ev (offs k)] [%e p]))])
+    | "set", [ v ] ->
+      written ();
+      [%expr Stdlib.Array.set [%e d] [%e at 0] [%e v]]
+    | "gbl", [ c ] -> [%expr Stdlib.Array.get [%e d] [%e component c]]
+    | "set_gbl", [ c; v ] ->
+      written ();
+      [%expr Stdlib.Array.set [%e d] [%e component c] [%e v]]
+    | _ -> assert false)
+
 let rewrite =
   object (self)
     inherit [env] Ast_traverse.map_with_context as super
@@ -274,29 +385,8 @@ let rewrite =
                && accessor env x <> None -> (
           let k = Option.get (accessor env x) in
           let u = use env k in
-          let centre () =
-            if not (List.mem 0 u.points) then u.points <- 0 :: u.points;
-            evar ~loc (point k 0)
-          in
-          let d = evar ~loc (data k) in
           match (env.form, f, List.map (fun (_, a) -> self#expression env a) rest) with
-          | Rows, "get", [ p ] -> (
-            match literal_int p with
-            | Some p when p >= 0 ->
-              if not (List.mem p u.points) then u.points <- p :: u.points;
-              [%expr Stdlib.Array.get [%e d] [%e at ~loc k (evar ~loc (point k p))]]
-            | Some _ | None ->
-              u.table <- true;
-              [%expr
-                Stdlib.Array.get [%e d]
-                  [%e at ~loc k [%expr Stdlib.Array.get [%e evar ~loc (offs k)] [%e p]]]])
-          | Rows, "set", [ v ] -> [%expr Stdlib.Array.set [%e d] [%e at ~loc k (centre ())] [%e v]]
-          | Rows, "gbl", [ c ] ->
-            [%expr
-              Stdlib.Array.get [%e d] (Stdlib.( + ) [%e at ~loc k (centre ())] [%e c])]
-          | Rows, "set_gbl", [ c; v ] ->
-            [%expr
-              Stdlib.Array.set [%e d] (Stdlib.( + ) [%e at ~loc k (centre ())] [%e c]) [%e v]]
+          | Ranges, f, rest -> grid_use env ~loc k u f rest
           | Elements, "get", [ c ] -> elem_use env ~loc k u c None
           | Elements, "set", [ c; v ] -> elem_use env ~loc k u c (Some v)
           | _ -> assert false)
@@ -355,66 +445,21 @@ let rewrite =
     method! case env c = super#case (shadow_pat env c.pc_lhs) c
   end
 
-(* The row form around the rewritten [body]. *)
-let row_form ~loc env body =
-  let ks = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) env.uses []) in
-  let pvar name = Ast_builder.Default.pvar ~loc name in
-  let advance =
-    List.fold_right
-      (fun k acc ->
-        [%expr
-          Stdlib.( := ) [%e evar ~loc (base k)]
-            (Stdlib.( + ) (Stdlib.( ! ) [%e evar ~loc (base k)]) [%e evar ~loc (step k)]);
-          [%e acc]])
-      ks [%expr ()]
-  in
-  let loop = [%expr for _ = 1 to __kernel_n do [%e body]; [%e advance] done] in
-  let hoisted =
-    List.fold_right
-      (fun k acc ->
-        let u = Hashtbl.find env.uses k in
-        let acc =
-          List.fold_right
-            (fun p acc ->
-              [%expr
-                let [%p pvar (point k p)] =
-                  Stdlib.Array.get [%e evar ~loc (offs k)] [%e Ast_builder.Default.eint ~loc p]
-                in
-                [%e acc]])
-            (List.sort compare u.points) acc
-        in
-        let acc =
-          if u.points = [] && not u.table then acc
-          else [%expr let [%p pvar (offs k)] = __kernel_acc.Am_core.Acc.off in [%e acc]]
-        in
-        let ek = Ast_builder.Default.eint ~loc k in
-        [%expr
-          let __kernel_acc = Stdlib.Array.get __kernel_a [%e ek] in
-          let [%p pvar (data k)] = __kernel_acc.Am_core.Acc.data in
-          let [%p pvar (base k)] = Stdlib.ref __kernel_acc.Am_core.Acc.base in
-          let [%p pvar (step k)] = Stdlib.Array.get __kernel_steps [%e ek] in
-          [%e acc]])
-      ks loop
-  in
-  if ks = [] then [%expr fun _ _ __kernel_n -> [%e loop]]
-  else
-    [%expr
-      fun (__kernel_a : Am_core.Acc.t array) (__kernel_steps : int array) (__kernel_n : int) ->
-        [%e hoisted]]
-
 (* The route of each argument, from the uses the body makes of it: an
    [Inc] dataset or an [Inc]/[Min]/[Max] global takes float locals when
    every use names a literal component, the worker's buffer otherwise; a
-   [Read] global the buffer; any other dataset is addressed in place. *)
-let routes_of sg uses =
+   [Read] global the buffer for an element walker, and for a range walker
+   immutable locals for its literal components (a computed one reads the
+   buffer); any other dataset is addressed in place. *)
+let routes_of form sg uses =
   Array.mapi
     (fun k a ->
       let computed = match Hashtbl.find_opt uses k with Some u -> u.table | None -> false in
       match a with
       | Sdat { access = "Inc"; _ } | Sgbl { access = "Inc" | "Min" | "Max"; _ } ->
         if computed then Buffer else Locals
-      | Sdat _ -> In_place
-      | Sgbl _ -> Buffer)
+      | Sdat _ | Sgrid _ -> In_place
+      | Sgbl _ -> ( match form with Ranges -> Locals | Elements -> Buffer))
     sg
 
 let rec sequence ~loc = function
@@ -448,9 +493,11 @@ let elems_form ~loc env body =
   let points k =
     match Hashtbl.find_opt env.uses k with Some u -> List.sort compare u.points | None -> []
   in
-  let via k = match sg.(k) with Sdat { via; _ } -> via | Sgbl _ -> None in
-  let dim k = match sg.(k) with Sdat { dim; _ } -> dim | Sgbl { len; _ } -> len in
-  let is_dat k = match sg.(k) with Sdat _ -> true | Sgbl _ -> false in
+  let via k = match sg.(k) with Sdat { via; _ } -> via | Sgrid _ | Sgbl _ -> None in
+  let dim k =
+    match sg.(k) with Sdat { dim; _ } | Sgrid { dim; _ } -> dim | Sgbl { len; _ } -> len
+  in
+  let is_dat k = match sg.(k) with Sdat _ | Sgrid _ -> true | Sgbl _ -> false in
   let incs =
     List.filter (fun k -> match sg.(k) with Sdat { access = "Inc"; _ } -> true | _ -> false) ks
   in
@@ -551,8 +598,161 @@ let elems_form ~loc env body =
       if Stdlib.( < ) __kernel_lo __kernel_hi then
         [%e lets per_call (sequence ~loc (loop :: store))]]
 
-(* The signature as a value, [Am_core.Acc.arg_sig array]. *)
-let signature_expr ~loc sg =
+(* The range walker around the rewritten [body], for one declared
+   signature.  Per call, when the box is not empty, it loads per layout
+   label the base, plane and row stride of the label's first argument's
+   place; one offset local per distinct (label, literal stencil point) off
+   the centre, from those strides and the declared dim; each used dataset's
+   array, and its offset table when a computed point reads it; each used
+   global's buffer, a [Read] global's literal components and an
+   [Inc]/[Min]/[Max] global's float locals.  It then runs z, y and x over
+   the box, computing per plane, row and point one index per label, and
+   after the box stores each float local into its buffer. *)
+let range_form ~loc env body =
+  let sg = env.sg in
+  let ev = evar ~loc and eint = Ast_builder.Default.eint ~loc in
+  let pvar = Ast_builder.Default.pvar ~loc in
+  let lets bindings body =
+    List.fold_right
+      (fun (name, e) acc -> [%expr let [%p pvar name] = [%e e] in [%e acc]])
+      bindings body
+  in
+  let ks = List.filter (Hashtbl.mem env.uses) (List.init (Array.length sg) Fun.id) in
+  let use k = Hashtbl.find env.uses k in
+  let datasets = List.filter (fun k -> match sg.(k) with Sgrid _ -> true | _ -> false) ks in
+  let globals = List.filter (fun k -> match sg.(k) with Sgbl _ -> true | _ -> false) ks in
+  let grid k =
+    match sg.(k) with Sgrid g -> (g.label, g.stencil, g.dim) | Sdat _ | Sgbl _ -> assert false
+  in
+  let label k = let l, _, _ = grid k in l in
+  (* The used labels, each by its first argument. *)
+  let firsts = List.sort_uniq compare (List.map (first sg same_layout) datasets) in
+  let place k field =
+    Ast_builder.Default.pexp_field ~loc [%expr Stdlib.Array.get __kernel_p [%e eint k]]
+      { txt = Ldot (Ldot (Lident "Am_core", "Acc"), field); loc }
+  in
+  let strides =
+    List.concat_map
+      (fun j ->
+        let l = label j in
+        [ (lbase l, place j "pbase"); (lplane l, place j "pplane"); (lrow l, place j "prow") ])
+      firsts
+  in
+  let offset l dim (x, y, z) =
+    let scaled stride v =
+      match v with
+      | 0 -> []
+      | 1 -> [ ev stride ]
+      | -1 -> [ [%expr Stdlib.( ~- ) [%e ev stride]] ]
+      | v -> [ [%expr Stdlib.( * ) [%e ev stride] [%e eint v]] ]
+    in
+    let terms =
+      scaled (lplane l) z @ scaled (lrow l) y @ if x = 0 then [] else [ eint (x * dim) ]
+    in
+    List.fold_left
+      (fun acc t -> [%expr Stdlib.( + ) [%e acc] [%e t]])
+      (List.hd terms) (List.tl terms)
+  in
+  let offsets =
+    List.sort_uniq compare
+      (List.concat_map
+         (fun k ->
+           let l, stencil, dim = grid k in
+           List.filter_map
+             (fun p -> if stencil.(p) = (0, 0, 0) then None else Some (l, dim, stencil.(p)))
+             (use k).points)
+         datasets)
+  in
+  let locals k = List.sort compare (use k).points in
+  let read k = match sg.(k) with Sgbl { access = "Read"; _ } -> true | _ -> false in
+  let per_call =
+    strides
+    @ List.map (fun (l, dim, o) -> (offset_local l o, offset l dim o)) offsets
+    @ List.concat_map
+        (fun k ->
+          (data k, place k "pdata")
+          :: (if (use k).table then [ (offs k, place k "poff") ] else []))
+        datasets
+    @ List.concat_map
+        (fun k ->
+          (buffer k, place k "pdata")
+          ::
+          (if env.routes.(k) <> Locals then []
+           else
+             List.map
+               (fun c ->
+                 let load = [%expr Stdlib.Array.get [%e ev (buffer k)] [%e eint c]] in
+                 (local k c, if read k then load else [%expr Stdlib.ref [%e load]]))
+               (locals k)))
+        globals
+  in
+  let stored =
+    List.concat_map
+      (fun k ->
+        if env.routes.(k) <> Locals || read k then []
+        else
+          List.map
+            (fun c ->
+              [%expr
+                Stdlib.Array.set [%e ev (buffer k)] [%e eint c] (Stdlib.( ! ) [%e ev (local k c)])])
+            (locals k))
+      globals
+  in
+  (* [body] under one binding [name l] per used label [l]. *)
+  let per_label name value body =
+    lets
+      (List.map
+         (fun j ->
+           let l, _, dim = grid j in
+           (name l, value l dim))
+         firsts)
+      body
+  in
+  let ( +: ) a b = [%expr Stdlib.( + ) [%e a] [%e b]] in
+  let ( *: ) a b = [%expr Stdlib.( * ) [%e a] [%e b]] in
+  let ivar name = if firsts = [] then [%pat? _] else pvar name in
+  let x = ev "__kernel_x" and y = ev "__kernel_y" and z = ev "__kernel_z" in
+  let point =
+    per_label index (fun l dim -> ev (row_start l) +: if dim = 1 then x else x *: eint dim) body
+  in
+  let row =
+    per_label row_start
+      (fun l _ -> ev (plane_start l) +: (y *: ev (lrow l)))
+      [%expr
+        for [%p ivar "__kernel_x"] = __kernel_xlo to Stdlib.( - ) __kernel_xhi 1 do
+          [%e point]
+        done]
+  in
+  let plane =
+    per_label plane_start
+      (fun l _ -> ev (lbase l) +: (z *: ev (lplane l)))
+      [%expr
+        for [%p ivar "__kernel_y"] = __kernel_ylo to Stdlib.( - ) __kernel_yhi 1 do
+          [%e row]
+        done]
+  in
+  let loops =
+    [%expr
+      for [%p ivar "__kernel_z"] = __kernel_zlo to Stdlib.( - ) __kernel_zhi 1 do
+        [%e plane]
+      done]
+  in
+  let places = if per_call = [] then [%pat? _] else [%pat? __kernel_p] in
+  let nonempty lo hi = [%expr Stdlib.( < ) [%e ev lo] [%e ev hi]] in
+  [%expr
+    fun ([%p places] : Am_core.Acc.place array) (__kernel_xlo : int) (__kernel_xhi : int)
+        (__kernel_ylo : int) (__kernel_yhi : int) (__kernel_zlo : int) (__kernel_zhi : int) ->
+      if
+        Stdlib.( && )
+          [%e nonempty "__kernel_xlo" "__kernel_xhi"]
+          (Stdlib.( && )
+             [%e nonempty "__kernel_ylo" "__kernel_yhi"]
+             [%e nonempty "__kernel_zlo" "__kernel_zhi"])
+      then [%e lets per_call (sequence ~loc (loops :: stored))]]
+
+(* The signature as a value, [Am_core.Acc.arg_sig array] or
+   [Am_core.Acc.grid_sig array]. *)
+let signature_expr form ~loc sg =
   let eint = Ast_builder.Default.eint ~loc and estring = Ast_builder.Default.estring ~loc in
   let access a =
     Ast_builder.Default.pexp_construct ~loc
@@ -584,9 +784,56 @@ let signature_expr ~loc sg =
                     access = [%e access a];
                     via = [%e via];
                   }]
-            | Sgbl { len; access = a } ->
-              [%expr Am_core.Acc.Gbl { len = [%e eint len]; access = [%e access a] }])
+            | Sgrid { label; stencil; dim; access = a } ->
+              let point (x, y, z) = [%expr [%e eint x], [%e eint y], [%e eint z]] in
+              [%expr
+                Am_core.Acc.Grid_dat
+                  {
+                    label = [%e estring label];
+                    stencil =
+                      [%e
+                        Ast_builder.Default.pexp_array ~loc
+                          (List.map point (Array.to_list stencil))];
+                    dim = [%e eint dim];
+                    access = [%e access a];
+                  }]
+            | Sgbl { len; access = a } -> (
+              match form with
+              | Elements -> [%expr Am_core.Acc.Gbl { len = [%e eint len]; access = [%e access a] }]
+              | Ranges ->
+                [%expr Am_core.Acc.Grid_gbl { len = [%e eint len]; access = [%e access a] }]))
           sg))
+
+(* Signature parsing, shared by both forms: errors located at the entry and
+   naming the kernel. *)
+let sig_fail form kname ~loc fmt =
+  Location.raise_errorf ~loc ("%%%s %s: " ^^ fmt) (extension_name form) kname
+
+let args_attributes vb =
+  List.filter (fun a -> String.equal a.attr_name.txt "args") vb.pvb_attributes
+
+(* The comma-separated entries of one [[@@args ...]] attribute. *)
+let sig_entries form kname attr =
+  match attr.attr_payload with
+  | PStr [ { pstr_desc = Pstr_eval ({ pexp_desc = Pexp_tuple es; _ }, _); _ } ] -> es
+  | PStr [ { pstr_desc = Pstr_eval (e, _); _ } ] -> [ e ]
+  | _ ->
+    sig_fail form kname ~loc:attr.attr_loc "[@@@@args] takes a comma-separated list of arguments"
+
+let sig_int form kname ~at what e =
+  match literal_int e with
+  | Some i when i >= at -> i
+  | Some _ | None ->
+    sig_fail form kname ~loc:e.pexp_loc "%s must be an integer literal of at least %d" what at
+
+let sig_access form kname ~modes e =
+  match e.pexp_desc with
+  | Pexp_construct ({ txt = Lident a; _ }, None) when List.mem a modes -> a
+  | _ ->
+    sig_fail form kname ~loc:e.pexp_loc "the access mode must be one of %s"
+      (String.concat ", " modes)
+
+let gbl_modes = [ "Read"; "Inc"; "Min"; "Max" ]
 
 (* The [[@@args ...]] signature of element kernel [kname]: a comma-separated
    list with one entry per argument, in argument order —
@@ -601,33 +848,17 @@ let signature_expr ~loc sg =
    dataset label declared with two dims or one map label with two
    arities. *)
 let parse_signature ~kname vb =
-  let fail ~loc fmt = Location.raise_errorf ~loc ("%%elem_kernel %s: " ^^ fmt) kname in
+  let fail ~loc fmt = sig_fail Elements kname ~loc fmt in
   let attr =
-    match List.find_opt (fun a -> String.equal a.attr_name.txt "args") vb.pvb_attributes with
-    | Some a -> a
-    | None ->
+    match args_attributes vb with
+    | a :: _ -> a
+    | [] ->
       fail ~loc:vb.pvb_loc
         "missing its argument signature [@@@@args ...], one entry per argument (label dim Access, \
          label (map arity slot) dim Access or gbl length Access)"
   in
-  let entries =
-    match attr.attr_payload with
-    | PStr [ { pstr_desc = Pstr_eval ({ pexp_desc = Pexp_tuple es; _ }, _); _ } ] -> es
-    | PStr [ { pstr_desc = Pstr_eval (e, _); _ } ] -> [ e ]
-    | _ -> fail ~loc:attr.attr_loc "[@@@@args] takes a comma-separated list of arguments"
-  in
-  let int ~at what e =
-    match literal_int e with
-    | Some i when i >= at -> i
-    | Some _ | None -> fail ~loc:e.pexp_loc "%s must be an integer literal of at least %d" what at
-  in
-  let access ~modes e =
-    match e.pexp_desc with
-    | Pexp_construct ({ txt = Lident a; _ }, None) when List.mem a modes -> a
-    | _ -> fail ~loc:e.pexp_loc "the access mode must be one of %s" (String.concat ", " modes)
-  in
+  let int = sig_int Elements kname and access = sig_access Elements kname in
   let dat_modes = [ "Read"; "Write"; "Rw"; "Inc" ] in
-  let gbl_modes = [ "Read"; "Inc"; "Min"; "Max" ] in
   let entry e =
     match e.pexp_desc with
     | Pexp_apply
@@ -667,6 +898,7 @@ let parse_signature ~kname vb =
         "a signature entry is label dim Access, label (map arity slot) dim Access or gbl length \
          Access"
   in
+  let entries = sig_entries Elements kname attr in
   let sg = Array.of_list (List.map entry entries) in
   List.iteri
     (fun k e ->
@@ -683,9 +915,107 @@ let parse_signature ~kname vb =
             fail ~loc:e.pexp_loc "map label %s is declared with arities %d and %d" m r arity
           | _ -> ())
         | None -> ())
-      | Sgbl _ -> ())
+      | Sgrid _ | Sgbl _ -> ())
     entries;
   sg
+
+(* The [[@@args ...]] signatures of structured kernel [kname], one per
+   attribute (one per variant): a comma-separated list with one entry per
+   argument, in argument order —
+
+     label [offsets] dim Access   a dataset, its stencil as literal offsets
+                                  x, (x, y) or (x, y, z) in declaration order
+     gbl length Access            a global
+
+   where the labels are layout names local to the signature.  Refused,
+   located at the entry or attribute: a missing signature, a malformed
+   entry or stencil, an empty stencil, an access mode the argument kind
+   does not take, an [Inc] dataset, a written dataset whose stencil is not
+   the centre alone, a dim or length below 1, one label declared with two
+   dims, variants declaring different numbers of arguments, and two
+   variants with the same stencils. *)
+let grid_signatures ~kname vb =
+  let fail ~loc fmt = sig_fail Ranges kname ~loc fmt in
+  let int = sig_int Ranges kname and access = sig_access Ranges kname in
+  let offset e =
+    let lit e =
+      match literal_int e with
+      | Some i -> i
+      | None -> fail ~loc:e.pexp_loc "a stencil offset must be an integer literal"
+    in
+    match e.pexp_desc with
+    | Pexp_tuple [ x; y ] -> (lit x, lit y, 0)
+    | Pexp_tuple [ x; y; z ] -> (lit x, lit y, lit z)
+    | _ -> (lit e, 0, 0)
+  in
+  let rec offsets e =
+    match e.pexp_desc with
+    | Pexp_construct ({ txt = Lident "[]"; _ }, None) -> []
+    | Pexp_construct ({ txt = Lident "::"; _ }, Some { pexp_desc = Pexp_tuple [ hd; tl ]; _ }) ->
+      offset hd :: offsets tl
+    | _ -> fail ~loc:e.pexp_loc "a stencil is a list of literal offsets, e.g. [(0, 0); (1, 0)]"
+  in
+  let entry k e =
+    match e.pexp_desc with
+    | Pexp_apply
+        ( { pexp_desc = Pexp_ident { txt = Lident "gbl"; _ }; _ },
+          [ (Nolabel, len); (Nolabel, a) ] ) ->
+      Sgbl { len = int ~at:1 "a global's length" len; access = access ~modes:gbl_modes a }
+    | Pexp_apply
+        ( { pexp_desc = Pexp_ident { txt = Lident label; _ }; _ },
+          [ (Nolabel, st); (Nolabel, dim); (Nolabel, a) ] ) ->
+      let stencil = Array.of_list (offsets st) in
+      if stencil = [||] then fail ~loc:st.pexp_loc "argument %d's stencil is empty" k;
+      (match a.pexp_desc with
+      | Pexp_construct ({ txt = Lident "Inc"; _ }, None) ->
+        fail ~loc:a.pexp_loc
+          "argument %d is an Inc dataset, which the executors stage: a kernel with one is a \
+           plain point function (Acc.lift), run by the point walker"
+          k
+      | _ -> ());
+      let access = access ~modes:[ "Read"; "Write"; "Rw" ] a in
+      if access <> "Read" && stencil <> [| (0, 0, 0) |] then
+        fail ~loc:st.pexp_loc "argument %d is written, so its stencil must be the centre alone" k;
+      Sgrid { label; stencil; dim = int ~at:1 "a dim" dim; access }
+    | _ ->
+      fail ~loc:e.pexp_loc "a signature entry is label [offsets] dim Access or gbl length Access"
+  in
+  let signature attr =
+    let entries = sig_entries Ranges kname attr in
+    let sg = Array.of_list (List.mapi entry entries) in
+    List.iteri
+      (fun k e ->
+        match sg.(k) with
+        | Sgrid { label; dim; _ } -> (
+          match sg.(first sg same_layout k) with
+          | Sgrid { dim = d; _ } when d <> dim ->
+            fail ~loc:e.pexp_loc "layout label %s is declared with dims %d and %d" label d dim
+          | _ -> ())
+        | Sdat _ | Sgbl _ -> ())
+      entries;
+    (attr, sg)
+  in
+  let stencils sg =
+    Array.to_list (Array.map (function Sgrid { stencil; _ } -> Some stencil | _ -> None) sg)
+  in
+  match List.map signature (args_attributes vb) with
+  | [] ->
+    fail ~loc:vb.pvb_loc
+      "missing its argument signature [@@@@args ...], one entry per argument (label [offsets] dim \
+       Access or gbl length Access)"
+  | (_, sg0) :: _ as sigs ->
+    List.iteri
+      (fun i (attr, sg) ->
+        if Array.length sg <> Array.length sg0 then
+          fail ~loc:attr.attr_loc "[@@@@args] variants declare %d and %d arguments"
+            (Array.length sg0) (Array.length sg);
+        List.iteri
+          (fun j (_, sg') ->
+            if j < i && stencils sg' = stencils sg then
+              fail ~loc:attr.attr_loc "[@@@@args] variants %d and %d declare the same stencils" j i)
+          sigs)
+      sigs;
+    List.map snd sigs
 
 let is_acc_array ty =
   match ty.ptyp_desc with
@@ -729,25 +1059,44 @@ let expand_binding form ~loc vb =
     | _ -> bad ()
   in
   let point = vb.pvb_expr in
-  let make_env sg =
+  (* Two passes per signature: the first checks the body against it and
+     collects its uses, which fix each argument's route; the second
+     rewrites the body along those routes. *)
+  let rewritten sg =
     let uses = Hashtbl.create 8 in
-    { form; kname; param = Some param; aliases = []; uses; sg; routes = routes_of sg uses }
-  in
-  match form with
-  | Rows ->
-    let env = make_env [||] in
-    let body = rewrite#expression env body in
-    let value = [%expr { Am_core.Acc.point = [%e point]; row = [%e row_form ~loc env body] }] in
-    Ast_builder.Default.pstr_value ~loc Nonrecursive [ { vb with pvb_expr = value } ]
-  | Elements ->
-    (* Two passes: the first checks the body against the signature and
-       collects its uses, which fix each argument's route; the second
-       rewrites the body along those routes. *)
-    let sg = parse_signature ~kname vb in
-    let pass1 = make_env sg in
+    let pass1 =
+      { form; kname; param = Some param; aliases = []; uses; sg; routes = routes_of form sg uses }
+    in
     ignore (rewrite#expression pass1 body);
-    let env = { pass1 with uses = Hashtbl.create 8; routes = routes_of sg pass1.uses } in
-    let body = rewrite#expression env body in
+    let env = { pass1 with uses = Hashtbl.create 8; routes = routes_of form sg pass1.uses } in
+    (env, rewrite#expression env body)
+  in
+  let estring = Ast_builder.Default.estring ~loc in
+  let attributes = List.filter (fun a -> a.attr_name.txt <> "args") vb.pvb_attributes in
+  match form with
+  | Ranges ->
+    let walker sg =
+      let env, body = rewritten sg in
+      [%expr
+        {
+          Am_core.Acc.kname = [%e estring kname];
+          signature = [%e signature_expr Ranges ~loc sg];
+          range = [%e range_form ~loc env body];
+        }]
+    in
+    let walkers = List.map walker (grid_signatures ~kname vb) in
+    let value =
+      [%expr
+        {
+          Am_core.Acc.point = [%e point];
+          walkers = [%e Ast_builder.Default.pexp_array ~loc walkers];
+        }]
+    in
+    Ast_builder.Default.pstr_value ~loc Nonrecursive
+      [ { vb with pvb_expr = value; pvb_attributes = attributes } ]
+  | Elements ->
+    let sg = parse_signature ~kname vb in
+    let env, body = rewritten sg in
     let value =
       [%expr
         {
@@ -755,13 +1104,12 @@ let expand_binding form ~loc vb =
           walker =
             Some
               {
-                Am_core.Acc.kname = [%e Ast_builder.Default.estring ~loc kname];
-                signature = [%e signature_expr ~loc sg];
+                Am_core.Acc.kname = [%e estring kname];
+                signature = [%e signature_expr Elements ~loc sg];
                 elems = [%e elems_form ~loc env body];
               };
         }]
     in
-    let attributes = List.filter (fun a -> a.attr_name.txt <> "args") vb.pvb_attributes in
     Ast_builder.Default.pstr_value ~loc Nonrecursive
       [ { vb with pvb_expr = value; pvb_attributes = attributes } ]
 
@@ -787,7 +1135,7 @@ let rewrite_structure =
 
       method! structure_item item =
         match item.pstr_desc with
-        | Pstr_extension (({ txt = "kernel"; _ }, PStr [ inner ]), _) -> expand_item Rows inner
+        | Pstr_extension (({ txt = "kernel"; _ }, PStr [ inner ]), _) -> expand_item Ranges inner
         | Pstr_extension (({ txt = "elem_kernel"; _ }, PStr [ inner ]), _) ->
           expand_item Elements inner
         | _ -> super#structure_item item
@@ -799,6 +1147,6 @@ let () =
   Driver.register_transformation "kernel"
     ~rules:
       [
-        Context_free.Rule.extension (extension Rows);
+        Context_free.Rule.extension (extension Ranges);
         Context_free.Rule.extension (extension Elements);
       ]

@@ -718,32 +718,62 @@ let test_synthetic_forms () =
     Alcotest.failf "accessor loops differ from staged loops (%g)"
       (Fa.rel_discrepancy staged acc)
 
-(* ---- The row-form dispatch rule ------------------------------------------- *)
+(* ---- The range-walker dispatch rule ---------------------------------------- *)
 
-(* A hand-built kernel value whose row form counts its calls, its points
-   and the calls spanning a whole 7-point row, then runs the point form at
-   each point, so which form runs, and over which segments, is
-   observable.  The counters are atomic: Shared runs rows on two domains. *)
-type row_probe = { calls : int Atomic.t; points : int Atomic.t; full_rows : int Atomic.t }
+(* The probed kernels, one per declared shape: add one at the centre of
+   argument 1 after reading argument 0 through a 5-point stencil
+   ([count5], two labels, so a staged Cuda_sim tile keeps one view per
+   label), at the centre ([count_pair]; an aliased pair when both name one
+   dataset), or through (0,0),(1,0) beside a centre read of the same label
+   ([count_reach]: a staged Cuda_sim tile sizes the two scratch buffers
+   differently). *)
+module Walked = struct
+  let[@inline] get (a : OAcc.t) p = a.OAcc.data.(a.OAcc.base + a.OAcc.off.(p))
+  let[@inline] set (a : OAcc.t) v = a.OAcc.data.(a.OAcc.base + a.OAcc.off.(0)) <- v
+
+  let%kernel count5 (a : Ops.Acc.t array) = set a.(1) (get a.(1) 0 +. 1.0 +. (0.0 *. get a.(0) 4))
+  [@@args u [(0,0); (-1,0); (1,0); (0,-1); (0,1)] 1 Read, c [(0,0)] 1 Rw]
+
+  let%kernel count_pair (a : Ops.Acc.t array) = set a.(1) (get a.(1) 0 +. 1.0 +. (0.0 *. get a.(0) 0))
+  [@@args g [(0,0)] 1 Read, g [(0,0)] 1 Rw]
+
+  let%kernel count_reach (a : Ops.Acc.t array) =
+    set a.(2) (get a.(2) 0 +. 1.0 +. (0.0 *. (get a.(0) 1 +. get a.(1) 0)))
+  [@@args g [(0,0); (1,0)] 1 Read, g [(0,0)] 1 Read, g [(0,0)] 1 Rw]
+end
+
+(* [k] with its walkers recording each call's box and its point form
+   counting its calls, so which form runs, and over which boxes, is
+   observable.  Shared runs boxes on two domains, hence the mutex.  The
+   contexts below turn footprint inference off: its probes call the point
+   form too. *)
+type walk_probe = { boxes : (int * int * int * int) list ref; lock : Mutex.t; points : int Atomic.t }
+
+let probe_kernel (k : OAcc.kernel) =
+  let p = { boxes = ref []; lock = Mutex.create (); points = Atomic.make 0 } in
+  let walked (w : OAcc.range_walker) =
+    let range places xlo xhi ylo yhi zlo zhi =
+      Mutex.protect p.lock (fun () -> p.boxes := (xlo, xhi, ylo, yhi) :: !(p.boxes));
+      w.OAcc.range places xlo xhi ylo yhi zlo zhi
+    in
+    { w with OAcc.range }
+  in
+  let point a =
+    Atomic.incr p.points;
+    k.OAcc.point a
+  in
+  (p, { OAcc.point; walkers = Array.map walked k.OAcc.walkers })
 
 let rx = 7 and ry = 5
 
-let probe_kernel point =
-  let p = { calls = Atomic.make 0; points = Atomic.make 0; full_rows = Atomic.make 0 } in
-  let lifted = Ops.Acc.lift point in
-  let row a steps n =
-    Atomic.incr p.calls;
-    ignore (Atomic.fetch_and_add p.points n);
-    if n = rx then Atomic.incr p.full_rows;
-    lifted.Ops.Acc.row a steps n
-  in
-  (p, { lifted with Ops.Acc.row })
+let calls p = List.length !(p.boxes)
+let covered p = List.fold_left (fun n (x0, x1, y0, y1) -> n + ((x1 - x0) * (y1 - y0))) 0 !(p.boxes)
 
-(* Add one at the centre of argument 1. *)
+(* Add one at the centre of argument 1 (lifted). *)
 let bump1 (a : OAcc.t array) = oset a.(1) 0 0 (oget a.(1) 0 0 +. 1.0)
 
 (* On a 7x5 block (ghost depth 1): refresh u, then count every point of
-   the interior through the probe kernel, reading u through a 5-point
+   the interior through the probed [count5], reading u through a 5-point
    stencil so partitioned runs exchange (and, with overlap, split each
    rank's box) first.  Returns the probe and the counts. *)
 let dispatch_run ?backend setup =
@@ -752,11 +782,12 @@ let dispatch_run ?backend setup =
   let dat name = Ops.decl_dat ctx ~name ~block:grid ~xsize:rx ~ysize:ry ~halo:1 () in
   let u = dat "u" and count = dat "count" in
   Ops.init ctx u (fun x y _ -> Float.of_int (x + (10 * y)));
+  Ops.set_infer ctx false;
   setup ctx;
   Ops.par_loop_acc ctx ~name:"refresh" grid (Ops.interior u)
     [ Ops.arg_dat u Ops.stencil_point Access.Rw ]
     (Ops.Acc.lift (fun a -> oset a.(0) 0 0 (oget a.(0) 0 0 +. 1.0)));
-  let p, k = probe_kernel bump1 in
+  let p, k = probe_kernel Walked.count5 in
   Ops.par_loop_acc ctx ~name:"count" grid (Ops.interior count)
     [ Ops.arg_dat u Ops.stencil_2d_5pt Access.Read; Ops.arg_dat count Ops.stencil_point Access.Rw ]
     k;
@@ -764,10 +795,12 @@ let dispatch_run ?backend setup =
 
 let once counts = Array.for_all (fun c -> c = 1.0) counts
 
-let test_row_dispatch () =
+let test_walker_dispatch () =
   let p, counts = dispatch_run ignore in
-  Alcotest.(check int) "seq: one row-form call per row" ry (Atomic.get p.calls);
-  Alcotest.(check int) "seq: every call spans the row" ry (Atomic.get p.full_rows);
+  Alcotest.(check (list (pair (pair int int) (pair int int))))
+    "seq: one walker call over the range" [ ((0, rx), (0, ry)) ]
+    (List.map (fun (a, b, c, d) -> ((a, b), (c, d))) !(p.boxes));
+  Alcotest.(check int) "seq: no point-form call" 0 (Atomic.get p.points);
   Alcotest.(check bool) "seq: every point once" true (once counts);
   Pool.with_pool ~size:2 (fun pool ->
       let partitioned ~grid ~overlap ctx =
@@ -776,32 +809,89 @@ let test_row_dispatch () =
         if overlap then Ops.set_comm_mode ctx Ops.Overlap
       in
       List.iter
-        (fun (name, backend, setup) ->
+        (fun (name, backend, setup, want) ->
           let p, counts = dispatch_run ?backend setup in
-          Alcotest.(check bool) (name ^ ": row form runs") true (Atomic.get p.calls > 0);
-          Alcotest.(check int) (name ^ ": segments cover 35 points") (rx * ry)
-            (Atomic.get p.points);
+          (match want with
+          | `Calls n -> Alcotest.(check int) (name ^ ": one walker call per box") n (calls p)
+          | `Rows ->
+            (* One call per chunk of rows, each spanning the x range. *)
+            Alcotest.(check bool) (name ^ ": every call spans whole rows") true
+              (List.for_all (fun (x0, x1, _, _) -> x0 = 0 && x1 = rx) !(p.boxes))
+          | `Boxes -> Alcotest.(check bool) (name ^ ": walker runs") true (calls p > 0));
+          Alcotest.(check int) (name ^ ": boxes cover 35 points") (rx * ry) (covered p);
+          Alcotest.(check int) (name ^ ": no point-form call") 0 (Atomic.get p.points);
           Alcotest.(check bool) (name ^ ": every point once") true (once counts))
         [
-          ("shared 2", Some (Ops.Shared { pool }), ignore);
-          ( "cuda global, tile_x 4",
+          ("shared 2", Some (Ops.Shared { pool }), ignore, `Rows);
+          ( "cuda global, 4x2 tiles",
             Some
               (Ops.Cuda_sim { Am_ops.Exec.tile_x = 4; tile_y = 2; strategy = Am_ops.Exec.Cuda_global }),
-            ignore );
-          ("rows(3)", None, partitioned ~grid:false ~overlap:false);
-          ("rows(3) overlap", None, partitioned ~grid:false ~overlap:true);
-          ("grid(2x2)", None, partitioned ~grid:true ~overlap:false);
-          ("grid(2x2) overlap", None, partitioned ~grid:true ~overlap:true);
+            ignore,
+            `Calls 6 );
+          ( "cuda tiled, 4x2 tiles",
+            Some
+              (Ops.Cuda_sim { Am_ops.Exec.tile_x = 4; tile_y = 2; strategy = Am_ops.Exec.Cuda_tiled }),
+            ignore,
+            `Calls 6 );
+          ("rows(3)", None, partitioned ~grid:false ~overlap:false, `Calls 3);
+          ("rows(3) overlap", None, partitioned ~grid:false ~overlap:true, `Boxes);
+          ("grid(2x2)", None, partitioned ~grid:true ~overlap:false, `Calls 4);
+          ("grid(2x2) overlap", None, partitioned ~grid:true ~overlap:true, `Boxes);
         ]);
   (* The point form instead, at every point: Check stages every argument. *)
   let p, counts = dispatch_run ~backend:Ops.Check ignore in
-  Alcotest.(check int) "check: no row-form call" 0 (Atomic.get p.calls);
+  Alcotest.(check int) "check: no walker call" 0 (calls p);
+  Alcotest.(check int) "check: the point form at every point" (rx * ry) (Atomic.get p.points);
   Alcotest.(check bool) "check: every point once" true (once counts)
 
-(* A staged argument or the iteration index keeps the point walker: an Inc
-   dataset, a dataset read and written by one loop, [arg_idx], and
-   restrict/prolong strides. *)
-let test_row_dispatch_staged () =
+(* The point walker runs an aliased pair, and a staged Cuda_sim tile whose
+   scratch views of one label differ, with a declared kernel; and an [Inc]
+   dataset, [arg_idx] and restrict/prolong reads, which no signature
+   declares, with a lifted one. *)
+let test_walker_dispatch_point () =
+  let check name p got =
+    Alcotest.(check int) (name ^ ": no walker call") 0 (calls p);
+    Alcotest.(check bool) (name ^ ": point form at every point") true (once got)
+  in
+  (* Aliased: both arguments name the target. *)
+  let ctx = Ops.create () in
+  Ops.set_infer ctx false;
+  let grid = Ops.decl_block ctx ~name:"grid" in
+  let t = Ops.decl_dat ctx ~name:"t" ~block:grid ~xsize:rx ~ysize:ry ~halo:1 () in
+  let p, k = probe_kernel Walked.count_pair in
+  Ops.par_loop_acc ctx ~name:"aliased" grid (Ops.interior t)
+    [ Ops.arg_dat t Ops.stencil_point Access.Read; Ops.arg_dat t Ops.stencil_point Access.Rw ]
+    k;
+  check "aliased" p (Ops.fetch_interior ctx t);
+  Alcotest.(check int) "aliased: the point form ran" (rx * ry) (Atomic.get p.points);
+  (* A staged tile: argument 0 reaches one column further than argument 1,
+     of one label, so their scratch views differ; the global tiles of the
+     same loop keep one view per label and run the walker. *)
+  List.iter
+    (fun (strategy, walked) ->
+      let ctx =
+        Ops.create ~backend:(Ops.Cuda_sim { Am_ops.Exec.tile_x = 4; tile_y = 2; strategy }) ()
+      in
+      Ops.set_infer ctx false;
+      let grid = Ops.decl_block ctx ~name:"grid" in
+      let dat name = Ops.decl_dat ctx ~name ~block:grid ~xsize:rx ~ysize:ry ~halo:1 () in
+      let u = dat "u" and v = dat "v" and t = dat "t" in
+      let p, k = probe_kernel Walked.count_reach in
+      Ops.par_loop_acc ctx ~name:"reach" grid (Ops.interior t)
+        [
+          Ops.arg_dat u Ops.stencil_2d_plus1x Access.Read;
+          Ops.arg_dat v Ops.stencil_point Access.Read;
+          Ops.arg_dat t Ops.stencil_point Access.Rw;
+        ]
+        k;
+      let got = Ops.fetch_interior ctx t in
+      if walked then begin
+        Alcotest.(check int) "cuda global: one walker call per tile" 6 (calls p);
+        Alcotest.(check bool) "cuda global: every point once" true (once got)
+      end
+      else check "cuda tiled, label views differ" p got)
+    [ (Am_ops.Exec.Cuda_global, true); (Am_ops.Exec.Cuda_tiled, false) ];
+  (* What no signature declares: a lifted kernel runs the point form. *)
   let ctx = Ops.create () in
   let grid = Ops.decl_block ctx ~name:"grid" in
   let dat name xsize ysize = Ops.decl_dat ctx ~name ~block:grid ~xsize ~ysize ~halo:1 () in
@@ -811,19 +901,14 @@ let test_row_dispatch_staged () =
     (fun (name, range, args, want) ->
       let target = dat (name ^ "_out") rx ry in
       let range = match range with Some r -> r | None -> Ops.interior target in
-      let p, k = probe_kernel bump1 in
+      let p, k = probe_kernel (Ops.Acc.lift bump1) in
       Ops.par_loop_acc ctx ~name grid range (args target) k;
-      Alcotest.(check int) (name ^ ": no row-form call") 0 (Atomic.get p.calls);
-      let got = Ops.fetch_interior ctx (Option.value want ~default:target) in
-      Alcotest.(check bool) (name ^ ": point form at every point") true (once got))
+      check name p (Ops.fetch_interior ctx (Option.value want ~default:target)))
     [
       ( "inc",
         None,
-        (fun t -> [ Ops.arg_dat fine Ops.stencil_point Access.Read; Ops.arg_dat t Ops.stencil_point Access.Inc ]),
-        None );
-      ( "aliased",
-        None,
-        (fun t -> [ Ops.arg_dat t Ops.stencil_point Access.Read; Ops.arg_dat t Ops.stencil_point Access.Rw ]),
+        (fun t ->
+          [ Ops.arg_dat fine Ops.stencil_point Access.Read; Ops.arg_dat t Ops.stencil_point Access.Inc ]),
         None );
       ("index", None, (fun t -> [ Ops.arg_idx; Ops.arg_dat t Ops.stencil_point Access.Rw ]), None);
       ( "restrict",
@@ -1316,10 +1401,10 @@ let () =
             test_clover_forms;
           Alcotest.test_case "dim 3, aliasing, Inc, index, strides: accessor = staged"
             `Quick test_synthetic_forms;
-          Alcotest.test_case "row form per row segment on every in-place backend" `Quick
-            test_row_dispatch;
-          Alcotest.test_case "point form for staged arguments and the index" `Quick
-            test_row_dispatch_staged;
+          Alcotest.test_case "range walker once per range on every in-place backend" `Quick
+            test_walker_dispatch;
+          Alcotest.test_case "point form for aliasing, differing tile views, the index and strides"
+            `Quick test_walker_dispatch_point;
         ] );
       ( "OPS loop programs",
         Alcotest.test_case "a Read global refilled in place is read at each call" `Quick

@@ -290,6 +290,37 @@ let test_alloc_budget () =
        allocation grows with the grid"
       small large
 
+(* Every CloverLeaf 2D kernel declares a signature, and on Seq every
+   call of a step and of the field summary, first-order and van Leer (all
+   19 kernels between them), runs its range walker: no frame falls back to
+   the point walker. *)
+let test_range_walkers_on_seq () =
+  let module K = Am_cloverleaf.Kernels in
+  let module C = Am_obs.Counters in
+  let module Obs = Am_obs.Obs in
+  let kernels =
+    [
+      K.ideal_gas_acc; K.viscosity_acc; K.calc_dt_acc; K.pdv_acc; K.accelerate_acc;
+      K.flux_calc_x_acc; K.flux_calc_y_acc; K.advec_vol_x_acc; K.advec_vol_y_acc;
+      K.advec_flux_acc; K.advec_cell_acc; K.mom_node_flux_acc; K.mom_node_mass_acc;
+      K.mom_flux_acc; K.mom_vel_acc; K.reset_field_acc; K.zero_acc; K.field_summary_acc;
+      K.advec_flux_vanleer_acc;
+    ]
+  in
+  List.iter
+    (fun (k : Ops.Acc.kernel) ->
+      if k.Ops.Acc.walkers = [||] then Alcotest.fail "a CloverLeaf kernel declares no signature")
+    kernels;
+  List.iter
+    (fun advection ->
+      let t = App.create ~advection ~nx:24 ~ny:20 () in
+      let w0 = C.value Obs.ops_walker_frames and p0 = C.value Obs.ops_point_frames in
+      ignore (App.hydro_step t);
+      ignore (App.field_summary t);
+      Alcotest.(check int) "no point-walker frame" 0 (C.value Obs.ops_point_frames - p0);
+      Alcotest.(check bool) "range-walker frames" true (C.value Obs.ops_walker_frames - w0 >= 43))
+    [ App.First_order; App.Van_leer ]
+
 let () =
   Alcotest.run "cloverleaf"
     [
@@ -325,7 +356,11 @@ let () =
           Alcotest.test_case "eager halo policy" `Quick test_eager_halo_policy;
         ] );
       ( "structure",
-        [ Alcotest.test_case "seq step allocation budget" `Quick test_alloc_budget ] );
+        [
+          Alcotest.test_case "seq step allocation budget" `Quick test_alloc_budget;
+          Alcotest.test_case "seq: every kernel declared, every call a range walker" `Quick
+            test_range_walkers_on_seq;
+        ] );
       ( "checkpointing",
         [
           Alcotest.test_case "automatic checkpoint + recovery" `Quick

@@ -763,6 +763,62 @@ let prop_random_stencil_backend_equivalence =
       in
       Fa.approx_equal ~tol:0.0 reference result)
 
+(* A Cuda_sim tile size below 1 on any facade, at [create] and at
+   [set_backend], and a negative mirror depth, are refused by name;
+   depth 0 still mirrors nothing and returns. *)
+let test_tile_and_depth_refused () =
+  let refused what ~names f =
+    match f () with
+    | () -> Alcotest.failf "%s: accepted" what
+    | exception Invalid_argument msg ->
+      List.iter
+        (fun n ->
+          if not (Str_contains.contains msg n) then
+            Alcotest.failf "%s: %S does not name %S" what msg n)
+        names
+  in
+  let ops ~tile_x ~tile_y strategy = Ops.Cuda_sim { Am_ops.Exec.tile_x; tile_y; strategy } in
+  List.iter
+    (fun (what, backend, field) ->
+      refused ("Ops.create " ^ what) ~names:[ "Ops.create"; field ] (fun () ->
+          ignore (Ops.create ~backend ()));
+      refused ("Ops.set_backend " ^ what) ~names:[ "Ops.set_backend"; field ] (fun () ->
+          Ops.set_backend (Ops.create ()) backend))
+    [
+      ("tile_y -1, tiled", ops ~tile_x:4 ~tile_y:(-1) Am_ops.Exec.Cuda_tiled, "tile_y");
+      ("tile_x -2, global", ops ~tile_x:(-2) ~tile_y:4 Am_ops.Exec.Cuda_global, "tile_x");
+      ("tile_x 0", ops ~tile_x:0 ~tile_y:4 Am_ops.Exec.Cuda_tiled, "tile_x");
+    ];
+  let ops1 = Ops1.Cuda_sim { Am_ops.Exec.tile_x = 0; staged = true } in
+  refused "Ops1.create tile_x 0" ~names:[ "Ops1.create"; "tile_x" ] (fun () ->
+      ignore (Ops1.create ~backend:ops1 ()));
+  refused "Ops1.set_backend tile_x 0" ~names:[ "Ops1.set_backend"; "tile_x" ] (fun () ->
+      Ops1.set_backend (Ops1.create ()) ops1);
+  let ops3 = Ops3.Cuda_sim { Am_ops.Exec.tile_x = 4; tile_y = 4; tile_z = 0; staged = true } in
+  refused "Ops3.create tile_z 0" ~names:[ "Ops3.create"; "tile_z" ] (fun () ->
+      ignore (Ops3.create ~backend:ops3 ()));
+  refused "Ops3.set_backend tile_z 0" ~names:[ "Ops3.set_backend"; "tile_z" ] (fun () ->
+      Ops3.set_backend (Ops3.create ()) ops3);
+  (* The copy loop of the report still runs at tile size 1. *)
+  let ctx =
+    Ops.create ~backend:(ops ~tile_x:1 ~tile_y:1 Am_ops.Exec.Cuda_tiled) ()
+  in
+  let grid = Ops.decl_block ctx ~name:"grid" in
+  let src = Ops.decl_dat ctx ~name:"src" ~block:grid ~xsize:6 ~ysize:5 () in
+  let dst = Ops.decl_dat ctx ~name:"dst" ~block:grid ~xsize:6 ~ysize:5 () in
+  Ops.init ctx src (fun x y _ -> Float.of_int (x + (10 * y)));
+  Ops.par_loop ctx ~name:"copy" grid (Ops.interior src)
+    [ Ops.arg_dat src Ops.stencil_point Access.Read; Ops.arg_dat dst Ops.stencil_point Access.Write ]
+    (fun b -> b.(1).(0) <- b.(0).(0));
+  Alcotest.(check bool) "tile 1x1: the copy ran" true
+    (Ops.fetch_interior ctx src = Ops.fetch_interior ctx dst);
+  refused "mirror_halo depth -1" ~names:[ "Ops.mirror_halo"; "depth -1" ] (fun () ->
+      Ops.mirror_halo ctx ~depth:(-1) dst);
+  let before = Array.copy dst.Am_ops.Types.data in
+  Ops.mirror_halo ctx ~depth:0 dst;
+  Alcotest.(check bool) "mirror_halo depth 0: nothing mirrored" true
+    (before = dst.Am_ops.Types.data)
+
 let () =
   Alcotest.run "ops"
     [
@@ -790,6 +846,8 @@ let () =
         [
           Alcotest.test_case "par_loop misuse" `Quick test_validation;
           Alcotest.test_case "partition misuse" `Quick test_partition_errors;
+          Alcotest.test_case "tile size below 1, negative mirror depth" `Quick
+            test_tile_and_depth_refused;
         ] );
       ( "strided stencils",
         [

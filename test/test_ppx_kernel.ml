@@ -12,7 +12,7 @@ let contains s sub =
 let parse src = Parse.implementation (Lexing.from_string src)
 let expand src = Ppx_kernel.rewrite_structure (parse src)
 
-(* The point and row forms of the one kernel [src] defines. *)
+(* The point form and the walkers of the one kernel [src] defines. *)
 let forms src =
   match expand src with
   | [ { pstr_desc = Pstr_value (_, [ { pvb_expr; _ } ]); _ } ] -> (
@@ -39,54 +39,106 @@ let squash s =
   |> String.concat " "
 
 let expands ~name src ~row_has ~row_lacks =
-  let point, row = forms src in
-  let row = squash row in
+  let point, walker = forms src in
+  let walker = squash walker in
   Alcotest.(check string) (name ^ ": point form as written") (written src) point;
   List.iter
-    (fun s -> Alcotest.(check bool) (Printf.sprintf "%s: row form has %S" name s) true (contains row s))
+    (fun s ->
+      Alcotest.(check bool) (Printf.sprintf "%s: walker has %S" name s) true (contains walker s))
     row_has;
   List.iter
     (fun s ->
-      Alcotest.(check bool) (Printf.sprintf "%s: row form lacks %S" name s) false (contains row s))
+      Alcotest.(check bool) (Printf.sprintf "%s: walker lacks %S" name s) false
+        (contains walker s))
     row_lacks
 
+(* The range walker of a structured kernel: one index per layout label
+   ([i_l]) computed per point from the label's row start, literal stencil
+   points through one offset local per (label, point) off the centre,
+   computed points through the argument's offset table ([o_k]), globals
+   through locals loaded once ([u_k_c]), an Inc/Min/Max global's stored
+   back after the box. *)
 let test_expands () =
   (* A computed stencil point, as in advec_flux, mom_flux and van Leer:
-     read through the hoisted offset table; literal points are hoisted. *)
+     read through the argument's offset table; the literal centre is the
+     label's index itself. *)
   expands ~name:"donor"
     {|let%kernel donor (a : Acc.t array) =
   let vf = get a.(0) 0 in
   let d = a.(1) in
   let donor = if vf > 0.0 then 0 else 1 in
-  set a.(2) (vf *. get d donor)|}
+  set a.(2) (vf *. get d donor)
+[@@args face [(0,0)] 1 Read, cell [(-1,0); (0,0)] 1 Read, face [(0,0)] 1 Write]|}
     ~row_has:
-      [ "Stdlib.Array.get __kernel_o1 donor"; "let __kernel_o0_0 = Stdlib.Array.get __kernel_o0 0";
-        "Stdlib.Array.set __kernel_d2" ]
-    ~row_lacks:[ "a.("; "get d "; "let d =" ];
-  (* let-aliases, in one [let ... and ...] and chained. *)
+      [
+        "Stdlib.Array.get __kernel_d1 (Stdlib.(+) __kernel_i_cell (Stdlib.Array.get __kernel_o1 donor))";
+        "let __kernel_o1 = (Stdlib.Array.get __kernel_p 1).Am_core.Acc.poff";
+        "Stdlib.Array.get __kernel_d0 __kernel_i_face";
+        "Stdlib.Array.set __kernel_d2 __kernel_i_face";
+        "let __kernel_i_cell = Stdlib.(+) __kernel_r_cell __kernel_x";
+        "stencil = [|((-1), 0, 0);(0, 0, 0)|]";
+      ]
+    ~row_lacks:[ "a.("; "get d "; "let d ="; "__kernel_o0 "; "__kernel_o_cell" ];
+  (* let-aliases, in one [let ... and ...] and chained; two arguments of
+     one label share one offset local per point. *)
   expands ~name:"aliases"
     {|let%kernel alias (a : Acc.t array) =
   let xv = a.(0) and yv = a.(1) in
   let y2 = yv in
-  let u = get xv 1 +. get y2 3 in
-  set a.(2) u|}
-    ~row_has:[ "__kernel_o0_1"; "__kernel_o1_3"; "let u" ]
-    ~row_lacks:[ "a.("; "xv"; "y2" ];
-  (* gbl and set_gbl on a global: the centre offset is hoisted. *)
+  let u = get xv 1 +. get y2 3 +. get xv 3 in
+  set a.(2) u
+[@@args n [(0,0); (1,0); (0,1); (1,1)] 1 Read, n [(0,0); (1,0); (0,1); (1,1)] 1 Read,
+  c [(0,0)] 1 Write]|}
+    ~row_has:
+      [
+        "let __kernel_o_n_1 = 1";
+        "let __kernel_o_n_1_1 = Stdlib.(+) __kernel_row_n 1";
+        "Stdlib.Array.get __kernel_d1 (Stdlib.(+) __kernel_i_n __kernel_o_n_1_1)";
+        "let u";
+      ]
+    ~row_lacks:[ "a.("; "xv"; "y2"; "__kernel_o_n_0_1" ];
+  (* gbl and set_gbl on globals: a Read global's literal component is
+     loaded once, a Min global's lives in a float local stored after the
+     box, an Inc global named by a computed component stays in its
+     buffer. *)
   expands ~name:"globals"
     {|let%kernel sums (a : Acc.t array) =
   let s = a.(1) in
   set_gbl s 0 (gbl s 0 +. get a.(0) 0);
-  set_gbl s 1 (Float.min (gbl s 1) (gbl a.(2) 0))|}
-    ~row_has:[ "let __kernel_o1_0 = Stdlib.Array.get __kernel_o1 0"; "Stdlib.Array.set __kernel_d1" ]
-    ~row_lacks:[ "a.("; "gbl"; "set_gbl" ];
-  (* A binder shadowing an alias ends it. *)
+  for c = 1 to 1 do set_gbl s c (gbl s c *. gbl a.(3) 0) done;
+  set_gbl a.(2) 0 (Float.min (gbl a.(2) 0) (gbl a.(3) 0))
+[@@args c [(0,0)] 1 Read, gbl 2 Inc, gbl 1 Min, gbl 1 Read]|}
+    ~row_has:
+      [
+        "let __kernel_u3_0 = Stdlib.Array.get __kernel_z3 0";
+        "let __kernel_u2_0 = Stdlib.ref (Stdlib.Array.get __kernel_z2 0)";
+        "Stdlib.Array.set __kernel_z2 0 (Stdlib.(!) __kernel_u2_0)";
+        "Stdlib.Array.set __kernel_z1 c";
+        "Stdlib.Array.set __kernel_z1 0";
+      ]
+    ~row_lacks:[ "a.("; "gbl s"; "gbl a"; "__kernel_u1_"; "Stdlib.Array.set __kernel_z3" ];
+  (* A binder shadowing an alias ends it; a dim-2 dataset's component is
+     read at point 0 with gbl, the column stride being the dim. *)
   expands ~name:"shadowed"
     {|let%kernel shadow (a : Acc.t array) =
   let x = a.(0) in
   let f x = x +. 1.0 in
-  set a.(1) (f (get x 0))|}
-    ~row_has:[ "let f x = x +. 1.0" ] ~row_lacks:[ "a.(" ]
+  set_gbl a.(1) 1 (f (gbl x 1))
+[@@args v [(0,0)] 2 Read, w [(0,0)] 2 Write]|}
+    ~row_has:
+      [
+        "let f x = x +. 1.0";
+        "Stdlib.Array.get __kernel_d0 (Stdlib.(+) __kernel_i_v 1)";
+        "Stdlib.( * ) __kernel_x 2";
+      ]
+    ~row_lacks:[ "a.(" ];
+  (* One walker per [@@args] variant, over one body. *)
+  expands ~name:"variants"
+    {|let%kernel sweep (a : Acc.t array) = set a.(1) (get a.(0) 0 -. get a.(0) 1)
+[@@args c [(0,0); (1,0)] 1 Read, c [(0,0)] 1 Write]
+[@@args c [(0,0); (0,1)] 1 Read, c [(0,0)] 1 Write]|}
+    ~row_has:[ "let __kernel_o_c_1 = 1"; "let __kernel_o_c_0_1 = __kernel_row_c" ]
+    ~row_lacks:[ "a.("; "[@@args" ]
 
 (* The element walker of an OP2 kernel: components literal or computed,
    read and written in place at [d_k.(b_k + c)], with [b_k] computed per
@@ -182,6 +234,49 @@ let test_res_calc () =
       ("the Incs' float locals", "Stdlib.ref 0.0", 8);
     ]
 
+(* CloverLeaf's PdV, expanded from lib/apps_cloverleaf/kernels.ml: one
+   index per layout label (node and cell), one local per non-centre quad
+   point of the node label, shared by its four arguments, the four consts
+   loaded before the loops, and no per-argument base. *)
+let test_pdv () =
+  let path =
+    Filename.concat (Filename.dirname Sys.executable_name) "../lib/apps_cloverleaf/kernels.ml"
+  in
+  let src = In_channel.with_open_text path In_channel.input_all in
+  let walkers =
+    List.find_map
+      (function
+        | { pstr_desc = Pstr_value (_, [ { pvb_pat; pvb_expr; _ } ]); _ } -> (
+          match (pvb_pat.ppat_desc, pvb_expr.pexp_desc) with
+          | Ppat_var { txt = "pdv_acc"; _ }, Pexp_record ([ _; (_, walkers) ], None) ->
+            Some (squash (Pprintast.string_of_expression walkers))
+          | _ -> None)
+        | _ -> None)
+      (expand src)
+    |> Option.get
+  in
+  let loops =
+    let rec at i = if String.sub walkers i 4 = "for " then i else at (i + 1) in
+    at 0
+  in
+  let before = String.sub walkers 0 loops in
+  List.iter
+    (fun (what, sub, n) ->
+      Alcotest.(check int) (Printf.sprintf "pdv: %s (%S)" what sub) n (count walkers sub))
+    [
+      ("one walker", "Am_core.Acc.kname", 1);
+      ("two layout indices", "let __kernel_i_", 2);
+      ("three non-centre offset locals", "let __kernel_o_", 3);
+      ("no offset table", "Am_core.Acc.poff", 0);
+      ("one base per label", "Am_core.Acc.pbase", 2);
+    ];
+  Alcotest.(check int) "pdv: no per-argument base (__kernel_b<k>)" 0
+    (count walkers "__kernel_b" - count walkers "__kernel_base_");
+  Alcotest.(check int) "pdv: four global loads outside the loops" 4
+    (count before "Stdlib.Array.get __kernel_z10");
+  Alcotest.(check int) "pdv: the consts buffer is not named inside the loops"
+    (count before "__kernel_z10") (count walkers "__kernel_z10")
+
 (* [src] must fail to expand with an error on [line] naming the kernel
    and saying [what]. *)
 let refuses ?(ext = "kernel") ~name ~line ~what src =
@@ -203,33 +298,41 @@ let test_refuses () =
   refuses ~name:"pass" ~line:3 ~what:"passed to a function"
     {|let%kernel pass (a : Acc.t array) =
   let p = a.(0) in
-  set a.(1) (diff p 2.0)|};
+  set a.(1) (diff p 2.0)
+[@@args c [(0,0)] 1 Read, c [(0,0)] 1 Write]|};
   refuses ~name:"partial" ~line:2 ~what:"passed to a function"
     {|let%kernel partial (a : Acc.t array) =
   let g = get a.(0) in
-  set a.(1) (g 0)|};
+  set a.(1) (g 0)
+[@@args c [(0,0)] 1 Read, c [(0,0)] 1 Write]|};
   refuses ~name:"index" ~line:3 ~what:"literal argument number"
     {|let%kernel index (a : Acc.t array) =
   let i = 1 in
-  set a.(i) 0.0|};
+  set a.(i) 0.0
+[@@args c [(0,0)] 1 Read, c [(0,0)] 1 Write]|};
   refuses ~name:"return" ~line:3 ~what:"returned or stored"
     {|let%kernel return (a : Acc.t array) =
   let x = a.(0) in
-  x|};
+  x
+[@@args c [(0,0)] 1 Read]|};
   refuses ~name:"store" ~line:2 ~what:"returned or stored"
     {|let%kernel store (a : Acc.t array) =
-  cell.contents <- a.(0)|};
+  cell.contents <- a.(0)
+[@@args c [(0,0)] 1 Read]|};
   refuses ~name:"pair" ~line:2 ~what:"returned or stored"
     {|let%kernel pair (a : Acc.t array) =
   let p = (a.(0), 1) in
-  set a.(1) (get (fst p) 0)|};
+  set a.(1) (get (fst p) 0)
+[@@args c [(0,0)] 1 Read, c [(0,0)] 1 Write]|};
   List.iter
     (fun (name, src) ->
       refuses ~name ~line:1 ~what:"one parameter (a : Acc.t array)" src)
     [
-      ("untyped", {|let%kernel untyped a = set a.(0) 1.0|});
-      ("floats", {|let%kernel floats (a : float array array) = set a.(0) 1.0|});
-      ("two", {|let%kernel two (a : Acc.t array) (b : int) = set a.(b) 1.0|});
+      ("untyped", {|let%kernel untyped a = set a.(0) 1.0 [@@args c [(0,0)] 1 Write]|});
+      ( "floats",
+        {|let%kernel floats (a : float array array) = set a.(0) 1.0 [@@args c [(0,0)] 1 Write]|} );
+      ( "two",
+        {|let%kernel two (a : Acc.t array) (b : int) = set a.(b) 1.0 [@@args c [(0,0)] 1 Write]|} );
     ]
 
 let test_elem_refuses () =
@@ -307,13 +410,78 @@ let test_signature_refuses () =
   set a.(0) 0 1.0
 [@@args gbl 1 Rw]|}
 
+(* What a structured kernel's declared signatures rule out: each refusal
+   names the kernel and is located where the body or a signature breaks
+   it. *)
+let test_grid_signature_refuses () =
+  refuses ~name:"point" ~line:2 ~what:"stencil point 2 is outside argument 0's declared stencil of 2 points"
+    {|let%kernel point (a : Acc.t array) =
+  set a.(1) (get a.(0) 2)
+[@@args c [(0,0); (1,0)] 1 Read, c [(0,0)] 1 Write]|};
+  refuses ~name:"read" ~line:3 ~what:"set on argument 0, which the signature declares Read"
+    {|let%kernel read (a : Acc.t array) =
+  let q = a.(0) in
+  set q (get q 0 +. 1.0)
+[@@args c [(0,0)] 1 Read]|};
+  refuses ~name:"read_global" ~line:2 ~what:"set on argument 1, which the signature declares Read"
+    {|let%kernel read_global (a : Acc.t array) =
+  set_gbl a.(1) 0 (get a.(0) 0)
+[@@args c [(0,0)] 1 Rw, gbl 1 Read]|};
+  refuses ~name:"component" ~line:2 ~what:"component 2 is outside [0, 2)"
+    {|let%kernel component (a : Acc.t array) =
+  set_gbl a.(0) 2 0.0
+[@@args c [(0,0)] 2 Write]|};
+  refuses ~name:"global_point" ~line:2 ~what:"get on argument 1, which the signature declares a global"
+    {|let%kernel global_point (a : Acc.t array) =
+  set a.(0) (get a.(1) 0)
+[@@args c [(0,0)] 1 Write, gbl 1 Read]|};
+  refuses ~name:"outside" ~line:3 ~what:"argument 2 is outside the signature"
+    {|let%kernel outside (a : Acc.t array) =
+  set a.(1) 1.0;
+  set a.(2) 1.0
+[@@args c [(0,0)] 1 Write, c [(0,0)] 1 Write]|};
+  refuses ~name:"missing" ~line:1 ~what:"missing its argument signature [@@args"
+    {|let%kernel missing (a : Acc.t array) = set a.(0) 1.0|};
+  refuses ~name:"dims" ~line:3 ~what:"layout label c is declared with dims 1 and 2"
+    {|let%kernel dims (a : Acc.t array) =
+  set a.(1) (get a.(0) 0)
+[@@args c [(0,0)] 1 Read, c [(0,0)] 2 Write]|};
+  refuses ~name:"inc" ~line:3 ~what:"argument 1 is an Inc dataset"
+    {|let%kernel inc (a : Acc.t array) =
+  set a.(1) (get a.(0) 0)
+[@@args c [(0,0)] 1 Read, c [(0,0)] 1 Inc]|};
+  refuses ~name:"written" ~line:3 ~what:"argument 1 is written, so its stencil must be the centre"
+    {|let%kernel written (a : Acc.t array) =
+  set a.(1) (get a.(0) 0)
+[@@args c [(0,0)] 1 Read, c [(1,0)] 1 Write]|};
+  refuses ~name:"lengths" ~line:4 ~what:"[@@args] variants declare 2 and 3 arguments"
+    {|let%kernel lengths (a : Acc.t array) =
+  set a.(1) (get a.(0) 0)
+[@@args c [(0,0)] 1 Read, c [(0,0)] 1 Write]
+[@@args c [(0,0)] 1 Read, c [(0,0)] 1 Write, gbl 1 Read]|};
+  refuses ~name:"same" ~line:4 ~what:"[@@args] variants 0 and 1 declare the same stencils"
+    {|let%kernel same (a : Acc.t array) =
+  set a.(1) (get a.(0) 0)
+[@@args c [(0,0)] 1 Read, c [(0,0)] 1 Write]
+[@@args d [(0,0)] 1 Read, d [(0,0)] 1 Write]|};
+  refuses ~name:"stencil" ~line:2 ~what:"a stencil is a list of literal offsets"
+    {|let%kernel stencil (a : Acc.t array) = set a.(0) 1.0
+[@@args c (0,0) 1 Write]|};
+  refuses ~name:"entry" ~line:2 ~what:"a signature entry is label [offsets] dim Access"
+    {|let%kernel entry (a : Acc.t array) = set a.(0) 1.0
+[@@args c 1 Write]|}
+
 let () =
   Alcotest.run "ppx_kernel"
     [
       ( "let%kernel",
         [
-          Alcotest.test_case "expands computed points, aliases and globals" `Quick test_expands;
+          Alcotest.test_case "expands computed points, aliases, globals and variants" `Quick
+            test_expands;
           Alcotest.test_case "refuses escaping accessors and bad parameters" `Quick test_refuses;
+          Alcotest.test_case "refuses what the declared signatures rule out" `Quick
+            test_grid_signature_refuses;
+          Alcotest.test_case "PdV: one index per layout, globals once" `Quick test_pdv;
         ] );
       ( "let%elem_kernel",
         [
