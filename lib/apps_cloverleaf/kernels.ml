@@ -23,7 +23,8 @@
    value carries the body as written, which Check and footprint probing
    run per point, and one generated range walker per signature with the
    body inlined into a loop nest over a whole box, which the executors run
-   wherever every dataset is addressed in place.  Accessors therefore
+   with every dataset in place wherever the arguments allow it (they
+   stage every argument otherwise).  Accessors therefore
    appear only as [a.(k)] or a [let]-bound name of one, and only under
    [get], [set], [gbl] and [set_gbl]; helpers take floats.  The staged
    [pdv] that [Ops.par_loop] takes is a one-line adapter over [pdv_acc]'s

@@ -1,12 +1,13 @@
 (* Hand-coded Hydra-sim baseline ("Original").
 
-   The same kernels driven by a minimal direct runner over plain arrays and
-   connectivity tables — no declarations, no validation, no plans, no
-   descriptors, no profiling: what a hand-parallelised production code's
-   sequential core looks like.  Executes identically to the OP2 version
-   (same kernels, same iteration order), so the benchmarks isolate the
-   framework's dispatch cost exactly as the paper's Original-vs-OP2-unopt
-   comparison does (Fig 3). *)
+   The same kernels' point forms ([Kernels.*_acc.elem]) driven by a
+   minimal direct runner over plain arrays and connectivity tables — no
+   declarations, no validation, no plans, no descriptors, no profiling:
+   what a hand-parallelised production code's sequential core looks like.
+   Executes identically to the OP2 version (the same arithmetic in the
+   same order as the generated element walkers, same iteration order), so
+   the benchmarks isolate the framework's dispatch cost exactly as the
+   paper's Original-vs-OP2-unopt comparison does (Fig 3). *)
 
 module Umesh = Am_mesh.Umesh
 module Acc = Am_op2.Op2.Acc
@@ -24,11 +25,11 @@ let add_back data base (scratch : float array) =
     data.(base + d) <- data.(base + d) +. scratch.(d)
   done
 
-(* Direct runner over the kernels' accessors: the structure a hand writer
-   inlines.  Read/Write/Rw arguments are addressed in place; increments go
-   through a zeroed per-element scratch that is added back after the
-   kernel, which is what the library does too, so the results agree to
-   the bit. *)
+(* Direct runner over the kernels' point forms: the structure a hand
+   writer inlines.  Read/Write/Rw arguments are addressed in place;
+   increments go through a zeroed per-element scratch that is added back
+   after the kernel, which is what the element walkers do too, so the
+   results agree to the bit. *)
 let run_loop ~n args kernel =
   let args = Array.of_list args in
   let accs =
@@ -103,7 +104,7 @@ let iteration t =
   let cn = m.Umesh.cell_nodes in
   run_loop ~n:m.Umesh.n_cells
     [ Direct (t.q, n_state, R); Direct (t.qold, n_state, W) ]
-    Kernels.save_state;
+    Kernels.save_state_acc.Acc.elem;
   run_loop ~n:m.Umesh.n_cells
     [
       Indirect (t.x, 2, cn, 4, 0, R);
@@ -113,11 +114,13 @@ let iteration t =
       Direct (t.q, n_state, R);
       Direct (t.adt, 1, W);
     ]
-    Kernels.calc_dt;
+    Kernels.calc_dt_acc.Acc.elem;
   let rms = [| 0.0 |] in
   Array.iter
     (fun alpha ->
-      run_loop ~n:m.Umesh.n_cells [ Direct (t.grad, 2 * n_state, W) ] Kernels.grad_zero;
+      run_loop ~n:m.Umesh.n_cells
+        [ Direct (t.grad, 2 * n_state, W) ]
+        Kernels.grad_zero_acc.Acc.elem;
       run_loop ~n:m.Umesh.n_edges
         [
           Indirect (t.x, 2, en, 2, 0, R);
@@ -127,10 +130,10 @@ let iteration t =
           Indirect (t.grad, 2 * n_state, ec, 2, 0, I);
           Indirect (t.grad, 2 * n_state, ec, 2, 1, I);
         ]
-        Kernels.grad_accum;
+        Kernels.grad_accum_acc.Acc.elem;
       run_loop ~n:m.Umesh.n_cells
         [ Direct (t.adt, 1, R); Direct (t.grad, 2 * n_state, Rw) ]
-        Kernels.grad_scale;
+        Kernels.grad_scale_acc.Acc.elem;
       run_loop ~n:m.Umesh.n_edges
         [
           Indirect (t.x, 2, en, 2, 0, R);
@@ -142,7 +145,7 @@ let iteration t =
           Indirect (t.res, n_state, ec, 2, 0, I);
           Indirect (t.res, n_state, ec, 2, 1, I);
         ]
-        Kernels.flux_inviscid;
+        Kernels.flux_inviscid_acc.Acc.elem;
       run_loop ~n:m.Umesh.n_edges
         [
           Indirect (t.q, n_state, ec, 2, 0, R);
@@ -152,7 +155,7 @@ let iteration t =
           Indirect (t.res, n_state, ec, 2, 0, I);
           Indirect (t.res, n_state, ec, 2, 1, I);
         ]
-        Kernels.flux_viscous;
+        Kernels.flux_viscous_acc.Acc.elem;
       run_loop ~n:m.Umesh.n_bedges
         [
           Indirect (t.x, 2, bn, 2, 0, R);
@@ -161,14 +164,14 @@ let iteration t =
           Indirect (t.res, n_state, bc, 1, 0, I);
           Direct (t.bound, 1, R);
         ]
-        Kernels.flux_boundary;
+        Kernels.flux_boundary_acc.Acc.elem;
       run_loop ~n:m.Umesh.n_cells
         [
           Direct (t.q, n_state, R);
           Direct (t.grad, 2 * n_state, R);
           Direct (t.res, n_state, I);
         ]
-        Kernels.source;
+        Kernels.source_acc.Acc.elem;
       Array.fill rms 0 1 0.0;
       run_loop ~n:m.Umesh.n_cells
         [
@@ -179,22 +182,23 @@ let iteration t =
           Gbl ([| alpha |], R);
           Gbl (rms, I);
         ]
-        Kernels.rk_stage)
+        Kernels.rk_stage_acc.Acc.elem)
     Kernels.rk_alphas;
   (* Multigrid. *)
   let cm = t.coarse_mesh in
   let cec = cm.Umesh.edge_cells in
   let f2c = t.fine_to_coarse in
-  run_loop ~n:cm.Umesh.n_cells [ Direct (t.coarse_r, n_state, W) ] Kernels.zero6;
-  run_loop ~n:cm.Umesh.n_cells [ Direct (t.coarse_corr, n_state, W) ] Kernels.zero6;
-  run_loop ~n:cm.Umesh.n_cells [ Direct (t.coarse_acc, n_state, W) ] Kernels.zero6;
+  let zero6 = Kernels.zero6_acc.Acc.elem in
+  run_loop ~n:cm.Umesh.n_cells [ Direct (t.coarse_r, n_state, W) ] zero6;
+  run_loop ~n:cm.Umesh.n_cells [ Direct (t.coarse_corr, n_state, W) ] zero6;
+  run_loop ~n:cm.Umesh.n_cells [ Direct (t.coarse_acc, n_state, W) ] zero6;
   run_loop ~n:m.Umesh.n_cells
     [
       Direct (t.q, n_state, R);
       Direct (t.qold, n_state, R);
       Indirect (t.coarse_r, n_state, f2c, 1, 0, I);
     ]
-    Kernels.mg_restrict;
+    Kernels.mg_restrict_acc.Acc.elem;
   for _smooth = 1 to 2 do
     run_loop ~n:cm.Umesh.n_edges
       [
@@ -203,18 +207,18 @@ let iteration t =
         Indirect (t.coarse_acc, n_state, cec, 2, 0, I);
         Indirect (t.coarse_acc, n_state, cec, 2, 1, I);
       ]
-      Kernels.mg_smooth_edge;
+      Kernels.mg_smooth_edge_acc.Acc.elem;
     run_loop ~n:cm.Umesh.n_cells
       [
         Direct (t.coarse_r, n_state, R);
         Direct (t.coarse_acc, n_state, Rw);
         Direct (t.coarse_corr, n_state, W);
       ]
-      Kernels.mg_smooth_cell
+      Kernels.mg_smooth_cell_acc.Acc.elem
   done;
   run_loop ~n:m.Umesh.n_cells
     [ Indirect (t.coarse_corr, n_state, f2c, 1, 0, R); Direct (t.q, n_state, Rw) ]
-    Kernels.mg_prolong;
+    Kernels.mg_prolong_acc.Acc.elem;
   sqrt (rms.(0) /. Float.of_int m.Umesh.n_cells)
 
 let run t ~iters =

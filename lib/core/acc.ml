@@ -1,22 +1,22 @@
-(* Argument accessors: the zero-copy kernel ABI of both libraries (the
-   paper's Fig 7 OP_ACC).
+(* Argument accessors: the kernel ABI of both libraries (the paper's Fig 7
+   OP_ACC), and the kernel values that carry generated walkers.
 
    An accessor is one kernel argument seen as a window into a float array:
-   component [c] of stencil point [p] is [data.(base + off.(p) + c)].  The
-   executors bind an accessor once per loop and then only move [base] per
-   iteration — for OP2 to [e * dim] (direct) or [map value * dim]
-   (indirect), for OPS to the iteration point's flat index in the padded
-   dataset — so the kernel reads and writes the dataset in place.  [off]
-   holds one flat delta per declared stencil point: OP2 arguments are the
-   single-point case [off = [|0|]], an OPS argument's deltas are its
-   stencil offsets scaled by the dataset's row and column strides.
-
-   Staged addressing is the same ABI over a staging buffer with [base = 0]
-   and point-major deltas [off.(p) = p * dim].  For a canary-padded buffer
-   (the Check backend, footprint probing) the table covers every whole
-   point the buffer holds, so a read of an undeclared stencil point or of
-   a component past [dim] lands in the pad, where it is observed, instead
-   of raising an index error on the table.
+   component [c] of stencil point [p] is [data.(base + off.(p) + c)].  A
+   kernel is written once over accessors, its point form.  The executors
+   address datasets in place only through a generated walker (a
+   [let%kernel]'s range walker, a [let%elem_kernel]'s element walker),
+   which the rewriter expands from the point form's body with each
+   accessor use turned into direct indexing.  Everywhere else the point
+   form runs on staged addressing: accessors over staging buffers with
+   [base = 0] and point-major deltas [off.(p) = p * dim], an OP2 argument
+   being the single-point case [off = [|0|]], built once per frame.  For
+   a canary-padded buffer (the Check backend, footprint probing) the table
+   covers every whole point the buffer holds, so a read of an undeclared
+   stencil point or of a component past [dim] lands in the pad, where it
+   is observed, instead of raising an index error on the table.  [base]
+   stays mutable for runners that move an accessor themselves, as Hydra's
+   hand-coded one does.
 
    Indexing is the ordinary bounds-checked array access.  There are
    deliberately no [get]/[set] functions here: libraries are compiled with
@@ -84,10 +84,11 @@ type range_walker = {
    accessors' bases name.  [let%kernel] (lib/ppx_kernel) generates one
    walker per [[@@args]] signature from the body of [point]; a call runs
    the walker whose stencils equal its arguments'.  A plain point function
-   has none, and runs on the executors' point walker. *)
+   has none, and always runs staged, on the executors' point walker. *)
 type kernel = { point : t array -> unit; walkers : range_walker array }
 
-(* The kernel value of a plain point function. *)
+(* The kernel value of a plain point function: the always-staged
+   reference the tests run generated kernels against. *)
 let lift point = { point; walkers = [||] }
 
 (* ---- Element walkers: the unstructured (OP2) kernel value ---------------- *)
@@ -131,7 +132,8 @@ type walker = { kname : string; signature : arg_sig array; elems : walk -> int -
    when it was generated.  [elem] runs the kernel once, at the bases the
    accessors hold.  [let%elem_kernel] (lib/ppx_kernel) generates [walker]
    from the body of [elem] and its declared signature; a plain point
-   function has none, and runs on the executors' point walker. *)
+   function has none, and always runs staged, on the executors' point
+   walker. *)
 type elem_kernel = { elem : t array -> unit; walker : walker option }
 
 (* The kernel value of a plain OP2 point function. *)

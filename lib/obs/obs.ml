@@ -30,6 +30,8 @@ let exec_hits = Counters.counter counters "exec_cache.hits"
 let exec_misses = Counters.counter counters "exec_cache.misses"
 let ops_walker_frames = Counters.counter counters "ops.range_walker_frames"
 let ops_point_frames = Counters.counter counters "ops.point_walker_frames"
+let op2_walker_frames = Counters.counter counters "op2.element_walker_frames"
+let op2_point_frames = Counters.counter counters "op2.point_walker_frames"
 let comm_messages = Counters.counter counters "comm.messages"
 let comm_bytes = Counters.counter counters ~unit_:"bytes" "comm.bytes_sent"
 let comm_exchanges = Counters.counter counters "comm.exchanges"

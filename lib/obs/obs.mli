@@ -31,8 +31,9 @@ val colour_name : int -> string
     [plan_builds]/[plan_colours] count plans actually constructed and their
     block colours; [exec_hits]/[exec_misses] count compiled-executor reuses
     vs. (re)compilations; [ops_walker_frames]/[ops_point_frames] count OPS
-    accessor-kernel frames that run a generated range walker vs. the point
-    walker; [core_elements]/[boundary_elements] count elements run while
+    accessor-kernel frames that run a generated range walker vs. the
+    staging point walker, and [op2_walker_frames]/[op2_point_frames] the
+    same for OP2's element walker; [core_elements]/[boundary_elements] count elements run while
     halos were in flight vs. deferred until arrival. *)
 
 val loop_calls : Counters.counter
@@ -46,6 +47,8 @@ val exec_hits : Counters.counter
 val exec_misses : Counters.counter
 val ops_walker_frames : Counters.counter
 val ops_point_frames : Counters.counter
+val op2_walker_frames : Counters.counter
+val op2_point_frames : Counters.counter
 val comm_messages : Counters.counter
 val comm_bytes : Counters.counter
 val comm_exchanges : Counters.counter

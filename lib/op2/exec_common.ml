@@ -1,52 +1,49 @@
-(* Shared argument machinery of the OP2 backends: the two addressing modes.
+(* Shared argument machinery of the OP2 backends: frames and their two
+   walkers.
 
    A kernel comes in one of two forms ([kernel]).  A staged kernel
    receives one staging buffer per argument ([float array array]); an
-   accessor kernel receives one [Acc.t] per argument — the paper's Fig 7
-   OP_ACC — and reads component [i] as [data.(base + i)].  Each argument
-   is addressed in one of two modes:
-
-   - in place: the accessor points into the dataset array itself and the
-     executor only moves its [base], to [e * dim] (direct) or
-     [map value * dim] (indirect), before each element.  No copy and no
-     per-argument closure call.  Accessor kernels take this mode for AoS
-     Read/Write/Rw dats whose dataset no other argument of the loop writes
-     ([in_place_flags]: a kernel writing in place must not see its own
-     write through a second argument, which staging would have hidden);
-   - staged: a gather closure fills a per-worker staging buffer before the
-     kernel and a scatter closure writes it back according to the access
-     descriptor.  Every argument of a staged kernel takes this mode, and so
-     do an accessor kernel's SoA dats (its accessor then points at the
-     buffer with [base = 0]) and Inc dats: an increment starts from a
-     zeroed per-element scratch and is added to memory after the kernel,
-     exactly as a staged kernel sees it, so Inc rounding — and with it
-     every bitwise cross-backend guarantee — does not depend on the kernel
-     form.  Check, footprint probing and the Cuda_sim [Staged] strategy
-     stage every argument whatever the kernel form.
+   accessor kernel is a kernel value ([Acc.elem_kernel]): a point form
+   over one [Acc.t] per argument — the paper's Fig 7 OP_ACC, component [i]
+   at [data.(base + i)] — and, when [let%elem_kernel] generated it, an
+   element walker ([Acc.walker]) generated for the kernel's declared
+   signature, which runs the body inlined over an element range [lo, hi)
+   with the signature's dims, arities and slots as constants, reading the
+   datasets in place and only the arrays in [addrs] and the worker's
+   buffers.  [check_signature] holds every call's arguments to that
+   signature.
 
    Arguments are "compiled" once per (loop, signature) pair: the dataset
    array, map table and layout strides are resolved up front and baked
    into one gather and one scatter closure per argument, beside the
-   arrays an element walker reads ([Acc.addr]).  The per-worker
-   state — accessors, staging buffers, global accumulators — is a [frame]
-   built from the compiled arguments at each loop call; both kernel forms
-   share one compiled executor, so a loop handle serves both entry
-   points.
+   arrays an element walker reads ([Acc.addr]).  The per-worker state is
+   a [frame] built from the compiled arguments at each loop call, by one
+   rule:
 
-   Two walkers run a frame over elements.  The point walker moves every
-   argument to the element ([enter]), calls the kernel's point form and
-   writes staged results back ([leave]).  The element walker is a
-   generated kernel's walker ([Acc.walker]), generated for the kernel's
-   declared signature: it runs the body inlined over a range [lo, hi),
-   with the signature's dims, arities and slots as constants, and reads
-   only the arrays in [addrs] and the worker's buffers.  [check_signature]
-   holds every call's arguments to that signature.  [run_range] takes the
-   element walker exactly when the kernel has one and every dataset
-   argument is in place or a staged AoS Inc ([elementwise]); Seq and
-   Shared run their ranges through it, every other executor (Check, Vec,
-   Cuda_sim, the partitioned core/boundary subsets, footprint probing),
-   and every lifted point function ([Acc.lift]), runs the point walker
-   per element.
+   - a walker frame runs the kernel's element walker with every dataset
+     in place.  It needs a generated kernel and an [elementwise] executor:
+     every dataset argument an AoS Read of a dataset no argument writes,
+     an AoS Write/Rw of a dataset no other argument touches
+     ([elementwise_args]: a kernel writing in place must not see its own
+     write through a second argument, which staging would hide), or an
+     AoS Inc, which the walker adds back itself after the body;
+   - a staging frame stages every argument, and its point walker is the
+     only per-element path: a gather closure fills a per-worker buffer per
+     argument ([enter]), the kernel runs — a staged kernel on the buffers,
+     an accessor kernel's point form on base-0 accessors over them, built
+     once per frame ([call]) — and a scatter closure writes the written
+     ones back ([leave]).  An increment starts from a zeroed scratch and
+     is added to memory after the kernel, so Inc rounding, and with it
+     every bitwise cross-backend guarantee, does not depend on the kernel
+     form.
+
+   Staged kernels, lifted point functions ([Acc.lift]), SoA and aliased
+   arguments and the Cuda_sim [Staged] scratchpad therefore take staging
+   frames.  Seq and Shared run a walker frame over whole ranges
+   ([run_range]); Vec lanes, Cuda_sim blocks and the partitioned
+   core/boundary subsets run it one element at a time ([call] on [e],
+   [elems w e (e + 1)]).  Check and footprint probing stage every
+   argument themselves ([staged_view]).
 
    The inner copies use unsafe indexing; bounds are guaranteed by
    declaration-time validation ([decl_map] range-checks every target,
@@ -71,16 +68,14 @@ type compiled_arg =
       arity : int;
       idx : int;
       indirect : bool;
-      in_place : bool; (* an accessor kernel addresses it in place *)
       gather : float array -> int -> unit; (* staging buffer, element *)
       scatter : float array -> int -> unit;
     }
   | C_gbl of { user_buf : float array; access : Access.t }
 
 (* A compiled executor: the arguments, and where an element walker finds
-   each one's arrays.  [elementwise] holds when every dataset argument is
-   addressed in place by an accessor kernel or is an AoS Inc, the
-   arguments an element walker can run. *)
+   each one's arrays.  [elementwise] holds when a walker frame may run
+   over them ([elementwise_args]). *)
 type compiled = { args : compiled_arg array; addrs : Acc.addr array; elementwise : bool }
 
 type resolvers = {
@@ -183,11 +178,13 @@ let build_scatter ~data ~dim ~layout ~n ~access ~map_values ~arity ~idx ~indirec
         done)
   | Access.Min | Access.Max -> invalid_arg "op2: Min/Max access on a dat argument"
 
-(* Which arguments an accessor kernel may address in place: AoS Read of a
-   dataset no argument writes, AoS Write/Rw of a dataset no other argument
-   touches.  Anything else would let the kernel observe a write that
-   staging hides until after it returns. *)
-let in_place_flags args =
+(* Whether a walker frame may run over [args]: every dataset is AoS, and
+   its argument an Inc, which the walker adds back after the body, or one
+   it addresses in place: a Read of a dataset no argument writes, a
+   Write/Rw of a dataset no other argument touches.  Anything else would
+   let the kernel observe a write that staging hides until after it
+   returns. *)
+let elementwise_args args =
   let refs id =
     List.length
       (List.filter (function Arg_dat { dat; _ } -> dat.dat_id = id | Arg_gbl _ -> false) args)
@@ -199,19 +196,21 @@ let in_place_flags args =
         | Arg_dat _ | Arg_gbl _ -> false)
       args
   in
-  List.map
+  List.for_all
     (function
-      | Arg_dat { dat; access; _ } when dat.layout = Aos -> (
+      | Arg_dat { dat; access; _ } -> (
+        dat.layout = Aos
+        &&
         match access with
         | Access.Read -> not (written dat.dat_id)
         | Access.Write | Access.Rw -> refs dat.dat_id = 1
-        | Access.Inc | Access.Min | Access.Max -> false)
-      | Arg_dat _ | Arg_gbl _ -> false)
+        | Access.Inc -> true
+        | Access.Min | Access.Max -> false)
+      | Arg_gbl _ -> true)
     args
 
 let compile ?(resolvers = global_resolvers) args =
-  let compile_one arg in_place =
-    match arg with
+  let compile_one = function
     | Arg_dat { dat; map; access } ->
       let data, n = resolvers.resolve_dat dat in
       let map_values, arity, idx, indirect =
@@ -222,7 +221,7 @@ let compile ?(resolvers = global_resolvers) args =
       let dim = dat.dim and layout = dat.layout in
       C_dat
         {
-          data; dim; layout; n; access; map_values; arity; idx; indirect; in_place;
+          data; dim; layout; n; access; map_values; arity; idx; indirect;
           gather =
             build_gather ~data ~dim ~layout ~n ~access ~map_values ~arity ~idx ~indirect;
           scatter =
@@ -230,26 +229,15 @@ let compile ?(resolvers = global_resolvers) args =
         }
     | Arg_gbl { buf; access; _ } -> C_gbl { user_buf = buf; access }
   in
-  let args = Array.of_list (List.map2 compile_one args (in_place_flags args)) in
+  let args' = Array.of_list (List.map compile_one args) in
   let addrs =
     Array.map
       (function
         | C_dat { data; map_values; _ } -> { Acc.adata = data; amap = map_values }
         | C_gbl _ -> { Acc.adata = [||]; amap = [||] })
-      args
+      args'
   in
-  let staged_inc = function
-    | C_dat { access = Access.Inc; layout = Aos; _ } -> true
-    | C_dat _ | C_gbl _ -> false
-  in
-  {
-    args;
-    addrs;
-    elementwise =
-      Array.for_all
-        (function C_dat { in_place; _ } as c -> in_place || staged_inc c | C_gbl _ -> true)
-        args;
-  }
+  { args = args'; addrs; elementwise = elementwise_args args }
 
 (* A cached executor is only valid while the argument list still resolves to
    the same backing stores: [Op2.update], [convert_layout] and the SoA
@@ -379,132 +367,100 @@ let check_signature ~name (w : Acc.walker) args =
 
 (* ---- Frames: one worker's state for one loop call ---------------------- *)
 
-(* The per-element work of one dat argument: move an in-place accessor's
-   base, or gather and scatter a staged argument's buffer. *)
-type slot =
-  | In_direct of { acc : Acc.t; dim : int }
-  | In_indirect of { acc : Acc.t; dim : int; map_values : int array; arity : int; idx : int }
-  | Staged_arg of {
-      buf : float array;
-      gather : float array -> int -> unit;
-      scatter : float array -> int -> unit;
-    }
-
-(* [bufs] holds the staging buffers ([||] for in-place arguments) and the
-   global accumulators; [accs] the accessor of every argument; [before]
-   the base moves and gathers run before the kernel, in argument order;
-   [after] the scatters of the staged arguments that write.  [walk] is the
-   element walker's view of the same buffers, [Some] exactly when
-   [run_range] runs the kernel's element form; [accs], [before] and
-   [after] are then empty. *)
+(* [bufs] holds the global accumulators and, per dataset argument, a
+   staging frame's staging buffer or a walker frame's Inc scratch ([||]
+   for an argument it addresses in place).  A walker frame has [walk], the
+   element walker's view of the executor and [bufs]; a staging frame of an
+   accessor kernel has [accs], base-0 accessors over [bufs]; a staging
+   frame of a staged kernel neither. *)
 type frame = {
+  compiled : compiled;
   kernel : kernel;
   bufs : float array array;
   accs : Acc.t array;
-  before : slot array;
-  after : slot array;
   walk : Acc.walk option;
 }
 
-(* [in_place c] says whether the frame addresses [c] in place. *)
-let make_bufs ~in_place compiled =
-  Array.map
-    (function
-      | C_dat { dim; _ } as c -> if in_place c then [||] else Array.make dim 0.0
+(* A frame's buffers: a global's accumulator (a copy of a [Read] global),
+   and a [dim]-long buffer for every dataset argument of a staging frame
+   and every Inc of a walker frame. *)
+let make_bufs ~staging compiled =
+  let bufs = Array.make (Array.length compiled) [||] in
+  for i = 0 to Array.length compiled - 1 do
+    bufs.(i) <-
+      (match compiled.(i) with
+      | C_dat { dim; access; _ } ->
+        if staging || access = Access.Inc then Array.make dim 0.0 else [||]
       | C_gbl { user_buf; access } -> (
         match access with
         | Access.Read | Access.Min | Access.Max -> Array.copy user_buf
         | Access.Inc -> Array.make (Array.length user_buf) 0.0
         | Access.Write | Access.Rw -> invalid_arg "op2: Write/Rw access on a global argument"))
-    compiled
+  done;
+  bufs
 
-(* A point walker's frame.  [staged] forces staged addressing for every
-   argument (the Cuda_sim scratchpad strategy fills the buffers itself). *)
-let make_frame ?(staged = false) compiled kernel =
-  let accessor = match kernel with Accessor _ -> not staged | Staged _ -> false in
-  let in_place = function C_dat c -> accessor && c.in_place | C_gbl _ -> false in
-  let bufs = make_bufs ~in_place compiled.args in
+(* A staging frame: every argument staged (the Cuda_sim scratchpad
+   strategy fills the buffers itself). *)
+let staging_frame compiled kernel =
+  let bufs = make_bufs ~staging:true compiled.args in
   let accs =
-    Array.mapi
-      (fun i c ->
-        match c with
-        | C_dat { data; _ } when in_place c -> Acc.of_array data
-        | C_dat _ | C_gbl _ -> Acc.of_array bufs.(i))
-      compiled.args
+    match kernel with
+    | Accessor _ ->
+      Am_obs.Counters.incr Am_obs.Obs.op2_point_frames;
+      Array.map Acc.of_array bufs
+    | Staged _ -> [||]
   in
-  let before = ref [] and after = ref [] in
-  Array.iteri
-    (fun i c ->
-      match c with
-      | C_gbl _ -> ()
-      | C_dat { dim; indirect; map_values; arity; idx; _ } when in_place c ->
-        let acc = accs.(i) in
-        before :=
-          (if indirect then In_indirect { acc; dim; map_values; arity; idx }
-           else In_direct { acc; dim })
-          :: !before
-      | C_dat { access; gather; scatter; _ } ->
-        let s = Staged_arg { buf = bufs.(i); gather; scatter } in
-        before := s :: !before;
-        if Access.writes access then after := s :: !after)
-    compiled.args;
-  {
-    kernel;
-    bufs;
-    accs;
-    before = Array.of_list (List.rev !before);
-    after = Array.of_list (List.rev !after);
-    walk = None;
-  }
+  { compiled; kernel; bufs; accs; walk = None }
 
-(* A frame for [run_range]: the element walker's when the kernel has one
-   (a generated kernel) and [compiled] is [elementwise], the point
-   walker's otherwise. *)
-let range_frame compiled kernel =
+(* One worker's frame: a walker frame when the kernel is generated and
+   [compiled] is [elementwise], a staging frame otherwise. *)
+let make_frame compiled kernel =
   match kernel with
   | Accessor { Acc.walker = Some _; _ } when compiled.elementwise ->
-    let in_place = function C_dat c -> c.in_place | C_gbl _ -> false in
-    let bufs = make_bufs ~in_place compiled.args in
-    {
-      kernel;
-      bufs;
-      accs = [||];
-      before = [||];
-      after = [||];
-      walk = Some { Acc.addrs = compiled.addrs; bufs };
-    }
-  | Accessor _ | Staged _ -> make_frame compiled kernel
+    Am_obs.Counters.incr Am_obs.Obs.op2_walker_frames;
+    let bufs = make_bufs ~staging:false compiled.args in
+    { compiled; kernel; bufs; accs = [||]; walk = Some { Acc.addrs = compiled.addrs; bufs } }
+  | Accessor _ | Staged _ -> staging_frame compiled kernel
 
-(* Point every argument at element [e]: move in-place bases, gather staged
-   buffers (an Inc buffer is zeroed). *)
+(* Gather a staging frame's buffers for element [e] (an Inc buffer is
+   zeroed); a walker frame reads in place. *)
 let enter f e =
-  let before = f.before in
-  for i = 0 to Array.length before - 1 do
-    match Array.unsafe_get before i with
-    | In_direct { acc; dim } -> acc.Acc.base <- e * dim
-    | In_indirect { acc; dim; map_values; arity; idx } ->
-      acc.Acc.base <- Array.unsafe_get map_values ((e * arity) + idx) * dim
-    | Staged_arg { buf; gather; _ } -> gather buf e
-  done
+  if Option.is_none f.walk then begin
+    let args = f.compiled.args and bufs = f.bufs in
+    for i = 0 to Array.length args - 1 do
+      match Array.unsafe_get args i with
+      | C_dat { gather; _ } -> gather (Array.unsafe_get bufs i) e
+      | C_gbl _ -> ()
+    done
+  end
 
-let call f = match f.kernel with Staged k -> k f.bufs | Accessor k -> k.Acc.elem f.accs
+(* Run the kernel at element [e]: a walker frame's element walker over [e,
+   e + 1), or the kernel on a staging frame's buffers. *)
+let call f e =
+  match (f.walk, f.kernel) with
+  | Some w, Accessor { Acc.walker = Some g; _ } -> g.Acc.elems w e (e + 1)
+  | _, Staged k -> k f.bufs
+  | _, Accessor k -> k.Acc.elem f.accs
 
-(* Write element [e]'s staged results back (an Inc buffer is added). *)
+(* Write a staging frame's results for element [e] back (an Inc buffer is
+   added). *)
 let leave f e =
-  let after = f.after in
-  for i = 0 to Array.length after - 1 do
-    match Array.unsafe_get after i with
-    | Staged_arg { buf; scatter; _ } -> scatter buf e
-    | In_direct _ | In_indirect _ -> ()
-  done
+  if Option.is_none f.walk then begin
+    let args = f.compiled.args and bufs = f.bufs in
+    for i = 0 to Array.length args - 1 do
+      match Array.unsafe_get args i with
+      | C_dat { access = Access.Read; _ } | C_gbl _ -> ()
+      | C_dat { scatter; _ } -> scatter (Array.unsafe_get bufs i) e
+    done
+  end
 
 let run_element f e =
   enter f e;
-  call f;
+  call f e;
   leave f e
 
-(* Every element of [lo, hi), in order: through the element walker when
-   the frame has one, the point walker otherwise. *)
+(* Every element of [lo, hi), in order: a walker frame's element walker,
+   called once, or the staging point walker. *)
 let run_range f lo hi =
   match (f.walk, f.kernel) with
   | Some w, Accessor { Acc.walker = Some g; _ } -> g.Acc.elems w lo hi

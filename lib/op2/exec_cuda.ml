@@ -10,9 +10,10 @@
    The three memory strategies of Fig 7 are faithful code paths:
 
    - [Global_aos]  (NOSOA):       kernels address global memory directly
-                                  in array-of-structures layout (accessor
-                                  kernels in place, staged ones through
-                                  per-element copies);
+                                  in array-of-structures layout (a
+                                  generated kernel's element walker in
+                                  place, one element per call, others
+                                  through per-element copies);
    - [Global_soa]  (SOA):         datasets are auto-converted to structure-
                                   of-arrays on first touch, and accessed with
                                   the [coord_stride] indexing of the paper;
@@ -200,7 +201,7 @@ let run_element_staged args compiled frame stages e =
           Array.blit stage.scratch (slot * dat.dim) buffers.(i) 0 dat.dim
         | Access.Min | Access.Max -> assert false))
     args;
-  Exec_common.call frame;
+  Exec_common.call frame e;
   (* scatter *)
   List.iteri
     (fun i arg ->
@@ -249,9 +250,12 @@ let run ?compiled config plan ~set_size ~args ~kernel =
         (fun block ->
           let lo, hi = Coloring.block_range blocks block in
           (* The scratchpad strategy stages every argument; the global
-             strategies address AoS dats of accessor kernels in place. *)
+             strategies run a walker frame element by element where the
+             arguments allow it. *)
           let frame =
-            Exec_common.make_frame ~staged:(config.strategy = Staged) compiled kernel
+            match config.strategy with
+            | Global_aos | Global_soa -> Exec_common.make_frame compiled kernel
+            | Staged -> Exec_common.staging_frame compiled kernel
           in
           (match config.strategy with
           | Global_aos | Global_soa ->

@@ -1,12 +1,12 @@
 (* Sequential reference backend.
 
    This is the "generic implementation" of the paper: one walk over the
-   whole iteration set, moving each argument to the element (in place or
-   through its staging buffer, see [Exec_common]) before the kernel runs —
-   inlined in the kernel's generated element walker where the arguments
-   allow it.  It is the correctness oracle every other backend is tested
-   against, and the human-readable debugging target the source-to-source
-   generator also emits. *)
+   whole iteration set, through the kernel's generated element walker
+   with every dataset in place where the arguments allow it, through the
+   staging point walker otherwise (see [Exec_common]).  It is the
+   correctness oracle every other backend is tested against, and the
+   human-readable debugging target the source-to-source generator also
+   emits. *)
 
 (* [?compiled] lets a loop handle supply a cached executor (see [Plan]);
    without one the arguments are compiled on the spot. *)
@@ -16,7 +16,7 @@ let run ?resolvers ?compiled ~set_size ~args ~kernel () =
     | Some c -> c
     | None -> Exec_common.compile ?resolvers args
   in
-  let frame = Exec_common.range_frame compiled kernel in
+  let frame = Exec_common.make_frame compiled kernel in
   Exec_common.run_range frame 0 set_size;
   if Exec_common.has_globals compiled then
     Exec_common.merge_globals compiled frame.Exec_common.bufs

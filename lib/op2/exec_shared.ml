@@ -6,11 +6,11 @@
    concurrently — exactly the OpenMP execution strategy of the paper.
 
    Each chunk and each block is one element range, run through
-   [Exec_common.run_range] (an accessor kernel's element walker where the
-   arguments allow it).  Frames (accessors, staging buffers and
-   global-reduction accumulators) are worker-local and pooled: each worker
-   builds one frame on its first chunk and keeps it for the whole loop,
-   including across colour rounds.
+   [Exec_common.run_range] (a walker frame's element walker, or the
+   staging point walker).  Frames (staging buffers and global-reduction
+   accumulators) are worker-local and pooled: each worker builds one frame
+   on its first chunk and keeps it for the whole loop, including across
+   colour rounds.
    Global reductions are therefore lock-free during execution and combined
    once at the end by a tree merge — there is no per-chunk mutex, and loops
    without global arguments skip the reduction machinery entirely. *)
@@ -27,7 +27,7 @@ let run ?resolvers ?compiled pool plan ~set_size ~args ~kernel =
   if not (Plan.has_conflicts plan) then begin
     let states =
       Am_taskpool.Pool.parallel_for_local pool ~lo:0 ~hi:set_size
-        ~local:(fun () -> Exec_common.range_frame compiled kernel)
+        ~local:(fun () -> Exec_common.make_frame compiled kernel)
         ~body:(fun frame lo hi -> Exec_common.run_range frame lo hi)
     in
     if has_globals then Exec_common.merge_worker_globals compiled states
@@ -42,7 +42,7 @@ let run ?resolvers ?compiled pool plan ~set_size ~args ~kernel =
     let take () =
       let rec pop () =
         match Atomic.get free with
-        | [] -> Exec_common.range_frame compiled kernel
+        | [] -> Exec_common.make_frame compiled kernel
         | b :: rest as old ->
           if Atomic.compare_and_set free old rest then b else pop ()
       in

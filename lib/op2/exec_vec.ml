@@ -17,9 +17,10 @@
    of one pack must not touch the same indirect element.  Exactly as in the
    generated code, loops with indirect writes therefore iterate colour by
    colour, packing only same-colour elements (which share no target by
-   construction of the plan's element colouring).  The same colouring
-   keeps in-place writes of accessor kernels (see [Exec_common]) apart:
-   they land during phase 2, on targets no other lane of the pack
+   construction of the plan's element colouring).  A walker frame (see
+   [Exec_common]) gathers and scatters nothing: each lane runs the
+   element walker over its one element in phase 2, in place, and the
+   same colouring keeps its writes on targets no other lane of the pack
    touches. *)
 
 module Access = Am_core.Access
@@ -36,17 +37,18 @@ let run ?resolvers ?compiled config plan ~set_size ~args ~kernel =
     | Some c -> c
     | None -> Exec_common.compile ?resolvers args
   in
-  (* Per-lane frames: accessors, staging buffers, global accumulators. *)
+  (* Per-lane frames: staging buffers or walker views, global
+     accumulators. *)
   let lanes = Array.init width (fun _ -> Exec_common.make_frame compiled kernel) in
   (* The pack of lanes [0, n): lane [l] runs element [elem (lo + l)]. *)
   let run_pack elem lo n =
-    (* 1. packed gather (in-place arguments only move their base) *)
+    (* 1. packed gather (nothing for a walker frame) *)
     for lane = 0 to n - 1 do
       Exec_common.enter lanes.(lane) (elem (lo + lane))
     done;
     (* 2. compute ("simd" body) *)
     for lane = 0 to n - 1 do
-      Exec_common.call lanes.(lane)
+      Exec_common.call lanes.(lane) (elem (lo + lane))
     done;
     (* 3. packed scatter *)
     for lane = 0 to n - 1 do

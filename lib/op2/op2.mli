@@ -28,21 +28,19 @@
 
     A kernel takes one argument view per loop argument, in two forms.  The
     accessor form ({!par_loop_acc}, whose point form is
-    [Acc.t array -> unit]; see the element walkers below) is the zero-copy
-    one of the paper's Fig 7 [OP_ACC]: component [i] of argument [a] is
-    [a.data.(a.base + i)], and for AoS datasets that no other argument of
-    the loop writes the executor points [data] at the dataset itself and
-    only moves [base] per element.  The staged form ({!par_loop},
+    [Acc.t array -> unit]; see the element walkers below) is the one of
+    the paper's Fig 7 [OP_ACC]: component [i] of argument [a] is
+    [a.data.(a.base + i)].  The staged form ({!par_loop},
     [float array array -> unit]) receives one staging buffer per argument,
     gathered before the call and scattered back according to the access
-    mode.  Either way [Inc] arguments arrive as a zeroed scratch that is
-    added to memory afterwards, so increments round identically under both
-    forms; SoA datasets, the [Check] backend, footprint probing and the
-    [Staged] GPU strategy stage every argument, handing accessor kernels a
-    base-0 accessor over the buffer.  Kernels must touch only their
-    arguments' [dim] components: under in-place addressing a write to a
-    [Read] argument or past [dim] reaches memory, which probing and [Check]
-    report by loop, argument and slot.
+    mode.  Datasets are addressed in place only by a generated element
+    walker; the point form always runs on staged addressing, base-0
+    accessors over the staging buffers.  Either way [Inc] arguments start
+    from zero and are added to memory after the kernel, so increments round
+    identically under both forms.  Kernels must touch only their
+    arguments' [dim] components: in place, a write to a [Read] argument or
+    past [dim] reaches memory, which probing and [Check] report by loop,
+    argument and slot.
 
     {2 Element walkers}
 
@@ -50,14 +48,17 @@
     form above and, for a generated kernel, an element walker
     [elems w lo hi] ({!Acc.walker}) that runs the kernel at every element
     of [[lo, hi)] — what the point walker does, so the results are the
-    same bits.  The executor calls the element walker, when the kernel has
-    one, whenever every dataset argument is in place or a staged AoS
-    [Inc]: once over the whole set on [Seq], once per conflict-free chunk
-    or coloured block on [Shared], and on blocking partitioned ranks run
-    by either.  Otherwise (no element walker, an aliased or SoA argument),
-    on [Check], [Vec] and [Cuda_sim], on the partitioned core/boundary
-    subsets and under footprint probing, the point form runs at every
-    element.
+    same bits.  One rule picks each worker's frame: a walker frame runs
+    the element walker with every dataset in place, when the kernel has
+    one and every dataset argument is an AoS [Inc] or an AoS dataset no
+    other argument writes; otherwise a staging frame stages every argument
+    and runs the point form at every element.  A walker frame's walker
+    runs once over the whole set on [Seq], once per conflict-free chunk or
+    coloured block on [Shared] and on blocking partitioned ranks run by
+    either, and once per element on [Vec] lanes, [Cuda_sim] NOSOA blocks
+    and the partitioned core/boundary subsets.  Lifted point functions,
+    aliased or SoA arguments, the [Check] backend, footprint probing and
+    the [Staged] GPU strategy stage.
 
     [let%elem_kernel name (a : Acc.t array) = body], followed by its
     [args] attribute (the [ppx_kernel] rewriter), binds [name] to the
@@ -92,8 +93,8 @@
     two datasets or two maps that differs raises [Invalid_argument]
     naming the loop, the kernel, the argument and the fact.  A plain
     point function becomes a kernel value through {!Acc.lift}, with no
-    element walker and no signature: it runs on the point walker
-    everywhere. *)
+    element walker and no signature: it runs staged everywhere, the
+    reference a generated kernel agrees with to the bit. *)
 
 module Access = Am_core.Access
 module Descr = Am_core.Descr
@@ -157,7 +158,7 @@ module Acc : sig
   val staged : (t array -> unit) -> float array array -> unit
 
   (** [lift f] is the kernel value of the point function [f], with no
-      element walker. *)
+      element walker: it always runs staged. *)
   val lift : (t array -> unit) -> kernel
 end
 
@@ -383,10 +384,9 @@ val par_loop :
     pipeline (validation — a generated kernel's arguments against its
     declared signature too, raising [Invalid_argument] on a mismatch —
     trace, fault counter, footprint probing, checkpointing, profile) and
-    the same backends, with AoS [Read], [Write]
-    and [Rw] datasets addressed in place instead of copied (see the kernel
-    ABI above), and the element walker run over element ranges where the
-    rule above allows it.  Results are bitwise those of the staged form of
+    the same backends, with the element walker run over every dataset in
+    place where the rule above allows it, and every argument staged
+    otherwise.  Results are bitwise those of the staged form of
     the same kernel ({!Acc.staged} of its point form) on every backend.  A
     handle may serve both entry points: they share one compiled
     executor. *)

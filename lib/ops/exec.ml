@@ -2,54 +2,46 @@
 
    A kernel comes in one of two forms ([kernel]).  A staged kernel
    receives one staging buffer per argument ([float array array],
-   point-major: component [c] of stencil point [p] at [buf.(p*dim + c)]);
-   an accessor kernel receives one [Acc.t] per argument — the paper's Fig 7
-   OP_ACC — and reads component [c] of point [p] as
-   [data.(base + off.(p) + c)].  Data is addressed through affine rank-3
-   [view]s, so component [c] of point (x, y, z) lives at
+   point-major: component [c] of stencil point [p] at [buf.(p*dim + c)]).
+   An accessor kernel is a kernel value ([Acc.kernel]): a point form over
+   one [Acc.t] per argument — the paper's Fig 7 OP_ACC, component [c] of
+   point [p] at [data.(base + off.(p) + c)] — and, when [let%kernel]
+   generated it, one range walker per declared signature, the body inlined
+   into a loop nest over a whole box.  Data is addressed through affine
+   rank-3 [view]s, so component [c] of point (x, y, z) lives at
    [vbase + z*vplane + y*vrow + x*vcol + c]; 1D and 2D blocks simply
    iterate z (and y) over [0, 1).  Each argument compiles to one [int
-   array] of flat offsets — one delta per stencil point — shared by the
-   in-place accessor and the staged gather.  The engines address each
-   argument in one of two modes:
+   array] of flat offsets, one delta per stencil point, shared by the
+   walker's places and the staged gather.
 
-   - in place: the accessor points into the dataset's padded array, [off]
-     is the argument's table of flat stencil deltas ([build_offsets]) and
-     the executor only sets [base] to the view's index of the point before
-     each point.  No copy and no per-argument closure call.  Accessor
-     kernels take this mode for unit-stride Read/Write/Rw dats whose
-     dataset no other argument of the loop writes ([in_place]: a kernel
-     writing in place must not see its own write through a second
-     argument, which staging would have hidden);
-   - staged: a gather closure fills a per-worker staging buffer before the
-     kernel and a scatter closure writes the centre point back (written
-     arguments are centre-only by validation).  Every argument of a staged
-     kernel takes this mode, and so do an accessor kernel's Inc dats,
-     aliased dats, strided (restrict/prolong) reads, globals and the
-     iteration index: the accessor then points at the buffer with
-     [base = 0] and [off.(p) = p*dim].  An increment therefore starts from
-     a zeroed scratch and is added to memory after the kernel under both
-     forms, so Inc rounding — and with it every bitwise cross-backend
-     guarantee — does not depend on the kernel form.
+   One rule decides how a frame (one worker's state for one loop call)
+   addresses the datasets:
 
-   An accessor kernel is a kernel value ([Acc.kernel]) with a point form
-   and, when [let%kernel] generated it, one range walker per declared
-   signature, with the body inlined into a loop nest over a whole box.  A
-   frame runs the walker whose signature the arguments match when every
-   dataset argument is in place and the views of each layout label agree
-   ([range_walker]): once per range it is handed (Seq's range, a worker's
-   chunk, a Cuda_sim tile, a rank window's core or boundary box), over
-   each argument's place (its view and offset table, or a global's
-   buffer).  Otherwise — a staged argument, a lifted point function, a
-   staged Cuda_sim tile whose scratch views of one label differ — the
-   frame's point walker calls the point form at every point, and so do
-   the engines that stage every argument themselves (Check, footprint
-   probing), which therefore see the kernel as written.
+   - a walker frame runs the kernel's generated range walker with every
+     dataset in place.  It needs a walker whose stencils the arguments
+     match, every dataset argument a unit-stride Read, Write or Rw of a
+     dataset no other argument writes ([in_place]: a kernel writing in
+     place must not see its own write through a second argument, which
+     staging would hide), and the views of each layout label to agree
+     ([range_walker]).  The walker is called once per range the frame is
+     handed (Seq's range, a worker's chunk, a Cuda_sim tile, a rank
+     window's core or boundary box), over each argument's place: its view
+     and offset table, or a global's buffer;
+   - a staging frame stages every argument, and its point walker
+     ([traverse_staged]) is the only per-point path.  At each point a
+     gather closure fills a per-worker buffer per argument, the kernel
+     runs — a staged kernel on the buffers, an accessor kernel's point
+     form on base-0 accessors over them ([off.(p) = p*dim]), built once
+     per frame — and a scatter closure writes the centre point back
+     (written arguments are centre-only by validation).  An increment
+     starts from a zeroed scratch and is added to memory after the
+     kernel, so Inc rounding does not depend on the kernel form.
 
-   A staged kernel walks its compiled arguments directly; only an accessor
-   kernel's frame builds accessors and per-point slots, or places, so a
-   handle-less staged loop — compiled afresh on every call and every rank
-   — costs no more than its buffers.
+   Staged kernels, lifted point functions, aliased writes, [Inc]
+   datasets, strided (restrict/prolong) reads and the iteration index
+   therefore take staging frames.  Check and footprint probing stage
+   every argument themselves and call the point form, so the sanitizer
+   and inference see the kernel as written.
 
    Because writes target only the iteration point, structured loops are
    race-free under any disjoint partition of the range — no colouring is
@@ -235,45 +227,40 @@ let compiled_matches compiled args = matches_from compiled 0 args
 let has_globals compiled =
   Array.exists (function C_gbl _ -> true | C_dat _ | C_idx _ -> false) compiled
 
-(* Whether an accessor kernel may address argument [i] in place: a
-   unit-stride Read of a dataset no argument writes, a Write/Rw of a
-   dataset no other argument touches.  Anything else would let the kernel
-   observe a write that staging hides until after it returns.  Arguments
-   share a dataset exactly when they share a backing array. *)
+(* Whether no argument from [j] on, other than [i], names the dataset of
+   [view] (argument [i]'s, accessed with [access]) when either of the two
+   writes.  Arguments share a dataset exactly when they share a backing
+   array. *)
+let rec clash_free compiled i (view : view) access j =
+  j >= Array.length compiled
+  || (j = i
+     ||
+     match compiled.(j) with
+     | C_dat c -> c.view.vdata != view.vdata || (access = Access.Read && not (Access.writes c.access))
+     | C_gbl _ | C_idx _ -> true)
+     && clash_free compiled i view access (j + 1)
+
+(* Whether a walker may address argument [i] in place: a unit-stride Read
+   of a dataset no argument writes, a Write/Rw of a dataset no other
+   argument touches.  Anything else would let the kernel observe a write
+   that staging hides until after it returns.  Allocates nothing. *)
 let in_place compiled i =
   match compiled.(i) with
-  | C_dat { view; access; stride; _ } when is_unit_stride stride -> (
-    let clash j =
-      j <> i
-      &&
-      match compiled.(j) with
-      | C_dat c ->
-        c.view.vdata == view.vdata && (access <> Access.Read || Access.writes c.access)
-      | C_gbl _ | C_idx _ -> false
-    in
-    match access with
-    | Access.Read | Access.Write | Access.Rw ->
-      let ok = ref true in
-      for j = 0 to Array.length compiled - 1 do
-        if clash j then ok := false
-      done;
-      !ok
-    | Access.Inc | Access.Min | Access.Max -> false)
+  | C_dat { view; access = (Access.Read | Access.Write | Access.Rw) as access; stride; _ }
+    when is_unit_stride stride ->
+    clash_free compiled i view access 0
   | C_dat _ | C_gbl _ | C_idx _ -> false
 
-(* One staging buffer per argument; an accessor kernel's in-place
-   arguments get none ([||] is what marks them in place), the index
-   argument one slot per iteration index. *)
-let make_buffers compiled kernel =
+(* A frame's buffers: the global accumulators, and in a staging frame one
+   staging buffer per dataset argument and one slot per iteration index;
+   a walker frame's datasets get none ([||]). *)
+let make_buffers ~staging compiled =
   let n = Array.length compiled in
   let bufs = Array.make n [||] in
   for i = 0 to n - 1 do
     bufs.(i) <-
       (match compiled.(i) with
-      | C_dat { dim; stencil; _ } -> (
-        match kernel with
-        | Accessor _ when in_place compiled i -> [||]
-        | Accessor _ | Staged _ -> Array.make (dim * npoints stencil) 0.0)
+      | C_dat { dim; stencil; _ } -> if staging then Array.make (dim * npoints stencil) 0.0 else [||]
       | C_idx n -> Array.make n 0.0
       | C_gbl { user_buf; access } -> (
         match access with
@@ -286,43 +273,18 @@ let make_buffers compiled kernel =
 
 (* ---- Frames: one worker's state for one loop call ---------------------- *)
 
-(* The per-point work of one argument of an accessor kernel: move an
-   in-place accessor's base (from [row], its view's index of the current
-   row's x = 0, set once per row), gather (and later scatter) a staged
-   argument's buffer, or store the iteration index. *)
-type slot =
-  | In_place of {
-      acc : Acc.t;
-      vbase : int;
-      vplane : int;
-      vrow : int;
-      vcol : int;
-      mutable row : int;
-    }
-  | Staged_arg of {
-      buf : float array;
-      gather : float array -> int -> int -> int -> unit;
-      scatter : float array -> int -> int -> int -> unit;
-    }
-  | Idx_arg of float array
-
 (* A range walker and what it runs over: one place per argument. *)
 type walk = { walker : Acc.range_walker; places : Acc.place array }
 
-(* [bufs] holds the staging buffers, the global accumulators and the index
-   buffer.  An accessor kernel's frame adds either [walk], when it runs the
-   kernel's range walker, or the point walker's [accs], the accessor of
-   every argument, [before], the per-point work run before the kernel in
-   argument order, and [after], the scatters of the staged arguments that
-   write; a staged kernel's frame leaves them empty and walks
-   [compiled]. *)
+(* [bufs] holds the global accumulators and, in a staging frame, the
+   staging and index buffers.  A walker frame has [walk]; a staging frame
+   of an accessor kernel has [accs], base-0 accessors over [bufs]; a
+   staging frame of a staged kernel walks [compiled] with neither. *)
 type frame = {
   compiled : compiled_arg array;
   kernel : kernel;
   bufs : float array array;
   accs : Acc.t array;
-  before : slot array;
-  after : slot array;
   walk : walk option;
 }
 
@@ -344,101 +306,92 @@ let rec first_label (sg : Acc.grid_sig array) label j =
   | Acc.Grid_dat { label = l; _ } when String.equal l label -> j
   | Acc.Grid_dat _ | Acc.Grid_gbl _ -> first_label sg label (j + 1)
 
-(* Whether a walker for [sg] may run over [compiled] with the buffers
-   [bufs]: every dataset argument has the declared stencil, is addressed
-   in place ([bufs.(i)] empty) and is seen through the same view as its
-   label's first argument.  The loop has already held the call to one of
-   the kernel's signatures (dims, access modes, lengths, unit strides), so
-   the stencils pick the walker.  Allocates nothing. *)
-let rec walkable (sg : Acc.grid_sig array) compiled bufs i =
+(* Whether two views address datasets of one shape: one index serves
+   both. *)
+let same_shape (a : view) (b : view) =
+  a.vbase = b.vbase && a.vplane = b.vplane && a.vrow = b.vrow && a.vcol = b.vcol
+
+(* Whether a walker for [sg] may run over [compiled]: every dataset
+   argument has the declared stencil, is addressed in place and has the
+   shape of its label's first argument.  The loop has already held the
+   call to one of the kernel's signatures (dims, access modes, lengths,
+   unit strides), so the stencils pick the walker.  Allocates nothing. *)
+let rec walkable (sg : Acc.grid_sig array) compiled i =
   i >= Array.length compiled
   || (match (sg.(i), compiled.(i)) with
      | Acc.Grid_dat { label; stencil; _ }, C_dat c -> (
        stencil_is stencil c.stencil
-       && Array.length bufs.(i) = 0
+       && in_place compiled i
        &&
        match compiled.(first_label sg label 0) with
-       | C_dat f ->
-         f.view.vbase = c.view.vbase && f.view.vplane = c.view.vplane
-         && f.view.vrow = c.view.vrow && f.view.vcol = c.view.vcol
+       | C_dat f -> same_shape f.view c.view
        | C_gbl _ | C_idx _ -> false)
      | Acc.Grid_gbl _, C_gbl _ -> true
      | (Acc.Grid_dat _ | Acc.Grid_gbl _), _ -> false)
-     && walkable sg compiled bufs (i + 1)
+     && walkable sg compiled (i + 1)
 
-(* The walker of [k] from the [w]th on that a frame over [compiled] and
-   [bufs] runs, if any. *)
-let rec range_walker (k : Acc.kernel) compiled bufs w =
+(* The walker of [k] from the [w]th on that runs over [compiled], if
+   any. *)
+let rec range_walker (k : Acc.kernel) compiled w =
   if w >= Array.length k.Acc.walkers then None
   else
     let walker = k.Acc.walkers.(w) in
     if
       Array.length walker.Acc.signature = Array.length compiled
-      && walkable walker.Acc.signature compiled bufs 0
+      && walkable walker.Acc.signature compiled 0
     then Some walker
-    else range_walker k compiled bufs (w + 1)
+    else range_walker k compiled (w + 1)
+
+let unplaced = { Acc.pdata = [||]; pbase = 0; pplane = 0; prow = 0; poff = Acc.single }
 
 (* Each argument's place: a dataset's view and offset table, a global's
    buffer. *)
 let places compiled bufs =
-  Array.mapi
-    (fun i c ->
-      match c with
+  let ps = Array.make (Array.length compiled) unplaced in
+  for i = 0 to Array.length compiled - 1 do
+    ps.(i) <-
+      (match compiled.(i) with
       | C_dat { view; offsets; _ } ->
         { Acc.pdata = view.vdata; pbase = view.vbase; pplane = view.vplane; prow = view.vrow;
           poff = offsets }
-      | C_gbl _ | C_idx _ ->
-        { Acc.pdata = bufs.(i); pbase = 0; pplane = 0; prow = 0; poff = Acc.single })
-    compiled
+      | C_gbl _ | C_idx _ -> { unplaced with Acc.pdata = bufs.(i) })
+  done;
+  ps
 
-(* The frame of [compiled] over the given buffers (shared, not copied). *)
-let frame_of compiled kernel bufs =
-  match kernel with
-  | Staged _ -> { compiled; kernel; bufs; accs = [||]; before = [||]; after = [||]; walk = None }
-  | Accessor k -> (
-    match range_walker k compiled bufs 0 with
-    | Some walker ->
-      Am_obs.Counters.incr Am_obs.Obs.ops_walker_frames;
-      let walk = Some { walker; places = places compiled bufs } in
-      { compiled; kernel; bufs; accs = [||]; before = [||]; after = [||]; walk }
-    | None ->
-      Am_obs.Counters.incr Am_obs.Obs.ops_point_frames;
-      let placed i = Array.length bufs.(i) = 0 in
-      let accs =
-        Array.mapi
-          (fun i c ->
-            match c with
-            | C_dat { view; offsets; _ } when placed i ->
-              { Acc.data = view.vdata; base = 0; off = offsets }
-            | C_dat { dim; _ } -> Acc.of_buffer ~dim bufs.(i)
-            | C_gbl _ | C_idx _ -> Acc.of_array bufs.(i))
-          compiled
-      in
-      let before = ref [] and after = ref [] in
-      Array.iteri
-        (fun i c ->
-          match c with
-          | C_gbl _ -> ()
-          | C_idx _ -> before := Idx_arg bufs.(i) :: !before
-          | C_dat { view = { vbase; vplane; vrow; vcol; _ }; _ } when placed i ->
-            before :=
-              In_place { acc = accs.(i); vbase; vplane; vrow; vcol; row = 0 } :: !before
-          | C_dat { access; gather; scatter; _ } ->
-            let s = Staged_arg { buf = bufs.(i); gather; scatter } in
-            before := s :: !before;
-            if Access.writes access then after := s :: !after)
-        compiled;
-      {
-        compiled;
-        kernel;
-        bufs;
-        accs;
-        before = Array.of_list (List.rev !before);
-        after = Array.of_list (List.rev !after);
-        walk = None;
-      })
+(* A staging frame's accessors: base-0, one offset per whole point of
+   each point-major buffer. *)
+let staging_accessors compiled bufs =
+  let accs = Array.make (Array.length compiled) (Acc.of_array [||]) in
+  for i = 0 to Array.length compiled - 1 do
+    accs.(i) <-
+      (match compiled.(i) with
+      | C_dat { dim; _ } -> Acc.of_buffer ~dim bufs.(i)
+      | C_gbl _ | C_idx _ -> Acc.of_array bufs.(i))
+  done;
+  accs
 
-let make_frame compiled kernel = frame_of compiled kernel (make_buffers compiled kernel)
+(* One worker's frame over [compiled]: a walker frame when the kernel has
+   a range walker that runs over it, a staging frame otherwise.  The two
+   always-on counters tell an accessor kernel's two kinds apart. *)
+let make_frame compiled kernel =
+  let walker =
+    match kernel with Accessor k -> range_walker k compiled 0 | Staged _ -> None
+  in
+  match walker with
+  | Some walker ->
+    Am_obs.Counters.incr Am_obs.Obs.ops_walker_frames;
+    let bufs = make_buffers ~staging:false compiled in
+    { compiled; kernel; bufs; accs = [||]; walk = Some { walker; places = places compiled bufs } }
+  | None ->
+    let bufs = make_buffers ~staging:true compiled in
+    let accs =
+      match kernel with
+      | Accessor _ ->
+        Am_obs.Counters.incr Am_obs.Obs.ops_point_frames;
+        staging_accessors compiled bufs
+      | Staged _ -> [||]
+    in
+    { compiled; kernel; bufs; accs; walk = None }
 
 let[@inline] set_idx buf x y z =
   Array.unsafe_set buf 0 (Float.of_int x);
@@ -446,9 +399,11 @@ let[@inline] set_idx buf x y z =
   if n > 1 then Array.unsafe_set buf 1 (Float.of_int y);
   if n > 2 then Array.unsafe_set buf 2 (Float.of_int z)
 
-(* Every point of [range], z outermost, staging every argument through
-   the compiled gathers and scatters. *)
-let traverse_staged compiled bufs k ~range =
+(* The staging point walker: every point of [range], z outermost, with
+   every argument gathered before the kernel and the written ones
+   scattered after it. *)
+let traverse_staged f ~range =
+  let compiled = f.compiled and bufs = f.bufs and accs = f.accs in
   let n = Array.length compiled in
   for z = range.zlo to range.zhi - 1 do
     for y = range.ylo to range.yhi - 1 do
@@ -459,7 +414,7 @@ let traverse_staged compiled bufs k ~range =
           | C_idx _ -> set_idx (Array.unsafe_get bufs i) x y z
           | C_gbl _ -> ()
         done;
-        k bufs;
+        (match f.kernel with Staged k -> k bufs | Accessor k -> k.Acc.point accs);
         for i = 0 to n - 1 do
           match Array.unsafe_get compiled i with
           | C_dat { access = Access.Read; _ } | C_gbl _ | C_idx _ -> ()
@@ -469,55 +424,13 @@ let traverse_staged compiled bufs k ~range =
     done
   done
 
-let[@inline] enter_row before y z =
-  for i = 0 to Array.length before - 1 do
-    match Array.unsafe_get before i with
-    | In_place s -> s.row <- s.vbase + (z * s.vplane) + (y * s.vrow)
-    | Staged_arg _ | Idx_arg _ -> ()
-  done
-
-(* Point every accessor at (x, y, z) of the entered row: move in-place
-   bases, gather staged buffers (an Inc buffer is zeroed), store the
-   iteration index. *)
-let[@inline] enter before x y z =
-  for i = 0 to Array.length before - 1 do
-    match Array.unsafe_get before i with
-    | In_place { acc; row; vcol; _ } -> acc.Acc.base <- row + (x * vcol)
-    | Staged_arg { buf; gather; _ } -> gather buf x y z
-    | Idx_arg buf -> set_idx buf x y z
-  done
-
-(* Write (x, y, z)'s staged results back (an Inc buffer is added). *)
-let[@inline] leave after x y z =
-  for i = 0 to Array.length after - 1 do
-    match Array.unsafe_get after i with
-    | Staged_arg { buf; scatter; _ } -> scatter buf x y z
-    | In_place _ | Idx_arg _ -> ()
-  done
-
-let traverse_acc f k ~range =
-  let before = f.before and after = f.after and accs = f.accs in
-  for z = range.zlo to range.zhi - 1 do
-    for y = range.ylo to range.yhi - 1 do
-      enter_row before y z;
-      for x = range.xlo to range.xhi - 1 do
-        enter before x y z;
-        k accs;
-        leave after x y z
-      done
-    done
-  done
-
-(* Every point of [range], z outermost, with the kernel form matched once
-   here rather than per point: an accessor kernel's range walker, called
-   once, when the frame has one, its point form at every point
-   otherwise. *)
+(* Every point of [range]: a walker frame's walker, called once, or the
+   staging point walker. *)
 let run_range f ~range =
-  match (f.kernel, f.walk) with
-  | Staged k, _ -> traverse_staged f.compiled f.bufs k ~range
-  | Accessor _, Some { walker; places } ->
+  match f.walk with
+  | Some { walker; places } ->
     walker.Acc.range places range.xlo range.xhi range.ylo range.yhi range.zlo range.zhi
-  | Accessor k, None -> traverse_acc f k.Acc.point ~range
+  | None -> traverse_staged f ~range
 
 let arg_dim = function
   | Arg_dat { dat; _ } -> dat.dim
@@ -616,18 +529,41 @@ type cuda_config3 = { tile_x : int; tile_y : int; tile_z : int; staged : bool }
 let default_cuda_config3 : cuda_config3 =
   { tile_x = 16; tile_y = 4; tile_z = 4; staged = true }
 
+(* How far argument [i]'s scratch tile extends past the tile along x, y
+   and z: the widest stencil reach among the unit-stride arguments whose
+   datasets share its shape.  One layout label names datasets of one
+   shape, so the scratch views of a label agree and a walker frame keeps
+   one index per label on every tile. *)
+let tile_reach compiled i =
+  let ex = ref 0 and ey = ref 0 and ez = ref 0 in
+  (match compiled.(i) with
+  | C_dat { view; _ } ->
+    Array.iter
+      (function
+        | C_dat { view = v; stencil; stride; _ } when is_unit_stride stride && same_shape v view ->
+          for p = 0 to npoints stencil - 1 do
+            ex := max !ex (abs (ox stencil p));
+            ey := max !ey (abs (oy stencil p));
+            ez := max !ez (abs (oz stencil p))
+          done
+        | C_dat _ | C_gbl _ | C_idx _ -> ())
+      compiled
+  | C_gbl _ | C_idx _ -> ());
+  (!ex, !ey, !ez)
+
 (* Staged tile execution: every unit-stride dataset argument is copied
-   (with its stencil's reach along each axis) into a scratch tile, the
-   kernel works on the scratch — in place or staged, exactly as on global
-   memory, through a frame over the scratch views — and written center
-   regions are copied back: the structure of OPS's shared-memory CUDA
-   kernels. *)
+   (with its shape's stencil reach along each axis, [tile_reach]) into a
+   scratch tile, the kernel works on the scratch — through the loop
+   frame's walker over the scratch views, or its staging point walker —
+   and written center regions are copied back: the structure of OPS's
+   shared-memory CUDA kernels. *)
 let run_cuda ?compiled (config : cuda_config3) ~range ~args ~kernel =
   let compiled =
     match compiled with Some c -> c | None -> compile args
   in
   let f = make_frame compiled kernel in
   let args_arr = Array.of_list args in
+  let reach = Array.init (Array.length compiled) (tile_reach compiled) in
   let tiles lo hi t = (hi - lo + t - 1) / t in
   for tz = 0 to tiles range.zlo range.zhi config.tile_z - 1 do
     for ty = 0 to tiles range.ylo range.yhi config.tile_y - 1 do
@@ -642,9 +578,9 @@ let run_cuda ?compiled (config : cuda_config3) ~range ~args ~kernel =
         in
         if not config.staged then run_range f ~range:tile
         else begin
-          (* The gather covers the tile plus the stencil's reach, clamped
-             to the dataset's addressable box: ring corners the stencil
-             never reaches may fall outside the ghost cells when the range
+          (* The gather covers the tile plus the reach, clamped to the
+             dataset's addressable box: ring corners the stencil never
+             reaches may fall outside the ghost cells when the range
              itself extends into them (validation guarantees actual reads
              stay inside). *)
           let staged =
@@ -662,14 +598,7 @@ let run_cuda ?compiled (config : cuda_config3) ~range ~args ~kernel =
                     | Arg_dat { dat; _ } -> dat
                     | Arg_gbl _ | Arg_idx _ -> assert false
                   in
-                  let reach off =
-                    let e = ref 0 in
-                    for p = 0 to npoints stencil - 1 do
-                      e := max !e (abs (off stencil p))
-                    done;
-                    !e
-                  in
-                  let ex = reach ox and ey = reach oy and ez = reach oz in
+                  let ex, ey, ez = reach.(i) in
                   let sxlo = tile.xlo - ex and sxhi = tile.xhi + ex in
                   let sylo = tile.ylo - ey and syhi = tile.yhi + ey in
                   let szlo = tile.zlo - ez and szhi = tile.zhi + ez in
@@ -698,10 +627,16 @@ let run_cuda ?compiled (config : cuda_config3) ~range ~args ~kernel =
                 | (C_gbl _ | C_idx _) as c -> c)
               compiled
           in
-          (* The tile's frame shares the loop frame's buffers, so global
-             accumulators persist across tiles and in-place arguments stay
-             in place. *)
-          run_range (frame_of staged kernel f.bufs) ~range:tile;
+          (* The loop frame over the scratch views: its walker over the
+             tile's places, or its staging buffers and accessors; either
+             way the global accumulators persist across tiles. *)
+          let tf =
+            match f.walk with
+            | Some { walker; _ } ->
+              { f with compiled = staged; walk = Some { walker; places = places staged f.bufs } }
+            | None -> { f with compiled = staged }
+          in
+          run_range tf ~range:tile;
           (* Write back center regions of written datasets; increment-only
              scratch tiles start from zero, so they are added. *)
           Array.iteri

@@ -26,25 +26,21 @@
 
     A kernel takes one argument view per loop argument, in two forms.  The
     accessor form ({!par_loop_acc}, whose point form is
-    [Acc.t array -> unit]; see the range walkers below) is the zero-copy one of
-    the paper's Fig 7 [OP_ACC]: component [c] of stencil point [p]
-    of argument [a] is [a.data.(a.base + a.off.(p) + c)], with [p] indexing
-    the argument's stencil in declaration order.  For unit-stride [Read],
-    [Write] and [Rw] datasets that no other argument of the loop writes, the
-    executor points [data] at the dataset's padded array, [off] at the
-    stencil's flat offsets, and only moves [base] per point.  The staged
-    form ({!par_loop}, [float array array -> unit]) receives one
-    point-major staging buffer per argument — component [c] of point [p]
-    at [buf.(p*dim + c)] — gathered before the call and written back
-    according to the access mode.  Either way [Inc] datasets arrive as a
-    zeroed scratch that is added to memory afterwards, so increments round
-    identically under both forms; aliased datasets, strided
-    ({!arg_dat_restrict}/{!arg_dat_prolong}) reads, globals, {!arg_idx},
-    the [Check] backend and footprint probing stage their arguments,
-    handing accessor kernels a base-0 accessor with [off.(p) = p*dim].
-    Kernels must touch only their declared points and [dim] components:
-    under in-place addressing a write to a [Read] argument, or a read past
-    the declared points or components, reaches memory, which probing and
+    [Acc.t array -> unit]; see the range walkers below) is the one of the
+    paper's Fig 7 [OP_ACC]: component [c] of stencil point [p] of argument
+    [a] is [a.data.(a.base + a.off.(p) + c)], with [p] indexing the
+    argument's stencil in declaration order.  The staged form
+    ({!par_loop}, [float array array -> unit]) receives one point-major
+    staging buffer per argument — component [c] of point [p] at
+    [buf.(p*dim + c)] — gathered before the call and written back
+    according to the access mode.  Datasets are addressed in place only by
+    a generated range walker; the point form always runs on staged
+    addressing, base-0 accessors with [off.(p) = p*dim] over the staging
+    buffers.  Either way [Inc] datasets start from zero and are added to
+    memory after the kernel, so increments round identically under both
+    forms.  Kernels must touch only their declared points and [dim]
+    components: in place, a write to a [Read] argument, or a read past the
+    declared points or components, reaches memory, which probing and
     [Check] report by loop, argument and point.
 
     {2 Range walkers}
@@ -86,15 +82,18 @@
     arguments': a count, kind, dim, length, access mode, stencil, stride,
     {!arg_idx}, or a label naming two shapes that differs raises
     [Invalid_argument] naming the loop, the kernel, the argument and the
-    fact.  An executor frame calls the walker once per range it is handed
-    — Seq's range, a Shared worker's chunk, a Cuda_sim tile, a rank
-    window's core or boundary box — when every dataset argument is
-    addressed in place and each label's views agree.  Otherwise (an
-    aliased argument, a staged Cuda_sim tile whose scratch views of one
-    label differ), and always on [Check] and under footprint probing, the
-    point form runs at every point, so the sanitizer and inference see the
-    kernel as written.  A plain point function becomes a kernel value
-    through {!Acc.lift}, with no walker and no signature. *)
+    fact.  One rule picks each worker's frame.  A walker frame calls the
+    walker, every dataset in place, once per range it is handed — Seq's
+    range, a Shared worker's chunk, a Cuda_sim tile, a rank window's core
+    or boundary box — when every dataset argument is a unit-stride
+    dataset no other argument writes and each label's views agree (a
+    staged Cuda_sim tile sizes the scratch buffers of one shape alike).
+    Otherwise (an aliased argument that writes, an [Inc] dataset, a
+    strided read, {!arg_idx}) a staging frame stages every argument and
+    runs the point form at every point, as [Check] and footprint probing
+    always do, so the sanitizer and inference see the kernel as written.
+    A plain point function becomes a kernel value through {!Acc.lift}, with
+    no walker and no signature: it always runs staged. *)
 
 module Access = Am_core.Access
 module Descr = Am_core.Descr
@@ -152,7 +151,7 @@ module Acc : sig
   type kernel = Am_core.Acc.kernel = { point : t array -> unit; walkers : range_walker array }
 
   (** [lift f] is the kernel value of the point function [f]: no walker and
-      no signature, so the point walker runs it everywhere. *)
+      no signature, so it runs staged everywhere. *)
   val lift : (t array -> unit) -> kernel
 end
 
@@ -381,13 +380,12 @@ val par_loop :
 
 (** [par_loop_acc] is {!par_loop} for an accessor kernel value: the same
     pipeline (validation, trace, fault counter, footprint probing,
-    checkpointing, profile) on the same backends, with unit-stride [Read],
-    [Write] and [Rw] datasets addressed in place instead of copied (see the
-    kernel ABI above) — on every backend, including rank windows and
-    Cuda_sim scratch tiles — a generated kernel's call checked against its
-    declared signature, and its range walker run once per range where the
-    dispatch rule above allows it.  Results are bitwise those of the staged
-    form of the same kernel. *)
+    checkpointing, profile) on the same backends — rank windows and
+    Cuda_sim scratch tiles included — with a generated kernel's call
+    checked against its declared signature, and its range walker run once
+    per range, every dataset in place, where the rule above allows it;
+    otherwise every argument is staged.  Results are bitwise those of the
+    staged form of the same kernel. *)
 val par_loop_acc :
   ctx ->
   name:string ->

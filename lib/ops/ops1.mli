@@ -162,9 +162,10 @@ val par_loop :
   unit
 
 (** [par_loop_acc] is {!par_loop} for an accessor kernel value, as
-    {!Ops.par_loop_acc}: datasets addressed in place, a generated kernel's
-    call checked against its declared signature, and its range walker run
-    once per range where every dataset argument is in place. *)
+    {!Ops.par_loop_acc}: a generated kernel's call checked against its
+    declared signature, and its range walker run once per range, every
+    dataset in place, where the arguments allow it; otherwise every
+    argument staged and the point form run at every point. *)
 val par_loop_acc :
   ctx ->
   name:string ->

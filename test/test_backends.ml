@@ -508,8 +508,27 @@ let test_elem_dispatch () =
       let p, _ = ring_run ~backend:shared Coloured in
       Alcotest.(check int) "shared 2: one call per coloured block" ((ring + 47) / 48)
         (Atomic.get p.ecalls);
-      (* The point walker instead, at every element. *)
+      (* Walker frames run one element per call where the executor works
+         element by element: a Vec lane, a Cuda_sim NOSOA block, an
+         overlapped rank's core and boundary subsets. *)
       let cuda strategy = Some (Op2.Cuda_sim { Am_op2.Exec_cuda.block_size = 48; strategy }) in
+      List.iter
+        (fun (name, backend, setup, loops) ->
+          List.iter
+            (fun loop ->
+              let p, once = ring_run ?backend ~setup loop in
+              Alcotest.(check int) (name ^ ": one element-walker call per element") ring
+                (Atomic.get p.ecalls);
+              Alcotest.(check int) (name ^ ": calls cover every element") ring
+                (Atomic.get p.covered);
+              Alcotest.(check bool) (name ^ ": every element once") true once)
+            loops)
+        [
+          ("vec", Some (Op2.Vec { Am_op2.Exec_vec.width = 4 }), ignore, [ Direct; Coloured ]);
+          ("cuda NOSOA", cuda Am_op2.Exec_cuda.Global_aos, ignore, [ Direct; Coloured ]);
+          ("overlap, 3 ranks", None, partitioned ~overlap:true Op2.Rank_seq, [ Reading ]);
+        ];
+      (* Staging frames instead, the point walker at every element. *)
       let soa dat r = Op2.convert_layout r.rctx (dat r) Op2.Soa in
       let aliased r _ =
         [ Op2.arg_dat r.hits Access.Rw; Op2.arg_dat_indirect r.seen r.e2c 0 Access.Read;
@@ -525,11 +544,8 @@ let test_elem_dispatch () =
             loops)
         [
           ("check", Some Op2.Check, ignore, None, [ Direct; Coloured; Reading ]);
-          ("vec", Some (Op2.Vec { Am_op2.Exec_vec.width = 4 }), ignore, None, [ Direct; Coloured ]);
-          ("cuda NOSOA", cuda Am_op2.Exec_cuda.Global_aos, ignore, None, [ Direct; Coloured ]);
           ("cuda SOA", cuda Am_op2.Exec_cuda.Global_soa, ignore, None, [ Direct; Coloured ]);
           ("cuda STAGE", cuda Am_op2.Exec_cuda.Staged, ignore, None, [ Direct; Coloured ]);
-          ("overlap, 3 ranks", None, partitioned ~overlap:true Op2.Rank_seq, None, [ Reading ]);
           ("soa dat", None, soa (fun r -> r.hits), None, [ Direct ]);
           ("inc on a soa dat", None, soa (fun r -> r.ends), None, [ Coloured ]);
           ("aliased rw", None, ignore, Some (aliased, fun _ -> Probed.bump_aliased), [ Direct ]);
@@ -722,11 +738,9 @@ let test_synthetic_forms () =
 
 (* The probed kernels, one per declared shape: add one at the centre of
    argument 1 after reading argument 0 through a 5-point stencil
-   ([count5], two labels, so a staged Cuda_sim tile keeps one view per
-   label), at the centre ([count_pair]; an aliased pair when both name one
-   dataset), or through (0,0),(1,0) beside a centre read of the same label
-   ([count_reach]: a staged Cuda_sim tile sizes the two scratch buffers
-   differently). *)
+   ([count5], two labels), at the centre ([count_pair]; an aliased pair
+   when both name one dataset), or through (0,0),(1,0) beside a centre
+   read of the same label ([count_reach]: one label, two reaches). *)
 module Walked = struct
   let[@inline] get (a : OAcc.t) p = a.OAcc.data.(a.OAcc.base + a.OAcc.off.(p))
   let[@inline] set (a : OAcc.t) v = a.OAcc.data.(a.OAcc.base + a.OAcc.off.(0)) <- v
@@ -844,10 +858,11 @@ let test_walker_dispatch () =
   Alcotest.(check int) "check: the point form at every point" (rx * ry) (Atomic.get p.points);
   Alcotest.(check bool) "check: every point once" true (once counts)
 
-(* The point walker runs an aliased pair, and a staged Cuda_sim tile whose
-   scratch views of one label differ, with a declared kernel; and an [Inc]
-   dataset, [arg_idx] and restrict/prolong reads, which no signature
-   declares, with a lifted one. *)
+(* A staging frame, and with it the point form at every point, runs an
+   aliased pair with a declared kernel, and an [Inc] dataset, [arg_idx]
+   and restrict/prolong reads, which no signature declares, with a lifted
+   one; a staged Cuda_sim tile whose arguments of one label reach
+   differently runs the walker. *)
 let test_walker_dispatch_point () =
   let check name p got =
     Alcotest.(check int) (name ^ ": no walker call") 0 (calls p);
@@ -864,11 +879,12 @@ let test_walker_dispatch_point () =
     k;
   check "aliased" p (Ops.fetch_interior ctx t);
   Alcotest.(check int) "aliased: the point form ran" (rx * ry) (Atomic.get p.points);
-  (* A staged tile: argument 0 reaches one column further than argument 1,
-     of one label, so their scratch views differ; the global tiles of the
-     same loop keep one view per label and run the walker. *)
+  (* Argument 0 reaches one column further than arguments 1 and 2, all of
+     one label: a staged tile sizes the label's scratch buffers by its
+     widest reach, so their views agree and both strategies run the walker
+     once per tile. *)
   List.iter
-    (fun (strategy, walked) ->
+    (fun (name, strategy) ->
       let ctx =
         Ops.create ~backend:(Ops.Cuda_sim { Am_ops.Exec.tile_x = 4; tile_y = 2; strategy }) ()
       in
@@ -885,12 +901,10 @@ let test_walker_dispatch_point () =
         ]
         k;
       let got = Ops.fetch_interior ctx t in
-      if walked then begin
-        Alcotest.(check int) "cuda global: one walker call per tile" 6 (calls p);
-        Alcotest.(check bool) "cuda global: every point once" true (once got)
-      end
-      else check "cuda tiled, label views differ" p got)
-    [ (Am_ops.Exec.Cuda_global, true); (Am_ops.Exec.Cuda_tiled, false) ];
+      Alcotest.(check int) (name ^ ": one walker call per tile") 6 (calls p);
+      Alcotest.(check int) (name ^ ": no point-form call") 0 (Atomic.get p.points);
+      Alcotest.(check bool) (name ^ ": every point once") true (once got))
+    [ ("cuda global", Am_ops.Exec.Cuda_global); ("cuda tiled", Am_ops.Exec.Cuda_tiled) ];
   (* What no signature declares: a lifted kernel runs the point form. *)
   let ctx = Ops.create () in
   let grid = Ops.decl_block ctx ~name:"grid" in
@@ -1392,7 +1406,7 @@ let () =
           Alcotest.test_case "seq accessor kernels = check, bitwise" `Quick
             test_seq_equals_check;
           Alcotest.test_case "aliased arguments stay staged" `Quick test_aliased_args_staged;
-          Alcotest.test_case "element walker over every in-place range, point walker elsewhere"
+          Alcotest.test_case "element walker on every walker frame, point walker on staging ones"
             `Quick test_elem_dispatch;
         ] );
       ( "OPS accessor kernels",
@@ -1403,7 +1417,7 @@ let () =
             `Quick test_synthetic_forms;
           Alcotest.test_case "range walker once per range on every in-place backend" `Quick
             test_walker_dispatch;
-          Alcotest.test_case "point form for aliasing, differing tile views, the index and strides"
+          Alcotest.test_case "point form for aliasing, the index and strides; walker on every tile"
             `Quick test_walker_dispatch_point;
         ] );
       ( "OPS loop programs",

@@ -290,11 +290,13 @@ let test_alloc_budget () =
        allocation grows with the grid"
       small large
 
-(* Every CloverLeaf 2D kernel declares a signature, and on Seq every
-   call of a step and of the field summary, first-order and van Leer (all
-   19 kernels between them), runs its range walker: no frame falls back to
-   the point walker. *)
-let test_range_walkers_on_seq () =
+(* Every CloverLeaf 2D kernel declares a signature, and on Seq and on
+   tiled Cuda_sim every call of a step and of the field summary,
+   first-order and van Leer (all 19 kernels between them), runs its range
+   walker: no frame stages.  On the tiles this needs each label's scratch
+   buffers sized alike ([mom_flux], [mom_vel] and van Leer's flux read one
+   label through two reaches). *)
+let test_range_walkers () =
   let module K = Am_cloverleaf.Kernels in
   let module C = Am_obs.Counters in
   let module Obs = Am_obs.Obs in
@@ -311,15 +313,25 @@ let test_range_walkers_on_seq () =
     (fun (k : Ops.Acc.kernel) ->
       if k.Ops.Acc.walkers = [||] then Alcotest.fail "a CloverLeaf kernel declares no signature")
     kernels;
+  let tiled =
+    Ops.Cuda_sim { Am_ops.Exec.tile_x = 8; tile_y = 4; strategy = Am_ops.Exec.Cuda_tiled }
+  in
   List.iter
-    (fun advection ->
-      let t = App.create ~advection ~nx:24 ~ny:20 () in
+    (fun (name, backend, advection) ->
+      let t = App.create ?backend ~advection ~nx:24 ~ny:20 () in
       let w0 = C.value Obs.ops_walker_frames and p0 = C.value Obs.ops_point_frames in
       ignore (App.hydro_step t);
       ignore (App.field_summary t);
-      Alcotest.(check int) "no point-walker frame" 0 (C.value Obs.ops_point_frames - p0);
-      Alcotest.(check bool) "range-walker frames" true (C.value Obs.ops_walker_frames - w0 >= 43))
-    [ App.First_order; App.Van_leer ]
+      Alcotest.(check int) (name ^ ": no point-walker frame") 0
+        (C.value Obs.ops_point_frames - p0);
+      Alcotest.(check bool) (name ^ ": range-walker frames") true
+        (C.value Obs.ops_walker_frames - w0 >= 43))
+    [
+      ("seq", None, App.First_order);
+      ("seq van Leer", None, App.Van_leer);
+      ("cuda tiled", Some tiled, App.First_order);
+      ("cuda tiled van Leer", Some tiled, App.Van_leer);
+    ]
 
 let () =
   Alcotest.run "cloverleaf"
@@ -358,8 +370,8 @@ let () =
       ( "structure",
         [
           Alcotest.test_case "seq step allocation budget" `Quick test_alloc_budget;
-          Alcotest.test_case "seq: every kernel declared, every call a range walker" `Quick
-            test_range_walkers_on_seq;
+          Alcotest.test_case "seq and tiled cuda: every kernel declared, every call a range walker"
+            `Quick test_range_walkers;
         ] );
       ( "checkpointing",
         [

@@ -154,7 +154,7 @@ let test_more_data_than_airfoil () =
 (* ---- Allocation ---- *)
 
 (* One Seq iteration at the driver's default size (6144 cells, 51 loop
-   calls) through the accessor entry point.  The pin (measured: 56.5k
+   calls) through the accessor entry point.  The pin (measured: 50.7k
    words) is per-call bookkeeping — Hydra's loops carry no handles, so
    every call compiles its executor — and sits far below the ~300k words
    that one boxed float per element would add. *)
@@ -164,6 +164,18 @@ let test_alloc_budget () =
   let words = Gc_util.minor_words (fun () -> ignore (App.iteration t)) in
   if words > 64_000.0 then
     Alcotest.failf "one Seq iteration allocated %.0f minor words (budget 64000)" words
+
+(* Every Hydra kernel is generated, and on Seq all 51 calls of an
+   iteration run its element walker: no frame stages. *)
+let test_element_walkers_on_seq () =
+  let module C = Am_obs.Counters in
+  let module Obs = Am_obs.Obs in
+  let t = App.create ~nx ~ny () in
+  let w0 = C.value Obs.op2_walker_frames and p0 = C.value Obs.op2_point_frames in
+  ignore (App.iteration t);
+  Alcotest.(check int) "no point-walker frame" 0 (C.value Obs.op2_point_frames - p0);
+  Alcotest.(check int) "one element-walker frame per call" (2 + (5 * 8) + 9)
+    (C.value Obs.op2_walker_frames - w0)
 
 let () =
   Alcotest.run "hydra"
@@ -192,5 +204,7 @@ let () =
           Alcotest.test_case "loop count" `Quick test_loop_count_per_iteration;
           Alcotest.test_case "more data than airfoil" `Quick test_more_data_than_airfoil;
           Alcotest.test_case "seq iteration allocation budget" `Quick test_alloc_budget;
+          Alcotest.test_case "seq: every call an element walker" `Quick
+            test_element_walkers_on_seq;
         ] );
     ]
