@@ -53,9 +53,9 @@ type t = {
   ener_flux_y : Ops.dat;
   mutable dt : float;
   mutable step : int;
-  (* Global-argument buffers hoisted out of the per-step functions so every
-     call site passes pointer-identical arrays and its cached executor stays
-     valid (fresh literals would force a recompile per call). *)
+  (* Global-argument buffers hoisted out of the per-step functions, so a
+     step allocates none; executors bind each call's buffers, so fresh
+     literals would be correct too. *)
   dims_buf : float array; (* [| dx; dy |], constant *)
   vols_buf : float array; (* [| cell volume |], constant *)
   consts_buf : float array; (* [| dx; dy; dt_eff; volume |], refilled per phase *)

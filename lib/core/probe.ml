@@ -56,23 +56,6 @@ type t = {
   fp_failed : string option; (* probing aborted: kernel raised on probe data *)
 }
 
-(* Key under which a footprint is cached: the loop name plus the full
-   argument structure (name, dim, access, kind with stencil shape).  Two
-   call sites that disagree on any of those probe separately; iteration
-   range and set size are deliberately excluded — the kernel does not see
-   them, and apps like TeaLeaf pass fresh global literals per call.
-
-   [Descr] renders a stencil as only its point count and radius, so the
-   facades must pass the concrete offsets (and strides) through [salt]:
-   without it a 2-point horizontal and a 2-point vertical stencil under
-   the same loop name would share one cached footprint, and the
-   offset-indexed masks of the first call would be applied to the other
-   call's offsets. *)
-let signature ~salt (loop : Descr.loop) =
-  loop.Descr.loop_name ^ "|"
-  ^ String.concat "," (List.map Descr.arg_to_string loop.Descr.args)
-  ^ salt
-
 let slots_of (a : Descr.arg) =
   match a.Descr.kind with
   | Descr.Stencil { points; _ } -> points * a.Descr.dim
@@ -105,8 +88,14 @@ let hash_string s =
 
 let n_probes = 4
 
+(* The probe values' seed: the loop name and its rendered arguments, so
+   inference is reproducible run to run. *)
+let seed_of (loop : Descr.loop) =
+  hash_string
+    (loop.Descr.loop_name ^ "|" ^ String.concat "," (List.map Descr.arg_to_string loop.Descr.args))
+
 (* One pseudo-random unit float per (probe, arg, slot), deterministic in
-   the signature so inference is reproducible run to run. *)
+   the seed. *)
 let unit_of ~seed ~probe ~arg ~slot =
   let s =
     Int64.add seed
@@ -155,7 +144,7 @@ let infer ?(idx = [||]) ~(loop : Descr.loop) ~(kernel : float array array -> uni
   let is_idx i = i < Array.length idx && idx.(i) in
   Counters.incr Obs.infer_signatures;
   let t0 = Sys.time () in
-  let seed = hash_string (signature ~salt:"" loop) in
+  let seed = seed_of loop in
   let args = Array.of_list loop.Descr.args in
   let n = Array.length args in
   let nslots = Array.map slots_of args in

@@ -1,13 +1,14 @@
 (* The loop pipeline of both libraries.  [Op2.run_loop] and
    [Pipeline.run_loop] validate and describe a call; [Make.run] does the
-   rest: trace record, fault counter, footprint (a handle's [memo] first,
-   then the table keyed by [Probe.signature]), loop span and GC sample,
-   checkpoint step or execute, profile and halo record.  [Make.Facade]
-   holds the profile, fault, inference and checkpoint entry points every
-   facade exports, and [fold]/[tree_merge] the global-reduction merge of
-   every executor.  A library plugs in through [LIB]; [Make] is applied
-   once per library, so the warm path reaches its functions without
-   allocating a closure. *)
+   rest: trace record, fault counter, call site (the context's table
+   finds the entry built for the loop name and argument shape: its
+   footprint, and the handle a call without one runs on), loop span and
+   GC sample, checkpoint step or execute, profile and halo record.
+   [Make.Facade] holds the profile, fault, inference and checkpoint entry
+   points every facade exports, and [fold]/[tree_merge] the
+   global-reduction merge of every executor.  A library plugs in through
+   [LIB]; [Make] is applied once per library, so the warm path reaches
+   its functions without allocating a closure. *)
 
 module Access = Am_core.Access
 module Descr = Am_core.Descr
@@ -17,8 +18,16 @@ module Obs = Am_obs.Obs
 module Runtime = Am_checkpoint.Runtime
 module Comm = Am_simmpi.Comm
 
+(* One call site: the argument list its entry was built for, the
+   footprint found for it, and the handle a call without one runs on. *)
+type ('arg, 'handle) site = {
+  s_args : 'arg list;
+  mutable s_foot : Probe.info option;
+  s_handle : 'handle;
+}
+
 (* A context's loop state. *)
-type t = {
+type ('arg, 'handle) t = {
   facade : string; (* names the library in usage errors *)
   profile : Profile.t;
   trace : Am_core.Trace.t;
@@ -30,7 +39,7 @@ type t = {
      depth, exchange drops): an explicit opt-in, because absence under
      sampling is evidence, not proof (see DESIGN.md 5j). *)
   mutable tighten : bool;
-  feet : (string, Probe.info) Hashtbl.t; (* keyed by [Probe.signature] *)
+  sites : (string, ('arg, 'handle) site list) Hashtbl.t; (* by loop name *)
   (* The running call's exposed and hidden exchange time, filled by the
      partitioned executors. *)
   halo_seconds : float ref;
@@ -47,7 +56,7 @@ let create ~facade =
     comm = None;
     infer = true;
     tighten = false;
-    feet = Hashtbl.create 32;
+    sites = Hashtbl.create 32;
     halo_seconds = ref 0.0;
     overlap_seconds = ref 0.0;
   }
@@ -57,18 +66,6 @@ let create ~facade =
 let partitioned t comm =
   t.comm <- Some comm;
   Option.iter (Comm.attach_fault comm) t.fault
-
-(* A loop handle's footprint memo: the footprint of the loop name and
-   argument list of the handle's last lookup.  It answers only that name,
-   so a handle two loops share never serves one loop's footprint to the
-   other. *)
-type 'arg memo = {
-  mutable m_name : string;
-  mutable m_args : 'arg list;
-  mutable m_foot : Probe.info option;
-}
-
-let memo () = { m_name = ""; m_args = []; m_foot = None }
 
 (* The sanitizer drops to light mode (NaN checks only) exactly when the
    probes found the declaration clean: a loop caught violating keeps the
@@ -126,24 +123,22 @@ module type LIB = sig
   type arg
   type kernel
 
-  val state : _ ctx -> t
-  val memo : handle -> arg memo
+  val state : _ ctx -> (arg, handle) t
+  val make_handle : unit -> handle
 
-  (* Same datasets, maps or stencils, globals and access modes, by pointer
-     compares, allocating nothing. *)
-  val same_args : arg list -> arg list -> bool
-
-  (* What tells footprints apart beyond the descriptor: the table key's
-     suffix. *)
-  val salt : arg list -> string
+  (* Whether two argument lists are one call site's: the same datasets,
+     maps, stencils and strides, by physical identity, the same access
+     modes, and globals of the same name, length and access (never the
+     buffer), allocating nothing. *)
+  val same_shape : arg list -> arg list -> bool
 
   val probe : Descr.loop -> arg list -> kernel -> Probe.info
   val gbl_out : arg list -> float array list (* written globals, for checkpoints *)
   val snapshot_fns : _ ctx -> Runtime.snapshot_fns
 
   val execute :
-    _ ctx -> name:string -> foot:Probe.info option -> handle option -> space -> arg list ->
-    kernel -> unit
+    _ ctx -> name:string -> foot:Probe.info option -> handle -> space -> arg list -> kernel ->
+    unit
 end
 
 module Make (L : LIB) = struct
@@ -157,7 +152,12 @@ module Make (L : LIB) = struct
 
     (* Every footprint the context has inferred, for the analysis layer. *)
     let footprints ctx =
-      Hashtbl.fold (fun _ fi acc -> fi :: acc) (L.state ctx).feet []
+      Hashtbl.fold
+        (fun _ sites acc ->
+          List.fold_left
+            (fun acc s -> match s.s_foot with Some fi -> fi :: acc | None -> acc)
+            acc sites)
+        (L.state ctx).sites []
       |> List.sort (fun a b ->
              compare a.Probe.in_loop.Descr.loop_name b.Probe.in_loop.Descr.loop_name)
 
@@ -201,41 +201,36 @@ module Make (L : LIB) = struct
 
   include Facade
 
-  let memo_answers m ~name args =
-    Option.is_some m.m_foot && String.equal m.m_name name && L.same_args m.m_args args
+  let rec find_site args = function
+    | [] -> raise Not_found
+    | s :: rest -> if L.same_shape s.s_args args then s else find_site args rest
 
-  (* Probe on first sight of a loop signature, then serve the cached
+  (* The call site of [name] whose entry was built for [args]' shape, or a
+     new one.  A hit is a string hash and [L.same_shape] per entry of the
+     name, and allocates nothing. *)
+  let site st ~name args =
+    let sites = try Hashtbl.find st.sites name with Not_found -> [] in
+    match find_site args sites with
+    | s -> s
+    | exception Not_found ->
+      let s = { s_args = args; s_foot = None; s_handle = L.make_handle () } in
+      Hashtbl.replace st.sites name (s :: sites);
+      s
+
+  (* Probe on a call site's first call with inference on, then serve its
      observation: the kernel is a pure function of its staging buffers, so
-     one inference per (name, argument structure) covers every later
-     call. *)
-  let footprint st handle ~name descr args kernel =
+     one inference per (name, argument shape) covers every later call. *)
+  let footprint st site descr args kernel =
     if not st.infer then None
     else
-      match handle with
-      | Some h when memo_answers (L.memo h) ~name args ->
+      match site.s_foot with
+      | Some _ as found ->
         Am_obs.Counters.incr Obs.infer_hits;
-        (L.memo h).m_foot
-      | Some _ | None ->
-        let key = Probe.signature ~salt:(L.salt args) descr in
-        let found =
-          match Hashtbl.find_opt st.feet key with
-          | Some _ as found ->
-            Am_obs.Counters.incr Obs.infer_hits;
-            found
-          | None ->
-            Am_obs.Counters.incr Obs.infer_misses;
-            let fi = L.probe descr args kernel in
-            Hashtbl.add st.feet key fi;
-            Some fi
-        in
-        (match handle with
-        | Some h ->
-          let m = L.memo h in
-          m.m_name <- name;
-          m.m_args <- args;
-          m.m_foot <- found
-        | None -> ());
         found
+      | None ->
+        Am_obs.Counters.incr Obs.infer_misses;
+        site.s_foot <- Some (L.probe descr args kernel);
+        site.s_foot
 
   let run ctx ~name ~descr handle space args kernel =
     let st = L.state ctx in
@@ -243,7 +238,9 @@ module Make (L : LIB) = struct
     (* The injected rank crash counts parallel loops on the injector itself,
        so the trigger position survives a recovery restart's fresh context. *)
     (match st.fault with Some f -> Am_simmpi.Fault.note_loop f | None -> ());
-    let foot = footprint st handle ~name descr args kernel in
+    let site = site st ~name args in
+    let foot = footprint st site descr args kernel in
+    let handle = match handle with Some h -> h | None -> site.s_handle in
     let t0 = Unix.gettimeofday () in
     let traced = Obs.tracing () in
     let gc0 = if traced then Some (Gc.quick_stat ()) else None in

@@ -471,10 +471,12 @@ let rank_resolvers t r =
     resolve_map = (fun m -> (map_dist t m).locals.(r));
   }
 
-(* Rank-local executor for the phased path, compiled once per (signature,
-   rank).  [compiled_matches] cannot validate these — it compares against
-   the global arrays — but the rank-local arrays are allocated once at
-   [build] and only ever blitted in place, so the closures stay valid. *)
+(* Rank-local executor, compiled once per (signature, rank).
+   [compiled_matches] cannot validate these — it compares against the
+   global arrays — but the rank-local arrays are allocated once at [build]
+   and only ever blitted in place, so the closures stay valid.  The
+   signature records a global's length and access, not its buffer: every
+   frame binds the running call's globals. *)
 let rank_compiled t ~key r args =
   match Hashtbl.find_opt t.rank_execs (key, r) with
   | Some c ->
@@ -539,6 +541,8 @@ let par_loop ?unread ?(halo_seconds = ref 0.0) ?(overlap_seconds = ref 0.0) t
      reproducible results).  The hybrid rank engines keep their coloured
      full-range plans unless overlap is requested. *)
   let phased = slots <> [] && (t.overlap || t.rank_exec = Rank_seq) in
+  let key = Plan.signature ~name ~iter_set ~block_size:0 args in
+  let execs = Array.init t.n_ranks (fun r -> rank_compiled t ~key r args) in
   if not phased then begin
     (* Blocking path: exchange everything up front, run the full owned
        range through the rank engine. *)
@@ -562,18 +566,18 @@ let par_loop ?unread ?(halo_seconds = ref 0.0) ?(overlap_seconds = ref 0.0) t
           Hashtbl.add t.rank_plans key plan;
           plan
       in
+      let compiled = execs.(r) in
       match t.rank_exec with
-      | Rank_seq -> Exec_seq.run ~resolvers ~set_size:sd.n_owned.(r) ~args ~kernel ()
+      | Rank_seq -> Exec_seq.run ~compiled ~set_size:sd.n_owned.(r) ~args ~kernel
       | Rank_shared { pool; block_size } ->
-        Exec_shared.run ~resolvers pool (rank_plan ~block_size)
-          ~set_size:sd.n_owned.(r) ~args ~kernel
+        Exec_shared.run ~compiled pool (rank_plan ~block_size) ~set_size:sd.n_owned.(r) ~args
+          ~kernel
       | Rank_vec config ->
-        Exec_vec.run ~resolvers config (rank_plan ~block_size:256)
-          ~set_size:sd.n_owned.(r) ~args ~kernel
+        Exec_vec.run ~compiled config (rank_plan ~block_size:256) ~set_size:sd.n_owned.(r) ~args
+          ~kernel
     done
   end
   else begin
-    let key = Plan.signature ~name ~iter_set ~block_size:0 args in
     let split = rank_split t ~key ~iter_set ~slots:(halo_touch_slots args) in
     let stale =
       List.filter (fun d -> t.eager_halo || not (dat_dist t d).halo_fresh) read_dats
@@ -600,9 +604,23 @@ let par_loop ?unread ?(halo_seconds = ref 0.0) ?(overlap_seconds = ref 0.0) t
       end
     in
     List.iter (timed (zero_halo t)) inc_dats;
-    let execs = Array.init t.n_ranks (fun r -> rank_compiled t ~key r args) in
-    let frames = Array.map (fun c -> Exec_common.make_frame c kernel) execs in
-    let run_subset r elems = Array.iter (Exec_common.run_element frames.(r)) elems in
+    let frames = Array.map (fun c -> Exec_common.make_frame c kernel args) execs in
+    (* Each maximal run of consecutive ids of an ascending subset is one
+       element range: a walker frame's walker is called once per run, in
+       the same element order. *)
+    let run_subset r elems =
+      let n = Array.length elems in
+      let i = ref 0 in
+      while !i < n do
+        let lo = elems.(!i) in
+        let j = ref (!i + 1) in
+        while !j < n && elems.(!j) = lo + (!j - !i) do
+          incr j
+        done;
+        Exec_common.run_range frames.(r) lo (lo + (!j - !i));
+        i := !j
+      done
+    in
     (* Core phase: every element whose reads stay on owned slots. *)
     let traced = Obs.tracing () in
     let t_core = Unix.gettimeofday () in
@@ -639,7 +657,7 @@ let par_loop ?unread ?(halo_seconds = ref 0.0) ?(overlap_seconds = ref 0.0) t
     for r = 0 to t.n_ranks - 1 do
       if Exec_common.has_globals execs.(r) then begin
         if traced then Obs.begin_span ~lane:r ~cat:Cat.Reduce "merge_globals";
-        Exec_common.merge_globals execs.(r) frames.(r).Exec_common.bufs;
+        Exec_common.merge_globals args frames.(r).Exec_common.bufs;
         if traced then Obs.end_span ~lane:r ()
       end
     done

@@ -16,9 +16,11 @@
    Arguments are "compiled" once per (loop, signature) pair: the dataset
    array, map table and layout strides are resolved up front and baked
    into one gather and one scatter closure per argument, beside the
-   arrays an element walker reads ([Acc.addr]).  The per-worker state is
-   a [frame] built from the compiled arguments at each loop call, by one
-   rule:
+   arrays an element walker reads ([Acc.addr]).  A global compiles to its
+   length and access only, so one executor serves calls that pass fresh
+   global buffers.  The per-worker state is a [frame] built from the
+   compiled arguments and the running call's globals at each loop call,
+   by one rule:
 
    - a walker frame runs the kernel's element walker with every dataset
      in place.  It needs a generated kernel and an [elementwise] executor:
@@ -71,7 +73,7 @@ type compiled_arg =
       gather : float array -> int -> unit; (* staging buffer, element *)
       scatter : float array -> int -> unit;
     }
-  | C_gbl of { user_buf : float array; access : Access.t }
+  | C_gbl of { len : int; access : Access.t } (* the buffer is the running call's *)
 
 (* A compiled executor: the arguments, and where an element walker finds
    each one's arrays.  [elementwise] holds when a walker frame may run
@@ -227,7 +229,7 @@ let compile ?(resolvers = global_resolvers) args =
           scatter =
             build_scatter ~data ~dim ~layout ~n ~access ~map_values ~arity ~idx ~indirect;
         }
-    | Arg_gbl { buf; access; _ } -> C_gbl { user_buf = buf; access }
+    | Arg_gbl { buf; access; _ } -> C_gbl { len = Array.length buf; access }
   in
   let args' = Array.of_list (List.map compile_one args) in
   let addrs =
@@ -243,7 +245,8 @@ let compile ?(resolvers = global_resolvers) args =
    the same backing stores: [Op2.update], [convert_layout] and the SoA
    conversion replace [dat.data] wholesale, and renumbering rewrites map
    tables.  Physical equality makes the check one pointer compare per
-   argument. *)
+   argument.  A global matches on its length and access: each frame binds
+   the running call's buffer. *)
 let arg_matches c arg =
   match (c, arg) with
   | C_dat cd, Arg_dat { dat; map; access } ->
@@ -251,7 +254,7 @@ let arg_matches c arg =
     && (match map with
        | None -> not cd.indirect
        | Some (m, k) -> cd.indirect && cd.map_values == m.values && cd.idx = k)
-  | C_gbl cg, Arg_gbl { buf; access; _ } -> cg.user_buf == buf && cg.access = access
+  | C_gbl cg, Arg_gbl { buf; access; _ } -> cg.len = Array.length buf && cg.access = access
   | (C_dat _ | C_gbl _), _ -> false
 
 (* The array and the list walked together: a warm call allocates nothing. *)
@@ -381,28 +384,32 @@ type frame = {
   walk : Acc.walk option;
 }
 
-(* A frame's buffers: a global's accumulator (a copy of a [Read] global),
-   and a [dim]-long buffer for every dataset argument of a staging frame
-   and every Inc of a walker frame. *)
-let make_bufs ~staging compiled =
-  let bufs = Array.make (Array.length compiled) [||] in
-  for i = 0 to Array.length compiled - 1 do
+(* A frame's buffers, argument [i] on from [args], the running call's
+   list: a global's accumulator (a copy of the call's [Read], [Min] or
+   [Max] buffer, zeros for an [Inc]), and a [dim]-long buffer for every
+   dataset argument of a staging frame and every Inc of a walker frame. *)
+let rec fill_bufs ~staging compiled bufs i = function
+  | [] -> ()
+  | arg :: rest ->
     bufs.(i) <-
-      (match compiled.(i) with
-      | C_dat { dim; access; _ } ->
+      (match (compiled.(i), arg) with
+      | C_dat { dim; access; _ }, _ ->
         if staging || access = Access.Inc then Array.make dim 0.0 else [||]
-      | C_gbl { user_buf; access } -> (
-        match access with
-        | Access.Read | Access.Min | Access.Max -> Array.copy user_buf
-        | Access.Inc -> Array.make (Array.length user_buf) 0.0
-        | Access.Write | Access.Rw -> invalid_arg "op2: Write/Rw access on a global argument"))
-  done;
+      | C_gbl { len; access = Access.Inc }, _ -> Array.make len 0.0
+      | C_gbl { access = Access.Read | Access.Min | Access.Max; _ }, Arg_gbl { buf; _ } ->
+        Array.copy buf
+      | C_gbl _, _ -> invalid_arg "op2: Write/Rw access on a global argument");
+    fill_bufs ~staging compiled bufs (i + 1) rest
+
+let make_bufs ~staging compiled args =
+  let bufs = Array.make (Array.length compiled) [||] in
+  fill_bufs ~staging compiled bufs 0 args;
   bufs
 
 (* A staging frame: every argument staged (the Cuda_sim scratchpad
    strategy fills the buffers itself). *)
-let staging_frame compiled kernel =
-  let bufs = make_bufs ~staging:true compiled.args in
+let staging_frame compiled kernel args =
+  let bufs = make_bufs ~staging:true compiled.args args in
   let accs =
     match kernel with
     | Accessor _ ->
@@ -412,15 +419,16 @@ let staging_frame compiled kernel =
   in
   { compiled; kernel; bufs; accs; walk = None }
 
-(* One worker's frame: a walker frame when the kernel is generated and
-   [compiled] is [elementwise], a staging frame otherwise. *)
-let make_frame compiled kernel =
+(* One worker's frame for a call with arguments [args]: a walker frame
+   when the kernel is generated and [compiled] is [elementwise], a staging
+   frame otherwise. *)
+let make_frame compiled kernel args =
   match kernel with
   | Accessor { Acc.walker = Some _; _ } when compiled.elementwise ->
     Am_obs.Counters.incr Am_obs.Obs.op2_walker_frames;
-    let bufs = make_bufs ~staging:false compiled.args in
+    let bufs = make_bufs ~staging:false compiled.args args in
     { compiled; kernel; bufs; accs = [||]; walk = Some { Acc.addrs = compiled.addrs; bufs } }
-  | Accessor _ | Staged _ -> staging_frame compiled kernel
+  | Accessor _ | Staged _ -> staging_frame compiled kernel args
 
 (* Gather a staging frame's buffers for element [e] (an Inc buffer is
    zeroed); a walker frame reads in place. *)
@@ -475,21 +483,25 @@ let staged_view = function Staged k -> k | Accessor k -> Acc.staged k.Acc.elem
 
 (* ---- Global reductions -------------------------------------------------- *)
 
-(* Fold one worker's global accumulators into the user buffers.  Callers
-   serialise calls (sequential phase or post-join merge). *)
-let merge_globals compiled buffers =
-  Array.iteri
-    (fun i -> function
-      | C_gbl { user_buf; access } -> Am_loop.Loop.fold access user_buf buffers.(i)
-      | C_dat _ -> ())
-    compiled.args
+(* Fold one worker's global accumulators into the running call's global
+   buffers, [args] being its argument list.  Callers serialise calls
+   (sequential phase or post-join merge). *)
+let rec merge_from buffers i = function
+  | [] -> ()
+  | Arg_gbl { buf; access; _ } :: rest ->
+    Am_loop.Loop.fold access buf buffers.(i);
+    merge_from buffers (i + 1) rest
+  | Arg_dat _ :: rest -> merge_from buffers (i + 1) rest
 
-(* Pairwise tree reduction of per-worker frames' accumulators into the user
-   buffers (the pooled replacement for the per-chunk mutex merge). *)
-let merge_worker_globals compiled frames =
+let merge_globals args buffers = merge_from buffers 0 args
+
+(* Pairwise tree reduction of per-worker frames' accumulators into the
+   call's buffers (the pooled replacement for the per-chunk mutex
+   merge). *)
+let merge_worker_globals compiled args frames =
   Am_loop.Loop.tree_merge
     (List.map (fun f -> f.bufs) frames)
-    ~finish:(merge_globals compiled)
+    ~finish:(merge_globals args)
     ~combine:(fun dst src ->
       Array.iteri
         (fun i -> function

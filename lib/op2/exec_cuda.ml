@@ -225,17 +225,11 @@ let run_element_staged args compiled frame stages e =
 
 (* ---- Entry point ---------------------------------------------------- *)
 
-let run ?compiled config plan ~set_size ~args ~kernel =
+let run ~compiled config plan ~set_size ~args ~kernel =
   ignore set_size;
-  (* SoA conversion must happen before compiling: it replaces [dat.data].
-     A caller-supplied executor is only valid if it was compiled after
-     [ensure_soa] (the handle path in [Op2] guarantees this). *)
+  (* SoA conversion replaces [dat.data], so [compiled] must have been
+     compiled after [ensure_soa] ([Op2] converts before resolving). *)
   if config.strategy = Global_soa then ensure_soa args;
-  let compiled =
-    match compiled with
-    | Some c -> c
-    | None -> Exec_common.compile args
-  in
   let has_globals = Exec_common.has_globals compiled in
   let blocks = plan.Plan.blocks in
   let traced = Am_obs.Obs.tracing () in
@@ -254,8 +248,8 @@ let run ?compiled config plan ~set_size ~args ~kernel =
              arguments allow it. *)
           let frame =
             match config.strategy with
-            | Global_aos | Global_soa -> Exec_common.make_frame compiled kernel
-            | Staged -> Exec_common.staging_frame compiled kernel
+            | Global_aos | Global_soa -> Exec_common.make_frame compiled kernel args
+            | Staged -> Exec_common.staging_frame compiled kernel args
           in
           (match config.strategy with
           | Global_aos | Global_soa ->
@@ -264,7 +258,7 @@ let run ?compiled config plan ~set_size ~args ~kernel =
             let stages = build_stages args ~lo ~hi in
             iter_block_by_color plan ~lo ~hi (run_element_staged args compiled frame stages);
             write_back_stages stages);
-          if has_globals then Exec_common.merge_globals compiled frame.Exec_common.bufs)
+          if has_globals then Exec_common.merge_globals args frame.Exec_common.bufs)
         same_color_blocks;
       if traced then Am_obs.Obs.end_span ())
     plan.Plan.block_coloring.Coloring.by_color

@@ -8,15 +8,10 @@
    human-readable debugging target the source-to-source generator also
    emits. *)
 
-(* [?compiled] lets a loop handle supply a cached executor (see [Plan]);
-   without one the arguments are compiled on the spot. *)
-let run ?resolvers ?compiled ~set_size ~args ~kernel () =
-  let compiled =
-    match compiled with
-    | Some c -> c
-    | None -> Exec_common.compile ?resolvers args
-  in
-  let frame = Exec_common.make_frame compiled kernel in
+(* [compiled] is the executor a loop handle keeps (see [Plan]), or a
+   rank's (see [Dist]). *)
+let run ~compiled ~set_size ~args ~kernel =
+  let frame = Exec_common.make_frame compiled kernel args in
   Exec_common.run_range frame 0 set_size;
   if Exec_common.has_globals compiled then
-    Exec_common.merge_globals compiled frame.Exec_common.bufs
+    Exec_common.merge_globals args frame.Exec_common.bufs

@@ -17,20 +17,15 @@
 
 module Coloring = Am_mesh.Coloring
 
-let run ?resolvers ?compiled pool plan ~set_size ~args ~kernel =
-  let compiled =
-    match compiled with
-    | Some c -> c
-    | None -> Exec_common.compile ?resolvers args
-  in
+let run ~compiled pool plan ~set_size ~args ~kernel =
   let has_globals = Exec_common.has_globals compiled in
   if not (Plan.has_conflicts plan) then begin
     let states =
       Am_taskpool.Pool.parallel_for_local pool ~lo:0 ~hi:set_size
-        ~local:(fun () -> Exec_common.make_frame compiled kernel)
+        ~local:(fun () -> Exec_common.make_frame compiled kernel args)
         ~body:(fun frame lo hi -> Exec_common.run_range frame lo hi)
     in
-    if has_globals then Exec_common.merge_worker_globals compiled states
+    if has_globals then Exec_common.merge_worker_globals compiled args states
   end
   else begin
     let blocks = plan.Plan.blocks in
@@ -42,7 +37,7 @@ let run ?resolvers ?compiled pool plan ~set_size ~args ~kernel =
     let take () =
       let rec pop () =
         match Atomic.get free with
-        | [] -> Exec_common.make_frame compiled kernel
+        | [] -> Exec_common.make_frame compiled kernel args
         | b :: rest as old ->
           if Atomic.compare_and_set free old rest then b else pop ()
       in
@@ -80,5 +75,5 @@ let run ?resolvers ?compiled pool plan ~set_size ~args ~kernel =
         give_back states;
         if traced then Am_obs.Obs.end_span ())
       plan.Plan.block_coloring.Coloring.by_color;
-    if has_globals then Exec_common.merge_worker_globals compiled !all_states
+    if has_globals then Exec_common.merge_worker_globals compiled args !all_states
   end

@@ -30,16 +30,11 @@ type config = { width : int }
 
 let default_config = { width = 8 }
 
-let run ?resolvers ?compiled config plan ~set_size ~args ~kernel =
+let run ~compiled config plan ~set_size ~args ~kernel =
   let width = max 1 config.width in
-  let compiled =
-    match compiled with
-    | Some c -> c
-    | None -> Exec_common.compile ?resolvers args
-  in
   (* Per-lane frames: staging buffers or walker views, global
      accumulators. *)
-  let lanes = Array.init width (fun _ -> Exec_common.make_frame compiled kernel) in
+  let lanes = Array.init width (fun _ -> Exec_common.make_frame compiled kernel args) in
   (* The pack of lanes [0, n): lane [l] runs element [elem (lo + l)]. *)
   let run_pack elem lo n =
     (* 1. packed gather (nothing for a walker frame) *)
@@ -81,4 +76,4 @@ let run ?resolvers ?compiled config plan ~set_size ~args ~kernel =
         if traced then Am_obs.Obs.end_span ())
       ec.Coloring.by_color);
   if Exec_common.has_globals compiled then
-    Exec_common.merge_worker_globals compiled (Array.to_list lanes)
+    Exec_common.merge_worker_globals compiled args (Array.to_list lanes)

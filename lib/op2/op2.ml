@@ -74,7 +74,7 @@ type ctx = {
   env : Types.env;
   mutable backend : backend;
   plan_cache : Plan.cache;
-  loop : Loop.t;
+  loop : (Types.arg, Plan.handle) Loop.t;
   mutable dist : Dist.t option;
 }
 
@@ -351,8 +351,8 @@ let comm_stats ctx =
 
 (* A per-call-site loop handle (see [Plan]): resolves the execution plan and
    the compiled executor without rebuilding the signature string per
-   invocation, and memoises the footprint.  Both kernel forms share the
-   executor. *)
+   invocation.  A call without one runs on the handle of its entry in the
+   context's call-site table.  Both kernel forms share the executor. *)
 type handle = Plan.handle
 
 let make_handle = Plan.make_handle
@@ -374,20 +374,17 @@ let unread_of args = function
             args))
   | Some _ | None -> None
 
-(* The plan over [block_size]-element blocks and, through a handle, the
-   executor cached beside it. *)
+(* The plan over [block_size]-element blocks and the executor cached
+   beside it, through the call's handle. *)
 let planned ctx handle ~name ~iter_set ~block_size args =
-  match handle with
-  | None -> (Plan.find_or_build ctx.plan_cache ~name ~iter_set ~block_size args, None)
-  | Some h ->
-    let entry, compiled = Plan.resolve ctx.plan_cache h ~name ~iter_set ~block_size args in
-    (Lazy.force entry.Plan.entry_plan, Some compiled)
+  let entry, compiled = Plan.resolve ctx.plan_cache handle ~name ~iter_set ~block_size args in
+  (Lazy.force entry.Plan.entry_plan, compiled)
 
 let execute_loop ctx ~name ~foot handle iter_set args kernel =
   match ctx.dist with
   | Some d ->
-    (* Rank-local plans have their own cache; handles do not apply.
-       Dropping exchanges a kernel was never observed to need is the
+    (* Rank-local plans and executors have their own cache; handles do not
+       apply.  Dropping exchanges a kernel was never observed to need is the
        explicit opt-in: a read the probes never triggered must not leave a
        rank consuming stale ghosts. *)
     let unread = if ctx.loop.Loop.tighten then unread_of args foot else None in
@@ -398,19 +395,15 @@ let execute_loop ctx ~name ~foot handle iter_set args kernel =
     match ctx.backend with
     | Seq ->
       (* No plan needed: the entry's lazy colouring is never forced. *)
-      let compiled =
-        match handle with
-        | None -> None
-        | Some h -> Some (snd (Plan.resolve ctx.plan_cache h ~name ~iter_set ~block_size:0 args))
-      in
-      Exec_seq.run ?compiled ~set_size ~args ~kernel ()
+      let _, compiled = Plan.resolve ctx.plan_cache handle ~name ~iter_set ~block_size:0 args in
+      Exec_seq.run ~compiled ~set_size ~args ~kernel
     | Vec config ->
       (* The vector plan only needs element colours; block size is moot. *)
       let plan, compiled = planned ctx handle ~name ~iter_set ~block_size:256 args in
-      Exec_vec.run ?compiled config plan ~set_size ~args ~kernel
+      Exec_vec.run ~compiled config plan ~set_size ~args ~kernel
     | Shared { pool; block_size } ->
       let plan, compiled = planned ctx handle ~name ~iter_set ~block_size args in
-      Exec_shared.run ?compiled pool plan ~set_size ~args ~kernel
+      Exec_shared.run ~compiled pool plan ~set_size ~args ~kernel
     | Check ->
       (* Sanitizer: prove the colouring the parallel backends would use is
          race-free, then execute under access guards.  The plan validation
@@ -439,7 +432,7 @@ let execute_loop ctx ~name ~foot handle iter_set args kernel =
       let plan, compiled =
         planned ctx handle ~name ~iter_set ~block_size:config.Exec_cuda.block_size args
       in
-      Exec_cuda.run ?compiled config plan ~set_size ~args ~kernel)
+      Exec_cuda.run ~compiled config plan ~set_size ~args ~kernel)
 
 (* Snapshot accessors over the context's own dataset registry: the "all data
    is handed to the library" property is what makes checkpointing fully
@@ -465,9 +458,8 @@ include Loop.Make (struct
   type kernel = Exec_common.kernel
 
   let state ctx = ctx.loop
-  let memo h = h.Plan.h_memo
-  let same_args = Plan.args_match
-  let salt _ = ""
+  let make_handle = Plan.make_handle
+  let same_shape = Types.same_shape
 
   (* Unstructured arguments carry no stencil radius to tighten; the extent
      column is the no-information marker throughout. *)

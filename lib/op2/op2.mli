@@ -350,16 +350,22 @@ val fault_injector : ctx -> Am_simmpi.Fault.t option
 
 (** {1 The parallel loop} *)
 
-(** Per-call-site loop handle: caches the resolved execution plan and the
-    compiled executor for a [par_loop] site, and the kernel's footprint, so
-    repeated invocations skip the signature-string cache lookups entirely
-    (validity is re-checked with pointer compares every call, and the handle
+(** Per-call-site loop handle, optional: caches the resolved execution plan
+    and the compiled executor for a [par_loop] site, so repeated
+    invocations skip the signature-string cache lookups entirely (validity
+    is re-checked with pointer compares every call, and the handle
     re-resolves itself after renumbering, layout conversion or dataset
-    updates).  Same-signature sites share one plan and one executor even
-    through distinct handles.  Loops that take one argument list may share
-    a handle: they share its plan and executor, while the footprint is
-    remembered per loop name.  Plans and executors are per rank on
-    partitioned contexts, so there a handle only remembers the footprint. *)
+    updates).  Executors hold no global buffer: each call's globals are
+    bound when it runs, so fresh literals cost no recompile.  A call
+    without a handle is cached by loop name and argument shape (datasets,
+    maps and slots, access modes, global names and lengths): it runs on the
+    handle of its entry in the context's call-site table, which also keeps
+    each entry's footprint.  Same-signature sites share one plan and one
+    executor even through distinct handles.  Loops that take one argument
+    list may share a handle: they share its plan and executor, while the
+    footprint is kept per loop name.  Plans and executors are per rank on
+    partitioned contexts, cached by the partitioned runtime itself, so
+    there a handle is unused. *)
 type handle = Plan.handle
 
 val make_handle : unit -> handle

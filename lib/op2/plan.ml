@@ -296,49 +296,23 @@ let find_or_build cache ~name ~iter_set ~block_size args =
 (* ---- Loop handles ------------------------------------------------------ *)
 
 (* A handle is per-call-site memoisation of the cache lookup: once resolved,
-   re-invoking the same loop with structurally identical arguments skips the
-   [Printf.sprintf] signature entirely — validity is a generation check plus
-   pointer compares on the argument list.  Resolution ignores the loop
-   name, so a handle two loops share serves both from one entry; its
-   footprint memo ([Am_loop.Loop.memo]) checks the name. *)
+   re-invoking the loop with arguments of the same shape
+   ([Types.same_shape]: same dats, maps and slots, access descriptors and
+   global lengths) skips the [Printf.sprintf] signature entirely —
+   validity is a generation check plus pointer compares on the argument
+   list.  Resolution ignores the loop name, so a handle two loops share
+   serves both from one entry; the context's call-site table keeps their
+   footprints apart. *)
 type handle = {
   mutable h_entry : entry option;
   mutable h_block_size : int;
   mutable h_set_id : int;
   mutable h_args : arg list;
   mutable h_generation : int;
-  h_memo : arg Am_loop.Loop.memo;
 }
 
 let make_handle () =
-  {
-    h_entry = None;
-    h_block_size = -1;
-    h_set_id = -1;
-    h_args = [];
-    h_generation = -1;
-    h_memo = Am_loop.Loop.memo ();
-  }
-
-(* Structural identity of argument lists: same dats, maps, slots, global
-   buffers (physically) with the same access descriptors. *)
-let args_match a b =
-  List.compare_lengths a b = 0
-  && List.for_all2
-       (fun x y ->
-         match (x, y) with
-         | Arg_dat { dat = d1; map = m1; access = a1 },
-           Arg_dat { dat = d2; map = m2; access = a2 } ->
-           d1 == d2 && a1 = a2
-           && (match (m1, m2) with
-              | None, None -> true
-              | Some (p, i), Some (q, j) -> p == q && i = j
-              | None, Some _ | Some _, None -> false)
-         | Arg_gbl { buf = b1; access = a1; _ }, Arg_gbl { buf = b2; access = a2; _ }
-           ->
-           b1 == b2 && a1 = a2
-         | (Arg_dat _ | Arg_gbl _), _ -> false)
-       a b
+  { h_entry = None; h_block_size = -1; h_set_id = -1; h_args = []; h_generation = -1 }
 
 let resolve cache handle ~name ~iter_set ~block_size args =
   let entry =
@@ -347,7 +321,7 @@ let resolve cache handle ~name ~iter_set ~block_size args =
       when handle.h_generation = cache.generation
            && handle.h_block_size = block_size
            && handle.h_set_id = iter_set.set_id
-           && args_match handle.h_args args ->
+           && same_shape handle.h_args args ->
       Counters.incr Obs.plan_hits;
       e
     | Some _ | None ->

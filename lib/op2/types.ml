@@ -40,6 +40,29 @@ type arg =
        [map = Some (m, k)]: element [e] touches [m.values.(e*arity + k)]. *)
   | Arg_gbl of { name : string; buf : float array; access : Access.t }
 
+(* Whether two argument lists are one call site's: the same datasets and
+   maps, by physical identity, the same slots and access modes, and
+   globals of the same name and length (their buffers are bound per
+   call).  Allocates nothing. *)
+let rec same_shape a b =
+  match (a, b) with
+  | [], [] -> true
+  | x :: a, y :: b -> same_arg x y && same_shape a b
+  | [], _ :: _ | _ :: _, [] -> false
+
+and same_arg x y =
+  match (x, y) with
+  | Arg_dat { dat = d1; map = m1; access = a1 }, Arg_dat { dat = d2; map = m2; access = a2 } -> (
+    d1 == d2 && a1 = a2
+    &&
+    match (m1, m2) with
+    | None, None -> true
+    | Some (p, i), Some (q, j) -> p == q && i = j
+    | None, Some _ | Some _, None -> false)
+  | Arg_gbl g1, Arg_gbl g2 ->
+    String.equal g1.name g2.name && Array.length g1.buf = Array.length g2.buf && g1.access = g2.access
+  | (Arg_dat _ | Arg_gbl _), _ -> false
+
 (* Declaration registry: one per application context. *)
 type env = {
   mutable sets : set list; (* reversed declaration order *)

@@ -53,6 +53,7 @@ type t = {
   split : axis list; (* the axes with more than one rank, innermost first *)
   exec_boxes : range array; (* per rank: its chunk of the loop index space *)
   dat_dists : (int, dat_dist) Hashtbl.t;
+  resolvers : Exec.resolvers array; (* per rank: its windows *)
   mutable rank_exec : Exec.rank_exec;
   mutable eager_halo : bool;
   mutable overlap : bool; (* post exchange, run interior, wait, run boundary *)
@@ -177,6 +178,7 @@ let build env ~rank ~ranks:(px, py, pz) ~reference:(rx, ry, rz) =
       split = List.filter (fun axis -> counts.(axis_index axis) > 1) axes;
       exec_boxes = [||];
       dat_dists = Hashtbl.create 16;
+      resolvers = [||];
       rank_exec = Exec.Rank_seq;
       eager_halo = false;
       overlap = false;
@@ -187,7 +189,17 @@ let build env ~rank ~ranks:(px, py, pz) ~reference:(rx, ry, rz) =
     and hi axis = chunk_hi t axis r ~edge:max_int in
     { xlo = lo X; xhi = hi X; ylo = lo Y; yhi = hi Y; zlo = lo Z; zhi = hi Z }
   in
-  let t = { t with exec_boxes = Array.init (n_ranks t) exec_box } in
+  let window dat r = (Hashtbl.find t.dat_dists dat.dat_id).windows.(r).view in
+  let t =
+    {
+      t with
+      exec_boxes = Array.init (n_ranks t) exec_box;
+      resolvers =
+        Array.init (n_ranks t) (fun r ->
+            { Exec.resolve_dat = (fun d -> window d r);
+              resolve_data = (fun d -> (window d r).Exec.vdata) });
+    }
+  in
   List.iter
     (fun dat ->
       let windows = Array.init (n_ranks t) (make_window t dat) in
@@ -334,11 +346,24 @@ let exchange_needs ?ext args =
   in
   go 0 [] args
 
-let run_box t r b ~args ~kernel =
-  if nonempty b then begin
-    let resolvers = { Exec.resolve_dat = (fun d -> (dat_dist t d).windows.(r).view) } in
-    Exec.run_rank t.rank_exec ~resolvers ~axis:(outer_axis t.rank) ~range:b ~args ~kernel
+(* Rank [r]'s executor for [args] in [execs], one slot per rank (a loop
+   handle's): kept while it addresses [r]'s windows of [args]' datasets,
+   checked by physical identity without allocating, compiled over them
+   otherwise. *)
+let rank_executor t execs r args =
+  if Exec.compiled_matches ~resolvers:t.resolvers.(r) execs.(r) args then
+    Obs_counters.incr Obs.exec_hits
+  else begin
+    Obs_counters.incr Obs.exec_misses;
+    execs.(r) <-
+      Obs.span ~cat:Cat.Plan "rank_compile" (fun () ->
+          Exec.compile ~resolvers:t.resolvers.(r) args)
   end
+
+let run_box t r b ~execs ~args ~kernel =
+  if nonempty b then
+    Exec.run_rank t.rank_exec ~compiled:execs.(r) ~axis:(outer_axis t.rank) ~range:b ~args
+      ~kernel
 
 (* The part of box [b] on rank [r] at least [margin] away from every
    internal partition face. *)
@@ -357,16 +382,16 @@ let core_box t r b margin =
 (* Box [b] minus its interior [c], peeled outermost axis first: the slabs
    below and above [c] along z, then along y within [c]'s z extent, then
    along x. *)
-let run_boundary t r b c ~args ~kernel =
+let run_boundary t r b c ~execs ~args ~kernel =
   ignore
     (List.fold_left
        (fun b axis ->
-         run_box t r (with_axis axis b ~lo:(lo axis b) ~hi:(lo axis c)) ~args ~kernel;
-         run_box t r (with_axis axis b ~lo:(hi axis c) ~hi:(hi axis b)) ~args ~kernel;
+         run_box t r (with_axis axis b ~lo:(lo axis b) ~hi:(lo axis c)) ~execs ~args ~kernel;
+         run_box t r (with_axis axis b ~lo:(hi axis c) ~hi:(hi axis b)) ~execs ~args ~kernel;
          with_axis axis b ~lo:(lo axis c) ~hi:(hi axis c))
        b [ Z; Y; X ])
 
-let par_loop ?ext ?(halo_seconds = ref 0.0) ?(overlap_seconds = ref 0.0) t ~range
+let par_loop ?ext ?(halo_seconds = ref 0.0) ?(overlap_seconds = ref 0.0) t ~execs ~range
     ~args ~kernel =
   (* Grid-transfer strides cross the decomposition arbitrarily:
      unsupported on partitioned contexts (multigrid levels would need a
@@ -380,6 +405,9 @@ let par_loop ?ext ?(halo_seconds = ref 0.0) ?(overlap_seconds = ref 0.0) t ~rang
              contexts")
       | Arg_dat _ | Arg_gbl _ | Arg_idx _ -> ())
     args;
+  for r = 0 to n_ranks t - 1 do
+    rank_executor t execs r args
+  done;
   let needs = exchange_needs ?ext args in
   let exposed = ref 0.0 and xfer = ref 0.0 in
   (* A global Inc reduction is summed in iteration order: splitting the
@@ -415,7 +443,7 @@ let par_loop ?ext ?(halo_seconds = ref 0.0) ?(overlap_seconds = ref 0.0) t ~rang
   in
   if tokens = [] then
     for r = 0 to n_ranks t - 1 do
-      run_box t r (inter range t.exec_boxes.(r)) ~args ~kernel
+      run_box t r (inter range t.exec_boxes.(r)) ~execs ~args ~kernel
     done
   else begin
     (* Interior/boundary split: points whose stencils stay inside the owned
@@ -434,7 +462,7 @@ let par_loop ?ext ?(halo_seconds = ref 0.0) ?(overlap_seconds = ref 0.0) t ~rang
       (fun r c ->
         if nonempty boxes.(r) then begin
           if traced then Obs.begin_span ~lane:r ~cat:Cat.Loop "core";
-          run_box t r c ~args ~kernel;
+          run_box t r c ~execs ~args ~kernel;
           Obs_counters.add Obs.core_elements (range_size c);
           if traced then Obs.end_span ~lane:r ()
         end)
@@ -453,7 +481,7 @@ let par_loop ?ext ?(halo_seconds = ref 0.0) ?(overlap_seconds = ref 0.0) t ~rang
       (fun r b ->
         if nonempty b then begin
           if traced then Obs.begin_span ~lane:r ~cat:Cat.Loop "boundary";
-          run_boundary t r b cores.(r) ~args ~kernel;
+          run_boundary t r b cores.(r) ~execs ~args ~kernel;
           Obs_counters.add Obs.boundary_elements (range_size b - range_size cores.(r));
           if traced then Obs.end_span ~lane:r ()
         end)
@@ -480,13 +508,23 @@ let fetch_interior t dat =
     (dat_dist t dat).windows;
   out
 
-(* Pull every window's owned values (global ghost cells included — the edge
-   ranks own them) back into the global padded array: the inverse of
-   [push].  Reading only from owners never sees a stale ghost copy, so the
-   result is exact whatever each dataset's current [fresh_depth]. *)
-let pull t dat =
-  let global = Exec.dat_view dat in
-  Array.iter (fun w -> copy_box ~dim:dat.dim w.view global w.own) (dat_dist t dat).windows
+(* Copy every window's owned values (global ghost cells included — the
+   edge ranks own them) into [dst], a view of the padded array's shape.
+   Reading only from owners never sees a stale ghost copy, so the result is
+   exact whatever each dataset's current [fresh_depth]. *)
+let assemble t dat (dst : Exec.view) =
+  Array.iter (fun w -> copy_box ~dim:dat.dim w.view dst w.own) (dat_dist t dat).windows
+
+(* Pull the owners' values back into the global padded array: the inverse
+   of [push]. *)
+let pull t dat = assemble t dat (Exec.dat_view dat)
+
+(* A fresh copy of the padded array, ghost cells included, from the
+   owners. *)
+let fetch_padded t dat =
+  let out = Array.make (Array.length dat.data) 0.0 in
+  assemble t dat { (Exec.dat_view dat) with Exec.vdata = out };
+  out
 
 (* Reflective boundary mirror on every rank's window (see [Boundary]): each
    window mirrors the global ghost cells it owns over its stored box, one

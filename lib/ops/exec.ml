@@ -89,12 +89,15 @@ type compiled_arg =
       gather : float array -> int -> int -> int -> unit; (* staging buffer, x, y, z *)
       scatter : float array -> int -> int -> int -> unit;
     }
-  | C_gbl of { user_buf : float array; access : Access.t }
+  | C_gbl of { len : int; access : Access.t } (* the buffer is the running call's *)
   | C_idx of int (* number of iteration indices *)
 
-type resolvers = { resolve_dat : dat -> view }
+(* Where an executor addresses each dataset: its view, and the array the
+   view reads, which a cached executor is checked against.  The global
+   ones are the padded arrays; a rank's are its windows. *)
+type resolvers = { resolve_dat : dat -> view; resolve_data : dat -> float array }
 
-let global_resolvers = { resolve_dat = dat_view }
+let global_resolvers = { resolve_dat = dat_view; resolve_data = (fun dat -> dat.data) }
 
 let ignore4 _ _ _ _ = ()
 
@@ -198,31 +201,34 @@ let compile ?(resolvers = global_resolvers) args =
     (function
       | Arg_dat { dat; stencil; access; stride } ->
         compile_dat (resolvers.resolve_dat dat) ~dim:dat.dim ~stencil ~access ~stride
-      | Arg_gbl { buf; access; _ } -> C_gbl { user_buf = buf; access }
+      | Arg_gbl { buf; access; _ } -> C_gbl { len = Array.length buf; access }
       | Arg_idx n -> C_idx n)
     (Array.of_list args)
 
 (* Freshness of a cached executor against the live arguments: dataset
-   backing arrays are compared physically (window substitution or any data
-   replacement invalidates).  The array and the list are walked together,
-   so a warm call allocates nothing here. *)
-let arg_matches c arg =
+   backing arrays are compared physically against the arrays [resolvers]
+   give (the padded arrays, or a rank's windows), so window substitution
+   or any data replacement invalidates.  A global matches on its length
+   and access: each frame binds the running call's buffer.  The array and
+   the list are walked together, so a warm call allocates nothing
+   here. *)
+let arg_matches ~resolvers c arg =
   match (c, arg) with
   | C_dat cd, Arg_dat { dat; stencil; access; stride } ->
-    cd.view.vdata == dat.data && cd.access = access && cd.stencil = stencil
+    cd.view.vdata == resolvers.resolve_data dat && cd.access = access && cd.stencil = stencil
     && cd.stride = stride
-  | C_gbl cg, Arg_gbl { buf; access; _ } -> cg.user_buf == buf && cg.access = access
+  | C_gbl cg, Arg_gbl { buf; access; _ } -> cg.len = Array.length buf && cg.access = access
   | C_idx _, Arg_idx _ -> true
   | (C_dat _ | C_gbl _ | C_idx _), _ -> false
 
-let rec matches_from compiled i = function
+let rec matches_from ~resolvers compiled i = function
   | [] -> i = Array.length compiled
   | arg :: rest ->
     i < Array.length compiled
-    && arg_matches compiled.(i) arg
-    && matches_from compiled (i + 1) rest
+    && arg_matches ~resolvers compiled.(i) arg
+    && matches_from ~resolvers compiled (i + 1) rest
 
-let compiled_matches compiled args = matches_from compiled 0 args
+let compiled_matches ~resolvers compiled args = matches_from ~resolvers compiled 0 args
 
 let has_globals compiled =
   Array.exists (function C_gbl _ -> true | C_dat _ | C_idx _ -> false) compiled
@@ -251,24 +257,28 @@ let in_place compiled i =
     clash_free compiled i view access 0
   | C_dat _ | C_gbl _ | C_idx _ -> false
 
-(* A frame's buffers: the global accumulators, and in a staging frame one
-   staging buffer per dataset argument and one slot per iteration index;
-   a walker frame's datasets get none ([||]). *)
-let make_buffers ~staging compiled =
-  let n = Array.length compiled in
-  let bufs = Array.make n [||] in
-  for i = 0 to n - 1 do
+(* A frame's buffers, argument [i] on from [args], the running call's
+   list: the global accumulators (a copy of the call's [Read], [Min] or
+   [Max] buffer, zeros for an [Inc]), and in a staging frame one staging
+   buffer per dataset argument and one slot per iteration index; a walker
+   frame's datasets get none ([||]). *)
+let rec fill_buffers ~staging compiled bufs i = function
+  | [] -> ()
+  | arg :: rest ->
     bufs.(i) <-
-      (match compiled.(i) with
-      | C_dat { dim; stencil; _ } -> if staging then Array.make (dim * npoints stencil) 0.0 else [||]
-      | C_idx n -> Array.make n 0.0
-      | C_gbl { user_buf; access } -> (
-        match access with
-        | Access.Read | Access.Min | Access.Max -> Array.copy user_buf
-        | Access.Inc -> Array.make (Array.length user_buf) 0.0
-        | Access.Write | Access.Rw ->
-          invalid_arg "ops: Write/Rw access on a global argument"))
-  done;
+      (match (compiled.(i), arg) with
+      | C_dat { dim; stencil; _ }, _ ->
+        if staging then Array.make (dim * npoints stencil) 0.0 else [||]
+      | C_idx n, _ -> Array.make n 0.0
+      | C_gbl { len; access = Access.Inc }, _ -> Array.make len 0.0
+      | C_gbl { access = Access.Read | Access.Min | Access.Max; _ }, Arg_gbl { buf; _ } ->
+        Array.copy buf
+      | C_gbl _, _ -> invalid_arg "ops: Write/Rw access on a global argument");
+    fill_buffers ~staging compiled bufs (i + 1) rest
+
+let make_buffers ~staging compiled args =
+  let bufs = Array.make (Array.length compiled) [||] in
+  fill_buffers ~staging compiled bufs 0 args;
   bufs
 
 (* ---- Frames: one worker's state for one loop call ---------------------- *)
@@ -370,20 +380,21 @@ let staging_accessors compiled bufs =
   done;
   accs
 
-(* One worker's frame over [compiled]: a walker frame when the kernel has
-   a range walker that runs over it, a staging frame otherwise.  The two
-   always-on counters tell an accessor kernel's two kinds apart. *)
-let make_frame compiled kernel =
+(* One worker's frame over [compiled] for a call with arguments [args]: a
+   walker frame when the kernel has a range walker that runs over it, a
+   staging frame otherwise.  The two always-on counters tell an accessor
+   kernel's two kinds apart. *)
+let make_frame compiled kernel args =
   let walker =
     match kernel with Accessor k -> range_walker k compiled 0 | Staged _ -> None
   in
   match walker with
   | Some walker ->
     Am_obs.Counters.incr Am_obs.Obs.ops_walker_frames;
-    let bufs = make_buffers ~staging:false compiled in
+    let bufs = make_buffers ~staging:false compiled args in
     { compiled; kernel; bufs; accs = [||]; walk = Some { walker; places = places compiled bufs } }
   | None ->
-    let bufs = make_buffers ~staging:true compiled in
+    let bufs = make_buffers ~staging:true compiled args in
     let accs =
       match kernel with
       | Accessor _ ->
@@ -450,22 +461,26 @@ let staged_view args = function
 
 (* ---- Global reductions -------------------------------------------------- *)
 
-let merge_globals compiled buffers =
-  Array.iteri
-    (fun i -> function
-      | C_gbl { user_buf; access } -> Am_loop.Loop.fold access user_buf buffers.(i)
-      | C_dat _ | C_idx _ -> ())
-    compiled
+(* Fold one worker's global accumulators into the running call's global
+   buffers, [args] being its argument list. *)
+let rec merge_from buffers i = function
+  | [] -> ()
+  | Arg_gbl { buf; access; _ } :: rest ->
+    Am_loop.Loop.fold access buf buffers.(i);
+    merge_from buffers (i + 1) rest
+  | (Arg_dat _ | Arg_idx _) :: rest -> merge_from buffers (i + 1) rest
 
-(* Fold a frame's global accumulators into the user buffers. *)
-let merge_frame f = if has_globals f.compiled then merge_globals f.compiled f.bufs
+let merge_globals args buffers = merge_from buffers 0 args
 
-(* Pairwise tree reduction of per-worker frames' accumulators into the user
-   buffers (replaces the mutex-serialised per-chunk merge). *)
-let merge_worker_globals compiled frames =
+(* Fold a frame's global accumulators into the call's buffers. *)
+let merge_frame f args = if has_globals f.compiled then merge_globals args f.bufs
+
+(* Pairwise tree reduction of per-worker frames' accumulators into the
+   call's buffers (replaces the mutex-serialised per-chunk merge). *)
+let merge_worker_globals compiled args frames =
   Am_loop.Loop.tree_merge
     (List.map (fun f -> f.bufs) frames)
-    ~finish:(merge_globals compiled)
+    ~finish:(merge_globals args)
     ~combine:(fun dst src ->
       Array.iteri
         (fun i -> function
@@ -475,38 +490,34 @@ let merge_worker_globals compiled frames =
 
 (* ---- Sequential ----------------------------------------------------- *)
 
-let run_seq ?resolvers ?compiled ~range ~args ~kernel () =
-  let compiled =
-    match compiled with Some c -> c | None -> compile ?resolvers args
-  in
-  let f = make_frame compiled kernel in
+(* Every engine runs [compiled], the executor a loop handle keeps for the
+   call (one per rank on a partitioned context). *)
+let run_seq ~compiled ~range ~args ~kernel =
+  let f = make_frame compiled kernel args in
   run_range f ~range;
-  merge_frame f
+  merge_frame f args
 
 (* ---- Shared memory ("OpenMP") --------------------------------------- *)
 
 (* The pool splits [axis] — the block's outermost — into chunks, each run
    through a worker-local frame; global partials tree-merge at the end. *)
-let run_shared ?resolvers ?compiled pool ~axis ~range ~args ~kernel =
-  let compiled =
-    match compiled with Some c -> c | None -> compile ?resolvers args
-  in
+let run_shared ~compiled pool ~axis ~range ~args ~kernel =
   let frames =
     Am_taskpool.Pool.parallel_for_local pool ~lo:(lo axis range) ~hi:(hi axis range)
-      ~local:(fun () -> make_frame compiled kernel)
+      ~local:(fun () -> make_frame compiled kernel args)
       ~body:(fun f lo hi -> run_range f ~range:(with_axis axis range ~lo ~hi))
   in
-  if has_globals compiled then merge_worker_globals compiled frames
+  if has_globals compiled then merge_worker_globals compiled args frames
 
 (* Intra-rank execution of the distributed backends: hybrid MPI+OpenMP
    runs each rank's share through the shared-memory engine (centre-only
    writes make this race-free with no per-rank planning needed). *)
 type rank_exec = Rank_seq | Rank_shared of Am_taskpool.Pool.t
 
-let run_rank exec ~resolvers ~axis ~range ~args ~kernel =
+let run_rank exec ~compiled ~axis ~range ~args ~kernel =
   match exec with
-  | Rank_seq -> run_seq ~resolvers ~range ~args ~kernel ()
-  | Rank_shared pool -> run_shared ~resolvers pool ~axis ~range ~args ~kernel
+  | Rank_seq -> run_seq ~compiled ~range ~args ~kernel
+  | Rank_shared pool -> run_shared ~compiled pool ~axis ~range ~args ~kernel
 
 (* ---- GPU simulator --------------------------------------------------- *)
 
@@ -557,11 +568,8 @@ let tile_reach compiled i =
    frame's walker over the scratch views, or its staging point walker —
    and written center regions are copied back: the structure of OPS's
    shared-memory CUDA kernels. *)
-let run_cuda ?compiled (config : cuda_config3) ~range ~args ~kernel =
-  let compiled =
-    match compiled with Some c -> c | None -> compile args
-  in
-  let f = make_frame compiled kernel in
+let run_cuda ~compiled (config : cuda_config3) ~range ~args ~kernel =
+  let f = make_frame compiled kernel args in
   let args_arr = Array.of_list args in
   let reach = Array.init (Array.length compiled) (tile_reach compiled) in
   let tiles lo hi t = (hi - lo + t - 1) / t in
@@ -662,4 +670,4 @@ let run_cuda ?compiled (config : cuda_config3) ~range ~args ~kernel =
       done
     done
   done;
-  merge_frame f
+  merge_frame f args

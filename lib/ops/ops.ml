@@ -118,6 +118,7 @@ let fill = Types.fill
 let get dat ~x ~y ~c = Types.get dat ~x ~y ~z:0 ~c
 let set dat ~x ~y ~c v = Types.set dat ~x ~y ~z:0 ~c v
 let fetch_interior = Pipeline.fetch_interior
+let fetch_padded = Pipeline.fetch_padded
 let init ctx dat f = Pipeline.init ctx dat (fun x y _ c -> f x y c)
 
 (* ---- Partitioning -------------------------------------------------------- *)

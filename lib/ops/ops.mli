@@ -249,6 +249,11 @@ val set : dat -> x:int -> y:int -> c:int -> float -> unit
     windows when partitioned. *)
 val fetch_interior : ctx -> dat -> float array
 
+(** A copy of the padded array, ghost cells included (x fastest, the layout
+    of {!init}'s points), pulled from the owning ranks when partitioned:
+    the edge ranks own the global ghost cells. *)
+val fetch_padded : ctx -> dat -> float array
+
 (** [init ctx dat f] sets every addressable point (ghosts included) to
     [f x y c], pushing to rank windows when partitioned. *)
 val init : ctx -> dat -> (int -> int -> int -> float) -> unit
@@ -348,17 +353,20 @@ val mirror_halo :
 
 (** {1 The parallel loop} *)
 
-(** Per-call-site loop handle. A handle caches the compiled executor
-    (per-argument offset tables and gather/scatter closures) and the
-    kernel's footprint for one [par_loop] call site, so repeated
-    invocations with the same arguments skip argument compilation and the
-    footprint key. Freshness is re-checked on every call with a few pointer
+(** Per-call-site loop handle, optional. A handle caches the compiled
+    executor (per-argument offset tables and gather/scatter closures) for
+    one [par_loop] call site, and on a partitioned context one executor per
+    rank over the rank's windows, so repeated invocations skip argument
+    compilation. Freshness is re-checked on every call with a few pointer
     compares; a changed dataset array, stencil, access or stride recompiles
-    transparently. Both kernel forms share the executor, so one handle may
-    serve {!par_loop} and {!par_loop_acc}; loops that take one argument
-    list may share a handle too, with the footprint remembered per loop
-    name. On partitioned contexts the distributed backends resolve per-rank
-    windows, so there a handle only remembers the footprint. *)
+    transparently. Executors hold no global buffer: each call's globals are
+    bound when it runs, so fresh literals cost no recompile. A call without
+    a handle is cached by loop name and argument shape (datasets, stencils,
+    strides, access modes, global names and lengths): it runs on the handle
+    of its entry in the context's call-site table, which also keeps each
+    entry's footprint. Both kernel forms share the executor, so one handle
+    may serve {!par_loop} and {!par_loop_acc}; loops that take one argument
+    list may share a handle too, with the footprint kept per loop name. *)
 type handle
 
 val make_handle : unit -> handle

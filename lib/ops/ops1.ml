@@ -65,6 +65,7 @@ let interior (dat : dat) = { xlo = 0; xhi = dat.Types.xsize }
 let get dat ~x ~c = Types.get dat ~x ~y:0 ~z:0 ~c
 let set dat ~x ~c v = Types.set dat ~x ~y:0 ~z:0 ~c v
 let fetch_interior = Pipeline.fetch_interior
+let fetch_padded = Pipeline.fetch_padded
 let init ctx dat f = Pipeline.init ctx dat (fun x _ _ c -> f x c)
 
 let partition ctx ~n_ranks ~ref_xsize =

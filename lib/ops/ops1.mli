@@ -89,6 +89,10 @@ val set : dat -> x:int -> c:int -> float -> unit
 (** Interior values, assembled from rank windows when partitioned. *)
 val fetch_interior : ctx -> dat -> float array
 
+(** A copy of the padded array, ghost cells included, pulled from the
+    owning ranks when partitioned, as {!Ops.fetch_padded}. *)
+val fetch_padded : ctx -> dat -> float array
+
 (** [init ctx dat f] sets every addressable cell (ghosts included) to
     [f x c], pushing to rank windows when partitioned. *)
 val init : ctx -> dat -> (int -> int -> float) -> unit
@@ -145,7 +149,8 @@ val mirror_halo : ctx -> ?depth:int -> ?sign:float -> ?center:centering -> dat -
 
 (** {1 The parallel loop} *)
 
-(** Per-call-site executor handle, as in {!Ops.make_handle}. *)
+(** Per-call-site executor handle, optional, as in {!Ops.make_handle}: a
+    call without one is cached by loop name and argument shape. *)
 type handle
 
 val make_handle : unit -> handle

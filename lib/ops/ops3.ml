@@ -89,6 +89,7 @@ let interior = Types.interior
 let get = Types.get
 let set = Types.set
 let fetch_interior = Pipeline.fetch_interior
+let fetch_padded = Pipeline.fetch_padded
 let init = Pipeline.init
 
 let partition ctx ~n_ranks ~ref_zsize =

@@ -124,6 +124,10 @@ val set : dat -> x:int -> y:int -> z:int -> c:int -> float -> unit
     partitioned. *)
 val fetch_interior : ctx -> dat -> float array
 
+(** A copy of the padded array, ghost cells included, pulled from the
+    owning ranks when partitioned, as {!Ops.fetch_padded}. *)
+val fetch_padded : ctx -> dat -> float array
+
 (** [init ctx dat f] sets every addressable point (ghosts included) to
     [f x y z c], pushing to rank windows when partitioned. *)
 val init : ctx -> dat -> (int -> int -> int -> int -> float) -> unit
@@ -206,7 +210,8 @@ val mirror_halo :
 
 (** {1 The parallel loop} *)
 
-(** Per-call-site executor handle, as in {!Ops.make_handle}. *)
+(** Per-call-site executor handle, optional, as in {!Ops.make_handle}: a
+    call without one is cached by loop name and argument shape. *)
 type handle
 
 val make_handle : unit -> handle

@@ -1,6 +1,6 @@
 (* The context behind the [Ops1], [Ops] and [Ops3] facades, and what their
    [par_loop] adds to the shared loop pipeline ([Am_loop.Loop]): argument
-   validation, the descriptor, the footprint key salt and probe view, and
+   validation, the descriptor, the call-site shape and probe view, and
    execution on the rank-3 core of [Types], [Exec] and [Exec_check].  A
    context knows its block rank, which picks the axis the Shared backend
    splits (x in 1D, y in 2D, z in 3D); everything else is rank-blind.
@@ -24,23 +24,26 @@ let check_tile ~fn ~field size =
 
 (* Per-call-site loop handle: caches the compiled gather/scatter executor
    (offset tables and specialised closures) so repeated invocations skip
-   argument compilation, and memoises the footprint.  Freshness is a
-   handful of pointer compares per call; a changed dataset array, stencil
-   or access recompiles.  The executor ignores the loop name, so a handle
-   two loops share serves both; the footprint memo checks it. *)
+   argument compilation, and on a partitioned context one executor per
+   rank, over the rank's windows.  Freshness is a handful of pointer
+   compares per call; a changed dataset array, stencil or access
+   recompiles.  A call without a handle runs on the handle of its entry in
+   the context's call-site table.  The executors ignore the loop name, so
+   a handle two loops share serves both; the table keeps their footprints
+   apart. *)
 type handle = {
   mutable h_exec : Exec.compiled_arg array option;
-  h_memo : Types.arg Loop.memo;
+  mutable h_ranks : Exec.compiled_arg array array; (* per rank, [||] until compiled *)
 }
 
-let make_handle () = { h_exec = None; h_memo = Loop.memo () }
+let make_handle () = { h_exec = None; h_ranks = [||] }
 
 type 'backend ctx = {
   rank : int;
   env : Types.env;
   mutable backend : 'backend;
   mutable exec : exec;
-  loop : Loop.t;
+  loop : (Types.arg, handle) Loop.t;
   mutable dist : Dist.t option; (* the decomposition, once partitioned *)
 }
 
@@ -80,33 +83,6 @@ let observed_exts args (fp : Probe.t) =
          | Types.Arg_dat _ | Types.Arg_gbl _ | Types.Arg_idx _ -> -1)
        args)
 
-(* The concrete stencil offsets and strides, which [Descr] abstracts to a
-   point count and radius: part of the cache key because [observed_exts]
-   indexes masks by offset position — same-shaped descriptors with
-   different offset sets must probe separately. *)
-let stencil_salt args =
-  let offsets = function
-    | Types.S1 a -> Array.to_list (Array.map (Printf.sprintf "(%d)") a)
-    | Types.S2 a ->
-      Array.to_list (Array.map (fun (dx, dy) -> Printf.sprintf "(%d,%d)" dx dy) a)
-    | Types.S3 a ->
-      Array.to_list
-        (Array.map (fun (dx, dy, dz) -> Printf.sprintf "(%d,%d,%d)" dx dy dz) a)
-  in
-  String.concat ";"
-    (List.map
-       (function
-         | Types.Arg_dat { stencil; stride; _ } ->
-           String.concat "" (offsets stencil)
-           ^
-           if stride = Types.unit_stride then ""
-           else
-             Printf.sprintf "~%d/%d,%d/%d,%d/%d" stride.Types.xn stride.Types.xd
-               stride.Types.yn stride.Types.yd stride.Types.zn stride.Types.zd
-         | Types.Arg_gbl _ -> "g"
-         | Types.Arg_idx _ -> "i")
-       args)
-
 (* Which argument positions are iteration-index buffers, so the probe
    feeds them grid-like coordinates (the descriptor flattens [Arg_idx]
    into a Read global the probe could not otherwise distinguish). *)
@@ -120,7 +96,7 @@ let idx_flags args =
 
 let resolve_compiled handle args =
   match handle.h_exec with
-  | Some c when Exec.compiled_matches c args ->
+  | Some c when Exec.compiled_matches ~resolvers:Exec.global_resolvers c args ->
     Am_obs.Counters.incr Am_obs.Obs.exec_hits;
     c
   | Some _ | None ->
@@ -156,6 +132,13 @@ let fetch_interior ctx dat =
   match ctx.dist with
   | Some d -> Dist.fetch_interior d dat
   | None -> Types.fetch_interior dat
+
+(* A copy of the padded array, ghost cells included, pulled from the
+   owning ranks when partitioned. *)
+let fetch_padded ctx dat =
+  match ctx.dist with
+  | Some d -> Dist.fetch_padded d dat
+  | None -> Array.copy dat.Types.data
 
 (* The global padded array of a dataset, pulled back from its owning ranks'
    windows, and the inverse scatter into every window. *)
@@ -238,15 +221,19 @@ let execute ctx ~name ~foot handle range args kernel =
       if ctx.loop.Loop.tighten then Option.map (fun fi -> fi.Probe.in_read_ext) foot
       else None
     in
+    if Array.length handle.h_ranks <> Dist.n_ranks d then
+      handle.h_ranks <- Array.make (Dist.n_ranks d) [||];
     Dist.par_loop ?ext ~halo_seconds:ctx.loop.Loop.halo_seconds
-      ~overlap_seconds:ctx.loop.Loop.overlap_seconds d ~range ~args ~kernel
+      ~overlap_seconds:ctx.loop.Loop.overlap_seconds d ~execs:handle.h_ranks ~range ~args
+      ~kernel
   | None -> (
-    let compiled = Option.map (fun h -> resolve_compiled h args) handle in
     match ctx.exec with
-    | Seq -> Exec.run_seq ?compiled ~range ~args ~kernel ()
+    | Seq -> Exec.run_seq ~compiled:(resolve_compiled handle args) ~range ~args ~kernel
     | Shared pool ->
-      Exec.run_shared ?compiled pool ~axis:(Types.outer_axis ctx.rank) ~range ~args ~kernel
-    | Cuda config -> Exec.run_cuda ?compiled config ~range ~args ~kernel
+      Exec.run_shared ~compiled:(resolve_compiled handle args) pool
+        ~axis:(Types.outer_axis ctx.rank) ~range ~args ~kernel
+    | Cuda config ->
+      Exec.run_cuda ~compiled:(resolve_compiled handle args) config ~range ~args ~kernel
     | Check ->
       Exec_check.run ~light:(Loop.light foot) ~rank:ctx.rank ~name ~range ~args ~kernel ())
 
@@ -291,9 +278,8 @@ include Loop.Make (struct
   type kernel = Exec.kernel
 
   let state ctx = ctx.loop
-  let memo h = h.h_memo
-  let same_args = Types.args_match
-  let salt = stencil_salt
+  let make_handle = make_handle
+  let same_shape = Types.same_shape
 
   let probe descr args kernel =
     let fp =

@@ -105,22 +105,25 @@ type arg =
   | Arg_gbl of { name : string; buf : float array; access : Access.t }
   | Arg_idx of int (* the kernel receives the block's [rank] iteration indices *)
 
-(* Whether two argument lists name the same datasets, stencils, strides,
-   global buffers and access modes: the compares [Exec.compiled_matches]
-   makes, list against list, allocating nothing. *)
-let rec args_match a b =
+(* Whether two argument lists are one call site's: the same datasets, by
+   physical identity, the same stencils (one array, or equal offsets, so a
+   stencil built per call still matches), strides and access modes, and
+   globals of the same name and length (their buffers are bound per call).
+   Allocates nothing. *)
+let rec same_shape a b =
   match (a, b) with
   | [], [] -> true
-  | x :: a, y :: b -> arg_match x y && args_match a b
+  | x :: a, y :: b -> same_arg x y && same_shape a b
   | [], _ :: _ | _ :: _, [] -> false
 
-and arg_match x y =
+and same_arg x y =
   match (x, y) with
   | Arg_dat d1, Arg_dat d2 ->
     d1.dat == d2.dat && d1.access = d2.access
     && (d1.stencil == d2.stencil || d1.stencil = d2.stencil)
     && d1.stride = d2.stride
-  | Arg_gbl g1, Arg_gbl g2 -> g1.buf == g2.buf && g1.access = g2.access
+  | Arg_gbl g1, Arg_gbl g2 ->
+    String.equal g1.name g2.name && Array.length g1.buf = Array.length g2.buf && g1.access = g2.access
   | Arg_idx r1, Arg_idx r2 -> r1 = r2
   | (Arg_dat _ | Arg_gbl _ | Arg_idx _), _ -> false
 

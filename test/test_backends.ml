@@ -509,8 +509,7 @@ let test_elem_dispatch () =
       Alcotest.(check int) "shared 2: one call per coloured block" ((ring + 47) / 48)
         (Atomic.get p.ecalls);
       (* Walker frames run one element per call where the executor works
-         element by element: a Vec lane, a Cuda_sim NOSOA block, an
-         overlapped rank's core and boundary subsets. *)
+         element by element: a Vec lane, a Cuda_sim NOSOA block. *)
       let cuda strategy = Some (Op2.Cuda_sim { Am_op2.Exec_cuda.block_size = 48; strategy }) in
       List.iter
         (fun (name, backend, setup, loops) ->
@@ -526,8 +525,37 @@ let test_elem_dispatch () =
         [
           ("vec", Some (Op2.Vec { Am_op2.Exec_vec.width = 4 }), ignore, [ Direct; Coloured ]);
           ("cuda NOSOA", cuda Am_op2.Exec_cuda.Global_aos, ignore, [ Direct; Coloured ]);
-          ("overlap, 3 ranks", None, partitioned ~overlap:true Op2.Rank_seq, [ Reading ]);
         ];
+      (* An overlapped rank's core and boundary subsets are ascending: one
+         call per maximal run of consecutive elements. *)
+      let runs elems =
+        let n = ref 0 in
+        Array.iteri (fun i e -> if i = 0 || e <> elems.(i - 1) + 1 then incr n) elems;
+        !n
+      in
+      let ring_ctx = ref None in
+      let p, once =
+        ring_run
+          ~setup:(fun r ->
+            partitioned ~overlap:true Op2.Rank_seq r;
+            ring_ctx := Some r.rctx)
+          Reading
+      in
+      let d = Option.get (Op2.dist (Option.get !ring_ctx)) in
+      let per_run =
+        Hashtbl.fold
+          (fun _ split acc ->
+            Array.fold_left
+              (fun acc s -> acc + runs s.Am_op2.Dist.core + runs s.Am_op2.Dist.boundary)
+              acc split)
+          d.Am_op2.Dist.rank_splits 0
+      in
+      Alcotest.(check bool) "overlap, 3 ranks: runs merge elements" true (per_run < ring);
+      Alcotest.(check int) "overlap, 3 ranks: one element-walker call per run" per_run
+        (Atomic.get p.ecalls);
+      Alcotest.(check int) "overlap, 3 ranks: calls cover every element" ring
+        (Atomic.get p.covered);
+      Alcotest.(check bool) "overlap, 3 ranks: every element once" true once;
       (* Staging frames instead, the point walker at every element. *)
       let soa dat r = Op2.convert_layout r.rctx (dat r) Op2.Soa in
       let aliased r _ =

@@ -320,12 +320,11 @@ let bits a = Array.map Int64.bits_of_float a
 (* The point walker over every element, as Seq ran before element walkers. *)
 let point_walker ~set_size args kernel =
   let compiled = Exec_common.compile args in
-  let frame = Exec_common.make_frame compiled (Exec_common.Accessor kernel) in
+  let frame = Exec_common.make_frame compiled (Exec_common.Accessor kernel) args in
   for e = 0 to set_size - 1 do
     Exec_common.run_element frame e
   done;
-  if Exec_common.has_globals compiled then
-    Exec_common.merge_globals compiled frame.Exec_common.bufs
+  if Exec_common.has_globals compiled then Exec_common.merge_globals args frame.Exec_common.bufs
 
 let state ctx dats gbls = List.map (fun d -> bits (Op2.fetch ctx d)) dats @ List.map bits gbls
 

@@ -154,16 +154,47 @@ let test_more_data_than_airfoil () =
 (* ---- Allocation ---- *)
 
 (* One Seq iteration at the driver's default size (6144 cells, 51 loop
-   calls) through the accessor entry point.  The pin (measured: 50.7k
-   words) is per-call bookkeeping — Hydra's loops carry no handles, so
-   every call compiles its executor — and sits far below the ~300k words
-   that one boxed float per element would add. *)
+   calls) through the accessor entry point.  The pin (measured: 13.5k words)
+   is per-call bookkeeping — Hydra's loops pass no handle, so each finds
+   its entry in the context's call-site table and runs on the entry's
+   handle and cached executor — and sits far below the ~300k words that
+   one boxed float per element would add. *)
 let test_alloc_budget () =
   let t = App.create ~nx:96 ~ny:64 () in
   ignore (App.iteration t);
   let words = Gc_util.minor_words (fun () -> ignore (App.iteration t)) in
-  if words > 64_000.0 then
-    Alcotest.failf "one Seq iteration allocated %.0f minor words (budget 64000)" words
+  if words > 17_000.0 then
+    Alcotest.failf "one Seq iteration allocated %.0f minor words (budget 17000)" words
+
+(* A warm handle-less [rk_stage], with its fresh [alpha] global, costs what
+   the same call costs on an explicit handle with a hoisted [alpha]
+   buffer: both run on a handle's plan entry and executor, and the
+   handle-less call's table hit allocates nothing. *)
+let test_handleless_call () =
+  let t = App.create ~nx ~ny () in
+  let rms = [| 0.0 |] and hoisted = [| 0.5 |] in
+  let rk_stage ?handle alpha =
+    Op2.par_loop_acc t.App.ctx ~name:"rk_stage" ~info:Am_hydra.Kernels.rk_stage_info ?handle
+      t.App.cells
+      [
+        Op2.arg_dat t.App.qold Am_core.Access.Read;
+        Op2.arg_dat t.App.q Am_core.Access.Write;
+        Op2.arg_dat t.App.res Am_core.Access.Rw;
+        Op2.arg_dat t.App.adt Am_core.Access.Read;
+        Op2.arg_gbl ~name:"alpha" (alpha ()) Am_core.Access.Read;
+        Op2.arg_gbl ~name:"rms" rms Am_core.Access.Inc;
+      ]
+      Am_hydra.Kernels.rk_stage_acc
+  in
+  let handle = Op2.make_handle () in
+  let hoist () = hoisted and fresh () = [| 0.5 |] in
+  rk_stage ~handle hoist;
+  rk_stage fresh;
+  let with_handle = Gc_util.minor_words (fun () -> rk_stage ~handle hoist) in
+  let without = Gc_util.minor_words (fun () -> rk_stage fresh) in
+  if without > with_handle +. 50.0 then
+    Alcotest.failf "a warm rk_stage allocated %.0f words without a handle, %.0f with one" without
+      with_handle
 
 (* Every Hydra kernel is generated, and on Seq all 51 calls of an
    iteration run its element walker: no frame stages. *)
@@ -204,6 +235,7 @@ let () =
           Alcotest.test_case "loop count" `Quick test_loop_count_per_iteration;
           Alcotest.test_case "more data than airfoil" `Quick test_more_data_than_airfoil;
           Alcotest.test_case "seq iteration allocation budget" `Quick test_alloc_budget;
+          Alcotest.test_case "handle-less call as cheap as a handle" `Quick test_handleless_call;
           Alcotest.test_case "seq: every call an element walker" `Quick
             test_element_walkers_on_seq;
         ] );

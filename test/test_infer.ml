@@ -418,12 +418,13 @@ let test_verify_severity_split () =
     "clean footprints are withheld from consumers" false
     (Probe.clean fp)
 
-(* ---- cache key: concrete offsets, not abstracted shape ----------------- *)
+(* ---- call-site shape: concrete offsets, not abstracted shape ---------- *)
 
 (* Two loops under one name whose stencils agree on everything [Descr]
    renders (2 points, extent 1) but differ in offsets: the horizontal and
-   vertical variants must each get their own cached footprint — a shared
-   entry would apply one variant's read extents to the other's offsets. *)
+   vertical variants are two call sites, each with its own footprint — a
+   shared one would apply one variant's read extents to the other's
+   offsets. *)
 let test_stencil_salt () =
   let ctx = Ops.create () in
   let grid = Ops.decl_block ctx ~name:"grid" in

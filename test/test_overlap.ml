@@ -576,6 +576,165 @@ let test_ops_shapes_overlap_differential () =
    brute-force enumeration where that is still enumerable — and each
    outcome class carries a replay token for AM_SCHED. *)
 
+(* ---- Fresh globals per call ---- *)
+
+(* Partitioned executors are cached per rank across calls, so each call
+   must bind its own globals: read its fresh [Read] buffer and reduce into
+   its fresh [Inc] one.  Integer-valued data keeps every sum exact, so
+   the partitioned results equal Seq's bitwise. *)
+let fresh_scales = [ 1.0; 2.0; -3.0 ]
+
+let test_op2_fresh_globals () =
+  let p = { nx = 9; ny = 8; scramble = Some 7; dim = 1; steps = []; reps = 1 } in
+  let run configure =
+    let b = build p in
+    let n = Array.length (Op2.fetch b.ctx b.u) in
+    Op2.update b.ctx b.u (Array.init n (fun i -> Float.of_int (1 + (i mod 7))));
+    configure b;
+    (* Two indirect reads: the partitioned loop runs phased, core then
+       boundary, on each rank's cached executor. *)
+    List.map
+      (fun s ->
+        let sum = [| 0.0 |] in
+        Op2.par_loop b.ctx ~name:"edge_sum" b.edges
+          [
+            Op2.arg_dat_indirect b.u b.e2c 0 Access.Read;
+            Op2.arg_dat_indirect b.u b.e2c 1 Access.Read;
+            Op2.arg_gbl ~name:"s" [| s |] Access.Read;
+            Op2.arg_gbl ~name:"sum" sum Access.Inc;
+          ]
+          (fun a -> a.(3).(0) <- a.(3).(0) +. (a.(2).(0) *. (a.(0).(0) +. a.(1).(0))));
+        sum.(0))
+      fresh_scales
+  in
+  let seq = run ignore in
+  List.iter
+    (fun (mode, mname) ->
+      let dist =
+        run (fun b ->
+            Op2.partition b.ctx ~n_ranks:3 ~strategy:(Op2.Kway_through b.e2c);
+            Op2.set_comm_mode b.ctx mode)
+      in
+      List.iteri
+        (fun i (a, d) ->
+          if a <> d then
+            Alcotest.failf "kway(3) %s, call %d: seq sum %.17g, partitioned %.17g" mname i a d)
+        (List.combine seq dist))
+    [ (Op2.Blocking, "blocking"); (Op2.Overlap, "overlap") ]
+
+(* The OPS twin: Ops3 z-slabs and Ops rows, a stencil read, a fresh Read
+   scale and a fresh Inc or Max reduction on every call (under overlap
+   the Max loop runs its core and boundary boxes as separate frames). *)
+let test_ops_fresh_globals () =
+  let check what seq dist =
+    List.iteri
+      (fun i ((a_sum, a_max), (d_sum, d_max)) ->
+        if a_sum <> d_sum || a_max <> d_max then
+          Alcotest.failf "%s, call %d: seq (%.17g, %.17g), partitioned (%.17g, %.17g)" what i
+            a_sum a_max d_sum d_max)
+      (List.combine seq dist)
+  in
+  let run3 configure =
+    let ctx = Ops3.create () in
+    let grid = Ops3.decl_block ctx ~name:"g" in
+    let u = Ops3.decl_dat ctx ~name:"u" ~block:grid ~xsize:5 ~ysize:4 ~zsize:9 ~halo:1 () in
+    Ops3.init ctx u (fun x y z _ -> Float.of_int (((x + (3 * y) + (5 * z)) mod 11) - 3));
+    configure ctx;
+    List.map
+      (fun s ->
+        let sum = [| 0.0 |] and mx = [| Float.neg_infinity |] in
+        let scaled name gbl access combine =
+          Ops3.par_loop ctx ~name grid (Ops3.interior u)
+            [
+              Ops3.arg_dat u Ops3.stencil_7pt Access.Read;
+              Ops3.arg_gbl ~name:"s" [| s |] Access.Read;
+              Ops3.arg_gbl ~name gbl access;
+            ]
+            (fun a -> a.(2).(0) <- combine a.(2).(0) (a.(1).(0) *. (a.(0).(0) +. a.(0).(5) +. a.(0).(6))))
+        in
+        scaled "sum" sum Access.Inc ( +. );
+        scaled "max" mx Access.Max Float.max;
+        (sum.(0), mx.(0)))
+      fresh_scales
+  in
+  let run2 configure =
+    let ctx = Ops.create () in
+    let grid = Ops.decl_block ctx ~name:"g" in
+    let u = Ops.decl_dat ctx ~name:"u" ~block:grid ~xsize:6 ~ysize:9 ~halo:1 () in
+    Ops.init ctx u (fun x y _ -> Float.of_int (((x + (3 * y)) mod 11) - 3));
+    configure ctx;
+    List.map
+      (fun s ->
+        let sum = [| 0.0 |] and mx = [| Float.neg_infinity |] in
+        let scaled name gbl access combine =
+          Ops.par_loop ctx ~name grid (Ops.interior u)
+            [
+              Ops.arg_dat u Ops.stencil_2d_5pt Access.Read;
+              Ops.arg_gbl ~name:"s" [| s |] Access.Read;
+              Ops.arg_gbl ~name gbl access;
+            ]
+            (fun a -> a.(2).(0) <- combine a.(2).(0) (a.(1).(0) *. (a.(0).(0) +. a.(0).(1) +. a.(0).(4))))
+        in
+        scaled "sum" sum Access.Inc ( +. );
+        scaled "max" mx Access.Max Float.max;
+        (sum.(0), mx.(0)))
+      fresh_scales
+  in
+  let seq3 = run3 ignore and seq2 = run2 ignore in
+  List.iter
+    (fun overlap ->
+      let mode = if overlap then "overlap" else "blocking" in
+      check ("ops3 slabs(3) " ^ mode) seq3
+        (run3 (fun ctx ->
+             Ops3.partition ctx ~n_ranks:3 ~ref_zsize:9;
+             Ops3.set_comm_mode ctx (if overlap then Ops3.Overlap else Ops3.Blocking)));
+      check ("ops rows(3) " ^ mode) seq2
+        (run2 (fun ctx ->
+             Ops.partition ctx ~n_ranks:3 ~ref_ysize:9;
+             Ops.set_comm_mode ctx (if overlap then Ops.Overlap else Ops.Blocking))))
+    [ false; true ]
+
+(* One explicit handle serving three argument lists on a partitioned
+   context: each call must run on rank executors over its own datasets'
+   windows, so the handle's per-rank executors are rechecked on every
+   call. *)
+let test_ops_handle_per_rank () =
+  let run configure =
+    let ctx = Ops.create () in
+    let grid = Ops.decl_block ctx ~name:"g" in
+    let decl name = Ops.decl_dat ctx ~name ~block:grid ~xsize:6 ~ysize:9 ~halo:1 () in
+    let a = decl "a" and b = decl "b" and c = decl "c" in
+    Ops.init ctx a (fun x y _ -> Float.of_int (x + (3 * y)));
+    Ops.init ctx b (fun x y _ -> Float.of_int ((2 * x) - y));
+    configure ctx;
+    let handle = Ops.make_handle () in
+    let shift src dst =
+      Ops.par_loop ctx ~name:"shift" ~handle grid (Ops.interior a)
+        [ Ops.arg_dat src Ops.stencil_2d_5pt Access.Read; Ops.arg_dat dst Ops.stencil_point Access.Write ]
+        (fun x -> x.(1).(0) <- x.(0).(0) +. x.(0).(1))
+    in
+    shift a c;
+    shift b a;
+    shift c b;
+    List.map (Ops.fetch_interior ctx) [ a; b; c ]
+  in
+  let seq = run ignore in
+  List.iter
+    (fun overlap ->
+      let dist =
+        run (fun ctx ->
+            Ops.partition ctx ~n_ranks:3 ~ref_ysize:9;
+            Ops.set_comm_mode ctx (if overlap then Ops.Overlap else Ops.Blocking))
+      in
+      List.iter2
+        (fun s d ->
+          if not (Fa.approx_equal ~tol:0.0 s d) then
+            Alcotest.failf "rows(3)%s: a dataset diverges from seq (%g)"
+              (if overlap then " overlap" else "")
+              (Fa.rel_discrepancy s d))
+        seq dist)
+    [ false; true ]
+
 let perms = Sched_util.perms
 
 (* One halo-ring exchange per rank count: DPOR must cover exactly the
@@ -920,6 +1079,12 @@ let () =
             test_cloverleaf_overlap_differential;
           Alcotest.test_case "cells, slabs, pencils: overlap == blocking == seq" `Quick
             test_ops_shapes_overlap_differential;
+          Alcotest.test_case "OP2 fresh globals per call: kway(3) == seq" `Quick
+            test_op2_fresh_globals;
+          Alcotest.test_case "OPS fresh globals per call: slabs, rows == seq" `Quick
+            test_ops_fresh_globals;
+          Alcotest.test_case "OPS one handle, three argument lists: rows == seq" `Quick
+            test_ops_handle_per_rank;
         ] );
       ( "dpor",
         [

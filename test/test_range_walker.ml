@@ -14,10 +14,13 @@
    twice from the same data on the same backend: through
    [par_loop_acc] with the kernel, whose range walker runs wherever the
    dispatch rule allows it, and with the kernel's point form alone
-   ([Acc.lift k.point]).  Every dataset and global must agree to the bit
-   (an [Inc] global on Shared within 1e-10: its chunks reach the worker
-   accumulators in a timing-dependent order); on Seq the walker must run
-   exactly when no argument aliases one another writes.  A failure names
+   ([Acc.lift k.point]).  Every dataset's padded array, ghost cells
+   included ([fetch_padded] pulls it from the owning ranks when
+   partitioned), and every global must agree to the bit (an [Inc] global
+   on Shared within 1e-10: its chunks reach the worker accumulators in a
+   timing-dependent order), and a partitioned run's padded arrays must
+   equal Seq's; on Seq the walker must run exactly when no argument
+   aliases one another writes.  A failure names
    the loop, the argument and the point, and prints its replay seed
    (AM_SEED).
 
@@ -214,7 +217,6 @@ let runner rank config pool ~base:(bx, by, bz) =
         strategy = (if staged then Am_ops.Exec.Cuda_tiled else Am_ops.Exec.Cuda_global) }
   in
   let cuda3 staged = Ops3.Cuda_sim { Am_ops.Exec.tile_x = 3; tile_y = 2; tile_z = 2; staged } in
-  let partitioned = match config with Rows _ | Grid _ -> true | _ -> false in
   match rank with
   | 1 ->
     let ctx = Ops1.create () in
@@ -238,7 +240,7 @@ let runner rank config pool ~base:(bx, by, bz) =
           Ops1.par_loop_acc ctx ~name:"corpus" block
             { Ops1.xlo = r.Types.xlo; xhi = r.Types.xhi }
             args k);
-      fetch = (fun d -> if partitioned then Ops1.fetch_interior ctx d else Array.copy d.Types.data);
+      fetch = Ops1.fetch_padded ctx;
     }
   | 2 ->
     let ctx = Ops.create () in
@@ -263,7 +265,7 @@ let runner rank config pool ~base:(bx, by, bz) =
           Ops.par_loop_acc ctx ~name:"corpus" block
             { Ops.xlo = r.Types.xlo; xhi = r.Types.xhi; ylo = r.Types.ylo; yhi = r.Types.yhi }
             args k);
-      fetch = (fun d -> if partitioned then Ops.fetch_interior ctx d else Array.copy d.Types.data);
+      fetch = Ops.fetch_padded ctx;
     }
   | _ ->
     let ctx = Ops3.create () in
@@ -284,7 +286,7 @@ let runner rank config pool ~base:(bx, by, bz) =
           | Rows n -> Ops3.partition ctx ~n_ranks:n ~ref_zsize:bz
           | Grid (py, pz) -> Ops3.partition_pencil ctx ~py ~pz ~ref_ysize:by ~ref_zsize:bz);
       loop = (fun r args k -> Ops3.par_loop_acc ctx ~name:"corpus" block r args k);
-      fetch = (fun d -> if partitioned then Ops3.fetch_interior ctx d else Array.copy d.Types.data);
+      fetch = Ops3.fetch_padded ctx;
     }
 
 (* ---- Cases ------------------------------------------------------------------- *)
@@ -465,8 +467,9 @@ let value seed i =
   | j -> Float.of_int ((seed mod 97) - 48) /. Float.of_int (j + 3)
 
 (* What one run leaves: per dataset its name, the first argument naming
-   it and its values (the padded array, or the interior when
-   partitioned); per global its argument and values. *)
+   it and its padded array (pulled from the owning ranks when
+   partitioned, ghost cells included); per global its argument and
+   values. *)
 type state = { dats : (string * int * float array) list; gbls : (int * float array) list }
 
 (* Run [c] once with [kernel] on a fresh context; returns the state and
@@ -523,12 +526,10 @@ let run pool c kernel =
 let bits x = Int64.bits_of_float x
 let close a b = Float.abs (a -. b) <= 1e-10 *. (1.0 +. Float.abs b)
 
-(* The point [i] of a dataset's fetched array names: padded coordinates
-   on an unpartitioned context, interior ones on a partitioned one. *)
+(* The point [i] of a dataset's fetched padded array names. *)
 let point_of c (sizes, halo) dim i =
   let x, y, _ = sizes in
-  let partitioned = match c.config with Rows _ | Grid _ -> true | _ -> false in
-  let g axis = if partitioned || axis >= c.rank then 0 else halo in
+  let g axis = if axis >= c.rank then 0 else halo in
   let px = x + (2 * g 0) and py = y + (2 * g 1) in
   let comp = i mod dim and p = i / dim in
   ( (p mod px) - g 0,
@@ -541,13 +542,13 @@ let point_of c (sizes, halo) dim i =
    walker ran. *)
 let check_case pool c =
   let fail fmt = Qcheck_util.failf_seed Qcheck_util.base_seed ("loop %s: " ^^ fmt) (show c) in
-  let run form kernel =
+  let run form c kernel =
     match run pool c kernel with
     | result -> result
     | exception e -> fail "the run through the %s raised %s" form (Printexc.to_string e)
   in
-  let walked, calls = run "kernel" c.kernel in
-  let pointed, _ = run "point form" (Acc.lift c.kernel.Acc.point) in
+  let walked, calls = run "kernel" c c.kernel in
+  let pointed, _ = run "point form" c (Acc.lift c.kernel.Acc.point) in
   let sg = signature c in
   List.iter2
     (fun (name, i, w) (_, _, p) ->
@@ -574,6 +575,27 @@ let check_case pool c =
               p.(j))
         w)
     walked.gbls pointed.gbls;
+  (* A partitioned run leaves every padded point, ghost cells included,
+     as Seq does. *)
+  (match c.config with
+  | Rows _ | Grid _ ->
+    let seq, _ = run "kernel on seq" { c with config = Seq } c.kernel in
+    List.iter2
+      (fun (name, i, w) (_, _, q) ->
+        Array.iteri
+          (fun j v ->
+            if bits v <> bits q.(j) then
+              match sg.(i) with
+              | Acc.Grid_dat { label; dim; _ } ->
+                let x, y, z, comp = point_of c (List.assoc label c.shapes) dim j in
+                fail
+                  "argument %d (dat %s) differs from seq at point (%d,%d,%d) component %d: %h, \
+                   seq %h"
+                  i name x y z comp v q.(j)
+              | Acc.Grid_gbl _ -> assert false)
+          w)
+      walked.dats seq.dats
+  | Seq | Shared | Cuda _ -> ());
   (* On Seq the dispatch rule is exactly: no aliased argument that
      writes (an empty range reaches the walker, which runs no point). *)
   if c.config = Seq then begin

@@ -5,6 +5,7 @@ module Tea = Am_tealeaf.App
 module Ops3 = Am_ops.Ops3
 module Fa = Am_util.Fa
 module Pool = Am_taskpool.Pool
+module Access = Am_core.Access
 
 let n = 10
 
@@ -99,20 +100,50 @@ let test_reduction_heavy_profile () =
   Alcotest.(check bool) "ran iterations" true (count "cg_matvec" > 2)
 
 (* The tier-1 twin of the [tealeaf_dist] benchmark's allocation bound: one
-   warm step on 4 z-slab ranks at 20 CG iterations.  Its 123 loops are
-   handle-less, so every call compiles its arguments and builds its buffers
-   on every rank; 228,434 minor words per step is what that cost before the
-   three executors became one, at n = 12 and n = 24 alike. *)
+   warm 24^3 step on 4 z-slab ranks at 20 CG iterations.  Its 123 loops
+   pass no handle, so each finds its entry in the context's call-site
+   table by loop name and argument shape and runs on the entry's handle,
+   whose per-rank executors are compiled once (each frame binds its
+   call's fresh globals): 53.7k minor words per step, where compiling
+   every call's arguments on every rank and keying its footprint by a
+   string took 199.6k. *)
 let test_dist_step_allocation () =
-  let n = 12 in
+  let n = 24 in
   let t = Tea.create ~n () in
   Ops3.partition t.Tea.ctx ~n_ranks:4 ~ref_zsize:n;
   let step () = ignore (Tea.step ~tol:0.0 ~max_iters:20 t) in
   step ();
   let words = Gc_util.minor_words step in
-  let budget = 1.05 *. 228_434.0 in
+  let budget = 70_000.0 in
   if words > budget then
     Alcotest.failf "one 4-rank step allocated %.0f minor words, budget %.0f" words budget
+
+(* A warm handle-less [cg_matvec], with its fresh [dt] global, costs what
+   the same call costs on an explicit handle with a hoisted [dt] buffer:
+   both run on a handle's cached executor, and the handle-less call's
+   table hit allocates nothing. *)
+let test_handleless_matvec () =
+  let t = Tea.create ~n () in
+  let handle = Ops3.make_handle () and dt = [| t.Tea.dt |] in
+  let on_handle () =
+    Ops3.par_loop t.Tea.ctx ~name:"cg_matvec" ~info:Tea.matvec_info ~handle t.Tea.grid
+      (Ops3.interior t.Tea.u)
+      [
+        Ops3.arg_dat t.Tea.p Ops3.stencil_7pt Access.Read;
+        Ops3.arg_dat t.Tea.kappa Ops3.stencil_7pt Access.Read;
+        Ops3.arg_dat t.Tea.w Ops3.stencil_point Access.Write;
+        Ops3.arg_gbl ~name:"dt" dt Access.Read;
+      ]
+      Tea.matvec_kernel
+  in
+  let handleless () = Tea.matvec t ~src:t.Tea.p ~dst:t.Tea.w in
+  on_handle ();
+  handleless ();
+  let with_handle = Gc_util.minor_words on_handle in
+  let without = Gc_util.minor_words handleless in
+  if without > with_handle +. 50.0 then
+    Alcotest.failf "a warm cg_matvec allocated %.0f words without a handle, %.0f with one"
+      without with_handle
 
 let () =
   Alcotest.run "tealeaf"
@@ -137,5 +168,7 @@ let () =
         [
           Alcotest.test_case "4-rank step within budget" `Quick
             test_dist_step_allocation;
+          Alcotest.test_case "handle-less matvec as cheap as a handle" `Quick
+            test_handleless_matvec;
         ] );
     ]
