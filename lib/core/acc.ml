@@ -72,12 +72,38 @@ type place = { pdata : float array; pbase : int; pplane : int; prow : int; poff 
    by literal components kept in float locals and stored into its buffer
    after the box.  It is only called on arguments that match [signature]
    (the loop checks them first) when every dataset argument is in place
-   and the views of each label agree. *)
+   and the views of each label agree.
+
+   [range] is the native walker: the body compiled to C from the same
+   expansion (lib/ppx_kernel), which first proves the whole box inside
+   every array it addresses and raises [Invalid_argument] naming the
+   kernel and the argument when it is not ([native_failure]).  [reference]
+   is the same walker in OCaml, bounds-checked point by point: the
+   executors run [range], the tests hold it to [reference] bit for bit. *)
 type range_walker = {
   kname : string;
   signature : grid_sig array;
   range : place array -> int -> int -> int -> int -> int -> int -> unit;
+  reference : place array -> int -> int -> int -> int -> int -> int -> unit;
 }
+
+(* What a native range walker's failed check returns: the check's kind in
+   the low four bits, the argument above them. *)
+let native_failure kname status =
+  let k = status lsr 4 in
+  let what =
+    match status land 15 with
+    | 1 -> "the places array does not hold one place per declared argument"
+    | 2 -> "a negative plane or row stride"
+    | 3 -> "the box reaches outside the dataset's array"
+    | 4 -> "an entry of the offset table reaches outside the dataset's array over the box"
+    | 5 -> "the global's buffer is shorter than its declared length"
+    | 6 -> "a computed stencil point is outside the argument's offset table"
+    | _ -> "a computed component is outside the argument's array"
+  in
+  invalid_arg
+    (if status land 15 = 1 then Printf.sprintf "native range walker %s: %s" kname what
+     else Printf.sprintf "native range walker %s, argument %d: %s" kname k what)
 
 (* A structured-mesh kernel value: one kernel, with a range walker per
    declared signature.  [point] runs the kernel once, at the points the
@@ -90,6 +116,10 @@ type kernel = { point : t array -> unit; walkers : range_walker array }
 (* The kernel value of a plain point function: the always-staged
    reference the tests run generated kernels against. *)
 let lift point = { point; walkers = [||] }
+
+(* [k] with every walker running its OCaml reference. *)
+let reference k =
+  { k with walkers = Array.map (fun w -> { w with range = w.reference }) k.walkers }
 
 (* ---- Element walkers: the unstructured (OP2) kernel value ---------------- *)
 

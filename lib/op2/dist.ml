@@ -54,7 +54,7 @@ type rank_exec =
    elements reach only owned slots through the loop's indirectly-read maps
    and can run while halo exchanges are in flight; boundary elements touch
    at least one halo slot and must wait for the exchange to finish. *)
-type rank_split = { core : int array; boundary : int array }
+type rank_split = Plan.split = { core : int array; boundary : int array }
 
 type t = {
   comm : Comm.t;
@@ -491,18 +491,74 @@ let rank_compiled t ~key r args =
     Hashtbl.add t.rank_execs (key, r) c;
     c
 
-let par_loop ?unread ?(halo_seconds = ref 0.0) ?(overlap_seconds = ref 0.0) t
-    ~name ~iter_set ~args ~kernel =
-  check_supported args;
+(* The call's per-rank state: its handle's while the iteration set and
+   the arguments' shape hold (no signature string, no table lookup), built
+   through the tables otherwise.  The shape names the datasets, which
+   belong to this context and so to this partition. *)
+let ranks t (handle : Plan.handle) ~name ~iter_set args =
+  match handle.h_ranks with
+  | Some rs
+    when rs.r_set_id = iter_set.set_id && same_shape rs.r_args args ->
+    Obs_counters.add Obs.exec_hits t.n_ranks;
+    rs
+  | Some _ | None ->
+    check_supported args;
+    let key = Plan.signature ~name ~iter_set ~block_size:0 args in
+    let rs =
+      {
+        Plan.r_set_id = iter_set.set_id;
+        r_args = args;
+        r_key = key;
+        r_execs = Array.init t.n_ranks (fun r -> rank_compiled t ~key r args);
+        r_plans = Array.make t.n_ranks None;
+        r_split = None;
+        r_read_dats =
+          distinct_dats args (fun map access ->
+              map <> None && (access = Access.Read || access = Access.Rw));
+        r_inc_dats = distinct_dats args (fun map access -> map <> None && access = Access.Inc);
+        r_read_slots = halo_read_slots args;
+      }
+    in
+    handle.h_ranks <- Some rs;
+    rs
+
+(* Rank [r]'s plan over [block_size]-element blocks for a hybrid rank
+   engine: the rank state's while its block size holds, the table's
+   otherwise. *)
+let rank_plan t (rs : Plan.ranks) ~name ~iter_set ~args r ~block_size =
+  match rs.r_plans.(r) with
+  | Some (b, plan) when b = block_size ->
+    Obs_counters.incr Obs.plan_hits;
+    plan
+  | Some _ | None ->
+    let key = (Plan.signature ~name ~iter_set ~block_size args, r) in
+    let plan =
+      match Hashtbl.find_opt t.rank_plans key with
+      | Some plan ->
+        Obs_counters.incr Obs.plan_hits;
+        plan
+      | None ->
+        Obs_counters.incr Obs.plan_misses;
+        let n = (set_dist t iter_set).n_owned.(r) in
+        let plan =
+          Obs.span ~cat:Cat.Plan name (fun () ->
+              Plan.count_build
+                (Plan.build ~resolvers:(rank_resolvers t r) ~set_size:n ~block_size args))
+        in
+        Hashtbl.add t.rank_plans key plan;
+        plan
+    in
+    rs.r_plans.(r) <- Some (block_size, plan);
+    plan
+
+let par_loop ?unread ?(halo_seconds = ref 0.0) ?(overlap_seconds = ref 0.0) t ~handle ~name
+    ~iter_set ~args ~kernel =
+  let rs = ranks t handle ~name ~iter_set args in
   let exposed = ref 0.0 in
   let timed f x =
     let t0 = Unix.gettimeofday () in
     f x;
     exposed := !exposed +. (Unix.gettimeofday () -. t0)
-  in
-  let all_read_dats =
-    distinct_dats args (fun map access ->
-        map <> None && (access = Access.Read || access = Access.Rw))
   in
   (* Footprint inference (see [Op2.footprint]) marks indirectly-read
      arguments the kernel was observed never to read; a dataset whose every
@@ -511,7 +567,7 @@ let par_loop ?unread ?(halo_seconds = ref 0.0) ?(overlap_seconds = ref 0.0) t
      not move data. *)
   let read_dats =
     match unread with
-    | None -> all_read_dats
+    | None -> rs.r_read_dats
     | Some u ->
       let live = Hashtbl.create 4 in
       List.iteri
@@ -527,46 +583,26 @@ let par_loop ?unread ?(halo_seconds = ref 0.0) ?(overlap_seconds = ref 0.0) t
           let needed = Hashtbl.mem live d.dat_id in
           if not needed then Obs_counters.incr Obs.halo_exchanges_saved;
           needed)
-        all_read_dats
+        rs.r_read_dats
   in
-  let inc_dats =
-    distinct_dats args (fun map access -> map <> None && access = Access.Inc)
-  in
+  let inc_dats = rs.r_inc_dats in
   let sd = set_dist t iter_set in
-  let slots = halo_read_slots args in
   (* The phased core/boundary path runs whenever the loop dereferences halo
      slots: under overlap it is what hides the exchange, and the sequential
      rank engine uses it in blocking mode too so the element order — core
      first, then boundary — is identical with overlap on and off (bitwise-
      reproducible results).  The hybrid rank engines keep their coloured
      full-range plans unless overlap is requested. *)
-  let phased = slots <> [] && (t.overlap || t.rank_exec = Rank_seq) in
-  let key = Plan.signature ~name ~iter_set ~block_size:0 args in
-  let execs = Array.init t.n_ranks (fun r -> rank_compiled t ~key r args) in
+  let phased = rs.r_read_slots <> [] && (t.overlap || t.rank_exec = Rank_seq) in
+  let execs = rs.r_execs in
   if not phased then begin
     (* Blocking path: exchange everything up front, run the full owned
        range through the rank engine. *)
     List.iter (timed (refresh_halo t)) read_dats;
     List.iter (timed (zero_halo t)) inc_dats;
     for r = 0 to t.n_ranks - 1 do
-      let resolvers = rank_resolvers t r in
-      let rank_plan ~block_size =
-        let key = (Plan.signature ~name ~iter_set ~block_size args, r) in
-        match Hashtbl.find_opt t.rank_plans key with
-        | Some plan ->
-          Obs_counters.incr Obs.plan_hits;
-          plan
-        | None ->
-          Obs_counters.incr Obs.plan_misses;
-          let plan =
-            Obs.span ~cat:Cat.Plan name (fun () ->
-                Plan.count_build
-                  (Plan.build ~resolvers ~set_size:sd.n_owned.(r) ~block_size args))
-          in
-          Hashtbl.add t.rank_plans key plan;
-          plan
-      in
       let compiled = execs.(r) in
+      let rank_plan = rank_plan t rs ~name ~iter_set ~args r in
       match t.rank_exec with
       | Rank_seq -> Exec_seq.run ~compiled ~set_size:sd.n_owned.(r) ~args ~kernel
       | Rank_shared { pool; block_size } ->
@@ -578,7 +614,16 @@ let par_loop ?unread ?(halo_seconds = ref 0.0) ?(overlap_seconds = ref 0.0) t
     done
   end
   else begin
-    let split = rank_split t ~key ~iter_set ~slots:(halo_touch_slots args) in
+    let split =
+      match rs.r_split with
+      | Some split ->
+        Obs_counters.incr Obs.plan_hits;
+        split
+      | None ->
+        let split = rank_split t ~key:rs.r_key ~iter_set ~slots:(halo_touch_slots args) in
+        rs.r_split <- Some split;
+        split
+    in
     let stale =
       List.filter (fun d -> t.eager_halo || not (dat_dist t d).halo_fresh) read_dats
     in
@@ -609,17 +654,7 @@ let par_loop ?unread ?(halo_seconds = ref 0.0) ?(overlap_seconds = ref 0.0) t
        element range: a walker frame's walker is called once per run, in
        the same element order. *)
     let run_subset r elems =
-      let n = Array.length elems in
-      let i = ref 0 in
-      while !i < n do
-        let lo = elems.(!i) in
-        let j = ref (!i + 1) in
-        while !j < n && elems.(!j) = lo + (!j - !i) do
-          incr j
-        done;
-        Exec_common.run_range frames.(r) lo (lo + (!j - !i));
-        i := !j
-      done
+      Exec_common.run_runs frames.(r) (Array.get elems) 0 (Array.length elems)
     in
     (* Core phase: every element whose reads stay on owned slots. *)
     let traced = Obs.tracing () in

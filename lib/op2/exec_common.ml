@@ -268,6 +268,12 @@ let compiled_matches compiled args = matches_from compiled.args 0 args
 let has_globals compiled =
   Array.exists (function C_gbl _ -> true | C_dat _ -> false) compiled.args
 
+(* Whether some global is reduced (Inc, Min or Max). *)
+let reduces compiled =
+  Array.exists
+    (function C_gbl { access; _ } -> access <> Access.Read | C_dat _ -> false)
+    compiled.args
+
 (* ---- Declared signatures ------------------------------------------------ *)
 
 (* A generated kernel's element walker has its signature's dims, arities,
@@ -476,6 +482,21 @@ let run_range f lo hi =
     for e = lo to hi - 1 do
       run_element f e
     done
+
+(* Elements [elem i] for [i] in [lo, hi), in that order, each maximal run
+   of consecutive ids as one [run_range]: a walker frame's walker is
+   called once per run, a staging frame steps element by element. *)
+let run_runs f elem lo hi =
+  let i = ref lo in
+  while !i < hi do
+    let first = elem !i in
+    let j = ref (!i + 1) in
+    while !j < hi && elem !j = first + (!j - !i) do
+      incr j
+    done;
+    run_range f first (first + (!j - !i));
+    i := !j
+  done
 
 (* The kernel as a function of staging buffers, for the executors that
    stage every argument themselves (Check, footprint probing). *)

@@ -70,6 +70,27 @@ let iter_block_by_color plan ~lo ~hi f =
       done
     done
 
+(* The same elements in the same order through [frame]: each maximal run
+   of consecutive ids of one colour as one [Exec_common.run_range], so a
+   walker frame's walker is called once per run. *)
+let run_block_by_color plan ~lo ~hi frame =
+  match plan.Plan.elem_coloring with
+  | None -> Exec_common.run_range frame lo hi
+  | Some ec ->
+    for c = 0 to ec.Coloring.n_colors - 1 do
+      let e = ref lo in
+      while !e < hi do
+        if ec.Coloring.colors.(!e) <> c then incr e
+        else begin
+          let first = !e in
+          while !e < hi && ec.Coloring.colors.(!e) = c do
+            incr e
+          done;
+          Exec_common.run_range frame first !e
+        end
+      done
+    done
+
 (* ---- Staged execution ---------------------------------------------- *)
 
 (* Per-block staging of one indirectly accessed dataset: the distinct
@@ -252,8 +273,7 @@ let run ~compiled config plan ~set_size ~args ~kernel =
             | Staged -> Exec_common.staging_frame compiled kernel args
           in
           (match config.strategy with
-          | Global_aos | Global_soa ->
-            iter_block_by_color plan ~lo ~hi (Exec_common.run_element frame)
+          | Global_aos | Global_soa -> run_block_by_color plan ~lo ~hi frame
           | Staged ->
             let stages = build_stages args ~lo ~hi in
             iter_block_by_color plan ~lo ~hi (run_element_staged args compiled frame stages);

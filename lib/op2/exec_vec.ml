@@ -18,10 +18,12 @@
    generated code, loops with indirect writes therefore iterate colour by
    colour, packing only same-colour elements (which share no target by
    construction of the plan's element colouring).  A walker frame (see
-   [Exec_common]) gathers and scatters nothing: each lane runs the
-   element walker over its one element in phase 2, in place, and the
-   same colouring keeps its writes on targets no other lane of the pack
-   touches. *)
+   [Exec_common]) gathers and scatters nothing: each lane runs the element
+   walker over its element in phase 2, in place, and the same colouring
+   keeps its writes on targets no other lane of the pack touches.  Unless
+   a global is reduced (each lane keeps its own accumulator), one walker
+   frame runs every lane: a pack's elements in lane order, the walker
+   called once per maximal run of consecutive ids. *)
 
 module Access = Am_core.Access
 module Coloring = Am_mesh.Coloring
@@ -33,22 +35,33 @@ let default_config = { width = 8 }
 let run ~compiled config plan ~set_size ~args ~kernel =
   let width = max 1 config.width in
   (* Per-lane frames: staging buffers or walker views, global
-     accumulators. *)
-  let lanes = Array.init width (fun _ -> Exec_common.make_frame compiled kernel args) in
+     accumulators; one walker frame serves every lane of a loop that
+     reduces nothing. *)
+  let first = Exec_common.make_frame compiled kernel args in
+  let runs = Option.is_some first.Exec_common.walk && not (Exec_common.reduces compiled) in
+  let lanes =
+    if runs then [| first |]
+    else
+      Array.init width (fun l ->
+          if l = 0 then first else Exec_common.make_frame compiled kernel args)
+  in
   (* The pack of lanes [0, n): lane [l] runs element [elem (lo + l)]. *)
   let run_pack elem lo n =
-    (* 1. packed gather (nothing for a walker frame) *)
-    for lane = 0 to n - 1 do
-      Exec_common.enter lanes.(lane) (elem (lo + lane))
-    done;
-    (* 2. compute ("simd" body) *)
-    for lane = 0 to n - 1 do
-      Exec_common.call lanes.(lane) (elem (lo + lane))
-    done;
-    (* 3. packed scatter *)
-    for lane = 0 to n - 1 do
-      Exec_common.leave lanes.(lane) (elem (lo + lane))
-    done
+    if runs then Exec_common.run_runs first elem lo (lo + n)
+    else begin
+      (* 1. packed gather (nothing for a walker frame) *)
+      for lane = 0 to n - 1 do
+        Exec_common.enter lanes.(lane) (elem (lo + lane))
+      done;
+      (* 2. compute ("simd" body) *)
+      for lane = 0 to n - 1 do
+        Exec_common.call lanes.(lane) (elem (lo + lane))
+      done;
+      (* 3. packed scatter *)
+      for lane = 0 to n - 1 do
+        Exec_common.leave lanes.(lane) (elem (lo + lane))
+      done
+    end
   in
   (* Elements [elem 0] .. [elem (n - 1)] in packs of [width]. *)
   let run_packed elem n =

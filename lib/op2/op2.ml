@@ -383,13 +383,13 @@ let planned ctx handle ~name ~iter_set ~block_size args =
 let execute_loop ctx ~name ~foot handle iter_set args kernel =
   match ctx.dist with
   | Some d ->
-    (* Rank-local plans and executors have their own cache; handles do not
-       apply.  Dropping exchanges a kernel was never observed to need is the
-       explicit opt-in: a read the probes never triggered must not leave a
-       rank consuming stale ghosts. *)
+    (* Rank-local plans, executors and splits live in the partition's
+       tables and on the call's handle.  Dropping exchanges a kernel was
+       never observed to need is the explicit opt-in: a read the probes
+       never triggered must not leave a rank consuming stale ghosts. *)
     let unread = if ctx.loop.Loop.tighten then unread_of args foot else None in
     Dist.par_loop ?unread ~halo_seconds:ctx.loop.Loop.halo_seconds
-      ~overlap_seconds:ctx.loop.Loop.overlap_seconds d ~name ~iter_set ~args ~kernel
+      ~overlap_seconds:ctx.loop.Loop.overlap_seconds d ~handle ~name ~iter_set ~args ~kernel
   | None -> (
     let set_size = iter_set.Types.set_size in
     match ctx.backend with

@@ -139,11 +139,16 @@ module Acc : sig
 
   (** A generated range walker: [range places xlo xhi ylo yhi zlo zhi] runs
       the kernel at every point of the box (see the range walkers above),
-      on arguments that match [signature]. *)
+      on arguments that match [signature].  [range] is the native walker,
+      compiled to C from the kernel's body, which proves the box inside
+      every array first and raises [Invalid_argument] naming the kernel and
+      the argument when it is not; [reference] is the same walker in OCaml,
+      which the tests hold [range] to bit for bit. *)
   type range_walker = Am_core.Acc.range_walker = {
     kname : string;
     signature : grid_sig array;
     range : place array -> int -> int -> int -> int -> int -> int -> unit;
+    reference : place array -> int -> int -> int -> int -> int -> int -> unit;
   }
 
   (** A kernel value: the point form, and one range walker per declared
@@ -153,6 +158,9 @@ module Acc : sig
   (** [lift f] is the kernel value of the point function [f]: no walker and
       no signature, so it runs staged everywhere. *)
   val lift : (t array -> unit) -> kernel
+
+  (** [reference k] is [k] with every walker running its OCaml reference. *)
+  val reference : kernel -> kernel
 end
 
 (** Half-open iteration rectangle; negative indices reach the ghost ring. *)

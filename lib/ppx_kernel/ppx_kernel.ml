@@ -6,7 +6,9 @@
 
    binds [pdv_acc] to an [Am_core.Acc.kernel] value: the point form [fun
    (a : Acc.t array) -> body], exactly as written, and one range walker
-   per declared signature.  The signature states per argument what OPS's
+   per declared signature, whose [range] is native — the walker compiled to
+   C (see "Native range walkers" below) — and whose [reference] is the same
+   walker in OCaml.  The signature states per argument what OPS's
    [ops_arg_dat]/[ops_arg_gbl] state: [label [offsets] dim Access] for a
    dataset, with its stencil as literal offsets ([x], [(x, y)] or [(x, y,
    z)]) in declaration order, and [gbl length Access] for a global.
@@ -82,9 +84,11 @@
    outside [0, dim), a [set] on a [Read] argument, an argument number
    outside the signature, and a missing or inconsistent signature.
 
-   In both forms indexing stays [Array.get]/[Array.set], bounds-checked,
-   and each point or element evaluates the same floating-point operations
-   in the same order as the point form.  Any other use of an accessor —
+   In both OCaml forms indexing stays [Array.get]/[Array.set],
+   bounds-checked, and each point or element evaluates the same
+   floating-point operations in the same order as the point form; the
+   native range walker evaluates them too, after proving its whole box
+   inside every array once per call.  Any other use of an accessor —
    passed to a function, returned or stored, indexed by a non-literal
    argument number — and a parameter other than [(a : Acc.t array)] are
    errors located at the offending expression; a generated walker never
@@ -598,6 +602,42 @@ let elems_form ~loc env body =
       if Stdlib.( < ) __kernel_lo __kernel_hi then
         [%e lets per_call (sequence ~loc (loop :: store))]]
 
+(* What a range walker for one signature loads per call, shared by its
+   OCaml and its C form: the used dataset and global arguments, the first
+   argument of each used layout label, and each distinct (label, literal
+   stencil point) off the centre that some use names, with the label's
+   dim. *)
+type layout = {
+  datasets : int list;
+  globals : int list;
+  firsts : int list;
+  offsets : (string * int * (int * int * int)) list;
+}
+
+let grid env k =
+  match env.sg.(k) with Sgrid g -> (g.label, g.stencil, g.dim) | Sdat _ | Sgbl _ -> assert false
+
+let layout env =
+  let sg = env.sg in
+  let ks = List.filter (Hashtbl.mem env.uses) (List.init (Array.length sg) Fun.id) in
+  let datasets = List.filter (fun k -> match sg.(k) with Sgrid _ -> true | _ -> false) ks in
+  let offsets =
+    List.sort_uniq compare
+      (List.concat_map
+         (fun k ->
+           let l, stencil, dim = grid env k in
+           List.filter_map
+             (fun p -> if stencil.(p) = (0, 0, 0) then None else Some (l, dim, stencil.(p)))
+             (Hashtbl.find env.uses k).points)
+         datasets)
+  in
+  {
+    datasets;
+    globals = List.filter (fun k -> match sg.(k) with Sgbl _ -> true | _ -> false) ks;
+    firsts = List.sort_uniq compare (List.map (first sg same_layout) datasets);
+    offsets;
+  }
+
 (* The range walker around the rewritten [body], for one declared
    signature.  Per call, when the box is not empty, it loads per layout
    label the base, plane and row stride of the label's first argument's
@@ -609,7 +649,6 @@ let elems_form ~loc env body =
    the box, computing per plane, row and point one index per label, and
    after the box stores each float local into its buffer. *)
 let range_form ~loc env body =
-  let sg = env.sg in
   let ev = evar ~loc and eint = Ast_builder.Default.eint ~loc in
   let pvar = Ast_builder.Default.pvar ~loc in
   let lets bindings body =
@@ -617,16 +656,10 @@ let range_form ~loc env body =
       (fun (name, e) acc -> [%expr let [%p pvar name] = [%e e] in [%e acc]])
       bindings body
   in
-  let ks = List.filter (Hashtbl.mem env.uses) (List.init (Array.length sg) Fun.id) in
   let use k = Hashtbl.find env.uses k in
-  let datasets = List.filter (fun k -> match sg.(k) with Sgrid _ -> true | _ -> false) ks in
-  let globals = List.filter (fun k -> match sg.(k) with Sgbl _ -> true | _ -> false) ks in
-  let grid k =
-    match sg.(k) with Sgrid g -> (g.label, g.stencil, g.dim) | Sdat _ | Sgbl _ -> assert false
-  in
+  let { datasets; globals; firsts; offsets } = layout env in
+  let grid = grid env in
   let label k = let l, _, _ = grid k in l in
-  (* The used labels, each by its first argument. *)
-  let firsts = List.sort_uniq compare (List.map (first sg same_layout) datasets) in
   let place k field =
     Ast_builder.Default.pexp_field ~loc [%expr Stdlib.Array.get __kernel_p [%e eint k]]
       { txt = Ldot (Ldot (Lident "Am_core", "Acc"), field); loc }
@@ -653,18 +686,8 @@ let range_form ~loc env body =
       (fun acc t -> [%expr Stdlib.( + ) [%e acc] [%e t]])
       (List.hd terms) (List.tl terms)
   in
-  let offsets =
-    List.sort_uniq compare
-      (List.concat_map
-         (fun k ->
-           let l, stencil, dim = grid k in
-           List.filter_map
-             (fun p -> if stencil.(p) = (0, 0, 0) then None else Some (l, dim, stencil.(p)))
-             (use k).points)
-         datasets)
-  in
   let locals k = List.sort compare (use k).points in
-  let read k = match sg.(k) with Sgbl { access = "Read"; _ } -> true | _ -> false in
+  let read k = match env.sg.(k) with Sgbl { access = "Read"; _ } -> true | _ -> false in
   let per_call =
     strides
     @ List.map (fun (l, dim, o) -> (offset_local l o, offset l dim o)) offsets
@@ -749,6 +772,969 @@ let range_form ~loc env body =
              [%e nonempty "__kernel_ylo" "__kernel_yhi"]
              [%e nonempty "__kernel_zlo" "__kernel_zhi"])
       then [%e lets per_call (sequence ~loc (loops :: stored))]]
+
+(* ---- Native range walkers -------------------------------------------------- *)
+
+(* Each range walker is also compiled to C: [native_walker] translates the
+   rewritten body (the same tree [range_form] wraps, with the same labels,
+   routes and offset locals) into one C function, which [walkers_c] writes
+   for a dune rule and [range_native] binds through an [external].  The
+   vocabulary is closed, and anything outside it is an error located at
+   the expression, so no kernel silently stays OCaml:
+
+     get, set, gbl, set_gbl      (already rewritten into indexing)
+     float literals, +. -. *. /. ~-., float and int comparisons
+     int literals and + on ints (wrapped to OCaml's 63 bits)
+     &&, ||, not, true, false
+     let/and of floats, ints, bools, refs (read with !, written with :=,
+     never escaping) and functions; if; sequences; for
+     sqrt, Float.abs, Float.min/Float.max (OCaml's NaN and signed-zero
+     rules), Float.of_int
+     functions defined above the kernel in its file, inlined; any other
+     name used as a value is a constant the OCaml wrapper passes in
+
+   Every float node becomes the same IEEE operation in the same tree, and
+   the C is compiled without fast-math or contraction, so the native
+   walker's results equal the OCaml walker's bit for bit.
+
+   Memory safety is proved once per call, before any point runs: the
+   places array has the signature's length, every label's strides are
+   non-negative, each dataset's lowest and highest index over the box plus
+   each literal offset it uses lie inside its array, every entry of an
+   offset table a computed point reads does too, and every global buffer
+   is at least its declared length.  What only a point knows — a computed
+   stencil point's place in its table, a computed component — is checked
+   where it is used.  A failed check returns a status that the wrapper
+   turns into [Invalid_argument] naming the kernel and the argument
+   ([Am_core.Acc.native_failure]): the kind in the low four bits, the
+   argument above them. *)
+
+(* The failed checks' kinds; 2, a negative stride, comes from the
+   prelude's [am_layout], which returns 2 or [st_box]. *)
+let st_places = 1
+let st_box = 3
+let st_table = 4
+let st_global = 5
+let st_point = 6
+let st_component = 7
+let status kind k = kind lor (k lsl 4)
+
+(* C types: a ref is its mutable local; [Cv] is not yet known. *)
+type cty = Cfloat | Cint | Cbool | Cref of cty | Cv of cty option ref
+
+let rec repr = function Cv { contents = Some t } -> repr t | t -> t
+let fresh_ty () = Cv (ref None)
+
+(* C expressions and statements.  [Cblock] is a GNU statement expression,
+   [Cat] an index checked where it is used (it returns [status] from the
+   walker when outside [0, n)). *)
+type cx =
+  | Cl of string
+  | Cun of string * cx
+  | Cbin of string * cx * cx
+  | Ccall of string * cx list
+  | Ccond of cx * cx * cx
+  | Cidx of string * cx
+  | Cat of cx * string * int
+  | Cblock of cst list * cx
+
+and cst =
+  | Sdecl of location * cty * string * cx
+  | Sset of cx * cx
+  | Sif of cx * cst list * cst list
+  | Sfor of string * cx * cx * bool * cst list
+
+(* A top-level item of the kernel's file, innermost first: a value
+   binding, a module name, or an [open]/[include] that may rebind any
+   name above it. *)
+type item =
+  | Value of string * value_binding
+  | Opaque of string (* a value the native walker cannot inline *)
+  | Module of string
+  | Opened
+
+(* A name bound inside a kernel or helper body: a C local, or a function
+   that is inlined where it is applied. *)
+type cbind = Local of string * cty | Fn of fn
+
+and fn = { params : (arg_label * string) list; fbody : expression; fenv : cenv }
+
+and cenv = { locals : (string * cbind) list; scope : item list }
+
+type cstate = {
+  ckname : string;
+  cenv0 : env; (* the rewriter's env of this signature *)
+  kscope : item list; (* the kernel's own scope *)
+  mutable fresh : int;
+  mutable consts : (string * longident * cty) list; (* C parameter, OCaml path, type *)
+  reach : (int, int * int * int * int) Hashtbl.t; (* dataset -> literal (x, y, z, component) *)
+  tables : (int, unit) Hashtbl.t; (* datasets whose offset table a computed point reads *)
+}
+
+let cfail st ~loc fmt = Location.raise_errorf ~loc ("%%kernel %s: " ^^ fmt) st.ckname
+
+let vocabulary_help =
+  "the native walker takes get, set, gbl, set_gbl, float arithmetic and comparisons, sqrt, \
+   Float.abs, Float.min, Float.max, Float.of_int, ref, ! and :=, and functions defined above \
+   the kernel in its file"
+
+let c_ident s =
+  String.concat ""
+    (List.map
+       (fun c ->
+         match c with
+         | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> String.make 1 c
+         | c -> Printf.sprintf "_%02x" (Char.code c))
+       (List.of_seq (String.to_seq s)))
+
+let local_name st v =
+  st.fresh <- st.fresh + 1;
+  Printf.sprintf "v_%s_%d" (c_ident v) st.fresh
+
+(* A generated name in C: [__kernel_i_cell] is [kernel_i_cell]. *)
+let generated v = String.length v > 9 && String.sub v 0 9 = "__kernel_"
+let c_gen v = String.sub v 2 (String.length v - 2)
+
+let rec unify st ~loc a b =
+  match (repr a, repr b) with
+  | Cv r, Cv r' when r == r' -> ()
+  | Cv r, t | t, Cv r -> r := Some t
+  | Cfloat, Cfloat | Cint, Cint | Cbool, Cbool -> ()
+  | Cref a, Cref b -> unify st ~loc a b
+  | _ -> cfail st ~loc "the native walker cannot type this expression"
+
+let rec flat = function
+  | Lident s -> s
+  | Ldot (Lident "Stdlib", s) -> s
+  | Ldot (m, s) -> flat m ^ "." ^ s
+  | Lapply _ -> "?"
+
+type prim =
+  | Fbin of string
+  | Iplus
+  | Cmp of string
+  | Logic of string
+  | Not
+  | Fneg
+  | Fun1 of string
+  | Fun2 of string
+  | Of_int
+  | Mkref
+  | Deref
+  | Assign
+
+let prims =
+  [
+    ("+.", Fbin "+"); ("-.", Fbin "-"); ("*.", Fbin "*"); ("/.", Fbin "/"); ("+", Iplus);
+    ("<", Cmp "<"); (">", Cmp ">"); ("<=", Cmp "<="); (">=", Cmp ">="); ("=", Cmp "==");
+    ("<>", Cmp "!="); ("&&", Logic "&&"); ("||", Logic "||"); ("not", Not); ("~-.", Fneg);
+    ("Float.neg", Fneg); ("sqrt", Fun1 "sqrt");
+    ("Float.sqrt", Fun1 "sqrt"); ("Float.abs", Fun1 "fabs"); ("abs_float", Fun1 "fabs");
+    ("Float.min", Fun2 "am_fmin"); ("Float.max", Fun2 "am_fmax"); ("Float.of_int", Of_int);
+    ("float_of_int", Of_int); ("ref", Mkref); ("!", Deref); (":=", Assign);
+  ]
+
+(* What a name means in [scope]: the first binding of it, unless an
+   [open] or [include] comes first (it may rebind it). *)
+let rec in_scope name = function
+  | [] -> `Absent
+  | Opened :: _ -> `Opened
+  | Value (n, vb) :: rest when String.equal n name -> `Value (vb, rest)
+  | Opaque n :: _ when String.equal n name -> `Opaque
+  | Module n :: _ when String.equal n name -> `Module
+  | _ :: rest -> in_scope name rest
+
+let rec head = function Lident m -> m | Ldot (m, _) | Lapply (m, _) -> head m
+
+(* A helper's parameters: plain (or annotated) variables, labelled or
+   not. *)
+let helper_params st params =
+  List.map
+    (fun p ->
+      match p.pparam_desc with
+      | Pparam_val
+          ( ((Nolabel | Labelled _) as l),
+            None,
+            ( { ppat_desc = Ppat_var { txt; _ }; _ }
+            | { ppat_desc = Ppat_constraint ({ ppat_desc = Ppat_var { txt; _ }; _ }, _); _ } ) )
+        ->
+        (l, txt)
+      | _ ->
+        cfail st ~loc:p.pparam_loc
+          "a helper's parameters must be plain variables, labelled or not, for the native walker")
+    params
+
+let as_fn st cenv e =
+  match e.pexp_desc with
+  | Pexp_function (params, _, Pfunction_body body) ->
+    Some { params = helper_params st params; fbody = body; fenv = cenv }
+  | Pexp_function _ ->
+    cfail st ~loc:e.pexp_loc "the native walker inlines functions of plain parameters only"
+  | _ -> None
+
+(* A value named by [lid] that is neither local nor a helper: a constant,
+   passed in by the OCaml wrapper, which evaluates [lid] in the kernel's
+   scope — so a helper may only name a constant the kernel sees the same. *)
+let constant st cenv ~loc lid =
+  (match lid with
+  | Lident v -> (
+    match (in_scope v cenv.scope, in_scope v st.kscope) with
+    | `Opened, _ | _, `Opened -> cfail st ~loc "an open or include above the kernel may rebind %s" v
+    | `Value (a, _), `Value (b, _) when a == b -> ()
+    | `Opaque, `Opaque | `Absent, `Absent -> ()
+    | _ -> cfail st ~loc "%s names a different value here than in the kernel's own scope" v)
+  | _ -> ());
+  let name = "k_" ^ c_ident (flat lid) in
+  match List.find_opt (fun (n, _, _) -> String.equal n name) st.consts with
+  | Some (_, _, t) -> (Cl name, t)
+  | None ->
+    let t = fresh_ty () in
+    st.consts <- st.consts @ [ (name, lid, t) ];
+    (Cl name, t)
+
+(* The dataset, buffer or offset-table argument a generated array name
+   denotes. *)
+let generated_arg v =
+  let num prefix =
+    let n = String.length prefix in
+    if String.length v > n && String.sub v 0 n = prefix then
+      int_of_string_opt (String.sub v n (String.length v - n))
+    else None
+  in
+  match (num "__kernel_d", num "__kernel_z", num "__kernel_o") with
+  | Some k, _, _ -> `Data k
+  | _, Some k, _ -> `Buffer k
+  | _, _, Some k -> `Table k
+  | _ -> `None
+
+let array_fn = function
+  | Ldot (Ldot (Lident "Stdlib", "Array"), ("get" | "set" as f)) -> Some f
+  | _ -> None
+
+let int_lit s = Cl (Printf.sprintf "((intnat) %sL)" s)
+
+let outside st ~loc =
+  cfail st ~loc "this expression is outside the native walker's vocabulary: %s" vocabulary_help
+
+let rec ex st cenv e : cx * cty =
+  let loc = e.pexp_loc in
+  match e.pexp_desc with
+  | Pexp_constant (Pconst_float (s, None)) ->
+    let f = float_of_string s in
+    if not (Float.is_finite f) then cfail st ~loc "the float literal %s is not finite" s;
+    (Cl (Printf.sprintf "%h" f), Cfloat)
+  | Pexp_constant (Pconst_integer (s, None)) -> (
+    match int_of_string_opt s with
+    | Some i -> (int_lit (string_of_int i), Cint)
+    | None -> cfail st ~loc "the integer literal %s" s)
+  | Pexp_construct ({ txt = Lident ("true" | "false" as b); _ }, None) ->
+    (Cl (if b = "true" then "1" else "0"), Cbool)
+  | Pexp_constraint (e, _) -> ex st cenv e
+  | Pexp_ident { txt = Lident v; _ } when generated v ->
+    let t =
+      if String.length v > 10 && String.sub v 0 10 = "__kernel_u" then Cfloat else Cint
+    in
+    (Cl (c_gen v), t)
+  | Pexp_ident { txt; _ } -> (
+    match txt with
+    | Lident v when List.mem_assoc v cenv.locals -> (
+      match List.assoc v cenv.locals with
+      | Local (c, t) -> (
+        match repr t with
+        | Cref _ ->
+          cfail st ~loc "the ref %s escapes: a ref may only be read with ! and written with :=" v
+        | _ -> (Cl c, t))
+      | Fn _ -> cfail st ~loc "the function %s is used as a value; it may only be applied" v)
+    | Lident v -> (
+      match in_scope v cenv.scope with
+      | `Value (vb, _) when Option.is_some (as_fn st cenv vb.pvb_expr) ->
+        cfail st ~loc "the function %s is used as a value; it may only be applied" v
+      | _ -> constant st cenv ~loc txt)
+    | _ -> constant st cenv ~loc txt)
+  | Pexp_apply (f, args) -> (
+    match apply st cenv ~loc ~stmt:false f args with
+    | `Value v -> v
+    | `Unit _ -> cfail st ~loc "a unit expression where the native walker needs a value")
+  | Pexp_let (Nonrecursive, vbs, body) ->
+    let decls, cenv = bind st cenv vbs in
+    let c, t = ex st cenv body in
+    ((if decls = [] then c else Cblock (decls, c)), t)
+  | Pexp_ifthenelse (c, a, Some b) ->
+    let c = cond st cenv c in
+    let ca, ta = ex st cenv a and cb, tb = ex st cenv b in
+    unify st ~loc ta tb;
+    (Ccond (c, ca, cb), ta)
+  | Pexp_sequence (a, b) ->
+    let sa = sm st cenv a in
+    let c, t = ex st cenv b in
+    (Cblock (sa, c), t)
+  | _ -> outside st ~loc
+
+and typed st cenv ty e =
+  let c, t = ex st cenv e in
+  unify st ~loc:e.pexp_loc t ty;
+  c
+
+and cond st cenv e = typed st cenv Cbool e
+
+(* Statements: a unit expression. *)
+and sm st cenv e : cst list =
+  let loc = e.pexp_loc in
+  match e.pexp_desc with
+  | Pexp_construct ({ txt = Lident "()"; _ }, None) -> []
+  | Pexp_constraint (e, _) -> sm st cenv e
+  | Pexp_let (Nonrecursive, vbs, body) ->
+    let decls, cenv = bind st cenv vbs in
+    decls @ sm st cenv body
+  | Pexp_sequence (a, b) -> sm st cenv a @ sm st cenv b
+  | Pexp_ifthenelse (c, a, b) ->
+    let c = cond st cenv c in
+    [ Sif (c, sm st cenv a, match b with None -> [] | Some b -> sm st cenv b) ]
+  | Pexp_for (pat, lo, hi, dir, body) ->
+    let v =
+      match pat.ppat_desc with
+      | Ppat_var { txt; _ } -> Some txt
+      | Ppat_any -> None
+      | _ -> cfail st ~loc:pat.ppat_loc "a for loop's index must be a variable"
+    in
+    let c = local_name st (Option.value v ~default:"i") in
+    let lo = typed st cenv Cint lo and hi = typed st cenv Cint hi in
+    let cenv =
+      match v with
+      | Some v -> { cenv with locals = (v, Local (c, Cint)) :: cenv.locals }
+      | None -> cenv
+    in
+    [ Sfor (c, lo, hi, dir = Upto, sm st cenv body) ]
+  | Pexp_apply (f, args) -> (
+    match apply st cenv ~loc ~stmt:true f args with
+    | `Unit s -> s
+    | `Value _ -> cfail st ~loc "a value where the native walker needs a unit statement")
+  | _ -> outside st ~loc
+
+(* [let ... and ...]: every right-hand side in the outer scope, then the
+   names. *)
+and bind st cenv vbs =
+  let one vb =
+    let loc = vb.pvb_loc in
+    let v =
+      match vb.pvb_pat.ppat_desc with
+      | Ppat_var { txt; _ } | Ppat_constraint ({ ppat_desc = Ppat_var { txt; _ }; _ }, _) -> txt
+      | _ -> cfail st ~loc:vb.pvb_pat.ppat_loc "the native walker binds plain variables only"
+    in
+    match as_fn st cenv vb.pvb_expr with
+    | Some fn -> ([], (v, Fn fn))
+    | None -> (
+      let c = local_name st v in
+      match vb.pvb_expr.pexp_desc with
+      | Pexp_apply ({ pexp_desc = Pexp_ident { txt = lid; _ }; _ }, [ (Nolabel, init) ])
+        when resolve st cenv lid = `Prim Mkref ->
+        let ci, t = ex st cenv init in
+        ([ Sdecl (loc, t, c, ci) ], (v, Local (c, Cref t)))
+      | _ ->
+        let ci, t = ex st cenv vb.pvb_expr in
+        ([ Sdecl (loc, t, c, ci) ], (v, Local (c, t))))
+  in
+  let parts = List.map one vbs in
+  ( List.concat_map fst parts,
+    { cenv with locals = List.rev_map snd parts @ cenv.locals } )
+
+(* What an applied name is: a local or file helper, a primitive, or
+   unknown. *)
+and resolve st cenv lid =
+  match lid with
+  | Lident v when List.mem_assoc v cenv.locals -> (
+    match List.assoc v cenv.locals with Fn fn -> `Fn fn | Local _ -> `Unknown)
+  | _ -> (
+    let prim () =
+      match List.assoc_opt (flat lid) prims with Some p -> `Prim p | None -> `Unknown
+    in
+    match lid with
+    | Lident v -> (
+      match in_scope v cenv.scope with
+      | `Value (vb, rest) -> (
+        match as_fn st { cenv with scope = rest } vb.pvb_expr with
+        | Some fn -> `Fn { fn with fenv = { locals = []; scope = rest } }
+        | None -> `Unknown)
+      | `Opened -> `Opened
+      | `Opaque -> `Unknown
+      | `Module | `Absent -> prim ())
+    | _ -> (
+      match in_scope (head lid) cenv.scope with
+      | `Module | `Opened -> `Unknown
+      | `Value _ | `Opaque | `Absent -> prim ()))
+
+and apply st cenv ~loc ~stmt f args =
+  let lid =
+    match f.pexp_desc with
+    | Pexp_ident { txt; _ } -> txt
+    | _ -> cfail st ~loc "the native walker applies named functions only"
+  in
+  match (array_fn lid, args) with
+  | Some "get", [ (Nolabel, { pexp_desc = Pexp_ident { txt = Lident a; _ }; _ }); (Nolabel, i) ]
+    when generated a ->
+    `Value (access st cenv a i, Cfloat)
+  | ( Some "set",
+      [ (Nolabel, { pexp_desc = Pexp_ident { txt = Lident a; _ }; _ }); (Nolabel, i); (Nolabel, v) ]
+    )
+    when generated a ->
+    `Unit [ Sset (access st cenv a i, typed st cenv Cfloat v) ]
+  | _ -> (
+    let name = flat lid in
+    match resolve st cenv lid with
+    | `Fn fn -> inline st cenv ~loc ~stmt name fn args
+    | `Opened -> cfail st ~loc "an open or include above the kernel may rebind %s" name
+    | `Unknown when name = "min" || name = "max" ->
+      cfail st ~loc
+        "%s is polymorphic compare; use Float.%s, whose NaN and signed-zero rules the native \
+         walker keeps"
+        (Longident.name lid) name
+    | `Unknown -> cfail st ~loc "unknown function %s: %s" name vocabulary_help
+    | `Prim p -> (
+      if List.exists (fun (l, _) -> l <> Nolabel) args then
+        cfail st ~loc "%s takes no labelled argument" name;
+      let args = List.map snd args in
+      let v c t = `Value (c, t) in
+      let i63 c = Ccall ("AM_I63", [ c ]) and u c = Cun ("(uintnat) ", c) in
+      match (p, args) with
+      | Fbin op, [ a; b ] -> v (Cbin (op, typed st cenv Cfloat a, typed st cenv Cfloat b)) Cfloat
+      | Iplus, [ a; b ] ->
+        v (i63 (Cbin ("+", u (typed st cenv Cint a), u (typed st cenv Cint b)))) Cint
+      | Cmp op, [ a; b ] ->
+        let ca, ta = ex st cenv a and cb, tb = ex st cenv b in
+        unify st ~loc ta tb;
+        v (Cbin (op, ca, cb)) Cbool
+      | Logic op, [ a; b ] -> v (Cbin (op, cond st cenv a, cond st cenv b)) Cbool
+      | Not, [ a ] -> v (Cun ("!", cond st cenv a)) Cbool
+      | Fneg, [ a ] -> v (Cun ("-", typed st cenv Cfloat a)) Cfloat
+      | Fun1 f, [ a ] -> v (Ccall (f, [ typed st cenv Cfloat a ])) Cfloat
+      | Fun2 f, [ a; b ] -> v (Ccall (f, [ typed st cenv Cfloat a; typed st cenv Cfloat b ])) Cfloat
+      | Of_int, [ a ] -> v (Cun ("(double) ", typed st cenv Cint a)) Cfloat
+      | Deref, [ r ] -> (
+        match r.pexp_desc with
+        | Pexp_ident { txt = Lident g; _ } when generated g -> v (Cl (c_gen g)) Cfloat
+        | _ ->
+          let c, t = reference st cenv r in
+          v (Cl c) t)
+      | Assign, [ r; x ] -> (
+        match r.pexp_desc with
+        | Pexp_ident { txt = Lident g; _ } when generated g ->
+          `Unit [ Sset (Cl (c_gen g), typed st cenv Cfloat x) ]
+        | _ ->
+          let c, t = reference st cenv r in
+          `Unit [ Sset (Cl c, typed st cenv t x) ])
+      | Mkref, _ ->
+        cfail st ~loc "a ref escapes: the native walker takes a ref only as let x = ref v in ..."
+      | _ -> cfail st ~loc "%s is partially applied or over-applied" name))
+
+(* The local a ref names, for ! and :=. *)
+and reference st cenv r =
+  match r.pexp_desc with
+  | Pexp_ident { txt = Lident v; _ } -> (
+    match List.assoc_opt v cenv.locals with
+    | Some (Local (c, t)) -> (
+      match repr t with
+      | Cref t -> (c, t)
+      | _ -> cfail st ~loc:r.pexp_loc "%s is not a ref bound in the kernel" v)
+    | _ -> cfail st ~loc:r.pexp_loc "%s is not a ref bound in the kernel" v)
+  | _ -> cfail st ~loc:r.pexp_loc "the native walker reads and writes refs bound by let only"
+
+(* A helper applied to every parameter: its arguments bound to fresh
+   locals in the caller's scope, its body translated in its own, as a
+   statement when the call is one ([stmt]). *)
+and inline st cenv ~loc ~stmt name fn args =
+  let positional = List.filter (fun (l, _) -> l = Nolabel) args in
+  let rec take pos = function
+    | [] -> if pos <> [] then cfail st ~loc "%s is over-applied" name else []
+    | (Nolabel, p) :: rest -> (
+      match pos with
+      | (_, a) :: pos -> (p, a) :: take pos rest
+      | [] -> cfail st ~loc "%s is partially applied" name)
+    | (Labelled l, p) :: rest -> (
+      match List.find_opt (fun (l', _) -> l' = Labelled l) args with
+      | Some (_, a) -> (p, a) :: take pos rest
+      | None -> cfail st ~loc "%s is applied without ~%s" name l)
+    | (Optional _, _) :: _ -> cfail st ~loc "%s has an optional parameter" name
+  in
+  let bound = take positional fn.params in
+  if List.length args <> List.length bound then cfail st ~loc "%s is over-applied" name;
+  let decls, locals =
+    List.fold_left
+      (fun (decls, locals) (p, a) ->
+        let c = local_name st p in
+        let ca, t = ex st cenv a in
+        (decls @ [ Sdecl (a.pexp_loc, t, c, ca) ], (p, Local (c, t)) :: locals))
+      ([], fn.fenv.locals) bound
+  in
+  let cenv = { fn.fenv with locals } in
+  if stmt then `Unit (decls @ sm st cenv fn.fbody)
+  else
+    let c, t = ex st cenv fn.fbody in
+    `Value ((if decls = [] then c else Cblock (decls, c)), t)
+
+(* [Stdlib.Array.get a i] (or [set]) on a generated array.  A dataset is
+   indexed from its label's index: the index itself, plus an offset local,
+   plus a literal component, or plus a computed point's table entry is
+   covered by the per-call proof; any other index is checked where it is
+   used.  A global's literal component is covered by the proof of its
+   length; a computed one is checked. *)
+and access st cenv a i =
+  let loc = i.pexp_loc in
+  let lit e = match literal_int e with Some c -> Some c | None -> None in
+  let plus e =
+    match e.pexp_desc with
+    | Pexp_apply
+        ( { pexp_desc = Pexp_ident { txt = Ldot (Lident "Stdlib", "+"); _ }; _ },
+          [ (Nolabel, a); (Nolabel, b) ] ) ->
+      Some (a, b)
+    | _ -> None
+  in
+  let ident e = match e.pexp_desc with Pexp_ident { txt = Lident v; _ } -> Some v | _ -> None in
+  let table k p =
+    Hashtbl.replace st.tables k ();
+    Ccall
+      ( "Long_val",
+        [
+          Cidx
+            ( Printf.sprintf "kernel_o%d" k,
+              Cat (typed st cenv Cint p, Printf.sprintf "kernel_no%d" k, status st_point k) );
+        ] )
+  in
+  match generated_arg a with
+  | `Data k -> (
+    let label, stencil, dim = grid st.cenv0 k in
+    let centre = index label in
+    let point v =
+      Array.find_opt
+        (fun p -> p <> (0, 0, 0) && String.equal (offset_local label p) v)
+        stencil
+    in
+    (* An index this dataset's proof covers: its point and component. *)
+    let proved e =
+      match (ident e, plus e) with
+      | Some v, _ when String.equal v centre -> Some ((0, 0, 0), Cl (c_gen centre))
+      | _, Some (c, o) when ident c = Some centre -> (
+        match Option.bind (ident o) point with
+        | Some p -> Some (p, Cbin ("+", Cl (c_gen centre), Cl (c_gen (Option.get (ident o)))))
+        | None -> None)
+      | _ -> None
+    in
+    let reach (x, y, z) c =
+      let r = (x, y, z, c) in
+      if not (List.mem r (Hashtbl.find_all st.reach k)) then Hashtbl.add st.reach k r
+    in
+    let checked () =
+      Cat (typed st cenv Cint i, Printf.sprintf "kernel_n%d" k, status st_component k)
+    in
+    let at =
+      match (proved i, plus i) with
+      | Some (p, c), _ ->
+        reach p 0;
+        c
+      | None, Some (b, o) -> (
+        match (proved b, lit o, o.pexp_desc) with
+        | Some (p, c), Some n, _ when n >= 0 && n < dim ->
+          reach p n;
+          Cbin ("+", c, int_lit (string_of_int n))
+        | ( _,
+            _,
+            Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, [ (Nolabel, t); (Nolabel, p) ]) )
+          when array_fn txt = Some "get" && ident b = Some centre
+               && Option.map generated_arg (ident t) = Some (`Table k) ->
+          Cbin ("+", Cl (c_gen centre), table k p)
+        | _ -> checked ())
+      | None, None -> checked ()
+    in
+    Cidx (Printf.sprintf "kernel_d%d" k, at))
+  | `Buffer k -> (
+    let len = match st.cenv0.sg.(k) with Sgbl { len; _ } -> len | _ -> 0 in
+    match lit i with
+    | Some c when c >= 0 && c < len ->
+      Cidx (Printf.sprintf "kernel_z%d" k, int_lit (string_of_int c))
+    | _ ->
+      Cidx
+        ( Printf.sprintf "kernel_z%d" k,
+          Cat (typed st cenv Cint i, Printf.sprintf "kernel_nz%d" k, status st_component k) ))
+  | `Table _ | `None -> cfail st ~loc "the native walker does not index %s this way" a
+
+(* ---- Printing ---- *)
+
+let c_type st ~loc what t =
+  match repr t with
+  | Cfloat -> "double"
+  | Cint -> "intnat"
+  | Cbool -> "int"
+  | Cref _ -> cfail st ~loc "%s holds a ref" what
+  | Cv _ -> cfail st ~loc "the native walker cannot tell the type of %s" what
+
+let rec pr_cx st b = function
+  | Cl s -> Buffer.add_string b s
+  | Cun (op, a) ->
+    Buffer.add_string b ("(" ^ op ^ if op.[String.length op - 1] = ' ' then "" else " ");
+    pr_cx st b a;
+    Buffer.add_char b ')'
+  | Cbin (op, x, y) ->
+    Buffer.add_char b '(';
+    pr_cx st b x;
+    Buffer.add_string b (" " ^ op ^ " ");
+    pr_cx st b y;
+    Buffer.add_char b ')'
+  | Ccall (f, args) ->
+    Buffer.add_string b (f ^ "(");
+    List.iteri
+      (fun i a ->
+        if i > 0 then Buffer.add_string b ", ";
+        pr_cx st b a)
+      args;
+    Buffer.add_char b ')'
+  | Ccond (c, x, y) ->
+    Buffer.add_char b '(';
+    pr_cx st b c;
+    Buffer.add_string b " ? ";
+    pr_cx st b x;
+    Buffer.add_string b " : ";
+    pr_cx st b y;
+    Buffer.add_char b ')'
+  | Cidx (a, i) ->
+    Buffer.add_string b (a ^ "[");
+    pr_cx st b i;
+    Buffer.add_char b ']'
+  | Cat (i, n, s) ->
+    Buffer.add_string b "AM_AT(";
+    pr_cx st b i;
+    Buffer.add_string b (Printf.sprintf ", %s, %d)" n s)
+  | Cblock (sts, e) ->
+    Buffer.add_string b "({ ";
+    List.iter (pr_st st b ~ind:"") sts;
+    pr_cx st b e;
+    Buffer.add_string b "; })"
+
+and pr_st st b ~ind s =
+  let line f =
+    Buffer.add_string b ind;
+    f ();
+    Buffer.add_string b (if ind = "" then " " else "\n")
+  in
+  let inner = if ind = "" then "" else ind ^ "  " in
+  let block sts =
+    Buffer.add_string b (if ind = "" then "{ " else "{\n");
+    List.iter (pr_st st b ~ind:inner) sts;
+    Buffer.add_string b ind;
+    Buffer.add_string b "}"
+  in
+  match s with
+  | Sdecl (loc, t, v, e) ->
+    line (fun () ->
+        Buffer.add_string b (c_type st ~loc v t ^ " " ^ v ^ " = ");
+        pr_cx st b e;
+        Buffer.add_char b ';')
+  | Sset (x, e) ->
+    line (fun () ->
+        pr_cx st b x;
+        Buffer.add_string b " = ";
+        pr_cx st b e;
+        Buffer.add_char b ';')
+  | Sif (c, x, y) ->
+    line (fun () ->
+        Buffer.add_string b "if (";
+        pr_cx st b c;
+        Buffer.add_string b ") ";
+        block x;
+        if y <> [] then (
+          Buffer.add_string b " else ";
+          block y))
+  | Sfor (v, lo, hi, up, body) ->
+    line (fun () ->
+        Buffer.add_string b (Printf.sprintf "{ intnat %s_end = " v);
+        pr_cx st b hi;
+        Buffer.add_string b (Printf.sprintf "; for (intnat %s = " v);
+        pr_cx st b lo;
+        Buffer.add_string b
+          (if up then Printf.sprintf "; %s <= %s_end; %s++) " v v v
+           else Printf.sprintf "; %s >= %s_end; %s--) " v v v);
+        block body;
+        Buffer.add_string b " }")
+
+(* The helpers every native walker file starts with, always inlined (gcc
+   keeps [am_fmin] out of line otherwise, a call per point).
+   [am_fmin]/[am_fmax] are OCaml's [Float.min]/[Float.max], NaN and signed
+   zero included; [AM_I63] wraps an int result to OCaml's 63 bits; [AM_AT]
+   checks an index where it is used. *)
+let c_prelude =
+  {|/* Native range walkers, generated by lib/ppx_kernel from let%kernel
+   bodies: do not edit. */
+#include <math.h>
+#include <caml/mlvalues.h>
+
+#define AM_INLINE static inline __attribute__((always_inline))
+#define AM_I63(u) ((intnat) ((uintnat) (u) << 1) >> 1)
+#define AM_AT(i, n, st) \
+  ({ intnat am_at_ = (i); if ((uintnat) am_at_ >= (uintnat) (n)) return (st); am_at_; })
+
+AM_INLINE double am_fmin(double x, double y)
+{
+  if (y > x || (!signbit(y) && signbit(x))) return isnan(y) ? y : x;
+  return isnan(x) ? x : y;
+}
+
+AM_INLINE double am_fmax(double x, double y)
+{
+  if (y > x || (!signbit(y) && signbit(x))) return isnan(x) ? x : y;
+  return isnan(y) ? y : x;
+}
+
+/* Field [f] of place [k]: its array, base, plane, row or offset table. */
+#define AM_PLACE(places, k, f) Field(Field((places), (k)), (f))
+
+AM_INLINE double *am_data(value places, intnat k)
+{
+  return (double *) AM_PLACE(places, k, 0);
+}
+
+AM_INLINE intnat am_length(value places, intnat k)
+{
+  return Wosize_val(AM_PLACE(places, k, 0)) / Double_wosize;
+}
+
+/* A label's base and strides from place [k], and its lowest and highest
+   index over the box: 0, [st_stride] or [st_box]. */
+AM_INLINE int am_layout(value places, intnat k, intnat dim, intnat xlo, intnat xhi,
+                            intnat ylo, intnat yhi, intnat zlo, intnat zhi, intnat *base,
+                            intnat *plane, intnat *row, intnat *lo, intnat *hi)
+{
+  intnat a, b, c;
+  *base = Long_val(AM_PLACE(places, k, 1));
+  *plane = Long_val(AM_PLACE(places, k, 2));
+  *row = Long_val(AM_PLACE(places, k, 3));
+  if (*plane < 0 || *row < 0) return 2;
+  if (__builtin_mul_overflow(zlo, *plane, &a) || __builtin_add_overflow(*base, a, &a)
+      || __builtin_mul_overflow(ylo, *row, &b) || __builtin_add_overflow(a, b, &a)
+      || __builtin_mul_overflow(xlo, dim, &c) || __builtin_add_overflow(a, c, lo))
+    return 3;
+  if (__builtin_mul_overflow(zhi - 1, *plane, &a) || __builtin_add_overflow(*base, a, &a)
+      || __builtin_mul_overflow(yhi - 1, *row, &b) || __builtin_add_overflow(a, b, &a)
+      || __builtin_mul_overflow(xhi - 1, dim, &c) || __builtin_add_overflow(a, c, hi))
+    return 3;
+  return 0;
+}
+
+/* The offset of stencil point (x, y, z): nonzero on overflow. */
+AM_INLINE int am_offset(intnat plane, intnat row, intnat dim, intnat x, intnat y, intnat z,
+                            intnat *out)
+{
+  intnat a, b, c;
+  return __builtin_mul_overflow(z, plane, &a) || __builtin_mul_overflow(y, row, &b)
+         || __builtin_mul_overflow(x, dim, &c) || __builtin_add_overflow(a, b, &a)
+         || __builtin_add_overflow(a, c, out);
+}
+
+/* Whether [lo + off + c, hi + off + c] leaves [0, n). */
+AM_INLINE int am_outside(intnat lo, intnat hi, intnat off, intnat c, intnat n)
+{
+  intnat a, b;
+  return __builtin_add_overflow(off, c, &off) || __builtin_add_overflow(lo, off, &a)
+         || __builtin_add_overflow(hi, off, &b) || a < 0 || b >= n;
+}
+
+/* Whether some entry of offset table [t] takes [lo, hi] outside [0, n). */
+AM_INLINE int am_table_outside(intnat lo, intnat hi, value t, intnat n)
+{
+  for (mlsize_t e = 0; e < Wosize_val(t); e++)
+    if (am_outside(lo, hi, Long_val(Field(t, e)), 0, n)) return 1;
+  return 0;
+}
+|}
+
+(* The C native walker [symbol] of one signature, from the rewritten
+   [body]: its text and the constants the wrapper passes, in order. *)
+let native_walker ~scope ~symbol env body =
+  let st =
+    {
+      ckname = env.kname;
+      cenv0 = env;
+      kscope = scope;
+      fresh = 0;
+      consts = [];
+      reach = Hashtbl.create 8;
+      tables = Hashtbl.create 2;
+    }
+  in
+  let stmts = sm st { locals = []; scope } body in
+  let { datasets; globals; firsts; offsets } = layout env in
+  let sg = env.sg in
+  let b = Buffer.create 4096 in
+  let p fmt = Printf.bprintf b fmt in
+  let grid = grid env in
+  let label k = let l, _, _ = grid k in l in
+  let dim_of k = let _, _, d = grid k in d in
+  let consts =
+    List.map
+      (fun (c, lid, t) ->
+        let what = "the constant " ^ flat lid in
+        match c_type st ~loc:Location.none what t with
+        | "int" -> cfail st ~loc:Location.none "%s is a bool; pass it as a float or an int" what
+        | t -> (c, lid, t))
+      st.consts
+  in
+  p "intnat %s(value am_places, intnat am_xlo, intnat am_xhi, intnat am_ylo,\n" symbol;
+  p "  intnat am_yhi,";
+  p " intnat am_zlo, intnat am_zhi%s)\n{\n"
+    (String.concat "" (List.map (fun (c, _, t) -> Printf.sprintf ", %s %s" t c) consts));
+  p "  if (am_xlo >= am_xhi || am_ylo >= am_yhi || am_zlo >= am_zhi) return 0;\n";
+  p "  if (Wosize_val(am_places) != %d) return %d;\n" (Array.length sg) (status st_places 0);
+  if firsts <> [] then p "  int am_s;\n";
+  List.iter
+    (fun j ->
+      let l = label j in
+      let n = c_gen in
+      p "  intnat %s, %s, %s, am_lo_%s, am_hi_%s;\n" (n (lbase l)) (n (lplane l)) (n (lrow l)) l l;
+      p "  if ((am_s = am_layout(am_places, %d, %d, am_xlo, am_xhi, am_ylo, am_yhi, am_zlo,\n" j
+        (dim_of j);
+      p "         am_zhi,";
+      p " &%s, &%s, &%s, &am_lo_%s, &am_hi_%s)))\n    return am_s | (%d << 4);\n"
+        (n (lbase l)) (n (lplane l)) (n (lrow l)) l l j)
+    firsts;
+  List.iter
+    (fun (l, dim, ((x, y, z) as o)) ->
+      let j = List.find (fun j -> String.equal (label j) l) firsts in
+      p "  intnat %s;\n" (c_gen (offset_local l o));
+      p "  if (am_offset(%s, %s, %d, %d, %d, %d, &%s)) return %d;\n" (c_gen (lplane l))
+        (c_gen (lrow l)) dim x y z (c_gen (offset_local l o)) (status st_box j))
+    offsets;
+  List.iter
+    (fun k ->
+      let l, _, _ = grid k in
+      p "  double *kernel_d%d = am_data(am_places, %d);\n" k k;
+      p "  intnat kernel_n%d = am_length(am_places, %d);\n" k k;
+      let reached = List.sort_uniq compare (Hashtbl.find_all st.reach k) in
+      List.iter
+        (fun (x, y, z, c) ->
+          let off = if (x, y, z) = (0, 0, 0) then "0" else c_gen (offset_local l (x, y, z)) in
+          p "  if (am_outside(am_lo_%s, am_hi_%s, %s, %d, kernel_n%d)) return %d;\n" l l off c k
+            (status st_box k))
+        reached;
+      if Hashtbl.mem st.tables k then begin
+        p "  value am_t%d = AM_PLACE(am_places, %d, 4);\n" k k;
+        p "  const value *kernel_o%d = (const value *) Op_val(am_t%d);\n" k k;
+        p "  intnat kernel_no%d = Wosize_val(am_t%d);\n" k k;
+        p "  if (am_table_outside(am_lo_%s, am_hi_%s, am_t%d, kernel_n%d)) return %d;\n" l l k k
+          (status st_table k)
+      end)
+    datasets;
+  List.iter
+    (fun k ->
+      let len, access = match sg.(k) with Sgbl { len; access } -> (len, access) | _ -> (0, "") in
+      p "  double *kernel_z%d = am_data(am_places, %d);\n" k k;
+      p "  intnat kernel_nz%d = am_length(am_places, %d);\n" k k;
+      p "  if (kernel_nz%d < %d) return %d;\n" k len (status st_global k);
+      if env.routes.(k) = Locals then
+        List.iter
+          (fun c ->
+            p "  %sdouble kernel_u%d_%d = kernel_z%d[%d];\n"
+              (if access = "Read" then "const " else "")
+              k c k c)
+          (List.sort compare (Hashtbl.find env.uses k).points))
+    globals;
+  let per name value ind =
+    List.iter
+      (fun j ->
+        let l = label j in
+        p "%sconst intnat %s = %s;\n" ind (c_gen (name l)) (value l (dim_of j)))
+      firsts
+  in
+  p "  for (intnat kernel_z = am_zlo; kernel_z < am_zhi; kernel_z++) {\n";
+  per plane_start
+    (fun l _ -> Printf.sprintf "%s + kernel_z * %s" (c_gen (lbase l)) (c_gen (lplane l)))
+    "    ";
+  p "    for (intnat kernel_y = am_ylo; kernel_y < am_yhi; kernel_y++) {\n";
+  per row_start
+    (fun l _ -> Printf.sprintf "%s + kernel_y * %s" (c_gen (plane_start l)) (c_gen (lrow l)))
+    "      ";
+  p "      for (intnat kernel_x = am_xlo; kernel_x < am_xhi; kernel_x++) {\n";
+  per index
+    (fun l dim ->
+      if dim = 1 then Printf.sprintf "%s + kernel_x" (c_gen (row_start l))
+      else Printf.sprintf "%s + kernel_x * %d" (c_gen (row_start l)) dim)
+    "        ";
+  List.iter (pr_st st b ~ind:"        ") stmts;
+  p "      }\n    }\n  }\n";
+  List.iter
+    (fun k ->
+      match sg.(k) with
+      | Sgbl { access; _ } when access <> "Read" && env.routes.(k) = Locals ->
+        List.iter
+          (fun c -> p "  kernel_z%d[%d] = kernel_u%d_%d;\n" k c k c)
+          (List.sort compare (Hashtbl.find env.uses k).points)
+      | _ -> ())
+    globals;
+  p "  return 0;\n}\n\n";
+  (* The bytecode entry point: the same walker on tagged and boxed
+     arguments. *)
+  p "value %s_byte(value *argv, int argn)\n{\n  (void) argn;\n" symbol;
+  p "  return Val_long(%s(argv[0], Long_val(argv[1]), Long_val(argv[2]), Long_val(argv[3]),\n"
+    symbol;
+  p "    Long_val(argv[4]), Long_val(argv[5]), Long_val(argv[6])%s));\n}\n"
+    (String.concat ""
+       (List.mapi
+          (fun i (_, _, t) ->
+            Printf.sprintf ", %s(argv[%d])"
+              (if t = "double" then "Double_val" else "Long_val")
+              (i + 7))
+          consts));
+  (Buffer.contents b, List.map (fun (_, lid, t) -> (lid, t)) consts)
+
+(* The name of a kernel file's walkers: its base name without extension,
+   as the generator and the rewriter both see it. *)
+let unit_name str =
+  match str with
+  | [] -> "none"
+  | item :: _ ->
+    let f = Filename.remove_extension (Filename.basename item.pstr_loc.loc_start.pos_fname) in
+    if f = "" || f = "." then "none" else c_ident f
+
+let symbol ~unit kname v = Printf.sprintf "am_walk_%s_%s_%d" unit (c_ident kname) v
+
+(* The OCaml side of a native walker: an [external] on [symbol], untagged
+   and unboxed, that allocates nothing, and a wrapper that passes the
+   constants and raises on a failed check. *)
+let range_native ~loc ~kname ~symbol consts =
+  let open Ast_builder.Default in
+  let attr name = attribute ~loc ~name:{ txt = name; loc } ~payload:(PStr []) in
+  let untagged = { [%type: int] with ptyp_attributes = [ attr "untagged" ] } in
+  let unboxed = { [%type: float] with ptyp_attributes = [ attr "unboxed" ] } in
+  let params =
+    [%type: Am_core.Acc.place array]
+    :: List.init 6 (fun _ -> untagged)
+    @ List.map (fun (_, t) -> if t = "double" then unboxed else untagged) consts
+  in
+  let ty = List.fold_right (fun a r -> ptyp_arrow ~loc Nolabel a r) params untagged in
+  let prim =
+    pstr_primitive ~loc
+      (value_description ~loc ~name:{ txt = "walk"; loc } ~type_:ty
+         ~prim:[ symbol ^ "_byte"; symbol ])
+  in
+  let prim =
+    match prim.pstr_desc with
+    | Pstr_primitive vd ->
+      { prim with pstr_desc = Pstr_primitive { vd with pval_attributes = [ attr "noalloc" ] } }
+    | _ -> prim
+  in
+  let call =
+    pexp_apply ~loc [%expr Kernel_native__.walk]
+      (List.map
+         (fun e -> (Nolabel, e))
+         ([ [%expr __kernel_p]; [%expr __kernel_xlo]; [%expr __kernel_xhi]; [%expr __kernel_ylo];
+            [%expr __kernel_yhi]; [%expr __kernel_zlo]; [%expr __kernel_zhi] ]
+         @ List.map (fun (lid, _) -> pexp_ident ~loc { txt = lid; loc }) consts))
+  in
+  [%expr
+    let module Kernel_native__ = struct
+      [%%i prim]
+    end in
+    fun (__kernel_p : Am_core.Acc.place array) (__kernel_xlo : int) (__kernel_xhi : int)
+        (__kernel_ylo : int) (__kernel_yhi : int) (__kernel_zlo : int) (__kernel_zhi : int) ->
+      let __kernel_s = [%e call] in
+      if Stdlib.( <> ) __kernel_s 0 then
+        Am_core.Acc.native_failure [%e estring ~loc kname] __kernel_s]
 
 (* The signature as a value, [Am_core.Acc.arg_sig array] or
    [Am_core.Acc.grid_sig array]. *)
@@ -1026,8 +2012,11 @@ let is_acc_array ty =
   | _ -> false
 
 (* [let%kernel name (a : Acc.t array) = body] (or [let%elem_kernel]) as one
-   value binding. *)
-let expand_binding form ~loc vb =
+   value binding.  A range kernel's walkers are native, each with its OCaml
+   walker as [reference]; [emit] receives each native walker's C symbol and
+   text, [scope] is what the file binds above the kernel and [unit] names
+   its walkers. *)
+let expand_binding form ~loc ~scope ~unit ~emit vb =
   let ext = extension_name form in
   let kname =
     match vb.pvb_pat.ppat_desc with
@@ -1075,16 +2064,20 @@ let expand_binding form ~loc vb =
   let attributes = List.filter (fun a -> a.attr_name.txt <> "args") vb.pvb_attributes in
   match form with
   | Ranges ->
-    let walker sg =
+    let walker v sg =
       let env, body = rewritten sg in
+      let symbol = symbol ~unit kname v in
+      let c, consts = native_walker ~scope ~symbol env body in
+      emit symbol c;
       [%expr
         {
           Am_core.Acc.kname = [%e estring kname];
           signature = [%e signature_expr Ranges ~loc sg];
-          range = [%e range_form ~loc env body];
+          range = [%e range_native ~loc ~kname ~symbol consts];
+          reference = [%e range_form ~loc env body];
         }]
     in
-    let walkers = List.map walker (grid_signatures ~kname vb) in
+    let walkers = List.mapi walker (grid_signatures ~kname vb) in
     let value =
       [%expr
         {
@@ -1113,40 +2106,74 @@ let expand_binding form ~loc vb =
     Ast_builder.Default.pstr_value ~loc Nonrecursive
       [ { vb with pvb_expr = value; pvb_attributes = attributes } ]
 
-let expand_item form item =
+let expand_item form ~scope ~unit ~emit item =
   match item.pstr_desc with
-  | Pstr_value (Nonrecursive, [ vb ]) -> expand_binding form ~loc:item.pstr_loc vb
+  | Pstr_value (Nonrecursive, [ vb ]) ->
+    expand_binding form ~loc:item.pstr_loc ~scope ~unit ~emit vb
   | _ ->
     let ext = extension_name form in
     Location.raise_errorf ~loc:item.pstr_loc
       "%%%s: expected let%%%s name (a : Acc.t array) = body" ext ext
 
-let extension form =
-  Extension.V3.declare (extension_name form) Extension.Context.structure_item
-    Ast_pattern.(pstr (__ ^:: nil))
-    (fun ~ctxt:_ item -> expand_item form item)
+(* The scope entries an item adds, innermost first. *)
+let bound item =
+  let opaque names = List.map (fun n -> Opaque n) names in
+  match item.pstr_desc with
+  | Pstr_value (Nonrecursive, vbs) ->
+    List.concat_map
+      (fun vb ->
+        match vb.pvb_pat.ppat_desc with
+        | Ppat_var { txt; _ } -> [ Value (txt, vb) ]
+        | _ -> opaque (bound_vars#pattern vb.pvb_pat []))
+      vbs
+  | Pstr_value (Recursive, vbs) ->
+    opaque (List.concat_map (fun vb -> bound_vars#pattern vb.pvb_pat []) vbs)
+  | Pstr_primitive vd -> [ Opaque vd.pval_name.txt ]
+  | Pstr_module { pmb_name = { txt = Some m; _ }; _ } -> [ Module m ]
+  | Pstr_recmodule mbs ->
+    List.filter_map (fun mb -> Option.map (fun m -> Module m) mb.pmb_name.txt) mbs
+  | Pstr_open _ | Pstr_include _ -> [ Opened ]
+  | _ -> []
 
-(* Expand every [let%kernel] and [let%elem_kernel] of a structure: the
-   rewriter as a function, for tests. *)
-let rewrite_structure =
+(* Expand every [let%kernel] and [let%elem_kernel] of a structure, each
+   with the items above it (in its own and the enclosing structures) in
+   scope. *)
+let expand_structure ~emit str =
+  let unit = unit_name str in
   let mapper =
-    object
-      inherit Ast_traverse.map as super
+    object (self)
+      inherit [item list] Ast_traverse.map_with_context as super
 
-      method! structure_item item =
+      method! structure scope items =
+        let _, rev =
+          List.fold_left
+            (fun (scope, acc) item ->
+              let item = self#structure_item scope item in
+              (bound item @ scope, item :: acc))
+            (scope, []) items
+        in
+        List.rev rev
+
+      method! structure_item scope item =
         match item.pstr_desc with
-        | Pstr_extension (({ txt = "kernel"; _ }, PStr [ inner ]), _) -> expand_item Ranges inner
+        | Pstr_extension (({ txt = "kernel"; _ }, PStr [ inner ]), _) ->
+          expand_item Ranges ~scope ~unit ~emit inner
         | Pstr_extension (({ txt = "elem_kernel"; _ }, PStr [ inner ]), _) ->
-          expand_item Elements inner
-        | _ -> super#structure_item item
+          expand_item Elements ~scope ~unit ~emit inner
+        | _ -> super#structure_item scope item
     end
   in
-  mapper#structure
+  mapper#structure [] str
 
-let () =
-  Driver.register_transformation "kernel"
-    ~rules:
-      [
-        Context_free.Rule.extension (extension Ranges);
-        Context_free.Rule.extension (extension Elements);
-      ]
+let rewrite_structure = expand_structure ~emit:(fun _ _ -> ())
+
+(* The native walkers of a structure's range kernels: each C symbol and
+   its function, in source order. *)
+let walkers_c str =
+  let out = ref [] in
+  ignore (expand_structure ~emit:(fun symbol c -> out := (symbol, c) :: !out) str);
+  List.rev !out
+
+(* A whole-file rewrite: a range kernel's native walker inlines the
+   helpers above it and needs to know which names they bind. *)
+let () = Driver.register_transformation "kernel" ~impl:rewrite_structure

@@ -6,3 +6,11 @@
     a located error on a kernel the rewriter refuses: the rewriter as a
     function, for tests. *)
 val rewrite_structure : Ppxlib.structure -> Ppxlib.structure
+
+(** The C every file of native range walkers starts with. *)
+val c_prelude : string
+
+(** The native range walkers of a structure's [let%kernel]s, in source
+    order: each walker's C symbol and function, raising as
+    [rewrite_structure] does. *)
+val walkers_c : Ppxlib.structure -> (string * string) list

@@ -508,31 +508,75 @@ let test_elem_dispatch () =
       let p, _ = ring_run ~backend:shared Coloured in
       Alcotest.(check int) "shared 2: one call per coloured block" ((ring + 47) / 48)
         (Atomic.get p.ecalls);
-      (* Walker frames run one element per call where the executor works
-         element by element: a Vec lane, a Cuda_sim NOSOA block. *)
-      let cuda strategy = Some (Op2.Cuda_sim { Am_op2.Exec_cuda.block_size = 48; strategy }) in
-      List.iter
-        (fun (name, backend, setup, loops) ->
-          List.iter
-            (fun loop ->
-              let p, once = ring_run ?backend ~setup loop in
-              Alcotest.(check int) (name ^ ": one element-walker call per element") ring
-                (Atomic.get p.ecalls);
-              Alcotest.(check int) (name ^ ": calls cover every element") ring
-                (Atomic.get p.covered);
-              Alcotest.(check bool) (name ^ ": every element once") true once)
-            loops)
-        [
-          ("vec", Some (Op2.Vec { Am_op2.Exec_vec.width = 4 }), ignore, [ Direct; Coloured ]);
-          ("cuda NOSOA", cuda Am_op2.Exec_cuda.Global_aos, ignore, [ Direct; Coloured ]);
-        ];
-      (* An overlapped rank's core and boundary subsets are ascending: one
-         call per maximal run of consecutive elements. *)
+      (* Where the executor works element by element, walker frames run
+         one call per maximal run of consecutive ids: within a Vec pack,
+         within one colour of a Cuda_sim NOSOA block (the plan's element
+         colouring orders both). *)
       let runs elems =
         let n = ref 0 in
         Array.iteri (fun i e -> if i = 0 || e <> elems.(i - 1) + 1 then incr n) elems;
         !n
       in
+      let plan loop = Plan.build ~set_size:ring ~block_size:48 (ring_args (make_ring ()) loop) in
+      let classes loop =
+        match (plan loop).Plan.elem_coloring with
+        | None -> [| Array.init ring Fun.id |]
+        | Some ec -> ec.Am_mesh.Coloring.by_color
+      in
+      let width = 4 in
+      let vec_calls loop =
+        Array.fold_left
+          (fun acc elems ->
+            let n = Array.length elems in
+            let rec packs i acc =
+              if i >= n then acc
+              else packs (i + width) (acc + runs (Array.sub elems i (min width (n - i))))
+            in
+            packs 0 acc)
+          0 (classes loop)
+      in
+      let cuda_calls loop =
+        let p = plan loop in
+        let blocks = p.Plan.blocks in
+        List.fold_left
+          (fun acc b ->
+            let lo, hi = Am_mesh.Coloring.block_range blocks b in
+            match p.Plan.elem_coloring with
+            | None -> acc + 1
+            | Some ec ->
+              List.fold_left
+                (fun acc c ->
+                  acc
+                  + runs
+                      (Array.of_list
+                         (List.filter
+                            (fun e -> ec.Am_mesh.Coloring.colors.(e) = c)
+                            (List.init (hi - lo) (( + ) lo)))))
+                acc
+                (List.init ec.Am_mesh.Coloring.n_colors Fun.id))
+          0
+          (List.init blocks.Am_mesh.Coloring.n_blocks Fun.id)
+      in
+      let cuda strategy = Some (Op2.Cuda_sim { Am_op2.Exec_cuda.block_size = 48; strategy }) in
+      List.iter
+        (fun (name, backend, calls) ->
+          List.iter
+            (fun loop ->
+              let p, once = ring_run ?backend loop in
+              Alcotest.(check int) (name ^ ": one element-walker call per run") (calls loop)
+                (Atomic.get p.ecalls);
+              Alcotest.(check int) (name ^ ": calls cover every element") ring
+                (Atomic.get p.covered);
+              Alcotest.(check bool) (name ^ ": every element once") true once)
+            [ Direct; Coloured ];
+          Alcotest.(check bool) (name ^ ": a direct loop's runs merge elements") true
+            (calls Direct < ring))
+        [
+          ("vec", Some (Op2.Vec { Am_op2.Exec_vec.width }), vec_calls);
+          ("cuda NOSOA", cuda Am_op2.Exec_cuda.Global_aos, cuda_calls);
+        ];
+      (* An overlapped rank's core and boundary subsets are ascending: one
+         call per maximal run of consecutive elements. *)
       let ring_ctx = ref None in
       let p, once =
         ring_run

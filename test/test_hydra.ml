@@ -166,6 +166,19 @@ let test_alloc_budget () =
   if words > 17_000.0 then
     Alcotest.failf "one Seq iteration allocated %.0f minor words (budget 17000)" words
 
+(* One warm iteration on 4 Kway ranks.  Each call's rank executors,
+   rank plans and core/boundary split live on its entry's handle, so a
+   warm call builds no signature string and looks nothing up by one; the
+   pin (measured: 57.7k words; 90.7k when every call built its key) is the
+   per-call, per-rank frames and halo exchanges. *)
+let test_dist_alloc_budget () =
+  let t = App.create ~nx:96 ~ny:64 () in
+  Op2.partition t.App.ctx ~n_ranks:4 ~strategy:(Op2.Kway_through t.App.edge_cells);
+  ignore (App.iteration t);
+  let words = Gc_util.minor_words (fun () -> ignore (App.iteration t)) in
+  if words > 72_000.0 then
+    Alcotest.failf "one 4-rank iteration allocated %.0f minor words (budget 72000)" words
+
 (* A warm handle-less [rk_stage], with its fresh [alpha] global, costs what
    the same call costs on an explicit handle with a hoisted [alpha]
    buffer: both run on a handle's plan entry and executor, and the
@@ -235,6 +248,8 @@ let () =
           Alcotest.test_case "loop count" `Quick test_loop_count_per_iteration;
           Alcotest.test_case "more data than airfoil" `Quick test_more_data_than_airfoil;
           Alcotest.test_case "seq iteration allocation budget" `Quick test_alloc_budget;
+          Alcotest.test_case "4-rank iteration allocation budget" `Quick
+            test_dist_alloc_budget;
           Alcotest.test_case "handle-less call as cheap as a handle" `Quick test_handleless_call;
           Alcotest.test_case "seq: every call an element walker" `Quick
             test_element_walkers_on_seq;

@@ -622,6 +622,44 @@ let test_op2_fresh_globals () =
         (List.combine seq dist))
     [ (Op2.Blocking, "blocking"); (Op2.Overlap, "overlap") ]
 
+(* One explicit handle serving three argument lists on 3 Kway ranks: the
+   cell values through one slot of the map, then the other, then [du]
+   through the first.  A partitioned call keeps its rank executors and
+   core/boundary split on its handle, so each call must find them rebuilt
+   for its own arguments' shape. *)
+let test_op2_handle_per_shape () =
+  let p = { nx = 9; ny = 8; scramble = Some 7; dim = 1; steps = []; reps = 1 } in
+  let run configure =
+    let b = build p in
+    let n = Array.length (Op2.fetch b.ctx b.u) in
+    Op2.update b.ctx b.u (Array.init n (fun i -> Float.of_int (1 + (i mod 7))));
+    Op2.update b.ctx b.du (Array.init n (fun i -> Float.of_int (2 + (i mod 5))));
+    configure b;
+    let handle = Op2.make_handle () in
+    List.map
+      (fun (d, slot) ->
+        let sum = [| 0.0 |] in
+        Op2.par_loop b.ctx ~name:"slot_sum" ~handle b.edges
+          [ Op2.arg_dat_indirect d b.e2c slot Access.Read; Op2.arg_gbl ~name:"sum" sum Access.Inc ]
+          (fun a -> a.(1).(0) <- a.(1).(0) +. a.(0).(0));
+        sum.(0))
+      [ (b.u, 0); (b.u, 1); (b.du, 0) ]
+  in
+  let seq = run ignore in
+  List.iter
+    (fun (mode, mname) ->
+      let dist =
+        run (fun b ->
+            Op2.partition b.ctx ~n_ranks:3 ~strategy:(Op2.Kway_through b.e2c);
+            Op2.set_comm_mode b.ctx mode)
+      in
+      List.iteri
+        (fun i (a, d) ->
+          if a <> d then
+            Alcotest.failf "kway(3) %s, call %d: seq sum %.17g, partitioned %.17g" mname i a d)
+        (List.combine seq dist))
+    [ (Op2.Blocking, "blocking"); (Op2.Overlap, "overlap") ]
+
 (* The OPS twin: Ops3 z-slabs and Ops rows, a stencil read, a fresh Read
    scale and a fresh Inc or Max reduction on every call (under overlap
    the Max loop runs its core and boundary boxes as separate frames). *)
@@ -1085,6 +1123,8 @@ let () =
             test_ops_fresh_globals;
           Alcotest.test_case "OPS one handle, three argument lists: rows == seq" `Quick
             test_ops_handle_per_rank;
+          Alcotest.test_case "OP2 one handle, three argument lists: kway(3) == seq" `Quick
+            test_op2_handle_per_shape;
         ] );
       ( "dpor",
         [

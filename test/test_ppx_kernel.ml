@@ -277,6 +277,75 @@ let test_pdv () =
   Alcotest.(check int) "pdv: the consts buffer is not named inside the loops"
     (count before "__kernel_z10") (count walkers "__kernel_z10")
 
+(* PdV's native walker, compiled to C from lib/apps_cloverleaf/kernels.ml
+   by the generator's own function: one index per layout label, one
+   offset local per (label, literal point) off the centre, the per-call
+   proof before the loops (the places' length, each label's layout, each
+   dataset's reach, the consts' length), the four consts loaded once and
+   never named inside the loops, and no check inside them.  calc_dt's Min
+   global lives in a local folded per point and stored after the box. *)
+let test_pdv_c () =
+  let path =
+    Filename.concat (Filename.dirname Sys.executable_name) "../lib/apps_cloverleaf/kernels.ml"
+  in
+  let lexbuf = Lexing.from_string (In_channel.with_open_text path In_channel.input_all) in
+  Lexing.set_filename lexbuf "kernels.ml";
+  let walkers = Ppx_kernel.walkers_c (Parse.implementation lexbuf) in
+  let c name = List.assoc ("am_walk_kernels_" ^ name) walkers in
+  let pdv = c "pdv_acc_0" in
+  let at s sub =
+    let n = String.length s and m = String.length sub in
+    let rec from i =
+      if i + m > n then Alcotest.failf "no %S" sub
+      else if String.sub s i m = sub then i
+      else from (i + 1)
+    in
+    from 0
+  in
+  let loops = at pdv "for (intnat kernel_z" in
+  let before = String.sub pdv 0 loops
+  and inside = String.sub pdv loops (String.length pdv - loops) in
+  List.iter
+    (fun (what, s, sub, n) ->
+      Alcotest.(check int) (Printf.sprintf "pdv C: %s (%S)" what sub) n (count s sub))
+    [
+      ("one index per label", inside, "const intnat kernel_i_", 2);
+      ("node index", inside, "const intnat kernel_i_node = kernel_r_node + kernel_x;", 1);
+      ("three offset locals", before, "intnat kernel_o_node_", 3);
+      ( "offset (1, 1)",
+        before,
+        "am_offset(kernel_plane_node, kernel_row_node, 1, 1, 1, 0, &kernel_o_node_1_1)",
+        1 );
+      ("the places' length", before, "if (Wosize_val(am_places) != 11) return 1;", 1);
+      ("one layout per label", before, "am_layout(am_places, ", 2);
+      ("each node dataset's reach", before, "am_outside(am_lo_node, am_hi_node, ", 16);
+      ("each cell dataset's reach", before, "am_outside(am_lo_cell, am_hi_cell, 0, 0, kernel_n", 6);
+      ( "xvel1's (1, 1) point",
+        before,
+        "am_outside(am_lo_node, am_hi_node, kernel_o_node_1_1, 0, kernel_n2)) return 35;",
+        1 );
+      ("the consts' length", before, "if (kernel_nz10 < 4) return 165;", 1);
+      ("the consts loaded once", before, "const double kernel_u10_", 4);
+      ("the consts not named in the loops", inside, "kernel_z10", 0);
+      ("no check in the loops", inside, "AM_AT(", 0);
+      ("no proof in the loops", inside, "am_outside", 0);
+      ("an offset local read", inside, "kernel_d0[(kernel_i_node + kernel_o_node_1_1)]", 1);
+      ( "density1 written",
+        inside,
+        "kernel_d8[kernel_i_cell] = (v_density0_1 * v_volume_change_14);",
+        1 );
+    ];
+  let calc_dt = c "calc_dt_acc_0" in
+  let loops = at calc_dt "for (intnat kernel_z" in
+  let stored = at calc_dt "kernel_z6[0] = kernel_u6_0;" in
+  Alcotest.(check bool) "calc_dt C: the Min global loaded before the box" true
+    (at calc_dt "double kernel_u6_0 = kernel_z6[0];" < loops);
+  Alcotest.(check bool) "calc_dt C: folded with OCaml's Float.min" true
+    (at calc_dt "kernel_u6_0 = am_fmin(kernel_u6_0, " > loops);
+  Alcotest.(check bool) "calc_dt C: stored after the box" true
+    (stored > at calc_dt "kernel_u6_0 = am_fmin(kernel_u6_0, "
+    && count (String.sub calc_dt stored (String.length calc_dt - stored)) "kernel_x" = 0)
+
 (* [src] must fail to expand with an error on [line] naming the kernel
    and saying [what]. *)
 let refuses ?(ext = "kernel") ~name ~line ~what src =
@@ -334,6 +403,35 @@ let test_refuses () =
       ( "two",
         {|let%kernel two (a : Acc.t array) (b : int) = set a.(b) 1.0 [@@args c [(0,0)] 1 Write]|} );
     ]
+
+(* What the native walker's vocabulary leaves out: each refusal names the
+   kernel and is located at the expression. *)
+let test_native_refuses () =
+  refuses ~name:"unknown" ~line:2 ~what:"unknown function foo"
+    {|let%kernel unknown (a : Acc.t array) =
+  set a.(1) (foo (get a.(0) 0))
+[@@args c [(0,0)] 1 Read, c [(0,0)] 1 Write]|};
+  refuses ~name:"poly" ~line:3 ~what:"Stdlib.min is polymorphic compare; use Float.min"
+    {|let%kernel poly (a : Acc.t array) =
+  let x = get a.(0) 0 in
+  set a.(1) (Stdlib.min x 1.0)
+[@@args c [(0,0)] 1 Read, c [(0,0)] 1 Write]|};
+  refuses ~name:"escape" ~line:3 ~what:"the ref r escapes"
+    {|let%kernel escape (a : Acc.t array) =
+  let r = ref (get a.(0) 0) in
+  let s = r in
+  set a.(1) !s
+[@@args c [(0,0)] 1 Read, c [(0,0)] 1 Write]|};
+  (* A helper above the kernel is inlined; an undefined one is unknown. *)
+  ignore
+    (expand
+       {|let twice x = x +. x
+let%kernel helped (a : Acc.t array) = set a.(1) (twice (get a.(0) 0))
+[@@args c [(0,0)] 1 Read, c [(0,0)] 1 Write]|});
+  refuses ~name:"later" ~line:1 ~what:"unknown function twice"
+    {|let%kernel later (a : Acc.t array) = set a.(1) (twice (get a.(0) 0))
+[@@args c [(0,0)] 1 Read, c [(0,0)] 1 Write]
+let twice x = x +. x|}
 
 let test_elem_refuses () =
   let refuses = refuses ~ext:"elem_kernel" in
@@ -482,6 +580,10 @@ let () =
           Alcotest.test_case "refuses what the declared signatures rule out" `Quick
             test_grid_signature_refuses;
           Alcotest.test_case "PdV: one index per layout, globals once" `Quick test_pdv;
+          Alcotest.test_case "PdV's C: indices, offsets, the proof, globals once" `Quick
+            test_pdv_c;
+          Alcotest.test_case "refuses what the native walker cannot translate" `Quick
+            test_native_refuses;
         ] );
       ( "let%elem_kernel",
         [

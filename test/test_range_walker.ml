@@ -537,9 +537,9 @@ let point_of c (sizes, halo) dim i =
     (p / (px * py)) - g 2,
     comp )
 
-(* Run [c] through its walker and through its point form; fail, naming
-   the loop, argument and point, on any difference.  Returns whether the
-   walker ran. *)
+(* Run [c] through its native walker, through its OCaml reference walker
+   and through its point form; fail, naming the loop, argument and point,
+   on any difference.  Returns whether the walker ran. *)
 let check_case pool c =
   let fail fmt = Qcheck_util.failf_seed Qcheck_util.base_seed ("loop %s: " ^^ fmt) (show c) in
   let run form c kernel =
@@ -548,33 +548,38 @@ let check_case pool c =
     | exception e -> fail "the run through the %s raised %s" form (Printexc.to_string e)
   in
   let walked, calls = run "kernel" c c.kernel in
+  let referenced, reference_calls = run "reference walker" c (Acc.reference c.kernel) in
   let pointed, _ = run "point form" c (Acc.lift c.kernel.Acc.point) in
+  if calls <> reference_calls then
+    fail "the native walker ran %d times, the reference walker %d" calls reference_calls;
   let sg = signature c in
-  List.iter2
-    (fun (name, i, w) (_, _, p) ->
-      Array.iteri
-        (fun j v ->
-          if bits v <> bits p.(j) then
-            match sg.(i) with
-            | Acc.Grid_dat { label; dim; _ } ->
-              let x, y, z, comp = point_of c (List.assoc label c.shapes) dim j in
-              fail
-                "argument %d (dat %s) differs at point (%d,%d,%d) component %d: walker %h, point \
-                 form %h"
-                i name x y z comp v p.(j)
-            | Acc.Grid_gbl _ -> assert false)
-        w)
-    walked.dats pointed.dats;
-  List.iter2
-    (fun (i, w) (_, p) ->
-      let shared_inc = c.config = Shared && access_of sg.(i) = Access.Inc in
-      Array.iteri
-        (fun j v ->
-          if not (if shared_inc then close v p.(j) else bits v = bits p.(j)) then
-            fail "argument %d (global) differs at component %d: walker %h, point form %h" i j v
-              p.(j))
-        w)
-    walked.gbls pointed.gbls;
+  let agree (form, w) (form', p) =
+    List.iter2
+      (fun (name, i, w) (_, _, p) ->
+        Array.iteri
+          (fun j v ->
+            if bits v <> bits p.(j) then
+              match sg.(i) with
+              | Acc.Grid_dat { label; dim; _ } ->
+                let x, y, z, comp = point_of c (List.assoc label c.shapes) dim j in
+                fail "argument %d (dat %s) differs at point (%d,%d,%d) component %d: %s %h, %s %h"
+                  i name x y z comp form v form' p.(j)
+              | Acc.Grid_gbl _ -> assert false)
+          w)
+      w.dats p.dats;
+    List.iter2
+      (fun (i, w) (_, p) ->
+        let shared_inc = c.config = Shared && access_of sg.(i) = Access.Inc in
+        Array.iteri
+          (fun j v ->
+            if not (if shared_inc then close v p.(j) else bits v = bits p.(j)) then
+              fail "argument %d (global) differs at component %d: %s %h, %s %h" i j form v form'
+                p.(j))
+          w)
+      w.gbls p.gbls
+  in
+  agree ("native walker", walked) ("point form", pointed);
+  agree ("native walker", walked) ("reference walker", referenced);
   (* A partitioned run leaves every padded point, ghost cells included,
      as Seq does. *)
   (match c.config with
@@ -681,6 +686,124 @@ let test_corpus () =
         | Acc.Grid_dat { dim; _ } -> dim = d
         | Acc.Grid_gbl _ -> false))
     [ 1; 2 ]
+
+(* ---- Native walkers prove their box before any point runs -------------- *)
+
+(* A computed stencil point that can leave the declared stencil. *)
+let%kernel reach_out (a : Acc.t array) =
+  let p = if get a.(0) 0 > 0.0 then 0 else 3 in
+  set a.(1) (get a.(0) p)
+[@@args c [(0,0); (1,0)] 1 Read, c [(0,0)] 1 Write]
+
+(* Call a native walker directly with places a loop would never build:
+   each bad input must raise [Invalid_argument] naming the kernel from the
+   native walker (before any point runs, when the per-call proof catches
+   it), where the OCaml reference raises too, and the process lives on.
+   The block is 4x3 with halo 1: rows of 6, the interior at [7]. *)
+let test_native_safety () =
+  let nx = 4 and ny = 3 and row = 6 in
+  let len = row * (ny + 2) in
+  let place ?(off = [| 0 |]) data =
+    { Acc.pdata = data; pbase = row + 1; pplane = len; prow = row; poff = off }
+  in
+  let five = [| 0; -1; 1; -row; row |] in
+  let places ?(u = Array.init len Float.of_int) ?(g = [| 0.5; 2.0 |]) () =
+    [| place ~off:five u; place (Array.make len 0.0); { (place g) with Acc.pbase = 0 } |]
+  in
+  let raises what kernel (w : Acc.range_walker) ps (xlo, xhi, ylo, yhi) =
+    let out = Array.copy ps.(1).Acc.pdata in
+    (match w.Acc.reference ps xlo xhi ylo yhi 0 1 with
+    | () -> Alcotest.failf "%s: the OCaml reference ran" what
+    | exception Invalid_argument _ -> ());
+    Array.blit out 0 ps.(1).Acc.pdata 0 (Array.length out);
+    match w.Acc.range ps xlo xhi ylo yhi 0 1 with
+    | () -> Alcotest.failf "%s: the native walker ran" what
+    | exception Invalid_argument msg ->
+      if not (Str_contains.contains msg ("native range walker " ^ kernel)) then
+        Alcotest.failf "%s: %S does not name %s" what msg kernel;
+      msg
+  in
+  let unchanged what before after =
+    if Array.map bits before <> Array.map bits after then
+      Alcotest.failf "%s: the native walker wrote before its check" what
+  in
+  let five_point = five_point.Acc.walkers.(0) in
+  (* The box the data covers runs, and native equals reference. *)
+  let a = places () and b = places () in
+  five_point.Acc.range a 0 nx 0 ny 0 1;
+  five_point.Acc.reference b 0 nx 0 ny 0 1;
+  if Array.map bits a.(1).Acc.pdata <> Array.map bits b.(1).Acc.pdata then
+    Alcotest.fail "native and reference differ on a good box";
+  (* The box's last point, (nx - 1, ny - 1) read at (0, 1), is the array's
+     last element: one element less and it reaches one point past. *)
+  let last = row + 1 + ((ny - 1) * row) + (nx - 1) + row in
+  let short = places ~u:(Array.init last Float.of_int) () in
+  let msg = raises "one point past" "five_point" five_point short (0, nx, 0, ny) in
+  unchanged "one point past" (Array.make len 0.0) short.(1).Acc.pdata;
+  if not (Str_contains.contains msg "argument 0: the box reaches outside") then
+    Alcotest.failf "one point past: %S" msg;
+  (* A negative row stride takes row 2 below the array's start. *)
+  let ps = places () in
+  let ps = Array.mapi (fun k p -> if k < 2 then { p with Acc.prow = -row } else p) ps in
+  let msg = raises "negative stride" "five_point" five_point ps (0, nx, 0, ny) in
+  if not (Str_contains.contains msg "negative plane or row stride") then
+    Alcotest.failf "stride: %S" msg;
+  (* A Read global of length 1 where the signature declares 2. *)
+  let ps = places ~g:[| 0.5 |] () in
+  let msg = raises "short global" "five_point" five_point ps (0, nx, 0, ny) in
+  unchanged "short global" (Array.make len 0.0) ps.(1).Acc.pdata;
+  if not (Str_contains.contains msg "argument 2: the global's buffer is shorter") then
+    Alcotest.failf "short global: %S" msg;
+  (* Two places for three arguments. *)
+  let ps = Array.sub (places ()) 0 2 in
+  let msg = raises "short places" "five_point" five_point ps (0, nx, 0, ny) in
+  if not (Str_contains.contains msg "places array") then Alcotest.failf "short places: %S" msg;
+  (* A computed point 3 of a two-point stencil, on a point whose value is
+     not positive. *)
+  let reach_out = reach_out.Acc.walkers.(0) in
+  let u = Array.make len (-1.0) in
+  let ps = [| place ~off:[| 0; 1 |] u; place (Array.make len 0.0) |] in
+  let msg = raises "computed point" "reach_out" reach_out ps (0, nx, 0, ny) in
+  if not (Str_contains.contains msg "argument 0: a computed stencil point is outside") then
+    Alcotest.failf "computed point: %S" msg;
+  (* An offset-table entry that leaves the array, read on every point. *)
+  let ps = [| place ~off:[| len; 1 |] (Array.make len 1.0); place (Array.make len 0.0) |] in
+  let msg = raises "offset table" "reach_out" reach_out ps (0, nx, 0, ny) in
+  unchanged "offset table" (Array.make len 0.0) ps.(1).Acc.pdata;
+  if not (Str_contains.contains msg "argument 0: an entry of the offset table") then
+    Alcotest.failf "offset table: %S" msg;
+  (* The same kernel on positive values never leaves its stencil. *)
+  let ps = [| place ~off:[| 0; 1 |] (Array.make len 1.0); place (Array.make len 0.0) |] in
+  reach_out.Acc.range ps 0 nx 0 ny 0 1;
+  if ps.(1).Acc.pdata.(row + 1) <> 1.0 then Alcotest.fail "reach_out did not run"
+
+(* Float.min and Float.max of neighbours: OCaml picks by its own NaN and
+   signed-zero rules, which C's fmin/fmax do not keep. *)
+let%kernel min_max (a : Acc.t array) =
+  let x = get a.(0) 0 and y = get a.(0) 1 in
+  set a.(1) (Float.min x y);
+  set a.(2) (Float.max x y)
+[@@args c [(0,0); (1,0)] 1 Read, c [(0,0)] 1 Write, c [(0,0)] 1 Write]
+
+(* Every ordered pair of -0.0, 0.0, NaN, -NaN and 1.0 as neighbours: the
+   native walker writes the bits the OCaml reference writes. *)
+let test_native_min_max () =
+  let values = [| -0.0; 0.0; Float.nan; -.Float.nan; 1.0 |] in
+  let n = Array.length values in
+  let u =
+    Array.concat
+      (List.init (n * n) (fun k -> [| values.(k / n); values.(k mod n) |]))
+  in
+  let len = Array.length u in
+  let place data = { Acc.pdata = data; pbase = 0; pplane = len; prow = len; poff = [| 0; 1 |] } in
+  let run walk =
+    let lo = Array.make len 7.0 and hi = Array.make len 7.0 in
+    walk [| place u; place lo; place hi |] 0 (len - 1) 0 1 0 1;
+    (Array.map bits lo, Array.map bits hi)
+  in
+  let w = min_max.Acc.walkers.(0) in
+  let native = run w.Acc.range and reference = run w.Acc.reference in
+  if native <> reference then Alcotest.fail "native Float.min/Float.max differ from OCaml's"
 
 (* ---- Declared signatures: a mismatch is refused by name -------------------- *)
 
@@ -819,6 +942,13 @@ let () =
             test_corpus;
         ]
       );
+      ( "native walker safety",
+        [
+          Alcotest.test_case "bad places raise Invalid_argument naming the kernel" `Quick
+            test_native_safety;
+          Alcotest.test_case "Float.min/Float.max keep OCaml's NaN and signed-zero rules" `Quick
+            test_native_min_max;
+        ] );
       ( "declared signatures",
         [
           Alcotest.test_case "a mismatched fact is refused by name on every backend" `Quick
