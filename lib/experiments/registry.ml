@@ -1,5 +1,5 @@
-(* Experiment registry: every table and figure of the paper, the measured
-   host-machine comparisons and the ablations, addressable by id. *)
+(* Experiment registry: every table and figure of the paper, the ablations
+   and the modelled extensions, addressable by id. *)
 
 type experiment = { id : string; title : string; run : unit -> unit }
 
@@ -14,7 +14,6 @@ let experiments =
     { id = "fig6"; title = "Fig 6: CloverLeaf scaling on Titan"; run = Figures.fig6 };
     { id = "fig7"; title = "Fig 7: generated CUDA memory strategies"; run = Figures.fig7 };
     { id = "fig8"; title = "Fig 8: checkpoint planning"; run = Figures.fig8 };
-    { id = "measured"; title = "Measured host-machine comparisons"; run = Measured.all };
     { id = "ablations"; title = "Design-choice ablations"; run = Ablations.all };
     { id = "ext"; title = "Extensions: TeaLeaf-sim & CloverLeaf 3D modelled";
       run = Extensions.run };

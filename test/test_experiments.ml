@@ -106,6 +106,35 @@ let test_fig_smoke () =
       Am_experiments.Figures.fig7 ();
       Am_experiments.Figures.fig8 ())
 
+(* The one timer: [pairs] warms up a then b, then alternates the order of
+   each pair (a b, b a, a b, ...) and keeps one ratio a ÷ b per pair;
+   [sample] warms up once and keeps one time per call. *)
+let test_timing_call_order () =
+  let log = ref [] in
+  let a () = log := "a" :: !log and b () = log := "b" :: !log in
+  let s = Am_experiments.Timing.pairs ~repeat:5 a b in
+  Alcotest.(check (list string)) "warm-ups, then a b, b a, a b, b a, a b"
+    [ "a"; "b"; "a"; "b"; "b"; "a"; "a"; "b"; "b"; "a"; "a"; "b" ]
+    (List.rev !log);
+  Alcotest.(check int) "one ratio per pair" 5 s.Am_util.Regress.n;
+  let calls = ref 0 in
+  let s = Am_experiments.Timing.sample ~repeat:7 (fun () -> incr calls) in
+  Alcotest.(check int) "one warm-up, then seven timed calls" 8 !calls;
+  Alcotest.(check int) "one sample per timed call" 7 s.Am_util.Regress.n
+
+(* The ratio is a ÷ b, whichever runs first in its pair: a side that
+   sleeps 2 ms against one that returns at once reads far above 1, and
+   the other way round far below. *)
+let test_timing_ratio_direction () =
+  let slow () = Unix.sleepf 0.002 and fast () = () in
+  let s = Am_experiments.Timing.pairs ~repeat:4 slow fast in
+  Alcotest.(check bool) "slow ÷ fast above 10" true (s.Am_util.Regress.min > 10.0);
+  let s = Am_experiments.Timing.pairs ~repeat:4 fast slow in
+  Alcotest.(check bool) "fast ÷ slow below 0.1" true (s.Am_util.Regress.max < 0.1);
+  let s = Am_experiments.Timing.sample ~repeat:3 slow in
+  Alcotest.(check bool) "sample in seconds" true
+    (s.Am_util.Regress.min >= 0.002 && s.Am_util.Regress.median < 1.0)
+
 let () =
   Alcotest.run "experiments"
     [
@@ -119,4 +148,9 @@ let () =
           Alcotest.test_case "hydra inventory" `Quick test_hydra_loop_inventory;
         ] );
       ("smoke", [ Alcotest.test_case "fig7/fig8 run" `Quick test_fig_smoke ]);
+      ( "timing",
+        [
+          Alcotest.test_case "call order and counts" `Quick test_timing_call_order;
+          Alcotest.test_case "ratio direction" `Quick test_timing_ratio_direction;
+        ] );
     ]
