@@ -74,10 +74,7 @@ let lossy () =
 
 (* One Aero Newton iteration from phi = 0, so every call solves the full
    CG system; a second iteration from the converged solution runs no CG
-   iteration at all.  Both sides zero phi in place: [Op2.update] adopts its
-   argument as phi's array, so a fresh zero array per call would rebuild
-   the executors cached on the old one, and one shared across calls would
-   hold the converged solution after the first. *)
+   iteration at all.  Both sides zero phi in place. *)
 let aero_newton ~tiny =
   let mesh = Am_aero.App.generate_mesh ~n:(dim ~tiny 48 8) in
   let lib = Am_aero.App.create mesh and hand = Am_aero.Hand.create mesh in
@@ -110,12 +107,6 @@ let ratio name setup =
 
 let rows ~tiny =
   let dim = dim ~tiny in
-  let airfoil_check ~infer =
-    let t = Airfoil.create (airfoil_mesh ~tiny) in
-    Op2.set_infer t.Airfoil.ctx infer;
-    Op2.set_backend t.Airfoil.ctx Op2.Check;
-    t
-  in
   let lossy_over_clean make step set_fault () =
     let lossy_t = make () in
     set_fault lossy_t (lossy ());
@@ -176,13 +167,8 @@ let rows ~tiny =
         fun () -> ignore (Am_mesh.Reorder.rcm dual));
     (* The sanitizer: an Airfoil iteration on Check ÷ on Seq. *)
     ratio "sanitizer/check_over_seq" (fun () ->
-        ( airfoil_iteration (airfoil_check ~infer:true),
+        ( airfoil_iteration (Airfoil.create ~backend:Op2.Check (airfoil_mesh ~tiny)),
           airfoil_iteration (Airfoil.create (airfoil_mesh ~tiny)) ));
-    (* Footprint inference: Check on loops the probe proved exact runs
-       light; inference off, every loop pays the full guard. *)
-    ratio "analysis/check_full_over_light" (fun () ->
-        ( airfoil_iteration (airfoil_check ~infer:false),
-          airfoil_iteration (airfoil_check ~infer:true) ));
     ratio "recovery/airfoil_lossy_over_clean"
       (lossy_over_clean
          (fun () -> airfoil_dist ~tiny Op2.Blocking)
@@ -301,32 +287,23 @@ let deltas readings f =
 
 let int c () = Float.of_int (Counters.value c)
 
-(* Footprint inference: what the once-per-signature probing costs, against
-   what the proven facts buy back — the loops Check runs light, and the
-   ghost rows and whole exchanges a tightened distributed CloverLeaf run
-   drops.  Runtime tightening is off by default (sampled negatives are
-   evidence, not proof), so the bench opts in: CloverLeaf's kernels have
-   data-independent footprints. *)
+(* Footprint inference: what probing every call site of an Airfoil and a
+   CloverLeaf run costs, paid when their footprints are read. *)
 let analysis ~tiny =
   deltas
     [
       ("infer_signatures", int Obs.infer_signatures);
       ("infer_kernel_runs", int Obs.infer_kernel_runs);
       ("infer_seconds", fun () -> Counters.valuef Obs.infer_seconds);
-      ("light_loops", int Obs.check_light_loops);
-      ("light_elements", int Obs.check_light_elements);
-      ("halo_depth_saved_rows", int Obs.halo_depth_saved);
-      ("halo_exchanges_saved", int Obs.halo_exchanges_saved);
     ]
     (fun () ->
-      let light = Airfoil.create (airfoil_mesh ~tiny) in
-      Op2.set_backend light.Airfoil.ctx Op2.Check;
-      ignore (Airfoil.run light ~iters:10);
+      let af = Airfoil.create (airfoil_mesh ~tiny) in
+      ignore (Airfoil.run af ~iters:10);
+      ignore (Op2.footprints af.Airfoil.ctx);
       let n = dim ~tiny 96 24 in
       let cl = Clover.create ~nx:n ~ny:n () in
-      Ops.set_tighten cl.Clover.ctx true;
-      Ops.partition cl.Clover.ctx ~n_ranks:4 ~ref_ysize:n;
-      ignore (Clover.run cl ~steps:2))
+      ignore (Clover.run cl ~steps:2);
+      ignore (Ops.footprints cl.Clover.ctx))
 
 (* Messages the lossy schedule made the runtime send again. *)
 let retransmits ~tiny =

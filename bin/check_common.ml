@@ -7,11 +7,11 @@
    and (c) runs the static analysis layers (descriptor lints + cross-loop
    dataflow) over the recorded cycle once the run finishes.
 
-   Under --analyze the backend is left alone; the driver additionally
-   diffs every kernel's probed footprint (inferred once per loop signature
-   before its first execution) against the declared descriptor — the
-   Verify layer — and feeds the observed read radii into the halo-schedule
-   replay.
+   Under --analyze the backend is left alone; after the run the driver
+   additionally probes every call site's kernel once (from its first
+   call's descriptor) and diffs the observed footprint against the
+   declared descriptor — the Verify layer — and feeds the observed read
+   radii into the halo-schedule replay.
 
    Static error-severity findings and dynamic sanitizer violations go
    through one exit path: both print their evidence and fail the run with

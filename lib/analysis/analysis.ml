@@ -44,7 +44,7 @@ let significant f = Finding.is_error f || Finding.is_warning f
 
 let count_significant findings = List.length (List.filter significant findings)
 
-(* [footprints] carries the facades' once-per-signature kernel probe results
+(* [footprints] carries the facades' once-per-call-site kernel probe results
    (see {!Am_core.Probe} and the [footprints] accessor on each facade): the
    Verify layer diffs each observed footprint against its declared
    descriptor, and the observed read radii feed the halo-schedule replay so
@@ -135,9 +135,9 @@ let ops3_analyze ?footprints ctx =
 let check_ops3 ctx = ops3_analyze ctx
 
 (* Static verification entry points: the [check_*] analysis plus the Verify
-   diff of every probed kernel footprint recorded by the context.  Over-
-   declarations surface as Warnings and observed-outside-declared accesses
-   as Errors — before any backend has run the loop in anger. *)
+   diff of the kernel footprint of every call site the context has run,
+   probed here if no read has probed it yet.  Over-declarations surface as
+   Warnings and observed-outside-declared accesses as Errors. *)
 let static_op2 ctx = op2_analyze ~footprints:(Am_op2.Op2.footprints ctx) ctx
 let static_ops ctx = ops_analyze ~footprints:(Am_ops.Ops.footprints ctx) ctx
 let static_ops1 ctx = ops1_analyze ~footprints:(Am_ops.Ops1.footprints ctx) ctx

@@ -7,16 +7,14 @@
    model:
 
    - an access the probe *observed* and the declaration forbids is a
-     definite [Error] — the kernel was caught in the act, before any
-     backend ran over real data (the Check backend finds the same lies,
-     but per element, at 3-4x runtime, and only after the corrupted
-     values have already been computed);
+     definite [Error] — the kernel was caught in the act, over probe data
+     (the Check backend finds the same lies, but per element, at about
+     20x Seq, and only after the corrupted values have been computed);
 
    - a declared access that was *never observed* is only an
      over-declaration [Warning]: probing samples data-dependent branches,
      so absence is evidence, not proof.  The warning carries the
-     tightened footprint, which is also what the halo and tiling
-     consumers act on;
+     tightened footprint, which the halo-schedule report replays;
 
    - a kernel that raised on probe data leaves the footprint
      inconclusive, reported as [Info] and ignored by every consumer. *)

@@ -300,8 +300,7 @@ let infer ?(idx = [||]) ~(loop : Descr.loop) ~(kernel : float array array -> uni
 let any = Array.exists (fun b -> b)
 
 (* Error-class observations: accesses the declaration forbids, caught in
-   the act.  These are the facts [Verify] turns into definite errors and
-   the Check backend refuses to lighten. *)
+   the act.  These are the facts [Verify] turns into definite errors. *)
 let arg_violates af =
   af.af_pad_read || af.af_pad_written || af.af_non_additive
   ||
@@ -310,7 +309,7 @@ let arg_violates af =
   | A.Write -> any af.af_read || any af.af_unwritten
   | A.Rw | A.Inc | A.Min | A.Max -> false
 
-(* A footprint the downstream consumers may act on: probing completed and
+(* A footprint the halo-schedule report may act on: probing completed and
    no argument was caught violating its declaration. *)
 let clean fp =
   fp.fp_oob = None && fp.fp_failed = None

@@ -54,7 +54,7 @@ type traced_app = {
   profiles : loop_profile list;
   consts : (string * float array) list; (* op_decl_const registry *)
   footprints : Am_core.Probe.info list;
-      (* observed kernel footprints from the traced run's inference cache *)
+      (* observed kernel footprints, probed from the traced run's call sites *)
   ref_cells : int; (* iteration elements of the primary set *)
   comm_bytes_per_iter : float; (* measured at [comm_ranks] *)
   comm_ranks : int;

@@ -1,14 +1,14 @@
 (* The loop pipeline of both libraries.  [Op2.run_loop] and
    [Pipeline.run_loop] validate and describe a call; [Make.run] does the
    rest: trace record, fault counter, call site (the context's table
-   finds the entry built for the loop name and argument shape: its
-   footprint, and the handle a call without one runs on), loop span and
-   GC sample, checkpoint step or execute, profile and halo record.
-   [Make.Facade] holds the profile, fault, inference and checkpoint entry
-   points every facade exports, and [fold]/[tree_merge] the
-   global-reduction merge of every executor.  A library plugs in through
-   [LIB]; [Make] is applied once per library, so the warm path reaches
-   its functions without allocating a closure. *)
+   finds the entry built for the loop name and argument shape, and the
+   handle a call without one runs on), loop span and GC sample,
+   checkpoint step or execute, profile and halo record.  [Make.Facade]
+   holds the profile, fault, footprint and checkpoint entry points every
+   facade exports, and [fold]/[tree_merge] the global-reduction merge of
+   every executor.  A library plugs in through [LIB]; [Make] is applied
+   once per library, so the warm path reaches its functions without
+   allocating a closure. *)
 
 module Access = Am_core.Access
 module Descr = Am_core.Descr
@@ -18,11 +18,13 @@ module Obs = Am_obs.Obs
 module Runtime = Am_checkpoint.Runtime
 module Comm = Am_simmpi.Comm
 
-(* One call site: the argument list its entry was built for, the
-   footprint found for it, and the handle a call without one runs on. *)
+(* One call site: the argument list its entry was built for, its
+   footprint, probed from the first call's descriptor and kernel when
+   [footprints] first reads it, and the handle a call without one runs
+   on. *)
 type ('arg, 'handle) site = {
   s_args : 'arg list;
-  mutable s_foot : Probe.info option;
+  s_foot : Probe.info Lazy.t;
   s_handle : 'handle;
 }
 
@@ -34,11 +36,6 @@ type ('arg, 'handle) t = {
   mutable checkpoint : Runtime.session option;
   mutable fault : Am_simmpi.Fault.t option;
   mutable comm : Comm.t option; (* the partitioned runtime's *)
-  mutable infer : bool; (* footprint inference, on by default *)
-  (* Spend sampled never-observed-read facts on runtime tightening (halo
-     depth, exchange drops): an explicit opt-in, because absence under
-     sampling is evidence, not proof (see DESIGN.md 5j). *)
-  mutable tighten : bool;
   sites : (string, ('arg, 'handle) site list) Hashtbl.t; (* by loop name *)
   (* The running call's exposed and hidden exchange time, filled by the
      partitioned executors. *)
@@ -54,8 +51,6 @@ let create ~facade =
     checkpoint = None;
     fault = None;
     comm = None;
-    infer = true;
-    tighten = false;
     sites = Hashtbl.create 32;
     halo_seconds = ref 0.0;
     overlap_seconds = ref 0.0;
@@ -66,12 +61,6 @@ let create ~facade =
 let partitioned t comm =
   t.comm <- Some comm;
   Option.iter (Comm.attach_fault comm) t.fault
-
-(* The sanitizer drops to light mode (NaN checks only) exactly when the
-   probes found the declaration clean: a loop caught violating keeps the
-   full per-element guards, so the pinned dynamic violation is still
-   raised. *)
-let light = function Some fi -> Probe.clean fi.Probe.in_foot | None -> false
 
 (* ---- Global reductions ---------------------------------------------------- *)
 
@@ -136,27 +125,20 @@ module type LIB = sig
   val gbl_out : arg list -> float array list (* written globals, for checkpoints *)
   val snapshot_fns : _ ctx -> Runtime.snapshot_fns
 
-  val execute :
-    _ ctx -> name:string -> foot:Probe.info option -> handle -> space -> arg list -> kernel ->
-    unit
+  val execute : _ ctx -> name:string -> handle -> space -> arg list -> kernel -> unit
 end
 
 module Make (L : LIB) = struct
   module Facade = struct
     let profile ctx = (L.state ctx).profile
     let trace ctx = (L.state ctx).trace
-    let set_infer ctx enabled = (L.state ctx).infer <- enabled
-    let infer_enabled ctx = (L.state ctx).infer
-    let set_tighten ctx enabled = (L.state ctx).tighten <- enabled
-    let tighten_enabled ctx = (L.state ctx).tighten
 
-    (* Every footprint the context has inferred, for the analysis layer. *)
+    (* The footprint of every call site the context has run, for the
+       report consumers.  The first read probes a site; later reads serve
+       its footprint. *)
     let footprints ctx =
       Hashtbl.fold
-        (fun _ sites acc ->
-          List.fold_left
-            (fun acc s -> match s.s_foot with Some fi -> fi :: acc | None -> acc)
-            acc sites)
+        (fun _ sites acc -> List.fold_left (fun acc s -> Lazy.force s.s_foot :: acc) acc sites)
         (L.state ctx).sites []
       |> List.sort (fun a b ->
              compare a.Probe.in_loop.Descr.loop_name b.Probe.in_loop.Descr.loop_name)
@@ -206,31 +188,21 @@ module Make (L : LIB) = struct
     | s :: rest -> if L.same_shape s.s_args args then s else find_site args rest
 
   (* The call site of [name] whose entry was built for [args]' shape, or a
-     new one.  A hit is a string hash and [L.same_shape] per entry of the
-     name, and allocates nothing. *)
-  let site st ~name args =
+     new one that keeps this call's descriptor and kernel for its probe:
+     the kernel is a pure function of its staging buffers, so one probe
+     per (name, argument shape) covers every call.  A hit is a string
+     hash and [L.same_shape] per entry of the name, and allocates
+     nothing. *)
+  let site st ~name ~descr args kernel =
     let sites = try Hashtbl.find st.sites name with Not_found -> [] in
     match find_site args sites with
     | s -> s
     | exception Not_found ->
-      let s = { s_args = args; s_foot = None; s_handle = L.make_handle () } in
+      let s =
+        { s_args = args; s_foot = lazy (L.probe descr args kernel); s_handle = L.make_handle () }
+      in
       Hashtbl.replace st.sites name (s :: sites);
       s
-
-  (* Probe on a call site's first call with inference on, then serve its
-     observation: the kernel is a pure function of its staging buffers, so
-     one inference per (name, argument shape) covers every later call. *)
-  let footprint st site descr args kernel =
-    if not st.infer then None
-    else
-      match site.s_foot with
-      | Some _ as found ->
-        Am_obs.Counters.incr Obs.infer_hits;
-        found
-      | None ->
-        Am_obs.Counters.incr Obs.infer_misses;
-        site.s_foot <- Some (L.probe descr args kernel);
-        site.s_foot
 
   let run ctx ~name ~descr handle space args kernel =
     let st = L.state ctx in
@@ -238,8 +210,7 @@ module Make (L : LIB) = struct
     (* The injected rank crash counts parallel loops on the injector itself,
        so the trigger position survives a recovery restart's fresh context. *)
     (match st.fault with Some f -> Am_simmpi.Fault.note_loop f | None -> ());
-    let site = site st ~name args in
-    let foot = footprint st site descr args kernel in
+    let site = site st ~name ~descr args kernel in
     let handle = match handle with Some h -> h | None -> site.s_handle in
     let t0 = Unix.gettimeofday () in
     let traced = Obs.tracing () in
@@ -252,12 +223,12 @@ module Make (L : LIB) = struct
     end;
     (match
        match st.checkpoint with
-       | None -> L.execute ctx ~name ~foot handle space args kernel
+       | None -> L.execute ctx ~name handle space args kernel
        | Some session ->
          (* The session runs the body, snapshots datasets before it or, while
             fast-forwarding, skips it and replays logged global outputs. *)
          Runtime.step ~gbl_out:(L.gbl_out args) session ~descr ~run:(fun () ->
-             L.execute ctx ~name ~foot handle space args kernel)
+             L.execute ctx ~name handle space args kernel)
      with
     | () -> if traced then Obs.end_span ()
     | exception e ->

@@ -45,8 +45,6 @@ let analysis_plan_violations = Counters.counter counters "analysis.plan_violatio
 let analysis_dataflow_findings = Counters.counter counters "analysis.dataflow_findings"
 let infer_signatures = Counters.counter counters "analysis.infer.signatures"
 let infer_kernel_runs = Counters.counter counters "analysis.infer.kernel_runs"
-let infer_hits = Counters.counter counters "analysis.infer.cache_hits"
-let infer_misses = Counters.counter counters "analysis.infer.cache_misses"
 let infer_seconds = Counters.gauge counters ~unit_:"s" "analysis.infer.seconds"
 let infer_findings = Counters.counter counters "analysis.infer.findings"
 let fault_drops = Counters.counter counters "fault.injected_drops"
@@ -63,10 +61,6 @@ let fault_aborts = Counters.counter counters "fault.aborts"
 let check_loops = Counters.counter counters "check.loops"
 let check_elements = Counters.counter counters ~unit_:"elements" "check.elements"
 let check_violations = Counters.counter counters "check.violations"
-let check_light_loops = Counters.counter counters "check.light_loops"
-let check_light_elements = Counters.counter counters ~unit_:"elements" "check.light_elements"
-let halo_depth_saved = Counters.counter counters ~unit_:"rows" "dist.halo_depth_saved"
-let halo_exchanges_saved = Counters.counter counters "dist.halo_exchanges_saved"
 let dpor_executions = Counters.counter counters "dpor.executions"
 let dpor_backtracks = Counters.counter counters "dpor.backtracks"
 let dpor_sleep_hits = Counters.counter counters "dpor.sleep_hits"

@@ -87,25 +87,15 @@ val check_loops : Counters.counter
 val check_elements : Counters.counter
 val check_violations : Counters.counter
 
-(** Footprint-inference activity: loop signatures probed, kernel
-    invocations spent probing, per-context cache hits vs. misses, the
-    cumulative probing time, and significant findings the verifier derived
-    from observed-vs-declared diffs.  The Check backend's light mode —
-    loops whose footprint the static pass proved exact, run with the
-    per-element guards reduced to NaN checks — reports alongside, as do
-    the distributed backends' inference-tightened halo exchanges (rows of
-    depth saved versus the declared stencil extent). *)
+(** Footprint-inference activity, which only a read of a context's
+    footprints sets off: call sites probed, kernel invocations spent
+    probing, the cumulative probing time, and significant findings the
+    verifier derived from observed-vs-declared diffs. *)
 
 val infer_signatures : Counters.counter
 val infer_kernel_runs : Counters.counter
-val infer_hits : Counters.counter
-val infer_misses : Counters.counter
 val infer_seconds : Counters.gauge
 val infer_findings : Counters.counter
-val check_light_loops : Counters.counter
-val check_light_elements : Counters.counter
-val halo_depth_saved : Counters.counter
-val halo_exchanges_saved : Counters.counter
 
 (** Schedule-exploration (bounded DPOR) activity: program executions run by
     the explorer, backtrack points taken, redundant schedules pruned by

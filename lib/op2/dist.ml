@@ -551,8 +551,8 @@ let rank_plan t (rs : Plan.ranks) ~name ~iter_set ~args r ~block_size =
     rs.r_plans.(r) <- Some (block_size, plan);
     plan
 
-let par_loop ?unread ?(halo_seconds = ref 0.0) ?(overlap_seconds = ref 0.0) t ~handle ~name
-    ~iter_set ~args ~kernel =
+let par_loop ?(halo_seconds = ref 0.0) ?(overlap_seconds = ref 0.0) t ~handle ~name ~iter_set
+    ~args ~kernel =
   let rs = ranks t handle ~name ~iter_set args in
   let exposed = ref 0.0 in
   let timed f x =
@@ -560,31 +560,7 @@ let par_loop ?unread ?(halo_seconds = ref 0.0) ?(overlap_seconds = ref 0.0) t ~h
     f x;
     exposed := !exposed +. (Unix.gettimeofday () -. t0)
   in
-  (* Footprint inference (see [Op2.footprint]) marks indirectly-read
-     arguments the kernel was observed never to read; a dataset whose every
-     read argument carries the mark needs no fresh halo for this loop.
-     Phase classification is left untouched — it orders elements, it does
-     not move data. *)
-  let read_dats =
-    match unread with
-    | None -> rs.r_read_dats
-    | Some u ->
-      let live = Hashtbl.create 4 in
-      List.iteri
-        (fun i arg ->
-          match arg with
-          | Arg_dat { dat; map = Some _; access = Access.Read | Access.Rw; _ }
-            when not (i < Array.length u && u.(i)) ->
-            Hashtbl.replace live dat.dat_id ()
-          | Arg_dat _ | Arg_gbl _ -> ())
-        args;
-      List.filter
-        (fun (d : dat) ->
-          let needed = Hashtbl.mem live d.dat_id in
-          if not needed then Obs_counters.incr Obs.halo_exchanges_saved;
-          needed)
-        rs.r_read_dats
-  in
+  let read_dats = rs.r_read_dats in
   let inc_dats = rs.r_inc_dats in
   let sd = set_dist t iter_set in
   (* The phased core/boundary path runs whenever the loop dereferences halo

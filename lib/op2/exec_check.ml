@@ -125,15 +125,7 @@ let gather_dat ~name ~arg_i g e =
     | Access.Min | Access.Max ->
       fail ~name ~arg_i ~what:dat.dat_name ~elem "Min/Max access on a dat argument")
 
-(* [light] is the inference-backed fast path: the loop's footprint was
-   probed clean against its descriptor, so the bitwise Read snapshot
-   compares are skipped; the NaN checks on scattered outputs AND the
-   cheap canary-pad sweeps stay — probed-clean is a 4-sample fact, and
-   the pad sweep still catches an out-of-bounds component index behind a
-   branch the probes never triggered, at the offending element.  Loops
-   whose footprint was caught lying never run light, so every violation
-   the full guards would raise still is. *)
-let check_and_scatter ~light ~name ~arg_i g e =
+let check_and_scatter ~name ~arg_i g e =
   match g with
   | G_gbl { name = gname; user_buf; access; buf; snapshot } ->
     let dim = Array.length user_buf in
@@ -144,17 +136,16 @@ let check_and_scatter ~light ~name ~arg_i g e =
     done;
     (match access with
     | Access.Read ->
-      if not light then
-        for d = 0 to dim - 1 do
-          if
-            not
-              (Int64.equal (Int64.bits_of_float buf.(d))
-                 (Int64.bits_of_float snapshot.(d)))
-          then
-            fail ~name ~arg_i ~what:gname ~elem:e
-              "kernel wrote component %d of a Read global (%.17g -> %.17g)" d
-              snapshot.(d) buf.(d)
-        done
+      for d = 0 to dim - 1 do
+        if
+          not
+            (Int64.equal (Int64.bits_of_float buf.(d))
+               (Int64.bits_of_float snapshot.(d)))
+        then
+          fail ~name ~arg_i ~what:gname ~elem:e
+            "kernel wrote component %d of a Read global (%.17g -> %.17g)" d
+            snapshot.(d) buf.(d)
+      done
     | Access.Inc | Access.Min | Access.Max -> ()
     | Access.Write | Access.Rw -> assert false)
   | G_dat { dat; access; map; buf; snapshot } -> (
@@ -167,17 +158,16 @@ let check_and_scatter ~light ~name ~arg_i g e =
       done;
     match access with
     | Access.Read ->
-      if not light then
-        for d = 0 to dat.dim - 1 do
-          if
-            not
-              (Int64.equal (Int64.bits_of_float buf.(d))
-                 (Int64.bits_of_float snapshot.(d)))
-          then
-            fail ~name ~arg_i ~what:dat.dat_name ~elem
-              "kernel wrote component %d of a Read argument (%.17g -> %.17g)" d
-              snapshot.(d) buf.(d)
-        done
+      for d = 0 to dat.dim - 1 do
+        if
+          not
+            (Int64.equal (Int64.bits_of_float buf.(d))
+               (Int64.bits_of_float snapshot.(d)))
+        then
+          fail ~name ~arg_i ~what:dat.dat_name ~elem
+            "kernel wrote component %d of a Read argument (%.17g -> %.17g)" d
+            snapshot.(d) buf.(d)
+      done
     | Access.Write ->
       for d = 0 to dat.dim - 1 do
         if Float.is_nan buf.(d) then
@@ -212,13 +202,9 @@ let merge_gbl = function
   | G_dat _ -> ()
   | G_gbl { user_buf; access; buf; _ } -> Am_loop.Loop.fold access user_buf buf
 
-let run ?(light = false) ~name ~set_size ~args ~kernel () =
+let run ~name ~set_size ~args ~kernel =
   Counters.incr Obs.check_loops;
   Counters.add Obs.check_elements set_size;
-  if light then begin
-    Counters.incr Obs.check_light_loops;
-    Counters.add Obs.check_light_elements set_size
-  end;
   let guarded = Array.of_list (guard_args args) in
   let buffers =
     Array.map (function G_dat { buf; _ } -> buf | G_gbl { buf; _ } -> buf) guarded
@@ -232,6 +218,6 @@ let run ?(light = false) ~name ~set_size ~args ~kernel () =
        violation "check: loop %s, element %d: kernel raised Invalid_argument \
                   (%s) — out-of-range staging-buffer index"
          name e msg);
-    Array.iteri (fun i g -> check_and_scatter ~light ~name ~arg_i:i g e) guarded
+    Array.iteri (fun i g -> check_and_scatter ~name ~arg_i:i g e) guarded
   done;
   Array.iter merge_gbl guarded

@@ -242,9 +242,9 @@ let compile ?(resolvers = global_resolvers) args =
   { args = args'; addrs; elementwise = elementwise_args args }
 
 (* A cached executor is only valid while the argument list still resolves to
-   the same backing stores: [Op2.update], [convert_layout] and the SoA
-   conversion replace [dat.data] wholesale, and renumbering rewrites map
-   tables.  Physical equality makes the check one pointer compare per
+   the same backing stores: [convert_layout] and the SoA conversion replace
+   [dat.data] wholesale ([Op2.update] writes into it), and renumbering
+   rewrites map tables.  Physical equality makes the check one pointer compare per
    argument.  A global matches on its length and access: each frame binds
    the running call's buffer. *)
 let arg_matches c arg =

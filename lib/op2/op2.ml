@@ -172,9 +172,13 @@ let update ctx dat data =
   (match ctx.dist with
   | Some d -> Dist.push d dat data
   | None ->
-    dat.Types.data <-
+    (* Into the dataset's own array: the caller keeps [data], and executors
+       compiled against the array stay valid. *)
+    let src =
       Types.convert_array ~from_layout:Types.Aos ~to_layout:dat.Types.layout
-        ~n:(Types.dat_n_elems dat) ~dim:dat.Types.dim data)
+        ~n:(Types.dat_n_elems dat) ~dim:dat.Types.dim data
+    in
+    Array.blit src 0 dat.Types.data 0 (Array.length src))
 
 let convert_layout ctx dat layout =
   if ctx.dist <> None then
@@ -357,38 +361,18 @@ type handle = Plan.handle
 
 let make_handle = Plan.make_handle
 
-(* Per-argument "declared indirectly-read but observed wholly unread" flags
-   for the distributed backend — only offered on clean footprints. *)
-let unread_of args = function
-  | Some (fi : Probe.info) when Probe.clean fi.Probe.in_foot ->
-    let fp = fi.Probe.in_foot in
-    Some
-      (Array.of_list
-         (List.mapi
-            (fun i arg ->
-              match arg with
-              | Types.Arg_dat { map = Some _; access; _ }
-                when Access.reads access && i < Array.length fp.Probe.fp_args ->
-                not (Array.exists Fun.id fp.Probe.fp_args.(i).Probe.af_read)
-              | Types.Arg_dat _ | Types.Arg_gbl _ -> false)
-            args))
-  | Some _ | None -> None
-
 (* The plan over [block_size]-element blocks and the executor cached
    beside it, through the call's handle. *)
 let planned ctx handle ~name ~iter_set ~block_size args =
   let entry, compiled = Plan.resolve ctx.plan_cache handle ~name ~iter_set ~block_size args in
   (Lazy.force entry.Plan.entry_plan, compiled)
 
-let execute_loop ctx ~name ~foot handle iter_set args kernel =
+let execute_loop ctx ~name handle iter_set args kernel =
   match ctx.dist with
   | Some d ->
     (* Rank-local plans, executors and splits live in the partition's
-       tables and on the call's handle.  Dropping exchanges a kernel was
-       never observed to need is the explicit opt-in: a read the probes
-       never triggered must not leave a rank consuming stale ghosts. *)
-    let unread = if ctx.loop.Loop.tighten then unread_of args foot else None in
-    Dist.par_loop ?unread ~halo_seconds:ctx.loop.Loop.halo_seconds
+       tables and on the call's handle. *)
+    Dist.par_loop ~halo_seconds:ctx.loop.Loop.halo_seconds
       ~overlap_seconds:ctx.loop.Loop.overlap_seconds d ~handle ~name ~iter_set ~args ~kernel
   | None -> (
     let set_size = iter_set.Types.set_size in
@@ -423,7 +407,7 @@ let execute_loop ctx ~name ~foot handle iter_set args kernel =
           Am_obs.Counters.add Am_obs.Obs.analysis_plan_violations (List.length vs);
           raise (Exec_check.Violation (Plan.violation_to_string ~name v))
       end;
-      Exec_check.run ~light:(Loop.light foot) ~name ~set_size ~args ~kernel ()
+      Exec_check.run ~name ~set_size ~args ~kernel
     | Cuda_sim config ->
       (* The SoA strategy replaces dataset arrays on first touch; convert
          before resolving so the cached executor is compiled against the
@@ -448,7 +432,7 @@ let checkpoint_fns ctx =
     restore = (fun name data -> update ctx (find name) data);
   }
 
-(* The shared loop pipeline and its checkpoint, fault and inference entry
+(* The shared loop pipeline and its checkpoint, fault and footprint entry
    points (see [Am_loop.Loop]). *)
 include Loop.Make (struct
   type nonrec _ ctx = ctx
@@ -461,8 +445,8 @@ include Loop.Make (struct
   let make_handle = Plan.make_handle
   let same_shape = Types.same_shape
 
-  (* Unstructured arguments carry no stencil radius to tighten; the extent
-     column is the no-information marker throughout. *)
+  (* Unstructured arguments carry no stencil radius; the extent column is
+     the no-information marker throughout. *)
   let probe descr args kernel =
     let fp = Probe.infer ~loop:descr ~kernel:(Exec_common.staged_view kernel) () in
     { Probe.in_loop = descr; in_foot = fp; in_read_ext = Array.make (List.length args) (-1) }

@@ -258,8 +258,9 @@ val arg_gbl : name:string -> float array -> Access.t -> arg
     partitioned contexts). Always a fresh array. *)
 val fetch : ctx -> dat -> float array
 
-(** Overwrite a dataset from a global-order AoS array (scattered to ranks on
-    partitioned contexts). *)
+(** Overwrite a dataset from a global-order AoS array, copied into the
+    dataset's own storage (scattered to ranks on partitioned contexts):
+    the caller keeps its array. *)
 val update : ctx -> dat -> float array -> unit
 
 (** In-place AoS/SoA conversion (the paper's automatic layout
@@ -354,8 +355,7 @@ val fault_injector : ctx -> Am_simmpi.Fault.t option
     and the compiled executor for a [par_loop] site, so repeated
     invocations skip the signature-string cache lookups entirely (validity
     is re-checked with pointer compares every call, and the handle
-    re-resolves itself after renumbering, layout conversion or dataset
-    updates).  Executors hold no global buffer: each call's globals are
+    re-resolves itself after renumbering or layout conversion).  Executors hold no global buffer: each call's globals are
     bound when it runs, so fresh literals cost no recompile.  A call
     without a handle is cached by loop name and argument shape (datasets,
     maps and slots, access modes, global names and lengths): it runs on the
@@ -389,7 +389,7 @@ val par_loop :
 (** [par_loop_acc] is {!par_loop} for an accessor kernel value: the same
     pipeline (validation — a generated kernel's arguments against its
     declared signature too, raising [Invalid_argument] on a mismatch —
-    trace, fault counter, footprint probing, checkpointing, profile) and
+    trace, fault counter, call-site lookup, checkpointing, profile) and
     the same backends, with the element walker run over every dataset in
     place where the rule above allows it, and every argument staged
     otherwise.  Results are bitwise those of the staged form of
@@ -406,26 +406,17 @@ val par_loop_acc :
   Acc.kernel ->
   unit
 
-(** {1 Kernel footprint inference}
+(** {1 Kernel footprints}
 
-    On by default and cached once per loop signature: each kernel is probed
-    over sentinel-filled staging buffers before its first execution, and the
-    observed footprint is compared against the declared descriptor by
-    {!Am_analysis.Verify}.  Clean footprints let the Check backend skip the
-    bitwise Read snapshot compares the probes already covered.  Dropping
-    halo exchanges for indirectly-read datasets the probes never saw the
-    kernel read is an explicit opt-in via [set_tighten] (off by default):
-    never-observed is a sampled negative, and a data-dependent read the
-    probes missed would otherwise consume stale ghost elements silently. *)
+    A report, never spent at run time.  [footprints] probes each call site
+    the context has run that has no footprint yet — once, from its first
+    call's descriptor and kernel, over sentinel-filled staging buffers
+    ({!Am_core.Probe}) — and returns every site's observed footprint, for
+    {!Am_analysis.Verify} to diff against the declared descriptor.  A
+    later call probes nothing new.  No backend reads a footprint: the
+    Check backend runs every loop with its full guards, and the
+    distributed backend exchanges what the descriptors declare. *)
 
-val set_infer : ctx -> bool -> unit
-val infer_enabled : ctx -> bool
-
-(** Opt in to dropping ghost exchanges for datasets whose reads probing
-    never observed.  Off by default; see the caveat above. *)
-val set_tighten : ctx -> bool -> unit
-
-val tighten_enabled : ctx -> bool
 val footprints : ctx -> Am_core.Probe.info list
 
 (** {1 Diagnostics} *)

@@ -313,38 +313,20 @@ let exchange t dat ~depth =
 (* ---- Loop execution --------------------------------------------------- *)
 
 (* Stencil-read datasets with the deepest stencil of the loop on each
-   (deduplicated, first appearance first).  When footprint inference proved
-   the kernel's read extent shallower than its declared stencil ([ext], -1
-   where no proof), the exchange depth — and the overlap margin downstream
-   — shrink to the observed extent; depth 0 drops the exchange
-   altogether. *)
-let exchange_needs ?ext args =
-  let rec go i acc = function
-    | [] -> List.rev acc
-    | arg :: rest ->
-      let acc =
-        match arg with
-        | Arg_dat { dat; stencil; access; _ } when Access.reads access ->
-          let declared = stencil_extent stencil in
-          let need =
-            match ext with
-            | Some e when i < Array.length e && e.(i) >= 0 && e.(i) < declared ->
-              Obs_counters.add Obs.halo_depth_saved (declared - e.(i));
-              e.(i)
-            | Some _ | None -> declared
-          in
-          if need = 0 then acc
-          else begin
-            match List.assq_opt dat acc with
-            | None -> (dat, need) :: acc
-            | Some prev when prev >= need -> acc
-            | Some _ -> (dat, need) :: List.remove_assq dat acc
-          end
-        | Arg_dat _ | Arg_gbl _ | Arg_idx _ -> acc
-      in
-      go (i + 1) acc rest
+   (deduplicated, first appearance first). *)
+let exchange_needs args =
+  let need acc = function
+    | Arg_dat { dat; stencil; access; _ } when Access.reads access -> (
+      let depth = stencil_extent stencil in
+      if depth = 0 then acc
+      else
+        match List.assq_opt dat acc with
+        | None -> (dat, depth) :: acc
+        | Some prev when prev >= depth -> acc
+        | Some _ -> (dat, depth) :: List.remove_assq dat acc)
+    | Arg_dat _ | Arg_gbl _ | Arg_idx _ -> acc
   in
-  go 0 [] args
+  List.rev (List.fold_left need [] args)
 
 (* Rank [r]'s executor for [args] in [execs], one slot per rank (a loop
    handle's): kept while it addresses [r]'s windows of [args]' datasets,
@@ -391,8 +373,8 @@ let run_boundary t r b c ~execs ~args ~kernel =
          with_axis axis b ~lo:(lo axis c) ~hi:(hi axis c))
        b [ Z; Y; X ])
 
-let par_loop ?ext ?(halo_seconds = ref 0.0) ?(overlap_seconds = ref 0.0) t ~execs ~range
-    ~args ~kernel =
+let par_loop ?(halo_seconds = ref 0.0) ?(overlap_seconds = ref 0.0) t ~execs ~range ~args
+    ~kernel =
   (* Grid-transfer strides cross the decomposition arbitrarily:
      unsupported on partitioned contexts (multigrid levels would need a
      proportional decomposition). *)
@@ -408,7 +390,7 @@ let par_loop ?ext ?(halo_seconds = ref 0.0) ?(overlap_seconds = ref 0.0) t ~exec
   for r = 0 to n_ranks t - 1 do
     rank_executor t execs r args
   done;
-  let needs = exchange_needs ?ext args in
+  let needs = exchange_needs args in
   let exposed = ref 0.0 and xfer = ref 0.0 in
   (* A global Inc reduction is summed in iteration order: splitting the
      range would reorder the additions and change the rounding, so such

@@ -113,17 +113,7 @@ let gather ~rank ~name ~arg_i g ~x ~y ~z =
     | Access.Min | Access.Max ->
       fail ~rank ~name ~arg_i ~what:dat.dat_name ~x ~y ~z "Min/Max access on a dataset")
 
-(* [light] is the inference-backed fast path: when the static probe proved
-   the loop's footprint exact, the bitwise snapshot compares of Read
-   staging (the dominant per-slot cost of the sanitizer) are skipped,
-   keeping the NaN checks on scattered results AND the cheap canary-pad
-   and index-buffer sweeps — "probed clean" is itself a 4-sample fact, so
-   an out-of-bounds access or index scribble behind a branch the probes
-   never triggered is still caught at the offending element; only the
-   Read write-back guard inherits the probe's sampling blind spot.  Loops
-   whose footprint was caught lying never run light, so every violation
-   the full guards would raise still is. *)
-let check_and_scatter ~light ~rank ~name ~arg_i g ~x ~y ~z =
+let check_and_scatter ~rank ~name ~arg_i g ~x ~y ~z =
   let fail ~what fmt = fail ~rank ~name ~arg_i ~what ~x ~y ~z fmt in
   match g with
   | G_idx { buf } ->
@@ -145,12 +135,11 @@ let check_and_scatter ~light ~rank ~name ~arg_i g ~x ~y ~z =
     done;
     match access with
     | Access.Read ->
-      if not light then
-        for d = 0 to dim - 1 do
-          if not (same_bits buf.(d) snapshot.(d)) then
-            fail ~what:gname "kernel wrote component %d of a Read global (%.17g -> %.17g)" d
-              snapshot.(d) buf.(d)
-        done
+      for d = 0 to dim - 1 do
+        if not (same_bits buf.(d) snapshot.(d)) then
+          fail ~what:gname "kernel wrote component %d of a Read global (%.17g -> %.17g)" d
+            snapshot.(d) buf.(d)
+      done
     | Access.Inc | Access.Min | Access.Max -> ()
     | Access.Write | Access.Rw -> assert false)
   | G_dat { dat; stencil; access; buf; snapshot; _ } -> (
@@ -165,12 +154,11 @@ let check_and_scatter ~light ~rank ~name ~arg_i g ~x ~y ~z =
     done;
     match access with
     | Access.Read ->
-      if not light then
-        for d = 0 to n - 1 do
-          if not (same_bits buf.(d) snapshot.(d)) then
-            fail ~what "kernel wrote slot %d of a Read argument (%.17g -> %.17g)" d
-              snapshot.(d) buf.(d)
-        done
+      for d = 0 to n - 1 do
+        if not (same_bits buf.(d) snapshot.(d)) then
+          fail ~what "kernel wrote slot %d of a Read argument (%.17g -> %.17g)" d
+            snapshot.(d) buf.(d)
+      done
     | Access.Write ->
       (* Center-only by validation: scatter slot p = 0. *)
       for c = 0 to dat.dim - 1 do
@@ -205,13 +193,9 @@ let merge_gbl = function
   | G_dat _ | G_idx _ -> ()
   | G_gbl { user_buf; access; buf; _ } -> Am_loop.Loop.fold access user_buf buf
 
-let run ?(light = false) ~rank ~name ~range ~args ~kernel () =
+let run ~rank ~name ~range ~args ~kernel =
   Counters.incr Obs.check_loops;
   Counters.add Obs.check_elements (range_size range);
-  if light then begin
-    Counters.incr Obs.check_light_loops;
-    Counters.add Obs.check_light_elements (range_size range)
-  end;
   let guarded = Array.of_list (guard_args args) in
   let buffers =
     Array.map
@@ -236,9 +220,7 @@ let run ?(light = false) ~rank ~name ~range ~args ~kernel () =
              "check: loop %s, point %s: kernel raised Invalid_argument (%s) — \
               out-of-range staging-buffer index"
              name (point_to_string ~rank x y z) msg);
-        Array.iteri
-          (fun i g -> check_and_scatter ~light ~rank ~name ~arg_i:i g ~x ~y ~z)
-          guarded
+        Array.iteri (fun i g -> check_and_scatter ~rank ~name ~arg_i:i g ~x ~y ~z) guarded
       done
     done
   done;

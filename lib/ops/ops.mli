@@ -395,7 +395,7 @@ val par_loop :
   unit
 
 (** [par_loop_acc] is {!par_loop} for an accessor kernel value: the same
-    pipeline (validation, trace, fault counter, footprint probing,
+    pipeline (validation, trace, fault counter, call-site lookup,
     checkpointing, profile) on the same backends — rank windows and
     Cuda_sim scratch tiles included — with a generated kernel's call
     checked against its declared signature, and its range walker run once
@@ -413,35 +413,21 @@ val par_loop_acc :
   Acc.kernel ->
   unit
 
-(** {1 Kernel footprint inference}
+(** {1 Kernel footprints}
 
-    On by default: the first call of each loop signature interprets the
-    kernel over sentinel-laden probe buffers ({!Am_core.Probe}) and caches
-    the observed footprint.  Observed facts (a write the descriptor never
-    declared, an out-of-bounds read) are definite and reported through
-    {!Am_analysis.Verify}; the Check backend also skips its bitwise Read
-    snapshot compares on loops whose declaration probing could not fault.
+    A report, never spent at run time.  [footprints] probes each call site
+    the context has run that has no footprint yet — once, from its first
+    call's descriptor and kernel, over sentinel-laden probe buffers
+    ({!Am_core.Probe}) — and returns every site's observed footprint.  A
+    later call probes nothing new.  Observed facts (a write the descriptor
+    never declared, an out-of-bounds read) are definite and reported
+    through {!Am_analysis.Verify}.  Reads merely never observed across the
+    probe vectors are evidence, not proof: {!Am_analysis.Dataflow} prints
+    the exchanges they say the declared stencils waste, so the fix is to
+    tighten the descriptor.  No backend reads a footprint: the Check
+    backend runs every loop with its full guards, and the distributed
+    backends exchange the declared stencils' depth. *)
 
-    Sampled negatives — reads merely never observed across the probe
-    vectors — are evidence, not proof: a data-dependent branch the probes
-    never triggered could still read further.  Acting on them at runtime
-    (shrinking distributed ghost exchanges to the observed read extent) is
-    therefore an explicit opt-in via [set_tighten], off by default.  With
-    tightening off those facts remain report-only:
-    {!Am_analysis.Dataflow} still prints the exchanges the observations say
-    the declared stencils waste, so the fix is to tighten the descriptor,
-    not the runtime. *)
-
-val set_infer : ctx -> bool -> unit
-val infer_enabled : ctx -> bool
-
-(** Opt in to runtime tightening from sampled never-observed-read facts:
-    shrunken halo depths and dropped exchanges.  Off by default — enable
-    only when the kernels' footprints are known to be data-independent (no
-    limiter-style branches that widen reads). *)
-val set_tighten : ctx -> bool -> unit
-
-val tighten_enabled : ctx -> bool
 val footprints : ctx -> Am_core.Probe.info list
 
 (** {1 Automatic checkpointing}

@@ -182,20 +182,10 @@ val par_loop_acc :
   Acc.kernel ->
   unit
 
-(** Kernel footprint inference (see {!Ops}): on by default, once per loop
-    signature; observed facts lighten the Check backend and feed
-    {!Am_analysis.Verify} via [footprints].  Runtime halo tightening
-    from sampled negatives is opt-in ([set_tighten]). *)
+(** Kernel footprints (see {!Ops}): a report, probed per call site when
+    [footprints] first reads it, for {!Am_analysis.Verify}; no backend
+    reads one. *)
 
-val set_infer : ctx -> bool -> unit
-val infer_enabled : ctx -> bool
-
-(** Opt in to runtime tightening from sampled never-observed-read facts
-    (shrunken halo depths, dropped exchanges).  Off by default; see
-    {!Ops.set_tighten} for the soundness caveat. *)
-val set_tighten : ctx -> bool -> unit
-
-val tighten_enabled : ctx -> bool
 val footprints : ctx -> Am_core.Probe.info list
 
 (** {1 Automatic checkpointing}

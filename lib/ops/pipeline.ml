@@ -63,8 +63,9 @@ let facade ctx = Types.facade ctx.rank
 
 (* Observed Chebyshev read extent per argument, computed against the real
    stencil offsets (which [Descr] does not keep): the widest offset whose
-   point was observed read on some probe.  [-1] marks "no tightening" —
-   not a stencil read, or a footprint the consumers must not act on. *)
+   point was observed read on some probe, for the halo-schedule report.
+   [-1] marks no information — not a stencil read, or a footprint the
+   report must not act on. *)
 let observed_exts args (fp : Probe.t) =
   let usable = Probe.clean fp in
   Array.of_list
@@ -211,19 +212,12 @@ let mirror_halo ctx ~depth ~sign_x ~sign_y ~sign_z ~center_x ~center_y ~center_z
 
 (* ---- The parallel loop ----------------------------------------------------- *)
 
-let execute ctx ~name ~foot handle range args kernel =
+let execute ctx ~name handle range args kernel =
   match ctx.dist with
   | Some d ->
-    (* Halo tightening from sampled negatives is the explicit opt-in: a
-       read the probes never triggered would otherwise silently consume
-       stale ghost cells. *)
-    let ext =
-      if ctx.loop.Loop.tighten then Option.map (fun fi -> fi.Probe.in_read_ext) foot
-      else None
-    in
     if Array.length handle.h_ranks <> Dist.n_ranks d then
       handle.h_ranks <- Array.make (Dist.n_ranks d) [||];
-    Dist.par_loop ?ext ~halo_seconds:ctx.loop.Loop.halo_seconds
+    Dist.par_loop ~halo_seconds:ctx.loop.Loop.halo_seconds
       ~overlap_seconds:ctx.loop.Loop.overlap_seconds d ~execs:handle.h_ranks ~range ~args
       ~kernel
   | None -> (
@@ -235,7 +229,7 @@ let execute ctx ~name ~foot handle range args kernel =
     | Cuda config ->
       Exec.run_cuda ~compiled:(resolve_compiled handle args) config ~range ~args ~kernel
     | Check ->
-      Exec_check.run ~light:(Loop.light foot) ~rank:ctx.rank ~name ~range ~args ~kernel ())
+      Exec_check.run ~rank:ctx.rank ~name ~range ~args ~kernel)
 
 (* ---- Automatic checkpointing (paper Section VI) -------------------------- *)
 
@@ -268,7 +262,7 @@ let checkpoint_fns ctx =
         push ctx d);
   }
 
-(* The shared loop pipeline and its checkpoint, fault and inference entry
+(* The shared loop pipeline and its checkpoint, fault and footprint entry
    points (see [Am_loop.Loop]). *)
 include Loop.Make (struct
   type nonrec 'backend ctx = 'backend ctx

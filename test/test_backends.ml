@@ -830,9 +830,7 @@ end
 
 (* [k] with its walkers recording each call's box and its point form
    counting its calls, so which form runs, and over which boxes, is
-   observable.  Shared runs boxes on two domains, hence the mutex.  The
-   contexts below turn footprint inference off: its probes call the point
-   form too. *)
+   observable.  Shared runs boxes on two domains, hence the mutex. *)
 type walk_probe = { boxes : (int * int * int * int) list ref; lock : Mutex.t; points : int Atomic.t }
 
 let probe_kernel (k : OAcc.kernel) =
@@ -868,7 +866,6 @@ let dispatch_run ?backend setup =
   let dat name = Ops.decl_dat ctx ~name ~block:grid ~xsize:rx ~ysize:ry ~halo:1 () in
   let u = dat "u" and count = dat "count" in
   Ops.init ctx u (fun x y _ -> Float.of_int (x + (10 * y)));
-  Ops.set_infer ctx false;
   setup ctx;
   Ops.par_loop_acc ctx ~name:"refresh" grid (Ops.interior u)
     [ Ops.arg_dat u Ops.stencil_point Access.Rw ]
@@ -942,7 +939,6 @@ let test_walker_dispatch_point () =
   in
   (* Aliased: both arguments name the target. *)
   let ctx = Ops.create () in
-  Ops.set_infer ctx false;
   let grid = Ops.decl_block ctx ~name:"grid" in
   let t = Ops.decl_dat ctx ~name:"t" ~block:grid ~xsize:rx ~ysize:ry ~halo:1 () in
   let p, k = probe_kernel Walked.count_pair in
@@ -960,7 +956,6 @@ let test_walker_dispatch_point () =
       let ctx =
         Ops.create ~backend:(Ops.Cuda_sim { Am_ops.Exec.tile_x = 4; tile_y = 2; strategy }) ()
       in
-      Ops.set_infer ctx false;
       let grid = Ops.decl_block ctx ~name:"grid" in
       let dat name = Ops.decl_dat ctx ~name ~block:grid ~xsize:rx ~ysize:ry ~halo:1 () in
       let u = dat "u" and v = dat "v" and t = dat "t" in
@@ -1108,7 +1103,6 @@ let shared pool ctx = Ops.set_backend ctx (Ops.Shared { pool })
 let also f g pool ctx = f pool ctx; g pool ctx
 let traced _ _ = Am_obs.Obs.set_tracing true
 let shared_ranks pool ctx = Ops.set_rank_execution ctx (Ops.Rank_shared pool)
-let tightened _ ctx = Ops.set_tighten ctx true
 
 let cuda ?(tile_x = 8) ?(tile_y = 4) strategy =
   on (Ops.Cuda_sim { Am_ops.Exec.tile_x; tile_y; strategy })
@@ -1125,8 +1119,6 @@ let program_configs =
   let open Am_ops.Exec in
   [
     ("check", 1, on Ops.Check);
-    ("check, inference off", 1, also (on Ops.Check) (fun _ ctx -> Ops.set_infer ctx false));
-    ("seq, inference off", 1, fun _ ctx -> Ops.set_infer ctx false);
     ("seq, checkpointing", 1, fun _ ctx -> Ops.enable_checkpointing ctx);
     ("seq, span tracing", 1, traced);
     ("shared pool 1", 1, shared);
@@ -1151,8 +1143,6 @@ let program_configs =
     ("dist rows 3, shared ranks", 2, also (rows 3) shared_ranks);
     ("dist grid 2x2, shared ranks", 2, also (grid 2) shared_ranks);
     ("dist rows 3, eager halos", 1, also (rows 3) (fun _ ctx -> Ops.set_halo_policy ctx Ops.Eager));
-    ("dist rows 3, tightened", 1, also (rows 3) tightened);
-    ("dist grid 2x2, tightened", 1, also (grid 2) tightened);
     ("dist rows 3, checkpointing", 1, also (rows 3) (fun _ ctx -> Ops.enable_checkpointing ctx));
     ("dist rows 3 overlap, span tracing", 1, also (rows ~overlap:true 3) traced);
   ]
@@ -1222,14 +1212,20 @@ let test_handle_distinct_on_signature_change () =
   let e3, x3 = Plan.resolve cache h ~name:"k" ~iter_set:edges ~block_size:4 args_rd in
   Alcotest.(check bool) "access: distinct entry" true (not (e1 == e3));
   Alcotest.(check bool) "access: distinct executor" true (not (x1 == x3));
-  (* Replacing the dataset array recompiles the executor in place. *)
+  (* Replacing the dataset array (as a layout conversion does) recompiles
+     the executor in place; [Op2.update] writes into the array and keeps
+     it. *)
   let e4, x4 = Plan.resolve cache h ~name:"k" ~iter_set:edges ~block_size:4 args in
   Alcotest.(check bool) "back to original signature: entry" true (e1 == e4);
   Op2.update ctx d (Array.make 8 2.0);
+  let e4', x4' = Plan.resolve cache h ~name:"k" ~iter_set:edges ~block_size:4 args in
+  Alcotest.(check bool) "after update: same entry" true (e4 == e4');
+  Alcotest.(check bool) "after update: same executor" true (x4 == x4');
+  d.Am_op2.Types.data <- Array.make 8 3.0;
   let args' = [ Op2.arg_dat_indirect d e2c 0 Access.Inc ] in
   let e5, x5 = Plan.resolve cache h ~name:"k" ~iter_set:edges ~block_size:4 args' in
-  Alcotest.(check bool) "after update: same entry" true (e4 == e5);
-  Alcotest.(check bool) "after update: recompiled executor" true (not (x4 == x5));
+  Alcotest.(check bool) "after replacing the array: same entry" true (e4 == e5);
+  Alcotest.(check bool) "after replacing the array: recompiled executor" true (not (x4 == x5));
   (* Invalidation (renumbering) drops everything. *)
   Plan.invalidate cache;
   let e6, _ = Plan.resolve cache h ~name:"k" ~iter_set:edges ~block_size:4 args' in

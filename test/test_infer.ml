@@ -213,7 +213,8 @@ let test_inc_overwrite () =
 
 (* An accessor kernel writes Read arguments in place, so these lies reach
    memory on Seq; probing runs the kernel over sentinel staging buffers
-   first and must still name the loop, the argument and the slot. *)
+   when the analysis reads the footprints, and must still name the loop,
+   the argument and the slot. *)
 
 module Acc = Op2.Acc
 
@@ -496,48 +497,151 @@ let test_idx_marker () =
   | Some v ->
     Alcotest.(check bool) "unmarked \"idx\" global probes normally" true (v <> 1.0)
 
-(* ---- runtime tightening is opt-in -------------------------------------- *)
+(* ---- footprints are a report, probed when read --------------------------- *)
 
-(* A distributed run whose read stencil is over-declared (5-point, kernel
-   reads only the centre): by default the sampled negative must not shrink
-   any exchange; after [set_tighten] the same program drops ghost rows. *)
-let tighten_run ~tighten =
+module Counters = Am_obs.Counters
+module Obs = Am_obs.Obs
+
+(* A kernel that writes its Read argument only for values above 1e6,
+   which no probe vector reaches: the data sits at 1e7, so Check must
+   stop it at the first element on both libraries. *)
+let test_check_data_dependent_write_op2 () =
+  let m = build_mini () in
+  Op2.update m.ctx m.u (Array.make (Array.length (Op2.fetch m.ctx m.u)) 1e7);
+  Op2.set_backend m.ctx Op2.Check;
+  match
+    Op2.par_loop m.ctx ~name:"big_scribble" m.edges
+      [
+        Op2.arg_dat_indirect m.u m.edge_cells 0 Access.Read;
+        Op2.arg_dat_indirect m.du m.edge_cells 0 Access.Inc;
+      ]
+      (fun a ->
+        a.(1).(0) <- a.(1).(0) +. a.(0).(0);
+        if a.(0).(0) > 1e6 then a.(0).(0) <- 0.0)
+  with
+  | () -> Alcotest.fail "check let a data-dependent write to a Read argument through"
+  | exception Am_op2.Exec_check.Violation msg ->
+    Alcotest.(check bool) ("check names loop, arg and the write: " ^ msg) true
+      (contains msg "loop big_scribble" && contains msg "arg 0"
+      && contains msg "kernel wrote component 0 of a Read argument")
+
+let test_check_data_dependent_write_ops () =
+  let ctx = Ops.create ~backend:Ops.Check () in
+  let grid = Ops.decl_block ctx ~name:"grid" in
+  let u = Ops.decl_dat ctx ~name:"u" ~block:grid ~xsize:8 ~ysize:6 () in
+  let w = Ops.decl_dat ctx ~name:"w" ~block:grid ~xsize:8 ~ysize:6 () in
+  Ops.init ctx u (fun _ _ _ -> 1e7);
+  match
+    Ops.par_loop ctx ~name:"big_scribble" grid (Ops.interior u)
+      [ Ops.arg_dat u Ops.stencil_point Access.Read; Ops.arg_dat w Ops.stencil_point Access.Write ]
+      (fun a ->
+        a.(1).(0) <- a.(0).(0);
+        if a.(0).(0) > 1e6 then a.(0).(0) <- 0.0)
+  with
+  | () -> Alcotest.fail "check let a data-dependent write to a Read argument through"
+  | exception Am_ops.Exec_check.Violation msg ->
+    check_names_point ~name:"big_scribble" ~arg:0 msg;
+    Alcotest.(check bool) ("check names the write: " ^ msg) true
+      (contains msg "kernel wrote slot 0 of a Read argument")
+
+(* Three OP2 call sites: [flux] under two argument shapes and [update].
+   Returns the context and the number of sites. *)
+let op2_sites () =
+  let m = build_mini () in
+  let flux slot =
+    Op2.par_loop m.ctx ~name:"flux" m.edges
+      [
+        Op2.arg_dat_indirect m.u m.edge_cells slot Access.Read;
+        Op2.arg_dat_indirect m.du m.edge_cells 0 Access.Inc;
+      ]
+      (fun a -> a.(1).(0) <- a.(1).(0) +. a.(0).(0))
+  in
+  for _ = 1 to 3 do
+    flux 0;
+    flux 1;
+    Op2.par_loop m.ctx ~name:"update" m.edges
+      [ Op2.arg_dat_indirect m.u m.edge_cells 0 Access.Read ]
+      (fun a -> ignore a.(0).(0))
+  done;
+  (m.ctx, 3)
+
+(* The same on an OPS context: [copy] through two stencils and [scale]. *)
+let ops_sites () =
   let ctx = Ops.create () in
   let grid = Ops.decl_block ctx ~name:"grid" in
-  let u = Ops.decl_dat ctx ~name:"u" ~block:grid ~xsize:16 ~ysize:16 ~halo:1 () in
-  let w = Ops.decl_dat ctx ~name:"w" ~block:grid ~xsize:16 ~ysize:16 ~halo:1 () in
-  Ops.init ctx u (fun x y _ -> Float.of_int ((x * 5) + y));
-  Ops.set_tighten ctx tighten;
-  Ops.partition ctx ~n_ranks:2 ~ref_ysize:16;
-  let d0 = Am_obs.Counters.value Am_obs.Obs.halo_depth_saved in
-  for _ = 1 to 2 do
-    Ops.par_loop ctx ~name:"bump" grid (Ops.interior u)
-      [ Ops.arg_dat u Ops.stencil_point Access.Rw ]
-      (fun a -> a.(0).(0) <- a.(0).(0) +. 1.0);
-    Ops.par_loop ctx ~name:"copy_centre" grid (Ops.interior u)
-      [
-        Ops.arg_dat u Ops.stencil_2d_5pt Access.Read;
-        Ops.arg_dat w Ops.stencil_point Access.Write;
-      ]
-      (fun a -> a.(1).(0) <- a.(0).(0))
+  let u = Ops.decl_dat ctx ~name:"u" ~block:grid ~xsize:8 ~ysize:6 ~halo:1 () in
+  let w = Ops.decl_dat ctx ~name:"w" ~block:grid ~xsize:8 ~ysize:6 ~halo:1 () in
+  Ops.init ctx u (fun x y _ -> Float.of_int ((x * 3) + y));
+  let copy stencil =
+    Ops.par_loop ctx ~name:"copy" grid (Ops.interior u)
+      [ Ops.arg_dat u stencil Access.Read; Ops.arg_dat w Ops.stencil_point Access.Write ]
+      (fun a -> a.(1).(0) <- a.(0).(0) +. a.(0).(1))
+  in
+  for _ = 1 to 3 do
+    copy Ops.stencil_2d_plus1x;
+    copy Ops.stencil_2d_plus1y;
+    Ops.par_loop ctx ~name:"scale" grid (Ops.interior u)
+      [ Ops.arg_dat w Ops.stencil_point Access.Rw ]
+      (fun a -> a.(0).(0) <- 0.5 *. a.(0).(0))
   done;
-  Am_obs.Counters.value Am_obs.Obs.halo_depth_saved - d0
+  (ctx, 3)
 
-let test_tighten_opt_in () =
-  Alcotest.(check bool) "tightening is off by default" false
-    (Ops.tighten_enabled (Ops.create ()));
-  Alcotest.(check int) "no ghost rows dropped by default" 0
-    (tighten_run ~tighten:false);
-  Alcotest.(check bool) "opted-in context drops ghost rows" true
-    (tighten_run ~tighten:true > 0)
+(* Running loops probes nothing: no backend reads a footprint. *)
+let test_run_probes_nothing () =
+  let runs = Counters.value Obs.infer_kernel_runs in
+  ignore (op2_sites ());
+  ignore (ops_sites ());
+  Alcotest.(check int) "a run moves analysis.infer.kernel_runs by 0" 0
+    (Counters.value Obs.infer_kernel_runs - runs)
+
+(* The first [footprints] probes each call site once; a second probes
+   nothing and returns the same footprints; a site added later is the
+   only one the next read probes. *)
+let check_probed_once ~sites ~footprints ~more =
+  let probed f =
+    let s0 = Counters.value Obs.infer_signatures in
+    let fps = f () in
+    (fps, Counters.value Obs.infer_signatures - s0)
+  in
+  let first, n1 = probed footprints in
+  Alcotest.(check int) "the first read probes each call site once" sites n1;
+  Alcotest.(check int) "one footprint per call site" sites (List.length first);
+  let second, n2 = probed footprints in
+  Alcotest.(check int) "a second read probes nothing" 0 n2;
+  Alcotest.(check bool) "a second read returns the same footprints" true
+    (List.length first = List.length second && List.for_all2 ( == ) first second);
+  more ();
+  let third, n3 = probed footprints in
+  Alcotest.(check int) "a read after a new call site probes only it" 1 n3;
+  Alcotest.(check int) "the new site's footprint joins the list" (sites + 1) (List.length third)
+
+let test_footprints_probe_once_op2 () =
+  let ctx, sites = op2_sites () in
+  let cells = Op2.decl_set ctx ~name:"more_cells" ~size:4 in
+  let v = Op2.decl_dat_zero ctx ~name:"v" ~set:cells ~dim:1 in
+  check_probed_once ~sites
+    ~footprints:(fun () -> Op2.footprints ctx)
+    ~more:(fun () ->
+      Op2.par_loop ctx ~name:"fill" cells [ Op2.arg_dat v Access.Write ] (fun a ->
+          a.(0).(0) <- 1.0))
+
+let test_footprints_probe_once_ops () =
+  let ctx, sites = ops_sites () in
+  let grid = Ops.decl_block ctx ~name:"more" in
+  let v = Ops.decl_dat ctx ~name:"v" ~block:grid ~xsize:4 ~ysize:4 () in
+  check_probed_once ~sites
+    ~footprints:(fun () -> Ops.footprints ctx)
+    ~more:(fun () ->
+      Ops.par_loop ctx ~name:"fill" grid (Ops.interior v)
+        [ Ops.arg_dat v Ops.stencil_point Access.Write ]
+        (fun a -> a.(0).(0) <- 1.0))
 
 (* ---- a handle two loops share ------------------------------------------ *)
 
 (* One handle serves [clobber], which writes its Read argument, and [copy],
    which does not, over one argument list.  After both ran on Seq, Check
-   must still run [clobber] with the full per-element guards and stop it:
-   the handle's footprint memo answers only the loop name it was filled
-   for.  The footprint table keeps one entry per name. *)
+   must still stop [clobber], and the footprint table keeps one entry per
+   name. *)
 let loop_names feet = List.map (fun fi -> fi.Probe.in_loop.Descr.loop_name) feet
 
 let test_shared_handle_op2 () =
@@ -691,8 +795,15 @@ let () =
             test_stencil_salt;
           Alcotest.test_case "idx probing needs the marker, not the name" `Quick
             test_idx_marker;
-          Alcotest.test_case "runtime tightening is opt-in" `Quick
-            test_tighten_opt_in;
+          Alcotest.test_case "check stops a data-dependent Read write (op2)" `Quick
+            test_check_data_dependent_write_op2;
+          Alcotest.test_case "check stops a data-dependent Read write (ops)" `Quick
+            test_check_data_dependent_write_ops;
+          Alcotest.test_case "a run probes no kernel" `Quick test_run_probes_nothing;
+          Alcotest.test_case "footprints probe each call site once (op2)" `Quick
+            test_footprints_probe_once_op2;
+          Alcotest.test_case "footprints probe each call site once (ops)" `Quick
+            test_footprints_probe_once_ops;
           Alcotest.test_case "shared handle: one footprint per name (op2)" `Quick
             test_shared_handle_op2;
           Alcotest.test_case "shared handle: one footprint per name (ops)" `Quick

@@ -250,6 +250,28 @@ let test_convert_layout_roundtrip () =
   Op2.convert_layout m.ctx m.u Op2.Aos;
   Alcotest.(check bool) "roundtrip" true (Fa.approx_equal ~tol:0.0 orig (Op2.fetch m.ctx m.u))
 
+(* [update] writes into the dataset's own array: a later write to the
+   caller's array never reaches the dataset, and the executors compiled
+   against the array stay valid, so a warm call after it compiles
+   nothing.  On a SoA dataset it converts as it copies. *)
+let test_update_copies () =
+  let m = build_mini () in
+  ignore (run_mini m 1);
+  let mine = Array.map (fun v -> v +. 1.0) (Op2.fetch m.ctx m.u) in
+  let want = Array.copy mine in
+  let misses = Am_obs.Counters.value Am_obs.Obs.exec_misses in
+  Op2.update m.ctx m.u mine;
+  mine.(0) <- 99.0;
+  Alcotest.(check bool) "the caller's later write never reaches the dataset" true
+    (Fa.approx_equal ~tol:0.0 want (Op2.fetch m.ctx m.u));
+  ignore (run_mini m 1);
+  Alcotest.(check int) "update and a warm call compile no executor" 0
+    (Am_obs.Counters.value Am_obs.Obs.exec_misses - misses);
+  Op2.convert_layout m.ctx m.du Op2.Soa;
+  Op2.update m.ctx m.du want;
+  Alcotest.(check bool) "a SoA dataset reads back what update wrote" true
+    (Fa.approx_equal ~tol:0.0 want (Op2.fetch m.ctx m.du))
+
 let test_soa_execution_matches () =
   let m = build_mini () in
   Op2.convert_layout m.ctx m.u Op2.Soa;
@@ -553,6 +575,7 @@ let () =
           Alcotest.test_case "hilbert renumbering" `Quick test_renumber_with_hilbert;
           Alcotest.test_case "layout roundtrip" `Quick test_convert_layout_roundtrip;
           Alcotest.test_case "SoA execution matches" `Quick test_soa_execution_matches;
+          Alcotest.test_case "update copies into the dataset" `Quick test_update_copies;
         ] );
       ( "globals",
         [
