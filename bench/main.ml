@@ -50,19 +50,17 @@ let airfoil_mesh ~tiny =
 let airfoil_iteration t () = ignore (Airfoil.iteration t)
 let clover_step t () = ignore (Clover.hydro_step t)
 
-(* Airfoil and CloverLeaf on 4 simulated ranks, in a communication mode. *)
-let airfoil_dist ~tiny mode =
+(* Airfoil and CloverLeaf on 4 simulated ranks. *)
+let airfoil_dist ~tiny =
   let t = Airfoil.create (airfoil_mesh ~tiny) in
   Op2.partition t.Airfoil.ctx ~n_ranks:4
     ~strategy:(Op2.Kway_through t.Airfoil.edge_cells);
-  Op2.set_comm_mode t.Airfoil.ctx mode;
   t
 
-let clover_dist ~tiny mode =
+let clover_dist ~tiny =
   let n = dim ~tiny 48 16 in
   let t = Clover.create ~nx:n ~ny:n () in
   Ops.partition t.Clover.ctx ~n_ranks:4 ~ref_ysize:n;
-  Ops.set_comm_mode t.Clover.ctx mode;
   t
 
 (* A lossy-but-survivable schedule: drops, duplicates, delays — every loss
@@ -124,14 +122,8 @@ let rows ~tiny =
   in
   [
     timed "fig3/hydra_iteration" (fun () -> fst (hydra ~tiny));
-    timed "dist/airfoil_dist_blocking" (fun () ->
-        airfoil_iteration (airfoil_dist ~tiny Op2.Blocking));
-    timed "dist/airfoil_dist_overlap" (fun () ->
-        airfoil_iteration (airfoil_dist ~tiny Op2.Overlap));
-    timed "dist/cloverleaf_dist_blocking" (fun () ->
-        clover_step (clover_dist ~tiny Ops.Blocking));
-    timed "dist/cloverleaf_dist_overlap" (fun () ->
-        clover_step (clover_dist ~tiny Ops.Overlap));
+    timed "dist/airfoil_dist_blocking" (fun () -> airfoil_iteration (airfoil_dist ~tiny));
+    timed "dist/cloverleaf_dist_blocking" (fun () -> clover_step (clover_dist ~tiny));
     timed "fig6/cloverleaf_step_gpusim" (fun () ->
         let n = dim 48 16 in
         clover_step
@@ -171,12 +163,12 @@ let rows ~tiny =
           airfoil_iteration (Airfoil.create (airfoil_mesh ~tiny)) ));
     ratio "recovery/airfoil_lossy_over_clean"
       (lossy_over_clean
-         (fun () -> airfoil_dist ~tiny Op2.Blocking)
+         (fun () -> airfoil_dist ~tiny)
          airfoil_iteration
          (fun t -> Op2.set_fault_injector t.Airfoil.ctx));
     ratio "recovery/cloverleaf_lossy_over_clean"
       (lossy_over_clean
-         (fun () -> clover_dist ~tiny Ops.Blocking)
+         (fun () -> clover_dist ~tiny)
          clover_step
          (fun t -> Ops.set_fault_injector t.Clover.ctx));
     ratio "checkpoint/idle_over_baseline" (fun () ->
@@ -248,35 +240,18 @@ let print_rows ~repeat measured =
 
 (* ---- Counts ---------------------------------------------------------------- *)
 
-(* Exposed vs overlapped halo seconds of the distributed proxies, from the
-   runtime's own profile: run a fixed number of steps under both
-   communication modes and read the totals [Profile.record_halo]
-   accumulated.  Overlap must strictly lower the exposed time — the
-   core/boundary split's whole point. *)
+(* Halo seconds of the distributed proxies, from the runtime's own
+   profile: run a fixed number of steps and read the total
+   [Profile.record_halo] accumulated. *)
 let halo_seconds ~tiny =
-  let entry name profile =
-    ( name,
-      Json.Obj
-        [
-          ("exposed", Json.Num (Am_core.Profile.total_halo_seconds profile));
-          ("overlapped", Json.Num (Am_core.Profile.total_overlap_seconds profile));
-        ] )
-  in
-  let airfoil name mode =
-    let t = airfoil_dist ~tiny mode in
-    ignore (Airfoil.run t ~iters:10);
-    entry name (Op2.profile t.Airfoil.ctx)
-  in
-  let clover name mode =
-    let t = clover_dist ~tiny mode in
-    ignore (Clover.run t ~steps:5);
-    entry name (Ops.profile t.Clover.ctx)
-  in
+  let entry name profile = (name, Json.Num (Am_core.Profile.total_halo_seconds profile)) in
+  let airfoil = airfoil_dist ~tiny in
+  ignore (Airfoil.run airfoil ~iters:10);
+  let clover = clover_dist ~tiny in
+  ignore (Clover.run clover ~steps:5);
   [
-    airfoil "airfoil_dist_blocking" Op2.Blocking;
-    airfoil "airfoil_dist_overlap" Op2.Overlap;
-    clover "cloverleaf_dist_blocking" Ops.Blocking;
-    clover "cloverleaf_dist_overlap" Ops.Overlap;
+    entry "airfoil_dist_blocking" (Op2.profile airfoil.Airfoil.ctx);
+    entry "cloverleaf_dist_blocking" (Ops.profile clover.Clover.ctx);
   ]
 
 (* How much each reading moved while [f] ran. *)
@@ -314,11 +289,11 @@ let retransmits ~tiny =
   in
   [
     count "airfoil_dist" (fun () ->
-        let t = airfoil_dist ~tiny Op2.Blocking in
+        let t = airfoil_dist ~tiny in
         Op2.set_fault_injector t.Airfoil.ctx (lossy ());
         ignore (Airfoil.run t ~iters:10));
     count "cloverleaf_dist" (fun () ->
-        let t = clover_dist ~tiny Ops.Blocking in
+        let t = clover_dist ~tiny in
         Ops.set_fault_injector t.Clover.ctx (lossy ());
         ignore (Clover.run t ~steps:5));
   ]

@@ -16,7 +16,7 @@ let run n iters backend ranks renumber verify check analyze trace obs_json fault
   Check_common.guard @@ fun () ->
   Op2_common.check_flags ~app:"aero" ~sizes:[ ("--size", n) ] ~counts:[ ("--iters", iters) ]
     ~outputs:[ ("--trace", trace); ("--obs-json", obs_json) ]
-    ~backend ~ranks ~overlap:false ~check;
+    ~backend ~ranks;
   Am_obs.Obs.reset ();
   if trace <> None then Am_obs.Obs.set_tracing true;
   let mesh = App.generate_mesh ~n in
@@ -38,7 +38,7 @@ let run n iters backend ranks renumber verify check analyze trace obs_json fault
       None
     end
     else
-      Op2_common.select_backend t.App.ctx ~backend ~ranks ~overlap:false
+      Op2_common.select_backend t.App.ctx ~backend ~ranks
         ~partition:(fun n_ranks ->
           Op2.partition t.App.ctx ~n_ranks ~strategy:(Op2.Rcb_on t.App.x))
   in

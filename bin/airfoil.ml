@@ -10,14 +10,14 @@ module Op2 = Am_op2.Op2
 module App = Am_airfoil.App
 module Umesh = Am_mesh.Umesh
 
-let run nx ny iters backend ranks overlap renumber verify check analyze save_to
+let run nx ny iters backend ranks renumber verify check analyze save_to
     mesh_file trace obs_json faults recover perf =
   Check_common.guard @@ fun () ->
   Op2_common.check_flags ~app:"airfoil"
     ~sizes:[ ("--nx", nx); ("--ny", ny) ] ~counts:[ ("--iters", iters) ]
     ~outputs:
       [ ("--trace", trace); ("--obs-json", obs_json); ("--save", save_to); ("--mesh", mesh_file) ]
-    ~backend ~ranks ~overlap ~check;
+    ~backend ~ranks;
   Am_obs.Obs.reset ();
   if trace <> None then Am_obs.Obs.set_tracing true;
   (* Meshes load from snapshot files (the HDF5-style input path) or are
@@ -55,7 +55,7 @@ let run nx ny iters backend ranks overlap renumber verify check analyze save_to
       None
     end
     else
-      Op2_common.select_backend t.App.ctx ~backend ~ranks ~overlap ~partition:(fun n_ranks ->
+      Op2_common.select_backend t.App.ctx ~backend ~ranks ~partition:(fun n_ranks ->
           Op2.partition t.App.ctx ~n_ranks ~strategy:(Op2.Kway_through t.App.edge_cells))
   in
   (match Fault_common.injector fc with
@@ -122,14 +122,6 @@ let backend =
 
 let ranks = Arg.(value & opt int 4 & info [ "ranks" ] ~doc:"Simulated MPI ranks.")
 
-let overlap =
-  Arg.(
-    value & flag
-    & info [ "overlap" ]
-        ~doc:
-          "Overlap halo exchanges with interior compute (core/boundary split; \
-           mpi and hybrid backends).")
-
 let renumber =
   Arg.(value & flag & info [ "renumber" ] ~doc:"Apply RCM mesh renumbering first.")
 
@@ -171,7 +163,7 @@ let cmd =
   Cmd.v
     (Cmd.info "airfoil" ~doc:"Non-linear 2D inviscid Euler proxy application (OP2)")
     Term.(
-      const run $ nx $ ny $ iters $ backend $ ranks $ overlap $ renumber $ verify
+      const run $ nx $ ny $ iters $ backend $ ranks $ renumber $ verify
       $ Check_common.arg $ Check_common.analyze_arg $ save_to $ mesh_file
       $ trace_arg $ obs_json_arg
       $ Fault_common.faults_arg $ Fault_common.recover_arg $ Perf_common.arg)

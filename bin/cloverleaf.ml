@@ -9,16 +9,15 @@
 module Ops = Am_ops.Ops
 module App = Am_cloverleaf.App
 
-let run nx ny steps backend ranks overlap summary_every verify van_leer check
+let run nx ny steps backend ranks summary_every verify van_leer check
     analyze trace obs_json faults recover perf =
   Check_common.guard @@ fun () ->
   Flag_common.check_flags ~app:"cloverleaf"
     ~backends:[ "seq"; "shared"; "cuda"; "mpi"; "mpi2d"; "hybrid" ]
-    ~overlap_backends:[ "mpi"; "mpi2d"; "hybrid" ]
     ~sizes:[ ("--nx", nx); ("--ny", ny); ("--summary-every", summary_every) ]
     ~counts:[ ("--steps", steps) ]
     ~outputs:[ ("--trace", trace); ("--obs-json", obs_json) ]
-    ~backend ~ranks ~overlap ~check;
+    ~backend ~ranks;
   Am_obs.Obs.reset ();
   if trace <> None then Am_obs.Obs.set_tracing true;
   let advection =
@@ -65,7 +64,6 @@ let run nx ny steps backend ranks overlap summary_every verify van_leer check
   in
   if analyze then Am_core.Trace.set_enabled (Ops.trace t.App.ctx) true;
   Perf_common.enable perf (Ops.trace t.App.ctx);
-  if overlap then Ops.set_comm_mode t.App.ctx Ops.Overlap;
   (match Fault_common.injector fc with
   | Some f -> Ops.set_fault_injector t.App.ctx f
   | None -> ());
@@ -128,14 +126,6 @@ let backend =
 
 let ranks = Arg.(value & opt int 4 & info [ "ranks" ] ~doc:"Simulated MPI ranks.")
 
-let overlap =
-  Arg.(
-    value & flag
-    & info [ "overlap" ]
-        ~doc:
-          "Overlap ghost exchanges with interior compute (core/boundary split; \
-           distributed backends).")
-
 let summary_every =
   Arg.(value & opt int 10 & info [ "summary-every" ] ~doc:"Field summary interval.")
 
@@ -167,7 +157,7 @@ let cmd =
   Cmd.v
     (Cmd.info "cloverleaf" ~doc:"CloverLeaf 2D hydrodynamics proxy application (OPS)")
     Term.(
-      const run $ nx $ ny $ steps $ backend $ ranks $ overlap $ summary_every
+      const run $ nx $ ny $ steps $ backend $ ranks $ summary_every
       $ verify $ van_leer $ Check_common.arg $ Check_common.analyze_arg
       $ trace_arg $ obs_json_arg
       $ Fault_common.faults_arg $ Fault_common.recover_arg $ Perf_common.arg)

@@ -9,9 +9,9 @@ let run n steps backend ranks check analyze trace obs_json faults recover perf =
   Check_common.guard @@ fun () ->
   Flag_common.check_flags ~app:"cloverleaf3"
     ~backends:[ "seq"; "shared"; "cuda"; "mpi"; "pencil"; "hybrid" ]
-    ~overlap_backends:[] ~sizes:[ ("--size", n) ] ~counts:[ ("--steps", steps) ]
+    ~sizes:[ ("--size", n) ] ~counts:[ ("--steps", steps) ]
     ~outputs:[ ("--trace", trace); ("--obs-json", obs_json) ]
-    ~backend ~ranks ~overlap:false ~check;
+    ~backend ~ranks;
   Am_obs.Obs.reset ();
   if trace <> None then Am_obs.Obs.set_tracing true;
   Fault_common.with_faults ~app:"cloverleaf3" ~faults ~recover @@ fun fc ~recovering ->

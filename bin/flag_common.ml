@@ -7,25 +7,15 @@ let usage_error ~app msg =
   Printf.eprintf "%s: %s\n%!" app msg;
   exit 2
 
-(* "a", "a or b", "a, b or c". *)
-let one_of = function
-  | [] -> "nothing"
-  | [ x ] -> x
-  | xs ->
-    let rev = List.rev xs in
-    String.concat ", " (List.rev (List.tl rev)) ^ " or " ^ List.hd rev
-
-(* [backends] are the driver's documented backends; [overlap_backends] the
-   partitioned ones that --overlap applies to (none when the driver has no
-   --overlap); [sizes] the driver's counted flags (problem sizes,
-   cloverleaf's --summary-every) with their values, each of which must be
-   at least 1; [counts] its iteration or step count, which may be 0 (run
-   nothing) but not negative; [outputs] the files the run writes (--trace,
-   --obs-json, airfoil's --save and --mesh) with their flags, each of
-   which must lie in an existing directory, so a mistyped path fails now
-   rather than after the whole run. *)
-let check_flags ~backends ~overlap_backends ~app ~sizes ~counts ~outputs ~backend ~ranks
-    ~overlap ~check =
+(* [backends] are the driver's documented backends; [sizes] the driver's
+   counted flags (problem sizes, cloverleaf's --summary-every) with their
+   values, each of which must be at least 1; [counts] its iteration or
+   step count, which may be 0 (run nothing) but not negative; [outputs]
+   the files the run writes (--trace, --obs-json, airfoil's --save and
+   --mesh) with their flags, each of which must lie in an existing
+   directory, so a mistyped path fails now rather than after the whole
+   run. *)
+let check_flags ~backends ~app ~sizes ~counts ~outputs ~backend ~ranks =
   List.iter
     (fun (flag, v) ->
       if v < 1 then usage_error ~app (Printf.sprintf "%s must be at least 1" flag))
@@ -39,10 +29,6 @@ let check_flags ~backends ~overlap_backends ~app ~sizes ~counts ~outputs ~backen
       (Printf.sprintf "unknown backend %s (expected one of %s)" backend
          (String.concat ", " backends));
   if ranks < 1 then usage_error ~app "--ranks must be at least 1";
-  if overlap && (check || not (List.mem backend overlap_backends)) then
-    usage_error ~app
-      (Printf.sprintf "--overlap requires --backend %s (and no --check)"
-         (one_of overlap_backends));
   List.iter
     (fun (flag, path) ->
       match path with

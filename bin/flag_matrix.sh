@@ -4,27 +4,24 @@
 #   flag_matrix.sh AIRFOIL_EXE AERO_EXE HYDRA_EXE CLOVERLEAF_EXE \
 #     CLOVERLEAF3_EXE TEALEAF_EXE
 #
-# Runs each driver at a small size on each of its documented backends,
-# and on an unknown one.  The OP2 drivers run with no flag, with each of
-# --renumber, --overlap, --verify and --check that the driver defines
-# (aero has no --overlap, hydra neither --overlap nor --verify), and with
-# --renumber --verify together; the OPS drivers with no flag and --check,
-# and cloverleaf also with --overlap, --verify, --overlap --check and
-# --van-leer --verify, so the hand-coded cross-check covers van Leer's
-# computed stencil points on every backend.  A run on the unknown backend,
-# with --overlap off the partitioned backends (mpi, mpi2d, hybrid), with
-# --overlap --check, on mpi with --ranks 0 or at size 0 (every driver), on
-# a decomposition the OPS runtime refuses (more ranks than rows or planes,
-# a rank thinner than the ghost depth), on a Hydra mesh of odd size, with
-# cloverleaf's --summary-every 0, with a negative --iters or --steps
-# (every driver; 0 is valid and runs nothing), with an output file in a
-# directory that does not exist (--trace on every driver, airfoil's
-# --obs-json, --save and --mesh) or with a tealeaf --dt that is not a
-# finite number above 0 (-1, 0, nan, inf) is a usage error and must exit
-# 2; every other run must exit 0.  No output may report an uncaught exception, and
-# cloverleaf3's pencil backend must print the rank grid it runs on (the
-# most square split of --ranks: 3 ranks are 1x3).  Prints only the runs
-# that fail.
+# Runs each driver at a small size on each of its documented backends, and
+# on an unknown one.  The OP2 drivers run with no flag, with each of
+# --renumber, --verify and --check that the driver defines (hydra has no
+# --verify), and with --renumber --verify together; the OPS drivers with
+# no flag and --check, and cloverleaf also with --verify and --van-leer
+# --verify, so the hand-coded cross-check covers van Leer's computed
+# stencil points on every backend.  A run on the unknown backend, on mpi
+# with --ranks 0 or at size 0 (every driver), on a decomposition the OPS
+# runtime refuses (more ranks than rows or planes, a rank thinner than the
+# ghost depth), on a Hydra mesh of odd size, with cloverleaf's
+# --summary-every 0, with a negative --iters or --steps (every driver; 0
+# is valid and runs nothing), with an output file in a directory that does
+# not exist (--trace on every driver, airfoil's --obs-json, --save and
+# --mesh) or with a tealeaf --dt that is not a finite number above 0 (-1,
+# 0, nan, inf) is a usage error and must exit 2; every other run must exit
+# 0.  No output may report an uncaught exception, and cloverleaf3's pencil
+# backend must print the rank grid it runs on (the most square split of
+# --ranks: 3 ranks are 1x3).  Prints only the runs that fail.
 set -u
 # A bare file name is a path in the current directory, not a command.
 path() { case $1 in */*) echo "$1" ;; *) echo "./$1" ;; esac; }
@@ -50,13 +47,10 @@ run_prints() {
   esac
 }
 
-# The exit code of a run on backend $1 with flags $2.
+# The exit code of a run on backend $1.
 expected() {
-  case $1:$2 in
-  bogus:*) echo 2 ;;
-  *:*--overlap*--check*) echo 2 ;;
-  mpi:* | mpi2d:* | hybrid:*) echo 0 ;;
-  *:*--overlap*) echo 2 ;;
+  case $1 in
+  bogus) echo 2 ;;
   *) echo 0 ;;
   esac
 }
@@ -82,34 +76,34 @@ run() {
 }
 
 for backend in seq vec shared cuda mpi hybrid bogus; do
-  for flags in "" --renumber --overlap --verify --check "--renumber --verify"; do
-    run "$(expected $backend "$flags")" "$airfoil" --nx 16 --ny 12 --iters 2 --ranks 3 \
+  for flags in "" --renumber --verify --check "--renumber --verify"; do
+    run "$(expected $backend)" "$airfoil" --nx 16 --ny 12 --iters 2 --ranks 3 \
       --backend "$backend" $flags
   done
   for flags in "" --renumber --verify --check "--renumber --verify"; do
-    run "$(expected $backend "$flags")" "$aero" --size 8 --iters 1 --ranks 3 \
+    run "$(expected $backend)" "$aero" --size 8 --iters 1 --ranks 3 \
       --backend "$backend" $flags
   done
   for flags in "" --renumber --check; do
-    run "$(expected $backend "$flags")" "$hydra" --nx 8 --ny 6 --iters 1 --ranks 3 \
+    run "$(expected $backend)" "$hydra" --nx 8 --ny 6 --iters 1 --ranks 3 \
       --backend "$backend" $flags
   done
 done
 for backend in seq shared cuda mpi mpi2d hybrid bogus; do
-  for flags in "" --check --overlap --verify "--overlap --check" "--van-leer --verify"; do
-    run "$(expected $backend "$flags")" "$cloverleaf" --nx 12 --ny 12 --steps 2 \
+  for flags in "" --check --verify "--van-leer --verify"; do
+    run "$(expected $backend)" "$cloverleaf" --nx 12 --ny 12 --steps 2 \
       --ranks 3 --backend "$backend" $flags
   done
 done
 for backend in seq shared cuda mpi pencil hybrid bogus; do
   for flags in "" --check; do
-    run "$(expected $backend "$flags")" "$cloverleaf3" --size 6 --steps 1 --ranks 3 \
+    run "$(expected $backend)" "$cloverleaf3" --size 6 --steps 1 --ranks 3 \
       --backend "$backend" $flags
   done
 done
 for backend in seq shared cuda mpi hybrid bogus; do
   for flags in "" --check; do
-    run "$(expected $backend "$flags")" "$tealeaf" --size 6 --steps 1 --ranks 3 \
+    run "$(expected $backend)" "$tealeaf" --size 6 --steps 1 --ranks 3 \
       --backend "$backend" $flags
   done
 done

@@ -11,7 +11,7 @@ let run nx ny iters backend ranks renumber no_multigrid check analyze trace
   Op2_common.check_flags ~app:"hydra" ~sizes:[ ("--nx", nx); ("--ny", ny) ]
     ~counts:[ ("--iters", iters) ]
     ~outputs:[ ("--trace", trace); ("--obs-json", obs_json) ]
-    ~backend ~ranks ~overlap:false ~check;
+    ~backend ~ranks;
   Am_obs.Obs.reset ();
   if trace <> None then Am_obs.Obs.set_tracing true;
   let features = { App.all_features with App.multigrid = not no_multigrid } in
@@ -36,7 +36,7 @@ let run nx ny iters backend ranks renumber no_multigrid check analyze trace
       None
     end
     else
-      Op2_common.select_backend t.App.ctx ~backend ~ranks ~overlap:false
+      Op2_common.select_backend t.App.ctx ~backend ~ranks
         ~partition:(fun n_ranks ->
           Op2.partition t.App.ctx ~n_ranks ~strategy:(Op2.Kway_through t.App.edge_cells))
   in

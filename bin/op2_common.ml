@@ -1,5 +1,5 @@
 (* Shared plumbing of the OP2 drivers (airfoil, aero, hydra): the backend
-   flags (--backend, --ranks, --overlap) and --renumber.  A bad flag
+   flags (--backend, --ranks) and --renumber.  A bad flag
    combination is a usage error ([Flag_common]). *)
 
 module Op2 = Am_op2.Op2
@@ -7,36 +7,31 @@ module Op2 = Am_op2.Op2
 let check_flags =
   Flag_common.check_flags
     ~backends:[ "seq"; "vec"; "shared"; "cuda"; "mpi"; "hybrid" ]
-    ~overlap_backends:[ "mpi"; "hybrid" ]
 
 (* Put [ctx] on [backend]; [partition n] splits it over [n] ranks for mpi
    and hybrid.  Returns the domain pool the backend runs on, if it made
    one, for the driver to shut down. *)
-let select_backend ctx ~backend ~ranks ~overlap ~partition =
-  let pool =
-    match backend with
-    | "shared" ->
-      let p = Am_taskpool.Pool.create () in
-      Op2.set_backend ctx (Op2.Shared { pool = p; block_size = 256 });
-      Some p
-    | "cuda" ->
-      Op2.set_backend ctx (Op2.Cuda_sim Am_op2.Exec_cuda.default_config);
-      None
-    | "vec" ->
-      Op2.set_backend ctx (Op2.Vec Am_op2.Exec_vec.default_config);
-      None
-    | "mpi" ->
-      partition ranks;
-      None
-    | "hybrid" ->
-      partition ranks;
-      let p = Am_taskpool.Pool.create () in
-      Op2.set_rank_execution ctx (Op2.Rank_shared { pool = p; block_size = 256 });
-      Some p
-    | _ -> None
-  in
-  if overlap then Op2.set_comm_mode ctx Op2.Overlap;
-  pool
+let select_backend ctx ~backend ~ranks ~partition =
+  match backend with
+  | "shared" ->
+    let p = Am_taskpool.Pool.create () in
+    Op2.set_backend ctx (Op2.Shared { pool = p; block_size = 256 });
+    Some p
+  | "cuda" ->
+    Op2.set_backend ctx (Op2.Cuda_sim Am_op2.Exec_cuda.default_config);
+    None
+  | "vec" ->
+    Op2.set_backend ctx (Op2.Vec Am_op2.Exec_vec.default_config);
+    None
+  | "mpi" ->
+    partition ranks;
+    None
+  | "hybrid" ->
+    partition ranks;
+    let p = Am_taskpool.Pool.create () in
+    Op2.set_rank_execution ctx (Op2.Rank_shared { pool = p; block_size = 256 });
+    Some p
+  | _ -> None
 
 (* RCM-renumber [ctx] through [through]; call it before [select_backend],
    which may partition.  The result maps a solution on [set] ([size]

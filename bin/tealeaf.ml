@@ -9,9 +9,9 @@ let run n steps dt backend ranks check analyze trace obs_json faults recover per
   Check_common.guard @@ fun () ->
   Flag_common.check_flags ~app:"tealeaf"
     ~backends:[ "seq"; "shared"; "cuda"; "mpi"; "hybrid" ]
-    ~overlap_backends:[] ~sizes:[ ("--size", n) ] ~counts:[ ("--steps", steps) ]
+    ~sizes:[ ("--size", n) ] ~counts:[ ("--steps", steps) ]
     ~outputs:[ ("--trace", trace); ("--obs-json", obs_json) ]
-    ~backend ~ranks ~overlap:false ~check;
+    ~backend ~ranks;
   if not (Float.is_finite dt && dt > 0.0) then
     Flag_common.usage_error ~app:"tealeaf" "--dt must be a finite number above 0";
   Am_obs.Obs.reset ();

@@ -4,10 +4,10 @@
    every [par_loop] accumulates wall time, invocation count and an estimate
    of useful bytes moved, keyed by loop name.
 
-   Storage is a per-profile [Am_obs.Counters] registry — six cells per loop
-   name — so the numbers behind the table are the same ones the
-   observability layer scrapes into JSON; [entry] is a read-only snapshot
-   reconstructed from those cells.  Recording also feeds the process-wide
+   Storage is a per-profile [Am_obs.Counters] registry — one cell per
+   field of [entry], keyed by loop name — so the numbers behind the table
+   are the same ones the observability layer scrapes into JSON; [entry] is
+   a read-only snapshot reconstructed from those cells.  Recording also feeds the process-wide
    loop counters in [Am_obs.Obs]. *)
 
 module Counters = Am_obs.Counters
@@ -18,8 +18,7 @@ type entry = {
   mutable seconds : float;
   mutable bytes : int;
   mutable elements : int;
-  mutable halo_seconds : float; (* exposed communication time for this loop *)
-  mutable overlap_seconds : float; (* communication hidden behind core compute *)
+  mutable halo_seconds : float; (* communication time for this loop *)
   mutable gc_minor : int; (* minor collections during this loop (traced runs) *)
   mutable gc_major : int;
   mutable gc_promoted_words : float;
@@ -32,7 +31,6 @@ type cells = {
   cc_bytes : Counters.counter;
   cc_elements : Counters.counter;
   cc_halo : Counters.gauge;
-  cc_overlap : Counters.gauge;
   cc_seconds_hist : Counters.histogram; (* per-call wall-time distribution *)
   cc_gc_minor : Counters.counter;
   cc_gc_major : Counters.counter;
@@ -61,7 +59,6 @@ let cells t name =
         cc_bytes = Counters.counter t.reg ~unit_:"bytes" (key "bytes");
         cc_elements = Counters.counter t.reg ~unit_:"elements" (key "elements");
         cc_halo = Counters.gauge t.reg ~unit_:"s" (key "halo_seconds");
-        cc_overlap = Counters.gauge t.reg ~unit_:"s" (key "overlap_seconds");
         cc_seconds_hist = Counters.histogram t.reg ~unit_:"s" (key "seconds_hist");
         cc_gc_minor = Counters.counter t.reg (key "gc_minor");
         cc_gc_major = Counters.counter t.reg (key "gc_major");
@@ -85,14 +82,11 @@ let record t ~name ~seconds ~bytes ~elements =
     Counters.add Obs.loop_elements elements
   end
 
-(* [seconds] is the exposed communication time (the loop waited for it);
-   [overlapped] the portion hidden behind core computation by a
-   non-blocking exchange. *)
-let record_halo t ~name ?(overlapped = 0.0) ~seconds () =
+(* [seconds] is the time the loop spent exchanging and reducing halos. *)
+let record_halo t ~name ~seconds =
   if t.enabled then begin
     let c = cells t name in
     Counters.addf c.cc_halo seconds;
-    Counters.addf c.cc_overlap overlapped;
     if seconds > 0.0 then Counters.observe Obs.halo_seconds seconds
   end
 
@@ -117,7 +111,6 @@ let snapshot c =
     bytes = Counters.value c.cc_bytes;
     elements = Counters.value c.cc_elements;
     halo_seconds = Counters.valuef c.cc_halo;
-    overlap_seconds = Counters.valuef c.cc_overlap;
     gc_minor = Counters.value c.cc_gc_minor;
     gc_major = Counters.value c.cc_gc_major;
     gc_promoted_words = Counters.valuef c.cc_gc_promoted;
@@ -139,9 +132,6 @@ let fold_cells t f acc = Hashtbl.fold (fun _ c acc -> f acc c) t.cells acc
 let total_seconds t = fold_cells t (fun acc c -> acc +. Counters.valuef c.cc_seconds) 0.0
 let total_halo_seconds t = fold_cells t (fun acc c -> acc +. Counters.valuef c.cc_halo) 0.0
 
-let total_overlap_seconds t =
-  fold_cells t (fun acc c -> acc +. Counters.valuef c.cc_overlap) 0.0
-
 (* Entries sorted by descending total time. *)
 let to_list t =
   let items = Hashtbl.fold (fun name c acc -> (name, snapshot c) :: acc) t.cells [] in
@@ -156,15 +146,14 @@ let obs_rows t =
         lr_seconds = e.seconds;
         lr_bytes = e.bytes;
         lr_halo_seconds = e.halo_seconds;
-        lr_overlap_seconds = e.overlap_seconds;
       })
     (to_list t)
 
 let report t =
   let table =
     Am_util.Table.create ~title:"loop profile"
-      ~header:[ "loop"; "calls"; "time"; "GB moved"; "GB/s"; "halo time"; "overlapped" ]
-      ~aligns:[ Am_util.Table.Left; Right; Right; Right; Right; Right; Right ]
+      ~header:[ "loop"; "calls"; "time"; "GB moved"; "GB/s"; "halo time" ]
+      ~aligns:[ Am_util.Table.Left; Right; Right; Right; Right; Right ]
       ()
   in
   List.iter
@@ -180,7 +169,6 @@ let report t =
           (if e.seconds <= 0.0 || e.bytes = 0 then "-"
            else Printf.sprintf "%.2f" (Am_util.Units.bandwidth_gbs e.bytes e.seconds));
           Am_util.Units.seconds e.halo_seconds;
-          Am_util.Units.seconds e.overlap_seconds;
         ])
     (to_list t);
   Am_util.Table.render table

@@ -6,9 +6,7 @@ type entry = {
   mutable bytes : int;  (** estimated useful bytes moved *)
   mutable elements : int;  (** iteration elements processed *)
   mutable halo_seconds : float;
-      (** exposed communication time attributed to the loop *)
-  mutable overlap_seconds : float;
-      (** communication hidden behind core compute (non-blocking exchange) *)
+      (** communication time attributed to the loop *)
   mutable gc_minor : int;
       (** minor collections during the loop (sampled only on traced runs) *)
   mutable gc_major : int;
@@ -26,10 +24,9 @@ val record : t -> name:string -> seconds:float -> bytes:int -> elements:int -> u
 (** Accumulates totals and feeds the per-call wall time into both the
     loop's own histogram cell and the global [Obs.loop_seconds]. *)
 
-val record_halo : t -> name:string -> ?overlapped:float -> seconds:float -> unit -> unit
-(** [seconds] is the exposed wait; [overlapped] the portion hidden behind
-    core computation.  Non-zero exposed waits also feed
-    [Obs.halo_seconds]. *)
+val record_halo : t -> name:string -> seconds:float -> unit
+(** [seconds] is the time the loop spent exchanging and reducing halos;
+    non-zero values also feed [Obs.halo_seconds]. *)
 
 val record_gc : t -> name:string -> minor:int -> major:int -> promoted_words:float -> unit
 (** Accumulate [Gc.quick_stat] deltas for one loop execution.  Facades call
@@ -51,10 +48,9 @@ val obs_rows : t -> Am_obs.Obs.loop_row list
 val reset : t -> unit
 val total_seconds : t -> float
 val total_halo_seconds : t -> float
-val total_overlap_seconds : t -> float
 
 (** Entries by descending total time. *)
 val to_list : t -> (string * entry) list
 
-(** Rendered table (loop, calls, time, GB, GB/s, halo time, overlapped). *)
+(** Rendered table (loop, calls, time, GB, GB/s, halo time). *)
 val report : t -> string

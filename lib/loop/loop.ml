@@ -37,10 +37,9 @@ type ('arg, 'handle) t = {
   mutable fault : Am_simmpi.Fault.t option;
   mutable comm : Comm.t option; (* the partitioned runtime's *)
   sites : (string, ('arg, 'handle) site list) Hashtbl.t; (* by loop name *)
-  (* The running call's exposed and hidden exchange time, filled by the
-     partitioned executors. *)
+  (* The running call's exchange time, filled by the partitioned
+     executors. *)
   halo_seconds : float ref;
-  overlap_seconds : float ref;
 }
 
 let create ~facade =
@@ -53,7 +52,6 @@ let create ~facade =
     comm = None;
     sites = Hashtbl.create 32;
     halo_seconds = ref 0.0;
-    overlap_seconds = ref 0.0;
   }
 
 (* Route the partitioned runtime's messages through the fault injector's
@@ -217,10 +215,7 @@ module Make (L : LIB) = struct
     let gc0 = if traced then Some (Gc.quick_stat ()) else None in
     if traced then Obs.begin_span ~cat:Am_obs.Tracer.Loop name;
     let dist = Option.is_some st.comm in
-    if dist then begin
-      st.halo_seconds := 0.0;
-      st.overlap_seconds := 0.0
-    end;
+    if dist then st.halo_seconds := 0.0;
     (match
        match st.checkpoint with
        | None -> L.execute ctx ~name handle space args kernel
@@ -249,6 +244,5 @@ module Make (L : LIB) = struct
     Profile.record st.profile ~name ~seconds ~bytes:(Descr.total_bytes descr)
       ~elements:descr.Descr.set_size;
     if dist then
-      Profile.record_halo st.profile ~name ~overlapped:!(st.overlap_seconds)
-        ~seconds:!(st.halo_seconds) ()
+      Profile.record_halo st.profile ~name ~seconds:!(st.halo_seconds)
 end

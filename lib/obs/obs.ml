@@ -36,8 +36,6 @@ let comm_messages = Counters.counter counters "comm.messages"
 let comm_bytes = Counters.counter counters ~unit_:"bytes" "comm.bytes_sent"
 let comm_exchanges = Counters.counter counters "comm.exchanges"
 let comm_reductions = Counters.counter counters "comm.reductions"
-let core_elements = Counters.counter counters ~unit_:"elements" "dist.core_elements"
-let boundary_elements = Counters.counter counters ~unit_:"elements" "dist.boundary_elements"
 let checkpoint_snapshots = Counters.counter counters "checkpoint.snapshots"
 let checkpoint_restores = Counters.counter counters "checkpoint.restores"
 let analysis_lint_findings = Counters.counter counters "analysis.lint_findings"
@@ -90,7 +88,6 @@ type loop_row = {
   lr_seconds : float;
   lr_bytes : int;
   lr_halo_seconds : float;
-  lr_overlap_seconds : float;
 }
 
 let rate hits misses =
@@ -102,7 +99,7 @@ let loops_table ?roofline_gbs loops =
   let header =
     [ "loop"; "calls"; "time"; "GB/s" ]
     @ (match roofline_gbs with Some _ -> [ "% roof" ] | None -> [])
-    @ [ "halo exposed"; "halo hidden" ]
+    @ [ "halo time" ]
   in
   let aligns = Am_util.Table.Left :: List.map (fun _ -> Am_util.Table.Right) (List.tl header) in
   let table = Am_util.Table.create ~title:"observed loops" ~header ~aligns () in
@@ -127,10 +124,7 @@ let loops_table ?roofline_gbs loops =
               | _ -> "-");
             ]
           | None -> [])
-        @ [
-            Am_util.Units.seconds r.lr_halo_seconds;
-            Am_util.Units.seconds r.lr_overlap_seconds;
-          ]))
+        @ [ Am_util.Units.seconds r.lr_halo_seconds ]))
     (List.sort (fun a b -> Float.compare b.lr_seconds a.lr_seconds) loops);
   Am_util.Table.render table
 

@@ -33,8 +33,7 @@ val colour_name : int -> string
     vs. (re)compilations; [ops_walker_frames]/[ops_point_frames] count OPS
     accessor-kernel frames that run a generated range walker vs. the
     staging point walker, and [op2_walker_frames]/[op2_point_frames] the
-    same for OP2's element walker; [core_elements]/[boundary_elements] count elements run while
-    halos were in flight vs. deferred until arrival. *)
+    same for OP2's element walker. *)
 
 val loop_calls : Counters.counter
 val loop_bytes : Counters.counter
@@ -53,8 +52,6 @@ val comm_messages : Counters.counter
 val comm_bytes : Counters.counter
 val comm_exchanges : Counters.counter
 val comm_reductions : Counters.counter
-val core_elements : Counters.counter
-val boundary_elements : Counters.counter
 val checkpoint_snapshots : Counters.counter
 val checkpoint_restores : Counters.counter
 
@@ -136,14 +133,13 @@ type loop_row = {
   lr_calls : int;
   lr_seconds : float;
   lr_bytes : int;
-  lr_halo_seconds : float;  (** exposed communication time *)
-  lr_overlap_seconds : float;  (** communication hidden behind core compute *)
+  lr_halo_seconds : float;  (** communication time *)
 }
 
 val report : ?roofline_gbs:float -> ?loops:loop_row list -> unit -> string
 (** Rendered tables: per-loop time and achieved GB/s (against the perfmodel
-    roofline ceiling when [roofline_gbs] is given) with exposed-vs-hidden
-    halo columns, followed by cache hit-rates and communication totals,
+    roofline ceiling when [roofline_gbs] is given) and halo time,
+    followed by cache hit-rates and communication totals,
     then a schedule-exploration section ([dpor.*]) when the explorer ran,
     and a latency-distribution table (count/p50/p90/p99/max) for every
     non-empty histogram cell. *)

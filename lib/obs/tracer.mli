@@ -11,7 +11,7 @@
     in permanently. *)
 
 type category =
-  | Loop  (** a [par_loop] invocation, or its core/boundary sub-phase *)
+  | Loop  (** a [par_loop] invocation *)
   | Plan  (** execution-plan construction / kernel compilation *)
   | Colour_round  (** one conflict-free colour round of an executor *)
   | Halo_pack  (** gathering export elements into a message payload *)

@@ -50,12 +50,6 @@ type rank_exec =
   | Rank_shared of { pool : Am_taskpool.Pool.t; block_size : int }
   | Rank_vec of Exec_vec.config
 
-(* Per-rank core/boundary classification of a loop's owned range: core
-   elements reach only owned slots through the loop's indirectly-read maps
-   and can run while halo exchanges are in flight; boundary elements touch
-   at least one halo slot and must wait for the exchange to finish. *)
-type rank_split = Plan.split = { core : int array; boundary : int array }
-
 type t = {
   comm : Comm.t;
   n_ranks : int;
@@ -64,12 +58,10 @@ type t = {
   map_dists : (int, map_dist) Hashtbl.t;
   mutable rank_exec : rank_exec;
   mutable eager_halo : bool;
-  mutable overlap : bool; (* post exchange, run core, wait, run boundary *)
   rank_plans : (string * int, Plan.t) Hashtbl.t;
-  (* Core/boundary splits and rank-local compiled executors, cached under
-     the same loop-signature key as the plan cache.  Both depend only on
-     the rank-local map tables, which are fixed at [build] time. *)
-  rank_splits : (string, rank_split array) Hashtbl.t;
+  (* Rank-local compiled executors, cached under the same loop-signature
+     key as the plan cache: they depend only on the rank-local map tables,
+     which are fixed at [build] time. *)
   rank_execs : (string * int, Exec_common.compiled) Hashtbl.t;
 }
 
@@ -149,8 +141,6 @@ let propagate env ~n_ranks ~primary_set ~primary_parts =
 (* Halo requirements of a set: globals each rank reaches through any map but
    does not own. *)
 let halo_requirements env ~set_parts set =
-  let n_ranks = 1 + Array.fold_left max 0 (Hashtbl.find set_parts set.set_id) in
-  ignore n_ranks;
   let needed : (int, (int, unit) Hashtbl.t) Hashtbl.t = Hashtbl.create 8 in
   let need rank global =
     let table =
@@ -260,9 +250,7 @@ let build env ~n_ranks ~strategy =
       map_dists = Hashtbl.create 8;
       rank_exec = Rank_seq;
       eager_halo = false;
-      overlap = false;
       rank_plans = Hashtbl.create 32;
-      rank_splits = Hashtbl.create 32;
       rank_execs = Hashtbl.create 32;
     }
   in
@@ -404,63 +392,6 @@ let distinct_dats args pred =
       | Arg_dat _ | Arg_gbl _ -> None)
     args
 
-(* Indirectly-read (map, position) pairs: the arguments that need a fresh
-   halo and therefore decide whether the loop runs phased at all. *)
-let halo_read_slots args =
-  List.filter_map
-    (function
-      | Arg_dat { map = Some (m, k); access = Access.Read | Access.Rw; _ } ->
-        Some (m, k)
-      | Arg_dat _ | Arg_gbl _ -> None)
-    args
-
-(* Classification is stricter than the exchange: a core element must reach
-   only owned slots through every read *and* write indirection, so the core
-   phase can never clobber a halo slot that the in-flight exchange will
-   unpack into.  Indirect increments are exempt — they land in zeroed halo
-   slots of datasets [check_supported] guarantees are not exchanged. *)
-let halo_touch_slots args =
-  List.filter_map
-    (function
-      | Arg_dat
-          { map = Some (m, k); access = Access.Read | Access.Rw | Access.Write; _ }
-        ->
-        Some (m, k)
-      | Arg_dat _ | Arg_gbl _ -> None)
-    args
-
-(* Classify each rank's owned range for one loop signature.  Cached under
-   the plan-cache key: like the colouring plan, the split depends only on
-   the rank-local map tables, which are fixed at [build] time. *)
-let rank_split t ~key ~iter_set ~slots =
-  match Hashtbl.find_opt t.rank_splits key with
-  | Some s ->
-    Obs_counters.incr Obs.plan_hits;
-    s
-  | None ->
-    Obs_counters.incr Obs.plan_misses;
-    Obs.begin_span ~cat:Cat.Plan "core_boundary_split";
-    let sd = set_dist t iter_set in
-    let split =
-      Array.init t.n_ranks (fun r ->
-          let core = ref [] and boundary = ref [] in
-          for e = sd.n_owned.(r) - 1 downto 0 do
-            let touches_halo =
-              List.exists
-                (fun ((m : map_t), k) ->
-                  let md = map_dist t m in
-                  let td = set_dist t m.to_set in
-                  md.locals.(r).((e * m.arity) + k) >= td.n_owned.(r))
-                slots
-            in
-            if touches_halo then boundary := e :: !boundary else core := e :: !core
-          done;
-          { core = Array.of_list !core; boundary = Array.of_list !boundary })
-    in
-    Hashtbl.add t.rank_splits key split;
-    Obs.end_span ();
-    split
-
 let rank_resolvers t r =
   {
     Exec_common.resolve_dat =
@@ -508,15 +439,12 @@ let ranks t (handle : Plan.handle) ~name ~iter_set args =
       {
         Plan.r_set_id = iter_set.set_id;
         r_args = args;
-        r_key = key;
         r_execs = Array.init t.n_ranks (fun r -> rank_compiled t ~key r args);
         r_plans = Array.make t.n_ranks None;
-        r_split = None;
         r_read_dats =
           distinct_dats args (fun map access ->
               map <> None && (access = Access.Read || access = Access.Rw));
         r_inc_dats = distinct_dats args (fun map access -> map <> None && access = Access.Inc);
-        r_read_slots = halo_read_slots args;
       }
     in
     handle.h_ranks <- Some rs;
@@ -551,131 +479,36 @@ let rank_plan t (rs : Plan.ranks) ~name ~iter_set ~args r ~block_size =
     rs.r_plans.(r) <- Some (block_size, plan);
     plan
 
-let par_loop ?(halo_seconds = ref 0.0) ?(overlap_seconds = ref 0.0) t ~handle ~name ~iter_set
-    ~args ~kernel =
+(* Owner-compute: refresh the stale halos the loop reads, zero the halos
+   it increments, run each rank's owned range through its engine, then
+   reduce the increments onto their owners.  [halo_seconds] accumulates
+   the time a loop that reads or increments through a map spends on its
+   halos. *)
+let par_loop ?(halo_seconds = ref 0.0) t ~handle ~name ~iter_set ~args ~kernel =
   let rs = ranks t handle ~name ~iter_set args in
-  let exposed = ref 0.0 in
-  let timed f x =
-    let t0 = Unix.gettimeofday () in
-    f x;
-    exposed := !exposed +. (Unix.gettimeofday () -. t0)
-  in
-  let read_dats = rs.r_read_dats in
-  let inc_dats = rs.r_inc_dats in
   let sd = set_dist t iter_set in
-  (* The phased core/boundary path runs whenever the loop dereferences halo
-     slots: under overlap it is what hides the exchange, and the sequential
-     rank engine uses it in blocking mode too so the element order — core
-     first, then boundary — is identical with overlap on and off (bitwise-
-     reproducible results).  The hybrid rank engines keep their coloured
-     full-range plans unless overlap is requested. *)
-  let phased = rs.r_read_slots <> [] && (t.overlap || t.rank_exec = Rank_seq) in
-  let execs = rs.r_execs in
-  if not phased then begin
-    (* Blocking path: exchange everything up front, run the full owned
-       range through the rank engine. *)
-    List.iter (timed (refresh_halo t)) read_dats;
-    List.iter (timed (zero_halo t)) inc_dats;
-    for r = 0 to t.n_ranks - 1 do
-      let compiled = execs.(r) in
-      let rank_plan = rank_plan t rs ~name ~iter_set ~args r in
-      match t.rank_exec with
-      | Rank_seq -> Exec_seq.run ~compiled ~set_size:sd.n_owned.(r) ~args ~kernel
-      | Rank_shared { pool; block_size } ->
-        Exec_shared.run ~compiled pool (rank_plan ~block_size) ~set_size:sd.n_owned.(r) ~args
-          ~kernel
-      | Rank_vec config ->
-        Exec_vec.run ~compiled config (rank_plan ~block_size:256) ~set_size:sd.n_owned.(r) ~args
-          ~kernel
-    done
-  end
-  else begin
-    let split =
-      match rs.r_split with
-      | Some split ->
-        Obs_counters.incr Obs.plan_hits;
-        split
-      | None ->
-        let split = rank_split t ~key:rs.r_key ~iter_set ~slots:(halo_touch_slots args) in
-        rs.r_split <- Some split;
-        split
-    in
-    let stale =
-      List.filter (fun d -> t.eager_halo || not (dat_dist t d).halo_fresh) read_dats
-    in
-    (* Pack and post.  In blocking mode the exchange completes here and all
-       of its time stays exposed; under overlap only the pack/post and the
-       later wait are measured, and the core phase gets credited against
-       them below. *)
-    let xfer = ref 0.0 in
-    let tokens =
-      if t.overlap then
-        List.map
-          (fun d ->
-            let dd = dat_dist t d in
-            let d_sd = set_dist t d.dat_set in
-            let t0 = Unix.gettimeofday () in
-            let tok = Halo.exchange_start t.comm d_sd.halo ~dim:d.dim dd.locals in
-            xfer := !xfer +. (Unix.gettimeofday () -. t0);
-            (dd, d_sd, tok))
-          stale
-      else begin
-        List.iter (timed (refresh_halo t)) stale;
-        []
-      end
-    in
-    List.iter (timed (zero_halo t)) inc_dats;
-    let frames = Array.map (fun c -> Exec_common.make_frame c kernel args) execs in
-    (* Each maximal run of consecutive ids of an ascending subset is one
-       element range: a walker frame's walker is called once per run, in
-       the same element order. *)
-    let run_subset r elems =
-      Exec_common.run_runs frames.(r) (Array.get elems) 0 (Array.length elems)
-    in
-    (* Core phase: every element whose reads stay on owned slots. *)
-    let traced = Obs.tracing () in
-    let t_core = Unix.gettimeofday () in
-    for r = 0 to t.n_ranks - 1 do
-      if traced then Obs.begin_span ~lane:r ~cat:Cat.Loop "core";
-      run_subset r split.(r).core;
-      Obs_counters.add Obs.core_elements (Array.length split.(r).core);
-      if traced then Obs.end_span ~lane:r ()
-    done;
-    let core_seconds = Unix.gettimeofday () -. t_core in
-    (* Wait for the in-flight exchanges, then the boundary phase. *)
-    if tokens <> [] then begin
-      let t_wait = Unix.gettimeofday () in
-      List.iter
-        (fun ((dd : dat_dist), d_sd, tok) ->
-          Halo.exchange_finish t.comm d_sd.halo tok dd.locals;
-          dd.halo_fresh <- true)
-        tokens;
-      xfer := !xfer +. (Unix.gettimeofday () -. t_wait);
-      (* The simulator executes ranks back to back, so overlap is credited
-         analytically, matching the cluster model: of the exchange's wall
-         time, the part covered by core compute is hidden; only the excess is
-         exposed. *)
-      let hidden = Float.min !xfer core_seconds in
-      exposed := !exposed +. (!xfer -. hidden);
-      overlap_seconds := !overlap_seconds +. hidden
-    end;
-    for r = 0 to t.n_ranks - 1 do
-      if traced then Obs.begin_span ~lane:r ~cat:Cat.Loop "boundary";
-      run_subset r split.(r).boundary;
-      Obs_counters.add Obs.boundary_elements (Array.length split.(r).boundary);
-      if traced then Obs.end_span ~lane:r ()
-    done;
-    for r = 0 to t.n_ranks - 1 do
-      if Exec_common.has_globals execs.(r) then begin
-        if traced then Obs.begin_span ~lane:r ~cat:Cat.Reduce "merge_globals";
-        Exec_common.merge_globals args frames.(r).Exec_common.bufs;
-        if traced then Obs.end_span ~lane:r ()
-      end
-    done
-  end;
-  (* Post-loop: reduce increments onto owners, invalidate written halos,
-     account for global reductions. *)
-  List.iter (timed (reduce_halo t)) inc_dats;
+  let t0 = Unix.gettimeofday () in
+  List.iter (refresh_halo t) rs.r_read_dats;
+  List.iter (zero_halo t) rs.r_inc_dats;
+  let t1 = Unix.gettimeofday () in
+  for r = 0 to t.n_ranks - 1 do
+    let compiled = rs.r_execs.(r) and set_size = sd.n_owned.(r) in
+    match t.rank_exec with
+    | Rank_seq -> Exec_seq.run ~compiled ~set_size ~args ~kernel
+    | Rank_shared { pool; block_size } ->
+      Exec_shared.run ~compiled pool
+        (rank_plan t rs ~name ~iter_set ~args r ~block_size)
+        ~set_size ~args ~kernel
+    | Rank_vec config ->
+      Exec_vec.run ~compiled config
+        (rank_plan t rs ~name ~iter_set ~args r ~block_size:256)
+        ~set_size ~args ~kernel
+  done;
+  let t2 = Unix.gettimeofday () in
+  List.iter (reduce_halo t) rs.r_inc_dats;
+  if rs.r_read_dats <> [] || rs.r_inc_dats <> [] then
+    halo_seconds := !halo_seconds +. (t1 -. t0) +. (Unix.gettimeofday () -. t2);
+  (* Invalidate written halos; count global reductions. *)
   List.iter
     (function
       | Arg_dat { dat; access; _ } ->
@@ -684,8 +517,7 @@ let par_loop ?(halo_seconds = ref 0.0) ?(overlap_seconds = ref 0.0) t ~handle ~n
         (* Executed in-process; count the collective for the network model. *)
         if access <> Access.Read then
           Comm.count_reduction t.comm)
-    args;
-  halo_seconds := !halo_seconds +. !exposed
+    args
 
 (* Per-rank decomposition summary: owned/halo element counts per set and the
    exchange volumes — the partitioning diagnostics of op_diagnostic. *)

@@ -41,10 +41,9 @@
 
    Staged kernels, lifted point functions ([Acc.lift]), SoA and aliased
    arguments and the Cuda_sim [Staged] scratchpad therefore take staging
-   frames.  Seq and Shared run a walker frame over whole ranges
-   ([run_range]); Vec lanes, Cuda_sim blocks and the partitioned
-   core/boundary subsets run it one element at a time ([call] on [e],
-   [elems w e (e + 1)]).  Check and footprint probing stage every
+   frames.  Seq, Shared and each partitioned rank run a walker frame over
+   whole ranges ([run_range]); Vec lanes and Cuda_sim blocks run it one
+   element at a time ([call] on [e], [elems w e (e + 1)]).  Check and footprint probing stage every
    argument themselves ([staged_view]).
 
    The inner copies use unsafe indexing; bounds are guaranteed by

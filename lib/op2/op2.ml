@@ -328,24 +328,6 @@ let set_halo_policy ctx policy =
   | None -> invalid_arg "Op2.set_halo_policy: partition first"
   | Some d -> d.Dist.eager_halo <- (policy = Eager)
 
-(* Communication mode: [Blocking] completes every halo exchange before the
-   loop body; [Overlap] posts the exchange, runs the core elements (those
-   reaching only owned slots), waits, then runs the boundary elements —
-   the latency-hiding execution of the paper's MPI design.  Results are
-   bitwise-identical between the two modes under sequential rank
-   execution: the element order is core-then-boundary in both. *)
-type comm_mode = Blocking | Overlap
-
-let set_comm_mode ctx mode =
-  match ctx.dist with
-  | None -> invalid_arg "Op2.set_comm_mode: partition first"
-  | Some d -> d.Dist.overlap <- (mode = Overlap)
-
-let comm_mode ctx =
-  match ctx.dist with
-  | None -> Blocking
-  | Some d -> if d.Dist.overlap then Overlap else Blocking
-
 let comm_stats ctx =
   match ctx.dist with
   | None -> None
@@ -370,10 +352,10 @@ let planned ctx handle ~name ~iter_set ~block_size args =
 let execute_loop ctx ~name handle iter_set args kernel =
   match ctx.dist with
   | Some d ->
-    (* Rank-local plans, executors and splits live in the partition's
-       tables and on the call's handle. *)
-    Dist.par_loop ~halo_seconds:ctx.loop.Loop.halo_seconds
-      ~overlap_seconds:ctx.loop.Loop.overlap_seconds d ~handle ~name ~iter_set ~args ~kernel
+    (* Rank-local plans and executors live in the partition's tables and
+       on the call's handle. *)
+    Dist.par_loop ~halo_seconds:ctx.loop.Loop.halo_seconds d ~handle ~name ~iter_set ~args
+      ~kernel
   | None -> (
     let set_size = iter_set.Types.set_size in
     match ctx.backend with

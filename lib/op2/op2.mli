@@ -53,10 +53,10 @@
     one and every dataset argument is an AoS [Inc] or an AoS dataset no
     other argument writes; otherwise a staging frame stages every argument
     and runs the point form at every element.  A walker frame's walker
-    runs once over the whole set on [Seq], once per conflict-free chunk or
-    coloured block on [Shared] and on blocking partitioned ranks run by
-    either, and once per element on [Vec] lanes, [Cuda_sim] NOSOA blocks
-    and the partitioned core/boundary subsets.  Lifted point functions,
+    runs once over the whole set on [Seq] and once per rank on partitioned
+    ranks run by it, once per conflict-free chunk or coloured block on
+    [Shared] and on partitioned ranks run by it, and once per element on
+    [Vec] lanes and [Cuda_sim] NOSOA blocks.  Lifted point functions,
     aliased or SoA arguments, the [Check] backend, footprint probing and
     the [Staged] GPU strategy stage.
 
@@ -318,20 +318,6 @@ val set_rank_execution : ctx -> rank_execution -> unit
 type halo_policy = On_demand | Eager
 
 val set_halo_policy : ctx -> halo_policy -> unit
-
-(** Communication mode of the partitioned runtime. [Blocking] (the
-    default) completes every halo exchange before the loop body runs;
-    [Overlap] posts the exchange, executes the {e core} elements — those
-    reaching only owned slots through the loop's indirections — while the
-    messages are in flight, waits, then executes the {e boundary}
-    elements. Under sequential rank execution both modes iterate
-    core-then-boundary, so their results are bitwise identical; the modes
-    differ only in how much communication time is exposed
-    (see {!Am_core.Profile.entry}). *)
-type comm_mode = Blocking | Overlap
-
-val set_comm_mode : ctx -> comm_mode -> unit
-val comm_mode : ctx -> comm_mode
 
 (** Live communication counters of the partitioned runtime. *)
 val comm_stats : ctx -> Am_simmpi.Comm.stats option

@@ -295,6 +295,19 @@ let find_or_build cache ~name ~iter_set ~block_size args =
 
 (* ---- Loop handles ------------------------------------------------------ *)
 
+(* A partitioned call's per-rank state, built by [Dist.par_loop] and kept
+   on the call's handle while the iteration set and the arguments' shape
+   hold: the rank executors, each rank engine's plan (with its block size)
+   once built, and the argument facts the call derives from its shape. *)
+type ranks = {
+  r_set_id : int;
+  r_args : arg list;
+  r_execs : Exec_common.compiled array;
+  r_plans : (int * t) option array;
+  r_read_dats : dat list; (* indirectly read, each once *)
+  r_inc_dats : dat list; (* indirectly incremented, each once *)
+}
+
 (* A handle is per-call-site memoisation of the cache lookup: once resolved,
    re-invoking the loop with arguments of the same shape
    ([Types.same_shape]: same dats, maps and slots, access descriptors and
@@ -303,27 +316,6 @@ let find_or_build cache ~name ~iter_set ~block_size args =
    list.  Resolution ignores the loop name, so a handle two loops share
    serves both from one entry; the context's call-site table keeps their
    footprints apart. *)
-(* A rank's core/boundary split of a partitioned loop (see [Dist]). *)
-type split = { core : int array; boundary : int array }
-
-(* A partitioned call's per-rank state, built by [Dist.par_loop] and kept
-   on the call's handle while the iteration set and the arguments' shape
-   hold: the key of [Dist]'s own tables, the rank executors, each rank
-   engine's plan (with its block size) once built, the core/boundary split
-   once the loop runs phased, and the argument facts the call derives from
-   its shape. *)
-type ranks = {
-  r_set_id : int;
-  r_args : arg list;
-  r_key : string;
-  r_execs : Exec_common.compiled array;
-  r_plans : (int * t) option array;
-  mutable r_split : split array option;
-  r_read_dats : dat list; (* indirectly read, each once *)
-  r_inc_dats : dat list; (* indirectly incremented, each once *)
-  r_read_slots : (map_t * int) list; (* indirectly read (map, slot) pairs *)
-}
-
 type handle = {
   mutable h_entry : entry option;
   mutable h_block_size : int;

@@ -56,7 +56,6 @@ type t = {
   resolvers : Exec.resolvers array; (* per rank: its windows *)
   mutable rank_exec : Exec.rank_exec;
   mutable eager_halo : bool;
-  mutable overlap : bool; (* post exchange, run interior, wait, run boundary *)
 }
 
 let axis_index = function X -> 0 | Y -> 1 | Z -> 2
@@ -181,7 +180,6 @@ let build env ~rank ~ranks:(px, py, pz) ~reference:(rx, ry, rz) =
       resolvers = [||];
       rank_exec = Exec.Rank_seq;
       eager_halo = false;
-      overlap = false;
     }
   in
   let exec_box r =
@@ -271,44 +269,22 @@ let complete t dat dd axis h recvs =
       if traced then Obs.end_span ~lane:r ())
     recvs
 
-(* An in-flight exchange: its depth and the first phase's receives. *)
-type token = { tok_h : int; tok_recvs : (int * bool * Comm.request) list }
-
-(* Pack/post half of the ghost exchange for one dataset, to [depth] layers:
-   the first (innermost) phase is put in flight.  On-demand by default
-   ([None] when enough ghost layers are fresh); [eager_halo] forces a full
-   exchange every time, for the halo-policy ablation. *)
-let exchange_start t dat ~depth =
+(* The ghost exchange of one dataset, to [depth] layers: one phase per
+   split axis, innermost first, each carrying the edges and corners the
+   earlier ones filled.  On-demand by default (nothing moves while enough
+   ghost layers are fresh); [eager_halo] forces a full exchange every
+   time, for the halo-policy ablation. *)
+let exchange t dat ~depth =
   let dd = dat_dist t dat in
   let need = min depth dat.halo in
   if dd.fresh_depth < need || t.eager_halo then begin
     Comm.count_exchange t.comm;
     let h = if t.eager_halo then dat.halo else need in
-    if h = 0 then None
-    else
-      Some
-        { tok_h = h;
-          tok_recvs = (match t.split with axis :: _ -> post t dat dd axis h | [] -> []) }
+    if h > 0 then begin
+      List.iter (fun axis -> complete t dat dd axis h (post t dat dd axis h)) t.split;
+      dd.fresh_depth <- max dd.fresh_depth h
+    end
   end
-  else None
-
-(* Wait half: completes the first phase, then runs the later ones blocking
-   — each carries the edges and corners the earlier ones filled. *)
-let exchange_finish t dat tok =
-  let dd = dat_dist t dat in
-  (match t.split with
-  | [] -> ()
-  | first :: later ->
-    complete t dat dd first tok.tok_h tok.tok_recvs;
-    List.iter
-      (fun axis -> complete t dat dd axis tok.tok_h (post t dat dd axis tok.tok_h))
-      later);
-  dd.fresh_depth <- max dd.fresh_depth tok.tok_h
-
-let exchange t dat ~depth =
-  match exchange_start t dat ~depth with
-  | None -> ()
-  | Some tok -> exchange_finish t dat tok
 
 (* ---- Loop execution --------------------------------------------------- *)
 
@@ -342,39 +318,7 @@ let rank_executor t execs r args =
           Exec.compile ~resolvers:t.resolvers.(r) args)
   end
 
-let run_box t r b ~execs ~args ~kernel =
-  if nonempty b then
-    Exec.run_rank t.rank_exec ~compiled:execs.(r) ~axis:(outer_axis t.rank) ~range:b ~args
-      ~kernel
-
-(* The part of box [b] on rank [r] at least [margin] away from every
-   internal partition face. *)
-let core_box t r b margin =
-  List.fold_left
-    (fun c axis ->
-      let p = pos t axis r and own = t.exec_boxes.(r) in
-      let lo_b = lo axis b and hi_b = hi axis b in
-      let ilo = if p > 0 then max lo_b (min hi_b (lo axis own + margin)) else lo_b in
-      let ihi =
-        if p < count t axis - 1 then min hi_b (max ilo (hi axis own - margin)) else hi_b
-      in
-      with_axis axis c ~lo:ilo ~hi:(max ilo ihi))
-    b t.split
-
-(* Box [b] minus its interior [c], peeled outermost axis first: the slabs
-   below and above [c] along z, then along y within [c]'s z extent, then
-   along x. *)
-let run_boundary t r b c ~execs ~args ~kernel =
-  ignore
-    (List.fold_left
-       (fun b axis ->
-         run_box t r (with_axis axis b ~lo:(lo axis b) ~hi:(lo axis c)) ~execs ~args ~kernel;
-         run_box t r (with_axis axis b ~lo:(hi axis c) ~hi:(hi axis b)) ~execs ~args ~kernel;
-         with_axis axis b ~lo:(lo axis c) ~hi:(hi axis c))
-       b [ Z; Y; X ])
-
-let par_loop ?(halo_seconds = ref 0.0) ?(overlap_seconds = ref 0.0) t ~execs ~range ~args
-    ~kernel =
+let par_loop ?(halo_seconds = ref 0.0) t ~execs ~range ~args ~kernel =
   (* Grid-transfer strides cross the decomposition arbitrarily:
      unsupported on partitioned contexts (multigrid levels would need a
      proportional decomposition). *)
@@ -391,85 +335,17 @@ let par_loop ?(halo_seconds = ref 0.0) ?(overlap_seconds = ref 0.0) t ~execs ~ra
     rank_executor t execs r args
   done;
   let needs = exchange_needs args in
-  let exposed = ref 0.0 and xfer = ref 0.0 in
-  (* A global Inc reduction is summed in iteration order: splitting the
-     range would reorder the additions and change the rounding, so such
-     loops keep the blocking exchange.  Min/Max reductions and dat writes
-     are order-insensitive. *)
-  let splittable =
-    not
-      (List.exists
-         (function
-           | Arg_gbl { access = Access.Inc; _ } -> true
-           | Arg_gbl _ | Arg_dat _ | Arg_idx _ -> false)
-         args)
-  in
-  let tokens =
-    if not (t.overlap && splittable) then begin
-      List.iter
-        (fun (dat, need) ->
-          let t0 = Unix.gettimeofday () in
-          exchange t dat ~depth:need;
-          exposed := !exposed +. (Unix.gettimeofday () -. t0))
-        needs;
-      []
-    end
-    else
-      List.filter_map
-        (fun (dat, need) ->
-          let t0 = Unix.gettimeofday () in
-          let tok = exchange_start t dat ~depth:need in
-          xfer := !xfer +. (Unix.gettimeofday () -. t0);
-          Option.map (fun tok -> (dat, tok)) tok)
-        needs
-  in
-  if tokens = [] then
-    for r = 0 to n_ranks t - 1 do
-      run_box t r (inter range t.exec_boxes.(r)) ~execs ~args ~kernel
-    done
-  else begin
-    (* Interior/boundary split: points whose stencils stay inside the owned
-       box run while the ghost layers are in flight; the strips within the
-       exchanged depth of an internal face wait.  The later phases pack at
-       wait time, but only datasets the loop reads through offset stencils
-       are exchanged, and [validate_args] forbids writing those, so the
-       interior never touched what they pack.  Centre-only writes make the
-       order immaterial, so results match blocking bitwise. *)
-    let margin = List.fold_left (fun acc (_, tok) -> max acc tok.tok_h) 0 tokens in
-    let boxes = Array.map (inter range) t.exec_boxes in
-    let cores = Array.mapi (fun r b -> core_box t r b margin) boxes in
-    let traced = Obs.tracing () in
-    let t_core = Unix.gettimeofday () in
-    Array.iteri
-      (fun r c ->
-        if nonempty boxes.(r) then begin
-          if traced then Obs.begin_span ~lane:r ~cat:Cat.Loop "core";
-          run_box t r c ~execs ~args ~kernel;
-          Obs_counters.add Obs.core_elements (range_size c);
-          if traced then Obs.end_span ~lane:r ()
-        end)
-      cores;
-    let core_seconds = Unix.gettimeofday () -. t_core in
-    let t_wait = Unix.gettimeofday () in
-    List.iter (fun (dat, tok) -> exchange_finish t dat tok) tokens;
-    xfer := !xfer +. (Unix.gettimeofday () -. t_wait);
-    (* Ranks run back to back in the simulator, so overlap is credited
-       analytically: exchange time covered by interior compute is hidden,
-       only the excess is exposed. *)
-    let hidden = Float.min !xfer core_seconds in
-    exposed := !exposed +. (!xfer -. hidden);
-    overlap_seconds := !overlap_seconds +. hidden;
-    Array.iteri
-      (fun r b ->
-        if nonempty b then begin
-          if traced then Obs.begin_span ~lane:r ~cat:Cat.Loop "boundary";
-          run_boundary t r b cores.(r) ~execs ~args ~kernel;
-          Obs_counters.add Obs.boundary_elements (range_size b - range_size cores.(r));
-          if traced then Obs.end_span ~lane:r ()
-        end)
-      boxes
+  if needs <> [] then begin
+    let t0 = Unix.gettimeofday () in
+    List.iter (fun (dat, depth) -> exchange t dat ~depth) needs;
+    halo_seconds := !halo_seconds +. (Unix.gettimeofday () -. t0)
   end;
-  halo_seconds := !halo_seconds +. !exposed;
+  for r = 0 to n_ranks t - 1 do
+    let b = inter range t.exec_boxes.(r) in
+    if nonempty b then
+      Exec.run_rank t.rank_exec ~compiled:execs.(r) ~axis:(outer_axis t.rank) ~range:b ~args
+        ~kernel
+  done;
   (* Post: written datasets' ghosts are stale; count global reductions. *)
   List.iter
     (function

@@ -142,14 +142,6 @@ type halo_policy = On_demand | Eager
 
 let set_halo_policy ctx policy = Pipeline.set_eager_halo ctx (policy = Eager)
 
-(* Communication mode, as for OP2: [Blocking] completes ghost exchanges
-   before the loop body; [Overlap] posts them, runs the interior sub-range
-   (points whose stencils stay inside the owned region) while the messages
-   are in flight, waits, then runs the boundary strips. *)
-type comm_mode = Blocking | Overlap
-
-let set_comm_mode ctx mode = Pipeline.set_overlap ctx (mode = Overlap)
-let comm_mode ctx = if Pipeline.overlap ctx then Overlap else Blocking
 let comm_stats = Pipeline.comm_stats
 
 (* ---- Multi-block halos ---------------------------------------------------- *)

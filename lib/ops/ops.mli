@@ -299,21 +299,6 @@ type halo_policy = On_demand | Eager
 
 val set_halo_policy : ctx -> halo_policy -> unit
 
-(** Communication mode of the partitioned runtime. [Blocking] (the
-    default) completes every ghost exchange before the loop body runs;
-    [Overlap] posts the exchange, executes the {e interior} sub-range —
-    the points whose stencils stay inside the owned region — while the
-    messages are in flight, waits, then executes the boundary strips.
-    Centre-only writes make the two orders bitwise identical (loops
-    carrying a global [Inc] reduction keep the blocking exchange, since
-    splitting the range would reorder the summation); the modes differ
-    only in how much communication time is exposed
-    (see {!Am_core.Profile.entry}). *)
-type comm_mode = Blocking | Overlap
-
-val set_comm_mode : ctx -> comm_mode -> unit
-val comm_mode : ctx -> comm_mode
-
 val comm_stats : ctx -> Am_simmpi.Comm.stats option
 
 (** {1 Fault injection}

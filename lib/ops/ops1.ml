@@ -80,11 +80,6 @@ type halo_policy = On_demand | Eager
 
 let set_halo_policy ctx policy = Pipeline.set_eager_halo ctx (policy = Eager)
 
-(* Communication mode, as for the other facades (see [Ops.set_comm_mode]). *)
-type comm_mode = Blocking | Overlap
-
-let set_comm_mode ctx mode = Pipeline.set_overlap ctx (mode = Overlap)
-let comm_mode ctx = if Pipeline.overlap ctx then Overlap else Blocking
 let comm_stats = Pipeline.comm_stats
 
 let par_loop ctx ~name ?(info = Descr.default_kernel_info) ?handle block range args

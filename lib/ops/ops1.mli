@@ -118,14 +118,6 @@ type halo_policy = On_demand | Eager
 
 val set_halo_policy : ctx -> halo_policy -> unit
 
-(** Communication mode: [Blocking] (default) or [Overlap], which posts the
-    ghost exchange, runs the interior cells while the messages are in
-    flight, waits, then runs the boundary cells (see {!Ops.set_comm_mode}). *)
-type comm_mode = Blocking | Overlap
-
-val set_comm_mode : ctx -> comm_mode -> unit
-val comm_mode : ctx -> comm_mode
-
 val comm_stats : ctx -> Am_simmpi.Comm.stats option
 
 (** {1 Fault injection}

@@ -103,11 +103,6 @@ type rank_execution = Exec.rank_exec = Rank_seq | Rank_shared of Am_taskpool.Poo
 
 let set_rank_execution = Pipeline.set_rank_execution
 
-(* Communication mode, as for the other facades (see [Ops.set_comm_mode]). *)
-type comm_mode = Blocking | Overlap
-
-let set_comm_mode ctx mode = Pipeline.set_overlap ctx (mode = Overlap)
-let comm_mode ctx = if Pipeline.overlap ctx then Overlap else Blocking
 let comm_stats = Pipeline.comm_stats
 
 let par_loop ctx ~name ?(info = Descr.default_kernel_info) ?handle block range args

@@ -156,14 +156,6 @@ type rank_execution = Exec.rank_exec =
 (** Select intra-rank execution; the context must be partitioned. *)
 val set_rank_execution : ctx -> rank_execution -> unit
 
-(** Communication mode: [Blocking] (default) or [Overlap], which posts the
-    ghost exchange, runs the interior sub-box while the messages are in
-    flight, waits, then runs the boundary slabs (see {!Ops.set_comm_mode}). *)
-type comm_mode = Blocking | Overlap
-
-val set_comm_mode : ctx -> comm_mode -> unit
-val comm_mode : ctx -> comm_mode
-
 val comm_stats : ctx -> Am_simmpi.Comm.stats option
 
 (** {1 Fault injection}

@@ -188,9 +188,6 @@ let set_rank_execution ctx exec =
 let set_eager_halo ctx eager =
   (partitioned ctx "set_halo_policy").Dist.eager_halo <- eager
 
-let set_overlap ctx overlap = (partitioned ctx "set_comm_mode").Dist.overlap <- overlap
-let overlap ctx = match ctx.dist with Some d -> d.Dist.overlap | None -> false
-
 let comm_stats ctx = Option.map (fun d -> Am_simmpi.Comm.stats d.Dist.comm) ctx.dist
 
 (* Inter-block halos copy between canonical arrays, before partitioning. *)
@@ -217,9 +214,8 @@ let execute ctx ~name handle range args kernel =
   | Some d ->
     if Array.length handle.h_ranks <> Dist.n_ranks d then
       handle.h_ranks <- Array.make (Dist.n_ranks d) [||];
-    Dist.par_loop ~halo_seconds:ctx.loop.Loop.halo_seconds
-      ~overlap_seconds:ctx.loop.Loop.overlap_seconds d ~execs:handle.h_ranks ~range ~args
-      ~kernel
+    Dist.par_loop ~halo_seconds:ctx.loop.Loop.halo_seconds d ~execs:handle.h_ranks ~range
+      ~args ~kernel
   | None -> (
     match ctx.exec with
     | Seq -> Exec.run_seq ~compiled:(resolve_compiled handle args) ~range ~args ~kernel

@@ -34,7 +34,7 @@ let calibrate_halo_coeff ~bytes_per_step ~ranks ~n_local =
 
 (* Halo-exchange seconds per step on [net] for a rank holding [n_local]
    elements among [nodes]: per-message latency plus the surface-law
-   bandwidth term.  This is the part a non-blocking runtime can hide. *)
+   bandwidth term. *)
 let halo_time (net : Machines.network) w ~nodes ~n_local =
   if nodes <= 1 then 0.0
   else begin
@@ -44,8 +44,7 @@ let halo_time (net : Machines.network) w ~nodes ~n_local =
     latency +. bandwidth
   end
 
-(* Global reductions are synchronisation points: log-depth latency that no
-   overlap can hide. *)
+(* Global reductions are synchronisation points: log-depth latency. *)
 let reduction_time (net : Machines.network) w ~nodes =
   if nodes <= 1 then 0.0
   else
@@ -58,66 +57,40 @@ let reduction_time (net : Machines.network) w ~nodes =
 let comm_time (net : Machines.network) w ~nodes ~n_local =
   halo_time net w ~nodes ~n_local +. reduction_time net w ~nodes
 
-(* Share of a rank's elements within reach of the halo: the boundary layer
-   is one surface's worth of elements per neighbour (sqrt(n) in 2D). *)
-let boundary_fraction w ~n_local =
-  Float.min 1.0
-    (Float.of_int w.neighbours *. sqrt (Float.of_int n_local)
-     /. Float.of_int (max 1 n_local))
-
-(* Per-step time at [nodes] nodes with [global_elements] in total.  With
-   [overlap] the halo exchange is credited against the core (interior)
-   share of the compute — the model form of the runtime's non-blocking
-   core/boundary split — while reductions stay exposed. *)
-let step_time ?(overlap = false) (cluster : Machines.cluster) style w ~nodes
-    ~global_elements =
+(* Per-step time at [nodes] nodes with [global_elements] in total: the
+   rank-local compute, then its communication. *)
+let step_time (cluster : Machines.cluster) style w ~nodes ~global_elements =
   let n_local = max 1 (global_elements / nodes) in
   let factor = Float.of_int n_local /. Float.of_int w.ref_elements in
   let local_loops = Model.scale_sequence factor w.step_loops in
-  let compute = Model.sequence_time cluster.Machines.node style local_loops in
-  if (not overlap) || nodes <= 1 then
-    compute +. comm_time cluster.Machines.net w ~nodes ~n_local
-  else begin
-    let frac = boundary_fraction w ~n_local in
-    let core = compute *. (1.0 -. frac) and boundary = compute *. frac in
-    Model.overlapped_time
-      ~comm:(halo_time cluster.Machines.net w ~nodes ~n_local)
-      ~core ~boundary
-    +. reduction_time cluster.Machines.net w ~nodes
-  end
+  Model.sequence_time cluster.Machines.node style local_loops
+  +. comm_time cluster.Machines.net w ~nodes ~n_local
 
 type scaling_point = { nodes : int; seconds : float; efficiency : float }
 
-let strong_scaling ?(overlap = false) cluster style w ~global_elements ~node_counts
-    ~steps =
+let strong_scaling cluster style w ~global_elements ~node_counts ~steps =
   let base_nodes = List.hd node_counts in
   let base =
-    step_time ~overlap cluster style w ~nodes:base_nodes ~global_elements
-    *. Float.of_int steps
+    step_time cluster style w ~nodes:base_nodes ~global_elements *. Float.of_int steps
   in
   List.map
     (fun nodes ->
-      let seconds =
-        step_time ~overlap cluster style w ~nodes ~global_elements
-        *. Float.of_int steps
-      in
+      let seconds = step_time cluster style w ~nodes ~global_elements *. Float.of_int steps in
       let ideal = base *. Float.of_int base_nodes /. Float.of_int nodes in
       { nodes; seconds; efficiency = ideal /. seconds })
     node_counts
 
-let weak_scaling ?(overlap = false) cluster style w ~elements_per_node ~node_counts
-    ~steps =
+let weak_scaling cluster style w ~elements_per_node ~node_counts ~steps =
   let base_nodes = List.hd node_counts in
   let base =
-    step_time ~overlap cluster style w ~nodes:base_nodes
+    step_time cluster style w ~nodes:base_nodes
       ~global_elements:(elements_per_node * base_nodes)
     *. Float.of_int steps
   in
   List.map
     (fun nodes ->
       let seconds =
-        step_time ~overlap cluster style w ~nodes
-          ~global_elements:(elements_per_node * nodes)
+        step_time cluster style w ~nodes ~global_elements:(elements_per_node * nodes)
         *. Float.of_int steps
       in
       { nodes; seconds; efficiency = base /. seconds })

@@ -25,26 +25,14 @@ val messages_per_step : workload -> int
     [ranks] ranks at local size [n_local]. *)
 val calibrate_halo_coeff : bytes_per_step:float -> ranks:int -> n_local:int -> float
 
-(** Halo-exchange seconds per step — the hideable part of {!comm_time}. *)
-val halo_time : Machines.network -> workload -> nodes:int -> n_local:int -> float
-
-(** Log-depth reduction seconds per step — synchronisation no overlap hides. *)
-val reduction_time : Machines.network -> workload -> nodes:int -> float
-
-(** Communication seconds per step (0 on a single node);
-    {!halo_time} + {!reduction_time}. *)
+(** Communication seconds per step (0 on a single node): per-message
+    latency and the surface-law bandwidth term of the halo exchanges, plus
+    log-depth latency per global reduction. *)
 val comm_time : Machines.network -> workload -> nodes:int -> n_local:int -> float
 
-(** Share of a rank's elements within reach of the halo (one surface's worth
-    per neighbour — the boundary layer of the core/boundary split). *)
-val boundary_fraction : workload -> n_local:int -> float
-
-(** Seconds per step at [nodes] nodes for a [global_elements] problem.
-    With [overlap] the halo exchange is credited against the core share of
-    the compute, [max(comm, core) + boundary] (see {!Model.overlapped_time});
-    reductions stay exposed. *)
+(** Seconds per step at [nodes] nodes for a [global_elements] problem: the
+    rank-local compute plus {!comm_time}. *)
 val step_time :
-  ?overlap:bool ->
   Machines.cluster -> Model.style -> workload -> nodes:int -> global_elements:int ->
   float
 
@@ -55,11 +43,9 @@ type scaling_point = {
 }
 
 val strong_scaling :
-  ?overlap:bool ->
   Machines.cluster -> Model.style -> workload -> global_elements:int ->
   node_counts:int list -> steps:int -> scaling_point list
 
 val weak_scaling :
-  ?overlap:bool ->
   Machines.cluster -> Model.style -> workload -> elements_per_node:int ->
   node_counts:int list -> steps:int -> scaling_point list

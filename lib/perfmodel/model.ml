@@ -179,13 +179,6 @@ let loop_bandwidth_gbs device style loop =
 let sequence_time device style loops =
   List.fold_left (fun acc l -> acc +. loop_time device style l) 0.0 loops
 
-(* Step time under communication/computation overlap: the halo exchange is
-   in flight while the core (interior) share of the compute runs, so only
-   the larger of the two is paid; the boundary share — the elements whose
-   stencils or indirections reach the halo — must wait for the messages.
-   This is the analytic form of the runtime's core/boundary split. *)
-let overlapped_time ~comm ~core ~boundary = Float.max comm core +. boundary
-
 (* Scale a traced loop to a different mesh size: descriptors traced on a
    laptop-sized mesh are re-priced at the paper's sizes. *)
 let scale_loop factor (loop : Descr.loop) =

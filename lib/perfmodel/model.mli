@@ -54,13 +54,6 @@ val loop_bandwidth_gbs : Machines.device -> style -> Descr.loop -> float
 (** Sum of {!loop_time} over a sequence. *)
 val sequence_time : Machines.device -> style -> Descr.loop list -> float
 
-(** Step time under communication/computation overlap: the exchange is in
-    flight while the core (interior) compute runs, so only the larger of
-    the two is paid; the boundary share waits for the messages —
-    [max comm core + boundary], the analytic form of the runtime's
-    core/boundary split. *)
-val overlapped_time : comm:float -> core:float -> boundary:float -> float
-
 (** Re-price a traced loop at a scaled set size. *)
 val scale_loop : float -> Descr.loop -> Descr.loop
 

@@ -10,13 +10,6 @@
    - [reduce]: halo copies push accumulated contributions back to the owners,
      which add them in (increment-indirect arguments after a loop).
 
-   Both directions come in a blocking form and a split pack/post vs.
-   wait/unpack form ([exchange_start]/[exchange_finish],
-   [reduce_start]/[reduce_finish]) so the distributed executors can overlap
-   core computation with the in-flight messages.  Payloads are packed at post
-   time: the bytes on the wire snapshot the pre-loop values even if the
-   overlap phase then writes the exported slots.
-
    Export and import lists for a pair must have equal length and matching
    order; [validate] checks this. *)
 
@@ -28,10 +21,6 @@ type t = {
   exports : int array array array; (* exports.(r).(p): local slots of r sent to p *)
   imports : int array array array; (* imports.(r).(p): local slots of r receiving from p *)
 }
-
-(* In-flight exchange (or reduce): the posted receives in completion order.
-   Each entry is (receiving rank, peer it receives from, request). *)
-type token = { tok_dim : int; tok_recvs : (int * int * Comm.request) list }
 
 let create ~n_ranks ~exports ~imports =
   let t = { n_ranks; exports; imports } in
@@ -75,11 +64,13 @@ let pack data ~dim slots =
     slots;
   out
 
-(* Owner -> halo push, pack/post half: every export is packed and isent, and
-   a receive is posted for every import. Counted as one exchange round. *)
-let exchange_start comm t ~dim data =
-  if Comm.n_ranks comm <> t.n_ranks then
-    invalid_arg "Halo.exchange_start: comm/plan mismatch";
+(* Blocking owner -> halo push of [dim] values per element: every export
+   is packed and isent, a receive is posted for every import, then each
+   receive is waited in posted order and scattered into its import slots.
+   [data.(rank)] is that rank's local array.  Counted as one exchange
+   round. *)
+let exchange comm t ~dim data =
+  if Comm.n_ranks comm <> t.n_ranks then invalid_arg "Halo.exchange: comm/plan mismatch";
   Comm.count_exchange comm;
   let traced = Obs.tracing () in
   for r = 0 to t.n_ranks - 1 do
@@ -99,13 +90,6 @@ let exchange_start comm t ~dim data =
         recvs := (p, r, Comm.irecv comm ~src:r ~dst:p) :: !recvs
     done
   done;
-  { tok_dim = dim; tok_recvs = !recvs }
-
-(* Wait half: completes every posted receive and scatters the payloads into
-   the import slots. *)
-let exchange_finish comm t token data =
-  let dim = token.tok_dim in
-  let traced = Obs.tracing () in
   List.iter
     (fun (p, r, req) ->
       let payload = Comm.wait comm req in
@@ -114,22 +98,14 @@ let exchange_finish comm t token data =
         (fun k slot -> Array.blit payload (k * dim) data.(p) (slot * dim) dim)
         t.imports.(p).(r);
       if traced then Obs.end_span ~lane:p ())
-    token.tok_recvs
+    !recvs
 
-(* Blocking owner -> halo push of [dim] values per element. [data.(rank)] is
-   that rank's local array. *)
-let exchange comm t ~dim data =
-  if Comm.n_ranks comm <> t.n_ranks then invalid_arg "Halo.exchange: comm/plan mismatch";
-  let token = exchange_start comm t ~dim data in
-  exchange_finish comm t token data
-
-(* Halo -> owner accumulation, pack/post half: each rank isends the contents
-   of its *import* slots back to the exporting owner.  Callers zero the halo
-   slots before the contributing loop so only fresh contributions flow
-   back. *)
-let reduce_start comm t ~dim data =
-  if Comm.n_ranks comm <> t.n_ranks then
-    invalid_arg "Halo.reduce_start: comm/plan mismatch";
+(* Blocking halo -> owner accumulation: each rank isends the contents of
+   its *import* slots back to the exporting owner, and the owners add the
+   returned contributions elementwise.  Callers zero the halo slots before
+   the contributing loop so only fresh contributions flow back. *)
+let reduce comm t ~dim data =
+  if Comm.n_ranks comm <> t.n_ranks then invalid_arg "Halo.reduce: comm/plan mismatch";
   Comm.count_exchange comm;
   let traced = Obs.tracing () in
   for p = 0 to t.n_ranks - 1 do
@@ -149,12 +125,6 @@ let reduce_start comm t ~dim data =
         recvs := (r, p, Comm.irecv comm ~src:p ~dst:r) :: !recvs
     done
   done;
-  { tok_dim = dim; tok_recvs = !recvs }
-
-(* Wait half: owners add the returned contributions elementwise. *)
-let reduce_finish comm t token data =
-  let dim = token.tok_dim in
-  let traced = Obs.tracing () in
   List.iter
     (fun (r, p, req) ->
       let payload = Comm.wait comm req in
@@ -167,12 +137,7 @@ let reduce_finish comm t token data =
           done)
         t.exports.(r).(p);
       if traced then Obs.end_span ~lane:r ())
-    token.tok_recvs
-
-let reduce comm t ~dim data =
-  if Comm.n_ranks comm <> t.n_ranks then invalid_arg "Halo.reduce: comm/plan mismatch";
-  let token = reduce_start comm t ~dim data in
-  reduce_finish comm t token data
+    !recvs
 
 (* Largest number of peers any rank talks to — feeds the network model's
    message-count term. *)

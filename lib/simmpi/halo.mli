@@ -2,15 +2,10 @@
 
     A plan pairs export slot lists with matching import slot lists for every
     ordered rank pair; one plan serves both the owner->halo push
-    ([exchange]) and the halo->owner accumulation ([reduce]).  Each
-    direction also splits into a pack/post half and a wait/unpack half so
-    callers can overlap computation with in-flight messages; payloads are
-    packed at post time. *)
+    ([exchange]) and the halo->owner accumulation ([reduce]); both post
+    every message before waiting on any. *)
 
 type t
-
-(** An in-flight exchange or reduce: posted receives awaiting completion. *)
-type token
 
 (** [create ~n_ranks ~exports ~imports]: [exports.(r).(p)] lists local slots
     of rank [r] sent to [p]; [imports.(p).(r)] the matching destination
@@ -28,24 +23,9 @@ val volume : t -> int
     with [dim] floats per element slot. *)
 val exchange : Comm.t -> t -> dim:int -> float array array -> unit
 
-(** Pack and post the owner->halo push without waiting. The packed payloads
-    snapshot the data at post time. *)
-val exchange_start : Comm.t -> t -> dim:int -> float array array -> token
-
-(** Complete a posted exchange: waits every receive and scatters into the
-    import slots of [data]. *)
-val exchange_finish : Comm.t -> t -> token -> float array array -> unit
-
 (** Accumulate halo contributions back onto owners (elementwise add). The
     caller must have zeroed halo slots before the contributing loop. *)
 val reduce : Comm.t -> t -> dim:int -> float array array -> unit
-
-(** Pack and post the halo->owner accumulation without waiting. *)
-val reduce_start : Comm.t -> t -> dim:int -> float array array -> token
-
-(** Complete a posted reduce: waits every receive and adds into the export
-    slots of [data]. *)
-val reduce_finish : Comm.t -> t -> token -> float array array -> unit
 
 (** Largest peer count of any rank (network-model input). *)
 val max_peers : t -> int

@@ -1,13 +1,10 @@
-(* Shared schedule-driving helpers for the interleaving, fault and
-   checkpoint suites.
-
-   Everything here used to live (duplicated) in test_overlap.ml and
-   test_faults.ml: the n-rank halo ring and its expected result, the
-   permutation enumerator, the rank-count and policy x mode sweep tables,
-   the fault-proxy runners with their checkpoint/restart plumbing, and —
-   new with the DPOR explorer — the [assert_uniform] harness that drives a
-   program through every inequivalent delivery schedule and demands one
-   bitwise-identical outcome.
+(* Shared schedule-driving helpers for the distributed-runtime, fault and
+   checkpoint suites: the n-rank halo ring and its expected result, the
+   permutation enumerator, the rank-count sweep table, the fault-proxy
+   runners with their checkpoint/restart plumbing, and the
+   [assert_uniform] harness that drives a program through every
+   inequivalent delivery schedule and demands one bitwise-identical
+   outcome.
 
    Failing schedules print a replay token; rerun the suite with
    AM_SCHED=<token> to execute exactly that schedule (the uniformity check
@@ -77,24 +74,6 @@ let check_ring ~what expected data =
              (Array.to_list (Array.map string_of_float expected.(r)))))
     expected;
   ignore data
-
-(* ---- Policy x mode sweep tables ---------------------------------------- *)
-
-let op2_variants =
-  [
-    ("on-demand/blocking", Op2.On_demand, Op2.Blocking);
-    ("eager/blocking", Op2.Eager, Op2.Blocking);
-    ("on-demand/overlap", Op2.On_demand, Op2.Overlap);
-    ("eager/overlap", Op2.Eager, Op2.Overlap);
-  ]
-
-let ops_variants =
-  [
-    ("on-demand/blocking", Ops.On_demand, Ops.Blocking);
-    ("eager/blocking", Ops.Eager, Ops.Blocking);
-    ("on-demand/overlap", Ops.On_demand, Ops.Overlap);
-    ("eager/overlap", Ops.Eager, Ops.Overlap);
-  ]
 
 (* ---- Fault proxies and the restart harness ------------------------------ *)
 

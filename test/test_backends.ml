@@ -138,7 +138,7 @@ module HApp = Am_hydra.App
 type config =
   | On of Op2.backend
   | Soa_then_seq  (* a Cuda_sim Global_soa iteration, then Seq on the SoA dats *)
-  | Dist of { ranks : int; overlap : bool }
+  | Dist of int (* ranks *)
 
 let config_name = function
   | On Op2.Seq -> "seq"
@@ -147,8 +147,7 @@ let config_name = function
   | On (Op2.Cuda_sim c) -> "cuda " ^ Am_op2.Exec_cuda.strategy_to_string c.Am_op2.Exec_cuda.strategy
   | On Op2.Check -> "check"
   | Soa_then_seq -> "cuda SOA then seq"
-  | Dist { ranks; overlap } ->
-    Printf.sprintf "dist %d ranks%s" ranks (if overlap then " overlap" else "")
+  | Dist ranks -> Printf.sprintf "dist %d ranks" ranks
 
 let configs pool =
   let cuda strategy = On (Op2.Cuda_sim { Am_op2.Exec_cuda.block_size = 48; strategy }) in
@@ -162,9 +161,7 @@ let configs pool =
     Soa_then_seq;
     On Op2.Check;
   ]
-  @ List.concat_map
-      (fun ranks -> [ Dist { ranks; overlap = false }; Dist { ranks; overlap = true } ])
-      [ 1; 2; 3; 7 ]
+  @ List.map (fun ranks -> Dist ranks) [ 1; 2; 3; 7 ]
 
 (* Put [ctx] on [cfg] before iteration [i] (1-based). *)
 let enter_config ctx ~partition cfg i =
@@ -174,9 +171,7 @@ let enter_config ctx ~partition cfg i =
     Op2.set_backend ctx
       (Op2.Cuda_sim { Am_op2.Exec_cuda.block_size = 48; strategy = Am_op2.Exec_cuda.Global_soa })
   | Soa_then_seq, 2 -> Op2.set_backend ctx Op2.Seq
-  | Dist { ranks; overlap }, 1 ->
-    partition ranks;
-    if overlap then Op2.set_comm_mode ctx Op2.Overlap
+  | Dist ranks, 1 -> partition ranks
   | (On _ | Soa_then_seq | Dist _), _ -> ()
 
 let bitwise a b =
@@ -292,7 +287,7 @@ let test_airfoil_forms () =
    buffer, the kernel run over base-0 accessors, results scattered back —
    exactly what [Op2.Acc.staged] does).  The distributed runtime takes
    only AoS datasets, so its staged run is the in-place one and the check
-   reduces to agreement with staged Seq, plus blocking = overlap. *)
+   reduces to agreement with staged Seq, plus a second run's bits. *)
 let hydra_forms ~staged cfg =
   let t = HApp.create ~nx:16 ~ny:12 () in
   if staged then List.iter (fun d -> Op2.convert_layout t.HApp.ctx d Op2.Soa) (Op2.dats t.HApp.ctx);
@@ -313,9 +308,9 @@ let test_hydra_forms () =
         (fun cfg ->
           let acc = hydra_forms ~staged:false cfg in
           match cfg with
-          | Dist d ->
-            check_forms ~against:"the other comm mode" ~app:"hydra" ~reference cfg ~acc
-              ~staged:(hydra_forms ~staged:false (Dist { d with overlap = not d.overlap }))
+          | Dist _ ->
+            check_forms ~against:"a second run" ~app:"hydra" ~reference cfg ~acc
+              ~staged:(hydra_forms ~staged:false cfg)
           | On _ | Soa_then_seq ->
             check_forms ~app:"hydra" ~reference cfg ~acc ~staged:(hydra_forms ~staged:true cfg))
         (configs pool))
@@ -399,7 +394,7 @@ module Probed = struct
   [@@args hits 1 Rw, ends (e2c 2 0) 2 Inc, ends (e2c 2 1) 2 Inc]
 
   let%elem_kernel bump_reading (a : Op2.Acc.t array) = set a.(1) 0 (get a.(1) 0 +. 1.0)
-  [@@args seen (e2c 2 0) 1 Read, hits 1 Rw]
+  [@@args seen (e2c 2 1) 1 Read, hits 1 Rw]
 
   let%elem_kernel bump_aliased (a : Op2.Acc.t array) = set a.(0) 0 (get a.(0) 0 +. 1.0)
   [@@args hits 1 Rw, seen (e2c 2 0) 1 Read, hits 1 Read]
@@ -437,8 +432,10 @@ let make_ring ?backend () =
 
 (* The probed loops over the edges: [Direct] bumps [hits] (conflict-free),
    [Coloured] also increments both ends' [ends] (coloured blocks on
-   Shared), [Reading] bumps [hits] after reading [seen] through the map
-   (so an overlapped partition splits it into core and boundary). *)
+   Shared), [Reading] bumps [hits] after reading [seen] through the map's
+   second slot, the next cell, which a partitioned rank's last edge
+   reaches on another rank (so a partitioned run exchanges [seen]'s halo
+   first). *)
 type ring_loop = Direct | Coloured | Reading
 
 let ring_args r = function
@@ -449,7 +446,7 @@ let ring_args r = function
       Op2.arg_dat_indirect r.ends r.e2c 0 Access.Inc;
       Op2.arg_dat_indirect r.ends r.e2c 1 Access.Inc;
     ]
-  | Reading -> [ Op2.arg_dat_indirect r.seen r.e2c 0 Access.Read; Op2.arg_dat r.hits Access.Rw ]
+  | Reading -> [ Op2.arg_dat_indirect r.seen r.e2c 1 Access.Read; Op2.arg_dat r.hits Access.Rw ]
 
 let ring_kernel = function
   | Direct -> Probed.bump_direct
@@ -482,10 +479,9 @@ let test_elem_dispatch () =
       Alcotest.(check bool) "seq: every element once" true once)
     [ Direct; Coloured; Reading ];
   Pool.with_pool ~size:2 (fun pool ->
-      let partitioned ?(overlap = false) exec r =
+      let partitioned exec r =
         Op2.partition r.rctx ~n_ranks:3 ~strategy:(Op2.Kway_through r.e2c);
-        Op2.set_rank_execution r.rctx exec;
-        if overlap then Op2.set_comm_mode r.rctx Op2.Overlap
+        Op2.set_rank_execution r.rctx exec
       in
       let shared = Op2.Shared { pool; block_size = 48 } in
       let rank_shared = Op2.Rank_shared { pool; block_size = 48 } in
@@ -501,7 +497,6 @@ let test_elem_dispatch () =
             loops)
         [
           ("shared 2", Some shared, ignore, [ Direct; Coloured; Reading ]);
-          ("rank_seq, 3 ranks", None, partitioned Op2.Rank_seq, [ Direct; Coloured ]);
           ("rank_shared, 3 ranks", None, partitioned rank_shared, [ Direct; Coloured; Reading ]);
         ];
       (* A coloured loop runs one block range per call on Shared. *)
@@ -575,31 +570,17 @@ let test_elem_dispatch () =
           ("vec", Some (Op2.Vec { Am_op2.Exec_vec.width }), vec_calls);
           ("cuda NOSOA", cuda Am_op2.Exec_cuda.Global_aos, cuda_calls);
         ];
-      (* An overlapped rank's core and boundary subsets are ascending: one
-         call per maximal run of consecutive elements. *)
-      let ring_ctx = ref None in
-      let p, once =
-        ring_run
-          ~setup:(fun r ->
-            partitioned ~overlap:true Op2.Rank_seq r;
-            ring_ctx := Some r.rctx)
-          Reading
-      in
-      let d = Option.get (Op2.dist (Option.get !ring_ctx)) in
-      let per_run =
-        Hashtbl.fold
-          (fun _ split acc ->
-            Array.fold_left
-              (fun acc s -> acc + runs s.Am_op2.Dist.core + runs s.Am_op2.Dist.boundary)
-              acc split)
-          d.Am_op2.Dist.rank_splits 0
-      in
-      Alcotest.(check bool) "overlap, 3 ranks: runs merge elements" true (per_run < ring);
-      Alcotest.(check int) "overlap, 3 ranks: one element-walker call per run" per_run
-        (Atomic.get p.ecalls);
-      Alcotest.(check int) "overlap, 3 ranks: calls cover every element" ring
-        (Atomic.get p.covered);
-      Alcotest.(check bool) "overlap, 3 ranks: every element once" true once;
+      (* A partitioned rank runs its whole owned range, halo or not: one
+         call per rank. *)
+      List.iter
+        (fun loop ->
+          let p, once = ring_run ~setup:(partitioned Op2.Rank_seq) loop in
+          Alcotest.(check int) "dist, 3 ranks: one element-walker call per rank" 3
+            (Atomic.get p.ecalls);
+          Alcotest.(check int) "dist, 3 ranks: calls cover every element" ring
+            (Atomic.get p.covered);
+          Alcotest.(check bool) "dist, 3 ranks: every element once" true once)
+        [ Direct; Coloured; Reading ];
       (* Staging frames instead, the point walker at every element. *)
       let soa dat r = Op2.convert_layout r.rctx (dat r) Op2.Soa in
       let aliased r _ =
@@ -634,8 +615,8 @@ let test_elem_dispatch () =
 
 type ops_config =
   | Ops_on of Ops.backend
-  | Ops_rows of { ranks : int; overlap : bool }
-  | Ops_grid of { overlap : bool } (* 2x2 *)
+  | Ops_rows of int (* ranks *)
+  | Ops_grid (* 2x2 *)
 
 let ops_config_name = function
   | Ops_on Ops.Seq -> "seq"
@@ -643,9 +624,8 @@ let ops_config_name = function
   | Ops_on (Ops.Shared _) -> "shared"
   | Ops_on (Ops.Cuda_sim { strategy = Am_ops.Exec.Cuda_global; _ }) -> "cuda global"
   | Ops_on (Ops.Cuda_sim { strategy = Am_ops.Exec.Cuda_tiled; _ }) -> "cuda tiled"
-  | Ops_rows { ranks; overlap } ->
-    Printf.sprintf "dist rows %d%s" ranks (if overlap then " overlap" else "")
-  | Ops_grid { overlap } -> Printf.sprintf "dist grid 2x2%s" (if overlap then " overlap" else "")
+  | Ops_rows ranks -> Printf.sprintf "dist rows %d" ranks
+  | Ops_grid -> "dist grid 2x2"
 
 let ops_configs pool =
   let cuda strategy = Ops_on (Ops.Cuda_sim { Am_ops.Exec.tile_x = 8; tile_y = 4; strategy }) in
@@ -655,10 +635,8 @@ let ops_configs pool =
     cuda Am_ops.Exec.Cuda_global;
     cuda Am_ops.Exec.Cuda_tiled;
   ]
-  @ List.concat_map
-      (fun ranks -> [ Ops_rows { ranks; overlap = false }; Ops_rows { ranks; overlap = true } ])
-      [ 1; 2; 3; 7 ]
-  @ [ Ops_grid { overlap = false }; Ops_grid { overlap = true } ]
+  @ List.map (fun ranks -> Ops_rows ranks) [ 1; 2; 3; 7 ]
+  @ [ Ops_grid ]
 
 let clover_n = 20
 
@@ -687,14 +665,9 @@ let clover_forms ~advection cfg =
   in
   match cfg with
   | Ops_on backend -> run ~backend ignore
-  | Ops_rows { ranks; overlap } ->
-    run (fun ctx ->
-        Ops.partition ctx ~n_ranks:ranks ~ref_ysize:clover_n;
-        if overlap then Ops.set_comm_mode ctx Ops.Overlap)
-  | Ops_grid { overlap } ->
-    run (fun ctx ->
-        Ops.partition_grid ctx ~px:2 ~py:2 ~ref_xsize:clover_n ~ref_ysize:clover_n;
-        if overlap then Ops.set_comm_mode ctx Ops.Overlap)
+  | Ops_rows ranks -> run (fun ctx -> Ops.partition ctx ~n_ranks:ranks ~ref_ysize:clover_n)
+  | Ops_grid ->
+    run (fun ctx -> Ops.partition_grid ctx ~px:2 ~py:2 ~ref_xsize:clover_n ~ref_ysize:clover_n)
 
 let test_clover_forms () =
   Pool.with_pool ~size:2 (fun pool ->
@@ -858,8 +831,8 @@ let bump1 (a : OAcc.t array) = oset a.(1) 0 0 (oget a.(1) 0 0 +. 1.0)
 
 (* On a 7x5 block (ghost depth 1): refresh u, then count every point of
    the interior through the probed [count5], reading u through a 5-point
-   stencil so partitioned runs exchange (and, with overlap, split each
-   rank's box) first.  Returns the probe and the counts. *)
+   stencil so partitioned runs exchange first.  Returns the probe and the
+   counts. *)
 let dispatch_run ?backend setup =
   let ctx = Ops.create ?backend () in
   let grid = Ops.decl_block ctx ~name:"grid" in
@@ -886,10 +859,9 @@ let test_walker_dispatch () =
   Alcotest.(check int) "seq: no point-form call" 0 (Atomic.get p.points);
   Alcotest.(check bool) "seq: every point once" true (once counts);
   Pool.with_pool ~size:2 (fun pool ->
-      let partitioned ~grid ~overlap ctx =
+      let partitioned ~grid ctx =
         if grid then Ops.partition_grid ctx ~px:2 ~py:2 ~ref_xsize:rx ~ref_ysize:ry
-        else Ops.partition ctx ~n_ranks:3 ~ref_ysize:ry;
-        if overlap then Ops.set_comm_mode ctx Ops.Overlap
+        else Ops.partition ctx ~n_ranks:3 ~ref_ysize:ry
       in
       List.iter
         (fun (name, backend, setup, want) ->
@@ -899,8 +871,7 @@ let test_walker_dispatch () =
           | `Rows ->
             (* One call per chunk of rows, each spanning the x range. *)
             Alcotest.(check bool) (name ^ ": every call spans whole rows") true
-              (List.for_all (fun (x0, x1, _, _) -> x0 = 0 && x1 = rx) !(p.boxes))
-          | `Boxes -> Alcotest.(check bool) (name ^ ": walker runs") true (calls p > 0));
+              (List.for_all (fun (x0, x1, _, _) -> x0 = 0 && x1 = rx) !(p.boxes)));
           Alcotest.(check int) (name ^ ": boxes cover 35 points") (rx * ry) (covered p);
           Alcotest.(check int) (name ^ ": no point-form call") 0 (Atomic.get p.points);
           Alcotest.(check bool) (name ^ ": every point once") true (once counts))
@@ -916,10 +887,8 @@ let test_walker_dispatch () =
               (Ops.Cuda_sim { Am_ops.Exec.tile_x = 4; tile_y = 2; strategy = Am_ops.Exec.Cuda_tiled }),
             ignore,
             `Calls 6 );
-          ("rows(3)", None, partitioned ~grid:false ~overlap:false, `Calls 3);
-          ("rows(3) overlap", None, partitioned ~grid:false ~overlap:true, `Boxes);
-          ("grid(2x2)", None, partitioned ~grid:true ~overlap:false, `Calls 4);
-          ("grid(2x2) overlap", None, partitioned ~grid:true ~overlap:true, `Boxes);
+          ("rows(3)", None, partitioned ~grid:false, `Calls 3);
+          ("grid(2x2)", None, partitioned ~grid:true, `Calls 4);
         ]);
   (* The point form instead, at every point: Check stages every argument. *)
   let p, counts = dispatch_run ~backend:Ops.Check ignore in
@@ -1107,13 +1076,8 @@ let shared_ranks pool ctx = Ops.set_rank_execution ctx (Ops.Rank_shared pool)
 let cuda ?(tile_x = 8) ?(tile_y = 4) strategy =
   on (Ops.Cuda_sim { Am_ops.Exec.tile_x; tile_y; strategy })
 
-let rows ?(overlap = false) n _ ctx =
-  Ops.partition ctx ~n_ranks:n ~ref_ysize:prog_y;
-  if overlap then Ops.set_comm_mode ctx Ops.Overlap
-
-let grid ?(overlap = false) px _ ctx =
-  Ops.partition_grid ctx ~px ~py:2 ~ref_xsize:prog_x ~ref_ysize:prog_y;
-  if overlap then Ops.set_comm_mode ctx Ops.Overlap
+let rows n _ ctx = Ops.partition ctx ~n_ranks:n ~ref_ysize:prog_y
+let grid px _ ctx = Ops.partition_grid ctx ~px ~py:2 ~ref_xsize:prog_x ~ref_ysize:prog_y
 
 let program_configs =
   let open Am_ops.Exec in
@@ -1134,17 +1098,13 @@ let program_configs =
     ("dist rows 2", 1, rows 2);
     ("dist rows 3", 1, rows 3);
     ("dist rows 7", 1, rows 7);
-    ("dist rows 2 overlap", 1, rows ~overlap:true 2);
-    ("dist rows 3 overlap", 1, rows ~overlap:true 3);
-    ("dist rows 7 overlap", 1, rows ~overlap:true 7);
     ("dist grid 2x2", 1, grid 2);
-    ("dist grid 2x2 overlap", 1, grid ~overlap:true 2);
     ("dist grid 3x2", 1, grid 3);
     ("dist rows 3, shared ranks", 2, also (rows 3) shared_ranks);
     ("dist grid 2x2, shared ranks", 2, also (grid 2) shared_ranks);
     ("dist rows 3, eager halos", 1, also (rows 3) (fun _ ctx -> Ops.set_halo_policy ctx Ops.Eager));
     ("dist rows 3, checkpointing", 1, also (rows 3) (fun _ ctx -> Ops.enable_checkpointing ctx));
-    ("dist rows 3 overlap, span tracing", 1, also (rows ~overlap:true 3) traced);
+    ("dist rows 3, span tracing", 1, also (rows 3) traced);
   ]
 
 let test_programs (_, size, setup) () =

@@ -366,7 +366,7 @@ let test_counters_json_malformed () =
    must render "-" for bandwidth, not inf or nan. *)
 let test_report_halo_only_dash () =
   let p = Profile.create () in
-  Profile.record_halo p ~name:"halo_only" ~seconds:0.01 ();
+  Profile.record_halo p ~name:"halo_only" ~seconds:0.01;
   let report = Profile.report p in
   Alcotest.(check bool) "no inf" false (Str_contains.contains report "inf");
   Alcotest.(check bool) "no nan" false (Str_contains.contains report "nan");
@@ -384,7 +384,6 @@ let test_obs_report_smoke () =
         lr_seconds = 0.1;
         lr_bytes = 100_000_000;
         lr_halo_seconds = 0.01;
-        lr_overlap_seconds = 0.002;
       };
       {
         Obs.lr_name = "halo_only";
@@ -392,7 +391,6 @@ let test_obs_report_smoke () =
         lr_seconds = 0.0;
         lr_bytes = 0;
         lr_halo_seconds = 0.01;
-        lr_overlap_seconds = 0.0;
       };
     ]
   in

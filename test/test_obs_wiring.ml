@@ -78,7 +78,6 @@ let test_airfoil_dist () =
       let t = Airfoil.create (airfoil_mesh ()) in
       Op2.partition t.Airfoil.ctx ~n_ranks:4
         ~strategy:(Op2.Kway_through t.Airfoil.edge_cells);
-      Op2.set_comm_mode t.Airfoil.ctx Op2.Overlap;
       ignore (Airfoil.iteration t);
       List.iter
         (fun c ->
@@ -101,11 +100,7 @@ let test_airfoil_dist () =
       Alcotest.(check bool) "multiple rank lanes" true (List.length lanes > 1);
       Alcotest.(check bool) "messages counted" true (counter "comm.messages" > 0);
       Alcotest.(check bool) "bytes counted" true (counter "comm.bytes_sent" > 0);
-      Alcotest.(check bool) "exchanges counted" true (counter "comm.exchanges" > 0);
-      Alcotest.(check bool) "core elements counted" true
-        (counter "dist.core_elements" > 0);
-      Alcotest.(check bool) "boundary elements counted" true
-        (counter "dist.boundary_elements" > 0))
+      Alcotest.(check bool) "exchanges counted" true (counter "comm.exchanges" > 0))
 
 (* A repeated handle loop resolves its plan once: hits = calls - 1. *)
 let test_handle_hits () =
@@ -143,7 +138,6 @@ let test_clover_dist () =
   with_tracing (fun () ->
       let t = Clover.create ~nx:32 ~ny:32 () in
       Ops.partition t.Clover.ctx ~n_ranks:4 ~ref_ysize:32;
-      Ops.set_comm_mode t.Clover.ctx Ops.Overlap;
       ignore (Clover.hydro_step t);
       List.iter
         (fun c ->
@@ -151,8 +145,6 @@ let test_clover_dist () =
         [ "loop"; "halo_pack"; "halo_post"; "halo_wait"; "halo_unpack" ];
       Alcotest.(check bool) "ghost exchanges counted" true
         (counter "comm.exchanges" > 0);
-      Alcotest.(check bool) "core elements counted" true
-        (counter "dist.core_elements" > 0);
       (* the trace is loadable: every event has a well-formed cat string *)
       let json = Am_obs.Tracer.to_chrome_json Obs.tracer in
       Alcotest.(check bool) "export non-trivial" true

@@ -203,63 +203,6 @@ let test_comm_time_zero_on_one_node () =
   Alcotest.(check (float 0.0)) "no comm alone" 0.0
     (Cluster.comm_time Machines.gemini airfoil_workload ~nodes:1 ~n_local:1_000_000)
 
-(* ---- Communication/computation overlap (core/boundary split) ---- *)
-
-let test_overlap_bounds () =
-  List.iter
-    (fun nodes ->
-      let blocking =
-        Cluster.step_time Machines.hector vec airfoil_workload ~nodes
-          ~global_elements:8_000_000
-      in
-      let overlapped =
-        Cluster.step_time ~overlap:true Machines.hector vec airfoil_workload ~nodes
-          ~global_elements:8_000_000
-      in
-      (* Overlap never costs time, and cannot beat the compute-only bound
-         (plus the unhideable reduction). *)
-      Alcotest.(check bool) "overlap <= blocking" true
-        (overlapped <= blocking +. 1e-12);
-      let n_local = max 1 (8_000_000 / nodes) in
-      let comm = Cluster.comm_time Machines.hector.Machines.net airfoil_workload ~nodes ~n_local in
-      let compute = blocking -. comm in
-      Alcotest.(check bool) "overlap >= compute bound" true
-        (overlapped
-        >= compute
-           +. Cluster.reduction_time Machines.hector.Machines.net airfoil_workload
-                ~nodes
-           -. 1e-12))
-    nodes;
-  (* At scale communication dominates and the credit is strict. *)
-  let blocking =
-    Cluster.step_time Machines.hector vec airfoil_workload ~nodes:256
-      ~global_elements:8_000_000
-  in
-  let overlapped =
-    Cluster.step_time ~overlap:true Machines.hector vec airfoil_workload ~nodes:256
-      ~global_elements:8_000_000
-  in
-  Alcotest.(check bool) "strictly cheaper at 256 nodes" true (overlapped < blocking)
-
-let test_overlap_improves_strong_scaling () =
-  let eff pts = (List.nth pts (List.length pts - 1)).Cluster.efficiency in
-  let blocking =
-    Cluster.strong_scaling Machines.hector vec airfoil_workload
-      ~global_elements:8_000_000 ~node_counts:nodes ~steps:100
-  in
-  let overlapped =
-    Cluster.strong_scaling ~overlap:true Machines.hector vec airfoil_workload
-      ~global_elements:8_000_000 ~node_counts:nodes ~steps:100
-  in
-  Alcotest.(check bool) "overlap scales no worse" true
-    (eff overlapped >= eff blocking -. 1e-9)
-
-let test_boundary_fraction_shrinks () =
-  let small = Cluster.boundary_fraction airfoil_workload ~n_local:10_000 in
-  let large = Cluster.boundary_fraction airfoil_workload ~n_local:1_000_000 in
-  Alcotest.(check bool) "surface-to-volume shrinks" true (large < small);
-  Alcotest.(check bool) "fraction in (0, 1]" true (large > 0.0 && small <= 1.0)
-
 let () =
   Alcotest.run "perfmodel"
     [
@@ -286,10 +229,5 @@ let () =
             test_gpu_strong_scaling_tails_earlier;
           Alcotest.test_case "weak scaling near-flat" `Quick test_weak_scaling_near_flat;
           Alcotest.test_case "no comm on one node" `Quick test_comm_time_zero_on_one_node;
-          Alcotest.test_case "overlap bounds" `Quick test_overlap_bounds;
-          Alcotest.test_case "overlap improves strong scaling" `Quick
-            test_overlap_improves_strong_scaling;
-          Alcotest.test_case "boundary fraction shrinks" `Quick
-            test_boundary_fraction_shrinks;
         ] );
     ]
