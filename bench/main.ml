@@ -298,7 +298,7 @@ let retransmits ~tiny =
         ignore (Clover.run t ~steps:5));
   ]
 
-(* Cache effectiveness and communication totals over the counted runs. *)
+(* Executor reuse and communication totals over the counted runs. *)
 let obs () =
   let c name =
     match Counters.find Obs.counters name with
@@ -306,19 +306,15 @@ let obs () =
     | Some (Counters.Float v) -> v
     | Some (Counters.Hist _) | None -> 0.0
   in
-  let cache prefix =
-    let hits = c (prefix ^ ".hits") and misses = c (prefix ^ ".misses") in
-    let calls = hits +. misses in
-    Json.Obj
-      [
-        ("hits", Json.Num hits);
-        ("misses", Json.Num misses);
-        ("hit_rate", Json.Num (if calls = 0.0 then 0.0 else hits /. calls));
-      ]
-  in
+  let hits = c "exec_cache.hits" and misses = c "exec_cache.misses" in
   [
-    ("plan_cache", cache "plan_cache");
-    ("exec_cache", cache "exec_cache");
+    ( "exec_cache",
+      Json.Obj
+        [
+          ("hits", Json.Num hits);
+          ("misses", Json.Num misses);
+          ("hit_rate", Json.Num (if hits +. misses = 0.0 then 0.0 else hits /. (hits +. misses)));
+        ] );
     ( "comm",
       Json.Obj
         (List.map

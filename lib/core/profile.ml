@@ -37,15 +37,9 @@ type cells = {
   cc_gc_promoted : Counters.gauge;
 }
 
-type t = {
-  reg : Counters.t;
-  cells : (string, cells) Hashtbl.t;
-  mutable enabled : bool;
-}
+type t = { reg : Counters.t; cells : (string, cells) Hashtbl.t }
 
-let create () = { reg = Counters.create (); cells = Hashtbl.create 32; enabled = true }
-
-let set_enabled t flag = t.enabled <- flag
+let create () = { reg = Counters.create (); cells = Hashtbl.create 32 }
 
 let cells t name =
   match Hashtbl.find_opt t.cells name with
@@ -69,40 +63,34 @@ let cells t name =
     c
 
 let record t ~name ~seconds ~bytes ~elements =
-  if t.enabled then begin
-    let c = cells t name in
-    Counters.incr c.cc_count;
-    Counters.addf c.cc_seconds seconds;
-    Counters.add c.cc_bytes bytes;
-    Counters.add c.cc_elements elements;
-    Counters.observe c.cc_seconds_hist seconds;
-    Counters.observe Obs.loop_seconds seconds;
-    Counters.incr Obs.loop_calls;
-    Counters.add Obs.loop_bytes bytes;
-    Counters.add Obs.loop_elements elements
-  end
+  let c = cells t name in
+  Counters.incr c.cc_count;
+  Counters.addf c.cc_seconds seconds;
+  Counters.add c.cc_bytes bytes;
+  Counters.add c.cc_elements elements;
+  Counters.observe c.cc_seconds_hist seconds;
+  Counters.observe Obs.loop_seconds seconds;
+  Counters.incr Obs.loop_calls;
+  Counters.add Obs.loop_bytes bytes;
+  Counters.add Obs.loop_elements elements
 
 (* [seconds] is the time the loop spent exchanging and reducing halos. *)
 let record_halo t ~name ~seconds =
-  if t.enabled then begin
-    let c = cells t name in
-    Counters.addf c.cc_halo seconds;
-    if seconds > 0.0 then Counters.observe Obs.halo_seconds seconds
-  end
+  let c = cells t name in
+  Counters.addf c.cc_halo seconds;
+  if seconds > 0.0 then Counters.observe Obs.halo_seconds seconds
 
 (* GC deltas are sampled by the facades around loop execution only while
    span tracing is on ([Gc.quick_stat] is cheap but not free), so these
    cells stay zero on untraced runs. *)
 let record_gc t ~name ~minor ~major ~promoted_words =
-  if t.enabled then begin
-    let c = cells t name in
-    Counters.add c.cc_gc_minor minor;
-    Counters.add c.cc_gc_major major;
-    Counters.addf c.cc_gc_promoted promoted_words;
-    Counters.add Obs.gc_minor minor;
-    Counters.add Obs.gc_major major;
-    Counters.addf Obs.gc_promoted promoted_words
-  end
+  let c = cells t name in
+  Counters.add c.cc_gc_minor minor;
+  Counters.add c.cc_gc_major major;
+  Counters.addf c.cc_gc_promoted promoted_words;
+  Counters.add Obs.gc_minor minor;
+  Counters.add Obs.gc_major major;
+  Counters.addf Obs.gc_promoted promoted_words
 
 let snapshot c =
   {

@@ -17,9 +17,6 @@ type t
 
 val create : unit -> t
 
-(** Disable to remove the (small) bookkeeping cost. *)
-val set_enabled : t -> bool -> unit
-
 val record : t -> name:string -> seconds:float -> bytes:int -> elements:int -> unit
 (** Accumulates totals and feeds the per-call wall time into both the
     loop's own histogram cell and the global [Obs.loop_seconds]. *)

@@ -20,8 +20,8 @@ module Comm = Am_simmpi.Comm
 
 (* One call site: the argument list its entry was built for, its
    footprint, probed from the first call's descriptor and kernel when
-   [footprints] first reads it, and the handle a call without one runs
-   on. *)
+   [footprints] first reads it, and the handle its first call ran on (the
+   one it passed, or a new one), which a call without one runs on. *)
 type ('arg, 'handle) site = {
   s_args : 'arg list;
   s_foot : Probe.info Lazy.t;
@@ -186,18 +186,22 @@ module Make (L : LIB) = struct
     | s :: rest -> if L.same_shape s.s_args args then s else find_site args rest
 
   (* The call site of [name] whose entry was built for [args]' shape, or a
-     new one that keeps this call's descriptor and kernel for its probe:
-     the kernel is a pure function of its staging buffers, so one probe
-     per (name, argument shape) covers every call.  A hit is a string
-     hash and [L.same_shape] per entry of the name, and allocates
+     new one that keeps this call's handle, and its descriptor and kernel
+     for its probe: the kernel is a pure function of its staging buffers,
+     so one probe per (name, argument shape) covers every call.  A hit is
+     a string hash and [L.same_shape] per entry of the name, and allocates
      nothing. *)
-  let site st ~name ~descr args kernel =
+  let site st ~name ~descr handle args kernel =
     let sites = try Hashtbl.find st.sites name with Not_found -> [] in
     match find_site args sites with
     | s -> s
     | exception Not_found ->
       let s =
-        { s_args = args; s_foot = lazy (L.probe descr args kernel); s_handle = L.make_handle () }
+        {
+          s_args = args;
+          s_foot = lazy (L.probe descr args kernel);
+          s_handle = (match handle with Some h -> h | None -> L.make_handle ());
+        }
       in
       Hashtbl.replace st.sites name (s :: sites);
       s
@@ -208,7 +212,7 @@ module Make (L : LIB) = struct
     (* The injected rank crash counts parallel loops on the injector itself,
        so the trigger position survives a recovery restart's fresh context. *)
     (match st.fault with Some f -> Am_simmpi.Fault.note_loop f | None -> ());
-    let site = site st ~name ~descr args kernel in
+    let site = site st ~name ~descr handle args kernel in
     let handle = match handle with Some h -> h | None -> site.s_handle in
     let t0 = Unix.gettimeofday () in
     let traced = Obs.tracing () in

@@ -22,8 +22,6 @@ let colour_name i =
 let loop_calls = Counters.counter counters "loop.calls"
 let loop_bytes = Counters.counter counters ~unit_:"bytes" "loop.bytes"
 let loop_elements = Counters.counter counters ~unit_:"elements" "loop.elements"
-let plan_hits = Counters.counter counters "plan_cache.hits"
-let plan_misses = Counters.counter counters "plan_cache.misses"
 let plan_builds = Counters.counter counters "plan.builds"
 let plan_colours = Counters.counter counters "plan.colours"
 let exec_hits = Counters.counter counters "exec_cache.hits"
@@ -138,7 +136,6 @@ let counters_table () =
       ~aligns:[ Am_util.Table.Left; Right ] ()
   in
   let row name value = Am_util.Table.add_row table [ name; value ] in
-  row "plan cache hit rate" (rate plan_hits plan_misses);
   row "exec cache hit rate" (rate exec_hits exec_misses);
   List.iter
     (fun (name, v) ->

@@ -26,11 +26,10 @@ val colour_name : int -> string
 
 (** {1 Pre-registered counters}
 
-    Always-on; updating one is a single field write.  [plan_hits]/[plan_misses]
-    count plan-cache lookups served from cache vs. creating an entry;
-    [plan_builds]/[plan_colours] count plans actually constructed and their
-    block colours; [exec_hits]/[exec_misses] count compiled-executor reuses
-    vs. (re)compilations; [ops_walker_frames]/[ops_point_frames] count OPS
+    Always-on; updating one is a single field write.
+    [plan_builds]/[plan_colours] count plans constructed and their block
+    colours; [exec_hits]/[exec_misses] count compiled-executor reuses vs.
+    (re)compilations; [ops_walker_frames]/[ops_point_frames] count OPS
     accessor-kernel frames that run a generated range walker vs. the
     staging point walker, and [op2_walker_frames]/[op2_point_frames] the
     same for OP2's element walker. *)
@@ -38,8 +37,6 @@ val colour_name : int -> string
 val loop_calls : Counters.counter
 val loop_bytes : Counters.counter
 val loop_elements : Counters.counter
-val plan_hits : Counters.counter
-val plan_misses : Counters.counter
 val plan_builds : Counters.counter
 val plan_colours : Counters.counter
 val exec_hits : Counters.counter
@@ -139,7 +136,7 @@ type loop_row = {
 val report : ?roofline_gbs:float -> ?loops:loop_row list -> unit -> string
 (** Rendered tables: per-loop time and achieved GB/s (against the perfmodel
     roofline ceiling when [roofline_gbs] is given) and halo time,
-    followed by cache hit-rates and communication totals,
+    followed by the executor cache hit rate and communication totals,
     then a schedule-exploration section ([dpor.*]) when the explorer ran,
     and a latency-distribution table (count/p50/p90/p99/max) for every
     non-empty histogram cell. *)

@@ -58,11 +58,6 @@ type t = {
   map_dists : (int, map_dist) Hashtbl.t;
   mutable rank_exec : rank_exec;
   mutable eager_halo : bool;
-  rank_plans : (string * int, Plan.t) Hashtbl.t;
-  (* Rank-local compiled executors, cached under the same loop-signature
-     key as the plan cache: they depend only on the rank-local map tables,
-     which are fixed at [build] time. *)
-  rank_execs : (string * int, Exec_common.compiled) Hashtbl.t;
 }
 
 type strategy =
@@ -250,8 +245,6 @@ let build env ~n_ranks ~strategy =
       map_dists = Hashtbl.create 8;
       rank_exec = Rank_seq;
       eager_halo = false;
-      rank_plans = Hashtbl.create 32;
-      rank_execs = Hashtbl.create 32;
     }
   in
   List.iter
@@ -402,31 +395,15 @@ let rank_resolvers t r =
     resolve_map = (fun m -> (map_dist t m).locals.(r));
   }
 
-(* Rank-local executor, compiled once per (signature, rank).
-   [compiled_matches] cannot validate these — it compares against the
-   global arrays — but the rank-local arrays are allocated once at [build]
-   and only ever blitted in place, so the closures stay valid.  The
-   signature records a global's length and access, not its buffer: every
-   frame binds the running call's globals. *)
-let rank_compiled t ~key r args =
-  match Hashtbl.find_opt t.rank_execs (key, r) with
-  | Some c ->
-    Obs_counters.incr Obs.exec_hits;
-    c
-  | None ->
-    Obs_counters.incr Obs.exec_misses;
-    let c =
-      Obs.span ~cat:Cat.Plan "rank_compile" (fun () ->
-          Exec_common.compile ~resolvers:(rank_resolvers t r) args)
-    in
-    Hashtbl.add t.rank_execs (key, r) c;
-    c
-
 (* The call's per-rank state: its handle's while the iteration set and
-   the arguments' shape hold (no signature string, no table lookup), built
-   through the tables otherwise.  The shape names the datasets, which
-   belong to this context and so to this partition. *)
-let ranks t (handle : Plan.handle) ~name ~iter_set args =
+   the arguments' shape hold, built otherwise.  The shape names the
+   datasets, which belong to this context and so to this partition.
+   [compiled_matches] cannot validate the rank executors (it compares
+   against the global arrays), but the rank-local arrays are allocated
+   once at [build] and only ever blitted in place, so the shape is enough.
+   The executors record a global's length and access, not its buffer:
+   every frame binds the running call's globals. *)
+let ranks t (handle : Plan.handle) ~iter_set args =
   match handle.h_ranks with
   | Some rs
     when rs.r_set_id = iter_set.set_id && same_shape rs.r_args args ->
@@ -434,12 +411,15 @@ let ranks t (handle : Plan.handle) ~name ~iter_set args =
     rs
   | Some _ | None ->
     check_supported args;
-    let key = Plan.signature ~name ~iter_set ~block_size:0 args in
+    Obs_counters.add Obs.exec_misses t.n_ranks;
     let rs =
       {
         Plan.r_set_id = iter_set.set_id;
         r_args = args;
-        r_execs = Array.init t.n_ranks (fun r -> rank_compiled t ~key r args);
+        r_execs =
+          Array.init t.n_ranks (fun r ->
+              Obs.span ~cat:Cat.Plan "rank_compile" (fun () ->
+                  Exec_common.compile ~resolvers:(rank_resolvers t r) args));
         r_plans = Array.make t.n_ranks None;
         r_read_dats =
           distinct_dats args (fun map access ->
@@ -450,33 +430,15 @@ let ranks t (handle : Plan.handle) ~name ~iter_set args =
     handle.h_ranks <- Some rs;
     rs
 
-(* Rank [r]'s plan over [block_size]-element blocks for a hybrid rank
-   engine: the rank state's while its block size holds, the table's
-   otherwise. *)
-let rank_plan t (rs : Plan.ranks) ~name ~iter_set ~args r ~block_size =
+(* Rank [r]'s plan over its [set_size] owned elements in
+   [block_size]-element blocks, for a hybrid rank engine: the rank state's
+   while its block size holds, built otherwise. *)
+let rank_plan t (rs : Plan.ranks) ~name ~args r ~set_size ~block_size =
   match rs.r_plans.(r) with
-  | Some (b, plan) when b = block_size ->
-    Obs_counters.incr Obs.plan_hits;
-    plan
+  | Some plan when Plan.fits plan ~set_size ~block_size -> plan
   | Some _ | None ->
-    let key = (Plan.signature ~name ~iter_set ~block_size args, r) in
-    let plan =
-      match Hashtbl.find_opt t.rank_plans key with
-      | Some plan ->
-        Obs_counters.incr Obs.plan_hits;
-        plan
-      | None ->
-        Obs_counters.incr Obs.plan_misses;
-        let n = (set_dist t iter_set).n_owned.(r) in
-        let plan =
-          Obs.span ~cat:Cat.Plan name (fun () ->
-              Plan.count_build
-                (Plan.build ~resolvers:(rank_resolvers t r) ~set_size:n ~block_size args))
-        in
-        Hashtbl.add t.rank_plans key plan;
-        plan
-    in
-    rs.r_plans.(r) <- Some (block_size, plan);
+    let plan = Plan.make ~resolvers:(rank_resolvers t r) ~name ~set_size ~block_size args in
+    rs.r_plans.(r) <- Some plan;
     plan
 
 (* Owner-compute: refresh the stale halos the loop reads, zero the halos
@@ -485,7 +447,7 @@ let rank_plan t (rs : Plan.ranks) ~name ~iter_set ~args r ~block_size =
    the time a loop that reads or increments through a map spends on its
    halos. *)
 let par_loop ?(halo_seconds = ref 0.0) t ~handle ~name ~iter_set ~args ~kernel =
-  let rs = ranks t handle ~name ~iter_set args in
+  let rs = ranks t handle ~iter_set args in
   let sd = set_dist t iter_set in
   let t0 = Unix.gettimeofday () in
   List.iter (refresh_halo t) rs.r_read_dats;
@@ -497,11 +459,11 @@ let par_loop ?(halo_seconds = ref 0.0) t ~handle ~name ~iter_set ~args ~kernel =
     | Rank_seq -> Exec_seq.run ~compiled ~set_size ~args ~kernel
     | Rank_shared { pool; block_size } ->
       Exec_shared.run ~compiled pool
-        (rank_plan t rs ~name ~iter_set ~args r ~block_size)
+        (rank_plan t rs ~name ~args r ~set_size ~block_size)
         ~set_size ~args ~kernel
     | Rank_vec config ->
       Exec_vec.run ~compiled config
-        (rank_plan t rs ~name ~iter_set ~args r ~block_size:256)
+        (rank_plan t rs ~name ~args r ~set_size ~block_size:256)
         ~set_size ~args ~kernel
   done;
   let t2 = Unix.gettimeofday () in

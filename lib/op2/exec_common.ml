@@ -13,14 +13,14 @@
    buffers.  [check_signature] holds every call's arguments to that
    signature.
 
-   Arguments are "compiled" once per (loop, signature) pair: the dataset
-   array, map table and layout strides are resolved up front and baked
-   into one gather and one scatter closure per argument, beside the
-   arrays an element walker reads ([Acc.addr]).  A global compiles to its
-   length and access only, so one executor serves calls that pass fresh
-   global buffers.  The per-worker state is a [frame] built from the
-   compiled arguments and the running call's globals at each loop call,
-   by one rule:
+   Arguments are "compiled" once per call site (the executor its loop
+   handle keeps): the dataset array, map table and layout strides are
+   resolved up front and baked into one gather and one scatter closure per
+   argument, beside the arrays an element walker reads ([Acc.addr]).  A
+   global compiles to its length and access only, so one executor serves
+   calls that pass fresh global buffers.  The per-worker state is a
+   [frame] built from the compiled arguments and the running call's
+   globals at each loop call, by one rule:
 
    - a walker frame runs the kernel's element walker with every dataset
      in place.  It needs a generated kernel and an [elementwise] executor:
@@ -42,9 +42,12 @@
    Staged kernels, lifted point functions ([Acc.lift]), SoA and aliased
    arguments and the Cuda_sim [Staged] scratchpad therefore take staging
    frames.  Seq, Shared and each partitioned rank run a walker frame over
-   whole ranges ([run_range]); Vec lanes and Cuda_sim blocks run it one
-   element at a time ([call] on [e], [elems w e (e + 1)]).  Check and footprint probing stage every
-   argument themselves ([staged_view]).
+   whole ranges ([run_range]); Vec packs and Cuda_sim NOSOA block colours
+   call it once per run of consecutive ids ([run_runs],
+   [Exec_cuda.run_block_by_color]), and a Vec loop that reduces a global
+   once per element, on its lane's frame ([call] on [e], [elems w e
+   (e + 1)]).  Check and footprint probing stage every argument themselves
+   ([staged_view]).
 
    The inner copies use unsafe indexing; bounds are guaranteed by
    declaration-time validation ([decl_map] range-checks every target,
@@ -240,11 +243,11 @@ let compile ?(resolvers = global_resolvers) args =
   in
   { args = args'; addrs; elementwise = elementwise_args args }
 
-(* A cached executor is only valid while the argument list still resolves to
+(* A kept executor is only valid while the argument list still resolves to
    the same backing stores: [convert_layout] and the SoA conversion replace
    [dat.data] wholesale ([Op2.update] writes into it), and renumbering
-   rewrites map tables.  Physical equality makes the check one pointer compare per
-   argument.  A global matches on its length and access: each frame binds
+   replaces every dataset array and map table.  Physical equality makes
+   the check one pointer compare per argument.  A global matches on its length and access: each frame binds
    the running call's buffer. *)
 let arg_matches c arg =
   match (c, arg) with

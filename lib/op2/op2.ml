@@ -73,7 +73,6 @@ type backend =
 type ctx = {
   env : Types.env;
   mutable backend : backend;
-  plan_cache : Plan.cache;
   loop : (Types.arg, Plan.handle) Loop.t;
   mutable dist : Dist.t option;
 }
@@ -82,7 +81,6 @@ let create ?(backend = Seq) () =
   {
     env = Types.make_env ();
     backend;
-    plan_cache = Plan.make_cache ();
     loop = Loop.create ~facade:"Op2";
     dist = None;
   }
@@ -261,10 +259,7 @@ let apply_seed_permutation ctx ~seed_set ~seed_perm =
       let v = Am_mesh.Reorder.renumber_targets ~perm:(perm_of m.to_set) m.values in
       m.values <-
         Am_mesh.Reorder.permute_sources ~perm:(perm_of m.from_set) ~dim:m.arity v)
-    (maps ctx.env);
-  (* Plans and compiled executors depend on map contents: drop them (live
-     loop handles notice via the cache generation). *)
-  Plan.invalidate ctx.plan_cache
+    (maps ctx.env)
 
 (* Reverse Cuthill-McKee on the dual graph of [through]'s target set (the
    default OP2 renumbering); returns mean dual-graph index distance
@@ -335,41 +330,41 @@ let comm_stats ctx =
 
 (* ---- The parallel loop ------------------------------------------------- *)
 
-(* A per-call-site loop handle (see [Plan]): resolves the execution plan and
-   the compiled executor without rebuilding the signature string per
-   invocation.  A call without one runs on the handle of its entry in the
-   context's call-site table.  Both kernel forms share the executor. *)
+(* A call site's state (see [Plan]): its compiled executor, its plan and
+   its partitioned state.  A call without a handle runs on its entry's in
+   the context's call-site table.  Both kernel forms share the executor. *)
 type handle = Plan.handle
 
 let make_handle = Plan.make_handle
 
-(* The plan over [block_size]-element blocks and the executor cached
-   beside it, through the call's handle. *)
-let planned ctx handle ~name ~iter_set ~block_size args =
-  let entry, compiled = Plan.resolve ctx.plan_cache handle ~name ~iter_set ~block_size args in
-  (Lazy.force entry.Plan.entry_plan, compiled)
-
 let execute_loop ctx ~name handle iter_set args kernel =
   match ctx.dist with
   | Some d ->
-    (* Rank-local plans and executors live in the partition's tables and
-       on the call's handle. *)
+    (* Rank-local plans and executors live on the call's handle. *)
     Dist.par_loop ~halo_seconds:ctx.loop.Loop.halo_seconds d ~handle ~name ~iter_set ~args
       ~kernel
   | None -> (
     let set_size = iter_set.Types.set_size in
+    (* The SoA strategy replaces dataset arrays on first touch: convert
+       before resolving the executor, so it is compiled against the final
+       arrays. *)
+    (match ctx.backend with
+    | Cuda_sim { Exec_cuda.strategy = Exec_cuda.Global_soa; _ } -> Exec_cuda.ensure_soa args
+    | Seq | Vec _ | Shared _ | Check | Cuda_sim _ -> ());
+    (* Every backend resolves the executor first, Check too, which runs
+       none: its check is what keeps the handle's plan fresh. *)
+    let compiled = Plan.executor handle ~name args in
     match ctx.backend with
-    | Seq ->
-      (* No plan needed: the entry's lazy colouring is never forced. *)
-      let _, compiled = Plan.resolve ctx.plan_cache handle ~name ~iter_set ~block_size:0 args in
-      Exec_seq.run ~compiled ~set_size ~args ~kernel
+    | Seq -> Exec_seq.run ~compiled ~set_size ~args ~kernel
     | Vec config ->
       (* The vector plan only needs element colours; block size is moot. *)
-      let plan, compiled = planned ctx handle ~name ~iter_set ~block_size:256 args in
-      Exec_vec.run ~compiled config plan ~set_size ~args ~kernel
+      Exec_vec.run ~compiled config
+        (Plan.plan handle ~name ~set_size ~block_size:256 args)
+        ~set_size ~args ~kernel
     | Shared { pool; block_size } ->
-      let plan, compiled = planned ctx handle ~name ~iter_set ~block_size args in
-      Exec_shared.run ~compiled pool plan ~set_size ~args ~kernel
+      Exec_shared.run ~compiled pool
+        (Plan.plan handle ~name ~set_size ~block_size args)
+        ~set_size ~args ~kernel
     | Check ->
       (* Sanitizer: prove the colouring the parallel backends would use is
          race-free, then execute under access guards.  The plan validation
@@ -380,9 +375,7 @@ let execute_loop ctx ~name handle iter_set args kernel =
         | Types.Arg_dat _ | Types.Arg_gbl _ -> false
       in
       if List.exists indirect_write args then begin
-        let plan =
-          Plan.find_or_build ctx.plan_cache ~name ~iter_set ~block_size:256 args
-        in
+        let plan = Plan.plan handle ~name ~set_size ~block_size:256 args in
         match Plan.validate ~set_size args plan with
         | [] -> ()
         | v :: _ as vs ->
@@ -391,14 +384,9 @@ let execute_loop ctx ~name handle iter_set args kernel =
       end;
       Exec_check.run ~name ~set_size ~args ~kernel
     | Cuda_sim config ->
-      (* The SoA strategy replaces dataset arrays on first touch; convert
-         before resolving so the cached executor is compiled against the
-         final arrays. *)
-      if config.Exec_cuda.strategy = Exec_cuda.Global_soa then Exec_cuda.ensure_soa args;
-      let plan, compiled =
-        planned ctx handle ~name ~iter_set ~block_size:config.Exec_cuda.block_size args
-      in
-      Exec_cuda.run ~compiled config plan ~set_size ~args ~kernel)
+      Exec_cuda.run ~compiled config
+        (Plan.plan handle ~name ~set_size ~block_size:config.Exec_cuda.block_size args)
+        ~set_size ~args ~kernel)
 
 (* Snapshot accessors over the context's own dataset registry: the "all data
    is handed to the library" property is what makes checkpointing fully
@@ -461,36 +449,38 @@ let par_loop_acc ctx ~name ?(info = Descr.default_kernel_info) ?handle iter_set 
 
 (* ---- Diagnostics (op_diagnostic / op_print_dat_to_txtfile) -------------- *)
 
-(* Cached execution plans: one line per (loop, argument signature), with the
+(* The plans on the call sites' handles: one line per site, with the
    block decomposition and both colouring levels — the run-time artefacts
    Section II.B describes. *)
 let plan_report ctx =
   let buf = Buffer.create 256 in
   Buffer.add_string buf "execution plans:\n";
-  let entries =
+  let plans =
     Hashtbl.fold
-      (fun key entry acc ->
-        (* Entries whose lazy plan was never forced (sequential execution)
-           have no colouring to report. *)
-        if Lazy.is_val entry.Plan.entry_plan then
-          (key, Lazy.force entry.Plan.entry_plan) :: acc
-        else acc)
-      ctx.plan_cache.Plan.table []
-    |> List.sort compare
+      (fun name sites acc ->
+        List.fold_left
+          (fun acc site ->
+            (* Sites that ran only sequentially have no colouring to report. *)
+            match site.Loop.s_handle.Plan.h_plan with
+            | Some plan -> (name, plan) :: acc
+            | None -> acc)
+          acc sites)
+      ctx.loop.Loop.sites []
+    |> List.stable_sort (fun (a, _) (b, _) -> String.compare a b)
   in
-  if entries = [] then Buffer.add_string buf "  (none built yet)\n";
+  if plans = [] then Buffer.add_string buf "  (none built yet)\n";
   List.iter
-    (fun (key, plan) ->
+    (fun (name, plan) ->
       let blocks = plan.Plan.blocks in
       Buffer.add_string buf
-        (Printf.sprintf "  %s: %d blocks of %d, %d block colour(s)%s\n" key
+        (Printf.sprintf "  %s: %d blocks of %d, %d block colour(s)%s\n" name
            blocks.Am_mesh.Coloring.n_blocks blocks.Am_mesh.Coloring.block_size
            plan.Plan.block_coloring.Am_mesh.Coloring.n_colors
            (match plan.Plan.elem_coloring with
            | None -> ", conflict-free"
            | Some ec ->
              Printf.sprintf ", %d element colour(s)" ec.Am_mesh.Coloring.n_colors)))
-    entries;
+    plans;
   Buffer.contents buf
 
 (* Dump a dataset to a text file in global element order — works in

@@ -181,8 +181,8 @@ type backend =
       (** sanitizer: sequential semantics with canary-padded, access-guarded
           staging buffers — a kernel violating its access descriptors raises
           {!Exec_check.Violation} naming the loop, argument and element.
-          Loops with indirect writes additionally have their cached plan's
-          colouring machine-checked ({!Plan.validate}) before execution. *)
+          Loops with indirect writes additionally have their call site's
+          plan machine-checked ({!Plan.validate}) before execution. *)
 
 type ctx
 
@@ -270,10 +270,11 @@ val convert_layout : ctx -> dat -> layout -> unit
 (** {1 Optimisations} *)
 
 (** Reverse Cuthill-McKee renumbering on the dual graph of [through]'s
-    target set, with induced orderings on every other set; datasets and maps
-    are permuted in place and execution plans invalidated. Returns the dual
-    graph's mean index distance (before, after). Must precede
-    {!partition}. *)
+    target set, with induced orderings on every other set; every dataset
+    array and map table is replaced by its permuted copy, so each call
+    site's next call recompiles its executor and rebuilds its plan.
+    Returns the dual graph's mean index distance (before, after). Must
+    precede {!partition}. *)
 val renumber : ctx -> through:map_t -> float * float
 
 (** Renumber with a caller-supplied seed ordering of one set
@@ -337,21 +338,20 @@ val fault_injector : ctx -> Am_simmpi.Fault.t option
 
 (** {1 The parallel loop} *)
 
-(** Per-call-site loop handle, optional: caches the resolved execution plan
-    and the compiled executor for a [par_loop] site, so repeated
-    invocations skip the signature-string cache lookups entirely (validity
-    is re-checked with pointer compares every call, and the handle
-    re-resolves itself after renumbering or layout conversion).  Executors hold no global buffer: each call's globals are
-    bound when it runs, so fresh literals cost no recompile.  A call
-    without a handle is cached by loop name and argument shape (datasets,
-    maps and slots, access modes, global names and lengths): it runs on the
-    handle of its entry in the context's call-site table, which also keeps
-    each entry's footprint.  Same-signature sites share one plan and one
-    executor even through distinct handles.  Loops that take one argument
-    list may share a handle: they share its plan and executor, while the
-    footprint is kept per loop name.  Plans and executors are per rank on
-    partitioned contexts, cached by the partitioned runtime itself, so
-    there a handle is unused. *)
+(** Per-call-site loop handle, optional: holds the site's compiled
+    executor, its execution plan and, on a partitioned context, its rank
+    executors and rank plans.  Every call re-checks the executor with
+    pointer compares on its arguments' arrays; a replaced array (layout
+    conversion, renumbering) recompiles it and rebuilds the plan with it,
+    and a new block size rebuilds the plan.  Executors hold no global
+    buffer: each call's globals are bound when it runs, so fresh literals
+    cost no recompile.  A call without a handle runs on the handle of its
+    entry in the context's call-site table, by loop name and argument
+    shape (datasets, maps and slots, access modes, global names and
+    lengths), which also keeps each entry's footprint; an entry keeps the
+    handle its first call passed.  Loops that take one argument list may
+    share a handle: they share its plan and executor, while the footprint
+    is kept per loop name. *)
 type handle = Plan.handle
 
 val make_handle : unit -> handle
@@ -360,8 +360,8 @@ val make_handle : unit -> handle
     [args], records trace/profile entries, and executes the staged
     [kernel] over every element of [iter_set] on the context's backend.
     [info] declares the kernel's per-element flop/transcendental counts for
-    the performance model; [handle] memoises plan + executor resolution for
-    the call site. *)
+    the performance model; [handle] holds the call site's executor and
+    plan. *)
 val par_loop :
   ctx ->
   name:string ->
@@ -407,8 +407,9 @@ val footprints : ctx -> Am_core.Probe.info list
 
 (** {1 Diagnostics} *)
 
-(** Human-readable summary of every cached execution plan (block counts and
-    both colouring levels) — the op_diagnostic view of Section II.B. *)
+(** Human-readable summary of the execution plan on each call site's
+    handle, one line per site by loop name (block counts and both
+    colouring levels) — the op_diagnostic view of Section II.B. *)
 val plan_report : ctx -> string
 
 (** Dump a dataset to a text file in global element order; works on

@@ -481,17 +481,3 @@ let all_drained t =
     Array.for_all Queue.is_empty rel.delayed
     && Array.for_all (fun h -> Hashtbl.length h = 0) rel.stash
   | None -> true
-
-(* Global reduction over one value per rank. Counted once per call. *)
-let allreduce t ~combine values =
-  if Array.length values <> t.n_ranks then invalid_arg "Comm.allreduce: bad arity";
-  count_reduction t;
-  let acc = ref values.(0) in
-  for r = 1 to t.n_ranks - 1 do
-    acc := combine !acc values.(r)
-  done;
-  !acc
-
-let allreduce_sum t values = allreduce t ~combine:( +. ) values
-let allreduce_min t values = allreduce t ~combine:Float.min values
-let allreduce_max t values = allreduce t ~combine:Float.max values

@@ -6,12 +6,12 @@
 
     Besides the blocking [send]/[recv] pair, the simulator offers
     non-blocking [isend]/[irecv]/[wait]/[waitall] request handles: an
-    [isend] stages its payload {e in flight} without delivering it, so the
-    distributed backends can post exchanges, compute over core elements, and
-    only then wait.  Delivery happens implicitly inside [wait]/[recv], or
-    one message at a time via [deliver_one] so tests can enumerate delivery
-    schedules (FIFO within a channel; interleaving across channels is the
-    driver's choice). *)
+    [isend] stages its payload {e in flight} without delivering it, so a
+    halo layer posts every message of an exchange round before it waits on
+    any.  Delivery happens implicitly inside [wait]/[recv], or one message
+    at a time via [deliver_one] so tests can enumerate delivery schedules
+    (FIFO within a channel; interleaving across channels is the driver's
+    choice). *)
 
 type stats = {
   mutable messages : int;
@@ -37,7 +37,9 @@ val reset_stats : t -> unit
     observability counters.  Called by the halo layers once per round. *)
 val count_exchange : t -> unit
 
-(** Count one global reduction (ditto; [allreduce] counts itself). *)
+(** Count one global reduction, in [stats] and in the global observability
+    counters.  The partitioned runtimes fold each rank's partials in
+    process and call this once per reduced global. *)
 val count_reduction : t -> unit
 
 (** Enqueue a message. The payload is transferred by reference; senders must
@@ -137,12 +139,3 @@ val current_chooser : unit -> chooser option
 val attach_fault : t -> Fault.t -> unit
 
 val fault : t -> Fault.t option
-
-(** {1 Reductions} *)
-
-(** Reduce one value per rank with an associative [combine]. *)
-val allreduce : t -> combine:(float -> float -> float) -> float array -> float
-
-val allreduce_sum : t -> float array -> float
-val allreduce_min : t -> float array -> float
-val allreduce_max : t -> float array -> float

@@ -1131,7 +1131,7 @@ let test_refilled_global () =
             Alcotest.failf "%s: a loop did not read the global at its call" name))
     program_configs
 
-(* ---- Plan-handle executor cache ------------------------------------------ *)
+(* ---- One call site's handle ------------------------------------------- *)
 
 let small_loop () =
   let ctx = Op2.create () in
@@ -1144,52 +1144,46 @@ let small_loop () =
   let d = Op2.decl_dat ctx ~name:"d" ~set:cells ~dim:1 ~data:(Array.make 8 1.0) in
   (ctx, edges, e2c, d)
 
-let test_handle_shares_plan () =
-  let _ctx, edges, e2c, d = small_loop () in
-  let cache = Plan.make_cache () in
-  let args = [ Op2.arg_dat_indirect d e2c 0 Access.Inc ] in
-  let h1 = Plan.make_handle () and h2 = Plan.make_handle () in
-  let e1, x1 = Plan.resolve cache h1 ~name:"k" ~iter_set:edges ~block_size:4 args in
-  let e1', x1' = Plan.resolve cache h1 ~name:"k" ~iter_set:edges ~block_size:4 args in
-  Alcotest.(check bool) "repeat resolve: same entry" true (e1 == e1');
-  Alcotest.(check bool) "repeat resolve: same executor" true (x1 == x1');
-  (* A second call site with the same signature shares plan and executor. *)
-  let e2, x2 = Plan.resolve cache h2 ~name:"k" ~iter_set:edges ~block_size:4 args in
-  Alcotest.(check bool) "same signature: shared entry" true (e1 == e2);
-  Alcotest.(check bool) "same signature: shared executor" true (x1 == x2)
-
+(* A handle keeps one executor and one plan.  A repeat call reuses both; a
+   new block size rebuilds the plan only; a new access mode, a replaced
+   dataset array and renumbering recompile the executor and rebuild the
+   plan with it.  [Op2.update] writes into the array and keeps both. *)
 let test_handle_distinct_on_signature_change () =
   let ctx, edges, e2c, d = small_loop () in
-  let cache = Plan.make_cache () in
-  let args = [ Op2.arg_dat_indirect d e2c 0 Access.Inc ] in
   let h = Plan.make_handle () in
-  let e1, x1 = Plan.resolve cache h ~name:"k" ~iter_set:edges ~block_size:4 args in
-  (* Different block size: a distinct plan entry. *)
-  let e2, _ = Plan.resolve cache h ~name:"k" ~iter_set:edges ~block_size:8 args in
-  Alcotest.(check bool) "block size: distinct entry" true (not (e1 == e2));
-  (* Different access descriptor: distinct entry and executor. *)
-  let args_rd = [ Op2.arg_dat_indirect d e2c 0 Access.Read ] in
-  let e3, x3 = Plan.resolve cache h ~name:"k" ~iter_set:edges ~block_size:4 args_rd in
-  Alcotest.(check bool) "access: distinct entry" true (not (e1 == e3));
-  Alcotest.(check bool) "access: distinct executor" true (not (x1 == x3));
-  (* Replacing the dataset array (as a layout conversion does) recompiles
-     the executor in place; [Op2.update] writes into the array and keeps
-     it. *)
-  let e4, x4 = Plan.resolve cache h ~name:"k" ~iter_set:edges ~block_size:4 args in
-  Alcotest.(check bool) "back to original signature: entry" true (e1 == e4);
+  let set_size = edges.Am_op2.Types.set_size in
+  let resolve ?(block_size = 4) args =
+    let x = Plan.executor h ~name:"k" args in
+    (x, Plan.plan h ~name:"k" ~set_size ~block_size args)
+  in
+  let inc () = [ Op2.arg_dat_indirect d e2c 0 Access.Inc ] in
+  let same what a b = Alcotest.(check bool) what true (a == b) in
+  let fresh what a b = Alcotest.(check bool) what false (a == b) in
+  let x1, p1 = resolve (inc ()) in
+  let x1', p1' = resolve (inc ()) in
+  same "repeat: same executor" x1 x1';
+  same "repeat: same plan" p1 p1';
+  let x2, p2 = resolve ~block_size:8 (inc ()) in
+  same "block size: same executor" x1 x2;
+  fresh "block size: new plan" p1 p2;
+  let x3, p3 = resolve [ Op2.arg_dat_indirect d e2c 0 Access.Read ] in
+  fresh "access: new executor" x2 x3;
+  fresh "access: new plan" p2 p3;
+  let x4, p4 = resolve (inc ()) in
   Op2.update ctx d (Array.make 8 2.0);
-  let e4', x4' = Plan.resolve cache h ~name:"k" ~iter_set:edges ~block_size:4 args in
-  Alcotest.(check bool) "after update: same entry" true (e4 == e4');
-  Alcotest.(check bool) "after update: same executor" true (x4 == x4');
+  let x4', p4' = resolve (inc ()) in
+  same "after update: same executor" x4 x4';
+  same "after update: same plan" p4 p4';
   d.Am_op2.Types.data <- Array.make 8 3.0;
-  let args' = [ Op2.arg_dat_indirect d e2c 0 Access.Inc ] in
-  let e5, x5 = Plan.resolve cache h ~name:"k" ~iter_set:edges ~block_size:4 args' in
-  Alcotest.(check bool) "after replacing the array: same entry" true (e4 == e5);
-  Alcotest.(check bool) "after replacing the array: recompiled executor" true (not (x4 == x5));
-  (* Invalidation (renumbering) drops everything. *)
-  Plan.invalidate cache;
-  let e6, _ = Plan.resolve cache h ~name:"k" ~iter_set:edges ~block_size:4 args' in
-  Alcotest.(check bool) "after invalidate: fresh entry" true (not (e5 == e6))
+  let x5, p5 = resolve (inc ()) in
+  fresh "replaced array: new executor" x4 x5;
+  fresh "replaced array: new plan" p4 p5;
+  ignore (Op2.renumber ctx ~through:e2c);
+  let x6, p6 = resolve (inc ()) in
+  fresh "renumbered: new executor" x5 x6;
+  fresh "renumbered: new plan" p5 p6;
+  Alcotest.(check int) "renumbered plan colours the renumbered map" 0
+    (List.length (Plan.validate ~set_size (inc ()) p6))
 
 (* ---- One 1D program through the three facades ---------------------------- *)
 
@@ -1469,8 +1463,6 @@ let () =
         ] );
       ( "plan handles",
         [
-          Alcotest.test_case "same signature shares plan+executor" `Quick
-            test_handle_shares_plan;
           Alcotest.test_case "signature changes resolve distinct state" `Quick
             test_handle_distinct_on_signature_change;
         ] );

@@ -374,8 +374,8 @@ let test_report_halo_only_dash () =
 
 let test_obs_report_smoke () =
   Obs.reset ();
-  Counters.add Obs.plan_hits 9;
-  Counters.add Obs.plan_misses 1;
+  Counters.add Obs.exec_hits 9;
+  Counters.add Obs.exec_misses 1;
   let loops =
     [
       {

@@ -15,6 +15,7 @@ module Obs = Am_obs.Obs
 module Tracer = Am_obs.Tracer
 module Counters = Am_obs.Counters
 module Airfoil = Am_airfoil.App
+module Hydra = Am_hydra.App
 module Clover = Am_cloverleaf.App
 
 let cats () =
@@ -48,12 +49,12 @@ let test_airfoil_seq () =
       Alcotest.(check bool) "loop spans" true (has_cat "loop");
       Alcotest.(check bool) "plan spans" true (has_cat "plan");
       Alcotest.(check bool) "no halo spans on seq" false (has_cat "halo_post");
-      (* five distinct loops compile once each; every other call hits *)
-      Alcotest.(check int) "plan misses = distinct loops" 5
-        (counter "plan_cache.misses");
-      Alcotest.(check int) "plan hits = calls - misses"
+      (* five call sites compile once each; every other call hits *)
+      Alcotest.(check int) "executor misses = call sites" 5
+        (counter "exec_cache.misses");
+      Alcotest.(check int) "executor hits = calls - misses"
         (counter "loop.calls" - 5)
-        (counter "plan_cache.hits");
+        (counter "exec_cache.hits");
       Alcotest.(check int) "tracer saw every call" (counter "loop.calls")
         (List.length
            (List.filter
@@ -102,7 +103,7 @@ let test_airfoil_dist () =
       Alcotest.(check bool) "bytes counted" true (counter "comm.bytes_sent" > 0);
       Alcotest.(check bool) "exchanges counted" true (counter "comm.exchanges" > 0))
 
-(* A repeated handle loop resolves its plan once: hits = calls - 1. *)
+(* A repeated handle loop compiles its executor once: hits = calls - 1. *)
 let test_handle_hits () =
   with_tracing (fun () ->
       let ctx = Op2.create () in
@@ -118,9 +119,61 @@ let test_handle_hits () =
           [ Op2.arg_dat d Access.Rw ]
           (fun args -> args.(0).(0) <- args.(0).(0) *. 1.000001)
       done;
-      Alcotest.(check int) "plan hits = calls - 1" (calls - 1)
-        (counter "plan_cache.hits");
-      Alcotest.(check int) "one plan miss" 1 (counter "plan_cache.misses"))
+      Alcotest.(check int) "executor hits = calls - 1" (calls - 1)
+        (counter "exec_cache.hits");
+      Alcotest.(check int) "one executor miss" 1 (counter "exec_cache.misses"))
+
+(* One plan and one executor per call site: a fresh iteration builds each
+   site's once (no plan on Seq, one per rank on a partitioned context),
+   and a second iteration builds nothing. *)
+let configs pool =
+  let backend b ctx _ = Op2.set_backend ctx b in
+  [
+    ("seq", 0, 1, backend Op2.Seq);
+    ("vec", 1, 1, backend (Op2.Vec { Am_op2.Exec_vec.width = 4 }));
+    ("shared", 1, 1, backend (Op2.Shared { pool; block_size = 64 }));
+    ( "cuda",
+      1,
+      1,
+      backend
+        (Op2.Cuda_sim { Am_op2.Exec_cuda.block_size = 64; strategy = Am_op2.Exec_cuda.Global_aos })
+    );
+    ( "4 Rank_shared ranks",
+      4,
+      4,
+      fun ctx through ->
+        Op2.partition ctx ~n_ranks:4 ~strategy:(Op2.Kway_through through);
+        Op2.set_rank_execution ctx (Op2.Rank_shared { pool; block_size = 64 }) );
+  ]
+
+let check_one_per_site ~app ~sites create =
+  Am_taskpool.Pool.with_pool ~size:2 (fun pool ->
+      List.iter
+        (fun (backend, plans, execs, setup) ->
+          let iteration = create setup in
+          let built () = (counter "plan.builds", counter "exec_cache.misses") in
+          let b0, x0 = built () in
+          iteration ();
+          let b1, x1 = built () in
+          iteration ();
+          let b2, x2 = built () in
+          let what = Printf.sprintf "%s %s: " app backend in
+          Alcotest.(check int) (what ^ "plans built") (plans * sites) (b1 - b0);
+          Alcotest.(check int) (what ^ "executors compiled") (execs * sites) (x1 - x0);
+          Alcotest.(check int) (what ^ "nothing rebuilt") 0 (b2 - b1 + (x2 - x1)))
+        (configs pool))
+
+let test_one_per_site_airfoil () =
+  check_one_per_site ~app:"airfoil" ~sites:5 (fun setup ->
+      let t = Airfoil.create (airfoil_mesh ()) in
+      setup t.Airfoil.ctx t.Airfoil.edge_cells;
+      fun () -> ignore (Airfoil.iteration t))
+
+let test_one_per_site_hydra () =
+  check_one_per_site ~app:"hydra" ~sites:17 (fun setup ->
+      let t = Hydra.create ~nx:16 ~ny:12 () in
+      setup t.Hydra.ctx t.Hydra.edge_cells;
+      fun () -> ignore (Hydra.iteration t))
 
 (* ---- CloverLeaf (OPS) ------------------------------------------------- *)
 
@@ -300,7 +353,9 @@ let () =
           Alcotest.test_case "airfoil seq traced" `Quick test_airfoil_seq;
           Alcotest.test_case "airfoil shared traced" `Quick test_airfoil_shared;
           Alcotest.test_case "airfoil dist traced" `Quick test_airfoil_dist;
-          Alcotest.test_case "handle plan-cache hits" `Quick test_handle_hits;
+          Alcotest.test_case "handle executor hits" `Quick test_handle_hits;
+          Alcotest.test_case "airfoil one per site" `Quick test_one_per_site_airfoil;
+          Alcotest.test_case "hydra one per site" `Quick test_one_per_site_hydra;
         ] );
       ( "ops",
         [

@@ -241,6 +241,43 @@ let test_renumber_with_hilbert () =
   Alcotest.(check bool) "rms invariant under hilbert renumbering" true
     (Float.abs (plain -. renumbered) /. (1.0 +. plain) < 1e-10)
 
+(* Renumbering a warm program: every handle holds an executor and a plan
+   over the old numbering's arrays, so the next call must compile and
+   colour afresh.  Each backend then gives Seq's renumbered results, and
+   Check finds the rebuilt plan race-free. *)
+let test_renumber_warm () =
+  let run_renumbered configure =
+    let m = build_mini () in
+    configure m.ctx;
+    ignore (run_mini m 2);
+    (* Cuda_sim SOA left its datasets in SoA; renumbering wants AoS. *)
+    List.iter (fun d -> Op2.convert_layout m.ctx d Op2.Aos) (Op2.dats m.ctx);
+    ignore (Op2.renumber m.ctx ~through:m.edge_cells);
+    let builds = Am_obs.Counters.value Am_obs.Obs.plan_builds in
+    let result = run_mini m 3 in
+    (result, Am_obs.Counters.value Am_obs.Obs.plan_builds - builds)
+  in
+  let (ref_u, ref_rms), _ = run_renumbered ignore in
+  let cuda strategy = Op2.Cuda_sim { Am_op2.Exec_cuda.block_size = 32; strategy } in
+  Pool.with_pool ~size:2 (fun pool ->
+      List.iter
+        (fun (name, backend) ->
+          let (u, rms), builds = run_renumbered (fun ctx -> Op2.set_backend ctx backend) in
+          if not (Fa.approx_equal ~tol:1e-10 ref_u u) then
+            Alcotest.failf "%s: renumbered solution diverges from seq (%g)" name
+              (Fa.rel_discrepancy ref_u u);
+          if Float.abs (rms -. ref_rms) /. (1.0 +. ref_rms) > 1e-10 then
+            Alcotest.failf "%s: renumbered reduction diverges (%g vs %g)" name rms ref_rms;
+          if builds = 0 then Alcotest.failf "%s: no plan rebuilt after renumbering" name)
+        [
+          ("shared", Op2.Shared { pool; block_size = 16 });
+          ("vec", Op2.Vec { Am_op2.Exec_vec.width = 4 });
+          ("cuda NOSOA", cuda Am_op2.Exec_cuda.Global_aos);
+          ("cuda SOA", cuda Am_op2.Exec_cuda.Global_soa);
+          ("cuda STAGED", cuda Am_op2.Exec_cuda.Staged);
+          ("check", Op2.Check);
+        ])
+
 let test_convert_layout_roundtrip () =
   let m = build_mini () in
   let orig = Op2.fetch m.ctx m.u in
@@ -573,6 +610,7 @@ let () =
           Alcotest.test_case "renumber improves scrambled" `Quick
             test_renumber_improves_scrambled_mesh;
           Alcotest.test_case "hilbert renumbering" `Quick test_renumber_with_hilbert;
+          Alcotest.test_case "renumber a warm program" `Quick test_renumber_warm;
           Alcotest.test_case "layout roundtrip" `Quick test_convert_layout_roundtrip;
           Alcotest.test_case "SoA execution matches" `Quick test_soa_execution_matches;
           Alcotest.test_case "update copies into the dataset" `Quick test_update_copies;

@@ -25,13 +25,6 @@ let test_comm_recv_empty_fails () =
     (Failure "Comm.recv: no message pending from rank 1 to rank 0") (fun () ->
       ignore (Comm.recv c ~src:1 ~dst:0))
 
-let test_comm_allreduce () =
-  let c = Comm.create ~n_ranks:3 in
-  Alcotest.(check (float 0.0)) "sum" 6.0 (Comm.allreduce_sum c [| 1.0; 2.0; 3.0 |]);
-  Alcotest.(check (float 0.0)) "min" 1.0 (Comm.allreduce_min c [| 1.0; 2.0; 3.0 |]);
-  Alcotest.(check (float 0.0)) "max" 3.0 (Comm.allreduce_max c [| 1.0; 2.0; 3.0 |]);
-  Alcotest.(check int) "reductions counted" 3 (Comm.stats c).Comm.reductions
-
 let test_comm_drained () =
   let c = Comm.create ~n_ranks:2 in
   Alcotest.(check bool) "initially drained" true (Comm.all_drained c);
@@ -190,7 +183,6 @@ let () =
           Alcotest.test_case "fifo" `Quick test_comm_fifo;
           Alcotest.test_case "stats" `Quick test_comm_stats;
           Alcotest.test_case "recv empty fails" `Quick test_comm_recv_empty_fails;
-          Alcotest.test_case "allreduce" `Quick test_comm_allreduce;
           Alcotest.test_case "drained" `Quick test_comm_drained;
           Alcotest.test_case "isend stays in flight" `Quick test_isend_stays_in_flight;
           Alcotest.test_case "wait never-posted deadlocks" `Quick
