@@ -84,6 +84,45 @@ let aero_newton ~tiny =
       zero hand.Am_aero.Hand.phi;
       ignore (Am_aero.Hand.iteration hand) )
 
+(* One Seq call of Airfoil's [res_calc] or [update] (120x80) through
+   [Op2.par_loop_acc]: its OCaml reference walker ([Op2.Acc.reference])
+   and its native walker, each on its own call site. *)
+let airfoil_walker ~tiny loop =
+  let module K = Am_airfoil.Kernels in
+  let t =
+    Airfoil.create (Umesh.generate_airfoil ~nx:(dim ~tiny 120 16) ~ny:(dim ~tiny 80 12) ())
+  in
+  ignore (Airfoil.iteration t);
+  let ind dat map slot access = Op2.arg_dat_indirect dat map slot access in
+  let read = Am_core.Access.Read and inc = Am_core.Access.Inc in
+  let call ~reference =
+    let name = loop ^ if reference then "_reference" else "_native" in
+    let kernel k = if reference then Op2.Acc.reference k else k in
+    match loop with
+    | "res_calc" ->
+      let k = kernel K.res_calc_acc in
+      fun () ->
+        Op2.par_loop_acc t.Airfoil.ctx ~name t.Airfoil.edges
+          [
+            ind t.x t.edge_nodes 0 read; ind t.x t.edge_nodes 1 read;
+            ind t.q t.edge_cells 0 read; ind t.q t.edge_cells 1 read;
+            ind t.adt t.edge_cells 0 read; ind t.adt t.edge_cells 1 read;
+            ind t.res t.edge_cells 0 inc; ind t.res t.edge_cells 1 inc;
+          ]
+          k
+    | _ ->
+      let k = kernel K.update_acc and rms = [| 0.0 |] in
+      fun () ->
+        Op2.par_loop_acc t.Airfoil.ctx ~name t.Airfoil.cells
+          [
+            Op2.arg_dat t.qold read; Op2.arg_dat t.q Am_core.Access.Write;
+            Op2.arg_dat t.res Am_core.Access.Rw; Op2.arg_dat t.adt read;
+            Op2.arg_gbl ~name:"rms" rms inc;
+          ]
+          k
+  in
+  (call ~reference:true, call ~reference:false)
+
 let hydra ~tiny =
   let nx = dim ~tiny 64 12 and ny = dim ~tiny 48 8 in
   let lib = Am_hydra.App.create ~nx ~ny () and hand = Am_hydra.Hand.create ~nx ~ny () in
@@ -183,6 +222,9 @@ let rows ~tiny =
           airfoil_iteration (Ablations.airfoil_ordered mesh ignore) ));
     ratio "hydra/lib_over_hand" (fun () -> hydra ~tiny);
     ratio "aero/lib_over_hand" (fun () -> aero_newton ~tiny);
+    (* One element walker call, the OCaml reference ÷ native. *)
+    ratio "walkers/res_calc_reference_over_native" (fun () -> airfoil_walker ~tiny "res_calc");
+    ratio "walkers/update_reference_over_native" (fun () -> airfoil_walker ~tiny "update");
   ]
 
 (* AM_BENCH_HANDICAP="<row>=<factor>" multiplies the current summary the

@@ -7,16 +7,18 @@
    address datasets in place only through a generated walker (a
    [let%kernel]'s range walker, a [let%elem_kernel]'s element walker),
    which the rewriter expands from the point form's body with each
-   accessor use turned into direct indexing.  Everywhere else the point
-   form runs on staged addressing: accessors over staging buffers with
-   [base = 0] and point-major deltas [off.(p) = p * dim], an OP2 argument
-   being the single-point case [off = [|0|]], built once per frame.  For
-   a canary-padded buffer (the Check backend, footprint probing) the table
-   covers every whole point the buffer holds, so a read of an undeclared
-   stencil point or of a component past [dim] lands in the pad, where it
-   is observed, instead of raising an index error on the table.  [base]
-   stays mutable for runners that move an accessor themselves, as Hydra's
-   hand-coded one does.
+   accessor use turned into direct indexing, and compiles to C: the
+   walker the executors call is native, and its OCaml form stays beside
+   it as the tests' reference ([reference], [reference_elem]).
+   Everywhere else the point form runs on staged addressing: accessors
+   over staging buffers with [base = 0] and point-major deltas [off.(p) =
+   p * dim], an OP2 argument being the single-point case [off = [|0|]],
+   built once per frame.  For a canary-padded buffer (the Check backend,
+   footprint probing) the table covers every whole point the buffer
+   holds, so a read of an undeclared stencil point or of a component past
+   [dim] lands in the pad, where it is observed, instead of raising an
+   index error on the table.  [base] stays mutable for runners that move
+   an accessor themselves, as Hydra's hand-coded one does.
 
    Indexing is the ordinary bounds-checked array access.  There are
    deliberately no [get]/[set] functions here: libraries are compiled with
@@ -87,9 +89,11 @@ type range_walker = {
   reference : place array -> int -> int -> int -> int -> int -> int -> unit;
 }
 
-(* What a native range walker's failed check returns: the check's kind in
-   the low four bits, the argument above them. *)
-let native_failure kname status =
+(* What a native walker's failed check returns, [walker] being "range" or
+   "element": the check's kind in the low four bits, above them the
+   argument, or for an index outside a module-level float array that
+   array's number in [arrays]. *)
+let native_failure walker kname arrays status =
   let k = status lsr 4 in
   let what =
     match status land 15 with
@@ -99,11 +103,19 @@ let native_failure kname status =
     | 4 -> "an entry of the offset table reaches outside the dataset's array over the box"
     | 5 -> "the global's buffer is shorter than its declared length"
     | 6 -> "a computed stencil point is outside the argument's offset table"
-    | _ -> "a computed component is outside the argument's array"
+    | 7 -> "a computed component is outside the argument's array"
+    | 8 -> "the walk does not hold one address and one buffer per declared argument"
+    | 9 -> "the range starts below element 0"
+    | 10 -> "the dataset's array is shorter than the range needs"
+    | 11 -> "the map table is shorter than the range needs"
+    | 12 -> "a map entry is outside a dataset the argument's (map, slot) reaches"
+    | 13 -> "the Inc scratch buffer is shorter than the argument's dim"
+    | _ -> "an index is outside the float array " ^ List.nth arrays k
   in
   invalid_arg
-    (if status land 15 = 1 then Printf.sprintf "native range walker %s: %s" kname what
-     else Printf.sprintf "native range walker %s, argument %d: %s" kname k what)
+    (match status land 15 with
+    | 1 | 8 | 9 | 14 -> Printf.sprintf "native %s walker %s: %s" walker kname what
+    | _ -> Printf.sprintf "native %s walker %s, argument %d: %s" walker kname k what)
 
 (* A structured-mesh kernel value: one kernel, with a range walker per
    declared signature.  [point] runs the kernel once, at the points the
@@ -155,8 +167,22 @@ type walk = { addrs : addr array; bufs : float array array }
    datasets in place, and adds every [Inc] argument's components back to
    memory, in argument order and then component order.  It is only called
    on arguments that match [signature] (the loop checks them first) and
-   when every dataset argument is in place or an AoS [Inc]. *)
-type walker = { kname : string; signature : arg_sig array; elems : walk -> int -> int -> unit }
+   when every dataset argument is in place or an AoS [Inc].
+
+   [elems] is the native walker: the body compiled to C from the same
+   expansion (lib/ppx_kernel), which first proves [lo, hi) inside every
+   direct dataset and map table and every buffer it reads at least its
+   declared length, then checks each map entry it loads against the
+   datasets it reaches, and raises [Invalid_argument] naming the kernel
+   and the argument when a check fails ([native_failure]).  [reference]
+   is the same walker in OCaml, bounds-checked element by element: the
+   executors run [elems], the tests hold it to [reference] bit for bit. *)
+type walker = {
+  kname : string;
+  signature : arg_sig array;
+  elems : walk -> int -> int -> unit;
+  reference : walk -> int -> int -> unit;
+}
 
 (* An unstructured-mesh kernel value: one kernel, with an element walker
    when it was generated.  [elem] runs the kernel once, at the bases the
@@ -168,3 +194,7 @@ type elem_kernel = { elem : t array -> unit; walker : walker option }
 
 (* The kernel value of a plain OP2 point function. *)
 let lift_elem elem = { elem; walker = None }
+
+(* [k] with its element walker running its OCaml reference. *)
+let reference_elem k =
+  { k with walker = Option.map (fun w -> { w with elems = w.reference }) k.walker }

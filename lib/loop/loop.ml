@@ -5,8 +5,9 @@
    handle a call without one runs on), loop span and GC sample,
    checkpoint step or execute, profile and halo record.  [Make.Facade]
    holds the profile, fault, footprint and checkpoint entry points every
-   facade exports, and [fold]/[tree_merge] the global-reduction merge of
-   every executor.  A library plugs in through [LIB]; [Make] is applied
+   facade exports, and [fold], [tree_merge] and the per-range partials
+   ([restart], [add_partial], [merge_in_order]) the global-reduction merge
+   of every executor.  A library plugs in through [LIB]; [Make] is applied
    once per library, so the warm path reaches its functions without
    allocating a closure. *)
 
@@ -99,6 +100,35 @@ let tree_merge ~combine ~finish parts =
       n := half
     done;
     finish arr.(0);
+    if traced then Obs.end_span ()
+
+(* A shared-memory loop's reductions, one partial per range: a range
+   starts its accumulators afresh ([restart]: zeros for an Inc, the call's
+   buffer for a Min or Max) and leaves a copy keyed by its first index or
+   block number ([add_partial]); after the join [merge_in_order] folds the
+   partials into the call's buffers ([finish]) in key order.  The result
+   then depends only on where the loop was cut into ranges, never on which
+   worker ran which range. *)
+let restart access buf acc =
+  match access with
+  | Access.Inc -> Array.fill acc 0 (Array.length acc) 0.0
+  | Access.Min | Access.Max -> Array.blit buf 0 acc 0 (Array.length buf)
+  | Access.Read | Access.Write | Access.Rw -> ()
+
+let add_partial parts key p =
+  let rec push () =
+    let old = Atomic.get parts in
+    if not (Atomic.compare_and_set parts old ((key, p) :: old)) then push ()
+  in
+  push ()
+
+let merge_in_order ~finish parts =
+  match Atomic.get parts with
+  | [] -> ()
+  | l ->
+    let traced = Obs.tracing () in
+    if traced then Obs.begin_span ~cat:Am_obs.Tracer.Reduce "merge_globals";
+    List.iter (fun (_, p) -> finish p) (List.sort (fun (a, _) (b, _) -> Int.compare a b) l);
     if traced then Obs.end_span ()
 
 (* ---- The pipeline --------------------------------------------------------- *)

@@ -518,9 +518,28 @@ let rec merge_from buffers i = function
 
 let merge_globals args buffers = merge_from buffers 0 args
 
-(* Pairwise tree reduction of per-worker frames' accumulators into the
-   call's buffers (the pooled replacement for the per-chunk mutex
-   merge). *)
+(* Start [f]'s reductions afresh for one range of a call with arguments
+   [args] ([Loop.restart]). *)
+let rec restart_from bufs i = function
+  | [] -> ()
+  | Arg_gbl { buf; access; _ } :: rest ->
+    Am_loop.Loop.restart access buf bufs.(i);
+    restart_from bufs (i + 1) rest
+  | Arg_dat _ :: rest -> restart_from bufs (i + 1) rest
+
+let restart_globals f args = restart_from f.bufs 0 args
+
+(* A copy of [f]'s reduced globals' accumulators ([||] for any other
+   argument): the partial of the range it just ran. *)
+let partial f =
+  Array.mapi
+    (fun i -> function
+      | C_gbl { access = Access.Inc | Access.Min | Access.Max; _ } -> Array.copy f.bufs.(i)
+      | C_gbl _ | C_dat _ -> [||])
+    f.compiled.args
+
+(* Pairwise tree reduction of per-lane frames' accumulators into the
+   call's buffers (Vec). *)
 let merge_worker_globals compiled args frames =
   Am_loop.Loop.tree_merge
     (List.map (fun f -> f.bufs) frames)

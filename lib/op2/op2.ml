@@ -54,6 +54,7 @@ module Acc = struct
     kname : string;
     signature : arg_sig array;
     elems : walk -> int -> int -> unit;
+    reference : walk -> int -> int -> unit;
   }
 
   type kernel = Am_core.Acc.elem_kernel = { elem : t array -> unit; walker : walker option }
@@ -61,6 +62,7 @@ module Acc = struct
   let of_array = Am_core.Acc.of_array
   let staged = Am_core.Acc.staged
   let lift = Am_core.Acc.lift_elem
+  let reference = Am_core.Acc.reference_elem
 end
 
 type backend =

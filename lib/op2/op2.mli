@@ -72,14 +72,22 @@
     Labels are names local to the signature.  The walker has every dim,
     arity and slot as a constant, loads one dataset array per dataset
     label and one map table per map label per call, each (map label,
-    slot) once per element, and runs [body] inlined with ordinary
-    bounds-checked indexing and the same floating-point operations in the
-    same order.  An [Inc] dataset, or an [Inc]/[Min]/[Max] global, that
-    every use names by a literal component lives in float locals; with a
-    computed component, in the worker's scratch or accumulator.  Every
-    [Inc] adds all its components back to memory after the body, in
-    argument order and then component order, so a [-0.0] target becomes
-    [+0.0] as under the point walker.  The body names accessors as [a.(k)]
+    slot) once per element, and runs [body] inlined with the same
+    floating-point operations in the same order.  The walker the
+    executors call is native: the rewriter compiles it to C (a dune rule
+    runs [lib/ppx_kernel/gen/walkers_c.exe] on the kernel file, as
+    [lib/apps_airfoil/dune] does), and each call first proves its range
+    inside every direct dataset and map table and every buffer it reads
+    at least its declared length, then checks each map entry it loads
+    against the datasets it reaches, raising [Invalid_argument] naming the
+    kernel and the argument when a check fails.  Its OCaml form, with
+    ordinary bounds-checked indexing, is the walker's [reference]
+    ({!Acc.reference}).  An [Inc] dataset, or an [Inc]/[Min]/[Max]
+    global, that every use names by a literal component lives in float
+    locals; with a computed component, in the worker's scratch or
+    accumulator.  Every [Inc] adds all its components back to memory
+    after the body, in argument order and then component order, so a
+    [-0.0] target becomes [+0.0] as under the point walker.  The body names accessors as [a.(k)]
     with a literal [k], or as a variable [let]-bound to one, and uses them
     only through two module-local functions, [get x c] and [set x c v].
     Any other use of an accessor — passed to a function, returned or
@@ -112,7 +120,10 @@ type arg = Types.arg
     [[|0|]], and component [i] is [a.data.(a.base + i)].  Kernel modules
     define their own [[@inline]] component accessors,
     [let[@inline] get (a : Acc.t) i = a.Acc.data.(a.Acc.base + i)]: a call
-    into another module is not inlined under [-opaque] and boxes floats. *)
+    into another module is not inlined under [-opaque] and boxes floats.
+    A generated kernel value's element walker is native, with its OCaml
+    form as [reference]; {!reference} selects that form, as the tests and
+    the bench's walker rows do. *)
 module Acc : sig
   type t = Am_core.Acc.t = { data : float array; mutable base : int; off : int array }
 
@@ -139,12 +150,16 @@ module Acc : sig
       argument's per-element scratch. *)
   type walk = Am_core.Acc.walk = { addrs : addr array; bufs : float array array }
 
-  (** A generated element walker, [elems w lo hi], and the kernel name and
-      signature it was generated for. *)
+  (** A generated element walker and the kernel name and signature it was
+      generated for: [elems w lo hi], native (the body compiled to C,
+      which raises [Invalid_argument] naming the kernel and the argument
+      when a check of its arrays fails), and [reference], the same walker
+      in OCaml. *)
   type walker = Am_core.Acc.walker = {
     kname : string;
     signature : arg_sig array;
     elems : walk -> int -> int -> unit;
+    reference : walk -> int -> int -> unit;
   }
 
   (** A kernel value: the point form, and for a generated kernel its
@@ -160,6 +175,10 @@ module Acc : sig
   (** [lift f] is the kernel value of the point function [f], with no
       element walker: it always runs staged. *)
   val lift : (t array -> unit) -> kernel
+
+  (** [reference k] is [k] with its element walker's [elems] running its
+      OCaml [reference] ({!Am_core.Acc.reference_elem}). *)
+  val reference : kernel -> kernel
 end
 
 (** Dataset memory layout: array-of-structures or structure-of-arrays. *)

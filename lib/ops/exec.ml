@@ -475,18 +475,29 @@ let merge_globals args buffers = merge_from buffers 0 args
 (* Fold a frame's global accumulators into the call's buffers. *)
 let merge_frame f args = if has_globals f.compiled then merge_globals args f.bufs
 
-(* Pairwise tree reduction of per-worker frames' accumulators into the
-   call's buffers (replaces the mutex-serialised per-chunk merge). *)
-let merge_worker_globals compiled args frames =
-  Am_loop.Loop.tree_merge
-    (List.map (fun f -> f.bufs) frames)
-    ~finish:(merge_globals args)
-    ~combine:(fun dst src ->
-      Array.iteri
-        (fun i -> function
-          | C_gbl { access; _ } -> Am_loop.Loop.fold access dst.(i) src.(i)
-          | C_dat _ | C_idx _ -> ())
-        compiled)
+(* Whether some global is reduced (Inc, Min or Max). *)
+let reduces compiled =
+  Array.exists
+    (function C_gbl { access; _ } -> access <> Access.Read | C_dat _ | C_idx _ -> false)
+    compiled
+
+(* Start [f]'s reductions afresh for one range of a call with arguments
+   [args] ([Loop.restart]). *)
+let rec restart_from bufs i = function
+  | [] -> ()
+  | Arg_gbl { buf; access; _ } :: rest ->
+    Am_loop.Loop.restart access buf bufs.(i);
+    restart_from bufs (i + 1) rest
+  | (Arg_dat _ | Arg_idx _) :: rest -> restart_from bufs (i + 1) rest
+
+(* A copy of [f]'s reduced globals' accumulators ([||] for any other
+   argument): the partial of the range it just ran. *)
+let partial f =
+  Array.mapi
+    (fun i -> function
+      | C_gbl { access = Access.Inc | Access.Min | Access.Max; _ } -> Array.copy f.bufs.(i)
+      | C_gbl _ | C_dat _ | C_idx _ -> [||])
+    f.compiled
 
 (* ---- Sequential ----------------------------------------------------- *)
 
@@ -500,14 +511,22 @@ let run_seq ~compiled ~range ~args ~kernel =
 (* ---- Shared memory ("OpenMP") --------------------------------------- *)
 
 (* The pool splits [axis] — the block's outermost — into chunks, each run
-   through a worker-local frame; global partials tree-merge at the end. *)
+   through a worker-local frame.  With a reduced global each chunk starts
+   the frame's accumulators afresh and leaves its partial, keyed by its
+   first index; the partials fold into the call's buffers in that order
+   ([Am_loop.Loop.merge_in_order]), so a result depends only on the pool
+   size, never on which worker grabbed which chunk. *)
 let run_shared ~compiled pool ~axis ~range ~args ~kernel =
-  let frames =
-    Am_taskpool.Pool.parallel_for_local pool ~lo:(lo axis range) ~hi:(hi axis range)
-      ~local:(fun () -> make_frame compiled kernel args)
-      ~body:(fun f lo hi -> run_range f ~range:(with_axis axis range ~lo ~hi))
-  in
-  if has_globals compiled then merge_worker_globals compiled args frames
+  let reduces = reduces compiled in
+  let parts = Atomic.make [] in
+  ignore
+    (Am_taskpool.Pool.parallel_for_local pool ~lo:(lo axis range) ~hi:(hi axis range)
+       ~local:(fun () -> make_frame compiled kernel args)
+       ~body:(fun f lo hi ->
+         if reduces then restart_from f.bufs 0 args;
+         run_range f ~range:(with_axis axis range ~lo ~hi);
+         if reduces then Am_loop.Loop.add_partial parts lo (partial f)));
+  if reduces then Am_loop.Loop.merge_in_order parts ~finish:(merge_globals args)
 
 (* Intra-rank execution of the distributed backends: hybrid MPI+OpenMP
    runs each rank's share through the shared-memory engine (centre-only

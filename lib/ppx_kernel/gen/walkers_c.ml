@@ -1,10 +1,11 @@
-(* walkers_c.exe a.ml b.ml > walkers.c: the C native range walker of every
-   [let%kernel] signature in the files named, after the prelude, in file
-   and source order.  The rewriter binds each walker's [range] to the same
-   symbol, so a library or test stanza whose files declare [let%kernel]s
-   compiles this output as a foreign stub (see lib/apps_cloverleaf/dune).
-   A kernel the translator refuses fails here as it fails the OCaml
-   build, with the same located error. *)
+(* walkers_c.exe a.ml b.ml > walkers.c: the C native walker of every
+   [let%kernel] signature and every [let%elem_kernel] in the files named,
+   after the prelude, in file and source order.  The rewriter binds each
+   range walker's [range], and each element walker's [elems], to the same
+   symbol, so a library or test stanza whose files declare kernels
+   compiles this output as a foreign stub (see lib/apps_cloverleaf/dune and
+   lib/apps_airfoil/dune).  A kernel the translator refuses fails here as
+   it fails the OCaml build, with the same located error. *)
 
 let walkers path =
   let src = In_channel.with_open_text path In_channel.input_all in
@@ -22,9 +23,10 @@ let walkers path =
 
 let () =
   let seen = Hashtbl.create 32 in
-  print_string Ppx_kernel.c_prelude;
+  let files = List.map (fun path -> (path, walkers path)) (List.tl (Array.to_list Sys.argv)) in
+  print_string (Ppx_kernel.prelude_of (List.concat_map snd files));
   List.iter
-    (fun path ->
+    (fun (path, walkers) ->
       List.iter
         (fun (symbol, c) ->
           if Hashtbl.mem seen symbol then (
@@ -33,5 +35,5 @@ let () =
           Hashtbl.add seen symbol ();
           print_newline ();
           print_string c)
-        (walkers path))
-    (List.tl (Array.to_list Sys.argv))
+        walkers)
+    files

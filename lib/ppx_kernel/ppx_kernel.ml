@@ -7,7 +7,7 @@
    binds [pdv_acc] to an [Am_core.Acc.kernel] value: the point form [fun
    (a : Acc.t array) -> body], exactly as written, and one range walker
    per declared signature, whose [range] is native — the walker compiled to
-   C (see "Native range walkers" below) — and whose [reference] is the same
+   C (see "Native walkers" below) — and whose [reference] is the same
    walker in OCaml.  The signature states per argument what OPS's
    [ops_arg_dat]/[ops_arg_gbl] state: [label [offsets] dim Access] for a
    dataset, with its stencil as literal offsets ([x], [(x, y)] or [(x, y,
@@ -56,7 +56,9 @@
 
    binds [res_calc] to an [Am_core.Acc.elem_kernel] value: the point form
    as written, and ([Some]) an element walker generated for the declared
-   argument signature.  The signature states per argument what OP2's
+   argument signature, whose [elems] is native — the walker compiled to C
+   (see "Native walkers" below) — and whose [reference] is the same walker
+   in OCaml.  The signature states per argument what OP2's
    [op_arg_dat]/[op_arg_gbl] state: [label dim Access] for a direct
    dataset, [label (map arity slot) dim Access] for an indirect one, [gbl
    length Access] for a global.  Labels are names local to the signature:
@@ -86,13 +88,15 @@
 
    In both OCaml forms indexing stays [Array.get]/[Array.set],
    bounds-checked, and each point or element evaluates the same
-   floating-point operations in the same order as the point form; the
-   native range walker evaluates them too, after proving its whole box
-   inside every array once per call.  Any other use of an accessor —
-   passed to a function, returned or stored, indexed by a non-literal
-   argument number — and a parameter other than [(a : Acc.t array)] are
-   errors located at the offending expression; a generated walker never
-   falls back to per-point calls inside itself. *)
+   floating-point operations in the same order as the point form; both
+   native walkers evaluate them too, a range walker after proving its
+   whole box inside every array once per call, an element walker after
+   proving its range inside every direct dataset and map table once per
+   call and each map entry it loads once per element.  Any other use of
+   an accessor — passed to a function, returned or stored, indexed by a
+   non-literal argument number — and a parameter other than
+   [(a : Acc.t array)] are errors located at the offending expression; a
+   generated walker never falls back to per-point calls inside itself. *)
 
 open Ppxlib
 
@@ -471,6 +475,69 @@ let rec sequence ~loc = function
   | [ x ] -> x
   | x :: rest -> [%expr [%e x]; [%e sequence ~loc rest]]
 
+(* What an element walker for one signature loads, shared by its OCaml and
+   its C form.  [based] are the arguments with a per-element base: every
+   [Inc] dataset, and every dataset the body addresses in place; [targets]
+   the first based argument of each distinct (map label, slot); [dats]
+   and [maps] the first based argument of each dataset label and of each
+   map label; [buffers] the arguments the walker reads through the
+   worker's buffer (a global, an [Inc] dataset's scratch); [gbl_locals]
+   and [inc_locals] the float locals of an [Inc]/[Min]/[Max] global's and
+   of an [Inc] dataset's literal components. *)
+type elem_layout = {
+  incs : int list;
+  based : int list;
+  targets : int list;
+  dats : int list;
+  maps : int list;
+  buffers : int list;
+  gbl_locals : (int * int) list;
+  inc_locals : (int * int) list;
+}
+
+let via env k = match env.sg.(k) with Sdat { via; _ } -> via | Sgrid _ | Sgbl _ -> None
+
+let dim_of env k =
+  match env.sg.(k) with Sdat { dim; _ } | Sgrid { dim; _ } -> dim | Sgbl { len; _ } -> len
+
+let is_dat env k = match env.sg.(k) with Sdat _ | Sgrid _ -> true | Sgbl _ -> false
+
+let points env k =
+  match Hashtbl.find_opt env.uses k with Some u -> List.sort compare u.points | None -> []
+
+let elem_layout env =
+  let sg = env.sg in
+  let ks = List.init (Array.length sg) Fun.id in
+  let used k = Hashtbl.mem env.uses k in
+  let incs =
+    List.filter (fun k -> match sg.(k) with Sdat { access = "Inc"; _ } -> true | _ -> false) ks
+  in
+  let based =
+    List.filter
+      (fun k -> List.mem k incs || (is_dat env k && env.routes.(k) = In_place && used k))
+      ks
+  in
+  let indirect = List.filter (fun k -> via env k <> None) based in
+  let firsts same l = List.sort_uniq compare (List.map (first sg same) l) in
+  let buffered k =
+    env.routes.(k) = Buffer || ((not (is_dat env k)) && env.routes.(k) = Locals)
+  in
+  let locals pred =
+    List.concat_map
+      (fun k -> if pred k then List.map (fun c -> (k, c)) (points env k) else [])
+      ks
+  in
+  {
+    incs;
+    based;
+    targets = firsts same_target indirect;
+    dats = firsts same_dataset based;
+    maps = firsts same_map indirect;
+    buffers = List.filter (fun k -> used k && buffered k) ks;
+    gbl_locals = locals (fun k -> (not (is_dat env k)) && env.routes.(k) = Locals);
+    inc_locals = locals (fun k -> is_dat env k && env.routes.(k) = Locals);
+  }
+
 (* The element walker around the rewritten [body], with the signature's
    dims, arities and slots as constants.  Per call it loads one dataset
    array per dataset label and one map table per map label the walker
@@ -485,7 +552,6 @@ let rec sequence ~loc = function
    point walker does. *)
 let elems_form ~loc env body =
   let sg = env.sg in
-  let ks = List.init (Array.length sg) Fun.id in
   let ev = evar ~loc and eint = Ast_builder.Default.eint ~loc in
   let lets bindings body =
     List.fold_right
@@ -493,48 +559,24 @@ let elems_form ~loc env body =
         [%expr let [%p Ast_builder.Default.pvar ~loc name] = [%e e] in [%e acc]])
       bindings body
   in
-  let used k = Hashtbl.mem env.uses k in
-  let points k =
-    match Hashtbl.find_opt env.uses k with Some u -> List.sort compare u.points | None -> []
-  in
-  let via k = match sg.(k) with Sdat { via; _ } -> via | Sgrid _ | Sgbl _ -> None in
-  let dim k =
-    match sg.(k) with Sdat { dim; _ } | Sgrid { dim; _ } -> dim | Sgbl { len; _ } -> len
-  in
-  let is_dat k = match sg.(k) with Sdat _ | Sgrid _ -> true | Sgbl _ -> false in
-  let incs =
-    List.filter (fun k -> match sg.(k) with Sdat { access = "Inc"; _ } -> true | _ -> false) ks
-  in
-  let based =
-    List.filter (fun k -> List.mem k incs || (is_dat k && env.routes.(k) = In_place && used k)) ks
-  in
-  let indirect = List.filter (fun k -> via k <> None) based in
-  let firsts same l = List.sort_uniq compare (List.map (first sg same) l) in
-  let buffered k =
-    env.routes.(k) = Buffer || ((not (is_dat k)) && env.routes.(k) = Locals)
-  in
-  let buffers = List.filter (fun k -> used k && buffered k) ks in
-  let locals pred =
-    List.concat_map (fun k -> if pred k then List.map (fun c -> (k, c)) (points k) else []) ks
-  in
-  let gbl_locals = locals (fun k -> (not (is_dat k)) && env.routes.(k) = Locals) in
-  let inc_locals = locals (fun k -> is_dat k && env.routes.(k) = Locals) in
+  let { incs; based; targets; dats; maps; buffers; gbl_locals; inc_locals } = elem_layout env in
+  let dim = dim_of env and points = points env in
   let targets =
     List.map
       (fun j ->
-        let _, arity, slot = Option.get (via j) in
+        let _, arity, slot = Option.get (via env j) in
         let row =
           if arity = 1 then [%expr __kernel_e] else [%expr Stdlib.( * ) __kernel_e [%e eint arity]]
         in
         let i = if slot = 0 then row else [%expr Stdlib.( + ) [%e row] [%e eint slot]] in
         (target j, [%expr Stdlib.Array.get [%e ev (map_local (first sg same_map j))] [%e i]]))
-      (firsts same_target indirect)
+      targets
   in
   let bases =
     List.map
       (fun k ->
         let at =
-          if via k = None then [%expr __kernel_e] else ev (target (first sg same_target k))
+          if via env k = None then [%expr __kernel_e] else ev (target (first sg same_target k))
         in
         (base k, [%expr Stdlib.( * ) [%e at] [%e eint (dim k)]]))
       based
@@ -573,14 +615,13 @@ let elems_form ~loc env body =
   let loop =
     [%expr for __kernel_e = __kernel_lo to Stdlib.( - ) __kernel_hi 1 do [%e element] done]
   in
-  let datasets = firsts same_dataset based and maps = firsts same_map indirect in
   let per_call =
-    (if datasets = [] && maps = [] then []
+    (if dats = [] && maps = [] then []
      else [ ("__kernel_addrs", [%expr __kernel_walk.Am_core.Acc.addrs]) ])
     @ (if buffers = [] then [] else [ ("__kernel_bufs", [%expr __kernel_walk.Am_core.Acc.bufs]) ])
     @ List.map
         (fun j -> (data j, [%expr (Stdlib.Array.get __kernel_addrs [%e eint j]).Am_core.Acc.adata]))
-        datasets
+        dats
     @ List.map
         (fun j ->
           (map_local j, [%expr (Stdlib.Array.get __kernel_addrs [%e eint j]).Am_core.Acc.amap]))
@@ -773,23 +814,25 @@ let range_form ~loc env body =
              [%e nonempty "__kernel_zlo" "__kernel_zhi"])
       then [%e lets per_call (sequence ~loc (loops :: stored))]]
 
-(* ---- Native range walkers -------------------------------------------------- *)
+(* ---- Native walkers ------------------------------------------------------- *)
 
-(* Each range walker is also compiled to C: [native_walker] translates the
-   rewritten body (the same tree [range_form] wraps, with the same labels,
-   routes and offset locals) into one C function, which [walkers_c] writes
-   for a dune rule and [range_native] binds through an [external].  The
+(* Each range walker and each element walker is also compiled to C:
+   [native_walker] and [native_elems] translate the rewritten body (the
+   same tree [range_form] or [elems_form] wraps, with the same labels,
+   routes, bases and locals) into one C function, which [walkers_c] writes
+   for a dune rule and [native_wrapper] binds through an [external].  The
    vocabulary is closed, and anything outside it is an error located at
    the expression, so no kernel silently stays OCaml:
 
      get, set, gbl, set_gbl      (already rewritten into indexing)
      float literals, +. -. *. /. ~-., float and int comparisons
-     int literals and + on ints (wrapped to OCaml's 63 bits)
+     int literals, + - and * on ints (wrapped to OCaml's 63 bits)
      &&, ||, not, true, false
      let/and of floats, ints, bools, refs (read with !, written with :=,
      never escaping) and functions; if; sequences; for
      sqrt, Float.abs, Float.min/Float.max (OCaml's NaN and signed-zero
-     rules), Float.of_int
+     rules), Float.of_int, Float.to_int (OCaml's native conversion)
+     a module-level float array read by index, [qinf.(k)]
      functions defined above the kernel in its file, inlined; any other
      name used as a value is a constant the OCaml wrapper passes in
 
@@ -797,30 +840,47 @@ let range_form ~loc env body =
    the C is compiled without fast-math or contraction, so the native
    walker's results equal the OCaml walker's bit for bit.
 
-   Memory safety is proved once per call, before any point runs: the
-   places array has the signature's length, every label's strides are
-   non-negative, each dataset's lowest and highest index over the box plus
-   each literal offset it uses lie inside its array, every entry of an
-   offset table a computed point reads does too, and every global buffer
-   is at least its declared length.  What only a point knows — a computed
-   stencil point's place in its table, a computed component — is checked
-   where it is used.  A failed check returns a status that the wrapper
-   turns into [Invalid_argument] naming the kernel and the argument
-   ([Am_core.Acc.native_failure]): the kind in the low four bits, the
-   argument above them. *)
+   Memory safety is proved once per call, before any point or element
+   runs.  A range walker proves that the places array has the signature's
+   length, every label's strides are non-negative, each dataset's lowest
+   and highest index over the box plus each literal offset it uses lie
+   inside its array, every entry of an offset table a computed point reads
+   does too, and every global buffer is at least its declared length.  An
+   element walker proves that the walk holds one address and one buffer
+   per argument, [lo] is not negative, every direct dataset and every map
+   table covers [lo, hi), and every [Inc] scratch and global buffer it
+   reads is at least its declared length; per element it compares each
+   (map label, slot) target it loads once, unsigned, against the smallest
+   element count among the datasets that target reaches, so every base is
+   inside its array.  A float array constant's literal indices are proved
+   once per call.  What only a point or an element knows — a computed
+   stencil point's place in its table, a computed component or index — is
+   checked where it is used.  A failed check returns a status that the
+   wrapper turns into [Invalid_argument] naming the kernel and the
+   argument ([Am_core.Acc.native_failure]): the kind in the low four bits,
+   the argument (or the float array's number) above them. *)
 
-(* The failed checks' kinds; 2, a negative stride, comes from the
-   prelude's [am_layout], which returns 2 or [st_box]. *)
+(* The failed checks' kinds, which [Am_core.Acc.native_failure] puts into
+   words; 2, a negative stride, comes from the prelude's [am_layout],
+   which returns 2 or [st_box]. *)
 let st_places = 1
 let st_box = 3
 let st_table = 4
 let st_global = 5
 let st_point = 6
 let st_component = 7
+let st_walk = 8
+let st_lo = 9
+let st_dataset = 10
+let st_map = 11
+let st_target = 12
+let st_scratch = 13
+let st_array = 14
 let status kind k = kind lor (k lsl 4)
 
-(* C types: a ref is its mutable local; [Cv] is not yet known. *)
-type cty = Cfloat | Cint | Cbool | Cref of cty | Cv of cty option ref
+(* C types: a ref is its mutable local, [Cfarr] a float array constant;
+   [Cv] is not yet known. *)
+type cty = Cfloat | Cint | Cbool | Cfarr | Cref of cty | Cv of cty option ref
 
 let rec repr = function Cv { contents = Some t } -> repr t | t -> t
 let fresh_ty () = Cv (ref None)
@@ -869,14 +929,30 @@ type cstate = {
   mutable consts : (string * longident * cty) list; (* C parameter, OCaml path, type *)
   reach : (int, int * int * int * int) Hashtbl.t; (* dataset -> literal (x, y, z, component) *)
   tables : (int, unit) Hashtbl.t; (* datasets whose offset table a computed point reads *)
+  mutable arrays : (string * int ref) list; (* float array constants, their top literal index *)
+  ranges : (string, int * int) Hashtbl.t; (* for indices with literal bounds -> [lo, hi] *)
 }
 
-let cfail st ~loc fmt = Location.raise_errorf ~loc ("%%kernel %s: " ^^ fmt) st.ckname
+let new_state ~scope env =
+  {
+    ckname = env.kname;
+    cenv0 = env;
+    kscope = scope;
+    fresh = 0;
+    consts = [];
+    reach = Hashtbl.create 8;
+    tables = Hashtbl.create 2;
+    arrays = [];
+    ranges = Hashtbl.create 2;
+  }
+
+let cfail st ~loc fmt =
+  Location.raise_errorf ~loc ("%%%s %s: " ^^ fmt) (extension_name st.cenv0.form) st.ckname
 
 let vocabulary_help =
-  "the native walker takes get, set, gbl, set_gbl, float arithmetic and comparisons, sqrt, \
-   Float.abs, Float.min, Float.max, Float.of_int, ref, ! and :=, and functions defined above \
-   the kernel in its file"
+  "the native walker takes get, set, gbl, set_gbl, float arithmetic and comparisons, int + - \
+   and *, sqrt, Float.abs, Float.min, Float.max, Float.of_int, Float.to_int, module-level float \
+   arrays read by index, ref, ! and :=, and functions defined above the kernel in its file"
 
 let c_ident s =
   String.concat ""
@@ -899,7 +975,7 @@ let rec unify st ~loc a b =
   match (repr a, repr b) with
   | Cv r, Cv r' when r == r' -> ()
   | Cv r, t | t, Cv r -> r := Some t
-  | Cfloat, Cfloat | Cint, Cint | Cbool, Cbool -> ()
+  | Cfloat, Cfloat | Cint, Cint | Cbool, Cbool | Cfarr, Cfarr -> ()
   | Cref a, Cref b -> unify st ~loc a b
   | _ -> cfail st ~loc "the native walker cannot type this expression"
 
@@ -911,7 +987,7 @@ let rec flat = function
 
 type prim =
   | Fbin of string
-  | Iplus
+  | Ibin of string
   | Cmp of string
   | Logic of string
   | Not
@@ -919,19 +995,23 @@ type prim =
   | Fun1 of string
   | Fun2 of string
   | Of_int
+  | To_int
+  | Aget
   | Mkref
   | Deref
   | Assign
 
 let prims =
   [
-    ("+.", Fbin "+"); ("-.", Fbin "-"); ("*.", Fbin "*"); ("/.", Fbin "/"); ("+", Iplus);
+    ("+.", Fbin "+"); ("-.", Fbin "-"); ("*.", Fbin "*"); ("/.", Fbin "/"); ("+", Ibin "+");
+    ("-", Ibin "-"); ("*", Ibin "*");
     ("<", Cmp "<"); (">", Cmp ">"); ("<=", Cmp "<="); (">=", Cmp ">="); ("=", Cmp "==");
     ("<>", Cmp "!="); ("&&", Logic "&&"); ("||", Logic "||"); ("not", Not); ("~-.", Fneg);
     ("Float.neg", Fneg); ("sqrt", Fun1 "sqrt");
     ("Float.sqrt", Fun1 "sqrt"); ("Float.abs", Fun1 "fabs"); ("abs_float", Fun1 "fabs");
     ("Float.min", Fun2 "am_fmin"); ("Float.max", Fun2 "am_fmax"); ("Float.of_int", Of_int);
-    ("float_of_int", Of_int); ("ref", Mkref); ("!", Deref); (":=", Assign);
+    ("float_of_int", Of_int); ("Float.to_int", To_int); ("Array.get", Aget); ("ref", Mkref);
+    ("!", Deref); (":=", Assign);
   ]
 
 (* What a name means in [scope]: the first binding of it, unless an
@@ -992,20 +1072,25 @@ let constant st cenv ~loc lid =
     st.consts <- st.consts @ [ (name, lid, t) ];
     (Cl name, t)
 
+(* The argument number after [prefix] in generated name [v]. *)
+let numbered prefix v =
+  let n = String.length prefix in
+  if String.length v > n && String.sub v 0 n = prefix then
+    int_of_string_opt (String.sub v n (String.length v - n))
+  else None
+
 (* The dataset, buffer or offset-table argument a generated array name
    denotes. *)
 let generated_arg v =
-  let num prefix =
-    let n = String.length prefix in
-    if String.length v > n && String.sub v 0 n = prefix then
-      int_of_string_opt (String.sub v n (String.length v - n))
-    else None
-  in
+  let num prefix = numbered prefix v in
   match (num "__kernel_d", num "__kernel_z", num "__kernel_o") with
   | Some k, _, _ -> `Data k
   | _, Some k, _ -> `Buffer k
   | _, _, Some k -> `Table k
   | _ -> `None
+
+(* The argument an element walker's base local belongs to. *)
+let base_arg v = numbered "__kernel_b" v
 
 let array_fn = function
   | Ldot (Ldot (Lident "Stdlib", "Array"), ("get" | "set" as f)) -> Some f
@@ -1098,6 +1183,10 @@ and sm st cenv e : cst list =
       | _ -> cfail st ~loc:pat.ppat_loc "a for loop's index must be a variable"
     in
     let c = local_name st (Option.value v ~default:"i") in
+    (match (literal_int lo, literal_int hi, dir) with
+    | Some l, Some h, Upto -> Hashtbl.replace st.ranges c (l, h)
+    | Some l, Some h, Downto -> Hashtbl.replace st.ranges c (h, l)
+    | _ -> ());
     let lo = typed st cenv Cint lo and hi = typed st cenv Cint hi in
     let cenv =
       match v with
@@ -1197,11 +1286,12 @@ and apply st cenv ~loc ~stmt f args =
       let i63 c = Ccall ("AM_I63", [ c ]) and u c = Cun ("(uintnat) ", c) in
       match (p, args) with
       | Fbin op, [ a; b ] -> v (Cbin (op, typed st cenv Cfloat a, typed st cenv Cfloat b)) Cfloat
-      | Iplus, [ a; b ] ->
-        v (i63 (Cbin ("+", u (typed st cenv Cint a), u (typed st cenv Cint b)))) Cint
+      | Ibin op, [ a; b ] ->
+        v (i63 (Cbin (op, u (typed st cenv Cint a), u (typed st cenv Cint b)))) Cint
       | Cmp op, [ a; b ] ->
         let ca, ta = ex st cenv a and cb, tb = ex st cenv b in
         unify st ~loc ta tb;
+        if repr ta = Cfarr then cfail st ~loc "the native walker compares numbers only";
         v (Cbin (op, ca, cb)) Cbool
       | Logic op, [ a; b ] -> v (Cbin (op, cond st cenv a, cond st cenv b)) Cbool
       | Not, [ a ] -> v (Cun ("!", cond st cenv a)) Cbool
@@ -1209,6 +1299,18 @@ and apply st cenv ~loc ~stmt f args =
       | Fun1 f, [ a ] -> v (Ccall (f, [ typed st cenv Cfloat a ])) Cfloat
       | Fun2 f, [ a; b ] -> v (Ccall (f, [ typed st cenv Cfloat a; typed st cenv Cfloat b ])) Cfloat
       | Of_int, [ a ] -> v (Cun ("(double) ", typed st cenv Cint a)) Cfloat
+      | To_int, [ a ] ->
+        (* OCaml's native conversion: the truncated value wrapped to 63
+           bits, and 0 for NaN and for a value outside the 64-bit range. *)
+        let t = local_name st "to_int" in
+        let x = Cl t in
+        let inside = Cbin ("&&", Cbin (">=", x, Cl "-0x1p+63"), Cbin ("<", x, Cl "0x1p+63")) in
+        v
+          (Cblock
+             ( [ Sdecl (loc, Cfloat, t, typed st cenv Cfloat a) ],
+               Ccond (inside, i63 (Cun ("(intnat) ", x)), int_lit "0") ))
+          Cint
+      | Aget, [ arr; i ] -> v (float_array st cenv arr i) Cfloat
       | Deref, [ r ] -> (
         match r.pexp_desc with
         | Pexp_ident { txt = Lident g; _ } when generated g -> v (Cl (c_gen g)) Cfloat
@@ -1225,6 +1327,40 @@ and apply st cenv ~loc ~stmt f args =
       | Mkref, _ ->
         cfail st ~loc "a ref escapes: the native walker takes a ref only as let x = ref v in ..."
       | _ -> cfail st ~loc "%s is partially applied or over-applied" name))
+
+(* [arr.(i)] on a module-level float array: a constant the wrapper passes
+   in, read through its data pointer.  A literal index is proved once per
+   call against the array's length, a computed one checked here. *)
+and float_array st cenv arr i =
+  let loc = arr.pexp_loc in
+  (match arr.pexp_desc with
+  | Pexp_ident { txt = Lident v; _ } when not (List.mem_assoc v cenv.locals) -> ()
+  | Pexp_ident { txt = Ldot _; _ } -> ()
+  | _ ->
+    cfail st ~loc "the native walker reads by index only a float array defined above the kernel");
+  let c, t = ex st cenv arr in
+  unify st ~loc t Cfarr;
+  let name = match c with Cl n -> n | _ -> assert false in
+  let top =
+    match List.assoc_opt name st.arrays with
+    | Some top -> top
+    | None ->
+      let top = ref (-1) in
+      st.arrays <- st.arrays @ [ (name, top) ];
+      top
+  in
+  let rec ordinal j = function
+    | (n, _) :: rest -> if String.equal n name then j else ordinal (j + 1) rest
+    | [] -> assert false
+  in
+  match literal_int i with
+  | Some n when n >= 0 ->
+    top := max !top n;
+    Cidx (name ^ "_d", int_lit (string_of_int n))
+  | Some _ | None ->
+    Cidx
+      ( name ^ "_d",
+        Cat (typed st cenv Cint i, name ^ "_n", status st_array (ordinal 0 st.arrays)) )
 
 (* The local a ref names, for ! and :=. *)
 and reference st cenv r =
@@ -1289,6 +1425,16 @@ and access st cenv a i =
     | _ -> None
   in
   let ident e = match e.pexp_desc with Pexp_ident { txt = Lident v; _ } -> Some v | _ -> None in
+  (* The C index of a for loop with literal bounds inside [0, n) that [e]
+     names. *)
+  let within cenv e n =
+    match Option.bind (ident e) (fun v -> List.assoc_opt v cenv.locals) with
+    | Some (Local (c, _)) -> (
+      match Hashtbl.find_opt st.ranges c with
+      | Some (lo, hi) when lo >= 0 && hi < n -> Some c
+      | Some _ | None -> None)
+    | Some (Fn _) | None -> None
+  in
   let table k p =
     Hashtbl.replace st.tables k ();
     Ccall
@@ -1300,6 +1446,31 @@ and access st cenv a i =
         ] )
   in
   match generated_arg a with
+  | `Data j when st.cenv0.form = Elements -> (
+    (* [d_j.(b_k + c)]: a component [c] within [0, dim) — a literal, or
+       the index of a for loop with literal bounds inside it — lies inside
+       the element whose base is [b_k], which the per-call proof and the
+       per-element target check cover; any other index is checked here,
+       against argument [k]. *)
+    let based =
+      match plus i with
+      | Some (b, c) -> (
+        match Option.bind (ident b) base_arg with Some k -> Some (k, c) | None -> None)
+      | None -> None
+    in
+    let d = Printf.sprintf "kernel_d%d" j in
+    match based with
+    | Some (k, c) -> (
+      let proved =
+        match lit c with
+        | Some n -> Some (int_lit (string_of_int n))
+        | None -> Option.map (fun v -> Cl v) (within cenv c (dim_of st.cenv0 k))
+      in
+      match proved with
+      | Some c -> Cidx (d, Cbin ("+", Cl (c_gen (base k)), c))
+      | None ->
+        Cidx (d, Cat (typed st cenv Cint i, Printf.sprintf "kernel_n%d" j, status st_component k)))
+    | None -> cfail st ~loc "the native walker does not index %s this way" a)
   | `Data k -> (
     let label, stencil, dim = grid st.cenv0 k in
     let centre = index label in
@@ -1346,10 +1517,12 @@ and access st cenv a i =
     in
     Cidx (Printf.sprintf "kernel_d%d" k, at))
   | `Buffer k -> (
-    let len = match st.cenv0.sg.(k) with Sgbl { len; _ } -> len | _ -> 0 in
-    match lit i with
-    | Some c when c >= 0 && c < len ->
+    let len = dim_of st.cenv0 k in
+    let looped = if st.cenv0.form = Elements then within cenv i len else None in
+    match (lit i, looped) with
+    | Some c, _ when c >= 0 && c < len ->
       Cidx (Printf.sprintf "kernel_z%d" k, int_lit (string_of_int c))
+    | _, Some v -> Cidx (Printf.sprintf "kernel_z%d" k, Cl v)
     | _ ->
       Cidx
         ( Printf.sprintf "kernel_z%d" k,
@@ -1363,6 +1536,7 @@ let c_type st ~loc what t =
   | Cfloat -> "double"
   | Cint -> "intnat"
   | Cbool -> "int"
+  | Cfarr -> "value"
   | Cref _ -> cfail st ~loc "%s holds a ref" what
   | Cv _ -> cfail st ~loc "the native walker cannot tell the type of %s" what
 
@@ -1544,20 +1718,97 @@ AM_INLINE int am_table_outside(intnat lo, intnat hi, value t, intnat n)
 }
 |}
 
+(* The constants [st] collected, each with its C type: a float, an int or
+   a float array, never a bool. *)
+let c_consts st =
+  List.map
+    (fun (c, lid, t) ->
+      let what = "the constant " ^ flat lid in
+      match c_type st ~loc:Location.none what t with
+      | "int" -> cfail st ~loc:Location.none "%s is a bool; pass it as a float or an int" what
+      | t -> (c, lid, t))
+    st.consts
+
+(* What the wrapper passes back to the walker from C: the constants' OCaml
+   paths and C types, and the float arrays' names in status order. *)
+let passed st consts =
+  ( List.map (fun (_, lid, t) -> (lid, t)) consts,
+    List.map
+      (fun (name, _) ->
+        let _, lid, _ = List.find (fun (c, _, _) -> String.equal c name) consts in
+        flat lid)
+      st.arrays )
+
+(* How the bytecode entry point converts a constant of C type [t]. *)
+let of_value t = match t with "double" -> "Double_val" | "value" -> "" | _ -> "Long_val"
+
+(* Each float array constant's data and length, and the proof of the
+   literal indices the body reads. *)
+let print_arrays st b =
+  let p fmt = Printf.bprintf b fmt in
+  List.iteri
+    (fun o (name, top) ->
+      p "  const double *%s_d = (const double *) %s;\n" name name;
+      p "  intnat %s_n = Wosize_val(%s) / Double_wosize;\n" name name;
+      if !top >= 0 then p "  if (%s_n <= %d) return %d;\n" name !top (status st_array o))
+    st.arrays
+
+(* What a file of native walkers adds to [c_prelude] when it holds an
+   element walker: an address's dataset array and map table, and the
+   per-call proof that a table covers a range. *)
+let c_elem_prelude =
+  {|
+/* Native element walkers, generated by lib/ppx_kernel from let%elem_kernel
+   bodies: do not edit. */
+
+/* Field [f] of address [k]: its dataset array (0) or map table (1). */
+#define AM_ADDR(addrs, k, f) Field(Field((addrs), (k)), (f))
+
+AM_INLINE intnat am_doubles(value a)
+{
+  return Wosize_val(a) / Double_wosize;
+}
+
+AM_INLINE double *am_adata(value addrs, intnat k)
+{
+  return (double *) AM_ADDR(addrs, k, 0);
+}
+
+AM_INLINE intnat am_alength(value addrs, intnat k)
+{
+  return am_doubles(AM_ADDR(addrs, k, 0));
+}
+
+AM_INLINE const value *am_amap(value addrs, intnat k)
+{
+  return (const value *) Op_val(AM_ADDR(addrs, k, 1));
+}
+
+AM_INLINE intnat am_amap_length(value addrs, intnat k)
+{
+  return Wosize_val(AM_ADDR(addrs, k, 1));
+}
+
+/* Whether [n] entries fall short of [hi] rows of [width]. */
+AM_INLINE int am_short(intnat n, intnat hi, intnat width)
+{
+  intnat need;
+  return __builtin_mul_overflow(hi, width, &need) || need > n;
+}
+|}
+
+(* The prelude of a file of native walkers [walkers] ([walkers_c]'s
+   output): [c_prelude], and [c_elem_prelude] when some walker is an
+   element walker. *)
+let prelude_of walkers =
+  let elements (symbol, _) = String.length symbol > 9 && String.sub symbol 0 9 = "am_elems_" in
+  if List.exists elements walkers then c_prelude ^ c_elem_prelude else c_prelude
+
 (* The C native walker [symbol] of one signature, from the rewritten
-   [body]: its text and the constants the wrapper passes, in order. *)
+   [body]: its text, the constants the wrapper passes, in order, and the
+   names of the float arrays among them. *)
 let native_walker ~scope ~symbol env body =
-  let st =
-    {
-      ckname = env.kname;
-      cenv0 = env;
-      kscope = scope;
-      fresh = 0;
-      consts = [];
-      reach = Hashtbl.create 8;
-      tables = Hashtbl.create 2;
-    }
-  in
+  let st = new_state ~scope env in
   let stmts = sm st { locals = []; scope } body in
   let { datasets; globals; firsts; offsets } = layout env in
   let sg = env.sg in
@@ -1566,15 +1817,7 @@ let native_walker ~scope ~symbol env body =
   let grid = grid env in
   let label k = let l, _, _ = grid k in l in
   let dim_of k = let _, _, d = grid k in d in
-  let consts =
-    List.map
-      (fun (c, lid, t) ->
-        let what = "the constant " ^ flat lid in
-        match c_type st ~loc:Location.none what t with
-        | "int" -> cfail st ~loc:Location.none "%s is a bool; pass it as a float or an int" what
-        | t -> (c, lid, t))
-      st.consts
-  in
+  let consts = c_consts st in
   p "intnat %s(value am_places, intnat am_xlo, intnat am_xhi, intnat am_ylo,\n" symbol;
   p "  intnat am_yhi,";
   p " intnat am_zlo, intnat am_zhi%s)\n{\n"
@@ -1634,6 +1877,7 @@ let native_walker ~scope ~symbol env body =
               k c k c)
           (List.sort compare (Hashtbl.find env.uses k).points))
     globals;
+  print_arrays st b;
   let per name value ind =
     List.iter
       (fun j ->
@@ -1675,12 +1919,130 @@ let native_walker ~scope ~symbol env body =
   p "    Long_val(argv[4]), Long_val(argv[5]), Long_val(argv[6])%s));\n}\n"
     (String.concat ""
        (List.mapi
-          (fun i (_, _, t) ->
-            Printf.sprintf ", %s(argv[%d])"
-              (if t = "double" then "Double_val" else "Long_val")
-              (i + 7))
+          (fun i (_, _, t) -> Printf.sprintf ", %s(argv[%d])" (of_value t) (i + 7))
           consts));
-  (Buffer.contents b, List.map (fun (_, lid, t) -> (lid, t)) consts)
+  (Buffer.contents b, passed st consts)
+
+(* The C native element walker [symbol] of one signature, from the
+   rewritten [body], as [native_walker]: the per-call proof, then per
+   element each (map label, slot) target loaded once and checked against
+   [am_c<t>], the smallest element count among the datasets it reaches,
+   the bases, the [Inc]s started at zero, the body and the [Inc]s added
+   back, in argument order and then component order, as [elems_form]
+   does. *)
+let native_elems ~scope ~symbol env body =
+  let st = new_state ~scope env in
+  let stmts = sm st { locals = []; scope } body in
+  let { incs; based; targets; dats; maps; buffers; gbl_locals; inc_locals } = elem_layout env in
+  let sg = env.sg and n = Array.length env.sg in
+  let dim = dim_of env and points = points env in
+  let dat k = first sg same_dataset k in
+  let b = Buffer.create 4096 in
+  let p fmt = Printf.bprintf b fmt in
+  let consts = c_consts st in
+  p "intnat %s(value am_walk, intnat am_lo, intnat am_hi%s)\n{\n" symbol
+    (String.concat "" (List.map (fun (c, _, t) -> Printf.sprintf ", %s %s" t c) consts));
+  p "  if (am_lo >= am_hi) return 0;\n";
+  p "  value am_addrs = Field(am_walk, 0), am_bufs = Field(am_walk, 1);\n";
+  p "  if (Wosize_val(am_addrs) != %d || Wosize_val(am_bufs) != %d) return %d;\n" n n
+    (status st_walk 0);
+  p "  if (am_lo < 0) return %d;\n" (status st_lo 0);
+  List.iter
+    (fun j ->
+      p "  double *kernel_d%d = am_adata(am_addrs, %d);\n" j j;
+      p "  intnat kernel_n%d = am_alength(am_addrs, %d);\n" j j)
+    dats;
+  let direct = List.filter_map (fun k -> if via env k = None then Some (dat k) else None) based in
+  List.iter
+    (fun j ->
+      p "  if (am_short(kernel_n%d, am_hi, %d)) return %d;\n" j (dim j) (status st_dataset j))
+    (List.sort_uniq compare direct);
+  List.iter
+    (fun j ->
+      let _, arity, _ = Option.get (via env j) in
+      p "  const value *kernel_m%d = am_amap(am_addrs, %d);\n" j j;
+      p "  if (am_short(am_amap_length(am_addrs, %d), am_hi, %d)) return %d;\n" j arity
+        (status st_map j))
+    maps;
+  List.iter
+    (fun t ->
+      let reached =
+        List.sort_uniq compare
+          (List.filter_map
+             (fun k ->
+               if via env k <> None && first sg same_target k = t then Some (dat k) else None)
+             based)
+      in
+      let count j = Printf.sprintf "kernel_n%d / %d" j (dim j) in
+      p "  intnat am_c%d = %s;\n" t (count (List.hd reached));
+      List.iter
+        (fun j -> p "  if (%s < am_c%d) am_c%d = %s;\n" (count j) t t (count j))
+        (List.tl reached))
+    targets;
+  List.iter
+    (fun k ->
+      p "  double *kernel_z%d = (double *) Field(am_bufs, %d);\n" k k;
+      p "  intnat kernel_nz%d = am_doubles(Field(am_bufs, %d));\n" k k;
+      p "  if (kernel_nz%d < %d) return %d;\n" k (dim k)
+        (status (if is_dat env k then st_scratch else st_global) k))
+    buffers;
+  List.iter (fun (k, c) -> p "  double kernel_u%d_%d = kernel_z%d[%d];\n" k c k c) gbl_locals;
+  print_arrays st b;
+  p "  for (intnat kernel_e = am_lo; kernel_e < am_hi; kernel_e++) {\n";
+  List.iter
+    (fun t ->
+      let _, arity, slot = Option.get (via env t) in
+      let row = if arity = 1 then "kernel_e" else Printf.sprintf "kernel_e * %d" arity in
+      let i = if slot = 0 then row else Printf.sprintf "%s + %d" row slot in
+      p "    const intnat kernel_t%d = Long_val(kernel_m%d[%s]);\n" t (first sg same_map t) i;
+      p "    if ((uintnat) kernel_t%d >= (uintnat) am_c%d) return %d;\n" t t (status st_target t))
+    targets;
+  List.iter
+    (fun k ->
+      let at =
+        if via env k = None then "kernel_e"
+        else Printf.sprintf "kernel_t%d" (first sg same_target k)
+      in
+      p "    const intnat kernel_b%d = %s * %d;\n" k at (dim k))
+    based;
+  List.iter (fun (k, c) -> p "    double kernel_u%d_%d = 0.0;\n" k c) inc_locals;
+  List.iter
+    (fun k ->
+      if env.routes.(k) = Buffer then
+        for c = 0 to dim k - 1 do
+          p "    kernel_z%d[%d] = 0.0;\n" k c
+        done)
+    incs;
+  List.iter (pr_st st b ~ind:"    ") stmts;
+  List.iter
+    (fun k ->
+      let d = dat k in
+      for c = 0 to dim k - 1 do
+        let v =
+          if env.routes.(k) = Buffer then Printf.sprintf "kernel_z%d[%d]" k c
+          else if List.mem c (points k) then Printf.sprintf "kernel_u%d_%d" k c
+          else "0.0"
+        in
+        p "    kernel_d%d[kernel_b%d + %d] = kernel_d%d[kernel_b%d + %d] + %s;\n" d k c d k c v
+      done)
+    incs;
+  p "  }\n";
+  List.iter (fun (k, c) -> p "  kernel_z%d[%d] = kernel_u%d_%d;\n" k c k c) gbl_locals;
+  p "  return 0;\n}\n\n";
+  (* The bytecode entry point: the same walker on tagged and boxed
+     arguments, taken one by one up to five, from an array beyond. *)
+  let arity = 3 + List.length consts in
+  let arg i = if arity <= 5 then Printf.sprintf "a%d" i else Printf.sprintf "argv[%d]" i in
+  if arity <= 5 then
+    p "value %s_byte(%s)\n{\n" symbol
+      (String.concat ", " (List.init arity (fun i -> Printf.sprintf "value a%d" i)))
+  else p "value %s_byte(value *argv, int argn)\n{\n  (void) argn;\n" symbol;
+  p "  return Val_long(%s(%s, Long_val(%s), Long_val(%s)%s));\n}\n" symbol (arg 0) (arg 1) (arg 2)
+    (String.concat ""
+       (List.mapi
+          (fun i (_, _, t) -> Printf.sprintf ", %s(%s)" (of_value t) (arg (i + 3)))
+          consts));
+  (Buffer.contents b, passed st consts)
 
 (* The name of a kernel file's walkers: its base name without extension,
    as the generator and the rewriter both see it. *)
@@ -1692,19 +2054,29 @@ let unit_name str =
     if f = "" || f = "." then "none" else c_ident f
 
 let symbol ~unit kname v = Printf.sprintf "am_walk_%s_%s_%d" unit (c_ident kname) v
+let elem_symbol ~unit kname = Printf.sprintf "am_elems_%s_%s" unit (c_ident kname)
 
 (* The OCaml side of a native walker: an [external] on [symbol], untagged
    and unboxed, that allocates nothing, and a wrapper that passes the
-   constants and raises on a failed check. *)
-let range_native ~loc ~kname ~symbol consts =
+   constants and raises on a failed check, naming the kernel and the
+   argument or float array. *)
+let native_wrapper ~loc ~form ~kname ~symbol (consts, arrays) =
   let open Ast_builder.Default in
   let attr name = attribute ~loc ~name:{ txt = name; loc } ~payload:(PStr []) in
   let untagged = { [%type: int] with ptyp_attributes = [ attr "untagged" ] } in
   let unboxed = { [%type: float] with ptyp_attributes = [ attr "unboxed" ] } in
+  let fixed, first, ints =
+    match form with
+    | Ranges ->
+      ( "__kernel_p",
+        [%type: Am_core.Acc.place array],
+        [ "__kernel_xlo"; "__kernel_xhi"; "__kernel_ylo"; "__kernel_yhi"; "__kernel_zlo";
+          "__kernel_zhi" ] )
+    | Elements -> ("__kernel_w", [%type: Am_core.Acc.walk], [ "__kernel_lo"; "__kernel_hi" ])
+  in
+  let const = function "double" -> unboxed | "value" -> [%type: float array] | _ -> untagged in
   let params =
-    [%type: Am_core.Acc.place array]
-    :: List.init 6 (fun _ -> untagged)
-    @ List.map (fun (_, t) -> if t = "double" then unboxed else untagged) consts
+    (first :: List.map (fun _ -> untagged) ints) @ List.map (fun (_, t) -> const t) consts
   in
   let ty = List.fold_right (fun a r -> ptyp_arrow ~loc Nolabel a r) params untagged in
   let prim =
@@ -1722,19 +2094,35 @@ let range_native ~loc ~kname ~symbol consts =
     pexp_apply ~loc [%expr Kernel_native__.walk]
       (List.map
          (fun e -> (Nolabel, e))
-         ([ [%expr __kernel_p]; [%expr __kernel_xlo]; [%expr __kernel_xhi]; [%expr __kernel_ylo];
-            [%expr __kernel_yhi]; [%expr __kernel_zlo]; [%expr __kernel_zhi] ]
+         (List.map (evar ~loc) (fixed :: ints)
          @ List.map (fun (lid, _) -> pexp_ident ~loc { txt = lid; loc }) consts))
+  in
+  let check =
+    [%expr
+      let __kernel_s = [%e call] in
+      if Stdlib.( <> ) __kernel_s 0 then
+        Am_core.Acc.native_failure
+          [%e estring ~loc (match form with Ranges -> "range" | Elements -> "element")]
+          [%e estring ~loc kname]
+          [%e elist ~loc (List.map (estring ~loc) arrays)]
+          __kernel_s]
+  in
+  let walker =
+    match form with
+    | Ranges ->
+      [%expr
+        fun (__kernel_p : Am_core.Acc.place array) (__kernel_xlo : int) (__kernel_xhi : int)
+            (__kernel_ylo : int) (__kernel_yhi : int) (__kernel_zlo : int) (__kernel_zhi : int) ->
+          [%e check]]
+    | Elements ->
+      [%expr
+        fun (__kernel_w : Am_core.Acc.walk) (__kernel_lo : int) (__kernel_hi : int) -> [%e check]]
   in
   [%expr
     let module Kernel_native__ = struct
       [%%i prim]
     end in
-    fun (__kernel_p : Am_core.Acc.place array) (__kernel_xlo : int) (__kernel_xhi : int)
-        (__kernel_ylo : int) (__kernel_yhi : int) (__kernel_zlo : int) (__kernel_zhi : int) ->
-      let __kernel_s = [%e call] in
-      if Stdlib.( <> ) __kernel_s 0 then
-        Am_core.Acc.native_failure [%e estring ~loc kname] __kernel_s]
+    [%e walker]]
 
 (* The signature as a value, [Am_core.Acc.arg_sig array] or
    [Am_core.Acc.grid_sig array]. *)
@@ -2067,13 +2455,13 @@ let expand_binding form ~loc ~scope ~unit ~emit vb =
     let walker v sg =
       let env, body = rewritten sg in
       let symbol = symbol ~unit kname v in
-      let c, consts = native_walker ~scope ~symbol env body in
+      let c, passed = native_walker ~scope ~symbol env body in
       emit symbol c;
       [%expr
         {
           Am_core.Acc.kname = [%e estring kname];
           signature = [%e signature_expr Ranges ~loc sg];
-          range = [%e range_native ~loc ~kname ~symbol consts];
+          range = [%e native_wrapper ~loc ~form ~kname ~symbol passed];
           reference = [%e range_form ~loc env body];
         }]
     in
@@ -2090,6 +2478,9 @@ let expand_binding form ~loc ~scope ~unit ~emit vb =
   | Elements ->
     let sg = parse_signature ~kname vb in
     let env, body = rewritten sg in
+    let symbol = elem_symbol ~unit kname in
+    let c, passed = native_elems ~scope ~symbol env body in
+    emit symbol c;
     let value =
       [%expr
         {
@@ -2099,7 +2490,8 @@ let expand_binding form ~loc ~scope ~unit ~emit vb =
               {
                 Am_core.Acc.kname = [%e estring kname];
                 signature = [%e signature_expr Elements ~loc sg];
-                elems = [%e elems_form ~loc env body];
+                elems = [%e native_wrapper ~loc ~form ~kname ~symbol passed];
+                reference = [%e elems_form ~loc env body];
               };
         }]
     in

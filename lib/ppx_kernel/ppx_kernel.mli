@@ -7,10 +7,12 @@
     function, for tests. *)
 val rewrite_structure : Ppxlib.structure -> Ppxlib.structure
 
-(** The C every file of native range walkers starts with. *)
-val c_prelude : string
+(** The C a file of native walkers starts with, given its walkers: the
+    helpers every file needs, and the element walkers' when it holds
+    one. *)
+val prelude_of : (string * string) list -> string
 
-(** The native range walkers of a structure's [let%kernel]s, in source
-    order: each walker's C symbol and function, raising as
-    [rewrite_structure] does. *)
+(** The native walkers of a structure's [let%kernel]s (one per signature)
+    and [let%elem_kernel]s, in source order: each walker's C symbol and
+    function, raising as [rewrite_structure] does. *)
 val walkers_c : Ppxlib.structure -> (string * string) list

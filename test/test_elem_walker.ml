@@ -1,4 +1,5 @@
-(* Generated element walkers ([let%elem_kernel]) against the point walker.
+(* Generated element walkers ([let%elem_kernel]): native, OCaml reference
+   and point form.
 
    A seeded corpus of OP2 loops draws each loop's shape from a set of
    declared corpus kernels: every access mode on direct, indirect and
@@ -8,20 +9,27 @@
    data: sets of 0, 1 and n elements, the map tables, which datasets the
    labels name (two labels may name one dataset: aliasing, or an in-place
    [Read] of a dataset another argument increments), a SoA dataset, and
-   values with -0.0 among them.  Each loop runs twice from the same data:
-   through [Op2.par_loop_acc] on Seq, where the kernel's generated element
-   walker runs whenever every dataset argument is in place or a staged AoS
-   Inc, and through the point walker ([Exec_common.run_element] per
-   element).  Every dataset and global must agree to the bit, and the
-   element walker must have run exactly when the dispatch rule allows it.
-   A failure prints the case and its replay seed (AM_SEED).
+   values with -0.0 among them.  Each loop runs four ways from the same
+   data: through [Op2.par_loop_acc] on Seq with the kernel, whose native
+   element walker (its body compiled to C) runs whenever every dataset
+   argument is in place or a staged AoS Inc, and with its OCaml reference
+   walker ([Op2.Acc.reference]); element by element on the kernel's own
+   frame ([Exec_common.run_element], which calls the native walker as
+   [elems w e (e + 1)] on a walker frame); and through the point form
+   alone ([Op2.Acc.lift]).  Every dataset and global must agree to the bit,
+   and the element walker must have run exactly when the dispatch rule
+   allows it.  A failure prints the case and its replay seed (AM_SEED).
 
    Two fixed cases pin the Inc staging: a staged Inc the body never
    writes, or never names, still adds its zero, so a -0.0 target comes out
    +0.0 under both walkers.  Global [Inc]/[Min]/[Max] reductions on both
-   routes run on Shared, conflict-free and coloured, against Seq.  A call
-   whose arguments differ from the kernel's declared signature in one fact
-   is refused, by name, before any element runs, on every backend. *)
+   routes run on Shared, conflict-free and coloured, against Seq, and an
+   Inc global with heavy cancellation repeats its bits on Shared.  The
+   native walker proves its arrays before it runs: a walk no loop would
+   build raises [Invalid_argument] naming the kernel and the argument, as
+   the OCaml reference raises.  A call whose arguments differ from the
+   kernel's declared signature in one fact is refused, by name, before any
+   element runs, on every backend. *)
 
 module Op2 = Am_op2.Op2
 module Acc = Op2.Acc
@@ -317,14 +325,20 @@ let build c =
 
 let bits a = Array.map Int64.bits_of_float a
 
-(* The point walker over every element, as Seq ran before element walkers. *)
-let point_walker ~set_size args kernel =
+(* Every element on its own, on [kernel]'s frame for [args]: a walker
+   frame calls the element walker as [elems w e (e + 1)], a staging frame
+   (a lifted point form, or arguments not in place) the point walker. *)
+let element_by_element ~set_size args kernel =
   let compiled = Exec_common.compile args in
   let frame = Exec_common.make_frame compiled (Exec_common.Accessor kernel) args in
   for e = 0 to set_size - 1 do
     Exec_common.run_element frame e
   done;
   if Exec_common.has_globals compiled then Exec_common.merge_globals args frame.Exec_common.bufs
+
+(* The point form over every element, staged. *)
+let point_walker ~set_size args (kernel : Acc.kernel) =
+  element_by_element ~set_size args (Acc.lift kernel.Acc.elem)
 
 let state ctx dats gbls = List.map (fun d -> bits (Op2.fetch ctx d)) dats @ List.map bits gbls
 
@@ -344,18 +358,35 @@ let counted calls (k : Acc.kernel) =
         };
   }
 
-(* Run [c] both ways; returns whether the element walker ran over a
+(* Run [c] four ways; returns whether the element walker ran over a
    non-empty set. *)
 let run_case c =
-  let calls = Atomic.make 0 in
+  let calls = Atomic.make 0 and reference_calls = Atomic.make 0 in
   let ctx, iter, args, dats, gbls = build c in
   let elementwise = (Exec_common.compile args).Exec_common.elementwise in
   Op2.par_loop_acc ctx ~name:"corpus" iter args (counted calls c.kernel);
-  let ctx', _, args', dats', gbls' = build c in
-  point_walker ~set_size:c.n args' c.kernel;
-  if state ctx dats gbls <> state ctx' dats' gbls' then
-    Qcheck_util.failf_seed Qcheck_util.base_seed "element walker differs from the point walker: %s"
-      (show c);
+  let native = state ctx dats gbls in
+  let run_other form run =
+    let ctx, iter, args, dats, gbls = build c in
+    (match run ctx iter args with
+    | () -> ()
+    | exception e ->
+      Qcheck_util.failf_seed Qcheck_util.base_seed "the %s raised %s: %s" form
+        (Printexc.to_string e) (show c));
+    if state ctx dats gbls <> native then
+      Qcheck_util.failf_seed Qcheck_util.base_seed "the native walker differs from the %s: %s"
+        form (show c)
+  in
+  run_other "reference walker" (fun ctx iter args ->
+      Op2.par_loop_acc ctx ~name:"corpus" iter args
+        (counted reference_calls (Acc.reference c.kernel)));
+  run_other "one-element calls" (fun _ _ args ->
+      element_by_element ~set_size:c.n args c.kernel);
+  run_other "point form" (fun _ _ args -> point_walker ~set_size:c.n args c.kernel);
+  if Atomic.get calls <> Atomic.get reference_calls then
+    Qcheck_util.failf_seed Qcheck_util.base_seed
+      "the native walker ran %d times, the reference walker %d: %s" (Atomic.get calls)
+      (Atomic.get reference_calls) (show c);
   let ran = Atomic.get calls > 0 in
   if ran <> elementwise then
     Qcheck_util.failf_seed Qcheck_util.base_seed "element walker %s where the rule says %s: %s"
@@ -560,6 +591,196 @@ let test_shared_globals () =
             (List.combine modes (List.combine gbls gbls')))
         [ globals; literal_globals; coloured_globals ])
 
+(* An Inc global summing values with heavy cancellation, beside an
+   indirect Inc in [sum_coloured], which Shared runs by coloured blocks:
+   every cut of the sum rounds differently. *)
+let%elem_kernel sum_direct (a : Acc.t array) = set a.(1) 0 (get a.(1) 0 +. get a.(0) 0)
+[@@args v 1 Read, gbl 1 Inc]
+
+let%elem_kernel sum_coloured (a : Acc.t array) =
+  set a.(1) 0 (get a.(1) 0 +. get a.(0) 0);
+  set a.(2) 0 (get a.(2) 0 +. get a.(0) 0)
+[@@args v 1 Read, w (m 1 0) 1 Inc, gbl 1 Inc]
+
+(* Thirty runs of each on a 2-domain pool, from the same data, print one
+   bit pattern: each chunk or block reduces into its own partial and the
+   partials merge in index order, whichever worker ran them. *)
+let test_shared_repeats () =
+  let n = 20_000 and m = 400 in
+  let value i =
+    match (i * 7919) mod 5 with
+    | 0 -> 1e16
+    | 1 -> -1e16
+    | 2 -> Float.of_int (i mod 13) /. 7.0
+    | 3 -> 3e15
+    | _ -> -3e15 -. 0.5
+  in
+  Pool.with_pool ~size:2 (fun pool ->
+      List.iter
+        (fun kernel ->
+          let name = (walker kernel).Acc.kname in
+          let run () =
+            let ctx = Op2.create ~backend:(Op2.Shared { pool; block_size = 64 }) () in
+            let iter = Op2.decl_set ctx ~name:"iter" ~size:n in
+            let target = Op2.decl_set ctx ~name:"target" ~size:m in
+            let v = Op2.decl_dat ctx ~name:"v" ~set:iter ~dim:1 ~data:(Array.init n value) in
+            let map =
+              Op2.decl_map ctx ~name:"m" ~from_set:iter ~to_set:target ~arity:1
+                ~values:(Array.init n (fun i -> i * m / n))
+            in
+            let w = Op2.decl_dat_zero ctx ~name:"w" ~set:target ~dim:1 in
+            let sum = [| 0.0 |] in
+            let g = Op2.arg_gbl ~name:"sum" sum Access.Inc in
+            let args =
+              if kernel == sum_direct then [ Op2.arg_dat v Access.Read; g ]
+              else [ Op2.arg_dat v Access.Read; Op2.arg_dat_indirect w map 0 Access.Inc; g ]
+            in
+            Op2.par_loop_acc ctx ~name iter args kernel;
+            Int64.bits_of_float sum.(0)
+          in
+          let first = run () in
+          for r = 2 to 30 do
+            let b = run () in
+            if b <> first then
+              Alcotest.failf "%s: run %d summed %h, run 1 %h" name r (Int64.float_of_bits b)
+                (Int64.float_of_bits first)
+          done)
+        [ sum_direct; sum_coloured ])
+
+(* ---- Native walkers prove their arrays before they run --------------------- *)
+
+(* A computed component that leaves the dataset on its last elements. *)
+let%elem_kernel reach_out (a : Acc.t array) =
+  let c = if get a.(0) 0 > 0.0 then 0 else 5 in
+  set a.(1) 0 (get a.(0) c)
+[@@args p 2 Read, o 1 Write]
+
+(* Call a native element walker directly with a walk no loop would build:
+   each must raise [Invalid_argument] naming the kernel and, but for the
+   walk's own length, the argument, where the OCaml reference raises too,
+   and the process lives on.  A check the per-call proof makes writes
+   nothing first.  Then a loop whose map entry was moved outside its
+   target set after declaration ([map_t.values] is exposed) raises through
+   [Op2.par_loop_acc] on both walkers. *)
+let test_native_safety () =
+  let n = 6 and m = 4 in
+  let addr ?(map = [||]) data = { Acc.adata = data; amap = map } in
+  let none = addr [||] in
+  let floats k = Array.init k (fun i -> Float.of_int (i + 1)) in
+  (* [indirect]: p (m 2 1) 4 Read, w (m 2 0) 1 Write, r (m 2 1) 2 Rw,
+     i (m 2 0) 4 Inc, over [n] elements and [m] targets. *)
+  let indirect_walk ?(map = Array.init (2 * n) (fun i -> i mod m)) ?(p = floats (4 * m)) () =
+    {
+      Acc.addrs = [| addr ~map p; addr ~map (floats m); addr ~map (floats (2 * m));
+                     addr ~map (floats (4 * m)) |];
+      bufs = [| [||]; [||]; [||]; Array.make 4 0.0 |];
+    }
+  in
+  (* [direct]: p 1 Read, w 2 Write, r 4 Rw, i 2 Inc (computed components:
+     the scratch). *)
+  let direct_walk ?(p = floats n) ?(scratch = Array.make 2 0.0) () =
+    {
+      Acc.addrs = [| addr p; addr (floats (2 * n)); addr (floats (4 * n)); addr (floats (2 * n)) |];
+      bufs = [| [||]; [||]; [||]; scratch |];
+    }
+  in
+  (* [globals]: p 2 Read, gbl 2 Read, gbl 1 Inc, gbl 4 Min, gbl 2 Max. *)
+  let globals_walk ?(g = [| 0.5; 2.0 |]) () =
+    {
+      Acc.addrs = [| addr (floats (2 * n)); none; none; none; none |];
+      bufs = [| [||]; g; [| 0.0 |]; Array.make 4 9.0; Array.make 2 (-9.0) |];
+    }
+  in
+  let snapshot (w : Acc.walk) =
+    Array.map (fun a -> bits a.Acc.adata) w.Acc.addrs
+  in
+  let raises what kernel ~fresh ~arg ~says ~untouched =
+    let g = walker kernel in
+    (match g.Acc.reference (fresh ()) 0 n with
+    | () -> Alcotest.failf "%s: the OCaml reference ran" what
+    | exception Invalid_argument _ -> ());
+    let w = fresh () in
+    let before = snapshot w in
+    (match g.Acc.elems w 0 n with
+    | () -> Alcotest.failf "%s: the native walker ran" what
+    | exception Invalid_argument msg ->
+      List.iter
+        (fun sub ->
+          if not (Str_contains.contains msg sub) then
+            Alcotest.failf "%s: %S does not say %S" what msg sub)
+        ([ "native element walker " ^ g.Acc.kname; says ]
+        @ match arg with Some k -> [ Printf.sprintf "argument %d:" k ] | None -> []));
+    if untouched && snapshot w <> before then
+      Alcotest.failf "%s: the native walker wrote before its check" what
+  in
+  (* The walks the loops would build run, and native equals reference. *)
+  List.iter
+    (fun (kernel, fresh) ->
+      let g = walker kernel in
+      let a = fresh () and b = fresh () in
+      g.Acc.elems a 0 n;
+      g.Acc.reference b 0 n;
+      if snapshot a <> snapshot b || Array.map bits a.Acc.bufs <> Array.map bits b.Acc.bufs then
+        Alcotest.failf "%s: native and reference differ on a good walk" g.Acc.kname)
+    [ (indirect, fun () -> indirect_walk ()); (direct, fun () -> direct_walk ());
+      (globals, fun () -> globals_walk ()) ];
+  raises "short addrs" indirect ~arg:None ~untouched:true
+    ~says:"the walk does not hold one address and one buffer per declared argument"
+    ~fresh:(fun () ->
+      let w = indirect_walk () in
+      { w with Acc.addrs = Array.sub w.Acc.addrs 0 3 });
+  raises "short direct dataset" direct ~arg:(Some 0) ~untouched:true
+    ~says:"the dataset's array is shorter than the range needs"
+    ~fresh:(fun () -> direct_walk ~p:(floats (n - 1)) ());
+  raises "short map table" indirect ~arg:(Some 0) ~untouched:true
+    ~says:"the map table is shorter than the range needs"
+    ~fresh:(fun () -> indirect_walk ~map:(Array.init ((2 * n) - 1) (fun i -> i mod m)) ());
+  raises "map entry outside" indirect ~arg:(Some 0) ~untouched:false
+    ~says:"a map entry is outside a dataset"
+    ~fresh:(fun () ->
+      indirect_walk ~map:(Array.init (2 * n) (fun i -> if i = 7 then m else i mod m)) ());
+  raises "short Inc scratch" direct ~arg:(Some 3) ~untouched:true
+    ~says:"the Inc scratch buffer is shorter than the argument's dim"
+    ~fresh:(fun () -> direct_walk ~scratch:[| 0.0 |] ());
+  raises "short global" globals ~arg:(Some 1) ~untouched:true
+    ~says:"the global's buffer is shorter than its declared length"
+    ~fresh:(fun () -> globals_walk ~g:[| 0.5 |] ());
+  raises "computed component" reach_out ~arg:(Some 0) ~untouched:false
+    ~says:"a computed component is outside the argument's array"
+    ~fresh:(fun () ->
+      {
+        Acc.addrs = [| addr (Array.make (2 * n) (-1.0)); addr (floats n) |];
+        bufs = [| [||]; [||] |];
+      });
+  (* A map entry moved outside its target set after declaration. *)
+  let run kernel =
+    let ctx = Op2.create () in
+    let iter = Op2.decl_set ctx ~name:"iter" ~size:n in
+    let target = Op2.decl_set ctx ~name:"target" ~size:m in
+    let map =
+      Op2.decl_map ctx ~name:"m" ~from_set:iter ~to_set:target ~arity:2
+        ~values:(Array.init (2 * n) (fun i -> i mod m))
+    in
+    let dat dim = Op2.decl_dat ctx ~name:"d" ~set:target ~dim ~data:(floats (dim * m)) in
+    map.Am_op2.Types.values.(9) <- m + 2;
+    Op2.par_loop_acc ctx ~name:"moved" iter
+      [
+        Op2.arg_dat_indirect (dat 4) map 1 Access.Read;
+        Op2.arg_dat_indirect (dat 1) map 0 Access.Write;
+        Op2.arg_dat_indirect (dat 2) map 1 Access.Rw;
+        Op2.arg_dat_indirect (dat 4) map 0 Access.Inc;
+      ]
+      kernel
+  in
+  (match run (Acc.reference indirect) with
+  | () -> Alcotest.fail "moved map entry: the OCaml reference ran"
+  | exception Invalid_argument _ -> ());
+  match run indirect with
+  | () -> Alcotest.fail "moved map entry: the native walker ran"
+  | exception Invalid_argument msg ->
+    if not (Str_contains.contains msg "native element walker indirect, argument 0: a map entry")
+    then Alcotest.failf "moved map entry: %S" msg
+
 (* ---- Declared signatures: a mismatch is refused by name -------------------- *)
 
 let%elem_kernel declared (a : Acc.t array) =
@@ -686,6 +907,13 @@ let () =
           Alcotest.test_case "-0.0 under a staged Inc the body never writes" `Quick
             test_negative_zero;
           Alcotest.test_case "global Inc/Min/Max on Shared against Seq" `Quick test_shared_globals;
+          Alcotest.test_case "an Inc global repeats its bits on Shared, 30 runs" `Quick
+            test_shared_repeats;
+        ] );
+      ( "native element walker safety",
+        [
+          Alcotest.test_case "bad walks raise Invalid_argument naming the kernel and argument"
+            `Quick test_native_safety;
         ] );
       ( "declared signatures",
         [

@@ -346,6 +346,81 @@ let test_pdv_c () =
     (stored > at calc_dt "kernel_u6_0 = am_fmin(kernel_u6_0, "
     && count (String.sub calc_dt stored (String.length calc_dt - stored)) "kernel_x" = 0)
 
+(* Airfoil's native element walkers, compiled to C from
+   lib/apps_airfoil/kernels.ml by the generator's own function.  res_calc:
+   the per-call proof before the element loop (the walk's lengths, lo,
+   each map table's length), each of its four (map label, slot) targets
+   loaded once per element and checked once against the smallest element
+   count among the datasets it reaches, no check on a component, the two
+   Incs in float locals added back after the body.  update: its for loop
+   over components 0 to 3 needs no check, and the rms global lives in a
+   local stored after the loop.  bres_calc: the free stream [qinf] read by
+   literal indices proved once per call, the boundary kind through
+   [Float.to_int]. *)
+let test_airfoil_c () =
+  let path =
+    Filename.concat (Filename.dirname Sys.executable_name) "../lib/apps_airfoil/kernels.ml"
+  in
+  let lexbuf = Lexing.from_string (In_channel.with_open_text path In_channel.input_all) in
+  Lexing.set_filename lexbuf "kernels.ml";
+  let walkers = Ppx_kernel.walkers_c (Parse.implementation lexbuf) in
+  Alcotest.(check int) "five element walkers" 5 (List.length walkers);
+  let split name =
+    let c = List.assoc ("am_elems_kernels_" ^ name) walkers in
+    let n = String.length c and m = String.length "for (intnat kernel_e" in
+    let rec from i =
+      if i + m > n then Alcotest.failf "%s: no element loop" name
+      else if String.sub c i m = "for (intnat kernel_e" then i
+      else from (i + 1)
+    in
+    let loop = from 0 in
+    (String.sub c 0 loop, String.sub c loop (n - loop))
+  in
+  let checks name cases =
+    let before, inside = split name in
+    List.iter
+      (fun (what, where, sub, n) ->
+        let s = if where = `Before then before else inside in
+        Alcotest.(check int) (Printf.sprintf "%s C: %s (%S)" name what sub) n (count s sub))
+      cases
+  in
+  checks "res_calc_acc"
+    [
+      ( "the walk's lengths",
+        `Before,
+        "if (Wosize_val(am_addrs) != 8 || Wosize_val(am_bufs) != 8)",
+        1 );
+      ("lo", `Before, "if (am_lo < 0) return 9;", 1);
+      ("one table per map label", `Before, "= am_amap(am_addrs, ", 2);
+      ("each table covers the range", `Before, "if (am_short(am_amap_length(am_addrs, ", 2);
+      ("one dataset per label", `Before, "= am_adata(am_addrs, ", 4);
+      ("one map load per (map label, slot)", `Inside, "Long_val(kernel_m", 4);
+      ("edge_nodes slot 0", `Inside, "kernel_t0 = Long_val(kernel_m0[kernel_e * 2]);", 1);
+      ("edge_cells slot 1", `Inside, "kernel_t3 = Long_val(kernel_m2[kernel_e * 2 + 1]);", 1);
+      ("one check per target", `Inside, "if ((uintnat) kernel_t", 4);
+      ("q, adt and res reached by edge_cells slot 0", `Before, "if (kernel_n6 / 4 < am_c2)", 1);
+      ("no component check", `Inside, "AM_AT(", 0);
+      ("no scratch", `Inside, "kernel_z", 0);
+      ("the Incs' float locals", `Inside, " = 0.0;", 8);
+      ( "res added back",
+        `Inside,
+        "kernel_d6[kernel_b7 + 3] = kernel_d6[kernel_b7 + 3] + kernel_u7_3;",
+        1 );
+    ];
+  checks "update_acc"
+    [
+      ("the rms local", `Before, "double kernel_u4_0 = kernel_z4[0];", 1);
+      ("no component check", `Inside, "AM_AT(", 0);
+      ("components by the loop index", `Inside, "kernel_d2[(kernel_b2 + v_n_", 2);
+      ("rms stored after the loop", `Inside, "  kernel_z4[0] = kernel_u4_0;", 1);
+    ];
+  checks "bres_calc_acc"
+    [
+      ("qinf's literal indices proved", `Before, "if (k_qinf_n <= 3) return 14;", 1);
+      ("qinf read by index", `Inside, "k_qinf_d[((intnat) 3L)]", 3);
+      ("Float.to_int", `Inside, "AM_I63(((intnat) v_to_int_", 1);
+    ]
+
 (* [src] must fail to expand with an error on [line] naming the kernel
    and saying [what]. *)
 let refuses ?(ext = "kernel") ~name ~line ~what src =
@@ -460,6 +535,47 @@ let test_elem_refuses () =
   refuses ~name:"floats" ~line:1 ~what:"one parameter (a : Acc.t array)"
     {|let%elem_kernel floats (a : float array array) = set a.(0) 0 1.0
 [@@args p 1 Write]|}
+
+(* What the native element walker's vocabulary leaves out: each refusal
+   names the kernel and is located at the expression.  A helper above the
+   kernel is inlined, but an accessor passed to it is refused. *)
+let test_elem_native_refuses () =
+  let refuses = refuses ~ext:"elem_kernel" in
+  refuses ~name:"poly" ~line:3 ~what:"min is polymorphic compare; use Float.min"
+    {|let%elem_kernel poly (a : Acc.t array) =
+  let x = get a.(0) 0 in
+  set a.(1) 0 (min x 1.0)
+[@@args p 1 Read, q 1 Write]|};
+  refuses ~name:"escape" ~line:3 ~what:"the ref r escapes"
+    {|let%elem_kernel escape (a : Acc.t array) =
+  let r = ref (get a.(0) 0) in
+  let s = r in
+  set a.(1) 0 !s
+[@@args p 1 Read, q 1 Write]|};
+  refuses ~name:"unknown" ~line:2 ~what:"unknown function foo"
+    {|let%elem_kernel unknown (a : Acc.t array) =
+  set a.(1) 0 (foo (get a.(0) 0))
+[@@args p 1 Read, q 1 Write]|};
+  refuses ~name:"helper" ~line:2 ~what:"an accessor is passed to a function"
+    {|let twice x = x +. x
+let%elem_kernel helper (a : Acc.t array) = set a.(1) 0 (twice a.(0))
+[@@args p 1 Read, q 1 Write]|};
+  refuses ~name:"local_array" ~line:3 ~what:"reads by index only a float array defined above"
+    {|let qinf = [| 1.0; 2.0 |]
+let%elem_kernel local_array (a : Acc.t array) = let q = qinf in
+  set a.(0) 0 q.(1)
+[@@args p 1 Write]|};
+  (* What the element kernels need beyond the range vocabulary. *)
+  ignore
+    (expand
+       {|let qinf = [| 1.0; 2.0 |]
+let wall = 3
+let%elem_kernel needs (a : Acc.t array) =
+  let n = if Float.to_int (get a.(0) 0) = wall then 1 else 0 in
+  for c = 0 to (2 * n) - 1 do
+    set a.(1) c (get a.(1) c +. qinf.(n))
+  done
+[@@args p 1 Read, q 2 Inc]|})
 
 (* What the declared signature adds: each refusal names the kernel and is
    located where the body or the signature breaks it. *)
@@ -594,5 +710,9 @@ let () =
             test_signature_refuses;
           Alcotest.test_case "res_calc: constants and one map load per (map, slot)" `Quick
             test_res_calc;
+          Alcotest.test_case "Airfoil's C: one map load per (map, slot), the proof, checks" `Quick
+            test_airfoil_c;
+          Alcotest.test_case "refuses what the native walker cannot translate" `Quick
+            test_elem_native_refuses;
         ] );
     ]

@@ -17,12 +17,12 @@
    ([Acc.lift k.point]).  Every dataset's padded array, ghost cells
    included ([fetch_padded] pulls it from the owning ranks when
    partitioned), and every global must agree to the bit (an [Inc] global
-   on Shared within 1e-10: its chunks reach the worker accumulators in a
-   timing-dependent order), and a partitioned run's padded arrays must
-   equal Seq's; on Seq the walker must run exactly when no argument
-   aliases one another writes.  A failure names
-   the loop, the argument and the point, and prints its replay seed
-   (AM_SEED).
+   on Shared within 1e-10: its chunks cut the sum where Seq does not), and
+   a partitioned run's padded arrays must equal Seq's; on Seq the walker
+   must run exactly when no argument aliases one another writes.  A
+   failure names the loop, the argument and the point, and prints its
+   replay seed (AM_SEED).  An Inc global with heavy cancellation repeats
+   its bits on Shared.
 
    A call whose arguments differ from the kernel's declared signature in
    one fact is refused, by name, before any point runs, on every
@@ -687,6 +687,46 @@ let test_corpus () =
         | Acc.Grid_gbl _ -> false))
     [ 1; 2 ]
 
+(* ---- Shared reductions repeat their bits -------------------------------- *)
+
+(* An Inc global summing a dataset. *)
+let%kernel sum_cells (a : Acc.t array) = set_gbl a.(1) 0 (gbl a.(1) 0 +. get a.(0) 0)
+[@@args c [(0,0)] 1 Read, gbl 1 Inc]
+
+(* Thirty runs on a 2-domain pool, from the same values with heavy
+   cancellation, print one bit pattern: each chunk reduces into its own
+   partial and the partials merge in index order, whichever worker ran
+   them. *)
+let test_shared_repeats () =
+  let nx = 200 and ny = 160 in
+  let value x y =
+    match ((x * 7919) + (y * 104729)) mod 5 with
+    | 0 -> 1e16
+    | 1 -> -1e16
+    | 2 -> Float.of_int (x mod 13) /. 7.0
+    | 3 -> 3e15
+    | _ -> -3e15 -. 0.5
+  in
+  Pool.with_pool ~size:2 (fun pool ->
+      let run () =
+        let ctx = Ops.create ~backend:(Ops.Shared { pool }) () in
+        let block = Ops.decl_block ctx ~name:"b" in
+        let d = Ops.decl_dat ctx ~name:"d" ~block ~xsize:nx ~ysize:ny ~halo:0 ~dim:1 () in
+        Ops.init ctx d (fun x y _ -> value x y);
+        let sum = [| 0.0 |] in
+        Ops.par_loop_acc ctx ~name:"sum" block (Ops.interior d)
+          [ Ops.arg_dat d Ops.stencil_point Access.Read; Ops.arg_gbl ~name:"sum" sum Access.Inc ]
+          sum_cells;
+        Int64.bits_of_float sum.(0)
+      in
+      let first = run () in
+      for r = 2 to 30 do
+        let b = run () in
+        if b <> first then
+          Alcotest.failf "run %d summed %h, run 1 %h" r (Int64.float_of_bits b)
+            (Int64.float_of_bits first)
+      done)
+
 (* ---- Native walkers prove their box before any point runs -------------- *)
 
 (* A computed stencil point that can leave the declared stencil. *)
@@ -940,8 +980,9 @@ let () =
         [
           Alcotest.test_case "seeded OPS loop corpus, ranks 1-3, bitwise (AM_SEED)" `Quick
             test_corpus;
-        ]
-      );
+          Alcotest.test_case "an Inc global repeats its bits on Shared, 30 runs" `Quick
+            test_shared_repeats;
+        ] );
       ( "native walker safety",
         [
           Alcotest.test_case "bad places raise Invalid_argument naming the kernel" `Quick
