@@ -17,8 +17,12 @@
 # --summary-every 0, with a negative --iters or --steps (every driver; 0
 # is valid and runs nothing), with an output file in a directory that does
 # not exist (--trace on every driver, airfoil's --obs-json, --save and
-# --mesh) or with a tealeaf --dt that is not a finite number above 0 (-1,
-# 0, nan, inf) is a usage error and must exit 2; every other run must exit
+# --mesh), with a --faults specification that does not parse (every
+# driver: a drop probability of 2), with an airfoil --mesh file that does
+# not load (not a snapshot, or a snapshot without mesh fields such as a
+# --save file) or with a tealeaf --dt that is not a finite number above 0
+# (-1, 0, nan, inf) is a usage error and must exit 2; every other run,
+# --trace and --obs-json into the working directory included, must exit
 # 0.  No output may report an uncaught exception, and cloverleaf3's pencil
 # backend must print the rank grid it runs on (the most square split of
 # --ranks: 3 ranks are 1x3).  Prints only the runs that fail.
@@ -147,4 +151,28 @@ run 2 "$airfoil" --nx 16 --ny 12 --iters 2 --mesh "$missing"
 for dt in -1 0 nan inf; do
   run 2 "$tealeaf" --size 6 --steps 1 --dt="$dt"
 done
+run 2 "$airfoil" --nx 16 --ny 12 --iters 2 --faults drop=2
+run 2 "$aero" --size 8 --iters 1 --faults drop=2
+run 2 "$hydra" --nx 8 --ny 6 --iters 1 --faults drop=2
+run 2 "$cloverleaf" --nx 12 --ny 12 --steps 2 --faults drop=2
+run 2 "$cloverleaf3" --size 6 --steps 1 --faults drop=2
+run 2 "$tealeaf" --size 6 --steps 1 --faults drop=2
+# Output files named without a directory land in the working directory.
+trace=flag_matrix_trace.json
+counters=flag_matrix_counters.json
+run 0 "$airfoil" --nx 16 --ny 12 --iters 2 --trace "$trace" --obs-json "$counters"
+run 0 "$aero" --size 8 --iters 1 --trace "$trace" --obs-json "$counters"
+run 0 "$hydra" --nx 8 --ny 6 --iters 1 --trace "$trace" --obs-json "$counters"
+run 0 "$cloverleaf" --nx 12 --ny 12 --steps 2 --trace "$trace" --obs-json "$counters"
+run 0 "$cloverleaf3" --size 6 --steps 1 --trace "$trace" --obs-json "$counters"
+run 0 "$tealeaf" --size 6 --steps 1 --trace "$trace" --obs-json "$counters"
+rm -f "$trace" "$counters"
+# Mesh files that do not load: not a snapshot, and a snapshot without the
+# mesh fields (a --save file).
+tmp=$(mktemp -d)
+echo "not a snapshot" >"$tmp/text.snap"
+run 2 "$airfoil" --nx 16 --ny 12 --iters 2 --mesh "$tmp/text.snap"
+run 0 "$airfoil" --nx 16 --ny 12 --iters 2 --save "$tmp/solution.snap"
+run 2 "$airfoil" --nx 16 --ny 12 --iters 2 --mesh "$tmp/solution.snap"
+rm -rf "$tmp"
 exit $failed

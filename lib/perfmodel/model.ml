@@ -116,12 +116,6 @@ let traffic_of_loop (loop : Descr.loop) =
   t := { !t with index_bytes = 4.0 *. Float.of_int (Hashtbl.length map_indices) };
   !t
 
-(* Back-compat summary used by tests: (streamed, gathered) useful bytes. *)
-let traffic_per_element (loop : Descr.loop) =
-  let t = traffic_of_loop loop in
-  ( Float.to_int (t.streamed_read +. t.streamed_write),
-    Float.to_int (t.gathered_read +. t.gathered_write +. t.index_bytes) )
-
 let useful_bytes_per_element loop =
   let t = traffic_of_loop loop in
   t.streamed_read +. t.streamed_write +. t.gathered_read +. t.gathered_write

@@ -37,9 +37,6 @@ type traffic = {
 
 val traffic_of_loop : Descr.loop -> traffic
 
-(** (streamed, gathered-including-index) useful bytes per element. *)
-val traffic_per_element : Descr.loop -> int * int
-
 val useful_bytes_per_element : Descr.loop -> float
 
 (** Achieved-bandwidth loss factor of scalar (non-vectorised) CPU code. *)

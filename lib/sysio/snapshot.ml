@@ -11,13 +11,12 @@
        u32   value count, values as IEEE-754 little-endian doubles
 
    All integers are little-endian. The format is versioned through the magic
-   string: "AMSNAP01" files (no checksum word) are still read, so snapshots
-   written before the CRC was added remain loadable; a bit flip anywhere in
-   an AMSNAP02 body is detected at load time rather than silently restored
-   into a restarted run. *)
+   string, and every load checks the checksum: any other header (the
+   unchecksummed "AMSNAP01" included) is refused, and a bit flip anywhere in
+   the body is detected at load time rather than silently restored into a
+   restarted run. *)
 
 let magic = "AMSNAP02"
-let magic_v1 = "AMSNAP01"
 
 let write_u32 buf v =
   if v < 0 then invalid_arg "Snapshot: negative length";
@@ -67,13 +66,10 @@ let decode s =
   let mlen = String.length magic in
   if String.length s < mlen then raise (Corrupt "bad magic");
   let pos = ref mlen in
-  (match String.sub s 0 mlen with
-  | m when m = magic ->
-    let expected = read_u32 s pos in
-    let actual = Am_util.Crc.string (String.sub s !pos (String.length s - !pos)) in
-    if actual <> expected then raise (Corrupt "checksum mismatch")
-  | m when m = magic_v1 -> () (* legacy: no checksum word *)
-  | _ -> raise (Corrupt "bad magic"));
+  if String.sub s 0 mlen <> magic then raise (Corrupt "bad magic");
+  let expected = read_u32 s pos in
+  let actual = Am_util.Crc.string (String.sub s !pos (String.length s - !pos)) in
+  if actual <> expected then raise (Corrupt "checksum mismatch");
   let count = read_u32 s pos in
   List.init count (fun _ ->
       let name_len = read_u32 s pos in

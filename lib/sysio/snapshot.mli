@@ -4,9 +4,9 @@
     magic header ("AMSNAP02"), a CRC-32 of the body, little-endian sizes
     and IEEE-754 payloads. Used by checkpointing, the mesh format and the
     CLI drivers' [--save] options. Every decode validates lengths, the
-    magic and the checksum — a truncated file or a flipped bit raises
-    {!Corrupt} rather than yielding garbage. Legacy "AMSNAP01" files
-    (written before the checksum word) still load, without verification. *)
+    magic and the checksum — a truncated file, a flipped bit or any other
+    header (the unchecksummed "AMSNAP01" included) raises {!Corrupt}
+    rather than yielding garbage. *)
 
 (** Raised by {!decode}/{!load} on malformed input, with a description. *)
 exception Corrupt of string

@@ -215,42 +215,6 @@ let parallel_for ?chunk t ~lo ~hi f =
     end
   end
 
-let parallel_fold ?chunk t ~lo ~hi ~init ~chunk_fold ~combine =
-  let n = hi - lo in
-  if n <= 0 then init
-  else begin
-    let chunk = match chunk with Some c -> max 1 c | None -> default_chunk t n in
-    if t.size = 1 || n <= chunk then combine init (chunk_fold lo hi)
-    else begin
-      let cursor = Atomic.make lo in
-      let acc = ref init in
-      let acc_mutex = Mutex.create () in
-      let body () =
-        let local = ref None in
-        let rec grab () =
-          let start = Atomic.fetch_and_add cursor chunk in
-          if start < hi then begin
-            let part = chunk_fold start (min hi (start + chunk)) in
-            (local :=
-               match !local with
-               | None -> Some part
-               | Some prev -> Some (combine prev part));
-            grab ()
-          end
-        in
-        grab ();
-        match !local with
-        | None -> ()
-        | Some part ->
-          Mutex.lock acc_mutex;
-          acc := combine !acc part;
-          Mutex.unlock acc_mutex
-      in
-      run_on_all t body;
-      !acc
-    end
-  end
-
 (* Variant of [parallel_for] with worker-local state: each participating
    member creates its state lazily on its first chunk and reuses it for every
    further chunk it grabs — the pooled-buffer pattern the OP2/OPS reduction
@@ -301,8 +265,10 @@ let parallel_for_local ?chunk t ~lo ~hi ~local ~body =
     end
   end
 
-(* Worker-local-state variant of [parallel_iter_indices]; same contract as
-   [parallel_for_local] with one block per unit of work. *)
+(* Execute the blocks listed in [blocks] (indices into some block table)
+   with dynamic self-scheduling and worker-local state: the unit of work is
+   one block, matching OP2's "blocks of one colour run concurrently"
+   execution model; same state contract as [parallel_for_local]. *)
 let parallel_iter_indices_local t blocks ~local ~body =
   let n = Array.length blocks in
   if n = 0 then []
@@ -342,29 +308,6 @@ let parallel_iter_indices_local t blocks ~local ~body =
     in
     run_on_all t work;
     !states
-  end
-
-(* Execute the blocks listed in [blocks] (indices into some block table) with
-   dynamic self-scheduling: the unit of work is one block, matching OP2's
-   "blocks of one colour run concurrently" execution model. *)
-let parallel_iter_indices t blocks f =
-  let n = Array.length blocks in
-  if n > 0 then begin
-    if t.size = 1 then Array.iter f blocks
-    else begin
-      let cursor = Atomic.make 0 in
-      let body () =
-        let rec grab () =
-          let i = Atomic.fetch_and_add cursor 1 in
-          if i < n then begin
-            f blocks.(i);
-            grab ()
-          end
-        in
-        grab ()
-      in
-      run_on_all t body
-    end
   end
 
 (* A lazily created process-wide pool, shared by backends that are not handed

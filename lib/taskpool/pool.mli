@@ -31,23 +31,6 @@ val shutdown : t -> unit
     safe to run concurrently on disjoint ranges. *)
 val parallel_for : ?chunk:int -> t -> lo:int -> hi:int -> (int -> int -> unit) -> unit
 
-(** [parallel_fold ?chunk t ~lo ~hi ~init ~chunk_fold ~combine] folds each
-    chunk with [chunk_fold] and combines partial results with [combine].
-    [combine] must be associative; the combination order is unspecified. *)
-val parallel_fold :
-  ?chunk:int ->
-  t ->
-  lo:int ->
-  hi:int ->
-  init:'a ->
-  chunk_fold:(int -> int -> 'a) ->
-  combine:('a -> 'a -> 'a) ->
-  'a
-
-(** [parallel_iter_indices t blocks f] applies [f] to every element of
-    [blocks], one block per unit of work (OP2's same-colour block schedule). *)
-val parallel_iter_indices : t -> int array -> (int -> unit) -> unit
-
 (** [parallel_for_local ?chunk t ~lo ~hi ~local ~body] is [parallel_for]
     with worker-local state: each participating member calls [local ()]
     lazily on its first chunk and passes that state to [body] for every
@@ -63,8 +46,10 @@ val parallel_for_local :
   body:('a -> int -> int -> unit) ->
   'a list
 
-(** Worker-local-state variant of [parallel_iter_indices]; one block per
-    unit of work, same state contract as {!parallel_for_local}. *)
+(** [parallel_iter_indices_local t blocks ~local ~body] calls [body] on
+    every element of [blocks], one block per unit of work (OP2's
+    same-colour block schedule), with the worker-local state contract of
+    {!parallel_for_local}. *)
 val parallel_iter_indices_local :
   t -> int array -> local:(unit -> 'a) -> body:('a -> int -> unit) -> 'a list
 

@@ -206,7 +206,7 @@ let test_clover_dist () =
 (* ---- Perf doctor (the --perf-report path) ----------------------------- *)
 
 (* The doctor join behind --perf-report: with tracing and the descriptor
-   trace on (exactly what Perf_common.enable does), a run must yield one
+   trace on (exactly what the drivers' --perf-report does), a run must yield one
    attribution row per distinct loop handle, each with a finite positive
    achieved bandwidth, a positive model prediction, and GC deltas
    accumulated by the traced facades. *)

@@ -137,7 +137,11 @@ let test_gpu_small_problem_penalty () =
   Alcotest.(check bool) "cpu stays near-linear" true (cpu_overhead < 1.4)
 
 let test_traffic_split () =
-  let streamed, gathered = Model.traffic_per_element res_calc in
+  let t = Model.traffic_of_loop res_calc in
+  let streamed = Float.to_int (t.Model.streamed_read +. t.Model.streamed_write) in
+  let gathered =
+    Float.to_int (t.Model.gathered_read +. t.Model.gathered_write +. t.Model.index_bytes)
+  in
   Alcotest.(check int) "no direct bytes" 0 streamed;
   (* Amortised by ratio 0.5: x(2)R 8 + q(4)R 16 + adt(1)R 4 +
      res(4)Inc(read+write) 32, plus one 4-byte index for the single

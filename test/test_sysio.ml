@@ -45,6 +45,11 @@ let test_corrupt_rejected () =
   | exception Snapshot.Corrupt _ -> ()
   | _ -> Alcotest.fail "bad magic accepted");
   let good = Snapshot.encode entries in
+  (* A well-formed "AMSNAP01" file: the same body with no checksum word. *)
+  let unchecksummed = "AMSNAP01" ^ String.sub good 12 (String.length good - 12) in
+  (match Snapshot.decode unchecksummed with
+  | exception Snapshot.Corrupt _ -> ()
+  | _ -> Alcotest.fail "unchecksummed AMSNAP01 accepted");
   let truncated = String.sub good 0 (String.length good - 3) in
   match Snapshot.decode truncated with
   | exception Snapshot.Corrupt _ -> ()

@@ -32,37 +32,55 @@ let test_parallel_for_chunk_one () =
           done);
       Alcotest.(check int) "sum of 0..99" (n * (n - 1) / 2) (Atomic.get sum))
 
+(* A reduction the way the executors do it: one accumulator per worker,
+   merged by the caller from the returned states. *)
 let test_parallel_fold () =
   Pool.with_pool ~size:4 (fun pool ->
       let n = 5000 in
-      let total =
-        Pool.parallel_fold pool ~lo:0 ~hi:n ~init:0
-          ~chunk_fold:(fun lo hi ->
-            let s = ref 0 in
+      let states =
+        Pool.parallel_for_local ~chunk:16 pool ~lo:0 ~hi:n
+          ~local:(fun () -> ref 0)
+          ~body:(fun s lo hi ->
             for i = lo to hi - 1 do
               s := !s + i
-            done;
-            !s)
-          ~combine:( + )
+            done)
       in
+      Alcotest.(check bool) "at most one state per worker" true
+        (List.length states >= 1 && List.length states <= Pool.size pool);
+      let total = List.fold_left (fun acc s -> acc + !s) 0 states in
       Alcotest.(check int) "fold sum" (n * (n - 1) / 2) total)
 
 let test_parallel_fold_empty () =
   Pool.with_pool ~size:2 (fun pool ->
-      let v =
-        Pool.parallel_fold pool ~lo:0 ~hi:0 ~init:42 ~chunk_fold:(fun _ _ -> 0)
-          ~combine:( + )
+      let created = ref false in
+      let states =
+        Pool.parallel_for_local pool ~lo:0 ~hi:0
+          ~local:(fun () ->
+            created := true;
+            ref 0)
+          ~body:(fun _ _ _ -> ())
       in
+      Alcotest.(check int) "no states" 0 (List.length states);
+      Alcotest.(check bool) "no local state created" false !created;
+      let v = List.fold_left (fun acc s -> acc + !s) 42 states in
       Alcotest.(check int) "init returned" 42 v)
 
 let test_parallel_iter_indices () =
   Pool.with_pool ~size:4 (fun pool ->
       let blocks = Array.init 257 (fun i -> i * 3) in
       let seen = Array.make (257 * 3) 0 in
-      Pool.parallel_iter_indices pool blocks (fun b -> seen.(b) <- seen.(b) + 1);
+      let states =
+        Pool.parallel_iter_indices_local pool blocks
+          ~local:(fun () -> ref 0)
+          ~body:(fun s b ->
+            seen.(b) <- seen.(b) + 1;
+            incr s)
+      in
       Array.iter
         (fun b -> Alcotest.(check int) "block visited once" 1 seen.(b))
-        blocks)
+        blocks;
+      Alcotest.(check int) "states count every block" (Array.length blocks)
+        (List.fold_left (fun acc s -> acc + !s) 0 states))
 
 let test_exception_propagates () =
   Pool.with_pool ~size:4 (fun pool ->
