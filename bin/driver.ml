@@ -486,7 +486,7 @@ let run family flags ?(sizes = []) ~counts ?(outputs = []) prepare =
       ~roofline_gbs:device.Am_perfmodel.Machines.stream_bw
       ~loops:(Am_core.Profile.obs_rows (family.profile ctx))
       ()
-  with Am_op2.Exec_check.Violation msg | Am_ops.Exec_check.Violation msg ->
+  with Am_core.Sanitizer.Violation msg ->
     (* A sanitizer violation is reported like a static error instead of
        escaping as an uncaught exception with a different exit code. *)
     prerr_endline msg;

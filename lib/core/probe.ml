@@ -61,11 +61,6 @@ let slots_of (a : Descr.arg) =
   | Descr.Stencil { points; _ } -> points * a.Descr.dim
   | Descr.Direct | Descr.Indirect _ | Descr.Global -> a.Descr.dim
 
-(* Pad width past the declared slots, matching the sanitizer executors so
-   an index that the Check backend would catch in the canary tail is also
-   observed here. *)
-let pad_of (a : Descr.arg) = max 2 a.Descr.dim
-
 (* ---- deterministic probe values -------------------------------------- *)
 
 let splitmix state =
@@ -148,7 +143,9 @@ let infer ?(idx = [||]) ~(loop : Descr.loop) ~(kernel : float array array -> uni
   let args = Array.of_list loop.Descr.args in
   let n = Array.length args in
   let nslots = Array.map slots_of args in
-  let pads = Array.map pad_of args in
+  (* The sanitizer's pad width, so an index that the Check backend would
+     catch in its canary tail is also observed here. *)
+  let pads = Array.map (fun (a : Descr.arg) -> Sanitizer.pad_of a.Descr.dim) args in
   let total i = nslots.(i) + pads.(i) in
   let bufs = Array.init n (fun i -> Array.make (total i) 0.0) in
   let fills = Array.init n (fun i -> Array.make (total i) 0.0) in

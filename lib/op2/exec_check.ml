@@ -1,223 +1,98 @@
-(* Sanitizer backend: the sequential executor wrapped in access guards.
+(* Sanitizer backend: the call site's compiled executor, element by element,
+   under the guards of [Am_core.Sanitizer].
 
-   Every argument is staged through a canary-padded buffer and checked
-   against its declared access descriptor after each kernel invocation:
+   Every argument is staged whatever the kernel form, through the
+   executor's own gather and scatter closures: the sanitizer decides what
+   each staging buffer starts as and checks it after the kernel, this
+   module only walks the elements.  An accessor kernel runs its point form
+   on base-0 accessors over the canary-padded buffers, built once per call,
+   so the pad sits right past each argument's declared components.
 
-   - [Read] buffers are snapshot before the kernel and must be bitwise
-     unchanged after it (a kernel writing a Read argument corrupts shared
-     staging on the vectorised backends and loses updates on all of them);
-   - [Write] buffers are poisoned with NaN instead of gathered, so a kernel
-     that reads the previous value — or leaves a component unwritten —
-     surfaces as a NaN in the output (the descriptor promised the library
-     the old value was dead, which halo and checkpoint planning exploit);
-   - [Inc] buffers start at zero and must come back finite — a NaN increment
-     means the kernel computed it from some other argument's poison;
-   - two canary slots past the declared [dim] hold a distinguished NaN bit
-     pattern and must survive the kernel untouched (an out-of-bounds write
-     into the staging pad would be silent data corruption elsewhere).
-
-   Every argument is staged whatever the kernel form: an accessor kernel
-   gets base-0 accessors over the guarded buffers, so the canary pad sits
-   right past each argument's declared components.  Violations raise with
-   the loop, argument index, dataset name and element coordinates.
-   Results of a clean run are identical to [Exec_seq]. *)
+   The closures index without bounds checks, which validation covers for
+   the arrays and maps the library declared.  Both are exposed records, so
+   before any element runs Check proves that every map entry the loop
+   loads names an element of its dataset's array and that a direct
+   argument's array holds the iteration set ([prove]).  A loop with
+   indirect writes then has its call site's plan proved race-free for the
+   colourings the parallel backends run ([Plan.validate]).  A clean run
+   leaves memory bitwise as [Exec_seq] does. *)
 
 module Access = Am_core.Access
-module Counters = Am_obs.Counters
-module Obs = Am_obs.Obs
+module Acc = Am_core.Acc
+module S = Am_core.Sanitizer
 open Types
 
-exception Violation of string
-
-(* A quiet NaN with a recognisable mantissa: kernels do not produce this bit
-   pattern, so a changed canary means an out-of-range write. *)
-let canary_bits = 0x7FF8DEADBEEF0001L
-let canary = Int64.float_of_bits canary_bits
-let pad = 2
-
-let is_canary x = Int64.equal (Int64.bits_of_float x) canary_bits
-
-type guarded =
-  | G_dat of {
-      dat : dat;
-      access : Access.t;
-      map : (map_t * int) option;
-      buf : float array; (* dim + pad slots, canaries in the tail *)
-      snapshot : float array; (* Read/Rw: pre-kernel bits for comparison *)
-    }
-  | G_gbl of {
-      name : string;
-      user_buf : float array;
-      access : Access.t;
-      buf : float array; (* persists across elements, like the seq backend *)
-      snapshot : float array;
-    }
-
-let violation fmt = Printf.ksprintf (fun s -> raise (Violation s)) fmt
-
-let fail ~name ~arg_i ~what ~elem fmt =
-  Printf.ksprintf
-    (fun s ->
-      Counters.incr Obs.check_violations;
-      violation "check: loop %s, arg %d (%s), element %d: %s" name arg_i what elem s)
-    fmt
-
-let guard_args args =
-  List.map
-    (function
-      | Arg_dat { dat; map; access } ->
-        G_dat
-          {
-            dat;
-            access;
-            map;
-            buf = Array.make (dat.dim + pad) canary;
-            snapshot = Array.make dat.dim 0.0;
-          }
-      | Arg_gbl { name; buf; access } ->
-        let dim = Array.length buf in
-        let g =
-          G_gbl
-            {
-              name;
-              user_buf = buf;
-              access;
-              buf = Array.make (dim + pad) canary;
-              snapshot = Array.copy buf;
-            }
+let prove ~name ~set_size (compiled : Exec_common.compiled) args =
+  List.iteri
+    (fun i arg ->
+      match (compiled.Exec_common.args.(i), arg) with
+      | ( Exec_common.C_dat { n; map_values; arity; idx; _ },
+          Arg_dat { dat; map = Some (m, _); _ } ) ->
+        let fail e fmt =
+          S.fail ~loop:name ~arg:i ~name:dat.dat_name ~at:(Printf.sprintf "element %d" e) fmt
         in
-        (match access with
-        | Access.Read | Access.Min | Access.Max ->
-          (match g with G_gbl { buf = b; _ } -> Array.blit buf 0 b 0 dim | _ -> ())
-        | Access.Inc ->
-          (match g with G_gbl { buf = b; _ } -> Array.fill b 0 dim 0.0 | _ -> ())
-        | Access.Write | Access.Rw ->
-          invalid_arg "op2: Write/Rw access on a global argument");
-        g)
+        let entries = Array.length map_values in
+        if entries < set_size * arity then
+          fail (entries / arity) "map %s holds %d entries, the loop's %d elements need %d"
+            m.map_name entries set_size (set_size * arity);
+        for e = 0 to set_size - 1 do
+          let t = map_values.((e * arity) + idx) in
+          if t < 0 || t >= n then
+            fail e "map %s slot %d holds %d, outside the %d elements of dat %s" m.map_name idx t
+              n dat.dat_name
+        done
+      | Exec_common.C_dat { n; _ }, Arg_dat { dat; map = None; _ } ->
+        if set_size > n then
+          S.fail ~loop:name ~arg:i ~name:dat.dat_name ~at:(Printf.sprintf "element %d" n)
+            "dat %s holds %d elements, the loop runs over %d" dat.dat_name n set_size
+      | (Exec_common.C_dat _ | Exec_common.C_gbl _), _ -> ())
     args
 
-(* Flat base index of the element this argument touches at iteration point
-   [e]; also the element coordinate reported in diagnostics. *)
-let target_of ~map e =
-  match map with None -> e | Some (m, k) -> m.values.((e * m.arity) + k)
+let guard = function
+  | Arg_dat { dat; access; _ } -> S.dat ~name:dat.dat_name ~access ~points:1 ~dim:dat.dim
+  | Arg_gbl { name; buf; access } -> S.gbl ~name ~access buf
 
-let value_ix dat ~elem ~d =
-  match dat.layout with
-  | Aos -> (elem * dat.dim) + d
-  | Soa -> (d * dat_n_elems dat) + elem
-
-let gather_dat ~name ~arg_i g e =
-  match g with
-  | G_gbl _ -> ()
-  | G_dat { dat; access; map; buf; snapshot } -> (
-    let elem = target_of ~map e in
-    match access with
-    | Access.Read | Access.Rw ->
-      for d = 0 to dat.dim - 1 do
-        let v = dat.data.(value_ix dat ~elem ~d) in
-        buf.(d) <- v;
-        snapshot.(d) <- v
-      done
-    | Access.Write ->
-      (* No gather: the descriptor says the previous value is dead. *)
-      Array.fill buf 0 dat.dim canary
-    | Access.Inc -> Array.fill buf 0 dat.dim 0.0
-    | Access.Min | Access.Max ->
-      fail ~name ~arg_i ~what:dat.dat_name ~elem "Min/Max access on a dat argument")
-
-let check_and_scatter ~name ~arg_i g e =
-  match g with
-  | G_gbl { name = gname; user_buf; access; buf; snapshot } ->
-    let dim = Array.length user_buf in
-    for d = 0 to pad - 1 do
-      if not (is_canary buf.(dim + d)) then
-        fail ~name ~arg_i ~what:gname ~elem:e
-          "kernel wrote past the %d declared component(s) of the global" dim
-    done;
-    (match access with
-    | Access.Read ->
-      for d = 0 to dim - 1 do
-        if
-          not
-            (Int64.equal (Int64.bits_of_float buf.(d))
-               (Int64.bits_of_float snapshot.(d)))
-        then
-          fail ~name ~arg_i ~what:gname ~elem:e
-            "kernel wrote component %d of a Read global (%.17g -> %.17g)" d
-            snapshot.(d) buf.(d)
-      done
-    | Access.Inc | Access.Min | Access.Max -> ()
-    | Access.Write | Access.Rw -> assert false)
-  | G_dat { dat; access; map; buf; snapshot } -> (
-    let elem = target_of ~map e in
-    for d = 0 to pad - 1 do
-      if not (is_canary buf.(dat.dim + d)) then
-        fail ~name ~arg_i ~what:dat.dat_name ~elem
-          "kernel wrote past the %d declared component(s) of the staging buffer"
-          dat.dim
-      done;
-    match access with
-    | Access.Read ->
-      for d = 0 to dat.dim - 1 do
-        if
-          not
-            (Int64.equal (Int64.bits_of_float buf.(d))
-               (Int64.bits_of_float snapshot.(d)))
-        then
-          fail ~name ~arg_i ~what:dat.dat_name ~elem
-            "kernel wrote component %d of a Read argument (%.17g -> %.17g)" d
-            snapshot.(d) buf.(d)
-      done
-    | Access.Write ->
-      for d = 0 to dat.dim - 1 do
-        if Float.is_nan buf.(d) then
-          fail ~name ~arg_i ~what:dat.dat_name ~elem
-            "component %d of a Write argument is NaN after the kernel: the \
-             kernel read the (poisoned) previous value or never wrote the slot"
-            d;
-        dat.data.(value_ix dat ~elem ~d) <- buf.(d)
-      done
-    | Access.Rw ->
-      for d = 0 to dat.dim - 1 do
-        if Float.is_nan buf.(d) && not (Float.is_nan snapshot.(d)) then
-          fail ~name ~arg_i ~what:dat.dat_name ~elem
-            "component %d of an Rw argument became NaN inside the kernel \
-             (derived from another argument's poisoned Write buffer)"
-            d;
-        dat.data.(value_ix dat ~elem ~d) <- buf.(d)
-      done
-    | Access.Inc ->
-      for d = 0 to dat.dim - 1 do
-        if Float.is_nan buf.(d) then
-          fail ~name ~arg_i ~what:dat.dat_name ~elem
-            "increment component %d is NaN (derived from another argument's \
-             poisoned Write buffer)"
-            d;
-        let j = value_ix dat ~elem ~d in
-        dat.data.(j) <- dat.data.(j) +. buf.(d)
-      done
-    | Access.Min | Access.Max -> assert false)
-
-let merge_gbl = function
-  | G_dat _ -> ()
-  | G_gbl { user_buf; access; buf; _ } -> Am_loop.Loop.fold access user_buf buf
-
-let run ~name ~set_size ~args ~kernel =
-  Counters.incr Obs.check_loops;
-  Counters.add Obs.check_elements set_size;
-  let guarded = Array.of_list (guard_args args) in
-  let buffers =
-    Array.map (function G_dat { buf; _ } -> buf | G_gbl { buf; _ } -> buf) guarded
+let run ~handle ~compiled ~name ~set_size ~args ~kernel =
+  prove ~name ~set_size compiled args;
+  let indirect_write = function
+    | Arg_dat { map = Some _; access; _ } -> Access.writes access
+    | Arg_dat _ | Arg_gbl _ -> false
   in
-  let kernel = Exec_common.staged_view kernel in
-  for e = 0 to set_size - 1 do
-    Array.iteri (fun i g -> gather_dat ~name ~arg_i:i g e) guarded;
-    (try kernel buffers
-     with Invalid_argument msg ->
-       Counters.incr Obs.check_violations;
-       violation "check: loop %s, element %d: kernel raised Invalid_argument \
-                  (%s) — out-of-range staging-buffer index"
-         name e msg);
-    Array.iteri (fun i g -> check_and_scatter ~name ~arg_i:i g e) guarded
+  if List.exists indirect_write args then begin
+    let plan = Plan.plan handle ~name ~set_size ~block_size:256 args in
+    match Plan.validate ~set_size args plan with
+    | [] -> ()
+    | v :: _ as vs ->
+      Am_obs.Counters.add Am_obs.Obs.analysis_plan_violations (List.length vs);
+      raise (S.Violation (Plan.violation_to_string ~name v))
+  end;
+  let c = S.call ~loop:name ~elements:set_size (List.map guard args) in
+  let bufs = c.S.bufs in
+  let kernel =
+    match kernel with
+    | Exec_common.Staged k -> fun () -> k bufs
+    | Exec_common.Accessor k ->
+      let accs = Array.map Acc.of_array bufs in
+      fun () -> k.Acc.elem accs
+  in
+  let gathers =
+    Array.map
+      (function
+        | Exec_common.C_dat { gather; _ } -> gather
+        | Exec_common.C_gbl _ -> Exec_common.ignore2)
+      compiled.Exec_common.args
+  and scatters =
+    Array.map
+      (function
+        | Exec_common.C_dat { scatter; _ } -> scatter
+        | Exec_common.C_gbl _ -> Exec_common.ignore2)
+      compiled.Exec_common.args
+  in
+  let e = ref 0 in
+  let gather i buf = gathers.(i) buf !e and scatter i buf = scatters.(i) buf !e in
+  let at () = Printf.sprintf "element %d" !e in
+  for i = 0 to set_size - 1 do
+    e := i;
+    S.point c ~kernel ~gather ~scatter ~at
   done;
-  Array.iter merge_gbl guarded
+  Exec_common.merge_globals args bufs

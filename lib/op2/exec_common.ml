@@ -46,8 +46,9 @@
    call it once per run of consecutive ids ([run_runs],
    [Exec_cuda.run_block_by_color]), and a Vec loop that reduces a global
    once per element, on its lane's frame ([call] on [e], [elems w e
-   (e + 1)]).  Check and footprint probing stage every argument themselves
-   ([staged_view]).
+   (e + 1)]).  Check drives the same gather and scatter closures under the
+   sanitizer's guards ([Exec_check]); footprint probing stages every
+   argument itself ([staged_view]).
 
    The inner copies use unsafe indexing; bounds are guaranteed by
    declaration-time validation ([decl_map] range-checks every target,
@@ -500,8 +501,7 @@ let run_runs f elem lo hi =
     i := !j
   done
 
-(* The kernel as a function of staging buffers, for the executors that
-   stage every argument themselves (Check, footprint probing). *)
+(* The kernel as a function of staging buffers, for footprint probing. *)
 let staged_view = function Staged k -> k | Accessor k -> Acc.staged k.Acc.elem
 
 (* ---- Global reductions -------------------------------------------------- *)

@@ -353,8 +353,8 @@ let execute_loop ctx ~name handle iter_set args kernel =
     (match ctx.backend with
     | Cuda_sim { Exec_cuda.strategy = Exec_cuda.Global_soa; _ } -> Exec_cuda.ensure_soa args
     | Seq | Vec _ | Shared _ | Check | Cuda_sim _ -> ());
-    (* Every backend resolves the executor first, Check too, which runs
-       none: its check is what keeps the handle's plan fresh. *)
+    (* Every backend resolves the executor first: its check is what keeps
+       the handle's plan fresh. *)
     let compiled = Plan.executor handle ~name args in
     match ctx.backend with
     | Seq -> Exec_seq.run ~compiled ~set_size ~args ~kernel
@@ -367,24 +367,7 @@ let execute_loop ctx ~name handle iter_set args kernel =
       Exec_shared.run ~compiled pool
         (Plan.plan handle ~name ~set_size ~block_size args)
         ~set_size ~args ~kernel
-    | Check ->
-      (* Sanitizer: prove the colouring the parallel backends would use is
-         race-free, then execute under access guards.  The plan validation
-         only applies to loops with indirect writes (others never force a
-         colouring). *)
-      let indirect_write = function
-        | Types.Arg_dat { map = Some _; access; _ } -> Access.writes access
-        | Types.Arg_dat _ | Types.Arg_gbl _ -> false
-      in
-      if List.exists indirect_write args then begin
-        let plan = Plan.plan handle ~name ~set_size ~block_size:256 args in
-        match Plan.validate ~set_size args plan with
-        | [] -> ()
-        | v :: _ as vs ->
-          Am_obs.Counters.add Am_obs.Obs.analysis_plan_violations (List.length vs);
-          raise (Exec_check.Violation (Plan.violation_to_string ~name v))
-      end;
-      Exec_check.run ~name ~set_size ~args ~kernel
+    | Check -> Exec_check.run ~handle ~compiled ~name ~set_size ~args ~kernel
     | Cuda_sim config ->
       Exec_cuda.run ~compiled config
         (Plan.plan handle ~name ~set_size ~block_size:config.Exec_cuda.block_size args)

@@ -199,9 +199,11 @@ type backend =
   | Check
       (** sanitizer: sequential semantics with canary-padded, access-guarded
           staging buffers — a kernel violating its access descriptors raises
-          {!Exec_check.Violation} naming the loop, argument and element.
-          Loops with indirect writes additionally have their call site's
-          plan machine-checked ({!Plan.validate}) before execution. *)
+          {!Am_core.Sanitizer.Violation} naming the loop, argument and element.
+          Before any element runs, every map entry the loop loads is proved
+          inside its dataset's array (a map changed through [values] is a
+          violation too), and a loop with indirect writes has its call
+          site's plan machine-checked ({!Plan.validate}). *)
 
 type ctx
 

@@ -39,9 +39,11 @@
 
    Staged kernels, lifted point functions, aliased writes, [Inc]
    datasets, strided (restrict/prolong) reads and the iteration index
-   therefore take staging frames.  Check and footprint probing stage
-   every argument themselves and call the point form, so the sanitizer
-   and inference see the kernel as written.
+   therefore take staging frames.  Check runs the point form at every
+   point through the same gather and scatter closures, under the
+   sanitizer's guards ([run_check]), and footprint probing stages every
+   argument itself, so the sanitizer and inference see the kernel as
+   written.
 
    Because writes target only the iteration point, structured loops are
    race-free under any disjoint partition of the range — no colouring is
@@ -404,9 +406,9 @@ let make_frame compiled kernel args =
     in
     { compiled; kernel; bufs; accs; walk = None }
 
-let[@inline] set_idx buf x y z =
+(* The [n] iteration indices of point (x, y, z). *)
+let[@inline] set_idx n buf x y z =
   Array.unsafe_set buf 0 (Float.of_int x);
-  let n = Array.length buf in
   if n > 1 then Array.unsafe_set buf 1 (Float.of_int y);
   if n > 2 then Array.unsafe_set buf 2 (Float.of_int z)
 
@@ -422,7 +424,7 @@ let traverse_staged f ~range =
         for i = 0 to n - 1 do
           match Array.unsafe_get compiled i with
           | C_dat { gather; _ } -> gather (Array.unsafe_get bufs i) x y z
-          | C_idx _ -> set_idx (Array.unsafe_get bufs i) x y z
+          | C_idx n -> set_idx n (Array.unsafe_get bufs i) x y z
           | C_gbl _ -> ()
         done;
         (match f.kernel with Staged k -> k bufs | Accessor k -> k.Acc.point accs);
@@ -448,10 +450,10 @@ let arg_dim = function
   | Arg_gbl { buf; _ } -> Array.length buf
   | Arg_idx n -> n
 
-(* The kernel as a function of staging buffers, for the engines that stage
-   every argument themselves (Check, footprint probing): accessors over
-   point-major buffers, whose offset tables cover every whole point a
-   buffer holds — a canary pad included. *)
+(* Accessors over the point-major buffers of Check and footprint probing,
+   whose offset tables cover every whole point a buffer holds — a canary
+   pad included; and the kernel as a function of such buffers, for
+   probing. *)
 let staged_accessors args bufs =
   Array.of_list (List.mapi (fun i arg -> Acc.of_buffer ~dim:(arg_dim arg) bufs.(i)) args)
 
@@ -507,6 +509,88 @@ let run_seq ~compiled ~range ~args ~kernel =
   let f = make_frame compiled kernel args in
   run_range f ~range;
   merge_frame f args
+
+(* ---- Sanitizer ------------------------------------------------------ *)
+
+(* Check: the executor's own closures, point by point, under the guards of
+   [Am_core.Sanitizer], which stage every argument in a canary-padded
+   buffer; an accessor kernel runs its point form on accessors over them,
+   built once per call.  The closures index without bounds checks:
+   validation proves each stencil inside its dataset's padded box, and
+   before any point runs Check proves the whole range inside each array
+   the closures read ([prove]), so a dataset array replaced behind the
+   library's back is a violation naming the loop, the argument and the
+   dataset.  A clean run leaves memory bitwise as [run_seq] does. *)
+
+let prove ~rank ~name ~range ~args compiled =
+  if range_size range > 0 then
+    List.iteri
+      (fun i arg ->
+        match (compiled.(i), arg) with
+        | C_dat { view; dim; offsets; stride; _ }, Arg_dat { dat; _ } ->
+          let flat x y z =
+            view.vbase + (stride_z stride z * view.vplane) + (stride_y stride y * view.vrow)
+            + (stride_x stride x * view.vcol)
+          in
+          let first =
+            flat range.xlo range.ylo range.zlo + Array.fold_left min max_int offsets
+          in
+          let last =
+            flat (range.xhi - 1) (range.yhi - 1) (range.zhi - 1)
+            + Array.fold_left max min_int offsets + dim - 1
+          in
+          let len = Array.length view.vdata in
+          if first < 0 || last >= len then
+            Am_core.Sanitizer.fail ~loop:name ~arg:i ~name:dat.dat_name
+              ~at:("range " ^ range_to_string ~rank range)
+              "the stencil reaches values %d to %d of dat %s, whose array holds %d" first last
+              dat.dat_name len
+        | (C_dat _ | C_gbl _ | C_idx _), _ -> ())
+      args
+
+let guard = function
+  | Arg_dat { dat; stencil; access; _ } ->
+    Am_core.Sanitizer.dat ~name:dat.dat_name ~access ~points:(npoints stencil) ~dim:dat.dim
+  | Arg_gbl { name; buf; access } -> Am_core.Sanitizer.gbl ~name ~access buf
+  | Arg_idx n -> Am_core.Sanitizer.dat ~name:"idx" ~access:Access.Read ~points:1 ~dim:n
+
+let run_check ~compiled ~rank ~name ~range ~args ~kernel =
+  prove ~rank ~name ~range ~args compiled;
+  let c =
+    Am_core.Sanitizer.call ~loop:name ~elements:(range_size range) (List.map guard args)
+  in
+  let bufs = c.Am_core.Sanitizer.bufs in
+  let kernel =
+    match kernel with
+    | Staged k -> fun () -> k bufs
+    | Accessor k ->
+      let accs = staged_accessors args bufs in
+      fun () -> k.Acc.point accs
+  in
+  let px = ref 0 and py = ref 0 and pz = ref 0 in
+  let gather i buf =
+    match compiled.(i) with
+    | C_dat { gather; _ } -> gather buf !px !py !pz
+    | C_idx n -> set_idx n buf !px !py !pz
+    | C_gbl _ -> ()
+  in
+  let scatter i buf =
+    match compiled.(i) with
+    | C_dat { scatter; _ } -> scatter buf !px !py !pz
+    | C_gbl _ | C_idx _ -> ()
+  in
+  let at () = "point " ^ point_to_string ~rank !px !py !pz in
+  for z = range.zlo to range.zhi - 1 do
+    pz := z;
+    for y = range.ylo to range.yhi - 1 do
+      py := y;
+      for x = range.xlo to range.xhi - 1 do
+        px := x;
+        Am_core.Sanitizer.point c ~kernel ~gather ~scatter ~at
+      done
+    done
+  done;
+  merge_globals args bufs
 
 (* ---- Shared memory ("OpenMP") --------------------------------------- *)
 

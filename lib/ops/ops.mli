@@ -193,7 +193,9 @@ type backend =
   | Check
       (** sanitizer: sequential semantics with canary-padded, access-guarded
           staging buffers — a kernel violating its access descriptors raises
-          {!Exec_check.Violation} naming the loop, argument and point *)
+          {!Am_core.Sanitizer.Violation} naming the loop, argument and point;
+          before any point runs, the range is proved inside every
+          dataset's array *)
 
 type ctx
 

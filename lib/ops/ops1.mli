@@ -43,7 +43,7 @@ type backend =
   | Cuda_sim of Exec.cuda_config1
   | Check
       (** sanitizer: sequential semantics with canary-padded, access-guarded
-          staging buffers — violations raise {!Exec_check.Violation} *)
+          staging buffers — violations raise {!Am_core.Sanitizer.Violation} *)
 
 type ctx
 

@@ -63,7 +63,7 @@ type backend =
   | Cuda_sim of Exec.cuda_config3
   | Check
       (** sanitizer: sequential semantics with canary-padded, access-guarded
-          staging buffers — violations raise {!Exec_check.Violation} *)
+          staging buffers — violations raise {!Am_core.Sanitizer.Violation} *)
 
 type ctx
 

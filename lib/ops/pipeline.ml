@@ -1,9 +1,9 @@
 (* The context behind the [Ops1], [Ops] and [Ops3] facades, and what their
    [par_loop] adds to the shared loop pipeline ([Am_loop.Loop]): argument
    validation, the descriptor, the call-site shape and probe view, and
-   execution on the rank-3 core of [Types], [Exec] and [Exec_check].  A
-   context knows its block rank, which picks the axis the Shared backend
-   splits (x in 1D, y in 2D, z in 3D); everything else is rank-blind.
+   execution on the rank-3 core of [Types] and [Exec].  A context knows its
+   block rank, which picks the axis the Shared backend splits (x in 1D, y
+   in 2D, z in 3D); everything else is rank-blind.
 
    The facades keep their own public types (ranges, stencils, backend
    constructors) and translate them here: a facade's [backend] value is
@@ -225,7 +225,8 @@ let execute ctx ~name handle range args kernel =
     | Cuda config ->
       Exec.run_cuda ~compiled:(resolve_compiled handle args) config ~range ~args ~kernel
     | Check ->
-      Exec_check.run ~rank:ctx.rank ~name ~range ~args ~kernel)
+      Exec.run_check ~compiled:(resolve_compiled handle args) ~rank:ctx.rank ~name ~range
+        ~args ~kernel)
 
 (* ---- Automatic checkpointing (paper Section VI) -------------------------- *)
 

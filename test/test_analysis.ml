@@ -220,21 +220,18 @@ let test_plan_validate () =
 
 (* ---- sanitizer backend: OP2 ------------------------------------------ *)
 
-let expect_violation what sub f =
+(* [f ()] raises the sanitizer's violation, whose message holds each of
+   [subs]. *)
+let expect_naming what subs f =
   match f () with
-  | _ -> Alcotest.fail (what ^ ": expected a sanitizer violation")
-  | exception Am_op2.Exec_check.Violation msg ->
-    Alcotest.(check bool)
-      (Printf.sprintf "%s: %S in %S" what sub msg)
-      true (contains msg sub)
+  | () -> Alcotest.fail (what ^ ": expected a sanitizer violation")
+  | exception Am_core.Sanitizer.Violation msg ->
+    List.iter
+      (fun sub ->
+        Alcotest.(check bool) (Printf.sprintf "%s: %S in %S" what sub msg) true (contains msg sub))
+      subs
 
-let expect_ops_violation what sub f =
-  match f () with
-  | _ -> Alcotest.fail (what ^ ": expected a sanitizer violation")
-  | exception Am_ops.Exec_check.Violation msg ->
-    Alcotest.(check bool)
-      (Printf.sprintf "%s: %S in %S" what sub msg)
-      true (contains msg sub)
+let expect_violation what sub f = expect_naming what [ sub ] f
 
 let sani_ctx () =
   let ctx = Op2.create ~backend:Op2.Check () in
@@ -293,10 +290,52 @@ let test_sanitizer_op2_coordinates () =
       (fun a -> if a.(0).(1) = 0.0 then a.(0).(0) <- 1.0 (* never: slot 1 is a canary NaN *))
   with
   | _ -> Alcotest.fail "expected a violation"
-  | exception Am_op2.Exec_check.Violation msg ->
+  | exception Am_core.Sanitizer.Violation msg ->
     Alcotest.(check bool) "names loop, arg and element" true
       (contains msg "loop pinpoint" && contains msg "arg 0"
       && contains msg "element 0")
+
+(* The executor's closures index without bounds checks, and maps and
+   datasets are exposed records: a map entry moved out of range, or a
+   dataset array replaced by a shorter one, must stop Check before any
+   element runs, naming the loop, the argument, the element and the map
+   or dataset; a loop with an indirect Inc is proved before its plan is
+   built over the bad map. *)
+let test_sanitizer_op2_corrupted () =
+  let ctx = Op2.create ~backend:Op2.Check () in
+  let cells = Op2.decl_set ctx ~name:"cells" ~size:4 in
+  let edges = Op2.decl_set ctx ~name:"edges" ~size:6 in
+  let e2c =
+    Op2.decl_map ctx ~name:"e2c" ~from_set:edges ~to_set:cells ~arity:2
+      ~values:(Array.init 12 (fun i -> i mod 4))
+  in
+  let u = Op2.decl_dat ctx ~name:"u" ~set:cells ~dim:1 ~data:(Array.make 4 1.0) in
+  let du = Op2.decl_dat_zero ctx ~name:"du" ~set:cells ~dim:1 in
+  let w = Op2.decl_dat_zero ctx ~name:"w" ~set:edges ~dim:1 in
+  (* Element 3, slot 1. *)
+  e2c.Am_op2.Types.values.(7) <- 9;
+  expect_naming "moved map entry, read"
+    [ "loop gather_moved"; "arg 1 (u)"; "element 3"; "map e2c slot 1 holds 9" ]
+    (fun () ->
+      Op2.par_loop ctx ~name:"gather_moved" edges
+        [
+          Op2.arg_dat_indirect u e2c 0 Access.Read;
+          Op2.arg_dat_indirect u e2c 1 Access.Read;
+          Op2.arg_dat w Access.Write;
+        ]
+        (fun a -> a.(2).(0) <- a.(0).(0) +. a.(1).(0)));
+  expect_naming "moved map entry, incremented"
+    [ "loop scatter_moved"; "arg 1 (du)"; "element 3"; "map e2c" ]
+    (fun () ->
+      Op2.par_loop ctx ~name:"scatter_moved" edges
+        [ Op2.arg_dat w Access.Read; Op2.arg_dat_indirect du e2c 1 Access.Inc ]
+        (fun a -> a.(1).(0) <- a.(1).(0) +. a.(0).(0)));
+  Alcotest.(check bool) "nothing incremented" true (Op2.fetch ctx du = Array.make 4 0.0);
+  w.Am_op2.Types.data <- Array.make 3 0.0;
+  expect_naming "short direct array" [ "loop short_w"; "arg 0 (w)"; "element 3"; "dat w" ]
+    (fun () ->
+      Op2.par_loop ctx ~name:"short_w" edges [ Op2.arg_dat w Access.Write ] (fun a ->
+          a.(0).(0) <- 1.0))
 
 (* A clean indirect program under Check is bitwise-identical to Seq. *)
 let test_sanitizer_op2_clean () =
@@ -370,7 +409,7 @@ let test_sanitizer_ops () =
   Ops.init ctx u (fun _ _ _ -> 1.0);
   (* The stencil declares only the centre point; reading slot 1 picks up a
      canary NaN, which the Write argument's scatter then rejects. *)
-  expect_ops_violation "undeclared stencil point" "Write argument is NaN"
+  expect_violation "undeclared stencil point" "Write argument is NaN"
     (fun () ->
       Ops.par_loop ctx ~name:"missing_pt" b (Ops.interior u)
         [
@@ -378,7 +417,7 @@ let test_sanitizer_ops () =
           Ops.arg_dat w Ops.stencil_point Access.Write;
         ]
         (fun a -> a.(1).(0) <- a.(0).(1)));
-  expect_ops_violation "write to Read arg names the point" "point ("
+  expect_violation "write to Read arg names the point" "point ("
     (fun () ->
       Ops.par_loop ctx ~name:"wr2" b (Ops.interior u)
         [
@@ -389,19 +428,39 @@ let test_sanitizer_ops () =
           a.(0).(0) <- 0.0;
           a.(1).(0) <- 1.0))
 
+(* A dataset array replaced by a shorter one: the range is proved inside
+   every array the closures read before any point runs. *)
+let test_sanitizer_ops_short_array () =
+  let ctx = Ops.create ~backend:Ops.Check () in
+  let b = Ops.decl_block ctx ~name:"grid" in
+  let u = Ops.decl_dat ctx ~name:"u" ~block:b ~xsize:8 ~ysize:6 () in
+  let w = Ops.decl_dat ctx ~name:"w" ~block:b ~xsize:8 ~ysize:6 () in
+  u.Am_ops.Types.data <- Array.make 20 1.0;
+  expect_naming "short array"
+    [ "loop short_u"; "arg 0 (u)"; "range [0,8)x[0,6)"; "dat u, whose array holds 20" ]
+    (fun () ->
+      Ops.par_loop ctx ~name:"short_u" b (Ops.interior w)
+        [
+          Ops.arg_dat u Ops.stencil_2d_5pt Access.Read;
+          Ops.arg_dat w Ops.stencil_point Access.Write;
+        ]
+        (fun a -> a.(1).(0) <- a.(0).(0)));
+  Alcotest.(check bool) "nothing written" true
+    (Ops.fetch_interior ctx w = Array.make 48 0.0)
+
 let test_sanitizer_ops1_ops3 () =
   let c1 = Ops1.create ~backend:Ops1.Check () in
   let b1 = Ops1.decl_block c1 ~name:"line" in
   let u1 = Ops1.decl_dat c1 ~name:"u1" ~block:b1 ~xsize:8 () in
   Ops1.init c1 u1 (fun x _ -> float_of_int x);
-  expect_ops_violation "ops1 write to Read" "Read argument" (fun () ->
+  expect_violation "ops1 write to Read" "Read argument" (fun () ->
       Ops1.par_loop c1 ~name:"wr1" b1 (Ops1.interior u1)
         [ Ops1.arg_dat u1 Ops1.stencil_point Access.Read ]
         (fun a -> a.(0).(0) <- 9.0));
   let c3 = Ops3.create ~backend:Ops3.Check () in
   let b3 = Ops3.decl_block c3 ~name:"box" in
   let w3 = Ops3.decl_dat c3 ~name:"w3" ~block:b3 ~xsize:4 ~ysize:4 ~zsize:4 () in
-  expect_ops_violation "ops3 unwritten Write" "never wrote" (fun () ->
+  expect_violation "ops3 unwritten Write" "never wrote" (fun () ->
       Ops3.par_loop c3 ~name:"uw3" b3 (Ops3.interior w3)
         [ Ops3.arg_dat w3 Ops3.stencil_point Access.Write ]
         (fun _ -> ()))
@@ -542,10 +601,13 @@ let () =
           Alcotest.test_case "diagnostic coordinates" `Quick
             test_sanitizer_op2_coordinates;
           Alcotest.test_case "clean run equals seq" `Quick test_sanitizer_op2_clean;
+          Alcotest.test_case "moved map entry and short array" `Quick
+            test_sanitizer_op2_corrupted;
         ] );
       ( "sanitizer-ops",
         [
           Alcotest.test_case "2d" `Quick test_sanitizer_ops;
+          Alcotest.test_case "short array" `Quick test_sanitizer_ops_short_array;
           Alcotest.test_case "1d and 3d" `Quick test_sanitizer_ops1_ops3;
         ] );
       ( "dataflow",

@@ -255,32 +255,42 @@ let test_acc_inc_overwrite () =
        ~needle:"Inc argument observed overwriting"
        (Analysis.static_op2 m.ctx).Analysis.findings)
 
-(* Component 1 of a dim-1 argument: in place it would land on the next
-   element's value, so the Check backend's canary and probing's pad must
-   both catch it. *)
+(* A component past [dim]: in place it would land on the next element's
+   value, so the Check backend's canary and probing's pad must both catch
+   it.  Component 1 of a dim-1 argument, and component 6 of a dim-4 one,
+   which a two-slot pad would miss: the pad is a whole point wide. *)
 let test_acc_component_past_dim () =
-  let m = build_mini () in
-  Op2.set_backend m.ctx Op2.Check;
-  (match
-     Op2.par_loop_acc m.ctx ~name:"flux_wide_acc" m.edges
-       [
-         Op2.arg_dat_indirect m.u m.edge_cells 0 Access.Read;
-         Op2.arg_dat_indirect m.du m.edge_cells 0 Access.Inc;
-       ]
-       (Op2.Acc.lift (fun a -> set a.(1) 1 (get a.(0) 0)))
-   with
-  | () -> Alcotest.fail "check let a write past dim through"
-  | exception Am_op2.Exec_check.Violation msg ->
-    Alcotest.(check bool)
-      (Printf.sprintf "check names loop, arg and element: %s" msg)
-      true
-      (contains msg "loop flux_wide_acc" && contains msg "arg 1" && contains msg "element 0"
-      && contains msg "wrote past"));
-  Alcotest.(check bool)
-    "verify names loop flux_wide_acc, arg 1, the pad" true
-    (find_verify ~severity:Finding.Error ~loop:"flux_wide_acc" ~arg:1
-       ~needle:"observed write past the 1 declared staging slot(s)"
-       (Analysis.static_op2 m.ctx).Analysis.findings)
+  List.iter
+    (fun (name, dim, comp) ->
+      let m = build_mini () in
+      let out =
+        if dim = 1 then m.du
+        else
+          Op2.decl_dat_zero m.ctx ~name:"du4" ~set:m.edge_cells.Am_op2.Types.to_set ~dim
+      in
+      Op2.set_backend m.ctx Op2.Check;
+      (match
+         Op2.par_loop_acc m.ctx ~name m.edges
+           [
+             Op2.arg_dat_indirect m.u m.edge_cells 0 Access.Read;
+             Op2.arg_dat_indirect out m.edge_cells 0 Access.Inc;
+           ]
+           (Op2.Acc.lift (fun a -> set a.(1) comp (get a.(0) 0)))
+       with
+      | () -> Alcotest.failf "check let a write past dim %d through" dim
+      | exception Am_core.Sanitizer.Violation msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "check names loop, arg and element: %s" msg)
+          true
+          (contains msg ("loop " ^ name) && contains msg "arg 1" && contains msg "element 0"
+          && contains msg "wrote past"));
+      Alcotest.(check bool)
+        (Printf.sprintf "verify names loop %s, arg 1, the pad" name)
+        true
+        (find_verify ~severity:Finding.Error ~loop:name ~arg:1
+           ~needle:(Printf.sprintf "observed write past the %d declared staging slot(s)" dim)
+           (Analysis.static_op2 m.ctx).Analysis.findings))
+    [ ("flux_wide_acc", 1, 1); ("wide", 4, 6) ]
 
 (* ---- the OPS lies through accessors ------------------------------------ *)
 
@@ -313,7 +323,7 @@ let ops_lie ~name ~stencil kernel =
         (Ops.Acc.lift kernel)
     with
     | () -> Alcotest.failf "check let the %s lie through" name
-    | exception Am_ops.Exec_check.Violation msg -> msg
+    | exception Am_core.Sanitizer.Violation msg -> msg
   in
   (violation, (Analysis.static_ops ctx).Analysis.findings)
 
@@ -520,10 +530,10 @@ let test_check_data_dependent_write_op2 () =
         if a.(0).(0) > 1e6 then a.(0).(0) <- 0.0)
   with
   | () -> Alcotest.fail "check let a data-dependent write to a Read argument through"
-  | exception Am_op2.Exec_check.Violation msg ->
+  | exception Am_core.Sanitizer.Violation msg ->
     Alcotest.(check bool) ("check names loop, arg and the write: " ^ msg) true
       (contains msg "loop big_scribble" && contains msg "arg 0"
-      && contains msg "kernel wrote component 0 of a Read argument")
+      && contains msg "kernel wrote slot 0 of a Read argument")
 
 let test_check_data_dependent_write_ops () =
   let ctx = Ops.create ~backend:Ops.Check () in
@@ -539,7 +549,7 @@ let test_check_data_dependent_write_ops () =
         if a.(0).(0) > 1e6 then a.(0).(0) <- 0.0)
   with
   | () -> Alcotest.fail "check let a data-dependent write to a Read argument through"
-  | exception Am_ops.Exec_check.Violation msg ->
+  | exception Am_core.Sanitizer.Violation msg ->
     check_names_point ~name:"big_scribble" ~arg:0 msg;
     Alcotest.(check bool) ("check names the write: " ^ msg) true
       (contains msg "kernel wrote slot 0 of a Read argument")
@@ -665,7 +675,7 @@ let test_shared_handle_op2 () =
   Op2.set_backend m.ctx Op2.Check;
   (match run "clobber" clobber with
   | () -> Alcotest.fail "check ran clobber under copy's clean footprint"
-  | exception Am_op2.Exec_check.Violation msg ->
+  | exception Am_core.Sanitizer.Violation msg ->
     Alcotest.(check bool) ("check names loop clobber: " ^ msg) true
       (contains msg "loop clobber"));
   Alcotest.(check (list string)) "one footprint per loop name" [ "clobber"; "copy" ]
@@ -693,7 +703,7 @@ let test_shared_handle_ops () =
   Ops.set_backend ctx Ops.Check;
   (match run "clobber" clobber with
   | () -> Alcotest.fail "check ran clobber under copy's clean footprint"
-  | exception Am_ops.Exec_check.Violation msg ->
+  | exception Am_core.Sanitizer.Violation msg ->
     Alcotest.(check bool) ("check names loop clobber: " ^ msg) true
       (contains msg "loop clobber"));
   Alcotest.(check (list string)) "one footprint per loop name" [ "clobber"; "copy" ]

@@ -187,6 +187,24 @@ let test_clover_seq () =
         true
         (counter "exec_cache.hits" > 0))
 
+(* Check runs each call site's executor, as Seq does: a fresh CloverLeaf
+   compiles as many on Check as on Seq (one per handle: two of its loops
+   share one), and its next step on Check compiles none. *)
+let test_clover_check_executors () =
+  let fresh backend =
+    Obs.reset ();
+    let t = Clover.create ~backend ~nx:24 ~ny:24 () in
+    ignore (Clover.hydro_step t);
+    (t, counter "exec_cache.misses")
+  in
+  let _, on_seq = fresh Ops.Seq in
+  let t, misses = fresh Ops.Check in
+  Alcotest.(check bool) "check compiles executors" true (misses > 0);
+  Alcotest.(check int) "executor misses on check = on seq" on_seq misses;
+  ignore (Clover.hydro_step t);
+  Alcotest.(check int) "a second step compiles nothing" 0 (counter "exec_cache.misses" - misses);
+  Obs.reset ()
+
 let test_clover_dist () =
   with_tracing (fun () ->
       let t = Clover.create ~nx:32 ~ny:32 () in
@@ -302,7 +320,7 @@ let check_raising_span ~run_scribble ~run_after =
   with_tracing (fun () ->
       (match run_scribble () with
       | () -> Alcotest.fail "check let a write to a Read argument through"
-      | exception (Am_op2.Exec_check.Violation _ | Am_ops.Exec_check.Violation _) -> ());
+      | exception Am_core.Sanitizer.Violation _ -> ());
       run_after ();
       Alcotest.(check int) "the raising loop's span is recorded" 1 (loop_spans "scribble");
       Alcotest.(check int) "the next loop's span is recorded" 1 (loop_spans "after"))
@@ -361,6 +379,8 @@ let () =
         [
           Alcotest.test_case "cloverleaf seq traced" `Quick test_clover_seq;
           Alcotest.test_case "cloverleaf dist traced" `Quick test_clover_dist;
+          Alcotest.test_case "cloverleaf check: one executor per site" `Quick
+            test_clover_check_executors;
         ] );
       ( "doctor",
         [
