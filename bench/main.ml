@@ -36,6 +36,7 @@ module Counters = Am_obs.Counters
 module Obs = Am_obs.Obs
 module Op2 = Am_op2.Op2
 module Ops = Am_ops.Ops
+module Ops3 = Am_ops.Ops3
 module Umesh = Am_mesh.Umesh
 module Airfoil = Am_airfoil.App
 module Clover = Am_cloverleaf.App
@@ -120,6 +121,29 @@ let airfoil_walker ~tiny loop =
             Op2.arg_gbl ~name:"rms" rms inc;
           ]
           k
+  in
+  (call ~reference:true, call ~reference:false)
+
+(* One Seq call of TeaLeaf's [cg_matvec] (24^3) through
+   [Ops3.par_loop_acc]: its OCaml reference walker ([Ops3.Acc.reference])
+   and its native walker, each on its own call site. *)
+let tealeaf_walker ~tiny =
+  let module Tea = Am_tealeaf.App in
+  let t = Tea.create ~n:(dim ~tiny 24 6) () in
+  let call ~reference =
+    let name = if reference then "cg_matvec_reference" else "cg_matvec_native" in
+    let k = Am_tealeaf.Kernels.matvec_acc in
+    let k = if reference then Ops3.Acc.reference k else k in
+    let dt = [| t.Tea.dt |] in
+    fun () ->
+      Ops3.par_loop_acc t.Tea.ctx ~name t.Tea.grid (Ops3.interior t.Tea.u)
+        [
+          Ops3.arg_dat t.Tea.p Ops3.stencil_7pt Am_core.Access.Read;
+          Ops3.arg_dat t.Tea.kappa Ops3.stencil_7pt Am_core.Access.Read;
+          Ops3.arg_dat t.Tea.w Ops3.stencil_point Am_core.Access.Write;
+          Ops3.arg_gbl ~name:"dt" dt Am_core.Access.Read;
+        ]
+        k
   in
   (call ~reference:true, call ~reference:false)
 
@@ -225,6 +249,8 @@ let rows ~tiny =
     (* One element walker call, the OCaml reference ÷ native. *)
     ratio "walkers/res_calc_reference_over_native" (fun () -> airfoil_walker ~tiny "res_calc");
     ratio "walkers/update_reference_over_native" (fun () -> airfoil_walker ~tiny "update");
+    (* One range walker call, the OCaml reference ÷ native. *)
+    ratio "walkers/cg_matvec_reference_over_native" (fun () -> tealeaf_walker ~tiny);
   ]
 
 (* AM_BENCH_HANDICAP="<row>=<factor>" multiplies the current summary the

@@ -16,6 +16,7 @@
 
 module Ops3 = Am_ops.Ops3
 module Access = Am_core.Access
+module Acc = Am_core.Acc
 
 type t = {
   ctx : Ops3.ctx;
@@ -63,68 +64,62 @@ let create ?backend ?(n = 16) ?(dt = 0.5) () =
       else 0.0);
   t
 
-(* A p with the variable-coefficient 7-point operator:
-     (A p)(c) = p(c) - dt * sum_faces k_face * (p(nb) - p(c))
-   args: p (R, 7pt), kappa (R, 7pt), w (W, centre), consts gbl [dt]. *)
-let matvec_kernel args =
-  let p = args.(0) and k = args.(1) and w = args.(2) in
-  let dt = args.(3).(0) in
-  let harmonic a b = if a +. b <= 0.0 then 0.0 else 2.0 *. a *. b /. (a +. b) in
-  let acc = ref 0.0 in
-  for face = 1 to 6 do
-    let kf = harmonic k.(0) k.(face) in
-    acc := !acc +. (kf *. (p.(face) -. p.(0)))
-  done;
-  w.(0) <- p.(0) -. (dt *. !acc)
+(* The loops run the declared kernels of [Kernels] (one range walker each,
+   every dataset in place) and pass no handle: each call finds its entry
+   in the context's call-site table. *)
+
+(* The staged form of [Kernels.matvec_acc], for callers of [Ops3.par_loop]:
+   args p (R, 7pt), kappa (R, 7pt), w (W, centre), consts gbl [dt]. *)
+let matvec_kernel bufs = Kernels.matvec_acc.Acc.point (Array.map (Acc.of_buffer ~dim:1) bufs)
 
 let dot t a b =
   let acc = [| 0.0 |] in
-  Ops3.par_loop t.ctx ~name:"cg_dot" ~info:dot_info t.grid (Ops3.interior t.u)
+  Ops3.par_loop_acc t.ctx ~name:"cg_dot" ~info:dot_info t.grid (Ops3.interior t.u)
     [
       Ops3.arg_dat a Ops3.stencil_point Access.Read;
       Ops3.arg_dat b Ops3.stencil_point Access.Read;
       Ops3.arg_gbl ~name:"dot" acc Access.Inc;
     ]
-    (fun bufs -> bufs.(2).(0) <- bufs.(2).(0) +. (bufs.(0).(0) *. bufs.(1).(0)));
+    Kernels.dot_acc;
   acc.(0)
 
 let matvec t ~src ~dst =
-  Ops3.par_loop t.ctx ~name:"cg_matvec" ~info:matvec_info t.grid (Ops3.interior t.u)
+  Ops3.par_loop_acc t.ctx ~name:"cg_matvec" ~info:matvec_info t.grid (Ops3.interior t.u)
     [
       Ops3.arg_dat src Ops3.stencil_7pt Access.Read;
       Ops3.arg_dat t.kappa Ops3.stencil_7pt Access.Read;
       Ops3.arg_dat dst Ops3.stencil_point Access.Write;
       Ops3.arg_gbl ~name:"dt" [| t.dt |] Access.Read;
     ]
-    matvec_kernel
+    Kernels.matvec_acc
 
-(* dst := a + alpha * b (centre-only). *)
+(* dst := a + alpha * b (centre-only).  When [dst] is [a] or [b] that
+   operand is the loop's one [Rw] argument, so the walker runs in place. *)
 let axpy t ~a ~alpha ~b ~dst =
-  Ops3.par_loop t.ctx ~name:"cg_axpy" ~info:axpy_info t.grid (Ops3.interior t.u)
-    [
-      Ops3.arg_dat a Ops3.stencil_point Access.Read;
-      Ops3.arg_dat b Ops3.stencil_point Access.Read;
-      Ops3.arg_dat dst Ops3.stencil_point Access.Write;
-      Ops3.arg_gbl ~name:"alpha" [| alpha |] Access.Read;
-    ]
-    (fun bufs -> bufs.(2).(0) <- bufs.(0).(0) +. (bufs.(3).(0) *. bufs.(1).(0)))
+  let point d = Ops3.arg_dat d Ops3.stencil_point in
+  let alpha = Ops3.arg_gbl ~name:"alpha" [| alpha |] Access.Read in
+  let loop args k =
+    Ops3.par_loop_acc t.ctx ~name:"cg_axpy" ~info:axpy_info t.grid (Ops3.interior t.u) args k
+  in
+  if dst == a then loop [ point a Access.Rw; point b Access.Read; alpha ] Kernels.axpy_a_acc
+  else if dst == b then loop [ point a Access.Read; point b Access.Rw; alpha ] Kernels.axpy_b_acc
+  else
+    loop [ point a Access.Read; point b Access.Read; point dst Access.Write; alpha ]
+      Kernels.axpy_acc
 
 (* One backward-Euler step: solve (I - dt L) u' = u by CG. Returns the CG
    iterations used. *)
 let step ?(tol = 1e-9) ?(max_iters = 200) t =
   (* r = b - A u = u - A u; p = r *)
   matvec t ~src:t.u ~dst:t.w;
-  Ops3.par_loop t.ctx ~name:"cg_init" ~info:axpy_info t.grid (Ops3.interior t.u)
+  Ops3.par_loop_acc t.ctx ~name:"cg_init" ~info:axpy_info t.grid (Ops3.interior t.u)
     [
       Ops3.arg_dat t.u Ops3.stencil_point Access.Read;
       Ops3.arg_dat t.w Ops3.stencil_point Access.Read;
       Ops3.arg_dat t.r Ops3.stencil_point Access.Write;
       Ops3.arg_dat t.p Ops3.stencil_point Access.Write;
     ]
-    (fun bufs ->
-      let r = bufs.(0).(0) -. bufs.(1).(0) in
-      bufs.(2).(0) <- r;
-      bufs.(3).(0) <- r);
+    Kernels.init_acc;
   let rr = ref (dot t t.r t.r) in
   let iters = ref 0 in
   while !rr > tol && !iters < max_iters do
@@ -149,10 +144,10 @@ let temperature t = Ops3.fetch_interior t.ctx t.u
 
 let total_heat t =
   let acc = [| 0.0 |] in
-  Ops3.par_loop t.ctx ~name:"tea_sum" ~info:dot_info t.grid (Ops3.interior t.u)
+  Ops3.par_loop_acc t.ctx ~name:"tea_sum" ~info:dot_info t.grid (Ops3.interior t.u)
     [
       Ops3.arg_dat t.u Ops3.stencil_point Access.Read;
       Ops3.arg_gbl ~name:"sum" acc Access.Inc;
     ]
-    (fun bufs -> bufs.(1).(0) <- bufs.(1).(0) +. bufs.(0).(0));
+    Kernels.sum_acc;
   acc.(0)

@@ -104,7 +104,8 @@ let tree_merge ~combine ~finish parts =
 
 (* A shared-memory loop's reductions, one partial per range: a range
    starts its accumulators afresh ([restart]: zeros for an Inc, the call's
-   buffer for a Min or Max) and leaves a copy keyed by its first index or
+   buffer for a Read, Min or Max — which also refreshes a frame a Seq call
+   reuses) and leaves a copy keyed by its first index or
    block number ([add_partial]); after the join [merge_in_order] folds the
    partials into the call's buffers ([finish]) in key order.  The result
    then depends only on where the loop was cut into ranges, never on which
@@ -112,8 +113,8 @@ let tree_merge ~combine ~finish parts =
 let restart access buf acc =
   match access with
   | Access.Inc -> Array.fill acc 0 (Array.length acc) 0.0
-  | Access.Min | Access.Max -> Array.blit buf 0 acc 0 (Array.length buf)
-  | Access.Read | Access.Write | Access.Rw -> ()
+  | Access.Read | Access.Min | Access.Max -> Array.blit buf 0 acc 0 (Array.length buf)
+  | Access.Write | Access.Rw -> ()
 
 let add_partial parts key p =
   let rec push () =

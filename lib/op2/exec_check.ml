@@ -22,12 +22,32 @@ module Acc = Am_core.Acc
 module S = Am_core.Sanitizer
 open Types
 
+(* Whether an indirect argument before [i] loads through map table
+   [values] at [slot] with [arity] into a dataset of at most [n] elements:
+   its scan, which passed, proved argument [i]'s entries too. *)
+let rec covered (cargs : Exec_common.compiled_arg array) values ~arity ~slot ~n i j =
+  j < i
+  && ((match cargs.(j) with
+      | Exec_common.C_dat { indirect = true; map_values; arity = a; idx; n = m; _ } ->
+        map_values == values && a = arity && idx = slot && m <= n
+      | Exec_common.C_dat _ | Exec_common.C_gbl _ -> false)
+     || covered cargs values ~arity ~slot ~n i (j + 1))
+
+(* Before any element runs, every map entry the loop loads must name an
+   element of its dataset, and every direct dataset must hold the
+   iteration set.  The proof runs argument by argument and raises at the
+   first argument that fails, at its first such element, naming the loop,
+   the argument, the element, the map and the dataset.  An argument that
+   an earlier one [covered] is not scanned again, so each (map, slot) is
+   scanned once when the datasets it reaches agree in size. *)
 let prove ~name ~set_size (compiled : Exec_common.compiled) args =
+  let cargs = compiled.Exec_common.args in
   List.iteri
     (fun i arg ->
-      match (compiled.Exec_common.args.(i), arg) with
+      match (cargs.(i), arg) with
       | ( Exec_common.C_dat { n; map_values; arity; idx; _ },
-          Arg_dat { dat; map = Some (m, _); _ } ) ->
+          Arg_dat { dat; map = Some (m, _); _ } )
+        when not (covered cargs map_values ~arity ~slot:idx ~n i 0) ->
         let fail e fmt =
           S.fail ~loop:name ~arg:i ~name:dat.dat_name ~at:(Printf.sprintf "element %d" e) fmt
         in

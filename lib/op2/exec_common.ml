@@ -20,7 +20,8 @@
    global compiles to its length and access only, so one executor serves
    calls that pass fresh global buffers.  The per-worker state is a
    [frame] built from the compiled arguments and the running call's
-   globals at each loop call, by one rule:
+   globals, by one rule (a Seq call, or a [Rank_seq] rank, reuses the one
+   its executor keeps, its globals refreshed: [seq_frame]):
 
    - a walker frame runs the kernel's element walker with every dataset
      in place.  It needs a generated kernel and an [elementwise] executor:
@@ -80,8 +81,31 @@ type compiled_arg =
 
 (* A compiled executor: the arguments, and where an element walker finds
    each one's arrays.  [elementwise] holds when a walker frame may run
-   over them ([elementwise_args]). *)
-type compiled = { args : compiled_arg array; addrs : Acc.addr array; elementwise : bool }
+   over them ([elementwise_args]).  [frame] is the one a Seq call, or a
+   [Rank_seq] rank, runs ([seq_frame]); a recompile builds a new executor,
+   and with it a new frame.
+
+   A frame is one worker's state for one loop call.  [bufs] holds the
+   global accumulators and, per dataset argument, a staging frame's
+   staging buffer or a walker frame's Inc scratch ([||] for an argument
+   it addresses in place).  A walker frame has [walk], the element
+   walker's view of the executor and [bufs]; a staging frame of an
+   accessor kernel has [accs], base-0 accessors over [bufs]; a staging
+   frame of a staged kernel neither. *)
+type compiled = {
+  args : compiled_arg array;
+  addrs : Acc.addr array;
+  elementwise : bool;
+  mutable frame : frame option;
+}
+
+and frame = {
+  compiled : compiled;
+  mutable kernel : kernel;
+  bufs : float array array;
+  accs : Acc.t array;
+  walk : Acc.walk option;
+}
 
 type resolvers = {
   resolve_dat : dat -> float array * int; (* backing array and element count *)
@@ -242,7 +266,7 @@ let compile ?(resolvers = global_resolvers) args =
         | C_gbl _ -> { Acc.adata = [||]; amap = [||] })
       args'
   in
-  { args = args'; addrs; elementwise = elementwise_args args }
+  { args = args'; addrs; elementwise = elementwise_args args; frame = None }
 
 (* A kept executor is only valid while the argument list still resolves to
    the same backing stores: [convert_layout] and the SoA conversion replace
@@ -379,20 +403,6 @@ let check_signature ~name (w : Acc.walker) args =
 
 (* ---- Frames: one worker's state for one loop call ---------------------- *)
 
-(* [bufs] holds the global accumulators and, per dataset argument, a
-   staging frame's staging buffer or a walker frame's Inc scratch ([||]
-   for an argument it addresses in place).  A walker frame has [walk], the
-   element walker's view of the executor and [bufs]; a staging frame of an
-   accessor kernel has [accs], base-0 accessors over [bufs]; a staging
-   frame of a staged kernel neither. *)
-type frame = {
-  compiled : compiled;
-  kernel : kernel;
-  bufs : float array array;
-  accs : Acc.t array;
-  walk : Acc.walk option;
-}
-
 (* A frame's buffers, argument [i] on from [args], the running call's
    list: a global's accumulator (a copy of the call's [Read], [Min] or
    [Max] buffer, zeros for an [Inc]), and a [dim]-long buffer for every
@@ -415,18 +425,22 @@ let make_bufs ~staging compiled args =
   fill_bufs ~staging compiled bufs 0 args;
   bufs
 
+(* The two always-on counters tell an accessor kernel's two kinds of
+   frame apart, once per frame a call runs. *)
+let count f =
+  match (f.walk, f.kernel) with
+  | Some _, _ -> Am_obs.Counters.incr Am_obs.Obs.op2_walker_frames
+  | None, Accessor _ -> Am_obs.Counters.incr Am_obs.Obs.op2_point_frames
+  | None, Staged _ -> ()
+
 (* A staging frame: every argument staged (the Cuda_sim scratchpad
    strategy fills the buffers itself). *)
 let staging_frame compiled kernel args =
   let bufs = make_bufs ~staging:true compiled.args args in
-  let accs =
-    match kernel with
-    | Accessor _ ->
-      Am_obs.Counters.incr Am_obs.Obs.op2_point_frames;
-      Array.map Acc.of_array bufs
-    | Staged _ -> [||]
-  in
-  { compiled; kernel; bufs; accs; walk = None }
+  let accs = match kernel with Accessor _ -> Array.map Acc.of_array bufs | Staged _ -> [||] in
+  let f = { compiled; kernel; bufs; accs; walk = None } in
+  count f;
+  f
 
 (* One worker's frame for a call with arguments [args]: a walker frame
    when the kernel is generated and [compiled] is [elementwise], a staging
@@ -434,9 +448,12 @@ let staging_frame compiled kernel args =
 let make_frame compiled kernel args =
   match kernel with
   | Accessor { Acc.walker = Some _; _ } when compiled.elementwise ->
-    Am_obs.Counters.incr Am_obs.Obs.op2_walker_frames;
     let bufs = make_bufs ~staging:false compiled.args args in
-    { compiled; kernel; bufs; accs = [||]; walk = Some { Acc.addrs = compiled.addrs; bufs } }
+    let f =
+      { compiled; kernel; bufs; accs = [||]; walk = Some { Acc.addrs = compiled.addrs; bufs } }
+    in
+    count f;
+    f
   | Accessor _ | Staged _ -> staging_frame compiled kernel args
 
 (* Gather a staging frame's buffers for element [e] (an Inc buffer is
@@ -528,6 +545,28 @@ let rec restart_from bufs i = function
   | Arg_dat _ :: rest -> restart_from bufs (i + 1) rest
 
 let restart_globals f args = restart_from f.bufs 0 args
+
+(* The frame of one more Seq call on [compiled]: the executor's own while
+   the call's kernel is the one it was built for (any staged kernel runs
+   on a staged kernel's frame), its global accumulators refreshed in
+   place ([Loop.restart]: [Read], [Min] and [Max] copied from the call's
+   buffers, [Inc] zeroed); built and kept otherwise.  A warm call
+   allocates no frame. *)
+let seq_frame compiled kernel args =
+  match (compiled.frame, kernel) with
+  | Some ({ kernel = Accessor k; _ } as f), Accessor k' when k == k' ->
+    restart_globals f args;
+    count f;
+    f
+  | Some ({ kernel = Staged _; _ } as f), Staged _ ->
+    f.kernel <- kernel;
+    restart_globals f args;
+    count f;
+    f
+  | (Some _ | None), _ ->
+    let f = make_frame compiled kernel args in
+    compiled.frame <- Some f;
+    f
 
 (* A copy of [f]'s reduced globals' accumulators ([||] for any other
    argument): the partial of the range it just ran. *)

@@ -9,9 +9,9 @@
    emits. *)
 
 (* [compiled] is the executor a loop handle keeps (see [Plan]), or a
-   rank's (see [Dist]). *)
+   rank's (see [Dist]), and the frame it keeps is the one that runs. *)
 let run ~compiled ~set_size ~args ~kernel =
-  let frame = Exec_common.make_frame compiled kernel args in
+  let frame = Exec_common.seq_frame compiled kernel args in
   Exec_common.run_range frame 0 set_size;
   if Exec_common.has_globals compiled then
     Exec_common.merge_globals args frame.Exec_common.bufs

@@ -28,15 +28,22 @@ type t = {
 
 let has_conflicts t = t.elem_coloring <> None
 
+(* One indirectly written argument of a loop's conflict closure: the
+   arena base of its dataset and the map table, arity and slot it writes
+   through. *)
+type conflict = { base : int; values : int array; arity : int; slot : int }
+
+(* The arena slot element [e] writes through [c]. *)
+let[@inline] target c e = c.base + c.values.((e * c.arity) + c.slot)
+
 (* The conflict closure of [args], which [build] colours and [validate]
    checks: the indirect arguments whose access can race (Inc always,
    Write/Rw because two iteration elements may map to the same target).
-   Returns the number of arena slots and [targets e f], which calls [f] on
-   every slot element [e] writes, or [None] for a conflict-free loop.
-   Distinct target dats get disjoint arenas, so that conflicts on different
-   datasets are kept separate; [resolvers] substitutes rank-local data and
-   map tables in distributed contexts. *)
-let conflict_targets ~resolvers args =
+   Returns the number of arena slots and the conflicts, or [None] for a
+   conflict-free loop.  Distinct target dats get disjoint arenas, so that
+   conflicts on different datasets are kept separate; [resolvers]
+   substitutes rank-local data and map tables in distributed contexts. *)
+let conflicts ~resolvers args =
   let offsets = Hashtbl.create 8 and total = ref 0 in
   let base dat =
     match Hashtbl.find_opt offsets dat.dat_id with
@@ -51,23 +58,25 @@ let conflict_targets ~resolvers args =
     List.filter_map
       (function
         | Arg_dat { dat; map = Some (m, k); access } when Access.writes access ->
-          Some (base dat, resolvers.Exec_common.resolve_map m, m.arity, k)
+          Some
+            {
+              base = base dat;
+              values = resolvers.Exec_common.resolve_map m;
+              arity = m.arity;
+              slot = k;
+            }
         | Arg_dat _ | Arg_gbl _ -> None)
       args
   with
   | [] -> None
-  | conflicts ->
-    let targets e f =
-      List.iter (fun (base, values, arity, k) -> f (base + values.((e * arity) + k))) conflicts
-    in
-    Some (!total, targets)
+  | cs -> Some (!total, Array.of_list cs)
 
 (* [build ~set_size ~block_size args] plans over [0, set_size) with the
    global map tables; [?resolvers] substitutes rank-local data and map
    tables so the distributed backend can plan each rank's owned range. *)
 let build ?(resolvers = Exec_common.global_resolvers) ~set_size ~block_size args =
   let blocks = Am_mesh.Coloring.make_blocks ~n_items:set_size ~block_size in
-  match conflict_targets ~resolvers args with
+  match conflicts ~resolvers args with
   | None ->
     let n_blocks = blocks.Am_mesh.Coloring.n_blocks in
     {
@@ -81,7 +90,8 @@ let build ?(resolvers = Exec_common.global_resolvers) ~set_size ~block_size args
         };
       elem_coloring = None;
     }
-  | Some (n_targets, targets) ->
+  | Some (n_targets, cs) ->
+    let targets e f = Array.iter (fun c -> f (target c e)) cs in
     {
       blocks;
       block_coloring = Am_mesh.Coloring.color_blocks ~blocks ~n_targets ~targets;
@@ -117,11 +127,12 @@ let violation_to_string ~name v =
     v.v_colour v.v_elem_a v.v_elem_b v.v_target
 
 (* [validate ?resolvers ~set_size args plan] returns every witness pair (or
-   [] — the plan is proven race-free for its schedules). *)
+   [] — the plan is proven race-free for its schedules).  It walks the
+   colours, elements and conflicts with loops: no element allocates. *)
 let validate ?(resolvers = Exec_common.global_resolvers) ~set_size args (plan : t) =
-  match conflict_targets ~resolvers args with
+  match conflicts ~resolvers args with
   | None -> []
-  | Some (n_targets, targets) ->
+  | Some (n_targets, cs) ->
     let violations = ref [] in
     (* Element level (vec/cuda scatter rounds): within one colour, a target
        may be touched by at most one element.  The same element touching a
@@ -132,28 +143,31 @@ let validate ?(resolvers = Exec_common.global_resolvers) ~set_size args (plan : 
     | Some ec ->
       let round = Array.make n_targets (-1) in
       let owner = Array.make n_targets (-1) in
-      Array.iteri
-        (fun c elems ->
-          Array.iter
-            (fun e ->
-              if e < set_size then
-                targets e (fun t ->
-                    if round.(t) = c && owner.(t) <> e then
-                      violations :=
-                        {
-                          v_level = `Element_colour;
-                          v_colour = c;
-                          v_elem_a = owner.(t);
-                          v_elem_b = e;
-                          v_target = t;
-                        }
-                        :: !violations
-                    else begin
-                      round.(t) <- c;
-                      owner.(t) <- e
-                    end))
-            elems)
-        ec.Am_mesh.Coloring.by_color);
+      let by_color = ec.Am_mesh.Coloring.by_color in
+      for c = 0 to Array.length by_color - 1 do
+        let elems = by_color.(c) in
+        for i = 0 to Array.length elems - 1 do
+          let e = elems.(i) in
+          if e < set_size then
+            for j = 0 to Array.length cs - 1 do
+              let t = target cs.(j) e in
+              if round.(t) = c && owner.(t) <> e then
+                violations :=
+                  {
+                    v_level = `Element_colour;
+                    v_colour = c;
+                    v_elem_a = owner.(t);
+                    v_elem_b = e;
+                    v_target = t;
+                  }
+                  :: !violations
+              else begin
+                round.(t) <- c;
+                owner.(t) <- e
+              end
+            done
+        done
+      done);
     (* Block level (shared backend): same-coloured blocks run on different
        workers, so a target may be touched from at most one block per
        colour.  Two elements of the same block sharing a target is fine —
@@ -161,31 +175,34 @@ let validate ?(resolvers = Exec_common.global_resolvers) ~set_size args (plan : 
     let round = Array.make n_targets (-1) in
     let owner_block = Array.make n_targets (-1) in
     let owner_elem = Array.make n_targets (-1) in
-    Array.iteri
-      (fun c block_ids ->
-        Array.iter
-          (fun b ->
-            let lo, hi = Am_mesh.Coloring.block_range plan.blocks b in
-            for e = lo to min (hi - 1) (set_size - 1) do
-              targets e (fun t ->
-                  if round.(t) = c && owner_block.(t) <> b then
-                    violations :=
-                      {
-                        v_level = `Block_colour;
-                        v_colour = c;
-                        v_elem_a = owner_elem.(t);
-                        v_elem_b = e;
-                        v_target = t;
-                      }
-                      :: !violations
-                  else begin
-                    round.(t) <- c;
-                    owner_block.(t) <- b;
-                    owner_elem.(t) <- e
-                  end)
-            done)
-          block_ids)
-      plan.block_coloring.Am_mesh.Coloring.by_color;
+    let by_color = plan.block_coloring.Am_mesh.Coloring.by_color in
+    for c = 0 to Array.length by_color - 1 do
+      let block_ids = by_color.(c) in
+      for i = 0 to Array.length block_ids - 1 do
+        let b = block_ids.(i) in
+        let lo, hi = Am_mesh.Coloring.block_range plan.blocks b in
+        for e = lo to min (hi - 1) (set_size - 1) do
+          for j = 0 to Array.length cs - 1 do
+            let t = target cs.(j) e in
+            if round.(t) = c && owner_block.(t) <> b then
+              violations :=
+                {
+                  v_level = `Block_colour;
+                  v_colour = c;
+                  v_elem_a = owner_elem.(t);
+                  v_elem_b = e;
+                  v_target = t;
+                }
+                :: !violations
+            else begin
+              round.(t) <- c;
+              owner_block.(t) <- b;
+              owner_elem.(t) <- e
+            end
+          done
+        done
+      done
+    done;
     List.rev !violations
 
 (* ---- Call-site state ---------------------------------------------------- *)

@@ -308,14 +308,15 @@ let exchange_needs args =
    handle's): kept while it addresses [r]'s windows of [args]' datasets,
    checked by physical identity without allocating, compiled over them
    otherwise. *)
-let rank_executor t execs r args =
-  if Exec.compiled_matches ~resolvers:t.resolvers.(r) execs.(r) args then
+let rank_executor t (execs : Exec.executor array) r args =
+  if Exec.compiled_matches ~resolvers:t.resolvers.(r) execs.(r).compiled args then
     Obs_counters.incr Obs.exec_hits
   else begin
     Obs_counters.incr Obs.exec_misses;
     execs.(r) <-
-      Obs.span ~cat:Cat.Plan "rank_compile" (fun () ->
-          Exec.compile ~resolvers:t.resolvers.(r) args)
+      Exec.executor
+        (Obs.span ~cat:Cat.Plan "rank_compile" (fun () ->
+             Exec.compile ~resolvers:t.resolvers.(r) args))
   end
 
 let par_loop ?(halo_seconds = ref 0.0) t ~execs ~range ~args ~kernel =
@@ -343,7 +344,7 @@ let par_loop ?(halo_seconds = ref 0.0) t ~execs ~range ~args ~kernel =
   for r = 0 to n_ranks t - 1 do
     let b = inter range t.exec_boxes.(r) in
     if nonempty b then
-      Exec.run_rank t.rank_exec ~compiled:execs.(r) ~axis:(outer_axis t.rank) ~range:b ~args
+      Exec.run_rank t.rank_exec ~exec:execs.(r) ~axis:(outer_axis t.rank) ~range:b ~args
         ~kernel
   done;
   (* Post: written datasets' ghosts are stale; count global reductions. *)

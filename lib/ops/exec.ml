@@ -14,8 +14,9 @@
    array] of flat offsets, one delta per stencil point, shared by the
    walker's places and the staged gather.
 
-   One rule decides how a frame (one worker's state for one loop call)
-   addresses the datasets:
+   One rule decides how a frame (one worker's state for one loop call;
+   a Seq call, or a [Rank_seq] rank, reuses the one its executor keeps,
+   its globals refreshed: [seq_frame]) addresses the datasets:
 
    - a walker frame runs the kernel's generated range walker with every
      dataset in place.  It needs a walker whose stencils the arguments
@@ -294,11 +295,19 @@ type walk = { walker : Acc.range_walker; places : Acc.place array }
    staging frame of a staged kernel walks [compiled] with neither. *)
 type frame = {
   compiled : compiled_arg array;
-  kernel : kernel;
+  mutable kernel : kernel;
   bufs : float array array;
   accs : Acc.t array;
   walk : walk option;
 }
+
+(* What a loop handle keeps per executor (one per rank on a partitioned
+   context): the compiled arguments, and the frame that a Seq call, or a
+   [Rank_seq] rank, runs ([seq_frame]).  A recompile builds a new
+   executor, and with it a new frame. *)
+type executor = { compiled : compiled_arg array; mutable frame : frame option }
+
+let executor compiled = { compiled; frame = None }
 
 (* ---- Range walkers ------------------------------------------------------ *)
 
@@ -382,29 +391,35 @@ let staging_accessors compiled bufs =
   done;
   accs
 
+(* The two always-on counters tell an accessor kernel's two kinds of
+   frame apart, once per frame a call runs. *)
+let count (f : frame) =
+  match (f.walk, f.kernel) with
+  | Some _, _ -> Am_obs.Counters.incr Am_obs.Obs.ops_walker_frames
+  | None, Accessor _ -> Am_obs.Counters.incr Am_obs.Obs.ops_point_frames
+  | None, Staged _ -> ()
+
 (* One worker's frame over [compiled] for a call with arguments [args]: a
    walker frame when the kernel has a range walker that runs over it, a
-   staging frame otherwise.  The two always-on counters tell an accessor
-   kernel's two kinds apart. *)
+   staging frame otherwise. *)
 let make_frame compiled kernel args =
   let walker =
     match kernel with Accessor k -> range_walker k compiled 0 | Staged _ -> None
   in
-  match walker with
-  | Some walker ->
-    Am_obs.Counters.incr Am_obs.Obs.ops_walker_frames;
-    let bufs = make_buffers ~staging:false compiled args in
-    { compiled; kernel; bufs; accs = [||]; walk = Some { walker; places = places compiled bufs } }
-  | None ->
-    let bufs = make_buffers ~staging:true compiled args in
-    let accs =
-      match kernel with
-      | Accessor _ ->
-        Am_obs.Counters.incr Am_obs.Obs.ops_point_frames;
-        staging_accessors compiled bufs
-      | Staged _ -> [||]
-    in
-    { compiled; kernel; bufs; accs; walk = None }
+  let f =
+    match walker with
+    | Some walker ->
+      let bufs = make_buffers ~staging:false compiled args in
+      { compiled; kernel; bufs; accs = [||]; walk = Some { walker; places = places compiled bufs } }
+    | None ->
+      let bufs = make_buffers ~staging:true compiled args in
+      let accs =
+        match kernel with Accessor _ -> staging_accessors compiled bufs | Staged _ -> [||]
+      in
+      { compiled; kernel; bufs; accs; walk = None }
+  in
+  count f;
+  f
 
 (* The [n] iteration indices of point (x, y, z). *)
 let[@inline] set_idx n buf x y z =
@@ -415,7 +430,7 @@ let[@inline] set_idx n buf x y z =
 (* The staging point walker: every point of [range], z outermost, with
    every argument gathered before the kernel and the written ones
    scattered after it. *)
-let traverse_staged f ~range =
+let traverse_staged (f : frame) ~range =
   let compiled = f.compiled and bufs = f.bufs and accs = f.accs in
   let n = Array.length compiled in
   for z = range.zlo to range.zhi - 1 do
@@ -475,7 +490,7 @@ let rec merge_from buffers i = function
 let merge_globals args buffers = merge_from buffers 0 args
 
 (* Fold a frame's global accumulators into the call's buffers. *)
-let merge_frame f args = if has_globals f.compiled then merge_globals args f.bufs
+let merge_frame (f : frame) args = if has_globals f.compiled then merge_globals args f.bufs
 
 (* Whether some global is reduced (Inc, Min or Max). *)
 let reduces compiled =
@@ -494,7 +509,7 @@ let rec restart_from bufs i = function
 
 (* A copy of [f]'s reduced globals' accumulators ([||] for any other
    argument): the partial of the range it just ran. *)
-let partial f =
+let partial (f : frame) =
   Array.mapi
     (fun i -> function
       | C_gbl { access = Access.Inc | Access.Min | Access.Max; _ } -> Array.copy f.bufs.(i)
@@ -503,10 +518,32 @@ let partial f =
 
 (* ---- Sequential ----------------------------------------------------- *)
 
-(* Every engine runs [compiled], the executor a loop handle keeps for the
-   call (one per rank on a partitioned context). *)
-let run_seq ~compiled ~range ~args ~kernel =
-  let f = make_frame compiled kernel args in
+(* The frame of one more Seq call on [exec]: the executor's own while the
+   call's kernel is the one it was built for (any staged kernel runs on a
+   staged kernel's frame), its global accumulators refreshed in place
+   ([Loop.restart]: [Read], [Min] and [Max] copied from the call's
+   buffers, [Inc] zeroed); built and kept otherwise.  A warm call
+   allocates no frame. *)
+let seq_frame exec kernel args =
+  match (exec.frame, kernel) with
+  | Some ({ kernel = Accessor k; _ } as f), Accessor k' when k == k' ->
+    restart_from f.bufs 0 args;
+    count f;
+    f
+  | Some ({ kernel = Staged _; _ } as f), Staged _ ->
+    f.kernel <- kernel;
+    restart_from f.bufs 0 args;
+    count f;
+    f
+  | (Some _ | None), _ ->
+    let f = make_frame exec.compiled kernel args in
+    exec.frame <- Some f;
+    f
+
+(* Every engine runs the executor a loop handle keeps for the call (one
+   per rank on a partitioned context); Seq runs its frame too. *)
+let run_seq ~exec ~range ~args ~kernel =
+  let f = seq_frame exec kernel args in
   run_range f ~range;
   merge_frame f args
 
@@ -617,10 +654,10 @@ let run_shared ~compiled pool ~axis ~range ~args ~kernel =
    writes make this race-free with no per-rank planning needed). *)
 type rank_exec = Rank_seq | Rank_shared of Am_taskpool.Pool.t
 
-let run_rank exec ~compiled ~axis ~range ~args ~kernel =
-  match exec with
-  | Rank_seq -> run_seq ~compiled ~range ~args ~kernel
-  | Rank_shared pool -> run_shared ~compiled pool ~axis ~range ~args ~kernel
+let run_rank rank_exec ~exec ~axis ~range ~args ~kernel =
+  match rank_exec with
+  | Rank_seq -> run_seq ~exec ~range ~args ~kernel
+  | Rank_shared pool -> run_shared ~compiled:exec.compiled pool ~axis ~range ~args ~kernel
 
 (* ---- GPU simulator --------------------------------------------------- *)
 

@@ -25,15 +25,15 @@ let check_tile ~fn ~field size =
 (* Per-call-site loop handle: caches the compiled gather/scatter executor
    (offset tables and specialised closures) so repeated invocations skip
    argument compilation, and on a partitioned context one executor per
-   rank, over the rank's windows.  Freshness is a handful of pointer
-   compares per call; a changed dataset array, stencil or access
-   recompiles.  A call without a handle runs on the handle of its entry in
-   the context's call-site table.  The executors ignore the loop name, so
-   a handle two loops share serves both; the table keeps their footprints
-   apart. *)
+   rank, over the rank's windows.  Each executor keeps the frame its Seq
+   (or [Rank_seq]) calls run.  Freshness is a handful of pointer compares
+   per call; a changed dataset array, stencil or access recompiles.  A
+   call without a handle runs on the handle of its entry in the context's
+   call-site table.  The executors ignore the loop name, so a handle two
+   loops share serves both; the table keeps their footprints apart. *)
 type handle = {
-  mutable h_exec : Exec.compiled_arg array option;
-  mutable h_ranks : Exec.compiled_arg array array; (* per rank, [||] until compiled *)
+  mutable h_exec : Exec.executor option;
+  mutable h_ranks : Exec.executor array; (* per rank, over [||] until compiled *)
 }
 
 let make_handle () = { h_exec = None; h_ranks = [||] }
@@ -95,18 +95,21 @@ let idx_flags args =
          | Types.Arg_dat _ | Types.Arg_gbl _ -> false)
        args)
 
-let resolve_compiled handle args =
+let resolve_executor handle args =
   match handle.h_exec with
-  | Some c when Exec.compiled_matches ~resolvers:Exec.global_resolvers c args ->
+  | Some e when Exec.compiled_matches ~resolvers:Exec.global_resolvers e.Exec.compiled args ->
     Am_obs.Counters.incr Am_obs.Obs.exec_hits;
-    c
+    e
   | Some _ | None ->
     Am_obs.Counters.incr Am_obs.Obs.exec_misses;
-    let c =
-      Am_obs.Obs.span ~cat:Am_obs.Tracer.Plan "compile" (fun () -> Exec.compile args)
+    let e =
+      Exec.executor
+        (Am_obs.Obs.span ~cat:Am_obs.Tracer.Plan "compile" (fun () -> Exec.compile args))
     in
-    handle.h_exec <- Some c;
-    c
+    handle.h_exec <- Some e;
+    e
+
+let resolve_compiled handle args = (resolve_executor handle args).Exec.compiled
 
 let set_backend ctx backend exec =
   (match (exec, ctx.dist) with
@@ -213,12 +216,12 @@ let execute ctx ~name handle range args kernel =
   match ctx.dist with
   | Some d ->
     if Array.length handle.h_ranks <> Dist.n_ranks d then
-      handle.h_ranks <- Array.make (Dist.n_ranks d) [||];
+      handle.h_ranks <- Array.init (Dist.n_ranks d) (fun _ -> Exec.executor [||]);
     Dist.par_loop ~halo_seconds:ctx.loop.Loop.halo_seconds d ~execs:handle.h_ranks ~range
       ~args ~kernel
   | None -> (
     match ctx.exec with
-    | Seq -> Exec.run_seq ~compiled:(resolve_compiled handle args) ~range ~args ~kernel
+    | Seq -> Exec.run_seq ~exec:(resolve_executor handle args) ~range ~args ~kernel
     | Shared pool ->
       Exec.run_shared ~compiled:(resolve_compiled handle args) pool
         ~axis:(Types.outer_axis ctx.rank) ~range ~args ~kernel

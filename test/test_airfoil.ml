@@ -258,6 +258,18 @@ let test_alloc_budget () =
   if words > 20_000.0 then
     Alcotest.failf "one Seq iteration allocated %.0f minor words (budget 20000)" words
 
+(* One warm Check iteration at 48x32.  Before any element runs, Check
+   proves the map entries each loop loads and the plan of every loop with
+   indirect writes race-free, walking its colours and elements with
+   loops: 5.1k minor words, where a closure per element at both colour
+   levels allocated 194.6k. *)
+let test_check_alloc_budget () =
+  let t = App.create ~backend:Op2.Check (Umesh.generate_airfoil ~nx:48 ~ny:32 ()) in
+  ignore (App.iteration t);
+  let words = Gc_util.minor_words (fun () -> ignore (App.iteration t)) in
+  if words > 6_400.0 then
+    Alcotest.failf "one Check iteration allocated %.0f minor words (budget 6400)" words
+
 (* A warm executor freshness check walks the compiled arguments and the
    argument list together: on res_calc's eight arguments it allocates
    nothing, where converting the array to a list took 29 words a call. *)
@@ -344,6 +356,7 @@ let () =
         [
           Alcotest.test_case "trace shape" `Quick test_trace_shape;
           Alcotest.test_case "seq iteration allocation budget" `Quick test_alloc_budget;
+          Alcotest.test_case "check iteration allocation budget" `Quick test_check_alloc_budget;
           Alcotest.test_case "warm executor check allocates nothing" `Quick
             test_compiled_matches_alloc;
           Alcotest.test_case "warm vec call allocates nothing major directly" `Quick

@@ -1385,6 +1385,25 @@ let test_digest_tealeaf () =
   check_digest "tealeaf n=10, 2 steps" "2a5e274f7f274b8a0f6719f80852f806"
     (List.map (Ops3.fetch_interior c) (Ops3.dats c))
 
+(* The same TeaLeaf run partitioned: on 3 z-slab ranks, and on a 2x2
+   pencil.  Recorded from the code before TeaLeaf's loops were declared
+   kernels, when every rank staged every argument. *)
+let tealeaf_partitioned partition =
+  let t = Am_tealeaf.App.create ~n:10 () in
+  let c = t.Am_tealeaf.App.ctx in
+  partition c;
+  Am_tealeaf.App.run t ~steps:2;
+  List.map (Ops3.fetch_interior c) (Ops3.dats c)
+
+let test_digest_tealeaf_slabs () =
+  check_digest "tealeaf n=10, 2 steps, 3 z-slab ranks" "8b8d6d9621cc73ca59b79333893adb19"
+    (tealeaf_partitioned (fun c -> Ops3.partition c ~n_ranks:3 ~ref_zsize:10))
+
+let test_digest_tealeaf_pencil () =
+  check_digest "tealeaf n=10, 2 steps, 2x2 pencil" "d72e69663e7b0ae0a7cba0e16d1fb3ca"
+    (tealeaf_partitioned (fun c ->
+         Ops3.partition_pencil c ~py:2 ~pz:2 ~ref_ysize:10 ~ref_zsize:10))
+
 let test_digest_cloverleaf3 () =
   let t = Am_cloverleaf3.App.create ~n:8 () in
   ignore (Am_cloverleaf3.App.run t ~steps:2);
@@ -1402,6 +1421,201 @@ let test_digest_cloverleaf () =
 let test_digest_ops1 () =
   let u, w, sums = run_program (ops1_facade Ops1.Seq) ~empty:false ~steps:3 in
   check_digest "ops1 program, 3 steps" "5957e030674011b18442fdc77adf24e1" [ u; w; sums ]
+
+(* ---- Reused frames ------------------------------------------------------- *)
+
+(* A Seq call, and each [Rank_seq] rank of a partitioned call, runs the
+   frame its handle's executor keeps.  A warm call must refresh that
+   frame's global accumulators in place: see a [Read] global changed since
+   the last call, restart an [Inc] from zero and start a [Max] from the
+   call's buffer.  Two kernels alternating on one handle must each run
+   their own walker, and a call over another dataset array must
+   recompile.  Every call on the shared handle is held, bit for bit, to
+   the same call on a fresh handle, whose frame is new; integer-valued
+   data keeps every sum exact on every rank count.  [scaled_sum] and
+   [scaled_diff] share one signature, so either would run on the other's
+   frame. *)
+module Framed_ops = struct
+  let[@inline] get (a : OAcc.t) p = a.OAcc.data.(a.OAcc.base + a.OAcc.off.(p))
+  let[@inline] gbl (a : OAcc.t) c = a.OAcc.data.(a.OAcc.base + a.OAcc.off.(0) + c)
+  let[@inline] set_gbl (a : OAcc.t) c v = a.OAcc.data.(a.OAcc.base + a.OAcc.off.(0) + c) <- v
+
+  let%kernel scaled_sum (a : Ops.Acc.t array) =
+    let v = gbl a.(1) 0 *. (get a.(0) 0 +. get a.(0) 1) in
+    set_gbl a.(2) 0 (gbl a.(2) 0 +. v);
+    set_gbl a.(3) 0 (Float.max (gbl a.(3) 0) v)
+  [@@args c [(0,0,0); (0,0,-1)] 1 Read, gbl 1 Read, gbl 1 Inc, gbl 1 Max]
+
+  let%kernel scaled_diff (a : Ops.Acc.t array) =
+    let v = gbl a.(1) 0 *. (get a.(0) 0 -. get a.(0) 1) in
+    set_gbl a.(2) 0 (gbl a.(2) 0 -. v);
+    set_gbl a.(3) 0 (Float.max (gbl a.(3) 0) (-.v))
+  [@@args c [(0,0,0); (0,0,-1)] 1 Read, gbl 1 Read, gbl 1 Inc, gbl 1 Max]
+end
+
+module Framed_op2 = struct
+  let[@inline] get (a : OAcc.t) i = a.OAcc.data.(a.OAcc.base + i)
+  let[@inline] set (a : OAcc.t) i v = a.OAcc.data.(a.OAcc.base + i) <- v
+
+  let%elem_kernel edge_sum (a : Op2.Acc.t array) =
+    let v = get a.(2) 0 *. (get a.(0) 0 +. get a.(1) 0) in
+    set a.(3) 0 (get a.(3) 0 +. v);
+    set a.(4) 0 (Float.max (get a.(4) 0) v)
+  [@@args u (e2c 2 0) 1 Read, u (e2c 2 1) 1 Read, gbl 1 Read, gbl 1 Inc, gbl 1 Max]
+
+  let%elem_kernel edge_diff (a : Op2.Acc.t array) =
+    let v = get a.(2) 0 *. (get a.(0) 0 -. get a.(1) 0) in
+    set a.(3) 0 (get a.(3) 0 -. v);
+    set a.(4) 0 (Float.max (get a.(4) 0) (-.v))
+  [@@args u (e2c 2 0) 1 Read, u (e2c 2 1) 1 Read, gbl 1 Read, gbl 1 Inc, gbl 1 Max]
+end
+
+(* The calls every configuration makes through [call ~shared kernel
+   dataset scale max0], on the shared handle or a fresh one, returning
+   (sum, max), and [replace], which replaces the first dataset's array on
+   an unpartitioned context: the scale changes between warm calls, a
+   [Max] starts above every value and then below, the two kernels
+   alternate, and the dataset changes. *)
+let check_reused_frames ~what ~call ~replace (k1, k2) (u, u2) =
+  let on_shared k d s m =
+    let warm = call ~shared:true k d s m in
+    let cold = call ~shared:false k d s m in
+    if warm <> cold then
+      Alcotest.failf "%s: a warm call gave (%.17g, %.17g), a fresh handle (%.17g, %.17g)" what
+        (fst warm) (snd warm) (fst cold) (snd cold);
+    warm
+  in
+  let big = 1e9 in
+  let first = on_shared k1 u 1.0 Float.neg_infinity in
+  let again = on_shared k1 u 1.0 Float.neg_infinity in
+  if first <> again then Alcotest.failf "%s: an Inc global did not restart at zero" what;
+  let scaled = on_shared k1 u 2.0 Float.neg_infinity in
+  if fst scaled <> 2.0 *. fst first then
+    Alcotest.failf "%s: a warm call did not see its Read global change" what;
+  if snd (on_shared k1 u 1.0 big) <> big then
+    Alcotest.failf "%s: a Max global did not start from the call's buffer" what;
+  if snd (on_shared k1 u 1.0 Float.neg_infinity) <> snd first then
+    Alcotest.failf "%s: a Max global kept the last call's value" what;
+  for _ = 1 to 2 do
+    ignore (on_shared k2 u 1.0 Float.neg_infinity);
+    ignore (on_shared k1 u 1.0 Float.neg_infinity)
+  done;
+  if on_shared k1 u2 1.0 Float.neg_infinity = first then
+    Alcotest.failf "%s: a call over another dataset ran on the old executor" what;
+  match replace with
+  | None -> ()
+  | Some replace ->
+    replace ();
+    if on_shared k1 u 1.0 Float.neg_infinity = first then
+      Alcotest.failf "%s: a replaced dataset array did not recompile" what
+
+let test_reused_frames_ops ~ranks () =
+  let ctx = Ops3.create () in
+  let grid = Ops3.decl_block ctx ~name:"g" in
+  let decl name = Ops3.decl_dat ctx ~name ~block:grid ~xsize:3 ~ysize:4 ~zsize:8 ~halo:1 () in
+  let u = decl "u" and u2 = decl "u2" in
+  Ops3.init ctx u (fun x y z _ -> Float.of_int (((x + (3 * y) + (5 * z)) mod 11) - 3));
+  Ops3.init ctx u2 (fun x y z _ -> Float.of_int (((2 * x) + y + (7 * z)) mod 13));
+  if ranks > 1 then Ops3.partition ctx ~n_ranks:ranks ~ref_zsize:8;
+  let handle = Ops3.make_handle () in
+  let call ~shared k d s m =
+    let sum = [| 0.0 |] and mx = [| m |] in
+    let handle = if shared then handle else Ops3.make_handle () in
+    Ops3.par_loop_acc ctx ~name:"framed" ~handle grid
+      (Ops3.interior u)
+      [
+        Ops3.arg_dat d [| (0, 0, 0); (0, 0, -1) |] Access.Read;
+        Ops3.arg_gbl ~name:"s" [| s |] Access.Read;
+        Ops3.arg_gbl ~name:"sum" sum Access.Inc;
+        Ops3.arg_gbl ~name:"max" mx Access.Max;
+      ]
+      k;
+    (sum.(0), mx.(0))
+  in
+  let replace () =
+    u.Am_ops.Types.data <- Array.map (fun v -> v +. 1.0) u.Am_ops.Types.data
+  in
+  let walkers0 = Am_obs.Counters.value Am_obs.Obs.ops_walker_frames in
+  check_reused_frames
+    ~what:(if ranks > 1 then Printf.sprintf "ops %d z-slab ranks" ranks else "ops seq")
+    ~call ~replace:(if ranks > 1 then None else Some replace)
+    (Framed_ops.scaled_sum, Framed_ops.scaled_diff) (u, u2);
+  if Am_obs.Counters.value Am_obs.Obs.ops_walker_frames = walkers0 then
+    Alcotest.fail "no call ran a walker frame"
+
+let test_reused_frames_op2 ~ranks () =
+  let mesh = Umesh.generate_airfoil ~nx:8 ~ny:6 () in
+  let t = App.create mesh in
+  let cells = mesh.Umesh.n_cells in
+  let decl name f = Op2.decl_dat t.App.ctx ~name ~set:t.App.cells ~dim:1 ~data:(Array.init cells f) in
+  let u = decl "u" (fun c -> Float.of_int ((c mod 11) - 3)) in
+  let u2 = decl "u2" (fun c -> Float.of_int ((3 * c) mod 13)) in
+  if ranks > 1 then
+    Op2.partition t.App.ctx ~n_ranks:ranks ~strategy:(Op2.Kway_through t.App.edge_cells);
+  let handle = Op2.make_handle () in
+  let call ~shared k d s m =
+    let sum = [| 0.0 |] and mx = [| m |] in
+    let handle = if shared then handle else Op2.make_handle () in
+    Op2.par_loop_acc t.App.ctx ~name:"framed" ~handle t.App.edges
+      [
+        Op2.arg_dat_indirect d t.App.edge_cells 0 Access.Read;
+        Op2.arg_dat_indirect d t.App.edge_cells 1 Access.Read;
+        Op2.arg_gbl ~name:"s" [| s |] Access.Read;
+        Op2.arg_gbl ~name:"sum" sum Access.Inc;
+        Op2.arg_gbl ~name:"max" mx Access.Max;
+      ]
+      k;
+    (sum.(0), mx.(0))
+  in
+  let replace () = u.Am_op2.Types.data <- Array.map (fun v -> v +. 1.0) u.Am_op2.Types.data in
+  let walkers0 = Am_obs.Counters.value Am_obs.Obs.op2_walker_frames in
+  check_reused_frames
+    ~what:(if ranks > 1 then Printf.sprintf "op2 %d kway ranks" ranks else "op2 seq")
+    ~call ~replace:(if ranks > 1 then None else Some replace)
+    (Framed_op2.edge_sum, Framed_op2.edge_diff) (u, u2);
+  if Am_obs.Counters.value Am_obs.Obs.op2_walker_frames = walkers0 then
+    Alcotest.fail "no call ran a walker frame"
+
+(* A warm Seq call builds no frame: its executor keeps the one the first
+   call built, on both libraries. *)
+let test_seq_frame_kept () =
+  let ctx = Ops3.create () in
+  let grid = Ops3.decl_block ctx ~name:"g" in
+  let u = Ops3.decl_dat ctx ~name:"u" ~block:grid ~xsize:3 ~ysize:4 ~zsize:5 ~halo:1 () in
+  let args s =
+    [
+      Ops3.arg_dat u [| (0, 0, 0); (0, 0, -1) |] Access.Read;
+      Ops3.arg_gbl ~name:"s" [| s |] Access.Read;
+      Ops3.arg_gbl ~name:"sum" [| 0.0 |] Access.Inc;
+      Ops3.arg_gbl ~name:"max" [| 0.0 |] Access.Max;
+    ]
+  in
+  let exec = Am_ops.Exec.executor (Am_ops.Exec.compile (args 1.0)) in
+  let run s =
+    Am_ops.Exec.run_seq ~exec ~range:(Ops3.interior u) ~args:(args s)
+      ~kernel:(Am_ops.Exec.Accessor Framed_ops.scaled_sum);
+    Option.get exec.Am_ops.Exec.frame
+  in
+  let f = run 1.0 in
+  if run 2.0 != f then Alcotest.fail "ops: a warm Seq call built a frame";
+  let t = App.create (Umesh.generate_airfoil ~nx:8 ~ny:6 ()) in
+  let args s =
+    [
+      Op2.arg_dat_indirect t.App.adt t.App.edge_cells 0 Access.Read;
+      Op2.arg_dat_indirect t.App.adt t.App.edge_cells 1 Access.Read;
+      Op2.arg_gbl ~name:"s" [| s |] Access.Read;
+      Op2.arg_gbl ~name:"sum" [| 0.0 |] Access.Inc;
+      Op2.arg_gbl ~name:"max" [| 0.0 |] Access.Max;
+    ]
+  in
+  let compiled = Am_op2.Exec_common.compile (args 1.0) in
+  let run s =
+    Am_op2.Exec_seq.run ~compiled ~set_size:t.App.edges.Am_op2.Types.set_size ~args:(args s)
+      ~kernel:(Am_op2.Exec_common.Accessor Framed_op2.edge_sum);
+    Option.get compiled.Am_op2.Exec_common.frame
+  in
+  let f = run 1.0 in
+  if run 2.0 != f then Alcotest.fail "op2: a warm Seq call built a frame"
 
 let () =
   Alcotest.run "backends"
@@ -1460,6 +1674,19 @@ let () =
           Alcotest.test_case "cloverleaf3 digest" `Quick test_digest_cloverleaf3;
           Alcotest.test_case "cloverleaf van Leer digest" `Quick test_digest_cloverleaf;
           Alcotest.test_case "ops1 program digest" `Quick test_digest_ops1;
+        ] );
+      ( "dist bits",
+        [
+          Alcotest.test_case "tealeaf on 3 z-slab ranks" `Quick test_digest_tealeaf_slabs;
+          Alcotest.test_case "tealeaf on a 2x2 pencil" `Quick test_digest_tealeaf_pencil;
+        ] );
+      ( "reused frames",
+        [
+          Alcotest.test_case "ops seq" `Quick (test_reused_frames_ops ~ranks:1);
+          Alcotest.test_case "ops 4 z-slab ranks" `Quick (test_reused_frames_ops ~ranks:4);
+          Alcotest.test_case "op2 seq" `Quick (test_reused_frames_op2 ~ranks:1);
+          Alcotest.test_case "op2 4 kway ranks" `Quick (test_reused_frames_op2 ~ranks:4);
+          Alcotest.test_case "a warm seq call builds no frame" `Quick test_seq_frame_kept;
         ] );
       ( "plan handles",
         [

@@ -167,17 +167,18 @@ let test_alloc_budget () =
     Alcotest.failf "one Seq iteration allocated %.0f minor words (budget 17000)" words
 
 (* One warm iteration on 4 Kway ranks.  Each call's rank executors and
-   rank plans live on its entry's handle, so a warm call builds no
-   signature string and looks nothing up by one; the pin (measured: 53.4k
-   words; 90.7k when every call built its key) is the per-call, per-rank
-   frames and halo exchanges. *)
+   rank plans live on its entry's handle, and each rank executor keeps the
+   frame the rank runs, so a warm call builds no signature string, looks
+   nothing up by one and builds no frame; the pin (measured: 48.5k words;
+   53.4k when every call built a frame per rank, 90.7k when it also built
+   its key) is the per-call bookkeeping and halo exchanges. *)
 let test_dist_alloc_budget () =
   let t = App.create ~nx:96 ~ny:64 () in
   Op2.partition t.App.ctx ~n_ranks:4 ~strategy:(Op2.Kway_through t.App.edge_cells);
   ignore (App.iteration t);
   let words = Gc_util.minor_words (fun () -> ignore (App.iteration t)) in
-  if words > 66_700.0 then
-    Alcotest.failf "one 4-rank iteration allocated %.0f minor words (budget 66700)" words
+  if words > 60_600.0 then
+    Alcotest.failf "one 4-rank iteration allocated %.0f minor words (budget 60600)" words
 
 (* A warm handle-less [rk_stage], with its fresh [alpha] global, costs what
    the same call costs on an explicit handle with a hoisted [alpha]
